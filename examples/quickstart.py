@@ -8,8 +8,8 @@ before subdivision, and the subdivision itself — on 8 virtual processors.
 
 Run:  python examples/quickstart.py [--trace-out run.jsonl] [--chrome-out run.json]
 
-With ``--trace-out``/``--chrome-out`` the run's phase spans, virtual-machine
-events, and counters are exported (see ``repro.obs``); the Chrome trace
+With ``--trace-out``/``--chrome-out`` the run's phase spans, metrics, and
+virtual-machine causal record are exported (see ``repro.obs``); the Chrome trace
 opens directly in chrome://tracing or https://ui.perfetto.dev.
 """
 

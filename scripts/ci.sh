@@ -1,6 +1,13 @@
 #!/bin/sh
-# CI entry point: unit tests, trace smoke check, report + critical-path
-# smoke, bench gate.
+# CI entry point: unit tests, end-to-end benchmark smoke, trace smoke
+# check, report + critical-path smoke, bench gate.
+#
+# The benchmark smoke runs benchmarks/e2e at its tiny --smoke sizes
+# (< 30 s): every BENCHMARK.json metric must be reported, no operation
+# may fail and no span target may go unresolved, so a src/ refactor that
+# breaks the benchmark's contract with repro.obs (validate_jsonl counts,
+# metric record keys) or renames a wrapped entry point fails here, not
+# at the next benchmark run.
 #
 # The report smoke exports a one-step trace and renders the run-report
 # dashboard and the critical-path breakdown from it; it fails if either
@@ -19,6 +26,7 @@ set -e
 cd "$(dirname "$0")/.."
 
 python -m pytest -x -q
+python -m pytest benchmarks/e2e -q
 python scripts/smoke_trace.py
 
 tmp="$(mktemp -d)"
@@ -43,7 +51,7 @@ echo "report smoke: OK"
 # pickling and zero-copy slabs), under a hard timeout so a hung rank
 # process fails CI instead of wedging it.  --fit exercises the machine-
 # constant regression on the measured walls; --trace-out exercises the
-# measured (v4) tracing layer end to end.
+# measured tracing layer (wall-clock node/msg + clock records) end to end.
 timeout 300 env PYTHONPATH=src python -m repro calibrate 4 --nproc 4 --fit \
     --trace-out "$tmp/cal.jsonl" > "$tmp/calibrate.txt"
 grep -q "backend 'multiprocessing' vs 'virtual'" "$tmp/calibrate.txt"
@@ -63,7 +71,7 @@ timeout 120 env PYTHONPATH=src python -m repro report "$tmp/cal.jsonl" \
 grep -q "Per-rank traffic (measured, wall clock)" "$tmp/cal_report.txt"
 grep -q "Transport counters (shm)" "$tmp/cal_report.txt"
 grep -q "Measured critical path (wall clock)" "$tmp/cal_report.txt"
-grep -q "rank 3" "$tmp/cal_report.txt"  # per-rank resource rows (v5)
+grep -q "rank 3" "$tmp/cal_report.txt"  # per-rank resource-record rows
 timeout 120 env PYTHONPATH=src python -m repro critical-path \
     "$tmp/cal.jsonl" --clock wall > "$tmp/cal_cpath.txt"
 grep -q "wall seconds" "$tmp/cal_cpath.txt"

@@ -3,7 +3,7 @@
 
 Runs ``python -m repro step --trace-out`` on a tiny mesh (resolution 4,
 a few hundred elements — seconds of wall time), then validates the
-emitted JSONL against the ``repro.obs/v5`` schema and sanity-checks the
+emitted JSONL against the ``repro.obs/v6`` schema and sanity-checks the
 span tree: the step must contain marking/subdivision spans and the root
 span's virtual duration must equal the sum of its phase leaves.  The
 trace must carry labelled metric samples, host resource samples, and a
@@ -15,12 +15,12 @@ diff`` must all render from the file alone.
 A second pass runs ``repro calibrate`` (virtual + the real mp/shm
 backends on the exec-phase workload) with ``--trace-out`` and checks
 that backend runs emit schema-valid traces carrying both the modelled
-makespans and the measured wall clocks — including the v4 measured
-layer: clock-alignment records, wall-clock causal runs whose critical
+makespans and the measured wall clocks — including the measured
+layer: ``clock`` alignment records, wall-clock causal runs whose critical
 path matches the rank makespan within the recorded skew bound, the
 measured report/critical-path renderings, and ``repro diff``'s graceful
-degradation when one trace lacks measured runs — plus the v5 resource
-layer: per-rank ``repro.resource.*`` samples from the forked rank
+degradation when one trace lacks measured runs — plus the ``resource``
+records: per-rank ``repro.resource.*`` samples from the forked rank
 processes.
 
 A third pass covers the live/longitudinal layer: ``repro step --live``
@@ -93,7 +93,7 @@ def main() -> int:
         if f'"{SCHEMA_VERSION}"' not in first:
             return fail(f"meta line does not declare {SCHEMA_VERSION}: {first}")
 
-        # v5 resource layer: the traced CLI run samples its own process
+        # resource records: the traced CLI run samples its own process
         if summary.get("resources", 0) == 0:
             return fail("trace contains no resource samples")
 
@@ -121,7 +121,7 @@ def main() -> int:
                 f"phase leaves sum to {leaf_sum} but the root span spans "
                 f"{roots[0].v_duration} virtual seconds"
             )
-        # v3 causal record: node/msg records present, makespan identity holds
+        # causal record: node/msg records present, makespan identity holds
         if summary.get("nodes", 0) == 0:
             return fail("trace contains no causal nodes")
         if summary.get("msgs", 0) == 0:
@@ -230,7 +230,7 @@ def main() -> int:
         if "clock alignment per measured run" not in proc.stdout:
             return fail("calibrate did not print the clock-skew table")
 
-        # v5 resource layer on a real backend: every forked mp/shm rank
+        # resource records on a real backend: every forked mp/shm rank
         # must have shipped resource rows back into the trace
         if bsummary.get("resources", 0) == 0:
             return fail("backend trace contains no resource samples")
@@ -248,7 +248,7 @@ def main() -> int:
                     f"{needed}; got {sorted(rank_res)}"
                 )
 
-        # v4 measured layer: the real-backend runs must have recorded
+        # clock records: the real-backend runs must have recorded
         # clock-aligned wall causal runs under their phase spans
         from repro.obs.causal import runs_from_tracer
 
@@ -386,7 +386,6 @@ def main() -> int:
     print(f"smoke_trace: OK ({summary['spans']} spans, "
           f"{summary['events']} events, {summary['metrics']} metrics, "
           f"{summary['nodes']} causal nodes, {summary['msgs']} msgs, "
-          f"{summary['counters']} counters, "
           f"{summary['resources']} resource samples, {len(cycles)} "
           f"cycle(s); makespan identity on {nruns} vm run(s); "
           f"{len(wall_runs)} measured wall run(s) within skew; "

@@ -57,8 +57,8 @@ version
 Tracing
 -------
 ``report`` and ``step`` accept ``--trace-out PATH`` to export the run's
-phase spans, events, metrics, counters, resource samples, and causal
-message DAG as JSONL (schema ``repro.obs/v5``) and ``--chrome-out PATH``
+phase spans, marker events, metrics, resource samples, and causal
+message DAG as JSONL (schema ``repro.obs/v6``) and ``--chrome-out PATH``
 to additionally write a Chrome-trace JSON that ``chrome://tracing`` or
 https://ui.perfetto.dev can open (message sends render as flow arrows).
 Feed the JSONL back to ``report`` for the dashboard, or to
@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_tracing(p):
         p.add_argument(
             "--trace-out", metavar="PATH", default=None,
-            help="export phase spans/metrics/counters as JSONL (repro.obs/v5)",
+            help="export phase spans/metrics/causal DAG as JSONL (repro.obs/v6)",
         )
         p.add_argument(
             "--chrome-out", metavar="PATH", default=None,
@@ -169,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "critical-path",
         help="critical-path / straggler breakdown of an exported trace",
     )
-    p_cp.add_argument("trace", help="trace .jsonl path (repro.obs/v4)")
+    p_cp.add_argument("trace", help="trace .jsonl path (repro.obs/v6)")
     p_cp.add_argument(
         "--top", type=int, default=10,
         help="number of critical-path segments to list",
@@ -300,7 +300,8 @@ def _export(tracer, trace_out: str | None, chrome_out: str | None,
             from repro.obs.runs import RunStore, index_trace
 
             rec = index_trace(
-                RunStore(runs_dir), trace_out, label=label, config=config
+                RunStore(runs_dir), trace_out, label=label, config=config,
+                tracer=tracer,
             )
             print(f"indexed run {rec.id} into {RunStore(runs_dir).root} "
                   f"(compare with `repro runs list`)")
@@ -370,13 +371,12 @@ def _cmd_report(args) -> int:
 def _cmd_trace_report(args) -> int:
     import os
 
-    from repro.obs import read_jsonl, render_ascii, render_html
+    from repro.obs import render_ascii, render_html
 
     path = args.target
-    if not os.path.exists(path):
-        print(f"error: no such trace file: {path}", file=sys.stderr)
+    tracer = _read_trace(path)
+    if tracer is None:
         return 2
-    tracer = read_jsonl(path)
     if args.fmt in ("ascii", "both"):
         print(render_ascii(tracer, source=path, top=args.top), end="")
     if args.fmt in ("html", "both"):
@@ -515,14 +515,17 @@ def _cmd_calibrate(args) -> int:
 
 
 def _read_trace(path: str):
-    import os
+    """Load a trace file for a CLI command.  A missing, unreadable or
+    malformed file prints one ``error:`` line to stderr and returns None
+    (the caller exits 2 with nothing on stdout)."""
+    from repro.obs import SchemaError, read_jsonl
 
-    from repro.obs import read_jsonl
-
-    if not os.path.exists(path):
-        print(f"error: no such trace file: {path}", file=sys.stderr)
+    try:
+        return read_jsonl(path)
+    except (OSError, SchemaError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        print(f"error: {path}: {reason}", file=sys.stderr)
         return None
-    return read_jsonl(path)
 
 
 def _cmd_critical_path(args) -> int:
@@ -544,7 +547,7 @@ def _cmd_critical_path(args) -> int:
     if virtual is not None and not virtual.runs and not virtual.supersteps:
         if args.clock == "virtual" or wall is None:
             print(f"note: {args.trace} carries no causal records "
-                  "(re-export with schema repro.obs/v3 or later)",
+                  "(no traced VM run or ledger superstep)",
                   file=sys.stderr)
         else:
             virtual = None  # auto: measured-only trace
@@ -737,13 +740,11 @@ def _cmd_runs(args) -> int:
             print(format_regressions(candidate, flags, pool, threshold))
             return 1 if flags else 0
         if cmd == "index":
-            import os
-
-            if not os.path.exists(args.trace):
-                print(f"error: no such trace file: {args.trace}",
-                      file=sys.stderr)
+            tracer = _read_trace(args.trace)
+            if tracer is None:
                 return 2
-            rec = index_trace(store, args.trace, label=args.label)
+            rec = index_trace(store, args.trace, label=args.label,
+                              tracer=tracer)
             print(f"indexed run {rec.id} ({rec.label}) into {store.root}")
             return 0
     except KeyError as exc:

@@ -1,6 +1,6 @@
 """Hand-rolled validation of ``BENCH_results.json`` (``repro.bench/v1``).
 
-Same idiom as the ``repro.obs/v1`` trace validator: explicit checks
+Same idiom as the ``repro.obs`` trace validator: explicit checks
 raising :class:`~repro.obs.SchemaError` with a path-qualified message —
 no external JSON-schema dependency.
 """

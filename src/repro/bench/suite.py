@@ -65,7 +65,7 @@ def run_bench(name: str, resolution: int, repeats: int = 1) -> dict:
     rec = {
         "wall_seconds": wall,
         "virtual_phase_seconds": phase_virtual_times(tracer.spans),
-        "counters": dict(tracer.counters),
+        "counters": tracer.metrics.totals(),
         "extra": extra,
     }
     metrics = _metric_summary(tracer)

@@ -7,13 +7,11 @@ Dual graph of the initial mesh (§4.1), similarity-matrix construction
 framework driver tying them to the mesh adaptor and partitioner (Fig. 1).
 """
 
-from .checkpoint import load_checkpoint, save_checkpoint
 from .combined import combined_cost, combined_reassign
 from .cost import CostModel, Decision
 from .dualgraph import DualGraph
 from .evaluate import load_imbalance, needs_repartition
 from .framework import LoadBalancedAdaptiveSolver, StepReport
-from .history import AdaptionHistory
 from .metrics import RemapStats, remap_stats
 from .reassign import (
     brute_force_maxv,
@@ -27,7 +25,6 @@ from .remap import RemapExecution, build_move_matrix, execute_remap
 from .similarity import charge_gather_scatter, similarity_matrix
 
 __all__ = [
-    "AdaptionHistory",
     "CostModel",
     "Decision",
     "DualGraph",
@@ -43,13 +40,11 @@ __all__ = [
     "combined_reassign",
     "execute_remap",
     "heuristic_mwbg",
-    "load_checkpoint",
     "load_imbalance",
     "needs_repartition",
     "objective_value",
     "optimal_bmcm",
     "optimal_mwbg",
     "remap_stats",
-    "save_checkpoint",
     "similarity_matrix",
 ]

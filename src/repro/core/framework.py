@@ -263,7 +263,6 @@ class LoadBalancedAdaptiveSolver:
                 sp.attrs.update(
                     edges_marked=edges_marked, iterations=marking.iterations
                 )
-                tracer.count("edges_marked", edges_marked)
                 ms = marking_stats(marking, seed_mask=edge_mask)
                 for sub, nelem in (
                     ("unchanged", ms.n_unchanged),
@@ -297,7 +296,6 @@ class LoadBalancedAdaptiveSolver:
                 self._balance(report, self.adaptive.wcomp(), tracer)
 
             report.imbalance_after = self.solver_imbalance()
-            tracer.gauge("imbalance_after", report.imbalance_after)
         report.spans = tracer.spans[first_span:]
         for phase, secs in report.phase_times().items():
             tracer.metric("repro.cycle.phase_seconds", secs, phase=phase)
@@ -346,7 +344,6 @@ class LoadBalancedAdaptiveSolver:
             if not triggered:
                 return
             report.repartition_triggered = True
-            tracer.count("repartitions_triggered")
             npart = self.F * self.nproc
 
             with tracer.phase("repartition") as sp:
@@ -466,7 +463,6 @@ class LoadBalancedAdaptiveSolver:
             )
             if not decision.accept:
                 return  # the new partitioning is discarded (Fig. 1)
-            tracer.count("repartitions_accepted")
 
             with tracer.phase("remap") as sp:
                 execu = execute_remap(
@@ -485,8 +481,6 @@ class LoadBalancedAdaptiveSolver:
                     messages=execu.messages,
                     words_moved=execu.words_moved,
                 )
-            tracer.count("elements_moved", execu.elements_moved)
-            tracer.count("words_moved", execu.words_moved)
             tracer.metric(
                 "repro.remap.elements_moved", execu.elements_moved,
                 kind="counter",

@@ -63,12 +63,11 @@ def format_series(series: dict[int, float], fmt: str = "8.3f") -> str:
 
 
 def format_counters(tracer: Tracer) -> str:
-    """Render a tracer's counters/gauges as a small two-column table."""
-    lines = [f"{'counter':28s} {'value':>14s}"]
-    for name, value in sorted(tracer.counters.items()):
-        lines.append(f"{name:28s} {value:14g}")
-    for name, value in sorted(tracer.gauges.items()):
-        lines.append(f"{name + ' (gauge)':28s} {value:14g}")
+    """Render the whole-run totals of a tracer's counter metrics as a
+    small two-column table."""
+    lines = [f"{'counter':32s} {'total':>14s}"]
+    for name, value in tracer.metrics.totals().items():
+        lines.append(f"{name:32s} {value:14g}")
     return "\n".join(lines)
 
 

@@ -11,10 +11,10 @@ Every phase of the solve → adapt → balance cycle is double-clocked:
   reproduction itself costs to run.
 
 A :class:`Tracer` records nestable :class:`Span` phases carrying both
-clocks, point :class:`PointEvent` records (e.g. every virtual-machine
-send/recv/probe during a remap), a legacy flat counter/gauge registry,
-and a labelled :class:`MetricsRegistry` of time-series samples keyed by
-``(name, labels, cycle, rank)``.  Traced virtual-machine runs additionally
+clocks, :class:`PointEvent` markers (``vm.run``, ``ledger.superstep``,
+``transport.spill``), and a labelled :class:`MetricsRegistry` of
+time-series samples keyed by ``(name, labels, cycle, rank)`` — the one
+place every quantity is stored.  Traced virtual-machine runs additionally
 record their happens-before DAG (:mod:`repro.obs.causal`): every operation
 becomes a :class:`~repro.obs.causal.CausalNode` and every message a
 :class:`~repro.obs.causal.CausalMsg`, from which :func:`analyze`
@@ -28,8 +28,8 @@ estimates per-rank offsets (:class:`ClockRecord`), and
 ``analyze(tracer, clock="wall")`` yields a measured critical path next
 to the modelled one.
 :mod:`repro.obs.export` serialises a tracer to JSONL (one record per
-line, schema ``repro.obs/v5``; v1–v4 files remain readable) and to the
-Chrome trace-event format that ``chrome://tracing`` / Perfetto can open
+line, schema ``repro.obs/v6``, its record types defined once in
+:data:`repro.obs.export.RECORDS`) and to the Chrome trace-event format that ``chrome://tracing`` / Perfetto can open
 directly — including flow-event arrows for every delivered message.
 :mod:`repro.obs.report` turns a trace file into an ASCII dashboard or a
 self-contained HTML run report (``repro report <trace.jsonl>``).
@@ -41,7 +41,7 @@ the tracer publishes phase/cycle/run frames into, plus the non-blocking
 resource frames over, and the in-place ASCII dashboard behind
 ``repro step --live`` / ``repro watch``.  :mod:`repro.obs.resource`
 samples per-process RSS, CPU seconds, and GC collections into the trace
-(``resource`` records + ``repro.resource.*`` metrics, schema v5).
+(``resource`` records + ``repro.resource.*`` metrics).
 :mod:`repro.obs.runs` is the ``.repro_runs/`` cross-run history store
 (``repro runs list|show|compare|regress``) with rolling-baseline
 regression flagging.
@@ -81,7 +81,6 @@ from .tracer import (
 )
 from .export import (
     SCHEMA_VERSION,
-    SUPPORTED_SCHEMAS,
     SchemaError,
     export_chrome_trace,
     export_jsonl,
@@ -133,7 +132,6 @@ __all__ = [
     "RunRecord",
     "RunStore",
     "SCHEMA_VERSION",
-    "SUPPORTED_SCHEMAS",
     "SchemaError",
     "Span",
     "TelemetryHub",

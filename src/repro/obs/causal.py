@@ -268,16 +268,15 @@ def runs_from_tracer(tracer, clock: str = "virtual") -> list[CausalRun]:
     """All VM runs recorded in a tracer, via its ``vm.run`` marker events.
 
     ``clock`` selects which runs: ``"virtual"`` (the default — modelled
-    runs, including every run of traces that predate measured tracing)
-    or ``"wall"`` (measured runs from the real-core backends).  The two
+    runs) or ``"wall"`` (measured runs from the real-core backends).  The two
     kinds never mix in one list: wall bases are raw ``perf_counter``
     epochs and would corrupt virtual-timeline placement.
     """
     nodes_by_run: dict[int, list[CausalNode]] = {}
     msgs_by_run: dict[int, list[CausalMsg]] = {}
-    for n in getattr(tracer, "causal_nodes", ()):
+    for n in tracer.causal_nodes:
         nodes_by_run.setdefault(n.run, []).append(n)
-    for m in getattr(tracer, "causal_msgs", ()):
+    for m in tracer.causal_msgs:
         msgs_by_run.setdefault(m.run, []).append(m)
     runs = []
     for ev in tracer.events:
@@ -292,7 +291,7 @@ def runs_from_tracer(tracer, clock: str = "virtual") -> list[CausalRun]:
         runs.append(
             CausalRun(
                 id=rid,
-                base=ev.attrs.get("base", ev.v_time),
+                base=ev.attrs["base"],
                 nranks=ev.attrs["nranks"],
                 makespan=ev.attrs["makespan"],
                 nodes=sorted(nodes_by_run.get(rid, []), key=lambda n: n.id),

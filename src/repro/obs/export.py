@@ -1,75 +1,51 @@
 """Serialise a :class:`~repro.obs.tracer.Tracer` to JSONL and Chrome trace.
 
-JSONL schema (``repro.obs/v5``)
+JSONL schema (``repro.obs/v6``)
 -------------------------------
-One JSON object per line.  The first line is the meta record; every other
-line is a span, event, metric, node, msg, clock, resource, counter, or
-gauge record:
+One JSON object per line.  The first line is the meta record,
+``{"type": "meta", "schema": "repro.obs/v6", "spans": N, "events": N,
+"metrics": N, "nodes": N, "msgs": N, "clocks": N, "resources": N}``,
+whose counts must match the records that follow.  Every other line is one
+of the seven record types of :data:`RECORDS` — the single definition
+:func:`export_jsonl`, :func:`read_jsonl` and :func:`validate_jsonl` all
+walk.  A record carries ``"type"`` plus exactly the keys its table entry
+declares, each present (``null`` only where the entry marks it ``?``):
 
-``{"type": "meta", "schema": "repro.obs/v5", "spans": N, "events": M,
-"counters": C, "gauges": G, "metrics": K, "nodes": D, "msgs": S,
-"clocks": W, "resources": R}``
-    Header; the counts must match the number of records that follow.
-    v1 files (schema ``repro.obs/v1``, no ``metrics`` count, no ``metric``
-    records), v2 files (schema ``repro.obs/v2``, no ``nodes``/``msgs``
-    counts, no causal records), v3 files (schema ``repro.obs/v3``, no
-    ``clocks`` count, no clock records), and v4 files (schema
-    ``repro.obs/v4``, no ``resources`` count, no resource records) are
-    still accepted by :func:`read_jsonl`/:func:`validate_jsonl`.
-
-``{"type": "span", "index": int, "parent": int|null, "depth": int >= 0,
-"name": str, "rank": int|null, "v_start": float, "v_end": float,
-"wall_start": float, "wall_end": float, "attrs": object}``
-    A closed phase span; ``v_end >= v_start``, ``wall_end >= wall_start``,
-    and ``parent`` (when non-null) names an earlier span's ``index``.
-
-``{"type": "event", "name": str, "v_time": float, "rank": int|null,
-"span": int|null, "attrs": object}``
-    A point event on the virtual timeline.
-
-``{"type": "metric", "name": str, "kind": "counter"|"gauge"|"histogram",
-"value": number | [number, ...], "labels": {str: str}, "cycle": int|null,
-"rank": int|null, "v_time": float}``
+``span``
+    A closed phase span on both clocks; ``parent`` names an earlier
+    span's ``index``, indices are unique.
+``event``
+    A marker on the virtual timeline (``vm.run``, ``ledger.superstep``,
+    ``transport.spill``, decisions); its free-form ``attrs`` are checked
+    for the markers the analysis reads (:data:`MARKER_ATTRS`).
+``metric``
     One labelled time-series sample keyed by ``(name, labels, cycle,
-    rank)`` (see :mod:`repro.obs.metrics`); histogram values are lists.
+    rank)`` (:mod:`repro.obs.metrics`); histogram values are lists.
+``node``
+    One operation one rank executed during virtual-machine run ``run``,
+    on that run's local clock (the matching ``vm.run`` event carries the
+    run's ``base`` offset into the trace timeline); ``msg`` names the
+    message it produced/consumed.  See :mod:`repro.obs.causal`.
+``msg``
+    One message, linking its send node to the recv/probe node that
+    consumed it (``recv_node`` is null if never consumed).
+``clock``
+    How one rank's wall clock was aligned for one *measured* run
+    (:mod:`repro.obs.wallclock`).
+``resource``
+    One periodic process-resource sample (:mod:`repro.obs.resource`);
+    ``rank`` null is the host/driver process.
 
-``{"type": "node", "run": int, "id": int, "rank": int, "kind":
-"work"|"elapse"|"send"|"recv"|"probe", "t_start": float, "t_end": float,
-"wait": float >= 0, "msg": int|null}``
-    One happens-before DAG node: an operation one rank executed during
-    virtual-machine run ``run``, on that run's local virtual clock (the
-    matching ``vm.run`` event carries the run's ``base`` offset into the
-    trace timeline).  See :mod:`repro.obs.causal`.
-
-``{"type": "msg", "run": int, "id": int, "src": int, "dst": int,
-"tag": int, "nwords": int >= 0, "send_node": int, "recv_node": int|null}``
-    One virtual-machine message, linking its send node to the recv/probe
-    node that consumed it (``recv_node`` is null if never consumed).
-
-``{"type": "clock", "run": int, "rank": int, "offset": float,
-"skew": float >= 0}``
-    How one rank's wall clock was aligned for one *measured* run (a
-    ``vm.run`` event with ``clock="wall"``): the offset subtracted from
-    that rank's ``perf_counter`` stream and the estimation uncertainty.
-    See :mod:`repro.obs.wallclock`.
-
-``{"type": "resource", "rank": int|null, "t": float >= 0,
-"rss_bytes": number >= 0, "cpu_seconds": number >= 0,
-"gc_collections": int >= 0}``
-    One periodic process-resource sample (:mod:`repro.obs.resource`):
-    resident set size, cumulative CPU seconds, and cumulative GC
-    collections of the process running ``rank`` (null = the host/driver
-    process), ``t`` seconds after that process's sampler started.
-
-``{"type": "counter"|"gauge", "name": str, "value": number}``
-    Legacy flat counters/gauges (no labels, cycle, or rank).
+A file declaring any other schema string is a :class:`SchemaError`: there
+is one format, written and read by the same checkout — re-export the run.
 
 Chrome trace export writes the ``chrome://tracing`` / Perfetto JSON object
 format: spans become complete ``"X"`` slices on the *virtual* timeline
-(microsecond ``ts``/``dur``), point events become thread-scoped instants,
-and counters become one final ``"C"`` sample.  Ranked records render on a
-per-rank virtual thread; un-ranked spans render on tid 0 ("framework").
-Causal nodes render as ``cat: "vm"`` slices on their rank's thread, and
+(microsecond ``ts``/``dur``), marker events become thread-scoped instants,
+and each counter metric's whole-run total becomes one final ``"C"``
+sample.  Ranked records render on a per-rank virtual thread; un-ranked
+spans render on tid 0 ("framework").  Causal nodes render as ``cat:
+"vm"`` slices on their rank's thread — one slice per operation — and
 every delivered message emits a flow-event pair (``ph: "s"`` at the send,
 ``ph: "f"`` at the consuming recv/probe, matching ``id``) so message
 arrows draw between the two threads in chrome://tracing / Perfetto.
@@ -81,6 +57,8 @@ their timestamps are re-zeroed on the earliest measured run base.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from typing import Callable, NamedTuple
 
 from .causal import NODE_KINDS, CausalMsg, CausalNode
 from .metrics import KINDS
@@ -89,8 +67,9 @@ from .tracer import PointEvent, Span, Tracer
 from .wallclock import ClockRecord
 
 __all__ = [
+    "MARKER_ATTRS",
+    "RECORDS",
     "SCHEMA_VERSION",
-    "SUPPORTED_SCHEMAS",
     "SchemaError",
     "export_chrome_trace",
     "export_jsonl",
@@ -98,236 +77,303 @@ __all__ = [
     "validate_jsonl",
 ]
 
-SCHEMA_VERSION = "repro.obs/v5"
-
-#: Schemas :func:`read_jsonl`/:func:`validate_jsonl` accept, oldest first
-#: (v1 predates labelled metric records, v2 predates causal node/msg
-#: records, v3 predates measured-run clock records, v4 predates resource
-#: samples; all remain readable).
-SUPPORTED_SCHEMAS = ("repro.obs/v1", "repro.obs/v2", "repro.obs/v3",
-                     "repro.obs/v4", SCHEMA_VERSION)
+SCHEMA_VERSION = "repro.obs/v6"
 
 
 class SchemaError(ValueError):
     """An exported trace file violates the documented JSONL schema."""
 
 
+# --- the record table --------------------------------------------------------
+
+#: Field type codes: accepted JSON types, whether negatives are refused,
+#: and how an error names the type.  A trailing ``?`` on a code in
+#: :data:`RECORDS` additionally allows null; ``nums`` (a list of numbers)
+#: and ``any`` (left to the type's semantic rule) are handled apart.
+_TYPES = {
+    "int": ((int,), False, "an int"),
+    "uint": ((int,), True, "an int"),
+    "num": ((int, float), False, "a number"),
+    "unum": ((int, float), True, "a number"),
+    "str": ((str,), False, "a string"),
+    "obj": ((dict,), False, "an object"),
+}
+
+
+def _type_error(where: str, v, code: str) -> str | None:
+    """Why ``v`` (found at ``where``) does not satisfy type ``code``, or
+    None if it does."""
+    if code == "any":
+        return None
+    if code == "nums":
+        if isinstance(v, list) and not any(_type_error("", x, "num") for x in v):
+            return None
+        return f"{where} must be a list of numbers"
+    suffix = ""
+    if code.endswith("?"):
+        if v is None:
+            return None
+        code, suffix = code[:-1], " or null"
+    types, nonneg, label = _TYPES[code]
+    if not isinstance(v, types) or isinstance(v, bool):
+        return f"{where} must be {label}{suffix}, got {type(v).__name__}"
+    if nonneg and v < 0:
+        return f"negative {where}"
+    return None
+
+
+class _Seen:
+    """Ids met so far in one file, and the references still to resolve."""
+
+    def __init__(self):
+        self.lineno = 0
+        self.ids: dict[str, set] = {"span": set(), "node": set(), "msg": set()}
+        self.refs: list[tuple] = []
+
+    def add(self, kind: str, key) -> str | None:
+        """Register an id; the error text if it was already taken."""
+        if key in self.ids[kind]:
+            return f"duplicate {kind} id {key}"
+        self.ids[kind].add(key)
+        return None
+
+    def ref(self, what: str, kind: str, run: int, ident) -> None:
+        """Note that this line's ``what`` names ``kind`` ``ident`` of ``run``."""
+        if ident is not None:
+            self.refs.append((self.lineno, what, kind, (run, ident)))
+
+
+def _check_span(rec, seen):
+    if rec["v_end"] < rec["v_start"]:
+        return "span ends before it starts"
+    if rec["wall_end"] < rec["wall_start"]:
+        return "span wall clock runs backwards"
+    parent = rec["parent"]
+    if parent is not None and parent not in seen.ids["span"]:
+        return f"parent {parent} not seen before span {rec['index']}"
+    return seen.add("span", rec["index"])
+
+
+#: Attrs the analysis reads from marker events, by event name (same type
+#: codes as :data:`RECORDS`).
+MARKER_ATTRS = {
+    "vm.run": {"run": "uint", "nranks": "uint", "base": "num",
+               "makespan": "num"},
+    "ledger.superstep": {"start": "num", "duration": "num", "work": "nums",
+                         "comm": "nums"},
+}
+
+
+def _check_event(rec, seen):
+    for key, code in MARKER_ATTRS.get(rec["name"], {}).items():
+        err = _type_error(f"{rec['name']} event attrs.{key}",
+                          rec["attrs"].get(key), code)
+        if err:
+            return err
+    return None
+
+
+def _check_metric(rec, seen):
+    kind = rec["kind"]
+    if kind not in KINDS:
+        return f"metric.kind {kind!r} not in {KINDS}"
+    err = _type_error(f"{kind} metric value", rec["value"],
+                      "nums" if kind == "histogram" else "num")
+    if err:
+        return err
+    if not all(isinstance(v, str) for v in rec["labels"].values()):
+        return "metric labels must map str to str"
+    return None
+
+
+def _check_node(rec, seen):
+    if rec["kind"] not in NODE_KINDS:
+        return f"node.kind {rec['kind']!r} not in {NODE_KINDS}"
+    if rec["t_end"] < rec["t_start"]:
+        return "node ends before it starts"
+    seen.ref("node msg", "msg", rec["run"], rec["msg"])
+    return seen.add("node", (rec["run"], rec["id"]))
+
+
+def _check_msg(rec, seen):
+    seen.ref("msg send_node", "node", rec["run"], rec["send_node"])
+    seen.ref("msg recv_node", "node", rec["run"], rec["recv_node"])
+    return seen.add("msg", (rec["run"], rec["id"]))
+
+
+class _Record(NamedTuple):
+    fields: dict[str, str]  #: key -> type code, in the order keys are written
+    rows: Callable  #: tracer -> the objects export writes (attrs == keys)
+    load: Callable  #: (tracer, {key: value}) files one record read back
+    check: Callable | None = None  #: (rec, seen) -> error text | None
+
+
+def _listed(cls, attr: str, keep=None):
+    """rows/load of a type kept as a list of ``cls`` on ``Tracer.<attr>``."""
+
+    def rows(tracer):
+        items = getattr(tracer, attr)
+        return items if keep is None else [x for x in items if keep(x)]
+
+    def load(tracer, rec):
+        getattr(tracer, attr).append(cls(**rec))
+
+    return rows, load
+
+
+def _metric_rows(tracer):
+    # MetricSample keeps labels as sorted pairs (hashable); the file
+    # keeps them as an object
+    return [replace(s, labels=s.labels_dict) for s in tracer.metrics.samples()]
+
+
+#: THE trace format: record type -> (fields, where the Tracer keeps it and
+#: how a read record is filed there, the type's semantic rule).  Types are
+#: written in this order; dataclass attribute names equal the keys.
+RECORDS: dict[str, _Record] = {
+    "span": _Record(
+        {"index": "uint", "parent": "uint?", "depth": "uint", "name": "str",
+         "rank": "uint?", "v_start": "num", "v_end": "num",
+         "wall_start": "num", "wall_end": "num", "attrs": "obj"},
+        *_listed(Span, "spans", keep=lambda s: not s.open), _check_span),
+    "event": _Record(
+        {"name": "str", "v_time": "num", "rank": "uint?", "span": "uint?",
+         "attrs": "obj"},
+        *_listed(PointEvent, "events"), _check_event),
+    "metric": _Record(
+        {"name": "str", "kind": "str", "value": "any", "labels": "obj",
+         "cycle": "uint?", "rank": "uint?", "v_time": "num"},
+        _metric_rows, lambda tracer, rec: tracer.metrics.record(**rec),
+        _check_metric),
+    "node": _Record(
+        {"run": "uint", "id": "uint", "rank": "uint", "kind": "str",
+         "t_start": "num", "t_end": "num", "wait": "unum", "msg": "uint?"},
+        *_listed(CausalNode, "causal_nodes"), _check_node),
+    "msg": _Record(
+        {"run": "uint", "id": "uint", "src": "uint", "dst": "uint",
+         "tag": "int", "nwords": "uint", "send_node": "uint",
+         "recv_node": "uint?"},
+        *_listed(CausalMsg, "causal_msgs"), _check_msg),
+    "clock": _Record(
+        {"run": "uint", "rank": "uint", "offset": "num", "skew": "unum"},
+        *_listed(ClockRecord, "clock_records")),
+    "resource": _Record(
+        {"rank": "uint?", "t": "unum", "rss_bytes": "unum",
+         "cpu_seconds": "unum", "gc_collections": "uint"},
+        *_listed(ResourceSample, "resource_samples")),
+}
+
+_META_FIELDS = {"schema": "str", **{kind + "s": "uint" for kind in RECORDS}}
+
+
+def _check_fields(kind: str, rec: dict, fields: dict[str, str]) -> str | None:
+    """Every declared key present and well-typed, no undeclared key."""
+    for key, code in fields.items():
+        if key not in rec:
+            return f"{kind} missing {key!r}"
+        err = _type_error(f"{kind} {key}", rec[key], code)
+        if err:
+            return err
+    if len(rec) != len(fields):
+        extra = sorted(rec.keys() - fields.keys())[0]
+        return f"{kind} has undeclared key {extra!r}"
+    return None
+
+
 # --- JSONL -------------------------------------------------------------------
 
 
 def export_jsonl(tracer: Tracer, path) -> int:
-    """Write the tracer to ``path`` in the v5 JSONL schema.
+    """Write the tracer to ``path`` in the ``repro.obs/v6`` JSONL schema.
 
     Open spans are skipped (a trace is exported after the run).  Returns
     the number of records written, including the meta line.
     """
-    spans = [s for s in tracer.spans if not s.open]
-    records = [
-        {
-            "type": "meta",
-            "schema": SCHEMA_VERSION,
-            "spans": len(spans),
-            "events": len(tracer.events),
-            "counters": len(tracer.counters),
-            "gauges": len(tracer.gauges),
-            "metrics": len(tracer.metrics),
-            "nodes": len(tracer.causal_nodes),
-            "msgs": len(tracer.causal_msgs),
-            "clocks": len(tracer.clock_records),
-            "resources": len(tracer.resource_samples),
-        }
-    ]
-    for s in spans:
-        records.append(
-            {
-                "type": "span",
-                "index": s.index,
-                "parent": s.parent,
-                "depth": s.depth,
-                "name": s.name,
-                "rank": s.rank,
-                "v_start": s.v_start,
-                "v_end": s.v_end,
-                "wall_start": s.wall_start,
-                "wall_end": s.wall_end,
-                "attrs": s.attrs,
-            }
-        )
-    for e in tracer.events:
-        records.append(
-            {
-                "type": "event",
-                "name": e.name,
-                "v_time": e.v_time,
-                "rank": e.rank,
-                "span": e.span,
-                "attrs": e.attrs,
-            }
-        )
-    for s in tracer.metrics.samples():
-        records.append(
-            {
-                "type": "metric",
-                "name": s.name,
-                "kind": s.kind,
-                "value": s.value,
-                "labels": s.labels_dict,
-                "cycle": s.cycle,
-                "rank": s.rank,
-                "v_time": s.v_time,
-            }
-        )
-    for n in tracer.causal_nodes:
-        records.append(
-            {
-                "type": "node",
-                "run": n.run,
-                "id": n.id,
-                "rank": n.rank,
-                "kind": n.kind,
-                "t_start": n.t_start,
-                "t_end": n.t_end,
-                "wait": n.wait,
-                "msg": n.msg,
-            }
-        )
-    for m in tracer.causal_msgs:
-        records.append(
-            {
-                "type": "msg",
-                "run": m.run,
-                "id": m.id,
-                "src": m.src,
-                "dst": m.dst,
-                "tag": m.tag,
-                "nwords": m.nwords,
-                "send_node": m.send_node,
-                "recv_node": m.recv_node,
-            }
-        )
-    for c in tracer.clock_records:
-        records.append(
-            {
-                "type": "clock",
-                "run": c.run,
-                "rank": c.rank,
-                "offset": c.offset,
-                "skew": c.skew,
-            }
-        )
-    for r in tracer.resource_samples:
-        records.append(
-            {
-                "type": "resource",
-                "rank": r.rank,
-                "t": r.t,
-                "rss_bytes": r.rss_bytes,
-                "cpu_seconds": r.cpu_seconds,
-                "gc_collections": r.gc_collections,
-            }
-        )
-    for name, value in tracer.counters.items():
-        records.append({"type": "counter", "name": name, "value": value})
-    for name, value in tracer.gauges.items():
-        records.append({"type": "gauge", "name": name, "value": value})
-
+    rows = {kind: entry.rows(tracer) for kind, entry in RECORDS.items()}
+    meta = {"type": "meta", "schema": SCHEMA_VERSION,
+            **{kind + "s": len(objs) for kind, objs in rows.items()}}
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-    return len(records)
+        fh.write(json.dumps(meta) + "\n")
+        for kind, objs in rows.items():
+            keys = tuple(RECORDS[kind].fields)
+            for obj in objs:
+                rec = {"type": kind, **{k: getattr(obj, k) for k in keys}}
+                fh.write(json.dumps(rec) + "\n")
+    return 1 + sum(len(objs) for objs in rows.values())
+
+
+def _walk(path, tracer: Tracer | None) -> dict[str, int]:
+    """Validate ``path`` line by line, filing each record into ``tracer``
+    (when given) as soon as it has passed; returns the per-type counts."""
+    counts = {kind + "s": 0 for kind in RECORDS}
+    meta = None
+    seen = _Seen()
+
+    def fail(message: str):
+        raise SchemaError(f"line {seen.lineno}: {message}")
+
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            seen.lineno = lineno
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                fail(f"invalid JSON: {exc}" if line.strip() else "blank line")
+            if not isinstance(rec, dict):
+                fail("record must be an object")
+            kind = rec.pop("type", None)
+            if lineno == 1:
+                if kind != "meta":
+                    fail("first record must be the meta line")
+                if rec.get("schema") != SCHEMA_VERSION:
+                    fail(f"unsupported schema {rec.get('schema')!r}: this "
+                         f"checkout reads and writes {SCHEMA_VERSION!r} only "
+                         "— re-export the run")
+                err = _check_fields("meta", rec, _META_FIELDS)
+                meta = rec
+            elif kind == "meta":
+                fail("duplicate meta record")
+            elif not isinstance(kind, str) or kind not in RECORDS:
+                fail(f"unknown record type {kind!r}")
+            else:
+                entry = RECORDS[kind]
+                err = _check_fields(kind, rec, entry.fields)
+                if err is None and entry.check is not None:
+                    err = entry.check(rec, seen)
+                if err is None:
+                    counts[kind + "s"] += 1
+                    if tracer is not None:
+                        entry.load(tracer, rec)
+            if err:
+                fail(err)
+    if meta is None:
+        raise SchemaError("empty trace file (no meta record)")
+    for key, found in counts.items():
+        if found != meta[key]:
+            raise SchemaError(f"meta declares {meta[key]} {key}, found {found}")
+    for lineno, what, kind, (run, ident) in seen.refs:
+        if (run, ident) not in seen.ids[kind]:
+            raise SchemaError(
+                f"line {lineno}: {what} names {kind} {ident}, which run "
+                f"{run} does not contain")
+    return counts
+
+
+def validate_jsonl(path) -> dict[str, int]:
+    """Validate a JSONL trace against the ``repro.obs/v6`` schema.
+
+    Raises :class:`SchemaError` (naming the line) on the first violation;
+    returns the per-type record counts ``{"spans": N, "events": N,
+    "metrics": N, "nodes": N, "msgs": N, "clocks": N, "resources": N}``.
+    """
+    return _walk(path, None)
 
 
 def read_jsonl(path) -> Tracer:
-    """Reconstruct a tracer from a v1-v5 JSONL file (validates on the way)."""
-    validate_jsonl(path)
+    """Reconstruct a tracer from a JSONL file, validating as it decodes
+    (one pass; raises :class:`SchemaError` like :func:`validate_jsonl`)."""
     tracer = Tracer()
-    with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            if rec["type"] == "span":
-                tracer.spans.append(
-                    Span(
-                        name=rec["name"],
-                        index=rec["index"],
-                        parent=rec["parent"],
-                        depth=rec["depth"],
-                        v_start=rec["v_start"],
-                        wall_start=rec["wall_start"],
-                        v_end=rec["v_end"],
-                        wall_end=rec["wall_end"],
-                        rank=rec["rank"],
-                        attrs=rec["attrs"],
-                    )
-                )
-            elif rec["type"] == "event":
-                tracer.events.append(
-                    PointEvent(
-                        name=rec["name"],
-                        v_time=rec["v_time"],
-                        rank=rec["rank"],
-                        span=rec["span"],
-                        attrs=rec["attrs"],
-                    )
-                )
-            elif rec["type"] == "metric":
-                tracer.metrics.record(
-                    rec["name"],
-                    rec["value"],
-                    kind=rec["kind"],
-                    labels=rec["labels"] or None,
-                    cycle=rec["cycle"],
-                    rank=rec["rank"],
-                    v_time=rec["v_time"],
-                )
-            elif rec["type"] == "node":
-                tracer.causal_nodes.append(
-                    CausalNode(
-                        run=rec["run"],
-                        id=rec["id"],
-                        rank=rec["rank"],
-                        kind=rec["kind"],
-                        t_start=rec["t_start"],
-                        t_end=rec["t_end"],
-                        wait=rec["wait"],
-                        msg=rec["msg"],
-                    )
-                )
-            elif rec["type"] == "msg":
-                tracer.causal_msgs.append(
-                    CausalMsg(
-                        run=rec["run"],
-                        id=rec["id"],
-                        src=rec["src"],
-                        dst=rec["dst"],
-                        tag=rec["tag"],
-                        nwords=rec["nwords"],
-                        send_node=rec["send_node"],
-                        recv_node=rec["recv_node"],
-                    )
-                )
-            elif rec["type"] == "clock":
-                tracer.clock_records.append(
-                    ClockRecord(
-                        run=rec["run"],
-                        rank=rec["rank"],
-                        offset=rec["offset"],
-                        skew=rec["skew"],
-                    )
-                )
-            elif rec["type"] == "resource":
-                tracer.resource_samples.append(
-                    ResourceSample(
-                        rank=rec["rank"],
-                        t=rec["t"],
-                        rss_bytes=rec["rss_bytes"],
-                        cpu_seconds=rec["cpu_seconds"],
-                        gc_collections=rec["gc_collections"],
-                    )
-                )
-            elif rec["type"] == "counter":
-                tracer.counters[rec["name"]] = rec["value"]
-            elif rec["type"] == "gauge":
-                tracer.gauges[rec["name"]] = rec["value"]
+    _walk(path, tracer)
     cycles = tracer.metrics.cycles()
     if cycles:
         tracer._next_cycle = max(cycles) + 1
@@ -336,233 +382,6 @@ def read_jsonl(path) -> Tracer:
     if tracer.spans:
         tracer._vclock = max(s.v_end for s in tracer.spans)
     return tracer
-
-
-_REQUIRED = {
-    "meta": {"schema": str, "spans": int, "events": int, "counters": int,
-             "gauges": int},
-    "span": {"index": int, "depth": int, "name": str, "v_start": (int, float),
-             "v_end": (int, float), "wall_start": (int, float),
-             "wall_end": (int, float), "attrs": dict},
-    "event": {"name": str, "v_time": (int, float), "attrs": dict},
-    "metric": {"name": str, "kind": str, "labels": dict,
-               "v_time": (int, float)},
-    "node": {"run": int, "id": int, "rank": int, "kind": str,
-             "t_start": (int, float), "t_end": (int, float),
-             "wait": (int, float)},
-    "msg": {"run": int, "id": int, "src": int, "dst": int, "tag": int,
-            "nwords": int, "send_node": int},
-    "clock": {"run": int, "rank": int, "offset": (int, float),
-              "skew": (int, float)},
-    "resource": {"t": (int, float), "rss_bytes": (int, float),
-                 "cpu_seconds": (int, float), "gc_collections": int},
-    "counter": {"name": str, "value": (int, float)},
-    "gauge": {"name": str, "value": (int, float)},
-}
-_NULLABLE_INT = {"span": ("parent", "rank"), "event": ("rank", "span"),
-                 "metric": ("cycle", "rank"), "node": ("msg",),
-                 "msg": ("recv_node",), "resource": ("rank",)}
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _check_metric(rec, lineno: int) -> None:
-    if rec["kind"] not in KINDS:
-        raise SchemaError(
-            f"line {lineno}: metric.kind {rec['kind']!r} not in {KINDS}"
-        )
-    value = rec.get("value")
-    if rec["kind"] == "histogram":
-        if not isinstance(value, list) or not all(_is_number(v) for v in value):
-            raise SchemaError(
-                f"line {lineno}: histogram metric value must be a list of "
-                "numbers"
-            )
-    elif not _is_number(value):
-        raise SchemaError(
-            f"line {lineno}: {rec['kind']} metric value must be a number"
-        )
-    for k, v in rec["labels"].items():
-        if not isinstance(k, str) or not isinstance(v, str):
-            raise SchemaError(
-                f"line {lineno}: metric labels must map str to str"
-            )
-
-
-def validate_jsonl(path) -> dict:
-    """Validate a JSONL trace against the v5 (or legacy v1-v4) schema.
-
-    Raises :class:`SchemaError` on the first violation; returns a summary
-    ``{"spans": N, "events": M, "counters": C, "gauges": G, "metrics": K,
-    "nodes": D, "msgs": S, "clocks": W, "resources": R}`` on success
-    (``metrics`` is 0 for v1 files, ``nodes``/``msgs`` are 0 for v1/v2
-    files, ``clocks`` is 0 for v1-v3 files, and ``resources`` is 0 for
-    v1-v4 files, which may not contain the corresponding records).
-    """
-    counts = {"span": 0, "event": 0, "metric": 0, "node": 0, "msg": 0,
-              "clock": 0, "resource": 0, "counter": 0, "gauge": 0}
-    meta = None
-    schema = None
-    version = 0
-    span_indices: set[int] = set()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                raise SchemaError(f"line {lineno}: blank line")
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise SchemaError(f"line {lineno}: record must be an object")
-            kind = rec.get("type")
-            if lineno == 1:
-                if kind != "meta":
-                    raise SchemaError("line 1: first record must be the meta line")
-                meta = rec
-            elif kind == "meta":
-                raise SchemaError(f"line {lineno}: duplicate meta record")
-            if kind not in _REQUIRED:
-                raise SchemaError(f"line {lineno}: unknown record type {kind!r}")
-            for key, typ in _REQUIRED[kind].items():
-                if key not in rec:
-                    raise SchemaError(f"line {lineno}: {kind} missing {key!r}")
-                if not isinstance(rec[key], typ) or isinstance(rec[key], bool):
-                    raise SchemaError(
-                        f"line {lineno}: {kind}.{key} has type "
-                        f"{type(rec[key]).__name__}"
-                    )
-            for key in _NULLABLE_INT.get(kind, ()):
-                v = rec.get(key)
-                if v is not None and (not isinstance(v, int) or isinstance(v, bool)):
-                    raise SchemaError(
-                        f"line {lineno}: {kind}.{key} must be an int or null"
-                    )
-            if kind == "meta":
-                schema = rec["schema"]
-                if schema not in SUPPORTED_SCHEMAS:
-                    raise SchemaError(
-                        f"unsupported schema {schema!r} "
-                        f"(expected one of {SUPPORTED_SCHEMAS})"
-                    )
-                version = SUPPORTED_SCHEMAS.index(schema) + 1
-                if version >= 2 and not isinstance(rec.get("metrics"), int):
-                    raise SchemaError("meta missing integer 'metrics' count")
-                if version >= 3:
-                    for key in ("nodes", "msgs"):
-                        if not isinstance(rec.get(key), int):
-                            raise SchemaError(
-                                f"meta missing integer {key!r} count"
-                            )
-                if version >= 4 and not isinstance(rec.get("clocks"), int):
-                    raise SchemaError("meta missing integer 'clocks' count")
-                if version >= 5 and not isinstance(rec.get("resources"), int):
-                    raise SchemaError("meta missing integer 'resources' count")
-                continue
-            if kind == "metric":
-                if version < 2:
-                    raise SchemaError(
-                        f"line {lineno}: metric records require schema "
-                        f"repro.obs/v2 or later, file declares {schema!r}"
-                    )
-                if "value" not in rec:
-                    raise SchemaError(f"line {lineno}: metric missing 'value'")
-                if "cycle" not in rec or "rank" not in rec:
-                    raise SchemaError(
-                        f"line {lineno}: metric missing 'cycle' or 'rank'"
-                    )
-                _check_metric(rec, lineno)
-            if kind == "clock":
-                if version < 4:
-                    raise SchemaError(
-                        f"line {lineno}: clock records require schema "
-                        f"'repro.obs/v4' or later, file declares {schema!r}"
-                    )
-                if rec["skew"] < 0:
-                    raise SchemaError(f"line {lineno}: negative clock skew")
-            if kind == "resource":
-                if version < 5:
-                    raise SchemaError(
-                        f"line {lineno}: resource records require schema "
-                        f"{SCHEMA_VERSION!r}, file declares {schema!r}"
-                    )
-                if "rank" not in rec:
-                    raise SchemaError(f"line {lineno}: resource missing 'rank'")
-                for key in ("t", "rss_bytes", "cpu_seconds",
-                            "gc_collections"):
-                    if rec[key] < 0:
-                        raise SchemaError(
-                            f"line {lineno}: negative resource.{key}"
-                        )
-            if kind in ("node", "msg"):
-                if version < 3:
-                    raise SchemaError(
-                        f"line {lineno}: {kind} records require schema "
-                        "'repro.obs/v3' or later, file declares "
-                        f"{schema!r}"
-                    )
-                if kind == "node":
-                    if rec["kind"] not in NODE_KINDS:
-                        raise SchemaError(
-                            f"line {lineno}: node.kind {rec['kind']!r} not in "
-                            f"{NODE_KINDS}"
-                        )
-                    if "msg" not in rec:
-                        raise SchemaError(f"line {lineno}: node missing 'msg'")
-                    if rec["t_end"] < rec["t_start"]:
-                        raise SchemaError(
-                            f"line {lineno}: node ends before it starts"
-                        )
-                    if rec["wait"] < 0:
-                        raise SchemaError(f"line {lineno}: negative node wait")
-                else:
-                    if "recv_node" not in rec:
-                        raise SchemaError(
-                            f"line {lineno}: msg missing 'recv_node'"
-                        )
-                    if rec["nwords"] < 0:
-                        raise SchemaError(f"line {lineno}: negative msg nwords")
-            counts[kind] += 1
-            if kind == "span":
-                if rec["v_end"] < rec["v_start"]:
-                    raise SchemaError(f"line {lineno}: span ends before it starts")
-                if rec["wall_end"] < rec["wall_start"]:
-                    raise SchemaError(
-                        f"line {lineno}: span wall clock runs backwards"
-                    )
-                if rec["depth"] < 0:
-                    raise SchemaError(f"line {lineno}: negative depth")
-                parent = rec["parent"]
-                if parent is not None and parent not in span_indices:
-                    raise SchemaError(
-                        f"line {lineno}: parent {parent} not seen before span "
-                        f"{rec['index']}"
-                    )
-                span_indices.add(rec["index"])
-    if meta is None:
-        raise SchemaError("empty trace file (no meta record)")
-    expected = [("span", "spans"), ("event", "events"),
-                ("counter", "counters"), ("gauge", "gauges")]
-    if version >= 2:
-        expected.append(("metric", "metrics"))
-    if version >= 3:
-        expected.extend([("node", "nodes"), ("msg", "msgs")])
-    if version >= 4:
-        expected.append(("clock", "clocks"))
-    if version >= 5:
-        expected.append(("resource", "resources"))
-    for kind, key in expected:
-        if counts[kind] != meta[key]:
-            raise SchemaError(
-                f"meta declares {meta[key]} {key}, found {counts[kind]}"
-            )
-    return {"spans": counts["span"], "events": counts["event"],
-            "counters": counts["counter"], "gauges": counts["gauge"],
-            "metrics": counts["metric"], "nodes": counts["node"],
-            "msgs": counts["msg"], "clocks": counts["clock"],
-            "resources": counts["resource"]}
 
 
 # --- Chrome trace ------------------------------------------------------------
@@ -705,7 +524,7 @@ def export_chrome_trace(tracer: Tracer, path) -> int:
         flow += 1
         n += 2
     t_end = max([s.v_end for s in tracer.spans if not s.open] or [0.0])
-    for name, value in sorted(tracer.counters.items()):
+    for name, value in tracer.metrics.totals().items():
         events.append(
             {"ph": "C", "pid": 0, "tid": 0, "name": name,
              "ts": t_end * _US, "args": {"value": value}}

@@ -1,7 +1,7 @@
 """In-flight telemetry: hub, rank side channel, and ASCII dashboard.
 
-The obs stack through schema v4 is post-mortem — a trace exists only
-once the run has finished.  This module adds the *live* path:
+The rest of the obs stack is post-mortem — a trace exists only once the
+run has finished.  This module adds the *live* path:
 
 :class:`TelemetryHub`
     A bounded, thread-safe in-process bus.  The :class:`~repro.obs.tracer.

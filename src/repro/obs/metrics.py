@@ -1,12 +1,9 @@
 """Labelled time-series metrics registry (trace record type ``metric``).
 
-The flat ``Tracer.counters``/``gauges`` dicts cannot tell two instrumented
-sites apart: two call sites using the same name silently merge into one
-number, and nothing records *when* (which adaptation cycle) or *where*
-(which virtual rank) a value was observed.  This module gives every
-quantity of the solve → adapt → balance cycle a first-class time series:
-samples are keyed by ``(name, labels, cycle, rank)`` and carry the virtual
-timestamp at which they were recorded.
+Every quantity of the solve → adapt → balance cycle is a first-class time
+series: samples are keyed by ``(name, labels, cycle, rank)`` — *what* was
+observed, *when* (which adaptation cycle) and *where* (which virtual
+rank) — and carry the virtual timestamp at which they were recorded.
 
 Naming convention
 -----------------
@@ -73,16 +70,14 @@ class MetricsRegistry:
 
     Insertion order is preserved (stable export).  A name is bound to one
     kind and one label keyset for the lifetime of the registry: a kind
-    mismatch raises, a label-keyset mismatch (the silent-merge hazard the
-    flat dicts had) warns once per name, as does sharing a name with a
-    legacy flat counter/gauge (see :meth:`note_legacy`).
+    mismatch raises, a label-keyset mismatch (two series that would
+    silently fail to align) warns once per name.
     """
 
     def __init__(self):
         self._samples: dict[tuple, MetricSample] = {}
         self._kind: dict[str, str] = {}
         self._labelsets: dict[str, frozenset] = {}
-        self._legacy: set[str] = set()
         self._warned: set[str] = set()
         #: bulk per-rank batches accepted but not yet turned into samples
         self._pending: list[tuple] = []
@@ -110,31 +105,8 @@ class MetricsRegistry:
         """Record one sample; returns the (possibly merged) stored sample."""
         if self._pending:
             self._flush_pending()
-        if kind not in KINDS:
-            raise ValueError(f"unknown metric kind {kind!r}; choose from {KINDS}")
-        bound = self._kind.setdefault(name, kind)
-        if bound != kind:
-            raise ValueError(
-                f"metric {name!r} is a {bound}, cannot record it as a {kind}"
-            )
         frozen = _freeze_labels(labels)
-        keyset = frozenset(k for k, _v in frozen) - RESERVED_LABEL_KEYS
-        seen = self._labelsets.setdefault(name, keyset)
-        if seen != keyset:
-            self._warn(
-                name,
-                f"metric {name!r} recorded with label keys "
-                f"{sorted(keyset)} after {sorted(seen)}; series with "
-                "different label keys will not align",
-            )
-        if name in self._legacy:
-            self._warn(
-                name,
-                f"metric {name!r} collides with a legacy flat "
-                "counter/gauge of the same name; migrate the legacy site "
-                "to the labelled registry",
-            )
-
+        self._bind(name, kind, frozenset(k for k, _v in frozen))
         key = (name, frozen, cycle, rank)
         prev = self._samples.get(key)
         if kind == "histogram":
@@ -164,7 +136,7 @@ class MetricsRegistry:
         """Bulk-record one unlabelled sample per rank (rank = list index).
 
         Equivalent to calling :meth:`record` once per rank with
-        ``labels=None``, but the kind/labelset/legacy checks run once for
+        ``labels=None``, but the kind/labelset checks run once for
         the whole batch instead of once per rank, and the per-rank
         :class:`MetricSample` objects are built lazily: the batch is
         queued here in O(1) extra work and materialized on the first
@@ -174,29 +146,7 @@ class MetricsRegistry:
         ranks whose value is falsy are not sampled (matching call sites
         that only emit non-zero observations).
         """
-        if kind not in KINDS:
-            raise ValueError(f"unknown metric kind {kind!r}; choose from {KINDS}")
-        bound = self._kind.setdefault(name, kind)
-        if bound != kind:
-            raise ValueError(
-                f"metric {name!r} is a {bound}, cannot record it as a {kind}"
-            )
-        keyset: frozenset = frozenset()
-        seen = self._labelsets.setdefault(name, keyset)
-        if seen != keyset:
-            self._warn(
-                name,
-                f"metric {name!r} recorded with label keys "
-                f"{sorted(keyset)} after {sorted(seen)}; series with "
-                "different label keys will not align",
-            )
-        if name in self._legacy:
-            self._warn(
-                name,
-                f"metric {name!r} collides with a legacy flat "
-                "counter/gauge of the same name; migrate the legacy site "
-                "to the labelled registry",
-            )
+        self._bind(name, kind, frozenset())
         self._pending.append(
             (name, kind, tuple(values), cycle, v_time, skip_zero)
         )
@@ -246,21 +196,26 @@ class MetricsRegistry:
     def histogram(self, name: str, value, **kw) -> MetricSample:
         return self.record(name, value, kind="histogram", **kw)
 
-    def note_legacy(self, name: str) -> None:
-        """Register a legacy flat-dict counter/gauge name for collision checks."""
-        self._legacy.add(name)
-        if name in self._kind:
-            self._warn(
-                name,
-                f"legacy counter/gauge {name!r} collides with a labelled "
-                "metric of the same name; migrate the legacy site to the "
-                "labelled registry",
+    def _bind(self, name: str, kind: str, keyset: frozenset) -> None:
+        """Hold ``name`` to one kind (raises) and one label keyset (warns
+        once per name)."""
+        if kind not in KINDS:
+            raise ValueError(f"unknown metric kind {kind!r}; choose from {KINDS}")
+        bound = self._kind.setdefault(name, kind)
+        if bound != kind:
+            raise ValueError(
+                f"metric {name!r} is a {bound}, cannot record it as a {kind}"
             )
-
-    def _warn(self, name: str, message: str) -> None:
-        if name not in self._warned:
+        keyset = keyset - RESERVED_LABEL_KEYS
+        seen = self._labelsets.setdefault(name, keyset)
+        if seen != keyset and name not in self._warned:
             self._warned.add(name)
-            warnings.warn(message, RuntimeWarning, stacklevel=4)
+            warnings.warn(
+                f"metric {name!r} recorded with label keys "
+                f"{sorted(keyset)} after {sorted(seen)}; series with "
+                "different label keys will not align",
+                RuntimeWarning, stacklevel=4,
+            )
 
     # --- queries -----------------------------------------------------------
 
@@ -336,6 +291,16 @@ class MetricsRegistry:
     def total(self, name: str, labels: dict | None = None) -> float:
         """Sum of every matching sample's value (0.0 when none match)."""
         return sum(self._values(name, labels))
+
+    def totals(self) -> dict[str, float]:
+        """``{name: sum of every sample}`` per counter-kind metric, by name
+        — the run's whole-run counters with labels, cycles and ranks
+        summed out."""
+        out: dict[str, float] = {}
+        for s in self.samples():
+            if s.kind == "counter":
+                out[s.name] = out.get(s.name, 0.0) + s.value
+        return dict(sorted(out.items()))
 
     def max_value(self, name: str, labels: dict | None = None) -> float | None:
         """Max over every matching sample's value (None when none match)."""

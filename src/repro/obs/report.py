@@ -173,10 +173,7 @@ def _makespan(tracer: Tracer) -> float:
 
 def _causal_analysis(tracer: Tracer):
     """The trace's :class:`~repro.obs.causal.TraceAnalysis`, or ``None``
-    when the trace carries no causal record (e.g. a v1/v2 file)."""
-    has_steps = any(e.name == "ledger.superstep" for e in tracer.events)
-    if not getattr(tracer, "causal_nodes", None) and not has_steps:
-        return None
+    when the trace carries no causal record."""
     from .causal import analyze
 
     analysis = analyze(tracer)
@@ -187,7 +184,7 @@ def _causal_analysis(tracer: Tracer):
 
 def _wall_analysis(tracer: Tracer):
     """The measured (``clock="wall"``) analysis, or ``None`` when the
-    trace carries no measured runs (virtual-only traces, v1–v3 files)."""
+    trace carries no measured runs (virtual-only traces)."""
     if not any(e.name == "vm.run" and e.attrs.get("clock") == "wall"
                for e in tracer.events):
         return None
@@ -199,10 +196,10 @@ def _wall_analysis(tracer: Tracer):
 
 def _resource_rows(tracer: Tracer) -> tuple[list[str], list[list[str]]]:
     """Per-process resource-peak table from the trace's ``resource``
-    records (v5 traces; empty for older files)."""
+    records (empty when the run was not sampled)."""
     from .resource import resource_peaks
 
-    peaks = resource_peaks(getattr(tracer, "resource_samples", ()))
+    peaks = resource_peaks(tracer.resource_samples)
     if not peaks:
         return [], []
     headers = ["process", "peak rss (MiB)", "cpu (s)", "gc collections",
@@ -655,32 +652,37 @@ def _legend(names: list[str]) -> str:
 
 
 _MAX_TIMELINE_SPANS = 600
-_MAX_TIMELINE_EVENTS = 1500
+_MAX_TIMELINE_OPS = 1500
 
 
 def _svg_timeline(tracer: Tracer, width: int = 940) -> tuple[str, str]:
-    """Per-rank timeline: span bands per lane plus VM event ticks.
+    """Per-rank timeline: span bands per lane plus one tick per VM op.
 
-    Returns ``(svg, caption)``; the caption notes any downsampling.
+    The ticks are the causal nodes of the modelled (virtual-clock) runs,
+    placed at the run's ``base`` plus the node's start.  Returns ``(svg,
+    caption)``; the caption notes any downsampling.
     """
     makespan = _makespan(tracer)
     if makespan <= 0:
         return "", ""
+    from .causal import runs_from_tracer
+
     spans = [s for s in tracer.spans if not s.open]
-    events = [e for e in tracer.events if e.rank is not None]
+    ops = [(run.base + n.t_start, n)
+           for run in runs_from_tracer(tracer) for n in run.nodes]
     notes = []
     if len(spans) > _MAX_TIMELINE_SPANS:
         notes.append(f"showing {_MAX_TIMELINE_SPANS} of {len(spans)} spans "
                      "(longest kept)")
         spans = sorted(spans, key=lambda s: s.v_duration,
                        reverse=True)[:_MAX_TIMELINE_SPANS]
-    if len(events) > _MAX_TIMELINE_EVENTS:
-        stride = -(-len(events) // _MAX_TIMELINE_EVENTS)
-        notes.append(f"showing every {stride}th of {len(events)} VM events")
-        events = events[::stride]
+    if len(ops) > _MAX_TIMELINE_OPS:
+        stride = -(-len(ops) // _MAX_TIMELINE_OPS)
+        notes.append(f"showing every {stride}th of {len(ops)} VM ops")
+        ops = ops[::stride]
 
     ranks = sorted({s.rank for s in spans if s.rank is not None}
-                   | {e.rank for e in events})
+                   | {n.rank for _t, n in ops})
     lanes = [None] + ranks  # lane 0 = framework (un-ranked spans)
     lane_of = {r: i for i, r in enumerate(lanes)}
     max_depth = max([s.depth for s in spans] or [0])
@@ -713,14 +715,13 @@ def _svg_timeline(tracer: Tracer, width: int = 940) -> tuple[str, str]:
             f'<title>{_html.escape(s.name)}: {_fmt(s.v_duration)} s virtual '
             f'(start {_fmt(s.v_start)})</title></rect>'
         )
-    for e in events:
-        lane = lane_of.get(e.rank, 0)
-        y = pad_t + lane * lane_h + lane_h - 8
+    for t, n in ops:
+        y = pad_t + lane_of[n.rank] * lane_h + lane_h - 8
         out.append(
-            f'<line x1="{px(e.v_time):.1f}" y1="{y}" '
-            f'x2="{px(e.v_time):.1f}" y2="{y + 5}" '
+            f'<line x1="{px(t):.1f}" y1="{y}" '
+            f'x2="{px(t):.1f}" y2="{y + 5}" '
             f'stroke="var(--series-2)" stroke-width="1">'
-            f'<title>{_html.escape(e.name)} @ {_fmt(e.v_time)} s</title>'
+            f'<title>vm.{n.kind} @ {_fmt(t)} s</title>'
             f"</line>"
         )
     out.append(f'<text x="{pad_l}" y="{height - 6}">0 s</text>')

@@ -22,10 +22,10 @@ counts, all from the standard library (``/proc`` + :mod:`resource` +
 
 :func:`record_resource_samples`
     Append one rank's rows to ``Tracer.resource_samples`` (serialised as
-    ``resource`` records, schema ``repro.obs/v5``) and mirror the peaks
-    into labelled ``repro.resource.{peak_rss_bytes,cpu_seconds,
-    gc_collections}`` metrics so reports and the run-history store see
-    them without re-reading the raw rows.
+    ``resource`` records) and mirror the peaks into labelled
+    ``repro.resource.{peak_rss_bytes,cpu_seconds,gc_collections}``
+    metrics so reports and the run-history store see them without
+    re-reading the raw rows.
 """
 
 from __future__ import annotations
@@ -169,10 +169,9 @@ def record_resource_samples(tracer, rows: dict,
     """Write one process's sampler ``rows`` into ``tracer``.
 
     Appends one :class:`ResourceSample` per row (record type
-    ``resource`` in the v5 JSONL schema) and records the peak RSS, final
-    CPU seconds, and GC collection delta as labelled
-    ``repro.resource.*`` metrics for ``rank``.  Returns the number of
-    samples recorded.
+    ``resource``) and records the peak RSS, final CPU seconds, and GC
+    collection delta as labelled ``repro.resource.*`` metrics for
+    ``rank``.  Returns the number of samples recorded.
     """
     if tracer is None or not rows or not rows.get("times"):
         return 0

@@ -282,7 +282,7 @@ def summarize_trace(tracer) -> tuple[dict, list[str]]:
             ) or reg.total(name)
             metrics[key] = total
 
-    peaks = resource_peaks(getattr(tracer, "resource_samples", ()))
+    peaks = resource_peaks(tracer.resource_samples)
     if peaks:
         metrics["peak_rss_bytes"] = max(
             d["peak_rss_bytes"] for d in peaks.values()
@@ -307,9 +307,13 @@ def summarize_trace(tracer) -> tuple[dict, list[str]]:
 
 def index_trace(store: RunStore, trace_path, label: str = "",
                 config: dict | None = None,
-                extra_metrics: dict | None = None) -> RunRecord:
-    """Summarize ``trace_path`` and add it to ``store`` as a trace run."""
-    metrics, backends = summarize_trace(trace_path)
+                extra_metrics: dict | None = None,
+                tracer=None) -> RunRecord:
+    """Summarize ``trace_path`` (or its already-loaded ``tracer``) and add
+    it to ``store`` as a trace run."""
+    metrics, backends = summarize_trace(
+        trace_path if tracer is None else tracer
+    )
     if extra_metrics:
         metrics.update(extra_metrics)
     return store.add(

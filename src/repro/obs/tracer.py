@@ -61,8 +61,8 @@ class Span:
 
 @dataclass(frozen=True)
 class PointEvent:
-    """An instantaneous occurrence on the virtual timeline (e.g. one
-    virtual-machine send/recv/probe, or a decision being taken)."""
+    """An instantaneous marker on the virtual timeline (a ``vm.run``, a
+    ``ledger.superstep``, a ``transport.spill``, a decision being taken)."""
 
     name: str
     v_time: float
@@ -72,16 +72,14 @@ class PointEvent:
 
 
 class Tracer:
-    """Collects spans, point events, counters, and gauges for one run.
+    """Collects spans, marker events, metrics, and causal records for one run.
 
     Not thread-safe; each run (or experiment sweep) should own one tracer.
     """
 
     def __init__(self, wall_clock=time.perf_counter, hub=None):
         self.spans: list[Span] = []
-        self._events: list[PointEvent] = []
-        self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
+        self.events: list[PointEvent] = []
         self.metrics = MetricsRegistry()
         self._causal_nodes: list = []
         self._causal_msgs: list = []
@@ -96,7 +94,7 @@ class Tracer:
         self.hub = hub
         #: Periodic process-resource samples
         #: (:class:`repro.obs.resource.ResourceSample`), serialised as
-        #: ``resource`` records in the v5 JSONL schema.
+        #: ``resource`` records in the JSONL trace.
         self.resource_samples: list = []
         #: Per-(run, rank) clock-alignment records from measured backends
         #: (:class:`repro.obs.wallclock.ClockRecord`): the offset subtracted
@@ -104,8 +102,7 @@ class Tracer:
         #: uncertainty (half the best handshake round trip).
         self.clock_records: list = []
         #: Columnar VM-run records registered via :meth:`add_vm_chunk`,
-        #: not yet expanded into the three lists above: ``(record,
-        #: event position, virtual-time base, enclosing span index)``.
+        #: not yet expanded into the two causal lists above.
         self._vm_chunks: list = []
         self.cycle: int | None = None  #: current adaptation cycle id
         self._next_cycle = 0
@@ -114,13 +111,7 @@ class Tracer:
         self._vclock = 0.0
         self._wall = wall_clock
 
-    # --- lazily mirrored VM records -----------------------------------------
-
-    @property
-    def events(self) -> list[PointEvent]:
-        """All point events, in record order (flushes pending VM chunks)."""
-        self._flush_vm()
-        return self._events
+    # --- lazily materialized VM records -------------------------------------
 
     @property
     def causal_nodes(self) -> list:
@@ -136,44 +127,17 @@ class Tracer:
         self._flush_vm()
         return self._causal_msgs
 
-    def add_vm_chunk(self, record, base: float) -> None:
-        """Register a VM run's columnar record (``runtime._VMRecord``) for
-        lazy mirroring: its ``vm.<kind>`` point events and causal
-        nodes/msgs materialize only when :attr:`events` /
-        :attr:`causal_nodes` / :attr:`causal_msgs` is next read, spliced
-        in at the position this call reserved (right after the run's
-        ``vm.run`` marker), so flushed order equals eager order."""
-        self._vm_chunks.append((
-            record,
-            len(self._events),
-            base,
-            self._stack[-1].index if self._stack else None,
-        ))
+    def add_vm_chunk(self, record) -> None:
+        """Register a VM run's columnar record (``runtime._VMRecord``):
+        its causal nodes/msgs materialize only when :attr:`causal_nodes` /
+        :attr:`causal_msgs` is next read, in registration order."""
+        self._vm_chunks.append(record)
 
     def _flush_vm(self) -> None:
-        if not self._vm_chunks:
-            return
-        chunks = self._vm_chunks
-        self._vm_chunks = []
-        evs = self._events
-        out: list[PointEvent] = []
-        prev = 0
-        for record, pos, base, span in chunks:
-            out.extend(evs[prev:pos])
-            prev = pos
-            ap = out.append
-            for ev in record.trace_events():
-                ap(PointEvent(
-                    name="vm." + ev.kind,
-                    v_time=base + ev.time,
-                    rank=ev.rank,
-                    span=span,
-                    attrs={"detail": list(ev.detail)},
-                ))
+        for record in self._vm_chunks:
             self._causal_nodes.extend(record.causal_nodes())
             self._causal_msgs.extend(record.causal_msgs())
-        out.extend(evs[prev:])
-        evs[:] = out  # in place: callers may hold the list
+        self._vm_chunks.clear()
 
     # --- clocks ------------------------------------------------------------
 
@@ -222,7 +186,7 @@ class Tracer:
                     wall_seconds=span.wall_duration,
                 )
 
-    # --- events, counters, gauges -----------------------------------------
+    # --- marker events ------------------------------------------------------
 
     def event(
         self,
@@ -239,7 +203,7 @@ class Tracer:
             span=self._stack[-1].index if self._stack else None,
             attrs=dict(attrs),
         )
-        self._events.append(ev)
+        self.events.append(ev)
         if self.hub is not None and name == "vm.run":
             self.hub.publish(
                 "run",
@@ -249,23 +213,6 @@ class Tracer:
                 clock=attrs.get("clock", "virtual"),
             )
         return ev
-
-    def count(self, name: str, value: float = 1) -> None:
-        """Add ``value`` to the named flat (legacy) monotone counter.
-
-        Flat counters have no labels, cycle, or rank, so two instrumented
-        sites using the same name merge into one number — prefer
-        :meth:`metric` for anything that needs a time series.  The name is
-        noted in the labelled registry so a collision with a labelled
-        metric warns instead of silently splitting the data in two.
-        """
-        self.metrics.note_legacy(name)
-        self.counters[name] = self.counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set the named flat (legacy) gauge to its latest observed value."""
-        self.metrics.note_legacy(name)
-        self.gauges[name] = value
 
     # --- labelled metrics --------------------------------------------------
 

@@ -482,7 +482,7 @@ def format_clock_skew(tracer) -> str:
         if ev.name == "vm.run" and ev.attrs.get("clock") == "wall"
     }
     by_run: dict[int, list] = {}
-    for c in getattr(tracer, "clock_records", ()):
+    for c in tracer.clock_records:
         by_run.setdefault(c.run, []).append(c)
     lines = [
         "clock alignment per measured run:",

@@ -19,11 +19,9 @@ from .runtime import (
     ANY,
     DeadlockError,
     RunResult,
-    TraceEvent,
     VirtualMachine,
     per_rank,
 )
-from .rma import RmaWindow
 from .simcomm import Comm, Request, SubComm
 from .backends import (
     available_backends,
@@ -35,14 +33,12 @@ __all__ = [
     "ANY",
     "Comm",
     "Request",
-    "RmaWindow",
     "SubComm",
     "CostLedger",
     "DeadlockError",
     "IDEAL",
     "MachineModel",
     "RunResult",
-    "TraceEvent",
     "SP2_1997",
     "VirtualMachine",
     "available_backends",

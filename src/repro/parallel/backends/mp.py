@@ -31,7 +31,7 @@ into ``CausalNode``/``CausalMsg`` lists under a ``vm.run`` marker with
 run also starts a :class:`~repro.obs.resource.ResourceSampler` in every
 rank process; the sampled RSS/CPU/GC columns ship back with the result and
 land in the trace as ``resource`` records plus per-rank
-``repro.resource.*`` metrics (schema v5).  When a live telemetry hub is
+``repro.resource.*`` metrics.  When a live telemetry hub is
 installed (:func:`repro.obs.live.use_live`, i.e. ``repro step --live``),
 ranks additionally stream progress and resource frames over the hub's
 :class:`~repro.obs.live.LiveChannel` — a bounded queue written with
@@ -145,7 +145,7 @@ class MultiprocessingBackend:
         # Live telemetry: ranks stream frames over the ambient hub's side
         # channel (fork-inherited bounded queue; see repro.obs.live).
         # Resource sampling runs whenever anyone will consume it — the
-        # tracer (v5 resource records) or a live dashboard.
+        # tracer (resource records) or a live dashboard.
         from ...obs.live import current_live
 
         hub = current_live()

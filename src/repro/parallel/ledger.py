@@ -27,12 +27,10 @@ class CostLedger:
     synchronises every clock to the maximum plus a dissemination-barrier
     term of ``ceil(log2 P)`` message startups.
 
-    With ``tracer`` set to a :class:`repro.obs.Tracer`, every charged
-    message/word is also added to the ``ledger.messages`` /
-    ``ledger.words`` counters, and per-rank traffic is recorded as
-    labelled metrics (``repro.ledger.messages_sent`` / ``messages_recv``
-    / ``words_sent`` / ``words_recv``), so traffic shows up in exported
-    traces with the rank dimension intact.
+    With ``tracer`` set to a :class:`repro.obs.Tracer`, per-rank traffic
+    is recorded as labelled metrics (``repro.ledger.messages_sent`` /
+    ``messages_recv`` / ``words_sent`` / ``words_recv``), so traffic shows
+    up in exported traces with the rank dimension intact.
 
     A traced ledger additionally emits one ``ledger.superstep`` point
     event per barrier-to-barrier superstep, carrying the per-rank
@@ -62,9 +60,6 @@ class CostLedger:
     def _count_traffic(self, messages: int, words: int) -> None:
         self.total_messages += messages
         self.total_words += words
-        if self.tracer is not None:
-            self.tracer.count("ledger.messages", messages)
-            self.tracer.count("ledger.words", words)
 
     def add_work(self, rank: int, units: float) -> None:
         """Charge ``units`` of computation to one rank."""

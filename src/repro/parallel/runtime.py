@@ -18,7 +18,7 @@ DESIGN.md §13): the optimized path dispatches ops through a type-keyed
 table, batches same-timestamp ready ranks without re-heapifying per op,
 and records the happens-before record into flat columns
 (:class:`_VMRecord`), materializing :class:`~repro.obs.causal.CausalNode`
-/ :class:`TraceEvent` objects lazily; the reference path
+/ :class:`~repro.obs.causal.CausalMsg` objects lazily; the reference path
 (``REPRO_REFERENCE_KERNELS=1``) steps one op per heap pop through an
 ``isinstance`` chain and allocates every record object eagerly.
 """
@@ -37,7 +37,7 @@ from repro.kernels import reference_enabled
 
 from .machine import MachineModel, SP2_1997, word_count
 
-__all__ = ["VirtualMachine", "RunResult", "TraceEvent", "DeadlockError", "ANY"]
+__all__ = ["VirtualMachine", "RunResult", "DeadlockError", "ANY"]
 
 #: Wildcard for ``recv`` source/tag matching.
 ANY = -1
@@ -308,16 +308,6 @@ class _BlockedView:
         self.mailbox = mailbox
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One scheduler event, recorded when tracing is enabled."""
-
-    time: float
-    rank: int
-    kind: str  # "send" | "recv" | "work" | "probe" | "elapse"
-    detail: tuple
-
-
 # --- columnar recording ------------------------------------------------------
 
 #: Type-keyed dispatch table; the value doubles as the columnar kind code
@@ -342,10 +332,10 @@ class _VMRecord:
     """Columnar happens-before record of one VM run.
 
     The optimized scheduler appends every operation into flat typed
-    columns instead of allocating a ``CausalNode`` + ``TraceEvent`` pair
-    per op; the object views are materialized lazily (and memoized) only
-    when :mod:`repro.obs.causal`, the exporters, or ``RunResult.nodes`` /
-    ``.msgs`` / ``.trace`` ask for them.
+    columns instead of allocating a ``CausalNode`` per op; the object
+    views are materialized lazily (and memoized) only when
+    :mod:`repro.obs.causal`, the exporters, or ``RunResult.nodes`` /
+    ``.msgs`` ask for them.
 
     Layout (one row per node / message, flat Python lists — a single
     ``list.extend`` per row is ~6x cheaper than a typed ``array`` extend,
@@ -355,21 +345,16 @@ class _VMRecord:
       ``t_start``, ``t_end``, ``wait``
     * ``ms_i`` (stride 6) — src, dst, tag, nwords, send node,
       recv node (``-1`` unconsumed)
-    * ``aux`` — sparse ``{node id: op detail}`` for work units, elapse
-      seconds, and probe ``(source, tag)`` arguments, preserving the
-      exact objects the rank program yielded
     """
 
-    __slots__ = ("nd", "ms_i", "aux", "run", "_nodes", "_msgs", "_events")
+    __slots__ = ("nd", "ms_i", "run", "_nodes", "_msgs")
 
     def __init__(self):
         self.nd: list = []
         self.ms_i: list = []
-        self.aux: dict[int, Any] = {}
         self.run = -1  # assigned at end of run, like eager CausalNodes
         self._nodes = None
         self._msgs = None
-        self._events = None
 
     @property
     def nnodes(self) -> int:
@@ -414,43 +399,14 @@ class _VMRecord:
             self._msgs = out
         return self._msgs
 
-    def trace_events(self) -> list[TraceEvent]:
-        """Materialize (and memoize) the ``TraceEvent`` view."""
-        if self._events is None:
-            nd, ms_i, aux = self.nd, self.ms_i, self.aux
-            out = []
-            ap = out.append
-            for i in range(len(nd) // 6):
-                j = 6 * i
-                code = int(nd[j])
-                mid = int(nd[j + 2])
-                if code == _SEND:
-                    k = 6 * mid
-                    kind = "send"
-                    detail = (ms_i[k + 1], ms_i[k + 2], ms_i[k + 3])
-                elif code == _RECV:
-                    k = 6 * mid
-                    kind = "recv"
-                    detail = (ms_i[k], ms_i[k + 2], ms_i[k + 3])
-                elif code == _PROBE:
-                    kind = "probe"
-                    detail = (*aux[i], mid >= 0)
-                else:
-                    kind = "work" if code == _WORK else "elapse"
-                    detail = (aux[i],)
-                ap(TraceEvent(nd[j + 4], int(nd[j + 1]), kind, detail))
-            self._events = out
-        return self._events
-
 
 class RunResult:
     """Outcome of a :meth:`VirtualMachine.run` call.
 
-    ``trace``, ``nodes``, and ``msgs`` are materialized lazily from the
-    optimized scheduler's columnar record on first access; results built
-    directly (reference path, real-execution backends) store the object
-    lists eagerly.  Field meanings are unchanged from the original
-    dataclass form.
+    ``nodes`` and ``msgs`` are materialized lazily from the optimized
+    scheduler's columnar record on first access; results built directly
+    (reference path, real-execution backends) store the object lists
+    eagerly.
     """
 
     __slots__ = (
@@ -458,15 +414,15 @@ class RunResult:
         "words_sent_per_rank", "words_recv_per_rank", "msgs_sent_per_rank",
         "msgs_recv_per_rank", "busy_per_rank", "idle_per_rank",
         "wall_seconds", "backend", "transport",
-        "_trace", "_nodes", "_msgs", "_record", "_want_trace",
+        "_nodes", "_msgs", "_record",
     )
 
     def __init__(self, returns, clocks, total_messages, total_words,
-                 words_sent_per_rank, trace=None, words_recv_per_rank=None,
+                 words_sent_per_rank, words_recv_per_rank=None,
                  msgs_sent_per_rank=None, msgs_recv_per_rank=None,
                  busy_per_rank=None, idle_per_rank=None, nodes=None,
                  msgs=None, wall_seconds=None, backend="virtual",
-                 record=None, want_trace=False, transport=None):
+                 record=None, transport=None):
         self.returns = returns
         self.clocks = clocks
         self.total_messages = total_messages
@@ -492,17 +448,9 @@ class RunResult:
         #: ``bytes_pickled``, ``slab_reuse``, ...) when the backend ran a
         #: shared-memory transport; None otherwise.
         self.transport = transport
-        self._trace = trace
         self._nodes = nodes
         self._msgs = msgs
         self._record = record
-        self._want_trace = want_trace
-
-    @property
-    def trace(self) -> list[TraceEvent] | None:
-        if self._trace is None and self._want_trace and self._record is not None:
-            self._trace = self._record.trace_events()
-        return self._trace
 
     @property
     def nodes(self) -> list | None:
@@ -536,13 +484,14 @@ class VirtualMachine:
     """A virtual message-passing machine with ``nranks`` processors.
 
     With ``trace=True`` the scheduler records every send, receive, probe,
-    work, and elapse event with its virtual timestamp (useful for
-    debugging rank programs and visualising communication schedules).
-    With ``tracer`` set to a :class:`repro.obs.Tracer`, the same events
-    are mirrored into it as point events named ``vm.<kind>`` (offset by
-    the tracer's virtual clock at the start of the run) and the run's
-    message/word totals are added to the ``vm.messages`` / ``vm.words``
-    counters.  Per-rank traffic is additionally recorded as labelled
+    work, and elapse operation as a causal node with its virtual start and
+    end times, and every message as a causal msg (``RunResult.nodes`` /
+    ``.msgs``; useful for debugging rank programs and visualising
+    communication schedules).  With ``tracer`` set to a
+    :class:`repro.obs.Tracer`, the same record is appended to the tracer
+    under a fresh run id, after a ``vm.run`` marker event carrying the
+    run's ``base`` offset into the trace timeline.  Per-rank traffic is
+    additionally recorded as labelled
     metrics: ``repro.vm.messages_sent`` / ``messages_recv`` count
     payload-bearing messages only (zero-word synchronisation messages go
     to ``repro.vm.sync_messages`` so word and message totals stay
@@ -628,7 +577,6 @@ class VirtualMachine:
             nd_ext = rec.nd.extend
             msi_ext = rec.ms_i.extend
             ms_i = rec.ms_i
-            aux = rec.aux
             # accounting side-channel, so the end-of-run totals never
             # have to convert the full node table to float64 inside the
             # run: flat (rank, wait) pairs for the nonzero recv waits, in
@@ -842,7 +790,6 @@ class VirtualMachine:
                         c = c + t_work * units
                         if rec is not None:
                             nd_ext((_WORK, r, -1, t0, c, 0.0))
-                            aux[n_nodes] = units
                             n_nodes += 1
                     elif code == _PROBE:
                         t0 = c
@@ -866,7 +813,6 @@ class VirtualMachine:
                             else:
                                 mid = -1
                             nd_ext((_PROBE, r, mid, t0, c, 0.0))
-                            aux[n_nodes] = (op.source, op.tag)
                             n_nodes += 1
                     else:  # _ELAPSE
                         secs = op.seconds
@@ -876,7 +822,6 @@ class VirtualMachine:
                         c = c + secs
                         if rec is not None:
                             nd_ext((_ELAPSE, r, -1, t0, c, 0.0))
-                            aux[n_nodes] = secs
                             n_nodes += 1
                     # run-to-min batching: keep running this rank while it is
                     # still the minimum of the ready order (ties go to the
@@ -971,9 +916,7 @@ class VirtualMachine:
                 makespan=makespan, nranks=nranks,
                 cycle=tracer.cycle, nodes=n_nodes, msgs=n_msgs,
             )
-            tracer.add_vm_chunk(rec, base)
-            tracer.count("vm.messages", total_messages)
-            tracer.count("vm.words", total_words)
+            tracer.add_vm_chunk(rec)
             mpr = tracer.metric_per_rank
             mpr("repro.vm.messages_sent", data_sent)
             mpr("repro.vm.messages_recv", data_recv)
@@ -996,7 +939,6 @@ class VirtualMachine:
             busy_per_rank=busy,
             idle_per_rank=idle,
             record=rec,
-            want_trace=self.trace,
         )
 
     # --- reference scheduler ------------------------------------------------
@@ -1012,11 +954,9 @@ class VirtualMachine:
         ready: list[tuple[float, int]] = [(0.0, r) for r in range(self.nranks)]
         heapq.heapify(ready)
         seq = 0
-        recording = self.trace or self.tracer is not None
-        events: list[TraceEvent] | None = [] if recording else None
         nodes: list | None = None
         msgs_rec: list | None = None
-        if recording:
+        if self.trace or self.tracer is not None:
             nodes, msgs_rec = [], []
 
         while ready:
@@ -1036,8 +976,7 @@ class VirtualMachine:
             if isinstance(op, WorkOp):
                 t0 = st.clock
                 st.clock += self.machine.work_time(op.units)
-                if events is not None:
-                    events.append(TraceEvent(st.clock, r, "work", (op.units,)))
+                if nodes is not None:
                     nodes.append(CausalNode(-1, len(nodes), r, "work",
                                             t0, st.clock))
                 heapq.heappush(ready, (st.clock, r))
@@ -1046,10 +985,7 @@ class VirtualMachine:
                     raise ValueError(f"negative elapse: {op.seconds}")
                 t0 = st.clock
                 st.clock += op.seconds
-                if events is not None:
-                    events.append(
-                        TraceEvent(st.clock, r, "elapse", (op.seconds,))
-                    )
+                if nodes is not None:
                     nodes.append(CausalNode(-1, len(nodes), r, "elapse",
                                             t0, st.clock))
                 heapq.heappush(ready, (st.clock, r))
@@ -1063,10 +999,7 @@ class VirtualMachine:
                 if op.nwords > 0:
                     st.data_msgs_sent += 1
                 seq += 1
-                if events is not None:
-                    events.append(
-                        TraceEvent(st.clock, r, "send", (op.dest, op.tag, op.nwords))
-                    )
+                if nodes is not None:
                     # msg id == seq - 1: both advance once per send
                     nodes.append(CausalNode(-1, len(nodes), r, "send",
                                             t0, st.clock, msg=len(msgs_rec)))
@@ -1078,7 +1011,7 @@ class VirtualMachine:
                 dst = ranks[op.dest]
                 dst.mailbox.add(msg)
                 if dst.blocked_on is not None and self._matches(dst.blocked_on, msg):
-                    self._deliver(dst, ready, events, nodes, msgs_rec)
+                    self._deliver(dst, ready, nodes, msgs_rec)
                 heapq.heappush(ready, (st.clock, r))
             elif isinstance(op, ProbeOp):
                 t0 = st.clock
@@ -1095,11 +1028,7 @@ class VirtualMachine:
                     st.send_value = (True, (msg.payload, msg.source, msg.tag))
                 else:
                     st.send_value = (False, None)
-                if events is not None:
-                    events.append(
-                        TraceEvent(st.clock, r, "probe",
-                                   (op.source, op.tag, msg is not None))
-                    )
+                if nodes is not None:
                     mid = None if msg is None else msg.seq - 1
                     if mid is not None:
                         msgs_rec[mid].recv_node = len(nodes)
@@ -1109,7 +1038,7 @@ class VirtualMachine:
             elif isinstance(op, RecvOp):
                 st.blocked_on = op
                 if st.mailbox.has_match(op.source, op.tag):
-                    self._deliver(st, ready, events, nodes, msgs_rec)
+                    self._deliver(st, ready, nodes, msgs_rec)
                 # else: stays blocked until a matching send arrives
             else:
                 raise TypeError(f"rank {r} yielded unknown op {op!r}")
@@ -1130,7 +1059,7 @@ class VirtualMachine:
                 nd.run = run_id
             for mg in msgs_rec:
                 mg.run = run_id
-        if self.tracer is not None and events is not None:
+        if self.tracer is not None:
             base = self.tracer.virtual_now
             self.tracer.causal_nodes.extend(nodes)
             self.tracer.causal_msgs.extend(msgs_rec)
@@ -1139,13 +1068,6 @@ class VirtualMachine:
                 makespan=makespan, nranks=self.nranks,
                 cycle=self.tracer.cycle, nodes=len(nodes), msgs=len(msgs_rec),
             )
-            for ev in events:
-                self.tracer.event(
-                    f"vm.{ev.kind}", v_time=base + ev.time, rank=ev.rank,
-                    detail=list(ev.detail),
-                )
-            self.tracer.count("vm.messages", sum(s.msgs_sent for s in ranks))
-            self.tracer.count("vm.words", sum(s.words_sent for s in ranks))
             for s in ranks:
                 m = self.tracer.metric
                 m("repro.vm.messages_sent", s.data_msgs_sent,
@@ -1169,7 +1091,6 @@ class VirtualMachine:
             total_messages=sum(s.msgs_sent for s in ranks),
             total_words=sum(s.words_sent for s in ranks),
             words_sent_per_rank=[s.words_sent for s in ranks],
-            trace=events if self.trace else None,
             words_recv_per_rank=[s.words_recv for s in ranks],
             msgs_sent_per_rank=[s.msgs_sent for s in ranks],
             msgs_recv_per_rank=[s.msgs_recv for s in ranks],
@@ -1209,8 +1130,8 @@ class VirtualMachine:
     def _matches(op: RecvOp, msg: _Message) -> bool:
         return (op.source in (ANY, msg.source)) and (op.tag in (ANY, msg.tag))
 
-    def _deliver(self, st: _Rank, ready: list, events: list | None = None,
-                 nodes: list | None = None, msgs_rec: list | None = None) -> None:
+    def _deliver(self, st: _Rank, ready: list, nodes: list | None = None,
+                 msgs_rec: list | None = None) -> None:
         """Hand the oldest matching message to a rank blocked on a recv."""
         op = st.blocked_on
         assert op is not None
@@ -1225,11 +1146,6 @@ class VirtualMachine:
         st.msgs_recv += 1
         if best.nwords > 0:
             st.data_msgs_recv += 1
-        if events is not None:
-            events.append(
-                TraceEvent(st.clock, st.rank, "recv",
-                           (best.source, best.tag, best.nwords))
-            )
         if nodes is not None:
             from repro.obs.causal import CausalNode
 

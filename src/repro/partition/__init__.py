@@ -1,6 +1,5 @@
 """Multilevel graph partitioning (paper §4.2) and baselines."""
 
-from .agglomerate import agglomerate, expand_partition
 from .baselines import block_partition, random_partition, rcb_partition
 from .contract import contract
 from .fm_refine import fm_bisection_refine, kway_greedy_refine
@@ -15,8 +14,6 @@ from .spectral import inertial_bisect, spectral_bisect
 
 __all__ = [
     "Graph",
-    "agglomerate",
-    "expand_partition",
     "inertial_bisect",
     "spectral_bisect",
     "MultilevelPartitioner",

@@ -50,4 +50,5 @@ def test_vm_schedule_bit_identical():
         assert opt.total_messages == ref.total_messages
         assert opt.total_words == ref.total_words
         assert opt.words_sent_per_rank == ref.words_sent_per_rank
-        assert opt.trace == ref.trace
+        assert opt.nodes == ref.nodes
+        assert opt.msgs == ref.msgs

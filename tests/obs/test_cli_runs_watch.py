@@ -58,7 +58,9 @@ def test_runs_index_show_compare(tmp_path, capsys):
 
 def test_runs_index_missing_trace_errors(capsys):
     assert main(["runs", "index", "/nonexistent/trace.jsonl"]) == 2
-    assert "no such trace file" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: /nonexistent/trace.jsonl: No such")
+    assert captured.out == ""
 
 
 def test_runs_unknown_id_errors(tmp_path, capsys):

@@ -1,12 +1,13 @@
-"""Exporter round-trips and schema validation."""
+"""Exporter round-trips and schema validation, driven by the record table."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.obs import (
     SCHEMA_VERSION,
-    SUPPORTED_SCHEMAS,
     SchemaError,
     Tracer,
     export_chrome_trace,
@@ -14,6 +15,9 @@ from repro.obs import (
     read_jsonl,
     validate_jsonl,
 )
+from repro.obs.export import MARKER_ATTRS, RECORDS
+from repro.obs.resource import ResourceSample
+from repro.obs.wallclock import ClockRecord
 
 
 def sample_tracer() -> Tracer:
@@ -24,10 +28,8 @@ def sample_tracer() -> Tracer:
             tr.advance(0.25)
             sp.attrs["edges"] = 7
         with tr.phase("remap", rank=None):
-            tr.event("vm.send", rank=0, detail=[1, 5, 16])
+            tr.event("decision", rank=0, accept=True)
             tr.advance(0.5)
-    tr.count("messages", 3)
-    tr.gauge("imbalance", 1.08)
     return tr
 
 
@@ -43,34 +45,138 @@ def metric_tracer() -> Tracer:
     return tr
 
 
+def causal_tracer() -> Tracer:
+    """Tracer holding one traced two-rank VM run (ping + reply)."""
+    from repro.parallel import VirtualMachine
+
+    def prog(comm):
+        if comm.rank == 0:
+            yield from comm.compute(100)
+            yield from comm.send("ping", dest=1, tag=1, nwords=8)
+            _ = yield from comm.recv(source=1, tag=2)
+        else:
+            _ = yield from comm.recv(source=0, tag=1)
+            yield from comm.send("pong", dest=0, tag=2, nwords=8)
+
+    tr = metric_tracer()
+    with tr.phase("remap"):
+        res = VirtualMachine(2, tracer=tr).run(prog)
+        tr.advance(res.makespan)
+    return tr
+
+
+def full_tracer() -> Tracer:
+    """Every record type of the table, at least once."""
+    tr = causal_tracer()
+    tr.clock_records.append(ClockRecord(run=0, rank=1, offset=1e-3, skew=2e-4))
+    tr.resource_samples.append(ResourceSample(
+        rank=None, t=0.5, rss_bytes=1 << 20, cpu_seconds=0.25,
+        gc_collections=4,
+    ))
+    return tr
+
+
+def _lines(tracer, tmp_path) -> list[dict]:
+    path = tmp_path / "src.jsonl"
+    export_jsonl(tracer, path)
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _write(tmp_path, records) -> Path:
+    path = tmp_path / "case.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+def _meta(**counts) -> dict:
+    base = {"type": "meta", "schema": SCHEMA_VERSION,
+            **{kind + "s": 0 for kind in RECORDS}}
+    base.update(counts)
+    return base
+
+
+# --- the table: write, read, validate ----------------------------------------
+
+
+def test_export_read_export_is_byte_identical(tmp_path):
+    tr = full_tracer()
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    n = export_jsonl(tr, first)
+    summary = validate_jsonl(first)
+    assert set(summary) == {kind + "s" for kind in RECORDS}
+    assert all(count >= 1 for count in summary.values())  # every type held
+    assert n == 1 + sum(summary.values())
+    assert export_jsonl(read_jsonl(first), second) == n
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key)
+    for kind, fields in [("meta", ("schema", *(k + "s" for k in RECORDS))),
+                         *((k, tuple(e.fields)) for k, e in RECORDS.items())]
+    for key in fields
+])
+def test_dropping_any_declared_key_is_rejected(tmp_path, kind, key):
+    records = _lines(full_tracer(), tmp_path)
+    victim = next(r for r in records if r["type"] == kind)
+    del victim[key]
+    path = _write(tmp_path, records)
+    for consume in (validate_jsonl, read_jsonl):
+        with pytest.raises(SchemaError, match=r"^line \d+: "):
+            consume(path)
+
+
+@pytest.mark.parametrize("schema", [f"repro.obs/v{n}" for n in range(1, 6)])
+def test_older_schema_rejected_by_name(tmp_path, schema):
+    records = _lines(sample_tracer(), tmp_path)
+    records[0]["schema"] = schema
+    with pytest.raises(SchemaError, match=re.escape(repr(schema))) as exc:
+        read_jsonl(_write(tmp_path, records))
+    assert "re-export" in str(exc.value)
+
+
+def test_design_doc_lists_the_table():
+    """DESIGN.md's "Trace format" section names every record type with
+    exactly the table's keys (``?`` marks nullable), in order."""
+    text = (Path(__file__).parents[2] / "DESIGN.md").read_text()
+    section = re.split(r"^## (?:\d+\. )?Trace format$", text, flags=re.M)[1]
+    section = section.split("\n## ", 1)[0]
+    documented = {
+        m[1]: re.findall(r"`([a-z_]+\??)`", m[2])
+        for m in re.finditer(r"^\| `(\w+)` \| (.*?) \|", section, re.M)
+    }
+    assert documented == {
+        kind: [key + ("?" if code.endswith("?") else "")
+               for key, code in entry.fields.items()]
+        for kind, entry in RECORDS.items()
+    }
+    assert SCHEMA_VERSION in section
+    for marker in MARKER_ATTRS:
+        assert f"`{marker}`" in section
+
+
+# --- round trips --------------------------------------------------------------
+
+
 def test_jsonl_roundtrip(tmp_path):
     tr = sample_tracer()
     path = tmp_path / "trace.jsonl"
     n = export_jsonl(tr, path)
-    assert n == 1 + len(tr.spans) + len(tr.events) + 2
+    assert n == 1 + len(tr.spans) + len(tr.events)
 
     back = read_jsonl(path)
-    assert len(back.spans) == len(tr.spans)
-    for a, b in zip(tr.spans, back.spans):
-        assert (a.name, a.index, a.parent, a.depth, a.rank) == (
-            b.name, b.index, b.parent, b.depth, b.rank
-        )
-        assert a.v_start == b.v_start and a.v_end == b.v_end
-        assert a.wall_start == b.wall_start and a.wall_end == b.wall_end
-        assert a.attrs == b.attrs
-    assert [e.name for e in back.events] == [e.name for e in tr.events]
-    assert back.counters == tr.counters
-    assert back.gauges == tr.gauges
+    assert back.spans == tr.spans
+    assert back.events == tr.events
     assert back.virtual_now == pytest.approx(tr.virtual_now)
 
 
 def test_validate_accepts_fresh_export(tmp_path):
     path = tmp_path / "trace.jsonl"
     export_jsonl(sample_tracer(), path)
-    summary = validate_jsonl(path)
-    assert summary == {"spans": 3, "events": 1, "counters": 1, "gauges": 1,
-                       "metrics": 0, "nodes": 0, "msgs": 0, "clocks": 0,
-                       "resources": 0}
+    assert validate_jsonl(path) == {
+        "spans": 3, "events": 1, "metrics": 0, "nodes": 0, "msgs": 0,
+        "clocks": 0, "resources": 0,
+    }
 
 
 def test_metric_roundtrip(tmp_path):
@@ -89,71 +195,21 @@ def test_metric_roundtrip(tmp_path):
     assert back.begin_cycle() == 1
 
 
-def test_v1_files_still_accepted(tmp_path):
-    path = tmp_path / "v1.jsonl"
-    meta = {"type": "meta", "schema": "repro.obs/v1", "spans": 0,
-            "events": 0, "counters": 1, "gauges": 0}
-    counter = {"type": "counter", "name": "messages", "value": 3}
-    path.write_text(json.dumps(meta) + "\n" + json.dumps(counter) + "\n")
-    assert "repro.obs/v1" in SUPPORTED_SCHEMAS
+def test_causal_roundtrip(tmp_path):
+    tr = causal_tracer()
+    assert tr.causal_nodes and tr.causal_msgs
+    path = tmp_path / "trace.jsonl"
+    export_jsonl(tr, path)
     summary = validate_jsonl(path)
-    assert summary["counters"] == 1 and summary["metrics"] == 0
-    assert read_jsonl(path).counters == {"messages": 3}
+    assert summary["nodes"] == len(tr.causal_nodes)
+    assert summary["msgs"] == len(tr.causal_msgs)
+    assert summary["events"] == 2  # the decision and one vm.run marker
 
-
-def test_metric_record_rejected_in_v1_file(tmp_path):
-    path = tmp_path / "v1.jsonl"
-    meta = {"type": "meta", "schema": "repro.obs/v1", "spans": 0,
-            "events": 0, "counters": 0, "gauges": 0}
-    metric = {"type": "metric", "name": "x", "kind": "gauge", "value": 1.0,
-              "labels": {}, "cycle": None, "rank": None, "v_time": 0.0}
-    path.write_text(json.dumps(meta) + "\n" + json.dumps(metric) + "\n")
-    with pytest.raises(SchemaError, match="metric records require"):
-        validate_jsonl(path)
-
-
-def _meta(schema=SCHEMA_VERSION, **counts) -> dict:
-    base = {"type": "meta", "schema": schema, "spans": 0,
-            "events": 0, "counters": 0, "gauges": 0, "metrics": 0,
-            "nodes": 0, "msgs": 0, "clocks": 0, "resources": 0}
-    if schema == "repro.obs/v2":
-        del base["nodes"], base["msgs"]
-    if schema in ("repro.obs/v2", "repro.obs/v3"):
-        del base["clocks"]
-    if schema in ("repro.obs/v2", "repro.obs/v3", "repro.obs/v4"):
-        del base["resources"]
-    base.update(counts)
-    return base
-
-
-_v2_meta = _meta  # historical name used below
-
-
-@pytest.mark.parametrize("bad, match", [
-    ({"kind": "sampler"}, "not in"),
-    ({"value": "high"}, "must be a number"),
-    ({"kind": "histogram", "value": 3.0}, "list of numbers"),
-    ({"labels": {"method": 2}}, "str to str"),
-    ({"cycle": 1.5}, "int or null"),
-])
-def test_validate_rejects_bad_metric(tmp_path, bad, match):
-    rec = {"type": "metric", "name": "x", "kind": "gauge", "value": 1.0,
-           "labels": {}, "cycle": None, "rank": None, "v_time": 0.0}
-    rec.update(bad)
-    path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps(_v2_meta(metrics=1)) + "\n"
-                    + json.dumps(rec) + "\n")
-    with pytest.raises(SchemaError, match=match):
-        validate_jsonl(path)
-
-
-def test_validate_rejects_v2_meta_without_metric_count(tmp_path):
-    meta = _v2_meta()
-    del meta["metrics"]
-    path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps(meta) + "\n")
-    with pytest.raises(SchemaError, match="metrics"):
-        validate_jsonl(path)
+    back = read_jsonl(path)
+    assert back.causal_nodes == tr.causal_nodes
+    assert back.causal_msgs == tr.causal_msgs
+    # the run counter resumes after the last recorded run
+    assert back.next_causal_run() == tr._next_run
 
 
 def test_open_spans_are_skipped(tmp_path):
@@ -165,9 +221,12 @@ def test_open_spans_are_skipped(tmp_path):
     assert validate_jsonl(path)["spans"] == 0
 
 
+# --- file-level violations ----------------------------------------------------
+
+
 def test_validate_rejects_missing_meta(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps({"type": "counter", "name": "x", "value": 1}) + "\n")
+    path = _write(tmp_path, [{"type": "clock", "run": 0, "rank": 0,
+                              "offset": 0.0, "skew": 0.0}])
     with pytest.raises(SchemaError, match="meta"):
         validate_jsonl(path)
 
@@ -187,110 +246,103 @@ def test_validate_rejects_bad_json(tmp_path):
 
 
 def test_validate_rejects_wrong_schema_version(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    meta = {"type": "meta", "schema": "repro.obs/v0", "spans": 0,
-            "events": 0, "counters": 0, "gauges": 0}
-    path.write_text(json.dumps(meta) + "\n")
+    path = _write(tmp_path, [_meta(schema="repro.obs/v0")])
     with pytest.raises(SchemaError, match="schema"):
         validate_jsonl(path)
 
 
 def test_validate_rejects_count_mismatch(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps(_meta(spans=2)) + "\n")
+    path = _write(tmp_path, [_meta(spans=2)])
     with pytest.raises(SchemaError, match="declares 2 spans"):
         validate_jsonl(path)
 
 
+def test_validate_rejects_unknown_type_and_undeclared_key(tmp_path):
+    with pytest.raises(SchemaError, match="unknown record type 'counter'"):
+        validate_jsonl(_write(
+            tmp_path, [_meta(), {"type": "counter", "name": "x", "value": 1}]
+        ))
+    with pytest.raises(SchemaError, match="unknown record type"):
+        validate_jsonl(_write(tmp_path, [_meta(), {"type": ["span"]}]))
+    clock = {"type": "clock", "run": 0, "rank": 0, "offset": 0.0,
+             "skew": 0.0, "drift": 1.0}
+    with pytest.raises(SchemaError, match="undeclared key 'drift'"):
+        validate_jsonl(_write(tmp_path, [_meta(clocks=1), clock]))
+
+
+# --- per-type rules -----------------------------------------------------------
+
+_SPAN = {"type": "span", "index": 0, "parent": None, "depth": 0,
+         "name": "x", "rank": None, "v_start": 0.0, "v_end": 1.0,
+         "wall_start": 0.0, "wall_end": 1.0, "attrs": {}}
+
+
 def test_validate_rejects_backwards_span(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    span = {"type": "span", "index": 0, "parent": None, "depth": 0,
-            "name": "x", "rank": None, "v_start": 5.0, "v_end": 1.0,
-            "wall_start": 0.0, "wall_end": 1.0, "attrs": {}}
-    path.write_text(json.dumps(_meta(spans=1)) + "\n" + json.dumps(span) + "\n")
+    span = {**_SPAN, "v_start": 5.0}
     with pytest.raises(SchemaError, match="ends before it starts"):
-        validate_jsonl(path)
+        validate_jsonl(_write(tmp_path, [_meta(spans=1), span]))
 
 
 def test_validate_rejects_dangling_parent(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    span = {"type": "span", "index": 3, "parent": 99, "depth": 1,
-            "name": "x", "rank": None, "v_start": 0.0, "v_end": 1.0,
-            "wall_start": 0.0, "wall_end": 1.0, "attrs": {}}
-    path.write_text(json.dumps(_meta(spans=1)) + "\n" + json.dumps(span) + "\n")
+    span = {**_SPAN, "index": 3, "parent": 99, "depth": 1}
     with pytest.raises(SchemaError, match="parent 99"):
-        validate_jsonl(path)
+        validate_jsonl(_write(tmp_path, [_meta(spans=1), span]))
 
 
-def test_validate_rejects_missing_field(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    event = {"type": "event", "v_time": 0.0, "attrs": {}}  # no name
-    path.write_text(json.dumps(_meta(events=1)) + "\n"
-                    + json.dumps(event) + "\n")
-    with pytest.raises(SchemaError, match="missing 'name'"):
-        validate_jsonl(path)
-
-
-def causal_tracer() -> Tracer:
-    """Tracer holding one traced two-rank VM run (ping + reply)."""
-    from repro.parallel import VirtualMachine
-
-    def prog(comm):
-        if comm.rank == 0:
-            yield from comm.compute(100)
-            yield from comm.send("ping", dest=1, tag=1, nwords=8)
-            _ = yield from comm.recv(source=1, tag=2)
-        else:
-            _ = yield from comm.recv(source=0, tag=1)
-            yield from comm.send("pong", dest=0, tag=2, nwords=8)
-
-    tr = sample_tracer()
-    with tr.phase("remap"):
-        res = VirtualMachine(2, tracer=tr).run(prog)
-        tr.advance(res.makespan)
-    return tr
-
-
-def test_causal_roundtrip(tmp_path):
-    tr = causal_tracer()
-    assert tr.causal_nodes and tr.causal_msgs
-    path = tmp_path / "trace.jsonl"
-    export_jsonl(tr, path)
-    summary = validate_jsonl(path)
-    assert summary["nodes"] == len(tr.causal_nodes)
-    assert summary["msgs"] == len(tr.causal_msgs)
-
-    back = read_jsonl(path)
-    assert back.causal_nodes == tr.causal_nodes
-    assert back.causal_msgs == tr.causal_msgs
-    # the run counter resumes after the last recorded run
-    assert back.next_causal_run() == tr._next_run
-
-
-def test_v2_files_still_accepted(tmp_path):
-    path = tmp_path / "v2.jsonl"
-    meta = _meta(schema="repro.obs/v2", metrics=1)
-    metric = {"type": "metric", "name": "x", "kind": "gauge", "value": 1.0,
-              "labels": {}, "cycle": None, "rank": None, "v_time": 0.0}
-    path.write_text(json.dumps(meta) + "\n" + json.dumps(metric) + "\n")
-    assert "repro.obs/v2" in SUPPORTED_SCHEMAS
-    summary = validate_jsonl(path)
-    assert summary["metrics"] == 1 and summary["nodes"] == 0
-    assert len(read_jsonl(path).metrics) == 1
+def test_validate_rejects_duplicate_span_index(tmp_path):
+    with pytest.raises(SchemaError, match="line 3: duplicate span id 0"):
+        validate_jsonl(_write(tmp_path, [_meta(spans=2), _SPAN, _SPAN]))
 
 
 @pytest.mark.parametrize("rec", [
-    {"type": "node", "run": 0, "id": 0, "rank": 0, "kind": "work",
-     "t_start": 0.0, "t_end": 1.0, "wait": 0.0, "msg": None},
-    {"type": "msg", "run": 0, "id": 0, "src": 0, "dst": 1, "tag": 0,
-     "nwords": 4, "send_node": 0, "recv_node": None},
+    {**_SPAN, "rank": -1},
+    {"type": "event", "name": "x", "v_time": 0.0, "rank": -2, "span": None,
+     "attrs": {}},
+    {"type": "clock", "run": 0, "rank": -1, "offset": 0.0, "skew": 0.0},
 ])
-def test_causal_records_rejected_in_v2_file(tmp_path, rec):
-    path = tmp_path / "v2.jsonl"
-    meta = _meta(schema="repro.obs/v2")
-    path.write_text(json.dumps(meta) + "\n" + json.dumps(rec) + "\n")
-    with pytest.raises(SchemaError, match="require schema"):
-        validate_jsonl(path)
+def test_validate_rejects_negative_rank(tmp_path, rec):
+    meta = _meta(**{rec["type"] + "s": 1})
+    with pytest.raises(SchemaError, match="negative .* rank"):
+        validate_jsonl(_write(tmp_path, [meta, rec]))
+
+
+def test_validate_rejects_missing_field(tmp_path):
+    event = {"type": "event", "v_time": 0.0, "rank": None, "span": None,
+             "attrs": {}}  # no name
+    with pytest.raises(SchemaError, match="missing 'name'"):
+        validate_jsonl(_write(tmp_path, [_meta(events=1), event]))
+
+
+@pytest.mark.parametrize("attrs, match", [
+    ({"nranks": 2, "base": 0.0, "makespan": 1.0}, "attrs.run"),
+    ({"run": "0", "nranks": 2, "base": 0.0, "makespan": 1.0}, "attrs.run"),
+    ({"run": 0, "nranks": 2, "makespan": 1.0}, "attrs.base"),
+    ({"run": 0, "nranks": 2.5, "base": 0.0, "makespan": 1.0}, "attrs.nranks"),
+])
+def test_vm_run_marker_needs_its_attrs(tmp_path, attrs, match):
+    """``repro critical-path`` reads these without looking: a ``vm.run``
+    lacking one is a schema error, not a KeyError in the analysis."""
+    event = {"type": "event", "name": "vm.run", "v_time": 0.0, "rank": None,
+             "span": None, "attrs": attrs}
+    path = _write(tmp_path, [_meta(events=1), event])
+    for consume in (validate_jsonl, read_jsonl):
+        with pytest.raises(SchemaError, match=match):
+            consume(path)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({"kind": "sampler"}, "not in"),
+    ({"value": "high"}, "must be a number"),
+    ({"kind": "histogram", "value": 3.0}, "list of numbers"),
+    ({"labels": {"method": 2}}, "str to str"),
+    ({"cycle": 1.5}, "int or null"),
+])
+def test_validate_rejects_bad_metric(tmp_path, bad, match):
+    rec = {"type": "metric", "name": "x", "kind": "gauge", "value": 1.0,
+           "labels": {}, "cycle": None, "rank": None, "v_time": 0.0}
+    rec.update(bad)
+    with pytest.raises(SchemaError, match=match):
+        validate_jsonl(_write(tmp_path, [_meta(metrics=1), rec]))
 
 
 @pytest.mark.parametrize("bad, match", [
@@ -303,20 +355,31 @@ def test_validate_rejects_bad_node(tmp_path, bad, match):
     rec = {"type": "node", "run": 0, "id": 0, "rank": 0, "kind": "work",
            "t_start": 0.0, "t_end": 1.0, "wait": 0.0, "msg": None}
     rec.update(bad)
-    path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps(_meta(nodes=1)) + "\n"
-                    + json.dumps(rec) + "\n")
     with pytest.raises(SchemaError, match=match):
-        validate_jsonl(path)
+        validate_jsonl(_write(tmp_path, [_meta(nodes=1), rec]))
 
 
-def test_validate_rejects_v3_meta_without_causal_counts(tmp_path):
-    meta = _meta()
-    del meta["nodes"]
-    path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps(meta) + "\n")
-    with pytest.raises(SchemaError, match="nodes"):
-        validate_jsonl(path)
+@pytest.mark.parametrize("kind, key, target", [
+    ("node", "msg", "msg"),
+    ("msg", "send_node", "node"),
+    ("msg", "recv_node", "node"),
+])
+def test_causal_ids_resolve_within_their_run(tmp_path, kind, key, target):
+    records = _lines(causal_tracer(), tmp_path)
+    victim = next(r for r in records
+                  if r["type"] == kind and r[key] is not None)
+    good, victim[key] = victim[key], 99
+    lineno = records.index(victim) + 1
+    match = f"line {lineno}: {kind} {key} names {target} 99, which run 0"
+    with pytest.raises(SchemaError, match=match):
+        validate_jsonl(_write(tmp_path, records))
+    # the same id in another run does not satisfy the reference
+    victim[key], victim["run"] = good, 7
+    with pytest.raises(SchemaError, match="does not contain"):
+        validate_jsonl(_write(tmp_path, records))
+
+
+# --- Chrome trace -------------------------------------------------------------
 
 
 def test_chrome_trace_flow_events(tmp_path):
@@ -336,11 +399,14 @@ def test_chrome_trace_flow_events(tmp_path):
         assert fin["bp"] == "e"
         assert start["tid"] != fin["tid"]  # crosses rank threads
         assert start["ts"] <= fin["ts"]
-    # causal nodes render as vm-category slices on rank threads
+    # each op is drawn once: a vm-category slice on its rank's thread,
+    # and no instant beside it
     vm_slices = [e for e in events
                  if e["ph"] == "X" and e.get("cat") == "vm"]
     assert len(vm_slices) == len(tr.causal_nodes)
     assert all(s["tid"] >= 1 for s in vm_slices)
+    instants = [e["name"] for e in events if e["ph"] == "i"]
+    assert instants == ["decision", "vm.run"]
 
 
 def test_chrome_flow_events_survive_jsonl_round_trip(tmp_path):
@@ -371,7 +437,7 @@ def test_chrome_flow_events_survive_jsonl_round_trip(tmp_path):
 
 
 def test_chrome_trace_structure(tmp_path):
-    tr = sample_tracer()
+    tr = metric_tracer()
     path = tmp_path / "trace.json"
     n = export_chrome_trace(tr, path)
     doc = json.loads(path.read_text())
@@ -392,4 +458,7 @@ def test_chrome_trace_structure(tmp_path):
     # thread names declared for framework + every rank seen
     names = {m["args"]["name"] for m in metas if m["name"] == "thread_name"}
     assert {"framework", "rank 0"} <= names
-    assert counters[0]["name"] == "messages"
+    # one "C" row per counter metric, carrying its whole-run total
+    assert [(c["name"], c["args"]["value"]) for c in counters] == [
+        ("repro.vm.words_sent", 192.0),
+    ]

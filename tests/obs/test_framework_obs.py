@@ -1,4 +1,4 @@
-"""Framework integration: span anatomy, unit-mixing regressions, counters."""
+"""Framework integration: span anatomy, unit-mixing regressions, metrics."""
 
 import numpy as np
 import pytest
@@ -71,14 +71,22 @@ def test_explicit_tracer_receives_step_spans_and_counters():
     rep = s.adapt_step(edge_error=corner_error(s.adaptive.mesh),
                        refine_frac=0.15)
     assert rep.spans and rep.spans[0] in tr.spans
-    assert tr.counters["edges_marked"] > 0
-    assert tr.counters["repartitions_triggered"] == 1
+    reg = tr.metrics
+    assert reg.get("repro.adapt.marked_edges", cycle=0) > 0
+    # repartitioning was triggered: its quality was sampled before/after
+    assert reg.get("repro.partition.imbalance", {"when": "before"},
+                   cycle=0) is not None
+    assert reg.get("repro.cycle.imbalance", {"when": "after"},
+                   cycle=0) == rep.imbalance_after
+    assert reg.get("repro.cycle.accepted", cycle=0) == float(rep.accepted)
     if rep.accepted:
-        assert tr.counters["repartitions_accepted"] == 1
-        assert tr.counters["elements_moved"] == rep.remap.elements_moved
-        # the remap's VM schedule is mirrored as point events
-        kinds = {e.name for e in tr.events}
-        assert {"vm.send", "vm.recv"} <= kinds
+        assert reg.total("repro.remap.elements_moved") == \
+            rep.remap.elements_moved
+        assert reg.total("repro.remap.words_moved") == rep.remap.words_moved
+        # the remap's VM schedule is the causal record, under one marker
+        assert {"send", "recv"} <= {n.kind for n in tr.causal_nodes}
+        assert [e.name for e in tr.events].count("vm.run") == 1
+        assert reg.total("repro.vm.words_sent") == rep.remap.words_moved
 
 
 def test_ambient_tracer_used_when_none_passed():

@@ -72,25 +72,6 @@ def test_label_keyset_mismatch_warns_once():
         reg.gauge("q", 3.0, labels={"phase": "remap"})
 
 
-def test_legacy_name_collision_warns_both_orders():
-    reg = MetricsRegistry()
-    reg.note_legacy("messages")
-    with pytest.warns(RuntimeWarning, match="legacy"):
-        reg.counter("messages", 1)
-
-    reg2 = MetricsRegistry()
-    reg2.counter("words", 1)
-    with pytest.warns(RuntimeWarning, match="legacy"):
-        reg2.note_legacy("words")
-
-
-def test_tracer_flat_counter_collides_with_metric():
-    tr = Tracer()
-    tr.metric("vm.messages", 1, kind="counter")
-    with pytest.warns(RuntimeWarning, match="legacy"):
-        tr.count("vm.messages", 3)
-
-
 # --- queries -----------------------------------------------------------------
 
 

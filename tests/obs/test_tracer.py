@@ -1,4 +1,4 @@
-"""Unit tests for the span tracer: nesting, clocks, counters, ambience."""
+"""Unit tests for the span tracer: nesting, clocks, markers, ambience."""
 
 import pytest
 
@@ -79,14 +79,18 @@ def test_events_counters_gauges():
     with tr.phase("run") as run:
         tr.advance(1.5)
         ev = tr.event("tick", rank=3, detail=[1, 2])
-        tr.count("things")
-        tr.count("things", 4)
-        tr.gauge("level", 0.25)
-        tr.gauge("level", 0.75)
+        tr.metric("things", 1, kind="counter", rank=0)
+        tr.metric("things", 4, kind="counter", rank=1)
+        tr.metric("level", 0.25)
+        tr.metric("level", 0.75)
     assert ev.v_time == pytest.approx(1.5)
     assert ev.span == run.index and ev.rank == 3
-    assert tr.counters == {"things": 5}
-    assert tr.gauges == {"level": 0.75}
+    assert tr.events == [ev]
+    # quantities live in the registry only: counters sum over their
+    # samples, gauges keep the last write and are not totalled
+    assert tr.metrics.totals() == {"things": 5.0}
+    assert tr.metrics.get("level") == 0.75
+    assert not hasattr(tr, "counters") and not hasattr(tr, "count")
 
 
 def test_event_with_explicit_time():

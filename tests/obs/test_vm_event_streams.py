@@ -1,12 +1,10 @@
-"""Every scheduler op kind must reach both observability streams.
+"""Every scheduler op kind must reach both views of the causal record.
 
-Regression for the elapse gap: ``ElapseOp`` used to record only a causal
-node, so ``vm.elapse`` never appeared among the tracer's mirrored point
-events and idle-polling loops were invisible to event-level tooling.
-Both scheduler paths — the columnar lazy-mirroring one and the eager
-reference one — must now surface every kind (work, elapse, send, recv)
-as a ``vm.<kind>`` point event *and* as a causal node, with matching
-counts and details.
+Regression for the elapse gap: an ``ElapseOp`` is as visible as any other
+operation — one causal node per op in the tracer's stream and in the
+``RunResult``'s, on both scheduler paths (the columnar lazy one and the
+eager reference one), carrying the programs' seconds — and a traced run
+writes one ``vm.run`` marker, never one event per op.
 """
 
 from contextlib import nullcontext
@@ -27,41 +25,39 @@ def _prog(comm):
     _ = yield from comm.recv(source=prev, tag=1)
 
 
+def _run(nranks, reference, **kw):
+    tracer = Tracer()
+    with reference_kernels() if reference else nullcontext():
+        res = VirtualMachine(nranks, SP2_1997, tracer=tracer, **kw).run(_prog)
+    return tracer, res
+
+
 @pytest.mark.parametrize("reference", [False, True])
 def test_every_op_kind_in_both_streams(reference):
-    tracer = Tracer()
-    ctx = reference_kernels() if reference else nullcontext()
-    with ctx:
-        res = VirtualMachine(2, SP2_1997, trace=True, tracer=tracer).run(_prog)
+    tracer, res = _run(2, reference, trace=True)
 
-    point_names = [e.name for e in tracer.events]
-    causal_kinds = [n.kind for n in tracer.causal_nodes]
+    kinds = [n.kind for n in tracer.causal_nodes]
     for kind in ("work", "elapse", "send", "recv"):
-        assert f"vm.{kind}" in point_names, (reference, kind)
-        assert kind in causal_kinds, (reference, kind)
-        # one mirrored point event per causal node of that kind
-        assert point_names.count(f"vm.{kind}") == causal_kinds.count(kind)
+        assert kinds.count(kind) == 2, (reference, kind)
+    # one marker per run; the ops themselves are nodes, not events
+    assert [e.name for e in tracer.events] == ["vm.run"]
+    assert tracer.events[0].attrs["nodes"] == len(tracer.causal_nodes) == 8
 
-    # the elapse events carry the programs' seconds, rank-tagged
-    elapses = [e for e in tracer.events if e.name == "vm.elapse"]
-    assert sorted((e.rank, *e.attrs["detail"]) for e in elapses) == [
-        (0, 0.125), (1, 0.25),
+    # the elapse nodes carry the programs' seconds, rank-tagged
+    elapses = [n for n in tracer.causal_nodes if n.kind == "elapse"]
+    assert sorted(
+        (n.rank, pytest.approx(n.t_end - n.t_start)) for n in elapses
+    ) == [(0, 0.125), (1, 0.25)]
+    # and the RunResult view is the same record
+    assert res.nodes == tracer.causal_nodes
+    assert res.msgs == tracer.causal_msgs
+
+
+def test_causal_record_identical_across_paths():
+    fast, _ = _run(3, reference=False)
+    ref, _ = _run(3, reference=True)
+    assert fast.causal_nodes == ref.causal_nodes
+    assert fast.causal_msgs == ref.causal_msgs
+    assert [(e.name, e.v_time, e.attrs) for e in fast.events] == [
+        (e.name, e.v_time, e.attrs) for e in ref.events
     ]
-
-    # and the RunResult views agree stream-for-stream
-    assert [ev.kind for ev in res.trace].count("elapse") == 2
-    assert [n.kind for n in res.nodes].count("elapse") == 2
-
-
-def test_elapse_point_events_identical_across_paths():
-    def run(reference):
-        tracer = Tracer()
-        ctx = reference_kernels() if reference else nullcontext()
-        with ctx:
-            VirtualMachine(3, SP2_1997, tracer=tracer).run(_prog)
-        return [
-            (e.name, e.v_time, e.rank, tuple(e.attrs.get("detail", ())))
-            for e in tracer.events
-        ]
-
-    assert run(False) == run(True)

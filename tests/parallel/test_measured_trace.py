@@ -76,7 +76,7 @@ def test_mp_run_produces_a_measured_causal_run(mp_trace):
 def test_mp_trace_round_trips_through_jsonl(mp_trace):
     tracer, _, path = mp_trace
     head = json.loads(open(path).readline())
-    assert head["schema"] == "repro.obs/v5"
+    assert head["schema"] == "repro.obs/v6"
     summary = validate_jsonl(path)
     assert summary["clocks"] == 3
     back = read_jsonl(path)

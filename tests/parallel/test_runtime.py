@@ -218,10 +218,13 @@ def test_probe_emits_trace_event():
 
     res = VirtualMachine(2, MachineModel(), trace=True).run(prog)
     assert res.returns[1] == (False, True)
-    probes = [e for e in res.trace if e.kind == "probe"]
-    assert [p.detail for p in probes] == [(0, 3, False), (0, 3, True)]
+    probes = [n for n in res.nodes if n.kind == "probe"]
+    # a miss consumes nothing; the hit names the (source 0, tag 3) message
+    assert [p.msg for p in probes] == [None, 0]
+    (msg,) = res.msgs
+    assert (msg.src, msg.tag, msg.recv_node) == (0, 3, probes[1].id)
     assert all(p.rank == 1 for p in probes)
-    assert probes[0].time < probes[1].time
+    assert probes[0].t_end < probes[1].t_end
 
 
 # --- deadlock diagnostics ----------------------------------------------------

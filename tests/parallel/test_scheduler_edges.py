@@ -40,7 +40,6 @@ def _assert_identical(a, b):
     assert a.idle_per_rank == b.idle_per_rank
     assert a.nodes == b.nodes
     assert a.msgs == b.msgs
-    assert a.trace == b.trace
 
 
 def test_single_rank_machine():

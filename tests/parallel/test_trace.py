@@ -1,6 +1,7 @@
-"""Event tracing of virtual machine runs."""
+"""Causal recording of virtual machine runs (``trace=True``)."""
 
-from repro.parallel import IDEAL, TraceEvent, VirtualMachine
+from repro.obs import CausalMsg, CausalNode
+from repro.parallel import IDEAL, VirtualMachine
 
 
 def prog(comm):
@@ -13,22 +14,27 @@ def prog(comm):
 
 def test_trace_disabled_by_default():
     res = VirtualMachine(2, IDEAL).run(prog)
-    assert res.trace is None
+    assert res.nodes is None and res.msgs is None
 
 
 def test_trace_records_ordered_events():
     res = VirtualMachine(2, IDEAL, trace=True).run(prog)
-    assert res.trace is not None
-    kinds = [e.kind for e in res.trace]
+    assert res.nodes is not None
+    kinds = [n.kind for n in res.nodes]
     assert kinds.count("work") == 2
     assert kinds.count("send") == 1
     assert kinds.count("recv") == 1
-    send = next(e for e in res.trace if e.kind == "send")
-    recv = next(e for e in res.trace if e.kind == "recv")
-    assert send.rank == 0 and send.detail[0] == 1 and send.detail[1] == 4
-    assert recv.rank == 1 and recv.detail[0] == 0
-    assert recv.time >= send.time
-    assert all(isinstance(e, TraceEvent) for e in res.trace)
+    send = next(n for n in res.nodes if n.kind == "send")
+    recv = next(n for n in res.nodes if n.kind == "recv")
+    (msg,) = res.msgs
+    # the one message carries the peers and the tag, and links both ends
+    assert (msg.src, msg.dst, msg.tag) == (0, 1, 4)
+    assert send.rank == 0 and send.msg == msg.id == recv.msg
+    assert recv.rank == 1
+    assert (msg.send_node, msg.recv_node) == (send.id, recv.id)
+    assert recv.t_end >= send.t_end
+    assert all(isinstance(n, CausalNode) for n in res.nodes)
+    assert all(isinstance(m, CausalMsg) for m in res.msgs)
 
 
 def test_trace_times_monotone_per_rank():
@@ -41,5 +47,8 @@ def test_trace_times_monotone_per_rank():
 
     res = VirtualMachine(2, IDEAL, trace=True).run(chatty)
     for r in (0, 1):
-        times = [e.time for e in res.trace if e.rank == r]
-        assert times == sorted(times)
+        mine = [n for n in res.nodes if n.rank == r]
+        ends = [n.t_end for n in mine]
+        assert ends == sorted(ends)
+        # program order: each op starts where the previous one ended
+        assert all(a.t_end == b.t_start for a, b in zip(mine, mine[1:]))

@@ -1,18 +1,13 @@
-"""Spectral/inertial baselines and superelement agglomeration."""
+"""Spectral/inertial baseline partitioners."""
 
 import numpy as np
 import pytest
 
-from repro.mesh import box_mesh
 from repro.partition import (
     Graph,
-    agglomerate,
     edgecut,
-    expand_partition,
-    imbalance,
     inertial_bisect,
     loads,
-    multilevel_kway,
     spectral_bisect,
 )
 
@@ -74,42 +69,3 @@ class TestInertial:
     def test_shape_check(self):
         with pytest.raises(ValueError):
             inertial_bisect(np.zeros((3, 3)), np.ones(2))
-
-
-class TestAgglomerate:
-    def test_shrinks_to_target(self):
-        m = box_mesh(4, 4, 4)
-        g = Graph.from_pairs(m.dual_pairs, m.ne)
-        sg, emap = agglomerate(g, target_n=64, seed=0)
-        assert sg.n <= 64 * 2  # halving per round; lands near the target
-        assert sg.n < g.n
-        assert emap.shape == (g.n,)
-        assert emap.max() == sg.n - 1
-        assert sg.total_vwgt() == g.total_vwgt()
-
-    def test_partition_via_superelements(self):
-        """§4.1's remedy: partition the agglomerated graph, expand, and
-        still get a balanced element partition."""
-        m = box_mesh(4, 4, 4)
-        g = Graph.from_pairs(m.dual_pairs, m.ne)
-        sg, emap = agglomerate(g, target_n=80, seed=1)
-        superpart = multilevel_kway(sg, 4, seed=0)
-        part = expand_partition(emap, superpart)
-        assert part.shape == (g.n,)
-        # balance within superelement granularity
-        assert imbalance(g, part, 4) <= 1.0 + 2.0 * sg.vwgt.max() / (
-            g.total_vwgt() / 4
-        )
-
-    def test_target_validation(self):
-        g = grid_graph(3, 3)
-        with pytest.raises(ValueError):
-            agglomerate(g, 0)
-        with pytest.raises(ValueError):
-            expand_partition(np.array([5]), np.zeros(2, dtype=np.int64))
-
-    def test_edgeless_graph_stops(self):
-        g = Graph.from_pairs(np.empty((0, 2)), 8)
-        sg, emap = agglomerate(g, target_n=2)
-        assert sg.n == 8  # nothing to contract
-        assert np.array_equal(emap, np.arange(8))
