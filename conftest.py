@@ -2,6 +2,17 @@
 
 ``src/`` is put on ``sys.path`` by ``pythonpath = ["src"]`` in
 ``pyproject.toml`` — the single source of truth for test path setup
-(scripts use ``scripts/_bootstrap.py``).  This file only needs to exist
-so pytest anchors its rootdir here when invoked from subdirectories.
+(scripts use ``scripts/_bootstrap.py``).  This file anchors pytest's
+rootdir here when it is invoked from subdirectories, and holds the one
+fixture every test gets.
 """
+
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def _fresh_partition_store():
+    """No test starts with another test's k-way partitions in the store."""
+    from repro.partition import multilevel_kway
+
+    multilevel_kway.cache_clear()

@@ -7,7 +7,9 @@
 # may fail and no span target may go unresolved, so a src/ refactor that
 # breaks the benchmark's contract with repro.obs (validate_jsonl counts,
 # metric record keys) or renames a wrapped entry point fails here, not
-# at the next benchmark run.
+# at the next benchmark run.  scripts/ab_pairs.py (the parent-vs-change
+# pair runner) is run once against HEAD at the same --smoke sizes, only
+# so that it cannot rot between the PRs that use it; it records nothing.
 #
 # The report smoke exports a one-step trace and renders the run-report
 # dashboard and the critical-path breakdown from it; it fails if either
@@ -27,6 +29,7 @@ cd "$(dirname "$0")/.."
 
 python -m pytest -x -q
 python -m pytest benchmarks/e2e -q
+python scripts/ab_pairs.py --parent HEAD --workload paper_sweep --pairs 1 --smoke
 python scripts/smoke_trace.py
 
 tmp="$(mktemp -d)"

@@ -1,7 +1,8 @@
 """Run the tracked benchmarks and compare against a committed baseline.
 
 Each bench is run *cold* (the figure sweep's memoised ``run_step`` cache
-is cleared first, so every bench pays for its own adapt→balance cycles)
+and the partitioner's stored k-way partitions are cleared first, so
+every bench pays for its own partitions and adapt→balance cycles)
 with an ambient :class:`repro.obs.Tracer` installed; host wall seconds
 are measured around the call, and the modelled virtual seconds per phase
 come from the recorded spans.  ``with_reference=True`` repeats each
@@ -39,8 +40,10 @@ class BenchComparisonError(RuntimeError):
 
 def _clear_sweep_cache() -> None:
     from repro.experiments.sweep import run_step
+    from repro.partition import multilevel_kway
 
     run_step.cache_clear()
+    multilevel_kway.cache_clear()
 
 
 def run_bench(name: str, resolution: int, repeats: int = 1) -> dict:
@@ -55,13 +58,16 @@ def run_bench(name: str, resolution: int, repeats: int = 1) -> dict:
     bench = BENCHES[name]
     case_for(resolution)  # mesh construction is not part of the measured cycle
     wall = float("inf")
+    tracer = extra = None
     for _ in range(max(1, repeats)):
         _clear_sweep_cache()
-        tracer = Tracer()
+        run_tracer = Tracer()
         t0 = time.perf_counter()
-        with use_tracer(tracer):
-            extra = bench.fn(resolution) or {}
+        with use_tracer(run_tracer):
+            run_extra = bench.fn(resolution) or {}
         wall = min(wall, time.perf_counter() - t0)
+        if tracer is None:
+            tracer, extra = run_tracer, run_extra
     rec = {
         "wall_seconds": wall,
         "virtual_phase_seconds": phase_virtual_times(tracer.spans),

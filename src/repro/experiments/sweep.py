@@ -2,8 +2,14 @@
 
 All of Figs. 4, 5, 6, and 8 are views of the same sweep — the paper runs
 one refinement step of each Real strategy across processor counts, with
-data remapping either after or before the subdivision phase.  Results are
-memoised per process so the figure benches don't redo each other's work.
+data remapping either after or before the subdivision phase.
+
+Two layers memoise, per process: :func:`run_step` here keeps whole
+``StepReport`` objects by its arguments, so the figure functions don't
+redo each other's cycles; below it ``repro.partition.multilevel_kway``
+keeps finished from-scratch partitions by the content of the call, so
+cycles that differ only in strategy or remap order share the one initial
+partition per processor count (the paper's Fig. 1 "initialization" box).
 """
 
 from __future__ import annotations

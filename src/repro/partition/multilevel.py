@@ -4,12 +4,21 @@ Coarsen with heavy-edge matching until the graph is small, bisect the
 coarsest graph with greedy graph growing, then uncoarsen while refining
 with FM at every level.  k-way partitions come from recursive bisection
 with proportional weight splits, followed by a final k-way greedy boundary
-refinement.  All randomness flows through an explicit seed.
+refinement.  All randomness flows through an explicit seed, so a k-way
+partition is a pure function of the graph's arrays, ``k``, ``seed`` and
+``ub`` — and :func:`multilevel_kway` computes each distinct one once per
+process (DESIGN.md §9, "Partition reuse").
 """
 
 from __future__ import annotations
 
+import hashlib
+from collections import OrderedDict
+from typing import NamedTuple
+
 import numpy as np
+
+from repro.kernels import reference_enabled
 
 from .contract import contract
 from .fm_refine import fm_bisection_refine, kway_greedy_refine
@@ -23,6 +32,10 @@ __all__ = ["multilevel_bisect", "multilevel_kway", "MultilevelPartitioner"]
 _COARSEN_TO = 64
 #: Stop coarsening when a level shrinks by less than this factor.
 _MIN_SHRINK = 0.95
+#: Bytes of finished k-way partitions kept for reuse, least recently used
+#: dropped first: ~800 partitions of a 2.6k-vertex dual graph, ~34 at the
+#: paper's 61k elements.
+_STORE_BYTES = 16 << 20
 
 
 def multilevel_bisect(
@@ -56,14 +69,100 @@ def multilevel_kway(
     seed: int = 0,
     ub: float = 1.05,
 ) -> np.ndarray:
-    """Partition into ``k`` parts via recursive bisection + k-way refine."""
+    """Partition into ``k`` parts via recursive bisection + k-way refine.
+
+    The result is keyed on the *content* of the call — a digest of the
+    graph's four arrays, ``k``, ``seed`` and ``ub`` — and computed once
+    per process; a repeat returns a private copy of the stored labels,
+    so callers may write into what they get.  ``multilevel_kway
+    .cache_info()`` / ``.cache_clear()`` follow ``functools.lru_cache``
+    (sizes are bytes, bounded by ``_STORE_BYTES``).  Under the reference
+    kernels the store is neither read nor written: that path is the
+    oracle the optimized one is compared against.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if reference_enabled():
+        return _kway(graph, k, seed, ub)
+    key = _content_key(graph, k, seed, ub)
+    part = _STORE.get(key)
+    if part is None:
+        part = _kway(graph, k, seed, ub)
+        _STORE.put(key, part)
+    return part.copy()
+
+
+def _kway(graph: Graph, k: int, seed: int, ub: float) -> np.ndarray:
     part = np.zeros(graph.n, dtype=np.int64)
     _recurse(graph, np.arange(graph.n, dtype=np.int64), k, 0, seed, ub, part)
     if k > 1:
         part = kway_greedy_refine(graph, part, k, ub=ub)
     return part
+
+
+def _content_key(graph: Graph, k: int, seed: int, ub: float) -> bytes:
+    """128-bit digest of everything a k-way partition depends on.
+
+    Each array is preceded by its length so the byte stream is injective
+    (two graphs whose concatenated bytes agree but whose (n, m) differ
+    get different keys); ``int()``/``float()`` make ``np.int64(3)`` and
+    ``3`` the same call.
+    """
+    h = hashlib.blake2b(digest_size=16)
+    for arr in (graph.ptr, graph.adj, graph.vwgt, graph.ewgt):
+        arr = np.ascontiguousarray(arr, dtype=np.int64)
+        h.update(arr.size.to_bytes(8, "little"))
+        h.update(arr)
+    h.update(f"{int(k)}/{int(seed)}/{float(ub)!r}".encode())
+    return h.digest()
+
+
+class CacheInfo(NamedTuple):
+    """``functools.lru_cache``'s statistics; both sizes are in bytes."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _PartitionStore:
+    """Finished partitions by content key: LRU, bounded in bytes."""
+
+    def __init__(self, maxbytes: int):
+        self.maxbytes = maxbytes
+        self.clear()
+
+    def clear(self) -> None:
+        self._parts: OrderedDict[bytes, np.ndarray] = OrderedDict()
+        self._nbytes = 0
+        self._hits = self._misses = 0
+
+    def info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses, self.maxbytes, self._nbytes)
+
+    def get(self, key: bytes) -> np.ndarray | None:
+        part = self._parts.get(key)
+        if part is None:
+            self._misses += 1
+            return None
+        self._hits += 1
+        self._parts.move_to_end(key)
+        return part
+
+    def put(self, key: bytes, part: np.ndarray) -> None:
+        """Keep ``part`` (read-only from here on), evicting oldest first."""
+        part.flags.writeable = False
+        self._parts[key] = part
+        self._nbytes += part.nbytes
+        while self._nbytes > self.maxbytes:
+            _, old = self._parts.popitem(last=False)
+            self._nbytes -= old.nbytes
+
+
+_STORE = _PartitionStore(_STORE_BYTES)
+multilevel_kway.cache_info = _STORE.info
+multilevel_kway.cache_clear = _STORE.clear
 
 
 def _recurse(

@@ -41,6 +41,33 @@ def test_run_suite_produces_valid_document(doc):
     assert extra["vm_virtual_seconds"] > 0
 
 
+def test_every_repeat_is_cold_and_results_come_from_the_first(monkeypatch):
+    from repro.bench.registry import Bench
+    from repro.bench.suite import run_bench
+    from repro.obs import current_tracer
+    from repro.partition import multilevel_kway
+
+    from ..partition.test_partition_properties import random_connected_graph
+
+    graph = random_connected_graph(40, 30, seed=1)
+    seen = []
+
+    def probe(resolution):
+        multilevel_kway(graph, 4)
+        seen.append(multilevel_kway.cache_info()[:2])
+        with current_tracer().phase("probe"):
+            current_tracer().advance(float(len(seen)))
+        return {"repeat": len(seen)}
+
+    monkeypatch.setitem(BENCHES, "probe", Bench("probe", "reuse probe", probe))
+    rec = run_bench("probe", resolution=3, repeats=3)
+    # each repeat partitioned for itself: one miss, no hit from the last one
+    assert seen == [(0, 1)] * 3
+    # deterministic results are the first repeat's; only wall is a minimum
+    assert rec["extra"] == {"repeat": 1}
+    assert rec["virtual_phase_seconds"] == {"probe": 1.0}
+
+
 def test_run_suite_rejects_unknown_bench():
     with pytest.raises(KeyError, match="unknown benches"):
         run_suite(("nope",), resolution=3)

