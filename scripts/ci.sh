@@ -1,6 +1,12 @@
 #!/bin/sh
-# CI entry point: unit tests, end-to-end benchmark smoke, trace smoke
-# check, report + critical-path smoke, bench gate.
+# CI entry point: tier-1 tests, end-to-end benchmark smoke, trace smoke
+# check, report + critical-path smoke, real-backend smokes.
+#
+# The tier-1 tests are where the paper's results are held: the golden
+# virtual-second series (tests/experiments/test_golden_series.py, plain
+# ==) and every EXPERIMENTS.md shape claim (tests/experiments/test_fig*,
+# test_table*, test_ablate_*, test_ext_*).  Host time is not gated here:
+# it is measured by benchmarks/e2e, cold, parent against change.
 #
 # The benchmark smoke runs benchmarks/e2e at its tiny --smoke sizes
 # (< 30 s): every BENCHMARK.json metric must be reported, no operation
@@ -14,16 +20,12 @@
 # The report smoke exports a one-step trace and renders the run-report
 # dashboard and the critical-path breakdown from it; it fails if either
 # command exits nonzero, the report omits the cycle's balance-quality
-# row, or the breakdown omits the makespan attribution.  The bench gate
-# runs the quick profile (resolution 4, subset) and fails on schema
-# violations, >15% wall-time regression vs the committed
-# BENCH_results.json, or any drift in the virtual-second series (which
-# stays bit-identical: causal recording never alters modelled clocks).
-# The multiprocessing smoke runs the calibrate workload on real forked
-# rank processes and fails unless its payloads match the virtual run's.
-# The live smoke checks the streaming dashboard and the run-history
-# store's compare/regress on the traces exported along the way (all
-# indexed into a throwaway REPRO_RUNS_DIR, keeping the checkout clean).
+# row, or the breakdown omits the makespan attribution.  The
+# multiprocessing smoke runs the calibrate workload on real forked rank
+# processes and fails unless its payloads match the virtual run's.  The
+# live smoke checks the streaming dashboard and the run-history store's
+# compare/regress on the traces exported along the way (all indexed into
+# a throwaway REPRO_RUNS_DIR, keeping the checkout clean).
 set -e
 cd "$(dirname "$0")/.."
 
@@ -117,18 +119,11 @@ else
     echo "mpi smoke: SKIP (mpiexec or mpi4py unavailable)"
 fi
 
-# weak-scaling smoke: the vectorized scheduler must still beat the eager
-# reference path on the fig6-style cycle (small rank count keeps this a
-# few seconds; the tracked 1k/4k/16k numbers live in the bench gate).
+# weak-scaling smoke: `repro scale` must run the fig6-style cycle and
+# print its row (4096/16384 ranks are timed by benchmarks/e2e vm_ranks).
 timeout 300 env PYTHONPATH=src python -m repro scale \
-    --ranks 256 --compare --repeats 1 > "$tmp/scale.txt"
+    --ranks 256 > "$tmp/scale.txt"
 grep -q "weak scaling of the VM scheduler" "$tmp/scale.txt"
-grep -Eq "^ +256 .*x$" "$tmp/scale.txt"
+grep -Eq "^ +256 +[0-9.]+ +[0-9]+ " "$tmp/scale.txt"
 echo "weak-scaling smoke: OK"
-
-# wall regressions gate at 1.4x: single-core CI hosts show ±30% wall
-# noise run to run, and the strict check is the virtual-second series,
-# which must match the baseline bit-for-bit regardless of load.
-python scripts/bench_suite.py --quick --baseline BENCH_results.json \
-    --no-write --max-regress 1.4
 echo "ci: OK"

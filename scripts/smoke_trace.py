@@ -369,7 +369,7 @@ def main() -> int:
                             f"{proc.stdout}")
         # threshold 3x: host wall / cpu seconds of a ~15ms step are ±30%
         # noisy on loaded single-core CI hosts (the strict determinism
-        # check is the virtual-second series in the bench gate)
+        # check is tier-1's golden virtual-second series)
         cmd = [sys.executable, "-m", "repro", "runs", "regress",
                step_ids[1], "--threshold", "3.0"]
         proc = subprocess.run(

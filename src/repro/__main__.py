@@ -22,10 +22,10 @@ watch [STATUS.json]
 runs {list | show ID | compare A B | regress [ID] | index TRACE}
     Query the cross-run history store (``.repro_runs/``, override with
     ``--dir`` or ``REPRO_RUNS_DIR``).  Every traced ``report``/``step``/
-    ``calibrate`` run and every ``scripts/bench_suite.py`` run is indexed
-    automatically; ``compare`` prints metric-by-metric deltas and
-    ``regress`` flags a run against the rolling median of its matching
-    predecessors (exit status 1 when any metric regressed).
+    ``calibrate`` run is indexed automatically; ``compare`` prints
+    metric-by-metric deltas and ``regress`` flags a run against the
+    rolling median of its matching predecessors (exit status 1 when any
+    metric regressed).
 calibrate [RESOLUTION]
     Run the fig6 exec-phase workload (marking propagation, distributed
     subdivision, migration, finalization gather) on the virtual backend
@@ -46,9 +46,7 @@ scale [--ranks P ...]
     Weak-scaling sweep of the virtual-machine scheduler itself: run the
     fig6-style execution phase (compute, halo exchange, convergence
     allreduce) at 1k/4k/16k virtual ranks and print host wall seconds
-    and scheduler ops/second per point.  ``--compare`` also times the
-    ``REPRO_REFERENCE_KERNELS`` scheduler path on each point and prints
-    the optimized-over-reference speedup.
+    and scheduler ops/second per point.
 case [RESOLUTION]
     Print the synthetic rotor case's mesh sizes and growth factors.
 version
@@ -211,14 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="words per halo message")
     p_scale.add_argument("--work-units", type=float, default=200.0,
                          help="mean compute units per rank per round")
-    p_scale.add_argument(
-        "--compare", action="store_true",
-        help="also time the reference scheduler path and print the speedup",
-    )
-    p_scale.add_argument(
-        "--repeats", type=int, default=1,
-        help="shots per path with --compare (best wall is reported)",
-    )
 
     p_case = sub.add_parser("case", help="print case sizes and growth factors")
     p_case.add_argument("resolution", nargs="?", type=int, default=8)
@@ -591,11 +581,7 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_scale(args) -> int:
-    from repro.experiments.weak_scaling import (
-        DEFAULT_RANKS,
-        measure_point,
-        measure_speedup,
-    )
+    from repro.experiments.weak_scaling import DEFAULT_RANKS, measure_point
     from repro.obs import Tracer
     from repro.obs.tracer import use_tracer
 
@@ -605,25 +591,14 @@ def _cmd_scale(args) -> int:
     print("weak scaling of the VM scheduler "
           f"(fig6-style execution phase; {args.rounds} rounds, "
           f"{args.halo_words}-word halos):")
-    hdr = (f"  {'P':>6s} {'wall s':>9s} {'ops':>10s} {'ops/s':>11s} "
-           f"{'makespan':>10s}")
-    if args.compare:
-        hdr += f" {'ref s':>9s} {'speedup':>8s}"
-    print(hdr)
+    print(f"  {'P':>6s} {'wall s':>9s} {'ops':>10s} {'ops/s':>11s} "
+          f"{'makespan':>10s}")
     for p in ranks:
-        if args.compare:
-            opt, ref, speedup = measure_speedup(
-                p, repeats=args.repeats, **kwargs
-            )
-            extra = f" {ref.wall_seconds:9.3f} {speedup:7.2f}x"
-        else:
-            # same full-pipeline configuration measure_speedup uses:
-            # one fresh ambient tracer per shot
-            with use_tracer(Tracer()):
-                opt = measure_point(p, trace=True, **kwargs)
-            extra = ""
-        print(f"  {p:6d} {opt.wall_seconds:9.3f} {opt.ops:10d} "
-              f"{opt.ops_per_second:11.0f} {opt.makespan:10.4f}{extra}")
+        # the full-pipeline configuration: one fresh ambient tracer per point
+        with use_tracer(Tracer()):
+            pt = measure_point(p, trace=True, **kwargs)
+        print(f"  {p:6d} {pt.wall_seconds:9.3f} {pt.ops:10d} "
+              f"{pt.ops_per_second:11.0f} {pt.makespan:10.4f}")
     return 0
 
 

@@ -1,7 +1,8 @@
 """Render experiment results as paper-style text tables and series.
 
 ``python -m repro.experiments.report [resolution]`` prints every table and
-figure of the evaluation section; the benchmark files print the same rows.
+figure of the evaluation section; ``tests/experiments/`` prints the same
+rows under ``-s``.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels import reference_kernels
 from repro.obs.tracer import current_tracer
 from repro.parallel import SP2_1997, VirtualMachine
 from repro.parallel.machine import MachineModel
@@ -40,10 +39,9 @@ __all__ = [
     "grid_neighbours",
     "halo_cycle",
     "measure_point",
-    "measure_speedup",
 ]
 
-#: The sweep the CLI and bench report by default.
+#: The sweep the CLI reports by default.
 DEFAULT_RANKS = (1024, 4096, 16384)
 
 #: Halo-exchange tag, matching the exec phase's SPL exchange.
@@ -117,7 +115,7 @@ def _halo_program(comm, nbrs, units, halo_words, rounds):
     nw = max(1, halo_words)
     send_ops = [SendOp(d, _TAG_HALO, payload, nw) for d in nbrs]
     # the exec phase receives with a source wildcard (``comm.recv(tag=11)``
-    # — SPL arrival order is not known in advance), so the bench does too
+    # — SPL arrival order is not known in advance), so the sweep does too
     recv_op = RecvOp(ANY, _TAG_HALO)
     n_in = len(nbrs)
     work_op = WorkOp(units)
@@ -149,10 +147,9 @@ def halo_cycle(
     """Run one fig6-style cycle at ``nranks``; returns the ``RunResult``.
 
     ``tracer`` defaults to the ambient :func:`~repro.obs.tracer.current_tracer`
-    — the same convention the communicator backends use — so under the
-    bench suite the sweep prices the scheduler exactly as the
-    adapt/balance pipeline runs it: the optimized path registers one lazy
-    columnar chunk, the reference path mirrors every event eagerly.
+    — the same convention the communicator backends use — so under a
+    tracer the sweep prices the scheduler exactly as the adapt/balance
+    pipeline runs it, registering one lazy columnar chunk per run.
     """
     if tracer is None:
         tracer = current_tracer()
@@ -173,28 +170,16 @@ def measure_point(
     work_units: float = 200.0,
     machine: MachineModel = SP2_1997,
     trace: bool = True,
-    reference: bool = False,
 ) -> ScalePoint:
-    """Time one :func:`halo_cycle` and fold it into a :class:`ScalePoint`.
-
-    ``reference=True`` times the ``REPRO_REFERENCE_KERNELS`` scheduler
-    path instead of the optimized one.
-    """
-    kwargs = dict(rounds=rounds, halo_words=halo_words,
-                  work_units=work_units, machine=machine, trace=trace)
-    if reference:
-        with reference_kernels():
-            t0 = time.perf_counter()
-            res = halo_cycle(nranks, **kwargs)
-            wall = time.perf_counter() - t0
-    else:
-        t0 = time.perf_counter()
-        res = halo_cycle(nranks, **kwargs)
-        wall = time.perf_counter() - t0
+    """Time one :func:`halo_cycle` and fold it into a :class:`ScalePoint`."""
+    t0 = time.perf_counter()
+    res = halo_cycle(nranks, rounds=rounds, halo_words=halo_words,
+                     work_units=work_units, machine=machine, trace=trace)
+    wall = time.perf_counter() - t0
     rec = res._record
     if rec is not None:
         ops = rec.nnodes
-    elif res.nodes is not None:  # reference path records eagerly
+    elif res.nodes is not None:  # the reference scheduler records eagerly
         ops = len(res.nodes)
     else:
         ops = 0
@@ -207,43 +192,3 @@ def measure_point(
         ops=ops,
         rounds=max(r for _c, r in res.returns),
     )
-
-
-def measure_speedup(
-    nranks: int,
-    rounds: int = 3,
-    halo_words: int = 64,
-    work_units: float = 200.0,
-    machine: MachineModel = SP2_1997,
-    repeats: int = 1,
-) -> tuple[ScalePoint, ScalePoint, float]:
-    """Measure optimized and reference schedulers on the same traced cycle.
-
-    Returns ``(optimized, reference, speedup)`` where speedup is the
-    reference-to-optimized wall ratio, taking the best (min-wall) of
-    ``repeats`` shots per path.  Each shot runs under its own fresh
-    ambient :class:`~repro.obs.tracer.Tracer` — the full-pipeline
-    configuration, where the reference path mirrors every scheduler event
-    into the tracer eagerly and the optimized path registers one lazy
-    columnar chunk — and no shot pays for a predecessor's accumulated
-    trace.  Neither path materializes the optimized path's lazy views
-    inside the timed region; that asymmetry (eager objects vs columnar
-    append) is precisely what the optimization removes.
-    """
-    from repro.obs.tracer import Tracer, use_tracer
-
-    kwargs = dict(rounds=rounds, halo_words=halo_words,
-                  work_units=work_units, machine=machine, trace=True)
-    opts: list[ScalePoint] = []
-    refs: list[ScalePoint] = []
-    for _ in range(max(1, repeats)):
-        with use_tracer(Tracer()):
-            opts.append(measure_point(nranks, **kwargs))
-        with use_tracer(Tracer()):
-            refs.append(measure_point(nranks, reference=True, **kwargs))
-    opt = min(opts, key=lambda p: p.wall_seconds)
-    ref = min(refs, key=lambda p: p.wall_seconds)
-    speedup = (
-        ref.wall_seconds / opt.wall_seconds if opt.wall_seconds > 0 else 0.0
-    )
-    return opt, ref, speedup

@@ -2,46 +2,41 @@
 
 Several hot paths (FM refinement, heavy-edge matching, the VM mailbox,
 child-element assembly, solver scatter-adds) ship two implementations:
-an optimized one used by default, and the straightforward *reference*
-one they must match bit-for-bit.  The equivalence tests run both and
-compare outputs; the benchmark suite can time the reference path with
-``scripts/bench_suite.py --with-reference`` to record speedups.
+an optimized one that runs, and the straightforward *reference* one it
+must match bit-for-bit, kept as the oracle the equivalence tests
+(``tests/kernels/``, the scheduler and mailbox parity tests) compare
+against.
 
-Selection is ambient: the ``REPRO_REFERENCE_KERNELS`` environment
-variable (any value other than empty/``0``) or the
-:func:`reference_kernels` context manager, which takes precedence and
-restores the previous state on exit.
+The reference path is selected only by the :func:`reference_kernels`
+context manager, which restores the previous state on exit.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 import numpy as np
 
 __all__ = ["reference_enabled", "reference_kernels", "scatter_add_rows"]
 
-_FORCE: bool | None = None
+_REFERENCE = False
 
 
 def reference_enabled() -> bool:
     """True when the reference (unoptimized) kernels should run."""
-    if _FORCE is not None:
-        return _FORCE
-    return os.environ.get("REPRO_REFERENCE_KERNELS", "0") not in ("", "0")
+    return _REFERENCE
 
 
 @contextmanager
 def reference_kernels(enabled: bool = True):
     """Force reference (or optimized, with ``enabled=False``) kernels."""
-    global _FORCE
-    prev = _FORCE
-    _FORCE = bool(enabled)
+    global _REFERENCE
+    prev = _REFERENCE
+    _REFERENCE = bool(enabled)
     try:
         yield
     finally:
-        _FORCE = prev
+        _REFERENCE = prev
 
 
 def scatter_add_rows(

@@ -109,7 +109,6 @@ from .runs import (
     RunStore,
     find_regressions,
     hash_config,
-    index_bench_results,
     index_trace,
     summarize_trace,
 )
@@ -150,7 +149,6 @@ __all__ = [
     "format_critical_path",
     "format_diff",
     "hash_config",
-    "index_bench_results",
     "index_trace",
     "maybe_phase",
     "merge_streams",

@@ -1,15 +1,17 @@
 """Cross-run history store and regression analytics (``.repro_runs/``).
 
-Every traced run so far has been an island: a JSONL file compared, at
-best, against the single committed bench baseline.  This module gives
-runs a durable, queryable history — the substrate the ROADMAP's
-trace-driven adaptive control reads its policy evidence from:
+A traced run on its own is an island: a JSONL file with nothing to
+compare it against.  This module gives a user's traced runs a durable,
+queryable history — the substrate the ROADMAP's trace-driven adaptive
+control reads its policy evidence from.  (Host time PR over PR is a
+different record: ``BENCH_history.jsonl``, appended by
+``scripts/ab_pairs.py``.)
 
 :class:`RunStore`
     A directory (default ``.repro_runs/``, override with the
     ``REPRO_RUNS_DIR`` environment variable) holding one small JSON
     document per indexed run (schema ``repro.runs/v1``): creation time,
-    kind (``trace`` or ``bench``), label, a hash of the run
+    kind (``trace``), label, a hash of the run
     configuration, the backends involved, and a flat map of headline
     metrics (makespan, wall seconds, per-phase virtual seconds, balance
     quality, transport totals, resource peaks).  One-file-per-run keeps
@@ -91,11 +93,11 @@ class RunRecord:
 
     id: str
     created: str  #: ISO-8601 UTC
-    kind: str  #: "trace" | "bench"
+    kind: str  #: "trace"
     label: str
     config: dict = field(default_factory=dict)
     config_hash: str = ""
-    source: str = ""  #: trace path / bench name the record came from
+    source: str = ""  #: trace path the record came from
     backends: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)  #: flat name -> number
 
@@ -324,49 +326,6 @@ def index_trace(store: RunStore, trace_path, label: str = "",
         source=str(trace_path),
         backends=backends,
     )
-
-
-def index_bench_results(store: RunStore, doc: dict,
-                        profile: str | None = None) -> list[RunRecord]:
-    """Index each bench of a ``repro.bench/v1`` results doc as one record.
-
-    Called by ``scripts/bench_suite.py`` after every run, so the perf
-    trajectory accrues automatically from CI and local runs.
-    """
-    out = []
-    for prof, run in doc.get("runs", {}).items():
-        if profile is not None and prof != profile:
-            continue
-        for name, rec in run.get("benches", {}).items():
-            metrics = {
-                "wall_seconds": rec["wall_seconds"],
-                "virtual_seconds": sum(
-                    rec.get("virtual_phase_seconds", {}).values()
-                ),
-            }
-            for phase, v in rec.get("virtual_phase_seconds", {}).items():
-                metrics[f"phase.{phase}.virtual_seconds"] = v
-            for k, v in rec.get("metrics", {}).items():
-                metrics[k] = v
-            cp = rec.get("critical_path", {})
-            if "makespan" in cp:
-                metrics["makespan"] = cp["makespan"]
-            if "speedup_vs_reference" in rec:
-                metrics["speedup_vs_reference"] = rec["speedup_vs_reference"]
-            out.append(store.add(
-                kind="bench",
-                label=f"{prof}/{name}",
-                metrics=metrics,
-                config={
-                    "profile": prof,
-                    "resolution": run.get("resolution"),
-                    "machine_model": doc.get("suite", {}).get("machine_model"),
-                    "seed": doc.get("suite", {}).get("seed"),
-                    "bench": name,
-                },
-                source=name,
-            ))
-    return out
 
 
 # --- analytics ---------------------------------------------------------------

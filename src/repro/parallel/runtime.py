@@ -19,8 +19,9 @@ table, batches same-timestamp ready ranks without re-heapifying per op,
 and records the happens-before record into flat columns
 (:class:`_VMRecord`), materializing :class:`~repro.obs.causal.CausalNode`
 / :class:`~repro.obs.causal.CausalMsg` objects lazily; the reference path
-(``REPRO_REFERENCE_KERNELS=1``) steps one op per heap pop through an
-``isinstance`` chain and allocates every record object eagerly.
+(the tests' oracle, selected as :mod:`repro.kernels` describes) steps one
+op per heap pop through an ``isinstance`` chain and allocates every
+record object eagerly.
 """
 
 from __future__ import annotations

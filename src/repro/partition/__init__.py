@@ -6,17 +6,13 @@ from .fm_refine import fm_bisection_refine, kway_greedy_refine
 from .graph import Graph
 from .initial import greedy_graph_growing
 from .matching import heavy_edge_matching
-from .multilevel import MultilevelPartitioner, multilevel_bisect, multilevel_kway
+from .multilevel import multilevel_bisect, multilevel_kway
 from .parallel_model import partition_time
 from .quality import comm_volume, edgecut, imbalance, loads
 from .repartition import repartition
-from .spectral import inertial_bisect, spectral_bisect
 
 __all__ = [
     "Graph",
-    "inertial_bisect",
-    "spectral_bisect",
-    "MultilevelPartitioner",
     "block_partition",
     "comm_volume",
     "contract",

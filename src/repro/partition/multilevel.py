@@ -26,7 +26,7 @@ from .graph import Graph
 from .initial import greedy_graph_growing
 from .matching import heavy_edge_matching
 
-__all__ = ["multilevel_bisect", "multilevel_kway", "MultilevelPartitioner"]
+__all__ = ["multilevel_bisect", "multilevel_kway"]
 
 #: Stop coarsening below this many vertices.
 _COARSEN_TO = 64
@@ -198,17 +198,3 @@ def _subgraph(graph: Graph, vertices: np.ndarray) -> Graph:
     return Graph.from_pairs(
         pairs, vertices.shape[0], vwgt=graph.vwgt[vertices], ewgt=graph.ewgt[half]
     )
-
-
-class MultilevelPartitioner:
-    """Facade used by the load balancer (paper: "any partitioning algorithm
-    could be used, as long as it is fast and delivers reasonably balanced
-    partitions based on the new weights")."""
-
-    def __init__(self, ub: float = 1.05, seed: int = 0):
-        self.ub = ub
-        self.seed = seed
-
-    def partition(self, graph: Graph, k: int) -> np.ndarray:
-        """Fresh k-way partition of ``graph``."""
-        return multilevel_kway(graph, k, seed=self.seed, ub=self.ub)

@@ -3,7 +3,7 @@
 "The rationale behind allowing multiple partitions per processor is that
 performing data mapping at a finer granularity reduces the volume of data
 movement at the expense of partitioning and processor reassignment times."
-The bench maps the same adapted weights with F = 1, 2, 4 on 8 processors
+The test maps the same adapted weights with F = 1, 2, 4 on 8 processors
 and checks that finer granularity never moves more data, while the
 reassignment problem grows as F·P.
 """
@@ -42,9 +42,8 @@ def _movement_with_F(case, F, nproc=8):
     return st, dt
 
 
-def test_finer_granularity_moves_less(case, benchmark):
+def test_finer_granularity_moves_less(case):
     st1, _ = _movement_with_F(case, 1)
-    benchmark(lambda: _movement_with_F(case, 2))
     st2, t2 = _movement_with_F(case, 2)
     st4, t4 = _movement_with_F(case, 4)
 

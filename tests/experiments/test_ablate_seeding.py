@@ -1,7 +1,7 @@
 """Ablation — seeded repartitioning vs partitioning from scratch.
 
 Paper §4.2: parallel MeTiS "uses the previous partition as the initial
-guess for the repartitioning", reducing remapping cost.  The bench
+guess for the repartitioning", reducing remapping cost.  The test
 measures exactly that: with the same new weights, the seeded repartitioner
 must move far fewer dual-graph vertices than a fresh partition, while
 achieving comparable balance.
@@ -25,12 +25,12 @@ def _weighted_dual(case):
     return dual.graph.with_vwgt(wcomp_pred), dual
 
 
-def test_seeding_reduces_movement(case, benchmark):
+def test_seeding_reduces_movement(case):
     g, dual = _weighted_dual(case)
     p = 16
     old = multilevel_kway(dual.comp_graph(), p, seed=0)
 
-    seeded = benchmark(lambda: repartition(g, p, old, seed=1))
+    seeded = repartition(g, p, old, seed=1)
     fresh = multilevel_kway(g, p, seed=1)
 
     moved_seeded = int((seeded != old).sum())

@@ -1,5 +1,7 @@
 """Unit tests for the experiment harness (cases, closed forms, report
-formatting) — the sweep-level behaviour is covered by the benches."""
+formatting) — the sweep-level behaviour is covered by the ``test_fig*`` /
+``test_table*`` files next to this one and pinned by
+``test_golden_series.py``."""
 
 import numpy as np
 import pytest

@@ -27,14 +27,14 @@ def _setup(case, nproc):
     return mesh, part, locals_, marks
 
 
-def test_marking_times_agree(case, benchmark):
+def test_marking_times_agree(case):
     mesh, part, locals_, marks = _setup(case, 8)
 
     ledger = CostLedger(8, SP2_1997)
     serial = propagate_markings(mesh, marks, part=part, ledger=ledger)
     t_ledger = ledger.elapsed
 
-    vm_result = benchmark(lambda: parallel_mark(mesh, locals_, marks))
+    vm_result = parallel_mark(mesh, locals_, marks)
     t_vm = vm_result.time_seconds
 
     print(f"\n  marking: ledger {t_ledger * 1e3:.2f} ms, "
@@ -44,11 +44,11 @@ def test_marking_times_agree(case, benchmark):
     assert 0.1 < t_vm / t_ledger < 10.0
 
 
-def test_both_paths_show_subdivision_imbalance(case, benchmark):
+def test_both_paths_show_subdivision_imbalance(case):
     """The skewed-vs-balanced subdivision-time gap must appear in both
     timing paths, with a comparable magnitude ratio."""
     mesh = case.mesh
-    marking = benchmark(lambda: propagate_markings(mesh, case.marking_mask("Real_1")))
+    marking = propagate_markings(mesh, case.marking_mask("Real_1"))
     cent = mesh.coords[mesh.elems].mean(axis=1)
 
     from repro.adapt.refine import subdivide

@@ -2,60 +2,40 @@
 
 The paper's evaluation stops at SP2 scale (64 processors); the
 extreme-scale AMR line of work (Schornbaum & Rüde, PAPERS.md) runs the
-same adapt/balance cycle on 65k+ cores.  This bench prices the fig6-style
-*execution phase* — compute, 4-neighbour halo exchange with
-source-wildcard receives, convergence allreduce — at 1k/4k (and,
-env-gated, 16k) virtual ranks, asserting the vectorized scheduler's two
-headline claims: a 4096-rank cycle finishes in seconds, and the
-optimized path beats the eager reference scheduler by a wide margin
-while producing bit-identical results.
-
-``REPRO_BENCH_EXTREME=1`` additionally runs the 16384-rank point (about
-half a minute including its reference shot).
+same adapt/balance cycle on 65k+ cores.  ``experiments.weak_scaling``
+prices the fig6-style *execution phase* — compute, 4-neighbour halo
+exchange with source-wildcard receives, convergence allreduce — at
+thousands of virtual ranks.  The tests hold what is deterministic about
+it: the shape of the cycle at 4096 ranks, and that the vectorized
+scheduler produces bit-identical results to the eager reference one.
+Host seconds are ``benchmarks/e2e``'s ``vm_ranks`` workload.
 """
-
-import os
 
 import pytest
 
+from repro.__main__ import main
 from repro.experiments.weak_scaling import (
     grid_dims,
     grid_neighbours,
     halo_cycle,
     measure_point,
-    measure_speedup,
 )
 from repro.kernels import reference_kernels
 from repro.obs import Tracer, use_tracer, verify_makespans
 
 
-def test_fig6_style_cycle_at_4096_completes_in_seconds():
+def test_fig6_style_cycle_at_4096():
     with use_tracer(Tracer()):
         pt = measure_point(4096)
     print(f"\n  P=4096: {pt.wall_seconds:.2f}s wall, {pt.ops:,} scheduler "
           f"ops, {pt.ops_per_second:,.0f} ops/s, "
           f"makespan {pt.makespan * 1e3:.1f} virtual ms")
-    assert pt.wall_seconds < 10.0
     assert pt.rounds == 3
     assert pt.ops > 3 * 4096  # at least work + sends + recvs per round
 
 
-def test_scheduler_beats_reference_at_1k_ranks():
-    opt, ref, speedup = measure_speedup(1024, repeats=2)
-    print(f"\n  P=1024: optimized {opt.wall_seconds:.3f}s, reference "
-          f"{ref.wall_seconds:.3f}s -> {speedup:.2f}x")
-    # identical modelled execution, whichever scheduler ran it
-    assert opt.makespan == ref.makespan
-    assert opt.total_messages == ref.total_messages
-    assert opt.total_words == ref.total_words
-    assert opt.ops == ref.ops
-    # in-test floor with a wide noise margin; the tracked value (>= 5x at
-    # 16k, ~4.5-5x at 1k on a quiet host) lives in BENCH_results.json
-    assert speedup >= 2.5
-
-
 def test_small_scale_parity_is_bitwise():
-    """The two schedulers must agree bit-for-bit on the bench workload."""
+    """The two schedulers must agree bit-for-bit on the sweep's workload."""
     res_fast = halo_cycle(24)
     with reference_kernels():
         res_ref = halo_cycle(24)
@@ -90,14 +70,11 @@ def test_synthetic_grid_matches_exec_phase_shape():
             assert r in nbrs[d]
 
 
-@pytest.mark.skipif(
-    os.environ.get("REPRO_BENCH_EXTREME") != "1",
-    reason="set REPRO_BENCH_EXTREME=1 for the 16k-rank point",
-)
-def test_extreme_scale_16k_ranks():
-    opt, ref, speedup = measure_speedup(16384)
-    print(f"\n  P=16384: optimized {opt.wall_seconds:.2f}s, reference "
-          f"{ref.wall_seconds:.2f}s -> {speedup:.2f}x")
-    assert opt.makespan == ref.makespan
-    assert opt.wall_seconds < 30.0
-    assert speedup >= 3.0
+def test_cli_scale_prints_one_row_per_rank_count(capsys):
+    assert main(["scale", "--ranks", "64"]) == 0
+    _title, header, row = capsys.readouterr().out.splitlines()
+    assert header.split() == ["P", "wall", "s", "ops", "ops/s", "makespan"]
+    assert row.split()[0] == "64" and len(row.split()) == 5
+    with pytest.raises(SystemExit) as usage:  # the reference lane is gone
+        main(["scale", "--ranks", "64", "--compare"])
+    assert usage.value.code == 2

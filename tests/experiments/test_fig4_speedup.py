@@ -1,7 +1,7 @@
 """Figure 4 — speedup of the parallel mesh adaptor when data is remapped
 either after or before mesh refinement.
 
-Paper claims the bench asserts:
+Paper claims the test asserts:
 * remapping *before* refinement gives a higher speedup for every strategy
   at large P (an improvement of up to 2.6x in refinement speedup);
 * the relative benefit is largest for Real_1 (smallest refinement region:
@@ -13,14 +13,9 @@ Paper claims the bench asserts:
 
 from repro.experiments.figures import fig4_speedup
 from repro.experiments.report import format_series
-from repro.experiments.sweep import run_step
 
 
-def test_fig4_series(resolution, benchmark):
-    benchmark(
-        lambda: run_step.__wrapped__(resolution, "Real_1", "before", 64)
-    )
-
+def test_fig4_series(resolution):
     data = fig4_speedup(resolution)
     print()
     for name, modes in data.items():

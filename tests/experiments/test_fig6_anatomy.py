@@ -4,7 +4,7 @@ strategies.  The anatomy is rendered from tracer spans
 (:mod:`repro.obs`), not from ad-hoc report fields, so the same numbers
 appear in exported JSONL/Chrome traces.
 
-Paper claims the bench asserts:
+Paper claims the test asserts:
 * repartitioning time depends essentially on the initial problem size —
   the three strategies' partitioning curves are nearly identical — and is
   almost independent of P, with a shallow interior minimum (at ~16 for
@@ -23,18 +23,7 @@ from repro.partition.parallel_model import C_MSG, C_WORK, partition_time
 from repro.parallel.machine import SP2_1997
 
 
-def test_fig6_series(resolution, case, benchmark):
-    from repro.partition.multilevel import multilevel_kway
-    from repro.core.dualgraph import DualGraph
-
-    dual = DualGraph(case.mesh)
-
-    def cold_kway():
-        multilevel_kway.cache_clear()  # time the partitioner, not a reuse hit
-        return multilevel_kway(dual.comp_graph(), 16, seed=0)
-
-    benchmark(cold_kway)
-
+def test_fig6_series(resolution, case):
     data = fig6_anatomy(resolution)
     print()
     for name, phases in data.items():
@@ -77,7 +66,7 @@ def test_fig6_series(resolution, case, benchmark):
     assert 10 <= p_min_paper <= 24
 
 
-def test_no_module_is_a_runaway_bottleneck(resolution, benchmark):
+def test_no_module_is_a_runaway_bottleneck(resolution):
     """The paper's viability claim — "none of the individual modules will
     be a bottleneck" on large P — means no phase *grows without bound* as
     processors are added: adaption falls, partitioning stays within a
@@ -85,7 +74,6 @@ def test_no_module_is_a_runaway_bottleneck(resolution, benchmark):
     are scale-dependent: at the paper's 61k-element scale all three land
     at 0.55/0.58/0.89 s on P=64; on a small mesh the P-proportional
     partitioning comm floor dominates — which the model also predicts.)"""
-    benchmark(lambda: partition_time(60968, 64))
     data = fig6_anatomy(resolution)
     for name, phases in data.items():
         a = phases["adaption"]

@@ -9,7 +9,7 @@ Paper curves (G = 1.353, 3.310, 5.279):
   value decreases;
 * no improvement at G = 1 or G = 8.
 
-The bench verifies the formula against an explicit worst-case load
+The test verifies the formula against an explicit worst-case load
 construction and regenerates the curves.
 """
 
@@ -36,9 +36,7 @@ def _worst_case_ratio(p: int, g: float, n: int = 10_000) -> float:
     return float(loads.max() / balanced)
 
 
-def test_fig7_curves(benchmark):
-    benchmark(lambda: fig7_max_improvement(None))
-
+def test_fig7_curves():
     data = fig7_max_improvement(None)
     print()
     for name, series in data.items():
@@ -67,7 +65,7 @@ def test_fig7_curves(benchmark):
 
 @pytest.mark.parametrize("g", sorted(PAPER_G.values()))
 @pytest.mark.parametrize("p", [2, 4, 8, 16, 32, 64])
-def test_formula_matches_worst_case_construction(p, g, benchmark):
-    analytic = benchmark(lambda: max_improvement(p, g))
+def test_formula_matches_worst_case_construction(p, g):
+    analytic = max_improvement(p, g)
     constructed = _worst_case_ratio(p, g)
     assert constructed == pytest.approx(analytic, rel=0.02)

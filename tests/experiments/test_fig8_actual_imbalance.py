@@ -1,6 +1,6 @@
 """Figure 8 — actual impact of load balancing on flow-solver times.
 
-Paper claims the bench asserts:
+Paper claims the test asserts:
 * the measured curves have the same basic shape as the Fig. 7 bounds but
   sit below them (real adaptions aren't worst cases);
 * at P = 64 the improvement factors order Real_1 > Real_2 > Real_3
@@ -16,33 +16,10 @@ from repro.experiments.figures import (
     fig8_actual_improvement,
 )
 from repro.experiments.report import format_series
-from repro.experiments.sweep import actual_improvement, growth_factor
+from repro.experiments.sweep import growth_factor
 
 
-def _improvement_at(resolution, name, p):
-    """One point of the Fig. 8 curve (the benchmarked kernel)."""
-    import numpy as np
-
-    from repro.core import CostModel, LoadBalancedAdaptiveSolver
-    from repro.experiments.sweep import case_for
-    from repro.parallel.machine import SP2_1997
-
-    case = case_for(resolution)
-    solver = LoadBalancedAdaptiveSolver(
-        case.mesh, p, machine=SP2_1997,
-        cost_model=CostModel(machine=SP2_1997), imbalance_threshold=1.0,
-    )
-    part_before = solver.part.copy()
-    solver.adapt_step(edge_mask=case.marking_mask(name))
-    w = solver.adaptive.wcomp().astype(np.float64)
-    unbal = np.bincount(part_before, weights=w, minlength=p).max()
-    bal = np.bincount(solver.part, weights=w, minlength=p).max()
-    return float(unbal / bal)
-
-
-def test_fig8_series(resolution, benchmark):
-    benchmark(lambda: _improvement_at(resolution, "Real_1", 8))
-
+def test_fig8_series(resolution):
     actual = fig8_actual_improvement(resolution)
     bound = fig7_max_improvement(resolution)  # bounds at OUR growth factors
     print()

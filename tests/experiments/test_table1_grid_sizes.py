@@ -8,25 +8,15 @@ Paper (60,968-element UH-1H mesh):
   Real_2      39,332   201,780 247,115   12,008
   Real_3      61,161   321,841 391,233   16,464
 
-The bench regenerates the same rows on the synthetic rotor mesh and
-benchmarks the mark+subdivide kernel of Real_2.
+The test regenerates the same rows on the synthetic rotor mesh.
 """
 
-from repro.adapt.adaptor import AdaptiveMesh
 from repro.experiments import REAL_FRACTIONS
 from repro.experiments.report import format_table1
 from repro.experiments.table1 import grid_sizes
 
 
-def test_table1_rows(case, benchmark):
-    def real2_refinement():
-        am = AdaptiveMesh(case.mesh, solution=case.solution)
-        marking = am.mark(edge_mask=case.marking_mask("Real_2"))
-        am.refine(marking)
-        return am
-
-    benchmark(real2_refinement)
-
+def test_table1_rows(case):
     rows = grid_sizes(case)
     print("\n" + format_table1(rows))
 

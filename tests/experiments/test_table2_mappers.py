@@ -1,14 +1,16 @@
 """Table 2 — processor reassignment: optimal MWBG vs heuristic MWBG vs
 optimal BMCM on the Real_2 strategy.
 
-Paper findings the bench asserts:
+Paper findings the test asserts:
 * the heuristic's total movement is within a few % of optimal MWBG
   ("the reduction in the amount of total data movement is insignificant");
-* the heuristic is faster than the optimal MWBG solve, which is faster
-  than the BMCM solve;
 * BMCM's *total* movement is larger (it optimises the bottleneck instead);
-* BMCM's bottleneck (MaxV) is no worse than either MWBG solution's;
-* reassignment times grow with P but stay tiny at P = 64.
+* BMCM's bottleneck (MaxV) is no worse than either MWBG solution's.
+
+The paper's third finding — the heuristic solves faster than optimal
+MWBG, which solves faster than BMCM — is about host seconds, which a
+test cannot hold: the measured times are printed here and by
+``repro report``, not asserted.
 """
 
 import numpy as np
@@ -35,10 +37,7 @@ def _similarity_at_64(case):
     return similarity_matrix(old, new, am.wremap(), 64)
 
 
-def test_table2_rows(case, benchmark):
-    S = _similarity_at_64(case)
-    benchmark(lambda: heuristic_mwbg(S))
-
+def test_table2_rows(case):
     rows = mapper_comparison(case)
     print("\n" + format_table2(rows))
 
@@ -58,18 +57,11 @@ def test_table2_rows(case, benchmark):
         assert bmc.max_sent_recv <= opt.max_sent_recv
         assert bmc.max_sent_recv <= heu.max_sent_recv
 
-    # timing ordering at the largest P (paper: heuristic ~an order faster)
-    p = procs[-1]
-    assert by[p, "HeuMWBG"].reassign_seconds <= 5 * by[p, "OptMWBG"].reassign_seconds
-    assert by[p, "OptBMCM"].reassign_seconds >= by[p, "OptMWBG"].reassign_seconds
-    # heuristic stays very fast even at P=64 (paper: 0.0088s on the SP2)
-    assert by[p, "HeuMWBG"].reassign_seconds < 0.05
 
-
-def test_bmcm_bottleneck_optimality_on_instance(case, benchmark):
+def test_bmcm_bottleneck_optimality_on_instance(case):
     """The BMCM solve is exact: no permutation has a smaller bottleneck."""
     S = _similarity_at_64(case)
-    assignment = benchmark(lambda: optimal_bmcm(S))
+    assignment = optimal_bmcm(S)
     st = remap_stats(S, assignment)
     # spot-check optimality against the MWBG assignments
     for other in (optimal_mwbg(S), heuristic_mwbg(S)):

@@ -18,7 +18,6 @@ from repro.obs.runs import (
     format_regressions,
     format_runs_list,
     hash_config,
-    index_bench_results,
     index_trace,
     summarize_trace,
 )
@@ -127,39 +126,6 @@ def test_index_trace_stores_summary(tmp_path):
     assert back.source == str(path)
     assert back.metrics["virtual_seconds"] == pytest.approx(2.5)
     assert back.metrics["speedup"] == 3.0
-
-
-def test_index_bench_results_one_record_per_bench(tmp_path):
-    store = RunStore(str(tmp_path))
-    doc = {
-        "suite": {"machine_model": "default", "seed": 42},
-        "runs": {
-            "quick": {
-                "resolution": 4,
-                "benches": {
-                    "fig6": {
-                        "wall_seconds": 1.25,
-                        "virtual_phase_seconds": {"exec": 2.0, "remap": 0.5},
-                        "metrics": {"imbalance_after": 1.1},
-                        "critical_path": {"makespan": 2.25},
-                    },
-                    "table1": {"wall_seconds": 0.75},
-                },
-            },
-            "full": {"resolution": 6, "benches": {"fig6": {
-                "wall_seconds": 9.0}}},
-        },
-    }
-    recs = index_bench_results(store, doc, profile="quick")
-    assert sorted(r.label for r in recs) == ["quick/fig6", "quick/table1"]
-    fig6 = next(r for r in recs if r.label == "quick/fig6")
-    assert fig6.kind == "bench"
-    assert fig6.metrics["wall_seconds"] == 1.25
-    assert fig6.metrics["virtual_seconds"] == pytest.approx(2.5)
-    assert fig6.metrics["phase.exec.virtual_seconds"] == 2.0
-    assert fig6.metrics["makespan"] == 2.25
-    assert fig6.metrics["imbalance_after"] == 1.1
-    assert fig6.config["profile"] == "quick"
 
 
 # --- analytics ---------------------------------------------------------------

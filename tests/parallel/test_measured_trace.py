@@ -213,7 +213,7 @@ def test_recorder_overhead_is_modest(monkeypatch):
     # speed wanders +-20 %, which made the ratio flaky): every handshake
     # reply of a rank is stamped, on that rank's own clock, after the
     # end of its last program node.  The measured overhead itself is
-    # the bench's job (ext_tracing_overhead, bench.trace_overhead_frac).
+    # benchmarks/e2e's job (bench.trace_overhead_frac).
     from repro.obs import wallclock
 
     class Tap:

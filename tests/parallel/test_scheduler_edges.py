@@ -5,7 +5,7 @@ but its invariants are easiest to violate at the margins: a single rank
 (the ready heap never holds a second entry to batch against), programs
 that yield nothing at all, and whole cohorts of ranks sharing one
 timestamp (tie-breaks must stay deterministic, lowest rank first).  Each
-case is checked bit-for-bit against the ``REPRO_REFERENCE_KERNELS``
+case is checked bit-for-bit against the reference (``reference_kernels()``)
 scheduler, and a hypothesis sweep does the same for random op mixes so
 the columnar record is exercised against the eager object record.
 """
