@@ -23,9 +23,12 @@
 # row, or the breakdown omits the makespan attribution.  The
 # multiprocessing smoke runs the calibrate workload on real forked rank
 # processes and fails unless its payloads match the virtual run's.  The
-# live smoke checks the streaming dashboard and the run-history store's
-# compare/regress on the traces exported along the way (all indexed into
-# a throwaway REPRO_RUNS_DIR, keeping the checkout clean).
+# run-history smoke checks that the store lists and compares the traces
+# exported along the way (all indexed into a throwaway REPRO_RUNS_DIR,
+# keeping the checkout clean); it gates no number — the virtual-second
+# series is pinned by tier-1 and host time is benchmarks/e2e's job.  The
+# MPI lane needs an MPI stack; without one, what runs of the mpi4py
+# backend is its framing, in tier-1's tests/parallel/test_mpi_wire.py.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -86,15 +89,8 @@ grep -q "carries no measured" "$tmp/cal_diff_err.txt"
 grep -q "makespan" "$tmp/cal_diff.txt"
 echo "measured-trace smoke: OK"
 
-# live + run-history smoke: the fig6-style step on real forked ranks
-# must render the streaming dashboard off-TTY, and the two step traces
-# indexed above must answer compare/regress from the store alone
-timeout 300 env PYTHONPATH=src python -m repro step 4 --nproc 4 \
-    --backend multiprocessing --live --no-history \
-    > /dev/null 2> "$tmp/live.txt"
-grep -q "per-rank busy/idle:" "$tmp/live.txt"
-grep -q "resources (rss / cpu / gc):" "$tmp/live.txt"
-grep -q "\[done\]" "$tmp/live.txt"
+# run-history smoke: the two step traces indexed along the way must be
+# listed and compared from the store alone
 PYTHONPATH=src python -m repro step 4 --nproc 4 \
     --trace-out "$tmp/step2.jsonl" > /dev/null
 ids="$(PYTHONPATH=src python -m repro runs list | awk '/ step\/r4 /{print $1}')"
@@ -103,10 +99,7 @@ test "$#" -ge 2
 PYTHONPATH=src python -m repro runs compare "$1" "$2" > "$tmp/runs_cmp.txt"
 grep -q "makespan" "$tmp/runs_cmp.txt"
 grep -q "peak_rss_bytes" "$tmp/runs_cmp.txt"
-# threshold 3x: wall/cpu of a ~15ms step are ±30% noisy on CI hosts
-PYTHONPATH=src python -m repro runs regress --threshold 3.0 > "$tmp/runs_reg.txt"
-grep -q "OK: no metric regressed" "$tmp/runs_reg.txt"
-echo "live + run-history smoke: OK"
+echo "run-history smoke: OK"
 
 # MPI lane: the same rank programs under mpiexec, when an MPI stack is
 # installed; skipped cleanly (not failed) on hosts without one.
@@ -116,7 +109,8 @@ if command -v mpiexec > /dev/null 2>&1 \
     grep -q "mpi smoke: OK" "$tmp/mpi.txt"
     echo "mpi smoke: OK"
 else
-    echo "mpi smoke: SKIP (mpiexec or mpi4py unavailable)"
+    echo "mpi smoke: SKIP (mpiexec or mpi4py unavailable;" \
+        "framing covered by tests/parallel/test_mpi_wire.py)"
 fi
 
 # weak-scaling smoke: `repro scale` must run the fig6-style cycle and

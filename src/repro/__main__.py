@@ -12,20 +12,12 @@ step [RESOLUTION]
     its phase anatomy from tracer spans (``--nproc`` selects P,
     ``--reassigner`` the processor-reassignment algorithm, ``--backend``
     the communicator backend executing the remap's rank programs).
-    ``--live`` renders an in-place ASCII dashboard (cycle, phase stack,
-    per-rank busy/idle, resource usage) while the step runs.
-watch [STATUS.json]
-    Attach to a live run from another terminal: poll the status file a
-    ``--live`` run publishes under ``.repro_runs/live/`` (newest by
-    default) and render the same dashboard (``--once`` prints a single
-    snapshot and exits).
-runs {list | show ID | compare A B | regress [ID] | index TRACE}
+runs {list | show ID | compare A B | index TRACE}
     Query the cross-run history store (``.repro_runs/``, override with
     ``--dir`` or ``REPRO_RUNS_DIR``).  Every traced ``report``/``step``/
     ``calibrate`` run is indexed automatically; ``compare`` prints
-    metric-by-metric deltas and ``regress`` flags a run against the
-    rolling median of its matching predecessors (exit status 1 when any
-    metric regressed).
+    metric-by-metric deltas.  Files in the store that are not run
+    records are skipped by ``list`` and refused by ``show``/``compare``.
 calibrate [RESOLUTION]
     Run the fig6 exec-phase workload (marking propagation, distributed
     subdivision, migration, finalization gather) on the virtual backend
@@ -68,6 +60,7 @@ opts out).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 
@@ -91,11 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--no-history", action="store_true",
             help="do not index the exported trace into the run-history store",
-        )
-        p.add_argument(
-            "--runs-dir", metavar="DIR", default=None,
-            help="run-history store root (default: $REPRO_RUNS_DIR or "
-                 "./.repro_runs)",
         )
 
     p_report = sub.add_parser(
@@ -135,12 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend", default="virtual",
         help="communicator backend for the remap's rank programs "
              "(see `python -m repro calibrate --help` for the registry)",
-    )
-    p_step.add_argument(
-        "--live", action="store_true",
-        help="render a live ASCII dashboard (phases, per-rank busy/idle, "
-             "resource usage) while the step runs; also publishes a "
-             "status file `repro watch` can attach to",
     )
     add_tracing(p_step)
 
@@ -213,29 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_case = sub.add_parser("case", help="print case sizes and growth factors")
     p_case.add_argument("resolution", nargs="?", type=int, default=8)
 
-    p_watch = sub.add_parser(
-        "watch", help="attach a dashboard to a running --live run"
-    )
-    p_watch.add_argument(
-        "path", nargs="?", default=None,
-        help="status file to watch (default: newest under the live dir)",
-    )
-    p_watch.add_argument(
-        "--dir", default=None,
-        help="status-file directory (default: <runs dir>/live)",
-    )
-    p_watch.add_argument("--interval", type=float, default=0.5,
-                         help="poll interval in seconds")
-    p_watch.add_argument(
-        "--once", action="store_true",
-        help="print one snapshot and exit (status 1 when none found)",
-    )
-    p_watch.add_argument(
-        "--timeout", type=float, default=0.0,
-        help="give up after this many seconds with no live run (0 = wait "
-             "forever)",
-    )
-
     p_runs = sub.add_parser(
         "runs", help="query the cross-run history store (.repro_runs/)"
     )
@@ -252,20 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     pr_cmp.add_argument("id_a", help="baseline run id")
     pr_cmp.add_argument("id_b", help="candidate run id")
-    pr_reg = rsub.add_parser(
-        "regress",
-        help="flag a run against the rolling median of its matching "
-             "predecessors (exit 1 on regression)",
-    )
-    pr_reg.add_argument(
-        "id", nargs="?", default=None,
-        help="candidate run id (default: the newest stored run)",
-    )
-    pr_reg.add_argument("--window", type=int, default=None,
-                        help="rolling-baseline size (default 5)")
-    pr_reg.add_argument("--threshold", type=float, default=None,
-                        help="allowed cost factor before flagging "
-                             "(default 1.15)")
     pr_idx = rsub.add_parser(
         "index", help="summarize a trace file into the store"
     )
@@ -279,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _export(tracer, trace_out: str | None, chrome_out: str | None,
             label: str = "", config: dict | None = None,
-            history: bool = True, runs_dir: str | None = None) -> None:
+            history: bool = True) -> None:
     from repro.obs import export_chrome_trace, export_jsonl, validate_jsonl
 
     if trace_out:
@@ -289,11 +234,10 @@ def _export(tracer, trace_out: str | None, chrome_out: str | None,
         if history:
             from repro.obs.runs import RunStore, index_trace
 
-            rec = index_trace(
-                RunStore(runs_dir), trace_out, label=label, config=config,
-                tracer=tracer,
-            )
-            print(f"indexed run {rec.id} into {RunStore(runs_dir).root} "
+            store = RunStore()
+            rec = index_trace(store, trace_out, label=label, config=config,
+                              tracer=tracer)
+            print(f"indexed run {rec.id} into {store.root} "
                   f"(compare with `repro runs list`)")
     if chrome_out:
         n = export_chrome_trace(tracer, chrome_out)
@@ -301,38 +245,26 @@ def _export(tracer, trace_out: str | None, chrome_out: str | None,
               "(open in chrome://tracing or ui.perfetto.dev)")
 
 
-def _sampled_host(tracer, hub=None):
-    """Context: sample the host process's resources into ``tracer``.
+@contextlib.contextmanager
+def _sampled_host(tracer):
+    """Sample the host process's resources into ``tracer`` (None: no-op).
 
     The closing ``record_resource_samples`` call is what puts
-    ``resource`` records into every traced CLI run, real backend or not;
-    with a live hub the samples also stream straight to the dashboard.
+    ``resource`` records into every traced CLI run, real backend or not.
     """
-    import contextlib
-
     if tracer is None:
-        return contextlib.nullcontext()
-
+        yield
+        return
     from repro.obs import ResourceSampler, record_resource_samples
 
-    emit = None
-    if hub is not None:
-        def emit(t, rss, cpu, gcs):
-            hub.publish("resource", rank=None, rss_bytes=rss,
-                        cpu_seconds=cpu, gc_collections=gcs)
-
-    @contextlib.contextmanager
-    def cm():
-        sampler = ResourceSampler(emit=emit).start()
-        try:
-            yield sampler
-        finally:
-            sampler.stop()
-            record_resource_samples(
-                tracer, sampler.rows(), rank=None, backend="host"
-            )
-
-    return cm()
+    sampler = ResourceSampler().start()
+    try:
+        yield
+    finally:
+        sampler.stop()
+        record_resource_samples(
+            tracer, sampler.rows(), rank=None, backend="host"
+        )
 
 
 def _cmd_report(args) -> int:
@@ -353,7 +285,7 @@ def _cmd_report(args) -> int:
             tracer, args.trace_out, args.chrome_out,
             label=f"report/r{resolution}",
             config={"command": "report", "resolution": resolution},
-            history=not args.no_history, runs_dir=args.runs_dir,
+            history=not args.no_history,
         )
     return 0
 
@@ -378,9 +310,6 @@ def _cmd_trace_report(args) -> int:
 
 
 def _cmd_step(args) -> int:
-    import contextlib
-    import os
-
     from repro.core import CostModel, LoadBalancedAdaptiveSolver
     from repro.experiments import make_case
     from repro.experiments.report import format_counters
@@ -388,34 +317,9 @@ def _cmd_step(args) -> int:
     from repro.parallel import SP2_1997
 
     case = make_case(args.resolution)
-    with contextlib.ExitStack() as stack:
-        hub = None
-        if args.live:
-            from repro.obs import (
-                LiveChannel,
-                LiveDisplay,
-                TelemetryHub,
-                use_live,
-            )
-            from repro.obs.live import default_status_dir
-
-            hub = TelemetryHub(
-                title=f"repro step r{args.resolution} P{args.nproc} "
-                      f"{args.backend}"
-            )
-            hub.channel = LiveChannel()
-            stack.enter_context(use_live(hub))
-            status_path = os.path.join(
-                default_status_dir(args.runs_dir),
-                f"step-{os.getpid()}.json",
-            )
-            stack.callback(hub.channel.close)  # after the display stops
-            stack.enter_context(LiveDisplay(
-                hub, channel=hub.channel, status_path=status_path
-            ))
-        tracer = Tracer()  # picks up the ambient hub when --live
-        if args.trace_out or args.chrome_out or args.live:
-            stack.enter_context(_sampled_host(tracer, hub=hub))
+    tracer = Tracer()
+    tracing = bool(args.trace_out or args.chrome_out)
+    with _sampled_host(tracer if tracing else None):
         solver = LoadBalancedAdaptiveSolver(
             case.mesh,
             args.nproc,
@@ -451,7 +355,7 @@ def _cmd_step(args) -> int:
             "nproc": args.nproc, "strategy": args.strategy,
             "reassigner": args.reassigner, "backend": args.backend,
         },
-        history=not args.no_history, runs_dir=args.runs_dir,
+        history=not args.no_history,
     )
     return 0
 
@@ -499,7 +403,7 @@ def _cmd_calibrate(args) -> int:
                 "nproc": args.nproc,
                 "backends": sorted(backends) if backends else None,
             },
-            history=not args.no_history, runs_dir=args.runs_dir,
+            history=not args.no_history,
         )
     return 0 if report.payloads_identical else 1
 
@@ -615,71 +519,11 @@ def _cmd_case(args) -> int:
     return 0
 
 
-def _cmd_watch(args) -> int:
-    import time as _time
-
-    from repro.obs.live import (
-        default_status_dir,
-        load_status,
-        newest_status,
-        render_dashboard,
-    )
-
-    status_dir = args.dir or default_status_dir()
-
-    def find():
-        return args.path or newest_status(status_dir)
-
-    if args.once:
-        path = find()
-        snap = load_status(path) if path else None
-        if snap is None:
-            print(f"no live run found (looked in {status_dir}); start one "
-                  "with `repro step --live`", file=sys.stderr)
-            return 1
-        print(render_dashboard(snap))
-        return 0
-
-    isatty = sys.stdout.isatty()
-    last_height = 0
-    seen = False
-    waited = 0.0
-    try:
-        while True:
-            path = find()
-            snap = load_status(path) if path else None
-            if snap is None:
-                if seen:
-                    print("live run ended")
-                    return 0
-                if args.timeout and waited >= args.timeout:
-                    print(f"no live run appeared within {args.timeout:g}s "
-                          f"(looked in {status_dir})", file=sys.stderr)
-                    return 1
-                _time.sleep(args.interval)
-                waited += args.interval
-                continue
-            seen = True
-            text = render_dashboard(snap)
-            if isatty and last_height:
-                sys.stdout.write(f"\x1b[{last_height}F\x1b[J")
-            sys.stdout.write(text + ("\n" if isatty else "\n---\n"))
-            sys.stdout.flush()
-            last_height = text.count("\n") + 1
-            _time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
-
-
 def _cmd_runs(args) -> int:
     from repro.obs.runs import (
-        DEFAULT_THRESHOLD,
-        DEFAULT_WINDOW,
         RunStore,
-        find_regressions,
         format_compare,
         format_record,
-        format_regressions,
         format_runs_list,
         index_trace,
     )
@@ -696,24 +540,6 @@ def _cmd_runs(args) -> int:
         if cmd == "compare":
             print(format_compare(store.get(args.id_a), store.get(args.id_b)))
             return 0
-        if cmd == "regress":
-            records = store.records()
-            if args.id is not None:
-                candidate = store.get(args.id)
-            elif records:
-                candidate = records[-1]
-            else:
-                print(f"error: no runs stored in {store.root}",
-                      file=sys.stderr)
-                return 2
-            threshold = args.threshold or DEFAULT_THRESHOLD
-            flags, pool = find_regressions(
-                records, candidate,
-                window=args.window or DEFAULT_WINDOW,
-                threshold=threshold,
-            )
-            print(format_regressions(candidate, flags, pool, threshold))
-            return 1 if flags else 0
         if cmd == "index":
             tracer = _read_trace(args.trace)
             if tracer is None:
@@ -722,8 +548,10 @@ def _cmd_runs(args) -> int:
                               tracer=tracer)
             print(f"indexed run {rec.id} ({rec.label}) into {store.root}")
             return 0
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+    except (KeyError, OSError, ValueError) as exc:
+        # an unknown id, or a file in the store that is not a run record
+        reason = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {reason}", file=sys.stderr)
         return 2
     return 2
 
@@ -754,8 +582,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_scale(args)
     if args.command == "case":
         return _cmd_case(args)
-    if args.command == "watch":
-        return _cmd_watch(args)
     if args.command == "runs":
         return _cmd_runs(args)
     parser.error(f"unknown command {args.command!r}")

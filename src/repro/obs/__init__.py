@@ -34,17 +34,14 @@ directly — including flow-event arrows for every delivered message.
 :mod:`repro.obs.report` turns a trace file into an ASCII dashboard or a
 self-contained HTML run report (``repro report <trace.jsonl>``).
 
-Three live/longitudinal companions round the layer out.
-:mod:`repro.obs.live` is a bounded in-process :class:`TelemetryHub` that
-the tracer publishes phase/cycle/run frames into, plus the non-blocking
-:class:`LiveChannel` side channel forked ranks stream progress and
-resource frames over, and the in-place ASCII dashboard behind
-``repro step --live`` / ``repro watch``.  :mod:`repro.obs.resource`
-samples per-process RSS, CPU seconds, and GC collections into the trace
-(``resource`` records + ``repro.resource.*`` metrics).
+A run reports through its :class:`Tracer` and the exported trace file,
+and through nothing else: there is no live side channel.  Two companions
+round the layer out.  :mod:`repro.obs.resource` samples per-process RSS,
+CPU seconds, and GC collections into the trace (``resource`` records +
+``repro.resource.*`` metrics) whenever a tracer is attached.
 :mod:`repro.obs.runs` is the ``.repro_runs/`` cross-run history store
-(``repro runs list|show|compare|regress``) with rolling-baseline
-regression flagging.
+(``repro runs list|show|compare|index``): one headline-metric document
+per traced run.
 
 Instrumented code takes an optional ``tracer`` argument and falls back to
 the ambient tracer installed with :func:`use_tracer`, so experiment
@@ -88,14 +85,6 @@ from .export import (
     validate_jsonl,
 )
 from .report import render_ascii, render_html
-from .live import (
-    LiveChannel,
-    LiveDisplay,
-    TelemetryHub,
-    current_live,
-    render_dashboard,
-    use_live,
-)
 from .resource import (
     ResourceSample,
     ResourceSampler,
@@ -104,10 +93,8 @@ from .resource import (
     sample_resources,
 )
 from .runs import (
-    Regression,
     RunRecord,
     RunStore,
-    find_regressions,
     hash_config,
     index_trace,
     summarize_trace,
@@ -120,12 +107,9 @@ __all__ = [
     "ClockRecord",
     "CriticalPath",
     "KINDS",
-    "LiveChannel",
-    "LiveDisplay",
     "MetricSample",
     "MetricsRegistry",
     "PointEvent",
-    "Regression",
     "ResourceSample",
     "ResourceSampler",
     "RunRecord",
@@ -133,19 +117,16 @@ __all__ = [
     "SCHEMA_VERSION",
     "SchemaError",
     "Span",
-    "TelemetryHub",
     "TraceAnalysis",
     "TraceDiff",
     "Tracer",
     "WallRecorder",
     "analyze",
     "critical_path",
-    "current_live",
     "current_tracer",
     "diff",
     "export_chrome_trace",
     "export_jsonl",
-    "find_regressions",
     "format_critical_path",
     "format_diff",
     "hash_config",
@@ -157,14 +138,12 @@ __all__ = [
     "read_jsonl",
     "record_resource_samples",
     "render_ascii",
-    "render_dashboard",
     "render_html",
     "resource_peaks",
     "run_from_result",
     "runs_from_tracer",
     "sample_resources",
     "summarize_trace",
-    "use_live",
     "use_tracer",
     "validate_jsonl",
     "verify_makespans",

@@ -2,10 +2,11 @@
 
 A run that takes minutes on a real backend — or that blows past its
 memory budget at 16k virtual ranks — should explain itself from its
-trace.  This module samples the *process* the run executes in: resident
-set size, accumulated CPU seconds, and garbage-collector collection
-counts, all from the standard library (``/proc`` + :mod:`resource` +
-:mod:`gc`; no psutil dependency).
+trace, and the trace is the only place the samples go.  This module
+samples the *process* the run executes in: resident set size,
+accumulated CPU seconds, and garbage-collector collection counts, all
+from the standard library (``/proc`` + :mod:`resource` + :mod:`gc`; no
+psutil dependency).
 
 :func:`sample_resources`
     One snapshot of (rss_bytes, cpu_seconds, gc_collections) for the
@@ -16,9 +17,9 @@ counts, all from the standard library (``/proc`` + :mod:`resource` +
     lists (timestamps on ``perf_counter``, relative to :meth:`start`).
     The columns pickle cheaply, so a forked rank ships its rows back to
     the parent alongside its :class:`~repro.obs.wallclock.WallRecorder`
-    columns.  An optional ``emit`` callback streams each sample as it is
-    taken (the live side channel); emission must never block, so the
-    callback is expected to drop on a full queue.
+    columns.  Sampling runs exactly when a tracer is attached: in every
+    rank of a traced real-backend run, and in the host process of every
+    traced CLI command.
 
 :func:`record_resource_samples`
     Append one rank's rows to ``Tracer.resource_samples`` (serialised as
@@ -89,20 +90,12 @@ def sample_resources() -> tuple[float, float, int]:
 
 
 class ResourceSampler:
-    """Daemon-thread sampler writing columnar rows for one process.
+    """Daemon-thread sampler writing columnar rows for one process."""
 
-    ``emit(t, rss, cpu, gcs)`` — when given — is called from the sampler
-    thread after each sample; it must be non-blocking (the live side
-    channel drops frames on a full queue rather than stalling).
-    """
-
-    def __init__(self, interval: float = DEFAULT_INTERVAL,
-                 rank: int | None = None, emit=None):
+    def __init__(self, interval: float = DEFAULT_INTERVAL):
         if interval <= 0:
             raise ValueError(f"sampling interval must be > 0, got {interval}")
         self.interval = interval
-        self.rank = rank
-        self.emit = emit
         self.times: list[float] = []
         self.rss: list[float] = []
         self.cpu: list[float] = []
@@ -118,11 +111,6 @@ class ResourceSampler:
         self.rss.append(rss)
         self.cpu.append(cpu)
         self.gcs.append(gcs)
-        if self.emit is not None:
-            try:
-                self.emit(t, rss, cpu, gcs)
-            except Exception:
-                pass  # telemetry must never take the run down
 
     def _loop(self) -> None:
         while not self._stop.wait(self.interval):

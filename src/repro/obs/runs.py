@@ -1,11 +1,12 @@
-"""Cross-run history store and regression analytics (``.repro_runs/``).
+"""Cross-run history store (``.repro_runs/``).
 
 A traced run on its own is an island: a JSONL file with nothing to
 compare it against.  This module gives a user's traced runs a durable,
 queryable history — the substrate the ROADMAP's trace-driven adaptive
-control reads its policy evidence from.  (Host time PR over PR is a
-different record: ``BENCH_history.jsonl``, appended by
-``scripts/ab_pairs.py``.)
+control reads its policy evidence from.  It gates nothing: virtual
+seconds are pinned exactly by ``tests/experiments/test_golden_series.py``
+and host time PR over PR is ``benchmarks/e2e`` + ``scripts/ab_pairs.py``
+(``BENCH_history.jsonl``).
 
 :class:`RunStore`
     A directory (default ``.repro_runs/``, override with the
@@ -16,6 +17,9 @@ different record: ``BENCH_history.jsonl``, appended by
     metrics (makespan, wall seconds, per-phase virtual seconds, balance
     quality, transport totals, resource peaks).  One-file-per-run keeps
     concurrent writers (CI shards, parallel local runs) conflict-free.
+    Anyone can drop a file into the directory, so every document is
+    shape-checked on read (:meth:`RunRecord.from_json`): listings skip
+    what is not a run record, ``show``/``compare`` name it and exit 2.
 
 :func:`summarize_trace`
     Extract the headline-metric map from a trace file or in-memory
@@ -23,20 +27,17 @@ different record: ``BENCH_history.jsonl``, appended by
     wall makespans, partition quality, remap volume, transport counters,
     and ``repro.resource.*`` peaks.
 
-:func:`compare_records` / :func:`find_regressions`
-    Metric-by-metric deltas between two runs, and regression flagging of
-    a candidate run against a *rolling baseline* — the median of the
-    most recent matching runs (same kind, label, and config hash) —
-    with a lower-is-better convention everywhere except explicit
-    higher-is-better names (speedups).
+:func:`compare_records`
+    Metric-by-metric deltas between two runs.
 
-Surfaced as ``repro runs list|show|compare|regress|index``.
+Surfaced as ``repro runs list|show|compare|index``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -45,34 +46,16 @@ __all__ = [
     "RUNS_SCHEMA",
     "RunRecord",
     "RunStore",
-    "Regression",
     "compare_records",
     "default_store_dir",
-    "find_regressions",
     "format_compare",
     "format_record",
-    "format_regressions",
     "format_runs_list",
     "hash_config",
     "summarize_trace",
 ]
 
 RUNS_SCHEMA = "repro.runs/v1"
-
-#: Metric names where larger is better; everything else is treated as a
-#: cost (smaller is better) for regression flagging.
-HIGHER_IS_BETTER = ("speedup", "ops_per_second", "throughput")
-
-#: Default rolling-baseline window (#prior matching runs) for ``regress``.
-DEFAULT_WINDOW = 5
-
-#: Default allowed cost factor vs the rolling baseline before flagging.
-DEFAULT_THRESHOLD = 1.15
-
-#: Absolute slack (in the metric's own unit) added to the relative gate
-#: so timer noise on near-zero costs does not trip it.
-DEFAULT_ABS_SLACK = 1e-9
-
 
 def default_store_dir() -> str:
     """The store root: ``$REPRO_RUNS_DIR`` or ``.repro_runs`` in the cwd."""
@@ -85,6 +68,17 @@ def hash_config(config: dict | None) -> str:
     """Stable short hash of a run-configuration mapping."""
     text = json.dumps(config or {}, sort_keys=True, default=str)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def _finite_number(v) -> bool:
+    """A real, finite number: no bool, NaN, infinity, or int too large
+    for a float (JSON can carry all of them)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 @dataclass
@@ -105,11 +99,6 @@ class RunRecord:
         if not self.config_hash:
             self.config_hash = hash_config(self.config)
 
-    @property
-    def baseline_key(self) -> tuple:
-        """Records with the same key form one rolling-baseline series."""
-        return (self.kind, self.label, self.config_hash)
-
     def to_json(self) -> dict:
         return {
             "schema": RUNS_SCHEMA,
@@ -125,11 +114,37 @@ class RunRecord:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "RunRecord":
+    def from_json(cls, doc) -> "RunRecord":
+        """Build a record from a parsed store document.
+
+        The store directory is outside input, so the shape every reader
+        relies on is checked here; anything else is a ``ValueError``.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError(
+                f"run record must be a JSON object, got {type(doc).__name__}"
+            )
         if doc.get("schema") != RUNS_SCHEMA:
             raise ValueError(
                 f"unsupported run-record schema {doc.get('schema')!r} "
                 f"(expected {RUNS_SCHEMA!r})"
+            )
+        for key in ("id", "created", "kind", "label"):
+            if not isinstance(doc.get(key), str):
+                raise ValueError(f"run record field {key!r} must be a string")
+        backends = doc.get("backends", [])
+        if not isinstance(backends, list) or not all(
+            isinstance(b, str) for b in backends
+        ):
+            raise ValueError(
+                "run record field 'backends' must be a list of strings"
+            )
+        metrics = doc.get("metrics", {})
+        if not isinstance(metrics, dict) or not all(
+            _finite_number(v) for v in metrics.values()
+        ):
+            raise ValueError(
+                "run record field 'metrics' must map names to finite numbers"
             )
         return cls(
             id=doc["id"],
@@ -139,8 +154,8 @@ class RunRecord:
             config=doc.get("config", {}),
             config_hash=doc.get("config_hash", ""),
             source=doc.get("source", ""),
-            backends=list(doc.get("backends", ())),
-            metrics=dict(doc.get("metrics", {})),
+            backends=backends,
+            metrics={k: float(v) for k, v in metrics.items()},
         )
 
 
@@ -171,8 +186,7 @@ class RunStore:
             source=source,
             backends=sorted(backends),
             metrics={k: float(v) for k, v in metrics.items()
-                     if isinstance(v, (int, float))
-                     and not isinstance(v, bool)},
+                     if _finite_number(v)},
         )
         os.makedirs(self.root, exist_ok=True)
         tmp = self._path(run_id) + f".tmp.{os.getpid()}"
@@ -196,7 +210,11 @@ class RunStore:
             else:
                 raise KeyError(f"no run {run_id!r} in {self.root}")
         with open(path) as fh:
-            return RunRecord.from_json(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise ValueError("run record nests too deeply") from None
+        return RunRecord.from_json(doc)
 
     def ids(self) -> list[str]:
         try:
@@ -214,7 +232,7 @@ class RunStore:
         for run_id in self.ids():
             try:
                 out.append(self.get(run_id))
-            except (OSError, ValueError, KeyError, json.JSONDecodeError):
+            except (OSError, ValueError, KeyError):
                 continue  # skip foreign/corrupt files, never fail a listing
         return out
 
@@ -308,16 +326,12 @@ def summarize_trace(tracer) -> tuple[dict, list[str]]:
 
 
 def index_trace(store: RunStore, trace_path, label: str = "",
-                config: dict | None = None,
-                extra_metrics: dict | None = None,
-                tracer=None) -> RunRecord:
+                config: dict | None = None, tracer=None) -> RunRecord:
     """Summarize ``trace_path`` (or its already-loaded ``tracer``) and add
     it to ``store`` as a trace run."""
     metrics, backends = summarize_trace(
         trace_path if tracer is None else tracer
     )
-    if extra_metrics:
-        metrics.update(extra_metrics)
     return store.add(
         kind="trace",
         label=label or os.path.basename(str(trace_path)),
@@ -329,10 +343,6 @@ def index_trace(store: RunStore, trace_path, label: str = "",
 
 
 # --- analytics ---------------------------------------------------------------
-
-
-def _is_higher_better(name: str) -> bool:
-    return any(tok in name for tok in HIGHER_IS_BETTER)
 
 
 def compare_records(a: RunRecord, b: RunRecord) -> list[tuple]:
@@ -352,71 +362,6 @@ def compare_records(a: RunRecord, b: RunRecord) -> list[tuple]:
         pct = (delta / abs(va) * 100.0) if va else None
         rows.append((name, va, vb, delta, pct))
     return rows
-
-
-@dataclass(frozen=True)
-class Regression:
-    """One metric of a candidate run flagged against its rolling baseline."""
-
-    metric: str
-    candidate: float
-    baseline: float  #: rolling-baseline value (median over the window)
-    factor: float  #: candidate/baseline for costs, inverted for benefits
-    window: int  #: number of baseline runs the median was taken over
-
-
-def _median(values: list[float]) -> float:
-    vs = sorted(values)
-    n = len(vs)
-    mid = n // 2
-    return vs[mid] if n % 2 else (vs[mid - 1] + vs[mid]) / 2.0
-
-
-def find_regressions(
-    history: list[RunRecord],
-    candidate: RunRecord,
-    window: int = DEFAULT_WINDOW,
-    threshold: float = DEFAULT_THRESHOLD,
-    abs_slack: float = DEFAULT_ABS_SLACK,
-) -> tuple[list[Regression], int]:
-    """Flag candidate metrics that regressed vs the rolling baseline.
-
-    The baseline pool is the most recent ``window`` runs in ``history``
-    sharing the candidate's :attr:`RunRecord.baseline_key` (the candidate
-    itself is excluded); each metric's baseline is the median over the
-    pool.  A cost metric regresses when ``candidate > baseline *
-    threshold + abs_slack``; a higher-is-better metric (speedups) when
-    ``candidate < baseline / threshold``.  Returns ``(flags, pool_size)``
-    — a zero pool means there is nothing to compare against yet.
-    """
-    pool = [
-        r for r in history
-        if r.baseline_key == candidate.baseline_key and r.id != candidate.id
-        and r.created <= candidate.created
-    ][-window:]
-    if not pool:
-        return [], 0
-    flags: list[Regression] = []
-    for name, value in sorted(candidate.metrics.items()):
-        base_values = [r.metrics[name] for r in pool if name in r.metrics]
-        if not base_values:
-            continue
-        base = _median(base_values)
-        if _is_higher_better(name):
-            if base > 0 and value < base / threshold:
-                flags.append(Regression(
-                    metric=name, candidate=value, baseline=base,
-                    factor=base / value if value else float("inf"),
-                    window=len(base_values),
-                ))
-        elif value > base * threshold + abs_slack:
-            flags.append(Regression(
-                metric=name, candidate=value, baseline=base,
-                factor=value / base if base else float("inf"),
-                window=len(base_values),
-            ))
-    flags.sort(key=lambda f: -f.factor)
-    return flags, len(pool)
 
 
 # --- formatting --------------------------------------------------------------
@@ -479,26 +424,5 @@ def format_compare(a: RunRecord, b: RunRecord) -> str:
         lines.append(
             f"  {name:<40.40s} {_fmt_v(va):>14s} {_fmt_v(vb):>14s} "
             f"{_fmt_v(delta):>14s} {pct_s:>8s}"
-        )
-    return "\n".join(lines)
-
-
-def format_regressions(candidate: RunRecord, flags: list[Regression],
-                       pool: int, threshold: float) -> str:
-    head = (f"regression check for {candidate.id} "
-            f"({candidate.kind} {candidate.label!r}) against a rolling "
-            f"baseline of {pool} matching run(s), threshold "
-            f"{threshold:.2f}x:")
-    if pool == 0:
-        return (head + "\n  no matching prior runs "
-                "(same kind, label, and config hash) — nothing to compare")
-    if not flags:
-        return head + "\n  OK: no metric regressed"
-    lines = [head]
-    for f in flags:
-        lines.append(
-            f"  REGRESSION {f.metric}: {_fmt_v(f.candidate)} vs baseline "
-            f"{_fmt_v(f.baseline)} ({f.factor:.2f}x worse, "
-            f"median of {f.window})"
         )
     return "\n".join(lines)

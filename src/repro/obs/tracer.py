@@ -77,21 +77,12 @@ class Tracer:
     Not thread-safe; each run (or experiment sweep) should own one tracer.
     """
 
-    def __init__(self, wall_clock=time.perf_counter, hub=None):
+    def __init__(self, wall_clock=time.perf_counter):
         self.spans: list[Span] = []
         self.events: list[PointEvent] = []
         self.metrics = MetricsRegistry()
         self._causal_nodes: list = []
         self._causal_msgs: list = []
-        #: Live telemetry hub (:class:`repro.obs.live.TelemetryHub`)
-        #: phase/cycle/run frames publish into; resolved from the ambient
-        #: hub (:func:`repro.obs.live.use_live`) when not given.  None
-        #: keeps the whole live path to one attribute check per hook.
-        if hub is None:
-            from .live import current_live
-
-            hub = current_live()
-        self.hub = hub
         #: Periodic process-resource samples
         #: (:class:`repro.obs.resource.ResourceSample`), serialised as
         #: ``resource`` records in the JSONL trace.
@@ -169,9 +160,6 @@ class Tracer:
         )
         self.spans.append(span)
         self._stack.append(span)
-        hub = self.hub
-        if hub is not None:
-            hub.publish("phase_begin", name=name, rank=rank)
         try:
             yield span
         finally:
@@ -179,12 +167,6 @@ class Tracer:
             assert popped is span, "span stack corrupted (non-LIFO close)"
             span.v_end = self._vclock
             span.wall_end = self._wall()
-            if hub is not None:
-                hub.publish(
-                    "phase_end", name=name, rank=rank,
-                    v_seconds=span.v_duration,
-                    wall_seconds=span.wall_duration,
-                )
 
     # --- marker events ------------------------------------------------------
 
@@ -204,14 +186,6 @@ class Tracer:
             attrs=dict(attrs),
         )
         self.events.append(ev)
-        if self.hub is not None and name == "vm.run":
-            self.hub.publish(
-                "run",
-                makespan=attrs.get("makespan"),
-                nranks=attrs.get("nranks"),
-                backend=attrs.get("backend"),
-                clock=attrs.get("clock", "virtual"),
-            )
         return ev
 
     # --- labelled metrics --------------------------------------------------
@@ -227,8 +201,6 @@ class Tracer:
         the next call default their ``cycle`` to the returned id."""
         self.cycle = self._next_cycle
         self._next_cycle += 1
-        if self.hub is not None:
-            self.hub.publish("cycle", cycle=self.cycle)
         return self.cycle
 
     def metric(
@@ -267,10 +239,6 @@ class Tracer:
         """Record one unlabelled sample per rank (rank = list index) in a
         single registry call — the bulk form of :meth:`metric` the VM and
         cost ledger use for their per-rank traffic series."""
-        if self.hub is not None and name in (
-            "repro.vm.busy_seconds", "repro.vm.idle_seconds",
-        ):
-            self.hub.publish("rank_time", name=name, values=tuple(values))
         self.metrics.record_per_rank(
             name,
             values,

@@ -15,10 +15,11 @@ into the same causal-trace model the virtual machine records
     rank's nodes tile its measured interval exactly like virtual nodes
     tile ``[0, clock]``.
 
-:func:`estimate_offset` / :func:`serve_clock_probes`
-    NTP-style clock handshake over a ``multiprocessing.Pipe`` (or any
-    object with ``send``/``recv``/``poll``): the parent timestamps a
-    probe round trip, the child answers with its own clock, and the
+:func:`estimate_offsets` / :func:`serve_clock_probes`
+    The one NTP-style clock handshake, over ``multiprocessing.Pipe``
+    ends or any object with ``send``/``recv``/``poll`` (the ``mpi4py``
+    backend adapts a communicator to that shape): the parent timestamps
+    a probe round trip, the child answers with its own clock, and the
     offset estimate ``t_child - (t_send + t_recv) / 2`` from the
     minimum-RTT round is accurate to half that round trip (recorded as
     the per-rank ``skew``).  On Linux ``perf_counter`` is the system-wide
@@ -53,7 +54,6 @@ __all__ = [
     "ClockRecord",
     "MergedRun",
     "WallRecorder",
-    "estimate_offset",
     "estimate_offsets",
     "format_clock_skew",
     "merge_streams",
@@ -174,46 +174,24 @@ def serve_clock_probes(conn, rounds: int = SYNC_ROUNDS,
         conn.send(time.perf_counter())
 
 
-def estimate_offset(conn, rounds: int = SYNC_ROUNDS,
-                    timeout: float = 60.0) -> tuple[float, float]:
-    """Parent side: NTP-style offset of the peer clock relative to ours.
-
-    Returns ``(offset, skew)``: subtracting ``offset`` from a peer
-    timestamp maps it onto this process's clock, correct to within
-    ``skew`` (half the minimum observed round trip) under the symmetric-
-    delay assumption.
-    """
-    best_rtt = float("inf")
-    best_offset = 0.0
-    for _ in range(rounds):
-        t_send = time.perf_counter()
-        conn.send(0)
-        if not conn.poll(timeout):
-            raise RuntimeError("clock handshake timed out waiting for reply")
-        t_peer = conn.recv()
-        t_recv = time.perf_counter()
-        rtt = t_recv - t_send
-        if rtt < best_rtt:
-            best_rtt = rtt
-            best_offset = t_peer - (t_send + t_recv) / 2.0
-    return best_offset, best_rtt / 2.0
-
-
 def estimate_offsets(conns: dict, rounds: int = SYNC_ROUNDS,
                      timeout: float = 60.0) -> tuple[dict, dict]:
-    """Handshake every peer in ``conns`` with pipelined probe rounds.
+    """Parent side: NTP-style offset of every peer clock in ``conns``.
 
-    Equivalent to :func:`estimate_offset` per connection, but each round
-    sends all probes before collecting any reply, so one slow-booting
-    peer's wait overlaps the others' instead of serializing (the
-    dominant startup cost when the parent has just forked every rank).
+    Returns ``(offsets, skews)`` keyed like ``conns``: subtracting
+    ``offsets[r]`` from a timestamp of peer *r* maps it onto this
+    process's clock, correct to within ``skews[r]`` (half the minimum
+    observed round trip) under the symmetric-delay assumption.
+
+    Each round sends all probes before collecting any reply, so one
+    slow peer's wait overlaps the others' instead of serializing.
     Servicing other peers between a probe's send and its reply only
     inflates that round's measured RTT — and the minimum-RTT round
     still wins — so congestion widens the skew bound rather than
-    biasing the offset.  Returns ``(offsets, skews)`` keyed like
-    ``conns``.
+    biasing the offset.
     """
-    best = {r: (float("inf"), 0.0) for r in conns}
+    best_rtt = dict.fromkeys(conns, float("inf"))
+    offsets = dict.fromkeys(conns, 0.0)
     for _ in range(rounds):
         t_send = {}
         for r, conn in conns.items():
@@ -227,11 +205,10 @@ def estimate_offsets(conns: dict, rounds: int = SYNC_ROUNDS,
             t_peer = conn.recv()
             t_recv = time.perf_counter()
             rtt = t_recv - t_send[r]
-            if rtt < best[r][0]:
-                best[r] = (rtt, t_peer - (t_send[r] + t_recv) / 2.0)
-    offsets = {r: off for r, (_, off) in best.items()}
-    skews = {r: rtt / 2.0 for r, (rtt, _) in best.items()}
-    return offsets, skews
+            if rtt < best_rtt[r]:
+                best_rtt[r] = rtt
+                offsets[r] = t_peer - (t_send[r] + t_recv) / 2.0
+    return offsets, {r: rtt / 2.0 for r, rtt in best_rtt.items()}
 
 
 # --- merging -----------------------------------------------------------------

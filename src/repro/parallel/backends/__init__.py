@@ -22,8 +22,9 @@ operations over some transport:
     (:mod:`repro.parallel.backends.shm`) as typed wire headers instead
     of pickles; everything else spills to the queue path unchanged.
 ``mpi4py``
-    One MPI rank per process under ``mpiexec``; registered only when
-    :mod:`mpi4py` is importable.
+    Experimental: one MPI rank per process under ``mpiexec``, the
+    ``multiprocessing`` driver over an MPI wire; registered only when
+    :mod:`mpi4py` is importable, and never run on this checkout.
 
 The registry follows chainermn's ``create_communicator`` idiom: backends
 are looked up by name, and :func:`available_backends` lists what the

@@ -1,50 +1,52 @@
-"""One-process-per-rank backend over ``multiprocessing`` queues.
+"""One-process-per-rank backend over ``multiprocessing`` queues, and the
+rank driver every real backend shares.
 
 Each rank runs in its own forked OS process and drives the *same*
-generator rank program the virtual machine runs: ``SendOp`` puts the
-payload on the destination rank's inbound queue, ``RecvOp`` / ``ProbeOp``
-drain the queue into a local :class:`~repro.parallel.runtime._IndexedMailbox`
-whose ``(source, tag)`` matching — including ``ANY`` wildcards and
-per-(source, tag) FIFO order — is exactly the virtual machine's.
-``WorkOp`` / ``ElapseOp`` cost nothing here: the *real* Python work the
-program performs between yields is what the measured clocks capture.
+generator rank program the virtual machine runs.  :func:`_drive` is the
+one driver loop for real execution: ``SendOp`` puts the payload on the
+destination rank's *wire*, ``RecvOp`` / ``ProbeOp`` drain the wire into a
+local :class:`~repro.parallel.runtime._IndexedMailbox` whose ``(source,
+tag)`` matching — ``ANY`` wildcards and per-(source, tag) FIFO order
+included — is exactly the virtual machine's.  ``WorkOp`` / ``ElapseOp``
+cost nothing: the *real* Python work the program does between yields is
+what the measured clocks capture.
+
+A wire is three operations — ``put(dest, item)``, ``take_nowait()`` and
+``take(timeout)`` (both return ``None`` when nothing arrived) — and is all
+a transport contributes: :class:`_QueueWire` here (``multiprocessing`` and
+``shm``), ``mpi._MPIWire`` over ``mpi4py``.  Op dispatch, mailbox
+matching, the rearming receive timeout that stands in for deadlock
+detection (real transports cannot scan a global wait graph), wait
+accounting, recorder notes, the per-rank stats and their assembly into a
+:class:`~repro.parallel.runtime.RunResult` (:func:`_assemble`) exist
+once, in this module.
 
 The ``fork`` start method is required (and requested explicitly): rank
 programs are closures over mesh data, which fork inherits by memory image
 instead of pickling.  Message payloads do cross process boundaries and
-must pickle — true of every payload type this library sends.
+must pickle — true of every payload type this library sends.  Scheduling
+is the OS's, so arrival interleaving across sources is nondeterministic;
+programs whose results depend only on mailbox matching (all of this
+library's) return the payloads ``virtual`` returns, which the
+conformance suite pins.  Clocks in the result are measured host wall
+seconds per rank, with ``waited`` (blocked on an empty wire) kept apart
+so busy/idle splits stay meaningful.
 
-Clocks in the returned :class:`~repro.parallel.runtime.RunResult` are
-measured host wall seconds per rank; ``waited`` time (blocked on an empty
-queue) is separated out so busy/idle splits stay meaningful.
-
-With a tracer attached the backend also records the run's *measured*
-causal trace (:mod:`repro.obs.wallclock`): each rank keeps a columnar
-:class:`~repro.obs.wallclock.WallRecorder` of its sends/recvs/probes and
-the work gaps between them on its own ``perf_counter``, the parent
-estimates every child's clock offset with an NTP-style pipe handshake run
-*after* the program (so tracing never delays the start of work — offsets
-are constants of the monotonic clocks), and the streams then merge
-into ``CausalNode``/``CausalMsg`` lists under a ``vm.run`` marker with
-``clock="wall"`` — so ``repro critical-path``, ``repro report`` and
-``repro diff`` work on measured runs exactly as on modelled ones.  A traced
-run also starts a :class:`~repro.obs.resource.ResourceSampler` in every
-rank process; the sampled RSS/CPU/GC columns ship back with the result and
-land in the trace as ``resource`` records plus per-rank
-``repro.resource.*`` metrics.  When a live telemetry hub is
-installed (:func:`repro.obs.live.use_live`, i.e. ``repro step --live``),
-ranks additionally stream progress and resource frames over the hub's
-:class:`~repro.obs.live.LiveChannel` — a bounded queue written with
-``put_nowait`` that drops on overflow, so the dashboard can never stall
-the measured clock path.  Scheduling
-is the OS's, so arrival *interleaving* across sources is nondeterministic
-— programs whose results depend only on mailbox matching semantics (all
-of this library's) produce payload-identical results to ``virtual``,
-which the conformance suite pins.
+A run reports through its tracer and nothing else.  With one attached,
+each rank keeps a columnar :class:`~repro.obs.wallclock.WallRecorder` of
+its sends/recvs/probes and the work gaps between them, and samples its
+process's RSS/CPU/GC (:class:`~repro.obs.resource.ResourceSampler`); the
+parent estimates every child's clock offset with a pipe handshake run
+*after* the program (offsets are constants of the monotonic clocks, so
+tracing never delays the start of work), and the streams merge into the
+trace as a ``vm.run`` with ``clock="wall"`` plus ``resource`` records —
+``repro critical-path`` / ``report`` / ``diff`` then read measured runs
+exactly as modelled ones.  Without a tracer none of that runs.
 """
 
 from __future__ import annotations
 
+import queue
 import time
 import traceback
 
@@ -73,12 +75,6 @@ DEFAULT_TIMEOUT = 60.0
 #: processes to report back before declaring them hung.
 DEFAULT_GRACE = 30.0
 
-#: Transport counter keys surfaced into the metrics registry.
-_TRANSPORT_METRIC_KEYS = (
-    "bytes_zero_copy", "bytes_pickled", "msgs_zero_copy", "msgs_pickled",
-    "slab_reuse", "spills",
-)
-
 
 class MultiprocessingBackend:
     """Run rank programs on real cores, one forked process per rank."""
@@ -91,8 +87,7 @@ class MultiprocessingBackend:
 
     def __init__(self, nranks: int, machine: MachineModel = SP2_1997,
                  timeout: float = DEFAULT_TIMEOUT,
-                 grace: float = DEFAULT_GRACE, tracer=None,
-                 resource_interval: float | None = None, **_ignored):
+                 grace: float = DEFAULT_GRACE, tracer=None, **_ignored):
         if nranks < 1:
             raise ValueError(f"need at least one rank, got {nranks}")
         if grace < 0:
@@ -108,10 +103,9 @@ class MultiprocessingBackend:
         self.machine = machine
         self.timeout = timeout
         self.grace = float(grace)
-        self.tracer = tracer  # wall metrics only; no causal record
-        #: Seconds between per-rank resource samples (None = library
-        #: default); sampling runs whenever a tracer or live hub is on.
-        self.resource_interval = resource_interval
+        #: With a tracer the run records its measured causal trace and
+        #: per-rank resource samples; without one it records nothing.
+        self.tracer = tracer
 
     def _make_transport(self, ctx):
         """Hook for subclasses: build the per-run wire transport (parent
@@ -142,48 +136,27 @@ class MultiprocessingBackend:
         recording = self.tracer is not None
         pipes = [ctx.Pipe() for _ in range(self.nranks)] if recording else []
 
-        # Live telemetry: ranks stream frames over the ambient hub's side
-        # channel (fork-inherited bounded queue; see repro.obs.live).
-        # Resource sampling runs whenever anyone will consume it — the
-        # tracer (resource records) or a live dashboard.
-        from ...obs.live import current_live
-
-        hub = current_live()
-        channel = hub.channel if hub is not None else None
-        res_interval = None
-        if recording or channel is not None:
-            from ...obs.resource import DEFAULT_INTERVAL
-
-            res_interval = self.resource_interval or DEFAULT_INTERVAL
-
         procs = []
         t0 = time.perf_counter()
         for r in range(self.nranks):
-            a = [x.values[r] if isinstance(x, per_rank) else x for x in args]
-            kw = {
-                k: (v.values[r] if isinstance(v, per_rank) else v)
-                for k, v in kwargs.items()
-            }
-            sync = pipes[r][1] if recording else None
             p = ctx.Process(
                 target=_rank_worker,
-                args=(r, self.nranks, self.machine, program, a, kw,
-                      inboxes, result_q, self.timeout, transport, sync,
-                      channel, res_interval),
+                args=(r, self.nranks, self.machine, program, args, kwargs,
+                      _QueueWire(inboxes, r), result_q, self.timeout,
+                      transport, pipes[r][1] if recording else None),
                 daemon=True,
             )
             p.start()
             procs.append(p)
 
-        offsets: dict[int, float] = {}
-        skews: dict[int, float] = {}
+        alignment = None
         if recording:
             from ...obs.wallclock import estimate_offsets
 
             try:
                 for r in range(self.nranks):
                     pipes[r][1].close()  # child's end, in the parent
-                offsets, skews = estimate_offsets(
+                alignment = estimate_offsets(
                     {r: pipes[r][0] for r in range(self.nranks)},
                     timeout=self.timeout,
                 )
@@ -191,7 +164,7 @@ class MultiprocessingBackend:
                 # A rank died (or hung) before its handshake.  Abandon the
                 # measured trace; the normal collection loop below will
                 # surface the rank's real failure.
-                recording = False
+                pass
             finally:
                 for parent_end, child_end in pipes:
                     parent_end.close()
@@ -248,109 +221,126 @@ class MultiprocessingBackend:
             if transport is not None:
                 transport.dispose()
         wall = time.perf_counter() - t0
+        return _assemble(
+            self.name, self.tracer, [results[r] for r in range(self.nranks)],
+            wall, alignment, transport,
+        )
 
-        returns, clocks, waited = [], [], []
-        words_s, msgs_s, words_r, msgs_r = [], [], [], []
-        transport_per_rank: list[dict] = []
-        streams: dict[int, dict] = {}
-        res_rows: dict[int, dict] = {}
-        for r in range(self.nranks):
-            retval, stats = results[r]
-            returns.append(retval)
-            clocks.append(stats["wall"])
-            waited.append(stats["waited"])
-            words_s.append(stats["words_sent"])
-            msgs_s.append(stats["msgs_sent"])
-            words_r.append(stats["words_recv"])
-            msgs_r.append(stats["msgs_recv"])
-            transport_per_rank.append(stats.get("transport", {}))
-            if "rec" in stats:
-                streams[r] = stats["rec"]
-            if "res" in stats:
-                res_rows[r] = stats["res"]
-        makespan = max(clocks) if clocks else 0.0
-        busy = [c - w for c, w in zip(clocks, waited)]
-        idle = [makespan - b for b in busy]
-        transport_totals = None
-        if transport is not None:
-            transport_totals = {}
-            for d in transport_per_rank:
-                for k, v in d.items():
-                    transport_totals[k] = transport_totals.get(k, 0) + v
-            transport.note_run_totals(transport_totals)
-        if self.tracer is not None:
-            from ...obs.resource import record_resource_samples
 
-            for r in range(self.nranks):
-                self.tracer.metric(
-                    "repro.backend.rank_wall_seconds", clocks[r],
-                    kind="counter", rank=r, backend=self.name,
-                )
-                record_resource_samples(
-                    self.tracer, res_rows.get(r), rank=r, backend=self.name,
-                )
-            if transport_totals is not None:
-                for key in _TRANSPORT_METRIC_KEYS:
-                    self.tracer.metric(
-                        f"repro.transport.{key}",
-                        transport_totals.get(key, 0),
-                        kind="counter", backend=self.name,
-                    )
-                    for r in range(self.nranks):
-                        self.tracer.metric(
-                            f"repro.transport.{key}",
-                            transport_per_rank[r].get(key, 0),
-                            kind="counter", rank=r, backend=self.name,
-                        )
-        merged_nodes = merged_msgs = None
-        if recording and len(streams) == self.nranks:
-            merged_nodes, merged_msgs = self._record_measured_run(
-                streams, offsets, skews, waited, msgs_s, msgs_r,
-                words_s, words_r,
+def _assemble(backend, tracer, results, wall, alignment=None,
+              transport=None) -> RunResult:
+    """Fold every rank's ``(retval, stats)`` from :func:`_drive` into the
+    run's :class:`RunResult` and, given a tracer, into the trace.
+
+    ``results`` is indexed by rank.  ``alignment`` is the clock
+    handshake's ``(offsets, skews)``; None (untraced run, or a handshake
+    that did not complete) records no measured causal run.
+    """
+    nranks = len(results)
+    stats = [s for _retval, s in results]
+    clocks = [s["wall"] for s in stats]
+    waited = [s["waited"] for s in stats]
+    words_s = [s["words_sent"] for s in stats]
+    msgs_s = [s["msgs_sent"] for s in stats]
+    words_r = [s["words_recv"] for s in stats]
+    msgs_r = [s["msgs_recv"] for s in stats]
+    makespan = max(clocks)
+    busy = [c - w for c, w in zip(clocks, waited)]
+    transport_totals = None
+    if transport is not None:
+        transport_totals = {}
+        for s in stats:
+            for k, v in s["transport"].items():
+                transport_totals[k] = transport_totals.get(k, 0) + v
+        transport.note_run_totals(transport_totals)
+    nodes = msgs = None
+    if tracer is not None:
+        from ...obs.resource import record_resource_samples
+
+        for r in range(nranks):
+            tracer.metric(
+                "repro.backend.rank_wall_seconds", clocks[r],
+                kind="counter", rank=r, backend=backend,
             )
-        return RunResult(
-            returns=returns,
-            clocks=clocks,
-            total_messages=sum(msgs_s),
-            total_words=sum(words_s),
-            words_sent_per_rank=words_s,
-            words_recv_per_rank=words_r,
-            msgs_sent_per_rank=msgs_s,
-            msgs_recv_per_rank=msgs_r,
-            busy_per_rank=busy,
-            idle_per_rank=idle,
-            wall_seconds=wall,
-            backend=self.name,
-            transport=transport_totals,
-            nodes=merged_nodes,
-            msgs=merged_msgs,
-        )
+            record_resource_samples(
+                tracer, stats[r].get("res"), rank=r, backend=backend,
+            )
+        for key, total in (transport_totals or {}).items():
+            tracer.metric(f"repro.transport.{key}", total,
+                          kind="counter", backend=backend)
+            for r in range(nranks):
+                tracer.metric(
+                    f"repro.transport.{key}", stats[r]["transport"][key],
+                    kind="counter", rank=r, backend=backend,
+                )
+        if alignment is not None:
+            from ...obs.wallclock import record_measured_run
 
-    def _record_measured_run(self, streams, offsets, skews, waited,
-                             msgs_s, msgs_r, words_s, words_r):
-        """Merge per-rank wall-clock streams into the tracer's causal record.
+            offsets, skews = alignment
+            nodes, msgs = record_measured_run(
+                tracer, {r: s["rec"] for r, s in enumerate(stats)},
+                offsets, skews, nranks=nranks, backend=backend,
+                waited=waited, msgs_sent=msgs_s, msgs_recv=msgs_r,
+                words_sent=words_s, words_recv=words_r,
+            )
+    return RunResult(
+        returns=[retval for retval, _stats in results],
+        clocks=clocks,
+        total_messages=sum(msgs_s),
+        total_words=sum(words_s),
+        words_sent_per_rank=words_s,
+        words_recv_per_rank=words_r,
+        msgs_sent_per_rank=msgs_s,
+        msgs_recv_per_rank=msgs_r,
+        busy_per_rank=busy,
+        idle_per_rank=[makespan - b for b in busy],
+        wall_seconds=wall,
+        backend=backend,
+        transport=transport_totals,
+        nodes=nodes,
+        msgs=msgs,
+    )
 
-        Returns the merged ``(nodes, msgs)`` lists (shared with the
-        tracer) so the :class:`RunResult` can carry them too.
-        """
-        from ...obs.wallclock import record_measured_run
 
-        return record_measured_run(
-            self.tracer, streams, offsets, skews,
-            nranks=self.nranks, backend=self.name,
-            waited=waited, msgs_sent=msgs_s, msgs_recv=msgs_r,
-            words_sent=words_s, words_recv=words_r,
-        )
+class _QueueWire:
+    """The wire over fork-inherited queues, one inbound queue per rank."""
+
+    def __init__(self, inboxes, rank):
+        self._inboxes = inboxes
+        self._inbox = inboxes[rank]
+
+    def put(self, dest, item):
+        self._inboxes[dest].put(item)
+
+    def take_nowait(self):
+        try:
+            return self._inbox.get_nowait()
+        except queue.Empty:
+            return None
+
+    def take(self, timeout):
+        try:
+            return self._inbox.get(timeout=timeout)
+        except queue.Empty:
+            return None
 
 
-def _rank_worker(rank, size, machine, program, args, kwargs,
-                 inboxes, result_q, timeout, transport=None, sync=None,
-                 channel=None, res_interval=None):
-    """Child-process entry: drive one rank's generator over the queues."""
+def _rank_worker(rank, size, machine, program, args, kwargs, wire,
+                 result_q, timeout, transport=None, sync=None):
+    """Child-process entry: drive one rank's generator over the wire."""
     try:
         retval, stats = _drive(rank, size, machine, program, args, kwargs,
-                               inboxes, timeout, transport, sync,
-                               channel, res_interval)
+                               wire, timeout, transport,
+                               record=sync is not None)
+        if sync is not None:
+            # Post-run clock handshake: answer the parent's probes (already
+            # sitting in the pipe) off the measured clock, then hand back
+            # the columns.  A rank that died above never reaches this; its
+            # process exit EOFs the pipe and the parent abandons recording.
+            from ...obs.wallclock import serve_clock_probes
+
+            serve_clock_probes(sync, timeout=timeout)
+            sync.close()
         result_q.put(("ok", rank, retval, stats))
     except _RecvTimeout as exc:
         result_q.put(("error", rank, "deadlock", str(exc)))
@@ -362,70 +352,82 @@ class _RecvTimeout(RuntimeError):
     pass
 
 
-#: Seconds between live progress frames a rank streams over the channel.
-_PROGRESS_INTERVAL = 0.1
+def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
+           transport=None, record=False):
+    """Run one rank's program to completion over ``wire``.
 
-
-def _drive(rank, size, machine, program, args, kwargs, inboxes, timeout,
-           transport=None, sync=None, channel=None, res_interval=None):
+    ``args``/``kwargs`` are the run's, ``per_rank`` wrappers included;
+    this rank's slice is taken here.  Wire items are ``(source, tag,
+    payload, nwords, msg_id)`` with ``msg_id`` -1 on unrecorded runs.
+    The driver owns the receive timeout: a blocked receive polls
+    ``wire.take`` in slices of at most a second, rearms on every arrival,
+    and raises :class:`_RecvTimeout` once ``timeout`` seconds pass with
+    none.  With ``record`` the rank keeps a ``WallRecorder`` and a
+    ``ResourceSampler``; their columns ride back in the stats dict.
+    Returns ``(retval, stats)``.
+    """
     from ..simcomm import Comm
 
-    comm = Comm(rank, size, machine)
-    gen = program(comm, *args, **kwargs)
+    a = [x.values[rank] if isinstance(x, per_rank) else x for x in args]
+    kw = {
+        k: (v.values[rank] if isinstance(v, per_rank) else v)
+        for k, v in kwargs.items()
+    }
+    gen = program(Comm(rank, size, machine), *a, **kw)
     if not hasattr(gen, "send"):
         raise TypeError(
             "rank program must be a generator function "
             f"(got {type(gen).__name__} from {program!r})"
         )
-    import queue as _queue
 
     mailbox = _IndexedMailbox()
-    inbox = inboxes[rank]
     seq = 0
     waited = 0.0
     words_sent = msgs_sent = words_recv = msgs_recv = 0
     if transport is not None:
         # map shared pages into this rank before the clock starts
         transport.warmup()
-    rec = None
-    if sync is not None:
-        # Measured tracing: start recording immediately — the clock
-        # handshake runs *after* the program (offsets are constants of
-        # the monotonic perf_counter streams), so a traced rank starts
-        # work exactly when an untraced one would.
-        from ...obs.wallclock import WallRecorder
+    rec = sampler = None
+    if record:
+        # Recording starts immediately — any clock handshake runs outside
+        # the measured interval (offsets are constants of the monotonic
+        # perf_counter streams), so a traced rank starts work exactly
+        # when an untraced one would.  The sampler is a daemon thread
+        # reading this process's RSS/CPU/GC off the hot path.
+        from ...obs.resource import ResourceSampler
+        from ...obs.wallclock import PROBE, RECV, WallRecorder
 
         rec = WallRecorder()
-    sampler = None
-    if res_interval is not None:
-        # Resource telemetry: a daemon thread sampling this process's
-        # RSS/CPU/GC off the hot path; the emit callback streams each
-        # sample to the live dashboard (drop-on-full, never blocks).
-        from ...obs.resource import ResourceSampler
-
-        emit = None
-        if channel is not None:
-            def emit(t, rss, cpu, gcs, _c=channel, _r=rank):
-                _c.emit_resource(_r, t, rss, cpu, gcs)
-        sampler = ResourceSampler(res_interval, rank=rank, emit=emit).start()
+        sampler = ResourceSampler().start()
     #: local mailbox seq -> global message id (recording runs only)
     mid_by_seq: dict[int, int] = {}
-    next_prog = 0.0
-    t0 = time.perf_counter()
+    clock = time.perf_counter
+    t0 = clock()
     if rec is not None:
         rec.start(t0)
 
-    def drain_nonblocking():
+    def deliver(item):
         nonlocal seq
-        while True:
-            try:
-                src, tag, payload, nwords, mid = inbox.get_nowait()
-            except _queue.Empty:
-                return
-            seq += 1
-            if rec is not None:
-                mid_by_seq[seq] = mid
-            mailbox.add(_Message(src, tag, payload, nwords, 0.0, seq))
+        src, tag, payload, nwords, mid = item
+        seq += 1
+        if rec is not None:
+            mid_by_seq[seq] = mid
+        mailbox.add(_Message(src, tag, payload, nwords, 0.0, seq))
+
+    def pop_match(op):
+        while (item := wire.take_nowait()) is not None:
+            deliver(item)
+        return mailbox.pop_match(op.source, op.tag)
+
+    def consume(msg):
+        nonlocal words_recv, msgs_recv
+        words_recv += msg.nwords
+        msgs_recv += 1
+        payload = (
+            msg.payload if transport is None
+            else transport.decode(msg.payload)
+        )
+        return payload, msg.source, msg.tag
 
     value = None
     while True:
@@ -435,100 +437,59 @@ def _drive(rank, size, machine, program, args, kwargs, inboxes, timeout,
             retval = stop.value
             break
         value = None
-        if channel is not None:
-            now = time.perf_counter()
-            if now >= next_prog:
-                next_prog = now + _PROGRESS_INTERVAL
-                channel.emit_progress(rank, now - t0, msgs_sent,
-                                      words_sent, waited)
         if isinstance(op, SendOp):
             if not 0 <= op.dest < size:
                 raise ValueError(f"rank {rank}: send to invalid rank {op.dest}")
-            if rec is None:
-                wire = (
-                    op.payload if transport is None
-                    else transport.encode(op.payload, op.nwords)
-                )
-                inboxes[op.dest].put((rank, op.tag, wire, op.nwords, -1))
-            else:
-                ts = time.perf_counter()
+            payload, mid = op.payload, -1
+            if rec is not None:
+                ts = clock()
                 mid = msgs_sent * size + rank  # globally unique msg id
-                if transport is None:
-                    wire = op.payload
-                else:
-                    spills0 = transport.counters.get("spills", 0)
-                    wire = transport.encode(op.payload, op.nwords)
-                    if transport.counters.get("spills", 0) > spills0:
-                        rec.note_spill(ts, mid)
-                inboxes[op.dest].put((rank, op.tag, wire, op.nwords, mid))
-                rec.note_send(mid, op.dest, op.tag, op.nwords,
-                              ts, time.perf_counter())
+            if transport is not None:
+                spills0 = transport.counters["spills"]
+                payload = transport.encode(payload, op.nwords)
+                if rec is not None and transport.counters["spills"] > spills0:
+                    rec.note_spill(ts, mid)
+            wire.put(op.dest, (rank, op.tag, payload, op.nwords, mid))
+            if rec is not None:
+                rec.note_send(mid, op.dest, op.tag, op.nwords, ts, clock())
             words_sent += op.nwords
             msgs_sent += 1
         elif isinstance(op, RecvOp):
-            ts = time.perf_counter() if rec is not None else 0.0
+            ts = clock()
             this_wait = 0.0
-            drain_nonblocking()
-            msg = mailbox.pop_match(op.source, op.tag)
-            give_up = time.perf_counter() + timeout
+            msg = pop_match(op)
+            give_up = ts + timeout
             while msg is None:
-                budget = give_up - time.perf_counter()
-                if budget <= 0:
+                w0 = clock()
+                if w0 >= give_up:
                     raise _RecvTimeout(_timeout_text(rank, op, mailbox, timeout))
-                w0 = time.perf_counter()
-                try:
-                    src, tag, payload, nwords, mid = inbox.get(
-                        timeout=min(budget, 1.0)
-                    )
-                except _queue.Empty:
-                    waited += time.perf_counter() - w0
-                    this_wait += time.perf_counter() - w0
+                item = wire.take(min(give_up - w0, 1.0))
+                w1 = clock()
+                this_wait += w1 - w0  # each blocked interval is timed once
+                if item is None:
                     continue
-                waited += time.perf_counter() - w0
-                this_wait += time.perf_counter() - w0
-                give_up = time.perf_counter() + timeout  # progress: rearm
-                seq += 1
-                if rec is not None:
-                    mid_by_seq[seq] = mid
-                mailbox.add(_Message(src, tag, payload, nwords, 0.0, seq))
+                give_up = w1 + timeout  # progress: rearm
+                deliver(item)
                 msg = mailbox.pop_match(op.source, op.tag)
-            words_recv += msg.nwords
-            msgs_recv += 1
-            payload = (
-                msg.payload if transport is None
-                else transport.decode(msg.payload)
-            )
-            value = (payload, msg.source, msg.tag)
+            waited += this_wait
+            value = consume(msg)
             if rec is not None:
-                rec.note_op(2, ts, time.perf_counter(), this_wait,
-                            mid_by_seq.pop(msg.seq, -1))  # 2 = RECV
+                rec.note_op(RECV, ts, clock(), this_wait,
+                            mid_by_seq.pop(msg.seq, -1))
         elif isinstance(op, ProbeOp):
-            ts = time.perf_counter() if rec is not None else 0.0
-            drain_nonblocking()
-            msg = mailbox.pop_match(op.source, op.tag)
-            if msg is not None:
-                words_recv += msg.nwords
-                msgs_recv += 1
-                payload = (
-                    msg.payload if transport is None
-                    else transport.decode(msg.payload)
-                )
-                value = (True, (payload, msg.source, msg.tag))
-            else:
-                value = (False, None)
+            ts = clock()
+            msg = pop_match(op)
+            value = (False, None) if msg is None else (True, consume(msg))
             if rec is not None:
                 mid = -1 if msg is None else mid_by_seq.pop(msg.seq, -1)
-                rec.note_op(3, ts, time.perf_counter(), 0.0, mid)  # 3 = PROBE
+                rec.note_op(PROBE, ts, clock(), 0.0, mid)
         elif isinstance(op, (WorkOp, ElapseOp)):
             # modelled time only; the measured clock runs on its own
             pass
         else:
             raise TypeError(f"rank {rank} yielded unknown op {op!r}")
 
-    t_end = time.perf_counter()
-    if channel is not None:
-        channel.emit_progress(rank, t_end - t0, msgs_sent,
-                              words_sent, waited)
+    t_end = clock()
     stats = {
         "wall": t_end - t0,
         "waited": waited,
@@ -539,21 +500,11 @@ def _drive(rank, size, machine, program, args, kwargs, inboxes, timeout,
     }
     if transport is not None:
         stats["transport"] = dict(transport.counters)
-    if sampler is not None:
-        sampler.stop()
-        if rec is not None:  # only a traced run has somewhere to put rows
-            stats["res"] = sampler.rows()
     if rec is not None:
+        sampler.stop()
+        stats["res"] = sampler.rows()
         rec.finish(t_end)
         stats["rec"] = rec.columns()
-        # Post-run clock handshake: answer the parent's probes (already
-        # sitting in the pipe) off the measured clock, then hand back
-        # the columns.  A rank that died above never reaches this; its
-        # process exit EOFs the pipe and the parent abandons recording.
-        from ...obs.wallclock import serve_clock_probes
-
-        serve_clock_probes(sync, timeout=timeout)
-        sync.close()
     return retval, stats
 
 

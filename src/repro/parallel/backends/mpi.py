@@ -1,48 +1,75 @@
-"""mpi4py backend: run rank programs as real MPI processes.
+"""mpi4py backend: the shared rank driver over an MPI wire.
 
-Registered only when :mod:`mpi4py` is importable.  Unlike the other
-backends, this one is SPMD at the process level: the *whole script* runs
-once per rank under ``mpiexec``, and :meth:`MPIBackend.run` drives only
-the local rank's generator, then allgathers returns and stats so every
-process receives the same complete :class:`RunResult`::
+**Experimental** — registered only when :mod:`mpi4py` is importable and
+never run under ``mpiexec`` on this checkout; what does run is this
+framing, over a thread-backed fake in ``tests/parallel/test_mpi_wire.py``.
+The *whole script* runs once per rank under ``mpiexec``: ``run`` drives
+the local rank with the forked backends' :func:`~.mp._drive` and
+allgathers returns and stats, so every process gets the full result.
 
-    mpiexec -n 4 python my_workload.py     # which calls
-    comm = create_communicator("mpi4py", 4)
-    result = comm.run(program, per_rank(args))
-
-Matching semantics: MPI tag values are bounded (the standard only
-guarantees 15 bits of usable tag), while this library's communicator
-layer uses wide tag integers for sub-communicator isolation.  All
-traffic therefore travels on one wire tag with the logical ``(source,
-tag)`` carried in the payload, and matching happens client-side in the
-same indexed mailbox the virtual machine uses — wildcard and FIFO
-semantics are identical by construction.
+MPI guarantees 15 bits of tag and the communicator layer uses wide ones,
+so all traffic rides one wire tag with the logical ``(source, tag)`` in
+the item, matched in the driver's mailbox.  MPI has no timed receive:
+blocking calls ignore their timeout; the launcher's limit ends a deadlock.
 """
 
 from __future__ import annotations
 
-import time
-
 from ..machine import SP2_1997, MachineModel
-from ..runtime import (
-    ElapseOp,
-    ProbeOp,
-    RecvOp,
-    RunResult,
-    SendOp,
-    WorkOp,
-    _IndexedMailbox,
-    _Message,
-    per_rank,
-)
+from ..runtime import RunResult
+from .mp import DEFAULT_TIMEOUT, _assemble, _drive
 
 __all__ = ["MPIBackend"]
 
-#: The single wire tag every logical message travels on.
-_WIRE_TAG = 7
+_WIRE_TAG = 7  #: the single wire tag every logical message travels on
+_SYNC_TAG = 8  #: reserved for the clock-alignment handshake
 
-#: Wire tag reserved for the clock-alignment handshake (measured tracing).
-_SYNC_TAG = 8
+
+class _MPIWire:
+    """The driver's wire over ``mpi_comm``'s send/iprobe/recv (or a fake's)."""
+
+    def __init__(self, mpi_comm, any_source):
+        self._mpi = mpi_comm
+        self._any = any_source
+
+    def put(self, dest, item):
+        self._mpi.send(item, dest=dest, tag=_WIRE_TAG)
+
+    def take_nowait(self):
+        ready = self._mpi.iprobe(source=self._any, tag=_WIRE_TAG)
+        return self.take(0.0) if ready else None
+
+    def take(self, timeout):
+        return self._mpi.recv(source=self._any, tag=_WIRE_TAG)
+
+
+class _SyncPipe:
+    """One peer on ``_SYNC_TAG`` as a pipe end, for wallclock's handshake."""
+
+    def __init__(self, mpi_comm, peer):
+        self._mpi = mpi_comm
+        self._peer = peer
+
+    def send(self, obj):
+        self._mpi.send(obj, dest=self._peer, tag=_SYNC_TAG)
+
+    def poll(self, timeout):
+        return True  # recv blocks until the peer's message is here
+
+    def recv(self):
+        return self._mpi.recv(source=self._peer, tag=_SYNC_TAG)
+
+
+def _align_clocks(mpi_comm):
+    """Collective handshake; ``(offsets, skews)`` on rank 0, else None."""
+    from ...obs.wallclock import estimate_offsets, serve_clock_probes
+
+    if mpi_comm.rank != 0:
+        return serve_clock_probes(_SyncPipe(mpi_comm, 0))
+    peers = {p: _SyncPipe(mpi_comm, p) for p in range(1, mpi_comm.size)}
+    offsets, skews = estimate_offsets(peers)
+    offsets[0] = skews[0] = 0.0
+    return offsets, skews
 
 
 class MPIBackend:
@@ -56,7 +83,6 @@ class MPIBackend:
                  mpi_comm=None, tracer=None, **_ignored):
         from mpi4py import MPI
 
-        self._MPI = MPI
         self.mpi_comm = MPI.COMM_WORLD if mpi_comm is None else mpi_comm
         if self.mpi_comm.size != nranks:
             raise ValueError(
@@ -66,180 +92,19 @@ class MPIBackend:
         self.nranks = nranks
         self.machine = machine
         self.tracer = tracer
+        self._wire = _MPIWire(self.mpi_comm, MPI.ANY_SOURCE)
 
     def run(self, program, *args, **kwargs) -> RunResult:
         """Run the local rank's program; collective over ``mpi_comm``."""
-        from ..simcomm import Comm
-
-        MPI = self._MPI
         mpi = self.mpi_comm
-        rank, size = mpi.rank, self.nranks
-        a = [x.values[rank] if isinstance(x, per_rank) else x for x in args]
-        kw = {
-            k: (v.values[rank] if isinstance(v, per_rank) else v)
-            for k, v in kwargs.items()
-        }
-        comm = Comm(rank, size, self.machine)
-        gen = program(comm, *a, **kw)
-        if not hasattr(gen, "send"):
-            raise TypeError(
-                "rank program must be a generator function "
-                f"(got {type(gen).__name__} from {program!r})"
-            )
-
-        mailbox = _IndexedMailbox()
-        seq = 0
-        waited = 0.0
-        words_sent = msgs_sent = words_recv = msgs_recv = 0
-
-        # Measured tracing is collective: if *any* rank carries a tracer,
-        # every rank records (the wire format and the handshake must
-        # agree across the job).
-        recording = bool(mpi.allreduce(self.tracer is not None, op=MPI.LOR))
-        rec = None
-        offsets: dict[int, float] = {}
-        skews: dict[int, float] = {}
+        # Recording is collective: one tracer anywhere, every rank records.
+        # Handshake first, then a barrier as the recorders' start line.
+        recording = any(mpi.allgather(self.tracer is not None))
+        alignment = None
         if recording:
-            from ...obs.wallclock import SYNC_ROUNDS, WallRecorder
-
-            if rank == 0:
-                offsets[0], skews[0] = 0.0, 0.0
-                for peer in range(1, size):
-                    best_rtt, best_off = float("inf"), 0.0
-                    for _ in range(SYNC_ROUNDS):
-                        t_send = time.perf_counter()
-                        mpi.send(0, dest=peer, tag=_SYNC_TAG)
-                        t_peer = mpi.recv(source=peer, tag=_SYNC_TAG)
-                        t_recv = time.perf_counter()
-                        rtt = t_recv - t_send
-                        if rtt < best_rtt:
-                            best_rtt = rtt
-                            best_off = t_peer - (t_send + t_recv) / 2.0
-                    offsets[peer], skews[peer] = best_off, best_rtt / 2.0
-            else:
-                for _ in range(SYNC_ROUNDS):
-                    mpi.recv(source=0, tag=_SYNC_TAG)
-                    mpi.send(time.perf_counter(), dest=0, tag=_SYNC_TAG)
-            mpi.barrier()  # start line: recorders begin together
-            rec = WallRecorder()
-        mid_by_seq: dict[int, int] = {}
-        t0 = time.perf_counter()
-        if rec is not None:
-            rec.start(t0)
-
-        def drain_nonblocking():
-            nonlocal seq
-            while mpi.iprobe(source=MPI.ANY_SOURCE, tag=_WIRE_TAG):
-                item = mpi.recv(source=MPI.ANY_SOURCE, tag=_WIRE_TAG)
-                src, tag, payload, nwords = item[:4]
-                seq += 1
-                if rec is not None:
-                    mid_by_seq[seq] = item[4] if len(item) > 4 else -1
-                mailbox.add(_Message(src, tag, payload, nwords, 0.0, seq))
-
-        value = None
-        while True:
-            try:
-                op = gen.send(value)
-            except StopIteration as stop:
-                retval = stop.value
-                break
-            value = None
-            if isinstance(op, SendOp):
-                if rec is None:
-                    mpi.send((rank, op.tag, op.payload, op.nwords),
-                             dest=op.dest, tag=_WIRE_TAG)
-                else:
-                    ts = time.perf_counter()
-                    mid = msgs_sent * size + rank  # globally unique
-                    mpi.send((rank, op.tag, op.payload, op.nwords, mid),
-                             dest=op.dest, tag=_WIRE_TAG)
-                    rec.note_send(mid, op.dest, op.tag, op.nwords,
-                                  ts, time.perf_counter())
-                words_sent += op.nwords
-                msgs_sent += 1
-            elif isinstance(op, RecvOp):
-                ts = time.perf_counter() if rec is not None else 0.0
-                this_wait = 0.0
-                drain_nonblocking()
-                msg = mailbox.pop_match(op.source, op.tag)
-                while msg is None:
-                    w0 = time.perf_counter()
-                    item = mpi.recv(source=MPI.ANY_SOURCE, tag=_WIRE_TAG)
-                    src, tag, payload, nwords = item[:4]
-                    waited += time.perf_counter() - w0
-                    this_wait += time.perf_counter() - w0
-                    seq += 1
-                    if rec is not None:
-                        mid_by_seq[seq] = item[4] if len(item) > 4 else -1
-                    mailbox.add(_Message(src, tag, payload, nwords, 0.0, seq))
-                    msg = mailbox.pop_match(op.source, op.tag)
-                words_recv += msg.nwords
-                msgs_recv += 1
-                value = (msg.payload, msg.source, msg.tag)
-                if rec is not None:
-                    rec.note_op(2, ts, time.perf_counter(), this_wait,
-                                mid_by_seq.pop(msg.seq, -1))  # 2 = RECV
-            elif isinstance(op, ProbeOp):
-                ts = time.perf_counter() if rec is not None else 0.0
-                drain_nonblocking()
-                msg = mailbox.pop_match(op.source, op.tag)
-                if msg is not None:
-                    words_recv += msg.nwords
-                    msgs_recv += 1
-                    value = (True, (msg.payload, msg.source, msg.tag))
-                else:
-                    value = (False, None)
-                if rec is not None:
-                    mid = -1 if msg is None else mid_by_seq.pop(msg.seq, -1)
-                    rec.note_op(3, ts, time.perf_counter(), 0.0, mid)
-            elif isinstance(op, (WorkOp, ElapseOp)):
-                pass  # modelled time only; real clocks are measured
-            else:
-                raise TypeError(f"rank {rank} yielded unknown op {op!r}")
-        t_end = time.perf_counter()
-        wall = t_end - t0
-
-        stats = mpi.allgather(
-            (retval, wall, waited, words_sent, msgs_sent,
-             words_recv, msgs_recv)
-        )
-        returns = [s[0] for s in stats]
-        clocks = [s[1] for s in stats]
-        busy = [s[1] - s[2] for s in stats]
-        makespan = max(clocks) if clocks else 0.0
-        merged_nodes = merged_msgs = None
-        if recording:
-            rec.finish(t_end)
-            streams_all = mpi.allgather(rec.columns())
-            offsets, skews = mpi.bcast((offsets, skews), root=0)
-            if self.tracer is not None:
-                from ...obs.wallclock import record_measured_run
-
-                merged_nodes, merged_msgs = record_measured_run(
-                    self.tracer,
-                    {r: cols for r, cols in enumerate(streams_all)},
-                    offsets, skews,
-                    nranks=size, backend=self.name,
-                    waited=[s[2] for s in stats],
-                    msgs_sent=[s[4] for s in stats],
-                    msgs_recv=[s[6] for s in stats],
-                    words_sent=[s[3] for s in stats],
-                    words_recv=[s[5] for s in stats],
-                )
-        return RunResult(
-            returns=returns,
-            clocks=clocks,
-            total_messages=sum(s[4] for s in stats),
-            total_words=sum(s[3] for s in stats),
-            words_sent_per_rank=[s[3] for s in stats],
-            words_recv_per_rank=[s[5] for s in stats],
-            msgs_sent_per_rank=[s[4] for s in stats],
-            msgs_recv_per_rank=[s[6] for s in stats],
-            busy_per_rank=busy,
-            idle_per_rank=[makespan - b for b in busy],
-            wall_seconds=wall,
-            backend=self.name,
-            nodes=merged_nodes,
-            msgs=merged_msgs,
-        )
+            alignment = mpi.bcast(_align_clocks(mpi), root=0)
+            mpi.barrier()
+        local = _drive(mpi.rank, self.nranks, self.machine, program, args,
+                       kwargs, self._wire, DEFAULT_TIMEOUT, record=recording)
+        return _assemble(self.name, self.tracer, mpi.allgather(local),
+                         local[1]["wall"], alignment)

@@ -22,8 +22,8 @@ pool:
   (same forked processes, same ``(source, tag)`` mailbox matching)
   with this transport installed.
 
-Ownership and copy-on-pop semantics
------------------------------------
+Ownership
+---------
 A slab has exactly one writer (the sender, before the header is
 enqueued) and exactly one reader (the rank whose mailbox pop matches
 the header), so popping a message *transfers ownership*: the receiver
@@ -33,9 +33,7 @@ slab returns to the free list when the view (and every view derived
 from it) is garbage collected, via a finalizer that defers the actual
 free to the next transport operation — finalizers run inside GC, where
 taking the pool lock could deadlock against an allocation already
-holding it.  ``copy_on_pop=True`` instead materializes a private copy
-at pop time and recycles the slab immediately, bounding slab lifetime
-when programs retain received arrays indefinitely.
+holding it.
 
 Counters
 --------
@@ -56,8 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..machine import SP2_1997, MachineModel
-from .mp import DEFAULT_GRACE, DEFAULT_TIMEOUT, MultiprocessingBackend
+from .mp import MultiprocessingBackend
 
 __all__ = [
     "ShmRef",
@@ -69,8 +66,7 @@ __all__ = [
 ]
 
 #: Slab size: holds the library's typical element blocks; larger arrays
-#: spill to pickle (callers streaming bigger payloads raise
-#: ``slab_bytes``).  Kept modest because pool pages are prefaulted at
+#: spill to pickle.  Kept modest because pool pages are prefaulted at
 #: creation and warmed per rank — cost is linear in the pool size.
 DEFAULT_SLAB_BYTES = 1 << 20
 #: Arrays smaller than this ride the pickle path: a slab round-trip
@@ -238,11 +234,9 @@ class ShmTransport:
     """
 
     def __init__(self, pool: SlabPool, min_bytes: int = DEFAULT_MIN_BYTES,
-                 copy_on_pop: bool = False,
                  alloc_wait: float = DEFAULT_ALLOC_WAIT):
         self.pool = pool
         self.min_bytes = min_bytes
-        self.copy_on_pop = copy_on_pop
         self.alloc_wait = alloc_wait
         self.counters = {k: 0 for k in _COUNTER_KEYS}
         # slabs whose receiver-side views were GC'd; finalizers only
@@ -359,11 +353,6 @@ class ShmTransport:
         arr = np.ndarray(ref.shape, dtype=np.dtype(ref.dtype),
                          buffer=self.pool.data_buf, offset=ref.offset,
                          strides=ref.strides)
-        if self.copy_on_pop:
-            out = arr.copy()
-            del arr
-            self.pool.free(ref.slab)
-            return out
         # ownership transfer: the receiver is the slab's only aliaser,
         # so the view is writable; recycle when the view is collected
         weakref.finalize(arr, self._pending_free.append, ref.slab)
@@ -392,34 +381,14 @@ class SharedMemoryBackend(MultiprocessingBackend):
     cross rank boundaries through the slab pool instead of pickling."""
 
     name = "shm"
-    deterministic = False
-    measured = True
 
-    def __init__(self, nranks: int, machine: MachineModel = SP2_1997,
-                 timeout: float = DEFAULT_TIMEOUT,
-                 grace: float = DEFAULT_GRACE, tracer=None,
-                 nslabs: int | None = None,
-                 slab_bytes: int = DEFAULT_SLAB_BYTES,
-                 min_bytes: int = DEFAULT_MIN_BYTES,
-                 copy_on_pop: bool = False,
-                 alloc_wait: float = DEFAULT_ALLOC_WAIT, **_ignored):
-        super().__init__(nranks, machine=machine, timeout=timeout,
-                         grace=grace, tracer=tracer)
-        # Default pool sizing: a sender that outruns its receiver holds
-        # slabs in flight until the receiver's views are collected, but
+    def _make_transport(self, ctx):
+        # Pool sizing: a sender that outruns its receiver holds slabs in
+        # flight until the receiver's views are collected, but
         # ``alloc_wait`` backpressure caps the depth at the pool size —
         # and a *small* pool keeps the slab working set cache-warm.
         # 4 slabs/rank-pair handily covers the library's exchange
         # patterns; prefaulting (SlabPool) keeps creation cost linear in
         # this, so don't oversize.
-        self.nslabs = nslabs if nslabs is not None else max(16, 4 * nranks)
-        self.slab_bytes = slab_bytes
-        self.min_bytes = min_bytes
-        self.copy_on_pop = copy_on_pop
-        self.alloc_wait = alloc_wait
-
-    def _make_transport(self, ctx):
-        pool = SlabPool(self.nslabs, self.slab_bytes, ctx=ctx)
-        return ShmTransport(pool, min_bytes=self.min_bytes,
-                            copy_on_pop=self.copy_on_pop,
-                            alloc_wait=self.alloc_wait)
+        nslabs = max(16, 4 * self.nranks)
+        return ShmTransport(SlabPool(nslabs, DEFAULT_SLAB_BYTES, ctx=ctx))

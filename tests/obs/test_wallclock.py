@@ -13,7 +13,7 @@ from repro.obs.wallclock import (
     WORK,
     ClockRecord,
     WallRecorder,
-    estimate_offset,
+    estimate_offsets,
     format_clock_skew,
     merge_streams,
     record_measured_run,
@@ -71,7 +71,8 @@ def test_handshake_over_a_pipe():
     parent, child = mp.Pipe()
     server = threading.Thread(target=serve_clock_probes, args=(child,))
     server.start()
-    offset, skew = estimate_offset(parent)
+    offsets, skews = estimate_offsets({0: parent})
+    offset, skew = offsets[0], skews[0]
     server.join()
     parent.close()
     child.close()
@@ -98,7 +99,8 @@ def test_handshake_detects_a_shifted_peer_clock():
             self._pending = False
             return time.perf_counter() + self.delta
 
-    offset, skew = estimate_offset(SkewedConn(3.0))
+    offsets, skews = estimate_offsets({0: SkewedConn(3.0)})
+    offset, skew = offsets[0], skews[0]
     assert offset == pytest.approx(3.0, abs=max(skew, 1e-3))
 
 
@@ -108,7 +110,7 @@ def test_handshake_times_out_without_a_peer():
     parent, child = mp.Pipe()
     try:
         with pytest.raises(RuntimeError, match="timed out"):
-            estimate_offset(parent, timeout=0.05)
+            estimate_offsets({0: parent}, timeout=0.05)
         with pytest.raises(RuntimeError, match="timed out"):
             serve_clock_probes(child, timeout=0.05)
     finally:

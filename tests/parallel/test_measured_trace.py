@@ -21,6 +21,7 @@ from repro.obs import (
     validate_jsonl,
 )
 from repro.obs.causal import critical_path, runs_from_tracer, verify_makespans
+from repro.obs.resource import resource_peaks
 from repro.parallel import create_communicator
 from repro.parallel.runtime import ProbeOp, RecvOp, SendOp, WorkOp
 
@@ -249,3 +250,47 @@ def test_recorder_overhead_is_modest(monkeypatch):
         last_end = max(n.t_end for n in tracer.causal_nodes if n.rank == r)
         program_end = marker.attrs["base"] + last_end + offsets[r]
         assert min(tap.replies) >= program_end - 1e-6
+
+
+def _pingpong(comm, rounds):
+    other = 1 - comm.rank
+    for _ in range(rounds):
+        yield WorkOp(50.0)
+        if comm.rank == 0:
+            yield SendOp(other, 3, ("ping",), 8)
+            yield RecvOp(other, 4)
+        else:
+            yield RecvOp(other, 3)
+            yield SendOp(other, 4, ("pong",), 8)
+    return comm.rank
+
+
+@pytest.mark.parametrize("backend", ["multiprocessing", "shm"])
+def test_traced_run_records_per_rank_resources(backend, tmp_path):
+    tracer = Tracer()
+    with tracer.phase(f"{backend}-pingpong", kind="compute"):
+        comm = create_communicator(backend, 2, tracer=tracer)
+        comm.run(_pingpong, 2)
+
+    peaks = resource_peaks(tracer.resource_samples)
+    assert set(peaks) == {0, 1}  # one sampled series per forked rank
+    for rank in (0, 1):
+        assert peaks[rank]["samples"] >= 2  # open + close at minimum
+        assert peaks[rank]["peak_rss_bytes"] > 0
+    # the peaks are mirrored as backend-labelled per-rank metrics
+    labelled = {
+        (s.rank, s.labels_dict.get("backend"))
+        for s in tracer.metrics.samples()
+        if s.name == "repro.resource.peak_rss_bytes"
+    }
+    assert (0, backend) in labelled and (1, backend) in labelled
+
+    path = tmp_path / "trace.jsonl"
+    export_jsonl(tracer, path)
+    assert validate_jsonl(path)["resources"] == len(tracer.resource_samples)
+
+
+def test_untraced_run_records_no_resources():
+    comm = create_communicator("multiprocessing", 2)
+    result = comm.run(_pingpong, 1)  # no tracer: plain run, no sampler
+    assert result.returns == [0, 1] and result.total_messages == 2

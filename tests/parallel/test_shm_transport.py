@@ -148,14 +148,6 @@ class TestWireCodec:
         transport.encode(a, nwords=512)
         assert transport.counters["slab_reuse"] == 1
 
-    def test_copy_on_pop_frees_immediately(self, pool):
-        t = ShmTransport(pool, min_bytes=64, copy_on_pop=True)
-        a = np.arange(512, dtype=np.float64)
-        out = t.decode(t.encode(a, nwords=512))
-        assert pool.free_count() == 4  # recycled at pop, no finalizer needed
-        np.testing.assert_array_equal(out, a)
-        out[:] = 0.0  # private copy: mutation cannot touch the pool
-
 
 def _exchange_program(comm, n):
     """Rank 0 -> 1 large block; rank 1 mutates the view and echoes back."""
