@@ -17,9 +17,13 @@ median and quartiles, the change's wins and ties over the pairs, and
 whether the medians differ by more than the parent's inter-quartile
 range — the rule for claiming a gain (at least nine wins in ten, ties
 counting for neither side, and a median gap wider than the parent's own
-spread).  Every run appends one row to ``BENCH_history.jsonl`` (commit,
-side, workload, seed, the end-to-end medians), the repo's append-only
-record of measured performance across PRs.
+spread).  It ends with one ``--trace 1`` run per side at the first seed
+and prints the per-layer values (``*.self_s`` and the named per-layer
+metrics of ``BENCHMARK.json``) of the layers the workload exercises, parent
+beside change: where the end-to-end difference sits.  Every run appends one
+row to ``BENCH_history.jsonl`` (commit, side, workload, seed, then the
+end-to-end medians or — rows with ``"trace": 1`` — the per-layer values),
+the repo's append-only record of measured performance across PRs.
 
 ``--smoke`` runs the benchmark at its tiny sizes and records nothing: it
 only checks that this script still works (``scripts/ci.sh``).
@@ -65,10 +69,11 @@ def checkout(commit: str) -> Path:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int,
-             smoke: bool) -> dict:
-    """One ``run.py`` invocation in ``tree``; its contract line, flattened."""
+             smoke: bool, trace: int = 0) -> dict:
+    """One ``run.py`` invocation in ``tree``; its contract line, flattened
+    (the end-to-end metrics, or with ``trace`` the per-layer ones)."""
     argv = [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
-            "--seed", str(seed), "--trace", "0"]
+            "--seed", str(seed), "--trace", str(trace)]
     # smoke: run.py's minimum of three tiny passes, not a full run of them
     argv += ["--seconds", "1", "--smoke"] if smoke else ["--seconds", str(seconds)]
     out = subprocess.run(argv, cwd=tree, check=True, stdout=subprocess.PIPE,
@@ -78,6 +83,18 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int,
     row.update(correct=line["correct"], attempted=line["attempted"],
                failed=line["failed"])
     return row
+
+
+def record(smoke: bool, commit: str, side: str, workload: str, seed: int,
+           row: dict, **extra) -> None:
+    """Append one run to ``BENCH_history.jsonl`` (never from ``--smoke``)."""
+    if smoke:
+        return
+    entry = {"time": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+             "commit": commit, "side": side, "workload": workload, "seed": seed,
+             **extra, **row}
+    with HISTORY.open("a") as fh:
+        fh.write(json.dumps(entry) + "\n")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -107,6 +124,27 @@ def summarize(metrics: list[dict], seed: int, parent: list[dict],
               f"{f'{b1:.6g} / {b2:.6g} / {b3:.6g}':>42}  "
               f"{f'{wins}/{ties}/{len(a) - wins - ties}':^12}  "
               f"{ratio:>5}  {resolved}")
+
+
+def exercised(row: dict) -> dict:
+    """A traced row without the per-layer metrics that are 0: those belong
+    to another workload (``bench.*`` describe the traced pass itself)."""
+    return {name: value for name, value in row.items()
+            if value or "." not in name or name.startswith("bench.")}
+
+
+def layer_table(metrics: list[dict], seed: int, parent: dict, change: dict) -> None:
+    """Per-layer values of one traced run per side, parent beside change."""
+    print(f"\nper layer, one traced run per side (seed {seed})")
+    print(f"{'metric':<36}{'parent':>14}{'change':>14}  {'par/chg':>7}  unit")
+    for entry in metrics:
+        name = entry["name"]
+        a, b = parent.get(name), change.get(name)
+        if a is None and b is None:
+            continue
+        a, b = a or 0.0, b or 0.0
+        ratio = f"{a / b:.2f}x" if a and b else "-"
+        print(f"{name:<36}{a:>14.6g}{b:>14.6g}  {ratio:>7}  {entry['unit']}")
 
 
 def main() -> int:
@@ -153,15 +191,17 @@ def main() -> int:
                     print(f"seed {seed} pair {pair + 1}/{opts.pairs} {side:<6} "
                           f"{commit}: wall_s {row['wall_s']:.3f}"
                           f"{'' if row['correct'] else '  INCORRECT'}", flush=True)
-                    if not opts.smoke:
-                        record = {
-                            "time": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                            "commit": commit, "side": side,
-                            "workload": opts.workload, "seed": seed, **row,
-                        }
-                        with HISTORY.open("a") as fh:
-                            fh.write(json.dumps(record) + "\n")
+                    record(opts.smoke, commit, side, opts.workload, seed, row)
             summarize(spec["end_to_end"], seed, rows["parent"], rows["change"])
+        layers = {}
+        for side, (tree, commit) in sides.items():
+            layers[side] = exercised(run_once(
+                tree, opts.workload, seeds[0], spec["run_seconds"], opts.smoke,
+                trace=1))
+            ok &= layers[side]["correct"]
+            record(opts.smoke, commit, side, opts.workload, seeds[0],
+                   layers[side], trace=1)
+        layer_table(spec["per_layer"], seeds[0], layers["parent"], layers["change"])
     finally:
         shutil.rmtree(BUILD, ignore_errors=True)
     if opts.smoke:

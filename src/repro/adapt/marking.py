@@ -218,15 +218,21 @@ def propagate_markings(
 
 
 def _edge_rank_incidence(mesh: TetMesh, part: np.ndarray):
-    """CSR-ish map: for each edge, the sorted unique ranks touching it."""
-    owner = part[np.repeat(np.arange(mesh.ne), 6)]
-    eids = mesh.elem2edge.ravel()
-    order = np.lexsort((owner, eids))
-    e_sorted = eids[order]
-    r_sorted = owner[order]
-    keep = np.ones(e_sorted.shape[0], dtype=bool)
-    keep[1:] = (e_sorted[1:] != e_sorted[:-1]) | (r_sorted[1:] != r_sorted[:-1])
-    return e_sorted[keep], r_sorted[keep]
+    """CSR-ish map: for each edge, the sorted unique ranks touching it.
+
+    One value sort of the packed keys ``edge·nranks + rank`` over the
+    ``6·ne`` element-edge incidences; the distinct keys, unpacked, are the
+    (edge, rank) pairs in edge-then-rank order.
+    """
+    part = np.asarray(part, dtype=np.int64)
+    nranks = int(part.max()) + 1 if mesh.ne else 1
+    keys = mesh.elem2edge * nranks
+    keys += part[:, None]
+    keys = np.sort(keys, axis=None)
+    keep = np.ones(keys.shape[0], dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    keys = keys[keep]
+    return keys // nranks, keys % nranks
 
 
 def _edge_rank_pairs(edge_ranks):

@@ -5,9 +5,17 @@ edge list, the element→edge incidence (six edges per tetrahedron), the
 edge→element and vertex→edge adjacency lists ("these lists eliminate
 extensive searches and are crucial to the efficiency of the overall adaption
 scheme"), and the boundary faces.
+
+Edges and faces are identified by packing their sorted vertex ids into one
+``int64`` key.  The keys are formed in place from column gathers of the
+element list and sorted once; every large temporary is dropped as soon as
+its last reader is done, because on a mesh that has just grown each fresh
+page of the high-water mark is paid for in wall time (DESIGN.md §9).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,23 +28,61 @@ __all__ = [
     "invert_to_csr",
 ]
 
+#: Largest vertex count whose edge keys ``lo·nv + hi`` (< nv²) fit ``int64``.
+MAX_NV_EDGES = math.isqrt(np.iinfo(np.int64).max)  # 3 037 000 499
+#: Largest vertex count whose face keys ``(v0·nv + v1)·nv + v2`` (< nv³) fit.
+MAX_NV_FACES = 1 << 21  # 2 097 152
+
+
+def _check_key_range(nv: int, limit: int, what: str) -> None:
+    if nv > limit:
+        raise ValueError(
+            f"nv = {nv} exceeds the limit of {limit} vertices above which "
+            f"{what} keys overflow int64"
+        )
+
 
 def build_edges(elems: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray]:
     """Extract unique edges and the ``(ne, 6)`` element→edge map.
 
     Edges are returned as an ``(nedge, 2)`` array with the lower vertex id
     first, sorted lexicographically, so edge ids are a deterministic
-    function of the element list.
+    function of the element list.  One argsort of the ``6·ne`` packed keys
+    yields both outputs: the sorted distinct keys are the edges, and the
+    running count of distinct keys, scattered back through the sort
+    permutation, is the element→edge map (equal keys receive equal ids, so
+    the sort need not be stable).
+
+    Raises
+    ------
+    ValueError
+        If ``nv`` is so large that ``lo·nv + hi`` would overflow ``int64``.
     """
+    _check_key_range(nv, MAX_NV_EDGES, "edge")
     elems = np.asarray(elems)
-    pairs = elems[:, LOCAL_EDGES]  # (ne, 6, 2)
-    lo = pairs.min(axis=2).astype(np.int64)
-    hi = pairs.max(axis=2).astype(np.int64)
-    keys = lo * nv + hi  # unique scalar key per undirected edge
-    uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
-    edges = np.column_stack([uniq // nv, uniq % nv]).astype(np.int64)
-    elem2edge = inverse.reshape(elems.shape[0], 6).astype(np.int64)
-    return edges, elem2edge
+    ne = elems.shape[0]
+    a = elems[:, LOCAL_EDGES[:, 0]].astype(np.int64, copy=False)  # (ne, 6)
+    b = elems[:, LOCAL_EDGES[:, 1]]
+    keys = np.minimum(a, b)
+    keys *= nv
+    keys += np.maximum(a, b, out=a)
+    del a, b
+    keys = keys.ravel()
+    order = np.argsort(keys)
+    skeys = keys[order]
+    first = np.empty(skeys.shape[0], dtype=bool)  # first of its run of equals
+    first[:1] = True
+    np.not_equal(skeys[1:], skeys[:-1], out=first[1:])
+    uniq = skeys[first]
+    del skeys
+    edge_id = np.cumsum(first, out=keys)  # reuses the key buffer
+    edge_id -= 1
+    elem2edge = np.empty(ne * 6, dtype=np.int64)
+    elem2edge[order] = edge_id
+    edges = np.empty((uniq.shape[0], 2), dtype=np.int64)
+    np.floor_divide(uniq, nv, out=edges[:, 0])
+    np.remainder(uniq, nv, out=edges[:, 1])
+    return edges, elem2edge.reshape(ne, 6)
 
 
 def build_faces(
@@ -44,54 +90,81 @@ def build_faces(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Classify the triangular faces of a tetrahedral mesh.
 
+    The ``4·ne`` packed face keys are argsorted once, *unstably* (the SIMD
+    sort): a boundary face is alone in its run of equal keys, and an
+    interior face is a run of exactly two whose owners are put lower
+    element first with ``min``/``max`` — which is the order a stable sort
+    would have left them in, since owners ascend with key position.
+
     Returns
     -------
     bnd_faces:
-        ``(nb, 3)`` vertex triples of faces belonging to exactly one element.
+        ``(nb, 3)`` vertex triples of faces belonging to exactly one element,
+        each ascending, in ascending key (lexicographic) order.
     bnd_elem:
         ``(nb,)`` owning element of each boundary face.
     dual_pairs:
-        ``(ni, 2)`` element pairs sharing each interior face — exactly the
-        edge list of the dual graph (paper §4.1).
+        ``(ni, 2)`` element pairs sharing each interior face, lower element
+        first — exactly the edge list of the dual graph (paper §4.1).
 
     Raises
     ------
     ValueError
-        If any face is shared by more than two elements (non-manifold mesh).
+        If any face is shared by more than two elements (non-manifold mesh),
+        or if ``nv`` is so large that the face keys would overflow ``int64``.
     """
+    _check_key_range(nv, MAX_NV_FACES, "face")
     elems = np.asarray(elems)
     ne = elems.shape[0]
-    if ne == 0:
-        empty3 = np.empty((0, 3), dtype=np.int64)
-        empty1 = np.empty(0, dtype=np.int64)
-        return empty3, empty1, np.empty((0, 2), dtype=np.int64)
-    tri = np.sort(elems[:, LOCAL_FACES], axis=2).astype(np.int64)  # (ne,4,3)
-    keys = (tri[..., 0] * nv + tri[..., 1]) * nv + tri[..., 2]
-    flat = keys.ravel()
-    owner = np.repeat(np.arange(ne, dtype=np.int64), 4)
-
-    order = np.argsort(flat, kind="stable")
-    skeys = flat[order]
-    sown = owner[order]
-    # group boundaries over the sorted keys
-    new_grp = np.empty(skeys.shape[0], dtype=bool)
-    new_grp[0] = True
-    new_grp[1:] = skeys[1:] != skeys[:-1]
-    starts = np.flatnonzero(new_grp)
-    counts = np.diff(np.append(starts, skeys.shape[0]))
-    if np.any(counts > 2):
-        bad = skeys[starts[counts > 2]][0]
+    # the three corners of each local face, then their min / middle / max
+    a = elems[:, LOCAL_FACES[:, 0]].astype(np.int64, copy=False)  # (ne, 4)
+    b = elems[:, LOCAL_FACES[:, 1]]
+    c = elems[:, LOCAL_FACES[:, 2]]
+    keys = np.minimum(a, b)
+    np.minimum(keys, c, out=keys)
+    hi = np.maximum(a, b)
+    np.maximum(hi, c, out=hi)
+    a += b
+    a += c
+    a -= keys
+    a -= hi  # the middle vertex: the sum less the two extremes
+    del b, c
+    keys *= nv
+    keys += a
+    keys *= nv
+    keys += hi
+    del a, hi
+    keys = keys.ravel()
+    owner = np.argsort(keys)  # key positions for now; position // 4 owns it
+    skeys = keys[owner]
+    del keys
+    same = skeys[1:] == skeys[:-1]  # same[i]: sorted keys i and i+1 agree
+    triple = same[1:] & same[:-1]
+    if triple.any():
+        bad = skeys[1:-1][triple][0]
         raise ValueError(f"non-manifold mesh: face key {bad} in >2 elements")
+    owner >>= 2
+    i_idx = np.flatnonzero(same)  # first of each run of two
+    single = np.ones(skeys.shape[0], dtype=bool)
+    single[i_idx] = False
+    single[i_idx + 1] = False
+    b_idx = np.flatnonzero(single)
 
-    b_idx = starts[counts == 1]
-    i_idx = starts[counts == 2]
-    bnd_elem = sown[b_idx]
+    bnd_elem = owner[b_idx]
     bkeys = skeys[b_idx]
-    v2 = bkeys % nv
-    v1 = (bkeys // nv) % nv
-    v0 = bkeys // (nv * nv)
-    bnd_faces = np.column_stack([v0, v1, v2])
-    dual_pairs = np.column_stack([sown[i_idx], sown[i_idx + 1]])
+    del skeys
+    bnd_faces = np.empty((b_idx.shape[0], 3), dtype=np.int64)
+    np.remainder(bkeys, nv, out=bnd_faces[:, 2])
+    bkeys //= nv
+    np.remainder(bkeys, nv, out=bnd_faces[:, 1])
+    np.floor_divide(bkeys, nv, out=bnd_faces[:, 0])
+
+    first = owner[i_idx]
+    i_idx += 1
+    second = owner[i_idx]
+    dual_pairs = np.empty((i_idx.shape[0], 2), dtype=np.int64)
+    np.minimum(first, second, out=dual_pairs[:, 0])
+    np.maximum(first, second, out=dual_pairs[:, 1])
     return bnd_faces, bnd_elem, dual_pairs
 
 
@@ -101,16 +174,17 @@ def csr_from_pairs(
     """Build a CSR adjacency (``ptr``, ``dat``) from (row, value) pairs.
 
     Values within a row keep ascending ``vals`` order, making the structure
-    deterministic.
+    deterministic.  Pairs that already arrive with ``vals`` ascending (both
+    mesh adjacencies do) need only the one stable sort by row.
     """
     rows = np.asarray(rows, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.int64)
-    order = np.lexsort((vals, rows))
-    srows = rows[order]
+    if np.any(vals[1:] < vals[:-1]):
+        by_val = np.argsort(vals, kind="stable")
+        rows, vals = rows[by_val], vals[by_val]
     ptr = np.zeros(nrows + 1, dtype=np.int64)
-    np.add.at(ptr, srows + 1, 1)
-    np.cumsum(ptr, out=ptr)
-    return ptr, vals[order]
+    np.cumsum(np.bincount(rows, minlength=nrows), out=ptr[1:])
+    return ptr, vals[np.argsort(rows, kind="stable")]
 
 
 def invert_to_csr(mapping: np.ndarray, nrows: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,11 +15,24 @@ __all__ = [
 
 def tet_volumes(coords: np.ndarray, elems: np.ndarray) -> np.ndarray:
     """Signed volumes of each tetrahedron (positive = right-handed)."""
-    p = coords[elems]  # (ne, 4, 3)
-    a = p[:, 1] - p[:, 0]
-    b = p[:, 2] - p[:, 0]
-    c = p[:, 3] - p[:, 0]
-    return np.einsum("ij,ij->i", a, np.cross(b, c)) / 6.0
+    coords, elems = np.asarray(coords), np.asarray(elems)
+    p0 = coords[elems[:, 0]]
+    a = coords[elems[:, 1]]
+    a -= p0
+    b = coords[elems[:, 2]]
+    b -= p0
+    c = coords[elems[:, 3]]
+    c -= p0
+    # b × c spelled out: np.cross's own multiplies and subtractions, without
+    # its axis shuffling and temporaries
+    bxc = p0  # p0 has no further reader
+    np.multiply(b[:, 1], c[:, 2], out=bxc[:, 0])
+    bxc[:, 0] -= b[:, 2] * c[:, 1]
+    np.multiply(b[:, 2], c[:, 0], out=bxc[:, 1])
+    bxc[:, 1] -= b[:, 0] * c[:, 2]
+    np.multiply(b[:, 0], c[:, 1], out=bxc[:, 2])
+    bxc[:, 2] -= b[:, 1] * c[:, 0]
+    return np.einsum("ij,ij->i", a, bxc) / 6.0
 
 
 def fix_orientation(coords: np.ndarray, elems: np.ndarray) -> np.ndarray:

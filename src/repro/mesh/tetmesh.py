@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .build import build_edges, build_faces, invert_to_csr
+from .build import build_edges, build_faces, csr_from_pairs, invert_to_csr
 from .geometry import fix_orientation, tet_volumes
 from .topology import LOCAL_EDGES
 
@@ -32,6 +33,14 @@ class TetMesh:
     dual_pairs:
         ``(ni, 2)`` pairs of elements sharing an interior face — the dual
         graph edge list used by the load balancer.
+
+    The arrays above are built eagerly by :meth:`from_elems` — every mesh
+    consumer (adaptor, solver, dual graph) reads them.  The two inverse
+    adjacencies of paper §3 are derived from them on first access and then
+    kept; nothing shipped reads them (only :meth:`edge_elems`,
+    :meth:`vertex_edges` and :meth:`check`), so a mesh that is merely
+    refined, solved on and partitioned never pays for them:
+
     edge2elem_ptr / edge2elem_dat:
         CSR adjacency from each edge to the elements sharing it.
     vert2edge_ptr / vert2edge_dat:
@@ -45,10 +54,6 @@ class TetMesh:
     bnd_faces: np.ndarray = field(repr=False)
     bnd_elem: np.ndarray = field(repr=False)
     dual_pairs: np.ndarray = field(repr=False)
-    edge2elem_ptr: np.ndarray = field(repr=False)
-    edge2elem_dat: np.ndarray = field(repr=False)
-    vert2edge_ptr: np.ndarray = field(repr=False)
-    vert2edge_dat: np.ndarray = field(repr=False)
 
     # --- construction -------------------------------------------------------
 
@@ -56,7 +61,14 @@ class TetMesh:
     def from_elems(
         cls, coords: np.ndarray, elems: np.ndarray, orient: bool = True
     ) -> "TetMesh":
-        """Build the full connectivity from vertices and an element list."""
+        """Build the connectivity from vertices and an element list.
+
+        The only constructor: validates shapes and index range, makes every
+        element right-handed (``orient``), then derives the edge list, the
+        element→edge map, the boundary faces and the dual-graph pairs.  The
+        edge→element and vertex→edge CSR lists are *not* built here; they
+        appear on first access (see the class docstring).
+        """
         coords = np.ascontiguousarray(coords, dtype=np.float64)
         elems = np.ascontiguousarray(elems, dtype=np.int64)
         if coords.ndim != 2 or coords.shape[1] != 3:
@@ -70,12 +82,6 @@ class TetMesh:
             elems = fix_orientation(coords, elems)
         edges, elem2edge = build_edges(elems, nv)
         bnd_faces, bnd_elem, dual_pairs = build_faces(elems, nv)
-        e2e_ptr, e2e_dat = invert_to_csr(elem2edge, edges.shape[0])
-        v2e_pairs = edges.ravel()
-        eids = np.repeat(np.arange(edges.shape[0], dtype=np.int64), 2)
-        from .build import csr_from_pairs
-
-        v2e_ptr, v2e_dat = csr_from_pairs(v2e_pairs, eids, nv)
         return cls(
             coords=coords,
             elems=elems,
@@ -84,11 +90,34 @@ class TetMesh:
             bnd_faces=bnd_faces,
             bnd_elem=bnd_elem,
             dual_pairs=dual_pairs,
-            edge2elem_ptr=e2e_ptr,
-            edge2elem_dat=e2e_dat,
-            vert2edge_ptr=v2e_ptr,
-            vert2edge_dat=v2e_dat,
         )
+
+    # --- adjacency built on demand -------------------------------------------
+
+    @cached_property
+    def _edge2elem(self) -> tuple[np.ndarray, np.ndarray]:
+        return invert_to_csr(self.elem2edge, self.nedges)
+
+    @cached_property
+    def _vert2edge(self) -> tuple[np.ndarray, np.ndarray]:
+        edge_ids = np.repeat(np.arange(self.nedges, dtype=np.int64), 2)
+        return csr_from_pairs(self.edges.ravel(), edge_ids, self.nv)
+
+    @property
+    def edge2elem_ptr(self) -> np.ndarray:
+        return self._edge2elem[0]
+
+    @property
+    def edge2elem_dat(self) -> np.ndarray:
+        return self._edge2elem[1]
+
+    @property
+    def vert2edge_ptr(self) -> np.ndarray:
+        return self._vert2edge[0]
+
+    @property
+    def vert2edge_dat(self) -> np.ndarray:
+        return self._vert2edge[1]
 
     # --- sizes --------------------------------------------------------------
 

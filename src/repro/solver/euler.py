@@ -36,7 +36,7 @@ from repro.mesh.tetmesh import TetMesh
 from repro.mesh.topology import LOCAL_EDGES
 from repro.obs import current_tracer
 
-from .state import GAMMA, max_wave_speed, primitive
+from .state import GAMMA, GasState, gas_state, primitive
 
 __all__ = ["EulerSolver", "dual_volumes", "edge_normals"]
 
@@ -144,7 +144,7 @@ class EulerSolver:
             raise ValueError(
                 f"time_scheme must be euler/rk2/rk3, got {self.time_scheme!r}"
             )
-        self._flux_fn = FLUXES[self.flux]
+        self._edge_flux = FLUXES[self.flux]
         self.q = np.array(self.q, dtype=np.float64)
         if self.q.shape != (self.mesh.nv, 5):
             raise ValueError(
@@ -152,6 +152,13 @@ class EulerSolver:
             )
         self.vol = dual_volumes(self.mesh)
         self.normals = edge_normals(self.mesh)
+        # per-edge constants of every step: interface area, and the edge
+        # endpoints as one lower-then-upper index vector (the scatter order)
+        # whose two halves are the contiguous endpoint columns
+        self._area = np.linalg.norm(self.normals, axis=1)
+        self._ends = self.mesh.edges.T.ravel()
+        self._lo = self._ends[: self.mesh.nedges]
+        self._hi = self._ends[self.mesh.nedges :]
         self._boundary = np.zeros(self.mesh.nv, dtype=bool)
         self._boundary[np.unique(self.mesh.bnd_faces)] = True
         if self.periodic_pairs is not None:
@@ -183,10 +190,16 @@ class EulerSolver:
         return np.flatnonzero(self._boundary)
 
     def residual(self, q: np.ndarray | None = None) -> np.ndarray:
-        """Net flux into each control volume (interior scheme)."""
-        if q is None:
-            q = self.q
-        e = self.mesh.edges
+        """Net flux into each control volume (interior scheme).
+
+        The gas state is evaluated once per side: at the vertices and
+        gathered to the edges for ``order=1``, at the reconstructed edge
+        states for ``order=2``; the flux core reads only those.
+        """
+        return self._residual(self.q if q is None else q)
+
+    def _residual(self, q: np.ndarray, gas: GasState | None = None) -> np.ndarray:
+        """:meth:`residual`; ``gas`` is ``gas_state(q)`` if already known."""
         if self.order == 2:
             from .reconstruct import (
                 limit_barth_jespersen,
@@ -197,19 +210,22 @@ class EulerSolver:
             grads = lsq_gradients(self.mesh, q)
             psi = limit_barth_jespersen(self.mesh, q, grads)
             qL, qR = muscl_edge_states(self.mesh, q, grads, psi)
+            gL, gR = gas_state(qL), gas_state(qR)
         else:
-            qL = q[e[:, 0]]
-            qR = q[e[:, 1]]
-        f = self._flux_fn(qL, qR, self.normals)
+            if gas is None:
+                gas = gas_state(q)
+            qL, qR = q[self._lo], q[self._hi]
+            gL, gR = gas.take(self._lo), gas.take(self._hi)
+        f = self._edge_flux(qL, qR, gL, gR, self.normals, self._area)
         if reference_enabled():
             res = np.zeros_like(q)
-            np.subtract.at(res, e[:, 0], f)
-            np.add.at(res, e[:, 1], f)
+            np.subtract.at(res, self._lo, f)
+            np.add.at(res, self._hi, f)
         else:
             # x - f == x + (-f) bitwise, so one endpoint-major bincount pass
             # reproduces subtract-then-add exactly
             res = scatter_add_rows(
-                e.T.ravel(), np.concatenate([-f, f]), q.shape[0]
+                self._ends, np.concatenate([-f, f]), q.shape[0]
             )
         if self.periodic_pairs is not None:
             # the pair is one control volume: residuals accumulate across
@@ -221,27 +237,34 @@ class EulerSolver:
         return res
 
     def stable_dt(self, cfl: float = 0.5) -> float:
-        """CFL time step from dual volumes, interface areas, wave speeds."""
-        e = self.mesh.edges
-        area = np.linalg.norm(self.normals, axis=1)
-        lam = np.maximum(
-            max_wave_speed(self.q[e[:, 0]]), max_wave_speed(self.q[e[:, 1]])
-        )
+        """CFL time step from dual volumes, interface areas, wave speeds.
+
+        The wave speed ``|v| + c`` is evaluated at the vertices and the
+        larger endpoint value taken per edge.
+        """
+        return self._stable_dt(gas_state(self.q), cfl)
+
+    def _stable_dt(self, gas: GasState, cfl: float) -> float:
+        """:meth:`stable_dt` from the already evaluated ``gas_state(self.q)``."""
+        flow = np.maximum(gas.lam[self._lo], gas.lam[self._hi])
+        flow *= self._area
         if reference_enabled():
             speed_sum = np.zeros(self.mesh.nv)
-            np.add.at(speed_sum, e[:, 0], lam * area)
-            np.add.at(speed_sum, e[:, 1], lam * area)
+            np.add.at(speed_sum, self._lo, flow)
+            np.add.at(speed_sum, self._hi, flow)
         else:
             speed_sum = scatter_add_rows(
-                e.T.ravel(), np.tile(lam * area, 2), self.mesh.nv
+                self._ends, np.tile(flow, 2), self.mesh.nv
             )
         with np.errstate(divide="ignore"):
             dt = self.vol / np.maximum(speed_sum, 1e-300)
         return cfl * float(dt.min())
 
-    def _stage(self, q: np.ndarray, dt: float) -> np.ndarray:
+    def _stage(
+        self, q: np.ndarray, dt: float, gas: GasState | None = None
+    ) -> np.ndarray:
         """One forward-Euler stage q + dt·L(q) with frozen boundaries."""
-        upd = dt * self.residual(q) / self.vol[:, None]
+        upd = dt * self._residual(q, gas) / self.vol[:, None]
         upd[self._boundary] = 0.0
         return q + upd
 
@@ -251,16 +274,17 @@ class EulerSolver:
         Boundary vertices are frozen (far-field Dirichlet).  RK2/RK3 are
         the strong-stability-preserving (Shu–Osher) convex forms.
         """
-        if dt is None:
-            dt = self.stable_dt(cfl)
         q0 = self.q
+        gas = gas_state(q0)  # shared by the CFL bound and the first stage
+        if dt is None:
+            dt = self._stable_dt(gas, cfl)
         if self.time_scheme == "euler":
-            self.q = self._stage(q0, dt)
+            self.q = self._stage(q0, dt, gas)
         elif self.time_scheme == "rk2":
-            q1 = self._stage(q0, dt)
+            q1 = self._stage(q0, dt, gas)
             self.q = 0.5 * q0 + 0.5 * self._stage(q1, dt)
         else:  # rk3
-            q1 = self._stage(q0, dt)
+            q1 = self._stage(q0, dt, gas)
             q2 = 0.75 * q0 + 0.25 * self._stage(q1, dt)
             self.q = q0 / 3.0 + (2.0 / 3.0) * self._stage(q2, dt)
         tracer = current_tracer()

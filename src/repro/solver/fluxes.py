@@ -5,54 +5,74 @@ and maximally dissipative.  HLLC restores the contact wave and is the
 standard choice for production vertex-centered codes; both share the
 interface ``flux(qL, qR, n) -> (nedges, 5)`` with ``n`` the directed dual
 interface areas.
+
+Each flux is one core over *evaluated* states — ``(q, GasState)`` per side
+plus ``n`` and ``‖n‖`` — listed in :data:`FLUXES`.  The solver calls
+the core with states it has evaluated once per step; the public
+``flux(qL, qR, n)`` functions evaluate their arguments and call the same
+core, so there is one implementation of each formula.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .state import GAMMA, max_wave_speed, primitive
+from .state import GasState, gas_state
 
-__all__ = ["rusanov_flux", "hllc_flux", "physical_flux", "FLUXES"]
+__all__ = [
+    "rusanov_flux",
+    "hllc_flux",
+    "physical_flux",
+    "FLUXES",
+]
+
+
+def _physical_flux(q: np.ndarray, g: GasState, n: np.ndarray) -> np.ndarray:
+    """Euler flux of ``q`` (gas state ``g``) projected on ``n``."""
+    vn = np.einsum("ij,ij->i", g.vel, n)
+    f = np.empty_like(q)
+    f[:, 0] = g.rho * vn
+    mom = f[:, 1:4]
+    np.multiply(g.rho[:, None], g.vel, out=mom)
+    mom *= vn[:, None]
+    mom += g.p[:, None] * n
+    f[:, 4] = (q[:, 4] + g.p) * vn
+    return f
 
 
 def physical_flux(q: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Euler flux of states ``q`` projected on directed areas ``n``."""
-    rho, vel, p = primitive(q)
-    vn = np.einsum("ij,ij->i", vel, n)
-    f = np.empty_like(q)
-    f[:, 0] = rho * vn
-    f[:, 1:4] = rho[:, None] * vel * vn[:, None] + p[:, None] * n
-    f[:, 4] = (q[:, 4] + p) * vn
+    q = np.asarray(q, dtype=np.float64)
+    return _physical_flux(q, gas_state(q), n)
+
+
+def _rusanov(
+    qL: np.ndarray, qR: np.ndarray, gL: GasState, gR: GasState,
+    n: np.ndarray, area: np.ndarray,
+) -> np.ndarray:
+    f = _physical_flux(qL, gL, n)
+    f += _physical_flux(qR, gR, n)
+    f *= 0.5
+    half_speed = np.maximum(gL.lam, gR.lam)
+    half_speed *= area
+    half_speed *= 0.5
+    jump = qR - qL
+    jump *= half_speed[:, None]
+    f -= jump
     return f
 
 
-def rusanov_flux(qL: np.ndarray, qR: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Local Lax–Friedrichs: central flux plus |λ|max jump dissipation."""
-    area = np.linalg.norm(n, axis=1)
-    lam = np.maximum(max_wave_speed(qL), max_wave_speed(qR))
-    f = 0.5 * (physical_flux(qL, n) + physical_flux(qR, n))
-    f -= 0.5 * (lam * area)[:, None] * (qR - qL)
-    return f
-
-
-def hllc_flux(qL: np.ndarray, qR: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """HLLC approximate Riemann solver (Toro), per edge.
-
-    Wave speeds from the Einfeldt/Roe-average estimates; the contact wave
-    is resolved explicitly, which makes the scheme markedly less
-    dissipative than Rusanov on contact/shear-dominated flows.
-    """
-    area = np.linalg.norm(n, axis=1)
+def _hllc(
+    qL: np.ndarray, qR: np.ndarray, gL: GasState, gR: GasState,
+    n: np.ndarray, area: np.ndarray,
+) -> np.ndarray:
     safe = np.maximum(area, 1e-300)
     nhat = n / safe[:, None]
 
-    rhoL, velL, pL = primitive(qL)
-    rhoR, velR, pR = primitive(qR)
+    rhoL, velL, pL, cL, _ = gL
+    rhoR, velR, pR, cR, _ = gR
     unL = np.einsum("ij,ij->i", velL, nhat)
     unR = np.einsum("ij,ij->i", velR, nhat)
-    cL = np.sqrt(GAMMA * np.maximum(pL, 1e-300) / rhoL)
-    cR = np.sqrt(GAMMA * np.maximum(pR, 1e-300) / rhoR)
 
     # Einfeldt-style bounds
     sL = np.minimum(unL - cL, unR - cR)
@@ -63,8 +83,8 @@ def hllc_flux(qL: np.ndarray, qR: np.ndarray, n: np.ndarray) -> np.ndarray:
         np.abs(denom) > 1e-300, denom, 1e-300
     )
 
-    fL = physical_flux(qL, nhat)
-    fR = physical_flux(qR, nhat)
+    fL = _physical_flux(qL, gL, nhat)
+    fR = _physical_flux(qR, gR, nhat)
 
     def star_state(q, rho, un, p, s, sm):
         """HLLC star-region state (vector over edges)."""
@@ -99,5 +119,28 @@ def hllc_flux(qL: np.ndarray, qR: np.ndarray, n: np.ndarray) -> np.ndarray:
     return f * area[:, None]
 
 
-#: Registry used by :class:`~repro.solver.euler.EulerSolver`.
-FLUXES = {"rusanov": rusanov_flux, "hllc": hllc_flux}
+#: Registry used by :class:`~repro.solver.euler.EulerSolver`: flux name →
+#: core ``(qL, qR, gL, gR, n, area)`` over evaluated states.
+FLUXES = {"rusanov": _rusanov, "hllc": _hllc}
+
+
+def _evaluated(core, qL: np.ndarray, qR: np.ndarray, n: np.ndarray) -> np.ndarray:
+    qL = np.asarray(qL, dtype=np.float64)
+    qR = np.asarray(qR, dtype=np.float64)
+    return core(qL, qR, gas_state(qL), gas_state(qR), n, np.linalg.norm(n, axis=1))
+
+
+def rusanov_flux(qL: np.ndarray, qR: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Local Lax–Friedrichs: central flux plus |λ|max jump dissipation."""
+    return _evaluated(_rusanov, qL, qR, n)
+
+
+def hllc_flux(qL: np.ndarray, qR: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """HLLC approximate Riemann solver (Toro), per edge.
+
+    Wave speeds from the Einfeldt/Roe-average estimates; the contact wave
+    is resolved explicitly, which makes the scheme markedly less
+    dissipative than Rusanov on contact/shear-dominated flows.
+    """
+    return _evaluated(_hllc, qL, qR, n)
+

@@ -6,11 +6,15 @@ The state vector per vertex is ``[rho, rho*u, rho*v, rho*w, E]`` with
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
     "GAMMA",
+    "GasState",
     "conservative",
+    "gas_state",
     "primitive",
     "pressure",
     "sound_speed",
@@ -43,16 +47,38 @@ def primitive(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rho, vel, p
 
 
+class GasState(NamedTuple):
+    """Everything the fluxes and the CFL bound read from a state array,
+    evaluated once per row by :func:`gas_state`."""
+
+    rho: np.ndarray  #: ``(n,)`` density
+    vel: np.ndarray  #: ``(n, 3)`` velocity
+    p: np.ndarray  #: ``(n,)`` pressure
+    c: np.ndarray  #: ``(n,)`` sound speed
+    lam: np.ndarray  #: ``(n,)`` |v| + c, the Rusanov dissipation speed
+
+    def take(self, rows: np.ndarray) -> "GasState":
+        """The state at ``rows``.  Every field is a row-wise function of
+        ``q``, so gathering the evaluated fields equals — bit for bit —
+        evaluating the gathered ``q[rows]``."""
+        return GasState(*(field[rows] for field in self))
+
+
+def gas_state(q: np.ndarray) -> GasState:
+    """Evaluate (rho, velocity, pressure, c, |v|+c) once for states ``q``."""
+    rho, vel, p = primitive(q)
+    c = np.sqrt(GAMMA * np.maximum(p, 1e-300) / rho)
+    return GasState(rho, vel, p, c, np.linalg.norm(vel, axis=1) + c)
+
+
 def pressure(q: np.ndarray) -> np.ndarray:
     return primitive(q)[2]
 
 
 def sound_speed(q: np.ndarray) -> np.ndarray:
-    rho, _vel, p = primitive(q)
-    return np.sqrt(GAMMA * np.maximum(p, 1e-300) / rho)
+    return gas_state(q).c
 
 
 def max_wave_speed(q: np.ndarray) -> np.ndarray:
     """|v| + c per state — the Rusanov dissipation speed."""
-    _rho, vel, _p = primitive(q)
-    return np.linalg.norm(vel, axis=1) + sound_speed(q)
+    return gas_state(q).lam

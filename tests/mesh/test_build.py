@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.mesh import single_tet, two_tets
-from repro.mesh.build import build_edges, build_faces, csr_from_pairs, invert_to_csr
+from repro.mesh.build import (
+    MAX_NV_EDGES,
+    MAX_NV_FACES,
+    build_edges,
+    build_faces,
+    csr_from_pairs,
+    invert_to_csr,
+)
 
 
 def test_single_tet_counts():
@@ -54,3 +61,37 @@ def test_invert_to_csr_roundtrip():
     # value v -> rows where it appears
     groups = {v: sorted(dat[ptr[v] : ptr[v + 1]].tolist()) for v in range(3)}
     assert groups == {0: [0, 2], 1: [1, 2], 2: [0, 1]}
+
+
+# --- packed keys must not wrap silently -----------------------------------
+
+
+def test_build_faces_rejects_vertex_counts_whose_keys_overflow():
+    elems = np.array([[0, 1, 2, 3]])
+    build_faces(elems, MAX_NV_FACES)  # the limit itself still fits
+    with pytest.raises(ValueError, match=rf"nv = {MAX_NV_FACES + 1}.*{MAX_NV_FACES}"):
+        build_faces(elems, MAX_NV_FACES + 1)
+
+
+def test_build_edges_rejects_vertex_counts_whose_keys_overflow():
+    nv = MAX_NV_EDGES
+    elems = np.array([[0, nv - 3, nv - 2, nv - 1]])  # the largest keys there are
+    edges, _ = build_edges(elems, nv)
+    assert edges.tolist() == [
+        [0, nv - 3], [0, nv - 2], [0, nv - 1],
+        [nv - 3, nv - 2], [nv - 3, nv - 1], [nv - 2, nv - 1],
+    ]
+    with pytest.raises(ValueError, match=rf"nv = {MAX_NV_EDGES + 1}.*{MAX_NV_EDGES}"):
+        build_edges(elems, MAX_NV_EDGES + 1)
+
+
+def test_face_keys_at_the_limit_do_not_wrap():
+    # the three largest vertex ids: the largest key the packing can produce
+    nv = MAX_NV_FACES
+    elems = np.array([[0, nv - 3, nv - 2, nv - 1]])
+    bnd_faces, bnd_elem, dual_pairs = build_faces(elems, nv)
+    assert bnd_faces.tolist() == [
+        [0, nv - 3, nv - 2], [0, nv - 3, nv - 1], [0, nv - 2, nv - 1],
+        [nv - 3, nv - 2, nv - 1],
+    ]
+    assert bnd_elem.tolist() == [0, 0, 0, 0] and dual_pairs.shape == (0, 2)

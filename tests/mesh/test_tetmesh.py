@@ -76,3 +76,64 @@ def test_blade_distance_endpoints():
     blade = BladeSpec(start=(0, 0, 0), end=(1, 0, 0), radius=0.1)
     pts = np.array([[0.5, 0.0, 0.0], [0.5, 2.0, 0.0], [-1.0, 0.0, 0.0]])
     assert blade.distance(pts) == pytest.approx([0.0, 2.0, 1.0])
+
+
+EAGER_ARRAYS = {
+    "coords", "elems", "edges", "elem2edge", "bnd_faces", "bnd_elem", "dual_pairs",
+}
+
+
+def test_inverse_adjacency_is_built_on_first_access_only():
+    m = box_mesh(2, 2, 2)
+    assert set(vars(m)) == EAGER_ARRAYS  # a fresh mesh holds no CSR arrays
+    assert m.edge_elems(0).size > 0
+    assert set(vars(m)) - EAGER_ARRAYS == {"_edge2elem"}
+    assert m.edge2elem_ptr.shape == (m.nedges + 1,)
+    assert m.edge2elem_dat.shape == (6 * m.ne,)
+    assert m.edge2elem_ptr is m.edge2elem_ptr  # built once, then kept
+    assert m.vertex_edges(0).size > 0
+    assert set(vars(m)) - EAGER_ARRAYS == {"_edge2elem", "_vert2edge"}
+    assert m.vert2edge_ptr.shape == (m.nv + 1,)
+    assert m.vert2edge_dat.shape == (2 * m.nedges,)
+    for e in range(m.nedges):
+        for v in m.edges[e]:
+            assert e in m.vertex_edges(v)
+    m.check()
+
+
+#: tracemalloc high-water mark of ``TetMesh.from_elems`` per element, its
+#: seven result arrays (134 B/element) included: measured 260 B/element on
+#: 2·10⁴ … 7·10⁵ tetrahedra (576 before the keys were built in place and the
+#: CSR lists left to first access), pinned with 10 % headroom.
+FROM_ELEMS_PEAK_BYTES_PER_ELEM = 286
+
+
+def test_from_elems_peak_memory_per_element():
+    """Memory as a count: no host timer, and it fails if the temporaries of
+    the connectivity build come back (each fresh page of the high-water mark
+    is wall time on a mesh that has just grown — DESIGN.md §9)."""
+    import tracemalloc
+
+    from repro.adapt import AdaptiveMesh
+
+    rng = np.random.default_rng(1)
+    adaptive = AdaptiveMesh(box_mesh(3, 3, 3))
+    for _ in range(3):
+        error = rng.uniform(size=adaptive.mesh.nedges)
+        adaptive.refine(adaptive.mark(edge_error=error, refine_frac=0.15))
+    coords, elems = adaptive.mesh.coords, adaptive.mesh.elems
+    assert elems.shape[0] == 19889
+
+    already_tracing = tracemalloc.is_tracing()
+    if not already_tracing:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        mesh = TetMesh.from_elems(coords, elems)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not already_tracing:
+            tracemalloc.stop()
+    assert np.array_equal(mesh.elems, elems)
+    assert (peak - before) / mesh.ne <= FROM_ELEMS_PEAK_BYTES_PER_ELEM
