@@ -4,15 +4,19 @@
     python scripts/ab_pairs.py --parent HEAD~1 --workload paper_sweep \
         --seeds 0,3 --pairs 10
 
-extracts the committed files of ``--parent`` into ``.bench_build/``
-(``git archive``: the same new-directory checkout the builder's driver
-measures), then for every seed runs
+puts each side into a new directory under ``.bench_build/`` — the
+committed files of ``--parent`` (``git archive``) and this working tree's
+files, tracked or untracked but not ignored (``git ls-files -co
+--exclude-standard``: what ``git add -A`` would commit) — so that both
+are the fresh checkout the builder's driver measures and neither brings
+caches or scratch files the other lacks.  Then for every seed it runs
 
     benchmarks/e2e/run.py --workload W --seed S --seconds 20 --trace 0
 
 (the seconds are ``BENCHMARK.json``'s ``run_seconds``) ``--pairs`` times
-on the parent and on this working tree, alternating which side goes
-first.  For each end-to-end metric it prints each side's
+on each side, alternating which side goes first.  ``cli_session`` ignores
+the seed (the CLI exposes none), so ``--seeds 0`` is all it needs.
+For each end-to-end metric it prints each side's
 median and quartiles, the change's wins and ties over the pairs, and
 whether the medians differ by more than the parent's inter-quartile
 range — the rule for claiming a gain (at least nine wins in ten, ties
@@ -65,6 +69,19 @@ def checkout(commit: str) -> Path:
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest)
+    return dest
+
+
+def snapshot() -> Path:
+    """The working tree's files, tracked or untracked but not ignored, in
+    a directory of their own."""
+    dest = BUILD / "worktree"
+    shutil.rmtree(dest, ignore_errors=True)
+    for name in git("ls-files", "-co", "--exclude-standard", "-z").split("\0"):
+        source = ROOT / name
+        if source.is_file():  # not the list's empty tail, not a deleted file
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
     return dest
 
 
@@ -175,7 +192,7 @@ def main() -> int:
     head = git("rev-parse", "--short", "HEAD")
     dirty = "+dirty" if git("status", "--porcelain") else ""
     sides = {"parent": (checkout(parent_commit), parent_commit),
-             "change": (ROOT, head + dirty)}
+             "change": (snapshot(), head + dirty)}
     ok = True
     try:
         for seed in seeds:

@@ -64,6 +64,28 @@ import contextlib
 import sys
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not value >= 0.0:  # rejects nan as well
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -110,8 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_tracing(p_report)
 
     p_step = sub.add_parser("step", help="one traced adapt/balance cycle")
-    p_step.add_argument("resolution", nargs="?", type=int, default=6)
-    p_step.add_argument("--nproc", type=int, default=8)
+    p_step.add_argument("resolution", nargs="?", type=_positive_int, default=6)
+    p_step.add_argument("--nproc", type=_positive_int, default=8)
     p_step.add_argument("--strategy", default="Real_2",
                         choices=("Real_1", "Real_2", "Real_3"))
     p_step.add_argument(
@@ -130,8 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "calibrate",
         help="measured-vs-modelled phase times on the exec-phase workload",
     )
-    p_cal.add_argument("resolution", nargs="?", type=int, default=4)
-    p_cal.add_argument("--nproc", type=int, default=4)
+    p_cal.add_argument("resolution", nargs="?", type=_positive_int, default=4)
+    p_cal.add_argument("--nproc", type=_positive_int, default=4)
     p_cal.add_argument(
         "--backend", action="append", default=None, metavar="NAME",
         help="measured backend(s) to compare against 'virtual' "
@@ -181,7 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="weak-scaling sweep of the VM scheduler (1k-16k virtual ranks)",
     )
     p_scale.add_argument(
-        "--ranks", type=int, action="append", default=None, metavar="P",
+        "--ranks", type=_positive_int, action="append", default=None,
+        metavar="P",
         help="virtual rank count to measure (repeatable; "
              "default: 1024 4096 16384)",
     )
@@ -189,11 +212,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="propagation rounds per cycle")
     p_scale.add_argument("--halo-words", type=int, default=64,
                          help="words per halo message")
-    p_scale.add_argument("--work-units", type=float, default=200.0,
+    p_scale.add_argument("--work-units", type=_non_negative_float, default=200.0,
                          help="mean compute units per rank per round")
 
     p_case = sub.add_parser("case", help="print case sizes and growth factors")
-    p_case.add_argument("resolution", nargs="?", type=int, default=8)
+    p_case.add_argument("resolution", nargs="?", type=_positive_int, default=8)
 
     p_runs = sub.add_parser(
         "runs", help="query the cross-run history store (.repro_runs/)"
@@ -245,6 +268,22 @@ def _export(tracer, trace_out: str | None, chrome_out: str | None,
               "(open in chrome://tracing or ui.perfetto.dev)")
 
 
+def _writable(*paths: str | None) -> bool:
+    """Can every output path that was given be opened for writing?  Asked
+    before the run starts, so that a mistyped directory costs no work; the
+    first that cannot prints one ``error:`` line to stderr (the caller
+    exits 2 with nothing on stdout).  The probe leaves a missing file
+    behind empty, for the run to fill."""
+    for path in filter(None, paths):
+        try:
+            with open(path, "a"):
+                pass
+        except OSError as exc:
+            print(f"error: {path}: {exc.strerror}", file=sys.stderr)
+            return False
+    return True
+
+
 @contextlib.contextmanager
 def _sampled_host(tracer):
     """Sample the host process's resources into ``tracer`` (None: no-op).
@@ -272,6 +311,12 @@ def _cmd_report(args) -> int:
         resolution = int(args.target)
     except ValueError:
         return _cmd_trace_report(args)
+    if resolution < 1:
+        print(f"error: expected a positive resolution or a trace path, "
+              f"got {args.target!r}", file=sys.stderr)
+        return 2
+    if not _writable(args.trace_out, args.chrome_out):
+        return 2
 
     from repro.experiments.report import run_all
     from repro.obs import Tracer
@@ -299,10 +344,14 @@ def _cmd_trace_report(args) -> int:
     tracer = _read_trace(path)
     if tracer is None:
         return 2
-    if args.fmt in ("ascii", "both"):
-        print(render_ascii(tracer, source=path, top=args.top), end="")
+    out = None
     if args.fmt in ("html", "both"):
         out = args.out or os.path.splitext(path)[0] + ".html"
+        if not _writable(out):
+            return 2
+    if args.fmt in ("ascii", "both"):
+        print(render_ascii(tracer, source=path, top=args.top), end="")
+    if out is not None:
         with open(out, "w") as fh:
             fh.write(render_html(tracer, source=path, top=args.top))
         print(f"wrote HTML report to {out}")
@@ -310,6 +359,9 @@ def _cmd_trace_report(args) -> int:
 
 
 def _cmd_step(args) -> int:
+    if not _writable(args.trace_out, args.chrome_out):
+        return 2
+
     from repro.core import CostModel, LoadBalancedAdaptiveSolver
     from repro.experiments import make_case
     from repro.experiments.report import format_counters
@@ -376,6 +428,8 @@ def _cmd_calibrate(args) -> int:
             )
             return 2
         backends = tuple(b for b in backends if b != "virtual")
+    if not _writable(args.trace_out, args.chrome_out):
+        return 2
     tracing = bool(args.trace_out or args.chrome_out)
     tracer = Tracer() if tracing else None
     with _sampled_host(tracer):
@@ -507,6 +561,14 @@ def _cmd_scale(args) -> int:
 
 
 def _cmd_case(args) -> int:
+    # Reach scipy.optimize from here, the stack depth `step` reaches it
+    # from, not two imports further down through experiments.sweep:
+    # CPython 3.11 maps and unmaps a 16 kB frame-stack chunk on every call
+    # that straddles a chunk boundary, and scipy.special's import-time
+    # docstring loop sat on one from there (24 k mmap/munmap pairs,
+    # +0.15 s; DESIGN.md §9).
+    import repro.core  # noqa: F401
+
     from repro.experiments import CASE_NAMES, make_case
     from repro.experiments.sweep import growth_factor
 

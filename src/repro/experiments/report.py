@@ -11,6 +11,7 @@ import sys
 from contextlib import nullcontext
 
 from repro.obs import Tracer, use_tracer
+from repro.obs.ascii_plot import ascii_chart
 
 from .cases import CASE_NAMES, REAL_FRACTIONS, make_case
 from .figures import (
@@ -111,8 +112,6 @@ def _run_all(resolution: int, tracer: Tracer | None) -> str:
     for name, modes in fig4.items():
         for mode, series in modes.items():
             out.append(f"  {name:7s} {mode:6s}: {format_series(series, '6.1f')}")
-    from .ascii_plot import ascii_chart
-
     out.append("")
     out.append(ascii_chart(
         {f"{n}/{m}": s for n, ms in fig4.items() for m, s in ms.items()},

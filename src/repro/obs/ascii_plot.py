@@ -1,33 +1,19 @@
-"""Plain-text charts for the experiment reports.
+"""Plain-text charts for the run and experiment reports.
 
 The paper's figures are log/linear line plots over processor counts; in a
 terminal-only reproduction we render the same series as aligned ASCII
 charts so shapes (crossovers, saturation, U-curves) are visible at a
-glance in ``python -m repro report`` output and in EXPERIMENTS.md.
+glance in ``python -m repro report`` output and in EXPERIMENTS.md.  The
+module is standard library only and lives in :mod:`repro.obs`, the lower
+layer: the run report here and the experiment harness's report one layer
+up both draw with it.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["ascii_chart", "sparkline"]
-
-_TICKS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values, log: bool = False) -> str:
-    """One-line bar chart of a numeric sequence."""
-    vals = [float(v) for v in values]
-    if not vals:
-        return ""
-    if log:
-        vals = [math.log10(max(v, 1e-12)) for v in vals]
-    lo, hi = min(vals), max(vals)
-    span = hi - lo
-    if span <= 0:
-        return _TICKS[0] * len(vals)
-    idx = [min(int((v - lo) / span * len(_TICKS)), len(_TICKS) - 1) for v in vals]
-    return "".join(_TICKS[i] for i in idx)
+__all__ = ["ascii_chart"]
 
 
 def ascii_chart(

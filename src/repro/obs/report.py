@@ -5,7 +5,7 @@ carries the full labelled metric registry — per-cycle partition quality,
 reassignment cost, remap traffic, and per-rank virtual-machine traffic.
 :func:`render_ascii` prints the paper's quality-of-balance quantities as
 aligned tables plus cycle-over-cycle charts
-(:func:`repro.experiments.ascii_plot.ascii_chart`); :func:`render_html`
+(:func:`repro.obs.ascii_plot.ascii_chart`); :func:`render_html`
 emits a single self-contained HTML file with stat tiles, SVG line charts,
 a per-rank timeline, a critical-path lane with per-rank slack bars
 (from the causal record, when the trace carries one), and a top-span
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import html as _html
 
+from .ascii_plot import ascii_chart
 from .tracer import Tracer
 
 __all__ = ["render_ascii", "render_html"]
@@ -233,8 +234,6 @@ def _rank_path_stats(analysis) -> tuple[dict[int, float], dict[int, float]]:
 
 def render_ascii(tracer: Tracer, source: str = "", top: int = 10) -> str:
     """Render the trace as an ASCII dashboard (tables + charts)."""
-    from repro.experiments.ascii_plot import ascii_chart
-
     reg = tracer.metrics
     cycles = reg.cycles()
     rows = _cycle_rows(tracer)

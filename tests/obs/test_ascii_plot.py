@@ -1,26 +1,6 @@
 """ASCII chart rendering."""
 
-from repro.experiments.ascii_plot import ascii_chart, sparkline
-
-
-def test_sparkline_monotone():
-    s = sparkline([1, 2, 3, 4, 5])
-    assert len(s) == 5
-    assert s[0] == "▁" and s[-1] == "█"
-    assert s == "".join(sorted(s))
-
-
-def test_sparkline_flat_and_empty():
-    assert sparkline([]) == ""
-    assert sparkline([3, 3, 3]) == "▁▁▁"
-
-
-def test_sparkline_log_scale():
-    lin = sparkline([1, 10, 100, 1000])
-    log = sparkline([1, 10, 100, 1000], log=True)
-    # log scale spaces the decades evenly
-    assert log == "▁▃▅█" or log[0] == "▁"
-    assert lin[0] == lin[1]  # 1 and 10 collapse on a linear axis to 1000
+from repro.obs.ascii_plot import ascii_chart
 
 
 def test_ascii_chart_structure():
