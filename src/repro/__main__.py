@@ -366,8 +366,13 @@ def _cmd_step(args) -> int:
     from repro.experiments import make_case
     from repro.experiments.report import format_counters
     from repro.obs import Tracer
-    from repro.parallel import SP2_1997
+    from repro.parallel import SP2_1997, backend_factory
 
+    try:
+        backend_factory(args.backend)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     case = make_case(args.resolution)
     tracer = Tracer()
     tracing = bool(args.trace_out or args.chrome_out)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels import reference_enabled
 from repro.mesh.tetmesh import TetMesh
 from repro.parallel.ledger import CostLedger
 
@@ -182,7 +181,7 @@ def propagate_markings(
         # the ordered rank-pair table is hoisted here so each round's charge
         # is a bincount instead of a Python loop over edges × SPL pairs
         edge_ranks = _edge_rank_incidence(mesh, part)
-        edge_rank_pairs = None if reference_enabled() else _edge_rank_pairs(edge_ranks)
+        edge_rank_pairs = _edge_rank_pairs(edge_ranks)
 
     patterns = element_patterns(mesh, edge_marked)
     iterations = 0
@@ -266,34 +265,19 @@ def _edge_rank_pairs(edge_ranks):
 
 
 def _charge_shared_exchange(
-    ledger: CostLedger, edge_ranks, newly: np.ndarray, pairs=None
+    ledger: CostLedger, edge_ranks, newly: np.ndarray, pairs
 ):
     """Charge one message per (owner, neighbour) partition pair carrying the
-    newly-marked shared edges between them (1 word per edge id)."""
-    e_ids, r_ids = edge_ranks
-    sel = newly[e_ids]
-    if not sel.any():
+    newly-marked shared edges between them (1 word per edge id): every rank
+    touching an edge sends its local copy's id to every other rank in the
+    edge's SPL.  ``pairs`` is :func:`_edge_rank_pairs` of ``edge_ranks``."""
+    e_ids, _r_ids = edge_ranks
+    if not newly[e_ids].any():
         return
     nr = ledger.nranks
-    if pairs is not None and not reference_enabled():
-        src, dst, pair_edge = pairs
-        psel = newly[pair_edge]
-        volume = np.bincount(
-            src[psel] * nr + dst[psel], minlength=nr * nr
-        ).reshape(nr, nr)
-        ledger.add_exchange(volume)
-        return
-    es, rs = e_ids[sel], r_ids[sel]
-    # count newly-marked shared edges per rank pair: every rank touching the
-    # edge sends its local copy's id to every other rank in the edge's SPL
-    # group by edge: ranks of each edge are contiguous in es/rs
-    starts = np.flatnonzero(np.r_[True, es[1:] != es[:-1]])
-    ends = np.r_[starts[1:], es.shape[0]]
-    volume = np.zeros((nr, nr), dtype=np.int64)
-    for s, e in zip(starts, ends):
-        ranks = rs[s:e]
-        for i in ranks:
-            for j in ranks:
-                if i != j:
-                    volume[i, j] += 1
+    src, dst, pair_edge = pairs
+    psel = newly[pair_edge]
+    volume = np.bincount(
+        src[psel] * nr + dst[psel], minlength=nr * nr
+    ).reshape(nr, nr)
     ledger.add_exchange(volume)

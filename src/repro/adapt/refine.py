@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels import reference_enabled
 from repro.mesh.tetmesh import TetMesh
 from repro.mesh.topology import (
     FACE_EDGE_MASKS,
@@ -193,10 +192,7 @@ def subdivide(
     ev = mesh.elems  # (ne, 4)
     em = midpoint_of[mesh.elem2edge]  # (ne, 6), -1 where edge unbisected
 
-    if reference_enabled():
-        new_elems, parent = _assemble_children_reference(ev, em, patterns, new_coords)
-    else:
-        new_elems, parent = _assemble_children(ev, em, patterns, new_coords)
+    new_elems, parent = _assemble_children(ev, em, patterns, new_coords)
     # group children contiguously by parent element (stable order within)
     order = np.argsort(parent, kind="stable")
     new_elems = new_elems[order]
@@ -288,7 +284,8 @@ def _assemble_children(
     ``vm`` concatenates parent corners and edge midpoints into one 10-wide
     row per element, so every pattern group becomes a single gather
     ``vm[idx][:, table]``; transposing to (child, element, 4) before the
-    reshape reproduces the reference's child-major concatenation order.
+    reshape gives the child-major order of concatenating one column stack
+    per child (the oracle in ``tests/kernels/oracles.py``).
     """
     vm = np.concatenate([ev, em], axis=1)  # (ne, 10)
     # seed with empties so meshes with no elements still assemble
@@ -321,94 +318,5 @@ def _assemble_children(
             kids = vm8[seld][:, _OCTA_TABLES[d]]
             chunks.append(kids.transpose(1, 0, 2).reshape(-1, 4))
             parents.append(np.tile(idx8[seld], 4))
-
-    return np.concatenate(chunks), np.concatenate(parents)
-
-
-def _assemble_children_reference(
-    ev: np.ndarray,
-    em: np.ndarray,
-    patterns: np.ndarray,
-    new_coords: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reference assembly: per-pattern column stacks (one array op per child)."""
-    chunks: list[np.ndarray] = [np.empty((0, 4), dtype=np.int64)]
-    parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-
-    # unrefined elements pass through
-    keep = patterns == 0
-    if keep.any():
-        chunks.append(ev[keep])
-        parents.append(np.flatnonzero(keep))
-
-    # 1:2 — one marked edge e=(a,b): children swap one endpoint for m
-    for le in range(6):
-        sel = patterns == (1 << le)
-        if not sel.any():
-            continue
-        idx = np.flatnonzero(sel)
-        a, b = LOCAL_EDGES[le]
-        m = em[idx, le]
-        c1 = ev[idx].copy()
-        c1[:, b] = m
-        c2 = ev[idx].copy()
-        c2[:, a] = m
-        chunks.append(np.concatenate([c1, c2]))
-        parents.append(np.tile(idx, 2))
-
-    # 1:4 — one marked face (A,B,C), apex D
-    for f in range(4):
-        sel = patterns == int(FACE_EDGE_MASKS[f])
-        if not sel.any():
-            continue
-        idx = np.flatnonzero(sel)
-        A, B, C = LOCAL_FACES[f]
-        D = (set(range(4)) - {int(A), int(B), int(C)}).pop()
-        eAB, eAC, eBC = FACE_EDGES[f]
-        vA, vB, vC, vD = ev[idx, A], ev[idx, B], ev[idx, C], ev[idx, D]
-        mAB, mAC, mBC = em[idx, eAB], em[idx, eAC], em[idx, eBC]
-        kids = np.concatenate(
-            [
-                np.column_stack([vA, mAB, mAC, vD]),
-                np.column_stack([vB, mAB, mBC, vD]),
-                np.column_stack([vC, mAC, mBC, vD]),
-                np.column_stack([mAB, mBC, mAC, vD]),
-            ]
-        )
-        chunks.append(kids)
-        parents.append(np.tile(idx, 4))
-
-    # 1:8 — isotropic; split the inner octahedron on its shortest diagonal
-    sel8 = patterns == 0b111111
-    if sel8.any():
-        idx8 = np.flatnonzero(sel8)
-        mids = em[idx8]  # (n8, 6), all valid
-        diag = _shortest_diagonals(mids, new_coords)
-        # four corner tets (same for every diagonal choice)
-        corner_local_edges = [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)]
-        kids = [
-            np.column_stack(
-                [ev[idx8, c], mids[:, e0], mids[:, e1], mids[:, e2]]
-            )
-            for c, (e0, e1, e2) in enumerate(corner_local_edges)
-        ]
-        chunks.append(np.concatenate(kids))
-        parents.append(np.tile(idx8, 4))
-        for d in range(3):
-            seld = diag == d
-            if not seld.any():
-                continue
-            idxd = idx8[seld]
-            md = mids[seld]
-            o = OPPOSITE_EDGE[d]
-            cyc = _DIAG_CYCLE[d]
-            oct_kids = [
-                np.column_stack(
-                    [md[:, d], md[:, o], md[:, cyc[k]], md[:, cyc[(k + 1) % 4]]]
-                )
-                for k in range(4)
-            ]
-            chunks.append(np.concatenate(oct_kids))
-            parents.append(np.tile(idxd, 4))
 
     return np.concatenate(chunks), np.concatenate(parents)

@@ -14,8 +14,6 @@ from .evaluate import load_imbalance, needs_repartition
 from .framework import LoadBalancedAdaptiveSolver, StepReport
 from .metrics import RemapStats, remap_stats
 from .reassign import (
-    brute_force_maxv,
-    brute_force_totalv,
     heuristic_mwbg,
     objective_value,
     optimal_bmcm,
@@ -32,8 +30,6 @@ __all__ = [
     "RemapExecution",
     "RemapStats",
     "StepReport",
-    "brute_force_maxv",
-    "brute_force_totalv",
     "build_move_matrix",
     "charge_gather_scatter",
     "combined_cost",

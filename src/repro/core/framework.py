@@ -23,6 +23,7 @@ from repro.adapt.marking import MarkingResult
 from repro.adapt.stats import marking_stats
 from repro.mesh.tetmesh import TetMesh
 from repro.obs import Span, Tracer, current_tracer
+from repro.parallel.backends import backend_factory
 from repro.parallel.ledger import CostLedger
 from repro.parallel.machine import MachineModel, SP2_1997
 from repro.partition import quality as pq
@@ -183,6 +184,8 @@ class LoadBalancedAdaptiveSolver:
             )
         if remap_when not in ("before", "after"):
             raise ValueError(f"remap_when must be 'before' or 'after', got {remap_when!r}")
+        if isinstance(backend, str):
+            backend_factory(backend)  # unknown name: fail now, not at the first remap
         self.adaptive = mesh if isinstance(mesh, AdaptiveMesh) else AdaptiveMesh(
             mesh, solution
         )

@@ -36,8 +36,6 @@ __all__ = [
     "optimal_bmcm",
     "objective_value",
     "reassignment_time",
-    "brute_force_totalv",
-    "brute_force_maxv",
 ]
 
 #: Work units per similarity entry in the O(E log E) sort (§4.4).
@@ -170,35 +168,3 @@ def _perfect_matching(mask: np.ndarray) -> np.ndarray:
     if np.any(m < 0):
         raise RuntimeError("expected a perfect matching")
     return m
-
-
-# --- exhaustive references for tests ---------------------------------------
-
-
-def brute_force_totalv(S: np.ndarray) -> int:
-    """Optimal TotalV objective by enumeration (tests only; F = 1, small P)."""
-    from itertools import permutations
-
-    S = np.asarray(S)
-    n = S.shape[0]
-    return max(
-        sum(int(S[p[j], j]) for j in range(n)) for p in permutations(range(n))
-    )
-
-
-def brute_force_maxv(S: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -> float:
-    """Optimal MaxV bottleneck by enumeration (tests only)."""
-    from itertools import permutations
-
-    S = np.asarray(S)
-    n = S.shape[0]
-    row = S.sum(axis=1)
-    col = S.sum(axis=0)
-    best = np.inf
-    for p in permutations(range(n)):
-        worst = max(
-            max(alpha * (row[p[j]] - S[p[j], j]), beta * (col[j] - S[p[j], j]))
-            for j in range(n)
-        )
-        best = min(best, worst)
-    return float(best)

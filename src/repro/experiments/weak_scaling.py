@@ -177,12 +177,7 @@ def measure_point(
                      work_units=work_units, machine=machine, trace=trace)
     wall = time.perf_counter() - t0
     rec = res._record
-    if rec is not None:
-        ops = rec.nnodes
-    elif res.nodes is not None:  # the reference scheduler records eagerly
-        ops = len(res.nodes)
-    else:
-        ops = 0
+    ops = rec.nnodes if rec is not None else 0
     return ScalePoint(
         nranks=nranks,
         wall_seconds=wall,

@@ -25,6 +25,7 @@ from .runtime import (
 from .simcomm import Comm, Request, SubComm
 from .backends import (
     available_backends,
+    backend_factory,
     create_communicator,
     register_backend,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "SP2_1997",
     "VirtualMachine",
     "available_backends",
+    "backend_factory",
     "create_communicator",
     "per_rank",
     "register_backend",

@@ -47,6 +47,7 @@ from ..machine import SP2_1997, MachineModel
 
 __all__ = [
     "available_backends",
+    "backend_factory",
     "create_communicator",
     "register_backend",
     "resolve_backend",
@@ -81,6 +82,22 @@ def available_backends() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
+def backend_factory(name: str) -> Callable:
+    """The factory registered under ``name``; ``ValueError`` naming the
+    available backends if there is none.  Callers that take a backend
+    name long before they run anything on it check it with this."""
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        hint = ""
+        if name == "mpi4py":
+            hint = " (the mpi4py backend registers only when mpi4py is importable)"
+        raise ValueError(
+            f"unknown communicator backend {name!r}; available: "
+            f"{', '.join(available_backends())}{hint}"
+        ) from None
+
+
 def create_communicator(
     name: str = "virtual",
     nranks: int = 1,
@@ -94,17 +111,7 @@ def create_communicator(
     Additional keywords are passed to the backend factory (e.g.
     ``tracer=`` for ``virtual``, ``timeout=`` for ``multiprocessing``).
     """
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        hint = ""
-        if name == "mpi4py":
-            hint = " (the mpi4py backend registers only when mpi4py is importable)"
-        raise ValueError(
-            f"unknown communicator backend {name!r}; available: "
-            f"{', '.join(available_backends())}{hint}"
-        ) from None
-    return factory(nranks, machine=machine, **opts)
+    return backend_factory(name)(nranks, machine=machine, **opts)
 
 
 def resolve_backend(

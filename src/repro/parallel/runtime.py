@@ -13,15 +13,14 @@ and charges the receiver a posting overhead.  Messages between a fixed
 (source, dest, tag) triple are delivered in FIFO order, and scheduling
 ties are broken by rank id, so runs are fully deterministic.
 
-Two scheduler implementations produce bit-identical results (see
-DESIGN.md §13): the optimized path dispatches ops through a type-keyed
-table, batches same-timestamp ready ranks without re-heapifying per op,
-and records the happens-before record into flat columns
-(:class:`_VMRecord`), materializing :class:`~repro.obs.causal.CausalNode`
-/ :class:`~repro.obs.causal.CausalMsg` objects lazily; the reference path
-(the tests' oracle, selected as :mod:`repro.kernels` describes) steps one
-op per heap pop through an ``isinstance`` chain and allocates every
-record object eagerly.
+The scheduler (DESIGN.md §13) dispatches ops through a type-keyed table,
+batches same-timestamp ready ranks without re-heapifying per op, and
+records the happens-before record into flat columns (:class:`_VMRecord`),
+materializing :class:`~repro.obs.causal.CausalNode` /
+:class:`~repro.obs.causal.CausalMsg` objects lazily.  The
+one-op-per-heap-pop scheduler it replaced, with its list mailbox and
+eager object record, is the oracle in ``tests/kernels/oracles.py``; the
+two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -30,13 +29,11 @@ import gc
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.kernels import reference_enabled
-
-from .machine import MachineModel, SP2_1997, word_count
+from .machine import MachineModel, SP2_1997
 
 __all__ = ["VirtualMachine", "RunResult", "DeadlockError", "ANY"]
 
@@ -232,74 +229,9 @@ class _IndexedMailbox:
             yield from bucket
 
 
-class _ListMailbox:
-    """Reference mailbox: one list, linear scan on every recv/probe."""
-
-    __slots__ = ("_msgs",)
-
-    def __init__(self):
-        self._msgs: list[_Message] = []
-
-    def __len__(self) -> int:
-        return len(self._msgs)
-
-    def add(self, msg: _Message) -> None:
-        self._msgs.append(msg)
-
-    def has_match(self, source: int, tag: int) -> bool:
-        return any(
-            (source in (ANY, m.source)) and (tag in (ANY, m.tag))
-            for m in self._msgs
-        )
-
-    def pop_match(
-        self, source: int, tag: int, max_arrival: float | None = None
-    ) -> _Message | None:
-        # removal is by index, never by equality: ``list.remove`` would
-        # invoke the dataclass ``__eq__``, which both raises on ndarray
-        # payloads and can remove a different-but-equal message
-        best = None
-        best_i = -1
-        for i, m in enumerate(self._msgs):
-            if (source not in (ANY, m.source)) or (tag not in (ANY, m.tag)):
-                continue
-            if max_arrival is not None and m.arrival > max_arrival:
-                continue
-            if best is None or m.seq < best.seq:
-                best, best_i = m, i
-        if best is not None:
-            del self._msgs[best_i]
-        return best
-
-    def messages(self):
-        return iter(self._msgs)
-
-
-@dataclass
-class _Rank:
-    """Reference-path per-rank state (the optimized path keeps the same
-    quantities in parallel per-rank arrays instead)."""
-
-    rank: int
-    gen: Iterator
-    clock: float = 0.0
-    blocked_on: RecvOp | None = None
-    done: bool = False
-    retval: Any = None
-    send_value: Any = None  # value to inject at the next generator step
-    mailbox: _IndexedMailbox | _ListMailbox | None = None
-    words_sent: int = 0
-    msgs_sent: int = 0
-    words_recv: int = 0
-    msgs_recv: int = 0
-    data_msgs_sent: int = 0  # payload-bearing sends (nwords > 0)
-    data_msgs_recv: int = 0
-    waited: float = 0.0  # virtual seconds blocked waiting for arrivals
-
-
 class _BlockedView:
-    """Duck-typed stand-in for :class:`_Rank` in deadlock reporting, built
-    from the optimized path's per-rank arrays."""
+    """One stuck rank for deadlock reporting, built from the scheduler's
+    per-rank arrays."""
 
     __slots__ = ("rank", "blocked_on", "mailbox")
 
@@ -332,7 +264,7 @@ ProbeOp._code = _PROBE
 class _VMRecord:
     """Columnar happens-before record of one VM run.
 
-    The optimized scheduler appends every operation into flat typed
+    The scheduler appends every operation into flat typed
     columns instead of allocating a ``CausalNode`` per op; the object
     views are materialized lazily (and memoized) only when
     :mod:`repro.obs.causal`, the exporters, or ``RunResult.nodes`` /
@@ -360,10 +292,6 @@ class _VMRecord:
     @property
     def nnodes(self) -> int:
         return len(self.nd) // 6
-
-    @property
-    def nmsgs(self) -> int:
-        return len(self.ms_i) // 6
 
     def causal_nodes(self) -> list:
         """Materialize (and memoize) the ``CausalNode`` view."""
@@ -404,10 +332,10 @@ class _VMRecord:
 class RunResult:
     """Outcome of a :meth:`VirtualMachine.run` call.
 
-    ``nodes`` and ``msgs`` are materialized lazily from the optimized
-    scheduler's columnar record on first access; results built directly
-    (reference path, real-execution backends) store the object lists
-    eagerly.
+    ``nodes`` and ``msgs`` are materialized lazily from the scheduler's
+    columnar record on first access; results built directly (the
+    real-execution backends, the tests' oracle scheduler) store the
+    object lists eagerly.
     """
 
     __slots__ = (
@@ -542,17 +470,16 @@ class VirtualMachine:
                     f"(got {type(gen).__name__} from {program!r})"
                 )
             gens.append(gen)
-        if reference_enabled():
-            return self._run_reference(gens)
         return self._run_fast(gens)
 
-    # --- optimized scheduler ------------------------------------------------
+    # --- scheduler ----------------------------------------------------------
 
     def _run_fast(self, gens: list) -> RunResult:
         """Batched, table-dispatched scheduler over per-rank arrays.
 
-        Invariants shared with the reference path (and why the results
-        are bit-identical):
+        Invariants shared with the oracle scheduler in
+        ``tests/kernels/oracles.py`` (and why the results are
+        bit-identical):
 
         * every live, runnable rank has exactly one ``(clock, rank)``
           entry in the ready heap, so after executing an op the current
@@ -562,7 +489,7 @@ class VirtualMachine:
           than the sender's, so the batch never overtakes a rank it
           just unblocked);
         * all clock arithmetic is the same float expressions, in the
-          same order, as the reference scheduler;
+          same order, as the oracle scheduler;
         * node id == append order, msg id == ``seq - 1``, and a consumed
           message's ``recv_node`` is the id of the recv/probe node that
           popped it — identical to the eager record.
@@ -866,7 +793,7 @@ class VirtualMachine:
             # side-channel, so the full node table is never converted to
             # float64 inside the run.
             # np.bincount adds its weights in element (= node) order, the
-            # same order the reference path's per-rank ``+=`` sees, so
+            # same order the oracle scheduler's per-rank ``+=`` sees, so
             # the float ``waited`` sums are bit-identical (the skipped
             # zero waits would each have added exactly +0.0).
             if wt:
@@ -942,166 +869,7 @@ class VirtualMachine:
             record=rec,
         )
 
-    # --- reference scheduler ------------------------------------------------
-
-    def _run_reference(self, gens: list) -> RunResult:
-        """One-op-per-heap-pop scheduler with eager object records."""
-        from repro.obs.causal import CausalMsg, CausalNode
-
-        ranks = [
-            _Rank(r, gen, mailbox=_ListMailbox())
-            for r, gen in enumerate(gens)
-        ]
-        ready: list[tuple[float, int]] = [(0.0, r) for r in range(self.nranks)]
-        heapq.heapify(ready)
-        seq = 0
-        nodes: list | None = None
-        msgs_rec: list | None = None
-        if self.trace or self.tracer is not None:
-            nodes, msgs_rec = [], []
-
-        while ready:
-            clock, r = heapq.heappop(ready)
-            st = ranks[r]
-            if st.done:
-                continue
-            st.clock = max(st.clock, clock)
-            try:
-                op = st.gen.send(st.send_value)
-            except StopIteration as stop:
-                st.done = True
-                st.retval = stop.value
-                continue
-            st.send_value = None
-
-            if isinstance(op, WorkOp):
-                t0 = st.clock
-                st.clock += self.machine.work_time(op.units)
-                if nodes is not None:
-                    nodes.append(CausalNode(-1, len(nodes), r, "work",
-                                            t0, st.clock))
-                heapq.heappush(ready, (st.clock, r))
-            elif isinstance(op, ElapseOp):
-                if op.seconds < 0:
-                    raise ValueError(f"negative elapse: {op.seconds}")
-                t0 = st.clock
-                st.clock += op.seconds
-                if nodes is not None:
-                    nodes.append(CausalNode(-1, len(nodes), r, "elapse",
-                                            t0, st.clock))
-                heapq.heappush(ready, (st.clock, r))
-            elif isinstance(op, SendOp):
-                if not 0 <= op.dest < self.nranks:
-                    raise ValueError(f"rank {r}: send to invalid rank {op.dest}")
-                t0 = st.clock
-                st.clock += self.machine.msg_time(op.nwords)
-                st.words_sent += op.nwords
-                st.msgs_sent += 1
-                if op.nwords > 0:
-                    st.data_msgs_sent += 1
-                seq += 1
-                if nodes is not None:
-                    # msg id == seq - 1: both advance once per send
-                    nodes.append(CausalNode(-1, len(nodes), r, "send",
-                                            t0, st.clock, msg=len(msgs_rec)))
-                    msgs_rec.append(
-                        CausalMsg(-1, len(msgs_rec), r, op.dest, op.tag,
-                                  op.nwords, send_node=len(nodes) - 1)
-                    )
-                msg = _Message(r, op.tag, op.payload, op.nwords, st.clock, seq)
-                dst = ranks[op.dest]
-                dst.mailbox.add(msg)
-                if dst.blocked_on is not None and self._matches(dst.blocked_on, msg):
-                    self._deliver(dst, ready, nodes, msgs_rec)
-                heapq.heappush(ready, (st.clock, r))
-            elif isinstance(op, ProbeOp):
-                t0 = st.clock
-                msg = st.mailbox.pop_match(
-                    op.source, op.tag, max_arrival=st.clock
-                )
-                # the mailbox check costs t_setup whether or not it matches
-                st.clock += self.machine.t_setup
-                if msg is not None:
-                    st.words_recv += msg.nwords
-                    st.msgs_recv += 1
-                    if msg.nwords > 0:
-                        st.data_msgs_recv += 1
-                    st.send_value = (True, (msg.payload, msg.source, msg.tag))
-                else:
-                    st.send_value = (False, None)
-                if nodes is not None:
-                    mid = None if msg is None else msg.seq - 1
-                    if mid is not None:
-                        msgs_rec[mid].recv_node = len(nodes)
-                    nodes.append(CausalNode(-1, len(nodes), r, "probe",
-                                            t0, st.clock, msg=mid))
-                heapq.heappush(ready, (st.clock, r))
-            elif isinstance(op, RecvOp):
-                st.blocked_on = op
-                if st.mailbox.has_match(op.source, op.tag):
-                    self._deliver(st, ready, nodes, msgs_rec)
-                # else: stays blocked until a matching send arrives
-            else:
-                raise TypeError(f"rank {r} yielded unknown op {op!r}")
-
-        stuck = [s for s in ranks if not s.done]
-        if stuck:
-            self._raise_deadlock(stuck, nodes, msgs_rec)
-
-        makespan = max((s.clock for s in ranks), default=0.0)
-        busy = [s.clock - s.waited for s in ranks]
-        idle = [makespan - b for b in busy]
-
-        if nodes is not None:
-            run_id = (
-                self.tracer.next_causal_run() if self.tracer is not None else 0
-            )
-            for nd in nodes:
-                nd.run = run_id
-            for mg in msgs_rec:
-                mg.run = run_id
-        if self.tracer is not None:
-            base = self.tracer.virtual_now
-            self.tracer.causal_nodes.extend(nodes)
-            self.tracer.causal_msgs.extend(msgs_rec)
-            self.tracer.event(
-                "vm.run", v_time=base, run=run_id, base=base,
-                makespan=makespan, nranks=self.nranks,
-                cycle=self.tracer.cycle, nodes=len(nodes), msgs=len(msgs_rec),
-            )
-            for s in ranks:
-                m = self.tracer.metric
-                m("repro.vm.messages_sent", s.data_msgs_sent,
-                  kind="counter", rank=s.rank)
-                m("repro.vm.messages_recv", s.data_msgs_recv,
-                  kind="counter", rank=s.rank)
-                m("repro.vm.sync_messages", s.msgs_sent - s.data_msgs_sent,
-                  kind="counter", rank=s.rank)
-                m("repro.vm.words_sent", s.words_sent,
-                  kind="counter", rank=s.rank)
-                m("repro.vm.words_recv", s.words_recv,
-                  kind="counter", rank=s.rank)
-                m("repro.vm.busy_seconds", busy[s.rank],
-                  kind="counter", rank=s.rank)
-                m("repro.vm.idle_seconds", idle[s.rank],
-                  kind="counter", rank=s.rank)
-
-        return RunResult(
-            returns=[s.retval for s in ranks],
-            clocks=[s.clock for s in ranks],
-            total_messages=sum(s.msgs_sent for s in ranks),
-            total_words=sum(s.words_sent for s in ranks),
-            words_sent_per_rank=[s.words_sent for s in ranks],
-            words_recv_per_rank=[s.words_recv for s in ranks],
-            msgs_sent_per_rank=[s.msgs_sent for s in ranks],
-            msgs_recv_per_rank=[s.msgs_recv for s in ranks],
-            busy_per_rank=busy,
-            idle_per_rank=idle,
-            nodes=nodes,
-            msgs=msgs_rec,
-        )
-
-    # --- shared helpers -----------------------------------------------------
+    # --- deadlock report -----------------------------------------------------
 
     def _raise_deadlock(self, stuck: list, nodes: list | None,
                         msgs_rec: list | None):
@@ -1126,36 +894,6 @@ class VirtualMachine:
             blocked=[_blocked_record(s) for s in stuck],
             chains={r: c for r, (c, _) in (chains or {}).items()},
         )
-
-    @staticmethod
-    def _matches(op: RecvOp, msg: _Message) -> bool:
-        return (op.source in (ANY, msg.source)) and (op.tag in (ANY, msg.tag))
-
-    def _deliver(self, st: _Rank, ready: list, nodes: list | None = None,
-                 msgs_rec: list | None = None) -> None:
-        """Hand the oldest matching message to a rank blocked on a recv."""
-        op = st.blocked_on
-        assert op is not None
-        best = st.mailbox.pop_match(op.source, op.tag)
-        assert best is not None, "deliver called without a matching message"
-        st.blocked_on = None
-        t0 = st.clock
-        wait = max(0.0, best.arrival - (st.clock + self.machine.t_setup))
-        st.waited += wait
-        st.clock = max(st.clock + self.machine.t_setup, best.arrival)
-        st.words_recv += best.nwords
-        st.msgs_recv += 1
-        if best.nwords > 0:
-            st.data_msgs_recv += 1
-        if nodes is not None:
-            from repro.obs.causal import CausalNode
-
-            mid = best.seq - 1
-            msgs_rec[mid].recv_node = len(nodes)
-            nodes.append(CausalNode(-1, len(nodes), st.rank, "recv",
-                                    t0, st.clock, wait=wait, msg=mid))
-        st.send_value = (best.payload, best.source, best.tag)
-        heapq.heappush(ready, (st.clock, st.rank))
 
 
 def _resolve_opcode(op) -> int | None:
@@ -1235,8 +973,3 @@ class per_rank:
 
     def __repr__(self):  # pragma: no cover - debug aid
         return f"per_rank({self.values!r})"
-
-
-def make_send(dest: int, tag: int, payload: Any, nwords: int | None = None) -> SendOp:
-    """Build a :class:`SendOp`, measuring the payload if no size is given."""
-    return SendOp(dest, tag, payload, word_count(payload) if nwords is None else nwords)

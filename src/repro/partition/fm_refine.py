@@ -2,12 +2,12 @@
 boundary refinement for k-way partitions (paper §4.2: "a combination of
 boundary greedy and Kernighan-Lin refinement").
 
-Each refiner ships two implementations selected by :mod:`repro.kernels`:
-the optimized default (scalar inner loops on plain Python lists, with
-incremental gain maintenance between FM passes) and the straightforward
-reference (``*_reference``).  They are bit-identical by construction —
-same move sequence, same IEEE-double balance arithmetic — which
-``tests/kernels`` verifies on every graph family we partition.
+The inner loops run on plain Python lists and scalars, with incremental
+gain maintenance between FM passes.  The straightforward numpy-scalar
+forms they replaced are the oracles in ``tests/kernels/oracles.py``:
+bit-identical by construction — same move sequence, same IEEE-double
+balance arithmetic — which ``tests/kernels`` verifies on every graph
+family we partition.
 """
 
 from __future__ import annotations
@@ -16,16 +16,9 @@ import heapq
 
 import numpy as np
 
-from repro.kernels import reference_enabled
-
 from .graph import Graph
 
-__all__ = [
-    "fm_bisection_refine",
-    "fm_bisection_refine_reference",
-    "kway_greedy_refine",
-    "kway_greedy_refine_reference",
-]
+__all__ = ["fm_bisection_refine", "kway_greedy_refine"]
 
 
 def _gains_bisection(graph: Graph, side: np.ndarray) -> np.ndarray:
@@ -74,8 +67,6 @@ def fm_bisection_refine(
     its own neighbourhood's cached gains); everything stays on plain
     Python scalars inside the pass to keep the per-move cost flat.
     """
-    if reference_enabled():
-        return fm_bisection_refine_reference(graph, side, target0, ub, max_passes)
     side_np = np.array(side, dtype=np.int64)
     n = graph.n
     total = graph.total_vwgt()
@@ -123,7 +114,7 @@ def fm_bisection_refine(
         while since_best <= stall_limit:
             # best admissible move across both sides: higher gain wins,
             # ties go to the currently more overweight side (side 0 on a
-            # full tie, matching the reference's stable sort)
+            # full tie, as a stable sort of the candidates would)
             best_v = -1
             best_s = 0
             best_g = 0
@@ -187,97 +178,6 @@ def fm_bisection_refine(
     return np.asarray(side_l, dtype=np.int64)
 
 
-def fm_bisection_refine_reference(
-    graph: Graph,
-    side: np.ndarray,
-    target0: float,
-    ub: float = 1.05,
-    max_passes: int = 4,
-) -> np.ndarray:
-    """Reference FM: full gain rebuild per pass, numpy scalars throughout."""
-    side = np.array(side, dtype=np.int64)
-    n = graph.n
-    total = graph.total_vwgt()
-    targets = np.array([target0 * total, (1.0 - target0) * total])
-    caps = ub * targets
-    w = np.array(
-        [graph.vwgt[side == 0].sum(), graph.vwgt[side == 1].sum()], dtype=np.float64
-    )
-    stall_limit = max(50, n // 4)
-
-    for _ in range(max_passes):
-        gain = _gains_bisection(graph, side)
-        locked = np.zeros(n, dtype=bool)
-        heaps: list[list[tuple[int, int]]] = [[], []]
-        for v in range(n):
-            heapq.heappush(heaps[side[v]], (-int(gain[v]), v))
-        moves: list[int] = []
-        cum = 0
-        best_cum = 0
-        best_len = 0
-        since_best = 0
-        while since_best <= stall_limit:
-            v = _best_feasible(heaps, side, gain, locked, w, caps, graph)
-            if v is None:
-                break
-            s = int(side[v])
-            cum += int(gain[v])
-            w[s] -= graph.vwgt[v]
-            w[1 - s] += graph.vwgt[v]
-            side[v] = 1 - s
-            locked[v] = True
-            moves.append(v)
-            for u, ew in zip(graph.neighbors(v), graph.edge_weights(v)):
-                if locked[u]:
-                    continue
-                # side[v] is already flipped: if u now shares v's side the
-                # edge went external->internal (gain drops), else the reverse
-                gain[u] += -2 * ew if side[u] == side[v] else 2 * ew
-                heapq.heappush(heaps[side[u]], (-int(gain[u]), int(u)))
-            if cum > best_cum:
-                best_cum = cum
-                best_len = len(moves)
-                since_best = 0
-            else:
-                since_best += 1
-        for v in moves[best_len:]:  # rollback past the best prefix
-            s = int(side[v])
-            w[s] -= graph.vwgt[v]
-            w[1 - s] += graph.vwgt[v]
-            side[v] = 1 - s
-        if best_cum <= 0:
-            break
-    return side
-
-
-def _best_feasible(heaps, side, gain, locked, w, caps, graph):
-    """Pick the best admissible move across both sides.
-
-    Feasibility: the receiving side must stay under its cap.  Among
-    feasible candidates the higher gain wins; ties go to the side that is
-    currently more overweight (drives toward balance).
-    """
-    cands = []
-    for s in (0, 1):
-        heap = heaps[s]
-        while heap:
-            negg, v = heap[0]
-            if locked[v] or side[v] != s or -negg != gain[v]:
-                heapq.heappop(heap)  # stale
-                continue
-            if w[1 - s] + graph.vwgt[v] > caps[1 - s]:
-                heapq.heappop(heap)  # would break balance; drop this pass
-                continue
-            cands.append((int(-negg), float(w[s] / max(caps[s], 1e-12)), s, int(v)))
-            break
-    if not cands:
-        return None
-    cands.sort(key=lambda c: (-c[0], -c[1]))
-    _, _, s, v = cands[0]
-    heapq.heappop(heaps[s])
-    return v
-
-
 def kway_greedy_refine(
     graph: Graph,
     part: np.ndarray,
@@ -295,10 +195,6 @@ def kway_greedy_refine(
     balanced partitions are suppressed — the mode the seeded repartitioner
     uses to keep data movement minimal.
     """
-    if reference_enabled():
-        return kway_greedy_refine_reference(
-            graph, part, k, ub, max_passes, balance_only
-        )
     part_np = np.array(part, dtype=np.int64)
     total = graph.total_vwgt()
     cap = ub * (total / k)
@@ -349,53 +245,3 @@ def kway_greedy_refine(
         if moved == 0:
             break
     return np.asarray(part_l, dtype=np.int64)
-
-
-def kway_greedy_refine_reference(
-    graph: Graph,
-    part: np.ndarray,
-    k: int,
-    ub: float = 1.05,
-    max_passes: int = 4,
-    balance_only: bool = False,
-) -> np.ndarray:
-    """Reference k-way greedy refinement (numpy indexing per vertex)."""
-    part = np.array(part, dtype=np.int64)
-    total = graph.total_vwgt()
-    target = total / k
-    cap = ub * target
-    loads = np.bincount(part, weights=graph.vwgt.astype(np.float64), minlength=k)
-
-    for _ in range(max_passes):
-        moved = 0
-        src = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(graph.ptr))
-        boundary = np.unique(src[part[src] != part[graph.adj]])
-        for v in boundary:
-            s = int(part[v])
-            conn: dict[int, int] = {}
-            for u, ew in zip(graph.neighbors(v), graph.edge_weights(v)):
-                pu = int(part[u])
-                conn[pu] = conn.get(pu, 0) + int(ew)
-            internal = conn.get(s, 0)
-            overweight = loads[s] > cap
-            best_t, best_gain = -1, -np.inf
-            for t, c in sorted(conn.items()):
-                if t == s:
-                    continue
-                if loads[t] + graph.vwgt[v] > cap:
-                    continue
-                gain = c - internal
-                if gain > best_gain:
-                    best_t, best_gain = t, gain
-            if best_t < 0:
-                continue
-            improves_cut = best_gain > 0 and not balance_only
-            sheds_overload = overweight and loads[best_t] + graph.vwgt[v] < loads[s]
-            if improves_cut or sheds_overload:
-                loads[s] -= graph.vwgt[v]
-                loads[best_t] += graph.vwgt[v]
-                part[v] = best_t
-                moved += 1
-        if moved == 0:
-            break
-    return part

@@ -5,23 +5,21 @@ the unmatched neighbour connected by the heaviest edge.  Collapsing heavy
 edges early removes as much edge weight as possible from coarser levels,
 which is what lets the coarsest-level partition already be a good one.
 
-The optimized implementation presorts every adjacency list by
-``(-weight, neighbour)`` with one global argsort, so the per-vertex visit
-is a short scan that stops at the first unmatched neighbour — no
-per-vertex ``flatnonzero``/``lexsort`` allocations.  The scan order equals
-the reference's lexsort order, so both produce identical matchings
-(:mod:`repro.kernels` selects; ``tests/kernels`` verifies).
+Every adjacency list is presorted by ``(-weight, neighbour)`` with one
+global argsort, so the per-vertex visit is a short scan that stops at the
+first unmatched neighbour — no per-vertex ``flatnonzero``/``lexsort``
+allocations.  The scan order equals the per-vertex lexsort order of the
+oracle in ``tests/kernels/oracles.py``, so both produce identical
+matchings (``tests/kernels`` verifies).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import reference_enabled
-
 from .graph import Graph
 
-__all__ = ["heavy_edge_matching", "heavy_edge_matching_reference"]
+__all__ = ["heavy_edge_matching"]
 
 
 def heavy_edge_matching(
@@ -39,13 +37,11 @@ def heavy_edge_matching(
         crossing old-partition boundaries, so the old partition projects
         exactly onto every coarse level.
     """
-    if reference_enabled():
-        return heavy_edge_matching_reference(graph, rng, allowed)
     n = graph.n
     order = rng.permutation(n).tolist()
     # one pass-wide argsort puts each adjacency segment in (-w, nbr) order:
     # the first free neighbour found in a scan IS the heaviest-edge partner
-    # (ties broken by smaller neighbour id), as in the reference lexsort
+    # (ties broken by smaller neighbour id), as a per-vertex lexsort gives
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.ptr))
     by_weight = np.lexsort((graph.adj, -graph.ewgt, src))
     adj = graph.adj[by_weight].tolist()
@@ -80,34 +76,3 @@ def heavy_edge_matching(
             if m != v:
                 match[m] = v
     return np.asarray(match, dtype=np.int64)
-
-
-def heavy_edge_matching_reference(
-    graph: Graph,
-    rng: np.random.Generator,
-    allowed: np.ndarray | None = None,
-) -> np.ndarray:
-    """Reference matching: per-vertex ``flatnonzero``/``lexsort`` selection."""
-    n = graph.n
-    match = np.full(n, -1, dtype=np.int64)
-    order = rng.permutation(n)
-    ptr, adj, ewgt = graph.ptr, graph.adj, graph.ewgt
-    for v in order:
-        if match[v] != -1:
-            continue
-        nbrs = adj[ptr[v] : ptr[v + 1]]
-        wts = ewgt[ptr[v] : ptr[v + 1]]
-        free = match[nbrs] == -1
-        if allowed is not None:
-            free &= allowed[nbrs] == allowed[v]
-        if free.any():
-            cand = np.flatnonzero(free)
-            # heaviest edge; ties broken by smaller neighbour id for determinism
-            w = wts[cand]
-            best = cand[np.lexsort((nbrs[cand], -w))[0]]
-            u = nbrs[best]
-            match[v] = u
-            match[u] = v
-        else:
-            match[v] = v
-    return match

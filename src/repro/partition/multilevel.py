@@ -18,8 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.kernels import reference_enabled
-
 from .contract import contract
 from .fm_refine import fm_bisection_refine, kway_greedy_refine
 from .graph import Graph
@@ -76,14 +74,10 @@ def multilevel_kway(
     per process; a repeat returns a private copy of the stored labels,
     so callers may write into what they get.  ``multilevel_kway
     .cache_info()`` / ``.cache_clear()`` follow ``functools.lru_cache``
-    (sizes are bytes, bounded by ``_STORE_BYTES``).  Under the reference
-    kernels the store is neither read nor written: that path is the
-    oracle the optimized one is compared against.
+    (sizes are bytes, bounded by ``_STORE_BYTES``).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if reference_enabled():
-        return _kway(graph, k, seed, ub)
     key = _content_key(graph, k, seed, ub)
     part = _STORE.get(key)
     if part is None:

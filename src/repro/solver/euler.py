@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels import reference_enabled, scatter_add_rows
 from repro.mesh.tetmesh import TetMesh
 from repro.mesh.topology import LOCAL_EDGES
 from repro.obs import current_tracer
 
+from .scatter import scatter_add_rows
 from .state import GAMMA, GasState, gas_state, primitive
 
 __all__ = ["EulerSolver", "dual_volumes", "edge_normals"]
@@ -44,12 +44,7 @@ __all__ = ["EulerSolver", "dual_volumes", "edge_normals"]
 def dual_volumes(mesh: TetMesh) -> np.ndarray:
     """Median-dual control volume per vertex: ¼ of each incident tet."""
     vols = mesh.volumes()
-    if reference_enabled():
-        out = np.zeros(mesh.nv)
-        for c in range(4):
-            np.add.at(out, mesh.elems[:, c], vols / 4.0)
-        return out
-    # corner-major concatenation reproduces the reference's addition order
+    # corner-major order: every element's corner 0, then corner 1, 2, 3
     return scatter_add_rows(mesh.elems.T.ravel(), np.tile(vols / 4.0, 4), mesh.nv)
 
 
@@ -78,8 +73,6 @@ def edge_normals(mesh: TetMesh) -> np.ndarray:
     coords = mesh.coords
     p = coords[mesh.elems]  # (ne, 4, 3)
     cell = p.mean(axis=1)  # (ne, 3)
-    reference = reference_enabled()
-    out = np.zeros((mesh.nedges, 3))
     all_eids: list[np.ndarray] = []
     all_n: list[np.ndarray] = []
     for le, (a, b) in enumerate(LOCAL_EDGES):
@@ -99,17 +92,12 @@ def edge_normals(mesh: TetMesh) -> np.ndarray:
         # where local a is the edge's higher global vertex
         flip = mesh.edges[eids, 0] != mesh.elems[:, a]
         n = np.where(flip[:, None], -n, n)
-        if reference:
-            np.add.at(out, eids, n)
-        else:
-            all_eids.append(eids)
-            all_n.append(n)
-    if not reference:
-        # local-edge-major concatenation matches the reference's order
-        out = scatter_add_rows(
-            np.concatenate(all_eids), np.concatenate(all_n), mesh.nedges
-        )
-    return out
+        all_eids.append(eids)
+        all_n.append(n)
+    # local-edge-major order: every element's local edge 0, then 1, ..., 5
+    return scatter_add_rows(
+        np.concatenate(all_eids), np.concatenate(all_n), mesh.nedges
+    )
 
 
 @dataclass
@@ -185,10 +173,6 @@ class EulerSolver:
             # mirror the initial state so the pair starts consistent
             self.q[b] = self.q[a]
 
-    @property
-    def boundary_vertices(self) -> np.ndarray:
-        return np.flatnonzero(self._boundary)
-
     def residual(self, q: np.ndarray | None = None) -> np.ndarray:
         """Net flux into each control volume (interior scheme).
 
@@ -217,16 +201,9 @@ class EulerSolver:
             qL, qR = q[self._lo], q[self._hi]
             gL, gR = gas.take(self._lo), gas.take(self._hi)
         f = self._edge_flux(qL, qR, gL, gR, self.normals, self._area)
-        if reference_enabled():
-            res = np.zeros_like(q)
-            np.subtract.at(res, self._lo, f)
-            np.add.at(res, self._hi, f)
-        else:
-            # x - f == x + (-f) bitwise, so one endpoint-major bincount pass
-            # reproduces subtract-then-add exactly
-            res = scatter_add_rows(
-                self._ends, np.concatenate([-f, f]), q.shape[0]
-            )
+        # x - f == x + (-f) bitwise, so one endpoint-major pass is exactly
+        # "subtract f at every lower endpoint, then add it at every upper"
+        res = scatter_add_rows(self._ends, np.concatenate([-f, f]), q.shape[0])
         if self.periodic_pairs is not None:
             # the pair is one control volume: residuals accumulate across
             # the seam and both copies receive the combined value
@@ -248,14 +225,7 @@ class EulerSolver:
         """:meth:`stable_dt` from the already evaluated ``gas_state(self.q)``."""
         flow = np.maximum(gas.lam[self._lo], gas.lam[self._hi])
         flow *= self._area
-        if reference_enabled():
-            speed_sum = np.zeros(self.mesh.nv)
-            np.add.at(speed_sum, self._lo, flow)
-            np.add.at(speed_sum, self._hi, flow)
-        else:
-            speed_sum = scatter_add_rows(
-                self._ends, np.tile(flow, 2), self.mesh.nv
-            )
+        speed_sum = scatter_add_rows(self._ends, np.tile(flow, 2), self.mesh.nv)
         with np.errstate(divide="ignore"):
             dt = self.vol / np.maximum(speed_sum, 1e-300)
         return cfl * float(dt.min())

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import reference_enabled, scatter_add_rows
 from repro.mesh.tetmesh import TetMesh
+
+from .scatter import scatter_add_rows
 
 __all__ = ["lsq_gradients", "limit_barth_jespersen", "muscl_edge_states"]
 
@@ -42,17 +43,9 @@ def lsq_gradients(mesh: TetMesh, q: np.ndarray) -> np.ndarray:
     outer = w[:, None, None] * d[:, :, None] * d[:, None, :]
     dq = q[e[:, 1]] - q[e[:, 0]]  # (ne, ncomp)
     rhs = w[:, None, None] * dq[:, :, None] * d[:, None, :]  # (ne, ncomp, 3)
-    if reference_enabled():
-        A = np.zeros((mesh.nv, 3, 3))
-        np.add.at(A, e[:, 0], outer)
-        np.add.at(A, e[:, 1], outer)
-        b = np.zeros((mesh.nv, q.shape[1], 3))
-        np.add.at(b, e[:, 0], rhs)
-        np.add.at(b, e[:, 1], rhs)
-    else:
-        idx = e.T.ravel()  # all lower endpoints then all upper, as above
-        A = scatter_add_rows(idx, np.concatenate([outer, outer]), mesh.nv)
-        b = scatter_add_rows(idx, np.concatenate([rhs, rhs]), mesh.nv)
+    idx = e.T.ravel()  # all lower endpoints, then all upper
+    A = scatter_add_rows(idx, np.concatenate([outer, outer]), mesh.nv)
+    b = scatter_add_rows(idx, np.concatenate([rhs, rhs]), mesh.nv)
 
     # regularise rank-deficient stencils (isolated/boundary corners)
     A += 1e-12 * np.eye(3)

@@ -36,6 +36,18 @@ def test_constructor_validation():
         LoadBalancedAdaptiveSolver(m, 2, reassigner="optimal_bmcm", F=2)
 
 
+def test_unknown_backend_name_is_refused_before_any_partitioning():
+    from repro.partition import multilevel_kway
+
+    with pytest.raises(ValueError, match="unknown communicator backend 'bogus'; "
+                                         "available: .*virtual"):
+        LoadBalancedAdaptiveSolver(box_mesh(2, 2, 2), 2, backend="bogus")
+    assert multilevel_kway.cache_info().misses == 0
+    # a ready-made backend object is the caller's business, as before
+    LoadBalancedAdaptiveSolver(box_mesh(2, 2, 2), 2, backend=object())
+    assert multilevel_kway.cache_info().misses == 1
+
+
 def test_initial_partition_balanced():
     s = make_solver(4)
     assert s.solver_imbalance() <= 1.15

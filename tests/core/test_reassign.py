@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    brute_force_maxv,
-    brute_force_totalv,
     heuristic_mwbg,
     objective_value,
     optimal_bmcm,
     optimal_mwbg,
     remap_stats,
 )
+
+from .test_reassign_properties import brute_force_maxv, brute_force_totalv
 
 
 def random_S(nproc, npart, seed, density=0.6, hi=100):

@@ -20,8 +20,8 @@ from repro.experiments.weak_scaling import (
     halo_cycle,
     measure_point,
 )
-from repro.kernels import reference_kernels
 from repro.obs import Tracer, use_tracer, verify_makespans
+from tests.kernels.oracles import reference_kernels
 
 
 def test_fig6_style_cycle_at_4096():

@@ -1,0 +1,727 @@
+"""The straightforward twin of every optimized kernel, and the switch.
+
+Each hot kernel in ``src/`` has one implementation.  The form it replaced
+lives here, unchanged, as the oracle it must match bit for bit:
+
+* :func:`run_reference` — the one-op-per-heap-pop VM scheduler with its
+  :class:`_ListMailbox` and eager ``CausalNode`` / ``CausalMsg`` record;
+* :func:`fm_bisection_refine_reference`,
+  :func:`kway_greedy_refine_reference`,
+  :func:`heavy_edge_matching_reference` — numpy-scalar refiners and
+  per-vertex ``lexsort`` matching;
+* :func:`assemble_children_reference` — one column stack per child;
+* :func:`charge_shared_exchange_reference` — the per-edge loop over SPL
+  rank pairs;
+* :func:`scatter_add_rows_reference` — ``np.add.at`` on zeros.
+
+:func:`reference_kernels` substitutes them *from outside*, the way
+``benchmarks/e2e/spans.py`` installs its timers: every ``repro.*`` module
+global that *is* the product function is rebound to the oracle, and the
+scheduler method is replaced with ``setattr`` on ``VirtualMachine``.  The
+product has no switch and does not know this module exists.  The oracle
+scheduler reaches into ``repro.parallel.runtime`` for ``_Message``,
+``RunResult`` and the deadlock report — the price of living outside.
+
+:data:`CALLS` counts the calls that reached each oracle through a
+substituted binding (``test_oracle_harness.py`` uses it to prove no
+equivalence test compares the product with itself).
+"""
+
+from __future__ import annotations
+
+import functools
+import heapq
+import importlib
+import sys
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Iterator
+
+import numpy as np
+
+from repro.adapt.refine import _DIAG_CYCLE, _shortest_diagonals
+from repro.mesh.topology import (
+    FACE_EDGE_MASKS,
+    FACE_EDGES,
+    LOCAL_EDGES,
+    LOCAL_FACES,
+    OPPOSITE_EDGE,
+)
+from repro.obs.causal import CausalMsg, CausalNode
+from repro.parallel.ledger import CostLedger
+from repro.parallel.runtime import (
+    ANY,
+    ElapseOp,
+    ProbeOp,
+    RecvOp,
+    RunResult,
+    SendOp,
+    WorkOp,
+    _Message,
+)
+from repro.partition import multilevel_kway
+from repro.partition.fm_refine import _gains_bisection
+from repro.partition.graph import Graph
+
+# --- parallel/runtime.py: scheduler and mailbox ------------------------------
+
+
+class _ListMailbox:
+    """Reference mailbox: one list, linear scan on every recv/probe."""
+
+    __slots__ = ("_msgs",)
+
+    def __init__(self):
+        self._msgs: list[_Message] = []
+
+    def __len__(self) -> int:
+        return len(self._msgs)
+
+    def add(self, msg: _Message) -> None:
+        self._msgs.append(msg)
+
+    def has_match(self, source: int, tag: int) -> bool:
+        return any(
+            (source in (ANY, m.source)) and (tag in (ANY, m.tag))
+            for m in self._msgs
+        )
+
+    def pop_match(
+        self, source: int, tag: int, max_arrival: float | None = None
+    ) -> _Message | None:
+        # removal is by index, never by equality: ``list.remove`` would
+        # invoke the dataclass ``__eq__``, which both raises on ndarray
+        # payloads and can remove a different-but-equal message
+        best = None
+        best_i = -1
+        for i, m in enumerate(self._msgs):
+            if (source not in (ANY, m.source)) or (tag not in (ANY, m.tag)):
+                continue
+            if max_arrival is not None and m.arrival > max_arrival:
+                continue
+            if best is None or m.seq < best.seq:
+                best, best_i = m, i
+        if best is not None:
+            del self._msgs[best_i]
+        return best
+
+    def messages(self):
+        return iter(self._msgs)
+
+
+@dataclass
+class _Rank:
+    """Per-rank state of the oracle scheduler (the product keeps the same
+    quantities in parallel per-rank arrays instead)."""
+
+    rank: int
+    gen: Iterator
+    clock: float = 0.0
+    blocked_on: RecvOp | None = None
+    done: bool = False
+    retval: Any = None
+    send_value: Any = None  # value to inject at the next generator step
+    mailbox: _ListMailbox | None = None
+    words_sent: int = 0
+    msgs_sent: int = 0
+    words_recv: int = 0
+    msgs_recv: int = 0
+    data_msgs_sent: int = 0  # payload-bearing sends (nwords > 0)
+    data_msgs_recv: int = 0
+    waited: float = 0.0  # virtual seconds blocked waiting for arrivals
+
+
+def run_reference(self, gens: list) -> RunResult:
+    """One-op-per-heap-pop scheduler with eager object records; bound in
+    place of ``VirtualMachine._run_fast``, so ``self`` is the machine."""
+    ranks = [
+        _Rank(r, gen, mailbox=_ListMailbox())
+        for r, gen in enumerate(gens)
+    ]
+    ready: list[tuple[float, int]] = [(0.0, r) for r in range(self.nranks)]
+    heapq.heapify(ready)
+    seq = 0
+    nodes: list | None = None
+    msgs_rec: list | None = None
+    if self.trace or self.tracer is not None:
+        nodes, msgs_rec = [], []
+
+    while ready:
+        clock, r = heapq.heappop(ready)
+        st = ranks[r]
+        if st.done:
+            continue
+        st.clock = max(st.clock, clock)
+        try:
+            op = st.gen.send(st.send_value)
+        except StopIteration as stop:
+            st.done = True
+            st.retval = stop.value
+            continue
+        st.send_value = None
+
+        if isinstance(op, WorkOp):
+            t0 = st.clock
+            st.clock += self.machine.work_time(op.units)
+            if nodes is not None:
+                nodes.append(CausalNode(-1, len(nodes), r, "work",
+                                        t0, st.clock))
+            heapq.heappush(ready, (st.clock, r))
+        elif isinstance(op, ElapseOp):
+            if op.seconds < 0:
+                raise ValueError(f"negative elapse: {op.seconds}")
+            t0 = st.clock
+            st.clock += op.seconds
+            if nodes is not None:
+                nodes.append(CausalNode(-1, len(nodes), r, "elapse",
+                                        t0, st.clock))
+            heapq.heappush(ready, (st.clock, r))
+        elif isinstance(op, SendOp):
+            if not 0 <= op.dest < self.nranks:
+                raise ValueError(f"rank {r}: send to invalid rank {op.dest}")
+            t0 = st.clock
+            st.clock += self.machine.msg_time(op.nwords)
+            st.words_sent += op.nwords
+            st.msgs_sent += 1
+            if op.nwords > 0:
+                st.data_msgs_sent += 1
+            seq += 1
+            if nodes is not None:
+                # msg id == seq - 1: both advance once per send
+                nodes.append(CausalNode(-1, len(nodes), r, "send",
+                                        t0, st.clock, msg=len(msgs_rec)))
+                msgs_rec.append(
+                    CausalMsg(-1, len(msgs_rec), r, op.dest, op.tag,
+                              op.nwords, send_node=len(nodes) - 1)
+                )
+            msg = _Message(r, op.tag, op.payload, op.nwords, st.clock, seq)
+            dst = ranks[op.dest]
+            dst.mailbox.add(msg)
+            if dst.blocked_on is not None and _matches(dst.blocked_on, msg):
+                _deliver(self, dst, ready, nodes, msgs_rec)
+            heapq.heappush(ready, (st.clock, r))
+        elif isinstance(op, ProbeOp):
+            t0 = st.clock
+            msg = st.mailbox.pop_match(
+                op.source, op.tag, max_arrival=st.clock
+            )
+            # the mailbox check costs t_setup whether or not it matches
+            st.clock += self.machine.t_setup
+            if msg is not None:
+                st.words_recv += msg.nwords
+                st.msgs_recv += 1
+                if msg.nwords > 0:
+                    st.data_msgs_recv += 1
+                st.send_value = (True, (msg.payload, msg.source, msg.tag))
+            else:
+                st.send_value = (False, None)
+            if nodes is not None:
+                mid = None if msg is None else msg.seq - 1
+                if mid is not None:
+                    msgs_rec[mid].recv_node = len(nodes)
+                nodes.append(CausalNode(-1, len(nodes), r, "probe",
+                                        t0, st.clock, msg=mid))
+            heapq.heappush(ready, (st.clock, r))
+        elif isinstance(op, RecvOp):
+            st.blocked_on = op
+            if st.mailbox.has_match(op.source, op.tag):
+                _deliver(self, st, ready, nodes, msgs_rec)
+            # else: stays blocked until a matching send arrives
+        else:
+            raise TypeError(f"rank {r} yielded unknown op {op!r}")
+
+    stuck = [s for s in ranks if not s.done]
+    if stuck:
+        self._raise_deadlock(stuck, nodes, msgs_rec)
+
+    makespan = max((s.clock for s in ranks), default=0.0)
+    busy = [s.clock - s.waited for s in ranks]
+    idle = [makespan - b for b in busy]
+
+    if nodes is not None:
+        run_id = (
+            self.tracer.next_causal_run() if self.tracer is not None else 0
+        )
+        for nd in nodes:
+            nd.run = run_id
+        for mg in msgs_rec:
+            mg.run = run_id
+    if self.tracer is not None:
+        base = self.tracer.virtual_now
+        self.tracer.causal_nodes.extend(nodes)
+        self.tracer.causal_msgs.extend(msgs_rec)
+        self.tracer.event(
+            "vm.run", v_time=base, run=run_id, base=base,
+            makespan=makespan, nranks=self.nranks,
+            cycle=self.tracer.cycle, nodes=len(nodes), msgs=len(msgs_rec),
+        )
+        for s in ranks:
+            m = self.tracer.metric
+            m("repro.vm.messages_sent", s.data_msgs_sent,
+              kind="counter", rank=s.rank)
+            m("repro.vm.messages_recv", s.data_msgs_recv,
+              kind="counter", rank=s.rank)
+            m("repro.vm.sync_messages", s.msgs_sent - s.data_msgs_sent,
+              kind="counter", rank=s.rank)
+            m("repro.vm.words_sent", s.words_sent,
+              kind="counter", rank=s.rank)
+            m("repro.vm.words_recv", s.words_recv,
+              kind="counter", rank=s.rank)
+            m("repro.vm.busy_seconds", busy[s.rank],
+              kind="counter", rank=s.rank)
+            m("repro.vm.idle_seconds", idle[s.rank],
+              kind="counter", rank=s.rank)
+
+    return RunResult(
+        returns=[s.retval for s in ranks],
+        clocks=[s.clock for s in ranks],
+        total_messages=sum(s.msgs_sent for s in ranks),
+        total_words=sum(s.words_sent for s in ranks),
+        words_sent_per_rank=[s.words_sent for s in ranks],
+        words_recv_per_rank=[s.words_recv for s in ranks],
+        msgs_sent_per_rank=[s.msgs_sent for s in ranks],
+        msgs_recv_per_rank=[s.msgs_recv for s in ranks],
+        busy_per_rank=busy,
+        idle_per_rank=idle,
+        nodes=nodes,
+        msgs=msgs_rec,
+    )
+
+
+def _matches(op: RecvOp, msg: _Message) -> bool:
+    return (op.source in (ANY, msg.source)) and (op.tag in (ANY, msg.tag))
+
+
+def _deliver(vm, st: _Rank, ready: list, nodes: list | None = None,
+             msgs_rec: list | None = None) -> None:
+    """Hand the oldest matching message to a rank blocked on a recv."""
+    op = st.blocked_on
+    assert op is not None
+    best = st.mailbox.pop_match(op.source, op.tag)
+    assert best is not None, "deliver called without a matching message"
+    st.blocked_on = None
+    t0 = st.clock
+    wait = max(0.0, best.arrival - (st.clock + vm.machine.t_setup))
+    st.waited += wait
+    st.clock = max(st.clock + vm.machine.t_setup, best.arrival)
+    st.words_recv += best.nwords
+    st.msgs_recv += 1
+    if best.nwords > 0:
+        st.data_msgs_recv += 1
+    if nodes is not None:
+        mid = best.seq - 1
+        msgs_rec[mid].recv_node = len(nodes)
+        nodes.append(CausalNode(-1, len(nodes), st.rank, "recv",
+                                t0, st.clock, wait=wait, msg=mid))
+    st.send_value = (best.payload, best.source, best.tag)
+    heapq.heappush(ready, (st.clock, st.rank))
+
+
+# --- partition/fm_refine.py, partition/matching.py ---------------------------
+
+
+def fm_bisection_refine_reference(
+    graph: Graph,
+    side: np.ndarray,
+    target0: float,
+    ub: float = 1.05,
+    max_passes: int = 4,
+) -> np.ndarray:
+    """Reference FM: full gain rebuild per pass, numpy scalars throughout."""
+    side = np.array(side, dtype=np.int64)
+    n = graph.n
+    total = graph.total_vwgt()
+    targets = np.array([target0 * total, (1.0 - target0) * total])
+    caps = ub * targets
+    w = np.array(
+        [graph.vwgt[side == 0].sum(), graph.vwgt[side == 1].sum()], dtype=np.float64
+    )
+    stall_limit = max(50, n // 4)
+
+    for _ in range(max_passes):
+        gain = _gains_bisection(graph, side)
+        locked = np.zeros(n, dtype=bool)
+        heaps: list[list[tuple[int, int]]] = [[], []]
+        for v in range(n):
+            heapq.heappush(heaps[side[v]], (-int(gain[v]), v))
+        moves: list[int] = []
+        cum = 0
+        best_cum = 0
+        best_len = 0
+        since_best = 0
+        while since_best <= stall_limit:
+            v = _best_feasible(heaps, side, gain, locked, w, caps, graph)
+            if v is None:
+                break
+            s = int(side[v])
+            cum += int(gain[v])
+            w[s] -= graph.vwgt[v]
+            w[1 - s] += graph.vwgt[v]
+            side[v] = 1 - s
+            locked[v] = True
+            moves.append(v)
+            for u, ew in zip(graph.neighbors(v), graph.edge_weights(v)):
+                if locked[u]:
+                    continue
+                # side[v] is already flipped: if u now shares v's side the
+                # edge went external->internal (gain drops), else the reverse
+                gain[u] += -2 * ew if side[u] == side[v] else 2 * ew
+                heapq.heappush(heaps[side[u]], (-int(gain[u]), int(u)))
+            if cum > best_cum:
+                best_cum = cum
+                best_len = len(moves)
+                since_best = 0
+            else:
+                since_best += 1
+        for v in moves[best_len:]:  # rollback past the best prefix
+            s = int(side[v])
+            w[s] -= graph.vwgt[v]
+            w[1 - s] += graph.vwgt[v]
+            side[v] = 1 - s
+        if best_cum <= 0:
+            break
+    return side
+
+
+def _best_feasible(heaps, side, gain, locked, w, caps, graph):
+    """Pick the best admissible move across both sides.
+
+    Feasibility: the receiving side must stay under its cap.  Among
+    feasible candidates the higher gain wins; ties go to the side that is
+    currently more overweight (drives toward balance).
+    """
+    cands = []
+    for s in (0, 1):
+        heap = heaps[s]
+        while heap:
+            negg, v = heap[0]
+            if locked[v] or side[v] != s or -negg != gain[v]:
+                heapq.heappop(heap)  # stale
+                continue
+            if w[1 - s] + graph.vwgt[v] > caps[1 - s]:
+                heapq.heappop(heap)  # would break balance; drop this pass
+                continue
+            cands.append((int(-negg), float(w[s] / max(caps[s], 1e-12)), s, int(v)))
+            break
+    if not cands:
+        return None
+    cands.sort(key=lambda c: (-c[0], -c[1]))
+    _, _, s, v = cands[0]
+    heapq.heappop(heaps[s])
+    return v
+
+
+def kway_greedy_refine_reference(
+    graph: Graph,
+    part: np.ndarray,
+    k: int,
+    ub: float = 1.05,
+    max_passes: int = 4,
+    balance_only: bool = False,
+) -> np.ndarray:
+    """Reference k-way greedy refinement (numpy indexing per vertex)."""
+    part = np.array(part, dtype=np.int64)
+    total = graph.total_vwgt()
+    target = total / k
+    cap = ub * target
+    loads = np.bincount(part, weights=graph.vwgt.astype(np.float64), minlength=k)
+
+    for _ in range(max_passes):
+        moved = 0
+        src = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(graph.ptr))
+        boundary = np.unique(src[part[src] != part[graph.adj]])
+        for v in boundary:
+            s = int(part[v])
+            conn: dict[int, int] = {}
+            for u, ew in zip(graph.neighbors(v), graph.edge_weights(v)):
+                pu = int(part[u])
+                conn[pu] = conn.get(pu, 0) + int(ew)
+            internal = conn.get(s, 0)
+            overweight = loads[s] > cap
+            best_t, best_gain = -1, -np.inf
+            for t, c in sorted(conn.items()):
+                if t == s:
+                    continue
+                if loads[t] + graph.vwgt[v] > cap:
+                    continue
+                gain = c - internal
+                if gain > best_gain:
+                    best_t, best_gain = t, gain
+            if best_t < 0:
+                continue
+            improves_cut = best_gain > 0 and not balance_only
+            sheds_overload = overweight and loads[best_t] + graph.vwgt[v] < loads[s]
+            if improves_cut or sheds_overload:
+                loads[s] -= graph.vwgt[v]
+                loads[best_t] += graph.vwgt[v]
+                part[v] = best_t
+                moved += 1
+        if moved == 0:
+            break
+    return part
+
+
+def heavy_edge_matching_reference(
+    graph: Graph,
+    rng: np.random.Generator,
+    allowed: np.ndarray | None = None,
+) -> np.ndarray:
+    """Reference matching: per-vertex ``flatnonzero``/``lexsort`` selection."""
+    n = graph.n
+    match = np.full(n, -1, dtype=np.int64)
+    order = rng.permutation(n)
+    ptr, adj, ewgt = graph.ptr, graph.adj, graph.ewgt
+    for v in order:
+        if match[v] != -1:
+            continue
+        nbrs = adj[ptr[v] : ptr[v + 1]]
+        wts = ewgt[ptr[v] : ptr[v + 1]]
+        free = match[nbrs] == -1
+        if allowed is not None:
+            free &= allowed[nbrs] == allowed[v]
+        if free.any():
+            cand = np.flatnonzero(free)
+            # heaviest edge; ties broken by smaller neighbour id for determinism
+            w = wts[cand]
+            best = cand[np.lexsort((nbrs[cand], -w))[0]]
+            u = nbrs[best]
+            match[v] = u
+            match[u] = v
+        else:
+            match[v] = v
+    return match
+
+
+# --- adapt/refine.py, adapt/marking.py ----------------------------------------
+
+
+def assemble_children_reference(
+    ev: np.ndarray,
+    em: np.ndarray,
+    patterns: np.ndarray,
+    new_coords: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference assembly: per-pattern column stacks (one array op per child)."""
+    chunks: list[np.ndarray] = [np.empty((0, 4), dtype=np.int64)]
+    parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+
+    # unrefined elements pass through
+    keep = patterns == 0
+    if keep.any():
+        chunks.append(ev[keep])
+        parents.append(np.flatnonzero(keep))
+
+    # 1:2 — one marked edge e=(a,b): children swap one endpoint for m
+    for le in range(6):
+        sel = patterns == (1 << le)
+        if not sel.any():
+            continue
+        idx = np.flatnonzero(sel)
+        a, b = LOCAL_EDGES[le]
+        m = em[idx, le]
+        c1 = ev[idx].copy()
+        c1[:, b] = m
+        c2 = ev[idx].copy()
+        c2[:, a] = m
+        chunks.append(np.concatenate([c1, c2]))
+        parents.append(np.tile(idx, 2))
+
+    # 1:4 — one marked face (A,B,C), apex D
+    for f in range(4):
+        sel = patterns == int(FACE_EDGE_MASKS[f])
+        if not sel.any():
+            continue
+        idx = np.flatnonzero(sel)
+        A, B, C = LOCAL_FACES[f]
+        D = (set(range(4)) - {int(A), int(B), int(C)}).pop()
+        eAB, eAC, eBC = FACE_EDGES[f]
+        vA, vB, vC, vD = ev[idx, A], ev[idx, B], ev[idx, C], ev[idx, D]
+        mAB, mAC, mBC = em[idx, eAB], em[idx, eAC], em[idx, eBC]
+        kids = np.concatenate(
+            [
+                np.column_stack([vA, mAB, mAC, vD]),
+                np.column_stack([vB, mAB, mBC, vD]),
+                np.column_stack([vC, mAC, mBC, vD]),
+                np.column_stack([mAB, mBC, mAC, vD]),
+            ]
+        )
+        chunks.append(kids)
+        parents.append(np.tile(idx, 4))
+
+    # 1:8 — isotropic; split the inner octahedron on its shortest diagonal
+    sel8 = patterns == 0b111111
+    if sel8.any():
+        idx8 = np.flatnonzero(sel8)
+        mids = em[idx8]  # (n8, 6), all valid
+        diag = _shortest_diagonals(mids, new_coords)
+        # four corner tets (same for every diagonal choice)
+        corner_local_edges = [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)]
+        kids = [
+            np.column_stack(
+                [ev[idx8, c], mids[:, e0], mids[:, e1], mids[:, e2]]
+            )
+            for c, (e0, e1, e2) in enumerate(corner_local_edges)
+        ]
+        chunks.append(np.concatenate(kids))
+        parents.append(np.tile(idx8, 4))
+        for d in range(3):
+            seld = diag == d
+            if not seld.any():
+                continue
+            idxd = idx8[seld]
+            md = mids[seld]
+            o = OPPOSITE_EDGE[d]
+            cyc = _DIAG_CYCLE[d]
+            oct_kids = [
+                np.column_stack(
+                    [md[:, d], md[:, o], md[:, cyc[k]], md[:, cyc[(k + 1) % 4]]]
+                )
+                for k in range(4)
+            ]
+            chunks.append(np.concatenate(oct_kids))
+            parents.append(np.tile(idxd, 4))
+
+    return np.concatenate(chunks), np.concatenate(parents)
+
+
+def charge_shared_exchange_reference(
+    ledger: CostLedger, edge_ranks, newly: np.ndarray, pairs=None
+):
+    """Charge one message per (owner, neighbour) partition pair carrying the
+    newly-marked shared edges between them (1 word per edge id); the
+    product's precomputed ``pairs`` table is not read."""
+    e_ids, r_ids = edge_ranks
+    sel = newly[e_ids]
+    if not sel.any():
+        return
+    nr = ledger.nranks
+    es, rs = e_ids[sel], r_ids[sel]
+    # count newly-marked shared edges per rank pair: every rank touching the
+    # edge sends its local copy's id to every other rank in the edge's SPL
+    # group by edge: ranks of each edge are contiguous in es/rs
+    starts = np.flatnonzero(np.r_[True, es[1:] != es[:-1]])
+    ends = np.r_[starts[1:], es.shape[0]]
+    volume = np.zeros((nr, nr), dtype=np.int64)
+    for s, e in zip(starts, ends):
+        ranks = rs[s:e]
+        for i in ranks:
+            for j in ranks:
+                if i != j:
+                    volume[i, j] += 1
+    ledger.add_exchange(volume)
+
+
+# --- solver/scatter.py ----------------------------------------------------------
+
+
+def scatter_add_rows_reference(
+    index: np.ndarray, values: np.ndarray, nrows: int
+) -> np.ndarray:
+    """``out[index[i]] += values[i]`` from zeros, by ``np.add.at``."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.zeros((nrows,) + values.shape[1:], dtype=np.float64)
+    np.add.at(out, index, values)
+    return out
+
+
+# --- the switch ---------------------------------------------------------------
+
+#: Calls that arrived through a substituted binding, by product target.
+CALLS: Counter = Counter()
+
+
+def _counted(target: str, oracle):
+    @functools.wraps(oracle)
+    def counted(*args, **kwargs):
+        CALLS[target] += 1
+        return oracle(*args, **kwargs)
+
+    return counted
+
+
+#: (``module:attr`` or ``module:Class.method`` of the product, its oracle).
+SUBSTITUTIONS = tuple(
+    (target, _counted(target, oracle))
+    for target, oracle in (
+        ("repro.parallel.runtime:VirtualMachine._run_fast", run_reference),
+        ("repro.partition.fm_refine:fm_bisection_refine", fm_bisection_refine_reference),
+        ("repro.partition.fm_refine:kway_greedy_refine", kway_greedy_refine_reference),
+        ("repro.partition.matching:heavy_edge_matching", heavy_edge_matching_reference),
+        ("repro.adapt.refine:_assemble_children", assemble_children_reference),
+        ("repro.adapt.marking:_charge_shared_exchange", charge_shared_exchange_reference),
+        ("repro.solver.scatter:scatter_add_rows", scatter_add_rows_reference),
+    )
+)
+
+#: (owner, attr, is_method, product, oracle) per substitution while the
+#: oracles are bound; empty while the product runs its own kernels.
+_bound: list = []
+
+
+def _resolve(target: str):
+    """``(owner, attr, is_method, product)``; raises if the name is gone."""
+    module_name, _, path = target.partition(":")
+    owner = importlib.import_module(module_name)
+    *parents, attr = path.split(".")
+    for part in parents:
+        owner = getattr(owner, part)
+    return owner, attr, bool(parents), getattr(owner, attr)
+
+
+def _swap(owner, attr, is_method, old, new) -> int:
+    """Rebind ``old`` to ``new`` wherever the product looks it up."""
+    if is_method:  # one binding, on the class
+        setattr(owner, attr, new)
+        return 1
+    n = 0
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or not (mod_name == "repro" or mod_name.startswith("repro.")):
+            continue
+        for global_name, value in list(vars(mod).items()):
+            if value is old:
+                setattr(mod, global_name, new)
+                n += 1
+    return n
+
+
+def _switch(on: bool) -> None:
+    if on == bool(_bound):
+        return
+    if on:
+        # resolve everything first: an unknown target raises before any
+        # binding has moved
+        _bound[:] = [(*_resolve(t), oracle) for t, oracle in SUBSTITUTIONS]
+        replaced = [_swap(*entry) for entry in _bound]
+        if 0 in replaced:
+            _switch(False)
+            raise RuntimeError(
+                "oracle bound nowhere: "
+                f"{[t for (t, _), n in zip(SUBSTITUTIONS, replaced) if not n]}"
+            )
+    else:
+        # also catches modules first imported while the oracles were bound
+        for owner, attr, is_method, product, oracle in _bound:
+            _swap(owner, attr, is_method, oracle, product)
+        _bound.clear()
+
+
+@contextmanager
+def reference_kernels(enabled: bool = True):
+    """Run the body on the oracles (or, ``enabled=False``, on the product
+    kernels whatever the enclosing state); the state found on entry is
+    restored on exit, error or not.
+
+    ``multilevel_kway``'s content-addressed store is emptied on entry and
+    on exit, so a partition is never served across the switch: the oracle
+    recomputes what the product computed, and nothing it computed is
+    handed to a later product run.
+    """
+    prev = bool(_bound)
+    _switch(bool(enabled))
+    multilevel_kway.cache_clear()
+    try:
+        yield
+    finally:
+        _switch(prev)
+        multilevel_kway.cache_clear()

@@ -5,10 +5,11 @@ import pytest
 
 from repro.adapt.marking import propagate_markings, target_by_fraction
 from repro.adapt.refine import subdivide
-from repro.kernels import reference_kernels
 from repro.mesh.generate import box_mesh
 from repro.parallel.ledger import CostLedger
 from repro.parallel.machine import MachineModel
+
+from .oracles import reference_kernels
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from repro.core.framework import LoadBalancedAdaptiveSolver
-from repro.kernels import reference_kernels
 from repro.mesh.generate import box_mesh
+
+from .oracles import reference_kernels
 
 
 def _run_steps(res, nproc, force_reference):

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core.dualgraph import DualGraph
-from repro.kernels import reference_kernels
 from repro.mesh.generate import box_mesh
-from repro.partition.fm_refine import (
-    fm_bisection_refine,
-    fm_bisection_refine_reference,
-    kway_greedy_refine,
-    kway_greedy_refine_reference,
-)
-from repro.partition.matching import (
-    heavy_edge_matching,
-    heavy_edge_matching_reference,
-)
+from repro.partition.fm_refine import fm_bisection_refine, kway_greedy_refine
+from repro.partition.matching import heavy_edge_matching
 from repro.partition.multilevel import multilevel_kway
+
+from .oracles import (
+    fm_bisection_refine_reference,
+    heavy_edge_matching_reference,
+    kway_greedy_refine_reference,
+    reference_kernels,
+)
 
 
 def _graph(seed: int, n: int = 3):

@@ -9,7 +9,6 @@ was evaluated once per state array: every flux call re-deriving
 import numpy as np
 import pytest
 
-from repro.kernels import reference_kernels
 from repro.mesh.generate import box_mesh
 from repro.solver.euler import EulerSolver, dual_volumes, edge_normals
 from repro.solver.fluxes import hllc_flux, physical_flux, rusanov_flux
@@ -20,6 +19,8 @@ from repro.solver.reconstruct import (
     muscl_edge_states,
 )
 from repro.solver.state import GAMMA, gas_state, max_wave_speed, primitive, sound_speed
+
+from .oracles import reference_kernels
 
 
 def _state(mesh, seed=0):

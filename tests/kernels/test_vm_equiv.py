@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from repro.kernels import reference_enabled, reference_kernels
 from repro.parallel import ANY, VirtualMachine
+
+from .oracles import reference_kernels
 
 
 def _mixed_traffic(comm):
@@ -52,10 +53,3 @@ def test_vm_schedule_bit_identical():
         assert opt.words_sent_per_rank == ref.words_sent_per_rank
         assert opt.nodes == ref.nodes
         assert opt.msgs == ref.msgs
-
-
-def test_only_the_context_manager_selects_the_reference_path(monkeypatch):
-    monkeypatch.setenv("REPRO_REFERENCE_KERNELS", "1")
-    assert not reference_enabled()
-    with reference_kernels():
-        assert reference_enabled()

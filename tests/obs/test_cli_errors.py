@@ -3,7 +3,8 @@
 Drives ``repro.__main__.main`` in-process, like ``test_cli_runs.py``.  A
 size that cannot be (zero ranks, a resolution of -3) is refused by the
 argument parser; an output path that cannot be written is refused before
-the run starts, so nothing has been printed and no work is thrown away.
+the run starts, so nothing has been printed and no work is thrown away;
+so is a backend name that is not registered.
 """
 
 import pytest
@@ -75,6 +76,23 @@ def test_unwritable_output_path_is_one_error_line_before_any_work(
     assert captured.err.startswith(f"error: {argv[-1]}: ")
     assert captured.err.count("\n") == 1
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("backend", ["bogus", "mpi"])
+def test_step_refuses_an_unknown_backend_before_any_work(backend, capsys, monkeypatch):
+    from repro import experiments
+
+    def no_work(resolution):
+        pytest.fail("the case was built before the backend name was checked")
+
+    monkeypatch.setattr(experiments, "make_case", no_work)
+    assert main(["step", "4", "--nproc", "4", "--backend", backend]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: unknown communicator backend {backend!r}; available: "
+    )
+    assert "virtual" in captured.err and captured.err.count("\n") == 1
 
 
 def test_writable_output_paths_still_work(trace, tmp_path, capsys):

@@ -11,9 +11,9 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro.kernels import reference_kernels
 from repro.obs import Tracer
 from repro.parallel import SP2_1997, VirtualMachine
+from tests.kernels.oracles import reference_kernels
 
 
 def _prog(comm):

@@ -2,7 +2,7 @@
 
 The :class:`~repro.parallel.runtime._IndexedMailbox` fast path bucketizes
 unmatched messages by ``(source, tag)`` and inspects only bucket heads;
-the :class:`~repro.parallel.runtime._ListMailbox` reference scans one
+the :class:`~tests.kernels.oracles._ListMailbox` reference scans one
 flat list.  Under the virtual machine's invariants (global ``seq`` order
 on adds, per-sender monotone ``arrival``), every observable — match
 existence, which message a recv/probe pops, iteration contents — must be
@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import reference_kernels
 from repro.parallel import ANY, SP2_1997, VirtualMachine
-from repro.parallel.runtime import _IndexedMailbox, _ListMailbox, _Message
+from repro.parallel.runtime import _IndexedMailbox, _Message
+from tests.kernels.oracles import _ListMailbox, reference_kernels
 
 
 # --- data-structure parity ---------------------------------------------------

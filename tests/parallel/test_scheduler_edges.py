@@ -14,9 +14,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import reference_kernels
 from repro.parallel import ANY, SP2_1997, VirtualMachine
 from repro.parallel.runtime import per_rank
+from tests.kernels.oracles import reference_kernels
 
 
 def _run_both(prog, p, *args):

@@ -10,7 +10,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import reference_kernels
 from repro.partition import Graph, multilevel, multilevel_kway
 
 from .test_partition_properties import random_connected_graph
@@ -127,16 +126,3 @@ def test_store_is_bounded_in_bytes_and_evicts_least_recently_used(monkeypatch):
     monkeypatch.setattr(multilevel._STORE, "maxbytes", nbytes - 1)
     assert misses_on(9) == 1 and misses_on(9) == 1
     assert multilevel_kway.cache_info().currsize == 0
-
-
-@given(g=graphs, k=ks, seed=seeds)
-@settings(max_examples=10, deadline=None)
-def test_reference_kernels_bypass_the_store(g, k, seed):
-    multilevel_kway.cache_clear()
-    opt = multilevel_kway(g, k, seed=seed)
-    before = multilevel_kway.cache_info()
-    with reference_kernels():
-        ref = multilevel_kway(g, k, seed=seed)  # stored: must not be read
-        multilevel_kway(g, k, seed=seed + 1)  # not stored: must not be written
-    assert multilevel_kway.cache_info() == before
-    assert np.array_equal(ref, opt)  # recomputed by the oracle, and equal
