@@ -2,7 +2,7 @@
 
 from .baselines import block_partition, random_partition, rcb_partition
 from .contract import contract
-from .fm_refine import fm_bisection_refine, kway_greedy_refine
+from .fm_refine import fm_bisection_refine, kway_fm_refine, kway_greedy_refine
 from .graph import Graph
 from .initial import greedy_graph_growing
 from .matching import heavy_edge_matching
@@ -21,6 +21,7 @@ __all__ = [
     "greedy_graph_growing",
     "heavy_edge_matching",
     "imbalance",
+    "kway_fm_refine",
     "kway_greedy_refine",
     "loads",
     "multilevel_bisect",

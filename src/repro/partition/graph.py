@@ -108,8 +108,7 @@ class Graph:
         order2 = np.lexsort((dst, src))
         src, dst, ww = src[order2], dst[order2], ww[order2]
         ptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(ptr, src + 1, 1)
-        np.cumsum(ptr, out=ptr)
+        np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
         return cls(ptr=ptr, adj=dst, vwgt=vwgt, ewgt=ww)
 
     def with_vwgt(self, vwgt: np.ndarray) -> "Graph":

@@ -54,37 +54,42 @@ def greedy_graph_growing(
 
 
 def _grow(graph: Graph, seed: int, target: float) -> np.ndarray:
+    # plain lists and a bytearray: the loop below is all scalar indexing
     n = graph.n
-    in_region = np.zeros(n, dtype=bool)
-    gain = np.zeros(n, dtype=np.int64)
+    ptr = graph.ptr.tolist()
+    adj = graph.adj.tolist()
+    ewgt = graph.ewgt.tolist()
+    vwgt = graph.vwgt.tolist()
+    in_region = bytearray(n)
+    gain = [0] * n
     heap: list[tuple[int, int]] = []
     grown = 0.0
 
     def absorb(v: int) -> None:
         nonlocal grown
-        in_region[v] = True
-        grown += graph.vwgt[v]
-        nbrs = graph.neighbors(v)
-        wts = graph.edge_weights(v)
-        for u, w in zip(nbrs, wts):
+        in_region[v] = 1
+        grown += vwgt[v]
+        for i in range(ptr[v], ptr[v + 1]):
+            u = adj[i]
             if not in_region[u]:
-                gain[u] += 2 * w  # edge flips from cut to internal
-                heapq.heappush(heap, (-int(gain[u]), int(u)))
+                gain[u] += 2 * ewgt[i]  # edge flips from cut to internal
+                heapq.heappush(heap, (-gain[u], u))
 
     absorb(seed)
     while grown < target and heap:
         g, v = heapq.heappop(heap)
         if in_region[v] or -g != gain[v]:
             continue  # stale heap entry
-        if grown + graph.vwgt[v] > 1.5 * target and grown > 0.5 * target:
+        if grown + vwgt[v] > 1.5 * target and grown > 0.5 * target:
             continue  # adding a huge vertex would overshoot badly
         absorb(v)
+    inside = np.frombuffer(in_region, dtype=np.bool_)  # a writable view
     if grown < target:
         # graph was disconnected: top up with the lightest outside vertices
-        outside = np.flatnonzero(~in_region)
+        outside = np.flatnonzero(~inside)
         for v in outside[np.argsort(graph.vwgt[outside])]:
             if grown >= target:
                 break
-            in_region[v] = True
-            grown += graph.vwgt[v]
-    return np.where(in_region, 0, 1).astype(np.int64)
+            inside[v] = True
+            grown += vwgt[v]
+    return np.where(inside, 0, 1).astype(np.int64)

@@ -1,13 +1,17 @@
 """Multilevel k-way graph partitioning (the MeTiS algorithm family).
 
-Coarsen with heavy-edge matching until the graph is small, bisect the
-coarsest graph with greedy graph growing, then uncoarsen while refining
-with FM at every level.  k-way partitions come from recursive bisection
-with proportional weight splits, followed by a final k-way greedy boundary
-refinement.  All randomness flows through an explicit seed, so a k-way
-partition is a pure function of the graph's arrays, ``k``, ``seed`` and
-``ub`` — and :func:`multilevel_kway` computes each distinct one once per
-process (DESIGN.md §9, "Partition reuse").
+Direct k-way (paper §4.2, DESIGN.md §9 "Direct k-way"): coarsen the whole
+graph *once* with heavy-edge matching until it holds a few vertices per
+part, partition that coarsest graph k ways, then uncoarsen, and on every
+level rebalance with the greedy boundary pass and refine with the k-way
+FM.  The coarsest graph is partitioned by recursive bisection with
+proportional weight splits — each bisection the same scheme at k = 2:
+coarsen, greedy graph growing, FM on the way up — so at k <= 2 the
+bisection is the whole method.  :func:`coarsen` is the one coarsening
+loop; the seeded repartitioner runs it too.  All randomness flows through
+an explicit seed, so a k-way partition is a pure function of the graph's
+arrays, ``k``, ``seed`` and ``ub`` — and :func:`multilevel_kway` computes
+each distinct one once per process (DESIGN.md §9, "Partition reuse").
 """
 
 from __future__ import annotations
@@ -19,21 +23,56 @@ from typing import NamedTuple
 import numpy as np
 
 from .contract import contract
-from .fm_refine import fm_bisection_refine, kway_greedy_refine
+from .fm_refine import fm_bisection_refine, kway_fm_refine, kway_greedy_refine
 from .graph import Graph
 from .initial import greedy_graph_growing
 from .matching import heavy_edge_matching
+from .quality import loads
 
-__all__ = ["multilevel_bisect", "multilevel_kway"]
+__all__ = ["coarsen", "multilevel_bisect", "multilevel_kway"]
 
 #: Stop coarsening below this many vertices.
 _COARSEN_TO = 64
+#: ... or, partitioning k ways, below this many vertices per part: the
+#: recursive bisection of the coarsest graph needs a few vertices per part
+#: to balance with, and its cost grows with every one of them.
+_COARSE_PER_PART = 8
 #: Stop coarsening when a level shrinks by less than this factor.
 _MIN_SHRINK = 0.95
 #: Bytes of finished k-way partitions kept for reuse, least recently used
 #: dropped first: ~800 partitions of a 2.6k-vertex dual graph, ~34 at the
 #: paper's 61k elements.
 _STORE_BYTES = 16 << 20
+
+
+def coarsen(
+    graph: Graph,
+    rng: np.random.Generator,
+    floor: int,
+    part: np.ndarray | None = None,
+) -> tuple[list[tuple[Graph, np.ndarray]], Graph, np.ndarray | None]:
+    """Contract heavy-edge matchings until ``n <= floor`` or a level
+    shrinks by less than 5 %.
+
+    Returns ``(levels, coarsest, part)``: ``levels`` lists ``(fine graph,
+    fine -> coarse map)`` from the input down.  With ``part``, no matching
+    crosses its boundaries, so it projects exactly onto every level; what
+    comes back is its projection onto ``coarsest``.
+    """
+    levels: list[tuple[Graph, np.ndarray]] = []
+    g = graph
+    while g.n > floor:
+        match = heavy_edge_matching(g, rng, allowed=part)
+        coarse, cmap = contract(g, match)
+        if coarse.n > _MIN_SHRINK * g.n:
+            break
+        levels.append((g, cmap))
+        if part is not None:
+            cpart = np.zeros(coarse.n, dtype=np.int64)
+            cpart[cmap] = part
+            part = cpart
+        g = coarse
+    return levels, g, part
 
 
 def multilevel_bisect(
@@ -44,15 +83,7 @@ def multilevel_bisect(
 ) -> np.ndarray:
     """Bisect into sides {0, 1}; side 0 targets ``target0`` of the weight."""
     rng = np.random.default_rng(seed)
-    levels: list[tuple[Graph, np.ndarray]] = []
-    g = graph
-    while g.n > _COARSEN_TO:
-        match = heavy_edge_matching(g, rng)
-        coarse, cmap = contract(g, match)
-        if coarse.n > _MIN_SHRINK * g.n:
-            break
-        levels.append((g, cmap))
-        g = coarse
+    levels, g, _ = coarsen(graph, rng, _COARSEN_TO)
     side = greedy_graph_growing(g, target0, rng)
     side = fm_bisection_refine(g, side, target0, ub=ub)
     for fine, cmap in reversed(levels):
@@ -67,7 +98,7 @@ def multilevel_kway(
     seed: int = 0,
     ub: float = 1.05,
 ) -> np.ndarray:
-    """Partition into ``k`` parts via recursive bisection + k-way refine.
+    """Partition into ``k`` non-empty parts (direct multilevel k-way).
 
     The result is keyed on the *content* of the call — a digest of the
     graph's four arrays, ``k``, ``seed`` and ``ub`` — and computed once
@@ -78,6 +109,8 @@ def multilevel_kway(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if k > graph.n:
+        raise ValueError(f"cannot cut {graph.n} vertices into k = {k} parts")
     key = _content_key(graph, k, seed, ub)
     part = _STORE.get(key)
     if part is None:
@@ -87,11 +120,26 @@ def multilevel_kway(
 
 
 def _kway(graph: Graph, k: int, seed: int, ub: float) -> np.ndarray:
-    part = np.zeros(graph.n, dtype=np.int64)
-    _recurse(graph, np.arange(graph.n, dtype=np.int64), k, 0, seed, ub, part)
-    if k > 1:
-        part = kway_greedy_refine(graph, part, k, ub=ub)
+    if k == 1:
+        return np.zeros(graph.n, dtype=np.int64)
+    levels: list[tuple[Graph, np.ndarray]] = []
+    g = graph
+    if k > 2:  # a bisection coarsens for itself
+        floor = max(_COARSEN_TO, _COARSE_PER_PART * k)
+        levels, g, _ = coarsen(graph, np.random.default_rng(seed), floor)
+    part = np.zeros(g.n, dtype=np.int64)
+    _recurse(g, np.arange(g.n, dtype=np.int64), k, 0, seed, ub, part)
+    part = _refine(g, part, k, ub)
+    for fine, cmap in reversed(levels):
+        part = _refine(fine, part[cmap], k, ub)
     return part
+
+
+def _refine(g: Graph, part: np.ndarray, k: int, ub: float) -> np.ndarray:
+    """One level of k-way refinement: balance if need be, then climb."""
+    if loads(g, part, k).max() > ub * (g.total_vwgt() / k):
+        part = kway_greedy_refine(g, part, k, ub=ub, max_passes=8)
+    return kway_fm_refine(g, part, k, ub=ub)
 
 
 def _content_key(graph: Graph, k: int, seed: int, ub: float) -> bytes:
@@ -174,10 +222,28 @@ def _recurse(
     k0 = (k + 1) // 2
     sub = _subgraph(graph, vertices)
     side = multilevel_bisect(sub, target0=k0 / k, seed=seed, ub=ub)
+    _top_up(sub, side, (k0, k - k0))
     left = vertices[side == 0]
     right = vertices[side == 1]
     _recurse(graph, left, k0, offset, seed * 2 + 1, ub, out)
     _recurse(graph, right, k - k0, offset + k0, seed * 2 + 2, ub, out)
+
+
+def _top_up(sub: Graph, side: np.ndarray, need: tuple[int, int]) -> None:
+    """Give each side at least as many vertices as the parts it will be
+    cut into, in place: the short side (heavy vertices, few per part)
+    takes the other's lightest boundary vertices first."""
+    count = np.bincount(side, minlength=2)
+    for s in (0, 1):
+        short = need[s] - int(count[s])
+        if short <= 0:
+            continue
+        src = np.repeat(np.arange(sub.n, dtype=np.int64), np.diff(sub.ptr))
+        touches = np.zeros(sub.n, dtype=bool)
+        touches[src[side[sub.adj] == s]] = True
+        other = np.flatnonzero(side != s)
+        order = np.lexsort((other, sub.vwgt[other], ~touches[other]))
+        side[other[order[:short]]] = s
 
 
 def _subgraph(graph: Graph, vertices: np.ndarray) -> Graph:

@@ -20,16 +20,12 @@ import numpy as np
 
 from repro.obs import current_tracer, maybe_phase
 
-from .contract import contract
 from .fm_refine import kway_greedy_refine
 from .graph import Graph
-from .matching import heavy_edge_matching
-from .multilevel import multilevel_kway
+from .multilevel import _COARSE_PER_PART, _COARSEN_TO, coarsen, multilevel_kway
+from .quality import imbalance
 
 __all__ = ["repartition"]
-
-_COARSEN_TO = 256
-_MIN_SHRINK = 0.95
 
 
 def repartition(
@@ -41,7 +37,8 @@ def repartition(
     tracer=None,
 ) -> np.ndarray:
     """k-way partition balanced under ``graph.vwgt``, biased toward
-    ``old_part`` to reduce data movement.
+    ``old_part`` to reduce data movement.  No part of the result is empty,
+    whether or not ``old_part`` used all ``k`` labels.
 
     With a :class:`repro.obs.Tracer` (passed or ambient), the coarsen /
     rebalance / uncoarsen stages are recorded as wall-clock spans (the
@@ -54,29 +51,22 @@ def repartition(
         raise ValueError(f"old_part must have shape ({graph.n},)")
     if old_part.size and (old_part.min() < 0 or old_part.max() >= k):
         raise ValueError("old_part labels must be in [0, k)")
+    if k > graph.n:
+        raise ValueError(f"cannot cut {graph.n} vertices into k = {k} parts")
     if k == 1:
         return np.zeros(graph.n, dtype=np.int64)
-    if _max_over(graph, old_part, k) <= ub + 1e-9:
+    if _acceptable(graph, old_part, k, ub):
         # already balanced under the new weights: moving nothing is the
         # cheapest remap of all (the framework's evaluation step would not
         # normally even call us in this case)
         return old_part.copy()
 
     rng = np.random.default_rng(seed)
-    levels: list[tuple[Graph, np.ndarray]] = []  # (fine graph, fine->coarse map)
-    g = graph
-    part = old_part
+    # stop four times earlier than a from-scratch partition does: there is
+    # no initial partitioner below, only balancing moves of whole vertices
+    floor = max(4 * _COARSEN_TO, _COARSE_PER_PART * k)
     with maybe_phase(tracer, "repartition.coarsen", n_fine=graph.n) as sp:
-        while g.n > max(_COARSEN_TO, 8 * k):
-            match = heavy_edge_matching(g, rng, allowed=part)
-            coarse, cmap = contract(g, match)
-            if coarse.n > _MIN_SHRINK * g.n:
-                break
-            levels.append((g, cmap))
-            # matching never crosses partitions, so the projection is exact
-            cpart = np.zeros(coarse.n, dtype=np.int64)
-            cpart[cmap] = part
-            g, part = coarse, cpart
+        levels, g, part = coarsen(graph, rng, floor, part=old_part)
         if sp is not None:
             sp.attrs.update(levels=len(levels), n_coarse=g.n)
 
@@ -86,9 +76,10 @@ def repartition(
     with maybe_phase(tracer, "repartition.rebalance") as sp:
         part = kway_greedy_refine(g, part, k, ub=ub, max_passes=8,
                                   balance_only=True)
-        fallback = _max_over(g, part, k) > ub + 1e-9
+        fallback = not _acceptable(g, part, k, ub)
         if fallback:
-            # the old partition is too skewed for local moves to fix: fall
+            # the old partition is too skewed for local moves to fix (or
+            # left a label unused, which no boundary move can repair): fall
             # back to a fresh partition of the coarse graph (loses some
             # locality but stays cheap — the coarse graph is small), then
             # relabel its parts for maximum weighted agreement with the old
@@ -105,9 +96,12 @@ def repartition(
     return part
 
 
-def _max_over(g: Graph, part: np.ndarray, k: int) -> float:
-    loads = np.bincount(part, weights=g.vwgt.astype(np.float64), minlength=k)
-    return float(loads.max() / (g.total_vwgt() / k))
+def _acceptable(g: Graph, part: np.ndarray, k: int, ub: float) -> bool:
+    """Balanced within ``ub`` under ``g.vwgt``, and no part empty."""
+    return bool(
+        imbalance(g, part, k) <= ub + 1e-9
+        and np.bincount(part, minlength=k).all()
+    )
 
 
 def _relabel_for_agreement(

@@ -6,6 +6,13 @@ movement at the expense of partitioning and processor reassignment times."
 The test maps the same adapted weights with F = 1, 2, 4 on 8 processors
 and checks that finer granularity never moves more data, while the
 reassignment problem grows as F·P.
+
+Every F gets the same kind of new partition — from scratch, F·P parts of
+the weighted graph — so that granularity is the only thing that varies.
+(Seeding ``repartition`` with ``old_proc * F``, as the framework does,
+leaves F - 1 of every F labels unused: for F > 1 it can only answer with
+a fresh partition, while at F = 1 it may move next to nothing, and the
+comparison would be between two partitioners, not two granularities.)
 """
 
 import time
@@ -16,7 +23,6 @@ from repro.core.metrics import remap_stats
 from repro.core.reassign import optimal_mwbg
 from repro.core.similarity import similarity_matrix
 from repro.partition.multilevel import multilevel_kway
-from repro.partition.repartition import repartition
 
 
 def _movement_with_F(case, F, nproc=8):
@@ -29,9 +35,7 @@ def _movement_with_F(case, F, nproc=8):
     dual = DualGraph(case.mesh)
     old_proc = multilevel_kway(dual.comp_graph(), nproc, seed=0)
     npart = F * nproc
-    new_part = repartition(
-        dual.graph.with_vwgt(wcomp_pred), npart, old_proc * F, seed=0
-    )
+    new_part = multilevel_kway(dual.graph.with_vwgt(wcomp_pred), npart, seed=0)
     S = similarity_matrix(old_proc, new_part, am.wremap(), nproc, npart)
     t0 = time.perf_counter()
     assignment = optimal_mwbg(S, F=F)

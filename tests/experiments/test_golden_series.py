@@ -65,34 +65,34 @@ GOLDEN = {
         False, 0, 0,
     ),
     ('sweep', 'Real_1', 'after', 4): (
-        0.0016715000000000002, 0.05784000000000001, 0.0004030000000000006,
-        2.6844129532341277e-05, 0.003147999999999998, 0.03862,
-        0.10170934412953235, 1.1983201119925337, 1.0461969202053196,
-        True, 329, 7896,
+        0.0017547500000000005, 0.05784, 0.0004030000000000006,
+        3.200000000000425e-05, 0.004232, 0.04321,
+        0.10747175, 1.3411105926271583, 1.0331311245916939,
+        True, 384, 9216,
     ),
     ('sweep', 'Real_1', 'after', 8): (
-        0.00179025, 0.08452000000000001, 0.0008640000000000037,
-        8.93994054600028e-05, 0.00563799999999999, 0.0279,
-        0.12080164940546001, 1.726551563229118, 1.0471301913205786,
-        True, 804, 19296,
+        0.0015995, 0.08452000000000001, 0.0008640000000000037,
+        8.93994054600028e-05, 0.0035519999999999996, 0.02298,
+        0.11360489940546002, 1.4204386374241718, 1.0489967335510966,
+        True, 436, 10464,
     ),
     ('sweep', 'Real_1', 'after', 16): (
-        0.0019505000000000002, 0.15046, 0.0017600000000000116,
-        0.0002780850143339342, 0.004853999999999997, 0.016999999999999998,
-        0.17630258501433396, 2.0905272981801213, 1.0452636490900606,
-        True, 1812, 43488,
+        0.0019115000000000004, 0.15046, 0.0017600000000000116,
+        0.0003175110871771747, 0.005125999999999992, 0.016849999999999997,
+        0.17642501108717717, 2.0718618758749416, 1.0489967335510966,
+        True, 1939, 46536,
     ),
     ('sweep', 'Real_1', 'after', 32): (
-        0.00230075, 0.28763, 0.00359799999999999,
-        0.0007345767632060407, 0.0032480000000000286, 0.009849999999999998,
-        0.30736132676320604, 2.3891740550629956, 1.0452636490900606,
-        True, 2147, 51528,
+        0.0023645000000000003, 0.28763, 0.00359799999999999,
+        0.0006987749255733533, 0.004467999999999972, 0.01285,
+        0.31160927492557333, 3.135790947270182, 1.0452636490900606,
+        True, 2351, 56424,
     ),
     ('sweep', 'Real_1', 'after', 64): (
-        0.002638, 0.563615, 0.007608000000000059,
-        0.0018143978552713769, 0.0025760000000000227, 0.00642,
-        0.5846713978552714, 3.0461969202053196, 1.2841810545963603,
-        True, 2462, 59088,
+        0.00268975, 0.563615, 0.007608000000000059,
+        0.0017037278376377252, 0.0029160000000000297, 0.00825,
+        0.5867824778376378, 3.957069528698087, 1.075128324778348,
+        True, 2288, 54912,
     ),
     ('sweep', 'Real_1', 'before', 1): (
         0.0029869999999999996, 0.0, 0.0,
@@ -107,34 +107,34 @@ GOLDEN = {
         False, 0, 0,
     ),
     ('sweep', 'Real_1', 'before', 4): (
-        0.0016715000000000002, 0.05784, 0.0004030000000000006,
-        2.6844129532348215e-05, 0.0021680000000000033, 0.033729999999999996,
-        0.09583934412953235, 1.1983201119925337, 1.0461969202053196,
-        True, 191, 4584,
+        0.0017547500000000005, 0.05784, 0.0004030000000000006,
+        3.199999999999731e-05, 0.0015039999999999984, 0.033310000000000006,
+        0.09484375000000002, 1.3411105926271583, 1.0331311245916939,
+        True, 112, 2688,
     ),
     ('sweep', 'Real_1', 'before', 8): (
-        0.00179025, 0.08452000000000001, 0.0008640000000000037,
-        8.93994054600028e-05, 0.00247, 0.016979999999999995,
-        0.10671364940546002, 1.726551563229118, 1.0471301913205786,
-        True, 332, 7968,
+        0.0015995, 0.08452000000000001, 0.0008640000000000037,
+        8.93994054600028e-05, 0.0015280000000000016, 0.017009999999999997,
+        0.10561089940546002, 1.4204386374241718, 1.0489967335510966,
+        True, 202, 4848,
     ),
     ('sweep', 'Real_1', 'before', 16): (
-        0.0019505000000000002, 0.15046, 0.0017600000000000116,
-        0.0002780850143339342, 0.0023340000000000027, 0.008599999999999997,
-        0.16538258501433395, 2.0905272981801213, 1.0452636490900606,
-        True, 836, 20064,
+        0.0019115000000000004, 0.15046, 0.0017600000000000116,
+        0.0003175110871771747, 0.002610000000000001, 0.008629999999999999,
+        0.1656890110871772, 2.0718618758749416, 1.0489967335510966,
+        True, 939, 22536,
     ),
     ('sweep', 'Real_1', 'before', 32): (
-        0.00230075, 0.28763, 0.00359799999999999,
-        0.0007345767632060407, 0.0017199999999999993, 0.0044500000000000095,
-        0.300433326763206, 2.3891740550629956, 1.0452636490900606,
-        True, 1134, 27216,
+        0.0023645000000000003, 0.28763, 0.00359799999999999,
+        0.0006987749255733533, 0.0017159999999999953, 0.0044500000000000095,
+        0.30045727492557334, 3.135790947270182, 1.0452636490900606,
+        True, 1130, 27120,
     ),
     ('sweep', 'Real_1', 'before', 64): (
-        0.002638, 0.563615, 0.007608000000000059,
-        0.0018143978552713769, 0.0015380000000000393, 0.0028799999999999937,
-        0.5800933978552715, 3.0461969202053196, 1.2841810545963603,
-        True, 1308, 31392,
+        0.00268975, 0.563615, 0.007608000000000059,
+        0.0017037278376377252, 0.0014960000000000528, 0.0024600000000000177,
+        0.5795724778376378, 3.957069528698087, 1.075128324778348,
+        True, 1211, 29064,
     ),
     ('sweep', 'Real_2', 'after', 1): (
         0.002667, 0.0, 0.0,
@@ -149,34 +149,34 @@ GOLDEN = {
         False, 0, 0,
     ),
     ('sweep', 'Real_2', 'after', 4): (
-        0.00109525, 0.057840000000000016, 0.0004029999999999867,
-        2.6844129532355154e-05, 0.005961999999999995, 0.08545,
-        0.15077709412953236, 1.1774443869632696, 1.0429384376616657,
-        True, 459, 11016,
+        0.0010642499999999999, 0.05784, 0.0004029999999999867,
+        3.200000000000425e-05, 0.0068999999999999895, 0.08938,
+        0.15561925, 1.2316606311433005, 1.0421107087428867,
+        True, 623, 14952,
     ),
     ('sweep', 'Real_2', 'after', 8): (
-        0.00088675, 0.08452, 0.0008640000000000037,
-        0.00011584634845557273, 0.014537999999999995, 0.05508,
-        0.15600459634845557, 1.5155716502845318, 1.0495602690118986,
-        True, 2939, 70536,
+        0.00087225, 0.08452, 0.0008640000000000037,
+        8.299999999999974e-05, 0.005418000000000006, 0.046889999999999994,
+        0.13864725, 1.2896016554578376, 1.0470770822555613,
+        True, 650, 15600,
     ),
     ('sweep', 'Real_2', 'after', 16): (
-        0.0009795000000000001, 0.15046, 0.0017600000000000116,
-        0.0002780850143339342, 0.007811999999999986, 0.03059,
-        0.19187958501433394, 1.6769787894464563, 1.0495602690118986,
-        True, 4114, 98736,
+        0.00094575, 0.15046, 0.0017600000000000116,
+        0.0003016415362385172, 0.00862199999999999, 0.030049999999999997,
+        0.19213939153623852, 1.6471805483704087, 1.0462493533367823,
+        True, 4937, 118488,
     ),
     ('sweep', 'Real_2', 'after', 32): (
-        0.00114175, 0.28763, 0.00359799999999999,
-        0.0006543888386355556, 0.004730000000000012, 0.0178,
-        0.31555413883863553, 1.9368856699430936, 1.0495602690118986,
-        True, 4582, 109968,
+        0.0010565000000000001, 0.28763, 0.00359799999999999,
+        0.000584275777092802, 0.005483999999999989, 0.019089999999999996,
+        0.3174427757770928, 2.079255043973099, 1.0495602690118986,
+        True, 5114, 122736,
     ),
     ('sweep', 'Real_2', 'after', 64): (
-        0.0012025, 0.563615, 0.007608000000000059,
-        0.0016837027099745328, 0.003381999999999996, 0.010379999999999999,
-        0.5878712027099746, 2.2249353336782205, 1.1654423176409725,
-        True, 4935, 118440,
+        0.0012057500000000002, 0.563615, 0.007608000000000059,
+        0.0016737015757535278, 0.003418000000000032, 0.010379999999999999,
+        0.5879004515757535, 2.2249353336782205, 1.0992240041386445,
+        True, 4894, 117456,
     ),
     ('sweep', 'Real_2', 'before', 1): (
         0.002667, 0.0, 0.0,
@@ -191,34 +191,34 @@ GOLDEN = {
         False, 0, 0,
     ),
     ('sweep', 'Real_2', 'before', 4): (
-        0.00109525, 0.05784, 0.0004030000000000006,
-        2.6844129532348215e-05, 0.0019860000000000017, 0.07570000000000002,
-        0.13705109412953234, 1.1774443869632696, 1.0429384376616657,
-        True, 139, 3336,
+        0.0010642499999999999, 0.05784, 0.0004030000000000006,
+        3.199999999999731e-05, 0.001447999999999998, 0.07564,
+        0.13642725, 1.2316606311433005, 1.0421107087428867,
+        True, 105, 2520,
     ),
     ('sweep', 'Real_2', 'before', 8): (
-        0.00088675, 0.08452000000000001, 0.0008640000000000037,
-        0.00011584634845557273, 0.0042159999999999975, 0.03818999999999999,
-        0.12879259634845558, 1.5155716502845318, 1.0495602690118986,
-        True, 739, 17736,
+        0.00087225, 0.08452000000000001, 0.0008640000000000037,
+        8.299999999999974e-05, 0.0013200000000000017, 0.038099999999999995,
+        0.12575925, 1.2896016554578376, 1.0470770822555613,
+        True, 168, 4032,
     ),
     ('sweep', 'Real_2', 'before', 16): (
-        0.0009795000000000001, 0.15046, 0.0017600000000000116,
-        0.0002780850143339342, 0.002933999999999992, 0.019219999999999987,
-        0.17563158501433396, 1.6769787894464563, 1.0495602690118986,
-        True, 974, 23376,
+        0.00094575, 0.15046, 0.0017600000000000116,
+        0.0003016415362385172, 0.002482000000000012, 0.01916000000000001,
+        0.17510939153623856, 1.6471805483704087, 1.0462493533367823,
+        True, 854, 20496,
     ),
     ('sweep', 'Real_2', 'before', 32): (
-        0.00114175, 0.28763, 0.00359799999999999,
-        0.0006543888386355556, 0.0018839999999999968, 0.009759999999999991,
-        0.3046681388386355, 1.9368856699430936, 1.0495602690118986,
-        True, 1061, 25464,
+        0.0010565000000000001, 0.28763, 0.00359799999999999,
+        0.000584275777092802, 0.0018699999999999828, 0.009759999999999991,
+        0.3044987757770928, 2.079255043973099, 1.0495602690118986,
+        True, 1195, 28680,
     ),
     ('sweep', 'Real_2', 'before', 64): (
-        0.0012025, 0.563615, 0.007608000000000059,
-        0.0016837027099745328, 0.0014539999999999553, 0.005580000000000029,
-        0.5811432027099745, 2.2249353336782205, 1.1654423176409725,
-        True, 1205, 28920,
+        0.0012057500000000002, 0.563615, 0.007608000000000059,
+        0.0016737015757535278, 0.0015460000000000473, 0.005279999999999951,
+        0.5809284515757536, 2.2249353336782205, 1.0992240041386445,
+        True, 1218, 29232,
     ),
     ('sweep', 'Real_3', 'after', 1): (
         0.0026889999999999996, 0.0, 0.0,
@@ -233,34 +233,34 @@ GOLDEN = {
         False, 0, 0,
     ),
     ('sweep', 'Real_3', 'after', 4): (
-        0.0009220000000000001, 0.05784, 0.0004029999999999867,
-        2.192481250359868e-05, 0.011127999999999999, 0.13495,
-        0.20526492481250358, 1.228477726154687, 1.0467340803498224,
-        True, 777, 18648,
+        0.00096825, 0.05784, 0.0004029999999999867,
+        3.200000000000425e-05, 0.005459999999999993, 0.12766,
+        0.19236324999999999, 1.16206613828915, 1.0461874829188302,
+        True, 485, 11640,
     ),
     ('sweep', 'Real_3', 'after', 8): (
-        0.0007232500000000002, 0.08452, 0.0008640000000000037,
-        0.00010246269524197271, 0.010583999999999982, 0.07580999999999999,
-        0.17260371269524194, 1.3785187209620116, 1.0461874829188302,
-        True, 2659, 63816,
+        0.0007144999999999999, 0.08452000000000001, 0.0008640000000000037,
+        7.049561398675408e-05, 0.007517999999999997, 0.07424999999999998,
+        0.16793699561398676, 1.3500956545504237, 1.0489204700737906,
+        True, 1202, 28848,
     ),
     ('sweep', 'Real_3', 'after', 16): (
-        0.0006905, 0.15046, 0.0017600000000000116,
-        0.0002548452843167681, 0.011018, 0.040639999999999996,
-        0.20482334528431678, 1.4736266739546324, 1.0494670675047828,
-        True, 4558, 109392,
+        0.0006464999999999999, 0.15045999999999998, 0.0017600000000000116,
+        0.0003415489532989646, 0.011401999999999995, 0.039259999999999996,
+        0.20387004895329897, 1.4233397103033616, 1.0494670675047828,
+        True, 5929, 142296,
     ),
     ('sweep', 'Real_3', 'after', 32): (
-        0.000746, 0.28763, 0.00359799999999999,
-        0.0006898645419250449, 0.006855999999999973, 0.02053,
-        0.320049864541925, 1.477999453402569, 1.0494670675047828,
-        True, 6136, 147264,
+        0.0006915000000000001, 0.28763, 0.00359799999999999,
+        0.000636753233370424, 0.006552000000000002, 0.020649999999999998,
+        0.3197582532333704, 1.4867450122984422, 1.0494670675047828,
+        True, 6876, 165024,
     ),
     ('sweep', 'Real_3', 'after', 64): (
-        0.0008027500000000001, 0.563615, 0.007608000000000059,
-        0.0016737015757535278, 0.00499000000000005, 0.01062,
-        0.5893094515757537, 1.5042361300901885, 1.0494670675047828,
-        True, 8022, 192528,
+        0.00075975, 0.563615, 0.007608000000000059,
+        0.0015048912730540875, 0.0039000000000000146, 0.010379999999999999,
+        0.5877676412730541, 1.4692538945066957, 1.0494670675047828,
+        True, 7039, 168936,
     ),
     ('sweep', 'Real_3', 'before', 1): (
         0.0026889999999999996, 0.0, 0.0,
@@ -275,34 +275,34 @@ GOLDEN = {
         False, 0, 0,
     ),
     ('sweep', 'Real_3', 'before', 4): (
-        0.0009220000000000001, 0.05784, 0.0004030000000000006,
-        2.1924812503605617e-05, 0.0021680000000000033, 0.11499999999999998,
-        0.1763549248125036, 1.228477726154687, 1.0467340803498224,
-        True, 137, 3288,
+        0.00096825, 0.05784, 0.0004030000000000006,
+        3.199999999999731e-05, 0.0009160000000000001, 0.11493999999999999,
+        0.17509924999999998, 1.16206613828915, 1.0461874829188302,
+        True, 61, 1464,
     ),
     ('sweep', 'Real_3', 'before', 8): (
-        0.0007232500000000002, 0.08452000000000001, 0.0008640000000000037,
-        0.00010246269524198659, 0.0023320000000000007, 0.05756999999999998,
-        0.14611171269524198, 1.3785187209620116, 1.0461874829188302,
-        True, 503, 12072,
+        0.0007144999999999999, 0.08452000000000001, 0.0008640000000000037,
+        7.049561398675408e-05, 0.0013880000000000003, 0.057719999999999994,
+        0.14527699561398677, 1.3500956545504237, 1.0489204700737906,
+        True, 170, 4080,
     ),
     ('sweep', 'Real_3', 'before', 16): (
-        0.0006905, 0.15046, 0.0017600000000000116,
-        0.0002548452843167681, 0.002687999999999996, 0.028999999999999998,
-        0.1848533452843168, 1.4736266739546324, 1.0494670675047828,
-        True, 772, 18528,
+        0.0006464999999999999, 0.15046, 0.0017600000000000116,
+        0.0003415489532989646, 0.002907999999999994, 0.028999999999999998,
+        0.18511604895329897, 1.4233397103033616, 1.0494670675047828,
+        True, 962, 23088,
     ),
     ('sweep', 'Real_3', 'before', 32): (
-        0.000746, 0.28763, 0.00359799999999999,
-        0.0006898645419250449, 0.0018920000000000048, 0.014649999999999996,
-        0.30920586454192506, 1.477999453402569, 1.0494670675047828,
-        True, 1000, 24000,
+        0.0006915000000000001, 0.28763, 0.00359799999999999,
+        0.000636753233370424, 0.0018520000000000203, 0.014649999999999996,
+        0.30905825323337044, 1.4867450122984422, 1.0494670675047828,
+        True, 1069, 25656,
     ),
     ('sweep', 'Real_3', 'before', 64): (
-        0.0008027500000000001, 0.563615, 0.007608000000000059,
-        0.0016737015757535278, 0.0015300000000000313, 0.007499999999999951,
-        0.5827294515757536, 1.5042361300901885, 1.0494670675047828,
-        True, 1305, 31320,
+        0.00075975, 0.563615, 0.007608000000000059,
+        0.0015048912730540875, 0.0017040000000000388, 0.007499999999999951,
+        0.5826916412730542, 1.4692538945066957, 1.0494670675047828,
+        True, 1168, 28032,
     ),
     ('table1', 'Initial'): (637, 2592, 3588, 720),
     ('table1', 'Real_1'): (938, 4286, 5583, 720),
@@ -311,22 +311,22 @@ GOLDEN = {
     ('table2', 2, 'HeuMWBG'): (0, 0),
     ('table2', 2, 'OptBMCM'): (0, 0),
     ('table2', 2, 'OptMWBG'): (0, 0),
-    ('table2', 4, 'HeuMWBG'): (139, 124),
-    ('table2', 4, 'OptBMCM'): (139, 124),
-    ('table2', 4, 'OptMWBG'): (139, 124),
-    ('table2', 8, 'HeuMWBG'): (739, 303),
-    ('table2', 8, 'OptBMCM'): (837, 288),
-    ('table2', 8, 'OptMWBG'): (739, 303),
-    ('table2', 16, 'HeuMWBG'): (974, 188),
-    ('table2', 16, 'OptBMCM'): (1069, 188),
-    ('table2', 16, 'OptMWBG'): (918, 188),
-    ('table2', 32, 'HeuMWBG'): (1061, 83),
-    ('table2', 32, 'OptBMCM'): (1267, 83),
-    ('table2', 32, 'OptMWBG'): (1042, 83),
-    ('table2', 64, 'HeuMWBG'): (1205, 70),
-    ('table2', 64, 'OptBMCM'): (1260, 70),
-    ('table2', 64, 'OptMWBG'): (1201, 70),
-    ('vm_vs_ledger', 8): (0.00088675, 0.0034267499999999997),
+    ('table2', 4, 'HeuMWBG'): (105, 105),
+    ('table2', 4, 'OptBMCM'): (105, 105),
+    ('table2', 4, 'OptMWBG'): (105, 105),
+    ('table2', 8, 'HeuMWBG'): (168, 67),
+    ('table2', 8, 'OptBMCM'): (168, 67),
+    ('table2', 8, 'OptMWBG'): (168, 67),
+    ('table2', 16, 'HeuMWBG'): (854, 159),
+    ('table2', 16, 'OptBMCM'): (1051, 151),
+    ('table2', 16, 'OptMWBG'): (854, 159),
+    ('table2', 32, 'HeuMWBG'): (1195, 125),
+    ('table2', 32, 'OptBMCM'): (1174, 125),
+    ('table2', 32, 'OptMWBG'): (1139, 125),
+    ('table2', 64, 'HeuMWBG'): (1218, 92),
+    ('table2', 64, 'OptBMCM'): (1252, 92),
+    ('table2', 64, 'OptMWBG'): (1209, 92),
+    ('vm_vs_ledger', 8): (0.00087225, 0.0037282500000000002),
 }
 
 

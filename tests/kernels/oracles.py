@@ -7,8 +7,12 @@ lives here, unchanged, as the oracle it must match bit for bit:
   :class:`_ListMailbox` and eager ``CausalNode`` / ``CausalMsg`` record;
 * :func:`fm_bisection_refine_reference`,
   :func:`kway_greedy_refine_reference`,
-  :func:`heavy_edge_matching_reference` — numpy-scalar refiners and
-  per-vertex ``lexsort`` matching;
+  :func:`heavy_edge_matching_reference`,
+  :func:`greedy_graph_growing_reference` — numpy-scalar refiners and
+  region growing, per-vertex ``lexsort`` matching;
+* :func:`gains_bisection_reference`, :func:`gains_subset_reference`,
+  :func:`csr_ptr_reference` — ``np.add.at`` where the product counts
+  with ``np.bincount``;
 * :func:`assemble_children_reference` — one column stack per child;
 * :func:`charge_shared_exchange_reference` — the per-edge loop over SPL
   rank pairs;
@@ -61,8 +65,8 @@ from repro.parallel.runtime import (
     _Message,
 )
 from repro.partition import multilevel_kway
-from repro.partition.fm_refine import _gains_bisection
 from repro.partition.graph import Graph
+from repro.partition.quality import edgecut
 
 # --- parallel/runtime.py: scheduler and mailbox ------------------------------
 
@@ -331,6 +335,7 @@ def fm_bisection_refine_reference(
     """Reference FM: full gain rebuild per pass, numpy scalars throughout."""
     side = np.array(side, dtype=np.int64)
     n = graph.n
+    count = np.bincount(side, minlength=2)
     total = graph.total_vwgt()
     targets = np.array([target0 * total, (1.0 - target0) * total])
     caps = ub * targets
@@ -340,7 +345,7 @@ def fm_bisection_refine_reference(
     stall_limit = max(50, n // 4)
 
     for _ in range(max_passes):
-        gain = _gains_bisection(graph, side)
+        gain = gains_bisection_reference(graph, side)
         locked = np.zeros(n, dtype=bool)
         heaps: list[list[tuple[int, int]]] = [[], []]
         for v in range(n):
@@ -351,13 +356,15 @@ def fm_bisection_refine_reference(
         best_len = 0
         since_best = 0
         while since_best <= stall_limit:
-            v = _best_feasible(heaps, side, gain, locked, w, caps, graph)
+            v = _best_feasible(heaps, side, gain, locked, w, caps, graph, count)
             if v is None:
                 break
             s = int(side[v])
             cum += int(gain[v])
             w[s] -= graph.vwgt[v]
             w[1 - s] += graph.vwgt[v]
+            count[s] -= 1
+            count[1 - s] += 1
             side[v] = 1 - s
             locked[v] = True
             moves.append(v)
@@ -378,21 +385,53 @@ def fm_bisection_refine_reference(
             s = int(side[v])
             w[s] -= graph.vwgt[v]
             w[1 - s] += graph.vwgt[v]
+            count[s] -= 1
+            count[1 - s] += 1
             side[v] = 1 - s
         if best_cum <= 0:
             break
     return side
 
 
-def _best_feasible(heaps, side, gain, locked, w, caps, graph):
+def gains_bisection_reference(graph: Graph, side: np.ndarray) -> np.ndarray:
+    """FM gain of every vertex, accumulated with ``np.add.at``."""
+    src = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(graph.ptr))
+    ext = side[src] != side[graph.adj]
+    g = np.zeros(graph.n, dtype=np.int64)
+    np.add.at(g, src, np.where(ext, graph.ewgt, -graph.ewgt))
+    return g
+
+
+def gains_subset_reference(
+    graph: Graph, side: np.ndarray, vertices: np.ndarray
+) -> np.ndarray:
+    """FM gains of ``vertices`` only, accumulated with ``np.add.at``."""
+    starts = graph.ptr[vertices]
+    counts = graph.ptr[vertices + 1] - starts
+    total = int(counts.sum())
+    g = np.zeros(vertices.shape[0], dtype=np.int64)
+    if total == 0:
+        return g
+    offsets = np.cumsum(counts) - counts
+    eidx = np.repeat(starts - offsets, counts) + np.arange(total)
+    owner = np.repeat(np.arange(vertices.shape[0]), counts)
+    ext = side[vertices][owner] != side[graph.adj[eidx]]
+    np.add.at(g, owner, np.where(ext, graph.ewgt[eidx], -graph.ewgt[eidx]))
+    return g
+
+
+def _best_feasible(heaps, side, gain, locked, w, caps, graph, count):
     """Pick the best admissible move across both sides.
 
-    Feasibility: the receiving side must stay under its cap.  Among
-    feasible candidates the higher gain wins; ties go to the side that is
-    currently more overweight (drives toward balance).
+    Feasibility: the receiving side must stay under its cap and the giving
+    side must keep a vertex.  Among feasible candidates the higher gain
+    wins; ties go to the side that is currently more overweight (drives
+    toward balance).
     """
     cands = []
     for s in (0, 1):
+        if count[s] <= 1:
+            continue
         heap = heaps[s]
         while heap:
             negg, v = heap[0]
@@ -426,6 +465,7 @@ def kway_greedy_refine_reference(
     target = total / k
     cap = ub * target
     loads = np.bincount(part, weights=graph.vwgt.astype(np.float64), minlength=k)
+    counts = np.bincount(part, minlength=k)
 
     for _ in range(max_passes):
         moved = 0
@@ -433,17 +473,22 @@ def kway_greedy_refine_reference(
         boundary = np.unique(src[part[src] != part[graph.adj]])
         for v in boundary:
             s = int(part[v])
+            if counts[s] <= 1:
+                continue  # a part never gives up its last vertex
             conn: dict[int, int] = {}
             for u, ew in zip(graph.neighbors(v), graph.edge_weights(v)):
                 pu = int(part[u])
                 conn[pu] = conn.get(pu, 0) + int(ew)
             internal = conn.get(s, 0)
             overweight = loads[s] > cap
+            # from scratch, an overweight part may shed into a neighbour
+            # that ends above the cap but below where the source started
+            room = loads[s] if overweight and not balance_only else cap
             best_t, best_gain = -1, -np.inf
             for t, c in sorted(conn.items()):
                 if t == s:
                     continue
-                if loads[t] + graph.vwgt[v] > cap:
+                if loads[t] + graph.vwgt[v] > room:
                     continue
                 gain = c - internal
                 if gain > best_gain:
@@ -455,6 +500,8 @@ def kway_greedy_refine_reference(
             if improves_cut or sheds_overload:
                 loads[s] -= graph.vwgt[v]
                 loads[best_t] += graph.vwgt[v]
+                counts[s] -= 1
+                counts[best_t] += 1
                 part[v] = best_t
                 moved += 1
         if moved == 0:
@@ -491,6 +538,76 @@ def heavy_edge_matching_reference(
         else:
             match[v] = v
     return match
+
+
+def greedy_graph_growing_reference(
+    graph: Graph,
+    target_frac: float,
+    rng: np.random.Generator,
+    ntries: int = 4,
+) -> np.ndarray:
+    """Reference region growing: numpy-scalar indexing in the loop."""
+    if not 0.0 < target_frac < 1.0:
+        raise ValueError(f"target_frac must be in (0, 1), got {target_frac}")
+    n = graph.n
+    if n == 1:
+        return np.zeros(1, dtype=np.int64)
+    target = target_frac * graph.total_vwgt()
+    best_side = None
+    best_cut = np.inf
+    for seed in rng.choice(n, size=min(ntries, n), replace=False):
+        side = _grow_reference(graph, int(seed), target)
+        cut = edgecut(graph, side)
+        if side.min() == 0 and side.max() == 1 and cut < best_cut:
+            best_cut, best_side = cut, side
+    if best_side is None:
+        best_side = np.zeros(n, dtype=np.int64)
+        best_side[np.argsort(graph.vwgt)[: n // 2]] = 1
+    return best_side
+
+
+def _grow_reference(graph: Graph, seed: int, target: float) -> np.ndarray:
+    n = graph.n
+    in_region = np.zeros(n, dtype=bool)
+    gain = np.zeros(n, dtype=np.int64)
+    heap: list[tuple[int, int]] = []
+    grown = 0.0
+
+    def absorb(v: int) -> None:
+        nonlocal grown
+        in_region[v] = True
+        grown += graph.vwgt[v]
+        for u, w in zip(graph.neighbors(v), graph.edge_weights(v)):
+            if not in_region[u]:
+                gain[u] += 2 * w  # edge flips from cut to internal
+                heapq.heappush(heap, (-int(gain[u]), int(u)))
+
+    absorb(seed)
+    while grown < target and heap:
+        g, v = heapq.heappop(heap)
+        if in_region[v] or -g != gain[v]:
+            continue  # stale heap entry
+        if grown + graph.vwgt[v] > 1.5 * target and grown > 0.5 * target:
+            continue  # adding a huge vertex would overshoot badly
+        absorb(v)
+    if grown < target:
+        outside = np.flatnonzero(~in_region)
+        for v in outside[np.argsort(graph.vwgt[outside])]:
+            if grown >= target:
+                break
+            in_region[v] = True
+            grown += graph.vwgt[v]
+    return np.where(in_region, 0, 1).astype(np.int64)
+
+
+def csr_ptr_reference(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Row pointers of the graph ``Graph.from_pairs(pairs, n)`` builds,
+    counted with ``np.add.at`` over its distinct undirected edges."""
+    edges = {(min(a, b), max(a, b)) for a, b in np.asarray(pairs).tolist() if a != b}
+    ends = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(ptr, ends.ravel() + 1, 1)
+    return np.cumsum(ptr)
 
 
 # --- adapt/refine.py, adapt/marking.py ----------------------------------------
@@ -648,6 +765,7 @@ SUBSTITUTIONS = tuple(
         ("repro.partition.fm_refine:fm_bisection_refine", fm_bisection_refine_reference),
         ("repro.partition.fm_refine:kway_greedy_refine", kway_greedy_refine_reference),
         ("repro.partition.matching:heavy_edge_matching", heavy_edge_matching_reference),
+        ("repro.partition.initial:greedy_graph_growing", greedy_graph_growing_reference),
         ("repro.adapt.refine:_assemble_children", assemble_children_reference),
         ("repro.adapt.marking:_charge_shared_exchange", charge_shared_exchange_reference),
         ("repro.solver.scatter:scatter_add_rows", scatter_add_rows_reference),

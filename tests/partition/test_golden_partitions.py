@@ -1,16 +1,21 @@
 """Golden partitions: the partitioner's answers on the rotor case, pinned.
 
-Every entry is the ``blake2b`` digest of one from-scratch
+Every entry is ``(digest, edge cut, imbalance)`` — the ``blake2b`` digest
+of the labels, the cut on the graph that was partitioned and the maximum
+load over the mean, to four places — of one from-scratch
 ``multilevel_kway`` partition of the rotor case's dual graph and of the
 ``repartition`` that follows it under the Real_2 predicted weights (the
-pair ``experiments.table2`` computes).  A change that is supposed to
-leave partitions alone — a faster kernel, reuse of finished partitions —
-must leave this file alone; a change that is supposed to move them (a
-new partitioning algorithm) rebaselines it on purpose, with
+pair ``experiments.table2`` computes).  The digest says *that* a
+partition moved, the two numbers beside it say whether it got better:
+a failing row reads "cut 595 -> 584", not as two hex strings.  A change
+that is supposed to leave partitions alone — a faster kernel, reuse of
+finished partitions — must leave this file alone; a change that is
+supposed to move them (a new partitioning algorithm) rebaselines it on
+purpose, with
 
     PYTHONPATH=src python tests/partition/test_golden_partitions.py
 
-and says so in its CHANGES.md entry.
+and says so, old cut beside new, in its CHANGES.md entry.
 """
 
 import hashlib
@@ -22,35 +27,43 @@ import pytest
 from repro.adapt.adaptor import AdaptiveMesh
 from repro.core.dualgraph import DualGraph
 from repro.experiments.cases import PROC_COUNTS, make_case
-from repro.partition import multilevel_kway, repartition
+from repro.partition import edgecut, imbalance, multilevel_kway, repartition
 
-#: (resolution, P) pairs; each is partitioned with seeds 0, 1, 2.
-CASES = [(4, p) for p in PROC_COUNTS] + [(6, 16)]
+#: (resolution, P) pairs; each is partitioned with seeds 0, 1, 2.  The
+#: last two are the sizes ``vm_ranks`` partitions in its set-up.
+CASES = [(4, p) for p in PROC_COUNTS] + [(6, 16), (8, 64), (8, 256)]
 SEEDS = (0, 1, 2)
 
-#: (resolution, P, seed) -> (multilevel_kway digest, repartition digest)
+#: (resolution, P, seed) -> ((digest, cut, imbalance) of multilevel_kway,
+#: the same of repartition)
 GOLDEN = {
-    (4, 2, 0): ('952b8805b47d2055', '952b8805b47d2055'),
-    (4, 2, 1): ('3f040c2f9854d2de', '3f040c2f9854d2de'),
-    (4, 2, 2): ('f228b8f5b7d4c77c', 'f228b8f5b7d4c77c'),
-    (4, 4, 0): ('ef5cd9f6f3823a41', '6e04cc4d43633b52'),
-    (4, 4, 1): ('00c613e79d21cef5', 'fe9ea5e9c1eb20cd'),
-    (4, 4, 2): ('c866d029191bbe72', '0b8c811b982f30d9'),
-    (4, 8, 0): ('b641014af8615708', '82df483836856f7d'),
-    (4, 8, 1): ('21eadf86cc799efd', 'df292e4088523db9'),
-    (4, 8, 2): ('0a832d35eb0bdfd8', '5ec08664567c2288'),
-    (4, 16, 0): ('8cb191222a923d87', 'f01107d33bce98e4'),
-    (4, 16, 1): ('1d3fe433b517c89e', 'e8b1d915f59a752f'),
-    (4, 16, 2): ('f7b077612001efb8', 'c3078d5229e948ac'),
-    (4, 32, 0): ('21689261336e89b3', '99ccf7578ff3303b'),
-    (4, 32, 1): ('ba412f54d1db1307', '187716927ea6fbf2'),
-    (4, 32, 2): ('1b90fd177f190f1d', '2554c669391aab46'),
-    (4, 64, 0): ('e26193bbb4783458', 'aa9c7e9795efed15'),
-    (4, 64, 1): ('a74c5416c6545ac6', '4b1afe34b6709fb8'),
-    (4, 64, 2): ('8eae7a0b10b839d9', 'dd40ea02420ba52e'),
-    (6, 16, 0): ('46a7d3e8cd08d56f', '9788b1e0dcc0fb23'),
-    (6, 16, 1): ('c08a697848644a73', 'da25919520570901'),
-    (6, 16, 2): ('6073260d2609f584', '8dee4b045d23c64c'),
+    (4, 2, 0): (('952b8805b47d2055', 34, 1.0052), ('952b8805b47d2055', 34, 1.0467)),
+    (4, 2, 1): (('3f040c2f9854d2de', 33, 1.0339), ('3f040c2f9854d2de', 33, 1.0072)),
+    (4, 2, 2): (('f228b8f5b7d4c77c', 32, 1.0417), ('f228b8f5b7d4c77c', 32, 1.0391)),
+    (4, 4, 0): (('3460e0c66de644bd', 94, 1.0469), ('5c95d3c07533ab27', 111, 1.049)),
+    (4, 4, 1): (('308255a8d13e81ec', 102, 1.0469), ('af75dc8e0158bfc6', 121, 1.0432)),
+    (4, 4, 2): (('fa1c49fcaeeac412', 97, 1.0312), ('37fc968c81405e10', 115, 1.0478)),
+    (4, 8, 0): (('88f6df59500b6f72', 183, 1.0417), ('4acfcfc9c8fc64f6', 216, 1.0385)),
+    (4, 8, 1): (('7e9dbf8cb1006843', 176, 1.0417), ('90139d179a965607', 202, 1.0455)),
+    (4, 8, 2): (('3b1ea5c0b79e0441', 170, 1.0417), ('790dcb9489cfc31a', 208, 1.0478)),
+    (4, 16, 0): (('354519f62d03905c', 253, 1.0417), ('51e829d40fa8c645', 302, 1.0478)),
+    (4, 16, 1): (('9fa9404b93b8119b', 272, 1.0417), ('fbd2792211adea0e', 302, 1.0478)),
+    (4, 16, 2): (('fb09cc2252d5da32', 270, 1.0417), ('e659fafe173636cd', 324, 1.0478)),
+    (4, 32, 0): (('156f80290ced6b97', 388, 1.0417), ('12db2e4704f2eb6c', 416, 1.0478)),
+    (4, 32, 1): (('575bc6600ef12e63', 367, 1.0417), ('c9edeadb61a378e0', 388, 1.0478)),
+    (4, 32, 2): (('9d1cbf422d8deaec', 383, 1.0417), ('50cea36785a296e6', 406, 1.0571)),
+    (4, 64, 0): (('2c60a2cbf23dc977', 530, 1.0833), ('e125d843f3c717f5', 528, 1.1869)),
+    (4, 64, 1): (('bfb49018a33b1fa2', 549, 1.0833), ('1159824cd3390b7c', 538, 1.1869)),
+    (4, 64, 2): (('1cbd0d1f6ea12f3f', 531, 1.0833), ('5028c2accebc81cc', 531, 1.1127)),
+    (6, 16, 0): (('65c230026d0c964b', 574, 1.0494), ('4de12fc5051c007c', 704, 1.0462)),
+    (6, 16, 1): (('90f5514fe2221391', 550, 1.0494), ('9b9e35a8d7635beb', 688, 1.0429)),
+    (6, 16, 2): (('a20b8213be630182', 557, 1.0494), ('a6490405ea24ed7b', 724, 1.0462)),
+    (8, 64, 0): (('69729c4e7367138f', 1992, 1.0417), ('23759d7b7b8e6736', 2398, 1.0494)),
+    (8, 64, 1): (('6ce8b9be36d858d4', 1961, 1.0417), ('93a3deb5f2082ac8', 2408, 1.1155)),
+    (8, 64, 2): (('575a8150a93b4a57', 2105, 1.0417), ('58e062e397b7fa35', 2439, 1.0494)),
+    (8, 256, 0): (('195832225f36b115', 3625, 1.0833), ('27d7d71cc0978ee6', 3733, 1.104)),
+    (8, 256, 1): (('e671521010364257', 3581, 1.0417), ('9ff7fddf9d773487', 3709, 1.104)),
+    (8, 256, 2): (('7112d898ff0324b8', 3577, 1.0417), ('ab2b2f4831e761e4', 3848, 1.196)),
 }
 
 
@@ -66,22 +79,23 @@ def _graphs(resolution):
     return dual.comp_graph(), dual.graph.with_vwgt(wcomp_pred)
 
 
-def _digest(part):
+def _row(graph, part, nproc):
     assert part.dtype == np.int64 and part.ndim == 1
-    return hashlib.blake2b(part.tobytes(), digest_size=8).hexdigest()
+    digest = hashlib.blake2b(part.tobytes(), digest_size=8).hexdigest()
+    return digest, edgecut(graph, part), round(imbalance(graph, part, nproc), 4)
 
 
-def _digests(resolution, nproc, seed):
+def _rows(resolution, nproc, seed):
     before, after = _graphs(resolution)
     old = multilevel_kway(before, nproc, seed=seed)
     new = repartition(after, nproc, old, seed=seed)
-    return _digest(old), _digest(new)
+    return _row(before, old, nproc), _row(after, new, nproc)
 
 
 @pytest.mark.parametrize("resolution,nproc", CASES)
 def test_partitions_match_golden_digests(resolution, nproc):
     got = {
-        (resolution, nproc, seed): _digests(resolution, nproc, seed)
+        (resolution, nproc, seed): _rows(resolution, nproc, seed)
         for seed in SEEDS
     }
     want = {key: GOLDEN[key] for key in got}
@@ -96,5 +110,5 @@ if __name__ == "__main__":
     print("GOLDEN = {")
     for r, p in CASES:
         for s in SEEDS:
-            print(f"    ({r}, {p}, {s}): {_digests(r, p, s)!r},")
+            print(f"    ({r}, {p}, {s}): {_rows(r, p, s)!r},")
     print("}")
