@@ -158,6 +158,10 @@ def main() -> int:
         for c in cycles:
             if not re.search(rf"^\s*{c}\b", proc.stdout, re.MULTILINE):
                 return fail(f"ASCII report does not mention cycle {c}")
+        for needle in ("Balance quality per cycle",
+                       "Resource usage (per process)"):
+            if needle not in proc.stdout:
+                return fail(f"ASCII report omits {needle!r}")
         if not os.path.exists(html) or os.path.getsize(html) == 0:
             return fail("HTML report was not written")
         with open(html) as fh:
@@ -278,7 +282,8 @@ def main() -> int:
                         f"{proc.stdout}\n{proc.stderr}")
         for needle in ("Per-rank traffic (measured, wall clock)",
                        "Transport counters (shm)",
-                       "Measured critical path (wall clock)"):
+                       "Measured critical path (wall clock)",
+                       " rank 1 "):  # per-rank resource-record rows
             if needle not in proc.stdout:
                 return fail(f"measured report omits {needle!r}")
 

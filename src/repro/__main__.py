@@ -160,11 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "(repeatable; default: every registered real-execution "
              "backend except mpi4py)",
     )
-    p_cal.add_argument(
-        "--fit", action="store_true",
-        help="least-squares fit of t_setup/t_word/t_work machine "
-             "constants from the measured phase times",
-    )
     add_tracing(p_cal)
 
     p_cp = sub.add_parser(
@@ -442,11 +437,6 @@ def _cmd_calibrate(args) -> int:
             args.resolution, args.nproc, backends=backends, tracer=tracer
         )
     print(format_calibration(report))
-    if args.fit:
-        from repro.experiments.fit import fit_calibration, format_fits
-
-        print()
-        print(format_fits(fit_calibration(report)))
     if tracer is not None:
         from repro.obs.wallclock import format_clock_skew
 
@@ -566,18 +556,9 @@ def _cmd_scale(args) -> int:
 
 
 def _cmd_case(args) -> int:
-    # Reach scipy.optimize from here, the stack depth `step` reaches it
-    # from, not two imports further down through experiments.sweep:
-    # CPython 3.11 maps and unmaps a 16 kB frame-stack chunk on every call
-    # that straddles a chunk boundary, and scipy.special's import-time
-    # docstring loop sat on one from there (24 k mmap/munmap pairs,
-    # +0.15 s; DESIGN.md §9).
-    import repro.core  # noqa: F401
+    from repro.experiments.cases import CASE_NAMES, case_for, growth_factor
 
-    from repro.experiments import CASE_NAMES, make_case
-    from repro.experiments.sweep import growth_factor
-
-    case = make_case(args.resolution)
+    case = case_for(args.resolution)
     sz = case.mesh.sizes()
     print(f"resolution {args.resolution}: "
           + ", ".join(f"{k}={v}" for k, v in sz.items()))

@@ -14,7 +14,6 @@ from .marking import (
     propagate_markings,
     shared_edge_mask,
     target_by_fraction,
-    target_by_threshold,
 )
 from .patterns import (
     NUM_CHILDREN,
@@ -60,6 +59,5 @@ __all__ = [
     "subdivide",
     "target_by_fraction",
     "target_elements_by_fraction",
-    "target_by_threshold",
     "upgrade",
 ]

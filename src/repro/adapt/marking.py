@@ -28,7 +28,6 @@ from .patterns import UPGRADE, pattern_bits
 
 __all__ = [
     "target_by_fraction",
-    "target_by_threshold",
     "target_elements_by_fraction",
     "propagate_markings",
     "MarkingResult",
@@ -56,18 +55,6 @@ def target_by_fraction(error: np.ndarray, refine_frac: float) -> np.ndarray:
         order = np.lexsort((np.arange(n), -error))
         mask[order[:k]] = True
     return mask
-
-
-def target_by_threshold(
-    error: np.ndarray, hi: float, lo: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classic two-threshold targeting: refine above ``hi``, coarsen below
-    ``lo`` (paper §3: "edges whose error values exceed a specified upper
-    threshold are targeted for subdivision...")."""
-    error = np.asarray(error, dtype=np.float64)
-    if lo > hi:
-        raise ValueError(f"lo ({lo}) must not exceed hi ({hi})")
-    return error > hi, error < lo
 
 
 def target_elements_by_fraction(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.adapt.adaptor import AdaptiveMesh
 from repro.mesh.tetmesh import TetMesh
 from repro.partition.graph import Graph
 
@@ -48,24 +47,6 @@ class DualGraph:
         self.wcomp = wcomp
         self.wremap = wremap
 
-    def update_from(self, adaptive: AdaptiveMesh) -> None:
-        """Pull current weights from an adaptive mesh's forest."""
-        self.update_weights(adaptive.wcomp(), adaptive.wremap())
-
-    def update_predicted(self, adaptive: AdaptiveMesh, marking) -> None:
-        """Pull *predicted* weights for a pending marking (paper §4.6:
-        weights adjusted as though subdivision had already taken place)."""
-        wcomp, wremap = adaptive.predicted_weights(marking)
-        self.update_weights(wcomp, wremap)
-
     def comp_graph(self) -> Graph:
         """Graph weighted by Wcomp — what the repartitioner balances."""
         return self.graph.with_vwgt(self.wcomp)
-
-    def remap_graph(self) -> Graph:
-        """Graph weighted by Wremap — what the remapper pays to move."""
-        return self.graph.with_vwgt(self.wremap)
-
-    def element_centroids(self) -> np.ndarray:
-        """Initial-element centroids (for geometric baseline partitioners)."""
-        return self.mesh.coords[self.mesh.elems].mean(axis=1)

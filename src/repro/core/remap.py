@@ -2,11 +2,8 @@
 the cost on the virtual machine.
 
 Every initial-mesh element moves with its whole refinement tree (that is
-why ``Wremap`` counts all tree nodes).  The migration is executed as an
-SPMD program on the :class:`~repro.parallel.VirtualMachine`: each rank
-packs one message per destination (paying per-element packing work and the
-transfer cost), receives its incoming sets, and rebuilds its local data
-structures (per-received-element work).  The program's makespan is the
+why ``Wremap`` counts all tree nodes).  The migration is the rank program
+of :func:`repro.dist.migrate.exchange_elements`; its makespan is the
 measured remapping time reported in Figs. 5 and 6.
 """
 
@@ -16,16 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.parallel.backends import record_backend_run, resolve_backend
+from repro.dist.migrate import build_move_matrix, exchange_elements
 from repro.parallel.machine import MachineModel, SP2_1997
-from repro.parallel.runtime import per_rank
 
 __all__ = ["RemapExecution", "build_move_matrix", "execute_remap"]
-
-#: Work units to pack or unpack one element's payload.
-PACK_WORK_PER_ELEM = 2.0
-#: Work units to rebuild internal/shared structures per received element.
-REBUILD_WORK_PER_ELEM = 4.0
 
 
 @dataclass(frozen=True)
@@ -37,24 +28,6 @@ class RemapExecution:
     messages: int
     words_moved: int
     new_owner: np.ndarray  #: (n_initial_elements,) processor after the move
-
-
-def build_move_matrix(
-    old_proc: np.ndarray,
-    new_proc: np.ndarray,
-    wremap: np.ndarray,
-    nproc: int,
-) -> np.ndarray:
-    """``(P, P)`` element counts moving from each processor to each other."""
-    old_proc = np.asarray(old_proc, dtype=np.int64)
-    new_proc = np.asarray(new_proc, dtype=np.int64)
-    wremap = np.asarray(wremap, dtype=np.int64)
-    if not (old_proc.shape == new_proc.shape == wremap.shape):
-        raise ValueError("old_proc, new_proc, wremap must align")
-    move = np.zeros((nproc, nproc), dtype=np.int64)
-    np.add.at(move, (old_proc, new_proc), wremap)
-    np.fill_diagonal(move, 0)  # staying put is free
-    return move
 
 
 def execute_remap(
@@ -70,48 +43,17 @@ def execute_remap(
     """Migrate ownership from ``old_proc`` to ``new_proc`` on the VM.
 
     Conservation is asserted: every element is owned by exactly one
-    processor before and after.  With ``tracer`` set to a
-    :class:`repro.obs.Tracer`, every virtual-machine send/recv of the
-    migration program is mirrored into it, so the exported trace shows
-    the full communication schedule of the remap.  ``backend`` selects
-    the communicator backend executing the migration program.
+    processor before and after.  ``tracer`` (a :class:`repro.obs.Tracer`,
+    or the ambient one) mirrors every send/recv of the migration program,
+    so the exported trace shows the full communication schedule of the
+    remap.  ``backend`` selects the communicator backend executing it.
     """
     move = build_move_matrix(old_proc, new_proc, wremap, nproc)
-    comm = resolve_backend(backend, nproc, machine=machine, tracer=tracer)
-
-    send_plans = [
-        [(d, int(move[r, d])) for d in range(nproc) if move[r, d] > 0]
-        for r in range(nproc)
-    ]
-    recv_counts = [int((move[:, r] > 0).sum()) for r in range(nproc)]
-
-    def program(comm, sends, n_in):
-        # pack and ship one message per destination
-        for dest, elems in sends:
-            yield from comm.compute(PACK_WORK_PER_ELEM * elems)
-            yield from comm.send(
-                ("elements", comm.rank, elems),
-                dest=dest,
-                tag=1,
-                nwords=elems * storage_words,
-            )
-        got = 0
-        for _ in range(n_in):
-            payload = yield from comm.recv(tag=1)
-            _, _, elems = payload
-            yield from comm.compute(PACK_WORK_PER_ELEM * elems)  # unpack
-            got += elems
-        # rebuild internal and shared data structures
-        yield from comm.compute(REBUILD_WORK_PER_ELEM * got)
-        yield from comm.barrier()
-        return got
-
-    res = comm.run(program, per_rank(send_plans), per_rank(recv_counts))
-    record_backend_run(tracer, "remap", res)
-
-    received = np.array(res.returns)
-    expected_in = move.sum(axis=0)
-    assert np.array_equal(received, expected_in), "element conservation"
+    res = exchange_elements(
+        move, storage_words,
+        phase="remap", machine=machine, tracer=tracer, backend=backend,
+    )
+    assert np.array_equal(res.returns, move.sum(axis=0)), "element conservation"
 
     return RemapExecution(
         time_seconds=res.makespan,

@@ -27,10 +27,9 @@ import numpy as np
 from repro.adapt.marking import element_patterns
 from repro.adapt.patterns import UPGRADE, pattern_bits
 from repro.mesh.tetmesh import TetMesh
-from repro.parallel.backends import record_backend_run, resolve_backend
 from repro.parallel.machine import MachineModel, SP2_1997
-from repro.parallel.runtime import per_rank
 
+from ._launch import launch
 from .localmesh import LocalMesh
 
 __all__ = ["parallel_mark", "ParallelMarkResult"]
@@ -67,16 +66,11 @@ def parallel_mark(
     modelled virtual seconds on ``virtual``, measured wall seconds on the
     real-execution backends.
     """
-    if tracer is None:
-        from repro.obs import current_tracer
-
-        tracer = current_tracer()
     initial_marks = np.asarray(initial_marks, dtype=bool)
     if initial_marks.shape != (global_mesh.nedges,):
         raise ValueError(
             f"initial marks must cover the {global_mesh.nedges} global edges"
         )
-    nproc = len(locals_)
 
     # per-rank immutable context
     local_marks0 = [initial_marks[lm.edge_l2g].copy() for lm in locals_]
@@ -93,7 +87,7 @@ def parallel_mark(
                 by_nbr.setdefault(int(r), []).append(int(le))
         shared_with.append(by_nbr)
 
-    def program(comm, lm: LocalMesh, marks: np.ndarray, nbrs, shared):
+    def program(comm, _real_wire, lm: LocalMesh, marks, nbrs, shared):
         marked = marks.copy()
         g2l_keys = lm.edge_l2g  # ascending, so searchsorted resolves g->l
         rounds = 0
@@ -131,15 +125,10 @@ def parallel_mark(
                 break
         return marked, rounds
 
-    comm = resolve_backend(backend, nproc, machine=machine, tracer=tracer)
-    res = comm.run(
-        program,
-        per_rank(locals_),
-        per_rank(local_marks0),
-        per_rank(neighbours),
-        per_rank(shared_with),
+    res = launch(
+        program, locals_, local_marks0, neighbours, shared_with,
+        phase="mark", machine=machine, tracer=tracer, backend=backend,
     )
-    record_backend_run(tracer, "mark", res)
 
     merged = np.zeros(global_mesh.nedges, dtype=bool)
     rounds = 0

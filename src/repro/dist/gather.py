@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mesh.tetmesh import TetMesh
-from repro.parallel.backends import record_backend_run, resolve_backend
 from repro.parallel.machine import MachineModel, SP2_1997
-from repro.parallel.runtime import per_rank
 
+from ._launch import launch
 from .localmesh import LocalMesh
 
 __all__ = ["finalize", "FinalizeResult"]
@@ -106,16 +105,7 @@ def finalize(
         for lm, own in zip(locals_, owner_masks)
     ]
 
-    if tracer is None:
-        from repro.obs import current_tracer
-
-        tracer = current_tracer()
-    comm = resolve_backend(backend, nproc, machine=machine, tracer=tracer)
-    # Measured backends ship the gathered blocks for real (see migrate);
-    # the virtual machine keeps the modelled-traffic form.
-    real_wire = bool(getattr(comm, "measured", False))
-
-    def program(comm, words):
+    def program(comm, real_wire, words):
         if comm.rank == host:
             for _ in range(comm.size - 1):
                 _ = yield from comm.recv(tag=9)
@@ -124,8 +114,11 @@ def finalize(
             payload = np.zeros(words, dtype=np.float64) if real_wire else None
             yield from comm.send(payload, dest=host, tag=9, nwords=words)
         yield from comm.barrier()
-    res = comm.run(program, per_rank(payload_words))
-    record_backend_run(tracer, "gather", res)
+
+    res = launch(
+        program, payload_words,
+        phase="gather", machine=machine, tracer=tracer, backend=backend,
+    )
 
     return FinalizeResult(
         mesh=mesh,

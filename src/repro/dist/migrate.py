@@ -1,15 +1,21 @@
-"""Element migration at the data-structure level (paper §4.6's remapper).
+"""Element migration (paper §4.6's remapper), for the cycle and for the
+data-structure level alike.
 
 "When an element is moved from one processor to another, a communication
 cost as well as a computational overhead are incurred ... The
 computational overhead is the time necessary to rebuild the internal and
 shared data structures."
 
-:func:`migrate` physically moves elements between local meshes and
+:func:`exchange_elements` is the one migration rank program: each rank
+packs one message per destination (per-element packing work plus the
+transfer), receives and unpacks its incoming sets, and rebuilds its local
+data structures (per-received-element work).  Its makespan is the
+remapping time of Figs. 5 and 6 (through
+:func:`repro.core.remap.execute_remap`, where every initial-mesh element
+moves with its whole refinement tree) and of :func:`migrate`, which also
 rebuilds every per-rank structure (local numbering, l2g maps, shared
-flags, SPLs).  The result is bit-identical to decomposing the global mesh
-under the new partition — asserted in tests — while the communication is
-executed on the virtual machine for timing.
+flags, SPLs) — bit-identical to decomposing the global mesh under the new
+partition, asserted in tests.
 """
 
 from __future__ import annotations
@@ -19,14 +25,76 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mesh.tetmesh import TetMesh
-from repro.parallel.backends import record_backend_run, resolve_backend
 from repro.parallel.machine import MachineModel, SP2_1997
-from repro.parallel.runtime import per_rank
 
+from ._launch import launch
 from .decompose import decompose
 from .localmesh import LocalMesh
 
-__all__ = ["migrate", "MigrateResult"]
+__all__ = ["MigrateResult", "build_move_matrix", "exchange_elements", "migrate"]
+
+#: Work units to pack or unpack one element's payload.
+PACK_WORK_PER_ELEM = 2.0
+#: Work units to rebuild internal/shared structures per received element.
+REBUILD_WORK_PER_ELEM = 4.0
+
+
+def build_move_matrix(
+    old_proc: np.ndarray,
+    new_proc: np.ndarray,
+    wremap: np.ndarray,
+    nproc: int,
+) -> np.ndarray:
+    """``(P, P)`` element counts moving from each processor to each other."""
+    old_proc = np.asarray(old_proc, dtype=np.int64)
+    new_proc = np.asarray(new_proc, dtype=np.int64)
+    wremap = np.asarray(wremap, dtype=np.int64)
+    if not (old_proc.shape == new_proc.shape == wremap.shape):
+        raise ValueError("old_proc, new_proc, wremap must align")
+    move = np.zeros((nproc, nproc), dtype=np.int64)
+    np.add.at(move, (old_proc, new_proc), wremap)
+    np.fill_diagonal(move, 0)  # staying put is free
+    return move
+
+
+def exchange_elements(
+    move: np.ndarray, storage_words: int, *, phase: str, machine, tracer, backend
+):
+    """Run the migration of ``move[src, dst]`` elements as a rank program.
+
+    One message per non-empty ``(src, dst)`` set, ``storage_words`` words
+    per element.  Returns the backend's run result, whose ``returns`` are
+    the element counts each rank received.
+    """
+    nproc = move.shape[0]
+    send_plans = [
+        [(d, int(move[r, d])) for d in range(nproc) if move[r, d] > 0]
+        for r in range(nproc)
+    ]
+    recv_counts = [int((move[:, r] > 0).sum()) for r in range(nproc)]
+
+    def program(comm, real_wire, sends, n_in):
+        # pack and ship one message per destination
+        for dest, elems in sends:
+            yield from comm.compute(PACK_WORK_PER_ELEM * elems)
+            words = elems * storage_words
+            payload = np.zeros(words, dtype=np.float64) if real_wire else elems
+            yield from comm.send(payload, dest=dest, tag=1, nwords=words)
+        got = 0
+        for _ in range(n_in):
+            payload = yield from comm.recv(tag=1)
+            elems = payload.size // storage_words if real_wire else payload
+            yield from comm.compute(PACK_WORK_PER_ELEM * elems)  # unpack
+            got += elems
+        # rebuild internal and shared data structures
+        yield from comm.compute(REBUILD_WORK_PER_ELEM * got)
+        yield from comm.barrier()
+        return got
+
+    return launch(
+        program, send_plans, recv_counts,
+        phase=phase, machine=machine, tracer=tracer, backend=backend,
+    )
 
 
 @dataclass(frozen=True)
@@ -42,7 +110,6 @@ def migrate(
     locals_: list[LocalMesh],
     new_part: np.ndarray,
     storage_words_per_elem: int = 24,
-    rebuild_work_per_elem: float = 6.0,
     machine: MachineModel = SP2_1997,
     tracer=None,
     backend="virtual",
@@ -50,17 +117,11 @@ def migrate(
     """Move elements so rank ``r`` ends up owning ``new_part == r``.
 
     ``new_part`` indexes *global* elements.  Transfer sizes follow the
-    per-element storage model; each rank pays rebuild work proportional to
-    its new local size (compaction + shared-data reconstruction).
-    ``tracer`` (or the ambient one) records the migration's events and
-    causal message DAG.  ``backend`` selects the communicator backend;
-    ``seconds`` is that backend's makespan (modelled on ``virtual``,
-    measured wall on real-execution backends).
+    per-element storage model.  ``tracer`` (or the ambient one) records the
+    migration's events and causal message DAG.  ``backend`` selects the
+    communicator backend; ``seconds`` is that backend's makespan (modelled
+    on ``virtual``, measured wall on real-execution backends).
     """
-    if tracer is None:
-        from repro.obs import current_tracer
-
-        tracer = current_tracer()
     nproc = len(locals_)
     new_part = np.asarray(new_part, dtype=np.int64)
     if new_part.shape != (global_mesh.ne,):
@@ -72,45 +133,11 @@ def migrate(
     for lm in locals_:
         old_part[lm.elem_l2g] = lm.rank
 
-    move = np.zeros((nproc, nproc), dtype=np.int64)
-    np.add.at(move, (old_part, new_part), 1)
-    np.fill_diagonal(move, 0)
-
-    # physical exchange on the VM: one message per (src, dst) element set
-    send_plans = [
-        [(d, int(move[r, d])) for d in range(nproc) if move[r, d] > 0]
-        for r in range(nproc)
-    ]
-    recv_counts = [int((move[:, r] > 0).sum()) for r in range(nproc)]
-    new_sizes = np.bincount(new_part, minlength=nproc)
-
-    comm = resolve_backend(backend, nproc, machine=machine, tracer=tracer)
-    # On measured backends the element blocks really cross the wire —
-    # `nwords`-sized float64 payloads — so the wall clocks pay for the
-    # words the model charges (and the zero-copy transport can carry
-    # them).  The virtual machine keeps the modelled-traffic form: the
-    # clock only reads `nwords`, and skipping the allocation keeps the
-    # deterministic path's host wall unchanged.
-    real_wire = bool(getattr(comm, "measured", False))
-
-    def program(comm, sends, n_in, new_size):
-        for dest, elems in sends:
-            yield from comm.compute(2.0 * elems)  # pack
-            words = elems * storage_words_per_elem
-            payload = np.zeros(words, dtype=np.float64) if real_wire else None
-            yield from comm.send(payload, dest=dest, tag=3, nwords=words)
-        for _ in range(n_in):
-            _ = yield from comm.recv(tag=3)
-        # rebuild local numbering, adjacency, shared flags, SPLs
-        yield from comm.compute(rebuild_work_per_elem * new_size)
-        yield from comm.barrier()
-    res = comm.run(
-        program,
-        per_rank(send_plans),
-        per_rank(recv_counts),
-        per_rank([int(s) for s in new_sizes]),
+    move = build_move_matrix(old_part, new_part, np.ones_like(new_part), nproc)
+    res = exchange_elements(
+        move, storage_words_per_elem,
+        phase="migrate", machine=machine, tracer=tracer, backend=backend,
     )
-    record_backend_run(tracer, "migrate", res)
 
     new_locals = decompose(global_mesh, new_part, nproc)
     return MigrateResult(

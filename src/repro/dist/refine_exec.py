@@ -28,10 +28,9 @@ from repro.adapt.patterns import UPGRADE
 from repro.adapt.refine import SUBDIV_WORK_PER_CHILD, subdivide
 from repro.mesh.tetmesh import TetMesh
 from repro.mesh.topology import FACE_EDGE_MASKS
-from repro.parallel.backends import record_backend_run, resolve_backend
 from repro.parallel.machine import MachineModel, SP2_1997
-from repro.parallel.runtime import per_rank
 
+from ._launch import launch
 from .localmesh import LocalMesh
 
 __all__ = ["parallel_refine", "ParallelRefineResult", "canonical_signature"]
@@ -76,16 +75,11 @@ def parallel_refine(
     backend, so payloads (the refined local meshes) are identical across
     backends while ``time_seconds`` switches from modelled to measured.
     """
-    if tracer is None:
-        from repro.obs import current_tracer
-
-        tracer = current_tracer()
     edge_marked = np.asarray(marking.edge_marked, dtype=bool)
     if edge_marked.shape != (global_mesh.nedges,):
         raise ValueError(
             f"marking must cover the {global_mesh.nedges} global edges"
         )
-    nproc = len(locals_)
 
     local_inputs = []
     for lm in locals_:
@@ -105,7 +99,7 @@ def parallel_refine(
         nbrs = sorted(set(lm.edge_spl_dat.tolist()))
         local_inputs.append((lm, lmarking, n_face_checks, nbrs))
 
-    def program(comm, lm: LocalMesh, lmarking, n_checks, nbrs):
+    def program(comm, _real_wire, lm: LocalMesh, lmarking, n_checks, nbrs):
         # independent local subdivision (the real data structure work)
         result = subdivide(lm.mesh, lmarking)
         yield from comm.compute(SUBDIV_WORK_PER_CHILD * result.mesh.ne)
@@ -125,15 +119,10 @@ def parallel_refine(
         yield from comm.barrier()
         return result.mesh, result.mesh.ne
 
-    comm = resolve_backend(backend, nproc, machine=machine, tracer=tracer)
-    res = comm.run(
-        program,
-        per_rank([x[0] for x in local_inputs]),
-        per_rank([x[1] for x in local_inputs]),
-        per_rank([x[2] for x in local_inputs]),
-        per_rank([x[3] for x in local_inputs]),
+    res = launch(
+        program, *zip(*local_inputs),
+        phase="refine", machine=machine, tracer=tracer, backend=backend,
     )
-    record_backend_run(tracer, "refine", res)
 
     meshes = [ret[0] for ret in res.returns]
     total_children = sum(ret[1] for ret in res.returns)

@@ -20,7 +20,14 @@ _PUBLIC = {
         "format_calibration",
         "run_exec_phase_workload",
     ),
-    "cases": ("CASE_NAMES", "PROC_COUNTS", "REAL_FRACTIONS", "RotorCase", "make_case"),
+    "cases": (
+        "CASE_NAMES",
+        "PROC_COUNTS",
+        "REAL_FRACTIONS",
+        "RotorCase",
+        "case_for",
+        "make_case",
+    ),
     "figures": (
         "PAPER_G",
         "fig4_speedup",
@@ -30,14 +37,7 @@ _PUBLIC = {
         "fig8_actual_improvement",
         "max_improvement",
     ),
-    "fit": (
-        "FittedModel",
-        "fit_calibration",
-        "fit_machine_model",
-        "format_fits",
-        "phase_cost_features",
-    ),
-    "sweep": ("SWEEP_PROCS", "case_for", "run_step"),
+    "sweep": ("SWEEP_PROCS", "run_step"),
     "table1": ("grid_sizes",),
     "table2": ("MapperRow", "mapper_comparison"),
 }
@@ -66,9 +66,9 @@ def __dir__():
 class _Package(ModuleType):
     """``calibrate`` names a submodule and the function in it.  The import
     system binds a submodule onto its package after executing it, whoever
-    imported it (``fit`` does, ``import repro.experiments.calibrate``
-    does); the public name wins, as it did when ``__init__`` imported
-    every submodule itself."""
+    imported it (``import repro.experiments.calibrate`` does); the public
+    name wins, as it did when ``__init__`` imported every submodule
+    itself."""
 
     def __setattr__(self, name, value):
         if name in _HOME and isinstance(value, ModuleType):

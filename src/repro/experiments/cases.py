@@ -21,9 +21,11 @@ sweep fast; pass ``resolution=17`` for a paper-scale (≈ 59k element) mesh.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from repro.adapt.adaptor import AdaptiveMesh
 from repro.adapt.marking import target_elements_by_fraction
 from repro.mesh.generate import BladeSpec, rotor_domain_mesh
 from repro.mesh.tetmesh import TetMesh
@@ -31,7 +33,10 @@ from repro.solver.fields import rotor_acoustics_field
 from repro.solver.indicator import density_indicator
 from repro.solver.state import primitive
 
-__all__ = ["RotorCase", "make_case", "REAL_FRACTIONS", "CASE_NAMES", "PROC_COUNTS"]
+__all__ = [
+    "RotorCase", "make_case", "case_for", "growth_factor",
+    "REAL_FRACTIONS", "CASE_NAMES", "PROC_COUNTS",
+]
 
 #: Fractions of initial-mesh edges subdivided by Real_1, Real_2, Real_3.
 REAL_FRACTIONS = {"Real_1": 0.05, "Real_2": 0.33, "Real_3": 0.60}
@@ -78,3 +83,18 @@ def make_case(resolution: int = 8, seed: int = 0) -> RotorCase:
         elem_error=elem_err,
         edge_error=density_indicator(mesh, q),
     )
+
+
+@lru_cache(maxsize=4)
+def case_for(resolution: int) -> RotorCase:
+    return make_case(resolution=resolution)
+
+
+@lru_cache(maxsize=16)
+def growth_factor(resolution: int, case_name: str) -> float:
+    """Mesh growth factor G of one strategy: a property of the adaptor
+    alone (independent of P and of the balancer)."""
+    case = case_for(resolution)
+    adaptive = AdaptiveMesh(case.mesh)
+    marking = adaptive.mark(edge_mask=case.marking_mask(case_name))
+    return adaptive.refine(marking).growth_factor

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from .cases import CASE_NAMES, PROC_COUNTS
+from .cases import CASE_NAMES, PROC_COUNTS, growth_factor
 from .sweep import (
     SWEEP_PROCS,
     actual_improvement,
-    growth_factor,
     remap_series,
     run_step,
     speedup_series,

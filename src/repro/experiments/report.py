@@ -13,7 +13,7 @@ from contextlib import nullcontext
 from repro.obs import Tracer, use_tracer
 from repro.obs.ascii_plot import ascii_chart
 
-from .cases import CASE_NAMES, REAL_FRACTIONS, make_case
+from .cases import CASE_NAMES, REAL_FRACTIONS, growth_factor, make_case
 from .figures import (
     PAPER_G,
     fig4_speedup,
@@ -22,7 +22,6 @@ from .figures import (
     fig7_max_improvement,
     fig8_actual_improvement,
 )
-from .sweep import growth_factor
 from .table1 import grid_sizes
 from .table2 import mapper_comparison
 

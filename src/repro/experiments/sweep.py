@@ -22,17 +22,12 @@ from repro.core.cost import CostModel
 from repro.core.framework import LoadBalancedAdaptiveSolver, StepReport
 from repro.parallel.machine import SP2_1997
 
-from .cases import PROC_COUNTS, RotorCase, make_case
+from .cases import PROC_COUNTS, case_for
 
-__all__ = ["run_step", "case_for", "PROC_COUNTS", "SWEEP_PROCS"]
+__all__ = ["run_step", "PROC_COUNTS", "SWEEP_PROCS"]
 
 #: Processor counts for figure sweeps (paper plots 1..64).
 SWEEP_PROCS = (1,) + PROC_COUNTS
-
-
-@lru_cache(maxsize=4)
-def case_for(resolution: int) -> RotorCase:
-    return make_case(resolution=resolution)
 
 
 @lru_cache(maxsize=256)
@@ -81,11 +76,6 @@ def remap_series(resolution: int, case_name: str, mode: str) -> dict[int, float]
         p: run_step(resolution, case_name, mode, p).remap_time
         for p in PROC_COUNTS
     }
-
-
-def growth_factor(resolution: int, case_name: str) -> float:
-    """Mesh growth factor G of one strategy (independent of P)."""
-    return run_step(resolution, case_name, "before", 1).growth_factor
 
 
 def actual_improvement(resolution: int, case_name: str) -> dict[int, float]:

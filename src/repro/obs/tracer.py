@@ -254,10 +254,6 @@ class Tracer:
         """All spans with the given name, in open order."""
         return [s for s in self.spans if s.name == name]
 
-    def phase_virtual(self, name: str) -> float:
-        """Total virtual seconds across every span with this name."""
-        return sum(s.v_duration for s in self.find(name))
-
 
 def phase_virtual_times(spans) -> dict[str, float]:
     """Sum virtual durations by span name over an iterable of spans."""

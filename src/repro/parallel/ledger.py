@@ -61,12 +61,6 @@ class CostLedger:
         self.total_messages += messages
         self.total_words += words
 
-    def add_work(self, rank: int, units: float) -> None:
-        """Charge ``units`` of computation to one rank."""
-        t = self.machine.work_time(units)
-        self.clocks[rank] += t
-        self._work[rank] += t
-
     def add_work_all(self, units) -> None:
         """Charge per-rank work from a scalar or length-``nranks`` array."""
         units = np.asarray(units, dtype=np.float64)

@@ -135,9 +135,6 @@ class Comm:
         rank space (identity here; SubComm folds back through its parent)."""
         return src
 
-    def _send(self, dest: int, tag: int, obj: Any, nwords: int):
-        yield self._send_op(dest, tag, obj, nwords)
-
     def _recv(self, source: int, tag: int):
         """Returns (payload, source, tag) in this communicator's rank space."""
         return (yield self._recv_op(source, tag))

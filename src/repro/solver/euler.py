@@ -279,8 +279,3 @@ class EulerSolver:
         rho, vel, p = primitive(self.q)
         c = np.sqrt(GAMMA * p / rho)
         return np.linalg.norm(vel, axis=1) / c
-
-    def work_per_iteration(self) -> float:
-        """Abstract work units per solver iteration (edge-dominated, §2:
-        cell-vertex edge schemes are inherently efficient)."""
-        return 8.0 * self.mesh.nedges + 2.0 * self.mesh.nv

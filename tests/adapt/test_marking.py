@@ -9,7 +9,6 @@ from repro.adapt import (
     propagate_markings,
     shared_edge_mask,
     target_by_fraction,
-    target_by_threshold,
 )
 from repro.mesh import box_mesh, single_tet, two_tets
 from repro.parallel import CostLedger, MachineModel
@@ -36,15 +35,6 @@ def test_target_by_fraction_deterministic_ties():
     m2 = target_by_fraction(err, 0.3)
     assert np.array_equal(m1, m2)
     assert m1.sum() == 3
-
-
-def test_target_by_threshold():
-    err = np.array([0.1, 0.5, 0.9])
-    ref, coa = target_by_threshold(err, hi=0.8, lo=0.2)
-    assert ref.tolist() == [False, False, True]
-    assert coa.tolist() == [True, False, False]
-    with pytest.raises(ValueError):
-        target_by_threshold(err, hi=0.1, lo=0.5)
 
 
 def test_propagation_fixpoint_is_valid():

@@ -32,7 +32,7 @@ def test_topology_constant_under_adaption():
     adj_before = dg.graph.adj.copy()
     rng = np.random.default_rng(0)
     am.refine(am.mark(edge_mask=rng.random(m.nedges) < 0.3))
-    dg.update_from(am)
+    dg.update_weights(am.wcomp(), am.wremap())
     assert np.array_equal(dg.graph.ptr, ptr_before)
     assert np.array_equal(dg.graph.adj, adj_before)
     assert dg.n == m.ne  # still the *initial* element count
@@ -45,7 +45,7 @@ def test_predicted_update():
     am = AdaptiveMesh(m)
     dg = DualGraph(m)
     marking = am.mark(edge_mask=np.ones(m.nedges, dtype=bool))
-    dg.update_predicted(am, marking)
+    dg.update_weights(*am.predicted_weights(marking))
     assert np.all(dg.wcomp == 8)  # everything will go 1:8
     am.refine(marking)
     assert np.array_equal(dg.wcomp, am.wcomp())
@@ -65,12 +65,3 @@ def test_weighted_graphs():
     dg = DualGraph(two_tets())
     dg.update_weights(np.array([3, 5]), np.array([4, 9]))
     assert dg.comp_graph().vwgt.tolist() == [3, 5]
-    assert dg.remap_graph().vwgt.tolist() == [4, 9]
-
-
-def test_centroids():
-    m = box_mesh(1, 1, 1)
-    dg = DualGraph(m)
-    c = dg.element_centroids()
-    assert c.shape == (m.ne, 3)
-    assert np.all((c > 0) & (c < 1))

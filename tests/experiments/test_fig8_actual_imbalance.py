@@ -11,12 +11,12 @@ Paper claims the test asserts:
 
 import pytest
 
+from repro.experiments.cases import growth_factor
 from repro.experiments.figures import (
     fig7_max_improvement,
     fig8_actual_improvement,
 )
 from repro.experiments.report import format_series
-from repro.experiments.sweep import growth_factor
 
 
 def test_fig8_series(resolution):

@@ -32,7 +32,7 @@ def fresh(code: str) -> str:
 
 
 def test_every_public_name_is_its_home_submodules_attribute():
-    assert len(experiments.__all__) == 27
+    assert len(experiments.__all__) == 22
     for name in experiments.__all__:
         value = getattr(experiments, name)  # loads the home submodule
         home = sys.modules[f"repro.experiments.{experiments._HOME[name]}"]
@@ -75,8 +75,7 @@ def test_a_name_costs_its_own_submodule():
 
 @pytest.mark.parametrize("first", [
     "from repro.experiments import run_exec_phase_workload",  # same home
-    "from repro.experiments import fit_calibration",  # fit imports .calibrate
-    "import repro.experiments.fit",
+    "import repro.experiments.calibrate",
     "from repro.experiments.calibrate import PHASES",
 ])
 def test_calibrate_is_the_function_however_its_submodule_got_loaded(first):

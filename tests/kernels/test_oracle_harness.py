@@ -257,3 +257,16 @@ def test_src_has_one_implementation_per_kernel():
         if p.parent.name == "solver" and ADD_AT.search(p.read_text())
     ]
     assert solver == []
+
+
+def test_src_has_one_remapper_and_one_launcher():
+    remap = (SRC / "repro" / "core" / "remap.py").read_text()
+    assert "comm.run" not in remap
+    assert "def program" not in remap
+    resolves = {
+        str(p.relative_to(SRC)): p.read_text().count("resolve_backend(")
+        for p in sorted(SRC.rglob("*.py"))
+        if p.parent.name in ("core", "dist")
+    }
+    assert len(resolves) > 10  # the glob found both packages
+    assert {k: n for k, n in resolves.items() if n} == {"repro/dist/_launch.py": 1}

@@ -108,7 +108,6 @@ def test_phase_virtual_times_sums_by_name():
         pass
     sums = phase_virtual_times(tr.spans)
     assert sums == {"work": pytest.approx(3.0), "idle": 0.0}
-    assert tr.phase_virtual("work") == pytest.approx(3.0)
 
 
 def test_ambient_tracer_install_and_reset():

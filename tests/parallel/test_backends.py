@@ -3,8 +3,13 @@
 import importlib.util
 import operator
 
+import numpy as np
 import pytest
 
+from repro.core.remap import build_move_matrix, execute_remap
+from repro.dist import decompose, migrate
+from repro.dist.migrate import exchange_elements
+from repro.mesh import box_mesh
 from repro.parallel import (
     ANY,
     IDEAL,
@@ -14,7 +19,14 @@ from repro.parallel import (
     register_backend,
 )
 from repro.parallel.backends import _REGISTRY, record_backend_run, resolve_backend
+from repro.parallel.backends.shm import (
+    DEFAULT_MIN_BYTES,
+    DEFAULT_SLAB_BYTES,
+    reset_transport_totals,
+    transport_totals,
+)
 from repro.parallel.runtime import DeadlockError, RunResult, per_rank
+from repro.partition import Graph, multilevel_kway
 
 
 class TestRegistry:
@@ -215,3 +227,78 @@ class TestRecordBackendRun:
         ]
         assert len(walls) == 1 and walls[0].value == 0.75
         assert walls[0].labels_dict["phase"] == "mark"
+
+
+class TestOneRemapper:
+    """The cycle's ``execute_remap`` and ``dist.migrate`` run one rank
+    program (``repro.dist.migrate.exchange_elements``) on every backend."""
+
+    NPROC = 4
+    STORAGE = 24
+    OLD = np.array([0, 1, 2, 3, 0, 2])
+    NEW = np.array([1, 2, 3, 0, 0, 1])
+    WREMAP = np.array([100, 200, 300, 400, 50, 7])
+
+    @staticmethod
+    def _box_case():
+        mesh = box_mesh(3, 3, 3)
+        dual = Graph.from_pairs(mesh.dual_pairs, mesh.ne)
+        old = multilevel_kway(dual, 4, seed=0)
+        new = multilevel_kway(dual, 4, seed=7)
+        return mesh, old, new
+
+    def test_shm_remap_ships_the_words_it_charges(self):
+        move = build_move_matrix(self.OLD, self.NEW, self.WREMAP, self.NPROC)
+        sizes = 8 * self.STORAGE * move[move > 0]
+        assert DEFAULT_MIN_BYTES <= sizes.min() and sizes.max() <= DEFAULT_SLAB_BYTES
+        reset_transport_totals()
+        execu = execute_remap(
+            self.OLD, self.NEW, self.WREMAP, self.NPROC,
+            storage_words=self.STORAGE, backend="shm",
+        )
+        got = transport_totals()
+        assert got["bytes_zero_copy"] == 8 * execu.words_moved
+        assert got["msgs_zero_copy"] == execu.messages
+        assert got["bytes_pickled"] == 0
+
+    @pytest.mark.parametrize("backend", ["multiprocessing", "shm"])
+    def test_real_backends_move_what_virtual_moves(self, backend):
+        move = build_move_matrix(self.OLD, self.NEW, self.WREMAP, self.NPROC)
+        received = {
+            name: exchange_elements(
+                move, self.STORAGE,
+                phase="remap", machine=IDEAL, tracer=None, backend=name,
+            ).returns
+            for name in ("virtual", backend)
+        }
+        assert received[backend] == received["virtual"] == move.sum(axis=0).tolist()
+
+        remaps = [
+            execute_remap(self.OLD, self.NEW, self.WREMAP, self.NPROC, backend=name)
+            for name in ("virtual", backend)
+        ]
+        for field in ("elements_moved", "messages", "words_moved"):
+            assert getattr(remaps[1], field) == getattr(remaps[0], field)
+
+        mesh, old, new = self._box_case()
+        migrations = [
+            migrate(mesh, decompose(mesh, old, 4), new, backend=name)
+            for name in ("virtual", backend)
+        ]
+        assert migrations[1].elements_moved == migrations[0].elements_moved
+        assert migrations[1].messages == migrations[0].messages
+        for a, b in zip(migrations[1].locals, migrations[0].locals):
+            assert np.array_equal(a.elem_l2g, b.elem_l2g)
+
+    def test_migrate_costs_what_the_cycles_remap_costs(self):
+        mesh, old, new = self._box_case()
+        migrated = migrate(
+            mesh, decompose(mesh, old, 4), new, storage_words_per_elem=self.STORAGE
+        )
+        remapped = execute_remap(
+            old, new, np.ones_like(old), 4, storage_words=self.STORAGE
+        )
+        assert migrated.seconds > 0.0
+        assert migrated.seconds == remapped.time_seconds  # one program: plain ==
+        assert migrated.elements_moved == remapped.elements_moved
+        assert migrated.messages == remapped.messages

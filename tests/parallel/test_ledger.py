@@ -11,12 +11,6 @@ def machine():
     return MachineModel(t_setup=1.0, t_word=0.5, t_work=2.0)
 
 
-def test_add_work(machine):
-    led = CostLedger(4, machine)
-    led.add_work(2, 10)
-    assert led.clocks.tolist() == [0.0, 0.0, 20.0, 0.0]
-
-
 def test_add_work_all_scalar_and_array(machine):
     led = CostLedger(3, machine)
     led.add_work_all(5)

@@ -83,9 +83,3 @@ def test_state_shape_validation():
     m = box_mesh(1, 1, 1)
     with pytest.raises(ValueError, match="state"):
         EulerSolver(m, np.zeros((3, 5)))
-
-
-def test_work_model_edge_dominated():
-    m = box_mesh(2, 2, 2)
-    s = EulerSolver(m, uniform_flow(m.coords))
-    assert s.work_per_iteration() > 8.0 * m.nedges

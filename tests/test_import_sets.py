@@ -4,9 +4,10 @@ Import time is most of what the trace-reading commands cost (numpy 0.13 s,
 ``scipy.optimize`` 0.36 s against a 0.08 s ``repro report``), so the set of
 modules a command loads is pinned here: the renderers and the causal
 analysis are standard library only, ``repro scale`` needs the virtual
-machine but not the balancer, and ``repro.obs`` imports no sibling
-package.  Each case is one subprocess under ``-X importtime``, whose
-stderr names every module the interpreter executed.
+machine but not the balancer, ``repro case`` the adaptor but not the
+balancer, and ``repro.obs`` imports no sibling package.  Each case is one
+subprocess under ``-X importtime``, whose stderr names every module the
+interpreter executed.
 """
 
 import os
@@ -78,6 +79,12 @@ def test_scale_loads_the_virtual_machine_but_not_the_balancer(tmp_path):
     assert loaded(modules, BALANCER) == []
     assert loaded(modules, ["repro.experiments"]) == [
         "repro.experiments", "repro.experiments.weak_scaling"]
+
+
+def test_case_loads_the_adaptor_but_not_the_balancer(tmp_path):
+    modules = imported("-m", "repro", "case", "4", cwd=tmp_path)
+    assert "repro.adapt.adaptor" in modules
+    assert loaded(modules, ["scipy", "repro.core", "repro.partition"]) == []
 
 
 def test_obs_imports_no_sibling_package(tmp_path):
