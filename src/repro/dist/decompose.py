@@ -61,6 +61,7 @@ def decompose(mesh: TetMesh, part: np.ndarray, nproc: int) -> list[LocalMesh]:
     v_ptr, v_ranks, v_counts = rank_incidence(vert_ids, mesh.nv)
     e_ptr, e_ranks, e_counts = rank_incidence(edge_ids, mesh.nedges)
 
+    gkeys = mesh.edges[:, 0] * mesh.nv + mesh.edges[:, 1]
     locals_: list[LocalMesh] = []
     for r in range(nproc):
         els = elem_ids[r]
@@ -71,7 +72,6 @@ def decompose(mesh: TetMesh, part: np.ndarray, nproc: int) -> list[LocalMesh]:
         lmesh = TetMesh.from_elems(mesh.coords[gverts], lelems, orient=False)
         # map local edges (from the local mesh build) back to global ids
         lpairs = gverts[lmesh.edges]  # global endpoint pairs, lo<hi holds
-        gkeys = mesh.edges[:, 0] * mesh.nv + mesh.edges[:, 1]
         lkeys = lpairs[:, 0] * mesh.nv + lpairs[:, 1]
         edge_l2g = np.searchsorted(gkeys, lkeys)
         assert np.array_equal(gkeys[edge_l2g], lkeys), "local edge must exist globally"
@@ -103,16 +103,14 @@ def decompose(mesh: TetMesh, part: np.ndarray, nproc: int) -> list[LocalMesh]:
 
 def _spl_csr(gids, ptr, ranks, own_rank):
     """CSR of other-ranks per local object from the global incidence."""
-    counts = []
-    data = []
-    for g in gids:
-        spl = ranks[ptr[g] : ptr[g + 1]]
-        spl = spl[spl != own_rank]
-        counts.append(spl.shape[0])
-        data.append(spl)
+    starts = ptr[gids]
+    lens = ptr[gids + 1] - starts
+    # gather the concatenated ranges ranks[starts[i]:starts[i]+lens[i]]
+    # in one index vector, tagging each entry with its segment i
+    seg = np.repeat(np.arange(len(gids)), lens)
+    first = np.cumsum(lens) - lens
+    spl = ranks[np.arange(int(lens.sum())) + (starts - first)[seg]]
+    other = spl != own_rank
     out_ptr = np.zeros(len(gids) + 1, dtype=np.int64)
-    np.cumsum(np.asarray(counts, dtype=np.int64), out=out_ptr[1:])
-    out_dat = (
-        np.concatenate(data) if data else np.empty(0, dtype=np.int64)
-    )
-    return out_ptr, out_dat
+    np.cumsum(np.bincount(seg[other], minlength=len(gids)), out=out_ptr[1:])
+    return out_ptr, spl[other]

@@ -14,13 +14,15 @@ and charges the receiver a posting overhead.  Messages between a fixed
 ties are broken by rank id, so runs are fully deterministic.
 
 The scheduler (DESIGN.md §13) dispatches ops through a type-keyed table,
-batches same-timestamp ready ranks without re-heapifying per op, and
-records the happens-before record into flat columns (:class:`_VMRecord`),
-materializing :class:`~repro.obs.causal.CausalNode` /
-:class:`~repro.obs.causal.CausalMsg` objects lazily.  The
-one-op-per-heap-pop scheduler it replaced, with its list mailbox and
-eager object record, is the oracle in ``tests/kernels/oracles.py``; the
-two must agree bit for bit.
+files the ready ranks in a calendar — the distinct ready clocks, each
+with the ids of the ranks due at it — runs a rank for as long as it
+stays the calendar's minimum, and records the happens-before
+record into flat columns (:class:`_VMRecord`), materializing
+:class:`~repro.obs.causal.CausalNode` /
+:class:`~repro.obs.causal.CausalMsg` objects lazily.  The one-op-per-pop
+``(clock, rank)`` tuple-heap scheduler it replaced, with its list mailbox
+and eager object record, is the oracle in ``tests/kernels/oracles.py``;
+the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -169,19 +171,6 @@ class _IndexedMailbox:
             self._by_key[key] = bucket = deque()
         bucket.append(msg)
         self._count += 1
-
-    def _matching_keys(self, source: int, tag: int):
-        if source != ANY and tag != ANY:
-            key = (source, tag)
-            return (key,) if key in self._by_key else ()
-        if source == ANY and tag == ANY:
-            return list(self._by_key)
-        if source == ANY:
-            return [k for k in self._by_key if k[1] == tag]
-        return [k for k in self._by_key if k[0] == source]
-
-    def has_match(self, source: int, tag: int) -> bool:
-        return bool(self._matching_keys(source, tag))
 
     def pop_match(
         self, source: int, tag: int, max_arrival: float | None = None
@@ -481,13 +470,17 @@ class VirtualMachine:
         ``tests/kernels/oracles.py`` (and why the results are
         bit-identical):
 
-        * every live, runnable rank has exactly one ``(clock, rank)``
-          entry in the ready heap, so after executing an op the current
-          rank may keep running while ``(clock[r], r) <= ready[0]`` —
-          the exact tuple order a push-then-pop would have produced
-          (delivering a message never makes the receiver's clock earlier
-          than the sender's, so the batch never overtakes a rank it
-          just unblocked);
+        * every live, runnable rank is filed exactly once in the ready
+          calendar, under its clock: ``times`` holds each distinct ready
+          clock once, ``buckets[t]`` the ids of the ranks due at ``t``.
+          Equal floats share a bucket and leave it in ascending rank
+          order, so popping ``buckets[times[0]]`` yields the oracle's
+          lexicographic ``(clock, rank)`` order exactly;
+        * after executing an op the current rank keeps running while
+          ``(clock[r], r)`` is below the calendar's minimum — the order
+          a file-then-pop would have produced (delivering a message never
+          makes the receiver's clock earlier than the sender's, so the
+          batch never overtakes a rank it just unblocked);
         * all clock arithmetic is the same float expressions, in the
           same order, as the oracle scheduler;
         * node id == append order, msg id == ``seq - 1``, and a consumed
@@ -534,9 +527,11 @@ class VirtualMachine:
 
         heappush = heapq.heappush
         heappop = heapq.heappop
-        heappushpop = heapq.heappushpop
-        ready: list[tuple[float, int]] = [(0.0, r) for r in range(nranks)]
-        heapq.heapify(ready)
+        # the ready calendar: ``times`` is a heap of the distinct clocks
+        # of runnable ranks, ``buckets[t]`` a heap of the rank ids ready
+        # at ``t`` (ascending rank ids form a valid heap)
+        times: list[float] = [0.0]
+        buckets: dict[float, list[int]] = {0.0: list(range(nranks))}
         seq = 0
 
         # Cyclic GC off for the duration of the loop: the scheduler's own
@@ -549,8 +544,13 @@ class VirtualMachine:
         if gc_was_enabled:
             gc.disable()
         try:
-            while ready:
-                clock, r = heappop(ready)
+            while times:
+                clock = times[0]
+                due = buckets[clock]
+                r = heappop(due)
+                if not due:
+                    del buckets[clock]
+                    heappop(times)
                 if done[r]:
                     continue
                 c = clocks[r]
@@ -638,7 +638,12 @@ class VirtualMachine:
                                 if nwords > 0:
                                     data_recv[dest] += 1
                             send_values[dest] = (op.payload, r, tag)
-                            heappush(ready, (cd, dest))
+                            due = buckets.get(cd)
+                            if due is None:
+                                buckets[cd] = [dest]
+                                heappush(times, cd)
+                            else:
+                                heappush(due, dest)
                         else:
                             # inlined _IndexedMailbox.add: one bound-method
                             # call per send is measurable at 10k+ ranks
@@ -686,7 +691,7 @@ class VirtualMachine:
                             blocked[r] = op
                             send_values[r] = None
                             clocks[r] = c
-                            break  # no heap entry: woken by a matching send
+                            break  # not filed: woken by a matching send
                         t0 = c
                         c = t0 + t_setup
                         arr = best.arrival
@@ -751,18 +756,32 @@ class VirtualMachine:
                         if rec is not None:
                             nd_ext((_ELAPSE, r, -1, t0, c, 0.0))
                             n_nodes += 1
-                    # run-to-min batching: keep running this rank while it is
-                    # still the minimum of the ready order (ties go to the
-                    # lowest rank id, exactly as heap tuples would).  When it
-                    # falls behind, a single heappushpop (one sift, where a
-                    # push + outer-loop pop would sift twice) re-files this
-                    # rank and hands us the new minimum in place.
-                    if ready:
-                        nt, nr = ready[0]
-                        if c > nt or (c == nt and r > nr):
+                    # run-to-min batching: keep running this rank while
+                    # ``(c, r)`` is still the minimum of the ready order
+                    # (ties go to the lowest rank id, exactly as the
+                    # oracle's ``(clock, rank)`` tuples).  When it falls
+                    # behind, take the minimum first and then file this
+                    # rank under ``c``: ``(c, r)`` is larger than the
+                    # minimum, so the order of the two is safe.
+                    if times:
+                        clock = times[0]
+                        if c > clock or (
+                            c == clock and r > buckets[clock][0]
+                        ):
                             clocks[r] = c
                             send_values[r] = sv
-                            clock, r = heappushpop(ready, (c, r))
+                            due = buckets[clock]
+                            nr = heappop(due)
+                            if not due:
+                                del buckets[clock]
+                                heappop(times)
+                            due = buckets.get(c)
+                            if due is None:
+                                buckets[c] = [r]
+                                heappush(times, c)
+                            else:
+                                heappush(due, r)
+                            r = nr
                             if done[r]:
                                 break  # stale entry: outer loop rescans
                             c = clocks[r]

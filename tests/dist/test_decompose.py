@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dist import decompose
+from repro.dist.decompose import _spl_csr, rank_incidence
 from repro.mesh import box_mesh, two_tets
 from repro.partition import Graph, multilevel_kway
 
@@ -62,7 +63,9 @@ def test_spl_symmetry():
 
 
 def test_shared_fraction_reasonable():
-    m = box_mesh(4, 4, 4)
+    # 6x6x6 (324 elements per part): on 4x4x4 a 96-element part is mostly
+    # surface, so the fraction would measure the mesh, not the partition
+    m = box_mesh(6, 6, 6)
     g = Graph.from_pairs(m.dual_pairs, m.ne)
     part = multilevel_kway(g, 4, seed=0)
     locals_ = decompose(m, part, 4)
@@ -77,6 +80,40 @@ def test_shared_fraction_reasonable():
         sum(lm.shared_fraction() for lm in scattered)
         > sum(lm.shared_fraction() for lm in locals_)
     )
+
+
+def _spl_csr_loop(gids, ptr, ranks, own_rank):
+    """The per-object loop ``_spl_csr`` replaced, kept as its reference."""
+    counts = []
+    data = []
+    for g in gids:
+        spl = ranks[ptr[g] : ptr[g + 1]]
+        spl = spl[spl != own_rank]
+        counts.append(spl.shape[0])
+        data.append(spl)
+    out_ptr = np.zeros(len(gids) + 1, dtype=np.int64)
+    np.cumsum(np.asarray(counts, dtype=np.int64), out=out_ptr[1:])
+    out_dat = (
+        np.concatenate(data) if data else np.empty(0, dtype=np.int64)
+    )
+    return out_ptr, out_dat
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_spl_csr_equals_the_loop(seed):
+    """Random incidences, empty ranks and unshared objects included:
+    same pointers and data, same dtypes."""
+    rng = np.random.default_rng(seed)
+    n_global, nproc = 40, 5
+    ids = [np.unique(rng.integers(0, n_global, rng.integers(0, 30)))
+           for _ in range(nproc)]
+    ptr, ranks, _ = rank_incidence(ids, n_global)
+    for r, gids in enumerate(ids):
+        got = _spl_csr(gids, ptr, ranks, r)
+        want = _spl_csr_loop(gids, ptr, ranks, r)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
 
 def test_input_validation():

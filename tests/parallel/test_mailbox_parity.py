@@ -4,8 +4,8 @@ The :class:`~repro.parallel.runtime._IndexedMailbox` fast path bucketizes
 unmatched messages by ``(source, tag)`` and inspects only bucket heads;
 the :class:`~tests.kernels.oracles._ListMailbox` reference scans one
 flat list.  Under the virtual machine's invariants (global ``seq`` order
-on adds, per-sender monotone ``arrival``), every observable — match
-existence, which message a recv/probe pops, iteration contents — must be
+on adds, per-sender monotone ``arrival``), every observable — which
+message a recv/probe pops, the count, iteration contents — must be
 identical.  The whole-VM half runs the same randomized programs under
 both mailbox kernels and requires bit-identical results.
 """
@@ -31,7 +31,7 @@ def _script(rng, n_ops, nsources=3, ntags=3):
     ops = []
     seq = 0
     for _ in range(n_ops):
-        kind = rng.choice(["add", "add", "pop", "has"])
+        kind = rng.choice(["add", "add", "pop"])
         if kind == "add":
             src = int(rng.integers(nsources))
             clocks[src] += float(rng.integers(0, 3)) * 0.5
@@ -64,9 +64,6 @@ def test_mailboxes_observably_equivalent(seed, n_ops):
             msg = op[1]
             fast.add(msg)
             ref.add(dataclasses.replace(msg))
-        elif op[0] == "has":
-            _, source, tag, _ = op
-            assert fast.has_match(source, tag) == ref.has_match(source, tag)
         else:
             _, source, tag, cap = op
             a = fast.pop_match(source, tag, max_arrival=cap)

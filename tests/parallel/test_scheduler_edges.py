@@ -2,7 +2,7 @@
 
 The batched, columnar-recording scheduler earns its keep at 10k+ ranks,
 but its invariants are easiest to violate at the margins: a single rank
-(the ready heap never holds a second entry to batch against), programs
+(the ready calendar never holds a second rank to batch against), programs
 that yield nothing at all, and whole cohorts of ranks sharing one
 timestamp (tie-breaks must stay deterministic, lowest rank first).  Each
 case is checked bit-for-bit against the reference (``reference_kernels()``)
@@ -118,16 +118,68 @@ def test_tie_break_determinism_across_repeats():
         assert other.clocks == runs[0].clocks
 
 
+def test_distinct_clock_ring_matches_reference():
+    """Every rank at its own clock (random per-rank work around a ring):
+    each calendar bucket holds one rank, the shape with nothing to share."""
+
+    def prog(comm, units):
+        me, p = comm.rank, comm.size
+        got = []
+        for _ in range(3):
+            yield from comm.compute(units)
+            yield from comm.send(me, dest=(me + 1) % p, tag=0, nwords=1)
+            got.append((yield from comm.recv(source=(me - 1) % p, tag=0)))
+        return got
+
+    p = 64
+    units = np.random.default_rng(7).uniform(1.0, 1000.0, p).tolist()
+    res_fast, res_ref = _run_both(prog, p, per_rank(units))
+    _assert_identical(res_fast, res_ref)
+    assert len(set(res_fast.clocks)) == p
+
+
+def test_shared_timestamps_drain_through_one_wildcard_sink():
+    """32 ranks share every timestamp; rank 0 drains them all through
+    ``recv(ANY, ANY)``, so the order ranks leave a crowded bucket decides
+    which message every wildcard receive matches."""
+
+    def prog(comm):
+        got = []
+        for rnd in range(3):
+            yield from comm.compute(100)
+            yield from comm.elapse(0.0)
+            if comm.rank:
+                yield from comm.send((comm.rank, rnd), dest=0, tag=rnd,
+                                     nwords=2)
+            else:
+                for _ in range(comm.size - 1):
+                    got.append((yield from comm.recv(source=ANY, tag=ANY)))
+        return got
+
+    res_fast, res_ref = _run_both(prog, 32)
+    _assert_identical(res_fast, res_ref)
+    sink = res_fast.returns[0]
+    assert len(sink) == 3 * 31
+    for rnd in range(3):
+        assert [s for s, r in sink if r == rnd] == list(range(1, 32))
+
+
 @st.composite
 def _op_scripts(draw):
-    """Per-rank op scripts: work/elapse plus a consistent message plan."""
-    p = draw(st.integers(2, 5))
+    """Per-rank op scripts: work/elapse plus a consistent message plan.
+
+    The zero-cost ops (``compute(0)``, ``elapse(0.0)``) leave a rank at
+    the clock it was filed under, so it re-enters the minimum calendar
+    bucket, above or below that bucket's head; a wake-up by direct
+    delivery can land in the same bucket."""
+    p = draw(st.integers(2, 12))
     plan = []
     for r in range(p):
         ops = draw(
             st.lists(
-                st.sampled_from(["work", "elapse", "spin"]),
-                min_size=0, max_size=4,
+                st.sampled_from(["work", "elapse", "spin", "work0",
+                                 "elapse0"]),
+                min_size=0, max_size=6,
             )
         )
         dest = draw(st.integers(0, p - 1))
@@ -152,6 +204,10 @@ def test_columnar_record_matches_object_record(script):
                 yield from comm.compute(3 * (me + 1))
             elif kind == "elapse":
                 yield from comm.elapse(0.001 * (me + 1))
+            elif kind == "work0":
+                yield from comm.compute(0)
+            elif kind == "elapse0":
+                yield from comm.elapse(0.0)
             else:
                 # tag 8 is never sent on: the probe pays its t_setup and
                 # misses (a hit would consume a planned message)
