@@ -18,8 +18,9 @@ that backend runs emit schema-valid traces carrying both the modelled
 makespans and the measured wall clocks — including the measured
 layer: ``clock`` alignment records, wall-clock causal runs whose critical
 path matches the rank makespan within the recorded skew bound, the
-measured report/critical-path renderings, and ``repro diff``'s graceful
-degradation when one trace lacks measured runs — plus the ``resource``
+measured report (ASCII and HTML) and critical-path renderings, and
+``repro diff``'s graceful degradation when one trace lacks measured
+runs — plus the ``resource``
 records: per-rank ``repro.resource.*`` samples from the forked rank
 processes.
 
@@ -270,9 +271,11 @@ def main() -> int:
         except AssertionError as exc:
             return fail(f"measured makespan identity violated: {exc}")
 
-        # the measured sections must render from the file alone
+        # the measured sections must render from the file alone, in both
+        # formats
+        bhtml = os.path.join(tmp, "backends.html")
         cmd = [sys.executable, "-m", "repro", "report", bjsonl,
-               "--format", "ascii"]
+               "--format", "both", "--out", bhtml]
         proc = subprocess.run(
             cmd, env=env, cwd=REPO, capture_output=True, text=True,
             timeout=120,
@@ -280,12 +283,17 @@ def main() -> int:
         if proc.returncode != 0:
             return fail(f"{' '.join(cmd)} exited {proc.returncode}:\n"
                         f"{proc.stdout}\n{proc.stderr}")
+        with open(bhtml) as fh:
+            bhtml_text = fh.read()
         for needle in ("Per-rank traffic (measured, wall clock)",
                        "Transport counters (shm)",
-                       "Measured critical path (wall clock)",
-                       " rank 1 "):  # per-rank resource-record rows
+                       "Measured critical path (wall clock)"):
             if needle not in proc.stdout:
-                return fail(f"measured report omits {needle!r}")
+                return fail(f"measured ASCII report omits {needle!r}")
+            if needle not in bhtml_text:
+                return fail(f"measured HTML report omits {needle!r}")
+        if " rank 1 " not in proc.stdout:  # per-rank resource-record rows
+            return fail("measured report omits the rank 1 resource row")
 
         cmd = [sys.executable, "-m", "repro", "critical-path", bjsonl,
                "--clock", "wall"]

@@ -64,15 +64,23 @@ import contextlib
 import sys
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+def _int_from(low: int, what: str):
+    """An argparse ``type``: an integer of at least ``low``, named ``what``
+    in the error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected a {what} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_from(1, "positive")
+_non_negative_int = _int_from(0, "non-negative")
 
 
 def _non_negative_float(text: str) -> float:
@@ -126,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="HTML output path (default: trace path with .html suffix)",
     )
     p_report.add_argument(
-        "--top", type=int, default=10,
+        "--top", type=_non_negative_int, default=10,
         help="span-table size in the trace report",
     )
     add_tracing(p_report)
@@ -168,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_cp.add_argument("trace", help="trace .jsonl path (repro.obs/v6)")
     p_cp.add_argument(
-        "--top", type=int, default=10,
+        "--top", type=_non_negative_int, default=10,
         help="number of critical-path segments to list",
     )
     p_cp.add_argument(
@@ -184,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("trace_a", help="baseline trace .jsonl path")
     p_diff.add_argument("trace_b", help="candidate trace .jsonl path")
     p_diff.add_argument(
-        "--top", type=int, default=15,
+        "--top", type=_non_negative_int, default=15,
         help="number of (phase, kind) rows to list",
     )
     p_diff.add_argument(

@@ -3,19 +3,21 @@
 A trace produced by ``repro step --trace-out`` (or any instrumented run)
 carries the full labelled metric registry — per-cycle partition quality,
 reassignment cost, remap traffic, and per-rank virtual-machine traffic.
-:func:`render_ascii` prints the paper's quality-of-balance quantities as
-aligned tables plus cycle-over-cycle charts
-(:func:`repro.obs.ascii_plot.ascii_chart`); :func:`render_html`
-emits a single self-contained HTML file with stat tiles, SVG line charts,
-a per-rank timeline, a critical-path lane with per-rank slack bars
-(from the causal record, when the trace carries one), and a top-span
-table.  Both read only the tracer — ``repro report <trace.jsonl>``
-needs no access to the original mesh.
+:func:`_sections` decides once which sections the report has, with their
+titles, columns and formatted rows; :func:`render_ascii` and
+:func:`render_html` are two writers over that one list.  The ASCII
+writer draws the tables, the cycle-over-cycle charts
+(:func:`repro.obs.ascii_plot.ascii_chart`) and the critical-path text;
+the HTML writer draws the same sections into a single self-contained
+file, adding stat tiles, SVG line charts, per-rank bars, a critical-path
+lane per clock and a per-rank timeline.  Both read only the tracer —
+``repro report <trace.jsonl>`` needs no access to the original mesh.
 """
 
 from __future__ import annotations
 
 import html as _html
+import math
 
 from .ascii_plot import ascii_chart
 from .tracer import Tracer
@@ -23,38 +25,30 @@ from .tracer import Tracer
 __all__ = ["render_ascii", "render_html"]
 
 
-# --- shared data extraction --------------------------------------------------
+# --- the report model --------------------------------------------------------
 
 
 def _fmt(v, nd: int = 4) -> str:
-    """Format a metric value: ints plainly, floats with %.*g, None as '-'."""
+    """Format a metric value: ints plainly, floats with %.*g (so nan, inf
+    and -inf by name), None as '-'."""
     if v is None:
         return "-"
     f = float(v)
-    if f == int(f) and abs(f) < 1e15:
+    if abs(f) < 1e15 and f == int(f):
         return str(int(f))
     return f"{f:.{nd}g}"
-
-
-def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def line(cells):
-        return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
-    out = [line(headers), line(["-" * w for w in widths])]
-    out.extend(line(row) for row in rows)
-    return "\n".join(out)
 
 
 def _series(tracer: Tracer, name: str, **labels) -> dict[int, float]:
     return tracer.metrics.series(name, labels=labels or None)
 
 
+_PHASES = ("marking", "repartition", "gather_scatter", "reassign",
+           "remap", "subdivision")
+
+
 def _cycle_rows(tracer: Tracer) -> list[dict]:
     """One dict per cycle with every per-cycle quantity (None = absent)."""
-    reg = tracer.metrics
     fields = {
         "imb_before": _series(tracer, "repro.partition.imbalance", when="before"),
         "imb_after": _series(tracer, "repro.partition.imbalance", when="after"),
@@ -62,7 +56,6 @@ def _cycle_rows(tracer: Tracer) -> list[dict]:
         "cut_after": _series(tracer, "repro.partition.edgecut", when="after"),
         "diag_fraction": _series(tracer, "repro.partition.diag_fraction"),
         "accepted": _series(tracer, "repro.cycle.accepted"),
-        "growth": _series(tracer, "repro.cycle.growth_factor"),
         "total_seconds": _series(tracer, "repro.cycle.total_seconds"),
         "elements_moved": _series(tracer, "repro.remap.elements_moved"),
         "words_moved": _series(tracer, "repro.remap.words_moved"),
@@ -73,30 +66,14 @@ def _cycle_rows(tracer: Tracer) -> list[dict]:
             fields[f"{quant}_{method}"] = _series(
                 tracer, f"repro.reassign.{quant}", method=method
             )
+    for phase in _PHASES:
+        fields[phase] = _series(tracer, "repro.cycle.phase_seconds",
+                                phase=phase)
     rows = []
-    for c in reg.cycles():
+    for c in tracer.metrics.cycles():
         row = {"cycle": c}
         for key, series in fields.items():
             row[key] = series.get(c)
-        rows.append(row)
-    return rows
-
-
-_PHASES = ("marking", "repartition", "gather_scatter", "reassign",
-           "remap", "subdivision")
-
-
-def _phase_rows(tracer: Tracer) -> list[dict]:
-    per_phase = {
-        p: _series(tracer, "repro.cycle.phase_seconds", phase=p)
-        for p in _PHASES
-    }
-    total = _series(tracer, "repro.cycle.total_seconds")
-    rows = []
-    for c in tracer.metrics.cycles():
-        row = {"cycle": c, "total": total.get(c)}
-        for p in _PHASES:
-            row[p] = per_phase[p].get(c)
         rows.append(row)
     return rows
 
@@ -136,22 +113,30 @@ _TRANSPORT_COLS = (
 )
 
 
-def _rank_rows(tracer: Tracer, cols,
-               labels: dict | None = None) -> tuple[list[str], list[list]]:
-    """Per-rank table (summed over cycles) for a metric family.
+def _rank_blocks(tracer: Tracer, cols, labels: dict, bar_col: str,
+                 totals: bool = False) -> list[tuple]:
+    """Per-rank table (summed over cycles) for a metric family, after
+    bars of its ``bar_col`` column; ``[]`` when no rank has a sample.
 
     ``labels`` pins the label set exactly (``{}`` = unlabelled samples
     only) — necessary for the ``repro.vm.*`` family, which exists both
-    modelled (no labels) and measured (``clock="wall"``).
+    modelled (no labels) and measured (``clock="wall"``).  ``totals``
+    appends a column-sum row.
     """
     reg = tracer.metrics
     per = {label: reg.per_rank(name, labels=labels) for label, name in cols}
     ranks = sorted({r for d in per.values() for r in d})
+    if not ranks:
+        return []
     headers = ["rank"] + [label for label, _ in cols]
-    rows = [
-        [r] + [per[label].get(r) for label, _ in cols] for r in ranks
-    ]
-    return headers, rows
+    rows = [[r] + [per[label].get(r) for label, _ in cols] for r in ranks]
+    cells = [[_fmt(c) for c in row] for row in rows]
+    if totals:
+        cells.append(["total"] + [
+            _fmt(sum(row[i] or 0 for row in rows))
+            for i in range(1, len(headers))
+        ])
+    return [("bars", bar_col, per[bar_col]), ("table", headers, cells)]
 
 
 def _transport_backends(tracer: Tracer) -> list[str]:
@@ -163,6 +148,29 @@ def _transport_backends(tracer: Tracer) -> list[str]:
     return sorted(out)
 
 
+def _resource_blocks(tracer: Tracer) -> list[tuple]:
+    """Per-rank peak-RSS bars and the per-process resource-peak table from
+    the trace's ``resource`` records (``[]`` when the run was not
+    sampled)."""
+    from .resource import resource_peaks
+
+    peaks = resource_peaks(tracer.resource_samples)
+    if not peaks:
+        return []
+    keys = sorted(peaks, key=lambda k: (k is not None, k))
+    rss = {k: peaks[k]["peak_rss_bytes"] / (1 << 20) for k in keys}
+    rows = [[
+        "host" if k is None else f"rank {k}", f"{rss[k]:.1f}",
+        _fmt(peaks[k]["cpu_seconds"]), _fmt(peaks[k]["gc_collections"]),
+        _fmt(peaks[k]["samples"]),
+    ] for k in keys]
+    headers = ["process", "peak rss (MiB)", "cpu (s)", "gc collections",
+               "samples"]
+    return [("bars", "peak rss (MiB)",
+             {k: v for k, v in rss.items() if k is not None}),
+            ("table", headers, rows)]
+
+
 def _top_spans(tracer: Tracer, n: int) -> list:
     closed = [s for s in tracer.spans if not s.open]
     return sorted(closed, key=lambda s: s.v_duration, reverse=True)[:n]
@@ -170,6 +178,11 @@ def _top_spans(tracer: Tracer, n: int) -> list:
 
 def _makespan(tracer: Tracer) -> float:
     return max([s.v_end for s in tracer.spans if not s.open] or [0.0])
+
+
+def _measured_runs(tracer: Tracer) -> int:
+    return sum(1 for e in tracer.events
+               if e.name == "vm.run" and e.attrs.get("clock") == "wall")
 
 
 def _causal_analysis(tracer: Tracer):
@@ -186,36 +199,12 @@ def _causal_analysis(tracer: Tracer):
 def _wall_analysis(tracer: Tracer):
     """The measured (``clock="wall"``) analysis, or ``None`` when the
     trace carries no measured runs (virtual-only traces)."""
-    if not any(e.name == "vm.run" and e.attrs.get("clock") == "wall"
-               for e in tracer.events):
+    if not _measured_runs(tracer):
         return None
     from .causal import analyze
 
     analysis = analyze(tracer, clock="wall")
     return analysis if analysis.runs else None
-
-
-def _resource_rows(tracer: Tracer) -> tuple[list[str], list[list[str]]]:
-    """Per-process resource-peak table from the trace's ``resource``
-    records (empty when the run was not sampled)."""
-    from .resource import resource_peaks
-
-    peaks = resource_peaks(tracer.resource_samples)
-    if not peaks:
-        return [], []
-    headers = ["process", "peak rss (MiB)", "cpu (s)", "gc collections",
-               "samples"]
-    rows = []
-    for key in sorted(peaks, key=lambda k: (k is not None, k)):
-        d = peaks[key]
-        rows.append([
-            "host" if key is None else f"rank {key}",
-            f"{d['peak_rss_bytes'] / (1 << 20):.1f}",
-            _fmt(d["cpu_seconds"]),
-            _fmt(d["gc_collections"]),
-            _fmt(d["samples"]),
-        ])
-    return headers, rows
 
 
 def _rank_path_stats(analysis) -> tuple[dict[int, float], dict[int, float]]:
@@ -229,193 +218,175 @@ def _rank_path_stats(analysis) -> tuple[dict[int, float], dict[int, float]]:
     return on_path, slack
 
 
-# --- ASCII dashboard ---------------------------------------------------------
+def _summary(tracer: Tracer) -> list[tuple[str, str]]:
+    """The run's headline ``(key, value)`` pairs: the ASCII head line and
+    the HTML tiles."""
+    reg = tracer.metrics
+    pairs = [
+        ("spans", str(sum(1 for s in tracer.spans if not s.open))),
+        ("events", str(len(tracer.events))),
+        ("metric samples", str(len(reg))),
+        ("cycles", str(len(reg.cycles()))),
+        ("virtual makespan", f"{_fmt(_makespan(tracer))} s"),
+    ]
+    measured = _measured_runs(tracer)
+    if measured:
+        pairs.append(("measured runs", str(measured)))
+    return pairs
+
+
+def _sections(tracer: Tracer, top: int) -> list[tuple[str, list[tuple]]]:
+    """Every section of the report, in order, as ``(title, blocks)``.
+
+    The one place that decides which sections exist, their titles,
+    column headers and cell formatting.  A block is one of
+    ``("table", headers, rows)`` with formatted cells,
+    ``("chart", {series name: {cycle: value}})``, ``("text", str)``,
+    ``("bars", what, {rank: value})``, ``("lane", analysis, label)`` or
+    ``("timeline", tracer)``.  Each writer draws the blocks its medium
+    can and skips a section left empty.
+    """
+    rows = _cycle_rows(tracer)
+    out: list[tuple[str, list[tuple]]] = []
+
+    def table(title, headers, cells):
+        out.append((title, [("table", headers, cells)]))
+
+    if rows:
+        table("Balance quality per cycle",
+              ["cycle", "imb before", "imb after", "cut before", "cut after",
+               "diag %", "accepted"],
+              [[
+                  str(r["cycle"]), _fmt(r["imb_before"]), _fmt(r["imb_after"]),
+                  _fmt(r["cut_before"]), _fmt(r["cut_after"]),
+                  "-" if r["diag_fraction"] is None
+                  else f"{100 * r['diag_fraction']:.1f}",
+                  "-" if r["accepted"] is None
+                  else ("yes" if r["accepted"] else "no"),
+              ] for r in rows])
+        if any(r["total_v_greedy"] is not None or r["total_v_mwbg"] is not None
+               for r in rows):
+            table("Reassignment cost (TotalV / MaxV / MaxSR)",
+                  ["cycle", "TotalV greedy", "TotalV mwbg", "MaxV greedy",
+                   "MaxV mwbg", "MaxSR greedy", "MaxSR mwbg"],
+                  [[str(r["cycle"])] + [
+                      _fmt(r[f"{quant}_{method}"])
+                      for quant in ("total_v", "max_v", "max_sr")
+                      for method in ("greedy", "mwbg")
+                  ] for r in rows])
+        if any(r["elements_moved"] is not None for r in rows):
+            table("Remap traffic per cycle",
+                  ["cycle", "elements moved", "words moved", "messages"],
+                  [[
+                      str(r["cycle"]), _fmt(r["elements_moved"]),
+                      _fmt(r["words_moved"]), _fmt(r["remap_messages"]),
+                  ] for r in rows])
+        table("Cycle anatomy (virtual seconds per phase)",
+              ["cycle", *_PHASES, "total"],
+              [[str(r["cycle"])] + [_fmt(r[p]) for p in _PHASES]
+               + [_fmt(r["total_seconds"])] for r in rows])
+
+    if len(rows) >= 2:
+        for title, names in (
+                ("Imbalance factor by cycle",
+                 {"before": "imb_before", "after": "imb_after"}),
+                ("TotalV by cycle",
+                 {"greedy": "total_v_greedy", "mwbg": "total_v_mwbg"})):
+            # a chart has no place for a non-finite point: it is skipped
+            series = {
+                name: {r["cycle"]: r[key] for r in rows
+                       if r[key] is not None and math.isfinite(r[key])}
+                for name, key in names.items()
+            }
+            series = {k: s for k, s in series.items() if s}
+            out.append((title, [("chart", series)] if series else []))
+
+    for label, cols, labels in (
+            ("virtual machine, summed over cycles", _VM_COLS, {}),
+            ("cost ledger, summed over cycles", _LEDGER_COLS, {}),
+            ("measured, wall clock", _VM_WALL_COLS, {"clock": "wall"})):
+        out.append((f"Per-rank traffic ({label})",
+                    _rank_blocks(tracer, cols, labels, "words sent")))
+    for backend in _transport_backends(tracer):
+        labels = {"backend": backend} if backend else {}
+        out.append((f"Transport counters ({backend or 'backend'})",
+                    _rank_blocks(tracer, _TRANSPORT_COLS, labels,
+                                 "0-copy bytes", totals=True)))
+    out.append(("Resource usage (per process)", _resource_blocks(tracer)))
+    out.append(("Per-rank timeline (virtual clock)", [("timeline", tracer)]))
+
+    from .causal import format_critical_path
+
+    analysis = _causal_analysis(tracer)
+    wall = _wall_analysis(tracer)
+    for title, path, label in (
+            ("Critical path (from the causal record)", analysis, "modelled"),
+            ("Measured critical path (wall clock)", wall, "measured")):
+        if path is None:
+            continue
+        on_path, slack = _rank_path_stats(path)
+        out.append((title, [
+            ("lane", path, label),
+            ("text", format_critical_path(path, top=top)),
+            ("bars", "seconds on the critical path", on_path),
+            ("bars", "slack seconds (summed over vm runs)",
+             slack if any(v > 0 for v in slack.values()) else {}),
+        ]))
+    if wall is not None and analysis is not None and analysis.makespan > 0:
+        out[-1][1].append(("text", (
+            f"measured vs modelled: {_fmt(wall.makespan)} wall s "
+            f"vs {_fmt(analysis.makespan)} virtual s")))
+
+    spans = _top_spans(tracer, top)
+    if spans:
+        table(f"Top {len(spans)} spans by virtual duration",
+              ["name", "depth", "v_start", "v_seconds", "wall_seconds"],
+              [[
+                  s.name, str(s.depth), _fmt(s.v_start),
+                  _fmt(s.v_duration), _fmt(s.wall_duration, 3),
+              ] for s in spans])
+    return out
+
+
+# --- ASCII writer ------------------------------------------------------------
+
+
+def _table(headers: list[str], rows: list[list[str]]) -> str:
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    def line(cells):
+        return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
+    out = [line(headers), line(["-" * w for w in widths])]
+    out.extend(line(row) for row in rows)
+    return "\n".join(out)
+
+
+#: What the ASCII writer draws; every other block kind is graphics only.
+_ASCII = {
+    "table": _table,
+    "chart": lambda series: ascii_chart(series, xlabel="cycle"),
+    "text": str,
+}
 
 
 def render_ascii(tracer: Tracer, source: str = "", top: int = 10) -> str:
     """Render the trace as an ASCII dashboard (tables + charts)."""
-    reg = tracer.metrics
-    cycles = reg.cycles()
-    rows = _cycle_rows(tracer)
-    parts: list[str] = []
-
     head = "repro run report"
     if source:
         head += f" — {source}"
-    parts.append(head)
-    parts.append("=" * len(head))
-    head_line = (
-        f"spans: {sum(1 for s in tracer.spans if not s.open)}   "
-        f"events: {len(tracer.events)}   metric samples: {len(reg)}   "
-        f"cycles: {len(cycles)}   "
-        f"virtual makespan: {_fmt(_makespan(tracer))} s"
-    )
-    measured_runs = sum(
-        1 for e in tracer.events
-        if e.name == "vm.run" and e.attrs.get("clock") == "wall"
-    )
-    if measured_runs:
-        head_line += f"   measured runs: {measured_runs}"
-    parts.append(head_line)
-
-    if rows:
-        parts.append("")
-        parts.append("Balance quality per cycle")
-        parts.append(_table(
-            ["cycle", "imb before", "imb after", "cut before", "cut after",
-             "diag %", "accepted"],
-            [[
-                str(r["cycle"]), _fmt(r["imb_before"]), _fmt(r["imb_after"]),
-                _fmt(r["cut_before"]), _fmt(r["cut_after"]),
-                "-" if r["diag_fraction"] is None
-                else f"{100 * r['diag_fraction']:.1f}",
-                "-" if r["accepted"] is None
-                else ("yes" if r["accepted"] else "no"),
-            ] for r in rows],
-        ))
-
-        if any(r["total_v_greedy"] is not None or r["total_v_mwbg"] is not None
-               for r in rows):
-            parts.append("")
-            parts.append("Reassignment cost (TotalV / MaxV / MaxSR)")
-            parts.append(_table(
-                ["cycle", "TotalV greedy", "TotalV mwbg", "MaxV greedy",
-                 "MaxV mwbg", "MaxSR greedy", "MaxSR mwbg"],
-                [[
-                    str(r["cycle"]),
-                    _fmt(r["total_v_greedy"]), _fmt(r["total_v_mwbg"]),
-                    _fmt(r["max_v_greedy"]), _fmt(r["max_v_mwbg"]),
-                    _fmt(r["max_sr_greedy"]), _fmt(r["max_sr_mwbg"]),
-                ] for r in rows],
-            ))
-
-        if any(r["elements_moved"] is not None for r in rows):
-            parts.append("")
-            parts.append("Remap traffic per cycle")
-            parts.append(_table(
-                ["cycle", "elements moved", "words moved", "messages"],
-                [[
-                    str(r["cycle"]), _fmt(r["elements_moved"]),
-                    _fmt(r["words_moved"]), _fmt(r["remap_messages"]),
-                ] for r in rows],
-            ))
-
-        phase_rows = _phase_rows(tracer)
-        parts.append("")
-        parts.append("Cycle anatomy (virtual seconds per phase)")
-        parts.append(_table(
-            ["cycle"] + list(_PHASES) + ["total"],
-            [[str(r["cycle"])] + [_fmt(r[p]) for p in _PHASES]
-             + [_fmt(r["total"])] for r in phase_rows],
-        ))
-
-    if len(cycles) >= 2:
-        imb = {
-            "before": {c: v for c, v in
-                       _series(tracer, "repro.partition.imbalance",
-                               when="before").items()},
-            "after": {c: v for c, v in
-                      _series(tracer, "repro.partition.imbalance",
-                              when="after").items()},
-        }
-        imb = {k: s for k, s in imb.items() if s}
-        if imb:
-            parts.append("")
-            parts.append(ascii_chart(
-                imb, title="Imbalance factor by cycle", xlabel="cycle"
-            ))
-        tv = {
-            m: _series(tracer, "repro.reassign.total_v", method=m)
-            for m in ("greedy", "mwbg")
-        }
-        tv = {k: s for k, s in tv.items() if s}
-        if tv:
-            parts.append("")
-            parts.append(ascii_chart(
-                tv, title="TotalV by cycle", xlabel="cycle"
-            ))
-
-    for label, cols in (("virtual machine", _VM_COLS),
-                        ("cost ledger", _LEDGER_COLS)):
-        headers, rank_rows = _rank_rows(tracer, cols, labels={})
-        if rank_rows:
-            parts.append("")
-            parts.append(f"Per-rank traffic ({label}, summed over cycles)")
-            parts.append(_table(
-                headers, [[_fmt(c) for c in row] for row in rank_rows]
-            ))
-
-    headers, rank_rows = _rank_rows(tracer, _VM_WALL_COLS,
-                                    labels={"clock": "wall"})
-    if rank_rows:
-        parts.append("")
-        parts.append("Per-rank traffic (measured, wall clock)")
-        parts.append(_table(
-            headers, [[_fmt(c) for c in row] for row in rank_rows]
-        ))
-
-    for backend in _transport_backends(tracer):
-        labels = {"backend": backend} if backend else {}
-        headers, rank_rows = _rank_rows(tracer, _TRANSPORT_COLS,
-                                        labels=labels)
-        if not rank_rows:
-            continue
-        totals = ["total"] + [
-            sum(row[i + 1] or 0 for row in rank_rows)
-            for i in range(len(_TRANSPORT_COLS))
-        ]
-        parts.append("")
-        parts.append(f"Transport counters ({backend or 'backend'})")
-        parts.append(_table(
-            headers,
-            [[_fmt(c) for c in row] for row in rank_rows]
-            + [[str(totals[0])] + [_fmt(c) for c in totals[1:]]],
-        ))
-
-    res_headers, res_rows = _resource_rows(tracer)
-    if res_rows:
-        parts.append("")
-        parts.append("Resource usage (per process)")
-        parts.append(_table(res_headers, res_rows))
-
-    analysis = _causal_analysis(tracer)
-    if analysis is not None:
-        from .causal import format_critical_path
-
-        parts.append("")
-        parts.append("Critical path (from the causal record)")
-        parts.append(format_critical_path(analysis, top=top))
-
-    wall = _wall_analysis(tracer)
-    if wall is not None:
-        from .causal import format_critical_path
-
-        parts.append("")
-        parts.append("Measured critical path (wall clock)")
-        parts.append(format_critical_path(wall, top=top))
-        if analysis is not None and analysis.makespan > 0:
-            parts.append("")
-            parts.append(
-                f"measured vs modelled: {_fmt(wall.makespan)} wall s "
-                f"vs {_fmt(analysis.makespan)} virtual s"
-            )
-
-    spans = _top_spans(tracer, top)
-    if spans:
-        parts.append("")
-        parts.append(f"Top {len(spans)} spans by virtual duration")
-        parts.append(_table(
-            ["name", "depth", "v_start", "v_seconds", "wall_seconds"],
-            [[
-                s.name, str(s.depth), _fmt(s.v_start),
-                _fmt(s.v_duration), _fmt(s.wall_duration, 3),
-            ] for s in spans],
-        ))
-
+    parts = [head, "=" * len(head),
+             "   ".join(f"{k}: {v}" for k, v in _summary(tracer))]
+    for title, blocks in _sections(tracer, top):
+        drawn = [_ASCII[kind](*args) for kind, *args in blocks
+                 if kind in _ASCII]
+        if drawn:
+            parts += ["", title, "\n\n".join(drawn)]
     return "\n".join(parts) + "\n"
 
 
-# --- HTML report -------------------------------------------------------------
+# --- HTML writer -------------------------------------------------------------
 
 _CSS = """
 .viz-root {
@@ -437,7 +408,7 @@ _CSS = """
   margin: 0; padding: 24px;
 }
 @media (prefers-color-scheme: dark) {
-  :root:where(:not([data-theme="light"])) .viz-root {
+  .viz-root {
     color-scheme: dark;
     --page:           #0d0d0d;
     --surface-1:      #1a1a19;
@@ -451,20 +422,6 @@ _CSS = """
     --series-2:       #d95926;
     --series-3:       #199e70;
   }
-}
-:root[data-theme="dark"] .viz-root {
-  color-scheme: dark;
-  --page:           #0d0d0d;
-  --surface-1:      #1a1a19;
-  --text-primary:   #ffffff;
-  --text-secondary: #c3c2b7;
-  --text-muted:     #898781;
-  --gridline:       #2c2c2a;
-  --baseline:       #383835;
-  --border:         rgba(255,255,255,0.10);
-  --series-1:       #3987e5;
-  --series-2:       #d95926;
-  --series-3:       #199e70;
 }
 .viz-root h1 { font-size: 20px; margin: 0 0 4px; }
 .viz-root .sub { color: var(--text-secondary); font-size: 13px; margin: 0 0 20px; }
@@ -486,6 +443,7 @@ _CSS = """
 }
 .viz-root th { color: var(--text-secondary); font-weight: 600; }
 .viz-root td:first-child, .viz-root th:first-child { text-align: left; }
+.viz-root pre { font-size: 12px; margin: 8px 0; }
 .viz-root .legend { font-size: 12px; color: var(--text-secondary); margin: 4px 0 8px; }
 .viz-root .legend .chip {
   display: inline-block; width: 10px; height: 10px; border-radius: 2px;
@@ -498,13 +456,20 @@ _CSS = """
 _SERIES_VARS = ("var(--series-1)", "var(--series-2)", "var(--series-3)")
 
 
+def _legend(names: list[str]) -> str:
+    chips = "".join(
+        f'<span class="chip" style="background:{color}"></span>'
+        f"{_html.escape(name)}"
+        for name, color in zip(names, _SERIES_VARS)
+    )
+    return f'<div class="legend">{chips}</div>'
+
+
 def _svg_line_chart(series: dict[str, dict[int, float]],
                     width: int = 560, height: int = 200,
                     xlabel: str = "cycle") -> str:
-    """Multi-series SVG line chart (≤3 series; 2px lines, 8px markers)."""
-    series = {k: s for k, s in list(series.items())[:3] if s}
-    if not series:
-        return ""
+    """Legend plus a multi-series SVG line chart (≤3 series; 2px lines,
+    8px markers)."""
     xs = sorted({x for s in series.values() for x in s})
     vals = [v for s in series.values() for v in s.values()]
     lo, hi = min(vals), max(vals)
@@ -520,7 +485,8 @@ def _svg_line_chart(series: dict[str, dict[int, float]],
     def py(v):
         return pad_t + (1 - (v - lo) / (hi - lo)) * ph
 
-    out = [f'<svg viewBox="0 0 {width} {height}" width="{width}" '
+    out = [_legend(list(series)),
+           f'<svg viewBox="0 0 {width} {height}" width="{width}" '
            f'height="{height}" role="img">']
     for frac in (0.0, 0.5, 1.0):
         y = pad_t + frac * ph
@@ -556,9 +522,10 @@ def _svg_line_chart(series: dict[str, dict[int, float]],
     return "".join(out)
 
 
-def _svg_rank_bars(per_rank: dict[int, float], width: int = 560,
-                   height: int = 160, unit: str = "") -> str:
-    """Horizontal per-rank bar chart (single series, slot-1 hue)."""
+def _svg_rank_bars(what: str, per_rank: dict[int, float], width: int = 560,
+                   height: int = 160) -> str:
+    """Horizontal per-rank bar chart of ``what`` (single series, slot-1
+    hue), under a caption naming it."""
     if not per_rank:
         return ""
     ranks = sorted(per_rank)
@@ -567,7 +534,9 @@ def _svg_rank_bars(per_rank: dict[int, float], width: int = 560,
     pw = width - pad_l - pad_r
     bar_h, gap = 14, 4
     height = max(height, len(ranks) * (bar_h + gap) + 10)
-    out = [f'<svg viewBox="0 0 {width} {height}" width="{width}" '
+    what = _html.escape(what)
+    out = [f'<div class="caption">{what}, per rank</div>'
+           f'<svg viewBox="0 0 {width} {height}" width="{width}" '
            f'height="{height}" role="img">']
     for i, r in enumerate(ranks):
         y = 4 + i * (bar_h + gap)
@@ -577,7 +546,7 @@ def _svg_rank_bars(per_rank: dict[int, float], width: int = 560,
         out.append(
             f'<rect x="{pad_l}" y="{y}" width="{max(w, 1):.1f}" '
             f'height="{bar_h}" rx="2" fill="var(--series-1)">'
-            f'<title>rank {r}: {_fmt(per_rank[r])}{unit}</title></rect>'
+            f'<title>rank {r}: {_fmt(per_rank[r])} {what}</title></rect>'
         )
     out.append("</svg>")
     return "".join(out)
@@ -590,9 +559,10 @@ _KIND_COLORS = {
 }
 
 
-def _svg_critical_lane(analysis, width: int = 940, height: int = 44,
-                       label: str = "path") -> str:
-    """One horizontal lane tiling [0, makespan] with the path segments.
+def _svg_critical_lane(analysis, label: str, width: int = 940,
+                       height: int = 44) -> str:
+    """Legend plus one horizontal lane tiling [0, makespan] with the path
+    segments.
 
     Each segment is coloured by its kind (work / comm / idle); the tooltip
     carries the phase, the rank on the path, and the segment's seconds.
@@ -607,7 +577,8 @@ def _svg_critical_lane(analysis, width: int = 940, height: int = 44,
     def px(t):
         return pad_l + (t / analysis.makespan) * pw
 
-    out = [f'<svg viewBox="0 0 {width} {height}" width="{width}" '
+    out = [_legend(list(_KIND_COLORS)),
+           f'<svg viewBox="0 0 {width} {height}" width="{width}" '
            f'height="{height}" role="img">']
     out.append(f'<text x="{pad_l - 6}" y="{pad_t + 14}" '
                f'text-anchor="end">{_html.escape(label)}</text>')
@@ -630,40 +601,20 @@ def _svg_critical_lane(analysis, width: int = 940, height: int = 44,
     return "".join(out)
 
 
-def _html_table(headers: list[str], rows: list[list[str]]) -> str:
-    out = ["<table><thead><tr>"]
-    out.extend(f"<th>{_html.escape(h)}</th>" for h in headers)
-    out.append("</tr></thead><tbody>")
-    for row in rows:
-        out.append("<tr>" + "".join(
-            f"<td>{_html.escape(str(c))}</td>" for c in row) + "</tr>")
-    out.append("</tbody></table>")
-    return "".join(out)
-
-
-def _legend(names: list[str]) -> str:
-    chips = "".join(
-        f'<span class="chip" style="background:{color}"></span>'
-        f"{_html.escape(name)}"
-        for name, color in zip(names, _SERIES_VARS)
-    )
-    return f'<div class="legend">{chips}</div>'
-
-
 _MAX_TIMELINE_SPANS = 600
 _MAX_TIMELINE_OPS = 1500
 
 
-def _svg_timeline(tracer: Tracer, width: int = 940) -> tuple[str, str]:
+def _svg_timeline(tracer: Tracer, width: int = 940) -> str:
     """Per-rank timeline: span bands per lane plus one tick per VM op.
 
     The ticks are the causal nodes of the modelled (virtual-clock) runs,
-    placed at the run's ``base`` plus the node's start.  Returns ``(svg,
-    caption)``; the caption notes any downsampling.
+    placed at the run's ``base`` plus the node's start.  A caption under
+    the SVG notes any downsampling.
     """
     makespan = _makespan(tracer)
     if makespan <= 0:
-        return "", ""
+        return ""
     from .causal import runs_from_tracer
 
     spans = [s for s in tracer.spans if not s.open]
@@ -727,200 +678,48 @@ def _svg_timeline(tracer: Tracer, width: int = 940) -> tuple[str, str]:
     out.append(f'<text x="{width - pad_r}" y="{height - 6}" '
                f'text-anchor="end">{_fmt(makespan)} s (virtual)</text>')
     out.append("</svg>")
-    return "".join(out), "; ".join(notes)
+    if notes:
+        out.append(f'<div class="caption">{_html.escape("; ".join(notes))}'
+                   "</div>")
+    return "".join(out)
+
+
+def _html_table(headers: list[str], rows: list[list[str]]) -> str:
+    out = ["<table><thead><tr>"]
+    out.extend(f"<th>{_html.escape(h)}</th>" for h in headers)
+    out.append("</tr></thead><tbody>")
+    for row in rows:
+        out.append("<tr>" + "".join(
+            f"<td>{_html.escape(c)}</td>" for c in row) + "</tr>")
+    out.append("</tbody></table>")
+    return "".join(out)
+
+
+#: How the HTML writer draws each block kind.
+_HTML = {
+    "table": _html_table,
+    "chart": _svg_line_chart,
+    "text": lambda text: f"<pre>{_html.escape(text)}</pre>",
+    "bars": _svg_rank_bars,
+    "lane": _svg_critical_lane,
+    "timeline": _svg_timeline,
+}
 
 
 def render_html(tracer: Tracer, title: str = "repro run report",
                 source: str = "", top: int = 10) -> str:
     """Render the trace as a single self-contained HTML report."""
-    reg = tracer.metrics
-    rows = _cycle_rows(tracer)
-    cycles = reg.cycles()
-    makespan = _makespan(tracer)
-    sections: list[str] = []
-
-    tiles = [
-        ("cycles", str(len(cycles))),
-        ("virtual makespan", f"{_fmt(makespan)} s"),
-        ("metric samples", str(len(reg))),
-        ("max imbalance (before)",
-         _fmt(reg.max_value("repro.partition.imbalance", {"when": "before"}))),
-        ("max imbalance (after)",
-         _fmt(reg.max_value("repro.partition.imbalance", {"when": "after"}))),
-        ("total remap words",
-         _fmt(reg.total("repro.remap.words_moved"))),
-    ]
-    tile_html = "".join(
+    tiles = "".join(
         f'<div class="tile"><div class="v">{_html.escape(v)}</div>'
         f'<div class="k">{_html.escape(k)}</div></div>'
-        for k, v in tiles
+        for k, v in _summary(tracer)
     )
-    sections.append(f'<section><div class="tiles">{tile_html}</div></section>')
-
-    imb = {
-        "before": _series(tracer, "repro.partition.imbalance", when="before"),
-        "after": _series(tracer, "repro.partition.imbalance", when="after"),
-    }
-    imb = {k: s for k, s in imb.items() if s}
-    if imb:
-        chart = _svg_line_chart(imb)
-        table = _html_table(
-            ["cycle", "imbalance before", "imbalance after", "edge cut before",
-             "edge cut after", "diag %", "accepted"],
-            [[
-                r["cycle"], _fmt(r["imb_before"]), _fmt(r["imb_after"]),
-                _fmt(r["cut_before"]), _fmt(r["cut_after"]),
-                "-" if r["diag_fraction"] is None
-                else f"{100 * r['diag_fraction']:.1f}",
-                "-" if r["accepted"] is None
-                else ("yes" if r["accepted"] else "no"),
-            ] for r in rows],
-        )
-        sections.append(
-            "<section><h2>Partition quality by cycle</h2>"
-            + _legend(list(imb)) + chart + table + "</section>"
-        )
-
-    tv = {m: _series(tracer, "repro.reassign.total_v", method=m)
-          for m in ("greedy", "mwbg")}
-    tv = {k: s for k, s in tv.items() if s}
-    if tv:
-        chart = _svg_line_chart(tv)
-        table = _html_table(
-            ["cycle", "TotalV greedy", "TotalV mwbg", "MaxV greedy",
-             "MaxV mwbg", "MaxSR greedy", "MaxSR mwbg"],
-            [[
-                r["cycle"],
-                _fmt(r["total_v_greedy"]), _fmt(r["total_v_mwbg"]),
-                _fmt(r["max_v_greedy"]), _fmt(r["max_v_mwbg"]),
-                _fmt(r["max_sr_greedy"]), _fmt(r["max_sr_mwbg"]),
-            ] for r in rows],
-        )
-        sections.append(
-            "<section><h2>Reassignment cost (TotalV / MaxV / MaxSR)</h2>"
-            + _legend(list(tv)) + chart + table + "</section>"
-        )
-
-    timeline, note = _svg_timeline(tracer)
-    if timeline:
-        caption = f'<div class="caption">{_html.escape(note)}</div>' if note else ""
-        sections.append(
-            "<section><h2>Per-rank timeline (virtual clock)</h2>"
-            + timeline + caption + "</section>"
-        )
-
-    analysis = _causal_analysis(tracer)
-    wall = _wall_analysis(tracer)
-    if analysis is not None or wall is not None:
-        primary = analysis if analysis is not None else wall
-        lane = ""
-        if analysis is not None:
-            lane += _svg_critical_lane(analysis, label="modelled")
-        if wall is not None:
-            # measured-vs-modelled overlay: the wall lane right under the
-            # virtual one, each normalized to its own makespan
-            lane += _svg_critical_lane(wall, label="measured")
-        if analysis is not None and wall is not None:
-            lane += (
-                '<div class="caption">each lane spans its own makespan: '
-                f"modelled {_fmt(analysis.makespan)} virtual s, measured "
-                f"{_fmt(wall.makespan)} wall s</div>"
-            )
-        attribution = _html_table(
-            ["phase", "kind", "seconds", "share %"],
-            [[
-                phase, kind, _fmt(sec),
-                f"{100.0 * sec / (primary.makespan or 1.0):.1f}",
-            ] for (phase, kind), sec in sorted(
-                primary.by_phase_kind.items(), key=lambda kv: -kv[1]
-            )],
-        )
-        body = _legend(list(_KIND_COLORS)) + lane + attribution
-        on_path, slack = _rank_path_stats(primary)
-        if on_path:
-            body += (
-                "<h2>Seconds on the critical path, per rank</h2>"
-                + _svg_rank_bars(on_path, unit=" s on path")
-            )
-        if slack and any(v > 0 for v in slack.values()):
-            body += (
-                "<h2>Slack per rank (summed over vm runs)</h2>"
-                + _svg_rank_bars(slack, unit=" s slack")
-                + '<div class="caption">a rank with zero slack is on the '
-                "critical path of every run it appears in</div>"
-            )
-        sections.append(
-            "<section><h2>Critical path (causal record)</h2>"
-            + body + "</section>"
-        )
-
-    for label, cols, labels in (
-            ("virtual machine", _VM_COLS, {}),
-            ("cost ledger", _LEDGER_COLS, {}),
-            ("measured, wall clock", _VM_WALL_COLS, {"clock": "wall"})):
-        headers, rank_rows = _rank_rows(tracer, cols, labels=labels)
-        if not rank_rows:
-            continue
-        words = reg.per_rank(
-            "repro.ledger.words_sent" if label == "cost ledger"
-            else "repro.vm.words_sent",
-            labels=labels,
-        )
-        bars = _svg_rank_bars(words, unit=" words sent")
-        table = _html_table(
-            headers, [[_fmt(c) for c in row] for row in rank_rows]
-        )
-        sections.append(
-            f"<section><h2>Per-rank traffic — {label}</h2>"
-            + bars + table + "</section>"
-        )
-
-    for backend in _transport_backends(tracer):
-        labels = {"backend": backend} if backend else {}
-        headers, rank_rows = _rank_rows(tracer, _TRANSPORT_COLS,
-                                        labels=labels)
-        if not rank_rows:
-            continue
-        bars = _svg_rank_bars(
-            reg.per_rank("repro.transport.bytes_zero_copy", labels=labels),
-            unit=" zero-copy bytes",
-        )
-        table = _html_table(
-            headers, [[_fmt(c) for c in row] for row in rank_rows]
-        )
-        sections.append(
-            f"<section><h2>Transport counters — {_html.escape(backend or 'backend')}</h2>"
-            + bars + table + "</section>"
-        )
-
-    res_headers, res_rows = _resource_rows(tracer)
-    if res_rows:
-        from .resource import resource_peaks
-
-        peaks = resource_peaks(tracer.resource_samples)
-        rss_by_rank = {
-            k: d["peak_rss_bytes"] / (1 << 20)
-            for k, d in peaks.items() if k is not None
-        }
-        bars = _svg_rank_bars(rss_by_rank, unit=" MiB peak RSS") \
-            if rss_by_rank else ""
-        sections.append(
-            "<section><h2>Resource usage (per process)</h2>"
-            + bars + _html_table(res_headers, res_rows) + "</section>"
-        )
-
-    spans = _top_spans(tracer, top)
-    if spans:
-        table = _html_table(
-            ["name", "depth", "v_start (s)", "virtual (s)", "wall (s)"],
-            [[s.name, s.depth, _fmt(s.v_start), _fmt(s.v_duration),
-              _fmt(s.wall_duration, 3)] for s in spans],
-        )
-        sections.append(
-            f"<section><h2>Top {len(spans)} spans by virtual duration</h2>"
-            + table + "</section>"
-        )
-
+    sections = [f'<section><div class="tiles">{tiles}</div></section>']
+    for heading, blocks in _sections(tracer, top):
+        body = "".join(_HTML[kind](*args) for kind, *args in blocks)
+        if body:
+            sections.append(f"<section><h2>{_html.escape(heading)}</h2>"
+                            f"{body}</section>")
     sub = _html.escape(source) if source else ""
     return (
         "<!DOCTYPE html>\n"

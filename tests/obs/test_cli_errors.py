@@ -1,11 +1,13 @@
 """Bad values on the command line: one ``error:`` line, exit 2, no traceback.
 
 Drives ``repro.__main__.main`` in-process, like ``test_cli_runs.py``.  A
-size that cannot be (zero ranks, a resolution of -3) is refused by the
-argument parser; an output path that cannot be written is refused before
+size that cannot be (zero ranks, a resolution of -3, a negative ``--top``)
+is refused by the argument parser; an output path that cannot be written is refused before
 the run starts, so nothing has been printed and no work is thrown away;
 so is a backend name that is not registered.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -38,15 +40,30 @@ def trace(tmp_path):
     (["step", "0"], "resolution"),
     (["calibrate", "4", "--nproc", "0"], "--nproc"),
     (["calibrate", "x"], "resolution"),
+    (["report", "{trace}", "--top", "-2"], "--top"),
+    (["critical-path", "{trace}", "--top", "-3"], "--top"),
+    (["diff", "{trace}", "{trace}", "--top", "-1"], "--top"),
 ])
-def test_impossible_sizes_are_refused_by_the_parser(argv, argument, capsys):
+def test_impossible_sizes_are_refused_by_the_parser(argv, argument, trace,
+                                                    capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([a.format(trace=trace) for a in argv])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: argument {argument}: expected a " in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_top_zero_prints_no_rows(capsys):
+    step = str(Path(__file__).parent / "data" / "step4.jsonl")
+    assert main(["report", step, "--top", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "Balance quality per cycle" in out
+    assert "spans by virtual duration" not in out and "path segments" not in out
+    assert main(["critical-path", step, "--top", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "makespan:" in out and "path segments" not in out
 
 
 @pytest.mark.parametrize("target", ["0", "-1"])

@@ -1,5 +1,6 @@
 """Run reports render the recorded metrics without recomputing them."""
 
+import math
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from repro.core import CostModel, LoadBalancedAdaptiveSolver
 from repro.mesh import box_mesh, edge_midpoints
-from repro.obs import Tracer, render_ascii, render_html
+from repro.obs import Tracer, export_jsonl, read_jsonl, render_ascii, render_html
 from repro.obs.report import _fmt
 from repro.parallel import CostLedger, MachineModel
 from repro.partition import quality as pq
@@ -133,3 +134,27 @@ def test_html_report_is_self_contained_and_complete(traced_step):
     assert _fmt(report.remap.elements_moved) in html
     for rank in range(NPROC):
         assert f"rank {rank}" in html
+
+
+def test_non_finite_metrics_render_by_name_in_both_writers(tmp_path):
+    """The trace reader accepts NaN and Infinity; a report prints them by
+    name, and a chart skips them."""
+    assert [_fmt(v) for v in (math.nan, math.inf, -math.inf)] == [
+        "nan", "inf", "-inf"]
+    tracer = Tracer()
+    for when, values in (("before", [math.nan, 1.6, 1.3]),
+                         ("after", [math.inf, 1.1, 1.0])):
+        for cycle, value in enumerate(values):
+            tracer.metrics.gauge("repro.partition.imbalance", value,
+                                 labels={"when": when}, cycle=cycle)
+    path = tmp_path / "nan.jsonl"
+    export_jsonl(tracer, path)
+    tracer = read_jsonl(path)
+
+    text = render_ascii(tracer)
+    assert re.search(r"^\s*0\s+nan\s+inf\s", text, re.MULTILINE)
+    assert "Imbalance factor by cycle" in text and "cycle = 1 2" in text
+    page = render_html(tracer)
+    assert "<td>0</td><td>nan</td><td>inf</td>" in page
+    charts = re.findall(r"<svg.*?</svg>", page)
+    assert charts and not any("nan" in c or "inf" in c for c in charts)
