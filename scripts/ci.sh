@@ -65,6 +65,14 @@ else
         "framing covered by tests/parallel/test_mpi_wire.py)"
 fi
 
+# solver smoke: examples/rotor_acoustics.py is the Euler solver's one
+# product caller outside the benchmark (solve -> adapt -> balance on the
+# graded rotor domain); it must run to its final imbalance line.
+timeout 120 env PYTHONPATH=src python examples/rotor_acoustics.py 4 \
+    > "$tmp/rotor.txt"
+grep -q "final solver imbalance" "$tmp/rotor.txt"
+echo "rotor-acoustics smoke: OK"
+
 # weak-scaling smoke: `repro scale` must run the fig6-style cycle and
 # print its row (4096/16384 ranks are timed by benchmarks/e2e vm_ranks).
 timeout 300 env PYTHONPATH=src python -m repro scale \

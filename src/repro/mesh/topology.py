@@ -26,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "LOCAL_EDGES",
+    "EVEN_CORNERS",
     "LOCAL_FACES",
     "FACE_EDGES",
     "FACE_EDGE_MASKS",
@@ -36,6 +37,14 @@ __all__ = [
 #: Local edge index -> (local vertex, local vertex).
 LOCAL_EDGES = np.array(
     [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], dtype=np.int64
+)
+
+#: Local edge index -> the corner order ``(a, b, k, l)`` that starts with
+#: the edge's ``(a, b)`` and is an even permutation of ``(0, 1, 2, 3)``:
+#: the orientation of the edge's median-dual interface from ``a`` to ``b``.
+EVEN_CORNERS = np.array(
+    [(0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2), (1, 2, 0, 3), (1, 3, 2, 0), (2, 3, 0, 1)],
+    dtype=np.int64,
 )
 
 #: Local face index -> (local vertex triple).
@@ -80,6 +89,11 @@ def _selfcheck() -> None:
         for e in FACE_EDGES[f]:
             a, b = LOCAL_EDGES[e]
             assert {int(a), int(b)} <= fv
+    assert np.array_equal(EVEN_CORNERS[:, :2], LOCAL_EDGES)
+    for corners in EVEN_CORNERS.tolist():
+        assert sorted(corners) == [0, 1, 2, 3]
+        inversions = sum(a > b for i, a in enumerate(corners) for b in corners[i + 1 :])
+        assert inversions % 2 == 0
 
 
 _selfcheck()

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mesh.tetmesh import TetMesh
-from repro.mesh.topology import LOCAL_EDGES
+from repro.mesh.topology import EVEN_CORNERS, LOCAL_EDGES
 from repro.obs import current_tracer
 
-from .scatter import scatter_add_rows
+from .scatter import scatter_add_components, scatter_add_rows
 from .state import GAMMA, GasState, gas_state, primitive
 
 __all__ = ["EulerSolver", "dual_volumes", "edge_normals"]
@@ -48,56 +48,59 @@ def dual_volumes(mesh: TetMesh) -> np.ndarray:
     return scatter_add_rows(mesh.elems.T.ravel(), np.tile(vols / 4.0, 4), mesh.nv)
 
 
-def _parity(perm: tuple[int, ...]) -> int:
-    inv = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return inv % 2
+#: ``np.cross``'s term order per component ``c``: ``u[i]·w[j] − u[j]·w[i]``.
+_CROSS_TERMS = ((1, 2), (2, 0), (0, 1))
 
 
 def edge_normals(mesh: TetMesh) -> np.ndarray:
     """Directed median-dual interface area per edge, oriented from
-    ``edges[:,0]`` to ``edges[:,1]``.
+    ``edges[:,0]`` to ``edges[:,1]``: ``(nedges, 3)``, the transposed view
+    of the component-major ``(3, nedges)`` rows the solver reads.
 
     Within each (positively oriented) tetrahedron, the dual interface of
     local edge ``(a, b)`` is the two triangles joining the edge midpoint,
     the centroids of the two faces containing the edge, and the cell
     centroid.  Ordering the remaining vertices ``(k, l)`` so that
-    ``(a, b, k, l)`` is an even permutation makes the summed directed area
-    point from ``a`` to ``b`` consistently, which gives exact closure
-    (Σ_j n_ij = 0) at interior vertices — free-stream preservation.
+    ``(a, b, k, l)`` is an even permutation (:data:`EVEN_CORNERS`) makes
+    the summed directed area point from ``a`` to ``b`` consistently, which
+    gives exact closure (Σ_j n_ij = 0) at interior vertices — free-stream
+    preservation.
+
+    Every sum and product runs per coordinate row in the order numpy's
+    ``mean`` and ``cross`` took on ``(ne, 4, 3)`` corners (DESIGN.md §9).
     """
-    coords = mesh.coords
-    p = coords[mesh.elems]  # (ne, 4, 3)
-    cell = p.mean(axis=1)  # (ne, 3)
-    all_eids: list[np.ndarray] = []
-    all_n: list[np.ndarray] = []
-    for le, (a, b) in enumerate(LOCAL_EDGES):
-        a, b = int(a), int(b)
-        k, l = (c for c in range(4) if c not in (a, b))
-        if _parity((a, b, k, l)) == 1:
-            k, l = l, k
-        xa, xb = p[:, a], p[:, b]
-        mid = 0.5 * (xa + xb)
-        f1 = (xa + xb + p[:, k]) / 3.0  # centroid of face (a, b, k)
-        f2 = (xa + xb + p[:, l]) / 3.0  # centroid of face (a, b, l)
-        n = 0.5 * np.cross(f1 - mid, cell - mid) + 0.5 * np.cross(
-            cell - mid, f2 - mid
-        )
-        eids = mesh.elem2edge[:, le]
-        # global edges store the lower vertex first; flip the contribution
-        # where local a is the edge's higher global vertex
-        flip = mesh.edges[eids, 0] != mesh.elems[:, a]
-        n = np.where(flip[:, None], -n, n)
-        all_eids.append(eids)
-        all_n.append(n)
+    ne = mesh.ne
+    # p[c, j] is coordinate c of every element's corner j: (3, 4, ne)
+    p = np.ascontiguousarray(mesh.coords.T).take(mesh.elems.T, axis=1)
+    cell = (((p[:, 0] + p[:, 1]) + p[:, 2]) + p[:, 3]) / 4.0  # centroid, (3, ne)
     # local-edge-major order: every element's local edge 0, then 1, ..., 5
-    return scatter_add_rows(
-        np.concatenate(all_eids), np.concatenate(all_n), mesh.nedges
+    eids = mesh.elem2edge.T.ravel()
+    # global edges store the lower vertex first; flip the contribution
+    # where local a is the edge's higher global vertex
+    sign = np.where(
+        mesh.edges[:, 0].take(eids) != mesh.elems.T[LOCAL_EDGES[:, 0]].ravel(),
+        -1.0,
+        1.0,
     )
+    n = np.empty((3, 6 * ne))
+    for le, (a, b, k, l) in enumerate(EVEN_CORNERS):
+        xab = p[:, a] + p[:, b]
+        mid = 0.5 * xab
+        u = (xab + p[:, k]) / 3.0  # centroid of face (a, b, k)
+        u -= mid
+        xab += p[:, l]
+        xab /= 3.0  # centroid of face (a, b, l)
+        xab -= mid
+        w = np.subtract(cell, mid, out=mid)
+        cols = slice(le * ne, (le + 1) * ne)
+        # 0.5·(u × w) + 0.5·(w × xab), term for term as np.cross
+        for c, (i, j) in enumerate(_CROSS_TERMS):
+            row = n[c, cols]
+            np.multiply(0.5, u[i] * w[j] - u[j] * w[i], out=row)
+            row += 0.5 * (w[i] * xab[j] - w[j] * xab[i])
+            row *= sign[cols]
+    del p, cell, sign, xab, mid, u, w
+    return scatter_add_components(eids, n, mesh.nedges).T
 
 
 @dataclass
@@ -144,6 +147,7 @@ class EulerSolver:
         # endpoints as one lower-then-upper index vector (the scatter order)
         # whose two halves are the contiguous endpoint columns
         self._area = np.linalg.norm(self.normals, axis=1)
+        self._nt = self.normals.T  # (3, nedges), contiguous rows
         self._ends = self.mesh.edges.T.ravel()
         self._lo = self._ends[: self.mesh.nedges]
         self._hi = self._ends[self.mesh.nedges :]
@@ -174,16 +178,18 @@ class EulerSolver:
             self.q[b] = self.q[a]
 
     def residual(self, q: np.ndarray | None = None) -> np.ndarray:
-        """Net flux into each control volume (interior scheme).
+        """Net flux into each control volume (interior scheme), ``(nv, 5)``.
 
         The gas state is evaluated once per side: at the vertices and
         gathered to the edges for ``order=1``, at the reconstructed edge
         states for ``order=2``; the flux core reads only those.
         """
-        return self._residual(self.q if q is None else q)
+        q = self.q if q is None else q
+        return self._residual(np.ascontiguousarray(q.T)).T
 
-    def _residual(self, q: np.ndarray, gas: GasState | None = None) -> np.ndarray:
-        """:meth:`residual`; ``gas`` is ``gas_state(q)`` if already known."""
+    def _residual(self, qt: np.ndarray, gas: GasState | None = None) -> np.ndarray:
+        """:meth:`residual` of component-major states ``qt`` ``(5, nv)``,
+        as ``(5, nv)``; ``gas`` is ``gas_state(qt)`` if already known."""
         if self.order == 2:
             from .reconstruct import (
                 limit_barth_jespersen,
@@ -191,26 +197,30 @@ class EulerSolver:
                 muscl_edge_states,
             )
 
+            q = qt.T
             grads = lsq_gradients(self.mesh, q)
             psi = limit_barth_jespersen(self.mesh, q, grads)
-            qL, qR = muscl_edge_states(self.mesh, q, grads, psi)
+            qL, qR = (side.T for side in muscl_edge_states(self.mesh, q, grads, psi))
             gL, gR = gas_state(qL), gas_state(qR)
         else:
             if gas is None:
-                gas = gas_state(q)
-            qL, qR = q[self._lo], q[self._hi]
+                gas = gas_state(qt)
+            qL, qR = qt.take(self._lo, axis=1), qt.take(self._hi, axis=1)
             gL, gR = gas.take(self._lo), gas.take(self._hi)
-        f = self._edge_flux(qL, qR, gL, gR, self.normals, self._area)
+        f = self._edge_flux(qL, qR, gL, gR, self._nt, self._area)
+        del qL, qR, gL, gR  # 24 edge-sized rows, not needed by the scatter
         # x - f == x + (-f) bitwise, so one endpoint-major pass is exactly
         # "subtract f at every lower endpoint, then add it at every upper"
-        res = scatter_add_rows(self._ends, np.concatenate([-f, f]), q.shape[0])
+        res = scatter_add_components(
+            self._ends, np.concatenate([-f, f], axis=1), qt.shape[1]
+        )
         if self.periodic_pairs is not None:
             # the pair is one control volume: residuals accumulate across
             # the seam and both copies receive the combined value
             a, b = self.periodic_pairs[:, 0], self.periodic_pairs[:, 1]
-            combined = res[a] + res[b]
-            res[a] = combined
-            res[b] = combined
+            combined = res[:, a] + res[:, b]
+            res[:, a] = combined
+            res[:, b] = combined
         return res
 
     def stable_dt(self, cfl: float = 0.5) -> float:
@@ -219,10 +229,10 @@ class EulerSolver:
         The wave speed ``|v| + c`` is evaluated at the vertices and the
         larger endpoint value taken per edge.
         """
-        return self._stable_dt(gas_state(self.q), cfl)
+        return self._stable_dt(gas_state(self.q.T), cfl)
 
     def _stable_dt(self, gas: GasState, cfl: float) -> float:
-        """:meth:`stable_dt` from the already evaluated ``gas_state(self.q)``."""
+        """:meth:`stable_dt` from the already evaluated ``gas_state(self.q.T)``."""
         flow = np.maximum(gas.lam[self._lo], gas.lam[self._hi])
         flow *= self._area
         speed_sum = scatter_add_rows(self._ends, np.tile(flow, 2), self.mesh.nv)
@@ -231,12 +241,13 @@ class EulerSolver:
         return cfl * float(dt.min())
 
     def _stage(
-        self, q: np.ndarray, dt: float, gas: GasState | None = None
+        self, qt: np.ndarray, dt: float, gas: GasState | None = None
     ) -> np.ndarray:
-        """One forward-Euler stage q + dt·L(q) with frozen boundaries."""
-        upd = dt * self._residual(q, gas) / self.vol[:, None]
-        upd[self._boundary] = 0.0
-        return q + upd
+        """One forward-Euler stage q + dt·L(q) with frozen boundaries, on
+        component-major states ``(5, nv)``."""
+        upd = dt * self._residual(qt, gas) / self.vol
+        upd[:, self._boundary] = 0.0
+        return qt + upd
 
     def step(self, dt: float | None = None, cfl: float = 0.5) -> float:
         """Advance one explicit step of the selected scheme; returns dt.
@@ -245,18 +256,21 @@ class EulerSolver:
         the strong-stability-preserving (Shu–Osher) convex forms.
         """
         q0 = self.q
-        gas = gas_state(q0)  # shared by the CFL bound and the first stage
+        # the stages run on component-major rows; self.q stays (nv, 5)
+        qt0 = np.ascontiguousarray(q0.T)
+        gas = gas_state(qt0)  # shared by the CFL bound and the first stage
         if dt is None:
             dt = self._stable_dt(gas, cfl)
         if self.time_scheme == "euler":
-            self.q = self._stage(q0, dt, gas)
+            qt = self._stage(qt0, dt, gas)
         elif self.time_scheme == "rk2":
-            q1 = self._stage(q0, dt, gas)
-            self.q = 0.5 * q0 + 0.5 * self._stage(q1, dt)
+            q1 = self._stage(qt0, dt, gas)
+            qt = 0.5 * qt0 + 0.5 * self._stage(q1, dt)
         else:  # rk3
-            q1 = self._stage(q0, dt, gas)
-            q2 = 0.75 * q0 + 0.25 * self._stage(q1, dt)
-            self.q = q0 / 3.0 + (2.0 / 3.0) * self._stage(q2, dt)
+            q1 = self._stage(qt0, dt, gas)
+            q2 = 0.75 * qt0 + 0.25 * self._stage(q1, dt)
+            qt = qt0 / 3.0 + (2.0 / 3.0) * self._stage(q2, dt)
+        self.q = np.ascontiguousarray(qt.T)
         tracer = current_tracer()
         if tracer is not None and dt > 0:
             dq = (self.q - q0) / dt

@@ -17,7 +17,13 @@ from repro.mesh.tetmesh import TetMesh
 
 from .state import primitive
 
-__all__ = ["edge_error_indicator", "density_indicator", "mach_indicator"]
+__all__ = [
+    "density_indicator",
+    "edge_error_indicator",
+    "feature_indicator",
+    "mach_indicator",
+    "speed_indicator",
+]
 
 
 def edge_error_indicator(

@@ -1,10 +1,13 @@
 """Property-based invariants of the load-balancing core."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    CostModel,
     build_move_matrix,
     execute_remap,
     heuristic_mwbg,
@@ -12,7 +15,7 @@ from repro.core import (
     remap_stats,
     similarity_matrix,
 )
-from repro.parallel import IDEAL
+from repro.parallel import IDEAL, SP2_1997
 
 
 @st.composite
@@ -79,3 +82,42 @@ def test_reassignment_never_increases_movement(inst):
             # Theorem 1 corollary bound relative to the optimum
             opt_moved = remap_stats(S, optimal_mwbg(S)).c_total
             assert st_m.c_total <= 2 * opt_moved + 1  # integer slack
+
+
+#: CostModel knobs on the gain side of the acceptance test (§4.6): the
+#: solver phase T_iter·N_adapt and the subdivision credit T_child
+GAIN_KNOBS = ("n_adapt", "t_iter", "t_child")
+
+
+@given(
+    inst=ownership_instance(),
+    t_iter_exp=st.floats(-9.0, -3.0),
+    t_child_exp=st.floats(-9.0, -3.0),
+    n_adapt=st.integers(1, 500),
+    storage_words=st.integers(1, 200),
+    knob=st.sampled_from(GAIN_KNOBS + ("storage_words",)),
+    factor=st.sampled_from([2, 3, 10]),
+)
+@settings(max_examples=150, deadline=None)
+def test_decide_is_monotone_in_gain(
+    inst, t_iter_exp, t_child_exp, n_adapt, storage_words, knob, factor
+):
+    """With weights, ownerships and RemapStats fixed, a larger gain side
+    never turns accept into reject, and a larger storage requirement M
+    never turns reject into accept."""
+    old, new, w, p = inst
+    stats = remap_stats(similarity_matrix(old, new, w, p), np.arange(p))
+    base = CostModel(
+        machine=SP2_1997,
+        t_iter=10.0**t_iter_exp,
+        n_adapt=n_adapt,
+        storage_words=storage_words,
+        t_child=10.0**t_child_exp,
+    )
+    raised = dataclasses.replace(base, **{knob: getattr(base, knob) * factor})
+    before = base.decide(w, old, new, p, stats).accept
+    after = raised.decide(w, old, new, p, stats).accept
+    if knob in GAIN_KNOBS:
+        assert after or not before
+    else:
+        assert before or not after

@@ -16,7 +16,12 @@ lives here, unchanged, as the oracle it must match bit for bit:
 * :func:`assemble_children_reference` — one column stack per child;
 * :func:`charge_shared_exchange_reference` — the per-edge loop over SPL
   rank pairs;
-* :func:`scatter_add_rows_reference` — ``np.add.at`` on zeros.
+* :func:`scatter_add_rows_reference`,
+  :func:`scatter_add_components_reference` — ``np.add.at`` on zeros.
+
+The solver's AoS kernels — :func:`edge_normals_aos`,
+:func:`gas_state_aos` and the flux cores in :data:`AOS_FLUXES` — are
+oracles too, but not substituted: the equivalence tests call them directly.
 
 :func:`reference_kernels` substitutes them *from outside*, the way
 ``benchmarks/e2e/spans.py`` installs its timers: every ``repro.*`` module
@@ -40,7 +45,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
@@ -67,6 +72,7 @@ from repro.parallel.runtime import (
 from repro.partition import multilevel_kway
 from repro.partition.graph import Graph
 from repro.partition.quality import edgecut
+from repro.solver.state import GAMMA
 
 # --- parallel/runtime.py: scheduler and mailbox ------------------------------
 
@@ -742,6 +748,156 @@ def scatter_add_rows_reference(
     return out
 
 
+def scatter_add_components_reference(
+    index: np.ndarray, values: np.ndarray, nrows: int
+) -> np.ndarray:
+    """``out[:, index[i]] += values[:, i]`` from zeros, by ``np.add.at``."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.zeros((values.shape[0], nrows), dtype=np.float64)
+    np.add.at(out.T, index, values.T)
+    return out
+
+
+# --- solver/euler.py, fluxes.py, state.py: the AoS kernels, called directly ---
+#
+# The forms the component-major (3, n) / (5, n) kernels replaced, on AoS
+# ("array of structures") rows: (n, 3) coordinates and normals, (n, 5)
+# states, summed in whatever order numpy's einsum / norm / mean / cross take.
+
+
+def _parity(perm: tuple[int, ...]) -> int:
+    inv = sum(
+        1
+        for i in range(len(perm))
+        for j in range(i + 1, len(perm))
+        if perm[i] > perm[j]
+    )
+    return inv % 2
+
+
+def edge_normals_aos(mesh) -> np.ndarray:
+    """Directed median-dual interface area per edge, per local edge on
+    ``(ne, 4, 3)`` corner coordinates."""
+    coords = mesh.coords
+    p = coords[mesh.elems]  # (ne, 4, 3)
+    cell = p.mean(axis=1)  # (ne, 3)
+    all_eids: list[np.ndarray] = []
+    all_n: list[np.ndarray] = []
+    for le, (a, b) in enumerate(LOCAL_EDGES):
+        a, b = int(a), int(b)
+        k, l = (c for c in range(4) if c not in (a, b))
+        if _parity((a, b, k, l)) == 1:
+            k, l = l, k
+        xa, xb = p[:, a], p[:, b]
+        mid = 0.5 * (xa + xb)
+        f1 = (xa + xb + p[:, k]) / 3.0  # centroid of face (a, b, k)
+        f2 = (xa + xb + p[:, l]) / 3.0  # centroid of face (a, b, l)
+        n = 0.5 * np.cross(f1 - mid, cell - mid) + 0.5 * np.cross(
+            cell - mid, f2 - mid
+        )
+        eids = mesh.elem2edge[:, le]
+        flip = mesh.edges[eids, 0] != mesh.elems[:, a]
+        n = np.where(flip[:, None], -n, n)
+        all_eids.append(eids)
+        all_n.append(n)
+    return scatter_add_rows_reference(
+        np.concatenate(all_eids), np.concatenate(all_n), mesh.nedges
+    )
+
+
+class GasStateAoS(NamedTuple):
+    rho: np.ndarray  #: ``(n,)``
+    vel: np.ndarray  #: ``(n, 3)``
+    p: np.ndarray  #: ``(n,)``
+    c: np.ndarray  #: ``(n,)``
+    lam: np.ndarray  #: ``(n,)``
+
+    def take(self, rows: np.ndarray) -> "GasStateAoS":
+        return GasStateAoS(*(field[rows] for field in self))
+
+
+def gas_state_aos(q: np.ndarray) -> GasStateAoS:
+    """(rho, velocity, pressure, c, |v|+c) of ``(n, 5)`` states."""
+    q = np.asarray(q, dtype=np.float64)
+    rho = q[:, 0]
+    vel = q[:, 1:4] / rho[:, None]
+    p = (GAMMA - 1.0) * (q[:, 4] - 0.5 * rho * (vel**2).sum(axis=1))
+    c = np.sqrt(GAMMA * np.maximum(p, 1e-300) / rho)
+    return GasStateAoS(rho, vel, p, c, np.linalg.norm(vel, axis=1) + c)
+
+
+def physical_flux_aos(q: np.ndarray, g: GasStateAoS, n: np.ndarray) -> np.ndarray:
+    vn = np.einsum("ij,ij->i", g.vel, n)
+    f = np.empty_like(q)
+    f[:, 0] = g.rho * vn
+    mom = f[:, 1:4]
+    np.multiply(g.rho[:, None], g.vel, out=mom)
+    mom *= vn[:, None]
+    mom += g.p[:, None] * n
+    f[:, 4] = (q[:, 4] + g.p) * vn
+    return f
+
+
+def rusanov_aos(qL, qR, gL, gR, n, area) -> np.ndarray:
+    f = physical_flux_aos(qL, gL, n)
+    f += physical_flux_aos(qR, gR, n)
+    f *= 0.5
+    half_speed = np.maximum(gL.lam, gR.lam)
+    half_speed *= area
+    half_speed *= 0.5
+    jump = qR - qL
+    jump *= half_speed[:, None]
+    f -= jump
+    return f
+
+
+def hllc_aos(qL, qR, gL, gR, n, area) -> np.ndarray:
+    safe = np.maximum(area, 1e-300)
+    nhat = n / safe[:, None]
+    rhoL, velL, pL, cL, _ = gL
+    rhoR, velR, pR, cR, _ = gR
+    unL = np.einsum("ij,ij->i", velL, nhat)
+    unR = np.einsum("ij,ij->i", velR, nhat)
+    sL = np.minimum(unL - cL, unR - cR)
+    sR = np.maximum(unL + cL, unR + cR)
+    denom = rhoL * (sL - unL) - rhoR * (sR - unR)
+    sM = (pR - pL + rhoL * unL * (sL - unL) - rhoR * unR * (sR - unR)) / np.where(
+        np.abs(denom) > 1e-300, denom, 1e-300
+    )
+    fL = physical_flux_aos(qL, gL, nhat)
+    fR = physical_flux_aos(qR, gR, nhat)
+
+    def star_state(q, rho, un, p, s, sm):
+        factor = rho * (s - un) / np.where(np.abs(s - sm) > 1e-300, s - sm, 1e-300)
+        qs = np.empty_like(q)
+        qs[:, 0] = factor
+        vel = q[:, 1:4] / rho[:, None]
+        qs[:, 1:4] = factor[:, None] * (vel + (sm - un)[:, None] * nhat)
+        e = q[:, 4] / rho
+        qs[:, 4] = factor * (
+            e + (sm - un) * (sm + p / (rho * np.where(np.abs(s - un) > 1e-300,
+                                                      s - un, 1e-300)))
+        )
+        return qs
+
+    qLs = star_state(qL, rhoL, unL, pL, sL, sM)
+    qRs = star_state(qR, rhoR, unR, pR, sR, sM)
+    f = np.where(
+        (sL >= 0)[:, None],
+        fL,
+        np.where(
+            (sM >= 0)[:, None],
+            fL + sL[:, None] * (qLs - qL),
+            np.where((sR >= 0)[:, None], fR + sR[:, None] * (qRs - qR), fR),
+        ),
+    )
+    return f * area[:, None]
+
+
+#: flux name → AoS core ``(qL, qR, gL, gR, n, area)`` over ``(m, 5)`` states.
+AOS_FLUXES = {"rusanov": rusanov_aos, "hllc": hllc_aos}
+
+
 # --- the switch ---------------------------------------------------------------
 
 #: Calls that arrived through a substituted binding, by product target.
@@ -769,6 +925,10 @@ SUBSTITUTIONS = tuple(
         ("repro.adapt.refine:_assemble_children", assemble_children_reference),
         ("repro.adapt.marking:_charge_shared_exchange", charge_shared_exchange_reference),
         ("repro.solver.scatter:scatter_add_rows", scatter_add_rows_reference),
+        (
+            "repro.solver.scatter:scatter_add_components",
+            scatter_add_components_reference,
+        ),
     )
 )
 

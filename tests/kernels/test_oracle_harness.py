@@ -26,11 +26,17 @@ from repro.parallel import VirtualMachine, runtime
 from repro.parallel.ledger import CostLedger
 from repro.parallel.machine import MachineModel
 from repro.partition import multilevel_kway
-from repro.solver.euler import dual_volumes
-from repro.solver.scatter import scatter_add_rows
+from repro.solver.euler import dual_volumes, edge_normals
+from repro.solver.scatter import scatter_add_components, scatter_add_rows
 
 from . import oracles
-from .oracles import CALLS, SUBSTITUTIONS, reference_kernels, scatter_add_rows_reference
+from .oracles import (
+    CALLS,
+    SUBSTITUTIONS,
+    reference_kernels,
+    scatter_add_components_reference,
+    scatter_add_rows_reference,
+)
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -69,6 +75,14 @@ def test_scatter_add_rows_is_add_at(nrows, n, trailing, seed, subtract_then_add)
     assert got.shape == expect.shape and got.dtype == expect.dtype
     assert np.array_equal(got, expect)  # same additions in the same order
     assert np.array_equal(scatter_add_rows_reference(index, values, nrows), expect)
+    # the same scatter on component-major rows: values (k, n) -> (k, nrows)
+    width = int(np.prod(trailing))
+    rows = values.reshape(values.shape[0], width).T
+    expect_rows = expect.reshape(nrows, width).T
+    assert np.array_equal(scatter_add_components(index, rows, nrows), expect_rows)
+    assert np.array_equal(
+        scatter_add_components_reference(index, rows, nrows), expect_rows
+    )
 
 
 # --- (ii) every oracle is reached inside the manager, and only there ---------
@@ -107,6 +121,10 @@ def _drive_solver():
     dual_volumes(box_mesh(2, 2, 2))
 
 
+def _drive_normals():
+    edge_normals(box_mesh(2, 2, 2))
+
+
 DRIVERS = {
     "repro.parallel.runtime:VirtualMachine._run_fast": _drive_vm,
     "repro.partition.fm_refine:fm_bisection_refine": _drive_partitioner,
@@ -116,6 +134,7 @@ DRIVERS = {
     "repro.adapt.refine:_assemble_children": _drive_subdivide,
     "repro.adapt.marking:_charge_shared_exchange": _drive_marking_exchange,
     "repro.solver.scatter:scatter_add_rows": _drive_solver,
+    "repro.solver.scatter:scatter_add_components": _drive_normals,
 }
 
 

@@ -1,17 +1,22 @@
 """Optimized solver kernels must match the straightforward ones bit-for-bit.
 
-Two oracles: the ``np.add.at`` accumulation behind ``reference_kernels()``,
-and — below — the flux and CFL formulas as they were before the gas state
-was evaluated once per state array: every flux call re-deriving
-``primitive()`` from edge-sized states, ``‖n‖`` recomputed per call.
+Three oracles: the ``np.add.at`` accumulation behind ``reference_kernels()``;
+the AoS kernels of ``oracles.py`` — edge normals, gas state and flux cores
+on ``(n, 3)`` / ``(n, 5)`` rows, before they moved to component-major
+``(3, n)`` / ``(5, n)`` rows — driven by :class:`AosSolver`; and — below —
+the flux and CFL formulas as they were before the gas state was evaluated
+once per state array: every flux call re-deriving ``primitive()`` from
+edge-sized states, ``‖n‖`` recomputed per call.
 """
 
 import numpy as np
 import pytest
 
+from repro.mesh import rotor_domain_mesh
 from repro.mesh.generate import box_mesh
+from repro.solver import rotor_acoustics_field
 from repro.solver.euler import EulerSolver, dual_volumes, edge_normals
-from repro.solver.fluxes import hllc_flux, physical_flux, rusanov_flux
+from repro.solver.fluxes import FLUXES, hllc_flux, physical_flux, rusanov_flux
 from repro.solver.periodic import box_periodic_pairs
 from repro.solver.reconstruct import (
     limit_barth_jespersen,
@@ -20,7 +25,13 @@ from repro.solver.reconstruct import (
 )
 from repro.solver.state import GAMMA, gas_state, max_wave_speed, primitive, sound_speed
 
-from .oracles import reference_kernels
+from .oracles import (
+    AOS_FLUXES,
+    edge_normals_aos,
+    gas_state_aos,
+    reference_kernels,
+    scatter_add_rows_reference,
+)
 
 
 def _state(mesh, seed=0):
@@ -41,6 +52,7 @@ def test_geometry_kernels_bit_identical():
         n_ref = edge_normals(mesh)
     assert np.array_equal(dual_volumes(mesh), vol_ref)
     assert np.array_equal(edge_normals(mesh), n_ref)
+    assert np.array_equal(edge_normals(mesh), edge_normals_aos(mesh))
 
 
 def test_lsq_gradients_bit_identical():
@@ -80,12 +92,75 @@ def _check_run_bit_identical(mesh, **options):
     assert dt_opt == dt_ref
     assert np.array_equal(r_opt, r_ref)
 
-    # ... and the solver whose every flux call starts again from primitive()
-    plain = StraightforwardSolver(mesh, q0.copy(), **options)
-    plain.run(3)
-    assert np.array_equal(opt.q, plain.q)
-    assert opt.stable_dt() == plain.stable_dt()
-    assert np.array_equal(opt.residual(), plain.residual())
+    # ... the solver on the AoS kernels, and the one whose every flux call
+    # starts again from primitive()
+    for oracle in (AosSolver, StraightforwardSolver):
+        plain = oracle(mesh, q0.copy(), **options)
+        plain.run(3)
+        assert np.array_equal(opt.q, plain.q)
+        assert opt.stable_dt() == plain.stable_dt()
+        assert np.array_equal(opt.residual(), plain.residual())
+
+
+def test_rotor_solver_bit_identical_to_the_aos_kernels():
+    """The component-major kernels reorder no float operation on real,
+    graded geometry either: normals, state after 5 steps, residual, dt."""
+    mesh, blade = rotor_domain_mesh(resolution=4, grading=2.0)
+    q0 = rotor_acoustics_field(mesh.coords, blade, tip_mach=0.9)
+    opt = EulerSolver(mesh, q0)
+    assert np.array_equal(opt.normals, edge_normals_aos(mesh))
+    opt.run(5, cfl=0.4)
+    for oracle in (AosSolver, StraightforwardSolver):
+        ref = oracle(mesh, q0)
+        ref.run(5, cfl=0.4)
+        assert np.array_equal(opt.q, ref.q)
+        assert np.array_equal(opt.residual(), ref.residual())
+        assert opt.stable_dt(0.4) == ref.stable_dt(0.4)
+
+
+class AosSolver(EulerSolver):
+    """``EulerSolver`` on the AoS kernels: normals from
+    :func:`edge_normals_aos`, gas state and fluxes on ``(n, 5)`` rows."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.normals = edge_normals_aos(self.mesh)
+        self._area = np.linalg.norm(self.normals, axis=1)
+
+    def _residual(self, qt, gas=None):
+        # the stages hand over component-major states; back to AoS rows
+        q = np.ascontiguousarray(qt.T)
+        e = self.mesh.edges
+        if self.order == 2:
+            grads = lsq_gradients(self.mesh, q)
+            psi = limit_barth_jespersen(self.mesh, q, grads)
+            qL, qR = muscl_edge_states(self.mesh, q, grads, psi)
+            gL, gR = gas_state_aos(qL), gas_state_aos(qR)
+        else:
+            gas = gas_state_aos(q)
+            qL, qR = q[e[:, 0]], q[e[:, 1]]
+            gL, gR = gas.take(e[:, 0]), gas.take(e[:, 1])
+        f = AOS_FLUXES[self.flux](qL, qR, gL, gR, self.normals, self._area)
+        res = scatter_add_rows_reference(
+            e.T.ravel(), np.concatenate([-f, f]), q.shape[0]
+        )
+        if self.periodic_pairs is not None:
+            a, b = self.periodic_pairs[:, 0], self.periodic_pairs[:, 1]
+            combined = res[a] + res[b]
+            res[a] = combined
+            res[b] = combined
+        return res.T
+
+    def _stable_dt(self, gas, cfl):
+        e = self.mesh.edges
+        lam = gas_state_aos(self.q).lam
+        flow = np.maximum(lam[e[:, 0]], lam[e[:, 1]]) * self._area
+        speed_sum = scatter_add_rows_reference(
+            e.T.ravel(), np.tile(flow, 2), self.mesh.nv
+        )
+        with np.errstate(divide="ignore"):
+            dt = self.vol / np.maximum(speed_sum, 1e-300)
+        return cfl * float(dt.min())
 
 
 # --- the formulas before the gas state was evaluated once ----------------------
@@ -165,7 +240,9 @@ class StraightforwardSolver(EulerSolver):
     """``EulerSolver`` with the residual and CFL bound it had before: edge
     states gathered first, then handed to a flux that evaluates them itself."""
 
-    def _residual(self, q, gas=None):
+    def _residual(self, qt, gas=None):
+        # the stages hand over component-major states; back to AoS rows
+        q = np.ascontiguousarray(qt.T)
         e = self.mesh.edges
         if self.order == 2:
             grads = lsq_gradients(self.mesh, q)
@@ -173,7 +250,9 @@ class StraightforwardSolver(EulerSolver):
             qL, qR = muscl_edge_states(self.mesh, q, grads, psi)
         else:
             qL, qR = q[e[:, 0]], q[e[:, 1]]
-        f = ORACLE_FLUXES[self.flux](qL, qR, self.normals)
+        # C-ordered (nedges, 3) rows, as the normals were: einsum's summation
+        # order over a row depends on the layout (DESIGN.md §9)
+        f = ORACLE_FLUXES[self.flux](qL, qR, np.ascontiguousarray(self.normals))
         res = np.zeros_like(q)
         np.subtract.at(res, e[:, 0], f)
         np.add.at(res, e[:, 1], f)
@@ -182,11 +261,11 @@ class StraightforwardSolver(EulerSolver):
             combined = res[a] + res[b]
             res[a] = combined
             res[b] = combined
-        return res
+        return res.T
 
     def _stable_dt(self, gas, cfl):
         e = self.mesh.edges
-        area = np.linalg.norm(self.normals, axis=1)
+        area = np.linalg.norm(np.ascontiguousarray(self.normals), axis=1)
         lam = np.maximum(
             oracle_max_wave_speed(self.q[e[:, 0]]),
             oracle_max_wave_speed(self.q[e[:, 1]]),
@@ -239,10 +318,28 @@ def test_public_flux_equals_the_solvers_edge_flux(flux, public):
     solver = EulerSolver(mesh, _state(mesh, seed=5), flux=flux)
     q, lo, hi = solver.q, solver._lo, solver._hi
     assert np.array_equal(np.column_stack([lo, hi]), mesh.edges)
-    gas = gas_state(q)
+    qt = np.ascontiguousarray(q.T)
+    gas = gas_state(qt)
     internal = solver._edge_flux(
-        q[lo], q[hi], gas.take(lo), gas.take(hi), solver.normals, solver._area
+        qt[:, lo], qt[:, hi], gas.take(lo), gas.take(hi), solver._nt, solver._area
     )
-    assert np.array_equal(public(q[lo], q[hi], solver.normals), internal)
-    for evaluated, gathered in zip(gas_state(q[lo]), gas.take(lo)):
+    assert np.array_equal(public(q[lo], q[hi], solver.normals), internal.T)
+    for evaluated, gathered in zip(gas_state(qt[:, lo]), gas.take(lo)):
         assert np.array_equal(evaluated, gathered)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("flux", sorted(FLUXES))
+def test_flux_cores_match_the_aos_cores(seed, flux):
+    """Each component-major core equals its AoS original, on contiguous
+    rows (the solver) and on transposed views (the public wrappers)."""
+    qL, qR, n = _edge_inputs(seed)
+    area = np.linalg.norm(n, axis=1)
+    gL, gR = gas_state_aos(qL), gas_state_aos(qR)
+    expect = AOS_FLUXES[flux](qL, qR, gL, gR, n, area)
+    for rows in (np.ascontiguousarray, np.asarray):
+        qLt, qRt, nt = rows(qL.T), rows(qR.T), rows(n.T)
+        gLt, gRt = gas_state(qLt), gas_state(qRt)
+        for field, aos in zip(gLt, gL):
+            assert np.array_equal(field, aos.T)
+        assert np.array_equal(FLUXES[flux](qLt, qRt, gLt, gRt, nt, area).T, expect)
