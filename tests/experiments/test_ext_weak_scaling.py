@@ -11,6 +11,9 @@ scheduler produces bit-identical results to the eager reference one.
 Host seconds are ``benchmarks/e2e``'s ``vm_ranks`` workload.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.__main__ import main
@@ -48,6 +51,24 @@ def test_small_scale_parity_is_bitwise():
     assert res_fast.idle_per_rank == res_ref.idle_per_rank
     assert res_fast.nodes == res_ref.nodes
     assert res_fast.msgs == res_ref.msgs
+
+
+def _digest(values, dtype) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=dtype).tobytes()).hexdigest()[:16]
+
+
+def test_halo_cycle_4096_record_is_pinned():
+    """Every clock, node and message of the 4 096-rank cycle, bit for bit.
+
+    The oracle scheduler only reaches P <= 64 in tier-1; this pins the
+    product at the scale where ready-queue and mailbox layout matter.
+    """
+    res = halo_cycle(4096)
+    assert res.makespan == 0.005758499999999996
+    assert res.total_messages == 72_954
+    assert _digest(res.clocks, np.float64) == "3b98e4eebe95f951"
+    assert _digest(res._record.nd, np.float64) == "aae3d0c2c99299f6"
+    assert _digest(res._record.ms_i, np.int64) == "512acacb61b5108c"
 
 
 def test_causal_record_passes_makespan_identity():
