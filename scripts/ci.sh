@@ -74,10 +74,12 @@ grep -q "final solver imbalance" "$tmp/rotor.txt"
 echo "rotor-acoustics smoke: OK"
 
 # weak-scaling smoke: `repro scale` must run the fig6-style cycle and
-# print its row (4096/16384 ranks are timed by benchmarks/e2e vm_ranks).
+# print one row per rank count, 4096 being where mailbox and ready-queue
+# layout start to matter (16384 ranks are timed by benchmarks/e2e vm_ranks).
 timeout 300 env PYTHONPATH=src python -m repro scale \
-    --ranks 256 > "$tmp/scale.txt"
+    --ranks 256 --ranks 4096 > "$tmp/scale.txt"
 grep -q "weak scaling of the VM scheduler" "$tmp/scale.txt"
-grep -Eq "^ +256 +[0-9.]+ +[0-9]+ " "$tmp/scale.txt"
+grep -Eq "^ +256 +[0-9.]+ +[1-9][0-9]* " "$tmp/scale.txt"
+grep -Eq "^ +4096 +[0-9.]+ +[1-9][0-9]* " "$tmp/scale.txt"
 echo "weak-scaling smoke: OK"
 echo "ci: OK"

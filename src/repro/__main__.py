@@ -557,7 +557,7 @@ def _cmd_scale(args) -> int:
     for p in ranks:
         # the full-pipeline configuration: one fresh ambient tracer per point
         with use_tracer(Tracer()):
-            pt = measure_point(p, trace=True, **kwargs)
+            pt = measure_point(p, **kwargs)
         print(f"  {p:6d} {pt.wall_seconds:9.3f} {pt.ops:10d} "
               f"{pt.ops_per_second:11.0f} {pt.makespan:10.4f}")
     return 0

@@ -169,21 +169,19 @@ def measure_point(
     halo_words: int = 64,
     work_units: float = 200.0,
     machine: MachineModel = SP2_1997,
-    trace: bool = True,
 ) -> ScalePoint:
-    """Time one :func:`halo_cycle` and fold it into a :class:`ScalePoint`."""
+    """Time one recorded :func:`halo_cycle` and fold it into a
+    :class:`ScalePoint` (its ``ops`` are the run's recorded nodes)."""
     t0 = time.perf_counter()
     res = halo_cycle(nranks, rounds=rounds, halo_words=halo_words,
-                     work_units=work_units, machine=machine, trace=trace)
+                     work_units=work_units, machine=machine)
     wall = time.perf_counter() - t0
-    rec = res._record
-    ops = rec.nnodes if rec is not None else 0
     return ScalePoint(
         nranks=nranks,
         wall_seconds=wall,
         makespan=res.makespan,
         total_messages=res.total_messages,
         total_words=res.total_words,
-        ops=ops,
+        ops=res._record.nnodes,
         rounds=max(r for _c, r in res.returns),
     )

@@ -5,9 +5,9 @@ Each rank runs in its own forked OS process and drives the *same*
 generator rank program the virtual machine runs.  :func:`_drive` is the
 one driver loop for real execution: ``SendOp`` puts the payload on the
 destination rank's *wire*, ``RecvOp`` / ``ProbeOp`` drain the wire into a
-local :class:`~repro.parallel.runtime._IndexedMailbox` whose ``(source,
-tag)`` matching — ``ANY`` wildcards and per-(source, tag) FIFO order
-included — is exactly the virtual machine's.  ``WorkOp`` / ``ElapseOp``
+local mailbox list matched by :func:`~repro.parallel.runtime._take`, the
+virtual machine's own rule — ``ANY`` wildcards, oldest match first.
+``WorkOp`` / ``ElapseOp``
 cost nothing: the *real* Python work the program does between yields is
 what the measured clocks capture.
 
@@ -52,7 +52,6 @@ import traceback
 
 from ..machine import SP2_1997, MachineModel
 from ..runtime import (
-    ANY,
     DeadlockError,
     ElapseOp,
     ProbeOp,
@@ -60,8 +59,9 @@ from ..runtime import (
     RunResult,
     SendOp,
     WorkOp,
-    _IndexedMailbox,
-    _Message,
+    _census_text,
+    _fmt_match,
+    _take,
     per_rank,
 )
 
@@ -380,8 +380,9 @@ def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
             f"(got {type(gen).__name__} from {program!r})"
         )
 
-    mailbox = _IndexedMailbox()
-    seq = 0
+    # the virtual machine's mailbox layout, in arrival order; the first
+    # slot holds the message id (the VM keeps its send sequence there)
+    mailbox: list[tuple] = []
     waited = 0.0
     words_sent = msgs_sent = words_recv = msgs_recv = 0
     if transport is not None:
@@ -399,35 +400,28 @@ def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
 
         rec = WallRecorder()
         sampler = ResourceSampler().start()
-    #: local mailbox seq -> global message id (recording runs only)
-    mid_by_seq: dict[int, int] = {}
     clock = time.perf_counter
     t0 = clock()
     if rec is not None:
         rec.start(t0)
 
     def deliver(item):
-        nonlocal seq
         src, tag, payload, nwords, mid = item
-        seq += 1
-        if rec is not None:
-            mid_by_seq[seq] = mid
-        mailbox.add(_Message(src, tag, payload, nwords, 0.0, seq))
+        mailbox.append((mid, 0.0, payload, nwords, src, tag))
 
-    def pop_match(op):
+    def drain_and_take(op):
         while (item := wire.take_nowait()) is not None:
             deliver(item)
-        return mailbox.pop_match(op.source, op.tag)
+        return _take(mailbox, op.source, op.tag)
 
     def consume(msg):
         nonlocal words_recv, msgs_recv
-        words_recv += msg.nwords
+        _mid, _arrival, payload, nwords, src, tag = msg
+        words_recv += nwords
         msgs_recv += 1
-        payload = (
-            msg.payload if transport is None
-            else transport.decode(msg.payload)
-        )
-        return payload, msg.source, msg.tag
+        if transport is not None:
+            payload = transport.decode(payload)
+        return payload, src, tag
 
     value = None
     while True:
@@ -457,7 +451,7 @@ def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
         elif isinstance(op, RecvOp):
             ts = clock()
             this_wait = 0.0
-            msg = pop_match(op)
+            msg = drain_and_take(op)
             give_up = ts + timeout
             while msg is None:
                 w0 = clock()
@@ -470,19 +464,18 @@ def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
                     continue
                 give_up = w1 + timeout  # progress: rearm
                 deliver(item)
-                msg = mailbox.pop_match(op.source, op.tag)
+                msg = _take(mailbox, op.source, op.tag)
             waited += this_wait
             value = consume(msg)
             if rec is not None:
-                rec.note_op(RECV, ts, clock(), this_wait,
-                            mid_by_seq.pop(msg.seq, -1))
+                rec.note_op(RECV, ts, clock(), this_wait, msg[0])
         elif isinstance(op, ProbeOp):
             ts = clock()
-            msg = pop_match(op)
+            msg = drain_and_take(op)
             value = (False, None) if msg is None else (True, consume(msg))
             if rec is not None:
-                mid = -1 if msg is None else mid_by_seq.pop(msg.seq, -1)
-                rec.note_op(PROBE, ts, clock(), 0.0, mid)
+                rec.note_op(PROBE, ts, clock(), 0.0,
+                            -1 if msg is None else msg[0])
         elif isinstance(op, (WorkOp, ElapseOp)):
             # modelled time only; the measured clock runs on its own
             pass
@@ -508,19 +501,10 @@ def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
     return retval, stats
 
 
-def _fmt(v):
-    return "ANY" if v == ANY else str(v)
-
-
 def _timeout_text(rank, op, mailbox, timeout):
-    census: dict[tuple[int, int], int] = {}
-    for m in mailbox.messages():
-        census[(m.source, m.tag)] = census.get((m.source, m.tag), 0) + 1
-    listing = ", ".join(
-        f"(source={s}, tag={t})×{n}" for (s, t), n in sorted(census.items())
-    ) or "empty"
     return (
-        f"rank {rank}: recv(source={_fmt(op.source)}, tag={_fmt(op.tag)}) "
-        f"got no matching message within {timeout:.0f}s "
-        f"(likely deadlock); unmatched mailbox: {listing}"
+        f"rank {rank}: recv(source={_fmt_match(op.source)}, "
+        f"tag={_fmt_match(op.tag)}) got no matching message within "
+        f"{timeout:.0f}s (likely deadlock); unmatched mailbox: "
+        f"{_census_text(mailbox) or 'empty'}"
     )

@@ -19,18 +19,18 @@ with the ids of the ranks due at it — runs a rank for as long as it
 stays the calendar's minimum, and records the happens-before
 record into flat columns (:class:`_VMRecord`), materializing
 :class:`~repro.obs.causal.CausalNode` /
-:class:`~repro.obs.causal.CausalMsg` objects lazily.  The one-op-per-pop
-``(clock, rank)`` tuple-heap scheduler it replaced, with its list mailbox
-and eager object record, is the oracle in ``tests/kernels/oracles.py``;
-the two must agree bit for bit.
+:class:`~repro.obs.causal.CausalMsg` objects lazily.  A rank's mailbox
+is a send-ordered list whose first match is the oldest (:func:`_take`).
+The one-op-per-pop ``(clock, rank)`` tuple-heap scheduler it replaced,
+with its minimum-``seq`` scanning mailbox and eager object record, is the
+oracle in ``tests/kernels/oracles.py``; the two must agree bit for bit.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter
 from typing import Any, Callable
 
 import numpy as np
@@ -134,88 +134,29 @@ class ElapseOp:
         return f"ElapseOp(seconds={self.seconds})"
 
 
-@dataclass(slots=True)
-class _Message:
-    source: int
-    tag: int
-    payload: Any
-    nwords: int
-    arrival: float
-    seq: int
+# --- the mailbox -------------------------------------------------------------
+#
+# A rank's unmatched messages are one plain list of tuples
+# ``(seq, arrival, payload, nwords, source, tag)``, appended at send time,
+# so list order is ``seq`` order and a receive takes the *first* entry
+# whose source and tag match: the oldest matching message.  A probe also
+# caps ``arrival`` at its clock, and the first capped match is still the
+# oldest eligible one — a sender's clock never goes back, so arrivals
+# never decrease along one ``(source, tag)`` stream, and an entry that
+# arrived in time has no unarrived predecessor in its stream.
 
 
-class _IndexedMailbox:
-    """Unmatched messages bucketed by ``(source, tag)``.
-
-    Sends append in global ``seq`` order, so each bucket is a FIFO whose
-    head is its minimum-``seq`` message; a sender's clock is monotone, so
-    ``arrival`` is also non-decreasing along a bucket and the head alone
-    decides an arrival-time filter for the whole bucket.  Matching a recv
-    or probe therefore inspects only the heads of the (few) buckets a
-    wildcard can reach — never the whole mailbox.
-    """
-
-    __slots__ = ("_by_key", "_count")
-
-    def __init__(self):
-        self._by_key: dict[tuple[int, int], deque[_Message]] = {}
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def add(self, msg: _Message) -> None:
-        key = (msg.source, msg.tag)
-        bucket = self._by_key.get(key)
-        if bucket is None:  # .get over .setdefault: no deque built per add
-            self._by_key[key] = bucket = deque()
-        bucket.append(msg)
-        self._count += 1
-
-    def pop_match(
-        self, source: int, tag: int, max_arrival: float | None = None
-    ) -> _Message | None:
-        """Remove and return the oldest (min-seq) matching message."""
-        if source != ANY and tag != ANY:
-            # exact match: one dict probe, its bucket head is the answer
-            # (bucket FIFO == seq order; head arrival bounds the bucket)
-            key = (source, tag)
-            bucket = self._by_key.get(key)
-            if bucket is None:
-                return None
-            if max_arrival is not None and bucket[0].arrival > max_arrival:
-                return None
-            msg = bucket.popleft()
-            if not bucket:
-                del self._by_key[key]
-            self._count -= 1
-            return msg
-        # wildcard: one pass over the bucket map, filtering keys in place
-        # (no key-list materialization, no second dict lookup per key)
-        best_key = None
-        best_seq = 0
-        for key, bucket in self._by_key.items():
-            if source != ANY and key[0] != source:
-                continue
-            if tag != ANY and key[1] != tag:
-                continue
-            head = bucket[0]
-            if max_arrival is not None and head.arrival > max_arrival:
-                continue
-            if best_key is None or head.seq < best_seq:
-                best_key, best_seq = key, head.seq
-        if best_key is None:
-            return None
-        bucket = self._by_key[best_key]
-        msg = bucket.popleft()
-        if not bucket:
-            del self._by_key[best_key]
-        self._count -= 1
-        return msg
-
-    def messages(self):
-        for bucket in self._by_key.values():
-            yield from bucket
+def _take(box: list, source: int, tag: int,
+          max_arrival: float | None = None) -> tuple | None:
+    """Remove and return the first entry of ``box`` whose source and tag
+    match (``ANY`` matches all) and, given ``max_arrival``, that arrived
+    by then; None when there is none."""
+    for i, m in enumerate(box):
+        if ((source == ANY or m[4] == source) and (tag == ANY or m[5] == tag)
+                and (max_arrival is None or m[1] <= max_arrival)):
+            del box[i]
+            return m
+    return None
 
 
 class _BlockedView:
@@ -522,7 +463,7 @@ class VirtualMachine:
         done = [False] * nranks
         blocked: list[RecvOp | None] = [None] * nranks
         send_values: list[Any] = [None] * nranks
-        mailboxes = [_IndexedMailbox() for _ in range(nranks)]
+        mailboxes: list[list[tuple]] = [[] for _ in range(nranks)]
         steps = [g.send for g in gens]
 
         heappush = heapq.heappush
@@ -535,9 +476,9 @@ class VirtualMachine:
         seq = 0
 
         # Cyclic GC off for the duration of the loop: the scheduler's own
-        # allocations are acyclic (typed columns, tuples, short-lived
-        # _Messages), but at 10k+ ranks the rank generators and mailboxes
-        # make every full collection an O(heap) scan, and the growing
+        # allocations are acyclic (typed columns, tuples), but at 10k+
+        # ranks the rank generators and mailboxes make every full
+        # collection an O(heap) scan, and the growing
         # record retriggers them throughout the run.  Restored on every
         # exit path, including validation errors raised from the loop.
         gc_was_enabled = gc.isenabled()
@@ -609,9 +550,7 @@ class VirtualMachine:
                             # exists, and every later send checks the
                             # blocked op before posting, so while a rank
                             # is blocked its mailbox never holds a match.
-                            # The message skips the mailbox entirely (no
-                            # _Message is even constructed — add +
-                            # pop_match would round-trip one for nothing).
+                            # The message skips the mailbox entirely.
                             # Inlined rather than a closure: a helper
                             # capturing the loop's state would turn its
                             # hottest locals into cell variables.
@@ -645,63 +584,38 @@ class VirtualMachine:
                             else:
                                 heappush(due, dest)
                         else:
-                            # inlined _IndexedMailbox.add: one bound-method
-                            # call per send is measurable at 10k+ ranks
-                            box = mailboxes[dest]
-                            key = (r, tag)
-                            by_key = box._by_key
-                            bucket = by_key.get(key)
-                            if bucket is None:
-                                by_key[key] = bucket = deque()
-                            bucket.append(
-                                _Message(r, tag, op.payload, nwords, c, seq)
+                            mailboxes[dest].append(
+                                (seq, c, op.payload, nwords, r, tag)
                             )
-                            box._count += 1
                     elif code == _RECV:
-                        # inlined _IndexedMailbox.pop_match (recv never
-                        # passes an arrival cap, so that filter drops out)
+                        # inlined _take: the first match in send order (a
+                        # recv has no arrival cap)
                         box = mailboxes[r]
-                        best = None
-                        if box._count:
-                            src = op.source
-                            rtag = op.tag
-                            by_key = box._by_key
-                            if src != ANY and rtag != ANY:
-                                key = (src, rtag)
-                                bucket = by_key.get(key)
-                            else:
-                                key = None
-                                bseq = 0
-                                for k, b in by_key.items():
-                                    if src != ANY and k[0] != src:
-                                        continue
-                                    if rtag != ANY and k[1] != rtag:
-                                        continue
-                                    head = b[0]
-                                    if key is None or head.seq < bseq:
-                                        key, bseq = k, head.seq
-                                bucket = by_key[key] if key is not None \
-                                    else None
-                            if bucket is not None:
-                                best = bucket.popleft()
-                                if not bucket:
-                                    del by_key[key]
-                                box._count -= 1
-                        if best is None:
+                        src = op.source
+                        rtag = op.tag
+                        i = 0
+                        for m in box:
+                            if (src == ANY or m[4] == src) and (
+                                rtag == ANY or m[5] == rtag
+                            ):
+                                break
+                            i += 1
+                        else:
                             blocked[r] = op
                             send_values[r] = None
                             clocks[r] = c
                             break  # not filed: woken by a matching send
+                        del box[i]
+                        mseq, arr, payload, nw, src, rtag = m
                         t0 = c
                         c = t0 + t_setup
-                        arr = best.arrival
                         wait = arr - c
                         if wait > 0.0:
                             c = arr
                         else:
                             wait = 0.0
                         if rec is not None:
-                            mid = best.seq - 1
+                            mid = mseq - 1
                             ms_i[6 * mid + 5] = n_nodes
                             nd_ext((_RECV, r, mid, t0, c, wait))
                             if wait != 0.0:
@@ -709,12 +623,11 @@ class VirtualMachine:
                             n_nodes += 1
                         else:
                             waited[r] += wait
-                            nw = best.nwords
                             words_recv[r] += nw
                             msgs_recv[r] += 1
                             if nw > 0:
                                 data_recv[r] += 1
-                        sv = (best.payload, best.source, best.tag)
+                        sv = (payload, src, rtag)
                     elif code == _WORK:
                         units = op.units
                         if units < 0:
@@ -726,22 +639,22 @@ class VirtualMachine:
                             n_nodes += 1
                     elif code == _PROBE:
                         t0 = c
-                        msg = mailboxes[r].pop_match(op.source, op.tag, c)
+                        m = _take(mailboxes[r], op.source, op.tag, c)
                         # the mailbox check costs t_setup, match or not
                         c = c + t_setup
-                        if msg is not None:
+                        if m is not None:
+                            mseq, _arr, payload, nw, src, rtag = m
                             if rec is None:
-                                nw = msg.nwords
                                 words_recv[r] += nw
                                 msgs_recv[r] += 1
                                 if nw > 0:
                                     data_recv[r] += 1
-                            sv = (True, (msg.payload, msg.source, msg.tag))
+                            sv = (True, (payload, src, rtag))
                         else:
                             sv = (False, None)
                         if rec is not None:
-                            if msg is not None:
-                                mid = msg.seq - 1
+                            if m is not None:
+                                mid = mseq - 1
                                 ms_i[6 * mid + 5] = n_nodes
                             else:
                                 mid = -1
@@ -948,19 +861,22 @@ def _fmt_match(value: int) -> str:
     return "ANY" if value == ANY else str(value)
 
 
-def _mailbox_summary(st) -> list[tuple[int, int, int]]:
-    """Unmatched-message census: sorted ``(source, tag, count)`` triples."""
-    census: dict[tuple[int, int], int] = {}
-    for m in st.mailbox.messages():
-        key = (m.source, m.tag)
-        census[key] = census.get(key, 0) + 1
-    return [(src, tag, n) for (src, tag), n in sorted(census.items())]
+def _census(box) -> list[tuple[int, int, int]]:
+    """A mailbox's unmatched messages as sorted ``(source, tag, count)``
+    triples — the deadlock report of every backend."""
+    counts = Counter((m[4], m[5]) for m in box)
+    return [(src, tag, n) for (src, tag), n in sorted(counts.items())]
+
+
+def _census_text(box) -> str:
+    """:func:`_census` as ``(source=s, tag=t)×n, ...``; empty when empty."""
+    return ", ".join(f"(source={s}, tag={t})×{n}" for s, t, n in _census(box))
 
 
 def _blocked_record(st) -> tuple:
     op = st.blocked_on
     pending = (op.source, op.tag) if op is not None else None
-    return (st.rank, pending, _mailbox_summary(st))
+    return (st.rank, pending, _census(st.mailbox))
 
 
 def _blocked_line(st) -> str:
@@ -970,11 +886,8 @@ def _blocked_line(st) -> str:
         if op is not None
         else "no pending receive"
     )
-    box = _mailbox_summary(st)
-    if box:
-        listing = ", ".join(
-            f"(source={src}, tag={tag})×{n}" for src, tag, n in box
-        )
+    listing = _census_text(st.mailbox)
+    if listing:
         mailbox = f"mailbox holds {len(st.mailbox)} unmatched: {listing}"
     else:
         mailbox = "mailbox empty"

@@ -53,6 +53,15 @@ def test_small_scale_parity_is_bitwise():
     assert res_fast.msgs == res_ref.msgs
 
 
+def test_scale_point_ops_are_the_recorded_nodes():
+    tracer = Tracer()
+    with use_tracer(tracer):
+        pt = measure_point(64)
+    assert pt.ops == len(tracer.causal_nodes) > 0
+    assert pt.ops_per_second > 0.0
+    assert measure_point(64).ops == pt.ops  # recorded without a tracer too
+
+
 def _digest(values, dtype) -> str:
     return hashlib.sha256(np.asarray(values, dtype=dtype).tobytes()).hexdigest()[:16]
 

@@ -28,8 +28,8 @@ oracles too, but not substituted: the equivalence tests call them directly.
 global that *is* the product function is rebound to the oracle, and the
 scheduler method is replaced with ``setattr`` on ``VirtualMachine``.  The
 product has no switch and does not know this module exists.  The oracle
-scheduler reaches into ``repro.parallel.runtime`` for ``_Message``,
-``RunResult`` and the deadlock report — the price of living outside.
+scheduler reaches into ``repro.parallel.runtime`` for ``RunResult`` and
+the deadlock report — the price of living outside.
 
 :data:`CALLS` counts the calls that reached each oracle through a
 substituted binding (``test_oracle_harness.py`` uses it to prove no
@@ -67,7 +67,6 @@ from repro.parallel.runtime import (
     RunResult,
     SendOp,
     WorkOp,
-    _Message,
 )
 from repro.partition import multilevel_kway
 from repro.partition.graph import Graph
@@ -77,8 +76,21 @@ from repro.solver.state import GAMMA
 # --- parallel/runtime.py: scheduler and mailbox ------------------------------
 
 
+class _Message(NamedTuple):
+    """The oracle's message; its fields sit in the order of the product's
+    mailbox tuples, so the product's deadlock census reads both."""
+
+    seq: int
+    arrival: float
+    payload: Any
+    nwords: int
+    source: int
+    tag: int
+
+
 class _ListMailbox:
-    """Reference mailbox: one list, linear scan on every recv/probe."""
+    """Reference mailbox: one list, scanned whole for the minimum-``seq``
+    match on every recv/probe."""
 
     __slots__ = ("_msgs",)
 
@@ -87,6 +99,9 @@ class _ListMailbox:
 
     def __len__(self) -> int:
         return len(self._msgs)
+
+    def __iter__(self):
+        return iter(self._msgs)
 
     def add(self, msg: _Message) -> None:
         self._msgs.append(msg)
@@ -101,7 +116,7 @@ class _ListMailbox:
         self, source: int, tag: int, max_arrival: float | None = None
     ) -> _Message | None:
         # removal is by index, never by equality: ``list.remove`` would
-        # invoke the dataclass ``__eq__``, which both raises on ndarray
+        # invoke the tuple ``__eq__``, which both raises on ndarray
         # payloads and can remove a different-but-equal message
         best = None
         best_i = -1
@@ -115,9 +130,6 @@ class _ListMailbox:
         if best is not None:
             del self._msgs[best_i]
         return best
-
-    def messages(self):
-        return iter(self._msgs)
 
 
 @dataclass
@@ -205,7 +217,7 @@ def run_reference(self, gens: list) -> RunResult:
                     CausalMsg(-1, len(msgs_rec), r, op.dest, op.tag,
                               op.nwords, send_node=len(nodes) - 1)
                 )
-            msg = _Message(r, op.tag, op.payload, op.nwords, st.clock, seq)
+            msg = _Message(seq, st.clock, op.payload, op.nwords, r, op.tag)
             dst = ranks[op.dest]
             dst.mailbox.add(msg)
             if dst.blocked_on is not None and _matches(dst.blocked_on, msg):

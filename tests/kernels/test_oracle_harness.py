@@ -22,7 +22,7 @@ from repro.adapt.marking import propagate_markings, target_by_fraction
 from repro.adapt.refine import subdivide
 from repro.core.dualgraph import DualGraph
 from repro.mesh.generate import box_mesh
-from repro.parallel import VirtualMachine, runtime
+from repro.parallel import VirtualMachine
 from repro.parallel.ledger import CostLedger
 from repro.parallel.machine import MachineModel
 from repro.partition import multilevel_kway
@@ -157,29 +157,23 @@ def test_oracle_runs_inside_the_manager_and_not_outside(target):
 
 
 def test_each_scheduler_builds_its_own_mailbox(monkeypatch):
-    built = {"indexed": 0, "list": 0}
-
-    class CountingIndexed(runtime._IndexedMailbox):
-        __slots__ = ()
-
-        def __init__(self):
-            built["indexed"] += 1
-            super().__init__()
+    """The product's mailbox is a plain list; only the oracle builds a
+    ``_ListMailbox``, one per rank."""
+    built = []
 
     class CountingList(oracles._ListMailbox):
         __slots__ = ()
 
         def __init__(self):
-            built["list"] += 1
+            built.append(self)
             super().__init__()
 
-    monkeypatch.setattr(runtime, "_IndexedMailbox", CountingIndexed)
     monkeypatch.setattr(oracles, "_ListMailbox", CountingList)
     _drive_vm()
-    assert built == {"indexed": 3, "list": 0}
+    assert built == []
     with reference_kernels():
         _drive_vm()
-    assert built == {"indexed": 3, "list": 3}
+    assert len(built) == 3
 
 
 # --- (iii)-(v) the manager fails loudly and leaves nothing behind -------------

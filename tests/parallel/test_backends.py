@@ -141,6 +141,25 @@ class TestMultiprocessingBackend:
         with pytest.raises(DeadlockError, match="no matching message"):
             comm.run(prog)
 
+    def test_timeout_lists_the_unmatched_mailbox_like_the_vm(self):
+        def prog(comm):
+            if comm.rank == 0:
+                for _ in range(3):
+                    yield from comm.send("m", dest=1, tag=7, nwords=0)
+                return None
+            _ = yield from comm.recv(source=ANY, tag=2)
+
+        listing = "(source=0, tag=7)×3"
+        with pytest.raises(DeadlockError) as vm:
+            VirtualMachine(2).run(prog)
+        assert f"unmatched: {listing}" in str(vm.value)
+        comm = create_communicator("multiprocessing", 2, timeout=1.5)
+        with pytest.raises(DeadlockError) as real:
+            comm.run(prog)
+        msg = str(real.value)
+        assert "rank 1: recv(source=ANY, tag=2) got no matching message" in msg
+        assert msg.endswith(f"unmatched mailbox: {listing}")
+
     def test_rank_exception_propagates(self):
         def prog(comm):
             if comm.rank == 1:

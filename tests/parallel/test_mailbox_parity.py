@@ -1,16 +1,15 @@
-"""Observable equivalence of the two mailbox implementations.
+"""Observable equivalence of the product's mailbox and the oracle's.
 
-The :class:`~repro.parallel.runtime._IndexedMailbox` fast path bucketizes
-unmatched messages by ``(source, tag)`` and inspects only bucket heads;
-the :class:`~tests.kernels.oracles._ListMailbox` reference scans one
-flat list.  Under the virtual machine's invariants (global ``seq`` order
-on adds, per-sender monotone ``arrival``), every observable — which
-message a recv/probe pops, the count, iteration contents — must be
-identical.  The whole-VM half runs the same randomized programs under
-both mailbox kernels and requires bit-identical results.
+The product keeps a rank's unmatched messages in one send-ordered list
+and takes the *first* match (:func:`~repro.parallel.runtime._take`); the
+:class:`~tests.kernels.oracles._ListMailbox` reference scans its whole
+list for the minimum-``seq`` match.  Under the virtual machine's
+invariants (adds in ``seq`` order, arrivals that never decrease along
+one sender's stream) the two must pop the same message every time, arrival
+cap and ``ANY`` wildcards included, and hold the same messages after.
+The whole-VM half runs the same randomized programs under both
+schedulers and requires bit-identical results.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -18,105 +17,97 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.parallel import ANY, SP2_1997, VirtualMachine
-from repro.parallel.runtime import _IndexedMailbox, _Message
-from tests.kernels.oracles import _ListMailbox, reference_kernels
+from repro.parallel.runtime import _take
+from tests.kernels.oracles import _ListMailbox, _Message, reference_kernels
 
 
 # --- data-structure parity ---------------------------------------------------
 
+NSOURCES = NTAGS = 3
 
-def _script(rng, n_ops, nsources=3, ntags=3):
-    """A random op sequence honouring the VM's mailbox invariants."""
-    clocks = [0.0] * nsources  # per-sender clock -> monotone arrivals
-    ops = []
+_ADD = st.tuples(
+    st.just("add"),
+    st.integers(0, NSOURCES - 1),
+    st.integers(0, NTAGS - 1),
+    st.sampled_from([0.0, 0.5, 1.0]),  # the sender's clock advance
+)
+_POP = st.tuples(
+    st.just("pop"),
+    st.sampled_from([ANY, *range(NSOURCES)]),
+    st.sampled_from([ANY, *range(NTAGS)]),
+    st.one_of(  # the arrival cap: none (recv), on an arrival, between them
+        st.none(),
+        st.integers(0, 12).map(lambda k: 0.5 * k),
+        st.floats(0.0, 6.0),
+    ),
+)
+
+
+def _both(*messages):
+    """The product's list and the oracle's mailbox, holding ``messages``."""
+    box, ref = [], _ListMailbox()
+    for m in messages:
+        box.append(tuple(m))
+        ref.add(m)
+    return box, ref
+
+
+@given(st.lists(st.one_of(_ADD, _POP), max_size=80))
+@settings(max_examples=150, deadline=None)
+def test_mailboxes_observably_equivalent(script):
+    box, ref = [], _ListMailbox()
+    clocks = [0.0] * NSOURCES  # per-sender clock -> monotone arrivals
     seq = 0
-    for _ in range(n_ops):
-        kind = rng.choice(["add", "add", "pop"])
+    for kind, source, tag, arg in script:
         if kind == "add":
-            src = int(rng.integers(nsources))
-            clocks[src] += float(rng.integers(0, 3)) * 0.5
+            clocks[source] += arg
             seq += 1
-            ops.append(("add", _Message(
-                source=src,
-                tag=int(rng.integers(ntags)),
-                payload=seq,
-                nwords=1,
-                arrival=clocks[src],
-                seq=seq,
-            )))
+            msg = _Message(seq, clocks[source], seq, 1, source, tag)
+            box.append(tuple(msg))
+            ref.add(msg)
         else:
-            src = int(rng.integers(-1, nsources))  # -1 -> ANY
-            tag = int(rng.integers(-1, ntags))
-            source = ANY if src < 0 else src
-            tag = ANY if tag < 0 else tag
-            cap = None if rng.random() < 0.5 else float(rng.uniform(0.0, 3.0))
-            ops.append((kind, source, tag, cap))
-    return ops
-
-
-@given(seed=st.integers(0, 2000), n_ops=st.integers(1, 60))
-@settings(max_examples=60, deadline=None)
-def test_mailboxes_observably_equivalent(seed, n_ops):
-    rng = np.random.default_rng(seed)
-    fast, ref = _IndexedMailbox(), _ListMailbox()
-    for op in _script(rng, n_ops):
-        if op[0] == "add":
-            msg = op[1]
-            fast.add(msg)
-            ref.add(dataclasses.replace(msg))
-        else:
-            _, source, tag, cap = op
-            a = fast.pop_match(source, tag, max_arrival=cap)
-            b = ref.pop_match(source, tag, max_arrival=cap)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.seq == b.seq
-                assert (a.source, a.tag, a.arrival) == (
-                    b.source, b.tag, b.arrival
-                )
-        assert len(fast) == len(ref)
-        assert sorted(m.seq for m in fast.messages()) == sorted(
-            m.seq for m in ref.messages()
-        )
+            got = _take(box, source, tag, arg)
+            want = ref.pop_match(source, tag, max_arrival=arg)
+            assert got == want
+        assert box == list(ref)  # the same messages, in the same order
 
 
 def test_pop_match_is_globally_fifo_across_buckets():
-    """min-seq wins even when a later-keyed bucket was filled first."""
-    for box in (_IndexedMailbox(), _ListMailbox()):
-        box.add(_Message(source=1, tag=5, payload="b", nwords=1,
-                         arrival=0.0, seq=2))
-        box.add(_Message(source=0, tag=7, payload="a", nwords=1,
-                         arrival=0.0, seq=1))
-        got = box.pop_match(ANY, ANY)
-        assert got.seq == 1, type(box).__name__
+    """The oldest match wins across ``(source, tag)`` streams."""
+    box, ref = _both(_Message(1, 0.0, "a", 1, 0, 7),
+                     _Message(2, 0.0, "b", 1, 1, 5))
+    assert _take(box, ANY, ANY) == ref.pop_match(ANY, ANY)
+    assert box == list(ref) == [(2, 0.0, "b", 1, 1, 5)]
 
 
 def test_arrival_cap_filters_identically():
-    for box in (_IndexedMailbox(), _ListMailbox()):
-        box.add(_Message(source=0, tag=0, payload="x", nwords=1,
-                         arrival=5.0, seq=1))
-        assert box.pop_match(0, 0, max_arrival=4.0) is None
-        assert box.pop_match(0, 0, max_arrival=5.0).seq == 1
+    box, ref = _both(_Message(1, 5.0, "x", 1, 0, 0),
+                     _Message(2, 1.0, "y", 1, 1, 0))
+    # the older message has not arrived by 2.0; the younger one has
+    assert _take(box, ANY, 0, 2.0) == ref.pop_match(ANY, 0, 2.0)
+    assert box == list(ref) == [(1, 5.0, "x", 1, 0, 0)]
+    assert _take(box, 0, 0, 4.0) is ref.pop_match(0, 0, 4.0) is None
+    assert _take(box, 0, 0, 5.0) == ref.pop_match(0, 0, 5.0)
+    assert box == list(ref) == []
 
 
 def test_pop_match_with_ndarray_payloads():
     """Regression: removal must be by index, never by equality.
 
-    ``list.remove`` would invoke the dataclass ``__eq__``, which raises
+    ``list.remove`` would invoke the tuple ``__eq__``, which raises
     ``The truth value of an array ... is ambiguous`` the moment two
     ndarray-payload messages have to be compared — i.e. whenever more
     than one message is queued, the common case under load.
     """
-    for box in (_IndexedMailbox(), _ListMailbox()):
-        for seq in (1, 2, 3):
-            box.add(_Message(source=seq % 2, tag=7,
-                             payload=np.arange(4) * seq, nwords=4,
-                             arrival=float(seq), seq=seq))
-        got = box.pop_match(ANY, 7)
-        assert got.seq == 1, type(box).__name__
-        np.testing.assert_array_equal(got.payload, np.arange(4))
-        assert box.pop_match(ANY, ANY).seq == 2
-        assert len(box) == 1
+    msgs = [_Message(seq, float(seq), np.arange(4) * seq, 4, seq % 2, 7)
+            for seq in (1, 2, 3)]
+    box, ref = _both(*msgs)
+    for take in (lambda s, t: _take(box, s, t), ref.pop_match):
+        got = take(ANY, 7)
+        assert got[0] == 1
+        np.testing.assert_array_equal(got[2], np.arange(4))
+        assert take(ANY, ANY)[0] == 2
+    assert len(box) == len(ref) == 1
 
 
 # --- whole-VM parity ---------------------------------------------------------
