@@ -1,6 +1,6 @@
 #!/bin/sh
 # CI entry point: tier-1 tests, end-to-end benchmark smoke, trace smoke
-# check, real-backend smokes.
+# check, a balancer run without scipy, real-backend smokes.
 #
 # The tier-1 tests are where the paper's results are held: the golden
 # virtual-second series (tests/experiments/test_golden_series.py, plain
@@ -38,6 +38,18 @@ trap 'rm -rf "$tmp"' EXIT
 # keep the run-history store hermetic: the traced run below indexes
 # into the throwaway store instead of the checkout's .repro_runs
 export REPRO_RUNS_DIR="$tmp/runs"
+
+# no-scipy smoke: the balancer solves its assignments in-tree, so a step
+# with either exact reassigner must run in a process where importing
+# scipy fails — whichever test a new scipy import slips past, it fails here.
+for reassigner in optimal_bmcm optimal_mwbg; do
+    env PYTHONPATH=src python -c 'import runpy, sys
+sys.modules["scipy"] = None
+runpy.run_module("repro", run_name="__main__", alter_sys=True)' \
+        step 4 --nproc 8 --reassigner "$reassigner" > "$tmp/noscipy.txt"
+    grep -q "($reassigner;" "$tmp/noscipy.txt"
+done
+echo "no-scipy smoke: OK"
 
 # real-backend smoke: the fig6 exec-phase workload must produce payloads
 # identical to the virtual backend's on every measured backend (queue

@@ -17,6 +17,9 @@ the ``P`` processors so the redistribution cost is minimised:
   max(α·sent, β·received)).  The paper uses Gabow–Tarjan; we obtain the
   same optimum by binary-searching the bottleneck threshold over a
   Hopcroft–Karp feasibility test.  Implemented for F = 1, like the paper.
+
+The two exact solves (shortest augmenting path and Hopcroft–Karp) are
+:mod:`repro.partition.assignment`'s.
 """
 
 from __future__ import annotations
@@ -24,11 +27,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from repro.parallel.machine import MachineModel, SP2_1997
+from repro.partition.assignment import bipartite_matching, max_weight_assignment
 
 __all__ = [
     "optimal_mwbg",
@@ -93,9 +94,9 @@ def optimal_mwbg(S: np.ndarray, F: int = 1) -> np.ndarray:
     """Optimal TotalV assignment; returns ``proc_of_part`` of length F·P."""
     S, nproc, npart = _check_S(S, F)
     big = np.repeat(S, F, axis=0)  # duplicate each processor F times
-    rows, cols = linear_sum_assignment(big, maximize=True)
     proc_of_part = np.empty(npart, dtype=np.int64)
-    proc_of_part[cols] = rows // F  # fold the F copies back
+    # row r of ``big`` is a copy of processor r // F: fold the copies back
+    proc_of_part[max_weight_assignment(big)] = np.arange(npart) // F
     return proc_of_part
 
 
@@ -158,13 +159,12 @@ def optimal_bmcm(S: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -> np.nda
 
 
 def _has_perfect_matching(mask: np.ndarray) -> bool:
-    m = maximum_bipartite_matching(csr_matrix(mask), perm_type="column")
-    return bool(np.all(m >= 0))
+    return bool(np.all(bipartite_matching(mask) >= 0))
 
 
 def _perfect_matching(mask: np.ndarray) -> np.ndarray:
     """Row -> matched column under ``mask`` (must be perfect)."""
-    m = maximum_bipartite_matching(csr_matrix(mask), perm_type="column")
+    m = bipartite_matching(mask)
     if np.any(m < 0):
         raise RuntimeError("expected a perfect matching")
     return m

@@ -4,7 +4,7 @@ Importing the package executes none of its submodules: a public name is
 resolved on first access (PEP 562) by importing the submodule it lives
 in, so ``from repro.experiments import make_case`` costs ``cases`` and
 ``import repro.experiments.weak_scaling`` costs ``weak_scaling`` — not
-the sweep, the calibration workload and ``scipy`` besides.
+the sweep, the balancer and the calibration workload besides.
 """
 
 import sys

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.obs import current_tracer, maybe_phase
 
+from .assignment import max_weight_assignment
 from .fm_refine import kway_greedy_refine
 from .graph import Graph
 from .multilevel import _COARSE_PER_PART, _COARSEN_TO, coarsen, multilevel_kway
@@ -110,11 +111,6 @@ def _relabel_for_agreement(
     """Permute ``new``'s labels to maximise weight staying on its old label
     (a k×k assignment problem — the same MWBG structure the processor
     reassignment solves downstream, applied here at the label level)."""
-    from scipy.optimize import linear_sum_assignment
-
     overlap = np.zeros((k, k), dtype=np.int64)
     np.add.at(overlap, (new, old), g.vwgt)
-    rows, cols = linear_sum_assignment(overlap, maximize=True)
-    perm = np.empty(k, dtype=np.int64)
-    perm[rows] = cols
-    return perm[new]
+    return max_weight_assignment(overlap)[new]

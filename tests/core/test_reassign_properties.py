@@ -1,8 +1,9 @@
 """Property-based verification of Theorem 1, its corollary, and BMCM
-optimality over random similarity matrices, against the two exhaustive
-solvers defined here (``test_reassign.py`` uses them too)."""
+optimality over random similarity matrices, against the exhaustive
+solvers defined here (``test_reassign.py`` uses them too), for F = 1 and
+for the F > 1 duplication of §4.4."""
 
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 from hypothesis import given, settings
@@ -40,6 +41,16 @@ def brute_force_maxv(S: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -> fl
         )
         best = min(best, worst)
     return float(best)
+
+
+def brute_force_totalv_f(S: np.ndarray, F: int) -> int:
+    """Optimal TotalV objective over every map that gives each of the P
+    processors exactly F of the F·P partitions, by enumeration."""
+    nproc, npart = S.shape
+    maps = np.array(list(product(range(nproc), repeat=npart)))
+    counts = np.stack([(maps == p).sum(axis=1) for p in range(nproc)])
+    regular = maps[(counts == F).all(axis=0)]
+    return int(S[regular, np.arange(npart)].sum(axis=1).max())
 
 
 @st.composite
@@ -93,3 +104,26 @@ def test_assignments_are_permutations(S):
     for method in (optimal_mwbg, heuristic_mwbg, optimal_bmcm):
         m = method(S)
         assert sorted(m.tolist()) == list(range(p))
+
+
+@st.composite
+def duplicated_similarity(draw, max_w=200):
+    """A P × F·P similarity matrix, P ≤ 3 and F ∈ {2, 3}."""
+    p = draw(st.integers(1, 3))
+    f = draw(st.sampled_from([2, 3]))
+    rows = draw(st.lists(st.lists(st.integers(0, max_w), min_size=f * p,
+                                  max_size=f * p), min_size=p, max_size=p))
+    return np.array(rows, dtype=np.int64), f
+
+
+@given(SF=duplicated_similarity())
+@settings(max_examples=60, deadline=None)
+def test_f_copies_per_processor_and_enumeration_optimum(SF):
+    S, F = SF
+    opt = optimal_mwbg(S, F=F)
+    assert np.bincount(opt, minlength=S.shape[0]).tolist() == [F] * S.shape[0]
+    best = brute_force_totalv_f(S, F)
+    assert objective_value(S, opt) == best
+    heu = heuristic_mwbg(S, F=F)
+    assert np.bincount(heu, minlength=S.shape[0]).tolist() == [F] * S.shape[0]
+    assert 2 * objective_value(S, heu) >= best

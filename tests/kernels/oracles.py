@@ -22,6 +22,10 @@ lives here, unchanged, as the oracle it must match bit for bit:
 The solver's AoS kernels — :func:`edge_normals_aos`,
 :func:`gas_state_aos` and the flux cores in :data:`AOS_FLUXES` — are
 oracles too, but not substituted: the equivalence tests call them directly.
+So are SciPy's ``scipy.optimize.linear_sum_assignment`` and
+``scipy.sparse.csgraph.maximum_bipartite_matching``, the routines
+``repro.partition.assignment`` ports: ``test_assign_equiv.py`` calls them
+directly, and only the tests import SciPy.
 
 :func:`reference_kernels` substitutes them *from outside*, the way
 ``benchmarks/e2e/spans.py`` installs its timers: every ``repro.*`` module

@@ -1,13 +1,15 @@
 """What a cold ``python -m repro <command>`` imports — a count, no timer.
 
-Import time is most of what the trace-reading commands cost (numpy 0.13 s,
-``scipy.optimize`` 0.36 s against a 0.08 s ``repro report``), so the set of
-modules a command loads is pinned here: the renderers and the causal
-analysis are standard library only, ``repro scale`` needs the virtual
-machine but not the balancer, ``repro case`` the adaptor but not the
-balancer, and ``repro.obs`` imports no sibling package.  Each case is one
-subprocess under ``-X importtime``, whose stderr names every module the
-interpreter executed.
+Import time is most of what a short command costs: numpy takes 0.15 s
+against a 0.08 s ``repro report``, and ``import repro.core`` took 0.51 s
+while the balancer imported ``scipy.optimize`` (0.14 s since it solves its
+assignments in-tree).  So the set of modules a command loads is pinned
+here: the renderers and the causal analysis are standard library only,
+``repro scale`` needs the virtual machine but not the balancer, ``repro
+case`` the adaptor but not the balancer, ``repro.obs`` imports no sibling
+package, and nothing the product runs imports SciPy, which only the tests
+need.  Each case is one subprocess under ``-X importtime``, whose stderr
+names every module the interpreter executed.
 """
 
 import os
@@ -92,3 +94,13 @@ def test_obs_imports_no_sibling_package(tmp_path):
     ours = loaded(modules, ["repro"])
     assert "repro.obs.report" in ours
     assert [m for m in ours if m != "repro" and not m.startswith("repro.obs")] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("-m", "repro", "step", "4", "--nproc", "8", "--reassigner", "optimal_bmcm"),
+    ("-c", "import repro.core, repro.experiments"),
+])
+def test_the_balancer_loads_no_scipy(argv, tmp_path):
+    modules = imported(*argv, cwd=tmp_path)
+    assert "repro.core.reassign" in modules
+    assert [m for m in modules if m.startswith("scipy")] == []
