@@ -94,4 +94,31 @@ grep -q "weak scaling of the VM scheduler" "$tmp/scale.txt"
 grep -Eq "^ +256 +[0-9.]+ +[1-9][0-9]* " "$tmp/scale.txt"
 grep -Eq "^ +4096 +[0-9.]+ +[1-9][0-9]* " "$tmp/scale.txt"
 echo "weak-scaling smoke: OK"
+
+# 16 384-rank pin: tier-1 pins every clock, node and message of the
+# 4 096-rank halo cycle (test_halo_cycle_4096_record_is_pinned); this
+# pins the 16 384-rank one, the scale vm_ranks times, so a scheduler or
+# mailbox change that moves a clock there fails here.  Digests are
+# sha256[:16] of the float64 clocks / float64 node columns / int64
+# message columns.
+timeout 300 env PYTHONPATH=src python - <<'EOF'
+import hashlib
+
+import numpy as np
+
+from repro.experiments.weak_scaling import halo_cycle
+
+
+def digest(values, dtype):
+    return hashlib.sha256(np.asarray(values, dtype=dtype).tobytes()).hexdigest()[:16]
+
+
+res = halo_cycle(16384)
+got = (res.makespan, res.total_messages, digest(res.clocks, np.float64),
+       digest(res._record.nd, np.float64), digest(res._record.ms_i, np.int64))
+want = (0.006360749999999997, 293_370, "4aa5e08778511120",
+        "a37206ad6214e159", "8dba0ac134f707b1")
+assert got == want, f"halo_cycle(16384) moved: {got} != {want}"
+EOF
+echo "16384-rank pin: OK"
 echo "ci: OK"

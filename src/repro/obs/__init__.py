@@ -22,7 +22,7 @@ reconstructs the virtual-time critical path, per-rank slack, and
 straggler rankings (``repro critical-path`` / ``repro diff``).
 Measured backends (``multiprocessing``/``shm``/``mpi4py``) record the
 same DAG in *wall* seconds: a per-rank :class:`WallRecorder` logs every
-send/recv/probe/work segment on ``perf_counter``, a clock handshake
+send/recv/work segment on ``perf_counter``, a clock handshake
 estimates per-rank offsets (:class:`ClockRecord`), and
 :func:`merge_streams` aligns the streams onto one timeline so
 ``analyze(tracer, clock="wall")`` yields a measured critical path next

@@ -63,15 +63,13 @@ __all__ = [
 ]
 
 #: Node kinds recorded by the virtual machine.
-NODE_KINDS = ("work", "elapse", "send", "recv", "probe")
+NODE_KINDS = ("work", "send", "recv")
 
 #: Attribution of node kinds to the (work | comm) split.
 KIND_OF = {
     "work": "work",
-    "elapse": "work",
     "send": "comm",
     "recv": "comm",
-    "probe": "comm",
 }
 
 
@@ -105,7 +103,7 @@ class CausalMsg:
     tag: int
     nwords: int
     send_node: int
-    recv_node: int | None = None  #: recv/probe node id; None if unconsumed
+    recv_node: int | None = None  #: recv node id; None if unconsumed
 
 
 @dataclass
@@ -162,8 +160,8 @@ class RankStats:
     """Per-rank decomposition of one run plus its critical-path footprint."""
 
     rank: int
-    work: float  #: charged work/elapse seconds
-    comm: float  #: charged send/recv-setup/probe seconds
+    work: float  #: charged work seconds
+    comm: float  #: charged send/recv-setup seconds
     wait: float  #: seconds blocked inside recvs
     tail: float  #: makespan minus the rank's final clock (trailing idle)
     on_path: float  #: seconds this rank contributes to the critical path
@@ -356,9 +354,8 @@ def node_slack(run: CausalRun) -> dict[int, float]:
 
     Propagating constraints in decreasing id order visits every successor
     before its predecessors (all DAG edges go low id -> high id):
-    a program-order successor needs its busy seconds after this node ends;
-    a waited-on recv needs the send finished by its own latest finish; a
-    probe hit needs the message to have *arrived* before the probe began.
+    a program-order successor needs its busy seconds after this node ends,
+    and a recv needs its message's send finished by its own latest finish.
     """
     if not run.nodes:
         return {}
@@ -370,12 +367,9 @@ def node_slack(run: CausalRun) -> dict[int, float]:
         p = prev[n.id]
         if p is not None:
             latest[p.id] = min(latest[p.id], latest[n.id] - n.local)
-        if n.msg is not None and n.kind in ("recv", "probe"):
+        if n.msg is not None and n.kind == "recv":
             s = msgs[n.msg].send_node
-            if n.kind == "recv":
-                latest[s] = min(latest[s], latest[n.id])
-            else:
-                latest[s] = min(latest[s], latest[n.id] - n.local)
+            latest[s] = min(latest[s], latest[n.id])
     return {n.id: latest[n.id] - n.t_end for n in run.nodes}
 
 

@@ -27,7 +27,7 @@ declares, each present (``null`` only where the entry marks it ``?``):
     run's ``base`` offset into the trace timeline); ``msg`` names the
     message it produced/consumed.  See :mod:`repro.obs.causal`.
 ``msg``
-    One message, linking its send node to the recv/probe node that
+    One message, linking its send node to the recv node that
     consumed it (``recv_node`` is null if never consumed).
 ``clock``
     How one rank's wall clock was aligned for one *measured* run
@@ -47,7 +47,7 @@ sample.  Ranked records render on a per-rank virtual thread; un-ranked
 spans render on tid 0 ("framework").  Causal nodes render as ``cat:
 "vm"`` slices on their rank's thread — one slice per operation — and
 every delivered message emits a flow-event pair (``ph: "s"`` at the send,
-``ph: "f"`` at the consuming recv/probe, matching ``id``) so message
+``ph: "f"`` at the consuming recv, matching ``id``) so message
 arrows draw between the two threads in chrome://tracing / Perfetto.
 Measured runs (``clock="wall"``) render in a second process ("measured
 wall", pid 1) so their wall timeline never mixes with the virtual one;

@@ -65,8 +65,8 @@ __all__ = [
 SYNC_ROUNDS = 5
 
 #: Node kind codes in the recorder columns (``work`` fills yield gaps).
-_KIND_NAMES = ("work", "send", "recv", "probe")
-WORK, SEND, RECV, PROBE = range(4)
+_KIND_NAMES = ("work", "send", "recv")
+WORK, SEND, RECV = range(3)
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def merge_streams(streams: dict[int, dict],
         cols = streams[r]
         counts[r] = len(cols["kinds"])
         for i, (code, mid) in enumerate(zip(cols["kinds"], cols["msgs"])):
-            if mid >= 0 and code in (RECV, PROBE):
+            if mid >= 0 and code == RECV:
                 consumer[mid] = (r, i)
 
     # Kahn: indegree = program-order predecessor + send of any consumed msg

@@ -7,8 +7,9 @@ deterministic stand-in used throughout the reproduction:
   (message startup, per-word transfer, per-unit compute), with the
   :data:`~repro.parallel.machine.SP2_1997` preset;
 * :class:`~repro.parallel.runtime.VirtualMachine` — event-driven scheduler
-  for SPMD generator rank programs with an mpi4py-like
-  :class:`~repro.parallel.simcomm.Comm` API;
+  for SPMD generator rank programs, written against the
+  :class:`~repro.parallel.simcomm.Comm` API (``compute``, ``send``,
+  ``recv``, ``barrier``, ``allreduce``) every backend runs;
 * :class:`~repro.parallel.ledger.CostLedger` — bulk-synchronous cost
   accounting for NumPy-vectorized partition-wise phases.
 """
@@ -22,7 +23,7 @@ from .runtime import (
     VirtualMachine,
     per_rank,
 )
-from .simcomm import Comm, Request, SubComm
+from .simcomm import Comm
 from .backends import (
     available_backends,
     backend_factory,
@@ -33,8 +34,6 @@ from .backends import (
 __all__ = [
     "ANY",
     "Comm",
-    "Request",
-    "SubComm",
     "CostLedger",
     "DeadlockError",
     "IDEAL",

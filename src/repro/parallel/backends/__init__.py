@@ -1,9 +1,9 @@
 """Pluggable communicator backends for SPMD rank programs.
 
 A rank program is a generator that yields
-:class:`~repro.parallel.runtime.SendOp` / ``RecvOp`` / ``ProbeOp`` /
-``WorkOp`` / ``ElapseOp`` descriptors (usually through the
-:class:`~repro.parallel.simcomm.Comm` API).  A *backend* is a driver that
+:class:`~repro.parallel.runtime.SendOp` / ``RecvOp`` / ``WorkOp``
+descriptors (usually through the :class:`~repro.parallel.simcomm.Comm`
+API: ``compute``, ``send``, ``recv``, ``barrier``, ``allreduce``).  A *backend* is a driver that
 executes the same program on every rank and satisfies the yielded
 operations over some transport:
 

@@ -4,12 +4,13 @@ rank driver every real backend shares.
 Each rank runs in its own forked OS process and drives the *same*
 generator rank program the virtual machine runs.  :func:`_drive` is the
 one driver loop for real execution: ``SendOp`` puts the payload on the
-destination rank's *wire*, ``RecvOp`` / ``ProbeOp`` drain the wire into a
-local mailbox list matched by :func:`~repro.parallel.runtime._take`, the
+destination rank's *wire*, ``RecvOp`` drains the wire into a local
+mailbox list matched by :func:`~repro.parallel.runtime._take`, the
 virtual machine's own rule — ``ANY`` wildcards, oldest match first.
-``WorkOp`` / ``ElapseOp``
-cost nothing: the *real* Python work the program does between yields is
-what the measured clocks capture.
+``WorkOp`` costs nothing: the *real* Python work the program does between
+yields is what the measured clocks capture.  Ranks start through
+:func:`~repro.parallel.runtime.start_ranks`, as on the virtual machine,
+and the driver rejects negative work and word counts as the VM does.
 
 A wire is three operations — ``put(dest, item)``, ``take_nowait()`` and
 ``take(timeout)`` (both return ``None`` when nothing arrived) — and is all
@@ -34,7 +35,7 @@ so busy/idle splits stay meaningful.
 
 A run reports through its tracer and nothing else.  With one attached,
 each rank keeps a columnar :class:`~repro.obs.wallclock.WallRecorder` of
-its sends/recvs/probes and the work gaps between them, and samples its
+its sends/recvs and the work gaps between them, and samples its
 process's RSS/CPU/GC (:class:`~repro.obs.resource.ResourceSampler`); the
 parent estimates every child's clock offset with a pipe handshake run
 *after* the program (offsets are constants of the monotonic clocks, so
@@ -53,8 +54,6 @@ import traceback
 from ..machine import SP2_1997, MachineModel
 from ..runtime import (
     DeadlockError,
-    ElapseOp,
-    ProbeOp,
     RecvOp,
     RunResult,
     SendOp,
@@ -62,7 +61,7 @@ from ..runtime import (
     _census_text,
     _fmt_match,
     _take,
-    per_rank,
+    start_ranks,
 )
 
 __all__ = ["MultiprocessingBackend"]
@@ -123,6 +122,8 @@ class MultiprocessingBackend:
         """
         import multiprocessing
 
+        # the per_rank length check, in the parent before any fork
+        start_ranks(program, self.nranks, self.machine, args, kwargs, ())
         ctx = multiprocessing.get_context("fork")
         transport = self._make_transport(ctx)
         inboxes = [ctx.Queue() for _ in range(self.nranks)]
@@ -357,8 +358,9 @@ def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
     """Run one rank's program to completion over ``wire``.
 
     ``args``/``kwargs`` are the run's, ``per_rank`` wrappers included;
-    this rank's slice is taken here.  Wire items are ``(source, tag,
-    payload, nwords, msg_id)`` with ``msg_id`` -1 on unrecorded runs.
+    :func:`~repro.parallel.runtime.start_ranks` takes this rank's slice.
+    Wire items are ``(source, tag, payload, nwords, msg_id)`` with
+    ``msg_id`` -1 on unrecorded runs.
     The driver owns the receive timeout: a blocked receive polls
     ``wire.take`` in slices of at most a second, rearms on every arrival,
     and raises :class:`_RecvTimeout` once ``timeout`` seconds pass with
@@ -366,19 +368,7 @@ def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
     ``ResourceSampler``; their columns ride back in the stats dict.
     Returns ``(retval, stats)``.
     """
-    from ..simcomm import Comm
-
-    a = [x.values[rank] if isinstance(x, per_rank) else x for x in args]
-    kw = {
-        k: (v.values[rank] if isinstance(v, per_rank) else v)
-        for k, v in kwargs.items()
-    }
-    gen = program(Comm(rank, size, machine), *a, **kw)
-    if not hasattr(gen, "send"):
-        raise TypeError(
-            "rank program must be a generator function "
-            f"(got {type(gen).__name__} from {program!r})"
-        )
+    [gen] = start_ranks(program, size, machine, args, kwargs, (rank,))
 
     # the virtual machine's mailbox layout, in arrival order; the first
     # slot holds the message id (the VM keeps its send sequence there)
@@ -396,7 +386,7 @@ def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
         # when an untraced one would.  The sampler is a daemon thread
         # reading this process's RSS/CPU/GC off the hot path.
         from ...obs.resource import ResourceSampler
-        from ...obs.wallclock import PROBE, RECV, WallRecorder
+        from ...obs.wallclock import RECV, WallRecorder
 
         rec = WallRecorder()
         sampler = ResourceSampler().start()
@@ -409,20 +399,6 @@ def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
         src, tag, payload, nwords, mid = item
         mailbox.append((mid, 0.0, payload, nwords, src, tag))
 
-    def drain_and_take(op):
-        while (item := wire.take_nowait()) is not None:
-            deliver(item)
-        return _take(mailbox, op.source, op.tag)
-
-    def consume(msg):
-        nonlocal words_recv, msgs_recv
-        _mid, _arrival, payload, nwords, src, tag = msg
-        words_recv += nwords
-        msgs_recv += 1
-        if transport is not None:
-            payload = transport.decode(payload)
-        return payload, src, tag
-
     value = None
     while True:
         try:
@@ -434,6 +410,8 @@ def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
         if isinstance(op, SendOp):
             if not 0 <= op.dest < size:
                 raise ValueError(f"rank {rank}: send to invalid rank {op.dest}")
+            if op.nwords < 0:
+                raise ValueError(f"negative message size: {op.nwords}")
             payload, mid = op.payload, -1
             if rec is not None:
                 ts = clock()
@@ -451,7 +429,9 @@ def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
         elif isinstance(op, RecvOp):
             ts = clock()
             this_wait = 0.0
-            msg = drain_and_take(op)
+            while (item := wire.take_nowait()) is not None:
+                deliver(item)
+            msg = _take(mailbox, op.source, op.tag)
             give_up = ts + timeout
             while msg is None:
                 w0 = clock()
@@ -466,19 +446,18 @@ def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
                 deliver(item)
                 msg = _take(mailbox, op.source, op.tag)
             waited += this_wait
-            value = consume(msg)
+            mid, _arrival, payload, nwords, src, tag = msg
+            words_recv += nwords
+            msgs_recv += 1
+            if transport is not None:
+                payload = transport.decode(payload)
+            value = (payload, src, tag)
             if rec is not None:
-                rec.note_op(RECV, ts, clock(), this_wait, msg[0])
-        elif isinstance(op, ProbeOp):
-            ts = clock()
-            msg = drain_and_take(op)
-            value = (False, None) if msg is None else (True, consume(msg))
-            if rec is not None:
-                rec.note_op(PROBE, ts, clock(), 0.0,
-                            -1 if msg is None else msg[0])
-        elif isinstance(op, (WorkOp, ElapseOp)):
+                rec.note_op(RECV, ts, clock(), this_wait, mid)
+        elif isinstance(op, WorkOp):
             # modelled time only; the measured clock runs on its own
-            pass
+            if op.units < 0:
+                raise ValueError(f"negative work: {op.units}")
         else:
             raise TypeError(f"rank {rank} yielded unknown op {op!r}")
 

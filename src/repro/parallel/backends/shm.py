@@ -336,7 +336,7 @@ class ShmTransport:
     # --- receiver side ------------------------------------------------------
 
     def decode(self, wire):
-        """Decode one popped wire payload; called at RecvOp/ProbeOp pop."""
+        """Decode one popped wire payload; called when a RecvOp takes it."""
         self._drain_pending()
         kind = wire[0]
         if kind == _KIND_PICKLE:

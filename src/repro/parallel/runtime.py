@@ -13,7 +13,7 @@ and charges the receiver a posting overhead.  Messages between a fixed
 (source, dest, tag) triple are delivered in FIFO order, and scheduling
 ties are broken by rank id, so runs are fully deterministic.
 
-The scheduler (DESIGN.md §13) dispatches ops through a type-keyed table,
+The scheduler (DESIGN.md §13) dispatches on each op class's ``_code``,
 files the ready ranks in a calendar — the distinct ready clocks, each
 with the ids of the ranks due at it — runs a rank for as long as it
 stays the calendar's minimum, and records the happens-before
@@ -74,10 +74,21 @@ class DeadlockError(RuntimeError):
 # __init__ constructs ~4x faster than a frozen dataclass's (no per-field
 # object.__setattr__).  They are value carriers only — nothing hashes or
 # compares them — so losing generated __eq__/__hash__ costs nothing.
+#
+# Each class carries its dispatch key as ``_code``, which doubles as the
+# kind code the columnar record stores (an index into ``_CODE_KINDS``): in
+# the hot loop a class attribute load beats a dict probe, and subclasses
+# inherit it.  The codes are work 0, send 2, recv 3 (1 is unused): the
+# recorded node columns, and the digests pinned on them, carry those
+# numbers.
+
+_WORK, _SEND, _RECV = 0, 2, 3
+_CODE_KINDS = ("work", None, "send", "recv")
 
 
 class SendOp:
     __slots__ = ("dest", "tag", "payload", "nwords")
+    _code = _SEND
 
     def __init__(self, dest: int, tag: int, payload: Any, nwords: int):
         self.dest = dest
@@ -92,6 +103,7 @@ class SendOp:
 
 class RecvOp:
     __slots__ = ("source", "tag")
+    _code = _RECV
 
     def __init__(self, source: int, tag: int):
         self.source = source
@@ -101,21 +113,9 @@ class RecvOp:
         return f"RecvOp(source={self.source}, tag={self.tag})"
 
 
-class ProbeOp:
-    """Non-blocking probe: resolve immediately with (matched, message)."""
-
-    __slots__ = ("source", "tag")
-
-    def __init__(self, source: int, tag: int):
-        self.source = source
-        self.tag = tag
-
-    def __repr__(self):  # pragma: no cover - debug aid
-        return f"ProbeOp(source={self.source}, tag={self.tag})"
-
-
 class WorkOp:
     __slots__ = ("units",)
+    _code = _WORK
 
     def __init__(self, units: float):
         self.units = units
@@ -124,36 +124,19 @@ class WorkOp:
         return f"WorkOp(units={self.units})"
 
 
-class ElapseOp:
-    __slots__ = ("seconds",)
-
-    def __init__(self, seconds: float):
-        self.seconds = seconds
-
-    def __repr__(self):  # pragma: no cover - debug aid
-        return f"ElapseOp(seconds={self.seconds})"
-
-
 # --- the mailbox -------------------------------------------------------------
 #
 # A rank's unmatched messages are one plain list of tuples
 # ``(seq, arrival, payload, nwords, source, tag)``, appended at send time,
 # so list order is ``seq`` order and a receive takes the *first* entry
-# whose source and tag match: the oldest matching message.  A probe also
-# caps ``arrival`` at its clock, and the first capped match is still the
-# oldest eligible one — a sender's clock never goes back, so arrivals
-# never decrease along one ``(source, tag)`` stream, and an entry that
-# arrived in time has no unarrived predecessor in its stream.
+# whose source and tag match: the oldest matching message.
 
 
-def _take(box: list, source: int, tag: int,
-          max_arrival: float | None = None) -> tuple | None:
+def _take(box: list, source: int, tag: int) -> tuple | None:
     """Remove and return the first entry of ``box`` whose source and tag
-    match (``ANY`` matches all) and, given ``max_arrival``, that arrived
-    by then; None when there is none."""
+    match (``ANY`` matches all); None when there is none."""
     for i, m in enumerate(box):
-        if ((source == ANY or m[4] == source) and (tag == ANY or m[5] == tag)
-                and (max_arrival is None or m[1] <= max_arrival)):
+        if (source == ANY or m[4] == source) and (tag == ANY or m[5] == tag):
             del box[i]
             return m
     return None
@@ -172,23 +155,6 @@ class _BlockedView:
 
 
 # --- columnar recording ------------------------------------------------------
-
-#: Type-keyed dispatch table; the value doubles as the columnar kind code
-#: (the index into :data:`_CODE_KINDS`).
-_OPCODES: dict[type, int] = {
-    WorkOp: 0, ElapseOp: 1, SendOp: 2, RecvOp: 3, ProbeOp: 4,
-}
-_CODE_KINDS = ("work", "elapse", "send", "recv", "probe")
-_WORK, _ELAPSE, _SEND, _RECV, _PROBE = range(5)
-
-# The dispatch key also lives on the classes themselves: in the hot loop a
-# slot-class attribute load beats a dict probe, and subclasses inherit it,
-# skipping the isinstance slow path entirely.
-WorkOp._code = _WORK
-ElapseOp._code = _ELAPSE
-SendOp._code = _SEND
-RecvOp._code = _RECV
-ProbeOp._code = _PROBE
 
 
 class _VMRecord:
@@ -342,10 +308,10 @@ class RunResult:
 class VirtualMachine:
     """A virtual message-passing machine with ``nranks`` processors.
 
-    With ``trace=True`` the scheduler records every send, receive, probe,
-    work, and elapse operation as a causal node with its virtual start and
-    end times, and every message as a causal msg (``RunResult.nodes`` /
-    ``.msgs``; useful for debugging rank programs and visualising
+    With ``trace=True`` the scheduler records every send, receive and
+    work operation as a causal node with its virtual start and end times,
+    and every message as a causal msg (``RunResult.nodes`` / ``.msgs``;
+    useful for debugging rank programs and visualising
     communication schedules).  With ``tracer`` set to a
     :class:`repro.obs.Tracer`, the same record is appended to the tracer
     under a fresh run id, after a ``vm.run`` marker event carrying the
@@ -376,36 +342,15 @@ class VirtualMachine:
         passed by giving a list/tuple of length ``nranks`` wrapped in
         :func:`per_rank`.
         """
-        from .simcomm import Comm
-
-        nranks = self.nranks
-        for v in (*args, *kwargs.values()):
-            if isinstance(v, per_rank) and len(v.values) != nranks:
-                raise ValueError(
-                    f"per_rank argument carries {len(v.values)} values "
-                    f"but the machine has {nranks} ranks"
-                )
-        gens = []
-        for r in range(nranks):
-            comm = Comm(r, nranks, self.machine)
-            a = [x.values[r] if isinstance(x, per_rank) else x for x in args]
-            kw = {
-                k: (v.values[r] if isinstance(v, per_rank) else v)
-                for k, v in kwargs.items()
-            }
-            gen = program(comm, *a, **kw)
-            if not hasattr(gen, "send"):
-                raise TypeError(
-                    "rank program must be a generator function "
-                    f"(got {type(gen).__name__} from {program!r})"
-                )
-            gens.append(gen)
-        return self._run_fast(gens)
+        return self._run_fast(start_ranks(
+            program, self.nranks, self.machine, args, kwargs,
+            range(self.nranks),
+        ))
 
     # --- scheduler ----------------------------------------------------------
 
     def _run_fast(self, gens: list) -> RunResult:
-        """Batched, table-dispatched scheduler over per-rank arrays.
+        """Batched, code-dispatched scheduler over per-rank arrays.
 
         Invariants shared with the oracle scheduler in
         ``tests/kernels/oracles.py`` (and why the results are
@@ -425,7 +370,7 @@ class VirtualMachine:
         * all clock arithmetic is the same float expressions, in the
           same order, as the oracle scheduler;
         * node id == append order, msg id == ``seq - 1``, and a consumed
-          message's ``recv_node`` is the id of the recv/probe node that
+          message's ``recv_node`` is the id of the recv node that
           popped it — identical to the eager record.
         """
         machine = self.machine
@@ -511,11 +456,9 @@ class VirtualMachine:
                     try:
                         code = op._code
                     except AttributeError:
-                        code = _resolve_opcode(op)
-                        if code is None:
-                            raise TypeError(
-                                f"rank {r} yielded unknown op {op!r}"
-                            ) from None
+                        raise TypeError(
+                            f"rank {r} yielded unknown op {op!r}"
+                        ) from None
                     if code == _SEND:
                         dest = op.dest
                         if not 0 <= dest < nranks:
@@ -628,7 +571,7 @@ class VirtualMachine:
                             if nw > 0:
                                 data_recv[r] += 1
                         sv = (payload, src, rtag)
-                    elif code == _WORK:
+                    else:  # _WORK
                         units = op.units
                         if units < 0:
                             raise ValueError(f"negative work: {units}")
@@ -636,38 +579,6 @@ class VirtualMachine:
                         c = c + t_work * units
                         if rec is not None:
                             nd_ext((_WORK, r, -1, t0, c, 0.0))
-                            n_nodes += 1
-                    elif code == _PROBE:
-                        t0 = c
-                        m = _take(mailboxes[r], op.source, op.tag, c)
-                        # the mailbox check costs t_setup, match or not
-                        c = c + t_setup
-                        if m is not None:
-                            mseq, _arr, payload, nw, src, rtag = m
-                            if rec is None:
-                                words_recv[r] += nw
-                                msgs_recv[r] += 1
-                                if nw > 0:
-                                    data_recv[r] += 1
-                            sv = (True, (payload, src, rtag))
-                        else:
-                            sv = (False, None)
-                        if rec is not None:
-                            if m is not None:
-                                mid = mseq - 1
-                                ms_i[6 * mid + 5] = n_nodes
-                            else:
-                                mid = -1
-                            nd_ext((_PROBE, r, mid, t0, c, 0.0))
-                            n_nodes += 1
-                    else:  # _ELAPSE
-                        secs = op.seconds
-                        if secs < 0:
-                            raise ValueError(f"negative elapse: {secs}")
-                        t0 = c
-                        c = c + secs
-                        if rec is not None:
-                            nd_ext((_ELAPSE, r, -1, t0, c, 0.0))
                             n_nodes += 1
                     # run-to-min batching: keep running this rank while
                     # ``(c, r)`` is still the minimum of the ready order
@@ -828,17 +739,6 @@ class VirtualMachine:
         )
 
 
-def _resolve_opcode(op) -> int | None:
-    """Slow-path dispatch for op subclasses: resolve by ``isinstance`` and
-    memoize the concrete class into the dispatch table."""
-    for base, code in ((WorkOp, _WORK), (ElapseOp, _ELAPSE), (SendOp, _SEND),
-                       (RecvOp, _RECV), (ProbeOp, _PROBE)):
-        if isinstance(op, base):
-            _OPCODES[op.__class__] = code
-            return code
-    return None
-
-
 def _deadlock_chains(stuck: list, nodes: list, msgs_rec: list) -> dict:
     """Per blocked rank: (causal chain to its last completed node, text)."""
     from repro.obs.causal import chain_of, format_chain
@@ -905,3 +805,38 @@ class per_rank:
 
     def __repr__(self):  # pragma: no cover - debug aid
         return f"per_rank({self.values!r})"
+
+
+def start_ranks(program: Callable, nranks: int, machine: MachineModel,
+                args: tuple, kwargs: dict, ranks) -> list:
+    """The generators of ``ranks``: ``program(comm, *args, **kwargs)``
+    with each :class:`per_rank` argument sliced to the rank.
+
+    Every backend starts its ranks here.  Each ``per_rank`` argument must
+    carry exactly ``nranks`` values, checked before any rank is built
+    (empty ``ranks`` checks only that), and the program must be a
+    generator function.
+    """
+    from .simcomm import Comm
+
+    for v in (*args, *kwargs.values()):
+        if isinstance(v, per_rank) and len(v.values) != nranks:
+            raise ValueError(
+                f"per_rank argument carries {len(v.values)} values "
+                f"but the machine has {nranks} ranks"
+            )
+    gens = []
+    for r in ranks:
+        a = [x.values[r] if isinstance(x, per_rank) else x for x in args]
+        kw = {
+            k: (v.values[r] if isinstance(v, per_rank) else v)
+            for k, v in kwargs.items()
+        }
+        gen = program(Comm(r, nranks, machine), *a, **kw)
+        if not hasattr(gen, "send"):
+            raise TypeError(
+                "rank program must be a generator function "
+                f"(got {type(gen).__name__} from {program!r})"
+            )
+        gens.append(gen)
+    return gens

@@ -63,15 +63,7 @@ from repro.mesh.topology import (
 )
 from repro.obs.causal import CausalMsg, CausalNode
 from repro.parallel.ledger import CostLedger
-from repro.parallel.runtime import (
-    ANY,
-    ElapseOp,
-    ProbeOp,
-    RecvOp,
-    RunResult,
-    SendOp,
-    WorkOp,
-)
+from repro.parallel.runtime import ANY, RecvOp, RunResult, SendOp, WorkOp
 from repro.partition import multilevel_kway
 from repro.partition.graph import Graph
 from repro.partition.quality import edgecut
@@ -94,7 +86,7 @@ class _Message(NamedTuple):
 
 class _ListMailbox:
     """Reference mailbox: one list, scanned whole for the minimum-``seq``
-    match on every recv/probe."""
+    match on every recv."""
 
     __slots__ = ("_msgs",)
 
@@ -116,9 +108,7 @@ class _ListMailbox:
             for m in self._msgs
         )
 
-    def pop_match(
-        self, source: int, tag: int, max_arrival: float | None = None
-    ) -> _Message | None:
+    def pop_match(self, source: int, tag: int) -> _Message | None:
         # removal is by index, never by equality: ``list.remove`` would
         # invoke the tuple ``__eq__``, which both raises on ndarray
         # payloads and can remove a different-but-equal message
@@ -126,8 +116,6 @@ class _ListMailbox:
         best_i = -1
         for i, m in enumerate(self._msgs):
             if (source not in (ANY, m.source)) or (tag not in (ANY, m.tag)):
-                continue
-            if max_arrival is not None and m.arrival > max_arrival:
                 continue
             if best is None or m.seq < best.seq:
                 best, best_i = m, i
@@ -194,15 +182,6 @@ def run_reference(self, gens: list) -> RunResult:
                 nodes.append(CausalNode(-1, len(nodes), r, "work",
                                         t0, st.clock))
             heapq.heappush(ready, (st.clock, r))
-        elif isinstance(op, ElapseOp):
-            if op.seconds < 0:
-                raise ValueError(f"negative elapse: {op.seconds}")
-            t0 = st.clock
-            st.clock += op.seconds
-            if nodes is not None:
-                nodes.append(CausalNode(-1, len(nodes), r, "elapse",
-                                        t0, st.clock))
-            heapq.heappush(ready, (st.clock, r))
         elif isinstance(op, SendOp):
             if not 0 <= op.dest < self.nranks:
                 raise ValueError(f"rank {r}: send to invalid rank {op.dest}")
@@ -226,28 +205,6 @@ def run_reference(self, gens: list) -> RunResult:
             dst.mailbox.add(msg)
             if dst.blocked_on is not None and _matches(dst.blocked_on, msg):
                 _deliver(self, dst, ready, nodes, msgs_rec)
-            heapq.heappush(ready, (st.clock, r))
-        elif isinstance(op, ProbeOp):
-            t0 = st.clock
-            msg = st.mailbox.pop_match(
-                op.source, op.tag, max_arrival=st.clock
-            )
-            # the mailbox check costs t_setup whether or not it matches
-            st.clock += self.machine.t_setup
-            if msg is not None:
-                st.words_recv += msg.nwords
-                st.msgs_recv += 1
-                if msg.nwords > 0:
-                    st.data_msgs_recv += 1
-                st.send_value = (True, (msg.payload, msg.source, msg.tag))
-            else:
-                st.send_value = (False, None)
-            if nodes is not None:
-                mid = None if msg is None else msg.seq - 1
-                if mid is not None:
-                    msgs_rec[mid].recv_node = len(nodes)
-                nodes.append(CausalNode(-1, len(nodes), r, "probe",
-                                        t0, st.clock, msg=mid))
             heapq.heappush(ready, (st.clock, r))
         elif isinstance(op, RecvOp):
             st.blocked_on = op

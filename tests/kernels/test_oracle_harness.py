@@ -10,6 +10,7 @@ switch — and that the fork the oracles replaced cannot come back into
 ``src/`` unnoticed.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -283,3 +284,53 @@ def test_src_has_one_remapper_and_one_launcher():
     }
     assert len(resolves) > 10  # the glob found both packages
     assert {k: n for k, n in resolves.items() if n} == {"repro/dist/_launch.py": 1}
+
+
+def test_src_calls_every_comm_method_and_yields_every_op():
+    """The communicator keeps only what rank programs call: every public
+    ``Comm`` method is called as ``comm.<method>(...)`` somewhere in
+    ``src/`` outside ``simcomm.py``, and every op class with a ``_code``
+    is constructed in a ``yield`` somewhere in ``src/``."""
+    trees = {p: ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))}
+    simcomm = SRC / "repro" / "parallel" / "simcomm.py"
+    runtime = SRC / "repro" / "parallel" / "runtime.py"
+
+    def public_methods(tree, name):
+        [cls] = [n for n in tree.body
+                 if isinstance(n, ast.ClassDef) and n.name == name]
+        return {f.name for f in cls.body
+                if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
+
+    methods = public_methods(trees[simcomm], "Comm")
+    called = {
+        n.func.attr
+        for path, tree in trees.items() if path != simcomm
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and isinstance(n.func.value, ast.Name) and n.func.value.id == "comm"
+    }
+    assert methods >= {"compute", "send", "recv", "barrier", "allreduce"}
+    assert methods - called == set(), "Comm methods no product code calls"
+
+    ops = {
+        cls.name
+        for tree in trees.values()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        if any(isinstance(t, ast.Name) and t.id == "_code"
+               for s in cls.body if isinstance(s, ast.Assign)
+               for t in s.targets)
+    } | {
+        s.targets[0].value.id
+        for s in ast.walk(trees[runtime])
+        if isinstance(s, ast.Assign) and isinstance(s.targets[0], ast.Attribute)
+        and s.targets[0].attr == "_code" and isinstance(s.targets[0].value, ast.Name)
+    }
+    yielded = {
+        n.value.func.id
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Yield) and isinstance(n.value, ast.Call)
+        and isinstance(n.value.func, ast.Name)
+    }
+    assert ops >= {"WorkOp", "SendOp", "RecvOp"}
+    assert ops - yielded == set(), "op classes no product code yields"

@@ -3,36 +3,44 @@
 import numpy as np
 
 from repro.parallel import ANY, VirtualMachine
+from repro.parallel.runtime import RecvOp
 
 from .oracles import reference_kernels
 
 
 def _mixed_traffic(comm):
-    """Sends, wildcard receives, nonblocking receives, and collectives."""
+    """Sends, wildcard receives on each axis, and collectives."""
     rng = np.random.default_rng(123 + comm.rank)
     out = []
-    right = (comm.rank + 1) % comm.size
-    left = (comm.rank - 1) % comm.size
+    me, p = comm.rank, comm.size
+    right = (me + 1) % p
+    left = (me - 1) % p
     # several tagged messages to the right neighbour, interleaved sizes
     for i in range(4):
         yield from comm.send(
-            (comm.rank, i), dest=right, tag=i % 2, nwords=int(rng.integers(1, 40))
+            (me, i), dest=right, tag=i % 2, nwords=int(rng.integers(1, 40))
         )
     # wildcard receives pick them up in arrival order
     for _ in range(2):
-        payload, src, tag = yield from comm.recv_status(ANY, ANY)
-        out.append((payload, src, tag))
+        out.append((yield RecvOp(ANY, ANY)))
     # tag-selective receives drain the rest out of order
     out.append((yield from comm.recv(source=left, tag=1)))
     out.append((yield from comm.recv(source=left, tag=0)))
-    # nonblocking receive completed via wait (exercises probe matching)
-    req = yield from comm.irecv(source=ANY, tag=5)
+    # a named source with any tag, then any source with a named tag
     yield from comm.send("ping", dest=left, tag=5)
-    out.append((yield from req.wait()))
+    yield from comm.send("pong", dest=right, tag=6)
+    out.append((yield RecvOp(right, ANY)))
+    out.append((yield RecvOp(ANY, 6)))
     yield from comm.compute(float(rng.integers(1, 30)))
     # collectives stress the runtime's internal tags
-    out.append((yield from comm.allreduce(comm.rank + 1)))
-    out.append((yield from comm.alltoall([comm.rank * 100 + d for d in range(comm.size)])))
+    out.append((yield from comm.allreduce(me + 1)))
+    # personalised all-to-all, pairwise-exchange schedule
+    row = [None] * p
+    row[me] = me * 100 + me
+    for k in range(1, p):
+        yield from comm.send(me * 100 + (me + k) % p, dest=(me + k) % p, tag=7)
+        row[(me - k) % p] = yield from comm.recv(source=(me - k) % p, tag=7)
+    out.append(row)
     return out
 
 

@@ -15,6 +15,7 @@ from repro.obs import (
     read_jsonl,
     validate_jsonl,
 )
+from repro.obs.causal import NODE_KINDS
 from repro.obs.export import MARKER_ATTRS, RECORDS
 from repro.obs.resource import ResourceSample
 from repro.obs.wallclock import ClockRecord
@@ -137,7 +138,8 @@ def test_older_schema_rejected_by_name(tmp_path, schema):
 
 def test_design_doc_lists_the_table():
     """DESIGN.md's "Trace format" section names every record type with
-    exactly the table's keys (``?`` marks nullable), in order."""
+    exactly the table's keys (``?`` marks nullable), in order, and the
+    ``node`` row lists exactly the node kinds the writers emit."""
     text = (Path(__file__).parents[2] / "DESIGN.md").read_text()
     section = re.split(r"^## (?:\d+\. )?Trace format$", text, flags=re.M)[1]
     section = section.split("\n## ", 1)[0]
@@ -153,6 +155,9 @@ def test_design_doc_lists_the_table():
     assert SCHEMA_VERSION in section
     for marker in MARKER_ATTRS:
         assert f"`{marker}`" in section
+    [node_row] = re.findall(r"^\| `node` \|.*$", section, re.M)
+    [kinds] = re.findall(r"`kind` ∈ ([\w/]+)", node_row)
+    assert tuple(kinds.split("/")) == NODE_KINDS
 
 
 # --- round trips --------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Every scheduler op kind must reach both views of the causal record.
 
-Regression for the elapse gap: an ``ElapseOp`` is as visible as any other
-operation — one causal node per op in the tracer's stream and in the
+Each operation is one causal node in the tracer's stream and in the
 ``RunResult``'s, on both scheduler paths (the columnar lazy one and the
-eager reference one), carrying the programs' seconds — and a traced run
-writes one ``vm.run`` marker, never one event per op.
+eager reference one), carrying the seconds the program charged — and a
+traced run writes one ``vm.run`` marker, never one event per op.  The
+machine's ``t_work`` of 1.0 makes ``compute(s)`` charge exactly ``s``.
 """
 
 from contextlib import nullcontext
+from dataclasses import replace
 
 import pytest
 
@@ -15,10 +16,12 @@ from repro.obs import Tracer
 from repro.parallel import SP2_1997, VirtualMachine
 from tests.kernels.oracles import reference_kernels
 
+WORK_SECONDS = replace(SP2_1997, t_work=1.0)
+
 
 def _prog(comm):
-    yield from comm.compute(5)
-    yield from comm.elapse(0.125 * (comm.rank + 1))
+    yield from comm.compute(5e-6)
+    yield from comm.compute(0.125 * (comm.rank + 1))
     nxt = (comm.rank + 1) % comm.size
     prev = (comm.rank - 1) % comm.size
     yield from comm.send("x", dest=nxt, tag=1, nwords=2)
@@ -28,7 +31,8 @@ def _prog(comm):
 def _run(nranks, reference, **kw):
     tracer = Tracer()
     with reference_kernels() if reference else nullcontext():
-        res = VirtualMachine(nranks, SP2_1997, tracer=tracer, **kw).run(_prog)
+        res = VirtualMachine(nranks, WORK_SECONDS, tracer=tracer,
+                             **kw).run(_prog)
     return tracer, res
 
 
@@ -37,16 +41,17 @@ def test_every_op_kind_in_both_streams(reference):
     tracer, res = _run(2, reference, trace=True)
 
     kinds = [n.kind for n in tracer.causal_nodes]
-    for kind in ("work", "elapse", "send", "recv"):
-        assert kinds.count(kind) == 2, (reference, kind)
+    for kind, count in (("work", 4), ("send", 2), ("recv", 2)):
+        assert kinds.count(kind) == count, (reference, kind)
     # one marker per run; the ops themselves are nodes, not events
     assert [e.name for e in tracer.events] == ["vm.run"]
     assert tracer.events[0].attrs["nodes"] == len(tracer.causal_nodes) == 8
 
-    # the elapse nodes carry the programs' seconds, rank-tagged
-    elapses = [n for n in tracer.causal_nodes if n.kind == "elapse"]
+    # the second work node of each rank carries the program's seconds
+    works = [n for n in tracer.causal_nodes if n.kind == "work"]
     assert sorted(
-        (n.rank, pytest.approx(n.t_end - n.t_start)) for n in elapses
+        (n.rank, pytest.approx(n.t_end - n.t_start))
+        for n in works if n.t_end - n.t_start > 1e-3
     ) == [(0, 0.125), (1, 0.25)]
     # and the RunResult view is the same record
     assert res.nodes == tracer.causal_nodes

@@ -85,17 +85,14 @@ class TestRegistry:
 
 
 def _ring_program(comm, bonus):
-    """Exchange around a ring: wildcard recv + nonblocking probe loop."""
+    """Exchange around a ring: wildcard recv, relay, then a collective."""
     right = (comm.rank + 1) % comm.size
     left = (comm.rank - 1) % comm.size
     yield from comm.send(f"r{comm.rank}+{bonus}", dest=right, tag=5)
     got = yield from comm.recv(source=ANY, tag=5)
-    req = yield from comm.irecv(source=left, tag=6)
     yield from comm.send(got, dest=right, tag=6)
-    done, relayed = yield from req.test()
-    while not done:
-        yield from comm.compute(1)  # overlap work with the poll
-        done, relayed = yield from req.test()
+    yield from comm.compute(1)
+    relayed = yield from comm.recv(source=left, tag=6)
     total = yield from comm.allreduce(1, op=operator.add)
     return (got, relayed, total)
 
@@ -111,6 +108,55 @@ class TestVirtualBackend:
         assert res.makespan == raw.makespan  # exact: same driver underneath
         assert res.backend == "virtual"
         assert res.wall_seconds is not None and res.wall_seconds >= 0.0
+
+
+def _lengths_program(comm, x):
+    yield from comm.compute(1)
+    return x
+
+
+def _not_a_generator(comm):
+    return comm.rank
+
+
+def _negative_work(comm):
+    yield from comm.compute(-1)
+
+
+def _negative_words(comm):
+    yield from comm.send("x", dest=0, nwords=-1)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+class TestMalformedPrograms:
+    """Every backend refuses the same malformed rank programs: the checks
+    live in ``runtime.start_ranks`` and in each driver's op dispatch."""
+
+    @staticmethod
+    def _backend(name):
+        if name == "mpi4py":
+            pytest.skip("the mpi4py backend needs an mpiexec launch")
+        return create_communicator(name, 2, machine=IDEAL, timeout=10.0)
+
+    @pytest.mark.parametrize("values", [[10, 11, 12], [10]],
+                             ids=["extra", "missing"])
+    def test_per_rank_length_is_checked_before_any_rank_runs(self, backend,
+                                                             values):
+        with pytest.raises(ValueError, match=f"carries {len(values)} values "
+                                             "but the machine has 2 ranks"):
+            self._backend(backend).run(_lengths_program, per_rank(values))
+
+    def test_program_must_be_a_generator(self, backend):
+        with pytest.raises((TypeError, RuntimeError), match="generator"):
+            self._backend(backend).run(_not_a_generator)
+
+    @pytest.mark.parametrize("program, text", [
+        (_negative_work, "negative work: -1"),
+        (_negative_words, "negative message size: -1"),
+    ], ids=["work", "words"])
+    def test_negative_counts_are_rejected(self, backend, program, text):
+        with pytest.raises((ValueError, RuntimeError), match=text):
+            self._backend(backend).run(program)
 
 
 class TestMultiprocessingBackend:

@@ -1,16 +1,17 @@
-"""Every collective checked against a sequential reference, then the same
-suite re-run on every registered backend.
+"""The communicator's collectives and the point-to-point patterns rank
+programs build from ``send`` / ``recv``, checked against a sequential
+reference, then the same suite re-run on every registered backend.
 
 The reference results are computed host-side in plain Python from the same
 per-rank payloads the rank program is handed, so the test pins *semantics*
 (who gets which payload, and in which combine order), not a particular
-schedule.  Reduction ops use string concatenation — associative but not
+schedule.  The reduction op is string concatenation — associative but not
 commutative — so any deviation from rank-order combining fails loudly.
 
-The backend parameterization proves the ``virtual`` and ``multiprocessing``
-backends payload-identical: one combined rank program performs every
-collective in sequence and the full per-rank result dicts must compare
-equal to the reference (and hence to each other) on every backend.
+The backend parameterization proves every backend payload-identical to
+the reference: one combined rank program runs every pattern in sequence
+and the full per-rank result dicts must compare equal to the reference
+(and hence to each other) on every backend.
 """
 
 import operator
@@ -19,12 +20,13 @@ import random
 import pytest
 
 from repro.parallel import (
+    ANY,
     IDEAL,
     VirtualMachine,
     available_backends,
     create_communicator,
 )
-from repro.parallel.runtime import per_rank
+from repro.parallel.runtime import RecvOp, per_rank
 
 SIZES = [1, 2, 3, 4, 5, 7, 8]
 SEEDS = [0, 1, 2]
@@ -49,70 +51,51 @@ def _make_case(p, seed):
     """Inputs (host-side) and the expected per-rank result dicts."""
     rng = random.Random(97 * seed + p)
     payloads = _payloads(p, rng)
-    scatter_items = [("piece", r, rng.randrange(1000)) for r in range(p)]
     a2a = [[f"{src}->{dst}:{rng.randrange(100)}" for dst in range(p)]
            for src in range(p)]
-    rs = [[f"[{src}|{dst}]" for dst in range(p)] for src in range(p)]
-    roots = {name: rng.randrange(p)
-             for name in ("bcast", "gather", "scatter", "reduce")}
-    colors = [rng.randrange(2) for _ in range(p)]
-
+    root = rng.randrange(p)
     s = [payloads[r]["s"] for r in range(p)]
-    prefix = ["".join(s[: r + 1]) for r in range(p)]
-    groups = {}
-    for r in range(p):
-        groups.setdefault(colors[r], []).append(r)
     expected = [
         {
-            "bcast": payloads[roots["bcast"]],
-            "gather": payloads if r == roots["gather"] else None,
-            "scatter": scatter_items[r],
-            "reduce": "".join(s) if r == roots["reduce"] else None,
             "allreduce": "".join(s),
-            "allgather": payloads,
+            "max": max(pl["n"] for pl in payloads),
+            "ring": payloads[(r - 1) % p],
+            "gather": payloads if r == root else None,
             "alltoall": [a2a[src][r] for src in range(p)],
-            "scan": prefix[r],
-            "exscan": None if r == 0 else prefix[r - 1],
-            "reduce_scatter": "".join(rs[src][r] for src in range(p)),
             "barrier": "ok",
-            "split": "".join(s[m] for m in groups[colors[r]]),
         }
         for r in range(p)
     ]
-    args = (
-        per_rank(payloads),
-        per_rank(a2a),
-        per_rank(rs),
-        {"roots": roots, "colors": colors, "scatter_items": scatter_items},
-    )
-    return args, expected
+    return (per_rank(payloads), per_rank(a2a), root), expected
 
 
-def conformance_program(comm, mine, a2a_row, rs_row, shared):
-    """Run every collective once; return the per-rank result dict."""
-    roots = shared["roots"]
+def conformance_program(comm, mine, a2a_row, root):
+    """Run every pattern once; return the per-rank result dict."""
+    me, p = comm.rank, comm.size
     out = {}
-    out["bcast"] = yield from comm.bcast(
-        mine if comm.rank == roots["bcast"] else None, root=roots["bcast"]
-    )
-    out["gather"] = yield from comm.gather(mine, root=roots["gather"])
-    objs = shared["scatter_items"] if comm.rank == roots["scatter"] else None
-    out["scatter"] = yield from comm.scatter(objs, root=roots["scatter"])
-    out["reduce"] = yield from comm.reduce(
-        mine["s"], op=operator.add, root=roots["reduce"]
-    )
     out["allreduce"] = yield from comm.allreduce(mine["s"], op=operator.add)
-    out["allgather"] = yield from comm.allgather(mine)
-    out["alltoall"] = yield from comm.alltoall(a2a_row)
-    out["scan"] = yield from comm.scan(mine["s"], op=operator.add)
-    out["exscan"] = yield from comm.exscan(mine["s"], op=operator.add)
-    out["reduce_scatter"] = yield from comm.reduce_scatter(
-        rs_row, op=operator.add
-    )
+    out["max"] = yield from comm.allreduce(mine["n"], op=max)
+    # ring shift on a named source
+    yield from comm.send(mine, dest=(me + 1) % p, tag=3)
+    out["ring"] = yield from comm.recv(source=(me - 1) % p, tag=3)
+    # gather: the root places each source-wildcard receive by its source
+    yield from comm.send(mine, dest=root, tag=4)
+    out["gather"] = None
+    if me == root:
+        out["gather"] = [None] * p
+        for _ in range(p):
+            payload, src, _tag = yield RecvOp(ANY, 4)
+            out["gather"][src] = payload
+    # personalised all-to-all, pairwise-exchange schedule
+    out["alltoall"] = [None] * p
+    out["alltoall"][me] = a2a_row[me]
+    for k in range(1, p):
+        yield from comm.send(a2a_row[(me + k) % p], dest=(me + k) % p, tag=5)
+        out["alltoall"][(me - k) % p] = yield from comm.recv(
+            source=(me - k) % p, tag=5
+        )
     yield from comm.barrier()
     out["barrier"] = "ok"
-    sub = yield from comm.split(color=shared["colors"][comm.rank])
-    out["split"] = yield from sub.allreduce(mine["s"], op=operator.add)
     return out
 
 

@@ -1,70 +1,14 @@
-"""Collective operations on the virtual machine, checked against serial
-reference semantics for a range of processor counts (including non powers
-of two, which exercise the tree edge cases)."""
+"""The communicator's collectives on the virtual machine, checked against
+serial reference semantics for a range of processor counts (including non
+powers of two, which exercise the tree edge cases)."""
 
 import operator
 
 import pytest
 
-from repro.parallel import IDEAL, VirtualMachine
+from repro.parallel import IDEAL, MachineModel, VirtualMachine
 
 SIZES = [1, 2, 3, 4, 5, 7, 8, 13, 16]
-
-
-@pytest.mark.parametrize("p", SIZES)
-@pytest.mark.parametrize("root", [0, -1])  # -1 means "last rank"
-def test_bcast(p, root):
-    root = root % p
-
-    def prog(comm):
-        obj = {"v": 123} if comm.rank == root else None
-        return (yield from comm.bcast(obj, root=root))
-
-    res = VirtualMachine(p, IDEAL).run(prog)
-    assert all(r == {"v": 123} for r in res.returns)
-
-
-@pytest.mark.parametrize("p", SIZES)
-def test_gather(p):
-    def prog(comm):
-        return (yield from comm.gather(comm.rank * 2, root=0))
-
-    res = VirtualMachine(p, IDEAL).run(prog)
-    assert res.returns[0] == [2 * r for r in range(p)]
-    assert all(r is None for r in res.returns[1:])
-
-
-@pytest.mark.parametrize("p", SIZES)
-def test_scatter(p):
-    def prog(comm):
-        objs = [f"item{r}" for r in range(p)] if comm.rank == 0 else None
-        return (yield from comm.scatter(objs, root=0))
-
-    res = VirtualMachine(p, IDEAL).run(prog)
-    assert res.returns == [f"item{r}" for r in range(p)]
-
-
-def test_scatter_requires_full_list():
-    def prog(comm):
-        objs = [0] if comm.rank == 0 else None
-        return (yield from comm.scatter(objs, root=0))
-
-    with pytest.raises(ValueError, match="length 3"):
-        VirtualMachine(3, IDEAL).run(prog)
-
-
-@pytest.mark.parametrize("p", SIZES)
-@pytest.mark.parametrize("root", [0, -1])
-def test_reduce_sum(p, root):
-    root = root % p
-
-    def prog(comm):
-        return (yield from comm.reduce(comm.rank + 1, root=root))
-
-    res = VirtualMachine(p, IDEAL).run(prog)
-    expected = p * (p + 1) // 2
-    assert res.returns[root] == expected
-    assert all(res.returns[r] is None for r in range(p) if r != root)
 
 
 @pytest.mark.parametrize("p", SIZES)
@@ -78,30 +22,7 @@ def test_allreduce_max(p):
 
 
 @pytest.mark.parametrize("p", SIZES)
-def test_allgather(p):
-    def prog(comm):
-        return (yield from comm.allgather(comm.rank**2))
-
-    res = VirtualMachine(p, IDEAL).run(prog)
-    expected = [r**2 for r in range(p)]
-    assert res.returns == [expected] * p
-
-
-@pytest.mark.parametrize("p", SIZES)
-def test_alltoall(p):
-    def prog(comm):
-        objs = [(comm.rank, d) for d in range(p)]
-        return (yield from comm.alltoall(objs))
-
-    res = VirtualMachine(p, IDEAL).run(prog)
-    for r in range(p):
-        assert res.returns[r] == [(s, r) for s in range(p)]
-
-
-@pytest.mark.parametrize("p", SIZES)
 def test_barrier_synchronises_clocks(p):
-    from repro.parallel import MachineModel
-
     m = MachineModel(t_setup=0.01, t_word=0.0, t_work=1.0)
 
     def prog(comm):
@@ -114,48 +35,28 @@ def test_barrier_synchronises_clocks(p):
     assert min(res.clocks) >= p - 1
 
 
-def test_reduce_non_commutative_deterministic():
-    """Reduction order is fixed, so non-commutative ops are reproducible."""
+@pytest.mark.parametrize("p", SIZES)
+def test_allreduce_non_commutative_rank_order(p):
+    """The documented combine order is rank order ``x_0 + x_1 + ... +
+    x_{P-1}`` on every rank, run after run."""
+    expected = "".join(f"<{r}>" for r in range(p))
 
     def prog(comm):
-        return (yield from comm.reduce([comm.rank], op=operator.add, root=0))
+        return (yield from comm.allreduce(f"<{comm.rank}>", op=operator.add))
 
-    r1 = VirtualMachine(6, IDEAL).run(prog).returns[0]
-    r2 = VirtualMachine(6, IDEAL).run(prog).returns[0]
-    assert r1 == r2
-    assert sorted(r1) == [0, 1, 2, 3, 4, 5]
+    for _ in range(2):
+        assert VirtualMachine(p, IDEAL).run(prog).returns == [expected] * p
 
 
-@pytest.mark.parametrize("p", SIZES)
-def test_reduce_non_commutative_rank_order_every_root(p):
-    """The documented combine order is rank order ``x_0 + x_1 + ... + x_{P-1}``
-    for *every* root (regression: the vrank-relabelled tree used to combine
-    in rotated order when root != 0)."""
-    expected = "".join(f"<{r}>" for r in range(p))
-    for root in range(p):
-        def prog(comm):
-            return (yield from comm.reduce(
-                f"<{comm.rank}>", op=operator.add, root=root
-            ))
-
-        res = VirtualMachine(p, IDEAL).run(prog)
-        for r in range(p):
-            assert res.returns[r] == (expected if r == root else None), (
-                f"P={p} root={root} rank={r}"
-            )
-
-
-def test_bcast_cost_scales_logarithmically():
-    from repro.parallel import MachineModel
-
+def test_allreduce_cost_scales_logarithmically():
     m = MachineModel(t_setup=1.0, t_word=0.0, t_work=0.0)
 
     def prog(comm):
-        return (yield from comm.bcast(0 if comm.rank == 0 else None, root=0))
+        return (yield from comm.allreduce(comm.rank))
 
     t16 = VirtualMachine(16, m).run(prog).makespan
     t64 = VirtualMachine(64, m).run(prog).makespan
-    # binomial tree: depth log2(P) message steps, not P
-    assert t16 <= 5.0
-    assert t64 <= 7.0
+    # two binomial trees: 2 * log2(P) message steps, not P
+    assert t16 <= 2 * 5.0
+    assert t64 <= 2 * 7.0
     assert t64 > t16

@@ -23,7 +23,7 @@ from repro.obs import (
 from repro.obs.causal import critical_path, runs_from_tracer, verify_makespans
 from repro.obs.resource import resource_peaks
 from repro.parallel import create_communicator
-from repro.parallel.runtime import ProbeOp, RecvOp, SendOp, WorkOp
+from repro.parallel.runtime import RecvOp, SendOp, WorkOp
 
 
 def _ring(comm, rounds, nwords=64, payload=None):
@@ -33,9 +33,7 @@ def _ring(comm, rounds, nwords=64, payload=None):
     for i in range(rounds):
         yield WorkOp(100.0)
         yield SendOp(nxt, 5, body, nwords)
-        hit = yield ProbeOp(prv, 5)
-        if not hit[0]:
-            got = yield RecvOp(prv, 5)
+        yield RecvOp(prv, 5)
     return comm.rank
 
 

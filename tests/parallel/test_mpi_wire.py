@@ -20,7 +20,7 @@ from repro.obs.causal import runs_from_tracer, verify_makespans
 from repro.obs.resource import resource_peaks
 from repro.parallel import ANY, SP2_1997, create_communicator, per_rank
 from repro.parallel.backends import mp, mpi
-from repro.parallel.runtime import ProbeOp, RecvOp, SendOp
+from repro.parallel.runtime import RecvOp, SendOp
 
 ANY_SOURCE = -1  # the fake's wildcard, as MPI.ANY_SOURCE is mpi4py's
 
@@ -100,22 +100,19 @@ def _ring(comm, bonus):
     return (got, total)
 
 
-def _probe_ring(comm, rounds):
-    """Nonblocking probe first, blocking receive only on a miss."""
-    nxt, prv = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+def _op_ring(comm, rounds):
+    """Raw ops: the ``(payload, source, tag)`` a ``RecvOp`` resolves to."""
+    nxt = (comm.rank + 1) % comm.size
     got = []
     for i in range(rounds):
         yield SendOp(nxt, 9, (comm.rank, i), 2)
-        hit, msg = yield ProbeOp(prv, 9)
-        if not hit:
-            msg = yield RecvOp(prv, 9)
-        got.append(msg[0])
+        got.append((yield RecvOp(ANY, 9)))
     return got
 
 
 def _cases(nranks):
     return [(_ring, per_rank([10 * r for r in range(nranks)])),
-            (_probe_ring, 3)]
+            (_op_ring, 3)]
 
 
 @pytest.mark.parametrize("nranks", [2, 3, 4])

@@ -8,7 +8,11 @@ timestamp (tie-breaks must stay deterministic, lowest rank first).  Each
 case is checked bit-for-bit against the reference (``reference_kernels()``)
 scheduler, and a hypothesis sweep does the same for random op mixes so
 the columnar record is exercised against the eager object record.
+Programs that charge raw seconds run on :data:`WORK_SECONDS`, whose
+``t_work`` of 1.0 makes ``compute(s)`` advance the clock by exactly ``s``.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,11 +22,14 @@ from repro.parallel import ANY, SP2_1997, VirtualMachine
 from repro.parallel.runtime import per_rank
 from tests.kernels.oracles import reference_kernels
 
+#: SP2 message costs; one work unit is one second.
+WORK_SECONDS = replace(SP2_1997, t_work=1.0)
 
-def _run_both(prog, p, *args):
-    res_fast = VirtualMachine(p, SP2_1997, trace=True).run(prog, *args)
+
+def _run_both(prog, p, *args, machine=SP2_1997):
+    res_fast = VirtualMachine(p, machine, trace=True).run(prog, *args)
     with reference_kernels():
-        res_ref = VirtualMachine(p, SP2_1997, trace=True).run(prog, *args)
+        res_ref = VirtualMachine(p, machine, trace=True).run(prog, *args)
     return res_fast, res_ref
 
 
@@ -44,14 +51,14 @@ def _assert_identical(a, b):
 
 def test_single_rank_machine():
     def prog(comm):
-        yield from comm.compute(10)
-        yield from comm.elapse(0.5)
+        yield from comm.compute(10e-6)
+        yield from comm.compute(0.5)
         yield from comm.send("self", dest=0, tag=1, nwords=2)
         val = yield from comm.recv(source=0, tag=1)
         total = yield from comm.allreduce(3)
         return val, total
 
-    res_fast, res_ref = _run_both(prog, 1)
+    res_fast, res_ref = _run_both(prog, 1, machine=WORK_SECONDS)
     _assert_identical(res_fast, res_ref)
     assert res_fast.returns == [("self", 3)]
     assert res_fast.total_messages == 1
@@ -147,7 +154,7 @@ def test_shared_timestamps_drain_through_one_wildcard_sink():
         got = []
         for rnd in range(3):
             yield from comm.compute(100)
-            yield from comm.elapse(0.0)
+            yield from comm.compute(0)
             if comm.rank:
                 yield from comm.send((comm.rank, rnd), dest=0, tag=rnd,
                                      nwords=2)
@@ -166,19 +173,19 @@ def test_shared_timestamps_drain_through_one_wildcard_sink():
 
 @st.composite
 def _op_scripts(draw):
-    """Per-rank op scripts: work/elapse plus a consistent message plan.
+    """Per-rank op scripts: work of two sizes plus a consistent message
+    plan.
 
-    The zero-cost ops (``compute(0)``, ``elapse(0.0)``) leave a rank at
-    the clock it was filed under, so it re-enters the minimum calendar
-    bucket, above or below that bucket's head; a wake-up by direct
-    delivery can land in the same bucket."""
+    The zero-cost op (``compute(0)``) leaves a rank at the clock it was
+    filed under, so it re-enters the minimum calendar bucket, above or
+    below that bucket's head; a wake-up by direct delivery can land in
+    the same bucket."""
     p = draw(st.integers(2, 12))
     plan = []
     for r in range(p):
         ops = draw(
             st.lists(
-                st.sampled_from(["work", "elapse", "spin", "work0",
-                                 "elapse0"]),
+                st.sampled_from(["work", "long", "work0"]),
                 min_size=0, max_size=6,
             )
         )
@@ -201,31 +208,23 @@ def test_columnar_record_matches_object_record(script):
         ops, dest, nmsg = plan[me]
         for kind in ops:
             if kind == "work":
-                yield from comm.compute(3 * (me + 1))
-            elif kind == "elapse":
-                yield from comm.elapse(0.001 * (me + 1))
-            elif kind == "work0":
-                yield from comm.compute(0)
-            elif kind == "elapse0":
-                yield from comm.elapse(0.0)
+                yield from comm.compute(3e-6 * (me + 1))
+            elif kind == "long":
+                yield from comm.compute(0.001 * (me + 1))
             else:
-                # tag 8 is never sent on: the probe pays its t_setup and
-                # misses (a hit would consume a planned message)
-                _ = yield from comm._probe(ANY, 8)
+                yield from comm.compute(0)
         for i in range(nmsg):
             yield from comm.send(
                 np.arange(me + i + 1), dest=dest, tag=9, nwords=me + i + 1
             )
         yield from comm.barrier()
-        # drain after the barrier, when every send has been posted (a
-        # probe would be timing-dependent — it only sees messages that
-        # have *arrived* — so the drain uses counted wildcard receives)
+        # drain after the barrier, when every send has been posted
         expect = sum(n for _o, d, n in plan if d == me)
         for _ in range(expect):
             _ = yield from comm.recv(source=ANY, tag=9)
         yield from comm.barrier()
         return expect
 
-    res_fast, res_ref = _run_both(prog, p)
+    res_fast, res_ref = _run_both(prog, p, machine=WORK_SECONDS)
     _assert_identical(res_fast, res_ref)
     assert sum(res_fast.returns) == sum(n for _o, _d, n in plan)
