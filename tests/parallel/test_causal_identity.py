@@ -7,6 +7,8 @@ zero slack — the defining properties that make the causal record a
 faithful explanation of the virtual machine's schedule.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,8 @@ def _assert_identity(res, nranks):
         assert st.work + st.comm + st.idle == pytest.approx(res.makespan)
 
 
-def _run(prog, nranks, *args):
-    res = VirtualMachine(nranks, SP2_1997, trace=True).run(prog, *args)
+def _run(prog, nranks, *args, machine=SP2_1997):
+    res = VirtualMachine(nranks, machine, trace=True).run(prog, *args)
     _assert_identity(res, nranks)
     return res
 
@@ -47,12 +49,14 @@ def test_pingpong():
     _run(prog, 2)
 
 
-def test_work_only():
+def test_work_and_elapse_only():
+    """Work in units, then an elapse of seconds: ``compute(s)`` on a
+    machine with ``t_work=1.0`` charges exactly ``s``."""
     def prog(comm):
         yield from comm.compute(10 * (comm.rank + 1))
-        yield from comm.compute(1000)
+        yield from comm.compute(0.001)
 
-    _run(prog, 4)
+    _run(prog, 4, machine=replace(SP2_1997, t_work=1.0))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 8])

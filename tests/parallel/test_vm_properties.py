@@ -22,6 +22,26 @@ def test_allreduce_matches_serial_sum(p, seed):
     assert res.returns == [sum(vals)] * p
 
 
+@given(p=st.integers(1, 10), seed=st.integers(0, 1000))
+@settings(max_examples=20, deadline=None)
+def test_scan_prefixes(p, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.integers(0, 50, p).tolist()
+
+    def prog(comm):
+        """Inclusive prefix sum along the rank chain."""
+        acc = vals[comm.rank]
+        if comm.rank > 0:
+            acc += yield from comm.recv(source=comm.rank - 1, tag=0)
+        if comm.rank < p - 1:
+            yield from comm.send(acc, dest=comm.rank + 1, tag=0)
+        return acc
+
+    res = VirtualMachine(p, IDEAL).run(prog)
+    expect = np.cumsum(vals).tolist()
+    assert res.returns == expect
+
+
 @given(p=st.integers(2, 8), seed=st.integers(0, 1000), rounds=st.integers(1, 4))
 @settings(max_examples=15, deadline=None)
 def test_random_pairwise_exchanges_never_deadlock(p, seed, rounds):
