@@ -35,7 +35,7 @@ def main(resolution: int = 8) -> None:
     marking = am.mark(edge_mask=case.marking_mask("Real_2"))
     wcomp_pred, _ = am.predicted_weights(marking)
     dual = DualGraph(case.mesh)
-    old = multilevel_kway(dual.comp_graph(), 64, seed=0)
+    old = multilevel_kway(dual.graph, 64, seed=0)
     new = repartition(dual.graph.with_vwgt(wcomp_pred), 64, old, seed=0)
     S = similarity_matrix(old, new, am.wremap(), 64)
     f_opt = objective_value(S, optimal_mwbg(S))

@@ -85,6 +85,23 @@ timeout 120 env PYTHONPATH=src python examples/rotor_acoustics.py 4 \
 grep -q "final solver imbalance" "$tmp/rotor.txt"
 echo "rotor-acoustics smoke: OK"
 
+# example smokes: every example the exported-name guard
+# (test_every_exported_name_has_a_product_caller) counts as a product
+# caller must itself run.  blast_wave.py writes blast_step*.vtk to its
+# working directory, so it runs in the throwaway one.
+timeout 120 env PYTHONPATH=src python examples/quickstart.py > "$tmp/quickstart.txt"
+grep -q "phase times (virtual seconds)" "$tmp/quickstart.txt"
+timeout 120 env PYTHONPATH=src python examples/mapper_comparison.py \
+    > "$tmp/mapper.txt"
+grep -q "Theorem 1 at P=64" "$tmp/mapper.txt"
+timeout 120 env PYTHONPATH=src python examples/distributed_adaption.py \
+    > "$tmp/distributed.txt"
+grep -q "makespan identity verified" "$tmp/distributed.txt"
+(root="$PWD" && cd "$tmp" && timeout 300 env PYTHONPATH="$root/src" \
+    python "$root/examples/blast_wave.py" > blast.txt)
+grep -q "wrote blast_step" "$tmp/blast.txt"
+echo "example smokes: OK"
+
 # weak-scaling smoke: `repro scale` must run the fig6-style cycle and
 # print one row per rank count, 4096 being where mailbox and ready-queue
 # layout start to matter (16384 ranks are timed by benchmarks/e2e vm_ranks).

@@ -15,5 +15,3 @@ scripts in ``examples/``.
 """
 
 __version__ = "0.1.0"
-
-__all__ = ["adapt", "core", "mesh", "obs", "parallel", "partition", "solver"]

@@ -12,7 +12,6 @@ from .marking import (
     target_elements_by_fraction,
     element_patterns,
     propagate_markings,
-    shared_edge_mask,
     target_by_fraction,
 )
 from .patterns import (
@@ -21,15 +20,13 @@ from .patterns import (
     PAT_1TO4,
     PAT_1TO8,
     PAT_NONE,
-    PATTERN_KIND,
     UPGRADE,
     classify,
     is_valid,
     pattern_bits,
-    upgrade,
 )
 from .refine import RefineResult, subdivide
-from .strategies import mark_cylinder, mark_halfspace, mark_shell, mark_sphere
+from .strategies import mark_sphere
 from .tree import RefinementForest
 
 __all__ = [
@@ -41,23 +38,17 @@ __all__ = [
     "PAT_1TO4",
     "PAT_1TO8",
     "PAT_NONE",
-    "PATTERN_KIND",
     "RefineResult",
     "RefinementForest",
     "UPGRADE",
     "classify",
     "element_patterns",
     "is_valid",
-    "mark_cylinder",
-    "mark_halfspace",
-    "mark_shell",
     "mark_sphere",
     "pattern_bits",
     "peel_last_level",
     "propagate_markings",
-    "shared_edge_mask",
     "subdivide",
     "target_by_fraction",
     "target_elements_by_fraction",
-    "upgrade",
 ]

@@ -32,7 +32,6 @@ __all__ = [
     "propagate_markings",
     "MarkingResult",
     "element_patterns",
-    "shared_edge_mask",
 ]
 
 _POW2 = (1 << np.arange(6)).astype(np.int64)

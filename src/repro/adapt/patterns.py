@@ -32,9 +32,7 @@ __all__ = [
     "PAT_1TO8",
     "UPGRADE",
     "NUM_CHILDREN",
-    "PATTERN_KIND",
     "classify",
-    "upgrade",
     "pattern_bits",
     "is_valid",
 ]
@@ -75,14 +73,10 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return upgrade, kind, nchildren
 
 
-#: pattern -> smallest valid superset pattern.
-UPGRADE, _KIND_OF_RAW, _NCHILD_OF_RAW = _build_tables()
-
-#: pattern (already valid) -> subdivision kind of its upgrade.
-PATTERN_KIND = _KIND_OF_RAW
-
-#: pattern -> number of children its upgrade produces (1, 2, 4, or 8).
-NUM_CHILDREN = _NCHILD_OF_RAW
+#: pattern -> smallest valid superset pattern; pattern -> subdivision kind
+#: of its upgrade; pattern -> number of children its upgrade produces (1, 2,
+#: 4, or 8).
+UPGRADE, PATTERN_KIND, NUM_CHILDREN = _build_tables()
 
 
 def pattern_bits(patterns: np.ndarray) -> np.ndarray:
@@ -101,7 +95,3 @@ def classify(patterns: np.ndarray) -> np.ndarray:
     """Subdivision kind (PAT_*) each pattern upgrades to."""
     return PATTERN_KIND[np.asarray(patterns, dtype=np.int64)]
 
-
-def upgrade(patterns: np.ndarray) -> np.ndarray:
-    """Upgrade each pattern to its smallest valid superset."""
-    return UPGRADE[np.asarray(patterns, dtype=np.int64)]

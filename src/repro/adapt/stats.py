@@ -5,8 +5,8 @@ refinement: "the elements are defined by their six edges rather than by
 their four vertices.  This feature makes the mesh adaption procedure
 capable of performing anisotropic refinement and coarsening that results
 in a more efficient distribution of grid points."  These helpers quantify
-that: subdivision-type histograms (1:2 and 1:4 are the anisotropic types),
-marking amplification, and element-quality evolution.
+that: subdivision-type histograms (1:2 and 1:4 are the anisotropic types)
+and marking amplification.
 """
 
 from __future__ import annotations
@@ -15,13 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mesh.geometry import aspect_ratios
-from repro.mesh.tetmesh import TetMesh
-
 from .marking import MarkingResult
 from .patterns import NUM_CHILDREN, PAT_1TO2, PAT_1TO4, PAT_1TO8, PAT_NONE, classify
 
-__all__ = ["MarkingStats", "marking_stats", "quality_change"]
+__all__ = ["MarkingStats", "marking_stats"]
 
 
 @dataclass(frozen=True)
@@ -84,15 +81,3 @@ def marking_stats(
         predicted_growth=children / n if n else 1.0,
     )
 
-
-def quality_change(before: TetMesh, after: TetMesh) -> dict[str, float]:
-    """Element-quality statistics across a refinement (aspect ratios
-    normalised so a regular tetrahedron scores 1; larger is worse)."""
-    qb = aspect_ratios(before.coords, before.elems)
-    qa = aspect_ratios(after.coords, after.elems)
-    return {
-        "mean_before": float(qb.mean()),
-        "mean_after": float(qa.mean()),
-        "worst_before": float(qb.max()),
-        "worst_after": float(qa.max()),
-    }

@@ -1,11 +1,9 @@
 """Geometric edge-marking strategies.
 
 Paper §5: "Several other edge-marking strategies based on geometry have
-been investigated elsewhere [1]."  These are those strategies: mark every
-edge whose midpoint falls inside a geometric region — useful for
-controlled experiments (the refinement region is known exactly) and for
-driving adaption where the feature location is known a priori (rotor wake
-cylinders, shock planes).
+been investigated elsewhere [1]."  The one kept here marks every edge
+whose midpoint falls inside a sphere: a refinement region known exactly,
+for controlled experiments.
 """
 
 from __future__ import annotations
@@ -15,11 +13,7 @@ import numpy as np
 from repro.mesh.geometry import edge_midpoints
 from repro.mesh.tetmesh import TetMesh
 
-__all__ = ["mark_sphere", "mark_cylinder", "mark_halfspace", "mark_shell"]
-
-
-def _midpoints(mesh: TetMesh) -> np.ndarray:
-    return edge_midpoints(mesh.coords, mesh.edges)
+__all__ = ["mark_sphere"]
 
 
 def mark_sphere(
@@ -28,50 +22,6 @@ def mark_sphere(
     """Edges whose midpoint lies inside a sphere."""
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    d = np.linalg.norm(_midpoints(mesh) - np.asarray(center), axis=1)
+    mid = edge_midpoints(mesh.coords, mesh.edges)
+    d = np.linalg.norm(mid - np.asarray(center), axis=1)
     return d <= radius
-
-
-def mark_shell(
-    mesh: TetMesh,
-    center: tuple[float, float, float],
-    radius: float,
-    thickness: float,
-) -> np.ndarray:
-    """Edges whose midpoint lies inside a spherical shell (moving fronts)."""
-    if thickness <= 0:
-        raise ValueError(f"thickness must be positive, got {thickness}")
-    d = np.linalg.norm(_midpoints(mesh) - np.asarray(center), axis=1)
-    return np.abs(d - radius) <= 0.5 * thickness
-
-
-def mark_cylinder(
-    mesh: TetMesh,
-    a: tuple[float, float, float],
-    b: tuple[float, float, float],
-    radius: float,
-) -> np.ndarray:
-    """Edges whose midpoint lies within ``radius`` of segment ``a``–``b``
-    (the classic rotor-wake marking region)."""
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom <= 0:
-        raise ValueError("cylinder axis endpoints must differ")
-    mid = _midpoints(mesh)
-    t = np.clip((mid - a) @ ab / denom, 0.0, 1.0)
-    d = np.linalg.norm(mid - (a + t[:, None] * ab), axis=1)
-    return d <= radius
-
-
-def mark_halfspace(
-    mesh: TetMesh, point: tuple[float, float, float], normal: tuple[float, float, float]
-) -> np.ndarray:
-    """Edges whose midpoint lies on the ``normal`` side of a plane."""
-    n = np.asarray(normal, dtype=np.float64)
-    if not np.linalg.norm(n) > 0:
-        raise ValueError("normal must be nonzero")
-    return (_midpoints(mesh) - np.asarray(point)) @ n >= 0.0

@@ -7,7 +7,7 @@ Dual graph of the initial mesh (§4.1), similarity-matrix construction
 framework driver tying them to the mesh adaptor and partitioner (Fig. 1).
 """
 
-from .combined import combined_cost, combined_reassign
+from .combined import combined_reassign
 from .cost import CostModel, Decision
 from .dualgraph import DualGraph
 from .evaluate import load_imbalance, needs_repartition
@@ -32,7 +32,6 @@ __all__ = [
     "StepReport",
     "build_move_matrix",
     "charge_gather_scatter",
-    "combined_cost",
     "combined_reassign",
     "execute_remap",
     "heuristic_mwbg",

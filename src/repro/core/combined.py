@@ -23,7 +23,7 @@ import numpy as np
 from .metrics import remap_stats
 from .reassign import optimal_bmcm, optimal_mwbg
 
-__all__ = ["combined_cost", "combined_reassign"]
+__all__ = ["combined_reassign"]
 
 
 def combined_cost(

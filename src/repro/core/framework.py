@@ -201,8 +201,11 @@ class LoadBalancedAdaptiveSolver:
         self.tracer = tracer
         self.dual = DualGraph(self.adaptive.initial_mesh)
         # initial partitioning + mapping (Fig. 1's initialization box):
-        # partition id f·P… maps to processor id partition // F
-        init = multilevel_kway(self.dual.comp_graph(), F * nproc, seed=seed)
+        # partition id f·P… maps to processor id partition // F; a mesh
+        # that arrives already refined is balanced by its leaf counts
+        init = multilevel_kway(
+            self.dual.graph.with_vwgt(self.adaptive.wcomp()), F * nproc, seed=seed
+        )
         self.part = (init // F).astype(np.int64)
 
     # --- observables ----------------------------------------------------------

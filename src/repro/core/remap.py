@@ -16,7 +16,7 @@ import numpy as np
 from repro.dist.migrate import build_move_matrix, exchange_elements
 from repro.parallel.machine import MachineModel, SP2_1997
 
-__all__ = ["RemapExecution", "build_move_matrix", "execute_remap"]
+__all__ = ["RemapExecution", "execute_remap"]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Distributed-mesh layer (paper §3): initialization, SPL bookkeeping,
 element migration, and the finalization gather."""
 
-from .decompose import decompose, rank_incidence
+from .decompose import decompose
 from .exec_phase import ParallelMarkResult, parallel_mark
 from .gather import FinalizeResult, finalize
 from .localmesh import LocalMesh
@@ -24,5 +24,4 @@ __all__ = [
     "migrate",
     "parallel_mark",
     "parallel_refine",
-    "rank_incidence",
 ]

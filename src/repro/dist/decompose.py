@@ -15,7 +15,7 @@ from repro.mesh.tetmesh import TetMesh
 
 from .localmesh import LocalMesh
 
-__all__ = ["decompose", "rank_incidence"]
+__all__ = ["decompose"]
 
 
 def rank_incidence(

@@ -35,7 +35,6 @@ _PUBLIC = {
         "fig6_anatomy",
         "fig7_max_improvement",
         "fig8_actual_improvement",
-        "max_improvement",
     ),
     "sweep": ("SWEEP_PROCS", "run_step"),
     "table1": ("grid_sizes",),

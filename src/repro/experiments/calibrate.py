@@ -31,8 +31,12 @@ from repro.parallel.backends import available_backends
 from repro.parallel.machine import MachineModel, SP2_1997
 from repro.partition import Graph, multilevel_kway, repartition
 
-__all__ = ["calibrate", "run_exec_phase_workload", "CalibrationReport",
-           "PhaseRun", "format_calibration"]
+__all__ = [
+    "calibrate",
+    "run_exec_phase_workload",
+    "CalibrationReport",
+    "format_calibration",
+]
 
 #: Pipeline phases in execution order.
 PHASES = ("mark", "refine", "migrate", "gather")

@@ -17,7 +17,6 @@ __all__ = [
     "fig6_anatomy",
     "fig7_max_improvement",
     "fig8_actual_improvement",
-    "max_improvement",
 ]
 
 #: Mesh growth factors of the paper's three strategies (§5).

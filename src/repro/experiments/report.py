@@ -25,13 +25,7 @@ from .figures import (
 from .table1 import grid_sizes
 from .table2 import mapper_comparison
 
-__all__ = [
-    "format_table1",
-    "format_table2",
-    "format_series",
-    "format_counters",
-    "run_all",
-]
+__all__ = ["format_table2", "format_counters", "run_all"]
 
 
 def format_table1(rows: dict[str, dict[str, int]]) -> str:

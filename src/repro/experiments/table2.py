@@ -57,7 +57,7 @@ def mapper_comparison(
 
     rows: list[MapperRow] = []
     for p in procs:
-        old = multilevel_kway(dual.comp_graph(), p, seed=0)
+        old = multilevel_kway(dual.graph, p, seed=0)
         new = repartition(
             dual.graph.with_vwgt(wcomp_pred), p, old, seed=0
         )

@@ -32,14 +32,7 @@ from repro.parallel import SP2_1997, VirtualMachine
 from repro.parallel.machine import MachineModel
 from repro.parallel.runtime import ANY, RecvOp, SendOp, WorkOp, per_rank
 
-__all__ = [
-    "DEFAULT_RANKS",
-    "ScalePoint",
-    "grid_dims",
-    "grid_neighbours",
-    "halo_cycle",
-    "measure_point",
-]
+__all__ = ["DEFAULT_RANKS", "ScalePoint", "halo_cycle", "measure_point"]
 
 #: The sweep the CLI reports by default.
 DEFAULT_RANKS = (1024, 4096, 16384)

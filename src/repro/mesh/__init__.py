@@ -1,8 +1,7 @@
 """Tetrahedral mesh substrate with 3D_TAG-style edge-based connectivity."""
 
-from .generate import BladeSpec, box_mesh, rotor_domain_mesh, single_tet, two_tets
+from .generate import BladeSpec, box_mesh, rotor_domain_mesh
 from .geometry import (
-    aspect_ratios,
     edge_lengths,
     edge_midpoints,
     fix_orientation,
@@ -10,7 +9,6 @@ from .geometry import (
 )
 from .tetmesh import TetMesh
 from .topology import (
-    EDGE_FACES,
     FACE_EDGE_MASKS,
     FACE_EDGES,
     LOCAL_EDGES,
@@ -20,20 +18,16 @@ from .topology import (
 
 __all__ = [
     "BladeSpec",
-    "EDGE_FACES",
     "FACE_EDGES",
     "FACE_EDGE_MASKS",
     "LOCAL_EDGES",
     "LOCAL_FACES",
     "OPPOSITE_EDGE",
     "TetMesh",
-    "aspect_ratios",
     "box_mesh",
     "edge_lengths",
     "edge_midpoints",
     "fix_orientation",
     "rotor_domain_mesh",
-    "single_tet",
     "tet_volumes",
-    "two_tets",
 ]

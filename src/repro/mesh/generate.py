@@ -18,7 +18,7 @@ import numpy as np
 
 from .tetmesh import TetMesh
 
-__all__ = ["box_mesh", "rotor_domain_mesh", "BladeSpec", "single_tet", "two_tets"]
+__all__ = ["box_mesh", "rotor_domain_mesh", "BladeSpec"]
 
 # The six Kuhn tetrahedra of the unit cube: each is a monotone path from
 # corner (0,0,0) to corner (1,1,1) along one permutation of the axes.  This
@@ -118,26 +118,3 @@ def rotor_domain_mesh(
     )
     return mesh, blade
 
-
-def single_tet() -> TetMesh:
-    """The reference tetrahedron — smallest possible mesh, used in tests."""
-    coords = np.array(
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    )
-    elems = np.array([[0, 1, 2, 3]])
-    return TetMesh.from_elems(coords, elems)
-
-
-def two_tets() -> TetMesh:
-    """Two tetrahedra sharing a face — smallest mesh with an interior face."""
-    coords = np.array(
-        [
-            [0.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0],
-            [1.0, 1.0, 1.0],
-        ]
-    )
-    elems = np.array([[0, 1, 2, 3], [1, 2, 3, 4]])
-    return TetMesh.from_elems(coords, elems)

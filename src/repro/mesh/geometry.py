@@ -9,7 +9,6 @@ __all__ = [
     "fix_orientation",
     "edge_lengths",
     "edge_midpoints",
-    "aspect_ratios",
 ]
 
 
@@ -56,17 +55,3 @@ def edge_lengths(coords: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def edge_midpoints(coords: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Midpoint coordinates of each edge."""
     return 0.5 * (coords[edges[:, 0]] + coords[edges[:, 1]])
-
-
-def aspect_ratios(coords: np.ndarray, elems: np.ndarray) -> np.ndarray:
-    """Crude element quality: longest edge cubed over volume, normalised so
-    a regular tetrahedron scores 1.  Larger is worse; inf for degenerate."""
-    from .topology import LOCAL_EDGES
-
-    p = coords[elems]  # (ne, 4, 3)
-    ev = p[:, LOCAL_EDGES[:, 1]] - p[:, LOCAL_EDGES[:, 0]]  # (ne, 6, 3)
-    lmax = np.sqrt((ev**2).sum(axis=2)).max(axis=1)
-    vol = np.abs(tet_volumes(coords, elems))
-    # regular tet: V = L^3 / (6*sqrt(2))  =>  L^3 / V = 6*sqrt(2)
-    with np.errstate(divide="ignore"):
-        return (lmax**3 / vol) / (6.0 * np.sqrt(2.0))

@@ -1,9 +1,8 @@
-"""Mesh persistence and export.
+"""Mesh export.
 
 The paper's finalization phase exists so "the host can then interface the
-mesh directly to the appropriate post-processing module" (visualization,
-restart snapshots).  This module provides both: a lossless NumPy archive
-for restarts and a legacy-ASCII VTK export for viewers.
+mesh directly to the appropriate post-processing module"; this module
+writes a legacy-ASCII VTK file for viewers.
 """
 
 from __future__ import annotations
@@ -14,45 +13,7 @@ import numpy as np
 
 from .tetmesh import TetMesh
 
-__all__ = ["save_mesh", "load_mesh", "write_vtk"]
-
-_FORMAT_VERSION = 1
-
-
-def save_mesh(path: str, mesh: TetMesh, solution: np.ndarray | None = None) -> None:
-    """Save a mesh (and optional vertex solution) to a ``.npz`` archive.
-
-    Only coords and elems are stored; connectivity is re-derived on load,
-    which both keeps snapshots small and guarantees the loaded mesh passes
-    the same invariants as a freshly built one.
-    """
-    payload = {
-        "format_version": np.int64(_FORMAT_VERSION),
-        "coords": mesh.coords,
-        "elems": mesh.elems,
-    }
-    if solution is not None:
-        solution = np.asarray(solution, dtype=np.float64)
-        if solution.shape[0] != mesh.nv:
-            raise ValueError(
-                f"solution has {solution.shape[0]} rows for {mesh.nv} vertices"
-            )
-        payload["solution"] = solution
-    np.savez_compressed(path, **payload)
-
-
-def load_mesh(path: str) -> tuple[TetMesh, np.ndarray | None]:
-    """Load a mesh saved by :func:`save_mesh`; returns (mesh, solution)."""
-    with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != _FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported mesh format version {version} "
-                f"(expected {_FORMAT_VERSION})"
-            )
-        mesh = TetMesh.from_elems(data["coords"], data["elems"], orient=False)
-        solution = data["solution"] if "solution" in data else None
-    return mesh, solution
+__all__ = ["write_vtk"]
 
 
 def write_vtk(

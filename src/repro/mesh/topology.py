@@ -31,7 +31,6 @@ __all__ = [
     "FACE_EDGES",
     "FACE_EDGE_MASKS",
     "OPPOSITE_EDGE",
-    "EDGE_FACES",
 ]
 
 #: Local edge index -> (local vertex, local vertex).
@@ -66,11 +65,6 @@ FACE_EDGE_MASKS = np.array(
 #: (0,1)<->(2,3), (0,2)<->(1,3), (0,3)<->(1,2)
 OPPOSITE_EDGE = np.array([5, 4, 3, 2, 1, 0], dtype=np.int64)
 
-#: Local edge index -> the two local faces containing it.
-EDGE_FACES = np.array(
-    [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)], dtype=np.int64
-)
-
 
 def _selfcheck() -> None:
     """Internal consistency of the constant tables (run at import)."""
@@ -78,12 +72,6 @@ def _selfcheck() -> None:
         o = OPPOSITE_EDGE[e]
         oa, ob = LOCAL_EDGES[o]
         assert {int(a), int(b)} | {int(oa), int(ob)} == {0, 1, 2, 3}
-        faces = [
-            f
-            for f in range(4)
-            if {int(a), int(b)} <= set(int(x) for x in LOCAL_FACES[f])
-        ]
-        assert faces == sorted(int(x) for x in EDGE_FACES[e])
     for f in range(4):
         fv = set(int(x) for x in LOCAL_FACES[f])
         for e in FACE_EDGES[f]:

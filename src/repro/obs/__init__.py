@@ -61,12 +61,11 @@ from .causal import (
     format_critical_path,
     format_diff,
     rank_stats,
-    run_from_result,
     runs_from_tracer,
     verify_makespans,
 )
 from .metrics import KINDS, MetricSample, MetricsRegistry
-from .wallclock import ClockRecord, WallRecorder, merge_streams
+from .wallclock import ClockRecord, WallRecorder
 from .tracer import (
     PointEvent,
     Span,
@@ -90,14 +89,11 @@ from .resource import (
     ResourceSampler,
     record_resource_samples,
     resource_peaks,
-    sample_resources,
 )
 from .runs import (
     RunRecord,
     RunStore,
-    hash_config,
     index_trace,
-    summarize_trace,
 )
 
 __all__ = [
@@ -129,10 +125,8 @@ __all__ = [
     "export_jsonl",
     "format_critical_path",
     "format_diff",
-    "hash_config",
     "index_trace",
     "maybe_phase",
-    "merge_streams",
     "phase_virtual_times",
     "rank_stats",
     "read_jsonl",
@@ -140,10 +134,7 @@ __all__ = [
     "render_ascii",
     "render_html",
     "resource_peaks",
-    "run_from_result",
     "runs_from_tracer",
-    "sample_resources",
-    "summarize_trace",
     "use_tracer",
     "validate_jsonl",
     "verify_makespans",

@@ -43,9 +43,7 @@ __all__ = [
     "CausalNode",
     "CausalRun",
     "CriticalPath",
-    "PathStep",
     "RankStats",
-    "Segment",
     "TraceAnalysis",
     "TraceDiff",
     "analyze",
@@ -55,9 +53,7 @@ __all__ = [
     "format_chain",
     "format_critical_path",
     "format_diff",
-    "node_slack",
     "rank_stats",
-    "run_from_result",
     "runs_from_tracer",
     "verify_makespans",
 ]
@@ -239,27 +235,6 @@ class TraceDiff:
 
 
 # --- building runs -----------------------------------------------------------
-
-
-def run_from_result(result, run_id: int = 0, base: float = 0.0,
-                    cycle: int | None = None,
-                    phase: str | None = None) -> CausalRun:
-    """Wrap a traced :class:`~repro.parallel.runtime.RunResult`."""
-    if result.nodes is None:
-        raise ValueError(
-            "RunResult has no causal record; run the VirtualMachine with "
-            "trace=True or a tracer"
-        )
-    return CausalRun(
-        id=run_id,
-        base=base,
-        nranks=len(result.clocks),
-        makespan=result.makespan,
-        nodes=list(result.nodes),
-        msgs=list(result.msgs),
-        cycle=cycle,
-        phase=phase,
-    )
 
 
 def runs_from_tracer(tracer, clock: str = "virtual") -> list[CausalRun]:

@@ -67,8 +67,6 @@ from .tracer import PointEvent, Span, Tracer
 from .wallclock import ClockRecord
 
 __all__ = [
-    "MARKER_ATTRS",
-    "RECORDS",
     "SCHEMA_VERSION",
     "SchemaError",
     "export_chrome_trace",

@@ -28,7 +28,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-__all__ = ["KINDS", "RESERVED_LABEL_KEYS", "MetricSample", "MetricsRegistry"]
+__all__ = ["KINDS", "MetricSample", "MetricsRegistry"]
 
 #: Valid metric kinds, in the order they serialise.
 KINDS = ("counter", "gauge", "histogram")

@@ -38,12 +38,10 @@ import time
 from dataclasses import dataclass
 
 __all__ = [
-    "DEFAULT_INTERVAL",
     "ResourceSample",
     "ResourceSampler",
     "record_resource_samples",
     "resource_peaks",
-    "sample_resources",
 ]
 
 #: Default seconds between samples; coarse enough that a sampler thread

@@ -43,16 +43,11 @@ import time
 from dataclasses import dataclass, field
 
 __all__ = [
-    "RUNS_SCHEMA",
     "RunRecord",
     "RunStore",
-    "compare_records",
-    "default_store_dir",
     "format_compare",
     "format_record",
     "format_runs_list",
-    "hash_config",
-    "summarize_trace",
 ]
 
 RUNS_SCHEMA = "repro.runs/v1"

@@ -50,13 +50,10 @@ from heapq import heappop, heappush
 from .causal import CausalMsg, CausalNode
 
 __all__ = [
-    "SYNC_ROUNDS",
     "ClockRecord",
-    "MergedRun",
     "WallRecorder",
     "estimate_offsets",
     "format_clock_skew",
-    "merge_streams",
     "record_measured_run",
     "serve_clock_probes",
 ]

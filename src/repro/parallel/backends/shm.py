@@ -56,14 +56,7 @@ import numpy as np
 
 from .mp import MultiprocessingBackend
 
-__all__ = [
-    "ShmRef",
-    "SlabPool",
-    "ShmTransport",
-    "SharedMemoryBackend",
-    "reset_transport_totals",
-    "transport_totals",
-]
+__all__ = ["SharedMemoryBackend", "reset_transport_totals", "transport_totals"]
 
 #: Slab size: holds the library's typical element blocks; larger arrays
 #: spill to pickle.  Kept modest because pool pages are prefaulted at

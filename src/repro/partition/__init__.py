@@ -1,6 +1,5 @@
-"""Multilevel graph partitioning (paper §4.2) and baselines."""
+"""Multilevel graph partitioning (paper §4.2)."""
 
-from .baselines import block_partition, random_partition, rcb_partition
 from .contract import contract
 from .fm_refine import fm_bisection_refine, kway_fm_refine, kway_greedy_refine
 from .graph import Graph
@@ -8,13 +7,11 @@ from .initial import greedy_graph_growing
 from .matching import heavy_edge_matching
 from .multilevel import multilevel_bisect, multilevel_kway
 from .parallel_model import partition_time
-from .quality import comm_volume, edgecut, imbalance, loads
+from .quality import edgecut, imbalance, loads
 from .repartition import repartition
 
 __all__ = [
     "Graph",
-    "block_partition",
-    "comm_volume",
     "contract",
     "edgecut",
     "fm_bisection_refine",
@@ -27,7 +24,5 @@ __all__ = [
     "multilevel_bisect",
     "multilevel_kway",
     "partition_time",
-    "random_partition",
-    "rcb_partition",
     "repartition",
 ]

@@ -1,4 +1,4 @@
-"""Partition quality metrics: edge cut, load imbalance, communication volume."""
+"""Partition quality metrics: edge cut and load imbalance."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from .graph import Graph
 
-__all__ = ["edgecut", "imbalance", "loads", "comm_volume"]
+__all__ = ["edgecut", "imbalance", "loads"]
 
 
 def loads(graph: Graph, part: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -37,15 +37,3 @@ def imbalance(graph: Graph, part: np.ndarray, k: int) -> float:
         return 1.0
     return float(ld.max() / avg)
 
-
-def comm_volume(graph: Graph, part: np.ndarray, k: int) -> int:
-    """Total communication volume: for each vertex, the number of distinct
-    remote partitions adjacent to it (the vertices it must be sent to)."""
-    part = np.asarray(part, dtype=np.int64)
-    src = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(graph.ptr))
-    remote = part[src] != part[graph.adj]
-    if not remote.any():
-        return 0
-    pairs = np.column_stack([src[remote], part[graph.adj[remote]]])
-    uniq = np.unique(pairs, axis=0)
-    return int(uniq.shape[0])

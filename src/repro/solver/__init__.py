@@ -1,47 +1,16 @@
 """Flow solver substrate: edge-based finite-volume Euler solver, synthetic
 rotor flow fields, and the edge error indicator driving mesh adaption."""
 
-from .euler import EulerSolver, dual_volumes, edge_normals
-from .fields import rotor_acoustics_field, spherical_blast_field, uniform_flow
-from .indicator import (
-    density_indicator,
-    edge_error_indicator,
-    feature_indicator,
-    mach_indicator,
-    speed_indicator,
-)
-from .periodic import box_periodic_pairs, validate_pairs
-from .reconstruct import limit_barth_jespersen, lsq_gradients, muscl_edge_states
-from .state import (
-    GAMMA,
-    conservative,
-    max_wave_speed,
-    pressure,
-    primitive,
-    sound_speed,
-)
+from .euler import EulerSolver
+from .fields import rotor_acoustics_field
+from .indicator import density_indicator, speed_indicator
+from .state import conservative, primitive
 
 __all__ = [
     "EulerSolver",
-    "box_periodic_pairs",
-    "feature_indicator",
-    "limit_barth_jespersen",
-    "lsq_gradients",
-    "muscl_edge_states",
-    "speed_indicator",
-    "validate_pairs",
-    "GAMMA",
     "conservative",
     "density_indicator",
-    "dual_volumes",
-    "edge_error_indicator",
-    "edge_normals",
-    "mach_indicator",
-    "max_wave_speed",
-    "pressure",
     "primitive",
     "rotor_acoustics_field",
-    "sound_speed",
-    "spherical_blast_field",
-    "uniform_flow",
+    "speed_indicator",
 ]

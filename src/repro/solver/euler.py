@@ -35,10 +35,11 @@ from repro.mesh.tetmesh import TetMesh
 from repro.mesh.topology import EVEN_CORNERS, LOCAL_EDGES
 from repro.obs import current_tracer
 
+from .fluxes import _rusanov
 from .scatter import scatter_add_components, scatter_add_rows
-from .state import GAMMA, GasState, gas_state, primitive
+from .state import GasState, gas_state
 
-__all__ = ["EulerSolver", "dual_volumes", "edge_normals"]
+__all__ = ["EulerSolver"]
 
 
 def dual_volumes(mesh: TetMesh) -> np.ndarray:
@@ -105,37 +106,13 @@ def edge_normals(mesh: TetMesh) -> np.ndarray:
 
 @dataclass
 class EulerSolver:
-    """Explicit edge-based Euler solver on a tetrahedral mesh.
-
-    ``order=1`` uses the vertex states directly at each edge (robust,
-    first-order); ``order=2`` applies the paper's piecewise-linear
-    reconstruction — limited least-squares MUSCL extrapolation to the edge
-    midpoints — before the numerical flux.  ``flux`` selects the Riemann
-    solver ("rusanov" or "hllc"); ``time_scheme`` the explicit integrator
-    ("euler", "rk2", or "rk3" — strong-stability-preserving forms).
-    """
+    """Explicit first-order edge-based Euler solver on a tetrahedral mesh:
+    vertex states at each edge, the Rusanov flux, forward-Euler steps."""
 
     mesh: TetMesh
     q: np.ndarray  #: (nv, 5) conservative state
-    order: int = 1
-    periodic_pairs: np.ndarray | None = None  #: (npairs, 2) matched vertices
-    flux: str = "rusanov"
-    time_scheme: str = "euler"
 
     def __post_init__(self) -> None:
-        from .fluxes import FLUXES
-
-        if self.order not in (1, 2):
-            raise ValueError(f"order must be 1 or 2, got {self.order}")
-        if self.flux not in FLUXES:
-            raise ValueError(
-                f"flux must be one of {sorted(FLUXES)}, got {self.flux!r}"
-            )
-        if self.time_scheme not in ("euler", "rk2", "rk3"):
-            raise ValueError(
-                f"time_scheme must be euler/rk2/rk3, got {self.time_scheme!r}"
-            )
-        self._edge_flux = FLUXES[self.flux]
         self.q = np.array(self.q, dtype=np.float64)
         if self.q.shape != (self.mesh.nv, 5):
             raise ValueError(
@@ -153,36 +130,12 @@ class EulerSolver:
         self._hi = self._ends[self.mesh.nedges :]
         self._boundary = np.zeros(self.mesh.nv, dtype=bool)
         self._boundary[np.unique(self.mesh.bnd_faces)] = True
-        if self.periodic_pairs is not None:
-            from .periodic import validate_pairs
-
-            self.periodic_pairs = validate_pairs(self.mesh, self.periodic_pairs)
-            # periodic vertices are computed DOFs, not frozen far field, and
-            # each pair shares one control volume spanning the domain seam;
-            # pairs that also touch a NON-periodic boundary face (edges and
-            # corners of the seam planes) stay frozen — their lateral
-            # boundary patches are not closed by the pairing
-            is_per = np.zeros(self.mesh.nv, dtype=bool)
-            is_per[self.periodic_pairs.ravel()] = True
-            lateral = ~is_per[self.mesh.bnd_faces].all(axis=1)
-            on_lateral = np.zeros(self.mesh.nv, dtype=bool)
-            on_lateral[np.unique(self.mesh.bnd_faces[lateral])] = True
-            self._boundary[self.periodic_pairs.ravel()] = False
-            self._boundary[is_per & on_lateral] = True
-            a, b = self.periodic_pairs[:, 0], self.periodic_pairs[:, 1]
-            combined = self.vol[a] + self.vol[b]
-            self.vol = self.vol.copy()
-            self.vol[a] = combined
-            self.vol[b] = combined
-            # mirror the initial state so the pair starts consistent
-            self.q[b] = self.q[a]
 
     def residual(self, q: np.ndarray | None = None) -> np.ndarray:
         """Net flux into each control volume (interior scheme), ``(nv, 5)``.
 
-        The gas state is evaluated once per side: at the vertices and
-        gathered to the edges for ``order=1``, at the reconstructed edge
-        states for ``order=2``; the flux core reads only those.
+        The gas state is evaluated once, at the vertices, and gathered to
+        the edges; the flux core reads only those.
         """
         q = self.q if q is None else q
         return self._residual(np.ascontiguousarray(q.T)).T
@@ -190,38 +143,17 @@ class EulerSolver:
     def _residual(self, qt: np.ndarray, gas: GasState | None = None) -> np.ndarray:
         """:meth:`residual` of component-major states ``qt`` ``(5, nv)``,
         as ``(5, nv)``; ``gas`` is ``gas_state(qt)`` if already known."""
-        if self.order == 2:
-            from .reconstruct import (
-                limit_barth_jespersen,
-                lsq_gradients,
-                muscl_edge_states,
-            )
-
-            q = qt.T
-            grads = lsq_gradients(self.mesh, q)
-            psi = limit_barth_jespersen(self.mesh, q, grads)
-            qL, qR = (side.T for side in muscl_edge_states(self.mesh, q, grads, psi))
-            gL, gR = gas_state(qL), gas_state(qR)
-        else:
-            if gas is None:
-                gas = gas_state(qt)
-            qL, qR = qt.take(self._lo, axis=1), qt.take(self._hi, axis=1)
-            gL, gR = gas.take(self._lo), gas.take(self._hi)
-        f = self._edge_flux(qL, qR, gL, gR, self._nt, self._area)
+        if gas is None:
+            gas = gas_state(qt)
+        qL, qR = qt.take(self._lo, axis=1), qt.take(self._hi, axis=1)
+        gL, gR = gas.take(self._lo), gas.take(self._hi)
+        f = _rusanov(qL, qR, gL, gR, self._nt, self._area)
         del qL, qR, gL, gR  # 24 edge-sized rows, not needed by the scatter
         # x - f == x + (-f) bitwise, so one endpoint-major pass is exactly
         # "subtract f at every lower endpoint, then add it at every upper"
-        res = scatter_add_components(
+        return scatter_add_components(
             self._ends, np.concatenate([-f, f], axis=1), qt.shape[1]
         )
-        if self.periodic_pairs is not None:
-            # the pair is one control volume: residuals accumulate across
-            # the seam and both copies receive the combined value
-            a, b = self.periodic_pairs[:, 0], self.periodic_pairs[:, 1]
-            combined = res[:, a] + res[:, b]
-            res[:, a] = combined
-            res[:, b] = combined
-        return res
 
     def stable_dt(self, cfl: float = 0.5) -> float:
         """CFL time step from dual volumes, interface areas, wave speeds.
@@ -240,37 +172,21 @@ class EulerSolver:
             dt = self.vol / np.maximum(speed_sum, 1e-300)
         return cfl * float(dt.min())
 
-    def _stage(
-        self, qt: np.ndarray, dt: float, gas: GasState | None = None
-    ) -> np.ndarray:
-        """One forward-Euler stage q + dt·L(q) with frozen boundaries, on
-        component-major states ``(5, nv)``."""
-        upd = dt * self._residual(qt, gas) / self.vol
-        upd[:, self._boundary] = 0.0
-        return qt + upd
-
     def step(self, dt: float | None = None, cfl: float = 0.5) -> float:
-        """Advance one explicit step of the selected scheme; returns dt.
+        """Advance one forward-Euler step q + dt·L(q); returns dt.
 
-        Boundary vertices are frozen (far-field Dirichlet).  RK2/RK3 are
-        the strong-stability-preserving (Shu–Osher) convex forms.
+        Boundary vertices are frozen (far-field Dirichlet).
         """
         q0 = self.q
-        # the stages run on component-major rows; self.q stays (nv, 5)
+        # the update runs on component-major rows; self.q stays (nv, 5)
         qt0 = np.ascontiguousarray(q0.T)
-        gas = gas_state(qt0)  # shared by the CFL bound and the first stage
+        gas = gas_state(qt0)  # shared by the CFL bound and the residual
         if dt is None:
             dt = self._stable_dt(gas, cfl)
-        if self.time_scheme == "euler":
-            qt = self._stage(qt0, dt, gas)
-        elif self.time_scheme == "rk2":
-            q1 = self._stage(qt0, dt, gas)
-            qt = 0.5 * qt0 + 0.5 * self._stage(q1, dt)
-        else:  # rk3
-            q1 = self._stage(qt0, dt, gas)
-            q2 = 0.75 * qt0 + 0.25 * self._stage(q1, dt)
-            qt = qt0 / 3.0 + (2.0 / 3.0) * self._stage(q2, dt)
-        self.q = np.ascontiguousarray(qt.T)
+        upd = dt * self._residual(qt0, gas) / self.vol
+        upd[:, self._boundary] = 0.0
+        upd += qt0  # == qt0 + upd bitwise, without a third state array
+        self.q = np.ascontiguousarray(upd.T)
         tracer = current_tracer()
         if tracer is not None and dt > 0:
             dq = (self.q - q0) / dt
@@ -278,7 +194,7 @@ class EulerSolver:
                 "repro.solver.residual_norm",
                 float(np.sqrt(np.mean(dq * dq))),
                 kind="histogram",
-                scheme=self.time_scheme,
+                scheme="euler",
             )
         return dt
 
@@ -287,9 +203,3 @@ class EulerSolver:
         for _ in range(n_steps):
             self.step(cfl=cfl)
         return self.q
-
-    def mach(self) -> np.ndarray:
-        """Mach number per vertex (diagnostic)."""
-        rho, vel, p = primitive(self.q)
-        c = np.sqrt(GAMMA * p / rho)
-        return np.linalg.norm(vel, axis=1) / c

@@ -18,21 +18,7 @@ from repro.mesh.generate import BladeSpec
 
 from .state import conservative
 
-__all__ = ["uniform_flow", "rotor_acoustics_field", "spherical_blast_field"]
-
-
-def uniform_flow(
-    coords: np.ndarray,
-    rho: float = 1.0,
-    vel: tuple[float, float, float] = (0.5, 0.0, 0.0),
-    p: float = 1.0,
-) -> np.ndarray:
-    """Constant free-stream state at every vertex."""
-    n = coords.shape[0]
-    return conservative(
-        np.full(n, rho), np.tile(np.asarray(vel, dtype=np.float64), (n, 1)),
-        np.full(n, p),
-    )
+__all__ = ["rotor_acoustics_field"]
 
 
 def rotor_acoustics_field(
@@ -77,22 +63,3 @@ def rotor_acoustics_field(
     vel = tangential * speed[:, None]
     return conservative(rho, vel, p)
 
-
-def spherical_blast_field(
-    coords: np.ndarray,
-    center: tuple[float, float, float],
-    radius: float,
-    strength: float = 4.0,
-) -> np.ndarray:
-    """Sod-like spherical blast: hot dense ball in quiescent gas.
-
-    A classic adaption driver: the contact/shock structure expands through
-    the mesh, exercising refinement *and* coarsening as features move.
-    """
-    pts = np.asarray(coords, dtype=np.float64)
-    r = np.linalg.norm(pts - np.asarray(center), axis=1)
-    inside = 0.5 * (1.0 - np.tanh((r - radius) / (0.15 * radius)))
-    rho = 1.0 + (strength - 1.0) * inside
-    p = 1.0 + (strength - 1.0) * inside
-    vel = np.zeros((pts.shape[0], 3))
-    return conservative(rho, vel, p)

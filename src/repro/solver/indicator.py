@@ -4,7 +4,7 @@
 coarsening, refinement, or no change by computing an error indicator for
 each edge."  Following the solution-difference family of indicators used
 with 3D_TAG, the indicator of edge (i, j) is the jump of a monitored
-quantity across the edge, optionally scaled by edge length (so refinement
+quantity across the edge, scaled by edge length (so refinement
 stops once an edge is short enough to resolve the local gradient).
 """
 
@@ -17,28 +17,16 @@ from repro.mesh.tetmesh import TetMesh
 
 from .state import primitive
 
-__all__ = [
-    "density_indicator",
-    "edge_error_indicator",
-    "feature_indicator",
-    "mach_indicator",
-    "speed_indicator",
-]
+__all__ = ["density_indicator", "speed_indicator"]
 
 
-def edge_error_indicator(
-    mesh: TetMesh,
-    vertex_quantity: np.ndarray,
-    length_scaled: bool = True,
-) -> np.ndarray:
-    """|Δq| across each edge, optionally multiplied by edge length."""
+def edge_error_indicator(mesh: TetMesh, vertex_quantity: np.ndarray) -> np.ndarray:
+    """|Δq| across each edge, multiplied by edge length."""
     q = np.asarray(vertex_quantity, dtype=np.float64)
     if q.shape != (mesh.nv,):
         raise ValueError(f"expected one value per vertex ({mesh.nv}), got {q.shape}")
     jump = np.abs(q[mesh.edges[:, 1]] - q[mesh.edges[:, 0]])
-    if length_scaled:
-        jump = jump * edge_lengths(mesh.coords, mesh.edges)
-    return jump
+    return jump * edge_lengths(mesh.coords, mesh.edges)
 
 
 def density_indicator(mesh: TetMesh, q: np.ndarray) -> np.ndarray:
@@ -47,10 +35,8 @@ def density_indicator(mesh: TetMesh, q: np.ndarray) -> np.ndarray:
     return edge_error_indicator(mesh, rho)
 
 
-def feature_indicator(
-    mesh: TetMesh, vertex_values: np.ndarray, combine: str = "max"
-) -> np.ndarray:
-    """Feature-detection indicator: edge value from its endpoint values.
+def feature_indicator(mesh: TetMesh, vertex_values: np.ndarray) -> np.ndarray:
+    """Feature-detection indicator: the larger endpoint value per edge.
 
     Jump indicators pick out edges *crossing* a feature; feature-detection
     indicators (velocity or vorticity magnitude, standard in rotorcraft
@@ -62,12 +48,7 @@ def feature_indicator(
     v = np.asarray(vertex_values, dtype=np.float64)
     if v.shape != (mesh.nv,):
         raise ValueError(f"expected one value per vertex ({mesh.nv}), got {v.shape}")
-    a, b = v[mesh.edges[:, 0]], v[mesh.edges[:, 1]]
-    if combine == "max":
-        return np.maximum(a, b)
-    if combine == "mean":
-        return 0.5 * (a + b)
-    raise ValueError(f"combine must be 'max' or 'mean', got {combine!r}")
+    return np.maximum(v[mesh.edges[:, 0]], v[mesh.edges[:, 1]])
 
 
 def speed_indicator(mesh: TetMesh, q: np.ndarray) -> np.ndarray:
@@ -75,12 +56,3 @@ def speed_indicator(mesh: TetMesh, q: np.ndarray) -> np.ndarray:
     _rho, vel, _p = primitive(q)
     return feature_indicator(mesh, np.linalg.norm(vel, axis=1))
 
-
-def mach_indicator(mesh: TetMesh, q: np.ndarray) -> np.ndarray:
-    """Mach-number-jump indicator (what the rotor papers adapt on)."""
-    from .state import GAMMA
-
-    rho, vel, p = primitive(q)
-    c = np.sqrt(GAMMA * np.maximum(p, 1e-300) / rho)
-    mach = np.linalg.norm(vel, axis=1) / c
-    return edge_error_indicator(mesh, mach)

@@ -10,16 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "GAMMA",
-    "GasState",
-    "conservative",
-    "gas_state",
-    "primitive",
-    "pressure",
-    "sound_speed",
-    "max_wave_speed",
-]
+__all__ = ["GasState", "conservative", "gas_state", "primitive"]
 
 GAMMA = 1.4
 
@@ -86,15 +77,3 @@ def gas_state(qt: np.ndarray) -> GasState:
     c = np.sqrt(GAMMA * np.maximum(p, 1e-300) / rho)
     return GasState(rho, vel, p, c, np.sqrt(vsq) + c)
 
-
-def pressure(q: np.ndarray) -> np.ndarray:
-    return primitive(q)[2]
-
-
-def sound_speed(q: np.ndarray) -> np.ndarray:
-    return gas_state(np.asarray(q, dtype=np.float64).T).c
-
-
-def max_wave_speed(q: np.ndarray) -> np.ndarray:
-    """|v| + c per state — the Rusanov dissipation speed."""
-    return gas_state(np.asarray(q, dtype=np.float64).T).lam

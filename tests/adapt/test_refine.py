@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from repro.adapt import NUM_CHILDREN, propagate_markings, subdivide
-from repro.mesh import box_mesh, single_tet, two_tets, tet_volumes
+from repro.mesh import box_mesh, tet_volumes
+
+from tests.fixtures import single_tet, two_tets
 
 
 def refine_mask(mesh, mask):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.adapt import AdaptiveMesh, propagate_markings, subdivide
-from repro.adapt.stats import marking_stats, quality_change
-from repro.mesh import box_mesh, single_tet
+from repro.adapt.stats import marking_stats
+from repro.mesh import box_mesh
+
+from tests.fixtures import aspect_ratios, single_tet
 
 
 def test_stats_single_1to2():
@@ -59,8 +61,8 @@ def test_quality_change_reports_finite():
     am = AdaptiveMesh(m)
     rng = np.random.default_rng(1)
     am.refine(am.mark(edge_mask=rng.random(m.nedges) < 0.3))
-    qc = quality_change(m, am.mesh)
-    assert all(np.isfinite(v) for v in qc.values())
-    assert qc["worst_after"] >= qc["mean_after"]
+    before = aspect_ratios(m.coords, m.elems)
+    after = aspect_ratios(am.mesh.coords, am.mesh.elems)
+    assert np.all(np.isfinite(after))
     # bisection can degrade quality, but not unboundedly at one level
-    assert qc["worst_after"] < 20 * qc["worst_before"]
+    assert after.max() < 20 * before.max()

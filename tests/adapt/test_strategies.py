@@ -1,15 +1,10 @@
-"""Geometric marking strategies."""
+"""Geometric marking: the sphere."""
 
 import numpy as np
 import pytest
 
 from repro.adapt import AdaptiveMesh
-from repro.adapt.strategies import (
-    mark_cylinder,
-    mark_halfspace,
-    mark_shell,
-    mark_sphere,
-)
+from repro.adapt.strategies import mark_sphere
 from repro.mesh import box_mesh, edge_midpoints
 
 
@@ -26,36 +21,9 @@ def test_sphere_marks_inside_only(mesh):
     assert 0 < mask.sum() < mesh.nedges
 
 
-def test_shell_excludes_core(mesh):
-    mask = mark_shell(mesh, (0.5, 0.5, 0.5), radius=0.35, thickness=0.1)
-    mid = edge_midpoints(mesh.coords, mesh.edges)
-    d = np.linalg.norm(mid - 0.5, axis=1)
-    assert not mask[d < 0.25].any()
-    assert not mask[d > 0.45].any()
-
-
-def test_cylinder_contains_axis_edges(mesh):
-    mask = mark_cylinder(mesh, (0.0, 0.5, 0.5), (1.0, 0.5, 0.5), 0.2)
-    mid = edge_midpoints(mesh.coords, mesh.edges)
-    near_axis = np.linalg.norm(mid[:, 1:] - 0.5, axis=1) < 0.1
-    assert mask[near_axis].all()
-
-
-def test_halfspace_splits(mesh):
-    mask = mark_halfspace(mesh, (0.5, 0, 0), (1, 0, 0))
-    mid = edge_midpoints(mesh.coords, mesh.edges)
-    assert np.array_equal(mask, mid[:, 0] >= 0.5)
-
-
 def test_validation(mesh):
     with pytest.raises(ValueError):
         mark_sphere(mesh, (0, 0, 0), -1.0)
-    with pytest.raises(ValueError):
-        mark_shell(mesh, (0, 0, 0), 0.3, 0.0)
-    with pytest.raises(ValueError):
-        mark_cylinder(mesh, (0, 0, 0), (0, 0, 0), 0.1)
-    with pytest.raises(ValueError):
-        mark_halfspace(mesh, (0, 0, 0), (0, 0, 0))
 
 
 def test_geometric_refinement_end_to_end(mesh):

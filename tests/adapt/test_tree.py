@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.adapt import AdaptiveMesh, RefinementForest, propagate_markings
-from repro.mesh import box_mesh, single_tet, two_tets
+from repro.mesh import box_mesh
+
+from tests.fixtures import single_tet, two_tets
 
 
 def test_initial_weights():

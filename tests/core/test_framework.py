@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.adapt import AdaptiveMesh
 from repro.core import CostModel, LoadBalancedAdaptiveSolver
+from repro.experiments import make_case
 from repro.mesh import box_mesh, edge_midpoints
 from repro.parallel import MachineModel
+from repro.partition import multilevel_kway
 
 CHEAP_MACHINE = MachineModel(t_setup=1e-5, t_word=1e-7, t_work=1e-6)
 
@@ -37,8 +40,6 @@ def test_constructor_validation():
 
 
 def test_unknown_backend_name_is_refused_before_any_partitioning():
-    from repro.partition import multilevel_kway
-
     with pytest.raises(ValueError, match="unknown communicator backend 'bogus'; "
                                          "available: .*virtual"):
         LoadBalancedAdaptiveSolver(box_mesh(2, 2, 2), 2, backend="bogus")
@@ -52,6 +53,20 @@ def test_initial_partition_balanced():
     s = make_solver(4)
     assert s.solver_imbalance() <= 1.15
     assert np.bincount(s.part, minlength=4).min() > 0
+
+
+def test_a_refined_mesh_is_partitioned_by_its_leaf_counts():
+    """A mesh handed over already refined is balanced by Wcomp (leaves per
+    initial element), not by one unit per initial element."""
+    case = make_case(4)
+    am = AdaptiveMesh(case.mesh, solution=case.solution)
+    am.refine(am.mark(edge_mask=case.marking_mask("Real_3")))
+    assert am.wcomp().max() > 1
+    s = LoadBalancedAdaptiveSolver(am, 8)
+    assert s.solver_imbalance() < 1.1  # 1.30 when partitioned unit-weighted
+    # on a fresh mesh Wcomp is all ones: the partition of the bare dual graph
+    fresh = LoadBalancedAdaptiveSolver(case.mesh, 8)
+    assert np.array_equal(fresh.part, multilevel_kway(fresh.dual.graph, 8, seed=0))
 
 
 def test_localized_refinement_triggers_rebalance():

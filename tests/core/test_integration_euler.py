@@ -6,18 +6,18 @@ adapt, balance, solve again on the refined mesh.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import CostModel, LoadBalancedAdaptiveSolver
 from repro.mesh import box_mesh
 from repro.parallel import MachineModel
-from repro.solver import EulerSolver, density_indicator, spherical_blast_field
+from repro.solver import EulerSolver, density_indicator
+
+from tests.fixtures import spherical_blast_field
 
 CHEAP = MachineModel(t_setup=1e-5, t_word=1e-7, t_work=1e-6)
 
 
-@pytest.mark.parametrize("order", [1, 2])
-def test_solve_adapt_solve_cycle(order):
+def test_solve_adapt_solve_cycle():
     mesh = box_mesh(3, 3, 3)
     q0 = spherical_blast_field(mesh.coords, center=(0.3, 0.3, 0.3), radius=0.2)
     solver = LoadBalancedAdaptiveSolver(
@@ -28,7 +28,7 @@ def test_solve_adapt_solve_cycle(order):
 
     for step in range(2):
         cur = solver.adaptive.mesh
-        flow = EulerSolver(cur, solver.adaptive.solution, order=order)
+        flow = EulerSolver(cur, solver.adaptive.solution)
         flow.run(4, cfl=0.3)
         solver.adaptive.solution = flow.q
         err = density_indicator(cur, flow.q)

@@ -5,8 +5,10 @@ import pytest
 
 from repro.dist import decompose
 from repro.dist.decompose import _spl_csr, rank_incidence
-from repro.mesh import box_mesh, two_tets
+from repro.mesh import box_mesh
 from repro.partition import Graph, multilevel_kway
+
+from tests.fixtures import two_tets
 
 
 def test_two_tets_two_ranks():

@@ -7,9 +7,11 @@ from repro.adapt import is_valid, propagate_markings
 from repro.adapt.marking import element_patterns
 from repro.dist import decompose
 from repro.dist.exec_phase import parallel_mark
-from repro.mesh import box_mesh, two_tets
+from repro.mesh import box_mesh
 from repro.parallel import IDEAL
 from repro.partition import Graph, multilevel_kway
+
+from tests.fixtures import two_tets
 
 
 @pytest.mark.parametrize("nproc", [1, 2, 3, 4, 6])

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.dist import decompose, finalize, migrate
-from repro.mesh import box_mesh, tet_volumes, two_tets
+from repro.mesh import box_mesh, tet_volumes
 from repro.partition import Graph, multilevel_kway
+
+from tests.fixtures import two_tets
 
 
 def canonical(mesh):

@@ -6,9 +6,11 @@ import pytest
 from repro.adapt import propagate_markings, subdivide
 from repro.dist import decompose
 from repro.dist.refine_exec import canonical_signature, parallel_refine
-from repro.mesh import box_mesh, two_tets
+from repro.mesh import box_mesh
 from repro.parallel import IDEAL
 from repro.partition import Graph, multilevel_kway
+
+from tests.fixtures import two_tets
 
 
 @pytest.mark.parametrize("nproc", [1, 2, 4])

@@ -6,12 +6,8 @@ formatting) — the sweep-level behaviour is covered by the ``test_fig*`` /
 import numpy as np
 import pytest
 
-from repro.experiments import (
-    CASE_NAMES,
-    REAL_FRACTIONS,
-    make_case,
-    max_improvement,
-)
+from repro.experiments import CASE_NAMES, REAL_FRACTIONS, make_case
+from repro.experiments.figures import max_improvement
 from repro.experiments.report import format_series, format_table1
 
 

@@ -53,10 +53,10 @@ def test_both_paths_show_subdivision_imbalance(case):
 
     from repro.adapt.refine import subdivide
     from repro.core.evaluate import load_imbalance
-    from repro.partition import rcb_partition
 
-    # balanced-by-count partition (RCB) vs one aligned with the feature
-    part_bal = rcb_partition(cent, np.ones(mesh.ne), 4)
+    # balanced-by-count partition (multilevel, unit weights) vs one aligned
+    # with the feature
+    part_bal = multilevel_kway(Graph.from_pairs(mesh.dual_pairs, mesh.ne), 4, seed=0)
     d = case.blade.distance(cent)
     part_skew = np.clip((d * 4 / d.max()).astype(np.int64), 0, 3)
 

@@ -32,7 +32,7 @@ def fresh(code: str) -> str:
 
 
 def test_every_public_name_is_its_home_submodules_attribute():
-    assert len(experiments.__all__) == 22
+    assert len(experiments.__all__) == 21
     for name in experiments.__all__:
         value = getattr(experiments, name)  # loads the home submodule
         home = sys.modules[f"repro.experiments.{experiments._HOME[name]}"]

@@ -20,7 +20,7 @@ lives here, unchanged, as the oracle it must match bit for bit:
   :func:`scatter_add_components_reference` — ``np.add.at`` on zeros.
 
 The solver's AoS kernels — :func:`edge_normals_aos`,
-:func:`gas_state_aos` and the flux cores in :data:`AOS_FLUXES` — are
+:func:`gas_state_aos` and the flux core :func:`rusanov_aos` — are
 oracles too, but not substituted: the equivalence tests call them directly.
 So are SciPy's ``scipy.optimize.linear_sum_assignment`` and
 ``scipy.sparse.csgraph.maximum_bipartite_matching``, the routines
@@ -822,53 +822,6 @@ def rusanov_aos(qL, qR, gL, gR, n, area) -> np.ndarray:
     jump *= half_speed[:, None]
     f -= jump
     return f
-
-
-def hllc_aos(qL, qR, gL, gR, n, area) -> np.ndarray:
-    safe = np.maximum(area, 1e-300)
-    nhat = n / safe[:, None]
-    rhoL, velL, pL, cL, _ = gL
-    rhoR, velR, pR, cR, _ = gR
-    unL = np.einsum("ij,ij->i", velL, nhat)
-    unR = np.einsum("ij,ij->i", velR, nhat)
-    sL = np.minimum(unL - cL, unR - cR)
-    sR = np.maximum(unL + cL, unR + cR)
-    denom = rhoL * (sL - unL) - rhoR * (sR - unR)
-    sM = (pR - pL + rhoL * unL * (sL - unL) - rhoR * unR * (sR - unR)) / np.where(
-        np.abs(denom) > 1e-300, denom, 1e-300
-    )
-    fL = physical_flux_aos(qL, gL, nhat)
-    fR = physical_flux_aos(qR, gR, nhat)
-
-    def star_state(q, rho, un, p, s, sm):
-        factor = rho * (s - un) / np.where(np.abs(s - sm) > 1e-300, s - sm, 1e-300)
-        qs = np.empty_like(q)
-        qs[:, 0] = factor
-        vel = q[:, 1:4] / rho[:, None]
-        qs[:, 1:4] = factor[:, None] * (vel + (sm - un)[:, None] * nhat)
-        e = q[:, 4] / rho
-        qs[:, 4] = factor * (
-            e + (sm - un) * (sm + p / (rho * np.where(np.abs(s - un) > 1e-300,
-                                                      s - un, 1e-300)))
-        )
-        return qs
-
-    qLs = star_state(qL, rhoL, unL, pL, sL, sM)
-    qRs = star_state(qR, rhoR, unR, pR, sR, sM)
-    f = np.where(
-        (sL >= 0)[:, None],
-        fL,
-        np.where(
-            (sM >= 0)[:, None],
-            fL + sL[:, None] * (qLs - qL),
-            np.where((sR >= 0)[:, None], fR + sR[:, None] * (qRs - qR), fR),
-        ),
-    )
-    return f * area[:, None]
-
-
-#: flux name → AoS core ``(qL, qR, gL, gR, n, area)`` over ``(m, 5)`` states.
-AOS_FLUXES = {"rusanov": rusanov_aos, "hllc": hllc_aos}
 
 
 # --- the switch ---------------------------------------------------------------

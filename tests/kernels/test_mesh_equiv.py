@@ -13,10 +13,12 @@ import pytest
 
 from repro.adapt import AdaptiveMesh
 from repro.adapt.marking import _edge_rank_incidence
-from repro.mesh import TetMesh, box_mesh, rotor_domain_mesh, single_tet, two_tets
+from repro.mesh import TetMesh, box_mesh, rotor_domain_mesh
 from repro.mesh.build import build_edges, build_faces, csr_from_pairs
 from repro.mesh.geometry import tet_volumes
 from repro.mesh.topology import LOCAL_EDGES, LOCAL_FACES
+
+from tests.fixtures import single_tet, two_tets
 
 
 # --- oracles -----------------------------------------------------------------

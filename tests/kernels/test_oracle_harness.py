@@ -11,6 +11,7 @@ switch — and that the fork the oracles replaced cannot come back into
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -44,9 +45,8 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 # --- (i) the one property behind the five deleted solver branches ------------
 
-#: trailing shapes the solver scatters: scalars (dual volumes, CFL sums),
-#: edge normals, the least-squares normal matrices, states and their
-#: right-hand sides
+#: trailing shapes: the ones the solver scatters — scalars (dual volumes,
+#: CFL sums), edge normals, states — and wider rows
 TRAILING = [(), (3,), (3, 3), (5,), (2, 3), (5, 3)]
 
 
@@ -284,6 +284,104 @@ def test_src_has_one_remapper_and_one_launcher():
     }
     assert len(resolves) > 10  # the glob found both packages
     assert {k: n for k, n in resolves.items() if n} == {"repro/dist/_launch.py": 1}
+
+
+#: Where a product caller may live: the package, the examples, the scripts
+#: and the benchmark.
+CALLERS = [SRC, SRC.parent / "examples", SRC.parent / "scripts",
+           SRC.parent / "benchmarks"]
+
+#: ``module:name`` strings (``benchmarks/e2e/spans.py``'s rebinding targets).
+TARGET = re.compile(r"\brepro[\w.]*:(\w+)")
+
+#: Exported names kept without a product caller, each for a written reason.
+ALLOWLIST = {
+    "is_valid": "the pattern invariant the adaptor and rank-program tests "
+                "hold every marking fixpoint to",
+    "IDEAL": "the contention-free machine the property tests price against",
+    "register_backend": "the extension point a new communicator backend "
+                        "registers through",
+}
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every name, attribute and ``module:name`` target a module mentions."""
+    used = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            used.update(TARGET.findall(n.value))
+    return used
+
+
+def _returned(node: ast.AST) -> set[str]:
+    """Names in the return annotations of a function, or of a class's
+    methods."""
+    defs = node.body if isinstance(node, ast.ClassDef) else [node]
+    names = set()
+    for d in defs:
+        if isinstance(d, ast.FunctionDef) and d.returns is not None:
+            for n in ast.walk(d.returns):
+                if isinstance(n, ast.Name):
+                    names.add(n.id)
+                elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                    names.update(re.findall(r"\w+", n.value))
+    return names
+
+
+def test_every_exported_name_has_a_product_caller():
+    """Every name in a ``repro`` module's ``__all__`` is referenced from a
+    module other than the one exporting it and the one defining it, under
+    ``src/``, ``examples/``, ``scripts/`` or ``benchmarks/``; or it is a
+    class a live name's return annotation names (a result type); or it
+    is in :data:`ALLOWLIST`.  A name only its own module uses leaves
+    ``__all__``; one only the tests use leaves ``src/``."""
+    trees = {p: ast.parse(p.read_text())
+             for root in CALLERS for p in sorted(root.rglob("*.py"))}
+    assert len(trees) > 100  # the globs found the tree
+    used = {p: _used_names(tree) for p, tree in trees.items()}
+    defined: dict[str, list[tuple[Path, ast.AST]]] = {}
+    for p, tree in trees.items():
+        if SRC not in p.parents:
+            continue
+        for s in tree.body:
+            if isinstance(s, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(s.name, []).append((p, s))
+            elif isinstance(s, (ast.Assign, ast.AnnAssign)):
+                for t in s.targets if isinstance(s, ast.Assign) else [s.target]:
+                    if isinstance(t, ast.Name):
+                        defined.setdefault(t.id, []).append((p, s))
+
+    exported = {}
+    for p, tree in trees.items():
+        if SRC in p.parents and any(
+            isinstance(t, ast.Name) and t.id == "__all__"
+            for s in tree.body if isinstance(s, ast.Assign) for t in s.targets
+        ):
+            module = ".".join(p.relative_to(SRC).with_suffix("").parts)
+            module = module.removesuffix(".__init__")
+            exported[p] = importlib.import_module(module).__all__
+    assert len(exported) > 50
+
+    live, orphans = set(), []
+    for p, names in exported.items():
+        for name in names:
+            homes = [h for h, _ in defined.get(name, [])]
+            home = p if p in homes or len(homes) != 1 else homes[0]
+            if any(name in u for q, u in used.items() if q not in (p, home)):
+                live.add(name)
+            else:
+                orphans.append((str(p.relative_to(SRC)), name))
+    results = {
+        r for name in live for _, node in defined.get(name, []) for r in _returned(node)
+    }
+    assert set(ALLOWLIST) <= {name for _, name in orphans}, "stale allowlist entries"
+    assert len(ALLOWLIST) <= 25
+    missing = [(m, n) for m, n in orphans if n not in results and n not in ALLOWLIST]
+    assert missing == [], f"exported names no product code uses: {missing}"
 
 
 def test_src_calls_every_comm_method_and_yields_every_op():

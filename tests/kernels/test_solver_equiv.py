@@ -1,8 +1,8 @@
 """Optimized solver kernels must match the straightforward ones bit-for-bit.
 
 Three oracles: the ``np.add.at`` accumulation behind ``reference_kernels()``;
-the AoS kernels of ``oracles.py`` — edge normals, gas state and flux cores
-on ``(n, 3)`` / ``(n, 5)`` rows, before they moved to component-major
+the AoS kernels of ``oracles.py`` — edge normals, gas state and the Rusanov
+core on ``(n, 3)`` / ``(n, 5)`` rows, before they moved to component-major
 ``(3, n)`` / ``(5, n)`` rows — driven by :class:`AosSolver`; and — below —
 the flux and CFL formulas as they were before the gas state was evaluated
 once per state array: every flux call re-deriving ``primitive()`` from
@@ -16,20 +16,14 @@ from repro.mesh import rotor_domain_mesh
 from repro.mesh.generate import box_mesh
 from repro.solver import rotor_acoustics_field
 from repro.solver.euler import EulerSolver, dual_volumes, edge_normals
-from repro.solver.fluxes import FLUXES, hllc_flux, physical_flux, rusanov_flux
-from repro.solver.periodic import box_periodic_pairs
-from repro.solver.reconstruct import (
-    limit_barth_jespersen,
-    lsq_gradients,
-    muscl_edge_states,
-)
-from repro.solver.state import GAMMA, gas_state, max_wave_speed, primitive, sound_speed
+from repro.solver.fluxes import _physical_flux, _rusanov
+from repro.solver.state import GAMMA, gas_state, primitive
 
 from .oracles import (
-    AOS_FLUXES,
     edge_normals_aos,
     gas_state_aos,
     reference_kernels,
+    rusanov_aos,
     scatter_add_rows_reference,
 )
 
@@ -55,33 +49,16 @@ def test_geometry_kernels_bit_identical():
     assert np.array_equal(edge_normals(mesh), edge_normals_aos(mesh))
 
 
-def test_lsq_gradients_bit_identical():
-    mesh = box_mesh(3, 3, 3)
-    q = _state(mesh, seed=3)
-    with reference_kernels():
-        ref = lsq_gradients(mesh, q)
-    assert np.array_equal(lsq_gradients(mesh, q), ref)
+def test_solver_run_bit_identical():
+    _check_run_bit_identical(box_mesh(3, 3, 3))
 
 
-@pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("flux", ["rusanov", "hllc"])
-def test_solver_run_bit_identical(order, flux):
-    mesh = box_mesh(3, 3, 3)
-    pairs = box_periodic_pairs(mesh, axis=0)
-    for time_scheme in ("euler", "rk2", "rk3"):
-        for periodic_pairs in (None, pairs):
-            _check_run_bit_identical(
-                mesh, order=order, flux=flux, time_scheme=time_scheme,
-                periodic_pairs=periodic_pairs,
-            )
-
-
-def _check_run_bit_identical(mesh, **options):
+def _check_run_bit_identical(mesh):
     q0 = _state(mesh)
-    opt = EulerSolver(mesh, q0.copy(), **options)
+    opt = EulerSolver(mesh, q0.copy())
     opt.run(3)
     with reference_kernels():
-        ref = EulerSolver(mesh, q0.copy(), **options)
+        ref = EulerSolver(mesh, q0.copy())
         ref.run(3)
     assert np.array_equal(opt.vol, ref.vol)
     assert np.array_equal(opt.normals, ref.normals)
@@ -95,7 +72,7 @@ def _check_run_bit_identical(mesh, **options):
     # ... the solver on the AoS kernels, and the one whose every flux call
     # starts again from primitive()
     for oracle in (AosSolver, StraightforwardSolver):
-        plain = oracle(mesh, q0.copy(), **options)
+        plain = oracle(mesh, q0.copy())
         plain.run(3)
         assert np.array_equal(opt.q, plain.q)
         assert opt.stable_dt() == plain.stable_dt()
@@ -131,24 +108,13 @@ class AosSolver(EulerSolver):
         # the stages hand over component-major states; back to AoS rows
         q = np.ascontiguousarray(qt.T)
         e = self.mesh.edges
-        if self.order == 2:
-            grads = lsq_gradients(self.mesh, q)
-            psi = limit_barth_jespersen(self.mesh, q, grads)
-            qL, qR = muscl_edge_states(self.mesh, q, grads, psi)
-            gL, gR = gas_state_aos(qL), gas_state_aos(qR)
-        else:
-            gas = gas_state_aos(q)
-            qL, qR = q[e[:, 0]], q[e[:, 1]]
-            gL, gR = gas.take(e[:, 0]), gas.take(e[:, 1])
-        f = AOS_FLUXES[self.flux](qL, qR, gL, gR, self.normals, self._area)
+        gas = gas_state_aos(q)
+        qL, qR = q[e[:, 0]], q[e[:, 1]]
+        gL, gR = gas.take(e[:, 0]), gas.take(e[:, 1])
+        f = rusanov_aos(qL, qR, gL, gR, self.normals, self._area)
         res = scatter_add_rows_reference(
             e.T.ravel(), np.concatenate([-f, f]), q.shape[0]
         )
-        if self.periodic_pairs is not None:
-            a, b = self.periodic_pairs[:, 0], self.periodic_pairs[:, 1]
-            combined = res[a] + res[b]
-            res[a] = combined
-            res[b] = combined
         return res.T
 
     def _stable_dt(self, gas, cfl):
@@ -190,52 +156,6 @@ def oracle_rusanov_flux(qL, qR, n):
     return f
 
 
-def oracle_hllc_flux(qL, qR, n):
-    area = np.linalg.norm(n, axis=1)
-    nhat = n / np.maximum(area, 1e-300)[:, None]
-    rhoL, velL, pL = primitive(qL)
-    rhoR, velR, pR = primitive(qR)
-    unL = np.einsum("ij,ij->i", velL, nhat)
-    unR = np.einsum("ij,ij->i", velR, nhat)
-    cL = np.sqrt(GAMMA * np.maximum(pL, 1e-300) / rhoL)
-    cR = np.sqrt(GAMMA * np.maximum(pR, 1e-300) / rhoR)
-    sL = np.minimum(unL - cL, unR - cR)
-    sR = np.maximum(unL + cL, unR + cR)
-    denom = rhoL * (sL - unL) - rhoR * (sR - unR)
-    sM = (pR - pL + rhoL * unL * (sL - unL) - rhoR * unR * (sR - unR)) / np.where(
-        np.abs(denom) > 1e-300, denom, 1e-300
-    )
-    fL = oracle_physical_flux(qL, nhat)
-    fR = oracle_physical_flux(qR, nhat)
-
-    def star_state(q, rho, un, p, s, sm):
-        factor = rho * (s - un) / np.where(np.abs(s - sm) > 1e-300, s - sm, 1e-300)
-        qs = np.empty_like(q)
-        qs[:, 0] = factor
-        vel = q[:, 1:4] / rho[:, None]
-        qs[:, 1:4] = factor[:, None] * (vel + (sm - un)[:, None] * nhat)
-        e = q[:, 4] / rho
-        guard = np.where(np.abs(s - un) > 1e-300, s - un, 1e-300)
-        qs[:, 4] = factor * (e + (sm - un) * (sm + p / (rho * guard)))
-        return qs
-
-    qLs = star_state(qL, rhoL, unL, pL, sL, sM)
-    qRs = star_state(qR, rhoR, unR, pR, sR, sM)
-    f = np.where(
-        (sL >= 0)[:, None],
-        fL,
-        np.where(
-            (sM >= 0)[:, None],
-            fL + sL[:, None] * (qLs - qL),
-            np.where((sR >= 0)[:, None], fR + sR[:, None] * (qRs - qR), fR),
-        ),
-    )
-    return f * area[:, None]
-
-
-ORACLE_FLUXES = {"rusanov": oracle_rusanov_flux, "hllc": oracle_hllc_flux}
-
-
 class StraightforwardSolver(EulerSolver):
     """``EulerSolver`` with the residual and CFL bound it had before: edge
     states gathered first, then handed to a flux that evaluates them itself."""
@@ -244,23 +164,14 @@ class StraightforwardSolver(EulerSolver):
         # the stages hand over component-major states; back to AoS rows
         q = np.ascontiguousarray(qt.T)
         e = self.mesh.edges
-        if self.order == 2:
-            grads = lsq_gradients(self.mesh, q)
-            psi = limit_barth_jespersen(self.mesh, q, grads)
-            qL, qR = muscl_edge_states(self.mesh, q, grads, psi)
-        else:
-            qL, qR = q[e[:, 0]], q[e[:, 1]]
         # C-ordered (nedges, 3) rows, as the normals were: einsum's summation
         # order over a row depends on the layout (DESIGN.md §9)
-        f = ORACLE_FLUXES[self.flux](qL, qR, np.ascontiguousarray(self.normals))
+        f = oracle_rusanov_flux(
+            q[e[:, 0]], q[e[:, 1]], np.ascontiguousarray(self.normals)
+        )
         res = np.zeros_like(q)
         np.subtract.at(res, e[:, 0], f)
         np.add.at(res, e[:, 1], f)
-        if self.periodic_pairs is not None:
-            a, b = self.periodic_pairs[:, 0], self.periodic_pairs[:, 1]
-            combined = res[a] + res[b]
-            res[a] = combined
-            res[b] = combined
         return res.T
 
     def _stable_dt(self, gas, cfl):
@@ -297,49 +208,57 @@ def _edge_inputs(seed):
     return qL, qR, normals
 
 
+def _core(qL, qR, n):
+    """``_rusanov`` of ``(m, 5)`` states and ``(m, 3)`` areas, as ``(m, 5)``:
+    evaluated on component-major rows, the way the solver calls it."""
+    qLt, qRt = np.ascontiguousarray(qL.T), np.ascontiguousarray(qR.T)
+    area = np.linalg.norm(n, axis=1)
+    return _rusanov(
+        qLt, qRt, gas_state(qLt), gas_state(qRt), np.ascontiguousarray(n.T), area
+    ).T
+
+
 @pytest.mark.parametrize("seed", [0, 1])
-def test_public_fluxes_match_the_formulas_they_replaced(seed):
+def test_flux_core_matches_the_formulas_it_replaced(seed):
     qL, qR, n = _edge_inputs(seed)
-    assert np.array_equal(rusanov_flux(qL, qR, n), oracle_rusanov_flux(qL, qR, n))
-    assert np.array_equal(hllc_flux(qL, qR, n), oracle_hllc_flux(qL, qR, n))
-    assert np.array_equal(physical_flux(qL, n), oracle_physical_flux(qL, n))
-    assert np.array_equal(max_wave_speed(qL), oracle_max_wave_speed(qL))
+    assert np.array_equal(_core(qL, qR, n), oracle_rusanov_flux(qL, qR, n))
+    qt = np.ascontiguousarray(qL.T)
+    gas = gas_state(qt)
+    nt = np.ascontiguousarray(n.T)
+    assert np.array_equal(_physical_flux(qt, gas, nt).T, oracle_physical_flux(qL, n))
+    assert np.array_equal(gas.lam, oracle_max_wave_speed(qL))
     _rho, _vel, p = primitive(qL)
-    assert np.array_equal(
-        sound_speed(qL), np.sqrt(GAMMA * np.maximum(p, 1e-300) / qL[:, 0])
-    )
+    assert np.array_equal(gas.c, np.sqrt(GAMMA * np.maximum(p, 1e-300) / qL[:, 0]))
 
 
-@pytest.mark.parametrize("flux, public", [("rusanov", rusanov_flux), ("hllc", hllc_flux)])
-def test_public_flux_equals_the_solvers_edge_flux(flux, public):
+def test_solver_edge_flux_equals_the_flux_of_gathered_states():
     """Gas state at the vertices, gathered to the edges == gas state of the
     gathered edge states: a gather commutes with row-wise arithmetic."""
     mesh = box_mesh(4, 3, 3)
-    solver = EulerSolver(mesh, _state(mesh, seed=5), flux=flux)
+    solver = EulerSolver(mesh, _state(mesh, seed=5))
     q, lo, hi = solver.q, solver._lo, solver._hi
     assert np.array_equal(np.column_stack([lo, hi]), mesh.edges)
     qt = np.ascontiguousarray(q.T)
     gas = gas_state(qt)
-    internal = solver._edge_flux(
+    internal = _rusanov(
         qt[:, lo], qt[:, hi], gas.take(lo), gas.take(hi), solver._nt, solver._area
     )
-    assert np.array_equal(public(q[lo], q[hi], solver.normals), internal.T)
+    assert np.array_equal(_core(q[lo], q[hi], solver.normals), internal.T)
     for evaluated, gathered in zip(gas_state(qt[:, lo]), gas.take(lo)):
         assert np.array_equal(evaluated, gathered)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("flux", sorted(FLUXES))
-def test_flux_cores_match_the_aos_cores(seed, flux):
-    """Each component-major core equals its AoS original, on contiguous
-    rows (the solver) and on transposed views (the public wrappers)."""
+def test_flux_cores_match_the_aos_cores(seed):
+    """The component-major core equals its AoS original, on contiguous
+    rows (the solver) and on transposed views."""
     qL, qR, n = _edge_inputs(seed)
     area = np.linalg.norm(n, axis=1)
     gL, gR = gas_state_aos(qL), gas_state_aos(qR)
-    expect = AOS_FLUXES[flux](qL, qR, gL, gR, n, area)
+    expect = rusanov_aos(qL, qR, gL, gR, n, area)
     for rows in (np.ascontiguousarray, np.asarray):
         qLt, qRt, nt = rows(qL.T), rows(qR.T), rows(n.T)
         gLt, gRt = gas_state(qLt), gas_state(qRt)
         for field, aos in zip(gLt, gL):
             assert np.array_equal(field, aos.T)
-        assert np.array_equal(FLUXES[flux](qLt, qRt, gLt, gRt, nt, area).T, expect)
+        assert np.array_equal(_rusanov(qLt, qRt, gLt, gRt, nt, area).T, expect)

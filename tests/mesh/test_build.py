@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.mesh import single_tet, two_tets
 from repro.mesh.build import (
     MAX_NV_EDGES,
     MAX_NV_FACES,
@@ -12,6 +11,8 @@ from repro.mesh.build import (
     csr_from_pairs,
     invert_to_csr,
 )
+
+from tests.fixtures import single_tet, two_tets
 
 
 def test_single_tet_counts():

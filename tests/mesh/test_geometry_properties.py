@@ -4,7 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mesh import aspect_ratios, box_mesh, edge_lengths, edge_midpoints
+from repro.mesh import box_mesh, edge_lengths, edge_midpoints
+
+from tests.fixtures import aspect_ratios
 
 
 @given(

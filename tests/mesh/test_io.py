@@ -1,45 +1,12 @@
-"""Mesh persistence round trips and VTK export."""
+"""VTK export."""
 
 import numpy as np
 import pytest
 
-from repro.mesh import box_mesh, single_tet
-from repro.mesh.io import load_mesh, save_mesh, write_vtk
+from repro.mesh import box_mesh
+from repro.mesh.io import write_vtk
 
-
-def test_save_load_roundtrip(tmp_path):
-    m = box_mesh(2, 3, 2)
-    path = str(tmp_path / "mesh.npz")
-    save_mesh(path, m)
-    m2, sol = load_mesh(path)
-    assert sol is None
-    assert np.array_equal(m2.coords, m.coords)
-    assert np.array_equal(m2.elems, m.elems)
-    assert np.array_equal(m2.edges, m.edges)  # connectivity re-derived
-    m2.check()
-
-
-def test_save_load_with_solution(tmp_path):
-    m = single_tet()
-    sol = np.arange(4 * 5, dtype=float).reshape(4, 5)
-    path = str(tmp_path / "s.npz")
-    save_mesh(path, m, solution=sol)
-    _m2, sol2 = load_mesh(path)
-    assert np.array_equal(sol2, sol)
-
-
-def test_solution_shape_validated(tmp_path):
-    m = single_tet()
-    with pytest.raises(ValueError, match="solution"):
-        save_mesh(str(tmp_path / "x.npz"), m, solution=np.zeros((3, 1)))
-
-
-def test_version_check(tmp_path):
-    m = single_tet()
-    path = str(tmp_path / "v.npz")
-    np.savez(path, format_version=np.int64(99), coords=m.coords, elems=m.elems)
-    with pytest.raises(ValueError, match="version"):
-        load_mesh(path)
+from tests.fixtures import single_tet
 
 
 def test_vtk_export(tmp_path):

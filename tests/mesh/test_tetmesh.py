@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.mesh import TetMesh, box_mesh, rotor_domain_mesh, single_tet, tet_volumes
+from repro.mesh import TetMesh, box_mesh, rotor_domain_mesh, tet_volumes
+
+from tests.fixtures import single_tet
 
 
 def test_box_mesh_counts():

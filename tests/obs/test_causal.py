@@ -10,13 +10,14 @@ from repro.obs import (
     format_critical_path,
     format_diff,
     rank_stats,
-    run_from_result,
     runs_from_tracer,
     verify_makespans,
 )
 from repro.obs.causal import chain_of, format_chain, node_slack
 from repro.parallel import SP2_1997, VirtualMachine
 from repro.parallel.ledger import CostLedger
+
+from tests.fixtures import run_from_result
 
 
 def pingpong(comm):

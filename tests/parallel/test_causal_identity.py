@@ -12,9 +12,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.obs import Tracer, critical_path, rank_stats, run_from_result
+from repro.obs import Tracer, critical_path, rank_stats
 from repro.parallel import ANY, DeadlockError, SP2_1997, VirtualMachine
 from repro.parallel.runtime import per_rank
+
+from tests.fixtures import run_from_result
 
 
 def _assert_identity(res, nranks):

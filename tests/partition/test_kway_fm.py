@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.cases import make_case
-from repro.partition import Graph, edgecut, loads, multilevel_kway, random_partition
+from repro.partition import Graph, edgecut, loads, multilevel_kway
 from repro.partition.fm_refine import _boundary_moves, kway_fm_refine
 
 from .test_partition_properties import random_connected_graph
@@ -65,7 +65,7 @@ def test_properties_on_random_weighted_graphs(n, extra, k, seed, balanced):
 def test_properties_on_rotor_duals(resolution, k):
     g = _dual(resolution)
     # a random partition, its cut as bad as cuts get: there is work to do
-    part = random_partition(g, k, seed=k)
+    part = np.random.default_rng(k).integers(0, k, size=g.n)
     out = kway_fm_refine(g, part, k, ub=UB)
     _check(g, part, k, out)
     assert edgecut(g, out) < edgecut(g, part)

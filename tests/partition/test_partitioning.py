@@ -6,15 +6,11 @@ import pytest
 from repro.mesh import box_mesh
 from repro.partition import (
     Graph,
-    block_partition,
-    comm_volume,
     edgecut,
     imbalance,
     loads,
     multilevel_bisect,
     multilevel_kway,
-    random_partition,
-    rcb_partition,
     repartition,
 )
 
@@ -59,7 +55,7 @@ def test_kway_balance(k):
 def test_kway_beats_random_cut():
     g, _ = dual_graph_of_box(4, 4, 4)
     part = multilevel_kway(g, 8, seed=0)
-    rand = random_partition(g, 8, seed=0)
+    rand = np.random.default_rng(0).integers(0, 8, size=g.n)
     assert edgecut(g, part) < 0.5 * edgecut(g, rand)
 
 
@@ -80,30 +76,6 @@ def test_weighted_balance():
     g = g.with_vwgt(wv[: g.n])
     part = multilevel_kway(g, 4, seed=2)
     assert imbalance(g, part, 4) <= 1.15
-
-
-def test_block_partition_balances_weights():
-    g = grid_graph(10, 1)
-    g = g.with_vwgt(np.array([1, 1, 1, 1, 6, 1, 1, 1, 1, 1]))
-    part = block_partition(g, 2)
-    ld = loads(g, part, 2)
-    assert abs(ld[0] - ld[1]) <= 6  # can't split the heavy vertex
-
-
-def test_rcb_partition_on_coordinates():
-    m = box_mesh(4, 4, 4)
-    cent = m.coords[m.elems].mean(axis=1)
-    part = rcb_partition(cent, np.ones(m.ne), 8)
-    ld = np.bincount(part, minlength=8)
-    assert ld.min() > 0
-    assert ld.max() / (m.ne / 8) < 1.05
-
-
-def test_comm_volume_zero_for_single_part():
-    g = grid_graph(5, 5)
-    assert comm_volume(g, np.zeros(g.n, dtype=np.int64), 1) == 0
-    part = multilevel_kway(g, 4, seed=0)
-    assert comm_volume(g, part, 4) > 0
 
 
 def test_determinism():

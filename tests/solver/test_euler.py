@@ -5,14 +5,10 @@ import numpy as np
 import pytest
 
 from repro.mesh import box_mesh, rotor_domain_mesh
-from repro.solver import (
-    EulerSolver,
-    dual_volumes,
-    edge_normals,
-    rotor_acoustics_field,
-    spherical_blast_field,
-    uniform_flow,
-)
+from repro.solver import EulerSolver, rotor_acoustics_field
+from repro.solver.euler import dual_volumes, edge_normals
+
+from tests.fixtures import spherical_blast_field, uniform_flow
 
 
 def test_dual_volumes_tile_the_domain():

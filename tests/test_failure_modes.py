@@ -10,9 +10,11 @@ import pytest
 
 from repro.adapt import AdaptiveMesh, propagate_markings
 from repro.core import CostModel, LoadBalancedAdaptiveSolver, similarity_matrix
-from repro.mesh import TetMesh, box_mesh, single_tet
+from repro.mesh import TetMesh, box_mesh
 from repro.parallel import DeadlockError, MachineModel, VirtualMachine
-from repro.solver import EulerSolver, conservative, uniform_flow
+from repro.solver import EulerSolver, conservative
+
+from tests.fixtures import single_tet, uniform_flow
 
 
 class TestDegenerateMeshes:
