@@ -46,6 +46,6 @@ def main(resolution: int = 17, nproc: int = 64) -> None:
 
 
 if __name__ == "__main__":
-    res = int(sys.argv[1]) if len(sys.argv) > 1 else 13
+    res = int(sys.argv[1]) if len(sys.argv) > 1 else 17
     p = int(sys.argv[2]) if len(sys.argv) > 2 else 64
     main(res, p)

@@ -19,7 +19,13 @@ import numpy as np
 
 from repro.core import CostModel, LoadBalancedAdaptiveSolver
 from repro.mesh import box_mesh, edge_midpoints
-from repro.obs import Tracer, export_chrome_trace, export_jsonl, validate_jsonl
+from repro.obs import (
+    Tracer,
+    export_chrome_trace,
+    export_jsonl,
+    use_tracer,
+    validate_jsonl,
+)
 from repro.parallel import SP2_1997
 
 
@@ -39,7 +45,6 @@ def main() -> None:
         cost_model=CostModel(machine=SP2_1997),
         reassigner="heuristic_mwbg",
         remap_when="before",  # the paper's key optimisation (§4.6)
-        tracer=tracer,
     )
     print(f"Initial solver imbalance: {solver.solver_imbalance():.3f}")
 
@@ -47,7 +52,8 @@ def main() -> None:
     mid = edge_midpoints(mesh.coords, mesh.edges)
     error = 1.0 / (0.05 + np.linalg.norm(mid, axis=1))
 
-    report = solver.adapt_step(edge_error=error, refine_frac=0.15)
+    with use_tracer(tracer):  # the step records into the ambient tracer
+        report = solver.adapt_step(edge_error=error, refine_frac=0.15)
 
     print(f"\nAfter one adapt/balance step:")
     print(f"  mesh grew {report.growth_factor:.2f}x "

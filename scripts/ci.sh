@@ -85,10 +85,12 @@ timeout 120 env PYTHONPATH=src python examples/rotor_acoustics.py 4 \
 grep -q "final solver imbalance" "$tmp/rotor.txt"
 echo "rotor-acoustics smoke: OK"
 
-# example smokes: every example the exported-name guard
-# (test_every_exported_name_has_a_product_caller) counts as a product
-# caller must itself run.  blast_wave.py writes blast_step*.vtk to its
-# working directory, so it runs in the throwaway one.
+# example smokes: every example the caller guards
+# (test_every_exported_name_has_a_product_caller,
+# test_every_option_has_a_product_caller) count as a product caller must
+# itself run.  blast_wave.py and scaling_study.py write their outputs to
+# the working directory, so they run in the throwaway one; paper_scale.py
+# runs at resolution 6 on 16 processors (resolution 17 takes minutes).
 timeout 120 env PYTHONPATH=src python examples/quickstart.py > "$tmp/quickstart.txt"
 grep -q "phase times (virtual seconds)" "$tmp/quickstart.txt"
 timeout 120 env PYTHONPATH=src python examples/mapper_comparison.py \
@@ -100,6 +102,12 @@ grep -q "makespan identity verified" "$tmp/distributed.txt"
 (root="$PWD" && cd "$tmp" && timeout 300 env PYTHONPATH="$root/src" \
     python "$root/examples/blast_wave.py" > blast.txt)
 grep -q "wrote blast_step" "$tmp/blast.txt"
+(root="$PWD" && cd "$tmp" && timeout 120 env PYTHONPATH="$root/src" \
+    python "$root/examples/scaling_study.py" > scaling.txt)
+grep -q "critical-path composition of the whole sweep" "$tmp/scaling.txt"
+timeout 120 env PYTHONPATH=src python examples/paper_scale.py 6 16 \
+    > "$tmp/paper_scale.txt"
+grep -q "total wall time" "$tmp/paper_scale.txt"
 echo "example smokes: OK"
 
 # weak-scaling smoke: `repro scale` must run the fig6-style cycle and

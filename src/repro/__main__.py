@@ -287,6 +287,15 @@ def _writable(*paths: str | None) -> bool:
     return True
 
 
+def _ambient(tracer):
+    """``use_tracer(tracer)``, or a no-op context when ``tracer`` is None."""
+    if tracer is None:
+        return contextlib.nullcontext()
+    from repro.obs import use_tracer
+
+    return use_tracer(tracer)
+
+
 @contextlib.contextmanager
 def _sampled_host(tracer):
     """Sample the host process's resources into ``tracer`` (None: no-op).
@@ -326,8 +335,8 @@ def _cmd_report(args) -> int:
 
     tracing = bool(args.trace_out or args.chrome_out)
     tracer = Tracer() if tracing else None
-    with _sampled_host(tracer):
-        print(run_all(resolution, tracer=tracer))
+    with _sampled_host(tracer), _ambient(tracer):
+        print(run_all(resolution))
     if tracer is not None:
         _export(
             tracer, args.trace_out, args.chrome_out,
@@ -368,7 +377,7 @@ def _cmd_step(args) -> int:
     from repro.core import CostModel, LoadBalancedAdaptiveSolver
     from repro.experiments import make_case
     from repro.experiments.report import format_counters
-    from repro.obs import Tracer
+    from repro.obs import Tracer, use_tracer
     from repro.parallel import SP2_1997, backend_factory
 
     try:
@@ -379,7 +388,7 @@ def _cmd_step(args) -> int:
     case = make_case(args.resolution)
     tracer = Tracer()
     tracing = bool(args.trace_out or args.chrome_out)
-    with _sampled_host(tracer if tracing else None):
+    with _sampled_host(tracer if tracing else None), use_tracer(tracer):
         solver = LoadBalancedAdaptiveSolver(
             case.mesh,
             args.nproc,
@@ -388,7 +397,6 @@ def _cmd_step(args) -> int:
             imbalance_threshold=1.0,
             reassigner=args.reassigner,
             backend=args.backend,
-            tracer=tracer,
         )
         report = solver.adapt_step(edge_mask=case.marking_mask(args.strategy))
 
@@ -406,7 +414,7 @@ def _cmd_step(args) -> int:
     print(f"  (reassignment host wall time, for reference: "
           f"{report.reassign_wall_seconds:.6f} s)")
     print()
-    print(format_counters(tracer))
+    print(format_counters(tracer.metrics))
     _export(
         tracer, args.trace_out, args.chrome_out,
         label=f"step/r{args.resolution}",
@@ -440,10 +448,8 @@ def _cmd_calibrate(args) -> int:
         return 2
     tracing = bool(args.trace_out or args.chrome_out)
     tracer = Tracer() if tracing else None
-    with _sampled_host(tracer):
-        report = calibrate(
-            args.resolution, args.nproc, backends=backends, tracer=tracer
-        )
+    with _sampled_host(tracer), _ambient(tracer):
+        report = calibrate(args.resolution, args.nproc, backends=backends)
     print(format_calibration(report))
     if tracer is not None:
         from repro.obs.wallclock import format_clock_skew
@@ -547,8 +553,6 @@ def _cmd_scale(args) -> int:
     from repro.obs.tracer import use_tracer
 
     ranks = args.ranks or list(DEFAULT_RANKS)
-    kwargs = dict(rounds=args.rounds, halo_words=args.halo_words,
-                  work_units=args.work_units)
     print("weak scaling of the VM scheduler "
           f"(fig6-style execution phase; {args.rounds} rounds, "
           f"{args.halo_words}-word halos):")
@@ -557,7 +561,9 @@ def _cmd_scale(args) -> int:
     for p in ranks:
         # the full-pipeline configuration: one fresh ambient tracer per point
         with use_tracer(Tracer()):
-            pt = measure_point(p, **kwargs)
+            pt = measure_point(p, rounds=args.rounds,
+                               halo_words=args.halo_words,
+                               work_units=args.work_units)
         print(f"  {p:6d} {pt.wall_seconds:9.3f} {pt.ops:10d} "
               f"{pt.ops_per_second:11.0f} {pt.makespan:10.4f}")
     return 0

@@ -36,24 +36,6 @@ class MarkingStats:
     predicted_children: int
     predicted_growth: float
 
-    @property
-    def anisotropic_fraction(self) -> float:
-        """Fraction of refined elements using an anisotropic type."""
-        refined = self.n_1to2 + self.n_1to4 + self.n_1to8
-        if refined == 0:
-            return 0.0
-        return (self.n_1to2 + self.n_1to4) / refined
-
-    def summary(self) -> str:
-        return (
-            f"{self.n_elements} elements: {self.n_unchanged} unchanged, "
-            f"{self.n_1to2} x 1:2, {self.n_1to4} x 1:4, {self.n_1to8} x 1:8 "
-            f"({self.anisotropic_fraction:.0%} of refined anisotropic); "
-            f"{self.seed_edges} -> {self.marked_edges} edges "
-            f"(amplification {self.amplification:.2f}); "
-            f"predicted growth {self.predicted_growth:.2f}x"
-        )
-
 
 def marking_stats(
     marking: MarkingResult, seed_mask: np.ndarray | None = None

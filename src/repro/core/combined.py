@@ -25,6 +25,9 @@ from .reassign import optimal_bmcm, optimal_mwbg
 
 __all__ = ["combined_reassign"]
 
+#: Pairwise-swap sweeps the local search runs at most.
+MAX_SWEEPS = 8
+
 
 def combined_cost(
     S: np.ndarray,
@@ -43,7 +46,6 @@ def combined_reassign(
     lam: float = 0.5,
     alpha: float = 1.0,
     beta: float = 1.0,
-    max_sweeps: int = 8,
 ) -> np.ndarray:
     """Assignment minimising the λ-combination of TotalV and MaxV (F = 1).
 
@@ -59,7 +61,7 @@ def combined_reassign(
     best_cost = combined_cost(S, best, lam, alpha, beta)
 
     npart = S.shape[1]
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         improved = False
         for j in range(npart):
             for k in range(j + 1, npart):

@@ -22,7 +22,7 @@ from repro.adapt.adaptor import AdaptiveMesh
 from repro.adapt.marking import MarkingResult
 from repro.adapt.stats import marking_stats
 from repro.mesh.tetmesh import TetMesh
-from repro.obs import Span, Tracer, current_tracer
+from repro.obs import Span, Tracer, current_tracer, use_tracer
 from repro.parallel.backends import backend_factory
 from repro.parallel.ledger import CostLedger
 from repro.parallel.machine import MachineModel, SP2_1997
@@ -146,12 +146,11 @@ class LoadBalancedAdaptiveSolver:
         virtual seconds (bit-identical to previous releases); on a
         real-execution backend (``"multiprocessing"``, ``"mpi4py"``) it
         is the measured wall makespan of the actual migration program.
-    tracer:
-        Optional :class:`repro.obs.Tracer` to record phase spans, point
-        events, and counters into.  When omitted, the ambient tracer
-        (:func:`repro.obs.use_tracer`) is used if one is installed, else
-        each :meth:`adapt_step` records into a private step tracer; either
-        way the step's spans are available on ``StepReport.spans``.
+
+    Each :meth:`adapt_step` records its phase spans, point events and
+    counters into the ambient tracer (:func:`repro.obs.use_tracer`), or,
+    when none is installed, into a private step tracer it installs for the
+    step; either way the step's spans are on ``StepReport.spans``.
     """
 
     def __init__(
@@ -167,7 +166,6 @@ class LoadBalancedAdaptiveSolver:
         imbalance_threshold: float = 1.1,
         seed: int = 0,
         backend="virtual",
-        tracer: Tracer | None = None,
     ):
         if nproc < 1:
             raise ValueError(f"nproc must be >= 1, got {nproc}")
@@ -184,6 +182,11 @@ class LoadBalancedAdaptiveSolver:
             )
         if remap_when not in ("before", "after"):
             raise ValueError(f"remap_when must be 'before' or 'after', got {remap_when!r}")
+        if cost_model is not None and cost_model.machine != machine:
+            raise ValueError(
+                "cost_model.machine differs from machine: the phases and the "
+                "gain/cost decision would be priced on two machines"
+            )
         if isinstance(backend, str):
             backend_factory(backend)  # unknown name: fail now, not at the first remap
         self.adaptive = mesh if isinstance(mesh, AdaptiveMesh) else AdaptiveMesh(
@@ -198,7 +201,6 @@ class LoadBalancedAdaptiveSolver:
         self.imbalance_threshold = imbalance_threshold
         self.seed = seed
         self.backend = backend
-        self.tracer = tracer
         self.dual = DualGraph(self.adaptive.initial_mesh)
         # initial partitioning + mapping (Fig. 1's initialization box):
         # partition id f·P… maps to processor id partition // F; a mesh
@@ -218,14 +220,6 @@ class LoadBalancedAdaptiveSolver:
         """Current flow-solver load imbalance (max over average Wcomp)."""
         return load_imbalance(self.adaptive.wcomp(), self.part, self.nproc)
 
-    def solver_phase_time(self) -> float:
-        """Modelled time of one solve phase under the current mapping."""
-        loads = np.bincount(
-            self.part, weights=self.adaptive.wcomp().astype(np.float64),
-            minlength=self.nproc,
-        )
-        return self.cost_model.solver_phase_time(float(loads.max()))
-
     # --- the cycle ----------------------------------------------------------------
 
     def adapt_step(
@@ -243,10 +237,12 @@ class LoadBalancedAdaptiveSolver:
         / ``decide`` / ``remap`` children for the load balancer.
         """
         report = StepReport()
-        tracer = self.tracer or current_tracer() or Tracer()
+        # with no ambient tracer the step installs a private one, so the
+        # layers below record into it and ``report.spans`` is filled
+        tracer = current_tracer() or Tracer()
         first_span = len(tracer.spans)
         cycle = tracer.begin_cycle()
-        with tracer.phase(
+        with use_tracer(tracer), tracer.phase(
             "adapt_step",
             nproc=self.nproc,
             remap_when=self.remap_when,
@@ -357,9 +353,7 @@ class LoadBalancedAdaptiveSolver:
                     np.asarray(wcomp, dtype=np.int64)
                 )
                 old_as_parts = (self.part * self.F).astype(np.int64)
-                new_part = repartition(
-                    graph, npart, old_as_parts, seed=self.seed, tracer=tracer
-                )
+                new_part = repartition(graph, npart, old_as_parts, seed=self.seed)
                 report.partition_time = partition_time(
                     self.dual.n, self.nproc, self.machine
                 )
@@ -478,7 +472,6 @@ class LoadBalancedAdaptiveSolver:
                     self.nproc,
                     storage_words=self.cost_model.storage_words,
                     machine=self.machine,
-                    tracer=tracer,
                     backend=self.backend,
                 )
                 tracer.advance(execu.time_seconds)

@@ -37,21 +37,20 @@ def execute_remap(
     nproc: int,
     storage_words: int = 24,
     machine: MachineModel = SP2_1997,
-    tracer=None,
     backend="virtual",
 ) -> RemapExecution:
     """Migrate ownership from ``old_proc`` to ``new_proc`` on the VM.
 
     Conservation is asserted: every element is owned by exactly one
-    processor before and after.  ``tracer`` (a :class:`repro.obs.Tracer`,
-    or the ambient one) mirrors every send/recv of the migration program,
+    processor before and after.  The ambient :class:`repro.obs.Tracer`
+    mirrors every send/recv of the migration program,
     so the exported trace shows the full communication schedule of the
     remap.  ``backend`` selects the communicator backend executing it.
     """
     move = build_move_matrix(old_proc, new_proc, wremap, nproc)
     res = exchange_elements(
         move, storage_words,
-        phase="remap", machine=machine, tracer=tracer, backend=backend,
+        phase="remap", machine=machine, backend=backend,
     )
     assert np.array_equal(res.returns, move.sum(axis=0)), "element conservation"
 

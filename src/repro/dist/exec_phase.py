@@ -27,7 +27,7 @@ import numpy as np
 from repro.adapt.marking import element_patterns
 from repro.adapt.patterns import UPGRADE, pattern_bits
 from repro.mesh.tetmesh import TetMesh
-from repro.parallel.machine import MachineModel, SP2_1997
+from repro.parallel.machine import SP2_1997
 
 from ._launch import launch
 from .localmesh import LocalMesh
@@ -50,8 +50,6 @@ def parallel_mark(
     global_mesh: TetMesh,
     locals_: list[LocalMesh],
     initial_marks: np.ndarray,
-    machine: MachineModel = SP2_1997,
-    tracer=None,
     backend="virtual",
 ) -> ParallelMarkResult:
     """Run the marking-propagation loop as SPMD programs over local meshes.
@@ -59,8 +57,8 @@ def parallel_mark(
     ``initial_marks`` is a boolean mask over the *global* mesh's edges
     (the error-indicator targeting, which is symmetric across shared edges
     "because shared edges have the same flow and geometry information
-    regardless of their processor number").  ``tracer`` (or the ambient
-    one) records the loop's events and causal message DAG.  ``backend``
+    regardless of their processor number").  The ambient tracer records
+    the loop's events and causal message DAG.  ``backend``
     selects the communicator backend (a registered name or a ready-made
     backend object); ``time_seconds`` is then that backend's makespan —
     modelled virtual seconds on ``virtual``, measured wall seconds on the
@@ -127,7 +125,7 @@ def parallel_mark(
 
     res = launch(
         program, locals_, local_marks0, neighbours, shared_with,
-        phase="mark", machine=machine, tracer=tracer, backend=backend,
+        phase="mark", machine=SP2_1997, backend=backend,
     )
 
     merged = np.zeros(global_mesh.nedges, dtype=bool)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mesh.tetmesh import TetMesh
-from repro.parallel.machine import MachineModel, SP2_1997
+from repro.parallel.machine import SP2_1997
 
 from ._launch import launch
 from .localmesh import LocalMesh
@@ -40,9 +40,7 @@ class FinalizeResult:
 
 def finalize(
     locals_: list[LocalMesh],
-    machine: MachineModel = SP2_1997,
     host: int = 0,
-    tracer=None,
     backend="virtual",
 ) -> FinalizeResult:
     """Assemble the per-rank subgrids into one global mesh.
@@ -117,7 +115,7 @@ def finalize(
 
     res = launch(
         program, payload_words,
-        phase="gather", machine=machine, tracer=tracer, backend=backend,
+        phase="gather", machine=SP2_1997, backend=backend,
     )
 
     return FinalizeResult(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mesh.tetmesh import TetMesh
-from repro.parallel.machine import MachineModel, SP2_1997
+from repro.parallel.machine import SP2_1997
 
 from ._launch import launch
 from .decompose import decompose
@@ -58,7 +58,7 @@ def build_move_matrix(
 
 
 def exchange_elements(
-    move: np.ndarray, storage_words: int, *, phase: str, machine, tracer, backend
+    move: np.ndarray, storage_words: int, *, phase: str, machine, backend
 ):
     """Run the migration of ``move[src, dst]`` elements as a rank program.
 
@@ -93,7 +93,7 @@ def exchange_elements(
 
     return launch(
         program, send_plans, recv_counts,
-        phase=phase, machine=machine, tracer=tracer, backend=backend,
+        phase=phase, machine=machine, backend=backend,
     )
 
 
@@ -110,17 +110,16 @@ def migrate(
     locals_: list[LocalMesh],
     new_part: np.ndarray,
     storage_words_per_elem: int = 24,
-    machine: MachineModel = SP2_1997,
-    tracer=None,
     backend="virtual",
 ) -> MigrateResult:
     """Move elements so rank ``r`` ends up owning ``new_part == r``.
 
     ``new_part`` indexes *global* elements.  Transfer sizes follow the
-    per-element storage model.  ``tracer`` (or the ambient one) records the
-    migration's events and causal message DAG.  ``backend`` selects the
-    communicator backend; ``seconds`` is that backend's makespan (modelled
-    on ``virtual``, measured wall on real-execution backends).
+    per-element storage model, clocks the SP2 model.  The ambient tracer
+    records the migration's events and causal message DAG.  ``backend``
+    selects the communicator backend; ``seconds`` is that backend's
+    makespan (modelled on ``virtual``, measured wall on real-execution
+    backends).
     """
     nproc = len(locals_)
     new_part = np.asarray(new_part, dtype=np.int64)
@@ -136,7 +135,7 @@ def migrate(
     move = build_move_matrix(old_part, new_part, np.ones_like(new_part), nproc)
     res = exchange_elements(
         move, storage_words_per_elem,
-        phase="migrate", machine=machine, tracer=tracer, backend=backend,
+        phase="migrate", machine=SP2_1997, backend=backend,
     )
 
     new_locals = decompose(global_mesh, new_part, nproc)

@@ -28,7 +28,7 @@ from repro.adapt.patterns import UPGRADE
 from repro.adapt.refine import SUBDIV_WORK_PER_CHILD, subdivide
 from repro.mesh.tetmesh import TetMesh
 from repro.mesh.topology import FACE_EDGE_MASKS
-from repro.parallel.machine import MachineModel, SP2_1997
+from repro.parallel.machine import SP2_1997
 
 from ._launch import launch
 from .localmesh import LocalMesh
@@ -63,14 +63,12 @@ def parallel_refine(
     global_mesh: TetMesh,
     locals_: list[LocalMesh],
     marking: MarkingResult,
-    machine: MachineModel = SP2_1997,
-    tracer=None,
     backend="virtual",
 ) -> ParallelRefineResult:
     """Subdivide every local mesh under a globally-consistent marking.
 
-    ``tracer`` (or the ambient one) records the virtual machine's events
-    and causal message DAG.  ``backend`` selects the communicator backend
+    The ambient tracer records the virtual machine's events and causal
+    message DAG.  ``backend`` selects the communicator backend
     executing the rank programs; the subdivision work is real on every
     backend, so payloads (the refined local meshes) are identical across
     backends while ``time_seconds`` switches from modelled to measured.
@@ -121,7 +119,7 @@ def parallel_refine(
 
     res = launch(
         program, *zip(*local_inputs),
-        phase="refine", machine=machine, tracer=tracer, backend=backend,
+        phase="refine", machine=SP2_1997, backend=backend,
     )
 
     meshes = [ret[0] for ret in res.returns]

@@ -27,6 +27,7 @@ import numpy as np
 from repro.adapt.adaptor import AdaptiveMesh
 from repro.dist import decompose, finalize, migrate, parallel_mark, parallel_refine
 from repro.dist.refine_exec import canonical_signature
+from repro.obs import current_tracer
 from repro.parallel.backends import available_backends
 from repro.parallel.machine import MachineModel, SP2_1997
 from repro.partition import Graph, multilevel_kway, repartition
@@ -90,16 +91,16 @@ def run_exec_phase_workload(
     resolution: int,
     nproc: int,
     backend: str = "virtual",
-    machine: MachineModel = SP2_1997,
-    tracer=None,
     seed: int = 0,
 ) -> WorkloadResult:
     """Run the fig6 exec-phase pipeline on the named backend.
 
     The rank programs and their inputs are identical for every backend;
     only the transport differs.  Decomposition/partitioning happen on the
-    host and are excluded from the phase clocks.
+    host and are excluded from the phase clocks.  Under an ambient tracer
+    each phase is a named span with its clocks as counters.
     """
+    tracer = current_tracer()
     from repro.parallel.backends.shm import (
         reset_transport_totals,
         transport_totals,
@@ -140,25 +141,19 @@ def run_exec_phase_workload(
         return out
 
     mark_res = timed("mark", lambda: parallel_mark(
-        mesh, locals_, marks, machine=machine, tracer=tracer, backend=backend
-    ))
+        mesh, locals_, marks, backend=backend))
 
     am = AdaptiveMesh(mesh)
     marking = am.mark(edge_mask=mark_res.edge_marked)
     refine_res = timed("refine", lambda: parallel_refine(
-        mesh, locals_, marking, machine=machine, tracer=tracer, backend=backend
-    ))
+        mesh, locals_, marking, backend=backend))
 
     wcomp_pred, _ = am.predicted_weights(marking)
     new_part = repartition(dual.with_vwgt(wcomp_pred), nproc, part, seed=seed)
     mig = timed("migrate", lambda: migrate(
-        mesh, locals_, new_part, machine=machine, tracer=tracer,
-        backend=backend,
-    ))
+        mesh, locals_, new_part, backend=backend))
 
-    fin = timed("gather", lambda: finalize(
-        mig.locals, machine=machine, tracer=tracer, backend=backend
-    ))
+    fin = timed("gather", lambda: finalize(mig.locals, backend=backend))
 
     return WorkloadResult(
         backend=backend,
@@ -182,11 +177,9 @@ def calibrate(
     resolution: int = 4,
     nproc: int = 4,
     backends: tuple[str, ...] | None = None,
-    machine: MachineModel = SP2_1997,
-    tracer=None,
-    seed: int = 0,
 ) -> CalibrationReport:
-    """Run the workload on ``virtual`` plus each measured backend.
+    """Run the workload on ``virtual`` plus each measured backend, with
+    the LogGP clock of the SP2 model.
 
     ``backends`` defaults to every registered backend other than
     ``virtual`` and ``mpi4py`` (the latter needs an ``mpiexec`` launch,
@@ -198,17 +191,11 @@ def calibrate(
         backends = tuple(
             b for b in available_backends() if b not in ("virtual", "mpi4py")
         )
-    reference = run_exec_phase_workload(
-        resolution, nproc, "virtual", machine=machine, tracer=tracer,
-        seed=seed,
-    )
+    reference = run_exec_phase_workload(resolution, nproc, "virtual")
     measured: list[WorkloadResult] = []
     mismatches: list[str] = []
     for name in backends:
-        res = run_exec_phase_workload(
-            resolution, nproc, name, machine=machine, tracer=tracer,
-            seed=seed,
-        )
+        res = run_exec_phase_workload(resolution, nproc, name)
         measured.append(res)
         if not np.array_equal(res.edge_marked, reference.edge_marked):
             mismatches.append(f"{name}: marking fixpoint differs")
@@ -221,7 +208,7 @@ def calibrate(
     return CalibrationReport(
         resolution=resolution,
         nproc=nproc,
-        machine=machine,
+        machine=SP2_1997,
         reference=reference,
         measured=measured,
         payloads_identical=not mismatches,

@@ -8,9 +8,8 @@ rows under ``-s``.
 from __future__ import annotations
 
 import sys
-from contextlib import nullcontext
 
-from repro.obs import Tracer, use_tracer
+from repro.obs import MetricsRegistry, current_tracer
 from repro.obs.ascii_plot import ascii_chart
 
 from .cases import CASE_NAMES, REAL_FRACTIONS, growth_factor, make_case
@@ -57,29 +56,25 @@ def format_series(series: dict[int, float], fmt: str = "8.3f") -> str:
     return "  ".join(f"P={p}:{v:{fmt}}" for p, v in sorted(series.items()))
 
 
-def format_counters(tracer: Tracer) -> str:
-    """Render the whole-run totals of a tracer's counter metrics as a
+def format_counters(metrics: MetricsRegistry) -> str:
+    """Render the whole-run totals of a registry's counter metrics as a
     small two-column table."""
     lines = [f"{'counter':32s} {'total':>14s}"]
-    for name, value in tracer.metrics.totals().items():
+    for name, value in metrics.totals().items():
         lines.append(f"{name:32s} {value:14g}")
     return "\n".join(lines)
 
 
-def run_all(resolution: int = 8, tracer: Tracer | None = None) -> str:
+def run_all(resolution: int = 8) -> str:
     """Run every experiment and return the full text report.
 
     All reported times are *virtual* machine-model seconds (see
-    :mod:`repro.obs`).  Pass a :class:`~repro.obs.Tracer` to record every
-    solver step's phase spans and counters for export; a counter summary
-    is then appended to the report.
+    :mod:`repro.obs`).  Under an ambient tracer
+    (:func:`~repro.obs.use_tracer`) every solver step records its phase
+    spans and counters there, and a counter summary is appended to the
+    report.
     """
-    ctx = use_tracer(tracer) if tracer is not None else nullcontext()
-    with ctx:
-        return _run_all(resolution, tracer)
-
-
-def _run_all(resolution: int, tracer: Tracer | None) -> str:
+    tracer = current_tracer()
     out: list[str] = []
     case = make_case(resolution)
     out.append(f"=== Rotor case at resolution {resolution} "
@@ -136,7 +131,7 @@ def _run_all(resolution: int, tracer: Tracer | None) -> str:
 
     if tracer is not None:
         out.append("--- Observability counters (whole report run) ---")
-        out.append(format_counters(tracer))
+        out.append(format_counters(tracer.metrics))
         out.append("")
 
     return "\n".join(out)

@@ -36,8 +36,6 @@ def run_step(
     case_name: str,
     mode: str,
     nproc: int,
-    reassigner: str = "heuristic_mwbg",
-    seed: int = 0,
 ) -> StepReport:
     """One Fig.-1 cycle for the given strategy/mode/processor count.
 
@@ -51,10 +49,8 @@ def run_step(
         nproc,
         machine=SP2_1997,
         cost_model=CostModel(machine=SP2_1997),
-        reassigner=reassigner,
         remap_when=mode,
         imbalance_threshold=1.0,
-        seed=seed,
     )
     return solver.adapt_step(edge_mask=case.marking_mask(case_name))
 

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.obs.tracer import current_tracer
 from repro.parallel import SP2_1997, VirtualMachine
-from repro.parallel.machine import MachineModel
 from repro.parallel.runtime import ANY, RecvOp, SendOp, WorkOp, per_rank
 
 __all__ = ["DEFAULT_RANKS", "ScalePoint", "halo_cycle", "measure_point"]
@@ -133,20 +132,15 @@ def halo_cycle(
     rounds: int = 3,
     halo_words: int = 64,
     work_units: float = 200.0,
-    machine: MachineModel = SP2_1997,
-    trace: bool = True,
-    tracer=None,
 ):
-    """Run one fig6-style cycle at ``nranks``; returns the ``RunResult``.
+    """Run one fig6-style cycle at ``nranks`` on the SP2 model; returns
+    the recorded ``RunResult``.
 
-    ``tracer`` defaults to the ambient :func:`~repro.obs.tracer.current_tracer`
-    — the same convention the communicator backends use — so under a
-    tracer the sweep prices the scheduler exactly as the adapt/balance
-    pipeline runs it, registering one lazy columnar chunk per run.
+    Under an ambient tracer (:func:`~repro.obs.tracer.use_tracer`) the
+    sweep prices the scheduler exactly as the adapt/balance pipeline runs
+    it, registering one lazy columnar chunk per run.
     """
-    if tracer is None:
-        tracer = current_tracer()
-    vm = VirtualMachine(nranks, machine, trace=trace, tracer=tracer)
+    vm = VirtualMachine(nranks, SP2_1997, trace=True, tracer=current_tracer())
     return vm.run(
         _halo_program,
         per_rank(grid_neighbours(nranks)),
@@ -161,13 +155,12 @@ def measure_point(
     rounds: int = 3,
     halo_words: int = 64,
     work_units: float = 200.0,
-    machine: MachineModel = SP2_1997,
 ) -> ScalePoint:
     """Time one recorded :func:`halo_cycle` and fold it into a
     :class:`ScalePoint` (its ``ops`` are the run's recorded nodes)."""
     t0 = time.perf_counter()
     res = halo_cycle(nranks, rounds=rounds, halo_words=halo_words,
-                     work_units=work_units, machine=machine)
+                     work_units=work_units)
     wall = time.perf_counter() - t0
     return ScalePoint(
         nranks=nranks,

@@ -2,9 +2,9 @@
 
 These routines build the edge-based data structures of paper §3: the global
 edge list, the element→edge incidence (six edges per tetrahedron), the
-edge→element and vertex→edge adjacency lists ("these lists eliminate
-extensive searches and are crucial to the efficiency of the overall adaption
-scheme"), and the boundary faces.
+edge→element adjacency list ("these lists eliminate extensive searches and
+are crucial to the efficiency of the overall adaption scheme"), and the
+boundary faces.
 
 Edges and faces are identified by packing their sorted vertex ids into one
 ``int64`` key.  The keys are formed in place from column gathers of the
@@ -24,7 +24,6 @@ from .topology import LOCAL_EDGES, LOCAL_FACES
 __all__ = [
     "build_edges",
     "build_faces",
-    "csr_from_pairs",
     "invert_to_csr",
 ]
 
@@ -174,8 +173,8 @@ def csr_from_pairs(
     """Build a CSR adjacency (``ptr``, ``dat``) from (row, value) pairs.
 
     Values within a row keep ascending ``vals`` order, making the structure
-    deterministic.  Pairs that already arrive with ``vals`` ascending (both
-    mesh adjacencies do) need only the one stable sort by row.
+    deterministic.  Pairs that already arrive with ``vals`` ascending (the
+    edge→element adjacency's do) need only the one stable sort by row.
     """
     rows = np.asarray(rows, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.int64)

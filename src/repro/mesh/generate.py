@@ -81,15 +81,19 @@ class BladeSpec:
         return np.linalg.norm(pts - proj, axis=1)
 
 
+#: Extent of the rotor domain along (x, y, z), in units of length; the
+#: blade spans x.
+ASPECT = (2, 1, 1)
+
+
 def rotor_domain_mesh(
     resolution: int = 8,
-    aspect: tuple[int, int, int] = (2, 1, 1),
     grading: float = 2.0,
 ) -> tuple[TetMesh, BladeSpec]:
     """A stretched box domain with an embedded blade-like feature region.
 
-    ``resolution`` cells along the unit axis; the number of elements is
-    ``6 * (aspect_x * aspect_y * aspect_z) * resolution**3``.  The blade
+    ``resolution`` cells along the unit axis of an :data:`ASPECT` box; the
+    number of elements is ``12 * resolution**3``.  The blade
     runs along the x axis at mid-height, mimicking a rotor blade spanning
     part of the domain.
 
@@ -102,7 +106,7 @@ def rotor_domain_mesh(
     """
     if grading < 1.0:
         raise ValueError(f"grading must be >= 1, got {grading}")
-    ax, ay, az = aspect
+    ax, ay, az = ASPECT
     bounds = ((0.0, float(ax)), (0.0, float(ay)), (0.0, float(az)))
     mesh = box_mesh(ax * resolution, ay * resolution, az * resolution, bounds)
     if grading > 1.0:

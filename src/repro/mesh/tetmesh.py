@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .build import build_edges, build_faces, csr_from_pairs, invert_to_csr
+from .build import build_edges, build_faces, invert_to_csr
 from .geometry import fix_orientation, tet_volumes
 from .topology import LOCAL_EDGES
 
@@ -35,16 +35,14 @@ class TetMesh:
         graph edge list used by the load balancer.
 
     The arrays above are built eagerly by :meth:`from_elems` — every mesh
-    consumer (adaptor, solver, dual graph) reads them.  The two inverse
-    adjacencies of paper §3 are derived from them on first access and then
-    kept; nothing shipped reads them (only :meth:`edge_elems`,
-    :meth:`vertex_edges` and :meth:`check`), so a mesh that is merely
-    refined, solved on and partitioned never pays for them:
+    consumer (adaptor, solver, dual graph) reads them.  The inverse
+    adjacency of paper §3 is derived from them on first access and then
+    kept; nothing shipped reads it (only :meth:`edge_elems` and
+    :meth:`check`), so a mesh that is merely refined, solved on and
+    partitioned never pays for it:
 
     edge2elem_ptr / edge2elem_dat:
         CSR adjacency from each edge to the elements sharing it.
-    vert2edge_ptr / vert2edge_dat:
-        CSR adjacency from each vertex to its incident edges.
     """
 
     coords: np.ndarray
@@ -66,8 +64,8 @@ class TetMesh:
         The only constructor: validates shapes and index range, makes every
         element right-handed (``orient``), then derives the edge list, the
         element→edge map, the boundary faces and the dual-graph pairs.  The
-        edge→element and vertex→edge CSR lists are *not* built here; they
-        appear on first access (see the class docstring).
+        edge→element CSR list is *not* built here; it appears on first
+        access (see the class docstring).
         """
         coords = np.ascontiguousarray(coords, dtype=np.float64)
         elems = np.ascontiguousarray(elems, dtype=np.int64)
@@ -98,11 +96,6 @@ class TetMesh:
     def _edge2elem(self) -> tuple[np.ndarray, np.ndarray]:
         return invert_to_csr(self.elem2edge, self.nedges)
 
-    @cached_property
-    def _vert2edge(self) -> tuple[np.ndarray, np.ndarray]:
-        edge_ids = np.repeat(np.arange(self.nedges, dtype=np.int64), 2)
-        return csr_from_pairs(self.edges.ravel(), edge_ids, self.nv)
-
     @property
     def edge2elem_ptr(self) -> np.ndarray:
         return self._edge2elem[0]
@@ -110,14 +103,6 @@ class TetMesh:
     @property
     def edge2elem_dat(self) -> np.ndarray:
         return self._edge2elem[1]
-
-    @property
-    def vert2edge_ptr(self) -> np.ndarray:
-        return self._vert2edge[0]
-
-    @property
-    def vert2edge_dat(self) -> np.ndarray:
-        return self._vert2edge[1]
 
     # --- sizes --------------------------------------------------------------
 
@@ -151,10 +136,6 @@ class TetMesh:
     def edge_elems(self, edge: int) -> np.ndarray:
         """Elements sharing ``edge`` (the edge's element list, paper §3)."""
         return self.edge2elem_dat[self.edge2elem_ptr[edge] : self.edge2elem_ptr[edge + 1]]
-
-    def vertex_edges(self, vertex: int) -> np.ndarray:
-        """Edges incident on ``vertex``."""
-        return self.vert2edge_dat[self.vert2edge_ptr[vertex] : self.vert2edge_ptr[vertex + 1]]
 
     def volumes(self) -> np.ndarray:
         return tet_volumes(self.coords, self.elems)

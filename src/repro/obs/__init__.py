@@ -43,9 +43,14 @@ CPU seconds, and GC collections into the trace (``resource`` records +
 (``repro runs list|show|compare|index``): one headline-metric document
 per traced run.
 
-Instrumented code takes an optional ``tracer`` argument and falls back to
-the ambient tracer installed with :func:`use_tracer`, so experiment
-drivers opt in with one ``with`` block and zero plumbing.
+An entry point (the solver, the repartitioner, the remapper, every
+distributed phase, the experiment drivers) has one way to receive a
+tracer: it reads the ambient one, :func:`current_tracer`, which a caller
+installs with one ``with use_tracer(tracer):`` block.  Only the machines
+take a tracer as an argument, from their one launcher
+(``repro.dist._launch.launch``) or the framework: the
+:class:`~repro.parallel.runtime.VirtualMachine`, the communicator
+backends and the :class:`~repro.parallel.ledger.CostLedger`.
 """
 
 from .causal import (

@@ -392,9 +392,14 @@ def rank_stats(run: CausalRun,
     ]
 
 
+#: Nodes a causal chain holds at most.
+CHAIN_LIMIT = 8
+
+
 def chain_of(nodes: list[CausalNode], msgs: list[CausalMsg],
-             start: CausalNode, limit: int = 8) -> list[CausalNode]:
-    """Backward tight chain from ``start``, oldest first, capped at ``limit``.
+             start: CausalNode) -> list[CausalNode]:
+    """Backward tight chain from ``start``, oldest first, capped at
+    :data:`CHAIN_LIMIT` nodes.
 
     Shared with :class:`~repro.parallel.runtime.DeadlockError` diagnostics:
     the chain from a blocked rank's last completed node shows what it was
@@ -405,7 +410,7 @@ def chain_of(nodes: list[CausalNode], msgs: list[CausalMsg],
     prev = _predecessors(nodes)
     chain = [start]
     n: CausalNode | None = start
-    while len(chain) < limit:
+    while len(chain) < CHAIN_LIMIT:
         if n.kind == "recv" and n.wait > 0.0 and n.msg is not None:
             n = by_id[by_msg[n.msg].send_node]
         else:

@@ -140,7 +140,7 @@ class MetricsRegistry:
         the whole batch instead of once per rank, and the per-rank
         :class:`MetricSample` objects are built lazily: the batch is
         queued here in O(1) extra work and materialized on the first
-        query (``samples``, ``get``, ``per_rank``, ...), so an emitting
+        query (``samples``, ``series``, ``per_rank``, ...), so an emitting
         hot path — the VM scheduler records seven series per run at 16k+
         ranks — never pays for samples nobody reads.  With ``skip_zero``,
         ranks whose value is falsy are not sampled (matching call sites
@@ -187,15 +187,6 @@ class MetricsRegistry:
                 })
                 samples[key] = s
 
-    def counter(self, name: str, value=1.0, **kw) -> MetricSample:
-        return self.record(name, value, kind="counter", **kw)
-
-    def gauge(self, name: str, value, **kw) -> MetricSample:
-        return self.record(name, value, kind="gauge", **kw)
-
-    def histogram(self, name: str, value, **kw) -> MetricSample:
-        return self.record(name, value, kind="histogram", **kw)
-
     def _bind(self, name: str, kind: str, keyset: frozenset) -> None:
         """Hold ``name`` to one kind (raises) and one label keyset (warns
         once per name)."""
@@ -229,8 +220,9 @@ class MetricsRegistry:
         """Sorted distinct metric names."""
         return sorted(self._kind)
 
-    def _match(self, name: str, labels: dict | None, cycle, rank,
-               any_cycle: bool, any_rank: bool):
+    def _match(self, name: str, labels: dict | None, ranked: bool):
+        """Samples of ``name`` (with exactly ``labels``, unless None), over
+        every cycle; all ranks if ``ranked``, else only rank-less ones."""
         if self._pending:
             self._flush_pending()
         frozen = _freeze_labels(labels) if labels is not None else None
@@ -239,41 +231,29 @@ class MetricsRegistry:
                 continue
             if frozen is not None and s.labels != frozen:
                 continue
-            if not any_cycle and s.cycle != cycle:
-                continue
-            if not any_rank and s.rank != rank:
+            if not ranked and s.rank is not None:
                 continue
             yield s
 
-    def get(self, name: str, labels: dict | None = None,
-            cycle: int | None = None, rank: int | None = None):
-        """Exact-key lookup; returns the stored value or None."""
-        if self._pending:
-            self._flush_pending()
-        key = (name, _freeze_labels(labels), cycle, rank)
-        s = self._samples.get(key)
-        return None if s is None else s.value
-
-    def series(self, name: str, labels: dict | None = None,
-               rank: int | None = None) -> dict[int, float | list]:
-        """``{cycle: value}`` for one (name, labels, rank) over all cycles.
+    def series(self, name: str,
+               labels: dict | None = None) -> dict[int, float | list]:
+        """``{cycle: value}`` for one (name, labels) over all cycles, from
+        the samples without a rank.
 
         With ``labels=None`` the label set is not filtered (useful for
         unlabelled metrics); samples without a cycle are skipped.
         """
         out: dict[int, float | list] = {}
-        for s in self._match(name, labels, None, rank,
-                             any_cycle=True, any_rank=False):
+        for s in self._match(name, labels, ranked=False):
             if s.cycle is not None:
                 out[s.cycle] = s.value
         return dict(sorted(out.items()))
 
-    def per_rank(self, name: str, labels: dict | None = None,
-                 cycle: int | None = None) -> dict[int, float]:
-        """``{rank: value}`` summed over cycles (or one ``cycle`` if given)."""
+    def per_rank(self, name: str,
+                 labels: dict | None = None) -> dict[int, float]:
+        """``{rank: value}`` summed over cycles."""
         out: dict[int, float] = {}
-        for s in self._match(name, labels, cycle, None,
-                             any_cycle=cycle is None, any_rank=True):
+        for s in self._match(name, labels, ranked=True):
             if s.rank is None:
                 continue
             v = sum(s.value) if isinstance(s.value, list) else float(s.value)
@@ -281,16 +261,15 @@ class MetricsRegistry:
         return dict(sorted(out.items()))
 
     def _values(self, name: str, labels: dict | None):
-        for s in self._match(name, labels, None, None,
-                             any_cycle=True, any_rank=True):
+        for s in self._match(name, labels, ranked=True):
             if isinstance(s.value, list):
                 yield from (float(v) for v in s.value)
             else:
                 yield float(s.value)
 
-    def total(self, name: str, labels: dict | None = None) -> float:
-        """Sum of every matching sample's value (0.0 when none match)."""
-        return sum(self._values(name, labels))
+    def total(self, name: str) -> float:
+        """Sum of every sample's value under ``name`` (0.0 when none)."""
+        return sum(self._values(name, None))
 
     def totals(self) -> dict[str, float]:
         """``{name: sum of every sample}`` per counter-kind metric, by name
@@ -307,13 +286,12 @@ class MetricsRegistry:
         vals = list(self._values(name, labels))
         return max(vals) if vals else None
 
-    def ranks(self, name: str | None = None) -> list[int]:
-        """Sorted distinct ranks seen (optionally for one metric name)."""
+    def ranks(self) -> list[int]:
+        """Sorted distinct ranks seen across all samples."""
         if self._pending:
             self._flush_pending()
         return sorted({
-            s.rank for s in self._samples.values()
-            if s.rank is not None and (name is None or s.name == name)
+            s.rank for s in self._samples.values() if s.rank is not None
         })
 
     def cycles(self) -> list[int]:

@@ -13,7 +13,7 @@ psutil dependency).
     current process.
 
 :class:`ResourceSampler`
-    A daemon thread sampling every ``interval`` seconds into columnar
+    A daemon thread sampling every :data:`INTERVAL` seconds into columnar
     lists (timestamps on ``perf_counter``, relative to :meth:`start`).
     The columns pickle cheaply, so a forked rank ships its rows back to
     the parent alongside its :class:`~repro.obs.wallclock.WallRecorder`
@@ -44,9 +44,9 @@ __all__ = [
     "resource_peaks",
 ]
 
-#: Default seconds between samples; coarse enough that a sampler thread
-#: costs well under a percent of one core.
-DEFAULT_INTERVAL = 0.05
+#: Seconds between samples; coarse enough that a sampler thread costs well
+#: under a percent of one core.
+INTERVAL = 0.05
 
 _PAGE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
@@ -90,10 +90,7 @@ def sample_resources() -> tuple[float, float, int]:
 class ResourceSampler:
     """Daemon-thread sampler writing columnar rows for one process."""
 
-    def __init__(self, interval: float = DEFAULT_INTERVAL):
-        if interval <= 0:
-            raise ValueError(f"sampling interval must be > 0, got {interval}")
-        self.interval = interval
+    def __init__(self):
         self.times: list[float] = []
         self.rss: list[float] = []
         self.cpu: list[float] = []
@@ -111,7 +108,7 @@ class ResourceSampler:
         self.gcs.append(gcs)
 
     def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
+        while not self._stop.wait(INTERVAL):
             self._take()
 
     def start(self) -> "ResourceSampler":

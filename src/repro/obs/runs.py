@@ -165,12 +165,11 @@ class RunStore:
 
     def add(self, kind: str, label: str, metrics: dict,
             config: dict | None = None, source: str = "",
-            backends=(), run_id: str | None = None) -> RunRecord:
-        """Index one run; returns the stored record (id auto-allocated)."""
-        if run_id is None:
-            stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-            salt = hashlib.sha256(os.urandom(16)).hexdigest()[:8]
-            run_id = f"{stamp}-{salt}"
+            backends=()) -> RunRecord:
+        """Index one run; returns the stored record (id: time + salt)."""
+        stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
+        salt = hashlib.sha256(os.urandom(16)).hexdigest()[:8]
+        run_id = f"{stamp}-{salt}"
         rec = RunRecord(
             id=run_id,
             created=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

@@ -41,7 +41,9 @@ class Span:
     wall_start: float  #: host ``perf_counter()`` at open
     v_end: float | None = None
     wall_end: float | None = None
-    rank: int | None = None  #: virtual processor, where one applies
+    #: always None (:meth:`Tracer.phase` opens whole-run spans); kept so
+    #: every ``span`` record keeps its ``rank`` key
+    rank: int | None = None
     attrs: dict = field(default_factory=dict)
 
     @property
@@ -146,7 +148,7 @@ class Tracer:
     # --- spans -------------------------------------------------------------
 
     @contextmanager
-    def phase(self, name: str, rank: int | None = None, **attrs):
+    def phase(self, name: str, **attrs):
         """Open a nested phase span for the duration of the ``with`` body."""
         span = Span(
             name=name,
@@ -155,7 +157,6 @@ class Tracer:
             depth=len(self._stack),
             v_start=self._vclock,
             wall_start=self._wall(),
-            rank=rank,
             attrs=dict(attrs),
         )
         self.spans.append(span)
@@ -198,7 +199,7 @@ class Tracer:
 
     def begin_cycle(self) -> int:
         """Start the next adaptation cycle; labelled metrics recorded until
-        the next call default their ``cycle`` to the returned id."""
+        the next call belong to the returned id."""
         self.cycle = self._next_cycle
         self._next_cycle += 1
         return self.cycle
@@ -209,21 +210,20 @@ class Tracer:
         value,
         kind: str = "gauge",
         rank: int | None = None,
-        cycle: int | None = None,
         **labels,
     ):
         """Record a labelled metric sample (see :mod:`repro.obs.metrics`).
 
-        ``cycle`` defaults to the current cycle (:meth:`begin_cycle`), and
-        the sample is stamped with the current virtual time.  Label values
-        are coerced to strings.
+        The sample belongs to the current cycle (:meth:`begin_cycle`) and
+        is stamped with the current virtual time.  Label values are
+        coerced to strings.
         """
         return self.metrics.record(
             name,
             value,
             kind=kind,
             labels=labels or None,
-            cycle=self.cycle if cycle is None else cycle,
+            cycle=self.cycle,
             rank=rank,
             v_time=self._vclock,
         )
@@ -233,7 +233,6 @@ class Tracer:
         name: str,
         values,
         kind: str = "counter",
-        cycle: int | None = None,
         skip_zero: bool = False,
     ) -> None:
         """Record one unlabelled sample per rank (rank = list index) in a
@@ -243,7 +242,7 @@ class Tracer:
             name,
             values,
             kind=kind,
-            cycle=self.cycle if cycle is None else cycle,
+            cycle=self.cycle,
             v_time=self._vclock,
             skip_zero=skip_zero,
         )
@@ -283,8 +282,8 @@ def use_tracer(tracer: Tracer):
         _CURRENT.reset(token)
 
 
-def maybe_phase(tracer: Tracer | None, name: str, rank: int | None = None, **attrs):
+def maybe_phase(tracer: Tracer | None, name: str, **attrs):
     """``tracer.phase(...)`` or a no-op context when ``tracer`` is None."""
     if tracer is None:
         return nullcontext()
-    return tracer.phase(name, rank=rank, **attrs)
+    return tracer.phase(name, **attrs)

@@ -156,23 +156,21 @@ class WallRecorder:
 # --- clock handshake ---------------------------------------------------------
 
 
-def serve_clock_probes(conn, rounds: int = SYNC_ROUNDS,
-                       timeout: float = 60.0) -> None:
-    """Child side: answer ``rounds`` timestamp probes on ``conn``.
+def serve_clock_probes(conn, timeout: float = 60.0) -> None:
+    """Child side: answer :data:`SYNC_ROUNDS` timestamp probes on ``conn``.
 
     Each probe is answered with the local ``perf_counter()`` at receipt;
     delays on the reply leg only widen the measured RTT (and therefore
     the recorded skew bound), never bias the offset silently.
     """
-    for _ in range(rounds):
+    for _ in range(SYNC_ROUNDS):
         if not conn.poll(timeout):
             raise RuntimeError("clock handshake timed out waiting for probe")
         conn.recv()
         conn.send(time.perf_counter())
 
 
-def estimate_offsets(conns: dict, rounds: int = SYNC_ROUNDS,
-                     timeout: float = 60.0) -> tuple[dict, dict]:
+def estimate_offsets(conns: dict, timeout: float = 60.0) -> tuple[dict, dict]:
     """Parent side: NTP-style offset of every peer clock in ``conns``.
 
     Returns ``(offsets, skews)`` keyed like ``conns``: subtracting
@@ -189,7 +187,7 @@ def estimate_offsets(conns: dict, rounds: int = SYNC_ROUNDS,
     """
     best_rtt = dict.fromkeys(conns, float("inf"))
     offsets = dict.fromkeys(conns, 0.0)
-    for _ in range(rounds):
+    for _ in range(SYNC_ROUNDS):
         t_send = {}
         for r, conn in conns.items():
             t_send[r] = time.perf_counter()

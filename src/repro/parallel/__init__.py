@@ -28,7 +28,6 @@ from .backends import (
     available_backends,
     backend_factory,
     create_communicator,
-    register_backend,
 )
 
 __all__ = [
@@ -45,6 +44,5 @@ __all__ = [
     "backend_factory",
     "create_communicator",
     "per_rank",
-    "register_backend",
     "word_count",
 ]

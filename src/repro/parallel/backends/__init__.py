@@ -27,15 +27,15 @@ operations over some transport:
     :mod:`mpi4py` is importable, and never run on this checkout.
 
 The registry follows chainermn's ``create_communicator`` idiom: backends
-are looked up by name, and :func:`available_backends` lists what the
-current interpreter can actually run.
+are looked up by name in one literal table, and :func:`available_backends`
+lists what the current interpreter can actually run.
 
 >>> comm = create_communicator("virtual", 4)
 >>> result = comm.run(program, per_rank(args))
 
 Backends accept machine/tracer keywords uniformly; keywords a backend
-does not understand (e.g. a tracer on ``multiprocessing``) are accepted
-and ignored where harmless so call sites can stay backend-agnostic.
+does not understand (e.g. ``timeout`` on ``virtual``) are accepted and
+ignored so call sites can stay backend-agnostic.
 """
 
 from __future__ import annotations
@@ -49,33 +49,9 @@ __all__ = [
     "available_backends",
     "backend_factory",
     "create_communicator",
-    "register_backend",
     "resolve_backend",
     "record_backend_run",
 ]
-
-#: name -> factory(nranks, machine, **opts) returning a backend object
-#: with ``run(program, *args, **kwargs) -> RunResult``.
-_REGISTRY: dict[str, Callable] = {}
-
-
-def register_backend(name: str, factory: Callable | None = None):
-    """Register a communicator backend factory under ``name``.
-
-    Usable directly (``register_backend("x", make_x)``) or as a class /
-    function decorator (``@register_backend("x")``).
-    """
-    if factory is None:
-        def decorator(f):
-            register_backend(name, f)
-            return f
-
-        return decorator
-    if name in _REGISTRY:
-        raise ValueError(f"backend {name!r} is already registered")
-    _REGISTRY[name] = factory
-    return factory
-
 
 def available_backends() -> tuple[str, ...]:
     """Names of the registered communicator backends, sorted."""
@@ -168,20 +144,20 @@ def record_backend_run(tracer, phase: str, result) -> None:
 # --- built-in backends -------------------------------------------------------
 
 from .virtual import VirtualBackend  # noqa: E402
-
-register_backend("virtual", VirtualBackend)
-
 from .mp import MultiprocessingBackend  # noqa: E402
-
-register_backend("multiprocessing", MultiprocessingBackend)
-
 from .shm import SharedMemoryBackend  # noqa: E402
 
-register_backend("shm", SharedMemoryBackend)
+#: name -> factory(nranks, machine, **opts) returning a backend object
+#: with ``run(program, *args, **kwargs) -> RunResult``.
+_REGISTRY: dict[str, Callable] = {
+    "virtual": VirtualBackend,
+    "multiprocessing": MultiprocessingBackend,
+    "shm": SharedMemoryBackend,
+}
 
 # mpi4py rides along only when the package exists (chainermn-style
 # conditional registration: the import itself stays lazy until first use).
 if importlib.util.find_spec("mpi4py") is not None:  # pragma: no cover
     from .mpi import MPIBackend
 
-    register_backend("mpi4py", MPIBackend)
+    _REGISTRY["mpi4py"] = MPIBackend

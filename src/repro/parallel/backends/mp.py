@@ -70,9 +70,9 @@ __all__ = ["MultiprocessingBackend"]
 #: declared deadlocked (real transports cannot scan a global wait graph).
 DEFAULT_TIMEOUT = 60.0
 
-#: Default extra seconds (beyond ``timeout``) the parent waits for rank
-#: processes to report back before declaring them hung.
-DEFAULT_GRACE = 30.0
+#: Extra seconds (beyond ``timeout``) the parent waits for rank processes
+#: to report back before declaring them hung.
+GRACE = 30.0
 
 
 class MultiprocessingBackend:
@@ -85,12 +85,9 @@ class MultiprocessingBackend:
     measured = True
 
     def __init__(self, nranks: int, machine: MachineModel = SP2_1997,
-                 timeout: float = DEFAULT_TIMEOUT,
-                 grace: float = DEFAULT_GRACE, tracer=None, **_ignored):
+                 timeout: float = DEFAULT_TIMEOUT, tracer=None, **_ignored):
         if nranks < 1:
             raise ValueError(f"need at least one rank, got {nranks}")
-        if grace < 0:
-            raise ValueError(f"grace period must be >= 0, got {grace}")
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -101,7 +98,6 @@ class MultiprocessingBackend:
         self.nranks = nranks
         self.machine = machine
         self.timeout = timeout
-        self.grace = float(grace)
         #: With a tracer the run records its measured causal trace and
         #: per-rank resource samples; without one it records nothing.
         self.tracer = tracer
@@ -172,7 +168,7 @@ class MultiprocessingBackend:
                     child_end.close()
 
         results: dict[int, tuple] = {}
-        deadline = time.perf_counter() + self.timeout + self.grace
+        deadline = time.perf_counter() + self.timeout + GRACE
         try:
             while len(results) < self.nranks:
                 remaining = deadline - time.perf_counter()
@@ -181,7 +177,7 @@ class MultiprocessingBackend:
                         f"{self.name} backend: ranks "
                         f"{sorted(set(range(self.nranks)) - set(results))} "
                         f"did not report back within timeout + grace "
-                        f"({self.timeout:g}s + {self.grace:g}s)"
+                        f"({self.timeout:g}s + {GRACE:g}s)"
                     )
                 try:
                     record = result_q.get(timeout=min(remaining, 1.0))

@@ -80,10 +80,10 @@ class MPIBackend:
     measured = True
 
     def __init__(self, nranks: int, machine: MachineModel = SP2_1997,
-                 mpi_comm=None, tracer=None, **_ignored):
+                 tracer=None, **_ignored):
         from mpi4py import MPI
 
-        self.mpi_comm = MPI.COMM_WORLD if mpi_comm is None else mpi_comm
+        self.mpi_comm = MPI.COMM_WORLD
         if self.mpi_comm.size != nranks:
             raise ValueError(
                 f"launched with {self.mpi_comm.size} MPI ranks but the "

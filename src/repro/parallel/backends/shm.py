@@ -125,8 +125,7 @@ class SlabPool:
     :meth:`dispose` (parent, after the run) is the single cleanup point.
     """
 
-    def __init__(self, nslabs: int, slab_bytes: int, ctx=None,
-                 prefault: bool = True):
+    def __init__(self, nslabs: int, slab_bytes: int, ctx=None):
         if nslabs < 1 or slab_bytes < 8:
             raise ValueError(
                 f"need nslabs >= 1 and slab_bytes >= 8, "
@@ -142,15 +141,14 @@ class SlabPool:
         self._data = shared_memory.SharedMemory(
             create=True, size=nslabs * slab_bytes
         )
-        if prefault:
-            # Touch one byte per page so tmpfs allocates every slab page
-            # *now*, in the parent, off any rank's measured clock — a
-            # first-touch fault (allocate + zero) costs ~10x a plain
-            # memcpy of the same page on the sender's critical path.
-            pages = np.ndarray((nslabs * slab_bytes,), dtype=np.uint8,
-                               buffer=self._data.buf)
-            pages[::4096] = 0
-            del pages
+        # Touch one byte per page so tmpfs allocates every slab page *now*,
+        # in the parent, off any rank's measured clock — a first-touch
+        # fault (allocate + zero) costs ~10x a plain memcpy of the same
+        # page on the sender's critical path.
+        pages = np.ndarray((nslabs * slab_bytes,), dtype=np.uint8,
+                           buffer=self._data.buf)
+        pages[::4096] = 0
+        del pages
         # meta layout: [0] free-stack top, [1:1+n] stack, [1+n:1+2n] used flags
         self._meta = shared_memory.SharedMemory(
             create=True, size=(1 + 2 * nslabs) * 8

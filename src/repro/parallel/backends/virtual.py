@@ -27,10 +27,10 @@ class VirtualBackend:
     measured = False
 
     def __init__(self, nranks: int, machine: MachineModel = SP2_1997,
-                 trace: bool = False, tracer=None, **_ignored):
+                 tracer=None, **_ignored):
         self.nranks = nranks
         self.machine = machine
-        self._vm = VirtualMachine(nranks, machine, trace=trace, tracer=tracer)
+        self._vm = VirtualMachine(nranks, machine, tracer=tracer)
 
     def run(self, program, *args, **kwargs) -> RunResult:
         t0 = time.perf_counter()

@@ -25,6 +25,9 @@ from .graph import Graph
 
 __all__ = ["fm_bisection_refine", "kway_fm_refine", "kway_greedy_refine"]
 
+#: FM passes a bisection refinement runs at most.
+FM_PASSES = 4
+
 
 def _gains_bisection(graph: Graph, side: np.ndarray) -> np.ndarray:
     """FM gain of moving each vertex to the other side (ext - int weight)."""
@@ -57,7 +60,6 @@ def fm_bisection_refine(
     side: np.ndarray,
     target0: float,
     ub: float = 1.05,
-    max_passes: int = 4,
 ) -> np.ndarray:
     """Refine a bisection with FM passes (hill-climbing + rollback).
 
@@ -96,7 +98,7 @@ def fm_bisection_refine(
 
     gain_np = _gains_bisection(graph, side_np)
     touched: list[int] | None = None  # moves of the previous pass
-    for _ in range(max_passes):
+    for _ in range(FM_PASSES):
         if touched:
             side_np = np.asarray(side_l, dtype=np.int64)
             moved = np.asarray(touched, dtype=np.int64)

@@ -20,12 +20,14 @@ from .quality import edgecut
 
 __all__ = ["greedy_graph_growing"]
 
+#: Seed vertices a bisection grows from; the smallest cut wins.
+NTRIES = 4
+
 
 def greedy_graph_growing(
     graph: Graph,
     target_frac: float,
     rng: np.random.Generator,
-    ntries: int = 4,
 ) -> np.ndarray:
     """Bisect ``graph`` into sides {0, 1}; side 0 aims for ``target_frac``
     of the total vertex weight.  Returns the side array."""
@@ -39,7 +41,7 @@ def greedy_graph_growing(
 
     best_side = None
     best_cut = np.inf
-    seeds = rng.choice(n, size=min(ntries, n), replace=False)
+    seeds = rng.choice(n, size=min(NTRIES, n), replace=False)
     for seed in seeds:
         side = _grow(graph, int(seed), target)
         cut = edgecut(graph, side)

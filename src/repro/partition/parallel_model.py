@@ -39,15 +39,12 @@ def partition_time(
     n: int,
     p: int,
     machine: MachineModel = SP2_1997,
-    c_work: float = C_WORK,
-    c_msg: float = C_MSG,
-    c_log: float = C_LOG,
 ) -> float:
     """Modelled wall-clock seconds for a parallel k-way (re)partitioning
     of an ``n``-vertex dual graph on ``p`` processors."""
     if n < 0 or p < 1:
         raise ValueError(f"need n >= 0 and p >= 1, got n={n}, p={p}")
-    local = machine.t_work * c_work * n / p
-    rounds = machine.t_setup * c_msg * p
-    tree = machine.t_setup * c_log * math.log2(p) if p > 1 else 0.0
+    local = machine.t_work * C_WORK * n / p
+    rounds = machine.t_setup * C_MSG * p
+    tree = machine.t_setup * C_LOG * math.log2(p) if p > 1 else 0.0
     return local + rounds + tree

@@ -28,25 +28,26 @@ from .quality import imbalance
 
 __all__ = ["repartition"]
 
+#: Imbalance the repartition is held to (max part weight / mean).
+UB = 1.05
+
 
 def repartition(
     graph: Graph,
     k: int,
     old_part: np.ndarray,
     seed: int = 0,
-    ub: float = 1.05,
-    tracer=None,
 ) -> np.ndarray:
     """k-way partition balanced under ``graph.vwgt``, biased toward
     ``old_part`` to reduce data movement.  No part of the result is empty,
     whether or not ``old_part`` used all ``k`` labels.
 
-    With a :class:`repro.obs.Tracer` (passed or ambient), the coarsen /
+    With an ambient :class:`repro.obs.Tracer`, the coarsen /
     rebalance / uncoarsen stages are recorded as wall-clock spans (the
     *virtual* partitioning time is modelled separately, by
     :func:`repro.partition.parallel_model.partition_time`).
     """
-    tracer = tracer if tracer is not None else current_tracer()
+    tracer = current_tracer()
     old_part = np.asarray(old_part, dtype=np.int64)
     if old_part.shape != (graph.n,):
         raise ValueError(f"old_part must have shape ({graph.n},)")
@@ -56,7 +57,7 @@ def repartition(
         raise ValueError(f"cannot cut {graph.n} vertices into k = {k} parts")
     if k == 1:
         return np.zeros(graph.n, dtype=np.int64)
-    if _acceptable(graph, old_part, k, ub):
+    if _acceptable(graph, old_part, k, UB):
         # already balanced under the new weights: moving nothing is the
         # cheapest remap of all (the framework's evaluation step would not
         # normally even call us in this case)
@@ -75,9 +76,9 @@ def repartition(
     # balance_only keeps cut-improving (but data-moving) churn out
     old_coarse = part
     with maybe_phase(tracer, "repartition.rebalance") as sp:
-        part = kway_greedy_refine(g, part, k, ub=ub, max_passes=8,
+        part = kway_greedy_refine(g, part, k, ub=UB, max_passes=8,
                                   balance_only=True)
-        fallback = not _acceptable(g, part, k, ub)
+        fallback = not _acceptable(g, part, k, UB)
         if fallback:
             # the old partition is too skewed for local moves to fix (or
             # left a label unused, which no boundary move can repair): fall
@@ -86,14 +87,14 @@ def repartition(
             # relabel its parts for maximum weighted agreement with the old
             # partition so the fallback still moves as little data as
             # possible
-            part = multilevel_kway(g, k, seed=seed, ub=ub)
+            part = multilevel_kway(g, k, seed=seed, ub=UB)
             part = _relabel_for_agreement(g, old_coarse, part, k)
         if sp is not None:
             sp.attrs["fallback"] = fallback
     with maybe_phase(tracer, "repartition.uncoarsen", levels=len(levels)):
         for fine, cmap in reversed(levels):
             part = part[cmap]
-            part = kway_greedy_refine(fine, part, k, ub=ub, balance_only=True)
+            part = kway_greedy_refine(fine, part, k, ub=UB, balance_only=True)
     return part
 
 

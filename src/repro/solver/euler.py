@@ -41,6 +41,9 @@ from .state import GasState, gas_state
 
 __all__ = ["EulerSolver"]
 
+#: The CFL number a step runs at unless its caller names another.
+CFL = 0.5
+
 
 def dual_volumes(mesh: TetMesh) -> np.ndarray:
     """Median-dual control volume per vertex: ¼ of each incident tet."""
@@ -131,14 +134,14 @@ class EulerSolver:
         self._boundary = np.zeros(self.mesh.nv, dtype=bool)
         self._boundary[np.unique(self.mesh.bnd_faces)] = True
 
-    def residual(self, q: np.ndarray | None = None) -> np.ndarray:
-        """Net flux into each control volume (interior scheme), ``(nv, 5)``.
+    def residual(self) -> np.ndarray:
+        """Net flux into each control volume (interior scheme) at the
+        current state, ``(nv, 5)``.
 
         The gas state is evaluated once, at the vertices, and gathered to
         the edges; the flux core reads only those.
         """
-        q = self.q if q is None else q
-        return self._residual(np.ascontiguousarray(q.T)).T
+        return self._residual(np.ascontiguousarray(self.q.T)).T
 
     def _residual(self, qt: np.ndarray, gas: GasState | None = None) -> np.ndarray:
         """:meth:`residual` of component-major states ``qt`` ``(5, nv)``,
@@ -155,13 +158,14 @@ class EulerSolver:
             self._ends, np.concatenate([-f, f], axis=1), qt.shape[1]
         )
 
-    def stable_dt(self, cfl: float = 0.5) -> float:
-        """CFL time step from dual volumes, interface areas, wave speeds.
+    def stable_dt(self) -> float:
+        """CFL time step at :data:`CFL` from dual volumes, interface areas,
+        wave speeds.
 
         The wave speed ``|v| + c`` is evaluated at the vertices and the
         larger endpoint value taken per edge.
         """
-        return self._stable_dt(gas_state(self.q.T), cfl)
+        return self._stable_dt(gas_state(self.q.T), CFL)
 
     def _stable_dt(self, gas: GasState, cfl: float) -> float:
         """:meth:`stable_dt` from the already evaluated ``gas_state(self.q.T)``."""
@@ -172,7 +176,7 @@ class EulerSolver:
             dt = self.vol / np.maximum(speed_sum, 1e-300)
         return cfl * float(dt.min())
 
-    def step(self, dt: float | None = None, cfl: float = 0.5) -> float:
+    def step(self, dt: float | None = None, cfl: float = CFL) -> float:
         """Advance one forward-Euler step q + dt·L(q); returns dt.
 
         Boundary vertices are frozen (far-field Dirichlet).
@@ -198,7 +202,7 @@ class EulerSolver:
             )
         return dt
 
-    def run(self, n_steps: int, cfl: float = 0.5) -> np.ndarray:
+    def run(self, n_steps: int, cfl: float = CFL) -> np.ndarray:
         """Run ``n_steps`` explicit iterations; returns the state."""
         for _ in range(n_steps):
             self.step(cfl=cfl)

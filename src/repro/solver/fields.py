@@ -20,18 +20,20 @@ from .state import conservative
 
 __all__ = ["rotor_acoustics_field"]
 
+#: Radius of the acoustic wave front around the blade tip, in blade radii.
+WAVE_RADII = 4.0
+
 
 def rotor_acoustics_field(
     coords: np.ndarray,
     blade: BladeSpec,
     tip_mach: float = 0.9,
-    wave_radius: float | None = None,
 ) -> np.ndarray:
     """Blade-bound shock layer plus an impulsive acoustic wave front.
 
     Density and pressure rise steeply inside a thin layer around the blade
     (the transonic shock system) and across a cylindrical wave front of
-    radius ``wave_radius`` centred on the blade tip (the high-speed
+    radius :data:`WAVE_RADII` blade radii centred on the blade tip (the high-speed
     impulsive noise front of [23]); velocity swirls around the blade axis,
     scaled to ``tip_mach``.
     """
@@ -39,8 +41,7 @@ def rotor_acoustics_field(
     d_blade = blade.distance(pts)
     tip = np.asarray(blade.end)
     r_tip = np.linalg.norm(pts - tip, axis=1)
-    if wave_radius is None:
-        wave_radius = 4.0 * blade.radius
+    wave_radius = WAVE_RADII * blade.radius
 
     # steep but smooth bumps: widths set by the blade radius
     w = blade.radius

@@ -39,6 +39,22 @@ def test_constructor_validation():
         LoadBalancedAdaptiveSolver(m, 2, reassigner="optimal_bmcm", F=2)
 
 
+def test_two_machines_are_refused_before_any_partitioning():
+    """The phases are priced on ``machine`` and the §4.5 accept/reject
+    test on ``cost_model.machine``: they must be one machine."""
+    with pytest.raises(ValueError, match="cost_model.machine differs"):
+        LoadBalancedAdaptiveSolver(
+            box_mesh(2, 2, 2), 2, machine=CHEAP_MACHINE, cost_model=CostModel()
+        )
+    assert multilevel_kway.cache_info().misses == 0
+    # equal machines, whether or not one object
+    LoadBalancedAdaptiveSolver(
+        box_mesh(2, 2, 2), 2, machine=MachineModel(t_setup=1e-5, t_word=1e-7,
+                                                   t_work=1e-6),
+        cost_model=CostModel(machine=CHEAP_MACHINE),
+    )
+
+
 def test_unknown_backend_name_is_refused_before_any_partitioning():
     with pytest.raises(ValueError, match="unknown communicator backend 'bogus'; "
                                          "available: .*virtual"):

@@ -9,7 +9,6 @@ from repro.adapt import propagate_markings
 from repro.dist import decompose, finalize, parallel_mark
 from repro.dist.refine_exec import canonical_signature, parallel_refine
 from repro.mesh import box_mesh
-from repro.parallel import IDEAL
 
 
 @st.composite
@@ -47,7 +46,7 @@ def test_parallel_mark_always_matches_serial(data, frac):
     rng = np.random.default_rng(seed + 1)
     marks = rng.random(m.nedges) < frac
     serial = propagate_markings(m, marks)
-    par = parallel_mark(m, locals_, marks, machine=IDEAL)
+    par = parallel_mark(m, locals_, marks)
     assert np.array_equal(par.edge_marked, serial.edge_marked)
 
 
@@ -60,7 +59,7 @@ def test_parallel_refine_always_merges_to_global(data, frac):
     locals_ = decompose(m, part, nproc)
     rng = np.random.default_rng(seed + 2)
     marking = propagate_markings(m, rng.random(m.nedges) < frac)
-    par = parallel_refine(m, locals_, marking, machine=IDEAL)
+    par = parallel_refine(m, locals_, marking)
     glob = subdivide(m, marking)
     assert par.total_children == glob.mesh.ne
     assert np.allclose(par.merged_signature(), canonical_signature(glob.mesh))

@@ -8,7 +8,6 @@ from repro.adapt.marking import element_patterns
 from repro.dist import decompose
 from repro.dist.exec_phase import parallel_mark
 from repro.mesh import box_mesh
-from repro.parallel import IDEAL
 from repro.partition import Graph, multilevel_kway
 
 from tests.fixtures import two_tets
@@ -25,7 +24,7 @@ def test_matches_serial_fixpoint(nproc, seed, frac):
     marks = rng.random(m.nedges) < frac
 
     serial = propagate_markings(m, marks)
-    par = parallel_mark(m, locals_, marks, machine=IDEAL)
+    par = parallel_mark(m, locals_, marks)
     assert np.array_equal(par.edge_marked, serial.edge_marked)
     assert is_valid(element_patterns(m, par.edge_marked)).all()
     assert par.iterations >= 1
@@ -49,7 +48,7 @@ def test_cross_partition_propagation():
     marks[eid(1, 2)] = True
     marks[eid(1, 3)] = True
     serial = propagate_markings(m, marks)
-    par = parallel_mark(m, locals_, marks, machine=IDEAL)
+    par = parallel_mark(m, locals_, marks)
     assert np.array_equal(par.edge_marked, serial.edge_marked)
     assert par.edge_marked[eid(2, 3)]
 
@@ -58,7 +57,7 @@ def test_empty_marks_converge_in_one_round():
     m = box_mesh(2, 2, 2)
     part = np.arange(m.ne) % 2
     locals_ = decompose(m, part, 2)
-    par = parallel_mark(m, locals_, np.zeros(m.nedges, dtype=bool), machine=IDEAL)
+    par = parallel_mark(m, locals_, np.zeros(m.nedges, dtype=bool))
     assert par.edge_marked.sum() == 0
     assert par.iterations == 1
 

@@ -7,7 +7,6 @@ from repro.adapt import propagate_markings, subdivide
 from repro.dist import decompose
 from repro.dist.refine_exec import canonical_signature, parallel_refine
 from repro.mesh import box_mesh
-from repro.parallel import IDEAL
 from repro.partition import Graph, multilevel_kway
 
 from tests.fixtures import two_tets
@@ -23,7 +22,7 @@ def test_merged_equals_global_subdivision(nproc, seed, frac):
     rng = np.random.default_rng(seed)
     marking = propagate_markings(m, rng.random(m.nedges) < frac)
 
-    par = parallel_refine(m, locals_, marking, machine=IDEAL)
+    par = parallel_refine(m, locals_, marking)
     glob = subdivide(m, marking)
 
     assert par.total_children == glob.mesh.ne
@@ -37,7 +36,7 @@ def test_shared_edge_midpoints_coincide():
     m = two_tets()
     locals_ = decompose(m, np.array([0, 1]), 2)
     marking = propagate_markings(m, np.ones(m.nedges, dtype=bool))
-    par = parallel_refine(m, locals_, marking, machine=IDEAL)
+    par = parallel_refine(m, locals_, marking)
     # each rank produced 8 children of its own element
     assert [lm.ne for lm in par.local_meshes] == [8, 8]
     # midpoints of the 3 shared-face edges appear in both local meshes

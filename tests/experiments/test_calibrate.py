@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.experiments import calibrate, format_calibration, run_exec_phase_workload
 from repro.experiments.calibrate import PHASES
-from repro.obs import Tracer
+from repro.obs import Tracer, use_tracer
 
 
 def test_workload_runs_all_phases_on_virtual():
@@ -19,7 +19,8 @@ def test_workload_runs_all_phases_on_virtual():
 
 def test_calibrate_payloads_identical_across_backends():
     tracer = Tracer()
-    report = calibrate(resolution=3, nproc=2, tracer=tracer)
+    with use_tracer(tracer):
+        report = calibrate(resolution=3, nproc=2)
     assert report.payloads_identical, report.mismatches
     assert [r.backend for r in report.measured] == ["multiprocessing", "shm"]
     ref = report.reference

@@ -13,6 +13,7 @@ from repro.mesh.geometry import tet_volumes
 from repro.mesh.tetmesh import TetMesh
 from repro.mesh.topology import LOCAL_EDGES
 from repro.obs.causal import CausalRun
+from repro.obs.metrics import MetricsRegistry
 from repro.solver.state import conservative
 
 
@@ -97,3 +98,14 @@ def run_from_result(result) -> CausalRun:
         nodes=list(result.nodes),
         msgs=list(result.msgs),
     )
+
+
+def metric_value(reg: MetricsRegistry, name: str, labels: dict | None = None,
+                 cycle: int | None = None, rank: int | None = None):
+    """The value ``reg`` stores under the exact key ``(name, labels,
+    cycle, rank)``, or None."""
+    frozen = tuple(sorted((str(k), str(v)) for k, v in (labels or {}).items()))
+    for s in reg.samples():
+        if (s.name, s.labels, s.cycle, s.rank) == (name, frozen, cycle, rank):
+            return s.value
+    return None

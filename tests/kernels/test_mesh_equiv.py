@@ -163,10 +163,6 @@ def test_csr_accessors_match_lexsort(mesh):
     ptr, dat = oracle_csr_from_pairs(mesh.elem2edge.ravel(), owners, mesh.nedges)
     assert np.array_equal(mesh.edge2elem_ptr, ptr)
     assert np.array_equal(mesh.edge2elem_dat, dat)
-    edge_ids = np.repeat(np.arange(mesh.nedges, dtype=np.int64), 2)
-    ptr, dat = oracle_csr_from_pairs(mesh.edges.ravel(), edge_ids, mesh.nv)
-    assert np.array_equal(mesh.vert2edge_ptr, ptr)
-    assert np.array_equal(mesh.vert2edge_dat, dat)
 
 
 @pytest.mark.parametrize("seed", range(4))

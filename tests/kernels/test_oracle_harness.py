@@ -299,8 +299,6 @@ ALLOWLIST = {
     "is_valid": "the pattern invariant the adaptor and rank-program tests "
                 "hold every marking fixpoint to",
     "IDEAL": "the contention-free machine the property tests price against",
-    "register_backend": "the extension point a new communicator backend "
-                        "registers through",
 }
 
 
@@ -432,3 +430,171 @@ def test_src_calls_every_comm_method_and_yields_every_op():
     }
     assert ops >= {"WorkOp", "SendOp", "RecvOp"}
     assert ops - yielded == set(), "op classes no product code yields"
+
+
+# --- every option has a product caller ----------------------------------------
+
+#: Keyword forwarders whose ``**opts`` reach every registered backend class.
+FORWARDERS = {"create_communicator", "resolve_backend"}
+BACKENDS_INIT = SRC / "repro" / "parallel" / "backends" / "__init__.py"
+
+#: Defaulted parameters kept without a product caller, each for a written
+#: reason (at most 10).
+ALLOWLIST_OPTIONS = {
+    "Tracer.__init__(wall_clock)": "the fake clock the span tests step by hand",
+    "ShmTransport.__init__(min_bytes)": "the zero-copy threshold the transport "
+                                        "tests lower to put small arrays on "
+                                        "the slab path",
+    "ShmTransport.__init__(alloc_wait)": "the pool-exhaustion wait the spill "
+                                         "tests shorten",
+    "LoadBalancedAdaptiveSolver.__init__(F)": "the partitions-per-processor "
+                                              "ablation hook of paper §4.3",
+    "MultiprocessingBackend.__init__(timeout)": "the receive timeout the "
+                                                "deadlock tests shorten so a "
+                                                "hung rank fails in seconds",
+    "mapper_comparison(repeats)": "test_golden_series.py solves each matrix "
+                                  "once (repeats=1) and stays unedited until "
+                                  "the golden series is rebaselined",
+}
+
+
+def _callee(e: ast.AST) -> str | None:
+    if isinstance(e, ast.Name):
+        return e.id
+    if isinstance(e, ast.Attribute):
+        return e.attr
+    return None
+
+
+def _public_callables(trees):
+    """``(path, qualified name, name a call uses, def, leading self)`` for
+    every public function, public method and public class ``__init__``
+    under ``src/repro``."""
+    for p, tree in trees.items():
+        if SRC not in p.parents:
+            continue
+        for s in tree.body:
+            if isinstance(s, ast.FunctionDef) and not s.name.startswith("_"):
+                yield p, s.name, s.name, s, 0
+            elif isinstance(s, ast.ClassDef) and not s.name.startswith("_"):
+                for f in s.body:
+                    if not isinstance(f, ast.FunctionDef):
+                        continue
+                    static = any(_callee(d) == "staticmethod"
+                                 for d in f.decorator_list)
+                    if f.name == "__init__":
+                        yield p, f"{s.name}.__init__", s.name, f, 1
+                    elif not f.name.startswith("_"):
+                        yield p, f"{s.name}.{f.name}", f.name, f, int(not static)
+
+
+def _defaulted(f: ast.FunctionDef, skip: int):
+    """``(name, position a call passes it at or None)`` per defaulted
+    positional-or-keyword and keyword-only parameter."""
+    a = f.args
+    pos = a.posonlyargs + a.args
+    first = len(pos) - len(a.defaults)
+    for i, arg in enumerate(pos[first:], first):
+        yield arg.arg, i - skip
+    for arg, d in zip(a.kwonlyargs, a.kw_defaults):
+        if d is not None:
+            yield arg.arg, None
+
+
+def _option_walk():
+    """Every defaulted parameter of a public callable, and those of them no
+    product call sets: ``(all, flagged)`` as ``"Qual.name(param)"``."""
+    trees = {p: ast.parse(p.read_text())
+             for root in CALLERS for p in sorted(root.rglob("*.py"))}
+    registered = {
+        _callee(v)
+        for n in ast.walk(trees[BACKENDS_INIT])
+        if isinstance(n, ast.Dict)
+        for v in n.values
+    } | {
+        _callee(n.value)
+        for n in ast.walk(trees[BACKENDS_INIT])
+        if isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Subscript)
+    }
+    registered.discard(None)
+    assert {"VirtualBackend", "MultiprocessingBackend",
+            "SharedMemoryBackend", "MPIBackend"} <= registered
+    sets: dict[str, list[tuple[float, set[str]]]] = {}
+    for tree in trees.values():
+        # ``mpr = tracer.metric_per_rank`` then ``mpr(...)``
+        alias = {
+            n.targets[0].id: _callee(n.value)
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Assign) and len(n.targets) == 1
+            and isinstance(n.targets[0], ast.Name)
+            and isinstance(n.value, ast.Attribute)
+        }
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Call):
+                continue
+            kws = {k.arg for k in n.keywords if k.arg}
+            npos = (float("inf") if any(isinstance(a, ast.Starred) for a in n.args)
+                    else len(n.args))
+            callee = _callee(n.func)
+            if callee:
+                sets.setdefault(alias.get(callee, callee), []).append((npos, kws))
+            # a runner given the callee: ``ops.run(labels, f, ..., p=...)``
+            for a in list(n.args) + [k.value for k in n.keywords]:
+                if _callee(a):
+                    sets.setdefault(_callee(a), []).append((0, kws))
+            if callee in FORWARDERS:
+                for cls in registered:
+                    sets.setdefault(cls, []).append((0, kws))
+    everything, flagged = [], []
+    for p, qual, callee, f, skip in _public_callables(trees):
+        for param, at in _defaulted(f, skip):
+            key = f"{qual}({param})"
+            everything.append(key)
+            if not any(param in kws or (at is not None and npos > at)
+                       for npos, kws in sets.get(callee, [])):
+                flagged.append(key)
+    return everything, flagged
+
+
+def test_every_option_has_a_product_caller():
+    """Every defaulted parameter of a public callable under ``src/repro``
+    is set, by keyword or by position, by a call in ``src/``,
+    ``examples/``, ``scripts/`` or ``benchmarks/`` that names the callable
+    (``f(...)``, ``x.f(...)``, ``Class(...)``) or takes it as an argument
+    (``ops.run(labels, f, ..., p=...)``); the backend registry's
+    ``**opts`` credit every registered backend class.  An option no
+    product caller sets becomes a constant or leaves with its branch."""
+    everything, flagged = _option_walk()
+    assert len(everything) > 150  # the walker found the tree
+    assert len(ALLOWLIST_OPTIONS) <= 10
+    assert set(ALLOWLIST_OPTIONS) <= set(flagged), "stale allowlist entries"
+    missing = [k for k in flagged if k not in ALLOWLIST_OPTIONS]
+    assert missing == [], f"options no product caller sets: {missing}"
+
+
+#: Where a public callable may take a tracer: the obs package, and the
+#: machines (the virtual machine, the backends, the cost ledger) that the
+#: one launcher or the framework hands it to.
+TRACER_TAKERS = (
+    SRC / "repro" / "obs",
+    SRC / "repro" / "parallel" / "runtime.py",
+    SRC / "repro" / "parallel" / "backends",
+    SRC / "repro" / "parallel" / "ledger.py",
+)
+
+
+def test_entry_points_read_the_ambient_tracer():
+    """Outside :data:`TRACER_TAKERS` no public callable has a parameter
+    named ``tracer``: an entry point reads ``current_tracer()``, and a
+    caller installs one with ``use_tracer``."""
+    trees = {p: ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))}
+    takers = []
+    for p, qual, _callee_name, f, _skip in _public_callables(trees):
+        a = f.args
+        names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+        if "tracer" in names and not any(
+            p == t or t in p.parents for t in TRACER_TAKERS
+        ):
+            takers.append(f"{p.relative_to(SRC)}:{qual}")
+    assert len(trees) > 50
+    assert takers == []

@@ -12,24 +12,17 @@ from tests.fixtures import single_tet
 def test_vtk_export(tmp_path):
     m = box_mesh(1, 1, 1)
     path = str(tmp_path / "out.vtk")
-    write_vtk(
-        path,
-        m,
-        point_data={"rho": np.ones(m.nv)},
-        cell_data={"part": np.arange(m.ne, dtype=float)},
-    )
+    write_vtk(path, m, cell_data={"part": np.arange(m.ne, dtype=float)})
     text = open(path).read()
     assert text.startswith("# vtk DataFile Version 3.0")
     assert f"POINTS {m.nv} double" in text
     assert f"CELLS {m.ne} {5 * m.ne}" in text
-    assert "SCALARS rho double 1" in text
+    assert f"CELL_DATA {m.ne}" in text
     assert "SCALARS part double 1" in text
     assert text.count("\n10") >= m.ne - 1  # VTK_TETRA cell types
 
 
 def test_vtk_field_shape_checks(tmp_path):
     m = single_tet()
-    with pytest.raises(ValueError, match="point field"):
-        write_vtk(str(tmp_path / "a.vtk"), m, point_data={"x": np.zeros(2)})
     with pytest.raises(ValueError, match="cell field"):
         write_vtk(str(tmp_path / "b.vtk"), m, cell_data={"x": np.zeros(2)})

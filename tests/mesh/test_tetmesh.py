@@ -51,8 +51,8 @@ def test_edge_and_vertex_adjacency():
     m = single_tet()
     for e in range(m.nedges):
         assert m.edge_elems(e).tolist() == [0]
-    for v in range(4):
-        assert len(m.vertex_edges(v)) == 3  # each vertex touches 3 edges
+    # each vertex touches 3 edges
+    assert np.bincount(m.edges.ravel()).tolist() == [3, 3, 3, 3]
 
 
 def test_sizes_dict_matches_table1_columns():
@@ -93,14 +93,11 @@ def test_inverse_adjacency_is_built_on_first_access_only():
     assert m.edge2elem_ptr.shape == (m.nedges + 1,)
     assert m.edge2elem_dat.shape == (6 * m.ne,)
     assert m.edge2elem_ptr is m.edge2elem_ptr  # built once, then kept
-    assert m.vertex_edges(0).size > 0
-    assert set(vars(m)) - EAGER_ARRAYS == {"_edge2elem", "_vert2edge"}
-    assert m.vert2edge_ptr.shape == (m.nv + 1,)
-    assert m.vert2edge_dat.shape == (2 * m.nedges,)
     for e in range(m.nedges):
-        for v in m.edges[e]:
-            assert e in m.vertex_edges(v)
+        for el in m.edge_elems(e):
+            assert e in m.elem2edge[el]
     m.check()
+    assert set(vars(m)) - EAGER_ARRAYS == {"_edge2elem"}
 
 
 #: tracemalloc high-water mark of ``TetMesh.from_elems`` per element, its

@@ -13,6 +13,7 @@ from repro.obs import (
     runs_from_tracer,
     verify_makespans,
 )
+from repro.obs import causal
 from repro.obs.causal import chain_of, format_chain, node_slack
 from repro.parallel import SP2_1997, VirtualMachine
 from repro.parallel.ledger import CostLedger
@@ -98,7 +99,7 @@ def test_chain_of_crosses_message_edges():
     res = traced_pingpong()
     run = run_from_result(res)
     last_r0 = max((n for n in run.nodes if n.rank == 0), key=lambda n: n.id)
-    chain = chain_of(run.nodes, run.msgs, last_r0, limit=10)
+    chain = chain_of(run.nodes, run.msgs, last_r0)
     assert chain[-1] is last_r0
     assert {n.rank for n in chain} == {0, 1}  # crossed to rank 1's send
     text = format_chain(chain, run.msgs)
@@ -106,11 +107,12 @@ def test_chain_of_crosses_message_edges():
     assert "recv<-1(tag=2)" in text
 
 
-def test_chain_respects_limit():
+def test_chain_respects_limit(monkeypatch):
     res = traced_pingpong()
     run = run_from_result(res)
     start = max(run.nodes, key=lambda n: n.id)
-    assert len(chain_of(run.nodes, run.msgs, start, limit=2)) == 2
+    monkeypatch.setattr(causal, "CHAIN_LIMIT", 2)
+    assert len(chain_of(run.nodes, run.msgs, start)) == 2
 
 
 def _traced_cycle() -> Tracer:

@@ -20,6 +20,8 @@ from repro.obs.export import MARKER_ATTRS, RECORDS
 from repro.obs.resource import ResourceSample
 from repro.obs.wallclock import ClockRecord
 
+from tests.fixtures import metric_value
+
 
 def sample_tracer() -> Tracer:
     ticks = iter(range(1000))
@@ -28,7 +30,7 @@ def sample_tracer() -> Tracer:
         with tr.phase("marking") as sp:
             tr.advance(0.25)
             sp.attrs["edges"] = 7
-        with tr.phase("remap", rank=None):
+        with tr.phase("remap"):
             tr.event("decision", rank=0, accept=True)
             tr.advance(0.5)
     return tr
@@ -194,8 +196,8 @@ def test_metric_roundtrip(tmp_path):
     assert back.metrics.samples() == tr.metrics.samples()
     # counters keep their per-rank keys, histograms their full value lists
     assert back.metrics.per_rank("repro.vm.words_sent") == {0: 128.0, 1: 64.0}
-    assert back.metrics.get("repro.solver.residual_norm",
-                            cycle=0) == [0.5, 0.25]
+    assert metric_value(back.metrics, "repro.solver.residual_norm",
+                        cycle=0) == [0.5, 0.25]
     # the cycle counter resumes after the last recorded cycle
     assert back.begin_cycle() == 1
 

@@ -11,6 +11,8 @@ from repro.mesh import box_mesh, edge_midpoints
 from repro.obs import Tracer, phase_virtual_times, use_tracer
 from repro.parallel import MachineModel
 
+from tests.fixtures import metric_value
+
 CHEAP_MACHINE = MachineModel(t_setup=1e-5, t_word=1e-7, t_work=1e-6)
 
 LEAF_PHASES = ("marking", "repartition", "gather_scatter", "reassign",
@@ -67,18 +69,19 @@ def test_phase_times_match_report_fields():
 
 def test_explicit_tracer_receives_step_spans_and_counters():
     tr = Tracer()
-    s = make_solver(4, tracer=tr)
-    rep = s.adapt_step(edge_error=corner_error(s.adaptive.mesh),
-                       refine_frac=0.15)
+    s = make_solver(4)
+    with use_tracer(tr):
+        rep = s.adapt_step(edge_error=corner_error(s.adaptive.mesh),
+                           refine_frac=0.15)
     assert rep.spans and rep.spans[0] in tr.spans
     reg = tr.metrics
-    assert reg.get("repro.adapt.marked_edges", cycle=0) > 0
+    assert metric_value(reg, "repro.adapt.marked_edges", cycle=0) > 0
     # repartitioning was triggered: its quality was sampled before/after
-    assert reg.get("repro.partition.imbalance", {"when": "before"},
-                   cycle=0) is not None
-    assert reg.get("repro.cycle.imbalance", {"when": "after"},
-                   cycle=0) == rep.imbalance_after
-    assert reg.get("repro.cycle.accepted", cycle=0) == float(rep.accepted)
+    assert metric_value(reg, "repro.partition.imbalance", {"when": "before"},
+                        cycle=0) is not None
+    assert metric_value(reg, "repro.cycle.imbalance", {"when": "after"},
+                        cycle=0) == rep.imbalance_after
+    assert metric_value(reg, "repro.cycle.accepted", cycle=0) == float(rep.accepted)
     if rep.accepted:
         assert reg.total("repro.remap.elements_moved") == \
             rep.remap.elements_moved
@@ -98,10 +101,11 @@ def test_ambient_tracer_used_when_none_passed():
 
 def test_consecutive_steps_share_one_virtual_timeline():
     tr = Tracer()
-    s = make_solver(4, tracer=tr)
-    for _ in range(2):
-        s.adapt_step(edge_error=corner_error(s.adaptive.mesh),
-                     refine_frac=0.1)
+    s = make_solver(4)
+    with use_tracer(tr):
+        for _ in range(2):
+            s.adapt_step(edge_error=corner_error(s.adaptive.mesh),
+                         refine_frac=0.1)
     roots = [sp for sp in tr.spans if sp.name == "adapt_step"]
     assert len(roots) == 2
     assert roots[1].v_start == pytest.approx(roots[0].v_end)

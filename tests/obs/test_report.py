@@ -8,10 +8,19 @@ import pytest
 
 from repro.core import CostModel, LoadBalancedAdaptiveSolver
 from repro.mesh import box_mesh, edge_midpoints
-from repro.obs import Tracer, export_jsonl, read_jsonl, render_ascii, render_html
+from repro.obs import (
+    Tracer,
+    export_jsonl,
+    read_jsonl,
+    render_ascii,
+    render_html,
+    use_tracer,
+)
 from repro.obs.report import _fmt
 from repro.parallel import CostLedger, MachineModel
 from repro.partition import quality as pq
+
+from tests.fixtures import metric_value
 
 CHEAP = MachineModel(t_setup=1e-5, t_word=1e-7, t_work=1e-6)
 NPROC = 4
@@ -33,11 +42,12 @@ def make_solver(**kw):
 @pytest.fixture(scope="module")
 def traced_step():
     tracer = Tracer()
-    solver = make_solver(tracer=tracer)
-    report = solver.adapt_step(
-        edge_error=corner_error(solver.adaptive.mesh),
-        refine_frac=REFINE_FRAC,
-    )
+    solver = make_solver()
+    with use_tracer(tracer):
+        report = solver.adapt_step(
+            edge_error=corner_error(solver.adaptive.mesh),
+            refine_frac=REFINE_FRAC,
+        )
     assert report.accepted  # the workload must exercise the whole cycle
     return solver, report, tracer
 
@@ -60,42 +70,42 @@ def test_partition_quality_metrics_match_direct_computation(traced_step):
     graph = twin.dual.graph.with_vwgt(np.asarray(wcomp_pred, dtype=np.int64))
 
     reg = tracer.metrics
-    assert reg.get("repro.partition.imbalance", {"when": "before"},
-                   cycle=0) == pq.imbalance(graph, part0, NPROC)
-    assert reg.get("repro.partition.edgecut", {"when": "before"},
-                   cycle=0) == float(pq.edgecut(graph, part0))
+    assert metric_value(reg, "repro.partition.imbalance", {"when": "before"},
+                        cycle=0) == pq.imbalance(graph, part0, NPROC)
+    assert metric_value(reg, "repro.partition.edgecut", {"when": "before"},
+                        cycle=0) == float(pq.edgecut(graph, part0))
 
 
 def test_phase_seconds_metrics_equal_report_exactly(traced_step):
     _, report, tracer = traced_step
     reg = tracer.metrics
     for phase, seconds in report.phase_times().items():
-        assert reg.get("repro.cycle.phase_seconds", {"phase": phase},
-                       cycle=0) == seconds  # exact: no virtual drift allowed
-    assert reg.get("repro.cycle.total_seconds", cycle=0) == report.total_time
-    assert reg.get("repro.cycle.imbalance", {"when": "before"},
-                   cycle=0) == report.imbalance_before
-    assert reg.get("repro.cycle.imbalance", {"when": "after"},
-                   cycle=0) == report.imbalance_after
+        assert metric_value(reg, "repro.cycle.phase_seconds", {"phase": phase},
+                            cycle=0) == seconds  # exact: no virtual drift allowed
+    assert metric_value(reg, "repro.cycle.total_seconds", cycle=0) == report.total_time
+    assert metric_value(reg, "repro.cycle.imbalance", {"when": "before"},
+                        cycle=0) == report.imbalance_before
+    assert metric_value(reg, "repro.cycle.imbalance", {"when": "after"},
+                        cycle=0) == report.imbalance_after
 
 
 def test_remap_and_reassign_metrics_match_execution(traced_step):
     _, report, tracer = traced_step
     reg = tracer.metrics
-    assert reg.get("repro.remap.elements_moved",
-                   cycle=0) == report.remap.elements_moved
-    assert reg.get("repro.remap.words_moved",
-                   cycle=0) == report.remap.words_moved
-    assert reg.get("repro.remap.messages", cycle=0) == report.remap.messages
+    assert metric_value(reg, "repro.remap.elements_moved",
+                        cycle=0) == report.remap.elements_moved
+    assert metric_value(reg, "repro.remap.words_moved",
+                        cycle=0) == report.remap.words_moved
+    assert metric_value(reg, "repro.remap.messages", cycle=0) == report.remap.messages
     # both reassignment methods are recorded, Table-1 style
     for metric in ("repro.reassign.total_v", "repro.reassign.max_v",
                    "repro.reassign.max_sr"):
         for method in ("greedy", "mwbg"):
-            value = reg.get(metric, {"method": method}, cycle=0)
+            value = metric_value(reg, metric, {"method": method}, cycle=0)
             assert value is not None and value >= 0
     # the active reassigner's TotalV is the decision's stats
-    assert reg.get("repro.reassign.total_v", {"method": "greedy"},
-                   cycle=0) == report.stats.c_total
+    assert metric_value(reg, "repro.reassign.total_v", {"method": "greedy"},
+                        cycle=0) == report.stats.c_total
 
 
 def test_ascii_report_renders_the_recorded_values(traced_step):
@@ -112,8 +122,8 @@ def test_ascii_report_renders_the_recorded_values(traced_step):
     reg = tracer.metrics
     # formatted metric values appear verbatim — rendered, not recomputed
     for value in (
-        reg.get("repro.partition.imbalance", {"when": "after"}, cycle=0),
-        reg.get("repro.reassign.total_v", {"method": "mwbg"}, cycle=0),
+        metric_value(reg, "repro.partition.imbalance", {"when": "after"}, cycle=0),
+        metric_value(reg, "repro.reassign.total_v", {"method": "mwbg"}, cycle=0),
         report.remap.elements_moved,
     ):
         assert _fmt(value) in text
@@ -145,7 +155,7 @@ def test_non_finite_metrics_render_by_name_in_both_writers(tmp_path):
     for when, values in (("before", [math.nan, 1.6, 1.3]),
                          ("after", [math.inf, 1.1, 1.0])):
         for cycle, value in enumerate(values):
-            tracer.metrics.gauge("repro.partition.imbalance", value,
+            tracer.metrics.record("repro.partition.imbalance", value,
                                  labels={"when": when}, cycle=cycle)
     path = tmp_path / "nan.jsonl"
     export_jsonl(tracer, path)

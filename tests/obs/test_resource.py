@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import resource
 from repro.obs.export import export_jsonl, read_jsonl, validate_jsonl
 from repro.obs.resource import (
     ResourceSample,
@@ -12,6 +13,8 @@ from repro.obs.resource import (
 )
 from repro.obs.tracer import Tracer
 
+from tests.fixtures import metric_value
+
 
 def test_sample_resources_shape():
     rss, cpu, gcs = sample_resources()
@@ -20,13 +23,9 @@ def test_sample_resources_shape():
     assert isinstance(gcs, int) and gcs >= 0
 
 
-def test_sampler_rejects_bad_interval():
-    with pytest.raises(ValueError, match="must be > 0"):
-        ResourceSampler(interval=0.0)
-
-
-def test_sampler_takes_opening_and_closing_samples():
-    sampler = ResourceSampler(interval=10.0)  # loop never fires
+def test_sampler_takes_opening_and_closing_samples(monkeypatch):
+    monkeypatch.setattr(resource, "INTERVAL", 10.0)  # loop never fires
+    sampler = ResourceSampler()
     sampler.start()
     sampler.stop()
     rows = sampler.rows()
@@ -36,8 +35,9 @@ def test_sampler_takes_opening_and_closing_samples():
     assert rows["rss"][0] > 0
 
 
-def test_sampler_periodic_samples_accumulate():
-    with ResourceSampler(interval=0.005) as sampler:
+def test_sampler_periodic_samples_accumulate(monkeypatch):
+    monkeypatch.setattr(resource, "INTERVAL", 0.005)
+    with ResourceSampler() as sampler:
         import time
 
         time.sleep(0.05)
@@ -61,12 +61,12 @@ def test_record_resource_samples_appends_and_mirrors_peaks():
     assert [s.rank for s in tr.resource_samples] == [2, 2, 2]
     assert tr.resource_samples[1].rss_bytes == 300.0
     labels = {"backend": "shm"}
-    assert tr.metrics.get("repro.resource.peak_rss_bytes", labels,
-                          rank=2) == 300.0
-    assert tr.metrics.get("repro.resource.cpu_seconds", labels,
-                          rank=2) == pytest.approx(0.11)
-    assert tr.metrics.get("repro.resource.gc_collections", labels,
-                          rank=2) == 5.0
+    assert metric_value(tr.metrics, "repro.resource.peak_rss_bytes", labels,
+                        rank=2) == 300.0
+    assert metric_value(tr.metrics, "repro.resource.cpu_seconds", labels,
+                        rank=2) == pytest.approx(0.11)
+    assert metric_value(tr.metrics, "repro.resource.gc_collections", labels,
+                        rank=2) == 5.0
 
 
 def test_record_resource_samples_guards():

@@ -1,6 +1,7 @@
 """Run-history store: records, trace summarization, comparison."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -40,10 +41,20 @@ def test_store_add_get_roundtrip(tmp_path):
     assert back.backends == ["shm"]
 
 
+def _add_as(store, run_id, **kw):
+    """``store.add``, then the record moved under a chosen id."""
+    rec = store.add(metrics={}, **kw)
+    old = Path(store.root) / f"{rec.id}.json"
+    doc = {**json.loads(old.read_text()), "id": run_id}
+    (Path(store.root) / f"{run_id}.json").write_text(json.dumps(doc))
+    old.unlink()
+    return store.get(run_id)
+
+
 def test_store_get_by_unique_prefix(tmp_path):
     store = RunStore(str(tmp_path))
-    a = store.add(kind="trace", label="x", metrics={}, run_id="20260101-aaaa")
-    store.add(kind="trace", label="x", metrics={}, run_id="20260101-bbbb")
+    a = _add_as(store, "20260101-aaaa", kind="trace", label="x")
+    _add_as(store, "20260101-bbbb", kind="trace", label="x")
     assert store.get("20260101-a").id == a.id
     with pytest.raises(KeyError, match="ambiguous"):
         store.get("20260101")
@@ -53,7 +64,7 @@ def test_store_get_by_unique_prefix(tmp_path):
 
 def test_store_records_skip_foreign_files(tmp_path):
     store = RunStore(str(tmp_path))
-    store.add(kind="bench", label="b", metrics={}, run_id="r1")
+    _add_as(store, "r1", kind="bench", label="b")
     (tmp_path / "junk.json").write_text("{not json")
     (tmp_path / "other.json").write_text(json.dumps({"schema": "other/v9"}))
     # right schema, wrong shape (tests/obs/test_cli_runs.py has the three

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.remap import build_move_matrix, execute_remap
-from repro.obs import Tracer
+from repro.obs import Tracer, use_tracer
 from repro.parallel import CostLedger, MachineModel, VirtualMachine
 
 CHEAP = MachineModel(t_setup=1e-5, t_word=1e-7, t_work=1e-6)
@@ -18,8 +18,9 @@ WREMAP = np.array([1, 2, 3, 1, 4, 2, 1, 5, 2, 3])
 
 def traced_remap():
     tracer = Tracer()
-    execu = execute_remap(OLD, NEW, WREMAP, NPROC, storage_words=STORAGE,
-                          machine=CHEAP, tracer=tracer)
+    with use_tracer(tracer):
+        execu = execute_remap(OLD, NEW, WREMAP, NPROC, storage_words=STORAGE,
+                              machine=CHEAP)
     return execu, tracer.metrics
 
 
