@@ -1,8 +1,8 @@
 """Building blocks the tests share and no product code uses.
 
 The smallest tetrahedral meshes, an element-quality measure, the analytic
-flow fields the solver, adaptor and framework tests start from, and the
-causal run of one traced ``RunResult``.
+flow fields the solver, adaptor and framework tests start from, the causal
+run of one traced ``RunResult``, and weighted graphs from edge lists.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from repro.mesh.tetmesh import TetMesh
 from repro.mesh.topology import LOCAL_EDGES
 from repro.obs.causal import CausalRun
 from repro.obs.metrics import MetricsRegistry
+from repro.partition.graph import Graph
 from repro.solver.state import conservative
 
 
@@ -109,3 +110,22 @@ def metric_value(reg: MetricsRegistry, name: str, labels: dict | None = None,
         if (s.name, s.labels, s.cycle, s.rank) == (name, frozen, cycle, rank):
             return s.value
     return None
+
+
+def weighted_graph(pairs, n: int, vwgt=None, ewgt=None) -> Graph:
+    """``Graph.from_pairs(pairs, n)`` weighted: ``vwgt`` per vertex, and
+    ``ewgt`` per listed pair, an edge listed more than once (in either
+    orientation) weighing the sum of its listings."""
+    g = Graph.from_pairs(pairs, n)
+    if ewgt is not None:
+        a, b = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        w = np.asarray(ewgt, dtype=np.int64)
+        keep = a != b
+        a, b, w = a[keep], b[keep], w[keep]
+        # rows ascend, so the (src, dst) keys of the CSR are sorted
+        src = np.repeat(np.arange(n), np.diff(g.ptr))
+        slot = np.searchsorted(src * n + g.adj, np.concatenate([a * n + b, b * n + a]))
+        summed = np.zeros(g.adj.shape[0], dtype=np.int64)
+        np.add.at(summed, slot, np.concatenate([w, w]))
+        g = Graph(ptr=g.ptr, adj=g.adj, vwgt=g.vwgt, ewgt=summed)
+    return g if vwgt is None else g.with_vwgt(vwgt)
