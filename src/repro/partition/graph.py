@@ -21,6 +21,13 @@ class Graph:
     ``adj[ptr[v]:ptr[v+1]]`` are the neighbours of ``v``; ``ewgt`` is
     aligned with ``adj`` (each undirected edge appears twice, once per
     direction, with equal weight).
+
+    Every row is strictly ascending by neighbour and holds no self-loop.
+    :meth:`from_pairs`, :func:`~repro.partition.contract.contract` and the
+    partitioner's induced subgraphs all build rows that way, and the
+    coarsening kernels rely on it: heavy-edge matching breaks weight ties
+    by neighbour id with one stable sort, and a subgraph keeps its
+    parent's row order without sorting.
     """
 
     ptr: np.ndarray
@@ -62,54 +69,26 @@ class Graph:
         return self.ewgt[self.ptr[v] : self.ptr[v + 1]]
 
     @classmethod
-    def from_pairs(
-        cls,
-        pairs: np.ndarray,
-        n: int,
-        vwgt: np.ndarray | None = None,
-        ewgt: np.ndarray | None = None,
-    ) -> "Graph":
-        """Build from an ``(m, 2)`` list of undirected edges.
+    def from_pairs(cls, pairs: np.ndarray, n: int) -> "Graph":
+        """Build the unit-vertex-weight graph of an ``(m, 2)`` list of
+        undirected edges.
 
-        Parallel edges are merged with weights summed; self-loops dropped.
+        Self-loops are dropped; an edge listed ``c`` times (in either
+        orientation) gets weight ``c``.  Weight the vertices with
+        :meth:`with_vwgt`.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if ewgt is None:
-            ewgt = np.ones(pairs.shape[0], dtype=np.int64)
-        else:
-            ewgt = np.asarray(ewgt, dtype=np.int64)
-        keep = pairs[:, 0] != pairs[:, 1]
-        pairs, ewgt = pairs[keep], ewgt[keep]
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             raise ValueError("edge endpoint out of range")
-        if vwgt is None:
-            vwgt = np.ones(n, dtype=np.int64)
-        if pairs.shape[0] == 0:
-            return cls(
-                ptr=np.zeros(n + 1, dtype=np.int64),
-                adj=np.empty(0, dtype=np.int64),
-                vwgt=vwgt,
-                ewgt=np.empty(0, dtype=np.int64),
-            )
-        # merge duplicates on canonical (lo, hi) keys
-        lo = pairs.min(axis=1)
-        hi = pairs.max(axis=1)
-        keys = lo * n + hi
-        order = np.argsort(keys, kind="stable")
-        keys_s, lo_s, hi_s, w_s = keys[order], lo[order], hi[order], ewgt[order]
-        first = np.r_[True, keys_s[1:] != keys_s[:-1]]
-        starts = np.flatnonzero(first)
-        wsum = np.add.reduceat(w_s, starts) if starts.size else np.empty(0, np.int64)
-        ulo, uhi = lo_s[first], hi_s[first]
-        # symmetrize
-        src = np.concatenate([ulo, uhi])
-        dst = np.concatenate([uhi, ulo])
-        ww = np.concatenate([wsum, wsum])
-        order2 = np.lexsort((dst, src))
-        src, dst, ww = src[order2], dst[order2], ww[order2]
+        a, b = pairs[:, 0], pairs[:, 1]
+        # both directions of every edge; equal (src, dst) keys merge
+        key, ewgt = np.unique(np.concatenate([a * n + b, b * n + a]),
+                              return_counts=True)
+        src, adj = np.divmod(key, n)
         ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
-        return cls(ptr=ptr, adj=dst, vwgt=vwgt, ewgt=ww)
+        return cls(ptr=ptr, adj=adj, vwgt=np.ones(n, dtype=np.int64), ewgt=ewgt)
 
     def with_vwgt(self, vwgt: np.ndarray) -> "Graph":
         """Same topology, new vertex weights (adaption updates Wcomp)."""

@@ -247,14 +247,18 @@ def _top_up(sub: Graph, side: np.ndarray, need: tuple[int, int]) -> None:
 
 
 def _subgraph(graph: Graph, vertices: np.ndarray) -> Graph:
-    """Induced subgraph with vertices renumbered 0..len(vertices)-1."""
-    n = graph.n
-    local = np.full(n, -1, dtype=np.int64)
+    """Induced subgraph with vertices renumbered 0..len(vertices)-1.
+
+    ``vertices`` ascend (``_recurse`` only ever splits ``arange`` order),
+    so the renumbering is monotone and the kept entries of each ascending
+    CSR row stay ascending: a filter and one ``bincount``, no sort.
+    """
+    local = np.full(graph.n, -1, dtype=np.int64)
     local[vertices] = np.arange(vertices.shape[0])
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.ptr))
-    sel = (local[src] >= 0) & (local[graph.adj] >= 0)
-    half = sel & (src < graph.adj)
-    pairs = np.column_stack([local[src[half]], local[graph.adj[half]]])
-    return Graph.from_pairs(
-        pairs, vertices.shape[0], vwgt=graph.vwgt[vertices], ewgt=graph.ewgt[half]
-    )
+    lsrc = np.repeat(local, np.diff(graph.ptr))
+    ldst = local[graph.adj]
+    sel = (lsrc >= 0) & (ldst >= 0)
+    ptr = np.zeros(vertices.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lsrc[sel], minlength=vertices.shape[0]), out=ptr[1:])
+    return Graph(ptr=ptr, adj=ldst[sel], vwgt=graph.vwgt[vertices],
+                 ewgt=graph.ewgt[sel])

@@ -10,6 +10,10 @@ lives here, unchanged, as the oracle it must match bit for bit:
   :func:`heavy_edge_matching_reference`,
   :func:`greedy_graph_growing_reference` — numpy-scalar refiners and
   region growing, per-vertex ``lexsort`` matching;
+* :func:`contract_reference`, :func:`subgraph_reference` — coarse and
+  induced CSR rebuilt from edge pairs by :func:`from_pairs_reference`
+  (``Graph.from_pairs`` when it still took weights), where the product
+  builds it from the CSR it is given;
 * :func:`gains_bisection_reference`, :func:`gains_subset_reference`,
   :func:`csr_ptr_reference` — ``np.add.at`` where the product counts
   with ``np.bincount``;
@@ -589,6 +593,98 @@ def csr_ptr_reference(pairs: np.ndarray, n: int) -> np.ndarray:
     return np.cumsum(ptr)
 
 
+# --- partition/contract.py, partition/multilevel.py: CSR via edge pairs -----
+
+
+def from_pairs_reference(
+    pairs: np.ndarray,
+    n: int,
+    vwgt: np.ndarray | None = None,
+    ewgt: np.ndarray | None = None,
+) -> Graph:
+    """``Graph.from_pairs`` as it was when it still took weights: halve,
+    sort, merge, symmetrise, ``lexsort`` (the two oracles below build
+    through it)."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if ewgt is None:
+        ewgt = np.ones(pairs.shape[0], dtype=np.int64)
+    else:
+        ewgt = np.asarray(ewgt, dtype=np.int64)
+    keep = pairs[:, 0] != pairs[:, 1]
+    pairs, ewgt = pairs[keep], ewgt[keep]
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        raise ValueError("edge endpoint out of range")
+    if vwgt is None:
+        vwgt = np.ones(n, dtype=np.int64)
+    if pairs.shape[0] == 0:
+        return Graph(
+            ptr=np.zeros(n + 1, dtype=np.int64),
+            adj=np.empty(0, dtype=np.int64),
+            vwgt=vwgt,
+            ewgt=np.empty(0, dtype=np.int64),
+        )
+    # merge duplicates on canonical (lo, hi) keys
+    lo = pairs.min(axis=1)
+    hi = pairs.max(axis=1)
+    keys = lo * n + hi
+    order = np.argsort(keys, kind="stable")
+    keys_s, lo_s, hi_s, w_s = keys[order], lo[order], hi[order], ewgt[order]
+    first = np.r_[True, keys_s[1:] != keys_s[:-1]]
+    starts = np.flatnonzero(first)
+    wsum = np.add.reduceat(w_s, starts) if starts.size else np.empty(0, np.int64)
+    ulo, uhi = lo_s[first], hi_s[first]
+    # symmetrize
+    src = np.concatenate([ulo, uhi])
+    dst = np.concatenate([uhi, ulo])
+    ww = np.concatenate([wsum, wsum])
+    order2 = np.lexsort((dst, src))
+    src, dst, ww = src[order2], dst[order2], ww[order2]
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
+    return Graph(ptr=ptr, adj=dst, vwgt=vwgt, ewgt=ww)
+
+
+def contract_reference(graph: Graph, match: np.ndarray) -> tuple[Graph, np.ndarray]:
+    """Reference contraction: ``np.unique`` numbering, coarse edges rebuilt
+    through :func:`from_pairs_reference`."""
+    n = graph.n
+    match = np.asarray(match, dtype=np.int64)
+    if match.shape != (n,):
+        raise ValueError(f"match must have shape ({n},)")
+    # representative = min(v, match[v]); coarse ids by order of representative
+    rep = np.minimum(np.arange(n), match)
+    uniq, cmap = np.unique(rep, return_inverse=True)
+    nc = uniq.shape[0]
+    cvwgt = np.bincount(cmap, weights=graph.vwgt.astype(np.float64), minlength=nc)
+    # fine edges -> coarse edges
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.ptr))
+    csrc = cmap[src]
+    cdst = cmap[graph.adj]
+    keep = csrc != cdst
+    pairs = np.column_stack([csrc[keep], cdst[keep]])
+    # each undirected fine edge appears twice; halve by keeping src < dst
+    half = pairs[:, 0] < pairs[:, 1]
+    coarse = from_pairs_reference(
+        pairs[half], nc, vwgt=cvwgt.astype(np.int64), ewgt=graph.ewgt[keep][half]
+    )
+    return coarse, cmap
+
+
+def subgraph_reference(graph: Graph, vertices: np.ndarray) -> Graph:
+    """Reference induced subgraph: the half edges, rebuilt through
+    :func:`from_pairs_reference`."""
+    n = graph.n
+    local = np.full(n, -1, dtype=np.int64)
+    local[vertices] = np.arange(vertices.shape[0])
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.ptr))
+    sel = (local[src] >= 0) & (local[graph.adj] >= 0)
+    half = sel & (src < graph.adj)
+    pairs = np.column_stack([local[src[half]], local[graph.adj[half]]])
+    return from_pairs_reference(
+        pairs, vertices.shape[0], vwgt=graph.vwgt[vertices], ewgt=graph.ewgt[half]
+    )
+
+
 # --- adapt/refine.py, adapt/marking.py ----------------------------------------
 
 
@@ -848,6 +944,8 @@ SUBSTITUTIONS = tuple(
         ("repro.partition.fm_refine:kway_greedy_refine", kway_greedy_refine_reference),
         ("repro.partition.matching:heavy_edge_matching", heavy_edge_matching_reference),
         ("repro.partition.initial:greedy_graph_growing", greedy_graph_growing_reference),
+        ("repro.partition.contract:contract", contract_reference),
+        ("repro.partition.multilevel:_subgraph", subgraph_reference),
         ("repro.adapt.refine:_assemble_children", assemble_children_reference),
         ("repro.adapt.marking:_charge_shared_exchange", charge_shared_exchange_reference),
         ("repro.solver.scatter:scatter_add_rows", scatter_add_rows_reference),

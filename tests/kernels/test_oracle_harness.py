@@ -132,6 +132,8 @@ DRIVERS = {
     "repro.partition.fm_refine:kway_greedy_refine": _drive_partitioner,
     "repro.partition.matching:heavy_edge_matching": _drive_partitioner,
     "repro.partition.initial:greedy_graph_growing": _drive_partitioner,
+    "repro.partition.contract:contract": _drive_partitioner,
+    "repro.partition.multilevel:_subgraph": _drive_partitioner,
     "repro.adapt.refine:_assemble_children": _drive_subdivide,
     "repro.adapt.marking:_charge_shared_exchange": _drive_marking_exchange,
     "repro.solver.scatter:scatter_add_rows": _drive_solver,

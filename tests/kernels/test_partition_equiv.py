@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.dualgraph import DualGraph
 from repro.mesh.generate import box_mesh
+from repro.partition.contract import contract
 from repro.partition.fm_refine import (
     _gains_bisection,
     _gains_subset,
@@ -14,9 +15,10 @@ from repro.partition.fm_refine import (
 from repro.partition.graph import Graph
 from repro.partition.initial import greedy_graph_growing
 from repro.partition.matching import heavy_edge_matching
-from repro.partition.multilevel import multilevel_kway
+from repro.partition.multilevel import _subgraph, multilevel_kway
 
 from .oracles import (
+    contract_reference,
     csr_ptr_reference,
     fm_bisection_refine_reference,
     gains_bisection_reference,
@@ -25,6 +27,7 @@ from .oracles import (
     heavy_edge_matching_reference,
     kway_greedy_refine_reference,
     reference_kernels,
+    subgraph_reference,
 )
 
 
@@ -60,6 +63,43 @@ def test_heavy_edge_matching_bit_identical(seed):
         g, np.random.default_rng(seed), allowed=lab
     )
     assert np.array_equal(opt, ref)
+
+
+def _assert_same_graph(opt: Graph, ref: Graph) -> None:
+    for name in ("ptr", "adj", "vwgt", "ewgt"):
+        a, b = getattr(opt, name), getattr(ref, name)
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("unit", [False, True], ids=["weighted", "unit"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_contract_and_subgraph_bit_identical(seed, unit):
+    # unit edge weights, as on every finest level, take the matching's
+    # no-sort path
+    g, rng = _graph(seed, n=4)
+    if unit:
+        g = Graph(ptr=g.ptr, adj=g.adj, vwgt=g.vwgt)
+    lab = rng.integers(0, 3, size=g.n)
+    for allowed in (None, lab):
+        match = heavy_edge_matching(g, np.random.default_rng(seed), allowed=allowed)
+        ref = heavy_edge_matching_reference(
+            g, np.random.default_rng(seed), allowed=allowed
+        )
+        assert np.array_equal(match, ref)
+        coarse, cmap = contract(g, match)
+        coarse_ref, cmap_ref = contract_reference(g, match)
+        assert np.array_equal(cmap, cmap_ref)
+        _assert_same_graph(coarse, coarse_ref)
+        # and one level further down, where the weights have summed
+        match = heavy_edge_matching(coarse, np.random.default_rng(seed))
+        c2, cmap2 = contract(coarse, match)
+        c2_ref, cmap2_ref = contract_reference(coarse, match)
+        assert np.array_equal(cmap2, cmap2_ref)
+        _assert_same_graph(c2, c2_ref)
+    some = np.flatnonzero(rng.random(g.n) < 0.5)
+    for vertices in (np.arange(g.n), some, some[:1], some[:0]):
+        _assert_same_graph(_subgraph(g, vertices), subgraph_reference(g, vertices))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -111,7 +151,7 @@ def test_greedy_graph_growing_bit_identical(seed):
         assert np.array_equal(opt, ref)
     # disconnected: the region cannot reach its target by growing
     pairs = np.array([[0, 1], [1, 2], [3, 4], [5, 6], [6, 7], [7, 8]])
-    h = Graph.from_pairs(pairs, 10, vwgt=np.arange(1, 11))
+    h = Graph.from_pairs(pairs, 10).with_vwgt(np.arange(1, 11))
     for s in range(6):
         opt = greedy_graph_growing(h, 0.6, np.random.default_rng(s))
         ref = greedy_graph_growing_reference(h, 0.6, np.random.default_rng(s))

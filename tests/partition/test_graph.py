@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.partition import Graph
+from tests.fixtures import weighted_graph
 
 
 def path_graph(n, vwgt=None):
     pairs = np.column_stack([np.arange(n - 1), np.arange(1, n)])
-    return Graph.from_pairs(pairs, n, vwgt=vwgt)
+    return weighted_graph(pairs, n, vwgt=vwgt)
 
 
 def test_from_pairs_symmetric():
@@ -22,7 +23,11 @@ def test_from_pairs_symmetric():
 
 def test_parallel_edges_merged():
     pairs = np.array([[0, 1], [1, 0], [0, 1]])
-    g = Graph.from_pairs(pairs, 2, ewgt=np.array([2, 3, 5]))
+    g = Graph.from_pairs(pairs, 2)
+    assert g.nedges == 1
+    assert g.edge_weights(0).tolist() == [3]
+    assert g.edge_weights(1).tolist() == [3]
+    g = weighted_graph(pairs, 2, ewgt=np.array([2, 3, 5]))
     assert g.nedges == 1
     assert g.edge_weights(0).tolist() == [10]
     assert g.edge_weights(1).tolist() == [10]

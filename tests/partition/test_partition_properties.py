@@ -13,6 +13,8 @@ from repro.partition import (
     multilevel_kway,
     repartition,
 )
+from repro.partition.multilevel import _subgraph
+from tests.fixtures import weighted_graph
 
 
 def random_connected_graph(n, extra_edges, seed, max_w=5):
@@ -25,7 +27,7 @@ def random_connected_graph(n, extra_edges, seed, max_w=5):
             pairs.append((int(a), int(b)))
     vwgt = rng.integers(1, max_w + 1, size=n).astype(np.int64)
     ewgt = rng.integers(1, max_w + 1, size=len(pairs)).astype(np.int64)
-    return Graph.from_pairs(np.array(pairs), n, vwgt=vwgt, ewgt=ewgt)
+    return weighted_graph(np.array(pairs), n, vwgt=vwgt, ewgt=ewgt)
 
 
 @given(n=st.integers(10, 120), extra=st.integers(0, 200), seed=st.integers(0, 999))
@@ -89,3 +91,36 @@ def test_edgecut_consistent_with_manual_count(n, extra, seed):
             if u > v and part[u] != part[v]:
                 manual += int(w)
     assert edgecut(g, part) == manual
+
+
+def _assert_csr_invariants(g: Graph, total_vwgt: int) -> None:
+    """Rows strictly ascending, no self-loops, each edge's two directions
+    equally weighted, vertex weight conserved."""
+    src = np.repeat(np.arange(g.n), np.diff(g.ptr))
+    key = src * g.n + g.adj
+    assert (np.diff(key) > 0).all()  # grouped by row, strictly ascending
+    assert (src != g.adj).all()
+    back = np.searchsorted(key, g.adj * g.n + src)
+    assert (back < key.size).all() and np.array_equal(key[back], g.adj * g.n + src)
+    assert np.array_equal(g.ewgt[back], g.ewgt)
+    assert g.total_vwgt() == total_vwgt
+
+
+@given(n=st.integers(1, 60), m=st.integers(0, 200), seed=st.integers(0, 999))
+@settings(max_examples=40, deadline=None)
+def test_csr_builders_keep_rows_ascending(n, m, seed):
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, size=(m, 2))
+    g = Graph.from_pairs(pairs, n)
+    _assert_csr_invariants(g, n)
+    g = weighted_graph(pairs, n, vwgt=rng.integers(1, 9, size=n),
+                       ewgt=rng.integers(1, 9, size=m))
+    total = g.total_vwgt()
+    coarse, _ = contract(g, heavy_edge_matching(g, rng))
+    _assert_csr_invariants(coarse, total)
+    coarser, _ = contract(coarse, heavy_edge_matching(coarse, rng))
+    _assert_csr_invariants(coarser, total)
+    for graph in (g, coarse):
+        vertices = np.flatnonzero(rng.random(graph.n) < 0.6)
+        sub = _subgraph(graph, vertices)
+        _assert_csr_invariants(sub, int(graph.vwgt[vertices].sum()))

@@ -15,9 +15,9 @@ from repro.partition import (
 )
 
 
-def dual_graph_of_box(nx, ny, nz, vwgt=None):
+def dual_graph_of_box(nx, ny, nz):
     m = box_mesh(nx, ny, nz)
-    return Graph.from_pairs(m.dual_pairs, m.ne, vwgt=vwgt), m
+    return Graph.from_pairs(m.dual_pairs, m.ne), m
 
 
 def grid_graph(nx, ny):
@@ -72,7 +72,7 @@ def test_weighted_balance():
     post-adaption situation: refined elements carry large Wcomp)."""
     rng = np.random.default_rng(3)
     wv = np.where(rng.random(216) < 0.2, 8, 1).astype(np.int64)
-    g, _ = dual_graph_of_box(3, 3, 3, vwgt=None)
+    g, _ = dual_graph_of_box(3, 3, 3)
     g = g.with_vwgt(wv[: g.n])
     part = multilevel_kway(g, 4, seed=2)
     assert imbalance(g, part, 4) <= 1.15
