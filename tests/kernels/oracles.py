@@ -12,8 +12,9 @@ lives here, unchanged, as the oracle it must match bit for bit:
   region growing, per-vertex ``lexsort`` matching;
 * :func:`contract_reference`, :func:`subgraph_reference` — coarse and
   induced CSR rebuilt from edge pairs by :func:`from_pairs_reference`
-  (``Graph.from_pairs`` when it still took weights), where the product
-  builds it from the CSR it is given;
+  (``Graph.from_pairs`` when it still took weights, and the oracle of
+  today's, called directly), where the product builds it from the CSR it
+  is given;
 * :func:`gains_bisection_reference`, :func:`gains_subset_reference`,
   :func:`csr_ptr_reference` — ``np.add.at`` where the product counts
   with ``np.bincount``;
@@ -603,8 +604,9 @@ def from_pairs_reference(
     ewgt: np.ndarray | None = None,
 ) -> Graph:
     """``Graph.from_pairs`` as it was when it still took weights: halve,
-    sort, merge, symmetrise, ``lexsort`` (the two oracles below build
-    through it)."""
+    sort, merge, symmetrise, ``lexsort``.  Unweighted, the oracle of
+    today's one-``np.unique`` build; weighted, what the two oracles below
+    build through."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if ewgt is None:
         ewgt = np.ones(pairs.shape[0], dtype=np.int64)

@@ -21,6 +21,7 @@ from .oracles import (
     contract_reference,
     csr_ptr_reference,
     fm_bisection_refine_reference,
+    from_pairs_reference,
     gains_bisection_reference,
     gains_subset_reference,
     greedy_graph_growing_reference,
@@ -100,6 +101,19 @@ def test_contract_and_subgraph_bit_identical(seed, unit):
     some = np.flatnonzero(rng.random(g.n) < 0.5)
     for vertices in (np.arange(g.n), some, some[:1], some[:0]):
         _assert_same_graph(_subgraph(g, vertices), subgraph_reference(g, vertices))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_from_pairs_bit_identical(seed):
+    # duplicates in both orientations, self-loops, isolated vertices
+    rng = np.random.default_rng(seed)
+    for n, m in ((45, 300), (7, 0), (1, 3)):
+        pairs = rng.integers(0, n, size=(m, 2))
+        _assert_same_graph(Graph.from_pairs(pairs, n), from_pairs_reference(pairs, n))
+    g, _ = _graph(seed)
+    src = np.repeat(np.arange(g.n), np.diff(g.ptr))
+    pairs = np.column_stack([src, g.adj])
+    _assert_same_graph(Graph.from_pairs(pairs, g.n), from_pairs_reference(pairs, g.n))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
