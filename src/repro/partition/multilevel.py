@@ -253,12 +253,13 @@ def _subgraph(graph: Graph, vertices: np.ndarray) -> Graph:
     so the renumbering is monotone and the kept entries of each ascending
     CSR row stay ascending: a filter and one ``bincount``, no sort.
     """
+    nv = vertices.shape[0]
     local = np.full(graph.n, -1, dtype=np.int64)
-    local[vertices] = np.arange(vertices.shape[0])
+    local[vertices] = np.arange(nv)
     lsrc = np.repeat(local, np.diff(graph.ptr))
     ldst = local[graph.adj]
     sel = (lsrc >= 0) & (ldst >= 0)
-    ptr = np.zeros(vertices.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(lsrc[sel], minlength=vertices.shape[0]), out=ptr[1:])
+    ptr = np.zeros(nv + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lsrc[sel], minlength=nv), out=ptr[1:])
     return Graph(ptr=ptr, adj=ldst[sel], vwgt=graph.vwgt[vertices],
                  ewgt=graph.ewgt[sel])
