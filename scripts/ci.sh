@@ -102,6 +102,9 @@ grep -q "makespan identity verified" "$tmp/distributed.txt"
 (root="$PWD" && cd "$tmp" && timeout 300 env PYTHONPATH="$root/src" \
     python "$root/examples/blast_wave.py" > blast.txt)
 grep -q "wrote blast_step" "$tmp/blast.txt"
+# blast_wave is the one product caller of AdaptiveMesh.coarsen: some step
+# must actually undo bisections, not just run
+grep -Eq "coarsened +[1-9]" "$tmp/blast.txt"
 (root="$PWD" && cd "$tmp" && timeout 120 env PYTHONPATH="$root/src" \
     python "$root/examples/scaling_study.py" > scaling.txt)
 grep -q "critical-path composition of the whole sweep" "$tmp/scaling.txt"

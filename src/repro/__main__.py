@@ -211,9 +211,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="virtual rank count to measure (repeatable; "
              "default: 1024 4096 16384)",
     )
-    p_scale.add_argument("--rounds", type=int, default=3,
+    p_scale.add_argument("--rounds", type=_positive_int, default=3,
                          help="propagation rounds per cycle")
-    p_scale.add_argument("--halo-words", type=int, default=64,
+    p_scale.add_argument("--halo-words", type=_positive_int, default=64,
                          help="words per halo message")
     p_scale.add_argument("--work-units", type=_non_negative_float, default=200.0,
                          help="mean compute units per rank per round")
@@ -386,6 +386,10 @@ def _cmd_step(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     case = make_case(args.resolution)
+    if args.nproc > case.mesh.ne:
+        print(f"error: --nproc {args.nproc} exceeds the {case.mesh.ne} elements "
+              f"of the resolution-{args.resolution} mesh", file=sys.stderr)
+        return 2
     tracer = Tracer()
     tracing = bool(args.trace_out or args.chrome_out)
     with _sampled_host(tracer if tracing else None), use_tracer(tracer):

@@ -106,12 +106,7 @@ class AdaptiveMesh:
 
     # --- coarsening ------------------------------------------------------------
 
-    def coarsen(
-        self,
-        coarsen_mask: np.ndarray,
-        part: np.ndarray | None = None,
-        ledger: CostLedger | None = None,
-    ) -> CoarsenReport:
+    def coarsen(self, coarsen_mask: np.ndarray) -> CoarsenReport:
         """Coarsen targeted edges of the most recent refinement level.
 
         A no-op (``changed=False``) when the mesh is the initial mesh —
@@ -132,8 +127,6 @@ class AdaptiveMesh:
             last.result,
             coarsen_mask,
             solution_before=last.solution_before,
-            part=part,
-            ledger=ledger,
         )
         if report.changed:
             assert report.new_marking is not None and report.new_result is not None

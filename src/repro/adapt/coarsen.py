@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.parallel.ledger import CostLedger
-
 from .marking import MarkingResult, propagate_markings
 from .refine import RefineResult, subdivide
 
@@ -58,8 +56,6 @@ def peel_last_level(
     last_result: RefineResult,
     coarsen_mask: np.ndarray,
     solution_before: np.ndarray | None = None,
-    part: np.ndarray | None = None,
-    ledger: CostLedger | None = None,
 ) -> CoarsenReport:
     """Undo eligible bisections of the most recent refinement step.
 
@@ -97,7 +93,7 @@ def peel_last_level(
 
     new_mark = last_marking.edge_marked.copy()
     new_mark[bisected[undo]] = False
-    marking2 = propagate_markings(mesh_before, new_mark, part=part, ledger=ledger)
+    marking2 = propagate_markings(mesh_before, new_mark)
     undone_final = last_marking.edge_marked & ~marking2.edge_marked
     n_undone = int(undone_final.sum())
     if n_undone == 0:
@@ -109,9 +105,7 @@ def peel_last_level(
             elements_removed=0,
         )
 
-    result2 = subdivide(
-        mesh_before, marking2, solution=solution_before, part=part, ledger=ledger
-    )
+    result2 = subdivide(mesh_before, marking2, solution=solution_before)
     return CoarsenReport(
         changed=True,
         n_targeted_edges=int(coarsen_mask.sum()),

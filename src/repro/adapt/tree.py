@@ -97,11 +97,6 @@ class RefinementForest:
 
     # --- weights (paper §4.1) -------------------------------------------------
 
-    @property
-    def depth(self) -> int:
-        """Number of refinement levels recorded."""
-        return len(self.levels)
-
     def wcomp(self) -> np.ndarray:
         """Computational weight per initial element: leaves of its tree."""
         return self.n_leaves.copy()

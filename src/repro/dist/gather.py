@@ -27,6 +27,9 @@ from .localmesh import LocalMesh
 
 __all__ = ["finalize", "FinalizeResult"]
 
+#: The rank the subgrids are gathered to.
+HOST = 0
+
 
 @dataclass(frozen=True)
 class FinalizeResult:
@@ -40,7 +43,6 @@ class FinalizeResult:
 
 def finalize(
     locals_: list[LocalMesh],
-    host: int = 0,
     backend="virtual",
 ) -> FinalizeResult:
     """Assemble the per-rank subgrids into one global mesh.
@@ -104,13 +106,13 @@ def finalize(
     ]
 
     def program(comm, real_wire, words):
-        if comm.rank == host:
+        if comm.rank == HOST:
             for _ in range(comm.size - 1):
                 _ = yield from comm.recv(tag=9)
             yield from comm.compute(sum(payload_words))  # concatenation
         else:
             payload = np.zeros(words, dtype=np.float64) if real_wire else None
-            yield from comm.send(payload, dest=host, tag=9, nwords=words)
+            yield from comm.send(payload, dest=HOST, tag=9, nwords=words)
         yield from comm.barrier()
 
     res = launch(

@@ -65,10 +65,6 @@ class LocalMesh:
     def nv(self) -> int:
         return self.mesh.nv
 
-    def vertex_spl(self, v: int) -> np.ndarray:
-        """Other ranks sharing local vertex ``v`` (empty if internal)."""
-        return self.vert_spl_dat[self.vert_spl_ptr[v] : self.vert_spl_ptr[v + 1]]
-
     def edge_spl(self, e: int) -> np.ndarray:
         """Other ranks sharing local edge ``e`` (empty if internal)."""
         return self.edge_spl_dat[self.edge_spl_ptr[e] : self.edge_spl_ptr[e + 1]]
@@ -81,27 +77,3 @@ class LocalMesh:
         if total == 0:
             return 0.0
         return float(self.vert_shared.sum() + self.edge_shared.sum()) / total
-
-    def check(self, global_mesh: TetMesh) -> None:
-        """Validate local↔global consistency against the global mesh."""
-        assert self.elem_l2g.shape == (self.ne,)
-        assert self.vert_l2g.shape == (self.nv,)
-        assert self.edge_l2g.shape == (self.mesh.nedges,)
-        # local elements are the global elements' vertex sets
-        gv = np.sort(global_mesh.elems[self.elem_l2g], axis=1)
-        lv = np.sort(self.vert_l2g[self.mesh.elems], axis=1)
-        assert np.array_equal(gv, lv), "element vertex sets"
-        # local coords come from the global coords
-        assert np.array_equal(
-            self.mesh.coords, global_mesh.coords[self.vert_l2g]
-        ), "coords"
-        # local edges map onto global edges with the same endpoints
-        ge = global_mesh.edges[self.edge_l2g]
-        le = np.sort(self.vert_l2g[self.mesh.edges], axis=1)
-        assert np.array_equal(ge, le), "edge endpoints"
-        # SPLs never contain the owning rank and are sorted
-        for v in range(min(self.nv, 64)):
-            spl = self.vertex_spl(v)
-            assert self.rank not in spl
-            assert np.all(np.diff(spl) > 0)
-            assert bool(self.vert_shared[v]) == (spl.size > 0)

@@ -1,10 +1,11 @@
 """Derivation of edge/face connectivity from an element list (vectorized).
 
-These routines build the edge-based data structures of paper §3: the global
-edge list, the element→edge incidence (six edges per tetrahedron), the
-edge→element adjacency list ("these lists eliminate extensive searches and
-are crucial to the efficiency of the overall adaption scheme"), and the
-boundary faces.
+These routines build the edge-based data structures of paper §3 that the
+adaptor, the solver and the load balancer read: the global edge list, the
+element→edge incidence (six edges per tetrahedron), the boundary faces and
+the interior-face element pairs (the dual graph's edges).  Paper §3's
+edge→element lists are not built: the vectorised adaptor works from the
+element→edge map alone.
 
 Edges and faces are identified by packing their sorted vertex ids into one
 ``int64`` key.  The keys are formed in place from column gathers of the
@@ -21,11 +22,7 @@ import numpy as np
 
 from .topology import LOCAL_EDGES, LOCAL_FACES
 
-__all__ = [
-    "build_edges",
-    "build_faces",
-    "invert_to_csr",
-]
+__all__ = ["build_edges", "build_faces"]
 
 #: Largest vertex count whose edge keys ``lo·nv + hi`` (< nv²) fit ``int64``.
 MAX_NV_EDGES = math.isqrt(np.iinfo(np.int64).max)  # 3 037 000 499
@@ -165,30 +162,3 @@ def build_faces(
     np.minimum(first, second, out=dual_pairs[:, 0])
     np.maximum(first, second, out=dual_pairs[:, 1])
     return bnd_faces, bnd_elem, dual_pairs
-
-
-def csr_from_pairs(
-    rows: np.ndarray, vals: np.ndarray, nrows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Build a CSR adjacency (``ptr``, ``dat``) from (row, value) pairs.
-
-    Values within a row keep ascending ``vals`` order, making the structure
-    deterministic.  Pairs that already arrive with ``vals`` ascending (the
-    edge→element adjacency's do) need only the one stable sort by row.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.int64)
-    if np.any(vals[1:] < vals[:-1]):
-        by_val = np.argsort(vals, kind="stable")
-        rows, vals = rows[by_val], vals[by_val]
-    ptr = np.zeros(nrows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=nrows), out=ptr[1:])
-    return ptr, vals[np.argsort(rows, kind="stable")]
-
-
-def invert_to_csr(mapping: np.ndarray, nrows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert a dense ``(n, k)`` map (e.g. elem→edge) into CSR (edge→elem)."""
-    mapping = np.asarray(mapping, dtype=np.int64)
-    n, k = mapping.shape
-    owners = np.repeat(np.arange(n, dtype=np.int64), k)
-    return csr_from_pairs(mapping.ravel(), owners, nrows)

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .build import build_edges, build_faces, invert_to_csr
+from .build import build_edges, build_faces
 from .geometry import fix_orientation, tet_volumes
-from .topology import LOCAL_EDGES
 
 __all__ = ["TetMesh"]
 
@@ -34,15 +32,10 @@ class TetMesh:
         ``(ni, 2)`` pairs of elements sharing an interior face — the dual
         graph edge list used by the load balancer.
 
-    The arrays above are built eagerly by :meth:`from_elems` — every mesh
-    consumer (adaptor, solver, dual graph) reads them.  The inverse
-    adjacency of paper §3 is derived from them on first access and then
-    kept; nothing shipped reads it (only :meth:`edge_elems` and
-    :meth:`check`), so a mesh that is merely refined, solved on and
-    partitioned never pays for it:
-
-    edge2elem_ptr / edge2elem_dat:
-        CSR adjacency from each edge to the elements sharing it.
+    All of them are built by :meth:`from_elems`, and every mesh consumer
+    (adaptor, solver, dual graph) reads them.  Paper §3's edge→element
+    lists are not kept: the vectorised adaptor works from ``elem2edge``
+    alone.
     """
 
     coords: np.ndarray
@@ -63,9 +56,7 @@ class TetMesh:
 
         The only constructor: validates shapes and index range, makes every
         element right-handed (``orient``), then derives the edge list, the
-        element→edge map, the boundary faces and the dual-graph pairs.  The
-        edge→element CSR list is *not* built here; it appears on first
-        access (see the class docstring).
+        element→edge map, the boundary faces and the dual-graph pairs.
         """
         coords = np.ascontiguousarray(coords, dtype=np.float64)
         elems = np.ascontiguousarray(elems, dtype=np.int64)
@@ -89,20 +80,6 @@ class TetMesh:
             bnd_elem=bnd_elem,
             dual_pairs=dual_pairs,
         )
-
-    # --- adjacency built on demand -------------------------------------------
-
-    @cached_property
-    def _edge2elem(self) -> tuple[np.ndarray, np.ndarray]:
-        return invert_to_csr(self.elem2edge, self.nedges)
-
-    @property
-    def edge2elem_ptr(self) -> np.ndarray:
-        return self._edge2elem[0]
-
-    @property
-    def edge2elem_dat(self) -> np.ndarray:
-        return self._edge2elem[1]
 
     # --- sizes --------------------------------------------------------------
 
@@ -133,41 +110,5 @@ class TetMesh:
 
     # --- queries ------------------------------------------------------------
 
-    def edge_elems(self, edge: int) -> np.ndarray:
-        """Elements sharing ``edge`` (the edge's element list, paper §3)."""
-        return self.edge2elem_dat[self.edge2elem_ptr[edge] : self.edge2elem_ptr[edge + 1]]
-
     def volumes(self) -> np.ndarray:
         return tet_volumes(self.coords, self.elems)
-
-    def total_volume(self) -> float:
-        return float(self.volumes().sum())
-
-    # --- validation -----------------------------------------------------------
-
-    def check(self) -> None:
-        """Verify all structural invariants; raise AssertionError on failure.
-
-        Intended for tests and debugging — O(ne log ne).
-        """
-        assert self.elems.shape == (self.ne, 4)
-        assert np.all(self.edges[:, 0] < self.edges[:, 1]), "edge order"
-        keys = self.edges[:, 0] * self.nv + self.edges[:, 1]
-        assert np.all(np.diff(keys) > 0), "edges sorted & unique"
-        vols = self.volumes()
-        assert np.all(vols > 0), f"non-positive volumes: {np.sum(vols <= 0)}"
-        # elem2edge consistency with local edge table
-        pairs = np.sort(self.elems[:, LOCAL_EDGES], axis=2)
-        assert np.array_equal(self.edges[self.elem2edge], pairs), "elem2edge"
-        # every element has 4 distinct vertices
-        assert np.all(
-            np.diff(np.sort(self.elems, axis=1), axis=1) > 0
-        ), "degenerate element"
-        # CSR inverses round-trip
-        for e in range(min(self.nedges, 50)):
-            for el in self.edge_elems(e):
-                assert e in self.elem2edge[el]
-        # boundary faces belong to their owning element
-        for f in range(min(self.nbnd, 50)):
-            face = set(self.bnd_faces[f].tolist())
-            assert face <= set(self.elems[self.bnd_elem[f]].tolist())

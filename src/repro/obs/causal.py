@@ -144,12 +144,6 @@ class CriticalPath:
     #: Exact path length — ``sink.t_end``, bit-identical to the run makespan.
     length: float
 
-    def by_kind(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for s in self.steps:
-            out[s.kind] = out.get(s.kind, 0.0) + s.seconds
-        return out
-
 
 @dataclass(frozen=True)
 class RankStats:
@@ -162,10 +156,6 @@ class RankStats:
     tail: float  #: makespan minus the rank's final clock (trailing idle)
     on_path: float  #: seconds this rank contributes to the critical path
     slack: float  #: min node slack — how much it can slow without cost
-
-    @property
-    def idle(self) -> float:
-        return self.wait + self.tail
 
 
 @dataclass(frozen=True)

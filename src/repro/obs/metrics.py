@@ -87,9 +87,6 @@ class MetricsRegistry:
             self._flush_pending()
         return len(self._samples)
 
-    def __bool__(self) -> bool:  # an empty registry is falsy, like a dict
-        return bool(self._samples) or bool(self._pending)
-
     # --- recording ---------------------------------------------------------
 
     def record(
@@ -216,10 +213,6 @@ class MetricsRegistry:
             self._flush_pending()
         return list(self._samples.values())
 
-    def names(self) -> list[str]:
-        """Sorted distinct metric names."""
-        return sorted(self._kind)
-
     def _match(self, name: str, labels: dict | None, ranked: bool):
         """Samples of ``name`` (with exactly ``labels``, unless None), over
         every cycle; all ranks if ``ranked``, else only rank-less ones."""
@@ -285,14 +278,6 @@ class MetricsRegistry:
         """Max over every matching sample's value (None when none match)."""
         vals = list(self._values(name, labels))
         return max(vals) if vals else None
-
-    def ranks(self) -> list[int]:
-        """Sorted distinct ranks seen across all samples."""
-        if self._pending:
-            self._flush_pending()
-        return sorted({
-            s.rank for s in self._samples.values() if s.rank is not None
-        })
 
     def cycles(self) -> list[int]:
         """Sorted distinct cycle ids seen across all samples."""

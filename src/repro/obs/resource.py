@@ -130,12 +130,6 @@ class ResourceSampler:
         self._take()
         return self
 
-    def __enter__(self) -> "ResourceSampler":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
     def rows(self) -> dict:
         """Plain-data columns for shipping over a result queue."""
         return {

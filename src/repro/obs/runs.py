@@ -230,9 +230,6 @@ class RunStore:
                 continue  # skip foreign/corrupt files, never fail a listing
         return out
 
-    def __len__(self) -> int:
-        return len(self.ids())
-
 
 # --- trace summarization -----------------------------------------------------
 

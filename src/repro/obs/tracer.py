@@ -247,12 +247,6 @@ class Tracer:
             skip_zero=skip_zero,
         )
 
-    # --- queries ------------------------------------------------------------
-
-    def find(self, name: str) -> list[Span]:
-        """All spans with the given name, in open order."""
-        return [s for s in self.spans if s.name == name]
-
 
 def phase_virtual_times(spans) -> dict[str, float]:
     """Sum virtual durations by span name over an iterable of spans."""

@@ -180,10 +180,6 @@ class SlabPool:
             m[1 + self.nslabs + idx] = 1
             return idx, reused
 
-    def free(self, idx: int) -> None:
-        """Push one slab back onto the free list."""
-        self.free_many((idx,))
-
     def free_many(self, indices) -> None:
         """Recycle several slabs under a single lock acquisition."""
         with self._lock:

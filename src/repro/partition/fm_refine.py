@@ -25,6 +25,9 @@ from .graph import Graph
 
 __all__ = ["fm_bisection_refine", "kway_fm_refine", "kway_greedy_refine"]
 
+#: Balance tolerance of every partition: a part (or side) may weigh at
+#: most ``UB`` times its target.
+UB = 1.05
 #: FM passes a bisection refinement runs at most.
 FM_PASSES = 4
 
@@ -59,12 +62,11 @@ def fm_bisection_refine(
     graph: Graph,
     side: np.ndarray,
     target0: float,
-    ub: float = 1.05,
 ) -> np.ndarray:
     """Refine a bisection with FM passes (hill-climbing + rollback).
 
     ``target0`` is side 0's intended share of the total vertex weight; a
-    move is admissible while the receiving side stays within ``ub`` times
+    move is admissible while the receiving side stays within ``UB`` times
     its target and the giving side keeps a vertex.  Each pass moves every
     vertex at most once, keeps the best prefix of the move sequence (by
     cut, ties by balance), and rolls back past it.  Negative-gain moves
@@ -79,7 +81,7 @@ def fm_bisection_refine(
     side_np = np.array(side, dtype=np.int64)
     n = graph.n
     total = graph.total_vwgt()
-    caps = (ub * (target0 * total), ub * ((1.0 - target0) * total))
+    caps = (UB * (target0 * total), UB * ((1.0 - target0) * total))
     vwgt_np = graph.vwgt
     w = [
         float(vwgt_np[side_np == 0].sum()),
@@ -199,14 +201,13 @@ def kway_greedy_refine(
     graph: Graph,
     part: np.ndarray,
     k: int,
-    ub: float = 1.05,
     max_passes: int = 4,
     balance_only: bool = False,
 ) -> np.ndarray:
     """Greedy boundary refinement of a k-way partition.
 
     Boundary vertices move to the neighbouring partition with the largest
-    positive gain, provided the destination stays within ``ub`` times the
+    positive gain, provided the destination stays within ``UB`` times the
     average load; overweight partitions may also shed vertices at zero or
     negative gain, and may shed into a neighbour that ends *above* the cap
     as long as it ends below where the source started (weight then flows
@@ -221,7 +222,7 @@ def kway_greedy_refine(
     """
     part_np = np.array(part, dtype=np.int64)
     total = graph.total_vwgt()
-    cap = ub * (total / k)
+    cap = UB * (total / k)
     loads = np.bincount(
         part_np, weights=graph.vwgt.astype(np.float64), minlength=k
     ).tolist()
@@ -313,13 +314,12 @@ def kway_fm_refine(
     graph: Graph,
     part: np.ndarray,
     k: int,
-    ub: float = 1.05,
 ) -> np.ndarray:
     """k-way Fiduccia–Mattheyses: hill-climbing boundary refinement.
 
     One lazy max-heap holds the boundary vertices, keyed by the best gain
     any admissible move of that vertex has: over the adjacent parts ``t``
-    that stay within ``ub`` times the average load, the largest
+    that stay within ``UB`` times the average load, the largest
     ``conn[t] - conn[own]``, ties to the lighter part.  The top vertex is
     moved — at negative gain too — and locked for the pass, and its
     unlocked neighbours are re-evaluated, so a gain in the heap is never
@@ -336,7 +336,7 @@ def kway_fm_refine(
     """
     part_np = np.array(part, dtype=np.int64)
     n = graph.n
-    cap = ub * (graph.total_vwgt() / k)
+    cap = UB * (graph.total_vwgt() / k)
     loads = np.bincount(
         part_np, weights=graph.vwgt.astype(np.float64), minlength=k
     ).tolist()

@@ -54,19 +54,8 @@ class Graph:
     def n(self) -> int:
         return self.vwgt.shape[0] if self.vwgt is not None else self.ptr.shape[0] - 1
 
-    @property
-    def nedges(self) -> int:
-        """Number of undirected edges."""
-        return self.adj.shape[0] // 2
-
     def total_vwgt(self) -> int:
         return int(self.vwgt.sum())
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.adj[self.ptr[v] : self.ptr[v + 1]]
-
-    def edge_weights(self, v: int) -> np.ndarray:
-        return self.ewgt[self.ptr[v] : self.ptr[v + 1]]
 
     @classmethod
     def from_pairs(cls, pairs: np.ndarray, n: int) -> "Graph":

@@ -10,7 +10,7 @@ coarsen, greedy graph growing, FM on the way up — so at k <= 2 the
 bisection is the whole method.  :func:`coarsen` is the one coarsening
 loop; the seeded repartitioner runs it too.  All randomness flows through
 an explicit seed, so a k-way partition is a pure function of the graph's
-arrays, ``k``, ``seed`` and ``ub`` — and :func:`multilevel_kway` computes
+arrays, ``k`` and ``seed`` — and :func:`multilevel_kway` computes
 each distinct one once per process (DESIGN.md §9, "Partition reuse").
 """
 
@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .contract import contract
-from .fm_refine import fm_bisection_refine, kway_fm_refine, kway_greedy_refine
+from .fm_refine import UB, fm_bisection_refine, kway_fm_refine, kway_greedy_refine
 from .graph import Graph
 from .initial import greedy_graph_growing
 from .matching import heavy_edge_matching
@@ -79,16 +79,15 @@ def multilevel_bisect(
     graph: Graph,
     target0: float,
     seed: int = 0,
-    ub: float = 1.05,
 ) -> np.ndarray:
     """Bisect into sides {0, 1}; side 0 targets ``target0`` of the weight."""
     rng = np.random.default_rng(seed)
     levels, g, _ = coarsen(graph, rng, _COARSEN_TO)
     side = greedy_graph_growing(g, target0, rng)
-    side = fm_bisection_refine(g, side, target0, ub=ub)
+    side = fm_bisection_refine(g, side, target0)
     for fine, cmap in reversed(levels):
         side = side[cmap]
-        side = fm_bisection_refine(fine, side, target0, ub=ub)
+        side = fm_bisection_refine(fine, side, target0)
     return side
 
 
@@ -96,12 +95,11 @@ def multilevel_kway(
     graph: Graph,
     k: int,
     seed: int = 0,
-    ub: float = 1.05,
 ) -> np.ndarray:
     """Partition into ``k`` non-empty parts (direct multilevel k-way).
 
     The result is keyed on the *content* of the call — a digest of the
-    graph's four arrays, ``k``, ``seed`` and ``ub`` — and computed once
+    graph's four arrays, ``k`` and ``seed`` — and computed once
     per process; a repeat returns a private copy of the stored labels,
     so callers may write into what they get.  ``multilevel_kway
     .cache_info()`` / ``.cache_clear()`` follow ``functools.lru_cache``
@@ -111,15 +109,15 @@ def multilevel_kway(
         raise ValueError(f"k must be >= 1, got {k}")
     if k > graph.n:
         raise ValueError(f"cannot cut {graph.n} vertices into k = {k} parts")
-    key = _content_key(graph, k, seed, ub)
+    key = _content_key(graph, k, seed)
     part = _STORE.get(key)
     if part is None:
-        part = _kway(graph, k, seed, ub)
+        part = _kway(graph, k, seed)
         _STORE.put(key, part)
     return part.copy()
 
 
-def _kway(graph: Graph, k: int, seed: int, ub: float) -> np.ndarray:
+def _kway(graph: Graph, k: int, seed: int) -> np.ndarray:
     if k == 1:
         return np.zeros(graph.n, dtype=np.int64)
     levels: list[tuple[Graph, np.ndarray]] = []
@@ -128,34 +126,34 @@ def _kway(graph: Graph, k: int, seed: int, ub: float) -> np.ndarray:
         floor = max(_COARSEN_TO, _COARSE_PER_PART * k)
         levels, g, _ = coarsen(graph, np.random.default_rng(seed), floor)
     part = np.zeros(g.n, dtype=np.int64)
-    _recurse(g, np.arange(g.n, dtype=np.int64), k, 0, seed, ub, part)
-    part = _refine(g, part, k, ub)
+    _recurse(g, np.arange(g.n, dtype=np.int64), k, 0, seed, part)
+    part = _refine(g, part, k)
     for fine, cmap in reversed(levels):
-        part = _refine(fine, part[cmap], k, ub)
+        part = _refine(fine, part[cmap], k)
     return part
 
 
-def _refine(g: Graph, part: np.ndarray, k: int, ub: float) -> np.ndarray:
+def _refine(g: Graph, part: np.ndarray, k: int) -> np.ndarray:
     """One level of k-way refinement: balance if need be, then climb."""
-    if loads(g, part, k).max() > ub * (g.total_vwgt() / k):
-        part = kway_greedy_refine(g, part, k, ub=ub, max_passes=8)
-    return kway_fm_refine(g, part, k, ub=ub)
+    if loads(g, part, k).max() > UB * (g.total_vwgt() / k):
+        part = kway_greedy_refine(g, part, k, max_passes=8)
+    return kway_fm_refine(g, part, k)
 
 
-def _content_key(graph: Graph, k: int, seed: int, ub: float) -> bytes:
+def _content_key(graph: Graph, k: int, seed: int) -> bytes:
     """128-bit digest of everything a k-way partition depends on.
 
     Each array is preceded by its length so the byte stream is injective
     (two graphs whose concatenated bytes agree but whose (n, m) differ
-    get different keys); ``int()``/``float()`` make ``np.int64(3)`` and
-    ``3`` the same call.
+    get different keys); ``int()`` makes ``np.int64(3)`` and ``3`` the
+    same call.
     """
     h = hashlib.blake2b(digest_size=16)
     for arr in (graph.ptr, graph.adj, graph.vwgt, graph.ewgt):
         arr = np.ascontiguousarray(arr, dtype=np.int64)
         h.update(arr.size.to_bytes(8, "little"))
         h.update(arr)
-    h.update(f"{int(k)}/{int(seed)}/{float(ub)!r}".encode())
+    h.update(f"{int(k)}/{int(seed)}".encode())
     return h.digest()
 
 
@@ -213,7 +211,6 @@ def _recurse(
     k: int,
     offset: int,
     seed: int,
-    ub: float,
     out: np.ndarray,
 ) -> None:
     if k == 1:
@@ -221,12 +218,12 @@ def _recurse(
         return
     k0 = (k + 1) // 2
     sub = _subgraph(graph, vertices)
-    side = multilevel_bisect(sub, target0=k0 / k, seed=seed, ub=ub)
+    side = multilevel_bisect(sub, target0=k0 / k, seed=seed)
     _top_up(sub, side, (k0, k - k0))
     left = vertices[side == 0]
     right = vertices[side == 1]
-    _recurse(graph, left, k0, offset, seed * 2 + 1, ub, out)
-    _recurse(graph, right, k - k0, offset + k0, seed * 2 + 2, ub, out)
+    _recurse(graph, left, k0, offset, seed * 2 + 1, out)
+    _recurse(graph, right, k - k0, offset + k0, seed * 2 + 2, out)
 
 
 def _top_up(sub: Graph, side: np.ndarray, need: tuple[int, int]) -> None:

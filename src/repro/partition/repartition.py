@@ -21,15 +21,12 @@ import numpy as np
 from repro.obs import current_tracer, maybe_phase
 
 from .assignment import max_weight_assignment
-from .fm_refine import kway_greedy_refine
+from .fm_refine import UB, kway_greedy_refine
 from .graph import Graph
 from .multilevel import _COARSE_PER_PART, _COARSEN_TO, coarsen, multilevel_kway
 from .quality import imbalance
 
 __all__ = ["repartition"]
-
-#: Imbalance the repartition is held to (max part weight / mean).
-UB = 1.05
 
 
 def repartition(
@@ -57,7 +54,7 @@ def repartition(
         raise ValueError(f"cannot cut {graph.n} vertices into k = {k} parts")
     if k == 1:
         return np.zeros(graph.n, dtype=np.int64)
-    if _acceptable(graph, old_part, k, UB):
+    if _acceptable(graph, old_part, k):
         # already balanced under the new weights: moving nothing is the
         # cheapest remap of all (the framework's evaluation step would not
         # normally even call us in this case)
@@ -76,9 +73,8 @@ def repartition(
     # balance_only keeps cut-improving (but data-moving) churn out
     old_coarse = part
     with maybe_phase(tracer, "repartition.rebalance") as sp:
-        part = kway_greedy_refine(g, part, k, ub=UB, max_passes=8,
-                                  balance_only=True)
-        fallback = not _acceptable(g, part, k, UB)
+        part = kway_greedy_refine(g, part, k, max_passes=8, balance_only=True)
+        fallback = not _acceptable(g, part, k)
         if fallback:
             # the old partition is too skewed for local moves to fix (or
             # left a label unused, which no boundary move can repair): fall
@@ -87,21 +83,21 @@ def repartition(
             # relabel its parts for maximum weighted agreement with the old
             # partition so the fallback still moves as little data as
             # possible
-            part = multilevel_kway(g, k, seed=seed, ub=UB)
+            part = multilevel_kway(g, k, seed=seed)
             part = _relabel_for_agreement(g, old_coarse, part, k)
         if sp is not None:
             sp.attrs["fallback"] = fallback
     with maybe_phase(tracer, "repartition.uncoarsen", levels=len(levels)):
         for fine, cmap in reversed(levels):
             part = part[cmap]
-            part = kway_greedy_refine(fine, part, k, ub=UB, balance_only=True)
+            part = kway_greedy_refine(fine, part, k, balance_only=True)
     return part
 
 
-def _acceptable(g: Graph, part: np.ndarray, k: int, ub: float) -> bool:
-    """Balanced within ``ub`` under ``g.vwgt``, and no part empty."""
+def _acceptable(g: Graph, part: np.ndarray, k: int) -> bool:
+    """Balanced within ``UB`` under ``g.vwgt``, and no part empty."""
     return bool(
-        imbalance(g, part, k) <= ub + 1e-9
+        imbalance(g, part, k) <= UB + 1e-9
         and np.bincount(part, minlength=k).all()
     )
 

@@ -176,8 +176,9 @@ class EulerSolver:
             dt = self.vol / np.maximum(speed_sum, 1e-300)
         return cfl * float(dt.min())
 
-    def step(self, dt: float | None = None, cfl: float = CFL) -> float:
-        """Advance one forward-Euler step q + dt·L(q); returns dt.
+    def step(self, cfl: float = CFL) -> float:
+        """Advance one forward-Euler step q + dt·L(q) at the largest stable
+        ``dt`` for ``cfl``; returns dt.
 
         Boundary vertices are frozen (far-field Dirichlet).
         """
@@ -185,8 +186,7 @@ class EulerSolver:
         # the update runs on component-major rows; self.q stays (nv, 5)
         qt0 = np.ascontiguousarray(q0.T)
         gas = gas_state(qt0)  # shared by the CFL bound and the residual
-        if dt is None:
-            dt = self._stable_dt(gas, cfl)
+        dt = self._stable_dt(gas, cfl)
         upd = dt * self._residual(qt0, gas) / self.vol
         upd[:, self._boundary] = 0.0
         upd += qt0  # == qt0 + upd bitwise, without a third state array

@@ -7,7 +7,7 @@ import pytest
 from repro.adapt import NUM_CHILDREN, propagate_markings, subdivide
 from repro.mesh import box_mesh, tet_volumes
 
-from tests.fixtures import single_tet, two_tets
+from tests.fixtures import check_mesh, single_tet, two_tets
 
 
 def refine_mask(mesh, mask):
@@ -29,8 +29,8 @@ def test_1to2_single_tet():
     assert res.child_count.tolist() == [2]
     assert res.parent.tolist() == [0, 0]
     assert res.growth_factor == 2.0
-    res.mesh.check()
-    assert res.mesh.total_volume() == pytest.approx(m.total_volume())
+    check_mesh(res.mesh)
+    assert res.mesh.volumes().sum() == pytest.approx(m.volumes().sum())
 
 
 def test_1to4_single_tet():
@@ -39,8 +39,8 @@ def test_1to4_single_tet():
     res, _ = refine_mask(m, mask_for_edges(m, [0, 1, 3]))
     assert res.mesh.ne == 4
     assert res.mesh.nv == 7
-    res.mesh.check()
-    assert res.mesh.total_volume() == pytest.approx(m.total_volume())
+    check_mesh(res.mesh)
+    assert res.mesh.volumes().sum() == pytest.approx(m.volumes().sum())
 
 
 def test_1to8_single_tet():
@@ -48,8 +48,8 @@ def test_1to8_single_tet():
     res, _ = refine_mask(m, np.ones(m.nedges, dtype=bool))
     assert res.mesh.ne == 8
     assert res.mesh.nv == 10
-    res.mesh.check()
-    assert res.mesh.total_volume() == pytest.approx(m.total_volume())
+    check_mesh(res.mesh)
+    assert res.mesh.volumes().sum() == pytest.approx(m.volumes().sum())
     # all children have positive volume (check() asserts it too)
     assert np.all(tet_volumes(res.mesh.coords, res.mesh.elems) > 0)
 
@@ -66,8 +66,8 @@ def test_all_diagonal_choices_conserve_volume():
         m = TetMesh.from_elems(coords, np.array([[0, 1, 2, 3]]))
         res, _ = refine_mask(m, np.ones(m.nedges, dtype=bool))
         assert res.mesh.ne == 8
-        res.mesh.check()
-        assert res.mesh.total_volume() == pytest.approx(m.total_volume())
+        check_mesh(res.mesh)
+        assert res.mesh.volumes().sum() == pytest.approx(m.volumes().sum())
 
 
 def test_mixed_patterns_box():
@@ -75,8 +75,8 @@ def test_mixed_patterns_box():
     rng = np.random.default_rng(7)
     mask = rng.random(m.nedges) < 0.25
     res, marking = refine_mask(m, mask)
-    res.mesh.check()
-    assert res.mesh.total_volume() == pytest.approx(m.total_volume())
+    check_mesh(res.mesh)
+    assert res.mesh.volumes().sum() == pytest.approx(m.volumes().sum())
     assert np.array_equal(res.child_count, NUM_CHILDREN[marking.patterns])
     assert res.mesh.ne == res.child_count.sum()
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.adapt import AdaptiveMesh, propagate_markings, subdivide
 from repro.mesh import box_mesh
 
+from tests.fixtures import check_mesh
+
 
 def _random_mask(nedges, seed, frac):
     rng = np.random.default_rng(seed)
@@ -21,9 +23,9 @@ def test_refinement_invariants(seed, frac):
     marking = propagate_markings(m, _random_mask(m.nedges, seed, frac))
     res = subdivide(m, marking)
     # volume conserved
-    assert res.mesh.total_volume() == pytest.approx(m.total_volume())
+    assert res.mesh.volumes().sum() == pytest.approx(m.volumes().sum())
     # structural invariants (positive volumes, manifold faces, etc.)
-    res.mesh.check()
+    check_mesh(res.mesh)
     # element count = sum of children
     assert res.mesh.ne == res.child_count.sum()
     # growth factor within the paper's bound 1 <= G <= 8
@@ -61,8 +63,8 @@ def test_coarsen_never_breaks_mesh(seed, frac, coarse_frac):
     am.refine(am.mark(edge_mask=_random_mask(m.nedges, seed, frac)))
     rng = np.random.default_rng(seed + 1)
     am.coarsen(rng.random(am.mesh.nedges) < coarse_frac)
-    am.mesh.check()
-    assert am.mesh.total_volume() == pytest.approx(1.0)
+    check_mesh(am.mesh)
+    assert am.mesh.volumes().sum() == pytest.approx(1.0)
     assert am.mesh.ne >= m.ne  # never below the initial mesh
     assert am.wcomp().sum() == am.mesh.ne
 
@@ -75,8 +77,8 @@ def test_two_level_refinement_valid(seed):
     rng = np.random.default_rng(seed)
     am.refine(am.mark(edge_mask=rng.random(am.mesh.nedges) < 0.4))
     am.refine(am.mark(edge_mask=rng.random(am.mesh.nedges) < 0.4))
-    am.mesh.check()
-    assert am.mesh.total_volume() == pytest.approx(2.0)
+    check_mesh(am.mesh)
+    assert am.mesh.volumes().sum() == pytest.approx(2.0)
     assert am.wcomp().sum() == am.mesh.ne
     # Wremap >= Wcomp always (nodes include leaves)
     assert np.all(am.wremap() >= am.wcomp())

@@ -7,6 +7,8 @@ from repro.adapt import AdaptiveMesh
 from repro.adapt.strategies import mark_sphere
 from repro.mesh import box_mesh, edge_midpoints
 
+from tests.fixtures import check_mesh
+
 
 @pytest.fixture
 def mesh():
@@ -30,7 +32,7 @@ def test_geometric_refinement_end_to_end(mesh):
     am = AdaptiveMesh(mesh)
     marking = am.mark(edge_mask=mark_sphere(mesh, (0.25, 0.25, 0.25), 0.3))
     res = am.refine(marking)
-    am.mesh.check()
+    check_mesh(am.mesh)
     # refinement concentrated in the marked corner
     cent = am.mesh.coords[am.mesh.elems].mean(axis=1)
     near = np.linalg.norm(cent - 0.25, axis=1) < 0.3

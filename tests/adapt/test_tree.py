@@ -13,7 +13,7 @@ def test_initial_weights():
     f = RefinementForest(5)
     assert f.wcomp().tolist() == [1] * 5
     assert f.wremap().tolist() == [1] * 5
-    assert f.depth == 0
+    assert len(f.levels) == 0
 
 
 def test_single_refinement_weights():
@@ -23,7 +23,7 @@ def test_single_refinement_weights():
     # 1:8 -> 8 leaves, 9 nodes (root + 8 children)
     assert am.wcomp().tolist() == [8]
     assert am.wremap().tolist() == [9]
-    assert am.forest.depth == 1
+    assert len(am.forest.levels) == 1
 
 
 def test_two_level_weights():

@@ -3,11 +3,13 @@
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
     CostModel,
+    LoadBalancedAdaptiveSolver,
     build_move_matrix,
     execute_remap,
     heuristic_mwbg,
@@ -15,7 +17,12 @@ from repro.core import (
     remap_stats,
     similarity_matrix,
 )
+from repro.core import framework
+from repro.mesh import box_mesh
 from repro.parallel import IDEAL, SP2_1997
+
+#: The small mesh the framework-level properties adapt.
+MESH = box_mesh(3, 3, 3)
 
 
 @st.composite
@@ -121,3 +128,67 @@ def test_decide_is_monotone_in_gain(
         assert after or not before
     else:
         assert before or not after
+
+
+# --- §4.6: remapping before subdivision never moves more ------------------------
+
+
+REPARTITION, SIMILARITY = framework.repartition, framework.similarity_matrix
+
+
+def _step(nproc: int, when: str, mask: np.ndarray) -> dict:
+    """One step of a fresh solver, with what its balance phase saw: the
+    new partition, and the ownership and Wremap the similarity matrix was
+    built from."""
+    seen = {}
+
+    def repartition(*args, **kwargs):
+        seen["new_part"] = REPARTITION(*args, **kwargs)
+        return seen["new_part"]
+
+    def similarity(old_part, new_part, wremap, *args):
+        seen["old_part"], seen["wremap"] = old_part, wremap
+        return SIMILARITY(old_part, new_part, wremap, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(framework, "repartition", repartition)
+        mp.setattr(framework, "similarity_matrix", similarity)
+        solver = LoadBalancedAdaptiveSolver(
+            MESH, nproc, reassigner="optimal_mwbg", remap_when=when,
+            imbalance_threshold=1.0,
+        )
+        seen["report"] = solver.adapt_step(edge_mask=mask)
+    return seen
+
+
+@given(
+    nproc=st.sampled_from([2, 4, 8]),
+    frac=st.floats(0.02, 0.6),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=40, deadline=None)
+def test_remap_before_subdivision_never_moves_more(nproc, frac, seed):
+    """The proposed TotalV with ``remap_when="before"`` is at most the one
+    with ``"after"``, and strictly less when the "after" mapping moves an
+    element the marking refines.  Predicted and actual Wcomp agree, so both
+    orders repartition identically; Wremap only grows under subdivision,
+    so ``S_before <= S_after`` entrywise; for a fixed mapping the moved
+    mass is monotone in ``S``; and the optimal MWBG minimises it."""
+    mask = np.random.default_rng(seed).random(MESH.nedges) < frac
+    before, after = _step(nproc, "before", mask), _step(nproc, "after", mask)
+    triggered = before["report"].repartition_triggered
+    assert after["report"].repartition_triggered == triggered
+    if not triggered:
+        return
+    new_part = before["new_part"]
+    assert np.array_equal(new_part, after["new_part"])
+    grown = after["wremap"] - before["wremap"]
+    assert (grown >= 0).all()
+    c_before = before["report"].stats.c_total
+    c_after = after["report"].stats.c_total
+    assert c_before <= c_after
+    owner = after["old_part"]
+    proc_after = optimal_mwbg(SIMILARITY(owner, new_part, after["wremap"], nproc))
+    moved = proc_after[new_part] != owner
+    if (grown[moved] > 0).any():
+        assert c_before < c_after

@@ -12,7 +12,7 @@ from tests.fixtures import two_tets
 def test_dual_of_two_tets():
     dg = DualGraph(two_tets())
     assert dg.n == 2
-    assert dg.graph.nedges == 1
+    assert dg.graph.adj.size // 2 == 1
     assert dg.graph.vwgt.tolist() == [1, 1]
 
 
@@ -21,7 +21,7 @@ def test_dual_edges_are_face_neighbours():
     dg = DualGraph(m)
     assert dg.n == m.ne
     # interior faces = dual edges
-    assert dg.graph.nedges == m.dual_pairs.shape[0]
+    assert dg.graph.adj.size // 2 == m.dual_pairs.shape[0]
 
 
 def test_topology_constant_under_adaption():

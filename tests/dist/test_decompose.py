@@ -8,7 +8,12 @@ from repro.dist.decompose import _spl_csr, rank_incidence
 from repro.mesh import box_mesh
 from repro.partition import Graph, multilevel_kway
 
-from tests.fixtures import two_tets
+from tests.fixtures import check_local_mesh, two_tets
+
+
+def _vertex_spl(lm, v):
+    """Other ranks sharing local vertex ``v``: its slice of the SPL CSR."""
+    return lm.vert_spl_dat[lm.vert_spl_ptr[v] : lm.vert_spl_ptr[v + 1]]
 
 
 def test_two_tets_two_ranks():
@@ -18,13 +23,13 @@ def test_two_tets_two_ranks():
     for lm in locals_:
         assert lm.ne == 1
         assert lm.nv == 4
-        lm.check(m)
+        check_local_mesh(lm, m)
     # the shared face (1,2,3): 3 shared vertices, 3 shared edges per side
     for lm in locals_:
         assert lm.vert_shared.sum() == 3
         assert lm.edge_shared.sum() == 3
         for v in np.flatnonzero(lm.vert_shared):
-            assert lm.vertex_spl(v).tolist() == [1 - lm.rank]
+            assert _vertex_spl(lm, v).tolist() == [1 - lm.rank]
 
 
 def test_partition_of_box_covers_everything():
@@ -42,7 +47,7 @@ def test_partition_of_box_covers_everything():
         range(m.nedges)
     )
     for lm in locals_:
-        lm.check(m)
+        check_local_mesh(lm, m)
 
 
 def test_spl_symmetry():
@@ -56,7 +61,7 @@ def test_spl_symmetry():
         for lv in np.flatnonzero(lm.vert_shared):
             g = int(lm.vert_l2g[lv])
             spl_by_global.setdefault(g, {})[lm.rank] = sorted(
-                lm.vertex_spl(lv).tolist()
+                _vertex_spl(lm, lv).tolist()
             )
     for g, per_rank_spl in spl_by_global.items():
         ranks = sorted(per_rank_spl)

@@ -1,14 +1,17 @@
 """Building blocks the tests share and no product code uses.
 
-The smallest tetrahedral meshes, an element-quality measure, the analytic
+The smallest tetrahedral meshes, the structural invariant checks of a
+global and a rank-local mesh, an element-quality measure, the analytic
 flow fields the solver, adaptor and framework tests start from, the causal
-run of one traced ``RunResult``, and weighted graphs from edge lists.
+run of one traced ``RunResult``, and weighted graphs from edge lists and
+their CSR rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.dist.localmesh import LocalMesh
 from repro.mesh.geometry import tet_volumes
 from repro.mesh.tetmesh import TetMesh
 from repro.mesh.topology import LOCAL_EDGES
@@ -40,6 +43,52 @@ def two_tets() -> TetMesh:
     )
     elems = np.array([[0, 1, 2, 3], [1, 2, 3, 4]])
     return TetMesh.from_elems(coords, elems)
+
+
+def check_mesh(mesh: TetMesh) -> None:
+    """Assert every structural invariant of ``mesh`` — O(ne log ne)."""
+    assert mesh.elems.shape == (mesh.ne, 4)
+    assert np.all(mesh.edges[:, 0] < mesh.edges[:, 1]), "edge order"
+    keys = mesh.edges[:, 0] * mesh.nv + mesh.edges[:, 1]
+    assert np.all(np.diff(keys) > 0), "edges sorted & unique"
+    vols = mesh.volumes()
+    assert np.all(vols > 0), f"non-positive volumes: {np.sum(vols <= 0)}"
+    # elem2edge consistency with local edge table
+    pairs = np.sort(mesh.elems[:, LOCAL_EDGES], axis=2)
+    assert np.array_equal(mesh.edges[mesh.elem2edge], pairs), "elem2edge"
+    # every element has 4 distinct vertices
+    assert np.all(
+        np.diff(np.sort(mesh.elems, axis=1), axis=1) > 0
+    ), "degenerate element"
+    # boundary faces belong to their owning element
+    for f in range(min(mesh.nbnd, 50)):
+        face = set(mesh.bnd_faces[f].tolist())
+        assert face <= set(mesh.elems[mesh.bnd_elem[f]].tolist())
+
+
+def check_local_mesh(local: LocalMesh, global_mesh: TetMesh) -> None:
+    """Assert ``local``'s local↔global maps agree with ``global_mesh``."""
+    mesh = local.mesh
+    assert local.elem_l2g.shape == (local.ne,)
+    assert local.vert_l2g.shape == (local.nv,)
+    assert local.edge_l2g.shape == (mesh.nedges,)
+    # local elements are the global elements' vertex sets
+    gv = np.sort(global_mesh.elems[local.elem_l2g], axis=1)
+    lv = np.sort(local.vert_l2g[mesh.elems], axis=1)
+    assert np.array_equal(gv, lv), "element vertex sets"
+    # local coords come from the global coords
+    assert np.array_equal(mesh.coords, global_mesh.coords[local.vert_l2g]), "coords"
+    # local edges map onto global edges with the same endpoints
+    ge = global_mesh.edges[local.edge_l2g]
+    le = np.sort(local.vert_l2g[mesh.edges], axis=1)
+    assert np.array_equal(ge, le), "edge endpoints"
+    # SPLs never contain the owning rank and are sorted
+    ptr = local.vert_spl_ptr
+    for v in range(min(local.nv, 64)):
+        spl = local.vert_spl_dat[ptr[v] : ptr[v + 1]]
+        assert local.rank not in spl
+        assert np.all(np.diff(spl) > 0)
+        assert bool(local.vert_shared[v]) == (spl.size > 0)
 
 
 def aspect_ratios(coords: np.ndarray, elems: np.ndarray) -> np.ndarray:
@@ -110,6 +159,12 @@ def metric_value(reg: MetricsRegistry, name: str, labels: dict | None = None,
         if (s.name, s.labels, s.cycle, s.rank) == (name, frozen, cycle, rank):
             return s.value
     return None
+
+
+def row(graph: Graph, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """``v``'s neighbours and the weights of its edges: one CSR row."""
+    lo, hi = graph.ptr[v], graph.ptr[v + 1]
+    return graph.adj[lo:hi], graph.ewgt[lo:hi]
 
 
 def weighted_graph(pairs, n: int, vwgt=None, ewgt=None) -> Graph:

@@ -74,6 +74,8 @@ from repro.partition.graph import Graph
 from repro.partition.quality import edgecut
 from repro.solver.state import GAMMA
 
+from tests.fixtures import row
+
 # --- parallel/runtime.py: scheduler and mailbox ------------------------------
 
 
@@ -352,7 +354,7 @@ def fm_bisection_refine_reference(
             side[v] = 1 - s
             locked[v] = True
             moves.append(v)
-            for u, ew in zip(graph.neighbors(v), graph.edge_weights(v)):
+            for u, ew in zip(*row(graph, v)):
                 if locked[u]:
                     continue
                 # side[v] is already flipped: if u now shares v's side the
@@ -460,7 +462,7 @@ def kway_greedy_refine_reference(
             if counts[s] <= 1:
                 continue  # a part never gives up its last vertex
             conn: dict[int, int] = {}
-            for u, ew in zip(graph.neighbors(v), graph.edge_weights(v)):
+            for u, ew in zip(*row(graph, v)):
                 pu = int(part[u])
                 conn[pu] = conn.get(pu, 0) + int(ew)
             internal = conn.get(s, 0)
@@ -561,7 +563,7 @@ def _grow_reference(graph: Graph, seed: int, target: float) -> np.ndarray:
         nonlocal grown
         in_region[v] = True
         grown += graph.vwgt[v]
-        for u, w in zip(graph.neighbors(v), graph.edge_weights(v)):
+        for u, w in zip(*row(graph, v)):
             if not in_region[u]:
                 gain[u] += 2 * w  # edge flips from cut to internal
                 heapq.heappush(heap, (-int(gain[u]), int(u)))

@@ -4,8 +4,8 @@ The oracles below are the implementations ``repro.mesh.build``,
 ``repro.mesh.geometry.tet_volumes`` and ``repro.adapt.marking`` shipped
 before they were rewritten to sort once and build in place: ``np.unique``
 for the edges, a *stable* argsort with run counting for the faces,
-``lexsort`` + ``add.at`` for the CSR lists and the edge→rank incidence,
-``np.cross`` for the volumes.  Every array must come out ``array_equal``.
+``lexsort`` for the edge→rank incidence, ``np.cross`` for the volumes.
+Every array must come out ``array_equal``.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 from repro.adapt import AdaptiveMesh
 from repro.adapt.marking import _edge_rank_incidence
 from repro.mesh import TetMesh, box_mesh, rotor_domain_mesh
-from repro.mesh.build import build_edges, build_faces, csr_from_pairs
+from repro.mesh.build import build_edges, build_faces
 from repro.mesh.geometry import tet_volumes
 from repro.mesh.topology import LOCAL_EDGES, LOCAL_FACES
 
@@ -55,16 +55,6 @@ def oracle_build_faces(elems, nv):
     bnd_faces = np.column_stack([bkeys // (nv * nv), (bkeys // nv) % nv, bkeys % nv])
     dual_pairs = np.column_stack([sown[i_idx], sown[i_idx + 1]])
     return bnd_faces, sown[b_idx], dual_pairs
-
-
-def oracle_csr_from_pairs(rows, vals, nrows):
-    rows = np.asarray(rows, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.int64)
-    order = np.lexsort((vals, rows))
-    ptr = np.zeros(nrows + 1, dtype=np.int64)
-    np.add.at(ptr, rows[order] + 1, 1)
-    np.cumsum(ptr, out=ptr)
-    return ptr, vals[order]
 
 
 def oracle_tet_volumes(coords, elems):
@@ -156,25 +146,6 @@ def test_tet_volumes_matches_np_cross(mesh):
     assert np.array_equal(
         tet_volumes(mesh.coords, scrambled), oracle_tet_volumes(mesh.coords, scrambled)
     )
-
-
-def test_csr_accessors_match_lexsort(mesh):
-    owners = np.repeat(np.arange(mesh.ne, dtype=np.int64), 6)
-    ptr, dat = oracle_csr_from_pairs(mesh.elem2edge.ravel(), owners, mesh.nedges)
-    assert np.array_equal(mesh.edge2elem_ptr, ptr)
-    assert np.array_equal(mesh.edge2elem_dat, dat)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_csr_from_pairs_keeps_its_contract_for_unsorted_values(seed):
-    rng = np.random.default_rng(seed)
-    n, nrows = int(rng.integers(0, 200)), int(rng.integers(1, 12))
-    rows = rng.integers(0, nrows, size=n)
-    vals = rng.integers(0, 50, size=n)  # unsorted, with repeats
-    ptr, dat = csr_from_pairs(rows, vals, nrows)
-    ref_ptr, ref_dat = oracle_csr_from_pairs(rows, vals, nrows)
-    assert np.array_equal(ptr, ref_ptr)
-    assert np.array_equal(dat, ref_dat)
 
 
 @pytest.mark.parametrize("nranks", [1, 2, 7, 16])

@@ -384,6 +384,56 @@ def test_every_exported_name_has_a_product_caller():
     assert missing == [], f"exported names no product code uses: {missing}"
 
 
+#: Public members kept without a product caller, each for a written reason
+#: (at most 5).
+ALLOWLIST_MEMBERS = {
+    "DualGraph.comp_graph": "test_golden_partitions.py calls it and stays "
+                            "unedited until the golden partitions are "
+                            "rebaselined",
+    "EulerSolver.residual": "test_solver_equiv.py compares the AoS oracle "
+                            "through it",
+    "EulerSolver.stable_dt": "test_solver_equiv.py compares the AoS oracle "
+                             "through it",
+    "SlabPool.free_count": "the slab-leak observable the transport tests read",
+}
+
+
+def _member_mentions(tree: ast.AST) -> set[str]:
+    """:func:`_used_names`, plus every string that is one identifier
+    (``getattr(x, "name")``) and each dotted part of a
+    ``module:Class.member`` target."""
+    used = _used_names(tree)
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Constant) and isinstance(n.value, str):
+            if n.value.isidentifier():
+                used.add(n.value)
+            for target in re.findall(r"\brepro[\w.]*:([\w.]+)", n.value):
+                used.update(target.split("."))
+    return used
+
+
+def test_every_public_member_has_a_product_caller():
+    """Every public method and property of a public class under
+    ``src/repro`` is named — as ``x.member``, as a bare name or in a
+    string — by a module under ``src/``, ``examples/``, ``scripts/`` or
+    ``benchmarks/``; or it is in :data:`ALLOWLIST_MEMBERS`.  A member
+    only the tests reach leaves ``src/`` (or moves into
+    ``tests/fixtures.py``)."""
+    trees = {p: ast.parse(p.read_text())
+             for root in CALLERS for p in sorted(root.rglob("*.py"))}
+    used = set().union(*map(_member_mentions, trees.values()))
+    members = sorted(
+        (qual, name) for _, qual, name, _, _ in _public_callables(trees)
+        if "." in qual and not qual.endswith(".__init__")
+    )
+    assert len(members) > 100  # the walker found the classes
+    orphans = [qual for qual, name in members if name not in used]
+    assert len(ALLOWLIST_MEMBERS) <= 5
+    assert set(ALLOWLIST_MEMBERS) <= set(orphans), "stale allowlist entries"
+    missing = [m for m in orphans if m not in ALLOWLIST_MEMBERS]
+    assert missing == [], f"public members no product code names: {missing}"
+
+
 def test_src_calls_every_comm_method_and_yields_every_op():
     """The communicator keeps only what rank programs call: every public
     ``Comm`` method is called as ``comm.<method>(...)`` somewhere in
@@ -521,11 +571,25 @@ def _option_walk():
     registered.discard(None)
     assert {"VirtualBackend", "MultiprocessingBackend",
             "SharedMemoryBackend", "MPIBackend"} <= registered
-    sets: dict[str, list[tuple[float, set[str]]]] = {}
+    # a bare ``f(...)`` credits module-level functions and classes; a
+    # ``x.f(...)`` (or a call through ``mpr = tracer.metric_per_rank``)
+    # credits methods, so ``coarsen(graph, ...)`` never sets a parameter
+    # of ``AdaptiveMesh.coarsen``
+    bare: dict[str, list[tuple[float, set[str]]]] = {}
+    attr: dict[str, list[tuple[float, set[str]]]] = {}
+
+    def credit(e: ast.AST, npos: float, kws: set[str], alias=None) -> None:
+        if isinstance(e, ast.Name) and alias and e.id in alias:
+            attr.setdefault(alias[e.id], []).append((npos, kws))
+        elif isinstance(e, ast.Name):
+            bare.setdefault(e.id, []).append((npos, kws))
+        elif isinstance(e, ast.Attribute):
+            attr.setdefault(e.attr, []).append((npos, kws))
+
     for tree in trees.values():
         # ``mpr = tracer.metric_per_rank`` then ``mpr(...)``
         alias = {
-            n.targets[0].id: _callee(n.value)
+            n.targets[0].id: n.value.attr
             for n in ast.walk(tree)
             if isinstance(n, ast.Assign) and len(n.targets) == 1
             and isinstance(n.targets[0], ast.Name)
@@ -537,18 +601,16 @@ def _option_walk():
             kws = {k.arg for k in n.keywords if k.arg}
             npos = (float("inf") if any(isinstance(a, ast.Starred) for a in n.args)
                     else len(n.args))
-            callee = _callee(n.func)
-            if callee:
-                sets.setdefault(alias.get(callee, callee), []).append((npos, kws))
+            credit(n.func, npos, kws, alias)
             # a runner given the callee: ``ops.run(labels, f, ..., p=...)``
             for a in list(n.args) + [k.value for k in n.keywords]:
-                if _callee(a):
-                    sets.setdefault(_callee(a), []).append((0, kws))
-            if callee in FORWARDERS:
+                credit(a, 0, kws)
+            if _callee(n.func) in FORWARDERS:
                 for cls in registered:
-                    sets.setdefault(cls, []).append((0, kws))
+                    bare.setdefault(cls, []).append((0, kws))
     everything, flagged = [], []
     for p, qual, callee, f, skip in _public_callables(trees):
+        sets = attr if "." in qual and not qual.endswith(".__init__") else bare
         for param, at in _defaulted(f, skip):
             key = f"{qual}({param})"
             everything.append(key)
@@ -562,10 +624,13 @@ def test_every_option_has_a_product_caller():
     """Every defaulted parameter of a public callable under ``src/repro``
     is set, by keyword or by position, by a call in ``src/``,
     ``examples/``, ``scripts/`` or ``benchmarks/`` that names the callable
-    (``f(...)``, ``x.f(...)``, ``Class(...)``) or takes it as an argument
-    (``ops.run(labels, f, ..., p=...)``); the backend registry's
-    ``**opts`` credit every registered backend class.  An option no
-    product caller sets becomes a constant or leaves with its branch."""
+    or takes it as an argument (``ops.run(labels, f, ..., p=...)``): a
+    bare ``f(...)`` / ``Class(...)`` names a module-level function or
+    class, an ``x.f(...)`` (or a local alias of a bound method) names a
+    method, so a method never borrows the calls of a function that shares
+    its name.  The backend registry's ``**opts`` credit every registered
+    backend class.  An option no product caller sets becomes a constant or
+    leaves with its branch."""
     everything, flagged = _option_walk()
     assert len(everything) > 150  # the walker found the tree
     assert len(ALLOWLIST_OPTIONS) <= 10

@@ -7,6 +7,7 @@ from repro.core.dualgraph import DualGraph
 from repro.mesh.generate import box_mesh
 from repro.partition.contract import contract
 from repro.partition.fm_refine import (
+    UB,
     _gains_bisection,
     _gains_subset,
     fm_bisection_refine,
@@ -16,6 +17,7 @@ from repro.partition.graph import Graph
 from repro.partition.initial import greedy_graph_growing
 from repro.partition.matching import heavy_edge_matching
 from repro.partition.multilevel import _subgraph, multilevel_kway
+from repro.partition.quality import loads
 
 from .oracles import (
     contract_reference,
@@ -141,18 +143,18 @@ def test_kway_greedy_refine_bit_identical(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_kway_greedy_refine_keeps_the_last_vertex(seed):
-    # parts of a few vertices under a loose tolerance: without the guard
-    # the cut-improving moves drain the small ones
+    # parts of a few vertices, some of them overweight: both modes shed
+    # load, and no move drains a part of its last vertex
     g, rng = _graph(seed)
     k = g.n // 3
     part0 = rng.integers(0, k, size=g.n).astype(np.int64)
     populated = np.bincount(part0, minlength=k) > 0
+    assert loads(g, part0, k).max() > UB * g.total_vwgt() / k
     for balance_only in (False, True):
-        opt = kway_greedy_refine(g, part0, k, ub=3.0, balance_only=balance_only)
-        ref = kway_greedy_refine_reference(
-            g, part0, k, ub=3.0, balance_only=balance_only
-        )
+        opt = kway_greedy_refine(g, part0, k, balance_only=balance_only)
+        ref = kway_greedy_refine_reference(g, part0, k, balance_only=balance_only)
         assert np.array_equal(opt, ref)
+        assert (opt != part0).any()  # it moved
         assert (np.bincount(opt, minlength=k)[populated] > 0).all()
 
 

@@ -8,8 +8,6 @@ from repro.mesh.build import (
     MAX_NV_FACES,
     build_edges,
     build_faces,
-    csr_from_pairs,
-    invert_to_csr,
 )
 
 from tests.fixtures import single_tet, two_tets
@@ -46,22 +44,6 @@ def test_build_faces_nonmanifold_rejected():
     elems = np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]])
     with pytest.raises(ValueError, match="non-manifold"):
         build_faces(elems, 6)
-
-
-def test_csr_from_pairs_groups_and_orders():
-    ptr, dat = csr_from_pairs(
-        rows=np.array([1, 0, 1, 2, 0]), vals=np.array([9, 5, 3, 7, 1]), nrows=3
-    )
-    assert ptr.tolist() == [0, 2, 4, 5]
-    assert dat.tolist() == [1, 5, 3, 9, 7]
-
-
-def test_invert_to_csr_roundtrip():
-    mapping = np.array([[0, 2], [2, 1], [0, 1]])
-    ptr, dat = invert_to_csr(mapping, 3)
-    # value v -> rows where it appears
-    groups = {v: sorted(dat[ptr[v] : ptr[v + 1]].tolist()) for v in range(3)}
-    assert groups == {0: [0, 2], 1: [1, 2], 2: [0, 1]}
 
 
 # --- packed keys must not wrap silently -----------------------------------

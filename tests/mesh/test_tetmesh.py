@@ -5,19 +5,19 @@ import pytest
 
 from repro.mesh import TetMesh, box_mesh, rotor_domain_mesh, tet_volumes
 
-from tests.fixtures import single_tet
+from tests.fixtures import check_mesh, single_tet
 
 
 def test_box_mesh_counts():
     m = box_mesh(2, 3, 4)
     assert m.nv == 3 * 4 * 5
     assert m.ne == 6 * 2 * 3 * 4
-    m.check()
+    check_mesh(m)
 
 
 def test_box_mesh_fills_volume():
     m = box_mesh(3, 2, 2, bounds=((0, 2), (0, 1), (0, 1)))
-    assert m.total_volume() == pytest.approx(2.0)
+    assert m.volumes().sum() == pytest.approx(2.0)
 
 
 def test_box_mesh_conforming():
@@ -49,8 +49,8 @@ def test_rejects_bad_shapes():
 
 def test_edge_and_vertex_adjacency():
     m = single_tet()
-    for e in range(m.nedges):
-        assert m.edge_elems(e).tolist() == [0]
+    # the one element holds every edge once
+    assert sorted(m.elem2edge[0].tolist()) == list(range(m.nedges))
     # each vertex touches 3 edges
     assert np.bincount(m.edges.ravel()).tolist() == [3, 3, 3, 3]
 
@@ -62,7 +62,7 @@ def test_sizes_dict_matches_table1_columns():
 
 def test_rotor_domain_mesh_blade_inside():
     mesh, blade = rotor_domain_mesh(resolution=3)
-    mesh.check()
+    check_mesh(mesh)
     lo = mesh.coords.min(axis=0)
     hi = mesh.coords.max(axis=0)
     for pt in (blade.start, blade.end):
@@ -85,25 +85,16 @@ EAGER_ARRAYS = {
 }
 
 
-def test_inverse_adjacency_is_built_on_first_access_only():
+def test_a_mesh_holds_only_its_eager_arrays():
     m = box_mesh(2, 2, 2)
-    assert set(vars(m)) == EAGER_ARRAYS  # a fresh mesh holds no CSR arrays
-    assert m.edge_elems(0).size > 0
-    assert set(vars(m)) - EAGER_ARRAYS == {"_edge2elem"}
-    assert m.edge2elem_ptr.shape == (m.nedges + 1,)
-    assert m.edge2elem_dat.shape == (6 * m.ne,)
-    assert m.edge2elem_ptr is m.edge2elem_ptr  # built once, then kept
-    for e in range(m.nedges):
-        for el in m.edge_elems(e):
-            assert e in m.elem2edge[el]
-    m.check()
-    assert set(vars(m)) - EAGER_ARRAYS == {"_edge2elem"}
+    check_mesh(m)
+    assert set(vars(m)) == EAGER_ARRAYS  # no edge→element CSR, no cache
 
 
 #: tracemalloc high-water mark of ``TetMesh.from_elems`` per element, its
 #: seven result arrays (134 B/element) included: measured 260 B/element on
 #: 2·10⁴ … 7·10⁵ tetrahedra (576 before the keys were built in place and the
-#: CSR lists left to first access), pinned with 10 % headroom.
+#: edge→element CSR lists left the build), pinned with 10 % headroom.
 FROM_ELEMS_PEAK_BYTES_PER_ELEM = 286
 
 

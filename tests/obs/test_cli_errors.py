@@ -1,10 +1,11 @@
 """Bad values on the command line: one ``error:`` line, exit 2, no traceback.
 
 Drives ``repro.__main__.main`` in-process, like ``test_cli_runs.py``.  A
-size that cannot be (zero ranks, a resolution of -3, a negative ``--top``)
-is refused by the argument parser; an output path that cannot be written is refused before
-the run starts, so nothing has been printed and no work is thrown away;
-so is a backend name that is not registered.
+size that cannot be (zero ranks, a resolution of -3, a negative ``--top``
+or ``--rounds``) is refused by the argument parser; an output path that
+cannot be written is refused before the run starts, so nothing has been
+printed and no work is thrown away; so is a backend name that is not
+registered, and more processors than the mesh has elements.
 """
 
 from pathlib import Path
@@ -43,6 +44,9 @@ def trace(tmp_path):
     (["report", "{trace}", "--top", "-2"], "--top"),
     (["critical-path", "{trace}", "--top", "-3"], "--top"),
     (["diff", "{trace}", "{trace}", "--top", "-1"], "--top"),
+    (["scale", "--ranks", "4", "--rounds", "-3"], "--rounds"),
+    (["scale", "--ranks", "4", "--rounds", "0"], "--rounds"),
+    (["scale", "--ranks", "4", "--halo-words", "-5"], "--halo-words"),
 ])
 def test_impossible_sizes_are_refused_by_the_parser(argv, argument, trace,
                                                     capsys):
@@ -64,6 +68,16 @@ def test_top_zero_prints_no_rows(capsys):
     assert main(["critical-path", step, "--top", "0"]) == 0
     out = capsys.readouterr().out
     assert "makespan:" in out and "path segments" not in out
+
+
+def test_step_refuses_more_processors_than_elements(capsys):
+    # the resolution-1 rotor mesh has 12 elements: 64 parts cannot be cut
+    assert main(["step", "1", "--nproc", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --nproc 64 exceeds the 12 elements of the resolution-1 mesh\n"
+    )
 
 
 @pytest.mark.parametrize("target", ["0", "-1"])

@@ -111,8 +111,9 @@ def test_total_and_max_value():
 
 def test_names_ranks_cycles():
     reg = sample_registry()
-    assert reg.names() == ["imb", "words"]
-    assert reg.ranks() == [0, 1]
+    samples = reg.samples()
+    assert sorted({s.name for s in samples}) == ["imb", "words"]
+    assert sorted({s.rank for s in samples if s.rank is not None}) == [0, 1]
     assert reg.cycles() == [0, 1]
 
 

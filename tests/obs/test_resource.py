@@ -37,10 +37,11 @@ def test_sampler_takes_opening_and_closing_samples(monkeypatch):
 
 def test_sampler_periodic_samples_accumulate(monkeypatch):
     monkeypatch.setattr(resource, "INTERVAL", 0.005)
-    with ResourceSampler() as sampler:
-        import time
+    import time
 
-        time.sleep(0.05)
+    sampler = ResourceSampler().start()
+    time.sleep(0.05)
+    sampler.stop()
     assert len(sampler.times) >= 3
     assert sampler.times == sorted(sampler.times)
 

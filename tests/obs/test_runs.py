@@ -32,7 +32,7 @@ def test_store_add_get_roundtrip(tmp_path):
         metrics={"makespan": 1.5, "skipme": "text", "flag": True},
         config={"resolution": 4}, source="a.jsonl", backends=["shm"],
     )
-    assert len(store) == 1
+    assert len(store.ids()) == 1
     back = store.get(rec.id)
     assert (back.kind, back.label, back.config_hash) == (
         "trace", "step/r4", hash_config({"resolution": 4}))

@@ -71,7 +71,7 @@ def test_child_durations_bounded_by_parent():
             tr.advance(2.0)
         with tr.phase("c2"):
             tr.advance(0.5)
-    p = tr.find("p")[0]
+    [p] = [s for s in tr.spans if s.name == "p"]
     kids = [s for s in tr.spans if s.parent == p.index]
     assert sum(k.v_duration for k in kids) <= p.v_duration
 

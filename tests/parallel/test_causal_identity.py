@@ -29,7 +29,7 @@ def _assert_identity(res, nranks):
     assert all(st.slack >= 0.0 for st in stats)
     # per-rank intervals tile [0, clock]: work+comm+wait+tail == makespan
     for st in stats:
-        assert st.work + st.comm + st.idle == pytest.approx(res.makespan)
+        assert st.work + st.comm + st.wait + st.tail == pytest.approx(res.makespan)
 
 
 def _run(prog, nranks, *args, machine=SP2_1997):

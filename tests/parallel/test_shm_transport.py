@@ -33,7 +33,7 @@ class TestSlabPool:
         idx, reused = pool.alloc()
         assert not reused
         assert pool.free_count() == 3
-        pool.free(idx)
+        pool.free_many((idx,))
         assert pool.free_count() == 4
         idx2, reused2 = pool.alloc()
         assert idx2 == idx  # LIFO: hottest slab first

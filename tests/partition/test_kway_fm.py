@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 from repro.experiments.cases import make_case
 from repro.partition import Graph, edgecut, loads, multilevel_kway
-from repro.partition.fm_refine import _boundary_moves, kway_fm_refine
+from repro.partition.fm_refine import UB, _boundary_moves, kway_fm_refine
+
+from tests.fixtures import row
 
 from .test_partition_properties import random_connected_graph
-
-UB = 1.05
 
 
 @lru_cache(maxsize=None)
@@ -40,7 +40,7 @@ def _check(g, part, k, out):
         assert edgecut(g, out) <= edgecut(g, part)
     populated = np.bincount(part, minlength=k) > 0
     assert (np.bincount(out, minlength=k)[populated] > 0).all()
-    assert kway_fm_refine(g, part, k, ub=UB).tobytes() == out.tobytes()
+    assert kway_fm_refine(g, part, k).tobytes() == out.tobytes()
 
 
 @given(
@@ -57,7 +57,7 @@ def test_properties_on_random_weighted_graphs(n, extra, k, seed, balanced):
         part = multilevel_kway(g, min(k, n), seed=seed)
     else:
         part = np.random.default_rng(seed).integers(0, k, size=n)
-    _check(g, part, k, kway_fm_refine(g, part, k, ub=UB))
+    _check(g, part, k, kway_fm_refine(g, part, k))
 
 
 @pytest.mark.parametrize("resolution", [4, 6])
@@ -66,12 +66,12 @@ def test_properties_on_rotor_duals(resolution, k):
     g = _dual(resolution)
     # a random partition, its cut as bad as cuts get: there is work to do
     part = np.random.default_rng(k).integers(0, k, size=g.n)
-    out = kway_fm_refine(g, part, k, ub=UB)
+    out = kway_fm_refine(g, part, k)
     _check(g, part, k, out)
     assert edgecut(g, out) < edgecut(g, part)
     # and a good one: whatever it finds, it gives nothing back
     part = multilevel_kway(g, k, seed=1)
-    _check(g, part, k, kway_fm_refine(g, part, k, ub=UB))
+    _check(g, part, k, kway_fm_refine(g, part, k))
 
 
 def test_ends_at_once_without_a_boundary():
@@ -87,11 +87,13 @@ def test_ends_at_once_without_a_boundary():
 
 
 def test_never_takes_the_last_vertex():
-    # a star: the hub alone in part 0, every leaf would gain by pulling it over
+    # a star: the hub alone in part 0 and one leaf alone in part 1; the hub
+    # gains by joining that leaf and the leaf by joining the hub, and both
+    # moves fit under the cap (3.15 of 9 vertices in 3 parts)
     n = 9
     g = Graph.from_pairs(np.column_stack([np.zeros(n - 1, int), np.arange(1, n)]), n)
-    part = np.array([0] + [1] * 4 + [2] * 4)
-    out = kway_fm_refine(g, part, 3, ub=3.0)
+    part = np.array([0, 1] + [2] * 7)
+    out = kway_fm_refine(g, part, 3)
     assert np.bincount(out, minlength=3).min() >= 1
 
 
@@ -117,7 +119,7 @@ def test_heap_fill_is_the_one_vertex_rule(n, extra, k, seed):
     want, boundary = [], 0
     for v in range(n):
         conn = {}
-        for u, w in zip(g.neighbors(v), g.edge_weights(v)):
+        for u, w in zip(*row(g, v)):
             conn[int(part[u])] = conn.get(int(part[u]), 0) + int(w)
         own = conn.pop(int(part[v]), 0)
         boundary += bool(conn)

@@ -72,18 +72,13 @@ def test_callers_writes_never_reach_a_later_answer(g, k, seed):
 @settings(max_examples=10, deadline=None)
 def test_numpy_and_python_scalars_share_an_entry(g, k):
     multilevel_kway.cache_clear()
-    a = multilevel_kway(g, k, seed=3, ub=1.05)
-    for kk, seed, ub in (
-        (np.int64(k), 3, 1.05),
-        (k, np.int64(3), 1.05),
-        (k, 3, np.float64(1.05)),
-    ):
-        assert np.array_equal(multilevel_kway(g, kk, seed=seed, ub=ub), a)
+    a = multilevel_kway(g, k, seed=3)
+    for kk, seed in ((np.int64(k), 3), (k, np.int64(3))):
+        assert np.array_equal(multilevel_kway(g, kk, seed=seed), a)
     info = multilevel_kway.cache_info()
-    assert (info.hits, info.misses) == (3, 1)
-    multilevel_kway(g, k, seed=3, ub=1.06)
-    multilevel_kway(g, k, seed=4, ub=1.05)
-    assert multilevel_kway.cache_info().misses == 3
+    assert (info.hits, info.misses) == (2, 1)
+    multilevel_kway(g, k, seed=4)
+    assert multilevel_kway.cache_info().misses == 2
 
 
 def test_same_bytes_different_shape_do_not_share_an_entry():
@@ -95,7 +90,7 @@ def test_same_bytes_different_shape_do_not_share_an_entry():
     stream = lambda g: b"".join(
         x.tobytes() for x in (g.ptr, g.adj, g.vwgt, g.ewgt)
     )
-    assert stream(a) == stream(b) and (a.n, a.nedges) != (b.n, b.nedges)
+    assert stream(a) == stream(b) and (a.n, a.adj.size) != (b.n, b.adj.size)
     assert multilevel_kway(a, 1).shape == (4,)
     assert multilevel_kway(b, 1).shape == (2,)
     info = multilevel_kway.cache_info()

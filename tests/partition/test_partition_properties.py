@@ -14,7 +14,7 @@ from repro.partition import (
     repartition,
 )
 from repro.partition.multilevel import _subgraph
-from tests.fixtures import weighted_graph
+from tests.fixtures import row, weighted_graph
 
 
 def random_connected_graph(n, extra_edges, seed, max_w=5):
@@ -43,9 +43,9 @@ def test_matching_and_contraction_invariants(n, extra, seed):
     # total edge weight is conserved minus weight internal to merged pairs
     fine_total = g.ewgt.sum() // 2
     internal = sum(
-        int(g.edge_weights(v)[list(g.neighbors(v)).index(match[v])])
+        int(row(g, v)[1][list(row(g, v)[0]).index(match[v])])
         for v in range(n)
-        if match[v] > v and match[v] in g.neighbors(v)
+        if match[v] > v and match[v] in row(g, v)[0]
     )
     assert coarse.ewgt.sum() // 2 == fine_total - internal
 
@@ -87,7 +87,7 @@ def test_edgecut_consistent_with_manual_count(n, extra, seed):
     part = multilevel_kway(g, 3, seed=seed)
     manual = 0
     for v in range(n):
-        for u, w in zip(g.neighbors(v), g.edge_weights(v)):
+        for u, w in zip(*row(g, v)):
             if u > v and part[u] != part[v]:
                 manual += int(w)
     assert edgecut(g, part) == manual

@@ -14,7 +14,7 @@ from repro.mesh import TetMesh, box_mesh
 from repro.parallel import DeadlockError, MachineModel, VirtualMachine
 from repro.solver import EulerSolver, conservative
 
-from tests.fixtures import single_tet, uniform_flow
+from tests.fixtures import check_mesh, single_tet, uniform_flow
 
 
 class TestDegenerateMeshes:
@@ -24,19 +24,19 @@ class TestDegenerateMeshes:
         )  # collinear
         m = TetMesh.from_elems(coords, np.array([[0, 1, 2, 3]]), orient=False)
         with pytest.raises(AssertionError, match="volume"):
-            m.check()
+            check_mesh(m)
 
     def test_duplicate_vertices_in_element(self):
         m = TetMesh.from_elems(
             np.eye(4, 3), np.array([[0, 1, 2, 2]]), orient=False
         )
         with pytest.raises(AssertionError):
-            m.check()
+            check_mesh(m)
 
     def test_empty_mesh_is_consistent(self):
         m = TetMesh.from_elems(np.zeros((0, 3)), np.zeros((0, 4), dtype=int))
         assert m.ne == 0 and m.nv == 0 and m.nedges == 0
-        assert m.total_volume() == 0.0
+        assert m.volumes().sum() == 0.0
 
 
 class TestSolverGuards:
