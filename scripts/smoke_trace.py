@@ -28,6 +28,11 @@ A third pass covers the run-history store: the traced runs above were
 indexed into it, and it must answer ``repro runs compare`` for two
 identical steps from the stored documents alone.
 
+A fourth pass traces ``repro step 8 --nproc 64``, where the seeded
+repartitioner diffuses on the fine graph: every ``repartition.rebalance``
+span must carry its ``diffusion_rounds``, none above
+``repartition.DIFFUSION_ROUNDS``.
+
 Exit status 0 on success, 1 with a diagnostic on any failure.
 
 Usage:  python scripts/smoke_trace.py  (from the repo root)
@@ -360,13 +365,41 @@ def main() -> int:
                             f"{proc.stdout}")
         nstored = len(store.records())
 
+        # repartition pass: at P = 64 the seeded rebalance needs diffusion
+        # on the fine graph; every rebalance span records its rounds, and
+        # none ran past the cap
+        from repro.partition.repartition import DIFFUSION_ROUNDS
+
+        jsonl3 = os.path.join(tmp, "step8.jsonl")
+        cmd = [
+            sys.executable, "-m", "repro", "step", "8", "--nproc", "64",
+            "--trace-out", jsonl3, "--no-history",
+        ]
+        proc = subprocess.run(
+            cmd, env=env, cwd=REPO, capture_output=True, text=True,
+            timeout=300,
+        )
+        if proc.returncode != 0:
+            return fail(f"{' '.join(cmd)} exited {proc.returncode}:\n"
+                        f"{proc.stdout}\n{proc.stderr}")
+        rounds = [s.attrs.get("diffusion_rounds")
+                  for s in read_jsonl(jsonl3).spans
+                  if s.name == "repartition.rebalance"]
+        if not rounds or None in rounds:
+            return fail(f"repartition.rebalance spans without "
+                        f"diffusion_rounds: {rounds}")
+        if max(rounds) > DIFFUSION_ROUNDS:
+            return fail(f"diffusion ran {max(rounds)} rounds, past the cap "
+                        f"of {DIFFUSION_ROUNDS}")
+
     print(f"smoke_trace: OK ({summary['spans']} spans, "
           f"{summary['events']} events, {summary['metrics']} metrics, "
           f"{summary['nodes']} causal nodes, {summary['msgs']} msgs, "
           f"{summary['resources']} resource samples, {len(cycles)} "
           f"cycle(s); makespan identity on {nruns} vm run(s); "
           f"{len(wall_runs)} measured wall run(s) within skew; "
-          f"{nstored} run(s) in the history store)")
+          f"{nstored} run(s) in the history store; diffusion rounds "
+          f"{rounds} at step 8 --nproc 64)")
     return 0
 
 

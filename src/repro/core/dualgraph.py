@@ -32,8 +32,3 @@ class DualGraph:
     @property
     def n(self) -> int:
         return self.graph.n
-
-    def comp_graph(self) -> Graph:
-        """The unit-weighted graph (``tests/partition/test_golden_partitions.py``
-        pins its partitions through this name)."""
-        return self.graph

@@ -11,8 +11,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.adapt.adaptor import AdaptiveMesh
 from repro.core.metrics import remap_stats
 from repro.core.reassign import heuristic_mwbg, optimal_bmcm, optimal_mwbg
@@ -24,11 +22,7 @@ from .cases import PROC_COUNTS, RotorCase
 
 __all__ = ["MapperRow", "mapper_comparison"]
 
-_METHODS = {
-    "OptMWBG": lambda S: optimal_mwbg(S),
-    "HeuMWBG": lambda S: heuristic_mwbg(S),
-    "OptBMCM": lambda S: optimal_bmcm(S),
-}
+_METHODS = {"OptMWBG": optimal_mwbg, "HeuMWBG": heuristic_mwbg, "OptBMCM": optimal_bmcm}
 
 
 @dataclass(frozen=True)
@@ -44,7 +38,6 @@ def mapper_comparison(
     case: RotorCase,
     strategy: str = "Real_2",
     procs: tuple[int, ...] = PROC_COUNTS,
-    repeats: int = 3,
 ) -> list[MapperRow]:
     """One row per (P, method), as in the paper's Table 2."""
     am = AdaptiveMesh(case.mesh, solution=case.solution)
@@ -58,16 +51,12 @@ def mapper_comparison(
     rows: list[MapperRow] = []
     for p in procs:
         old = multilevel_kway(dual.graph, p, seed=0)
-        new = repartition(
-            dual.graph.with_vwgt(wcomp_pred), p, old, seed=0
-        )
+        new = repartition(dual.graph.with_vwgt(wcomp_pred), p, old, seed=0)
         S = similarity_matrix(old, new, wremap_now, p)
         for name, solve in _METHODS.items():
-            t = np.inf
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                assignment = solve(S)
-                t = min(t, time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            assignment = solve(S)
+            t = time.perf_counter() - t0
             st = remap_stats(S, assignment)
             rows.append(
                 MapperRow(

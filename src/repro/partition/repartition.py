@@ -5,13 +5,11 @@ reduction in remapping cost since parallel MeTiS, unlike the serial
 version, uses the previous partition as the initial guess for the
 repartitioning."
 
-We reproduce that behaviour: coarsen with heavy-edge matching *restricted
-to vertices of the same old partition* (so the old partition projects
-exactly onto every coarse level), install the old partition on the coarsest
-graph, rebalance it there with k-way greedy refinement, and refine on the
-way back up.  The result is balanced under the new weights while staying
-close to the old partition, which is what keeps the similarity matrix
-diagonal-heavy and the remap volume low.
+We coarsen with matchings *within* old parts (so the old partition projects
+onto every level) and rebalance it there and on the way back up.  Where a
+part stays above ``UB`` or a label unused (usually at P >= 16), multilevel
+diffusion (Schloegel, Karypis & Kumar, 1997) finishes on the fine graph and
+k-way FM repairs the cut: the result stays close to the old partition.
 """
 
 from __future__ import annotations
@@ -20,13 +18,15 @@ import numpy as np
 
 from repro.obs import current_tracer, maybe_phase
 
-from .assignment import max_weight_assignment
-from .fm_refine import UB, kway_greedy_refine
+from .fm_refine import UB, kway_fm_refine, kway_greedy_refine
 from .graph import Graph
-from .multilevel import _COARSE_PER_PART, _COARSEN_TO, coarsen, multilevel_kway
+from .multilevel import _COARSE_PER_PART, _COARSEN_TO, coarsen
 from .quality import imbalance
 
 __all__ = ["repartition"]
+
+#: Diffusion rounds a repartition runs at most on the fine graph.
+DIFFUSION_ROUNDS = 8
 
 
 def repartition(
@@ -37,12 +37,9 @@ def repartition(
 ) -> np.ndarray:
     """k-way partition balanced under ``graph.vwgt``, biased toward
     ``old_part`` to reduce data movement.  No part of the result is empty,
-    whether or not ``old_part`` used all ``k`` labels.
-
-    With an ambient :class:`repro.obs.Tracer`, the coarsen /
-    rebalance / uncoarsen stages are recorded as wall-clock spans (the
-    *virtual* partitioning time is modelled separately, by
-    :func:`repro.partition.parallel_model.partition_time`).
+    whether or not ``old_part`` used all ``k`` labels.  An ambient tracer
+    records the coarsen / rebalance / uncoarsen stages as wall-clock spans,
+    the rebalance span with the ``diffusion_rounds`` that followed it.
     """
     tracer = current_tracer()
     old_part = np.asarray(old_part, dtype=np.int64)
@@ -55,9 +52,7 @@ def repartition(
     if k == 1:
         return np.zeros(graph.n, dtype=np.int64)
     if _acceptable(graph, old_part, k):
-        # already balanced under the new weights: moving nothing is the
-        # cheapest remap of all (the framework's evaluation step would not
-        # normally even call us in this case)
+        # already balanced: moving nothing is the cheapest remap of all
         return old_part.copy()
 
     rng = np.random.default_rng(seed)
@@ -71,43 +66,97 @@ def repartition(
 
     # rebalance on the coarsest graph, then refine on the way back up;
     # balance_only keeps cut-improving (but data-moving) churn out
-    old_coarse = part
-    with maybe_phase(tracer, "repartition.rebalance") as sp:
+    with maybe_phase(tracer, "repartition.rebalance") as rebalance:
         part = kway_greedy_refine(g, part, k, max_passes=8, balance_only=True)
-        fallback = not _acceptable(g, part, k)
-        if fallback:
-            # the old partition is too skewed for local moves to fix (or
-            # left a label unused, which no boundary move can repair): fall
-            # back to a fresh partition of the coarse graph (loses some
-            # locality but stays cheap — the coarse graph is small), then
-            # relabel its parts for maximum weighted agreement with the old
-            # partition so the fallback still moves as little data as
-            # possible
-            part = multilevel_kway(g, k, seed=seed)
-            part = _relabel_for_agreement(g, old_coarse, part, k)
-        if sp is not None:
-            sp.attrs["fallback"] = fallback
     with maybe_phase(tracer, "repartition.uncoarsen", levels=len(levels)):
         for fine, cmap in reversed(levels):
             part = part[cmap]
             part = kway_greedy_refine(fine, part, k, balance_only=True)
+    rounds = 0
+    if not _acceptable(graph, part, k):
+        part, rounds = _diffuse(graph, part, k)
+    if rebalance is not None:
+        rebalance.attrs["diffusion_rounds"] = rounds
     return part
 
 
 def _acceptable(g: Graph, part: np.ndarray, k: int) -> bool:
     """Balanced within ``UB`` under ``g.vwgt``, and no part empty."""
-    return bool(
-        imbalance(g, part, k) <= UB + 1e-9
-        and np.bincount(part, minlength=k).all()
-    )
+    balanced = imbalance(g, part, k) <= UB + 1e-9
+    return bool(balanced and np.bincount(part, minlength=k).all())
 
 
-def _relabel_for_agreement(
-    g: Graph, old: np.ndarray, new: np.ndarray, k: int
-) -> np.ndarray:
-    """Permute ``new``'s labels to maximise weight staying on its old label
-    (a k×k assignment problem — the same MWBG structure the processor
-    reassignment solves downstream, applied here at the label level)."""
-    overlap = np.zeros((k, k), dtype=np.int64)
-    np.add.at(overlap, (new, old), g.vwgt)
-    return max_weight_assignment(overlap)[new]
+def _diffuse(graph: Graph, part: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """``(part, rounds)``: unused labels take the heaviest vertex of the
+    heaviest part, rounds of flow, realisation and polish run, and k-way FM
+    repairs the cut."""
+    part = part.copy()
+    for t in np.flatnonzero(np.bincount(part, minlength=k) == 0).tolist():
+        loads = np.bincount(part, weights=graph.vwgt, minlength=k)
+        loads[np.bincount(part, minlength=k) <= 1] = -1
+        members = np.flatnonzero(part == np.argmax(loads))
+        part[members[np.argmax(graph.vwgt[members])]] = t
+    src = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(graph.ptr))
+    rounds = 0
+    while rounds < DIFFUSION_ROUNDS and not _acceptable(graph, part, k):
+        rounds += 1
+        part = _realise(graph, src, part, k, _flows(graph, src, part, k))
+        part = kway_greedy_refine(graph, part, k, balance_only=True)
+    return kway_fm_refine(graph, part, k), rounds
+
+
+def _flows(graph: Graph, src: np.ndarray, part: np.ndarray, k: int) -> np.ndarray:
+    """``flow[s, t]`` for every part to weigh the mean: ``x[s] - x[t]`` on the
+    part graph's edges, ``L x = loads - mean`` solved as the regular ``L + 1/k``
+    by CG (dense LAPACK stalled 0.1 s a call at k = 256, threaded)."""
+    a, b = part[src], part[graph.adj]
+    adjacent = np.zeros((k, k))
+    adjacent[a[a != b], b[a != b]] = 1.0
+    ea, eb = np.nonzero(adjacent)
+    loads = np.bincount(part, weights=graph.vwgt, minlength=k)
+    x, r = np.zeros(k), loads - loads.mean()
+    p, rr, rr0 = r.copy(), r @ r, r @ r
+    for _ in range(2 * k):
+        if rr <= 1e-20 * rr0:
+            break
+        q = adjacent.sum(axis=1) * p - np.bincount(ea, p[eb], k) + p.sum() / k
+        alpha = rr / (p @ q)
+        x, r = x + alpha * p, r - alpha * q
+        rr, rr_old = r @ r, rr
+        p = r + (rr / rr_old) * p
+    return np.maximum(x[:, None] - x[None, :], 0.0) * adjacent
+
+
+def _realise(graph, src, part, k, flow):
+    """``part`` after each part sent boundary vertices to the parts it owes
+    flow: per part-graph edge highest gain first while short of its flow,
+    per sender least-covered edge first within its outflow, never its last."""
+    own, adj_part = part[src], part[graph.adj]
+    cut = own != adj_part
+    # weight from each boundary vertex into each other part it touches
+    pair, inverse = np.unique(src[cut] * k + adj_part[cut], return_inverse=True)
+    conn = np.bincount(inverse, weights=graph.ewgt[cut])
+    pv, pt = np.divmod(pair, k)
+    gain = conn - np.bincount(src[~cut], graph.ewgt[~cut], graph.n)[pv]
+    ps, w, spare = part[pv], graph.vwgt[pv], np.bincount(part, minlength=k) - 1
+    edge, f = ps * k + pt, flow[ps, pt]
+    i = np.flatnonzero(f > 0)
+    i = i[np.lexsort((pt[i], -f[i], -gain[i], pv[i]))]
+    i = i[np.unique(pv[i], return_index=True)[1]]
+    i = i[np.lexsort((pv[i], -gain[i], edge[i]))]
+    covered = _segment_cumsum(edge[i], w[i]) - w[i]
+    i, covered = i[covered < f[i]], covered[covered < f[i]]
+    i = i[np.lexsort((pv[i], -f[i], covered / f[i], ps[i]))]
+    go = _segment_cumsum(ps[i], w[i]) - w[i] / 2 <= flow.sum(axis=1)[ps[i]]
+    go &= _segment_cumsum(ps[i], np.ones_like(i)) <= spare[ps[i]]
+    part = part.copy()
+    part[pv[i[go]]] = pt[i[go]]
+    return part
+
+
+def _segment_cumsum(key: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Running sum of ``values`` restarting with each run of sorted ``key``."""
+    total = np.cumsum(values)
+    start = np.flatnonzero(np.diff(key, prepend=-1) != 0)
+    lengths = np.diff(start, append=key.size)
+    return total - np.repeat(total[start] - values[start], lengths)

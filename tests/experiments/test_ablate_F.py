@@ -33,7 +33,7 @@ def _movement_with_F(case, F, nproc=8):
     marking = am.mark(edge_mask=case.marking_mask("Real_2"))
     wcomp_pred, _ = am.predicted_weights(marking)
     dual = DualGraph(case.mesh)
-    old_proc = multilevel_kway(dual.comp_graph(), nproc, seed=0)
+    old_proc = multilevel_kway(dual.graph, nproc, seed=0)
     npart = F * nproc
     new_part = multilevel_kway(dual.graph.with_vwgt(wcomp_pred), npart, seed=0)
     S = similarity_matrix(old_proc, new_part, am.wremap(), nproc, npart)

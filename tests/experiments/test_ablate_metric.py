@@ -24,7 +24,7 @@ def _similarity(case, p=32):
     marking = am.mark(edge_mask=case.marking_mask("Real_2"))
     wcomp_pred, _ = am.predicted_weights(marking)
     dual = DualGraph(case.mesh)
-    old = multilevel_kway(dual.comp_graph(), p, seed=0)
+    old = multilevel_kway(dual.graph, p, seed=0)
     new = repartition(dual.graph.with_vwgt(wcomp_pred), p, old, seed=0)
     return similarity_matrix(old, new, am.wremap(), p)
 

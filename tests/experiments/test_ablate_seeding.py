@@ -12,8 +12,8 @@ that keeps the most vertices in place).  Comparing raw labels would
 charge the fresh partition for naming its parts differently — most of
 what it "moves" — and make the result hinge on how two unrelated
 bisection trees happen to number their leaves.  Three processor counts,
-so that the verdict does not hinge on whether ``repartition`` fell back
-to a fresh partition of its coarse graph on one of them.
+so that the verdict does not hinge on one of them; at P = 16 and 32 the
+seeded repartition diffuses on the fine graph.
 """
 
 import numpy as np
@@ -48,7 +48,7 @@ def test_seeding_reduces_movement(case):
     g, dual = _weighted_dual(case)
     total_seeded = total_fresh = 0
     for p in (8, 16, 32):
-        old = multilevel_kway(dual.comp_graph(), p, seed=0)
+        old = multilevel_kway(dual.graph, p, seed=0)
 
         seeded = repartition(g, p, old, seed=1)
         fresh = multilevel_kway(g, p, seed=1)

@@ -78,21 +78,21 @@ GOLDEN = {
     ),
     ('sweep', 'Real_1', 'after', 16): (
         0.0019115000000000004, 0.15046, 0.0017600000000000116,
-        0.0003175110871771747, 0.005125999999999992, 0.016849999999999997,
-        0.17642501108717717, 2.0718618758749416, 1.0489967335510966,
-        True, 1939, 46536,
+        0.0004485913552569887, 0.0043380000000000085, 0.016849999999999997,
+        0.175768091355257, 2.0718618758749416, 1.0489967335510966,
+        True, 1179, 28296,
     ),
     ('sweep', 'Real_1', 'after', 32): (
         0.0023645000000000003, 0.28763, 0.00359799999999999,
-        0.0006987749255733533, 0.004467999999999972, 0.01285,
-        0.31160927492557333, 3.135790947270182, 1.0452636490900606,
-        True, 2351, 56424,
+        0.001171537189335825, 0.0038679999999999826, 0.01285,
+        0.3114820371893358, 3.135790947270182, 1.0452636490900606,
+        True, 1766, 42384,
     ),
     ('sweep', 'Real_1', 'after', 64): (
         0.00268975, 0.563615, 0.007608000000000059,
-        0.0017037278376377252, 0.0029160000000000297, 0.00825,
-        0.5867824778376378, 3.957069528698087, 1.075128324778348,
-        True, 2288, 54912,
+        0.002727613849443422, 0.0032799999999999496, 0.00825,
+        0.5881703638494434, 3.957069528698087, 1.0452636490900606,
+        True, 2386, 57264,
     ),
     ('sweep', 'Real_1', 'before', 1): (
         0.0029869999999999996, 0.0, 0.0,
@@ -120,21 +120,21 @@ GOLDEN = {
     ),
     ('sweep', 'Real_1', 'before', 16): (
         0.0019115000000000004, 0.15046, 0.0017600000000000116,
-        0.0003175110871771747, 0.002610000000000001, 0.008629999999999999,
-        0.1656890110871772, 2.0718618758749416, 1.0489967335510966,
-        True, 939, 22536,
+        0.0004485913552569887, 0.0019939999999999958, 0.008629999999999999,
+        0.16520409135525702, 2.0718618758749416, 1.0489967335510966,
+        True, 577, 13848,
     ),
     ('sweep', 'Real_1', 'before', 32): (
         0.0023645000000000003, 0.28763, 0.00359799999999999,
-        0.0006987749255733533, 0.0017159999999999953, 0.0044500000000000095,
-        0.30045727492557334, 3.135790947270182, 1.0452636490900606,
-        True, 1130, 27120,
+        0.001171537189335825, 0.0016999999999999793, 0.0044500000000000095,
+        0.3009140371893358, 3.135790947270182, 1.0452636490900606,
+        True, 860, 20640,
     ),
     ('sweep', 'Real_1', 'before', 64): (
         0.00268975, 0.563615, 0.007608000000000059,
-        0.0017037278376377252, 0.0014960000000000528, 0.0024600000000000177,
-        0.5795724778376378, 3.957069528698087, 1.075128324778348,
-        True, 1211, 29064,
+        0.002727613849443422, 0.0016340000000000243, 0.0023999999999999577,
+        0.5806743638494435, 3.957069528698087, 1.0452636490900606,
+        True, 1152, 27648,
     ),
     ('sweep', 'Real_2', 'after', 1): (
         0.002667, 0.0, 0.0,
@@ -162,21 +162,21 @@ GOLDEN = {
     ),
     ('sweep', 'Real_2', 'after', 16): (
         0.00094575, 0.15046, 0.0017600000000000116,
-        0.0003016415362385172, 0.00862199999999999, 0.030049999999999997,
-        0.19213939153623852, 1.6471805483704087, 1.0462493533367823,
-        True, 4937, 118488,
+        0.0004485913552569887, 0.005636000000000002, 0.030049999999999997,
+        0.189300341355257, 1.6471805483704087, 1.0412829798241077,
+        True, 2756, 66144,
     ),
     ('sweep', 'Real_2', 'after', 32): (
         0.0010565000000000001, 0.28763, 0.00359799999999999,
-        0.000584275777092802, 0.005483999999999989, 0.019089999999999996,
-        0.3174427757770928, 2.079255043973099, 1.0495602690118986,
-        True, 5114, 122736,
+        0.001190701729822552, 0.005193999999999976, 0.019089999999999996,
+        0.3177592017298225, 2.079255043973099, 1.0495602690118986,
+        True, 3757, 90168,
     ),
     ('sweep', 'Real_2', 'after', 64): (
         0.0012057500000000002, 0.563615, 0.007608000000000059,
-        0.0016737015757535278, 0.003418000000000032, 0.010379999999999999,
-        0.5879004515757535, 2.2249353336782205, 1.0992240041386445,
-        True, 4894, 117456,
+        0.0027595039970370605, 0.0037399999999999656, 0.010379999999999999,
+        0.589308253997037, 2.2249353336782205, 1.0462493533367823,
+        True, 4799, 115176,
     ),
     ('sweep', 'Real_2', 'before', 1): (
         0.002667, 0.0, 0.0,
@@ -204,21 +204,21 @@ GOLDEN = {
     ),
     ('sweep', 'Real_2', 'before', 16): (
         0.00094575, 0.15046, 0.0017600000000000116,
-        0.0003016415362385172, 0.002482000000000012, 0.01916000000000001,
-        0.17510939153623856, 1.6471805483704087, 1.0462493533367823,
-        True, 854, 20496,
+        0.0004485913552569887, 0.0016720000000000068, 0.019070000000000004,
+        0.17435634135525702, 1.6471805483704087, 1.0412829798241077,
+        True, 566, 13584,
     ),
     ('sweep', 'Real_2', 'before', 32): (
         0.0010565000000000001, 0.28763, 0.00359799999999999,
-        0.000584275777092802, 0.0018699999999999828, 0.009759999999999991,
-        0.3044987757770928, 2.079255043973099, 1.0495602690118986,
-        True, 1195, 28680,
+        0.001190701729822552, 0.0016100000000000003, 0.009759999999999991,
+        0.30484520172982255, 2.079255043973099, 1.0495602690118986,
+        True, 708, 16992,
     ),
     ('sweep', 'Real_2', 'before', 64): (
         0.0012057500000000002, 0.563615, 0.007608000000000059,
-        0.0016737015757535278, 0.0015460000000000473, 0.005279999999999951,
-        0.5809284515757536, 2.2249353336782205, 1.0992240041386445,
-        True, 1218, 29232,
+        0.0027595039970370605, 0.0015500000000000513, 0.0050400000000000444,
+        0.5817782539970372, 2.2249353336782205, 1.0462493533367823,
+        True, 1059, 25416,
     ),
     ('sweep', 'Real_3', 'after', 1): (
         0.0026889999999999996, 0.0, 0.0,
@@ -246,21 +246,21 @@ GOLDEN = {
     ),
     ('sweep', 'Real_3', 'after', 16): (
         0.0006464999999999999, 0.15045999999999998, 0.0017600000000000116,
-        0.0003415489532989646, 0.011401999999999995, 0.039259999999999996,
-        0.20387004895329897, 1.4233397103033616, 1.0494670675047828,
-        True, 5929, 142296,
+        0.0004151932968629868, 0.007291999999999993, 0.039259999999999996,
+        0.19983369329686299, 1.4233397103033616, 1.0494670675047828,
+        True, 3129, 75096,
     ),
     ('sweep', 'Real_3', 'after', 32): (
         0.0006915000000000001, 0.28763, 0.00359799999999999,
-        0.000636753233370424, 0.006552000000000002, 0.020649999999999998,
-        0.3197582532333704, 1.4867450122984422, 1.0494670675047828,
-        True, 6876, 165024,
+        0.0012484369410283858, 0.005508000000000013, 0.020649999999999998,
+        0.3193259369410284, 1.4867450122984422, 1.0494670675047828,
+        True, 4837, 116088,
     ),
     ('sweep', 'Real_3', 'after', 64): (
         0.00075975, 0.563615, 0.007608000000000059,
-        0.0015048912730540875, 0.0039000000000000146, 0.010379999999999999,
-        0.5877676412730541, 1.4692538945066957, 1.0494670675047828,
-        True, 7039, 168936,
+        0.002537229942330188, 0.00378999999999996, 0.010379999999999999,
+        0.5886899799423302, 1.4692538945066957, 1.0494670675047828,
+        True, 6015, 144360,
     ),
     ('sweep', 'Real_3', 'before', 1): (
         0.0026889999999999996, 0.0, 0.0,
@@ -288,21 +288,21 @@ GOLDEN = {
     ),
     ('sweep', 'Real_3', 'before', 16): (
         0.0006464999999999999, 0.15046, 0.0017600000000000116,
-        0.0003415489532989646, 0.002907999999999994, 0.028999999999999998,
-        0.18511604895329897, 1.4233397103033616, 1.0494670675047828,
-        True, 962, 23088,
+        0.0004151932968629868, 0.0014240000000000086, 0.028999999999999998,
+        0.183705693296863, 1.4233397103033616, 1.0494670675047828,
+        True, 433, 10392,
     ),
     ('sweep', 'Real_3', 'before', 32): (
         0.0006915000000000001, 0.28763, 0.00359799999999999,
-        0.000636753233370424, 0.0018520000000000203, 0.014649999999999996,
-        0.30905825323337044, 1.4867450122984422, 1.0494670675047828,
-        True, 1069, 25656,
+        0.0012484369410283858, 0.0015140000000000153, 0.014649999999999996,
+        0.3093319369410284, 1.4867450122984422, 1.0494670675047828,
+        True, 689, 16536,
     ),
     ('sweep', 'Real_3', 'before', 64): (
         0.00075975, 0.563615, 0.007608000000000059,
-        0.0015048912730540875, 0.0017040000000000388, 0.007499999999999951,
-        0.5826916412730542, 1.4692538945066957, 1.0494670675047828,
-        True, 1168, 28032,
+        0.002537229942330188, 0.0017660000000000453, 0.007499999999999951,
+        0.5837859799423303, 1.4692538945066957, 1.0494670675047828,
+        True, 958, 22992,
     ),
     ('table1', 'Initial'): (637, 2592, 3588, 720),
     ('table1', 'Real_1'): (938, 4286, 5583, 720),
@@ -317,15 +317,15 @@ GOLDEN = {
     ('table2', 8, 'HeuMWBG'): (168, 67),
     ('table2', 8, 'OptBMCM'): (168, 67),
     ('table2', 8, 'OptMWBG'): (168, 67),
-    ('table2', 16, 'HeuMWBG'): (854, 159),
-    ('table2', 16, 'OptBMCM'): (1051, 151),
-    ('table2', 16, 'OptMWBG'): (854, 159),
-    ('table2', 32, 'HeuMWBG'): (1195, 125),
-    ('table2', 32, 'OptBMCM'): (1174, 125),
-    ('table2', 32, 'OptMWBG'): (1139, 125),
-    ('table2', 64, 'HeuMWBG'): (1218, 92),
-    ('table2', 64, 'OptBMCM'): (1252, 92),
-    ('table2', 64, 'OptMWBG'): (1209, 92),
+    ('table2', 16, 'HeuMWBG'): (566, 108),
+    ('table2', 16, 'OptBMCM'): (566, 108),
+    ('table2', 16, 'OptMWBG'): (566, 108),
+    ('table2', 32, 'HeuMWBG'): (708, 66),
+    ('table2', 32, 'OptBMCM'): (708, 66),
+    ('table2', 32, 'OptMWBG'): (708, 66),
+    ('table2', 64, 'HeuMWBG'): (1059, 62),
+    ('table2', 64, 'OptBMCM'): (1055, 62),
+    ('table2', 64, 'OptMWBG'): (1053, 62),
     ('vm_vs_ledger', 8): (0.00087225, 0.0037282500000000002),
 }
 
@@ -368,7 +368,7 @@ def _computed():
     }
     for row, sizes in grid_sizes(case).items():
         rows["table1", row] = tuple(sizes[f] for f in FIELDS["table1"])
-    for r in mapper_comparison(case, repeats=1):
+    for r in mapper_comparison(case):
         rows["table2", r.nproc, r.method] = (r.total_elems, r.max_sent_recv)
     rows["vm_vs_ledger", 8] = _vm_vs_ledger_row(case, 8)
     return rows

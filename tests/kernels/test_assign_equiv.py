@@ -4,9 +4,8 @@
 (``maximize=True``) and ``scipy.sparse.csgraph.maximum_bipartite_matching``
 (``perm_type="column"``).  SciPy is the oracle and is called directly, as
 the solver's AoS kernels are.  An equal optimum is not enough: the
-processor map, the relabelled partition and every golden value downstream
-depend on *which* optimum, so each comparison is ``array_equal`` on the
-assignment itself.  The inputs are hypothesis-drawn integer matrices,
+processor map and every golden value downstream depend on *which*
+optimum, so each comparison is ``array_equal`` on the assignment itself.  The inputs are hypothesis-drawn integer matrices,
 tie-heavy by construction, and every solve of one paper-sized sweep plus
 Table 2 at resolution 6, recorded where the product makes it.
 """
@@ -26,9 +25,7 @@ from repro.experiments import CASE_NAMES, PROC_COUNTS, case_for, mapper_comparis
 from repro.parallel import SP2_1997
 from repro.partition.assignment import bipartite_matching, max_weight_assignment
 
-# the package re-exports functions under both modules' names
 reassign = import_module("repro.core.reassign")
-repartition = import_module("repro.partition.repartition")
 
 
 def lsap_oracle(W):
@@ -86,9 +83,9 @@ def test_more_rows_than_columns_is_refused():
 def recorded():
     """The solver inputs of the 36 cycles of Figs. 4–6 (three strategies,
     remap before and after, P = 2 … 64) and of Table 2, at resolution 6:
-    ``relabel`` (the repartitioner's k×k overlaps), ``mwbg`` (Table 2's
-    similarity matrices) and ``matching`` (the BMCM search's masks)."""
-    inputs = {"relabel": [], "mwbg": [], "matching": []}
+    ``mwbg`` (Table 2's similarity matrices) and ``matching`` (the BMCM
+    search's masks)."""
+    inputs = {"mwbg": [], "matching": []}
 
     def recording(kind, solve):
         def wrapper(a):
@@ -98,8 +95,6 @@ def recorded():
 
     case = case_for(6)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(repartition, "max_weight_assignment",
-                   recording("relabel", max_weight_assignment))
         mp.setattr(reassign, "max_weight_assignment",
                    recording("mwbg", max_weight_assignment))
         mp.setattr(reassign, "bipartite_matching",
@@ -112,18 +107,17 @@ def recorded():
                         cost_model=CostModel(machine=SP2_1997),
                         remap_when=mode, imbalance_threshold=1.0,
                     ).adapt_step(edge_mask=case.marking_mask(name))
-        mapper_comparison(case, repeats=1)
+        mapper_comparison(case)
     return inputs
 
 
 def test_the_sweep_reaches_every_solver(recorded):
-    # the fallback relabels at several k; every P is solved both ways
-    assert len({W.shape for W in recorded["relabel"]}) >= 3
+    # every P is solved both ways
     assert {S.shape[0] for S in recorded["mwbg"]} == set(PROC_COUNTS)
     assert {m.shape[0] for m in recorded["matching"]} == set(PROC_COUNTS)
 
 
-@pytest.mark.parametrize("kind", ["relabel", "mwbg"])
+@pytest.mark.parametrize("kind", ["mwbg"])
 def test_recorded_assignments_are_scipys(recorded, kind):
     for W in recorded[kind]:
         assert np.array_equal(max_weight_assignment(W), lsap_oracle(W))

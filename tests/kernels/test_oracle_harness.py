@@ -387,9 +387,6 @@ def test_every_exported_name_has_a_product_caller():
 #: Public members kept without a product caller, each for a written reason
 #: (at most 5).
 ALLOWLIST_MEMBERS = {
-    "DualGraph.comp_graph": "test_golden_partitions.py calls it and stays "
-                            "unedited until the golden partitions are "
-                            "rebaselined",
     "EulerSolver.residual": "test_solver_equiv.py compares the AoS oracle "
                             "through it",
     "EulerSolver.stable_dt": "test_solver_equiv.py compares the AoS oracle "
@@ -504,9 +501,6 @@ ALLOWLIST_OPTIONS = {
     "MultiprocessingBackend.__init__(timeout)": "the receive timeout the "
                                                 "deadlock tests shorten so a "
                                                 "hung rank fails in seconds",
-    "mapper_comparison(repeats)": "test_golden_series.py solves each matrix "
-                                  "once (repeats=1) and stays unedited until "
-                                  "the golden series is rebaselined",
 }
 
 

@@ -44,26 +44,26 @@ GOLDEN = {
     (4, 4, 1): (('308255a8d13e81ec', 102, 1.0469), ('af75dc8e0158bfc6', 121, 1.0432)),
     (4, 4, 2): (('fa1c49fcaeeac412', 97, 1.0312), ('37fc968c81405e10', 115, 1.0478)),
     (4, 8, 0): (('88f6df59500b6f72', 183, 1.0417), ('4acfcfc9c8fc64f6', 216, 1.0385)),
-    (4, 8, 1): (('7e9dbf8cb1006843', 176, 1.0417), ('90139d179a965607', 202, 1.0455)),
+    (4, 8, 1): (('7e9dbf8cb1006843', 176, 1.0417), ('a0a66daa2d8d81ea', 197, 1.0478)),
     (4, 8, 2): (('3b1ea5c0b79e0441', 170, 1.0417), ('790dcb9489cfc31a', 208, 1.0478)),
-    (4, 16, 0): (('354519f62d03905c', 253, 1.0417), ('51e829d40fa8c645', 302, 1.0478)),
-    (4, 16, 1): (('9fa9404b93b8119b', 272, 1.0417), ('fbd2792211adea0e', 302, 1.0478)),
+    (4, 16, 0): (('354519f62d03905c', 253, 1.0417), ('95fa4744d0a109ae', 253, 1.0478)),
+    (4, 16, 1): (('9fa9404b93b8119b', 272, 1.0417), ('c9edba9c0a6c2858', 270, 1.0478)),
     (4, 16, 2): (('fb09cc2252d5da32', 270, 1.0417), ('e659fafe173636cd', 324, 1.0478)),
-    (4, 32, 0): (('156f80290ced6b97', 388, 1.0417), ('12db2e4704f2eb6c', 416, 1.0478)),
-    (4, 32, 1): (('575bc6600ef12e63', 367, 1.0417), ('c9edeadb61a378e0', 388, 1.0478)),
-    (4, 32, 2): (('9d1cbf422d8deaec', 383, 1.0417), ('50cea36785a296e6', 406, 1.0571)),
-    (4, 64, 0): (('2c60a2cbf23dc977', 530, 1.0833), ('e125d843f3c717f5', 528, 1.1869)),
-    (4, 64, 1): (('bfb49018a33b1fa2', 549, 1.0833), ('1159824cd3390b7c', 538, 1.1869)),
-    (4, 64, 2): (('1cbd0d1f6ea12f3f', 531, 1.0833), ('5028c2accebc81cc', 531, 1.1127)),
-    (6, 16, 0): (('65c230026d0c964b', 574, 1.0494), ('4de12fc5051c007c', 704, 1.0462)),
-    (6, 16, 1): (('90f5514fe2221391', 550, 1.0494), ('9b9e35a8d7635beb', 688, 1.0429)),
-    (6, 16, 2): (('a20b8213be630182', 557, 1.0494), ('a6490405ea24ed7b', 724, 1.0462)),
-    (8, 64, 0): (('69729c4e7367138f', 1992, 1.0417), ('23759d7b7b8e6736', 2398, 1.0494)),
-    (8, 64, 1): (('6ce8b9be36d858d4', 1961, 1.0417), ('93a3deb5f2082ac8', 2408, 1.1155)),
-    (8, 64, 2): (('575a8150a93b4a57', 2105, 1.0417), ('58e062e397b7fa35', 2439, 1.0494)),
-    (8, 256, 0): (('195832225f36b115', 3625, 1.0833), ('27d7d71cc0978ee6', 3733, 1.104)),
-    (8, 256, 1): (('e671521010364257', 3581, 1.0417), ('9ff7fddf9d773487', 3709, 1.104)),
-    (8, 256, 2): (('7112d898ff0324b8', 3577, 1.0417), ('ab2b2f4831e761e4', 3848, 1.196)),
+    (4, 32, 0): (('156f80290ced6b97', 388, 1.0417), ('6f481a8893448f87', 393, 1.0478)),
+    (4, 32, 1): (('575bc6600ef12e63', 367, 1.0417), ('c475dc12d12f6748', 374, 1.0478)),
+    (4, 32, 2): (('9d1cbf422d8deaec', 383, 1.0417), ('2dcffee79daa35cf', 369, 1.0478)),
+    (4, 64, 0): (('2c60a2cbf23dc977', 530, 1.0833), ('1973532fdd6fee02', 516, 1.0385)),
+    (4, 64, 1): (('bfb49018a33b1fa2', 549, 1.0833), ('c42bfc2b7f2f4718', 523, 1.0385)),
+    (4, 64, 2): (('1cbd0d1f6ea12f3f', 531, 1.0833), ('2dfc7431e2260f85', 525, 1.0385)),
+    (6, 16, 0): (('65c230026d0c964b', 574, 1.0494), ('94c8aa5c4f4fa578', 648, 1.0413)),
+    (6, 16, 1): (('90f5514fe2221391', 550, 1.0494), ('b7ea56289bc508c5', 579, 1.0479)),
+    (6, 16, 2): (('a20b8213be630182', 557, 1.0494), ('24b12042d0c3ebe7', 598, 1.0479)),
+    (8, 64, 0): (('69729c4e7367138f', 1992, 1.0417), ('c4683b197ea2f61d', 2058, 1.0494)),
+    (8, 64, 1): (('6ce8b9be36d858d4', 1961, 1.0417), ('c4daa6ca9f23717c', 2017, 1.0494)),
+    (8, 64, 2): (('575a8150a93b4a57', 2105, 1.0417), ('693cfff8e3332610', 2148, 1.0494)),
+    (8, 256, 0): (('195832225f36b115', 3625, 1.0833), ('de1f91a6cdea570a', 3667, 1.0465)),
+    (8, 256, 1): (('e671521010364257', 3581, 1.0417), ('24bd8911551a47b7', 3690, 1.0465)),
+    (8, 256, 2): (('7112d898ff0324b8', 3577, 1.0417), ('e4e2f0141ebd04cb', 3694, 1.0465)),
 }
 
 
@@ -76,7 +76,7 @@ def _graphs(resolution):
         am.mark(edge_mask=case.marking_mask("Real_2"))
     )
     dual = DualGraph(case.mesh)
-    return dual.comp_graph(), dual.graph.with_vwgt(wcomp_pred)
+    return dual.graph, dual.graph.with_vwgt(wcomp_pred)
 
 
 def _row(graph, part, nproc):
