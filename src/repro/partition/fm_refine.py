@@ -226,6 +226,8 @@ def kway_greedy_refine(
     loads = np.bincount(
         part_np, weights=graph.vwgt.astype(np.float64), minlength=k
     ).tolist()
+    if balance_only and max(loads) <= cap:
+        return part_np  # no part is overweight: no move is admissible
     counts = np.bincount(part_np, minlength=k).tolist()
     ptr = graph.ptr.tolist()
     adj = graph.adj.tolist()

@@ -117,9 +117,9 @@ def _flows(graph: Graph, src: np.ndarray, part: np.ndarray, k: int) -> np.ndarra
     x, r = np.zeros(k), loads - loads.mean()
     p, rr, rr0 = r.copy(), r @ r, r @ r
     for _ in range(2 * k):
-        if rr <= 1e-20 * rr0:
-            break
         q = adjacent.sum(axis=1) * p - np.bincount(ea, p[eb], k) + p.sum() / k
+        if rr <= 1e-20 * rr0 or p @ q <= 0:  # converged, or no descent left
+            break
         alpha = rr / (p @ q)
         x, r = x + alpha * p, r - alpha * q
         rr, rr_old = r @ r, rr
