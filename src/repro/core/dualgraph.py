@@ -26,7 +26,6 @@ class DualGraph:
     """
 
     def __init__(self, mesh: TetMesh):
-        self.mesh = mesh
         self.graph = Graph.from_pairs(mesh.dual_pairs, mesh.ne)
 
     @property

@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 
 from repro.adapt.adaptor import AdaptiveMesh
+from repro.core.dualgraph import DualGraph
 from repro.core.metrics import remap_stats
 from repro.core.reassign import heuristic_mwbg, optimal_bmcm, optimal_mwbg
 from repro.core.similarity import similarity_matrix
@@ -44,8 +45,6 @@ def mapper_comparison(
     marking = am.mark(edge_mask=case.marking_mask(strategy))
     wcomp_pred, _ = am.predicted_weights(marking)
     wremap_now = am.wremap()  # remap before subdivision moves these
-    from repro.core.dualgraph import DualGraph
-
     dual = DualGraph(case.mesh)
 
     rows: list[MapperRow] = []

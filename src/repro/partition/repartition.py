@@ -72,9 +72,7 @@ def repartition(
         for fine, cmap in reversed(levels):
             part = part[cmap]
             part = kway_greedy_refine(fine, part, k, balance_only=True)
-    rounds = 0
-    if not _acceptable(graph, part, k):
-        part, rounds = _diffuse(graph, part, k)
+    part, rounds = _diffuse(graph, part, k)
     if rebalance is not None:
         rebalance.attrs["diffusion_rounds"] = rounds
     return part
@@ -88,8 +86,8 @@ def _acceptable(g: Graph, part: np.ndarray, k: int) -> bool:
 
 def _diffuse(graph: Graph, part: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     """``(part, rounds)``: unused labels take the heaviest vertex of the
-    heaviest part, rounds of flow, realisation and polish run, and k-way FM
-    repairs the cut."""
+    heaviest part; rounds of flow, realisation and polish run until ``part``
+    is acceptable; after any, k-way FM repairs the cut."""
     part = part.copy()
     for t in np.flatnonzero(np.bincount(part, minlength=k) == 0).tolist():
         loads = np.bincount(part, weights=graph.vwgt, minlength=k)
@@ -102,7 +100,7 @@ def _diffuse(graph: Graph, part: np.ndarray, k: int) -> tuple[np.ndarray, int]:
         rounds += 1
         part = _realise(graph, src, part, k, _flows(graph, src, part, k))
         part = kway_greedy_refine(graph, part, k, balance_only=True)
-    return kway_fm_refine(graph, part, k), rounds
+    return (kway_fm_refine(graph, part, k) if rounds else part), rounds
 
 
 def _flows(graph: Graph, src: np.ndarray, part: np.ndarray, k: int) -> np.ndarray:
@@ -128,9 +126,9 @@ def _flows(graph: Graph, src: np.ndarray, part: np.ndarray, k: int) -> np.ndarra
 
 
 def _realise(graph, src, part, k, flow):
-    """``part`` after each part sent boundary vertices to the parts it owes
-    flow: per part-graph edge highest gain first while short of its flow,
-    per sender least-covered edge first within its outflow, never its last."""
+    """Each part sends boundary vertices to the parts it owes flow: a vertex
+    to its best-gain receiver; per edge best gains first while short of the
+    flow; per sender least-covered edge first, within its outflow, keeping one."""
     own, adj_part = part[src], part[graph.adj]
     cut = own != adj_part
     # weight from each boundary vertex into each other part it touches
