@@ -91,7 +91,9 @@ def realise_reference(graph, part, k, flow):
         for _, v in sorted(vs):
             if covered >= flow[s, t]:
                 break
-            candidates.setdefault(s, []).append((covered / flow[s, t], -flow[s, t], v, t))
+            candidates.setdefault(s, []).append(
+                (covered / flow[s, t], -flow[s, t], v, t)
+            )
             covered += int(graph.vwgt[v])
     out = part.copy()
     counts = np.bincount(part, minlength=k)
