@@ -3,11 +3,11 @@
 
 Runs ``python -m repro step --trace-out`` on a tiny mesh (resolution 4,
 a few hundred elements — seconds of wall time), then validates the
-emitted JSONL against the ``repro.obs/v6`` schema and sanity-checks the
+emitted JSONL against the ``repro.obs/v7`` schema and sanity-checks the
 span tree: the step must contain marking/subdivision spans and the root
 span's virtual duration must equal the sum of its phase leaves.  The
-trace must carry labelled metric samples, host resource samples, and a
-causal record whose critical path reproduces every VM run's makespan
+trace must carry labelled metric samples, the host's resource gauges,
+and a causal record whose critical path reproduces every VM run's makespan
 bit-for-bit, the Chrome export must carry flow events for the delivered
 messages, and ``repro report`` / ``repro critical-path`` / ``repro
 diff`` must all render from the file alone.
@@ -20,9 +20,8 @@ layer: ``clock`` alignment records, wall-clock causal runs whose critical
 path matches the rank makespan within the recorded skew bound, the
 measured report (ASCII and HTML) and critical-path renderings, and
 ``repro diff``'s graceful degradation when one trace lacks measured
-runs — plus the ``resource``
-records: per-rank ``repro.resource.*`` samples from the forked rank
-processes.
+runs — plus the per-rank ``repro.resource.*`` gauges the forked rank
+processes read at the end of their run.
 
 A third pass covers the run-history store: the traced runs above were
 indexed into it, and it must answer ``repro runs compare`` for two
@@ -98,13 +97,13 @@ def main() -> int:
         if f'"{SCHEMA_VERSION}"' not in first:
             return fail(f"meta line does not declare {SCHEMA_VERSION}: {first}")
 
-        # resource records: the traced CLI run samples its own process
-        if summary.get("resources", 0) == 0:
-            return fail("trace contains no resource samples")
-
+        # resource gauges: the traced CLI run reads its own process
         tracer = read_jsonl(jsonl)
-        if not any(s.rank is None for s in tracer.resource_samples):
-            return fail("trace carries no host (rank=None) resource samples")
+        if not any(
+            s.name == "repro.resource.peak_rss_bytes" and s.rank is None
+            for s in tracer.metrics.samples()
+        ):
+            return fail("trace carries no host (rank=None) resource gauges")
         if not any(
             s.name == "repro.resource.peak_rss_bytes" and s.value > 0
             for s in tracer.metrics.samples()
@@ -239,10 +238,8 @@ def main() -> int:
         if "clock alignment per measured run" not in proc.stdout:
             return fail("calibrate did not print the clock-skew table")
 
-        # resource records on a real backend: every forked mp/shm rank
-        # must have shipped resource rows back into the trace
-        if bsummary.get("resources", 0) == 0:
-            return fail("backend trace contains no resource samples")
+        # resource gauges on a real backend: every forked mp/shm rank
+        # must have shipped its reading back into the trace
         rank_res = {
             (s.rank, s.labels_dict.get("backend"))
             for s in btracer.metrics.samples()
@@ -395,8 +392,7 @@ def main() -> int:
     print(f"smoke_trace: OK ({summary['spans']} spans, "
           f"{summary['events']} events, {summary['metrics']} metrics, "
           f"{summary['nodes']} causal nodes, {summary['msgs']} msgs, "
-          f"{summary['resources']} resource samples, {len(cycles)} "
-          f"cycle(s); makespan identity on {nruns} vm run(s); "
+          f"{len(cycles)} cycle(s); makespan identity on {nruns} vm run(s); "
           f"{len(wall_runs)} measured wall run(s) within skew; "
           f"{nstored} run(s) in the history store; diffusion rounds "
           f"{rounds} at step 8 --nproc 64)")

@@ -47,8 +47,9 @@ version
 Tracing
 -------
 ``report`` and ``step`` accept ``--trace-out PATH`` to export the run's
-phase spans, marker events, metrics, resource samples, and causal
-message DAG as JSONL (schema ``repro.obs/v6``) and ``--chrome-out PATH``
+phase spans, marker events, metrics (among them one end-of-run resource
+reading per process), and causal message DAG as JSONL (schema
+``repro.obs/v7``) and ``--chrome-out PATH``
 to additionally write a Chrome-trace JSON that ``chrome://tracing`` or
 https://ui.perfetto.dev can open (message sends render as flow arrows).
 Feed the JSONL back to ``report`` for the dashboard, or to
@@ -105,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_tracing(p):
         p.add_argument(
             "--trace-out", metavar="PATH", default=None,
-            help="export phase spans/metrics/causal DAG as JSONL (repro.obs/v6)",
+            help="export phase spans/metrics/causal DAG as JSONL (repro.obs/v7)",
         )
         p.add_argument(
             "--chrome-out", metavar="PATH", default=None,
@@ -174,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "critical-path",
         help="critical-path / straggler breakdown of an exported trace",
     )
-    p_cp.add_argument("trace", help="trace .jsonl path (repro.obs/v6)")
+    p_cp.add_argument("trace", help="trace .jsonl path (repro.obs/v7)")
     p_cp.add_argument(
         "--top", type=_non_negative_int, default=10,
         help="number of critical-path segments to list",
@@ -298,24 +299,22 @@ def _ambient(tracer):
 
 @contextlib.contextmanager
 def _sampled_host(tracer):
-    """Sample the host process's resources into ``tracer`` (None: no-op).
+    """Read the host process's resources into ``tracer`` (None: no-op).
 
-    The closing ``record_resource_samples`` call is what puts
-    ``resource`` records into every traced CLI run, real backend or not.
+    One reading at the start (for the GC count) and one at the end; the
+    closing ``record_resources`` call is what puts the host's
+    ``repro.resource.*`` gauges into every traced CLI run.
     """
     if tracer is None:
         yield
         return
-    from repro.obs import ResourceSampler, record_resource_samples
+    from repro.obs import read_resources, record_resources
 
-    sampler = ResourceSampler().start()
+    start = read_resources(None)
     try:
         yield
     finally:
-        sampler.stop()
-        record_resource_samples(
-            tracer, sampler.rows(), rank=None, backend="host"
-        )
+        record_resources(tracer, read_resources(start), None, "host")
 
 
 def _cmd_report(args) -> int:

@@ -28,7 +28,7 @@ estimates per-rank offsets (:class:`ClockRecord`), and
 ``analyze(tracer, clock="wall")`` yields a measured critical path next
 to the modelled one.
 :mod:`repro.obs.export` serialises a tracer to JSONL (one record per
-line, schema ``repro.obs/v6``, its record types defined once in
+line, schema ``repro.obs/v7``, its record types defined once in
 :data:`repro.obs.export.RECORDS`) and to the Chrome trace-event format that ``chrome://tracing`` / Perfetto can open
 directly — including flow-event arrows for every delivered message.
 :mod:`repro.obs.report` turns a trace file into an ASCII dashboard or a
@@ -36,9 +36,9 @@ self-contained HTML run report (``repro report <trace.jsonl>``).
 
 A run reports through its :class:`Tracer` and the exported trace file,
 and through nothing else: there is no live side channel.  Two companions
-round the layer out.  :mod:`repro.obs.resource` samples per-process RSS,
-CPU seconds, and GC collections into the trace (``resource`` records +
-``repro.resource.*`` metrics) whenever a tracer is attached.
+round the layer out.  :mod:`repro.obs.resource` reads each traced
+process's peak RSS, CPU seconds, and GC collections once, at the end of
+its run, into the ``repro.resource.*`` gauges.
 :mod:`repro.obs.runs` is the ``.repro_runs/`` cross-run history store
 (``repro runs list|show|compare|index``): one headline-metric document
 per traced run.
@@ -89,12 +89,7 @@ from .export import (
     validate_jsonl,
 )
 from .report import render_ascii, render_html
-from .resource import (
-    ResourceSample,
-    ResourceSampler,
-    record_resource_samples,
-    resource_peaks,
-)
+from .resource import read_resources, record_resources
 from .runs import (
     RunRecord,
     RunStore,
@@ -111,8 +106,6 @@ __all__ = [
     "MetricSample",
     "MetricsRegistry",
     "PointEvent",
-    "ResourceSample",
-    "ResourceSampler",
     "RunRecord",
     "RunStore",
     "SCHEMA_VERSION",
@@ -135,10 +128,10 @@ __all__ = [
     "phase_virtual_times",
     "rank_stats",
     "read_jsonl",
-    "record_resource_samples",
+    "read_resources",
+    "record_resources",
     "render_ascii",
     "render_html",
-    "resource_peaks",
     "runs_from_tracer",
     "use_tracer",
     "validate_jsonl",

@@ -1,12 +1,12 @@
 """Serialise a :class:`~repro.obs.tracer.Tracer` to JSONL and Chrome trace.
 
-JSONL schema (``repro.obs/v6``)
+JSONL schema (``repro.obs/v7``)
 -------------------------------
 One JSON object per line.  The first line is the meta record,
-``{"type": "meta", "schema": "repro.obs/v6", "spans": N, "events": N,
-"metrics": N, "nodes": N, "msgs": N, "clocks": N, "resources": N}``,
-whose counts must match the records that follow.  Every other line is one
-of the seven record types of :data:`RECORDS` — the single definition
+``{"type": "meta", "schema": "repro.obs/v7", "spans": N, "events": N,
+"metrics": N, "nodes": N, "msgs": N, "clocks": N}``, whose counts must
+match the records that follow.  Every other line is one of the six
+record types of :data:`RECORDS` — the single definition
 :func:`export_jsonl`, :func:`read_jsonl` and :func:`validate_jsonl` all
 walk.  A record carries ``"type"`` plus exactly the keys its table entry
 declares, each present (``null`` only where the entry marks it ``?``):
@@ -32,9 +32,10 @@ declares, each present (``null`` only where the entry marks it ``?``):
 ``clock``
     How one rank's wall clock was aligned for one *measured* run
     (:mod:`repro.obs.wallclock`).
-``resource``
-    One periodic process-resource sample (:mod:`repro.obs.resource`);
-    ``rank`` null is the host/driver process.
+
+A process's resource use is not a record type: it is one reading at the
+end of the run, written as ``repro.resource.*`` gauge ``metric`` records
+(:mod:`repro.obs.resource`).
 
 A file declaring any other schema string is a :class:`SchemaError`: there
 is one format, written and read by the same checkout — re-export the run.
@@ -62,7 +63,6 @@ from typing import Callable, NamedTuple
 
 from .causal import NODE_KINDS, CausalMsg, CausalNode
 from .metrics import KINDS
-from .resource import ResourceSample
 from .tracer import PointEvent, Span, Tracer
 from .wallclock import ClockRecord
 
@@ -75,7 +75,7 @@ __all__ = [
     "validate_jsonl",
 ]
 
-SCHEMA_VERSION = "repro.obs/v6"
+SCHEMA_VERSION = "repro.obs/v7"
 
 
 class SchemaError(ValueError):
@@ -255,10 +255,6 @@ RECORDS: dict[str, _Record] = {
     "clock": _Record(
         {"run": "uint", "rank": "uint", "offset": "num", "skew": "unum"},
         *_listed(ClockRecord, "clock_records")),
-    "resource": _Record(
-        {"rank": "uint?", "t": "unum", "rss_bytes": "unum",
-         "cpu_seconds": "unum", "gc_collections": "uint"},
-        *_listed(ResourceSample, "resource_samples")),
 }
 
 _META_FIELDS = {"schema": "str", **{kind + "s": "uint" for kind in RECORDS}}
@@ -282,7 +278,7 @@ def _check_fields(kind: str, rec: dict, fields: dict[str, str]) -> str | None:
 
 
 def export_jsonl(tracer: Tracer, path) -> int:
-    """Write the tracer to ``path`` in the ``repro.obs/v6`` JSONL schema.
+    """Write the tracer to ``path`` in the ``repro.obs/v7`` JSONL schema.
 
     Open spans are skipped (a trace is exported after the run).  Returns
     the number of records written, including the meta line.
@@ -358,11 +354,11 @@ def _walk(path, tracer: Tracer | None) -> dict[str, int]:
 
 
 def validate_jsonl(path) -> dict[str, int]:
-    """Validate a JSONL trace against the ``repro.obs/v6`` schema.
+    """Validate a JSONL trace against the ``repro.obs/v7`` schema.
 
     Raises :class:`SchemaError` (naming the line) on the first violation;
     returns the per-type record counts ``{"spans": N, "events": N,
-    "metrics": N, "nodes": N, "msgs": N, "clocks": N, "resources": N}``.
+    "metrics": N, "nodes": N, "msgs": N, "clocks": N}``.
     """
     return _walk(path, None)
 

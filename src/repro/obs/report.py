@@ -149,23 +149,25 @@ def _transport_backends(tracer: Tracer) -> list[str]:
 
 
 def _resource_blocks(tracer: Tracer) -> list[tuple]:
-    """Per-rank peak-RSS bars and the per-process resource-peak table from
-    the trace's ``resource`` records (``[]`` when the run was not
-    sampled)."""
-    from .resource import resource_peaks
-
-    peaks = resource_peaks(tracer.resource_samples)
+    """Per-rank peak-RSS bars and the per-process table from the
+    ``repro.resource.*`` gauges (``[]`` when the run was not traced).  A
+    rank read in several runs shows its largest reading."""
+    peaks: dict[int | None, dict[str, float]] = {}
+    for s in tracer.metrics.samples():
+        if s.name.startswith("repro.resource."):
+            row = peaks.setdefault(s.rank, {})
+            key = s.name.rpartition(".")[2]
+            row[key] = max(row.get(key, 0.0), s.value)
     if not peaks:
         return []
     keys = sorted(peaks, key=lambda k: (k is not None, k))
-    rss = {k: peaks[k]["peak_rss_bytes"] / (1 << 20) for k in keys}
+    rss = {k: peaks[k].get("peak_rss_bytes", 0.0) / (1 << 20) for k in keys}
     rows = [[
         "host" if k is None else f"rank {k}", f"{rss[k]:.1f}",
-        _fmt(peaks[k]["cpu_seconds"]), _fmt(peaks[k]["gc_collections"]),
-        _fmt(peaks[k]["samples"]),
+        _fmt(peaks[k].get("cpu_seconds")),
+        _fmt(peaks[k].get("gc_collections")),
     ] for k in keys]
-    headers = ["process", "peak rss (MiB)", "cpu (s)", "gc collections",
-               "samples"]
+    headers = ["process", "peak rss (MiB)", "cpu (s)", "gc collections"]
     return [("bars", "peak rss (MiB)",
              {k: v for k, v in rss.items() if k is not None}),
             ("table", headers, rows)]

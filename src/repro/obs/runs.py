@@ -25,7 +25,7 @@ and host time PR over PR is ``benchmarks/e2e`` + ``scripts/ab_pairs.py``
     Extract the headline-metric map from a trace file or in-memory
     tracer — phase virtual seconds, critical-path makespan, measured
     wall makespans, partition quality, remap volume, transport counters,
-    and ``repro.resource.*`` peaks.
+    and the ``repro.resource.*`` gauges.
 
 :func:`compare_records`
     Metric-by-metric deltas between two runs.
@@ -243,7 +243,6 @@ def summarize_trace(tracer) -> tuple[dict, list[str]]:
     resource peaks — exactly the columns cross-run comparison needs.
     """
     from .causal import analyze
-    from .resource import resource_peaks
 
     if isinstance(tracer, (str, os.PathLike)):
         from .export import read_jsonl
@@ -293,20 +292,14 @@ def summarize_trace(tracer) -> tuple[dict, list[str]]:
             ) or reg.total(name)
             metrics[key] = total
 
-    peaks = resource_peaks(tracer.resource_samples)
-    if peaks:
-        metrics["peak_rss_bytes"] = max(
-            d["peak_rss_bytes"] for d in peaks.values()
-        )
-        metrics["cpu_seconds"] = sum(
-            d["cpu_seconds"] for d in peaks.values()
-        )
-        metrics["gc_collections"] = sum(
-            d["gc_collections"] for d in peaks.values()
-        )
-        metrics["resource_samples"] = sum(
-            d["samples"] for d in peaks.values()
-        )
+    # one gauge per process: the peak is the largest reading, CPU seconds
+    # and collections add up over processes
+    for key, combine in (("peak_rss_bytes", reg.max_value),
+                         ("cpu_seconds", reg.total),
+                         ("gc_collections", reg.total)):
+        name = f"repro.resource.{key}"
+        if reg.max_value(name) is not None:
+            metrics[key] = combine(name)
 
     backends = sorted({
         s.labels_dict["backend"]

@@ -85,10 +85,6 @@ class Tracer:
         self.metrics = MetricsRegistry()
         self._causal_nodes: list = []
         self._causal_msgs: list = []
-        #: Periodic process-resource samples
-        #: (:class:`repro.obs.resource.ResourceSample`), serialised as
-        #: ``resource`` records in the JSONL trace.
-        self.resource_samples: list = []
         #: Per-(run, rank) clock-alignment records from measured backends
         #: (:class:`repro.obs.wallclock.ClockRecord`): the offset subtracted
         #: from that rank's ``perf_counter`` stream and the estimation

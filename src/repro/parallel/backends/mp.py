@@ -35,12 +35,14 @@ so busy/idle splits stay meaningful.
 
 A run reports through its tracer and nothing else.  With one attached,
 each rank keeps a columnar :class:`~repro.obs.wallclock.WallRecorder` of
-its sends/recvs and the work gaps between them, and samples its
-process's RSS/CPU/GC (:class:`~repro.obs.resource.ResourceSampler`); the
+its sends/recvs and the work gaps between them, and reads its
+process's peak RSS, CPU seconds and GC collections once, at the end
+(:func:`~repro.obs.resource.read_resources`); the
 parent estimates every child's clock offset with a pipe handshake run
 *after* the program (offsets are constants of the monotonic clocks, so
 tracing never delays the start of work), and the streams merge into the
-trace as a ``vm.run`` with ``clock="wall"`` plus ``resource`` records —
+trace as a ``vm.run`` with ``clock="wall"`` plus ``repro.resource.*``
+gauges per rank —
 ``repro critical-path`` / ``report`` / ``diff`` then read measured runs
 exactly as modelled ones.  Without a tracer none of that runs.
 """
@@ -99,7 +101,7 @@ class MultiprocessingBackend:
         self.machine = machine
         self.timeout = timeout
         #: With a tracer the run records its measured causal trace and
-        #: per-rank resource samples; without one it records nothing.
+        #: per-rank resource readings; without one it records nothing.
         self.tracer = tracer
 
     def _make_transport(self, ctx):
@@ -252,16 +254,14 @@ def _assemble(backend, tracer, results, wall, alignment=None,
         transport.note_run_totals(transport_totals)
     nodes = msgs = None
     if tracer is not None:
-        from ...obs.resource import record_resource_samples
+        from ...obs.resource import record_resources
 
         for r in range(nranks):
             tracer.metric(
                 "repro.backend.rank_wall_seconds", clocks[r],
                 kind="counter", rank=r, backend=backend,
             )
-            record_resource_samples(
-                tracer, stats[r].get("res"), rank=r, backend=backend,
-            )
+            record_resources(tracer, stats[r]["res"], r, backend)
         for key, total in (transport_totals or {}).items():
             tracer.metric(f"repro.transport.{key}", total,
                           kind="counter", backend=backend)
@@ -360,8 +360,9 @@ def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
     The driver owns the receive timeout: a blocked receive polls
     ``wire.take`` in slices of at most a second, rearms on every arrival,
     and raises :class:`_RecvTimeout` once ``timeout`` seconds pass with
-    none.  With ``record`` the rank keeps a ``WallRecorder`` and a
-    ``ResourceSampler``; their columns ride back in the stats dict.
+    none.  With ``record`` the rank keeps a ``WallRecorder`` and reads
+    its resources at the start and the end; the recorder's columns and
+    the closing reading ride back in the stats dict.
     Returns ``(retval, stats)``.
     """
     [gen] = start_ranks(program, size, machine, args, kwargs, (rank,))
@@ -374,18 +375,18 @@ def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
     if transport is not None:
         # map shared pages into this rank before the clock starts
         transport.warmup()
-    rec = sampler = None
+    rec = None
     if record:
         # Recording starts immediately — any clock handshake runs outside
         # the measured interval (offsets are constants of the monotonic
         # perf_counter streams), so a traced rank starts work exactly
-        # when an untraced one would.  The sampler is a daemon thread
-        # reading this process's RSS/CPU/GC off the hot path.
-        from ...obs.resource import ResourceSampler
+        # when an untraced one would.  The opening resource reading is
+        # only the GC count the closing one subtracts.
+        from ...obs.resource import read_resources
         from ...obs.wallclock import RECV, WallRecorder
 
         rec = WallRecorder()
-        sampler = ResourceSampler().start()
+        res0 = read_resources(None)
     clock = time.perf_counter
     t0 = clock()
     if rec is not None:
@@ -469,8 +470,7 @@ def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
     if transport is not None:
         stats["transport"] = dict(transport.counters)
     if rec is not None:
-        sampler.stop()
-        stats["res"] = sampler.rows()
+        stats["res"] = read_resources(res0)
         rec.finish(t_end)
         stats["rec"] = rec.columns()
     return retval, stats

@@ -78,7 +78,7 @@ _COUNTER_KEYS = (
 
 #: Module-level tally across backend runs (parent process only), so
 #: ``repro calibrate`` can report which path the workload's messages
-#: took without threading a tracer through every dist entry point.
+#: took without passing a tracer through every dist entry point.
 _RUN_TOTALS = {k: 0 for k in _COUNTER_KEYS}
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.obs.export import export_jsonl
-from repro.obs.resource import record_resource_samples
+from repro.obs.resource import record_resources
 from repro.obs.runs import RunStore
 from repro.obs.tracer import Tracer
 
@@ -27,9 +27,7 @@ def _trace_file(tmp_path, name="t.jsonl", seconds=2.0):
     with tr.phase("cycle", cycle=tr.begin_cycle()):
         with tr.phase("exec"):
             tr.advance(seconds)
-    record_resource_samples(
-        tr, {"times": [0.0], "rss": [1.0], "cpu": [0.0], "gcs": [0]}
-    )
+    record_resources(tr, (1.0, 0.0, 0), None, "host")
     path = tmp_path / name
     export_jsonl(tr, path)
     return str(path)

@@ -17,7 +17,6 @@ from repro.obs import (
 )
 from repro.obs.causal import NODE_KINDS
 from repro.obs.export import MARKER_ATTRS, RECORDS
-from repro.obs.resource import ResourceSample
 from repro.obs.wallclock import ClockRecord
 
 from tests.fixtures import metric_value
@@ -72,10 +71,6 @@ def full_tracer() -> Tracer:
     """Every record type of the table, at least once."""
     tr = causal_tracer()
     tr.clock_records.append(ClockRecord(run=0, rank=1, offset=1e-3, skew=2e-4))
-    tr.resource_samples.append(ResourceSample(
-        rank=None, t=0.5, rss_bytes=1 << 20, cpu_seconds=0.25,
-        gc_collections=4,
-    ))
     return tr
 
 
@@ -129,7 +124,7 @@ def test_dropping_any_declared_key_is_rejected(tmp_path, kind, key):
             consume(path)
 
 
-@pytest.mark.parametrize("schema", [f"repro.obs/v{n}" for n in range(1, 6)])
+@pytest.mark.parametrize("schema", [f"repro.obs/v{n}" for n in range(1, 7)])
 def test_older_schema_rejected_by_name(tmp_path, schema):
     records = _lines(sample_tracer(), tmp_path)
     records[0]["schema"] = schema
@@ -182,7 +177,7 @@ def test_validate_accepts_fresh_export(tmp_path):
     export_jsonl(sample_tracer(), path)
     assert validate_jsonl(path) == {
         "spans": 3, "events": 1, "metrics": 0, "nodes": 0, "msgs": 0,
-        "clocks": 0, "resources": 0,
+        "clocks": 0,
     }
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.resource import record_resource_samples
+from repro.obs.resource import record_resources
 from repro.obs.runs import (
     RUNS_SCHEMA,
     RunRecord,
@@ -110,12 +110,8 @@ def _traced_run():
             tr.advance(2.0)
         with tr.phase("partition"):
             tr.advance(0.5)
-    record_resource_samples(
-        tr,
-        {"times": [0.0, 0.1], "rss": [100.0, 200.0], "cpu": [0.0, 0.3],
-         "gcs": [0, 2]},
-        rank=None, backend="host",
-    )
+    record_resources(tr, (200.0, 0.3, 2), None, "host")
+    record_resources(tr, (150.0, 0.1, 1), 0, "shm")
     return tr
 
 
@@ -124,8 +120,9 @@ def test_summarize_trace_headline_metrics(tmp_path):
     assert metrics["virtual_seconds"] == pytest.approx(2.5)
     assert metrics["phase.exec.virtual_seconds"] == pytest.approx(2.0)
     assert metrics["phase.partition.virtual_seconds"] == pytest.approx(0.5)
-    assert metrics["peak_rss_bytes"] == 200.0
-    assert metrics["resource_samples"] == 2
+    assert metrics["peak_rss_bytes"] == 200.0  # the largest process
+    assert metrics["cpu_seconds"] == pytest.approx(0.4)  # summed
+    assert metrics["gc_collections"] == 3.0
     assert backends == []  # no measured backend ran
 
 

@@ -18,10 +18,10 @@ from repro.obs import (
     export_jsonl,
     format_critical_path,
     read_jsonl,
+    use_tracer,
     validate_jsonl,
 )
 from repro.obs.causal import critical_path, runs_from_tracer, verify_makespans
-from repro.obs.resource import resource_peaks
 from repro.parallel import create_communicator
 from repro.parallel.runtime import RecvOp, SendOp, WorkOp
 
@@ -75,7 +75,7 @@ def test_mp_run_produces_a_measured_causal_run(mp_trace):
 def test_mp_trace_round_trips_through_jsonl(mp_trace):
     tracer, _, path = mp_trace
     head = json.loads(open(path).readline())
-    assert head["schema"] == "repro.obs/v6"
+    assert head["schema"] == "repro.obs/v7"
     summary = validate_jsonl(path)
     assert summary["clocks"] == 3
     back = read_jsonl(path)
@@ -263,6 +263,16 @@ def _pingpong(comm, rounds):
     return comm.rank
 
 
+def _resource_gauges(tracer) -> dict:
+    """``{(name, rank, backend): value}`` of the ``repro.resource.*`` gauges."""
+    return {
+        (s.name.rpartition(".")[2], s.rank, s.labels_dict.get("backend")):
+            s.value
+        for s in tracer.metrics.samples()
+        if s.name.startswith("repro.resource.")
+    }
+
+
 @pytest.mark.parametrize("backend", ["multiprocessing", "shm"])
 def test_traced_run_records_per_rank_resources(backend, tmp_path):
     tracer = Tracer()
@@ -270,25 +280,24 @@ def test_traced_run_records_per_rank_resources(backend, tmp_path):
         comm = create_communicator(backend, 2, tracer=tracer)
         comm.run(_pingpong, 2)
 
-    peaks = resource_peaks(tracer.resource_samples)
-    assert set(peaks) == {0, 1}  # one sampled series per forked rank
+    gauges = _resource_gauges(tracer)
+    # one reading per forked rank, as backend-labelled per-rank gauges
+    assert {(rank, b) for _name, rank, b in gauges} == \
+        {(0, backend), (1, backend)}
     for rank in (0, 1):
-        assert peaks[rank]["samples"] >= 2  # open + close at minimum
-        assert peaks[rank]["peak_rss_bytes"] > 0
-    # the peaks are mirrored as backend-labelled per-rank metrics
-    labelled = {
-        (s.rank, s.labels_dict.get("backend"))
-        for s in tracer.metrics.samples()
-        if s.name == "repro.resource.peak_rss_bytes"
-    }
-    assert (0, backend) in labelled and (1, backend) in labelled
+        assert gauges["peak_rss_bytes", rank, backend] > 0
+        assert gauges["cpu_seconds", rank, backend] >= 0.0
+        assert gauges["gc_collections", rank, backend] >= 0
 
     path = tmp_path / "trace.jsonl"
     export_jsonl(tracer, path)
-    assert validate_jsonl(path)["resources"] == len(tracer.resource_samples)
+    assert _resource_gauges(read_jsonl(path)) == gauges
 
 
 def test_untraced_run_records_no_resources():
-    comm = create_communicator("multiprocessing", 2)
-    result = comm.run(_pingpong, 1)  # no tracer: plain run, no sampler
+    ambient = Tracer()
+    with use_tracer(ambient):  # a backend records only into its own tracer
+        comm = create_communicator("multiprocessing", 2)
+        result = comm.run(_pingpong, 1)  # no tracer: plain run, no reading
     assert result.returns == [0, 1] and result.total_messages == 2
+    assert _resource_gauges(ambient) == {}

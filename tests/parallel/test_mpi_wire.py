@@ -17,7 +17,6 @@ import pytest
 
 from repro.obs import Tracer
 from repro.obs.causal import runs_from_tracer, verify_makespans
-from repro.obs.resource import resource_peaks
 from repro.parallel import ANY, SP2_1997, create_communicator, per_rank
 from repro.parallel.backends import mp, mpi
 from repro.parallel.runtime import RecvOp, SendOp
@@ -153,5 +152,7 @@ def test_traced_run_pairs_every_send_with_its_recv(nranks):
         assert all(m.recv_node is not None for m in run.msgs)
         assert result.msgs == run.msgs
         verify_makespans(tracer)
-        # a recording rank samples its process, as on the forked backends
-        assert set(resource_peaks(tracer.resource_samples)) == set(range(nranks))
+        # a recording rank reads its process, as on the forked backends
+        assert {s.rank for s in tracer.metrics.samples()
+                if s.name == "repro.resource.peak_rss_bytes"} == \
+            set(range(nranks))
