@@ -28,14 +28,15 @@ run's makespan.  The sink always has slack exactly ``0.0``.
 :func:`analyze` lifts all of this to a whole exported trace: every
 ``vm.run`` becomes a critical path placed at its absolute virtual time,
 every ``ledger.superstep`` event contributes its bottleneck rank's
-work/comm split, and the remaining virtual time is attributed to the
-deepest enclosing phase span — yielding a (phase, rank, kind) breakdown
-of the makespan, per-cycle straggler rankings, and the input to
-``repro critical-path`` / ``repro diff``.
+work/comm split, and the remaining virtual time is cut at span ends,
+each piece going to the deepest span covering it — yielding a (phase,
+rank, kind) breakdown of the makespan, per-cycle straggler rankings,
+and the input to ``repro critical-path`` / ``repro diff``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -464,26 +465,34 @@ def _supersteps_from_tracer(tracer) -> list[Superstep]:
     return steps
 
 
-def _covering_phase(tracer, t: float, clock: str = "virtual",
-                    epoch: float = 0.0) -> str:
-    """Name of the deepest closed span whose interval covers ``t``.
+def _span_cover(tracer, clock: str, epoch: float):
+    """``(bounds, names)``: the sorted distinct ends of the closed spans on
+    ``clock`` (wall intervals re-zeroed on ``epoch``) and, for each
+    interval between two consecutive ends, the name of the deepest span
+    covering it (the first such span on a tie)."""
+    spans = [(s.wall_start - epoch, s.wall_end - epoch, s)
+             if clock == "wall" else (s.v_start, s.v_end, s)
+             for s in tracer.spans if not s.open and s.v_end is not None]
+    bounds = sorted({t for t0, t1, _s in spans for t in (t0, t1)})
+    names = ["(untracked)"] * len(bounds)
+    depth = [-1] * len(bounds)
+    for t0, t1, s in spans:
+        for k in range(bisect_left(bounds, t0), bisect_left(bounds, t1)):
+            if s.depth > depth[k]:
+                depth[k], names[k] = s.depth, s.name
+    return bounds, names
 
-    On the virtual clock, span virtual intervals are compared directly;
-    on the wall clock, span wall intervals are re-zeroed on ``epoch``
-    (the earliest measured timestamp of the trace) first.
-    """
-    best = None
-    for s in tracer.spans:
-        if s.open or s.v_end is None:
-            continue
-        if clock == "wall":
-            t0, t1 = s.wall_start - epoch, s.wall_end - epoch
-        else:
-            t0, t1 = s.v_start, s.v_end
-        if t0 <= t <= t1:
-            if best is None or s.depth > best.depth:
-                best = s
-    return best.name if best is not None else "(untracked)"
+
+def _push_gap(segments: list[Segment], t0: float, t1: float,
+              cover) -> None:
+    """Framework time ``[t0, t1]``, cut at every span end inside it, each
+    piece charged to the deepest span covering it."""
+    bounds, names = cover
+    cuts = [t0, *bounds[bisect_right(bounds, t0):bisect_left(bounds, t1)], t1]
+    for a, b in zip(cuts, cuts[1:]):
+        k = bisect_right(bounds, a) - 1
+        _merge_push(segments, Segment(names[k] if k >= 0 else "(untracked)",
+                                      None, "work", a, b))
 
 
 def _merge_push(segments: list[Segment], seg: Segment) -> None:
@@ -507,7 +516,8 @@ def analyze(tracer, clock: str = "virtual") -> TraceAnalysis:
     On the default virtual clock, VM runs contribute their critical-path
     steps (exact); ledger supersteps contribute their bottleneck rank's
     work/comm split; any virtual time not covered by either is framework
-    time, attributed to the deepest enclosing span.  The segment list
+    time, cut at every span end and each piece attributed to the deepest
+    span covering it.  The segment list
     covers ``[0, makespan]`` in time order with no overlaps.
 
     With ``clock="wall"`` the same attribution runs over the *measured*
@@ -567,22 +577,19 @@ def analyze(tracer, clock: str = "virtual") -> TraceAnalysis:
     makespan = max([span_end] + [seg.t1 for seg in covered])
 
     covered.sort(key=lambda seg: (seg.t0, seg.t1))
+    cover = _span_cover(tracer, clock, epoch)
     segments: list[Segment] = []
     cursor = 0.0
     for seg in covered:
         if seg.t0 > cursor:
-            phase = _covering_phase(tracer, (cursor + seg.t0) / 2.0,
-                                    clock=clock, epoch=epoch)
-            _merge_push(segments, Segment(phase, None, "work", cursor, seg.t0))
+            _push_gap(segments, cursor, seg.t0, cover)
         if seg.t1 <= cursor:
             continue  # fully shadowed by an earlier segment
         t0 = max(seg.t0, cursor)
         _merge_push(segments, Segment(seg.phase, seg.rank, seg.kind, t0, seg.t1))
         cursor = seg.t1
     if makespan > cursor:
-        phase = _covering_phase(tracer, (cursor + makespan) / 2.0,
-                                clock=clock, epoch=epoch)
-        _merge_push(segments, Segment(phase, None, "work", cursor, makespan))
+        _push_gap(segments, cursor, makespan, cover)
 
     by_phase_kind: dict[tuple[str, str], float] = {}
     for seg in segments:

@@ -160,6 +160,27 @@ def test_analyze_segments_cover_the_trace():
     assert "remap" in phases and "marking" in phases
 
 
+@pytest.mark.parametrize("clock", ["virtual", "wall"])
+def test_framework_time_goes_to_each_span_it_falls_in(clock):
+    # no VM run and no superstep: the whole makespan is one gap, which
+    # must be split at the sibling boundary, not charged to one span
+    ticks = iter([0.0, 2.0, 2.0, 5.0])
+    tracer = Tracer(wall_clock=lambda: next(ticks))
+    with tracer.phase("a"):
+        tracer.advance(1.0)
+    with tracer.phase("b"):
+        tracer.advance(3.0)
+    analysis = analyze(tracer, clock=clock)
+    want = {"virtual": {"a": 1.0, "b": 3.0}, "wall": {"a": 2.0, "b": 3.0}}
+    assert analysis.by_phase_kind == {
+        (name, "work"): sec for name, sec in want[clock].items()
+    }
+    assert [(s.phase, s.t0, s.t1) for s in analysis.segments] == [
+        ("a", 0.0, want[clock]["a"]),
+        ("b", want[clock]["a"], sum(want[clock].values())),
+    ]
+
+
 def test_analyze_ranks_stragglers():
     tracer = _traced_cycle()
     analysis = analyze(tracer)
