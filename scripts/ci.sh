@@ -20,7 +20,8 @@
 # scripts/smoke_trace.py is the one smoke of the trace tooling: it
 # exports a step trace and a calibrate trace and asserts, from Python,
 # what `report`, `critical-path`, `diff` and `runs compare` render from
-# them (virtual and measured).  The real-backend smoke runs the calibrate
+# them (virtual and measured), then drives the failure paths (deadlock
+# diagnostics, a traced shm spill, a truncated trace).  The real-backend smoke runs the calibrate
 # workload on real forked rank processes and fails unless its payloads
 # match the virtual run's.  The MPI lane needs an MPI stack; without one,
 # what runs of the mpi4py backend is its framing, in tier-1's
@@ -112,6 +113,14 @@ timeout 120 env PYTHONPATH=src python examples/paper_scale.py 6 16 \
     > "$tmp/paper_scale.txt"
 grep -q "total wall time" "$tmp/paper_scale.txt"
 echo "example smokes: OK"
+
+# function-entry guard: the product entry points (the examples above, the
+# CLI commands, scripts/smoke_trace.py) run under a profile hook that
+# follows forked ranks, and every function under src/repro must have
+# been entered.  parallel/backends/mpi.py is exempt while no MPI stack
+# exists; the static guards' written allowlists are honoured, no other.
+timeout 900 python scripts/entered_functions.py
+echo "function-entry guard: OK"
 
 # weak-scaling smoke: `repro scale` must run the fig6-style cycle and
 # print one row per rank count, 4096 being where mailbox and ready-queue

@@ -32,6 +32,10 @@ repartitioner diffuses on the fine graph: every ``repartition.rebalance``
 span must carry its ``diffusion_rounds``, none above
 ``repartition.DIFFUSION_ROUNDS``.
 
+A fifth pass drives the failure paths (:func:`check_failures`): deadlock
+diagnostics on the virtual machine and a real backend, a traced shm
+spill, and a truncated trace handed to ``repro report``.
+
 Exit status 0 on success, 1 with a diagnostic on any failure.
 
 Usage:  python scripts/smoke_trace.py  (from the repo root)
@@ -54,6 +58,76 @@ SRC = _bootstrap.SRC
 def fail(msg: str) -> "int":
     print(f"smoke_trace: FAIL: {msg}", file=sys.stderr)
     return 1
+
+
+def _waits_on_its_peer(comm):
+    """Two ranks that each receive before sending: a deadlock."""
+    yield from comm.compute(10)
+    yield from comm.recv(source=1 - comm.rank, tag=7)
+    yield from comm.send("never", dest=1 - comm.rank, tag=7, nwords=1)
+
+
+def _outruns_the_slab_pool(comm, payload, count):
+    """Rank 0 streams ``count`` arrays that rank 1 takes only after a
+    last message, so the arrays hold slabs until the pool runs dry."""
+    if comm.rank == 0:
+        for _ in range(count):
+            yield from comm.send(payload, dest=1, tag=3, nwords=payload.size)
+        yield from comm.send("last", dest=1, tag=4, nwords=1)
+    else:
+        yield from comm.recv(source=0, tag=4)
+        for _ in range(count):
+            yield from comm.recv(source=0, tag=3)
+
+
+def check_failures(tmp: str, env: dict, jsonl: str) -> str | None:
+    """The failure paths, each through the product: a deadlocked program
+    fails with a DeadlockError naming every blocked receive — on the
+    traced virtual machine with each rank's last causal chain, on the
+    multiprocessing backend once a receive times out; an shm sender that
+    outruns the slab pool spills, traced as a ``transport.spill`` marker;
+    a truncated trace makes ``repro report`` print one ``error:``
+    line and exit 2.  Returns what went wrong, or None."""
+    import numpy as np
+
+    from repro.obs import Tracer
+    from repro.parallel import DeadlockError, create_communicator
+    from repro.parallel.backends.shm import DEFAULT_SLAB_BYTES
+
+    for name in ("virtual", "multiprocessing"):
+        comm = create_communicator(name, 2, tracer=Tracer())
+        if name == "multiprocessing":
+            comm.timeout = 2.0  # seconds a receive waits before giving up
+        try:
+            comm.run(_waits_on_its_peer)
+        except DeadlockError as exc:
+            text = str(exc)
+        else:
+            return f"a deadlocked program ran to the end on {name}"
+        if "recv(source=" not in text or "tag=7" not in text:
+            return f"{name} deadlock message names no receive:\n{text}"
+        if name == "virtual" and "causal chain per blocked rank" not in text:
+            return f"traced deadlock message lacks the causal chains:\n{text}"
+
+    tracer = Tracer()
+    shm = create_communicator("shm", 2, tracer=tracer)
+    shm.run(_outruns_the_slab_pool, np.zeros(DEFAULT_SLAB_BYTES // 8), 20)
+    if not any(e.name == "transport.spill" for e in tracer.events):
+        return "a run past the shm slab pool left no transport.spill marker"
+
+    truncated = os.path.join(tmp, "truncated.jsonl")
+    with open(jsonl, "rb") as src, open(truncated, "wb") as dst:
+        dst.write(src.read(5000))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "report", truncated], env=env,
+        cwd=REPO, capture_output=True, text=True, timeout=60,
+    )
+    if (proc.returncode != 2 or proc.stdout
+            or not proc.stderr.startswith(f"error: {truncated}: line ")
+            or proc.stderr.count("\n") != 1):
+        return (f"report of a truncated trace: exit {proc.returncode}, "
+                f"stdout {proc.stdout!r}, stderr {proc.stderr!r}")
+    return None
 
 
 def main() -> int:
@@ -388,6 +462,10 @@ def main() -> int:
         if max(rounds) > DIFFUSION_ROUNDS:
             return fail(f"diffusion ran {max(rounds)} rounds, past the cap "
                         f"of {DIFFUSION_ROUNDS}")
+
+        err = check_failures(tmp, env, jsonl)
+        if err:
+            return fail(err)
 
     print(f"smoke_trace: OK ({summary['spans']} spans, "
           f"{summary['events']} events, {summary['metrics']} metrics, "

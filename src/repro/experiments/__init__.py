@@ -12,7 +12,7 @@ from importlib import import_module
 from types import ModuleType
 
 #: Submodule -> the public names that live there; the one table behind
-#: ``__all__``, ``dir()`` and attribute access.
+#: ``__all__`` and attribute access.
 _PUBLIC = {
     "calibrate": (
         "CalibrationReport",
@@ -56,10 +56,6 @@ def __getattr__(name):
     for public in _PUBLIC[home]:
         globals()[public] = getattr(module, public)
     return globals()[name]
-
-
-def __dir__():
-    return sorted(globals().keys() | _HOME.keys())
 
 
 class _Package(ModuleType):

@@ -96,10 +96,6 @@ class SendOp:
         self.payload = payload
         self.nwords = nwords
 
-    def __repr__(self):  # pragma: no cover - debug aid
-        return (f"SendOp(dest={self.dest}, tag={self.tag}, "
-                f"payload={self.payload!r}, nwords={self.nwords})")
-
 
 class RecvOp:
     __slots__ = ("source", "tag")
@@ -109,9 +105,6 @@ class RecvOp:
         self.source = source
         self.tag = tag
 
-    def __repr__(self):  # pragma: no cover - debug aid
-        return f"RecvOp(source={self.source}, tag={self.tag})"
-
 
 class WorkOp:
     __slots__ = ("units",)
@@ -119,9 +112,6 @@ class WorkOp:
 
     def __init__(self, units: float):
         self.units = units
-
-    def __repr__(self):  # pragma: no cover - debug aid
-        return f"WorkOp(units={self.units})"
 
 
 # --- the mailbox -------------------------------------------------------------
@@ -163,8 +153,7 @@ class _VMRecord:
     The scheduler appends every operation into flat typed
     columns instead of allocating a ``CausalNode`` per op; the object
     views are materialized lazily (and memoized) only when
-    :mod:`repro.obs.causal`, the exporters, or ``RunResult.nodes`` /
-    ``.msgs`` ask for them.
+    :mod:`repro.obs.causal` or the exporters ask for them.
 
     Layout (one row per node / message, flat Python lists — a single
     ``list.extend`` per row is ~6x cheaper than a typed ``array`` extend,
@@ -228,10 +217,10 @@ class _VMRecord:
 class RunResult:
     """Outcome of a :meth:`VirtualMachine.run` call.
 
-    ``nodes`` and ``msgs`` are materialized lazily from the scheduler's
-    columnar record on first access; results built directly (the
-    real-execution backends, the tests' oracle scheduler) store the
-    object lists eagerly.
+    A traced run also keeps its happens-before record: the scheduler's
+    columnar ``record``, or the object lists ``nodes`` / ``msgs`` of a
+    result built directly (the real-execution backends, the tests'
+    oracle scheduler).  The trace is where the product reads it.
     """
 
     __slots__ = (
@@ -278,31 +267,11 @@ class RunResult:
         self._record = record
 
     @property
-    def nodes(self) -> list | None:
-        """Happens-before nodes (see :mod:`repro.obs.causal`); populated
-        whenever the run was traced, None otherwise."""
-        if self._nodes is None and self._record is not None:
-            self._nodes = self._record.causal_nodes()
-        return self._nodes
-
-    @property
-    def msgs(self) -> list | None:
-        if self._msgs is None and self._record is not None:
-            self._msgs = self._record.causal_msgs()
-        return self._msgs
-
-    @property
     def makespan(self) -> float:
         """Completion time of the slowest rank, in this run's clock:
         modelled virtual seconds on the ``virtual`` backend, measured
         wall seconds on the real-execution backends."""
         return max(self.clocks) if self.clocks else 0.0
-
-    def __repr__(self):  # pragma: no cover - debug aid
-        return (f"RunResult(nranks={len(self.clocks)}, "
-                f"makespan={self.makespan!r}, "
-                f"total_messages={self.total_messages}, "
-                f"total_words={self.total_words}, backend={self.backend!r})")
 
 
 class VirtualMachine:
@@ -802,9 +771,6 @@ class per_rank:
 
     def __init__(self, values):
         self.values = list(values)
-
-    def __repr__(self):  # pragma: no cover - debug aid
-        return f"per_rank({self.values!r})"
 
 
 def start_ranks(program: Callable, nranks: int, machine: MachineModel,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import NamedTuple
 
 import numpy as np
 
@@ -101,9 +100,9 @@ def multilevel_kway(
     The result is keyed on the *content* of the call — a digest of the
     graph's four arrays, ``k`` and ``seed`` — and computed once
     per process; a repeat returns a private copy of the stored labels,
-    so callers may write into what they get.  ``multilevel_kway
-    .cache_info()`` / ``.cache_clear()`` follow ``functools.lru_cache``
-    (sizes are bytes, bounded by ``_STORE_BYTES``).
+    so callers may write into what they get.  The store holds at most
+    ``_STORE_BYTES`` bytes of labels; ``multilevel_kway.cache_clear()``
+    empties it, as ``functools.lru_cache``'s does.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -157,15 +156,6 @@ def _content_key(graph: Graph, k: int, seed: int) -> bytes:
     return h.digest()
 
 
-class CacheInfo(NamedTuple):
-    """``functools.lru_cache``'s statistics; both sizes are in bytes."""
-
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
 class _PartitionStore:
     """Finished partitions by content key: LRU, bounded in bytes."""
 
@@ -177,9 +167,6 @@ class _PartitionStore:
         self._parts: OrderedDict[bytes, np.ndarray] = OrderedDict()
         self._nbytes = 0
         self._hits = self._misses = 0
-
-    def info(self) -> CacheInfo:
-        return CacheInfo(self._hits, self._misses, self.maxbytes, self._nbytes)
 
     def get(self, key: bytes) -> np.ndarray | None:
         part = self._parts.get(key)
@@ -201,7 +188,6 @@ class _PartitionStore:
 
 
 _STORE = _PartitionStore(_STORE_BYTES)
-multilevel_kway.cache_info = _STORE.info
 multilevel_kway.cache_clear = _STORE.clear
 
 

@@ -10,7 +10,7 @@ from repro.mesh import box_mesh, edge_midpoints
 from repro.parallel import MachineModel
 from repro.partition import multilevel_kway
 
-from tests.fixtures import check_mesh
+from tests.fixtures import check_mesh, store_info
 
 CHEAP_MACHINE = MachineModel(t_setup=1e-5, t_word=1e-7, t_work=1e-6)
 
@@ -48,7 +48,7 @@ def test_two_machines_are_refused_before_any_partitioning():
         LoadBalancedAdaptiveSolver(
             box_mesh(2, 2, 2), 2, machine=CHEAP_MACHINE, cost_model=CostModel()
         )
-    assert multilevel_kway.cache_info().misses == 0
+    assert store_info().misses == 0
     # equal machines, whether or not one object
     LoadBalancedAdaptiveSolver(
         box_mesh(2, 2, 2), 2, machine=MachineModel(t_setup=1e-5, t_word=1e-7,
@@ -61,10 +61,10 @@ def test_unknown_backend_name_is_refused_before_any_partitioning():
     with pytest.raises(ValueError, match="unknown communicator backend 'bogus'; "
                                          "available: .*virtual"):
         LoadBalancedAdaptiveSolver(box_mesh(2, 2, 2), 2, backend="bogus")
-    assert multilevel_kway.cache_info().misses == 0
+    assert store_info().misses == 0
     # a ready-made backend object is the caller's business, as before
     LoadBalancedAdaptiveSolver(box_mesh(2, 2, 2), 2, backend=object())
-    assert multilevel_kway.cache_info().misses == 1
+    assert store_info().misses == 1
 
 
 def test_initial_partition_balanced():

@@ -1,7 +1,7 @@
 """``repro.experiments`` resolves its public names on first use.
 
 The package ``__init__`` executes no submodule; a name → submodule table
-drives ``__all__``, ``dir()`` and a module ``__getattr__``.  Pinned here:
+drives ``__all__`` and a module ``__getattr__``.  Pinned here:
 every name still works as ``from repro.experiments import X``, importing
 the package alone loads nothing, and ``calibrate`` — which names both a
 submodule and the function in it — is the function whichever way the

@@ -3,11 +3,13 @@
 The smallest tetrahedral meshes, the structural invariant checks of a
 global and a rank-local mesh, an element-quality measure, the analytic
 flow fields the solver, adaptor and framework tests start from, the causal
-run of one traced ``RunResult``, and weighted graphs from edge lists and
-their CSR rows.
+record of one traced ``RunResult``, the partition store's statistics, and
+weighted graphs from edge lists and their CSR rows.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from repro.mesh.tetmesh import TetMesh
 from repro.mesh.topology import LOCAL_EDGES
 from repro.obs.causal import CausalRun
 from repro.obs.metrics import MetricsRegistry
+from repro.partition import multilevel
 from repro.partition.graph import Graph
 from repro.solver.state import conservative
 
@@ -137,17 +140,50 @@ def spherical_blast_field(
     return conservative(rho, vel, p)
 
 
+def nodes_of(result) -> list | None:
+    """The happens-before nodes a traced
+    :class:`~repro.parallel.runtime.RunResult` keeps (None untraced): the
+    VM's columnar record, or a measured backend's merged streams."""
+    if result._nodes is None and result._record is not None:
+        result._nodes = result._record.causal_nodes()
+    return result._nodes
+
+
+def msgs_of(result) -> list | None:
+    """The messages of a traced run's result, as :func:`nodes_of`."""
+    if result._msgs is None and result._record is not None:
+        result._msgs = result._record.causal_msgs()
+    return result._msgs
+
+
 def run_from_result(result) -> CausalRun:
     """The causal run of a traced :class:`~repro.parallel.runtime.RunResult`."""
-    assert result.nodes is not None, "run the VirtualMachine with trace=True"
+    assert nodes_of(result) is not None, "run the VirtualMachine with trace=True"
     return CausalRun(
         id=0,
         base=0.0,
         nranks=len(result.clocks),
         makespan=result.makespan,
-        nodes=list(result.nodes),
-        msgs=list(result.msgs),
+        nodes=list(nodes_of(result)),
+        msgs=list(msgs_of(result)),
     )
+
+
+class CacheInfo(NamedTuple):
+    """``functools.lru_cache``'s statistics for ``multilevel_kway``'s
+    partition store; both sizes are in bytes."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+def store_info() -> CacheInfo:
+    """Hits, misses and bytes of ``multilevel_kway``'s partition store."""
+    store = multilevel._STORE
+    return CacheInfo(store._hits, store._misses, store.maxbytes,
+                     store._nbytes)
 
 
 def metric_value(reg: MetricsRegistry, name: str, labels: dict | None = None,

@@ -30,6 +30,7 @@ from repro.parallel.machine import MachineModel
 from repro.partition import multilevel_kway
 from repro.solver.euler import dual_volumes, edge_normals
 from repro.solver.scatter import scatter_add_components, scatter_add_rows
+from tests.fixtures import store_info
 
 from . import oracles
 from .oracles import (
@@ -243,15 +244,15 @@ def test_nested_use_restores_the_outer_state():
 def test_no_partition_is_served_across_the_switch():
     g = DualGraph(box_mesh(3, 3, 3)).graph
     fast = multilevel_kway(g, 4, seed=0)
-    assert multilevel_kway.cache_info().currsize > 0
+    assert store_info().currsize > 0
     with reference_kernels():
-        assert multilevel_kway.cache_info().currsize == 0  # entry
+        assert store_info().currsize == 0  # entry
         calls = CALLS["repro.partition.fm_refine:kway_greedy_refine"]
         ref = multilevel_kway(g, 4, seed=0)
         # recomputed by the oracle, not a copy of what the product stored
         assert CALLS["repro.partition.fm_refine:kway_greedy_refine"] == calls + 1
-        assert multilevel_kway.cache_info().currsize > 0
-    assert multilevel_kway.cache_info().currsize == 0  # exit
+        assert store_info().currsize > 0
+    assert store_info().currsize == 0  # exit
     assert np.array_equal(fast, ref)
 
 

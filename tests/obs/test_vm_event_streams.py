@@ -14,6 +14,7 @@ import pytest
 
 from repro.obs import Tracer
 from repro.parallel import SP2_1997, VirtualMachine
+from tests.fixtures import msgs_of, nodes_of
 from tests.kernels.oracles import reference_kernels
 
 WORK_SECONDS = replace(SP2_1997, t_work=1.0)
@@ -54,8 +55,8 @@ def test_every_op_kind_in_both_streams(reference):
         for n in works if n.t_end - n.t_start > 1e-3
     ) == [(0, 0.125), (1, 0.25)]
     # and the RunResult view is the same record
-    assert res.nodes == tracer.causal_nodes
-    assert res.msgs == tracer.causal_msgs
+    assert nodes_of(res) == tracer.causal_nodes
+    assert msgs_of(res) == tracer.causal_msgs
 
 
 def test_causal_record_identical_across_paths():

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from repro.parallel import ANY, SP2_1997, VirtualMachine
 from repro.parallel.runtime import _take
+from tests.fixtures import msgs_of, nodes_of
 from tests.kernels.oracles import _ListMailbox, _Message, reference_kernels
-
 
 # --- data-structure parity ---------------------------------------------------
 
@@ -127,8 +127,8 @@ def _assert_results_identical(a, b):
     assert a.total_words == b.total_words
     assert a.busy_per_rank == b.busy_per_rank
     assert a.idle_per_rank == b.idle_per_rank
-    assert a.nodes == b.nodes  # identical causal record, node for node
-    assert a.msgs == b.msgs
+    assert nodes_of(a) == nodes_of(b)  # identical causal record, node for node
+    assert msgs_of(a) == msgs_of(b)
 
 
 @given(seed=st.integers(0, 1000), p=st.integers(2, 6))

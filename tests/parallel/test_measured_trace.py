@@ -25,6 +25,7 @@ from repro.obs.causal import critical_path, runs_from_tracer, verify_makespans
 from repro.parallel import create_communicator
 from repro.parallel.runtime import RecvOp, SendOp, WorkOp
 
+from tests.fixtures import msgs_of, nodes_of
 
 def _ring(comm, rounds, nwords=64, payload=None):
     nxt = (comm.rank + 1) % comm.size
@@ -59,8 +60,8 @@ def test_mp_run_produces_a_measured_causal_run(mp_trace):
     assert run.skew > 0.0
     # nodes tile every rank's interval; 6 messages went around the ring
     assert sum(1 for m in run.msgs if m.recv_node is not None) == 6
-    assert result.nodes == run.nodes
-    assert result.msgs == run.msgs
+    assert nodes_of(result) == run.nodes
+    assert msgs_of(result) == run.msgs
     # wall critical-path length: bit-exact vs the merged makespan, and
     # within the recorded skew bound of the measured rank makespan
     path = critical_path(run)
@@ -162,14 +163,14 @@ def test_shm_run_records_a_wall_run_too(shm_trace):
     [run] = runs_from_tracer(tracer, clock="wall")
     assert run.phase == "shm-ring"
     verify_makespans(tracer)
-    assert result.nodes == run.nodes
+    assert nodes_of(result) == run.nodes
 
 
 def test_untraced_mp_run_keeps_the_plain_wire():
     comm = create_communicator("multiprocessing", 2)
     result = comm.run(_ring, 1)
     assert result.returns == [0, 1]
-    assert result.nodes is None and result.msgs is None
+    assert nodes_of(result) is None and msgs_of(result) is None
 
 
 def _flow_pairs(chrome_path):

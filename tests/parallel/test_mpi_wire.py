@@ -21,6 +21,8 @@ from repro.parallel import ANY, SP2_1997, create_communicator, per_rank
 from repro.parallel.backends import mp, mpi
 from repro.parallel.runtime import RecvOp, SendOp
 
+from tests.fixtures import msgs_of, nodes_of
+
 ANY_SOURCE = -1  # the fake's wildcard, as MPI.ANY_SOURCE is mpi4py's
 
 
@@ -121,7 +123,7 @@ def test_untraced_run_matches_virtual_and_frames_every_item(nranks):
         virtual = create_communicator("virtual", nranks).run(program, arg)
         assert result.returns == virtual.returns
         assert result.msgs_sent_per_rank == virtual.msgs_sent_per_rank
-        assert result.backend == "mpi4py" and result.nodes is None
+        assert result.backend == "mpi4py" and nodes_of(result) is None
         # one wire tag, five fields, and no message id on an unrecorded run
         assert len(sent) == result.total_messages
         assert {tag for tag, _ in sent} == {mpi._WIRE_TAG}
@@ -150,7 +152,7 @@ def test_traced_run_pairs_every_send_with_its_recv(nranks):
         assert wire_ids == [m.id for m in run.msgs]
         assert len(set(wire_ids)) == result.total_messages
         assert all(m.recv_node is not None for m in run.msgs)
-        assert result.msgs == run.msgs
+        assert msgs_of(result) == run.msgs
         verify_makespans(tracer)
         # a recording rank reads its process, as on the forked backends
         assert {s.rank for s in tracer.metrics.samples()

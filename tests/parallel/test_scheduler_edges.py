@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.parallel import ANY, SP2_1997, VirtualMachine
 from repro.parallel.runtime import per_rank
+from tests.fixtures import msgs_of, nodes_of
 from tests.kernels.oracles import reference_kernels
 
 #: SP2 message costs; one work unit is one second.
@@ -45,8 +46,8 @@ def _assert_identical(a, b):
     assert a.msgs_recv_per_rank == b.msgs_recv_per_rank
     assert a.busy_per_rank == b.busy_per_rank
     assert a.idle_per_rank == b.idle_per_rank
-    assert a.nodes == b.nodes
-    assert a.msgs == b.msgs
+    assert nodes_of(a) == nodes_of(b)
+    assert msgs_of(a) == msgs_of(b)
 
 
 def test_single_rank_machine():
@@ -75,7 +76,7 @@ def test_zero_op_programs():
     assert res_fast.returns == [0, 2, 4, 6]
     assert res_fast.clocks == [0.0] * 4
     assert res_fast.makespan == 0.0
-    assert res_fast.nodes == []
+    assert nodes_of(res_fast) == []
 
 
 def test_zero_op_single_rank():
@@ -102,10 +103,10 @@ def test_simultaneously_ready_tie_break_is_lowest_rank_first():
 
     res_fast, res_ref = _run_both(prog, 6)
     _assert_identical(res_fast, res_ref)
-    work_nodes = [n for n in res_fast.nodes if n.kind == "work"]
+    work_nodes = [n for n in nodes_of(res_fast) if n.kind == "work"]
     assert [n.rank for n in work_nodes] == list(range(6))
     # tied sends drain lowest-rank-first, so the sink receives in order
-    recv_msgs = [m.src for m in res_fast.msgs]
+    recv_msgs = [m.src for m in msgs_of(res_fast)]
     assert recv_msgs == sorted(recv_msgs)
 
 
@@ -121,7 +122,7 @@ def test_tie_break_determinism_across_repeats():
         for _ in range(3)
     ]
     for other in runs[1:]:
-        assert other.nodes == runs[0].nodes
+        assert nodes_of(other) == nodes_of(runs[0])
         assert other.clocks == runs[0].clocks
 
 

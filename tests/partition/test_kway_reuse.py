@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from repro.partition import Graph, multilevel, multilevel_kway
 
+from tests.fixtures import store_info
+
 from .test_partition_properties import random_connected_graph
 
 graphs = st.builds(
@@ -26,7 +28,7 @@ seeds = st.integers(0, 2**40)
 
 def test_every_test_starts_with_an_empty_store():
     # conftest.py's autouse fixture; the suite has partitioned plenty by now
-    assert multilevel_kway.cache_info() == (0, 0, multilevel._STORE_BYTES, 0)
+    assert store_info() == (0, 0, multilevel._STORE_BYTES, 0)
     assert multilevel._STORE_BYTES == 16 << 20
 
 
@@ -36,11 +38,11 @@ def test_hit_equals_miss(g, k, seed):
     multilevel_kway.cache_clear()
     miss = multilevel_kway(g, k, seed=seed)
     hit = multilevel_kway(g, k, seed=seed)
-    info = multilevel_kway.cache_info()
+    info = store_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, miss.nbytes)
     multilevel_kway.cache_clear()
     again = multilevel_kway(g, k, seed=seed)
-    assert multilevel_kway.cache_info().misses == 1
+    assert store_info().misses == 1
     for other in (hit, again):
         assert other.dtype == miss.dtype
         assert np.array_equal(other, miss)
@@ -61,9 +63,9 @@ def test_callers_writes_never_reach_a_later_answer(g, k, seed):
     # mutating the graph in place changes the key: the stored answer for
     # the old weights is not handed out for the new ones
     g.vwgt[0] += 7
-    misses = multilevel_kway.cache_info().misses
+    misses = store_info().misses
     mutated = multilevel_kway(g, k, seed=seed)
-    assert multilevel_kway.cache_info().misses == misses + 1
+    assert store_info().misses == misses + 1
     multilevel_kway.cache_clear()
     assert np.array_equal(mutated, multilevel_kway(g, k, seed=seed))
 
@@ -75,10 +77,10 @@ def test_numpy_and_python_scalars_share_an_entry(g, k):
     a = multilevel_kway(g, k, seed=3)
     for kk, seed in ((np.int64(k), 3), (k, np.int64(3))):
         assert np.array_equal(multilevel_kway(g, kk, seed=seed), a)
-    info = multilevel_kway.cache_info()
+    info = store_info()
     assert (info.hits, info.misses) == (2, 1)
     multilevel_kway(g, k, seed=4)
-    assert multilevel_kway.cache_info().misses == 2
+    assert store_info().misses == 2
 
 
 def test_same_bytes_different_shape_do_not_share_an_entry():
@@ -93,7 +95,7 @@ def test_same_bytes_different_shape_do_not_share_an_entry():
     assert stream(a) == stream(b) and (a.n, a.adj.size) != (b.n, b.adj.size)
     assert multilevel_kway(a, 1).shape == (4,)
     assert multilevel_kway(b, 1).shape == (2,)
-    info = multilevel_kway.cache_info()
+    info = store_info()
     assert (info.hits, info.misses) == (0, 2)
 
 
@@ -103,21 +105,21 @@ def test_store_is_bounded_in_bytes_and_evicts_least_recently_used(monkeypatch):
     monkeypatch.setattr(multilevel._STORE, "maxbytes", 3 * nbytes + 1)
 
     def misses_on(seed):
-        before = multilevel_kway.cache_info().misses
+        before = store_info().misses
         multilevel_kway(g, 4, seed=seed)
-        info = multilevel_kway.cache_info()
+        info = store_info()
         assert info.currsize <= info.maxsize == multilevel._STORE.maxbytes
         return info.misses - before
 
     assert [misses_on(s) for s in (0, 1, 2)] == [1, 1, 1]
-    assert multilevel_kway.cache_info().currsize == 3 * nbytes
+    assert store_info().currsize == 3 * nbytes
     assert misses_on(0) == 0  # seed 0 is now the most recently used
     assert misses_on(3) == 1  # full: seed 1, the oldest, makes room
-    assert multilevel_kway.cache_info().currsize == 3 * nbytes
+    assert store_info().currsize == 3 * nbytes
     assert [misses_on(s) for s in (0, 2, 3)] == [0, 0, 0]
     assert misses_on(1) == 1
 
     # a partition larger than the whole bound is computed but not kept
     monkeypatch.setattr(multilevel._STORE, "maxbytes", nbytes - 1)
     assert misses_on(9) == 1 and misses_on(9) == 1
-    assert multilevel_kway.cache_info().currsize == 0
+    assert store_info().currsize == 0
