@@ -298,7 +298,7 @@ def _ambient(tracer):
 
 
 @contextlib.contextmanager
-def _sampled_host(tracer):
+def _host_resources(tracer):
     """Read the host process's resources into ``tracer`` (None: no-op).
 
     One reading at the start (for the GC count) and one at the end; the
@@ -334,7 +334,7 @@ def _cmd_report(args) -> int:
 
     tracing = bool(args.trace_out or args.chrome_out)
     tracer = Tracer() if tracing else None
-    with _sampled_host(tracer), _ambient(tracer):
+    with _host_resources(tracer), _ambient(tracer):
         print(run_all(resolution))
     if tracer is not None:
         _export(
@@ -391,7 +391,7 @@ def _cmd_step(args) -> int:
         return 2
     tracer = Tracer()
     tracing = bool(args.trace_out or args.chrome_out)
-    with _sampled_host(tracer if tracing else None), use_tracer(tracer):
+    with _host_resources(tracer if tracing else None), use_tracer(tracer):
         solver = LoadBalancedAdaptiveSolver(
             case.mesh,
             args.nproc,
@@ -451,7 +451,7 @@ def _cmd_calibrate(args) -> int:
         return 2
     tracing = bool(args.trace_out or args.chrome_out)
     tracer = Tracer() if tracing else None
-    with _sampled_host(tracer), _ambient(tracer):
+    with _host_resources(tracer), _ambient(tracer):
         report = calibrate(args.resolution, args.nproc, backends=backends)
     print(format_calibration(report))
     if tracer is not None:

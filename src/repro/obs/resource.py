@@ -13,8 +13,7 @@ of a real backend, three numbers read once when its work is done:
 :func:`read_resources` takes a reading; :func:`record_resources` writes
 one as the labelled ``repro.resource.{peak_rss_bytes,cpu_seconds,
 gc_collections}`` gauges, which the report's "Resource usage (per
-process)" section and the run-history store read.  There is no sampler
-thread and no raw record kind: the gauges are the one copy.
+process)" section and the run-history store read.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from repro.obs.tracer import Tracer
 from tests.fixtures import metric_value
 
 
-def test_read_resources_shape():
+def test_sample_resources_shape():
     peak, cpu, gcs = read_resources(None)
     assert peak > 0  # a running interpreter has a nonzero high-water mark
     assert cpu >= 0.0
