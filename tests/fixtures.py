@@ -158,7 +158,7 @@ def msgs_of(result) -> list | None:
 
 def run_from_result(result) -> CausalRun:
     """The causal run of a traced :class:`~repro.parallel.runtime.RunResult`."""
-    assert nodes_of(result) is not None, "run the VirtualMachine with trace=True"
+    assert nodes_of(result) is not None, "run the VM with trace=True"
     return CausalRun(
         id=0,
         base=0.0,

@@ -1,4 +1,4 @@
-"""Resource readings: one per process, written as ``repro.resource.*`` gauges."""
+"""Resource readings: one per process, as ``repro.resource.*`` gauges."""
 
 import gc
 import sys

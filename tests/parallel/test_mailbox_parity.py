@@ -20,6 +20,7 @@ from repro.parallel.runtime import _take
 from tests.fixtures import msgs_of, nodes_of
 from tests.kernels.oracles import _ListMailbox, _Message, reference_kernels
 
+
 # --- data-structure parity ---------------------------------------------------
 
 NSOURCES = NTAGS = 3

@@ -27,6 +27,7 @@ from repro.parallel.runtime import RecvOp, SendOp, WorkOp
 
 from tests.fixtures import msgs_of, nodes_of
 
+
 def _ring(comm, rounds, nwords=64, payload=None):
     nxt = (comm.rank + 1) % comm.size
     prv = (comm.rank - 1) % comm.size
@@ -265,7 +266,7 @@ def _pingpong(comm, rounds):
 
 
 def _resource_gauges(tracer) -> dict:
-    """``{(name, rank, backend): value}`` of the ``repro.resource.*`` gauges."""
+    """``{(name, rank, backend): value}`` of the resource gauges."""
     return {
         (s.name.rpartition(".")[2], s.rank, s.labels_dict.get("backend")):
             s.value

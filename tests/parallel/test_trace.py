@@ -5,6 +5,7 @@ from repro.parallel import IDEAL, VirtualMachine
 
 from tests.fixtures import msgs_of, nodes_of
 
+
 def prog(comm):
     yield from comm.compute(5)
     if comm.rank == 0:
