@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fail on any function under ``src/repro`` that no product entry point enters.
 
-    python scripts/entered_functions.py  (from the repo root, ~2 min)
+    python scripts/entered_functions.py  (from the repo root)
 
 The static caller guards of ``tests/kernels/test_oracle_harness.py``
 match names, so a member that shares its name with a live one passes
