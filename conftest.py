@@ -12,7 +12,7 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def _fresh_partition_store():
-    """No test starts with another test's k-way partitions in the store."""
+    """No test starts with another test's partitions in the store."""
     from repro.partition import multilevel_kway
 
     multilevel_kway.cache_clear()

@@ -7,9 +7,11 @@ data remapping either after or before the subdivision phase.
 Two layers memoise, per process: :func:`run_step` here keeps whole
 ``StepReport`` objects by its arguments, so the figure functions don't
 redo each other's cycles; below it ``repro.partition.multilevel_kway``
-keeps finished from-scratch partitions by the content of the call, so
-cycles that differ only in strategy or remap order share the one initial
-partition per processor count (the paper's Fig. 1 "initialization" box).
+and ``repartition`` keep finished partitions by the content of the call,
+in one store, so cycles that differ only in strategy or remap order share
+the one initial partition per processor count (the paper's Fig. 1
+"initialization" box), the two remap orders of one (strategy, P) share
+their repartition, and Table 2 reuses Real_2's.
 """
 
 from __future__ import annotations

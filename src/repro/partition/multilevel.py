@@ -11,13 +11,15 @@ bisection is the whole method.  :func:`coarsen` is the one coarsening
 loop; the seeded repartitioner runs it too.  All randomness flows through
 an explicit seed, so a k-way partition is a pure function of the graph's
 arrays, ``k`` and ``seed`` — and :func:`multilevel_kway` computes
-each distinct one once per process (DESIGN.md §9, "Partition reuse").
+each distinct one once per process, in the store the seeded repartitioner
+shares (DESIGN.md §9, "Partition reuse").
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from collections.abc import Callable
 
 import numpy as np
 
@@ -100,20 +102,16 @@ def multilevel_kway(
     The result is keyed on the *content* of the call — a digest of the
     graph's four arrays, ``k`` and ``seed`` — and computed once
     per process; a repeat returns a private copy of the stored labels,
-    so callers may write into what they get.  The store holds at most
-    ``_STORE_BYTES`` bytes of labels; ``multilevel_kway.cache_clear()``
-    empties it, as ``functools.lru_cache``'s does.
+    so callers may write into what they get.  The store, which
+    ``repartition`` shares, holds at most ``_STORE_BYTES`` bytes of
+    labels; ``multilevel_kway.cache_clear()`` empties it of both kinds,
+    as ``functools.lru_cache``'s does.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > graph.n:
         raise ValueError(f"cannot cut {graph.n} vertices into k = {k} parts")
-    key = _content_key(graph, k, seed)
-    part = _STORE.get(key)
-    if part is None:
-        part = _kway(graph, k, seed)
-        _STORE.put(key, part)
-    return part.copy()
+    return _STORE.serve(_content_key(graph, k, seed), lambda: _kway(graph, k, seed))
 
 
 def _kway(graph: Graph, k: int, seed: int) -> np.ndarray:
@@ -139,16 +137,19 @@ def _refine(g: Graph, part: np.ndarray, k: int) -> np.ndarray:
     return kway_fm_refine(g, part, k)
 
 
-def _content_key(graph: Graph, k: int, seed: int) -> bytes:
-    """128-bit digest of everything a k-way partition depends on.
+def _content_key(graph: Graph, k: int, seed: int, *extra: np.ndarray) -> bytes:
+    """128-bit digest of everything a partition depends on: the graph,
+    ``k``, ``seed`` and any ``extra`` arrays (``repartition``'s old labels).
 
-    Each array is preceded by its length so the byte stream is injective
-    (two graphs whose concatenated bytes agree but whose (n, m) differ
-    get different keys); ``int()`` makes ``np.int64(3)`` and ``3`` the
-    same call.
+    The stream opens with the number of arrays and each array is preceded
+    by its length, so it is injective: two graphs whose concatenated bytes
+    agree but whose (n, m) differ get different keys, and so do a k-way
+    call and a repartition.  ``int()`` makes ``np.int64(3)`` and ``3``
+    the same call.
     """
-    h = hashlib.blake2b(digest_size=16)
-    for arr in (graph.ptr, graph.adj, graph.vwgt, graph.ewgt):
+    arrays = (graph.ptr, graph.adj, graph.vwgt, graph.ewgt, *extra)
+    h = hashlib.blake2b(len(arrays).to_bytes(8, "little"), digest_size=16)
+    for arr in arrays:
         arr = np.ascontiguousarray(arr, dtype=np.int64)
         h.update(arr.size.to_bytes(8, "little"))
         h.update(arr)
@@ -168,23 +169,23 @@ class _PartitionStore:
         self._nbytes = 0
         self._hits = self._misses = 0
 
-    def get(self, key: bytes) -> np.ndarray | None:
+    def serve(self, key: bytes, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        """A private copy of the labels under ``key``, from ``compute()``
+        the first time (kept read-only from then on, oldest evicted first)."""
         part = self._parts.get(key)
-        if part is None:
-            self._misses += 1
-            return None
-        self._hits += 1
-        self._parts.move_to_end(key)
-        return part
-
-    def put(self, key: bytes, part: np.ndarray) -> None:
-        """Keep ``part`` (read-only from here on), evicting oldest first."""
+        if part is not None:
+            self._hits += 1
+            self._parts.move_to_end(key)
+            return part.copy()
+        self._misses += 1
+        part = compute()
         part.flags.writeable = False
         self._parts[key] = part
         self._nbytes += part.nbytes
         while self._nbytes > self.maxbytes:
             _, old = self._parts.popitem(last=False)
             self._nbytes -= old.nbytes
+        return part.copy()
 
 
 _STORE = _PartitionStore(_STORE_BYTES)

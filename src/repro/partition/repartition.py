@@ -20,7 +20,7 @@ from repro.obs import current_tracer, maybe_phase
 
 from .fm_refine import UB, kway_fm_refine, kway_greedy_refine
 from .graph import Graph
-from .multilevel import _COARSE_PER_PART, _COARSEN_TO, coarsen
+from .multilevel import _COARSE_PER_PART, _COARSEN_TO, _STORE, _content_key, coarsen
 from .quality import imbalance
 
 __all__ = ["repartition"]
@@ -37,11 +37,16 @@ def repartition(
 ) -> np.ndarray:
     """k-way partition balanced under ``graph.vwgt``, biased toward
     ``old_part`` to reduce data movement.  No part of the result is empty,
-    whether or not ``old_part`` used all ``k`` labels.  An ambient tracer
-    records the coarsen / rebalance / uncoarsen stages as wall-clock spans,
-    the rebalance span with the ``diffusion_rounds`` that followed it.
+    whether or not ``old_part`` used all ``k`` labels.
+
+    Like :func:`~repro.partition.multilevel_kway`, whose store it shares,
+    it computes each distinct call once per process, keyed on the graph's
+    arrays, ``k``, ``seed`` and ``old_part``; every answer is a private
+    copy.  An ambient tracer records the coarsen / rebalance / uncoarsen
+    stages of a computed answer as wall-clock spans, the rebalance span
+    with the ``diffusion_rounds`` that followed it; a reused answer ran
+    none of them and records nothing.
     """
-    tracer = current_tracer()
     old_part = np.asarray(old_part, dtype=np.int64)
     if old_part.shape != (graph.n,):
         raise ValueError(f"old_part must have shape ({graph.n},)")
@@ -54,7 +59,16 @@ def repartition(
     if _acceptable(graph, old_part, k):
         # already balanced: moving nothing is the cheapest remap of all
         return old_part.copy()
+    return _STORE.serve(
+        _content_key(graph, k, seed, old_part),
+        lambda: _repartition(graph, k, old_part, seed),
+    )
 
+
+def _repartition(
+    graph: Graph, k: int, old_part: np.ndarray, seed: int
+) -> np.ndarray:
+    tracer = current_tracer()
     rng = np.random.default_rng(seed)
     # stop four times earlier than a from-scratch partition does: there is
     # no initial partitioner below, only balancing moves of whole vertices

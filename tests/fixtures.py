@@ -180,7 +180,8 @@ class CacheInfo(NamedTuple):
 
 
 def store_info() -> CacheInfo:
-    """Hits, misses and bytes of ``multilevel_kway``'s partition store."""
+    """Hits, misses and bytes of the partition store ``multilevel_kway``
+    and ``repartition`` share (both kinds counted together)."""
     store = multilevel._STORE
     return CacheInfo(store._hits, store._misses, store.maxbytes,
                      store._nbytes)

@@ -1018,10 +1018,11 @@ def reference_kernels(enabled: bool = True):
     kernels whatever the enclosing state); the state found on entry is
     restored on exit, error or not.
 
-    ``multilevel_kway``'s content-addressed store is emptied on entry and
-    on exit, so a partition is never served across the switch: the oracle
-    recomputes what the product computed, and nothing it computed is
-    handed to a later product run.
+    The content-addressed partition store ``multilevel_kway`` and
+    ``repartition`` share is emptied on entry and on exit, so neither kind
+    of partition is served across the switch: the oracle recomputes what
+    the product computed, and nothing it computed is handed to a later
+    product run.
     """
     prev = bool(_bound)
     _switch(bool(enabled))
