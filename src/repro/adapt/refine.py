@@ -58,6 +58,19 @@ _DIAG_CYCLE = {0: (1, 2, 4, 3), 1: (0, 2, 5, 3), 2: (0, 1, 5, 4)}
 # edge midpoints).  Child assembly for a whole pattern group is then a
 # single fancy-index gather instead of per-face/per-diagonal column stacks.
 
+#: Barycentric coordinates of the 10-wide row's entries in the parent.
+_BARY = np.vstack([np.eye(4), np.eye(4)[LOCAL_EDGES].mean(axis=1)])
+
+
+def _right_handed(rows) -> np.ndarray:
+    """``rows`` with ``fix_orientation``'s swap of entries 2 and 3 made
+    where a right-handed parent would get a left-handed child: a child's
+    signed volume is its parent's times its row's barycentric determinant."""
+    table = np.array(rows, dtype=np.int64)
+    flip = np.linalg.det(_BARY[table]) < 0
+    table[flip] = table[flip][:, [0, 1, 3, 2]]
+    return table
+
 
 def _build_child_tables() -> list[tuple[int, np.ndarray]]:
     tables: list[tuple[int, np.ndarray]] = []
@@ -68,7 +81,7 @@ def _build_child_tables() -> list[tuple[int, np.ndarray]]:
         c1[b] = 4 + le
         c2 = list(range(4))
         c2[a] = 4 + le
-        tables.append((1 << le, np.array([c1, c2], dtype=np.int64)))
+        tables.append((1 << le, _right_handed([c1, c2])))
     # 1:4 — marked face (A, B, C) with apex D: three corner tets + medial
     for f in range(4):
         A, B, C = (int(x) for x in LOCAL_FACES[f])
@@ -77,14 +90,13 @@ def _build_child_tables() -> list[tuple[int, np.ndarray]]:
         tables.append(
             (
                 int(FACE_EDGE_MASKS[f]),
-                np.array(
+                _right_handed(
                     [
                         [A, eAB, eAC, D],
                         [B, eAB, eBC, D],
                         [C, eAC, eBC, D],
                         [eAB, eBC, eAC, D],
-                    ],
-                    dtype=np.int64,
+                    ]
                 ),
             )
         )
@@ -94,27 +106,32 @@ def _build_child_tables() -> list[tuple[int, np.ndarray]]:
 _CHILD_TABLES = _build_child_tables()
 
 #: 1:8 corner tets (independent of the octahedron diagonal choice).
-_CORNER_TABLE = np.array(
+_CORNER_TABLE = _right_handed(
     [
         [c, 4 + e0, 4 + e1, 4 + e2]
         for c, (e0, e1, e2) in enumerate(
             [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)]
         )
-    ],
-    dtype=np.int64,
+    ]
 )
 
 #: 1:8 octahedron tets for each diagonal choice d.
 _OCTA_TABLES = {
-    d: np.array(
+    d: _right_handed(
         [
             [4 + d, 4 + int(OPPOSITE_EDGE[d]), 4 + cyc[k], 4 + cyc[(k + 1) % 4]]
             for k in range(4)
-        ],
-        dtype=np.int64,
+        ]
     )
     for d, cyc in _DIAG_CYCLE.items()
 }
+
+#: Child faces of a face, indexing [A, B, C, mAB, mAC, mBC], by which of
+#: its edges AB, AC, BC (bits 1, 2, 4) are bisected: valid patterns bisect
+#: 0, 1 or 3 edges of a face.
+_FACE_SPLITS = {0: [[0, 1, 2]], 1: [[0, 3, 2], [3, 1, 2]],
+                2: [[0, 1, 4], [4, 1, 2]], 4: [[0, 1, 5], [0, 5, 2]],
+                7: [[0, 3, 4], [1, 3, 5], [2, 4, 5], [3, 4, 5]]}
 
 
 @dataclass(frozen=True)
@@ -200,7 +217,9 @@ def subdivide(
     child_count = np.bincount(parent, minlength=mesh.ne)
     assert np.array_equal(child_count, NUM_CHILDREN[patterns]), "child count"
 
-    new_mesh = TetMesh.from_elems(new_coords, new_elems)
+    # right-handed children, the parent's boundary split: no full rebuild
+    new_mesh = TetMesh.from_elems(new_coords, new_elems, orient=False,
+                                  bnd_faces=_split_boundary(mesh, midpoint_of))
 
     # --- edge provenance ------------------------------------------------------
     nv_new = new_mesh.nv
@@ -258,6 +277,22 @@ def subdivide(
         edge_survivor=edge_survivor,
         solution=new_solution,
     )
+
+
+def _split_boundary(mesh: TetMesh, midpoint_of: np.ndarray) -> np.ndarray:
+    """The parent's boundary faces split by :data:`_FACE_SPLITS` and sorted
+    as ``build_faces`` sorts them: ``nb`` faces, not the mesh's ``4·ne``."""
+    bnd, nv = mesh.bnd_faces, mesh.nv
+    keys = mesh.edges[:, 0] * nv + mesh.edges[:, 1]
+    fm = midpoint_of[np.searchsorted(keys, bnd[:, [0, 0, 1]] * nv + bnd[:, [1, 2, 2]])]
+    split = (fm >= 0) @ np.array([1, 2, 4])
+    assert np.isin(split, list(_FACE_SPLITS)).all(), "no face has 2 bisected edges"
+    fv = np.concatenate([bnd, fm], axis=1)
+    tris = np.concatenate(
+        [fv[split == s][:, t].reshape(-1, 3) for s, t in _FACE_SPLITS.items()]
+    )
+    tris.sort(axis=1)
+    return tris[np.lexsort(tris.T[::-1])]
 
 
 def _shortest_diagonals(

@@ -5,7 +5,9 @@ adaptor, the solver and the load balancer read: the global edge list, the
 element→edge incidence (six edges per tetrahedron), the boundary faces and
 the interior-face element pairs (the dual graph's edges).  Paper §3's
 edge→element lists are not built: the vectorised adaptor works from the
-element→edge map alone.
+element→edge map alone.  The faces are sorted only for a mesh built from
+scratch, or when a refined mesh's ``dual_pairs`` is read: subdivision
+derives a refined mesh's boundary from its parent's (DESIGN.md §9).
 
 Edges and faces are identified by packing their sorted vertex ids into one
 ``int64`` key.  The keys are formed in place from column gathers of the
@@ -81,9 +83,7 @@ def build_edges(elems: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray]:
     return edges, elem2edge.reshape(ne, 6)
 
 
-def build_faces(
-    elems: np.ndarray, nv: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def build_faces(elems: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray]:
     """Classify the triangular faces of a tetrahedral mesh.
 
     The ``4·ne`` packed face keys are argsorted once, *unstably* (the SIMD
@@ -97,8 +97,6 @@ def build_faces(
     bnd_faces:
         ``(nb, 3)`` vertex triples of faces belonging to exactly one element,
         each ascending, in ascending key (lexicographic) order.
-    bnd_elem:
-        ``(nb,)`` owning element of each boundary face.
     dual_pairs:
         ``(ni, 2)`` element pairs sharing each interior face, lower element
         first — exactly the edge list of the dual graph (paper §4.1).
@@ -146,7 +144,6 @@ def build_faces(
     single[i_idx + 1] = False
     b_idx = np.flatnonzero(single)
 
-    bnd_elem = owner[b_idx]
     bkeys = skeys[b_idx]
     del skeys
     bnd_faces = np.empty((b_idx.shape[0], 3), dtype=np.int64)
@@ -161,4 +158,4 @@ def build_faces(
     dual_pairs = np.empty((i_idx.shape[0], 2), dtype=np.int64)
     np.minimum(first, second, out=dual_pairs[:, 0])
     np.maximum(first, second, out=dual_pairs[:, 1])
-    return bnd_faces, bnd_elem, dual_pairs
+    return bnd_faces, dual_pairs

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,16 +27,17 @@ class TetMesh:
         ``(nedge, 2)`` unique vertex pairs, lower id first, lexicographic.
     elem2edge:
         ``(ne, 6)`` edge ids per element in local edge order.
-    bnd_faces / bnd_elem:
-        ``(nb, 3)`` boundary vertex triples and their owning element.
+    bnd_faces:
+        ``(nb, 3)`` boundary vertex triples, each ascending, lexicographic.
     dual_pairs:
         ``(ni, 2)`` pairs of elements sharing an interior face — the dual
         graph edge list used by the load balancer.
 
-    All of them are built by :meth:`from_elems`, and every mesh consumer
-    (adaptor, solver, dual graph) reads them.  Paper §3's edge→element
-    lists are not kept: the vectorised adaptor works from ``elem2edge``
-    alone.
+    Every mesh holds the first five, which the adaptor and the solver read.
+    Only the initial mesh's dual graph reads ``dual_pairs`` (paper §4.1),
+    so a refined mesh sorts its faces only when it is read.  Paper §3's
+    edge→element lists are not kept: the vectorised adaptor works from
+    ``elem2edge`` alone.
     """
 
     coords: np.ndarray
@@ -43,20 +45,21 @@ class TetMesh:
     edges: np.ndarray = field(repr=False)
     elem2edge: np.ndarray = field(repr=False)
     bnd_faces: np.ndarray = field(repr=False)
-    bnd_elem: np.ndarray = field(repr=False)
-    dual_pairs: np.ndarray = field(repr=False)
 
     # --- construction -------------------------------------------------------
 
     @classmethod
     def from_elems(
-        cls, coords: np.ndarray, elems: np.ndarray, orient: bool = True
+        cls, coords: np.ndarray, elems: np.ndarray, orient: bool = True,
+        bnd_faces: np.ndarray | None = None,
     ) -> "TetMesh":
         """Build the connectivity from vertices and an element list.
 
         The only constructor: validates shapes and index range, makes every
         element right-handed (``orient``), then derives the edge list, the
-        element→edge map, the boundary faces and the dual-graph pairs.
+        element→edge map and, by one face sort, the boundary faces and the
+        dual-graph pairs.  ``subdivide`` passes the boundary it split from
+        the parent's, and the face sort waits for a read of ``dual_pairs``.
         """
         coords = np.ascontiguousarray(coords, dtype=np.float64)
         elems = np.ascontiguousarray(elems, dtype=np.int64)
@@ -70,16 +73,18 @@ class TetMesh:
         if orient:
             elems = fix_orientation(coords, elems)
         edges, elem2edge = build_edges(elems, nv)
-        bnd_faces, bnd_elem, dual_pairs = build_faces(elems, nv)
-        return cls(
-            coords=coords,
-            elems=elems,
-            edges=edges,
-            elem2edge=elem2edge,
-            bnd_faces=bnd_faces,
-            bnd_elem=bnd_elem,
-            dual_pairs=dual_pairs,
-        )
+        mesh = cls(coords, elems, edges, elem2edge, bnd_faces)
+        if bnd_faces is None:
+            mesh.dual_pairs  # the face sort sets bnd_faces as well
+        return mesh
+
+    @cached_property
+    def dual_pairs(self) -> np.ndarray:
+        """The face sort, on first read; it fills a missing boundary too."""
+        bnd_faces, dual_pairs = build_faces(self.elems, self.nv)
+        if self.bnd_faces is None:
+            self.bnd_faces = bnd_faces
+        return dual_pairs
 
     # --- sizes --------------------------------------------------------------
 

@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.dist.localmesh import LocalMesh
+from repro.mesh.build import build_faces
 from repro.mesh.geometry import tet_volumes
 from repro.mesh.tetmesh import TetMesh
 from repro.mesh.topology import LOCAL_EDGES
@@ -63,10 +64,10 @@ def check_mesh(mesh: TetMesh) -> None:
     assert np.all(
         np.diff(np.sort(mesh.elems, axis=1), axis=1) > 0
     ), "degenerate element"
-    # boundary faces belong to their owning element
-    for f in range(min(mesh.nbnd, 50)):
-        face = set(mesh.bnd_faces[f].tolist())
-        assert face <= set(mesh.elems[mesh.bnd_elem[f]].tolist())
+    # the boundary and the dual pairs are what one sort of every face gives
+    bnd_faces, dual_pairs = build_faces(mesh.elems, mesh.nv)
+    assert np.array_equal(mesh.bnd_faces, bnd_faces), "boundary faces"
+    assert np.array_equal(mesh.dual_pairs, dual_pairs), "dual pairs"
 
 
 def check_local_mesh(local: LocalMesh, global_mesh: TetMesh) -> None:

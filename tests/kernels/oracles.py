@@ -59,6 +59,7 @@ from typing import Any, Iterator, NamedTuple
 import numpy as np
 
 from repro.adapt.refine import _DIAG_CYCLE, _shortest_diagonals
+from repro.mesh.geometry import fix_orientation
 from repro.mesh.topology import (
     FACE_EDGE_MASKS,
     FACE_EDGES,
@@ -698,7 +699,9 @@ def assemble_children_reference(
     patterns: np.ndarray,
     new_coords: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reference assembly: per-pattern column stacks (one array op per child)."""
+    """Reference assembly: per-pattern column stacks (one array op per child),
+    then the orientation pass ``TetMesh.from_elems`` made on every refined
+    mesh before the child tables came out right-handed."""
     chunks: list[np.ndarray] = [np.empty((0, 4), dtype=np.int64)]
     parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
 
@@ -778,7 +781,7 @@ def assemble_children_reference(
             chunks.append(np.concatenate(oct_kids))
             parents.append(np.tile(idxd, 4))
 
-    return np.concatenate(chunks), np.concatenate(parents)
+    return fix_orientation(new_coords, np.concatenate(chunks)), np.concatenate(parents)
 
 
 def charge_shared_exchange_reference(

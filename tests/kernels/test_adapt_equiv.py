@@ -1,13 +1,27 @@
-"""Optimized marking/refinement kernels must match the reference bit-for-bit."""
+"""Optimized marking/refinement kernels must match the reference bit-for-bit.
+
+A refined mesh is also held to the full rebuild it replaced: its elements
+to ``fix_orientation``'s, its boundary (split from the parent's) and its
+lazily built ``dual_pairs`` to one sort of all its faces.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.adapt import AdaptiveMesh, MarkingResult
 from repro.adapt.marking import propagate_markings, target_by_fraction
-from repro.adapt.refine import subdivide
-from repro.mesh.generate import box_mesh
+from repro.adapt.refine import _CHILD_TABLES, _CORNER_TABLE, _OCTA_TABLES, subdivide
+from repro.dist import decompose, parallel_refine
+from repro.mesh.build import build_faces
+from repro.mesh.generate import box_mesh, rotor_domain_mesh
+from repro.mesh.geometry import fix_orientation, tet_volumes
+from repro.mesh.topology import LOCAL_EDGES
 from repro.parallel.ledger import CostLedger
 from repro.parallel.machine import MachineModel
+
+from tests.fixtures import single_tet
 
 from .oracles import reference_kernels
 
@@ -65,3 +79,77 @@ def test_propagate_markings_ledger_bit_identical(seed):
     assert np.array_equal(led_opt.clocks, led_ref.clocks)
     assert led_opt.total_messages == led_ref.total_messages
     assert led_opt.total_words == led_ref.total_words
+
+
+# --- refined meshes against the full rebuild ---------------------------------
+
+
+def assert_as_rebuilt(mesh):
+    """``mesh``, fresh from ``subdivide``, keeps what orienting its
+    elements and sorting all its faces would have given it."""
+    assert "dual_pairs" not in vars(mesh)  # no face sort has run yet
+    bnd_faces, dual_pairs = build_faces(mesh.elems, mesh.nv)
+    assert np.array_equal(mesh.elems, fix_orientation(mesh.coords, mesh.elems))
+    assert np.array_equal(mesh.bnd_faces, bnd_faces)
+    assert np.array_equal(mesh.dual_pairs, dual_pairs)
+
+
+@pytest.mark.parametrize("initial", ["box", "rotor"])
+def test_three_refinement_levels_match_the_rebuild(initial):
+    mesh = box_mesh(3, 3, 3) if initial == "box" else rotor_domain_mesh(3)[0]
+    rng = np.random.default_rng(4)
+    adaptive = AdaptiveMesh(mesh)
+    for _ in range(3):
+        error = rng.uniform(size=adaptive.mesh.nedges)
+        result = adaptive.refine(adaptive.mark(edge_error=error, refine_frac=0.2))
+        assert_as_rebuilt(result.mesh)
+
+
+@given(seed=st.integers(0, 2**31), fracs=st.lists(st.floats(0.0, 1.0),
+                                                  min_size=1, max_size=2))
+@settings(max_examples=30, deadline=None)
+def test_any_marking_matches_the_rebuild(seed, fracs):
+    rng = np.random.default_rng(seed)
+    mesh = box_mesh(2, 2, 2)
+    for frac in fracs:
+        marking = propagate_markings(mesh, rng.random(mesh.nedges) < frac)
+        mesh = subdivide(mesh, marking).mesh
+        assert_as_rebuilt(mesh)
+
+
+def test_parallel_refine_local_meshes_match_the_rebuild():
+    """Local meshes: their boundaries include the faces the partition
+    cut, which a refined local mesh must split like any other."""
+    mesh = box_mesh(3, 3, 3)
+    part = np.arange(mesh.ne) * 4 // mesh.ne
+    rng = np.random.default_rng(5)
+    marking = propagate_markings(mesh, rng.random(mesh.nedges) < 0.3)
+    par = parallel_refine(mesh, decompose(mesh, part, 4), marking)
+    for local in par.local_meshes:
+        assert_as_rebuilt(local)
+
+
+def test_every_child_table_row_is_right_handed():
+    """On the reference tetrahedron every child has a positive volume of
+    exactly its share: the barycentric determinant of its row is
+    1/2, 1/4 or 1/8, never negative."""
+    corners = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    row = np.vstack([corners, corners[LOCAL_EDGES].mean(axis=1)])  # 10 wide
+    parent = tet_volumes(corners, np.array([[0, 1, 2, 3]]))[0]
+    assert parent > 0
+    tables = [t for _, t in _CHILD_TABLES] + [_CORNER_TABLE, *_OCTA_TABLES.values()]
+    shares = [1 / t.shape[0] for _, t in _CHILD_TABLES] + [1 / 8] * 4
+    for table, share in zip(tables, shares):
+        assert np.allclose(tet_volumes(row, table) / parent, share)
+
+
+def test_a_face_with_two_bisected_edges_is_rejected():
+    """Valid patterns bisect 0, 1 or 3 edges of a face; a marking whose
+    edges leave a boundary face with 2 cannot be split conformingly."""
+    mesh = single_tet()
+    mask = np.zeros(mesh.nedges, dtype=bool)
+    mask[[0, 1]] = True  # edges (0, 1) and (0, 2) of face (0, 1, 2)
+    bad = MarkingResult(edge_marked=mask, patterns=np.zeros(1, np.int64),
+                        iterations=0)
+    with pytest.raises(AssertionError, match="2 bisected edges"):
+        subdivide(mesh, bad)

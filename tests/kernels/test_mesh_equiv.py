@@ -38,7 +38,7 @@ def oracle_build_faces(elems, nv):
     ne = elems.shape[0]
     if ne == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty.reshape(0, 3), empty, empty.reshape(0, 2)
+        return empty.reshape(0, 3), empty.reshape(0, 2)
     tri = np.sort(elems[:, LOCAL_FACES], axis=2).astype(np.int64)  # (ne, 4, 3)
     flat = ((tri[..., 0] * nv + tri[..., 1]) * nv + tri[..., 2]).ravel()
     owner = np.repeat(np.arange(ne, dtype=np.int64), 4)
@@ -54,7 +54,7 @@ def oracle_build_faces(elems, nv):
     bkeys = skeys[b_idx]
     bnd_faces = np.column_stack([bkeys // (nv * nv), (bkeys // nv) % nv, bkeys % nv])
     dual_pairs = np.column_stack([sown[i_idx], sown[i_idx + 1]])
-    return bnd_faces, sown[b_idx], dual_pairs
+    return bnd_faces, dual_pairs
 
 
 def oracle_tet_volumes(coords, elems):
@@ -134,7 +134,7 @@ def test_build_faces_matches_stable_sort(mesh):
         for new, old in zip(got, ref):
             assert np.array_equal(new, old)
             assert new.dtype == np.int64 and new.shape == old.shape
-        dual_pairs = got[2]
+        dual_pairs = got[1]
         assert np.all(dual_pairs[:, 0] < dual_pairs[:, 1])
 
 

@@ -72,9 +72,9 @@ def test_face_keys_at_the_limit_do_not_wrap():
     # the three largest vertex ids: the largest key the packing can produce
     nv = MAX_NV_FACES
     elems = np.array([[0, nv - 3, nv - 2, nv - 1]])
-    bnd_faces, bnd_elem, dual_pairs = build_faces(elems, nv)
+    bnd_faces, dual_pairs = build_faces(elems, nv)
     assert bnd_faces.tolist() == [
         [0, nv - 3, nv - 2], [0, nv - 3, nv - 1], [0, nv - 2, nv - 1],
         [nv - 3, nv - 2, nv - 1],
     ]
-    assert bnd_elem.tolist() == [0, 0, 0, 0] and dual_pairs.shape == (0, 2)
+    assert dual_pairs.shape == (0, 2)

@@ -81,7 +81,7 @@ def test_blade_distance_endpoints():
 
 
 EAGER_ARRAYS = {
-    "coords", "elems", "edges", "elem2edge", "bnd_faces", "bnd_elem", "dual_pairs",
+    "coords", "elems", "edges", "elem2edge", "bnd_faces", "dual_pairs",
 }
 
 
@@ -89,6 +89,23 @@ def test_a_mesh_holds_only_its_eager_arrays():
     m = box_mesh(2, 2, 2)
     check_mesh(m)
     assert set(vars(m)) == EAGER_ARRAYS  # no edge→element CSR, no cache
+
+
+def test_a_refined_mesh_sorts_its_faces_only_when_dual_pairs_is_read():
+    """A mesh built from scratch holds ``dual_pairs`` from its one face
+    sort; a refined one holds none until it is read, and then the pairs
+    of that sort."""
+    from repro.adapt import AdaptiveMesh
+
+    m = box_mesh(2, 2, 2)
+    assert "dual_pairs" in vars(m)
+    adaptive = AdaptiveMesh(m)
+    error = np.random.default_rng(0).uniform(size=m.nedges)
+    refined = adaptive.refine(adaptive.mark(edge_error=error, refine_frac=0.3)).mesh
+    assert set(vars(refined)) == EAGER_ARRAYS - {"dual_pairs"}
+    pairs = refined.dual_pairs
+    assert "dual_pairs" in vars(refined) and refined.dual_pairs is pairs
+    check_mesh(refined)
 
 
 #: tracemalloc high-water mark of ``TetMesh.from_elems`` per element, its
@@ -127,3 +144,43 @@ def test_from_elems_peak_memory_per_element():
             tracemalloc.stop()
     assert np.array_equal(mesh.elems, elems)
     assert (peak - before) / mesh.ne <= FROM_ELEMS_PEAK_BYTES_PER_ELEM
+
+
+#: tracemalloc high-water mark of ``subdivide`` per element of the refined
+#: mesh (19 889 → 124 469 tetrahedra): measured 248 B/element with the
+#: boundary split from the parent's and no orientation pass (327 while
+#: every refined mesh sorted all its faces), pinned with 10 % headroom.
+SUBDIVIDE_PEAK_BYTES_PER_ELEM = 272
+
+
+def test_subdivide_peak_memory_per_element():
+    """Memory as a count, on the mesh of the test above refined once more:
+    it fails if subdivision goes back to sorting every face of the refined
+    mesh or to an orientation pass over its elements."""
+    import tracemalloc
+
+    from repro.adapt import AdaptiveMesh, subdivide
+
+    rng = np.random.default_rng(1)
+    adaptive = AdaptiveMesh(box_mesh(3, 3, 3))
+    for _ in range(3):
+        error = rng.uniform(size=adaptive.mesh.nedges)
+        adaptive.refine(adaptive.mark(edge_error=error, refine_frac=0.15))
+    mesh = adaptive.mesh
+    assert mesh.ne == 19889
+    error = rng.uniform(size=mesh.nedges)
+    marking = adaptive.mark(edge_error=error, refine_frac=0.15)
+
+    already_tracing = tracemalloc.is_tracing()
+    if not already_tracing:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = subdivide(mesh, marking)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not already_tracing:
+            tracemalloc.stop()
+    assert result.mesh.ne == 124469
+    assert (peak - before) / result.mesh.ne <= SUBDIVIDE_PEAK_BYTES_PER_ELEM
