@@ -23,9 +23,7 @@
 # them (virtual and measured), then drives the failure paths (deadlock
 # diagnostics, a traced shm spill, a truncated trace).  The real-backend smoke runs the calibrate
 # workload on real forked rank processes and fails unless its payloads
-# match the virtual run's.  The MPI lane needs an MPI stack; without one,
-# what runs of the mpi4py backend is its framing, in tier-1's
-# tests/parallel/test_mpi_wire.py.
+# match the virtual run's.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -66,18 +64,6 @@ grep -q "payloads: identical across backends" "$tmp/calibrate.txt"
 grep -q "clock alignment per measured run" "$tmp/calibrate.txt"
 echo "real-backend smoke: OK"
 
-# MPI lane: the same rank programs under mpiexec, when an MPI stack is
-# installed; skipped cleanly (not failed) on hosts without one.
-if command -v mpiexec > /dev/null 2>&1 \
-    && PYTHONPATH=src python -c "import mpi4py" > /dev/null 2>&1; then
-    timeout 300 mpiexec -n 4 python scripts/mpi_smoke.py > "$tmp/mpi.txt"
-    grep -q "mpi smoke: OK" "$tmp/mpi.txt"
-    echo "mpi smoke: OK"
-else
-    echo "mpi smoke: SKIP (mpiexec or mpi4py unavailable;" \
-        "framing covered by tests/parallel/test_mpi_wire.py)"
-fi
-
 # solver smoke: examples/rotor_acoustics.py is the Euler solver's one
 # product caller outside the benchmark (solve -> adapt -> balance on the
 # graded rotor domain); it must run to its final imbalance line.
@@ -117,8 +103,8 @@ echo "example smokes: OK"
 # function-entry guard: the product entry points (the examples above, the
 # CLI commands, scripts/smoke_trace.py) run under a profile hook that
 # follows forked ranks, and every function under src/repro must have
-# been entered.  parallel/backends/mpi.py is exempt while no MPI stack
-# exists; the static guards' written allowlists are honoured, no other.
+# been entered.  The static guards' written allowlists are honoured, no
+# other.
 timeout 900 python scripts/entered_functions.py
 echo "function-entry guard: OK"
 

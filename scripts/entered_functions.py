@@ -20,11 +20,11 @@ the hook.
 
 Every ``def`` under ``src/repro`` (methods and nested functions included)
 must then have been entered at least once, identified by file and first
-line (the first decorator's, as in ``co_firstlineno``).  Exempt are the
-modules of :data:`EXEMPT` and the names the static guards already keep
+line (the first decorator's, as in ``co_firstlineno``).  No module is
+exempt; the only names skipped are those the static guards already keep
 without a product caller, each for the reason written beside it there
-(their ``ALLOWLIST`` and ``ALLOWLIST_MEMBERS``): this check adds no list
-of its own.
+(their ``ALLOWLIST`` and ``ALLOWLIST_MEMBERS``): this check has no
+exemption list of its own.
 
 Exit status 0 when every function was entered, 1 otherwise (listing
 each unentered function), 2 when an entry point itself failed.
@@ -42,13 +42,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
-
-#: Modules whose functions need not be entered, each with its reason.
-EXEMPT = {
-    "parallel/backends/mpi.py":
-        "needs mpi4py and mpiexec; neither exists on the CI hosts, so "
-        "only its wire framing runs (tests/parallel/test_mpi_wire.py)",
-}
 
 #: The static guards, whose written allowlists this check honours.
 GUARDS = ROOT / "tests" / "kernels" / "test_oracle_harness.py"
@@ -146,13 +139,11 @@ def allowlisted() -> set[str]:
 
 def defined_functions() -> dict[tuple[str, int], str]:
     """``{(path, first line): qualified name}`` of every ``def`` under
-    ``src/repro`` outside :data:`EXEMPT` and :func:`allowlisted`."""
+    ``src/repro`` outside :func:`allowlisted`."""
     kept = allowlisted()
     out = {}
     for path in sorted(PACKAGE.rglob("*.py")):
         rel = path.relative_to(PACKAGE).as_posix()
-        if rel in EXEMPT:
-            continue
 
         def walk(node, prefix):
             for child in ast.iter_child_nodes(node):
@@ -207,7 +198,7 @@ def main() -> int:
         print(f"never entered: {name}")
     print(f"entered_functions: {len(defined) - len(missed)} of "
           f"{len(defined)} functions entered by {len(ENTRY_POINTS)} entry "
-          f"points ({', '.join(sorted(EXEMPT))} exempt)")
+          f"points")
     return 1 if missed else 0
 
 

@@ -167,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend", action="append", default=None, metavar="NAME",
         help="measured backend(s) to compare against 'virtual' "
              "(repeatable; default: every registered real-execution "
-             "backend except mpi4py)",
+             "backend)",
     )
     add_tracing(p_cal)
 

@@ -187,6 +187,8 @@ def subdivide(
     proportional to the number of children its elements create — this is
     how the load-(im)balance of the subdivision phase enters the timing
     model (remapping *before* subdivision balances exactly this phase).
+    ``ValueError`` when the patterns are not valid or ``edge_marked`` is
+    not the edge mask they were computed from.
     """
     patterns = np.asarray(marking.patterns, dtype=np.int64)
     if patterns.shape != (mesh.ne,):
@@ -194,6 +196,8 @@ def subdivide(
     if not np.array_equal(UPGRADE[patterns], patterns):
         raise ValueError("patterns must be valid (run propagate_markings first)")
     edge_marked = np.asarray(marking.edge_marked, dtype=bool)
+    if edge_marked.shape != (mesh.nedges,):
+        raise ValueError(f"edge_marked must have shape ({mesh.nedges},)")
 
     # --- midpoint vertices --------------------------------------------------
     nv_old = mesh.nv
@@ -208,6 +212,11 @@ def subdivide(
     # per-element vertex ids and midpoint ids
     ev = mesh.elems  # (ne, 4)
     em = midpoint_of[mesh.elem2edge]  # (ne, 6), -1 where edge unbisected
+    # the patterns the bisected edges spell, bit i from local edge i, packed
+    # straight to one byte per element (no second (ne, 6) temporary)
+    spelled = np.packbits(em >= 0, axis=1, bitorder="little")[:, 0]
+    if not np.array_equal(spelled, patterns):
+        raise ValueError("edge_marked disagrees with patterns")
 
     new_elems, parent = _assemble_children(ev, em, patterns, new_coords)
     # group children contiguously by parent element (stable order within)

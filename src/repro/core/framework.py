@@ -144,7 +144,7 @@ class LoadBalancedAdaptiveSolver:
         programs — see :func:`repro.parallel.create_communicator`.  On
         the default ``"virtual"`` backend the remap time is modelled
         virtual seconds (bit-identical to previous releases); on a
-        real-execution backend (``"multiprocessing"``, ``"mpi4py"``) it
+        real-execution backend (``"multiprocessing"``, ``"shm"``) it
         is the measured wall makespan of the actual migration program.
 
     Each :meth:`adapt_step` records its phase spans, point events and

@@ -182,15 +182,12 @@ def calibrate(
     the LogGP clock of the SP2 model.
 
     ``backends`` defaults to every registered backend other than
-    ``virtual`` and ``mpi4py`` (the latter needs an ``mpiexec`` launch,
-    so it only participates when explicitly requested from an MPI job).
+    ``virtual``.
     Payload identity between the reference run and every measured run is
     verified and reported, never assumed.
     """
     if backends is None:
-        backends = tuple(
-            b for b in available_backends() if b not in ("virtual", "mpi4py")
-        )
+        backends = tuple(b for b in available_backends() if b != "virtual")
     reference = run_exec_phase_workload(resolution, nproc, "virtual")
     measured: list[WorkloadResult] = []
     mismatches: list[str] = []

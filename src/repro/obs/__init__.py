@@ -20,7 +20,7 @@ becomes a :class:`~repro.obs.causal.CausalNode` and every message a
 :class:`~repro.obs.causal.CausalMsg`, from which :func:`analyze`
 reconstructs the virtual-time critical path, per-rank slack, and
 straggler rankings (``repro critical-path`` / ``repro diff``).
-Measured backends (``multiprocessing``/``shm``/``mpi4py``) record the
+Measured backends (``multiprocessing``/``shm``) record the
 same DAG in *wall* seconds: a per-rank :class:`WallRecorder` logs every
 send/recv/work segment on ``perf_counter``, a clock handshake
 estimates per-rank offsets (:class:`ClockRecord`), and

@@ -1,6 +1,6 @@
 """Per-rank wall-clock event recording and clock alignment.
 
-The real-core backends (``multiprocessing`` / ``shm`` / ``mpi4py``) run
+The real-core backends (``multiprocessing`` / ``shm``) run
 each rank in its own OS process with its own ``time.perf_counter()``
 stream.  This module supplies the three pieces that turn those streams
 into the same causal-trace model the virtual machine records
@@ -17,10 +17,9 @@ into the same causal-trace model the virtual machine records
 
 :func:`estimate_offsets` / :func:`serve_clock_probes`
     The one NTP-style clock handshake, over ``multiprocessing.Pipe``
-    ends or any object with ``send``/``recv``/``poll`` (the ``mpi4py``
-    backend adapts a communicator to that shape): the parent timestamps
-    a probe round trip, the child answers with its own clock, and the
-    offset estimate ``t_child - (t_send + t_recv) / 2`` from the
+    ends: the parent timestamps a probe round trip, the child answers
+    with its own clock, and the offset estimate
+    ``t_child - (t_send + t_recv) / 2`` from the
     minimum-RTT round is accurate to half that round trip (recorded as
     the per-rank ``skew``).  On Linux ``perf_counter`` is the system-wide
     ``CLOCK_MONOTONIC``, so offsets come out near zero with a
@@ -156,7 +155,7 @@ class WallRecorder:
 # --- clock handshake ---------------------------------------------------------
 
 
-def serve_clock_probes(conn, timeout: float = 60.0) -> None:
+def serve_clock_probes(conn, timeout: float) -> None:
     """Child side: answer :data:`SYNC_ROUNDS` timestamp probes on ``conn``.
 
     Each probe is answered with the local ``perf_counter()`` at receipt;
@@ -170,7 +169,7 @@ def serve_clock_probes(conn, timeout: float = 60.0) -> None:
         conn.send(time.perf_counter())
 
 
-def estimate_offsets(conns: dict, timeout: float = 60.0) -> tuple[dict, dict]:
+def estimate_offsets(conns: dict, timeout: float) -> tuple[dict, dict]:
     """Parent side: NTP-style offset of every peer clock in ``conns``.
 
     Returns ``(offsets, skews)`` keyed like ``conns``: subtracting

@@ -21,14 +21,10 @@ operations over some transport:
     transport: numpy payloads cross rank boundaries through a slab pool
     (:mod:`repro.parallel.backends.shm`) as typed wire headers instead
     of pickles; everything else spills to the queue path unchanged.
-``mpi4py``
-    Experimental: one MPI rank per process under ``mpiexec``, the
-    ``multiprocessing`` driver over an MPI wire; registered only when
-    :mod:`mpi4py` is importable, and never run on this checkout.
 
 The registry follows chainermn's ``create_communicator`` idiom: backends
-are looked up by name in one literal table, and :func:`available_backends`
-lists what the current interpreter can actually run.
+are looked up by name in one literal table, which
+:func:`available_backends` lists.
 
 >>> comm = create_communicator("virtual", 4)
 >>> result = comm.run(program, per_rank(args))
@@ -40,7 +36,6 @@ ignored so call sites can stay backend-agnostic.
 
 from __future__ import annotations
 
-import importlib.util
 from typing import Callable
 
 from ..machine import SP2_1997, MachineModel
@@ -65,12 +60,9 @@ def backend_factory(name: str) -> Callable:
     try:
         return _REGISTRY[name]
     except KeyError:
-        hint = ""
-        if name == "mpi4py":
-            hint = " (the mpi4py backend registers only when mpi4py is importable)"
         raise ValueError(
             f"unknown communicator backend {name!r}; available: "
-            f"{', '.join(available_backends())}{hint}"
+            f"{', '.join(available_backends())}"
         ) from None
 
 
@@ -154,10 +146,3 @@ _REGISTRY: dict[str, Callable] = {
     "multiprocessing": MultiprocessingBackend,
     "shm": SharedMemoryBackend,
 }
-
-# mpi4py rides along only when the package exists (chainermn-style
-# conditional registration: the import itself stays lazy until first use).
-if importlib.util.find_spec("mpi4py") is not None:  # pragma: no cover
-    from .mpi import MPIBackend
-
-    _REGISTRY["mpi4py"] = MPIBackend

@@ -4,7 +4,8 @@ rank driver every real backend shares.
 Each rank runs in its own forked OS process and drives the *same*
 generator rank program the virtual machine runs.  :func:`_drive` is the
 one driver loop for real execution: ``SendOp`` puts the payload on the
-destination rank's *wire*, ``RecvOp`` drains the wire into a local
+destination rank's inbox, one fork-inherited ``multiprocessing`` queue
+per rank, and ``RecvOp`` drains the rank's own inbox into a local
 mailbox list matched by :func:`~repro.parallel.runtime._take`, the
 virtual machine's own rule — ``ANY`` wildcards, oldest match first.
 ``WorkOp`` costs nothing: the *real* Python work the program does between
@@ -12,15 +13,13 @@ yields is what the measured clocks capture.  Ranks start through
 :func:`~repro.parallel.runtime.start_ranks`, as on the virtual machine,
 and the driver rejects negative work and word counts as the VM does.
 
-A wire is three operations — ``put(dest, item)``, ``take_nowait()`` and
-``take(timeout)`` (both return ``None`` when nothing arrived) — and is all
-a transport contributes: :class:`_QueueWire` here (``multiprocessing`` and
-``shm``), ``mpi._MPIWire`` over ``mpi4py``.  Op dispatch, mailbox
-matching, the rearming receive timeout that stands in for deadlock
-detection (real transports cannot scan a global wait graph), wait
-accounting, recorder notes, the per-rank stats and their assembly into a
-:class:`~repro.parallel.runtime.RunResult` (:func:`_assemble`) exist
-once, in this module.
+``multiprocessing`` and ``shm`` share this driver; ``shm`` contributes
+only a payload codec (:meth:`MultiprocessingBackend._make_transport`).
+Op dispatch, mailbox matching, the rearming receive timeout that stands
+in for deadlock detection (real transports cannot scan a global wait
+graph), wait accounting, recorder notes, the per-rank stats and their
+assembly into a :class:`~repro.parallel.runtime.RunResult`
+(:func:`_assemble`) exist once, in this module.
 
 The ``fork`` start method is required (and requested explicitly): rank
 programs are closures over mesh data, which fork inherits by memory image
@@ -30,7 +29,7 @@ is the OS's, so arrival interleaving across sources is nondeterministic;
 programs whose results depend only on mailbox matching (all of this
 library's) return the payloads ``virtual`` returns, which the
 conformance suite pins.  Clocks in the result are measured host wall
-seconds per rank, with ``waited`` (blocked on an empty wire) kept apart
+seconds per rank, with ``waited`` (blocked on an empty inbox) kept apart
 so busy/idle splits stay meaningful.
 
 A run reports through its tracer and nothing else.  With one attached,
@@ -81,9 +80,6 @@ class MultiprocessingBackend:
     """Run rank programs on real cores, one forked process per rank."""
 
     name = "multiprocessing"
-    #: Payloads are reproducible; clocks and cross-source arrival order
-    #: are not (they are measured, not modelled).
-    deterministic = False
     measured = True
 
     def __init__(self, nranks: int, machine: MachineModel = SP2_1997,
@@ -141,7 +137,7 @@ class MultiprocessingBackend:
             p = ctx.Process(
                 target=_rank_worker,
                 args=(r, self.nranks, self.machine, program, args, kwargs,
-                      _QueueWire(inboxes, r), result_q, self.timeout,
+                      inboxes, result_q, self.timeout,
                       transport, pipes[r][1] if recording else None),
                 daemon=True,
             )
@@ -226,8 +222,8 @@ class MultiprocessingBackend:
         )
 
 
-def _assemble(backend, tracer, results, wall, alignment=None,
-              transport=None) -> RunResult:
+def _assemble(backend, tracer, results, wall, alignment,
+              transport) -> RunResult:
     """Fold every rank's ``(retval, stats)`` from :func:`_drive` into the
     run's :class:`RunResult` and, given a tracer, into the trace.
 
@@ -299,35 +295,12 @@ def _assemble(backend, tracer, results, wall, alignment=None,
     )
 
 
-class _QueueWire:
-    """The wire over fork-inherited queues, one inbound queue per rank."""
-
-    def __init__(self, inboxes, rank):
-        self._inboxes = inboxes
-        self._inbox = inboxes[rank]
-
-    def put(self, dest, item):
-        self._inboxes[dest].put(item)
-
-    def take_nowait(self):
-        try:
-            return self._inbox.get_nowait()
-        except queue.Empty:
-            return None
-
-    def take(self, timeout):
-        try:
-            return self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-
-def _rank_worker(rank, size, machine, program, args, kwargs, wire,
-                 result_q, timeout, transport=None, sync=None):
-    """Child-process entry: drive one rank's generator over the wire."""
+def _rank_worker(rank, size, machine, program, args, kwargs, inboxes,
+                 result_q, timeout, transport, sync):
+    """Child-process entry: drive one rank's generator over the inboxes."""
     try:
         retval, stats = _drive(rank, size, machine, program, args, kwargs,
-                               wire, timeout, transport,
+                               inboxes, timeout, transport,
                                record=sync is not None)
         if sync is not None:
             # Post-run clock handshake: answer the parent's probes (already
@@ -349,23 +322,24 @@ class _RecvTimeout(RuntimeError):
     pass
 
 
-def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
-           transport=None, record=False):
-    """Run one rank's program to completion over ``wire``.
+def _drive(rank, size, machine, program, args, kwargs, inboxes, timeout,
+           transport, record):
+    """Run one rank's program to completion over the per-rank ``inboxes``.
 
     ``args``/``kwargs`` are the run's, ``per_rank`` wrappers included;
     :func:`~repro.parallel.runtime.start_ranks` takes this rank's slice.
-    Wire items are ``(source, tag, payload, nwords, msg_id)`` with
+    Inbox items are ``(source, tag, payload, nwords, msg_id)`` with
     ``msg_id`` -1 on unrecorded runs.
-    The driver owns the receive timeout: a blocked receive polls
-    ``wire.take`` in slices of at most a second, rearms on every arrival,
-    and raises :class:`_RecvTimeout` once ``timeout`` seconds pass with
+    The driver owns the receive timeout: a blocked receive waits on its
+    inbox in slices of at most a second, rearms on every arrival, and
+    raises :class:`_RecvTimeout` once ``timeout`` seconds pass with
     none.  With ``record`` the rank keeps a ``WallRecorder`` and reads
     its resources at the start and the end; the recorder's columns and
     the closing reading ride back in the stats dict.
     Returns ``(retval, stats)``.
     """
     [gen] = start_ranks(program, size, machine, args, kwargs, (rank,))
+    inbox = inboxes[rank]
 
     # the virtual machine's mailbox layout, in arrival order; the first
     # slot holds the message id (the VM keeps its send sequence there)
@@ -418,7 +392,7 @@ def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
                 payload = transport.encode(payload, op.nwords)
                 if rec is not None and transport.counters["spills"] > spills0:
                     rec.note_spill(ts, mid)
-            wire.put(op.dest, (rank, op.tag, payload, op.nwords, mid))
+            inboxes[op.dest].put((rank, op.tag, payload, op.nwords, mid))
             if rec is not None:
                 rec.note_send(mid, op.dest, op.tag, op.nwords, ts, clock())
             words_sent += op.nwords
@@ -426,15 +400,21 @@ def _drive(rank, size, machine, program, args, kwargs, wire, timeout,
         elif isinstance(op, RecvOp):
             ts = clock()
             this_wait = 0.0
-            while (item := wire.take_nowait()) is not None:
-                deliver(item)
+            try:
+                while True:
+                    deliver(inbox.get_nowait())
+            except queue.Empty:
+                pass
             msg = _take(mailbox, op.source, op.tag)
             give_up = ts + timeout
             while msg is None:
                 w0 = clock()
                 if w0 >= give_up:
                     raise _RecvTimeout(_timeout_text(rank, op, mailbox, timeout))
-                item = wire.take(min(give_up - w0, 1.0))
+                try:
+                    item = inbox.get(timeout=min(give_up - w0, 1.0))
+                except queue.Empty:
+                    item = None
                 w1 = clock()
                 this_wait += w1 - w0  # each blocked interval is timed once
                 if item is None:

@@ -21,8 +21,6 @@ class VirtualBackend:
     """
 
     name = "virtual"
-    #: Same inputs always give the same clocks and payloads.
-    deterministic = True
     #: Clocks are modelled, not measured.
     measured = False
 

@@ -144,12 +144,39 @@ def test_every_child_table_row_is_right_handed():
 
 
 def test_a_face_with_two_bisected_edges_is_rejected():
-    """Valid patterns bisect 0, 1 or 3 edges of a face; a marking whose
-    edges leave a boundary face with 2 cannot be split conformingly."""
+    """Valid patterns bisect 0, 1 or 3 edges of a face; edges that leave a
+    boundary face with 2 disagree with any valid pattern, which is an
+    error under ``python -O`` too."""
     mesh = single_tet()
     mask = np.zeros(mesh.nedges, dtype=bool)
     mask[[0, 1]] = True  # edges (0, 1) and (0, 2) of face (0, 1, 2)
     bad = MarkingResult(edge_marked=mask, patterns=np.zeros(1, np.int64),
                         iterations=0)
-    with pytest.raises(AssertionError, match="2 bisected edges"):
+    with pytest.raises(ValueError, match="disagrees with patterns"):
+        subdivide(mesh, bad)
+
+
+@pytest.mark.parametrize("change, error", [
+    ("extra", "disagrees with patterns"),
+    ("missing", "disagrees with patterns"),
+    ("short", "must have shape"),
+], ids=["extra", "missing", "short"])
+def test_an_edge_mask_that_disagrees_with_its_patterns_is_rejected(change,
+                                                                   error):
+    """Valid patterns, and an edge mask with one marked edge more or one
+    fewer than those patterns say, or one entry short."""
+    mesh = box_mesh(2, 2, 2)
+    mask = np.zeros(mesh.nedges, dtype=bool)
+    mask[mesh.elem2edge[0, 0]] = True
+    marking = propagate_markings(mesh, mask)
+    edges = marking.edge_marked.copy()
+    if change == "extra":
+        edges[np.flatnonzero(~edges)[0]] = True
+    elif change == "missing":
+        edges[np.flatnonzero(edges)[0]] = False
+    else:
+        edges = edges[:-1]
+    bad = MarkingResult(edge_marked=edges, patterns=marking.patterns,
+                        iterations=marking.iterations)
+    with pytest.raises(ValueError, match=error):
         subdivide(mesh, bad)

@@ -558,14 +558,10 @@ def _option_walk():
         for n in ast.walk(trees[BACKENDS_INIT])
         if isinstance(n, ast.Dict)
         for v in n.values
-    } | {
-        _callee(n.value)
-        for n in ast.walk(trees[BACKENDS_INIT])
-        if isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Subscript)
     }
     registered.discard(None)
     assert {"VirtualBackend", "MultiprocessingBackend",
-            "SharedMemoryBackend", "MPIBackend"} <= registered
+            "SharedMemoryBackend"} <= registered
     # a bare ``f(...)`` credits module-level functions and classes; a
     # ``x.f(...)`` (or a call through ``mpr = tracer.metric_per_rank``)
     # credits methods, so ``coarsen(graph, ...)`` never sets a parameter

@@ -69,9 +69,9 @@ def test_handshake_over_a_pipe():
     import multiprocessing as mp
 
     parent, child = mp.Pipe()
-    server = threading.Thread(target=serve_clock_probes, args=(child,))
+    server = threading.Thread(target=serve_clock_probes, args=(child, 60.0))
     server.start()
-    offsets, skews = estimate_offsets({0: parent})
+    offsets, skews = estimate_offsets({0: parent}, timeout=60.0)
     offset, skew = offsets[0], skews[0]
     server.join()
     parent.close()
@@ -99,7 +99,7 @@ def test_handshake_detects_a_shifted_peer_clock():
             self._pending = False
             return time.perf_counter() + self.delta
 
-    offsets, skews = estimate_offsets({0: SkewedConn(3.0)})
+    offsets, skews = estimate_offsets({0: SkewedConn(3.0)}, timeout=60.0)
     offset, skew = offsets[0], skews[0]
     assert offset == pytest.approx(3.0, abs=max(skew, 1e-3))
 

@@ -1,6 +1,5 @@
 """The communicator-backend registry and the real-process drivers."""
 
-import importlib.util
 import operator
 
 import numpy as np
@@ -30,24 +29,11 @@ from repro.partition import Graph, multilevel_kway
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert "virtual" in names
-        assert "multiprocessing" in names
-        assert "shm" in names
-
-    def test_mpi4py_registered_iff_importable(self):
-        importable = importlib.util.find_spec("mpi4py") is not None
-        assert ("mpi4py" in available_backends()) == importable
+        assert available_backends() == ("multiprocessing", "shm", "virtual")
 
     def test_unknown_backend_lists_choices(self):
         with pytest.raises(ValueError, match="unknown communicator backend"):
             create_communicator("nonesuch", 2)
-
-    def test_missing_mpi4py_gets_a_hint(self):
-        if "mpi4py" in available_backends():
-            pytest.skip("mpi4py is importable here")
-        with pytest.raises(ValueError, match="only when mpi4py is importable"):
-            create_communicator("mpi4py", 2)
 
     def test_resolve_backend_by_name(self):
         comm = resolve_backend("virtual", 4, machine=IDEAL)
@@ -118,8 +104,6 @@ class TestMalformedPrograms:
 
     @staticmethod
     def _backend(name):
-        if name == "mpi4py":
-            pytest.skip("the mpi4py backend needs an mpiexec launch")
         return create_communicator(name, 2, machine=IDEAL, timeout=10.0)
 
     @pytest.mark.parametrize("values", [[10, 11, 12], [10]],

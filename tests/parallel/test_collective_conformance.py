@@ -110,8 +110,6 @@ def test_collectives_match_sequential_reference(p, seed):
 @pytest.mark.parametrize("p", BACKEND_SIZES)
 @pytest.mark.parametrize("backend", available_backends())
 def test_backends_are_payload_identical(backend, p):
-    if backend == "mpi4py":
-        pytest.skip("the mpi4py backend needs an mpiexec launch")
     args, expected = _make_case(p, seed=0)
     comm = create_communicator(backend, p, machine=IDEAL, timeout=60.0)
     res = comm.run(conformance_program, *args)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.parallel import available_backends, create_communicator
 
-BACKENDS = [b for b in available_backends() if b != "mpi4py"]
+BACKENDS = available_backends()
 
 
 def _adversarial_payloads():
