@@ -4,12 +4,15 @@
     python scripts/ab_pairs.py --parent HEAD~1 --workload paper_sweep \
         --seeds 0,3 --pairs 10
 
-puts each side into a new directory under ``.bench_build/`` — the
-committed files of ``--parent`` (``git archive``) and this working tree's
-files, tracked or untracked but not ignored (``git ls-files -co
---exclude-standard``: what ``git add -A`` would commit) — so that both
-are the fresh checkout the builder's driver measures and neither brings
-caches or scratch files the other lacks.  Then for every seed it runs
+puts each side into a new directory under ``.bench_build/ab_pairs/`` —
+``parent``, the committed files of ``--parent`` (``git archive``), and
+``change``, this working tree's files, tracked or untracked but not
+ignored (``git ls-files -co --exclude-standard``: what ``git add -A``
+would commit) — so that both are a fresh checkout and neither brings
+caches or scratch files the other lacks.  The two directory names have
+the same length, so the sides' paths differ in nothing a run could
+pay for (``peak_rss_mb`` was seen to shift by 2–3 MB between sides
+whose directory names differed in length).  Then for every seed it runs
 
     benchmarks/e2e/run.py --workload W --seed S --seconds 20 --trace 0
 
@@ -24,7 +27,8 @@ counting for neither side, and a median gap wider than the parent's own
 spread).  It ends with one ``--trace 1`` run per side at the first seed
 and prints the per-layer values (``*.self_s`` and the named per-layer
 metrics of ``BENCHMARK.json``) of the layers the workload exercises, parent
-beside change: where the end-to-end difference sits.  Every run appends one
+beside change: one unpaired run per side, so a hint of where the
+end-to-end difference sits, with no spread to judge it by.  Every run appends one
 row to ``BENCH_history.jsonl`` (commit, side, workload, seed, then the
 end-to-end medians or — rows with ``"trace": 1`` — the per-layer values),
 the repo's append-only record of measured performance across PRs.
@@ -61,7 +65,7 @@ def git(*args: str) -> str:
 
 def checkout(commit: str) -> Path:
     """The committed files of ``commit`` in a directory of their own."""
-    dest = BUILD / commit
+    dest = BUILD / "parent"
     shutil.rmtree(dest, ignore_errors=True)
     dest.mkdir(parents=True)
     archive = subprocess.run(
@@ -75,7 +79,7 @@ def checkout(commit: str) -> Path:
 def snapshot() -> Path:
     """The working tree's files, tracked or untracked but not ignored, in
     a directory of their own."""
-    dest = BUILD / "worktree"
+    dest = BUILD / "change"
     shutil.rmtree(dest, ignore_errors=True)
     for name in git("ls-files", "-co", "--exclude-standard", "-z").split("\0"):
         source = ROOT / name
@@ -151,17 +155,18 @@ def exercised(row: dict) -> dict:
 
 
 def layer_table(metrics: list[dict], seed: int, parent: dict, change: dict) -> None:
-    """Per-layer values of one traced run per side, parent beside change."""
-    print(f"\nper layer, one traced run per side (seed {seed})")
-    print(f"{'metric':<36}{'parent':>14}{'change':>14}  {'par/chg':>7}  unit")
+    """Per-layer values of one traced run per side, parent beside change.
+
+    One unpaired run per side has no spread, so the table prints the two
+    values and no ratio: it says where to look, not what changed."""
+    print(f"\nper layer, one unpaired traced run per side (seed {seed})")
+    print(f"{'metric':<36}{'parent':>14}{'change':>14}  unit")
     for entry in metrics:
         name = entry["name"]
         a, b = parent.get(name), change.get(name)
         if a is None and b is None:
             continue
-        a, b = a or 0.0, b or 0.0
-        ratio = f"{a / b:.2f}x" if a and b else "-"
-        print(f"{name:<36}{a:>14.6g}{b:>14.6g}  {ratio:>7}  {entry['unit']}")
+        print(f"{name:<36}{a or 0.0:>14.6g}{b or 0.0:>14.6g}  {entry['unit']}")
 
 
 def main() -> int:

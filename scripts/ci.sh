@@ -54,14 +54,14 @@ echo "no-scipy smoke: OK"
 # identical to the virtual backend's on every measured backend (queue
 # pickling and zero-copy slabs), under a hard timeout so a hung rank
 # process fails CI instead of wedging it.  --trace-out exercises the
-# measured tracing layer (wall-clock node/msg + clock records) end to end.
+# measured tracing layer (wall-clock node/msg records) end to end.
 timeout 300 env PYTHONPATH=src python -m repro calibrate 4 --nproc 4 \
     --trace-out "$tmp/cal.jsonl" > "$tmp/calibrate.txt"
 grep -q "backend 'multiprocessing' vs 'virtual'" "$tmp/calibrate.txt"
 grep -q "backend 'shm' vs 'virtual'" "$tmp/calibrate.txt"
 grep -q "pickle vs zero-copy (measured host wall" "$tmp/calibrate.txt"
 grep -q "payloads: identical across backends" "$tmp/calibrate.txt"
-grep -q "clock alignment per measured run" "$tmp/calibrate.txt"
+grep -q "wall clock per measured run" "$tmp/calibrate.txt"
 echo "real-backend smoke: OK"
 
 # solver smoke: examples/rotor_acoustics.py is the Euler solver's one

@@ -49,7 +49,7 @@ Tracing
 ``report`` and ``step`` accept ``--trace-out PATH`` to export the run's
 phase spans, marker events, metrics (among them one end-of-run resource
 reading per process), and causal message DAG as JSONL (schema
-``repro.obs/v7``) and ``--chrome-out PATH``
+``repro.obs/v8``) and ``--chrome-out PATH``
 to additionally write a Chrome-trace JSON that ``chrome://tracing`` or
 https://ui.perfetto.dev can open (message sends render as flow arrows).
 Feed the JSONL back to ``report`` for the dashboard, or to
@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_tracing(p):
         p.add_argument(
             "--trace-out", metavar="PATH", default=None,
-            help="export phase spans/metrics/causal DAG as JSONL (repro.obs/v7)",
+            help="export phase spans/metrics/causal DAG as JSONL (repro.obs/v8)",
         )
         p.add_argument(
             "--chrome-out", metavar="PATH", default=None,
@@ -175,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "critical-path",
         help="critical-path / straggler breakdown of an exported trace",
     )
-    p_cp.add_argument("trace", help="trace .jsonl path (repro.obs/v7)")
+    p_cp.add_argument("trace", help="trace .jsonl path (repro.obs/v8)")
     p_cp.add_argument(
         "--top", type=_non_negative_int, default=10,
         help="number of critical-path segments to list",

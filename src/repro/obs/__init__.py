@@ -22,13 +22,13 @@ reconstructs the virtual-time critical path, per-rank slack, and
 straggler rankings (``repro critical-path`` / ``repro diff``).
 Measured backends (``multiprocessing``/``shm``) record the
 same DAG in *wall* seconds: a per-rank :class:`WallRecorder` logs every
-send/recv/work segment on ``perf_counter``, a clock handshake
-estimates per-rank offsets (:class:`ClockRecord`), and
-:func:`merge_streams` aligns the streams onto one timeline so
-``analyze(tracer, clock="wall")`` yields a measured critical path next
-to the modelled one.
+send/recv/work segment on ``perf_counter`` — one clock, since the ranks
+are forked on one host — and
+:func:`~repro.obs.wallclock.merge_streams` merges the streams onto one
+timeline so ``analyze(tracer, clock="wall")`` yields a measured critical
+path next to the modelled one.
 :mod:`repro.obs.export` serialises a tracer to JSONL (one record per
-line, schema ``repro.obs/v7``, its record types defined once in
+line, schema ``repro.obs/v8``, its record types defined once in
 :data:`repro.obs.export.RECORDS`) and to the Chrome trace-event format that ``chrome://tracing`` / Perfetto can open
 directly — including flow-event arrows for every delivered message.
 :mod:`repro.obs.report` turns a trace file into an ASCII dashboard or a
@@ -70,7 +70,7 @@ from .causal import (
     verify_makespans,
 )
 from .metrics import KINDS, MetricSample, MetricsRegistry
-from .wallclock import ClockRecord, WallRecorder
+from .wallclock import WallRecorder
 from .tracer import (
     PointEvent,
     Span,
@@ -100,7 +100,6 @@ __all__ = [
     "CausalMsg",
     "CausalNode",
     "CausalRun",
-    "ClockRecord",
     "CriticalPath",
     "KINDS",
     "MetricSample",

@@ -110,10 +110,9 @@ class CausalRun:
     Virtual runs (``clock="virtual"``) use the modelled clock and a
     ``base`` in trace virtual seconds.  Measured runs (``clock="wall"``,
     recorded by the real-core backends via :mod:`repro.obs.wallclock`)
-    use aligned host wall seconds; their ``base`` is the raw parent
-    ``perf_counter`` at the merged time zero, and they carry the
-    alignment bookkeeping (``rank_makespan``, ``skew``) the measured
-    makespan check needs.
+    use host wall seconds; their ``base`` is the raw ``perf_counter`` at
+    the merged time zero, and they carry the bookkeeping
+    (``rank_makespan``, ``skew``) the measured makespan check needs.
     """
 
     id: int
@@ -125,8 +124,8 @@ class CausalRun:
     cycle: int | None = None
     phase: str | None = None  #: name of the span the run executed under
     clock: str = "virtual"  #: "virtual" (modelled) or "wall" (measured)
-    rank_makespan: float | None = None  #: max own-clock rank duration (wall)
-    skew: float = 0.0  #: clock-alignment error bound for wall runs
+    rank_makespan: float | None = None  #: max rank duration (wall)
+    skew: float = 0.0  #: rank start spread bound for wall runs
 
 
 @dataclass(frozen=True)
@@ -634,9 +633,8 @@ def verify_makespans(tracer) -> int:
     that at least one rank has zero slack.  For every *measured* run
     (``clock="wall"``), the path length must still equal the merged
     makespan exactly, and must additionally match the measured per-rank
-    makespan to within the recorded clock-skew bound (barrier-release
-    spread plus twice the worst handshake uncertainty).  Returns the
-    number of runs verified.
+    makespan to within the recorded skew bound (the spread of the rank
+    start times).  Returns the number of runs verified.
     """
     runs = runs_from_tracer(tracer) + runs_from_tracer(tracer, clock="wall")
     for run in runs:

@@ -1,11 +1,11 @@
 """Serialise a :class:`~repro.obs.tracer.Tracer` to JSONL and Chrome trace.
 
-JSONL schema (``repro.obs/v7``)
+JSONL schema (``repro.obs/v8``)
 -------------------------------
 One JSON object per line.  The first line is the meta record,
-``{"type": "meta", "schema": "repro.obs/v7", "spans": N, "events": N,
-"metrics": N, "nodes": N, "msgs": N, "clocks": N}``, whose counts must
-match the records that follow.  Every other line is one of the six
+``{"type": "meta", "schema": "repro.obs/v8", "spans": N, "events": N,
+"metrics": N, "nodes": N, "msgs": N}``, whose counts must
+match the records that follow.  Every other line is one of the five
 record types of :data:`RECORDS` — the single definition
 :func:`export_jsonl`, :func:`read_jsonl` and :func:`validate_jsonl` all
 walk.  A record carries ``"type"`` plus exactly the keys its table entry
@@ -29,9 +29,6 @@ declares, each present (``null`` only where the entry marks it ``?``):
 ``msg``
     One message, linking its send node to the recv node that
     consumed it (``recv_node`` is null if never consumed).
-``clock``
-    How one rank's wall clock was aligned for one *measured* run
-    (:mod:`repro.obs.wallclock`).
 
 A process's resource use is not a record type: it is one reading at the
 end of the run, written as ``repro.resource.*`` gauge ``metric`` records
@@ -44,8 +41,8 @@ Chrome trace export writes the ``chrome://tracing`` / Perfetto JSON object
 format: spans become complete ``"X"`` slices on the *virtual* timeline
 (microsecond ``ts``/``dur``), marker events become thread-scoped instants,
 and each counter metric's whole-run total becomes one final ``"C"``
-sample.  Ranked records render on a per-rank virtual thread; un-ranked
-spans render on tid 0 ("framework").  Causal nodes render as ``cat:
+sample.  Spans render on tid 0 ("framework"); ranked events render on
+a per-rank virtual thread.  Causal nodes render as ``cat:
 "vm"`` slices on their rank's thread — one slice per operation — and
 every delivered message emits a flow-event pair (``ph: "s"`` at the send,
 ``ph: "f"`` at the consuming recv, matching ``id``) so message
@@ -64,7 +61,6 @@ from typing import Callable, NamedTuple
 from .causal import NODE_KINDS, CausalMsg, CausalNode
 from .metrics import KINDS
 from .tracer import PointEvent, Span, Tracer
-from .wallclock import ClockRecord
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -75,7 +71,7 @@ __all__ = [
     "validate_jsonl",
 ]
 
-SCHEMA_VERSION = "repro.obs/v7"
+SCHEMA_VERSION = "repro.obs/v8"
 
 
 class SchemaError(ValueError):
@@ -231,8 +227,8 @@ def _metric_rows(tracer):
 RECORDS: dict[str, _Record] = {
     "span": _Record(
         {"index": "uint", "parent": "uint?", "depth": "uint", "name": "str",
-         "rank": "uint?", "v_start": "num", "v_end": "num",
-         "wall_start": "num", "wall_end": "num", "attrs": "obj"},
+         "v_start": "num", "v_end": "num", "wall_start": "num",
+         "wall_end": "num", "attrs": "obj"},
         *_listed(Span, "spans", keep=lambda s: not s.open), _check_span),
     "event": _Record(
         {"name": "str", "v_time": "num", "rank": "uint?", "span": "uint?",
@@ -252,9 +248,6 @@ RECORDS: dict[str, _Record] = {
          "tag": "int", "nwords": "uint", "send_node": "uint",
          "recv_node": "uint?"},
         *_listed(CausalMsg, "causal_msgs"), _check_msg),
-    "clock": _Record(
-        {"run": "uint", "rank": "uint", "offset": "num", "skew": "unum"},
-        *_listed(ClockRecord, "clock_records")),
 }
 
 _META_FIELDS = {"schema": "str", **{kind + "s": "uint" for kind in RECORDS}}
@@ -278,7 +271,7 @@ def _check_fields(kind: str, rec: dict, fields: dict[str, str]) -> str | None:
 
 
 def export_jsonl(tracer: Tracer, path) -> int:
-    """Write the tracer to ``path`` in the ``repro.obs/v7`` JSONL schema.
+    """Write the tracer to ``path`` in the ``repro.obs/v8`` JSONL schema.
 
     Open spans are skipped (a trace is exported after the run).  Returns
     the number of records written, including the meta line.
@@ -354,11 +347,11 @@ def _walk(path, tracer: Tracer | None) -> dict[str, int]:
 
 
 def validate_jsonl(path) -> dict[str, int]:
-    """Validate a JSONL trace against the ``repro.obs/v7`` schema.
+    """Validate a JSONL trace against the ``repro.obs/v8`` schema.
 
     Raises :class:`SchemaError` (naming the line) on the first violation;
     returns the per-type record counts ``{"spans": N, "events": N,
-    "metrics": N, "nodes": N, "msgs": N, "clocks": N}``.
+    "metrics": N, "nodes": N, "msgs": N}``.
     """
     return _walk(path, None)
 
@@ -406,8 +399,7 @@ def export_chrome_trace(tracer: Tracer, path) -> int:
         if e.name == "vm.run" and e.attrs.get("clock") == "wall"
     }
     ranks = sorted(
-        {s.rank for s in tracer.spans if s.rank is not None}
-        | {e.rank for e in tracer.events if e.rank is not None}
+        {e.rank for e in tracer.events if e.rank is not None}
         | {n.rank for n in tracer.causal_nodes if n.run not in wall_runs}
     )
     for r in ranks:
@@ -436,7 +428,7 @@ def export_chrome_trace(tracer: Tracer, path) -> int:
             {
                 "ph": "X",
                 "pid": 0,
-                "tid": _tid(s.rank),
+                "tid": 0,
                 "name": s.name,
                 "cat": "phase",
                 "ts": s.v_start * _US,

@@ -608,7 +608,8 @@ _MAX_TIMELINE_OPS = 1500
 
 
 def _svg_timeline(tracer: Tracer, width: int = 940) -> str:
-    """Per-rank timeline: span bands per lane plus one tick per VM op.
+    """Per-rank timeline: span bands on the framework lane plus one tick
+    per VM op on its rank's lane.
 
     The ticks are the causal nodes of the modelled (virtual-clock) runs,
     placed at the run's ``base`` plus the node's start.  A caption under
@@ -633,9 +634,7 @@ def _svg_timeline(tracer: Tracer, width: int = 940) -> str:
         notes.append(f"showing every {stride}th of {len(ops)} VM ops")
         ops = ops[::stride]
 
-    ranks = sorted({s.rank for s in spans if s.rank is not None}
-                   | {n.rank for _t, n in ops})
-    lanes = [None] + ranks  # lane 0 = framework (un-ranked spans)
+    lanes = [None] + sorted({n.rank for _t, n in ops})  # lane 0: spans
     lane_of = {r: i for i, r in enumerate(lanes)}
     max_depth = max([s.depth for s in spans] or [0])
     lane_h = 14 * (max_depth + 1) + 6
@@ -657,8 +656,7 @@ def _svg_timeline(tracer: Tracer, width: int = 940) -> str:
                    f'x2="{width - pad_r}" y2="{y + lane_h - 2}" '
                    f'stroke="var(--gridline)" stroke-width="1"/>')
     for s in spans:
-        lane = lane_of.get(s.rank, 0)
-        y = pad_t + lane * lane_h + 2 + s.depth * 14
+        y = pad_t + 2 + s.depth * 14
         w = max((s.v_duration / makespan) * pw, 1.0)
         out.append(
             f'<rect x="{px(s.v_start):.1f}" y="{y}" width="{w:.1f}" '

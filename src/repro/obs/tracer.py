@@ -41,9 +41,6 @@ class Span:
     wall_start: float  #: host ``perf_counter()`` at open
     v_end: float | None = None
     wall_end: float | None = None
-    #: always None (:meth:`Tracer.phase` opens whole-run spans); kept so
-    #: every ``span`` record keeps its ``rank`` key
-    rank: int | None = None
     attrs: dict = field(default_factory=dict)
 
     @property
@@ -85,11 +82,6 @@ class Tracer:
         self.metrics = MetricsRegistry()
         self._causal_nodes: list = []
         self._causal_msgs: list = []
-        #: Per-(run, rank) clock-alignment records from measured backends
-        #: (:class:`repro.obs.wallclock.ClockRecord`): the offset subtracted
-        #: from that rank's ``perf_counter`` stream and the estimation
-        #: uncertainty (half the best handshake round trip).
-        self.clock_records: list = []
         #: Columnar VM-run records registered via :meth:`add_vm_chunk`,
         #: not yet expanded into the two causal lists above.
         self._vm_chunks: list = []

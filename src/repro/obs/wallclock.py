@@ -1,10 +1,12 @@
-"""Per-rank wall-clock event recording and clock alignment.
+"""Per-rank wall-clock event recording and stream merging.
 
-The real-core backends (``multiprocessing`` / ``shm``) run
-each rank in its own OS process with its own ``time.perf_counter()``
-stream.  This module supplies the three pieces that turn those streams
-into the same causal-trace model the virtual machine records
-(:mod:`repro.obs.causal`):
+The real-core backends (``multiprocessing`` / ``shm``) fork each rank
+into its own OS process on the parent's host.  Every rank reads
+``time.perf_counter()``, which on Linux is the system-wide
+``CLOCK_MONOTONIC``, so all the ranks and the parent read one clock and
+their streams need no alignment (DESIGN.md §15).  This module supplies
+the two pieces that turn those streams into the same causal-trace model
+the virtual machine records (:mod:`repro.obs.causal`):
 
 :class:`WallRecorder`
     A columnar event log a rank driver appends to while executing the
@@ -15,68 +17,37 @@ into the same causal-trace model the virtual machine records
     rank's nodes tile its measured interval exactly like virtual nodes
     tile ``[0, clock]``.
 
-:func:`estimate_offsets` / :func:`serve_clock_probes`
-    The one NTP-style clock handshake, over ``multiprocessing.Pipe``
-    ends: the parent timestamps a probe round trip, the child answers
-    with its own clock, and the offset estimate
-    ``t_child - (t_send + t_recv) / 2`` from the
-    minimum-RTT round is accurate to half that round trip (recorded as
-    the per-rank ``skew``).  On Linux ``perf_counter`` is the system-wide
-    ``CLOCK_MONOTONIC``, so offsets come out near zero with a
-    microsecond-scale bound — but the estimate never assumes that.
-
 :func:`merge_streams`
-    Aligns every rank's columns onto one timeline (subtract the rank
-    offset, then re-zero on the earliest aligned op start), renumbers the
-    nodes with a priority Kahn topological sort so the causal invariant
-    every consumer relies on — all DAG edges go from a lower node id to a
-    higher one — holds despite cross-rank interleaving, and materializes
+    Puts every rank's columns on one timeline (re-zeroed on the earliest
+    rank start), renumbers the nodes with a priority Kahn topological
+    sort so the causal invariant every consumer relies on — all DAG
+    edges go from a lower node id to a higher one — holds despite
+    cross-rank interleaving, and materializes
     :class:`~repro.obs.causal.CausalNode`/:class:`~repro.obs.causal.CausalMsg`
     lists plus the makespan bookkeeping a ``vm.run`` marker needs.
 
 The resulting runs carry ``clock="wall"`` and a recorded ``skew`` bound:
 the wall critical-path length and the measured per-rank makespan agree to
-within the recorder start spread plus twice the worst offset uncertainty
+within the spread of the rank start times
 (:func:`repro.obs.causal.verify_makespans` checks exactly that).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .causal import CausalMsg, CausalNode
 
 __all__ = [
-    "ClockRecord",
     "WallRecorder",
-    "estimate_offsets",
     "format_clock_skew",
     "record_measured_run",
-    "serve_clock_probes",
 ]
-
-#: Handshake probe rounds per rank; the minimum-RTT round wins.
-SYNC_ROUNDS = 5
 
 #: Node kind codes in the recorder columns (``work`` fills yield gaps).
 _KIND_NAMES = ("work", "send", "recv")
 WORK, SEND, RECV = range(3)
-
-
-@dataclass(frozen=True)
-class ClockRecord:
-    """How one rank's clock was aligned for one measured run."""
-
-    run: int  #: id of the measured run (same space as virtual run ids)
-    rank: int
-    offset: float  #: seconds subtracted from the rank's perf_counter stream
-    skew: float  #: offset uncertainty: half the best handshake round trip
-
-    def __post_init__(self):
-        if self.skew < 0:
-            raise ValueError(f"negative clock skew {self.skew}")
 
 
 class WallRecorder:
@@ -152,95 +123,38 @@ class WallRecorder:
         }
 
 
-# --- clock handshake ---------------------------------------------------------
-
-
-def serve_clock_probes(conn, timeout: float) -> None:
-    """Child side: answer :data:`SYNC_ROUNDS` timestamp probes on ``conn``.
-
-    Each probe is answered with the local ``perf_counter()`` at receipt;
-    delays on the reply leg only widen the measured RTT (and therefore
-    the recorded skew bound), never bias the offset silently.
-    """
-    for _ in range(SYNC_ROUNDS):
-        if not conn.poll(timeout):
-            raise RuntimeError("clock handshake timed out waiting for probe")
-        conn.recv()
-        conn.send(time.perf_counter())
-
-
-def estimate_offsets(conns: dict, timeout: float) -> tuple[dict, dict]:
-    """Parent side: NTP-style offset of every peer clock in ``conns``.
-
-    Returns ``(offsets, skews)`` keyed like ``conns``: subtracting
-    ``offsets[r]`` from a timestamp of peer *r* maps it onto this
-    process's clock, correct to within ``skews[r]`` (half the minimum
-    observed round trip) under the symmetric-delay assumption.
-
-    Each round sends all probes before collecting any reply, so one
-    slow peer's wait overlaps the others' instead of serializing.
-    Servicing other peers between a probe's send and its reply only
-    inflates that round's measured RTT — and the minimum-RTT round
-    still wins — so congestion widens the skew bound rather than
-    biasing the offset.
-    """
-    best_rtt = dict.fromkeys(conns, float("inf"))
-    offsets = dict.fromkeys(conns, 0.0)
-    for _ in range(SYNC_ROUNDS):
-        t_send = {}
-        for r, conn in conns.items():
-            t_send[r] = time.perf_counter()
-            conn.send(0)
-        for r, conn in conns.items():
-            if not conn.poll(timeout):
-                raise RuntimeError(
-                    "clock handshake timed out waiting for reply"
-                )
-            t_peer = conn.recv()
-            t_recv = time.perf_counter()
-            rtt = t_recv - t_send[r]
-            if rtt < best_rtt[r]:
-                best_rtt[r] = rtt
-                offsets[r] = t_peer - (t_send[r] + t_recv) / 2.0
-    return offsets, {r: rtt / 2.0 for r, rtt in best_rtt.items()}
-
-
 # --- merging -----------------------------------------------------------------
 
 
 @dataclass
 class MergedRun:
-    """One measured run's aligned causal record (run ids stamped 0)."""
+    """One measured run's merged causal record (run ids stamped 0)."""
 
     nodes: list[CausalNode]
     msgs: list[CausalMsg]
-    makespan: float  #: max aligned node end (run-local time zero = first op)
-    rank_makespan: float  #: max per-rank duration on its *own* clock
-    start_spread: float  #: spread of aligned clock starts (boot stagger)
-    epoch: float  #: parent-clock perf_counter of the merged time zero
-    spills: list[tuple[float, int, int]]  #: aligned ``(t, rank, msg_id)``
+    makespan: float  #: max node end (run-local time zero = first start)
+    rank_makespan: float  #: max per-rank duration
+    start_spread: float  #: spread of the rank start times (boot stagger)
+    epoch: float  #: ``perf_counter`` of the merged time zero
+    spills: list[tuple[float, int, int]]  #: run-local ``(t, rank, msg_id)``
 
 
-def merge_streams(streams: dict[int, dict],
-                  offsets: dict[int, float]) -> MergedRun:
-    """Merge per-rank recorder columns onto one aligned timeline.
+def merge_streams(streams: dict[int, dict]) -> MergedRun:
+    """Merge per-rank recorder columns onto one timeline.
 
-    ``streams[r]`` is rank *r*'s :meth:`WallRecorder.columns` dict and
-    ``offsets[r]`` the handshake offset of its clock.  Node ids are
-    assigned by a Kahn topological sort over program order and message
-    edges, keyed by aligned end time, so every edge goes low id -> high
-    id (the invariant :func:`repro.obs.causal.node_slack` and the
+    ``streams[r]`` is rank *r*'s :meth:`WallRecorder.columns` dict, on
+    the ``perf_counter`` clock every forked rank shares with its parent.
+    Node ids are assigned by a Kahn topological sort over program order
+    and message edges, keyed by end time, so every edge goes low id ->
+    high id (the invariant :func:`repro.obs.causal.node_slack` and the
     backward critical-path walk rely on).  Real-time causality makes the
-    graph a DAG regardless of clock error; the time key only keeps ids
-    near time order for readable traces.
+    graph a DAG; the time key only keeps ids near time order for
+    readable traces.
     """
     ranks = sorted(streams)
-    aligned_t0 = {r: streams[r]["t0"] - offsets[r] for r in ranks}
-    epoch = min(aligned_t0.values(), default=0.0)
-    start_spread = (
-        max(aligned_t0.values()) - min(aligned_t0.values())
-        if aligned_t0 else 0.0
-    )
+    starts = [streams[r]["t0"] for r in ranks]
+    epoch = min(starts, default=0.0)
+    start_spread = max(starts) - epoch if starts else 0.0
 
     # provisional nodes keyed (rank, local index); consumers of each msg id
     consumer: dict[int, tuple[int, int]] = {}
@@ -271,13 +185,13 @@ def merge_streams(streams: dict[int, dict],
             indeg[rcv] += 1
             out_edges.setdefault(snd, []).append(rcv)
 
-    def aligned_end(r: int, i: int) -> float:
-        return streams[r]["ends"][i] - offsets[r] - epoch
+    def end_of(r: int, i: int) -> float:
+        return streams[r]["ends"][i] - epoch
 
     heap: list[tuple[float, int, int]] = []
     for r in ranks:
         if counts[r]:
-            heappush(heap, (aligned_end(r, 0), r, 0))
+            heappush(heap, (end_of(r, 0), r, 0))
     order: dict[tuple[int, int], int] = {}
     next_id = 0
     while heap:
@@ -287,7 +201,7 @@ def merge_streams(streams: dict[int, dict],
         for (r2, i2) in out_edges.get((r, i), ()):
             indeg[(r2, i2)] -= 1
             if indeg[(r2, i2)] == 0:
-                heappush(heap, (aligned_end(r2, i2), r2, i2))
+                heappush(heap, (end_of(r2, i2), r2, i2))
     if next_id != sum(counts.values()):  # pragma: no cover - defensive
         raise AssertionError(
             "measured event streams contain a causal cycle "
@@ -299,10 +213,9 @@ def merge_streams(streams: dict[int, dict],
     rank_makespan = 0.0
     for r in ranks:
         cols = streams[r]
-        off = offsets[r] + epoch
         for i in range(counts[r]):
-            t_start = cols["starts"][i] - off
-            t_end = cols["ends"][i] - off
+            t_start = cols["starts"][i] - epoch
+            t_end = cols["ends"][i] - epoch
             if t_end < t_start:  # pragma: no cover - monotonic clocks
                 t_end = t_start
             wait = min(max(cols["waits"][i], 0.0), t_end - t_start)
@@ -341,7 +254,7 @@ def merge_streams(streams: dict[int, dict],
     msgs.sort(key=lambda m: m.id)
 
     spills = sorted(
-        (t - offsets[r] - epoch, r, mid)
+        (t - epoch, r, mid)
         for r in ranks
         for (t, mid) in streams[r]["spills"]
     )
@@ -356,22 +269,21 @@ def merge_streams(streams: dict[int, dict],
     )
 
 
-def record_measured_run(tracer, streams, offsets, skews, *, nranks,
-                        backend, waited, msgs_sent, msgs_recv,
-                        words_sent, words_recv):
+def record_measured_run(tracer, streams, *, nranks, backend, waited,
+                        msgs_sent, msgs_recv, words_sent, words_recv):
     """Merge per-rank streams and write the measured run into ``tracer``.
 
     The shared tail of every measured backend: :func:`merge_streams`,
     stamp a fresh run id, extend the tracer's causal record, emit the
-    ``vm.run`` marker with ``clock="wall"`` (its ``skew`` attribute is
-    the alignment error bound — recorder start spread plus twice the
-    worst per-rank handshake uncertainty), append one
-    :class:`ClockRecord` per rank, emit ``transport.spill`` events, and
-    mirror the VM's per-rank traffic series with a ``clock="wall"``
-    label.  Returns the merged ``(nodes, msgs)`` lists — shared with the
-    tracer — so the backend's ``RunResult`` can carry them too.
+    ``vm.run`` marker with ``clock="wall"`` (its ``skew`` attribute
+    bounds how far the merged makespan may lie from the longest rank
+    interval: the recorder start spread, plus a nanosecond for
+    rounding), emit ``transport.spill`` events, and mirror the VM's
+    per-rank traffic series with a ``clock="wall"`` label.  Returns the
+    merged ``(nodes, msgs)`` lists — shared with the tracer — so the
+    backend's ``RunResult`` can carry them too.
     """
-    merged = merge_streams(streams, offsets)
+    merged = merge_streams(streams)
     run_id = tracer.next_causal_run()
     for n in merged.nodes:
         n.run = run_id
@@ -379,11 +291,6 @@ def record_measured_run(tracer, streams, offsets, skews, *, nranks,
         m.run = run_id
     tracer.causal_nodes.extend(merged.nodes)
     tracer.causal_msgs.extend(merged.msgs)
-    skew_bound = (
-        merged.start_spread
-        + 2.0 * max(skews.values(), default=0.0)
-        + 1e-9
-    )
     tracer.event(
         "vm.run",
         run=run_id,
@@ -391,18 +298,13 @@ def record_measured_run(tracer, streams, offsets, skews, *, nranks,
         base=merged.epoch,
         makespan=merged.makespan,
         rank_makespan=merged.rank_makespan,
-        skew=skew_bound,
+        skew=merged.start_spread + 1e-9,
         nranks=nranks,
         cycle=tracer.cycle,
         nodes=len(merged.nodes),
         msgs=len(merged.msgs),
         backend=backend,
     )
-    for r in range(nranks):
-        tracer.clock_records.append(ClockRecord(
-            run=run_id, rank=r,
-            offset=offsets.get(r, 0.0), skew=skews.get(r, 0.0),
-        ))
     for t, r, mid in merged.spills:
         tracer.event(
             "transport.spill", rank=r,
@@ -432,15 +334,13 @@ def record_measured_run(tracer, streams, offsets, skews, *, nranks,
 
 
 def format_clock_skew(tracer) -> str:
-    """Phase-by-phase clock-alignment table for a trace's measured runs.
+    """Phase-by-phase clock table for a trace's measured runs.
 
     One row per measured (``clock="wall"``) run: the phase it executed
-    under, which backend ran it, the merged makespan, the worst per-rank
-    own-clock duration, how far the wall critical path lands from that
-    rank makespan, and the alignment bookkeeping — the run's skew bound
-    plus the worst per-rank handshake offset and uncertainty from the
-    trace's :class:`ClockRecord` rows.  Returns an empty string when the
-    trace carries no measured runs.
+    under, which backend ran it, the merged makespan, the longest rank
+    interval, how far the wall critical path lands from it, and the
+    run's skew bound.  Returns an empty string when the trace carries
+    no measured runs.
     """
     from .causal import critical_path, runs_from_tracer
 
@@ -452,27 +352,21 @@ def format_clock_skew(tracer) -> str:
         for ev in tracer.events
         if ev.name == "vm.run" and ev.attrs.get("clock") == "wall"
     }
-    by_run: dict[int, list] = {}
-    for c in tracer.clock_records:
-        by_run.setdefault(c.run, []).append(c)
     lines = [
-        "clock alignment per measured run:",
+        "wall clock per measured run:",
         f"  {'run':>4s}  {'phase':<16s} {'backend':<10s} "
         f"{'makespan s':>11s} {'rank max s':>11s} {'path-rank s':>12s} "
-        f"{'skew bound s':>13s} {'max |offset|':>13s}",
+        f"{'skew bound s':>13s}",
     ]
     for run in runs:
         path = critical_path(run)
         rank_max = run.rank_makespan if run.rank_makespan is not None \
             else path.length
         delta = abs(path.length - rank_max)
-        worst_offset = max(
-            (abs(c.offset) for c in by_run.get(run.id, ())), default=0.0
-        )
         lines.append(
             f"  {run.id:>4d}  {(run.phase or '-'):<16.16s} "
             f"{backends.get(run.id, '?'):<10.10s} "
             f"{run.makespan:>11.6f} {rank_max:>11.6f} {delta:>12.6f} "
-            f"{run.skew:>13.6f} {worst_offset:>13.6f}"
+            f"{run.skew:>13.6f}"
         )
     return "\n".join(lines)

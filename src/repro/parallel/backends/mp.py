@@ -36,12 +36,10 @@ A run reports through its tracer and nothing else.  With one attached,
 each rank keeps a columnar :class:`~repro.obs.wallclock.WallRecorder` of
 its sends/recvs and the work gaps between them, and reads its
 process's peak RSS, CPU seconds and GC collections once, at the end
-(:func:`~repro.obs.resource.read_resources`); the
-parent estimates every child's clock offset with a pipe handshake run
-*after* the program (offsets are constants of the monotonic clocks, so
-tracing never delays the start of work), and the streams merge into the
-trace as a ``vm.run`` with ``clock="wall"`` plus ``repro.resource.*``
-gauges per rank —
+(:func:`~repro.obs.resource.read_resources`).  The ranks are forked on
+the parent's host and read its system-wide monotonic ``perf_counter``,
+so their streams merge unshifted into the trace as a ``vm.run`` with
+``clock="wall"``, beside ``repro.resource.*`` gauges per rank —
 ``repro critical-path`` / ``report`` / ``diff`` then read measured runs
 exactly as modelled ones.  Without a tracer none of that runs.
 """
@@ -123,14 +121,6 @@ class MultiprocessingBackend:
         inboxes = [ctx.Queue() for _ in range(self.nranks)]
         result_q = ctx.Queue()
 
-        # Measured tracing: one clock-handshake pipe per rank.  The
-        # handshake runs after each child's program finishes, so tracing
-        # never delays the start of work — the merge aligns the streams
-        # from the estimated offsets alone, and the recorded start
-        # spread (boot stagger) widens the skew bound honestly.
-        recording = self.tracer is not None
-        pipes = [ctx.Pipe() for _ in range(self.nranks)] if recording else []
-
         procs = []
         t0 = time.perf_counter()
         for r in range(self.nranks):
@@ -138,32 +128,11 @@ class MultiprocessingBackend:
                 target=_rank_worker,
                 args=(r, self.nranks, self.machine, program, args, kwargs,
                       inboxes, result_q, self.timeout,
-                      transport, pipes[r][1] if recording else None),
+                      transport, self.tracer is not None),
                 daemon=True,
             )
             p.start()
             procs.append(p)
-
-        alignment = None
-        if recording:
-            from ...obs.wallclock import estimate_offsets
-
-            try:
-                for r in range(self.nranks):
-                    pipes[r][1].close()  # child's end, in the parent
-                alignment = estimate_offsets(
-                    {r: pipes[r][0] for r in range(self.nranks)},
-                    timeout=self.timeout,
-                )
-            except Exception:
-                # A rank died (or hung) before its handshake.  Abandon the
-                # measured trace; the normal collection loop below will
-                # surface the rank's real failure.
-                pass
-            finally:
-                for parent_end, child_end in pipes:
-                    parent_end.close()
-                    child_end.close()
 
         results: dict[int, tuple] = {}
         deadline = time.perf_counter() + self.timeout + GRACE
@@ -218,18 +187,16 @@ class MultiprocessingBackend:
         wall = time.perf_counter() - t0
         return _assemble(
             self.name, self.tracer, [results[r] for r in range(self.nranks)],
-            wall, alignment, transport,
+            wall, transport,
         )
 
 
-def _assemble(backend, tracer, results, wall, alignment,
-              transport) -> RunResult:
+def _assemble(backend, tracer, results, wall, transport) -> RunResult:
     """Fold every rank's ``(retval, stats)`` from :func:`_drive` into the
     run's :class:`RunResult` and, given a tracer, into the trace.
 
-    ``results`` is indexed by rank.  ``alignment`` is the clock
-    handshake's ``(offsets, skews)``; None (untraced run, or a handshake
-    that did not complete) records no measured causal run.
+    ``results`` is indexed by rank; every rank reported, so a traced run
+    always records its measured causal run.
     """
     nranks = len(results)
     stats = [s for _retval, s in results]
@@ -251,6 +218,7 @@ def _assemble(backend, tracer, results, wall, alignment,
     nodes = msgs = None
     if tracer is not None:
         from ...obs.resource import record_resources
+        from ...obs.wallclock import record_measured_run
 
         for r in range(nranks):
             tracer.metric(
@@ -266,16 +234,12 @@ def _assemble(backend, tracer, results, wall, alignment,
                     f"repro.transport.{key}", stats[r]["transport"][key],
                     kind="counter", rank=r, backend=backend,
                 )
-        if alignment is not None:
-            from ...obs.wallclock import record_measured_run
-
-            offsets, skews = alignment
-            nodes, msgs = record_measured_run(
-                tracer, {r: s["rec"] for r, s in enumerate(stats)},
-                offsets, skews, nranks=nranks, backend=backend,
-                waited=waited, msgs_sent=msgs_s, msgs_recv=msgs_r,
-                words_sent=words_s, words_recv=words_r,
-            )
+        nodes, msgs = record_measured_run(
+            tracer, {r: s["rec"] for r, s in enumerate(stats)},
+            nranks=nranks, backend=backend,
+            waited=waited, msgs_sent=msgs_s, msgs_recv=msgs_r,
+            words_sent=words_s, words_recv=words_r,
+        )
     return RunResult(
         returns=[retval for retval, _stats in results],
         clocks=clocks,
@@ -296,21 +260,11 @@ def _assemble(backend, tracer, results, wall, alignment,
 
 
 def _rank_worker(rank, size, machine, program, args, kwargs, inboxes,
-                 result_q, timeout, transport, sync):
+                 result_q, timeout, transport, record):
     """Child-process entry: drive one rank's generator over the inboxes."""
     try:
         retval, stats = _drive(rank, size, machine, program, args, kwargs,
-                               inboxes, timeout, transport,
-                               record=sync is not None)
-        if sync is not None:
-            # Post-run clock handshake: answer the parent's probes (already
-            # sitting in the pipe) off the measured clock, then hand back
-            # the columns.  A rank that died above never reaches this; its
-            # process exit EOFs the pipe and the parent abandons recording.
-            from ...obs.wallclock import serve_clock_probes
-
-            serve_clock_probes(sync, timeout=timeout)
-            sync.close()
+                               inboxes, timeout, transport, record)
         result_q.put(("ok", rank, retval, stats))
     except _RecvTimeout as exc:
         result_q.put(("error", rank, "deadlock", str(exc)))
@@ -351,11 +305,8 @@ def _drive(rank, size, machine, program, args, kwargs, inboxes, timeout,
         transport.warmup()
     rec = None
     if record:
-        # Recording starts immediately — any clock handshake runs outside
-        # the measured interval (offsets are constants of the monotonic
-        # perf_counter streams), so a traced rank starts work exactly
-        # when an untraced one would.  The opening resource reading is
-        # only the GC count the closing one subtracts.
+        # The opening resource reading is only the GC count the closing
+        # one subtracts.
         from ...obs.resource import read_resources
         from ...obs.wallclock import RECV, WallRecorder
 

@@ -17,7 +17,6 @@ from repro.obs import (
 )
 from repro.obs.causal import NODE_KINDS
 from repro.obs.export import MARKER_ATTRS, RECORDS
-from repro.obs.wallclock import ClockRecord
 
 from tests.fixtures import metric_value
 
@@ -48,7 +47,8 @@ def metric_tracer() -> Tracer:
 
 
 def causal_tracer() -> Tracer:
-    """Tracer holding one traced two-rank VM run (ping + reply)."""
+    """Tracer holding one traced two-rank VM run (ping + reply): every
+    record type of the table, at least once."""
     from repro.parallel import VirtualMachine
 
     def prog(comm):
@@ -64,13 +64,6 @@ def causal_tracer() -> Tracer:
     with tr.phase("remap"):
         res = VirtualMachine(2, tracer=tr).run(prog)
         tr.advance(res.makespan)
-    return tr
-
-
-def full_tracer() -> Tracer:
-    """Every record type of the table, at least once."""
-    tr = causal_tracer()
-    tr.clock_records.append(ClockRecord(run=0, rank=1, offset=1e-3, skew=2e-4))
     return tr
 
 
@@ -97,7 +90,7 @@ def _meta(**counts) -> dict:
 
 
 def test_export_read_export_is_byte_identical(tmp_path):
-    tr = full_tracer()
+    tr = causal_tracer()
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     n = export_jsonl(tr, first)
     summary = validate_jsonl(first)
@@ -115,7 +108,7 @@ def test_export_read_export_is_byte_identical(tmp_path):
     for key in fields
 ])
 def test_dropping_any_declared_key_is_rejected(tmp_path, kind, key):
-    records = _lines(full_tracer(), tmp_path)
+    records = _lines(causal_tracer(), tmp_path)
     victim = next(r for r in records if r["type"] == kind)
     del victim[key]
     path = _write(tmp_path, records)
@@ -124,7 +117,7 @@ def test_dropping_any_declared_key_is_rejected(tmp_path, kind, key):
             consume(path)
 
 
-@pytest.mark.parametrize("schema", [f"repro.obs/v{n}" for n in range(1, 7)])
+@pytest.mark.parametrize("schema", [f"repro.obs/v{n}" for n in range(1, 8)])
 def test_older_schema_rejected_by_name(tmp_path, schema):
     records = _lines(sample_tracer(), tmp_path)
     records[0]["schema"] = schema
@@ -177,7 +170,6 @@ def test_validate_accepts_fresh_export(tmp_path):
     export_jsonl(sample_tracer(), path)
     assert validate_jsonl(path) == {
         "spans": 3, "events": 1, "metrics": 0, "nodes": 0, "msgs": 0,
-        "clocks": 0,
     }
 
 
@@ -225,10 +217,15 @@ def test_open_spans_are_skipped(tmp_path):
 
 # --- file-level violations ----------------------------------------------------
 
+_SPAN = {"type": "span", "index": 0, "parent": None, "depth": 0,
+         "name": "x", "v_start": 0.0, "v_end": 1.0,
+         "wall_start": 0.0, "wall_end": 1.0, "attrs": {}}
+
+
 
 def test_validate_rejects_missing_meta(tmp_path):
-    path = _write(tmp_path, [{"type": "clock", "run": 0, "rank": 0,
-                              "offset": 0.0, "skew": 0.0}])
+    path = _write(tmp_path, [{"type": "event", "name": "x", "v_time": 0.0,
+                              "rank": None, "span": None, "attrs": {}}])
     with pytest.raises(SchemaError, match="meta"):
         validate_jsonl(path)
 
@@ -266,17 +263,12 @@ def test_validate_rejects_unknown_type_and_undeclared_key(tmp_path):
         ))
     with pytest.raises(SchemaError, match="unknown record type"):
         validate_jsonl(_write(tmp_path, [_meta(), {"type": ["span"]}]))
-    clock = {"type": "clock", "run": 0, "rank": 0, "offset": 0.0,
-             "skew": 0.0, "drift": 1.0}
-    with pytest.raises(SchemaError, match="undeclared key 'drift'"):
-        validate_jsonl(_write(tmp_path, [_meta(clocks=1), clock]))
+    ranked_span = {**_SPAN, "rank": None}  # a span record before v8
+    with pytest.raises(SchemaError, match="undeclared key 'rank'"):
+        validate_jsonl(_write(tmp_path, [_meta(spans=1), ranked_span]))
 
 
 # --- per-type rules -----------------------------------------------------------
-
-_SPAN = {"type": "span", "index": 0, "parent": None, "depth": 0,
-         "name": "x", "rank": None, "v_start": 0.0, "v_end": 1.0,
-         "wall_start": 0.0, "wall_end": 1.0, "attrs": {}}
 
 
 def test_validate_rejects_backwards_span(tmp_path):
@@ -297,10 +289,12 @@ def test_validate_rejects_duplicate_span_index(tmp_path):
 
 
 @pytest.mark.parametrize("rec", [
-    {**_SPAN, "rank": -1},
     {"type": "event", "name": "x", "v_time": 0.0, "rank": -2, "span": None,
      "attrs": {}},
-    {"type": "clock", "run": 0, "rank": -1, "offset": 0.0, "skew": 0.0},
+    {"type": "metric", "name": "x", "kind": "gauge", "value": 1.0,
+     "labels": {}, "cycle": None, "rank": -1, "v_time": 0.0},
+    {"type": "node", "run": 0, "id": 0, "rank": -1, "kind": "work",
+     "t_start": 0.0, "t_end": 1.0, "wait": 0.0, "msg": None},
 ])
 def test_validate_rejects_negative_rank(tmp_path, rec):
     meta = _meta(**{rec["type"] + "s": 1})

@@ -1,7 +1,4 @@
-"""Unit tests for per-rank wall-clock recording and clock alignment."""
-
-import threading
-import time
+"""Unit tests for per-rank wall-clock recording and stream merging."""
 
 import pytest
 
@@ -11,20 +8,11 @@ from repro.obs.wallclock import (
     RECV,
     SEND,
     WORK,
-    ClockRecord,
     WallRecorder,
-    estimate_offsets,
     format_clock_skew,
     merge_streams,
     record_measured_run,
-    serve_clock_probes,
 )
-
-
-def test_clock_record_rejects_negative_skew():
-    ClockRecord(run=0, rank=0, offset=-1.5, skew=0.0)  # offsets may be <0
-    with pytest.raises(ValueError, match="negative clock skew"):
-        ClockRecord(run=0, rank=0, offset=0.0, skew=-1e-9)
 
 
 def test_recorder_tiles_the_rank_interval():
@@ -65,79 +53,25 @@ def test_recorder_send_and_spill_bookkeeping():
     assert cols["msgs"] == [-1, 7]
 
 
-def test_handshake_over_a_pipe():
-    import multiprocessing as mp
-
-    parent, child = mp.Pipe()
-    server = threading.Thread(target=serve_clock_probes, args=(child, 60.0))
-    server.start()
-    offsets, skews = estimate_offsets({0: parent}, timeout=60.0)
-    offset, skew = offsets[0], skews[0]
-    server.join()
-    parent.close()
-    child.close()
-    assert skew > 0.0
-    # same process, same clock: the offset must fall within its own bound
-    assert abs(offset) <= skew
-
-
-def test_handshake_detects_a_shifted_peer_clock():
-    class SkewedConn:
-        """Fake pipe endpoint whose peer clock runs ``delta`` ahead."""
-
-        def __init__(self, delta):
-            self.delta = delta
-            self._pending = False
-
-        def send(self, _):
-            self._pending = True
-
-        def poll(self, timeout=None):
-            return self._pending
-
-        def recv(self):
-            self._pending = False
-            return time.perf_counter() + self.delta
-
-    offsets, skews = estimate_offsets({0: SkewedConn(3.0)}, timeout=60.0)
-    offset, skew = offsets[0], skews[0]
-    assert offset == pytest.approx(3.0, abs=max(skew, 1e-3))
-
-
-def test_handshake_times_out_without_a_peer():
-    import multiprocessing as mp
-
-    parent, child = mp.Pipe()
-    try:
-        with pytest.raises(RuntimeError, match="timed out"):
-            estimate_offsets({0: parent}, timeout=0.05)
-        with pytest.raises(RuntimeError, match="timed out"):
-            serve_clock_probes(child, timeout=0.05)
-    finally:
-        parent.close()
-        child.close()
-
-
-def _two_rank_streams(shift=0.0):
+def _two_rank_streams(stagger=0.0):
     """Rank 0 sends one message; rank 1 receives it after a wait.
 
-    ``shift`` moves rank 1's clock forward; the matching offset entry
-    must cancel it exactly.
+    ``stagger`` delays rank 1's recorder start (its process booted
+    later); both ranks read the one ``perf_counter`` clock.
     """
     r0 = WallRecorder()
     r0.start(100.0)
     r0.note_send(0, 1, 5, 64, 100.001, 100.002)
     r0.finish(100.003)
     r1 = WallRecorder()
-    r1.start(100.0 + shift)
-    r1.note_op(RECV, 100.001 + shift, 100.004 + shift, wait=0.002, msg=0)
-    r1.finish(100.005 + shift)
-    return {0: r0.columns(), 1: r1.columns()}, {0: 0.0, 1: shift}
+    r1.start(100.0 + stagger)
+    r1.note_op(RECV, 100.001, 100.004, wait=0.002, msg=0)
+    r1.finish(100.005)
+    return {0: r0.columns(), 1: r1.columns()}
 
 
 def test_merge_streams_builds_an_aligned_causal_run():
-    streams, offsets = _two_rank_streams()
-    merged = merge_streams(streams, offsets)
+    merged = merge_streams(_two_rank_streams())
     assert merged.makespan == pytest.approx(0.005)
     assert merged.rank_makespan == pytest.approx(0.005)
     assert merged.start_spread == 0.0
@@ -152,46 +86,35 @@ def test_merge_streams_builds_an_aligned_causal_run():
         if node.rank in by_rank:
             assert by_rank[node.rank] < node.id
         by_rank[node.rank] = node.id
-    # nodes still tile each rank's interval after alignment
+    # nodes still tile each rank's interval on the merged timeline
     recv = next(n for n in merged.nodes if n.kind == "recv")
     assert recv.wait == pytest.approx(0.002)
     assert recv.t_start == pytest.approx(0.001)
 
 
-def test_merge_streams_cancels_clock_offset():
-    plain = merge_streams(*_two_rank_streams())
-    shifted = merge_streams(*_two_rank_streams(shift=5.0))
-    assert shifted.makespan == pytest.approx(plain.makespan)
-    assert shifted.start_spread == pytest.approx(0.0)
-    for a, b in zip(plain.nodes, shifted.nodes):
-        assert (a.rank, a.kind, a.id) == (b.rank, b.kind, b.id)
-        assert a.t_start == pytest.approx(b.t_start)
-        assert a.t_end == pytest.approx(b.t_end)
-
-
 def test_merge_streams_clamps_bogus_waits():
-    streams, offsets = _two_rank_streams()
+    streams = _two_rank_streams()
     streams[1]["waits"] = [1e9] * len(streams[1]["waits"])
-    merged = merge_streams(streams, offsets)
+    merged = merge_streams(streams)
     for node in merged.nodes:
         assert 0.0 <= node.wait <= (node.t_end - node.t_start) + 1e-12
 
 
 def test_merge_streams_aligns_spills():
-    streams, offsets = _two_rank_streams(shift=2.0)
-    streams[1]["spills"] = [(102.0035, 0)]
-    merged = merge_streams(streams, offsets)
+    streams = _two_rank_streams(stagger=0.0005)
+    streams[1]["spills"] = [(100.0035, 0)]
+    merged = merge_streams(streams)
     [(t, rank, mid)] = merged.spills
     assert (rank, mid) == (1, 0)
+    # run-local time counts from the earliest rank start, not rank 1's
     assert t == pytest.approx(0.0035)
 
 
 def _recorded_tracer():
     tracer = Tracer()
-    streams, offsets = _two_rank_streams()
     with tracer.phase("exchange", kind="compute"):
         nodes, msgs = record_measured_run(
-            tracer, streams, offsets, {0: 0.0, 1: 1e-6},
+            tracer, _two_rank_streams(stagger=0.0005),
             nranks=2, backend="multiprocessing",
             waited=[0.0, 0.002], msgs_sent=[1, 0], msgs_recv=[0, 1],
             words_sent=[64, 0], words_recv=[0, 64],
@@ -207,11 +130,12 @@ def test_record_measured_run_writes_the_trace():
     assert run.clock == "wall"
     assert run.phase == "exchange"
     assert run.nranks == 2
-    assert run.rank_makespan == pytest.approx(0.005)
-    assert run.skew >= 2e-6  # 2 x worst handshake skew, plus slack
+    # rank 1 started 0.5 ms late: the merged makespan lies exactly the
+    # start spread beyond its interval, the longest of the two
+    assert run.makespan == pytest.approx(0.005)
+    assert run.rank_makespan == pytest.approx(0.0045)
+    assert run.skew == pytest.approx(0.0005 + 1e-9)
     assert runs_from_tracer(tracer) == []  # never visible as virtual
-    assert [(c.rank, c.skew) for c in tracer.clock_records] == \
-        [(0, 0.0), (1, 1e-6)]
     path = critical_path(run)
     assert path.length == run.makespan
     verify_makespans(tracer)
@@ -226,7 +150,7 @@ def test_record_measured_run_writes_the_trace():
 def test_format_clock_skew_renders_one_row_per_run():
     tracer, _, _ = _recorded_tracer()
     text = format_clock_skew(tracer)
-    assert "clock alignment per measured run" in text
+    assert "wall clock per measured run" in text
     assert "exchange" in text
     assert "multiproc" in text
     assert format_clock_skew(Tracer()) == ""
