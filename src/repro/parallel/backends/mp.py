@@ -38,7 +38,8 @@ its sends/recvs and the work gaps between them, and reads its
 process's peak RSS, CPU seconds and GC collections once, at the end
 (:func:`~repro.obs.resource.read_resources`).  The ranks are forked on
 the parent's host and read its system-wide monotonic ``perf_counter``,
-so their streams merge unshifted into the trace as a ``vm.run`` with
+and start their clocks together, at a barrier the last rank to arrive
+releases, so their streams merge unshifted into the trace as a ``vm.run`` with
 ``clock="wall"``, beside ``repro.resource.*`` gauges per rank —
 ``repro critical-path`` / ``report`` / ``diff`` then read measured runs
 exactly as modelled ones.  Without a tracer none of that runs.
@@ -120,23 +121,25 @@ class MultiprocessingBackend:
         transport = self._make_transport(ctx)
         inboxes = [ctx.Queue() for _ in range(self.nranks)]
         result_q = ctx.Queue()
+        # every rank starts its clock when the last one reaches this
+        # barrier, so the fork stagger is not the run's skew
+        go = ctx.Barrier(self.nranks)
 
         procs = []
-        t0 = time.perf_counter()
-        for r in range(self.nranks):
-            p = ctx.Process(
-                target=_rank_worker,
-                args=(r, self.nranks, self.machine, program, args, kwargs,
-                      inboxes, result_q, self.timeout,
-                      transport, self.tracer is not None),
-                daemon=True,
-            )
-            p.start()
-            procs.append(p)
-
         results: dict[int, tuple] = {}
-        deadline = time.perf_counter() + self.timeout + GRACE
+        t0 = time.perf_counter()
         try:
+            for r in range(self.nranks):
+                p = ctx.Process(
+                    target=_rank_worker,
+                    args=(r, self.nranks, self.machine, program, args,
+                          kwargs, inboxes, result_q, self.timeout,
+                          transport, self.tracer is not None, go),
+                    daemon=True,
+                )
+                p.start()
+                procs.append(p)
+            deadline = time.perf_counter() + self.timeout + GRACE
             while len(results) < self.nranks:
                 remaining = deadline - time.perf_counter()
                 if remaining <= 0:
@@ -260,11 +263,11 @@ def _assemble(backend, tracer, results, wall, transport) -> RunResult:
 
 
 def _rank_worker(rank, size, machine, program, args, kwargs, inboxes,
-                 result_q, timeout, transport, record):
+                 result_q, timeout, transport, record, go):
     """Child-process entry: drive one rank's generator over the inboxes."""
     try:
         retval, stats = _drive(rank, size, machine, program, args, kwargs,
-                               inboxes, timeout, transport, record)
+                               inboxes, timeout, transport, record, go)
         result_q.put(("ok", rank, retval, stats))
     except _RecvTimeout as exc:
         result_q.put(("error", rank, "deadlock", str(exc)))
@@ -277,7 +280,7 @@ class _RecvTimeout(RuntimeError):
 
 
 def _drive(rank, size, machine, program, args, kwargs, inboxes, timeout,
-           transport, record):
+           transport, record, go):
     """Run one rank's program to completion over the per-rank ``inboxes``.
 
     ``args``/``kwargs`` are the run's, ``per_rank`` wrappers included;
@@ -289,7 +292,9 @@ def _drive(rank, size, machine, program, args, kwargs, inboxes, timeout,
     raises :class:`_RecvTimeout` once ``timeout`` seconds pass with
     none.  With ``record`` the rank keeps a ``WallRecorder`` and reads
     its resources at the start and the end; the recorder's columns and
-    the closing reading ride back in the stats dict.
+    the closing reading ride back in the stats dict.  The clock starts
+    once every rank has reached the ``go`` barrier, so the ranks start
+    together rather than one fork (and one set-up) apart.
     Returns ``(retval, stats)``.
     """
     [gen] = start_ranks(program, size, machine, args, kwargs, (rank,))
@@ -313,6 +318,7 @@ def _drive(rank, size, machine, program, args, kwargs, inboxes, timeout,
         rec = WallRecorder()
         res0 = read_resources(None)
     clock = time.perf_counter
+    go.wait()
     t0 = clock()
     if rec is not None:
         rec.start(t0)

@@ -17,7 +17,8 @@ The scheduler (DESIGN.md §13) dispatches on each op class's ``_code``,
 files the ready ranks in a calendar — the distinct ready clocks, each
 with the ids of the ranks due at it — runs a rank for as long as it
 stays the calendar's minimum, and records the happens-before
-record into flat columns (:class:`_VMRecord`), materializing
+record into flat rows of what it cannot derive (:class:`_VMRecord`),
+materializing
 :class:`~repro.obs.causal.CausalNode` /
 :class:`~repro.obs.causal.CausalMsg` objects lazily.  A rank's mailbox
 is a send-ordered list whose first match is the oldest (:func:`_take`).
@@ -150,67 +151,111 @@ class _BlockedView:
 class _VMRecord:
     """Columnar happens-before record of one VM run.
 
-    The scheduler appends every operation into flat typed
-    columns instead of allocating a ``CausalNode`` per op; the object
-    views are materialized lazily (and memoized) only when
+    The scheduler appends one flat row per operation and per message
+    instead of allocating a ``CausalNode`` per op, and stores only what
+    it cannot derive (flat Python lists — a single ``list.extend`` per
+    row is ~6x cheaper than a typed ``array`` extend):
+
+    * ``rows`` (stride 4) — kind code, rank, msg, ``t_end``; ``msg`` is
+      the consumed message's ``seq`` (its id + 1, an int object the
+      scheduler already holds) on a recv row, ``-1`` on work and send
+      rows
+    * ``msg_rows`` (stride 3) — dst, tag, nwords, in send order
+
+    Everything else is derived on read, vectorised, and bit-identical to
+    what the scheduler computed: a send's message id is its rank among
+    the send rows; ``t_start`` is the same rank's previous ``t_end``
+    (0.0 for its first node), because a rank's clock moves only by its
+    own ops; a recv's ``wait`` is ``t_end - (t_start + t_setup)``,
+    the scheduler's own float expression, which is exactly +0.0 on a
+    recv that did not wait (it ended at ``t_start + t_setup``); a
+    message's src, send node and recv node (``-1`` unconsumed) come from
+    the node rows.  ``nd`` / ``ms_i`` are the derived stride-6 columns;
+    the object views are materialized lazily (and memoized) only when
     :mod:`repro.obs.causal` or the exporters ask for them.
-
-    Layout (one row per node / message, flat Python lists — a single
-    ``list.extend`` per row is ~6x cheaper than a typed ``array`` extend,
-    and the end-of-run accounting converts each column to numpy once):
-
-    * ``nd`` (stride 6) — kind code, rank, msg id (``-1`` none),
-      ``t_start``, ``t_end``, ``wait``
-    * ``ms_i`` (stride 6) — src, dst, tag, nwords, send node,
-      recv node (``-1`` unconsumed)
     """
 
-    __slots__ = ("nd", "ms_i", "run", "_nodes", "_msgs")
+    __slots__ = ("rows", "msg_rows", "t_setup", "run", "_nodes", "_msgs")
 
-    def __init__(self):
-        self.nd: list = []
-        self.ms_i: list = []
+    def __init__(self, t_setup: float):
+        self.rows: list = []
+        self.msg_rows: list = []
+        self.t_setup = t_setup
         self.run = -1  # assigned at end of run, like eager CausalNodes
         self._nodes = None
         self._msgs = None
 
     @property
     def nnodes(self) -> int:
-        return len(self.nd) // 6
+        return len(self.rows) // 4
+
+    @property
+    def nd(self) -> np.ndarray:
+        """The derived node columns ``kind, rank, msg, t_start, t_end,
+        wait``, flat with stride 6, as float64."""
+        a = np.array(self.rows, dtype=np.float64).reshape(-1, 4)
+        kind, rank, seq, t_end = a.T
+        recv = seq > 0
+        msg = np.where(recv, seq - 1.0, -1.0)
+        send = kind == _SEND
+        msg[send] = np.arange(np.count_nonzero(send))
+        # t_start: the previous t_end of the same rank, 0.0 for its first
+        order = np.argsort(rank, kind="stable")
+        t_start = np.empty_like(t_end)
+        t_start[order[1:]] = t_end[order[:-1]]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = rank[order[1:]] != rank[order[:-1]]
+        t_start[order[first]] = 0.0
+        # a recv that did not wait ended at exactly t_start + t_setup, so
+        # this is +0.0 there and the scheduler's positive wait elsewhere
+        wait = np.zeros_like(t_end)
+        wait[recv] = t_end[recv] - (t_start[recv] + self.t_setup)
+        return np.column_stack((kind, rank, msg, t_start, t_end, wait)).ravel()
+
+    @property
+    def ms_i(self) -> np.ndarray:
+        """The derived message columns ``src, dst, tag, nwords,
+        send_node, recv_node``, flat with stride 6, as int64."""
+        rows = np.array(self.rows, dtype=np.float64).reshape(-1, 4)
+        a = rows[:, :3].astype(np.int64)  # kind, rank, msg
+        sends = np.flatnonzero(a[:, 0] == _SEND)
+        recvs = np.flatnonzero(a[:, 2] > 0)
+        m = np.array(self.msg_rows, dtype=np.int64).reshape(-1, 3)
+        recv_node = np.full(len(m), -1, dtype=np.int64)
+        recv_node[a[recvs, 2] - 1] = recvs
+        return np.column_stack((a[sends, 1], m, sends, recv_node)).ravel()
+
+    def _materialize(self) -> None:
+        from repro.obs.causal import CausalMsg, CausalNode
+
+        nd = self.nd.reshape(-1, 6)
+        kind, rank, msg = nd[:, :3].astype(np.int64).T.tolist()
+        t_start, t_end, wait = nd[:, 3:].T.tolist()
+        run = self.run
+        self._nodes = [
+            CausalNode(run, i, r, _CODE_KINDS[k], s, e, w,
+                       None if m < 0 else m)
+            for i, (k, r, m, s, e, w) in enumerate(
+                zip(kind, rank, msg, t_start, t_end, wait)
+            )
+        ]
+        self._msgs = [
+            CausalMsg(run, i, s, d, t, w, sn, None if rn < 0 else rn)
+            for i, (s, d, t, w, sn, rn) in enumerate(
+                self.ms_i.reshape(-1, 6).tolist()
+            )
+        ]
 
     def causal_nodes(self) -> list:
         """Materialize (and memoize) the ``CausalNode`` view."""
         if self._nodes is None:
-            from repro.obs.causal import CausalNode
-
-            nd, run = self.nd, self.run
-            kinds = _CODE_KINDS
-            out = []
-            ap = out.append
-            for i in range(len(nd) // 6):
-                j = 6 * i
-                mid = int(nd[j + 2])
-                ap(CausalNode(run, i, int(nd[j + 1]), kinds[int(nd[j])],
-                              nd[j + 3], nd[j + 4], nd[j + 5],
-                              None if mid < 0 else mid))
-            self._nodes = out
+            self._materialize()
         return self._nodes
 
     def causal_msgs(self) -> list:
         """Materialize (and memoize) the ``CausalMsg`` view."""
         if self._msgs is None:
-            from repro.obs.causal import CausalMsg
-
-            ms_i, run = self.ms_i, self.run
-            out = []
-            ap = out.append
-            for i in range(len(ms_i) // 6):
-                j = 6 * i
-                rn = ms_i[j + 5]
-                ap(CausalMsg(run, i, ms_i[j], ms_i[j + 1], ms_i[j + 2],
-                             ms_i[j + 3], ms_i[j + 4],
-                             None if rn < 0 else rn))
-            self._msgs = out
+            self._materialize()
         return self._msgs
 
 
@@ -330,7 +375,9 @@ class VirtualMachine:
           clock once, ``buckets[t]`` the ids of the ranks due at ``t``.
           Equal floats share a bucket and leave it in ascending rank
           order, so popping ``buckets[times[0]]`` yields the oracle's
-          lexicographic ``(clock, rank)`` order exactly;
+          lexicographic ``(clock, rank)`` order exactly.  A rank is
+          filed, and popped, at its own clock, which only its own ops
+          move, so each op starts where the rank's previous op ended;
         * after executing an op the current rank keeps running while
           ``(clock[r], r)`` is below the calendar's minimum — the order
           a file-then-pop would have produced (delivering a message never
@@ -338,9 +385,13 @@ class VirtualMachine:
           batch never overtakes a rank it just unblocked);
         * all clock arithmetic is the same float expressions, in the
           same order, as the oracle scheduler;
-        * node id == append order, msg id == ``seq - 1``, and a consumed
-          message's ``recv_node`` is the id of the recv node that
-          popped it — identical to the eager record.
+        * node id == append order, msg id == ``seq - 1`` == the send's
+          rank among the send rows, and a recv row keeps the ``seq`` it
+          consumed — so :class:`_VMRecord` derives the eager record's
+          ``t_start``, ``wait``, message ids and send / recv nodes;
+        * traced and untraced runs count words, messages and waits by
+          the same inline ``+=``, each rank's waits added in node order
+          as the oracle adds them.
         """
         machine = self.machine
         nranks = self.nranks
@@ -348,22 +399,11 @@ class VirtualMachine:
         t_word = machine.t_word
         t_work = machine.t_work
 
-        rec = _VMRecord() if (self.trace or self.tracer is not None) else None
+        rec = (_VMRecord(t_setup) if (self.trace or self.tracer is not None)
+               else None)
         if rec is not None:
-            nd_ext = rec.nd.extend
-            msi_ext = rec.ms_i.extend
-            ms_i = rec.ms_i
-            # accounting side-channel, so the end-of-run totals never
-            # have to convert the full node table to float64 inside the
-            # run: flat (rank, wait) pairs for the nonzero recv waits, in
-            # node order (zero waits add exactly +0.0 to a non-negative
-            # sum, so skipping them is bit-identical); the integer recv
-            # counters need no channel at all — a message's consumer is
-            # always its ``dst`` rank, already in ``ms_i``
-            wt: list = []
-            wt_ext = wt.extend
-        n_nodes = 0
-        n_msgs = 0
+            nd_ext = rec.rows.extend
+            msi_ext = rec.msg_rows.extend
 
         clocks = [0.0] * nranks
         waited = [0.0] * nranks
@@ -390,7 +430,7 @@ class VirtualMachine:
         seq = 0
 
         # Cyclic GC off for the duration of the loop: the scheduler's own
-        # allocations are acyclic (typed columns, tuples), but at 10k+
+        # allocations are acyclic (row lists, tuples), but at 10k+
         # ranks the rank generators and mailboxes make every full
         # collection an O(heap) scan, and the growing
         # record retriggers them throughout the run.  Restored on every
@@ -409,8 +449,6 @@ class VirtualMachine:
                 if done[r]:
                     continue
                 c = clocks[r]
-                if clock > c:
-                    c = clock
                 step = steps[r]
                 sv = send_values[r]
                 while True:
@@ -437,22 +475,17 @@ class VirtualMachine:
                         nwords = op.nwords
                         if nwords < 0:
                             raise ValueError(f"negative message size: {nwords}")
-                        t0 = c
                         c = c + (t_setup + t_word * nwords)
                         seq += 1
-                        if rec is not None:
-                            # msg id == seq - 1: both advance once per send
-                            nd_ext((_SEND, r, n_msgs, t0, c, 0.0))
-                            msi_ext((r, dest, op.tag, nwords, n_nodes, -1))
-                            n_nodes += 1
-                            n_msgs += 1
-                        else:
-                            words_sent[r] += nwords
-                            msgs_sent[r] += 1
-                            if nwords > 0:
-                                data_sent[r] += 1
-                        clocks[r] = c
+                        words_sent[r] += nwords
+                        msgs_sent[r] += 1
+                        if nwords > 0:
+                            data_sent[r] += 1
                         tag = op.tag
+                        if rec is not None:
+                            nd_ext((_SEND, r, -1, c))
+                            msi_ext((dest, tag, nwords))
+                        clocks[r] = c
                         bop = blocked[dest]
                         if bop is not None and (
                             bop.source == ANY or bop.source == r
@@ -467,27 +500,20 @@ class VirtualMachine:
                             # capturing the loop's state would turn its
                             # hottest locals into cell variables.
                             blocked[dest] = None
-                            t0d = clocks[dest]
-                            cd = t0d + t_setup
+                            cd = clocks[dest] + t_setup
                             dwait = c - cd
                             if dwait > 0.0:
                                 cd = c
                             else:
                                 dwait = 0.0
                             clocks[dest] = cd
+                            waited[dest] += dwait
+                            words_recv[dest] += nwords
+                            msgs_recv[dest] += 1
+                            if nwords > 0:
+                                data_recv[dest] += 1
                             if rec is not None:
-                                mid = seq - 1
-                                ms_i[6 * mid + 5] = n_nodes
-                                nd_ext((_RECV, dest, mid, t0d, cd, dwait))
-                                if dwait != 0.0:
-                                    wt_ext((dest, dwait))
-                                n_nodes += 1
-                            else:
-                                waited[dest] += dwait
-                                words_recv[dest] += nwords
-                                msgs_recv[dest] += 1
-                                if nwords > 0:
-                                    data_recv[dest] += 1
+                                nd_ext((_RECV, dest, seq, cd))
                             send_values[dest] = (op.payload, r, tag)
                             due = buckets.get(cd)
                             if due is None:
@@ -519,36 +545,27 @@ class VirtualMachine:
                             break  # not filed: woken by a matching send
                         del box[i]
                         mseq, arr, payload, nw, src, rtag = m
-                        t0 = c
-                        c = t0 + t_setup
+                        c = c + t_setup
                         wait = arr - c
                         if wait > 0.0:
                             c = arr
                         else:
                             wait = 0.0
+                        waited[r] += wait
+                        words_recv[r] += nw
+                        msgs_recv[r] += 1
+                        if nw > 0:
+                            data_recv[r] += 1
                         if rec is not None:
-                            mid = mseq - 1
-                            ms_i[6 * mid + 5] = n_nodes
-                            nd_ext((_RECV, r, mid, t0, c, wait))
-                            if wait != 0.0:
-                                wt_ext((r, wait))
-                            n_nodes += 1
-                        else:
-                            waited[r] += wait
-                            words_recv[r] += nw
-                            msgs_recv[r] += 1
-                            if nw > 0:
-                                data_recv[r] += 1
+                            nd_ext((_RECV, r, mseq, c))
                         sv = (payload, src, rtag)
                     else:  # _WORK
                         units = op.units
                         if units < 0:
                             raise ValueError(f"negative work: {units}")
-                        t0 = c
                         c = c + t_work * units
                         if rec is not None:
-                            nd_ext((_WORK, r, -1, t0, c, 0.0))
-                            n_nodes += 1
+                            nd_ext((_WORK, r, -1, c))
                     # run-to-min batching: keep running this rank while
                     # ``(c, r)`` is still the minimum of the ready order
                     # (ties go to the lowest rank id, exactly as the
@@ -578,8 +595,6 @@ class VirtualMachine:
                             if done[r]:
                                 break  # stale entry: outer loop rescans
                             c = clocks[r]
-                            if clock > c:
-                                c = clock
                             step = steps[r]
                             sv = send_values[r]
 
@@ -598,47 +613,6 @@ class VirtualMachine:
                 rec.causal_msgs() if rec is not None else None,
             )
 
-        if rec is not None:
-            # Vectorized accounting: when recording, the loop above skips
-            # the per-op counter updates entirely and every total is
-            # recovered here from the message table and the small ``wt``
-            # side-channel, so the full node table is never converted to
-            # float64 inside the run.
-            # np.bincount adds its weights in element (= node) order, the
-            # same order the oracle scheduler's per-rank ``+=`` sees, so
-            # the float ``waited`` sums are bit-identical (the skipped
-            # zero waits would each have added exactly +0.0).
-            if wt:
-                wt_a = np.asarray(wt, dtype=np.float64).reshape(-1, 2)
-                waited = np.bincount(
-                    wt_a[:, 0].astype(np.intp), weights=wt_a[:, 1],
-                    minlength=nranks,
-                ).tolist()
-            if n_msgs:
-                ms_a = np.asarray(rec.ms_i, dtype=np.int64).reshape(-1, 6)
-                src = ms_a[:, 0]
-                mnw = ms_a[:, 3]
-                words_sent = np.bincount(
-                    src, weights=mnw, minlength=nranks
-                ).astype(np.int64).tolist()
-                msgs_sent = np.bincount(src, minlength=nranks).tolist()
-                data_sent = np.bincount(
-                    src[mnw > 0], minlength=nranks
-                ).tolist()
-                # consumers: a consumed message (recv node assigned) was
-                # received by its ``dst`` rank; these counters are integer
-                # sums, so accumulation order is irrelevant
-                rmask = ms_a[:, 5] >= 0
-                rr = ms_a[:, 1][rmask]
-                rnw = mnw[rmask]
-                words_recv = np.bincount(
-                    rr, weights=rnw, minlength=nranks
-                ).astype(np.int64).tolist()
-                msgs_recv = np.bincount(rr, minlength=nranks).tolist()
-                data_recv = np.bincount(
-                    rr[rnw > 0], minlength=nranks
-                ).tolist()
-
         makespan = max(clocks)
         busy_a = np.asarray(clocks) - np.asarray(waited)
         busy = busy_a.tolist()
@@ -654,7 +628,8 @@ class VirtualMachine:
             tracer.event(
                 "vm.run", v_time=base, run=rec.run, base=base,
                 makespan=makespan, nranks=nranks,
-                cycle=tracer.cycle, nodes=n_nodes, msgs=n_msgs,
+                cycle=tracer.cycle, nodes=rec.nnodes,
+                msgs=total_messages,
             )
             tracer.add_vm_chunk(rec)
             mpr = tracer.metric_per_rank

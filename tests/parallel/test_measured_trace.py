@@ -282,6 +282,29 @@ def test_forked_ranks_read_the_parents_clock(backend):
             assert t_send <= t_child <= t_recv
 
 
+@pytest.mark.parametrize("backend", ["multiprocessing", "shm"])
+def test_ranks_start_together_despite_a_slow_fork(backend, monkeypatch):
+    # A measured run's skew bound is the spread of its ranks' first
+    # perf_counter reads.  With every fork slowed by 50 ms, ranks that
+    # started their clocks as soon as they were forked would spread over
+    # 150 ms; ranks that start together, once the last one is ready,
+    # stay within a few.
+    from multiprocessing.context import ForkProcess
+
+    fork = ForkProcess.start
+
+    def slow_start(self):
+        fork(self)
+        time.sleep(0.05)
+
+    monkeypatch.setattr(ForkProcess, "start", slow_start)
+    tracer = Tracer()
+    comm = create_communicator(backend, 4, tracer=tracer)
+    assert comm.run(_ring, 1).returns == [0, 1, 2, 3]
+    [run] = [e for e in tracer.events if e.name == "vm.run"]
+    assert run.attrs["skew"] < 0.020
+
+
 def _pingpong(comm, rounds):
     other = 1 - comm.rank
     for _ in range(rounds):

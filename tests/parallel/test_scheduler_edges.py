@@ -15,10 +15,11 @@ Programs that charge raw seconds run on :data:`WORK_SECONDS`, whose
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel import ANY, SP2_1997, VirtualMachine
+from repro.parallel import ANY, SP2_1997, DeadlockError, VirtualMachine
 from repro.parallel.runtime import per_rank
 from tests.fixtures import msgs_of, nodes_of
 from tests.kernels.oracles import reference_kernels
@@ -229,3 +230,85 @@ def test_columnar_record_matches_object_record(script):
     res_fast, res_ref = _run_both(prog, p, machine=WORK_SECONDS)
     _assert_identical(res_fast, res_ref)
     assert sum(res_fast.returns) == sum(n for _o, _d, n in plan)
+
+
+@st.composite
+def _stuck_scripts(draw):
+    """Per-rank scripts that end in a deadlock with messages left over:
+    work, sends on tag 9 (and maybe one on tag 8, which nobody
+    receives), then wildcard receives on tag 9 that may outnumber the
+    messages sent to the rank.  Rank 0 finally waits on tag 99, which
+    nobody sends, so every run deadlocks; rank ``p - 1`` always posts a
+    tag-8 message, so every run leaves one unconsumed."""
+    p = draw(st.integers(2, 10))
+    plan = []
+    for r in range(p):
+        ops = draw(st.lists(st.sampled_from(["work", "long", "work0"]),
+                            max_size=4))
+        dest = draw(st.integers(0, p - 1))
+        nmsg = draw(st.integers(0, 2))
+        stray = r == p - 1 or draw(st.booleans())
+        want = draw(st.integers(0, 3))
+        plan.append((ops, dest, nmsg, stray, want))
+    return p, plan
+
+
+def _deadlocked(vm, prog, monkeypatch):
+    """Run ``prog`` to its DeadlockError; returns the error and the
+    ``(nodes, msgs)`` record the scheduler handed to the deadlock
+    report."""
+    seen = []
+    report = VirtualMachine._raise_deadlock
+
+    def spy(self, stuck, nodes, msgs_rec):
+        seen.append((nodes, msgs_rec))
+        return report(self, stuck, nodes, msgs_rec)
+
+    monkeypatch.setattr(VirtualMachine, "_raise_deadlock", spy)
+    with pytest.raises(DeadlockError) as err:
+        vm.run(prog)
+    [(nodes, msgs)] = seen
+    return err.value, nodes, msgs
+
+
+@given(_stuck_scripts())
+@settings(max_examples=40, deadline=None)
+def test_record_cut_short_by_deadlock_matches_object_record(script):
+    """Hypothesis parity where the record ends early: the derived
+    ``t_start``, recv ``wait`` and unconsumed recv node (None) of a run
+    that deadlocks must equal the reference scheduler's eager record,
+    and so must the causal chains its DeadlockError reports."""
+    p, plan = script
+
+    def prog(comm):
+        me = comm.rank
+        ops, dest, nmsg, stray, want = plan[me]
+        for kind in ops:
+            if kind == "work":
+                yield from comm.compute(3e-6 * (me + 1))
+            elif kind == "long":
+                yield from comm.compute(0.001 * (me + 1))
+            else:
+                yield from comm.compute(0)
+        for i in range(nmsg):
+            yield from comm.send(i, dest=dest, tag=9, nwords=me + i)
+        if stray:
+            yield from comm.send(me, dest=(me + 1) % p, tag=8, nwords=1)
+        for _ in range(want):
+            _ = yield from comm.recv(source=ANY, tag=9)
+        if me == 0:
+            _ = yield from comm.recv(source=ANY, tag=99)
+
+    with pytest.MonkeyPatch.context() as mp:
+        fast = _deadlocked(VirtualMachine(p, WORK_SECONDS, trace=True),
+                           prog, mp)
+    with pytest.MonkeyPatch.context() as mp, reference_kernels():
+        ref = _deadlocked(VirtualMachine(p, WORK_SECONDS, trace=True),
+                          prog, mp)
+    (err_f, nodes_f, msgs_f), (err_r, nodes_r, msgs_r) = fast, ref
+    assert nodes_f == nodes_r
+    assert msgs_f == msgs_r
+    assert any(m.recv_node is None for m in msgs_f)
+    assert err_f.chains == err_r.chains
+    assert err_f.blocked == err_r.blocked
+    assert str(err_f) == str(err_r)
