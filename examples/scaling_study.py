@@ -6,7 +6,7 @@ parallel mesh adaptor speeds up with processors, and how much data movement
 the remap-before-subdivision ordering saves.
 
 The whole sweep runs under an ambient tracer; alongside the table it
-exports the trace as ``scaling_study.jsonl`` (schema ``repro.obs/v8``,
+exports the trace as ``scaling_study.jsonl`` (schema ``repro.obs/v9``,
 causal message DAG included) and renders the run-report dashboard to
 ``scaling_study.html`` — the same artifacts ``repro report
 <trace.jsonl>`` produces.  Before printing the critical-path

@@ -54,7 +54,7 @@ echo "no-scipy smoke: OK"
 # identical to the virtual backend's on every measured backend (queue
 # pickling and zero-copy slabs), under a hard timeout so a hung rank
 # process fails CI instead of wedging it.  --trace-out exercises the
-# measured tracing layer (wall-clock node/msg records) end to end.
+# measured tracing layer (wall-clock nodes/msgs columns) end to end.
 timeout 300 env PYTHONPATH=src python -m repro calibrate 4 --nproc 4 \
     --trace-out "$tmp/cal.jsonl" > "$tmp/calibrate.txt"
 grep -q "backend 'multiprocessing' vs 'virtual'" "$tmp/calibrate.txt"
@@ -123,13 +123,15 @@ echo "weak-scaling smoke: OK"
 # pins the 16 384-rank one, the scale vm_ranks times, so a scheduler or
 # mailbox change that moves a clock there fails here.  Digests are
 # sha256[:16] of the float64 clocks / float64 node columns / int64
-# message columns.
+# message columns, the last two as tests/fixtures.py's stride6 derives
+# them from the record.
 timeout 300 env PYTHONPATH=src python - <<'EOF'
 import hashlib
 
 import numpy as np
 
 from repro.experiments.weak_scaling import halo_cycle
+from tests.fixtures import stride6
 
 
 def digest(values, dtype):
@@ -137,8 +139,9 @@ def digest(values, dtype):
 
 
 res = halo_cycle(16384)
+nodes, msgs = stride6(res._record)
 got = (res.makespan, res.total_messages, digest(res.clocks, np.float64),
-       digest(res._record.nd, np.float64), digest(res._record.ms_i, np.int64))
+       digest(nodes, np.float64), digest(msgs, np.int64))
 want = (0.006360749999999997, 293_370, "4aa5e08778511120",
         "a37206ad6214e159", "8dba0ac134f707b1")
 assert got == want, f"halo_cycle(16384) moved: {got} != {want}"

@@ -3,7 +3,7 @@
 
 Runs ``python -m repro step --trace-out`` on a tiny mesh (resolution 4,
 a few hundred elements — seconds of wall time), then validates the
-emitted JSONL against the ``repro.obs/v8`` schema and sanity-checks the
+emitted JSONL against the ``repro.obs/v9`` schema and sanity-checks the
 span tree: the step must contain marking/subdivision spans and the root
 span's virtual duration must equal the sum of its phase leaves.  The
 trace must carry labelled metric samples, the host's resource gauges,
@@ -200,11 +200,15 @@ def main() -> int:
                 f"phase leaves sum to {leaf_sum} but the root span spans "
                 f"{roots[0].v_duration} virtual seconds"
             )
-        # causal record: node/msg records present, makespan identity holds
-        if summary.get("nodes", 0) == 0:
-            return fail("trace contains no causal nodes")
-        if summary.get("msgs", 0) == 0:
-            return fail("trace contains no causal message records")
+        # causal record: one nodes and one msgs record per VM run, with
+        # nodes and messages in them, and the makespan identity holds
+        if not summary["nodes"] == summary["msgs"] > 0:
+            return fail(f"trace holds {summary['nodes']} nodes and "
+                        f"{summary['msgs']} msgs records, not one per run")
+        nnodes = sum(r.nnodes for r in tracer.causal_records)
+        nmsgs = sum(len(r.columns()[1]["dst"]) for r in tracer.causal_records)
+        if nnodes == 0 or nmsgs == 0:
+            return fail("trace contains no causal nodes or messages")
         try:
             nruns = verify_makespans(tracer)
         except AssertionError as exc:
@@ -468,7 +472,8 @@ def main() -> int:
 
     print(f"smoke_trace: OK ({summary['spans']} spans, "
           f"{summary['events']} events, {summary['metrics']} metrics, "
-          f"{summary['nodes']} causal nodes, {summary['msgs']} msgs, "
+          f"{nnodes} causal nodes, {nmsgs} msgs in "
+          f"{summary['nodes']} VM run(s), "
           f"{len(cycles)} cycle(s); makespan identity on {nruns} vm run(s); "
           f"{len(wall_runs)} measured wall run(s) within skew; "
           f"{nstored} run(s) in the history store; diffusion rounds "

@@ -49,7 +49,7 @@ Tracing
 ``report`` and ``step`` accept ``--trace-out PATH`` to export the run's
 phase spans, marker events, metrics (among them one end-of-run resource
 reading per process), and causal message DAG as JSONL (schema
-``repro.obs/v8``) and ``--chrome-out PATH``
+``repro.obs/v9``) and ``--chrome-out PATH``
 to additionally write a Chrome-trace JSON that ``chrome://tracing`` or
 https://ui.perfetto.dev can open (message sends render as flow arrows).
 Feed the JSONL back to ``report`` for the dashboard, or to
@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_tracing(p):
         p.add_argument(
             "--trace-out", metavar="PATH", default=None,
-            help="export phase spans/metrics/causal DAG as JSONL (repro.obs/v8)",
+            help="export phase spans/metrics/causal DAG as JSONL (repro.obs/v9)",
         )
         p.add_argument(
             "--chrome-out", metavar="PATH", default=None,
@@ -175,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "critical-path",
         help="critical-path / straggler breakdown of an exported trace",
     )
-    p_cp.add_argument("trace", help="trace .jsonl path (repro.obs/v8)")
+    p_cp.add_argument("trace", help="trace .jsonl path (repro.obs/v9)")
     p_cp.add_argument(
         "--top", type=_non_negative_int, default=10,
         help="number of critical-path segments to list",
@@ -252,11 +252,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _export(tracer, trace_out: str | None, chrome_out: str | None,
             label: str = "", config: dict | None = None,
             history: bool = True) -> None:
-    from repro.obs import export_chrome_trace, export_jsonl, validate_jsonl
+    from repro.obs import export_chrome_trace, export_jsonl
 
     if trace_out:
-        n = export_jsonl(tracer, trace_out)
-        validate_jsonl(trace_out)
+        n = export_jsonl(tracer, trace_out)  # checks every record it writes
         print(f"wrote {n} JSONL records to {trace_out}")
         if history:
             from repro.obs.runs import RunStore, index_trace

@@ -9,8 +9,9 @@ computational gain exceeds the redistribution cost:
 where ``W_max`` is the Wcomp of the most heavily loaded processor under the
 old/new partitionings, the ``T_refine`` term credits the better-balanced
 subdivision phase obtained by remapping *before* refinement, ``M`` is the
-per-element storage in words, and (C, N) are (C_total, N_total) under the
-TotalV metric or (C_max, N_max) under MaxV.
+per-element storage in words, and (C, N) are (C_total, N_total): the
+remap is priced under the TotalV metric.  (C_max, N_max), MaxV's pair, is
+never larger for the same assignment (:func:`~repro.core.metrics.remap_stats`).
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ class CostModel:
     t_child:
         Seconds for the subdivision phase to create one element (used for
         the refine-balance credit of §4.6).
-    metric:
-        ``"totalv"`` or ``"maxv"`` — which (C, N) pair prices the remap.
     """
 
     machine: MachineModel = SP2_1997
@@ -65,23 +64,14 @@ class CostModel:
     n_adapt: int = 50
     storage_words: int = 24
     t_child: float = 1.0e-5
-    metric: str = "totalv"
-
-    def __post_init__(self) -> None:
-        if self.metric not in ("totalv", "maxv"):
-            raise ValueError(f"metric must be 'totalv' or 'maxv', got {self.metric!r}")
 
     # --- pieces ---------------------------------------------------------------
 
     def redistribution_cost(self, stats: RemapStats) -> float:
-        """M·C·T_lat + N·T_setup with (C, N) chosen by the metric."""
-        if self.metric == "totalv":
-            c, n = stats.c_total, stats.n_total
-        else:
-            c, n = stats.c_max, stats.n_max
+        """M·C·T_lat + N·T_setup with the TotalV pair (C_total, N_total)."""
         return (
-            self.storage_words * c * self.machine.t_word
-            + n * self.machine.t_setup
+            self.storage_words * stats.c_total * self.machine.t_word
+            + stats.n_total * self.machine.t_setup
         )
 
     def solver_phase_time(self, w_max: float) -> float:

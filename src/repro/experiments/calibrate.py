@@ -19,6 +19,7 @@ magnitude is the machine-constant rescaling a present-day
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -80,6 +81,7 @@ class CalibrationReport:
 
     resolution: int
     nproc: int
+    cores: int  #: CPUs this process may run on (its affinity mask)
     machine: MachineModel
     reference: WorkloadResult  #: the virtual (modelled) run
     measured: list[WorkloadResult] = field(default_factory=list)
@@ -205,6 +207,7 @@ def calibrate(
     return CalibrationReport(
         resolution=resolution,
         nproc=nproc,
+        cores=len(os.sched_getaffinity(0)),
         machine=SP2_1997,
         reference=reference,
         measured=measured,
@@ -216,11 +219,17 @@ def calibrate(
 def format_calibration(report: CalibrationReport) -> str:
     """Render the measured-vs-modelled table as aligned ASCII."""
     lines = [
-        f"calibrate: resolution {report.resolution}, P={report.nproc} — "
+        f"calibrate: resolution {report.resolution}, P={report.nproc} "
+        f"on {report.cores} usable cores — "
         f"modelled LogGP seconds (t_setup={report.machine.t_setup:g}, "
         f"t_word={report.machine.t_word:g}, t_work={report.machine.t_work:g}) "
         "vs measured wall seconds",
     ]
+    if report.nproc > report.cores:
+        lines.append(
+            f"note: {report.nproc} ranks share {report.cores} cores, so a "
+            "measured run's skew bound also includes core sharing"
+        )
     ref = report.reference.makespans()
     for run in report.measured:
         got = run.makespans()

@@ -15,10 +15,11 @@ clocks, :class:`PointEvent` markers (``vm.run``, ``ledger.superstep``,
 ``transport.spill``), and a labelled :class:`MetricsRegistry` of
 time-series samples keyed by ``(name, labels, cycle, rank)`` — the one
 place every quantity is stored.  Traced virtual-machine runs additionally
-record their happens-before DAG (:mod:`repro.obs.causal`): every operation
-becomes a :class:`~repro.obs.causal.CausalNode` and every message a
-:class:`~repro.obs.causal.CausalMsg`, from which :func:`analyze`
-reconstructs the virtual-time critical path, per-rank slack, and
+record their happens-before DAG (:mod:`repro.obs.causal`) as the rows
+of one :class:`~repro.obs.causal.CausalRecord` per run; each operation's
+:class:`~repro.obs.causal.CausalNode` and each message's
+:class:`~repro.obs.causal.CausalMsg` are derived from it, and
+:func:`analyze` reconstructs the virtual-time critical path, per-rank slack, and
 straggler rankings (``repro critical-path`` / ``repro diff``).
 Measured backends (``multiprocessing``/``shm``) record the
 same DAG in *wall* seconds: a per-rank :class:`WallRecorder` logs every
@@ -28,7 +29,7 @@ are forked on one host — and
 timeline so ``analyze(tracer, clock="wall")`` yields a measured critical
 path next to the modelled one.
 :mod:`repro.obs.export` serialises a tracer to JSONL (one record per
-line, schema ``repro.obs/v8``, its record types defined once in
+line, schema ``repro.obs/v9``, its record types defined once in
 :data:`repro.obs.export.RECORDS`) and to the Chrome trace-event format that ``chrome://tracing`` / Perfetto can open
 directly — including flow-event arrows for every delivered message.
 :mod:`repro.obs.report` turns a trace file into an ASCII dashboard or a

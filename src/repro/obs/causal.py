@@ -1,10 +1,13 @@
 """Happens-before analysis of virtual-machine runs: critical paths, slack.
 
 The :class:`~repro.parallel.runtime.VirtualMachine` records every operation
-a rank executes as a :class:`CausalNode` — a half-open interval
-``[t_start, t_end)`` of that rank's virtual clock — and every message as a
-:class:`CausalMsg` linking its send node to the node that consumed it.
-Together they form the happens-before DAG of the run:
+a rank executes, and every message, as the flat rows of a
+:class:`CausalRecord` — what it cannot derive — and
+:meth:`CausalRecord.objects` derives a :class:`CausalNode` per operation
+— a half-open interval ``[t_start, t_end)`` of that rank's virtual clock
+— and a :class:`CausalMsg` per message, linking its send node to the
+node that consumed it.  Together they form the happens-before DAG of the
+run:
 
 * **program order** — consecutive nodes of one rank abut exactly
   (``t_start == predecessor.t_end``; per-rank node intervals tile
@@ -38,10 +41,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 
 __all__ = [
     "CausalMsg",
     "CausalNode",
+    "CausalRecord",
     "CausalRun",
     "CriticalPath",
     "RankStats",
@@ -55,12 +60,21 @@ __all__ = [
     "format_critical_path",
     "format_diff",
     "rank_stats",
+    "rows_of",
     "runs_from_tracer",
     "verify_makespans",
 ]
 
-#: Node kinds recorded by the virtual machine.
-NODE_KINDS = ("work", "send", "recv")
+#: Node kind per stored ``kind`` code (1 is unused): the codes the VM's
+#: op classes carry, so the scheduler stores them as they are.
+KIND_CODES = ("work", None, "send", "recv")
+WORK, SEND, RECV = 0, 2, 3
+
+#: A run's stored slots, in row and file order.  ``t_start`` and ``wait``
+#: (per node) and ``id`` (per message) are stored by a measured run only;
+#: a virtual run derives them.
+NODE_COLUMNS = ("kind", "rank", "msg", "t_end", "t_start", "wait")
+MSG_COLUMNS = ("dst", "tag", "nwords", "id")
 
 #: Attribution of node kinds to the (work | comm) split.
 KIND_OF = {
@@ -101,6 +115,103 @@ class CausalMsg:
     nwords: int
     send_node: int
     recv_node: int | None = None  #: recv node id; None if unconsumed
+
+
+class CausalRecord:
+    """One run's happens-before record: the slots nothing derives.
+
+    ``rows`` holds one flat row per operation, in id order, as the
+    scheduler appends it: the ``kind`` code (:data:`KIND_CODES`), the
+    ``rank``, ``msg`` and ``t_end``.  Messages are numbered 0, 1, ... in
+    the order of their send nodes; ``msg`` is that number + 1 on a recv
+    (the send sequence the VM already holds, so it stores no new int)
+    and -1 on every other node.  ``msg_rows`` holds one row per message,
+    in that order: ``dst``, ``tag``, ``nwords``.  One ``list.extend`` per
+    row keeps the scheduler's recording as cheap, and its lists as few,
+    as they can be; the trace file stores the same slots as columns
+    (:meth:`columns`).
+
+    A virtual run (``t_setup`` set) derives everything else, exactly as
+    its scheduler computed it: a node starts where its rank's previous
+    node ended (0.0 for its first), because a rank's clock moves only by
+    its own ops; a recv waited ``t_end - (t_start + t_setup)``, the
+    scheduler's own float expression, which is +0.0 on a recv that did
+    not wait; a message's id is its number.  A measured run
+    (``t_setup`` None) also stores, per node, the ``t_start`` and
+    ``wait`` its clocks read and, per message, the ``id`` its rank gave
+    it.  :meth:`objects` is the one derivation, for a run recorded in
+    this process and for one read from a trace file alike.
+    """
+
+    __slots__ = ("run", "t_setup", "rows", "msg_rows")
+
+    def __init__(self, t_setup: float | None, run: int = -1,
+                 rows: list | None = None, msg_rows: list | None = None):
+        self.t_setup = t_setup
+        self.run = run  #: assigned when the run ends
+        self.rows = [] if rows is None else rows
+        self.msg_rows = [] if msg_rows is None else msg_rows
+
+    @property
+    def nnodes(self) -> int:
+        return len(self.rows) // (4 if self.t_setup is not None else 6)
+
+    def columns(self) -> tuple[dict, dict]:
+        """``(nodes, msgs)``: one list per column of :data:`NODE_COLUMNS`
+        and :data:`MSG_COLUMNS`, None where a virtual run derives it."""
+        n, m = (4, 3) if self.t_setup is not None else (6, 4)
+        return ({c: self.rows[i::n] if i < n else None
+                 for i, c in enumerate(NODE_COLUMNS)},
+                {c: self.msg_rows[i::m] if i < m else None
+                 for i, c in enumerate(MSG_COLUMNS)})
+
+    def objects(self) -> tuple[list[CausalNode], list[CausalMsg]]:
+        """The run's :class:`CausalNode` and :class:`CausalMsg` lists, in
+        id order."""
+        run = self.run
+        nd, ms = self.columns()
+        kind, rank, msg, t_end = nd["kind"], nd["rank"], nd["msg"], nd["t_end"]
+        t_setup = self.t_setup
+        if t_setup is None:
+            t_start, wait, ids = nd["t_start"], nd["wait"], ms["id"]
+        else:
+            t_start, wait, ids = [], [], range(len(ms["dst"]))
+            last: dict[int, float] = {}
+            for k, r, e in zip(kind, rank, t_end):
+                s = last.get(r, 0.0)
+                last[r] = e
+                t_start.append(s)
+                wait.append(e - (s + t_setup) if k == RECV else 0.0)
+        sends: list[int] = []
+        recv_node: list[int | None] = [None] * len(ids)
+        nodes = []
+        for i, (k, r, m, s, e, w) in enumerate(
+                zip(kind, rank, msg, t_start, t_end, wait)):
+            if k == SEND:
+                m = ids[len(sends)]
+                sends.append(i)
+            elif m > 0:
+                recv_node[m - 1] = i
+                m = ids[m - 1]
+            else:
+                m = None
+            nodes.append(CausalNode(run, i, r, KIND_CODES[k], s, e, w, m))
+        msgs = [
+            CausalMsg(run, ids[j], rank[sn], d, tg, nw, sn, recv_node[j])
+            for j, (sn, d, tg, nw) in enumerate(
+                zip(sends, ms["dst"], ms["tag"], ms["nwords"]))
+        ]
+        if t_setup is None:  # a measured run's ids are its ranks' own
+            msgs.sort(key=lambda m: m.id)
+        return nodes, msgs
+
+
+def rows_of(columns: dict, names: tuple) -> list:
+    """The flat rows a :class:`CausalRecord` keeps, from the ``names``
+    columns of ``columns`` that are not None (:meth:`CausalRecord.columns`
+    inverted)."""
+    return list(chain.from_iterable(
+        zip(*(columns[c] for c in names if columns[c] is not None))))
 
 
 @dataclass
@@ -235,12 +346,7 @@ def runs_from_tracer(tracer, clock: str = "virtual") -> list[CausalRun]:
     kinds never mix in one list: wall bases are raw ``perf_counter``
     epochs and would corrupt virtual-timeline placement.
     """
-    nodes_by_run: dict[int, list[CausalNode]] = {}
-    msgs_by_run: dict[int, list[CausalMsg]] = {}
-    for n in tracer.causal_nodes:
-        nodes_by_run.setdefault(n.run, []).append(n)
-    for m in tracer.causal_msgs:
-        msgs_by_run.setdefault(m.run, []).append(m)
+    records = {rec.run: rec for rec in tracer.causal_records}
     runs = []
     for ev in tracer.events:
         if ev.name != "vm.run":
@@ -248,6 +354,8 @@ def runs_from_tracer(tracer, clock: str = "virtual") -> list[CausalRun]:
         if ev.attrs.get("clock", "virtual") != clock:
             continue
         rid = ev.attrs["run"]
+        nodes, msgs = (records[rid].objects() if rid in records
+                       else ([], []))
         phase = None
         if ev.span is not None and 0 <= ev.span < len(tracer.spans):
             phase = tracer.spans[ev.span].name
@@ -257,8 +365,8 @@ def runs_from_tracer(tracer, clock: str = "virtual") -> list[CausalRun]:
                 base=ev.attrs["base"],
                 nranks=ev.attrs["nranks"],
                 makespan=ev.attrs["makespan"],
-                nodes=sorted(nodes_by_run.get(rid, []), key=lambda n: n.id),
-                msgs=sorted(msgs_by_run.get(rid, []), key=lambda m: m.id),
+                nodes=nodes,
+                msgs=msgs,
                 cycle=ev.attrs.get("cycle"),
                 phase=phase,
                 clock=clock,

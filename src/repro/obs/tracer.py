@@ -80,45 +80,16 @@ class Tracer:
         self.spans: list[Span] = []
         self.events: list[PointEvent] = []
         self.metrics = MetricsRegistry()
-        self._causal_nodes: list = []
-        self._causal_msgs: list = []
-        #: Columnar VM-run records registered via :meth:`add_vm_chunk`,
-        #: not yet expanded into the two causal lists above.
-        self._vm_chunks: list = []
+        #: One :class:`~repro.obs.causal.CausalRecord` per traced VM run,
+        #: in run order (see :mod:`repro.obs.causal`); each run's
+        #: ``vm.run`` marker event carries its id.
+        self.causal_records: list = []
         self.cycle: int | None = None  #: current adaptation cycle id
         self._next_cycle = 0
         self._next_run = 0
         self._stack: list[Span] = []
         self._vclock = 0.0
         self._wall = wall_clock
-
-    # --- lazily materialized VM records -------------------------------------
-
-    @property
-    def causal_nodes(self) -> list:
-        """Causal record of every traced VM run (see :mod:`repro.obs.causal`):
-        happens-before DAG nodes, grouped by the run id carried in
-        ``vm.run`` marker events."""
-        self._flush_vm()
-        return self._causal_nodes
-
-    @property
-    def causal_msgs(self) -> list:
-        """The messages linking :attr:`causal_nodes` across ranks."""
-        self._flush_vm()
-        return self._causal_msgs
-
-    def add_vm_chunk(self, record) -> None:
-        """Register a VM run's columnar record (``runtime._VMRecord``):
-        its causal nodes/msgs materialize only when :attr:`causal_nodes` /
-        :attr:`causal_msgs` is next read, in registration order."""
-        self._vm_chunks.append(record)
-
-    def _flush_vm(self) -> None:
-        for record in self._vm_chunks:
-            self._causal_nodes.extend(record.causal_nodes())
-            self._causal_msgs.extend(record.causal_msgs())
-        self._vm_chunks.clear()
 
     # --- clocks ------------------------------------------------------------
 

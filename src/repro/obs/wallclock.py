@@ -11,7 +11,7 @@ the virtual machine records (:mod:`repro.obs.causal`):
 :class:`WallRecorder`
     A columnar event log a rank driver appends to while executing the
     rank program — flat parallel lists (kind code, start, end, wait,
-    message id), à la the VM scheduler's ``_VMRecord``, so the per-op
+    message id), like the VM's ``CausalRecord`` columns, so the per-op
     cost is a handful of list appends.  The real Python work between two
     yielded ops is synthesized as a ``work`` node filling the gap, so a
     rank's nodes tile its measured interval exactly like virtual nodes
@@ -22,9 +22,10 @@ the virtual machine records (:mod:`repro.obs.causal`):
     rank start), renumbers the nodes with a priority Kahn topological
     sort so the causal invariant every consumer relies on — all DAG
     edges go from a lower node id to a higher one — holds despite
-    cross-rank interleaving, and materializes
-    :class:`~repro.obs.causal.CausalNode`/:class:`~repro.obs.causal.CausalMsg`
-    lists plus the makespan bookkeeping a ``vm.run`` marker needs.
+    cross-rank interleaving, and returns the run's
+    :class:`~repro.obs.causal.CausalRecord` (its measured ``t_start``,
+    ``wait`` and message ids stored, since nothing derives them) plus
+    the makespan bookkeeping a ``vm.run`` marker needs.
 
 The resulting runs carry ``clock="wall"`` and a recorded ``skew`` bound:
 the wall critical-path length and the measured per-rank makespan agree to
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .causal import CausalMsg, CausalNode
+from .causal import RECV, SEND, WORK, CausalRecord
 
 __all__ = [
     "WallRecorder",
@@ -45,15 +46,12 @@ __all__ = [
     "record_measured_run",
 ]
 
-#: Node kind codes in the recorder columns (``work`` fills yield gaps).
-_KIND_NAMES = ("work", "send", "recv")
-WORK, SEND, RECV = range(3)
-
 
 class WallRecorder:
     """Columnar per-rank event log on the local ``perf_counter`` clock.
 
-    ``note_op`` appends one operation interval; any gap since the
+    ``note_op`` appends one operation interval, its kind one of the
+    causal record's codes (``WORK``, ``SEND``, ``RECV``); any gap since the
     previous recorded end becomes a ``work`` node first (that gap *is*
     the real Python work the program did between yields).  All columns
     are plain lists of numbers, so the whole log pickles cheaply through
@@ -128,10 +126,9 @@ class WallRecorder:
 
 @dataclass
 class MergedRun:
-    """One measured run's merged causal record (run ids stamped 0)."""
+    """One measured run's merged causal record and its bookkeeping."""
 
-    nodes: list[CausalNode]
-    msgs: list[CausalMsg]
+    record: CausalRecord  #: its ``run`` is stamped by the tracer
     makespan: float  #: max node end (run-local time zero = first start)
     rank_makespan: float  #: max per-rank duration
     start_spread: float  #: spread of the rank start times (boot stagger)
@@ -208,50 +205,31 @@ def merge_streams(streams: dict[int, dict]) -> MergedRun:
             f"({next_id} of {sum(counts.values())} nodes ordered)"
         )
 
-    nodes: list[CausalNode] = [None] * next_id  # type: ignore[list-item]
+    # rows in id order; a message's number is its send node's rank among
+    # the send nodes, so a recv follows the send it names
+    sent = {mid: (dest, tag, nwords)
+            for r in ranks for mid, dest, tag, nwords in streams[r]["sends"]}
+    number: dict[int, int] = {}
+    rows: list = []
+    msg_rows: list = []
     makespan = 0.0
-    rank_makespan = 0.0
-    for r in ranks:
+    for r, i in order:
         cols = streams[r]
-        for i in range(counts[r]):
-            t_start = cols["starts"][i] - epoch
-            t_end = cols["ends"][i] - epoch
-            if t_end < t_start:  # pragma: no cover - monotonic clocks
-                t_end = t_start
-            wait = min(max(cols["waits"][i], 0.0), t_end - t_start)
-            mid = cols["msgs"][i]
-            nodes[order[(r, i)]] = CausalNode(
-                run=0,
-                id=order[(r, i)],
-                rank=r,
-                kind=_KIND_NAMES[cols["kinds"][i]],
-                t_start=t_start,
-                t_end=t_end,
-                wait=wait,
-                msg=mid if mid >= 0 else None,
-            )
-            if t_end > makespan:
-                makespan = t_end
-        if counts[r]:
-            dur = cols["ends"][-1] - cols["t0"]
-            if dur > rank_makespan:
-                rank_makespan = dur
-
-    msgs: list[CausalMsg] = []
-    for r in ranks:
-        for mid, dest, tag, nwords in streams[r]["sends"]:
-            rcv = consumer.get(mid)
-            msgs.append(CausalMsg(
-                run=0,
-                id=mid,
-                src=r,
-                dst=dest,
-                tag=tag,
-                nwords=nwords,
-                send_node=order[send_node_of[mid]],
-                recv_node=order[rcv] if rcv is not None else None,
-            ))
-    msgs.sort(key=lambda m: m.id)
+        code, mid = cols["kinds"][i], cols["msgs"][i]
+        t_start = cols["starts"][i] - epoch
+        t_end = cols["ends"][i] - epoch
+        if t_end < t_start:  # pragma: no cover - monotonic clocks
+            t_end = t_start
+        if code == SEND:
+            number[mid] = len(number)
+            msg_rows.extend((*sent[mid], mid))
+        wait = min(max(cols["waits"][i], 0.0), t_end - t_start)
+        rows.extend((code, r, number[mid] + 1 if code == RECV else -1,
+                     t_end, t_start, wait))
+        if t_end > makespan:
+            makespan = t_end
+    rank_makespan = max((streams[r]["ends"][-1] - streams[r]["t0"]
+                         for r in ranks if counts[r]), default=0.0)
 
     spills = sorted(
         (t - epoch, r, mid)
@@ -259,8 +237,7 @@ def merge_streams(streams: dict[int, dict]) -> MergedRun:
         for (t, mid) in streams[r]["spills"]
     )
     return MergedRun(
-        nodes=nodes,
-        msgs=msgs,
+        record=CausalRecord(None, rows=rows, msg_rows=msg_rows),
         makespan=makespan,
         rank_makespan=rank_makespan,
         start_spread=start_spread,
@@ -280,17 +257,13 @@ def record_measured_run(tracer, streams, *, nranks, backend, waited,
     interval: the recorder start spread, plus a nanosecond for
     rounding), emit ``transport.spill`` events, and mirror the VM's
     per-rank traffic series with a ``clock="wall"`` label.  Returns the
-    merged ``(nodes, msgs)`` lists — shared with the tracer — so the
-    backend's ``RunResult`` can carry them too.
+    merged record — the tracer's — so the backend's ``RunResult`` can
+    carry it too.
     """
     merged = merge_streams(streams)
-    run_id = tracer.next_causal_run()
-    for n in merged.nodes:
-        n.run = run_id
-    for m in merged.msgs:
-        m.run = run_id
-    tracer.causal_nodes.extend(merged.nodes)
-    tracer.causal_msgs.extend(merged.msgs)
+    rec = merged.record
+    run_id = rec.run = tracer.next_causal_run()
+    tracer.causal_records.append(rec)
     tracer.event(
         "vm.run",
         run=run_id,
@@ -301,8 +274,8 @@ def record_measured_run(tracer, streams, *, nranks, backend, waited,
         skew=merged.start_spread + 1e-9,
         nranks=nranks,
         cycle=tracer.cycle,
-        nodes=len(merged.nodes),
-        msgs=len(merged.msgs),
+        nodes=rec.nnodes,
+        msgs=len(rec.msg_rows) // 4,
         backend=backend,
     )
     for t, r, mid in merged.spills:
@@ -313,8 +286,10 @@ def record_measured_run(tracer, streams, *, nranks, backend, waited,
     # Mirror the VM's per-rank traffic series in measured form; the
     # clock="wall" label keeps them apart from the modelled samples.
     rank_busy = [0.0] * nranks
-    for n in merged.nodes:
-        rank_busy[n.rank] += n.t_end - n.t_start - n.wait
+    nd = rec.columns()[0]
+    for r, t_start, t_end, wait in zip(nd["rank"], nd["t_start"],
+                                       nd["t_end"], nd["wait"]):
+        rank_busy[r] += t_end - t_start - wait
     per_rank_series = (
         ("repro.vm.messages_sent", msgs_sent),
         ("repro.vm.messages_recv", msgs_recv),
@@ -330,7 +305,7 @@ def record_measured_run(tracer, streams, *, nranks, backend, waited,
             tracer.metric(
                 name, values[r], kind="counter", rank=r, clock="wall",
             )
-    return merged.nodes, merged.msgs
+    return rec
 
 
 def format_clock_skew(tracer) -> str:

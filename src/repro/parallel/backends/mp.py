@@ -218,7 +218,7 @@ def _assemble(backend, tracer, results, wall, transport) -> RunResult:
             for k, v in s["transport"].items():
                 transport_totals[k] = transport_totals.get(k, 0) + v
         transport.note_run_totals(transport_totals)
-    nodes = msgs = None
+    record = None
     if tracer is not None:
         from ...obs.resource import record_resources
         from ...obs.wallclock import record_measured_run
@@ -237,7 +237,7 @@ def _assemble(backend, tracer, results, wall, transport) -> RunResult:
                     f"repro.transport.{key}", stats[r]["transport"][key],
                     kind="counter", rank=r, backend=backend,
                 )
-        nodes, msgs = record_measured_run(
+        record = record_measured_run(
             tracer, {r: s["rec"] for r, s in enumerate(stats)},
             nranks=nranks, backend=backend,
             waited=waited, msgs_sent=msgs_s, msgs_recv=msgs_r,
@@ -257,8 +257,7 @@ def _assemble(backend, tracer, results, wall, transport) -> RunResult:
         wall_seconds=wall,
         backend=backend,
         transport=transport_totals,
-        nodes=nodes,
-        msgs=msgs,
+        record=record,
     )
 
 

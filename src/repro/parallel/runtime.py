@@ -16,11 +16,10 @@ ties are broken by rank id, so runs are fully deterministic.
 The scheduler (DESIGN.md §13) dispatches on each op class's ``_code``,
 files the ready ranks in a calendar — the distinct ready clocks, each
 with the ids of the ranks due at it — runs a rank for as long as it
-stays the calendar's minimum, and records the happens-before
-record into flat rows of what it cannot derive (:class:`_VMRecord`),
-materializing
-:class:`~repro.obs.causal.CausalNode` /
-:class:`~repro.obs.causal.CausalMsg` objects lazily.  A rank's mailbox
+stays the calendar's minimum, and appends the happens-before record as
+flat rows of what it cannot derive
+(:class:`~repro.obs.causal.CausalRecord`), the slots the trace file
+stores as columns.  A rank's mailbox
 is a send-ordered list whose first match is the oldest (:func:`_take`).
 The one-op-per-pop ``(clock, rank)`` tuple-heap scheduler it replaced,
 with its minimum-``seq`` scanning mailbox and eager object record, is the
@@ -35,6 +34,8 @@ from collections import Counter
 from typing import Any, Callable
 
 import numpy as np
+
+from repro.obs.causal import RECV, SEND, WORK, CausalRecord
 
 from .machine import MachineModel, SP2_1997
 
@@ -77,19 +78,16 @@ class DeadlockError(RuntimeError):
 # compares them — so losing generated __eq__/__hash__ costs nothing.
 #
 # Each class carries its dispatch key as ``_code``, which doubles as the
-# kind code the columnar record stores (an index into ``_CODE_KINDS``): in
+# kind code the causal record stores (``repro.obs.causal.KIND_CODES``): in
 # the hot loop a class attribute load beats a dict probe, and subclasses
 # inherit it.  The codes are work 0, send 2, recv 3 (1 is unused): the
-# recorded node columns, and the digests pinned on them, carry those
-# numbers.
-
-_WORK, _SEND, _RECV = 0, 2, 3
-_CODE_KINDS = ("work", None, "send", "recv")
+# recorded node columns, the trace file, and the digests pinned on them
+# carry those numbers.
 
 
 class SendOp:
     __slots__ = ("dest", "tag", "payload", "nwords")
-    _code = _SEND
+    _code = SEND
 
     def __init__(self, dest: int, tag: int, payload: Any, nwords: int):
         self.dest = dest
@@ -100,7 +98,7 @@ class SendOp:
 
 class RecvOp:
     __slots__ = ("source", "tag")
-    _code = _RECV
+    _code = RECV
 
     def __init__(self, source: int, tag: int):
         self.source = source
@@ -109,7 +107,7 @@ class RecvOp:
 
 class WorkOp:
     __slots__ = ("units",)
-    _code = _WORK
+    _code = WORK
 
     def __init__(self, units: float):
         self.units = units
@@ -145,143 +143,25 @@ class _BlockedView:
         self.mailbox = mailbox
 
 
-# --- columnar recording ------------------------------------------------------
-
-
-class _VMRecord:
-    """Columnar happens-before record of one VM run.
-
-    The scheduler appends one flat row per operation and per message
-    instead of allocating a ``CausalNode`` per op, and stores only what
-    it cannot derive (flat Python lists — a single ``list.extend`` per
-    row is ~6x cheaper than a typed ``array`` extend):
-
-    * ``rows`` (stride 4) — kind code, rank, msg, ``t_end``; ``msg`` is
-      the consumed message's ``seq`` (its id + 1, an int object the
-      scheduler already holds) on a recv row, ``-1`` on work and send
-      rows
-    * ``msg_rows`` (stride 3) — dst, tag, nwords, in send order
-
-    Everything else is derived on read, vectorised, and bit-identical to
-    what the scheduler computed: a send's message id is its rank among
-    the send rows; ``t_start`` is the same rank's previous ``t_end``
-    (0.0 for its first node), because a rank's clock moves only by its
-    own ops; a recv's ``wait`` is ``t_end - (t_start + t_setup)``,
-    the scheduler's own float expression, which is exactly +0.0 on a
-    recv that did not wait (it ended at ``t_start + t_setup``); a
-    message's src, send node and recv node (``-1`` unconsumed) come from
-    the node rows.  ``nd`` / ``ms_i`` are the derived stride-6 columns;
-    the object views are materialized lazily (and memoized) only when
-    :mod:`repro.obs.causal` or the exporters ask for them.
-    """
-
-    __slots__ = ("rows", "msg_rows", "t_setup", "run", "_nodes", "_msgs")
-
-    def __init__(self, t_setup: float):
-        self.rows: list = []
-        self.msg_rows: list = []
-        self.t_setup = t_setup
-        self.run = -1  # assigned at end of run, like eager CausalNodes
-        self._nodes = None
-        self._msgs = None
-
-    @property
-    def nnodes(self) -> int:
-        return len(self.rows) // 4
-
-    @property
-    def nd(self) -> np.ndarray:
-        """The derived node columns ``kind, rank, msg, t_start, t_end,
-        wait``, flat with stride 6, as float64."""
-        a = np.array(self.rows, dtype=np.float64).reshape(-1, 4)
-        kind, rank, seq, t_end = a.T
-        recv = seq > 0
-        msg = np.where(recv, seq - 1.0, -1.0)
-        send = kind == _SEND
-        msg[send] = np.arange(np.count_nonzero(send))
-        # t_start: the previous t_end of the same rank, 0.0 for its first
-        order = np.argsort(rank, kind="stable")
-        t_start = np.empty_like(t_end)
-        t_start[order[1:]] = t_end[order[:-1]]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = rank[order[1:]] != rank[order[:-1]]
-        t_start[order[first]] = 0.0
-        # a recv that did not wait ended at exactly t_start + t_setup, so
-        # this is +0.0 there and the scheduler's positive wait elsewhere
-        wait = np.zeros_like(t_end)
-        wait[recv] = t_end[recv] - (t_start[recv] + self.t_setup)
-        return np.column_stack((kind, rank, msg, t_start, t_end, wait)).ravel()
-
-    @property
-    def ms_i(self) -> np.ndarray:
-        """The derived message columns ``src, dst, tag, nwords,
-        send_node, recv_node``, flat with stride 6, as int64."""
-        rows = np.array(self.rows, dtype=np.float64).reshape(-1, 4)
-        a = rows[:, :3].astype(np.int64)  # kind, rank, msg
-        sends = np.flatnonzero(a[:, 0] == _SEND)
-        recvs = np.flatnonzero(a[:, 2] > 0)
-        m = np.array(self.msg_rows, dtype=np.int64).reshape(-1, 3)
-        recv_node = np.full(len(m), -1, dtype=np.int64)
-        recv_node[a[recvs, 2] - 1] = recvs
-        return np.column_stack((a[sends, 1], m, sends, recv_node)).ravel()
-
-    def _materialize(self) -> None:
-        from repro.obs.causal import CausalMsg, CausalNode
-
-        nd = self.nd.reshape(-1, 6)
-        kind, rank, msg = nd[:, :3].astype(np.int64).T.tolist()
-        t_start, t_end, wait = nd[:, 3:].T.tolist()
-        run = self.run
-        self._nodes = [
-            CausalNode(run, i, r, _CODE_KINDS[k], s, e, w,
-                       None if m < 0 else m)
-            for i, (k, r, m, s, e, w) in enumerate(
-                zip(kind, rank, msg, t_start, t_end, wait)
-            )
-        ]
-        self._msgs = [
-            CausalMsg(run, i, s, d, t, w, sn, None if rn < 0 else rn)
-            for i, (s, d, t, w, sn, rn) in enumerate(
-                self.ms_i.reshape(-1, 6).tolist()
-            )
-        ]
-
-    def causal_nodes(self) -> list:
-        """Materialize (and memoize) the ``CausalNode`` view."""
-        if self._nodes is None:
-            self._materialize()
-        return self._nodes
-
-    def causal_msgs(self) -> list:
-        """Materialize (and memoize) the ``CausalMsg`` view."""
-        if self._msgs is None:
-            self._materialize()
-        return self._msgs
-
-
 class RunResult:
     """Outcome of a :meth:`VirtualMachine.run` call.
 
-    A traced run also keeps its happens-before record: the scheduler's
-    columnar ``record``, or the object lists ``nodes`` / ``msgs`` of a
-    result built directly (the real-execution backends, the tests'
-    oracle scheduler).  The trace is where the product reads it.
+    A traced run also keeps its happens-before ``record``
+    (:class:`~repro.obs.causal.CausalRecord`), the one its tracer holds.
     """
 
     __slots__ = (
         "returns", "clocks", "total_messages", "total_words",
         "words_sent_per_rank", "words_recv_per_rank", "msgs_sent_per_rank",
         "msgs_recv_per_rank", "busy_per_rank", "idle_per_rank",
-        "wall_seconds", "backend", "transport",
-        "_nodes", "_msgs", "_record",
+        "wall_seconds", "backend", "transport", "_record",
     )
 
     def __init__(self, returns, clocks, total_messages, total_words,
                  words_sent_per_rank, words_recv_per_rank=None,
                  msgs_sent_per_rank=None, msgs_recv_per_rank=None,
-                 busy_per_rank=None, idle_per_rank=None, nodes=None,
-                 msgs=None, wall_seconds=None, backend="virtual",
-                 record=None, transport=None):
+                 busy_per_rank=None, idle_per_rank=None, wall_seconds=None,
+                 backend="virtual", record=None, transport=None):
         self.returns = returns
         self.clocks = clocks
         self.total_messages = total_messages
@@ -307,8 +187,6 @@ class RunResult:
         #: ``bytes_pickled``, ``slab_reuse``, ...) when the backend ran a
         #: shared-memory transport; None otherwise.
         self.transport = transport
-        self._nodes = nodes
-        self._msgs = msgs
         self._record = record
 
     @property
@@ -323,8 +201,8 @@ class VirtualMachine:
     """A virtual message-passing machine with ``nranks`` processors.
 
     With ``trace=True`` the scheduler records every send, receive and
-    work operation as a causal node with its virtual start and end times,
-    and every message as a causal msg (``RunResult.nodes`` / ``.msgs``;
+    work operation as a causal node with its virtual end time, and every
+    message as a causal msg (:class:`~repro.obs.causal.CausalRecord`;
     useful for debugging rank programs and visualising
     communication schedules).  With ``tracer`` set to a
     :class:`repro.obs.Tracer`, the same record is appended to the tracer
@@ -387,8 +265,9 @@ class VirtualMachine:
           same order, as the oracle scheduler;
         * node id == append order, msg id == ``seq - 1`` == the send's
           rank among the send rows, and a recv row keeps the ``seq`` it
-          consumed — so :class:`_VMRecord` derives the eager record's
-          ``t_start``, ``wait``, message ids and send / recv nodes;
+          consumed — so :class:`~repro.obs.causal.CausalRecord` derives
+          the eager record's ``t_start``, ``wait``, message ids and
+          send / recv nodes;
         * traced and untraced runs count words, messages and waits by
           the same inline ``+=``, each rank's waits added in node order
           as the oracle adds them.
@@ -399,8 +278,8 @@ class VirtualMachine:
         t_word = machine.t_word
         t_work = machine.t_work
 
-        rec = (_VMRecord(t_setup) if (self.trace or self.tracer is not None)
-               else None)
+        rec = (CausalRecord(t_setup)
+               if (self.trace or self.tracer is not None) else None)
         if rec is not None:
             nd_ext = rec.rows.extend
             msi_ext = rec.msg_rows.extend
@@ -466,7 +345,7 @@ class VirtualMachine:
                         raise TypeError(
                             f"rank {r} yielded unknown op {op!r}"
                         ) from None
-                    if code == _SEND:
+                    if code == SEND:
                         dest = op.dest
                         if not 0 <= dest < nranks:
                             raise ValueError(
@@ -483,7 +362,7 @@ class VirtualMachine:
                             data_sent[r] += 1
                         tag = op.tag
                         if rec is not None:
-                            nd_ext((_SEND, r, -1, c))
+                            nd_ext((SEND, r, -1, c))
                             msi_ext((dest, tag, nwords))
                         clocks[r] = c
                         bop = blocked[dest]
@@ -513,7 +392,7 @@ class VirtualMachine:
                             if nwords > 0:
                                 data_recv[dest] += 1
                             if rec is not None:
-                                nd_ext((_RECV, dest, seq, cd))
+                                nd_ext((RECV, dest, seq, cd))
                             send_values[dest] = (op.payload, r, tag)
                             due = buckets.get(cd)
                             if due is None:
@@ -525,7 +404,7 @@ class VirtualMachine:
                             mailboxes[dest].append(
                                 (seq, c, op.payload, nwords, r, tag)
                             )
-                    elif code == _RECV:
+                    elif code == RECV:
                         # inlined _take: the first match in send order (a
                         # recv has no arrival cap)
                         box = mailboxes[r]
@@ -557,15 +436,15 @@ class VirtualMachine:
                         if nw > 0:
                             data_recv[r] += 1
                         if rec is not None:
-                            nd_ext((_RECV, r, mseq, c))
+                            nd_ext((RECV, r, mseq, c))
                         sv = (payload, src, rtag)
-                    else:  # _WORK
+                    else:  # WORK
                         units = op.units
                         if units < 0:
                             raise ValueError(f"negative work: {units}")
                         c = c + t_work * units
                         if rec is not None:
-                            nd_ext((_WORK, r, -1, c))
+                            nd_ext((WORK, r, -1, c))
                     # run-to-min batching: keep running this rank while
                     # ``(c, r)`` is still the minimum of the ready order
                     # (ties go to the lowest rank id, exactly as the
@@ -608,9 +487,7 @@ class VirtualMachine:
         ]
         if stuck:
             self._raise_deadlock(
-                stuck,
-                rec.causal_nodes() if rec is not None else None,
-                rec.causal_msgs() if rec is not None else None,
+                stuck, *(rec.objects() if rec is not None else (None, None))
             )
 
         makespan = max(clocks)
@@ -631,7 +508,7 @@ class VirtualMachine:
                 cycle=tracer.cycle, nodes=rec.nnodes,
                 msgs=total_messages,
             )
-            tracer.add_vm_chunk(rec)
+            tracer.causal_records.append(rec)
             mpr = tracer.metric_per_rank
             mpr("repro.vm.messages_sent", data_sent)
             mpr("repro.vm.messages_recv", data_recv)

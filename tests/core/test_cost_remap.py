@@ -35,10 +35,10 @@ def test_needs_repartition_threshold_validation():
 
 
 class TestCostModel:
-    def make(self, metric="totalv"):
+    def make(self):
         m = MachineModel(t_setup=1e-4, t_word=1e-6, t_work=1e-6)
         return CostModel(machine=m, t_iter=1e-4, n_adapt=10, storage_words=10,
-                         t_child=1e-5, metric=metric)
+                         t_child=1e-5)
 
     def test_redistribution_cost_formula(self):
         cm = self.make()
@@ -46,15 +46,6 @@ class TestCostModel:
         st = remap_stats(S, np.array([0, 1]))  # move everything
         # M*C*Tlat + N*Tsetup = 10*200*1e-6 + 2*1e-4
         assert cm.redistribution_cost(st) == pytest.approx(0.002 + 0.0002)
-
-    def test_maxv_cost_uses_bottleneck(self):
-        cm = self.make(metric="maxv")
-        S = np.array([[0, 100], [100, 0]])
-        st = remap_stats(S, np.array([0, 1]))
-        # Cmax = 100, Nmax = 2
-        assert cm.redistribution_cost(st) == pytest.approx(
-            10 * 100 * 1e-6 + 2 * 1e-4
-        )
 
     def test_decide_accepts_large_gain(self):
         cm = self.make()
@@ -78,10 +69,6 @@ class TestCostModel:
         d = cm.decide(w, old, new, 2, st)
         assert d.gain == pytest.approx(0.0)
         assert not d.accept
-
-    def test_invalid_metric(self):
-        with pytest.raises(ValueError, match="metric"):
-            CostModel(metric="bogus")
 
 
 class TestRemapExecution:

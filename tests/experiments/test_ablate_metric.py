@@ -42,12 +42,9 @@ def test_metric_tradeoff(case):
     assert st_tot.c_total <= st_max.c_total  # TotalV wins its own metric
     assert st_max.c_max <= st_tot.c_max  # MaxV wins its own metric
 
-    # both metrics price the remap consistently in the cost model
-    for metric, st in (("totalv", st_tot), ("maxv", st_max)):
-        cm = CostModel(machine=SP2_1997, metric=metric)
-        assert cm.redistribution_cost(st) > 0
-    # MaxV's bottleneck price never exceeds the TotalV total price for the
-    # same assignment (C_max <= C_total, N_max <= N_total)
-    cm_tot = CostModel(machine=SP2_1997, metric="totalv")
-    cm_max = CostModel(machine=SP2_1997, metric="maxv")
-    assert cm_max.redistribution_cost(st_tot) <= cm_tot.redistribution_cost(st_tot)
+    # MaxV's bottleneck pair never exceeds TotalV's for the same
+    # assignment, so the cost model's TotalV price bounds a MaxV one
+    for st in (st_tot, st_max):
+        assert st.c_max <= st.c_total
+        assert st.n_max <= st.n_total
+    assert CostModel(machine=SP2_1997).redistribution_cost(st_tot) > 0

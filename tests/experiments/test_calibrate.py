@@ -1,5 +1,7 @@
 """The measured-vs-modelled calibration report over the exec-phase workload."""
 
+import os
+
 import numpy as np
 
 from repro.experiments import calibrate, format_calibration, run_exec_phase_workload
@@ -60,6 +62,10 @@ def test_calibrate_payloads_identical_across_backends():
 
 def test_format_reports_mismatches():
     report = calibrate(resolution=3, nproc=2, backends=())
+    assert report.cores == len(os.sched_getaffinity(0))
+    assert ("share" in format_calibration(report)) == (2 > report.cores)
+    object.__setattr__(report, "cores", 1)
+    assert "note: 2 ranks share 1 cores" in format_calibration(report)
     object.__setattr__(report, "payloads_identical", False)
     object.__setattr__(report, "mismatches", ["x: marking fixpoint differs"])
     out = format_calibration(report)

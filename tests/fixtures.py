@@ -3,7 +3,8 @@
 The smallest tetrahedral meshes, the structural invariant checks of a
 global and a rank-local mesh, an element-quality measure, the analytic
 flow fields the solver, adaptor and framework tests start from, the causal
-record of one traced ``RunResult``, the partition store's statistics, and
+record of one traced ``RunResult`` or tracer (and the stride-6 arrays the
+halo digests are pinned on), the partition store's statistics, and
 weighted graphs from edge lists and their CSR rows.
 """
 
@@ -143,18 +144,56 @@ def spherical_blast_field(
 
 def nodes_of(result) -> list | None:
     """The happens-before nodes a traced
-    :class:`~repro.parallel.runtime.RunResult` keeps (None untraced): the
-    VM's columnar record, or a measured backend's merged streams."""
-    if result._nodes is None and result._record is not None:
-        result._nodes = result._record.causal_nodes()
-    return result._nodes
+    :class:`~repro.parallel.runtime.RunResult` keeps (None untraced),
+    derived from its :class:`~repro.obs.causal.CausalRecord`."""
+    return None if result._record is None else result._record.objects()[0]
 
 
 def msgs_of(result) -> list | None:
     """The messages of a traced run's result, as :func:`nodes_of`."""
-    if result._msgs is None and result._record is not None:
-        result._msgs = result._record.causal_msgs()
-    return result._msgs
+    return None if result._record is None else result._record.objects()[1]
+
+
+def causal_nodes(tracer) -> list:
+    """Every causal node a tracer holds, run after run."""
+    return [n for rec in tracer.causal_records for n in rec.objects()[0]]
+
+
+def causal_msgs(tracer) -> list:
+    """Every causal message a tracer holds, run after run."""
+    return [m for rec in tracer.causal_records for m in rec.objects()[1]]
+
+
+def stride6(record) -> tuple[np.ndarray, np.ndarray]:
+    """A virtual run's record as the flat stride-6 arrays the halo-cycle
+    digests are pinned on: float64 ``kind, rank, msg, t_start, t_end,
+    wait`` per node (``msg`` -1 where none) and int64 ``src, dst, tag,
+    nwords, send_node, recv_node`` per message (``recv_node`` -1 when
+    unconsumed), derived with numpy from the stored rows."""
+    a = np.array(record.rows, dtype=np.float64).reshape(-1, 4)
+    kind, rank, seq, t_end = a.T
+    recv = seq > 0
+    msg = np.where(recv, seq - 1.0, -1.0)
+    send = kind == 2
+    msg[send] = np.arange(np.count_nonzero(send))
+    # t_start: the previous t_end of the same rank, 0.0 for its first
+    order = np.argsort(rank, kind="stable")
+    t_start = np.empty_like(t_end)
+    t_start[order[1:]] = t_end[order[:-1]]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = rank[order[1:]] != rank[order[:-1]]
+    t_start[order[first]] = 0.0
+    wait = np.zeros_like(t_end)
+    wait[recv] = t_end[recv] - (t_start[recv] + record.t_setup)
+    nodes = np.column_stack((kind, rank, msg, t_start, t_end, wait)).ravel()
+    ints = a[:, :3].astype(np.int64)  # kind, rank, msg
+    sends = np.flatnonzero(ints[:, 0] == 2)
+    recvs = np.flatnonzero(ints[:, 2] > 0)
+    m = np.array(record.msg_rows, dtype=np.int64).reshape(-1, 3)
+    recv_node = np.full(len(m), -1, dtype=np.int64)
+    recv_node[ints[recvs, 2] - 1] = recvs
+    msgs = np.column_stack((ints[sends, 1], m, sends, recv_node)).ravel()
+    return nodes, msgs
 
 
 def run_from_result(result) -> CausalRun:

@@ -4,7 +4,9 @@ Each hot kernel in ``src/`` has one implementation.  The form it replaced
 lives here, unchanged, as the oracle it must match bit for bit:
 
 * :func:`run_reference` — the one-op-per-heap-pop VM scheduler with its
-  :class:`_ListMailbox` and eager ``CausalNode`` / ``CausalMsg`` record;
+  :class:`_ListMailbox` and eager ``CausalNode`` / ``CausalMsg`` record
+  (:class:`_EagerRecord`, whose object lists the product's derivation
+  must reproduce);
 * :func:`fm_bisection_refine_reference`,
   :func:`kway_greedy_refine_reference`,
   :func:`heavy_edge_matching_reference`,
@@ -67,7 +69,7 @@ from repro.mesh.topology import (
     LOCAL_FACES,
     OPPOSITE_EDGE,
 )
-from repro.obs.causal import CausalMsg, CausalNode
+from repro.obs.causal import CausalMsg, CausalNode, CausalRecord
 from repro.parallel.ledger import CostLedger
 from repro.parallel.runtime import ANY, RecvOp, RunResult, SendOp, WorkOp
 from repro.partition import multilevel_kway
@@ -154,6 +156,27 @@ class _Rank:
     waited: float = 0.0  # virtual seconds blocked waiting for arrivals
 
 
+class _EagerRecord(CausalRecord):
+    """The oracle's causal record: the object lists it built eagerly,
+    which :meth:`objects` returns as they are, over the rows they encode
+    — what the product's scheduler stores — for the tracer and the
+    exporter."""
+
+    __slots__ = ("eager",)
+
+    def __init__(self, t_setup: float, run: int, nodes: list, msgs: list):
+        code = {"work": 0, "send": 2, "recv": 3}
+        super().__init__(t_setup, run, [
+            v for n in nodes for v in (
+                code[n.kind], n.rank,
+                n.msg + 1 if n.kind == "recv" else -1, n.t_end)
+        ], [v for m in msgs for v in (m.dst, m.tag, m.nwords)])
+        self.eager = (nodes, msgs)
+
+    def objects(self) -> tuple[list, list]:
+        return self.eager
+
+
 def run_reference(self, gens: list) -> RunResult:
     """One-op-per-heap-pop scheduler with eager object records; bound in
     place of ``VirtualMachine._run_fast``, so ``self`` is the machine."""
@@ -230,6 +253,7 @@ def run_reference(self, gens: list) -> RunResult:
     busy = [s.clock - s.waited for s in ranks]
     idle = [makespan - b for b in busy]
 
+    record = None
     if nodes is not None:
         run_id = (
             self.tracer.next_causal_run() if self.tracer is not None else 0
@@ -238,10 +262,10 @@ def run_reference(self, gens: list) -> RunResult:
             nd.run = run_id
         for mg in msgs_rec:
             mg.run = run_id
+        record = _EagerRecord(self.machine.t_setup, run_id, nodes, msgs_rec)
     if self.tracer is not None:
         base = self.tracer.virtual_now
-        self.tracer.causal_nodes.extend(nodes)
-        self.tracer.causal_msgs.extend(msgs_rec)
+        self.tracer.causal_records.append(record)
         self.tracer.event(
             "vm.run", v_time=base, run=run_id, base=base,
             makespan=makespan, nranks=self.nranks,
@@ -275,8 +299,7 @@ def run_reference(self, gens: list) -> RunResult:
         msgs_recv_per_rank=[s.msgs_recv for s in ranks],
         busy_per_rank=busy,
         idle_per_rank=idle,
-        nodes=nodes,
-        msgs=msgs_rec,
+        record=record,
     )
 
 

@@ -1,11 +1,17 @@
 """Exporter round-trips and schema validation, driven by the record table."""
 
+import contextlib
+import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from repro.__main__ import main
 from repro.obs import (
     SCHEMA_VERSION,
     SchemaError,
@@ -15,10 +21,17 @@ from repro.obs import (
     read_jsonl,
     validate_jsonl,
 )
-from repro.obs.causal import NODE_KINDS
-from repro.obs.export import MARKER_ATTRS, RECORDS
+from repro.obs.causal import KIND_CODES, verify_makespans
+from repro.obs.export import COUNT_KEYS, MARKER_ATTRS, RECORDS
+from repro.parallel import VirtualMachine
 
-from tests.fixtures import metric_value
+from tests.fixtures import causal_msgs, causal_nodes, metric_value
+from tests.kernels.oracles import reference_kernels
+from tests.parallel.test_scheduler_edges import (
+    WORK_SECONDS,
+    _op_scripts,
+    script_program,
+)
 
 
 def sample_tracer() -> Tracer:
@@ -49,7 +62,6 @@ def metric_tracer() -> Tracer:
 def causal_tracer() -> Tracer:
     """Tracer holding one traced two-rank VM run (ping + reply): every
     record type of the table, at least once."""
-    from repro.parallel import VirtualMachine
 
     def prog(comm):
         if comm.rank == 0:
@@ -81,7 +93,7 @@ def _write(tmp_path, records) -> Path:
 
 def _meta(**counts) -> dict:
     base = {"type": "meta", "schema": SCHEMA_VERSION,
-            **{kind + "s": 0 for kind in RECORDS}}
+            **dict.fromkeys(COUNT_KEYS.values(), 0)}
     base.update(counts)
     return base
 
@@ -94,7 +106,7 @@ def test_export_read_export_is_byte_identical(tmp_path):
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     n = export_jsonl(tr, first)
     summary = validate_jsonl(first)
-    assert set(summary) == {kind + "s" for kind in RECORDS}
+    assert set(summary) == set(COUNT_KEYS.values())
     assert all(count >= 1 for count in summary.values())  # every type held
     assert n == 1 + sum(summary.values())
     assert export_jsonl(read_jsonl(first), second) == n
@@ -103,7 +115,7 @@ def test_export_read_export_is_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("kind, key", [
     (kind, key)
-    for kind, fields in [("meta", ("schema", *(k + "s" for k in RECORDS))),
+    for kind, fields in [("meta", ("schema", *COUNT_KEYS.values())),
                          *((k, tuple(e.fields)) for k, e in RECORDS.items())]
     for key in fields
 ])
@@ -117,7 +129,7 @@ def test_dropping_any_declared_key_is_rejected(tmp_path, kind, key):
             consume(path)
 
 
-@pytest.mark.parametrize("schema", [f"repro.obs/v{n}" for n in range(1, 8)])
+@pytest.mark.parametrize("schema", [f"repro.obs/v{n}" for n in range(1, 9)])
 def test_older_schema_rejected_by_name(tmp_path, schema):
     records = _lines(sample_tracer(), tmp_path)
     records[0]["schema"] = schema
@@ -129,7 +141,7 @@ def test_older_schema_rejected_by_name(tmp_path, schema):
 def test_design_doc_lists_the_table():
     """DESIGN.md's "Trace format" section names every record type with
     exactly the table's keys (``?`` marks nullable), in order, and the
-    ``node`` row lists exactly the node kinds the writers emit."""
+    ``nodes`` row lists exactly the kind codes the writers emit."""
     text = (Path(__file__).parents[2] / "DESIGN.md").read_text()
     section = re.split(r"^## (?:\d+\. )?Trace format$", text, flags=re.M)[1]
     section = section.split("\n## ", 1)[0]
@@ -145,9 +157,11 @@ def test_design_doc_lists_the_table():
     assert SCHEMA_VERSION in section
     for marker in MARKER_ATTRS:
         assert f"`{marker}`" in section
-    [node_row] = re.findall(r"^\| `node` \|.*$", section, re.M)
-    [kinds] = re.findall(r"`kind` ∈ ([\w/]+)", node_row)
-    assert tuple(kinds.split("/")) == NODE_KINDS
+    [node_row] = re.findall(r"^\| `nodes` \|.*$", section, re.M)
+    [(codes, kinds)] = re.findall(r"`kind` codes ([\d/]+) = ([\w/]+)",
+                                  node_row)
+    assert dict(zip(map(int, codes.split("/")), kinds.split("/"))) == {
+        code: kind for code, kind in enumerate(KIND_CODES) if kind}
 
 
 # --- round trips --------------------------------------------------------------
@@ -189,21 +203,94 @@ def test_metric_roundtrip(tmp_path):
     assert back.begin_cycle() == 1
 
 
+def _roundtrip(tracer: Tracer, path: Path) -> Tracer:
+    export_jsonl(tracer, path)
+    return read_jsonl(path)
+
+
 def test_causal_roundtrip(tmp_path):
     tr = causal_tracer()
-    assert tr.causal_nodes and tr.causal_msgs
+    assert causal_nodes(tr) and causal_msgs(tr)
     path = tmp_path / "trace.jsonl"
     export_jsonl(tr, path)
     summary = validate_jsonl(path)
-    assert summary["nodes"] == len(tr.causal_nodes)
-    assert summary["msgs"] == len(tr.causal_msgs)
+    assert summary["nodes"] == summary["msgs"] == 1  # one of each per run
     assert summary["events"] == 2  # the decision and one vm.run marker
 
     back = read_jsonl(path)
-    assert back.causal_nodes == tr.causal_nodes
-    assert back.causal_msgs == tr.causal_msgs
+    assert causal_nodes(back) == causal_nodes(tr)
+    assert causal_msgs(back) == causal_msgs(tr)
+    # the file holds the columns the scheduler stored, nothing derived
+    [(rec, rec_back)] = zip(tr.causal_records, back.causal_records)
+    assert (rec_back.rows, rec_back.msg_rows) == (rec.rows, rec.msg_rows)
     # the run counter resumes after the last recorded run
     assert back.next_causal_run() == tr._next_run
+
+
+@given(_op_scripts())
+@settings(max_examples=25, deadline=None)
+def test_causal_roundtrip_matches_the_oracle_record(script):
+    """A random program's record, written and read back, derives exactly
+    the reference scheduler's eagerly built objects; so does the
+    oracle's own record, written as the columns its objects encode."""
+    p, plan = script
+    traced = []
+    for reference in (False, True):
+        tracer = Tracer()
+        with reference_kernels(reference):
+            VirtualMachine(p, WORK_SECONDS, tracer=tracer).run(
+                script_program(plan))
+        traced.append(tracer)
+    [oracle] = traced[1].causal_records
+    nodes, msgs = oracle.eager
+    with tempfile.TemporaryDirectory() as tmp:
+        for tracer in traced:
+            back = _roundtrip(tracer, Path(tmp) / "t.jsonl")
+            assert causal_nodes(back) == nodes
+            assert causal_msgs(back) == msgs
+            assert verify_makespans(back) == 1
+
+
+def test_measured_causal_roundtrip(tmp_path):
+    """A measured run stores its measured ``t_start``, ``wait`` and
+    message ids, and reads back to the same objects."""
+    from repro.parallel import create_communicator
+
+    def ring(comm):
+        right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+        yield from comm.send(np.arange(256.0), dest=right, tag=3, nwords=256)
+        data = yield from comm.recv(source=left, tag=3)
+        return data.shape[0]
+
+    tr = Tracer()
+    with tr.phase("ring"):
+        create_communicator("shm", 2, tracer=tr).run(ring)
+    [record] = tr.causal_records
+    assert record.t_setup is None and record.columns()[1]["id"] is not None
+    back = _roundtrip(tr, tmp_path / "shm.jsonl")
+    assert causal_nodes(back) == causal_nodes(tr)
+    assert causal_msgs(back) == causal_msgs(tr)
+    assert {m.recv_node is not None for m in causal_msgs(back)} == {True}
+    assert verify_makespans(back) == 1
+
+
+def test_trace_stores_few_bytes_per_causal_node(tmp_path):
+    """A traced ``repro step 6 --nproc 16``: the causal records take at
+    most 40 bytes per causal node (the one-row-per-node form took ~148
+    for its node rows alone)."""
+    path = tmp_path / "step6.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["step", "6", "--nproc", "16", "--no-history",
+                     "--trace-out", str(path)]) == 0
+    causal_bytes = nnodes = 0
+    for line in path.read_text().splitlines(keepends=True):
+        rec = json.loads(line)
+        if rec["type"] in ("node", "msg", "nodes", "msgs"):
+            causal_bytes += len(line.encode())
+        elif rec["type"] == "event" and rec["name"] == "vm.run":
+            nnodes += rec["attrs"]["nodes"]
+    assert nnodes > 100
+    assert causal_bytes / nnodes <= 40
 
 
 def test_open_spans_are_skipped(tmp_path):
@@ -288,18 +375,45 @@ def test_validate_rejects_duplicate_span_index(tmp_path):
         validate_jsonl(_write(tmp_path, [_meta(spans=2), _SPAN, _SPAN]))
 
 
+#: One measured two-rank run with one message, as its three records.
+_RUN = {"type": "event", "name": "vm.run", "v_time": 0.0, "rank": None,
+        "span": None, "attrs": {"run": 0, "nranks": 2, "base": 0.0,
+                                "makespan": 2.0, "clock": "wall"}}
+_NODES = {"type": "nodes", "run": 0, "t_setup": None, "kind": [2, 3],
+          "rank": [0, 1], "msg": [-1, 1], "t_end": [1.0, 2.0],
+          "t_start": [0.0, 0.5], "wait": [0.0, 0.5]}
+_MSGS = {"type": "msgs", "run": 0, "dst": [1], "tag": [0], "nwords": [8],
+         "id": [7]}
+
+
+def _run_records(**bad) -> list[dict]:
+    """Meta plus :data:`_RUN`, :data:`_NODES` and :data:`_MSGS`, with
+    ``bad`` replacing columns of the record its keys belong to."""
+    nodes = {**_NODES, **{k: v for k, v in bad.items() if k in _NODES}}
+    msgs = {**_MSGS, **{k: v for k, v in bad.items() if k not in _NODES}}
+    return [_meta(events=1, nodes=1, msgs=1), _RUN, nodes, msgs]
+
+
+def test_validate_accepts_a_measured_run():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp), _run_records())
+        assert validate_jsonl(path)["nodes"] == 1
+        [node_send, node_recv] = causal_nodes(read_jsonl(path))
+    assert (node_send.msg, node_recv.msg, node_recv.wait) == (7, 7, 0.5)
+
+
 @pytest.mark.parametrize("rec", [
     {"type": "event", "name": "x", "v_time": 0.0, "rank": -2, "span": None,
      "attrs": {}},
     {"type": "metric", "name": "x", "kind": "gauge", "value": 1.0,
      "labels": {}, "cycle": None, "rank": -1, "v_time": 0.0},
-    {"type": "node", "run": 0, "id": 0, "rank": -1, "kind": "work",
-     "t_start": 0.0, "t_end": 1.0, "wait": 0.0, "msg": None},
+    {**_NODES, "rank": [0, -1]},
 ])
 def test_validate_rejects_negative_rank(tmp_path, rec):
-    meta = _meta(**{rec["type"] + "s": 1})
-    with pytest.raises(SchemaError, match="negative .* rank"):
-        validate_jsonl(_write(tmp_path, [meta, rec]))
+    records = ([_meta(**{COUNT_KEYS[rec["type"]]: 1}), rec]
+               if rec["type"] != "nodes" else _run_records(rank=rec["rank"]))
+    with pytest.raises(SchemaError, match="negative .* rank|rank -1 is not"):
+        validate_jsonl(_write(tmp_path, records))
 
 
 def test_validate_rejects_missing_field(tmp_path):
@@ -342,37 +456,85 @@ def test_validate_rejects_bad_metric(tmp_path, bad, match):
 
 
 @pytest.mark.parametrize("bad, match", [
-    ({"kind": "think"}, "not in"),
-    ({"t_end": -1.0}, "ends before it starts"),
-    ({"wait": -0.5}, "negative node wait"),
-    ({"msg": 1.5}, "int or null"),
+    ({"kind": [2, 1]}, "not in"),
+    ({"t_end": [1.0, 0.25]}, "ends before it starts"),
+    ({"wait": [0.0, -0.5]}, "negative node wait"),
+    ({"msg": [-1, 1.5]}, "list of ints"),
 ])
 def test_validate_rejects_bad_node(tmp_path, bad, match):
-    rec = {"type": "node", "run": 0, "id": 0, "rank": 0, "kind": "work",
-           "t_start": 0.0, "t_end": 1.0, "wait": 0.0, "msg": None}
-    rec.update(bad)
-    with pytest.raises(SchemaError, match=match):
-        validate_jsonl(_write(tmp_path, [_meta(nodes=1), rec]))
+    records = _run_records(**bad)
+    with pytest.raises(SchemaError, match=f"line 3: nodes .*{match}"):
+        validate_jsonl(_write(tmp_path, records))
 
 
-@pytest.mark.parametrize("kind, key, target", [
-    ("node", "msg", "msg"),
-    ("msg", "send_node", "node"),
-    ("msg", "recv_node", "node"),
-])
+#: Per reference the one-row-per-operation form resolved between rows, the
+#: columns that break it now: (the bad columns, the line, the error).
+_REFERENCES = {
+    # a recv's message is one its run sent
+    ("node", "msg", "msg"): ({"msg": [-1, 2]}, 3,
+                             "nodes msg at node 1 names message 2 of 1"),
+    # a message is one entry per send node of its run
+    ("msg", "send_node", "node"): ({"dst": [1, 0], "tag": [0, 0]}, 4,
+                                   "msgs dst holds 2 entries, not 1"),
+    # a message's recv node comes after its send node
+    ("msg", "recv_node", "node"): (
+        {"kind": [3, 2], "rank": [1, 0], "msg": [1, -1]}, 3,
+        "nodes msg at node 0: message 1 is received before it is sent"),
+}
+
+
+@pytest.mark.parametrize("kind, key, target", list(_REFERENCES))
 def test_causal_ids_resolve_within_their_run(tmp_path, kind, key, target):
-    records = _lines(causal_tracer(), tmp_path)
-    victim = next(r for r in records
-                  if r["type"] == kind and r[key] is not None)
-    good, victim[key] = victim[key], 99
-    lineno = records.index(victim) + 1
-    match = f"line {lineno}: {kind} {key} names {target} 99, which run 0"
-    with pytest.raises(SchemaError, match=match):
-        validate_jsonl(_write(tmp_path, records))
-    # the same id in another run does not satisfy the reference
-    victim[key], victim["run"] = good, 7
-    with pytest.raises(SchemaError, match="does not contain"):
-        validate_jsonl(_write(tmp_path, records))
+    """What a ``kind``'s ``key`` named — a ``target`` of the same run — is
+    implied by the columns' order, and a column that breaks it fails on
+    read, naming the line and the column."""
+    bad, line, match = _REFERENCES[kind, key, target]
+    path = _write(tmp_path, _run_records(**bad))
+    for consume in (validate_jsonl, read_jsonl):
+        with pytest.raises(SchemaError, match=f"^line {line}: {match}"):
+            consume(path)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({"msg": [1, 1]}, "nodes msg at node 0 is 1: only a recv"),
+    ({"id": None}, "msgs id must be a list on a measured run"),
+    ({"rank": [0]}, "nodes rank holds 1 entries, not 2"),
+    ({"kind": [2.0, 3]}, "nodes kind must be a list of ints"),
+    ({"rank": [0, True]}, "nodes rank must be a list of ints"),
+    ({"t_end": [1.0, "2"]}, "nodes t_end must be a list of numbers"),
+    ({"rank": [0, 2]}, "nodes rank 2 is not a rank of the run's 2"),
+    ({"t_setup": 5e-5}, "nodes record holds t_setup .* or t_start"),
+    ({"nwords": [-8]}, "negative msgs nwords"),
+    ({"dst": [2]}, "msgs dst 2 is not a rank of the run's 2"),
+])
+def test_malformed_column_is_rejected_naming_it(tmp_path, bad, match):
+    path = _write(tmp_path, _run_records(**bad))
+    with pytest.raises(SchemaError, match=rf"^line \d: .*{match}"):
+        read_jsonl(path)
+
+
+def test_run_records_must_follow_their_marker_and_pair_up(tmp_path):
+    meta, run, nodes, msgs = _run_records()
+    with pytest.raises(SchemaError, match="line 2: nodes record for run 0 has "
+                                          "no unclaimed vm.run"):
+        validate_jsonl(_write(tmp_path, [meta, nodes, run, msgs]))
+    with pytest.raises(SchemaError, match="line 3: msgs record for run 0 has no"):
+        validate_jsonl(_write(tmp_path, [meta, run, msgs, nodes]))
+    with pytest.raises(SchemaError, match="no msgs record"):
+        validate_jsonl(_write(tmp_path, [{**meta, "msgs": 0}, run, nodes]))
+    with pytest.raises(SchemaError, match="line 4: nodes record for run 0 has no unclaimed"):
+        validate_jsonl(_write(tmp_path, [{**meta, "nodes": 2}, run, nodes,
+                                         nodes, msgs]))
+
+
+def test_export_refuses_a_record_it_could_not_read_back(tmp_path):
+    tr = causal_tracer()
+    [record] = tr.causal_records
+    record.rows[1] = 5  # node 0's rank: not one of the run's two
+    path = tmp_path / "never.jsonl"
+    with pytest.raises(SchemaError, match="nodes rank 5"):
+        export_jsonl(tr, path)
+    assert not path.exists()
 
 
 # --- Chrome trace -------------------------------------------------------------
@@ -386,7 +548,7 @@ def test_chrome_trace_flow_events(tmp_path):
     starts = [e for e in events if e["ph"] == "s"]
     finishes = [e for e in events if e["ph"] == "f"]
     # one flow pair per *delivered* message, ids matching pairwise
-    delivered = [m for m in tr.causal_msgs if m.recv_node is not None]
+    delivered = [m for m in causal_msgs(tr) if m.recv_node is not None]
     assert len(starts) == len(finishes) == len(delivered)
     assert {e["id"] for e in starts} == {e["id"] for e in finishes}
     by_id = {e["id"]: e for e in starts}
@@ -399,7 +561,7 @@ def test_chrome_trace_flow_events(tmp_path):
     # and no instant beside it
     vm_slices = [e for e in events
                  if e["ph"] == "X" and e.get("cat") == "vm"]
-    assert len(vm_slices) == len(tr.causal_nodes)
+    assert len(vm_slices) == len(causal_nodes(tr))
     assert all(s["tid"] >= 1 for s in vm_slices)
     instants = [e["name"] for e in events if e["ph"] == "i"]
     assert instants == ["decision", "vm.run"]
@@ -416,10 +578,10 @@ def test_chrome_flow_events_survive_jsonl_round_trip(tmp_path):
     events = json.loads(path.read_text())["traceEvents"]
     starts = {e["id"]: e for e in events if e["ph"] == "s"}
     finishes = {e["id"]: e for e in events if e["ph"] == "f"}
-    delivered = [m for m in tr.causal_msgs if m.recv_node is not None]
+    delivered = [m for m in causal_msgs(tr) if m.recv_node is not None]
     assert len(starts) == len(finishes) == len(delivered) == 2
     assert set(starts) == set(finishes)
-    nodes = {n.id: n for n in tr.causal_nodes}
+    nodes = {n.id: n for n in causal_nodes(tr)}
     for msg, fid in zip(sorted(delivered, key=lambda m: m.id),
                         sorted(starts)):
         s, f = starts[fid], finishes[fid]

@@ -11,7 +11,7 @@ from repro.mesh import box_mesh, edge_midpoints
 from repro.obs import Tracer, phase_virtual_times, use_tracer
 from repro.parallel import MachineModel
 
-from tests.fixtures import metric_value
+from tests.fixtures import causal_nodes, metric_value
 
 CHEAP_MACHINE = MachineModel(t_setup=1e-5, t_word=1e-7, t_work=1e-6)
 
@@ -87,7 +87,7 @@ def test_explicit_tracer_receives_step_spans_and_counters():
             rep.remap.elements_moved
         assert reg.total("repro.remap.words_moved") == rep.remap.words_moved
         # the remap's VM schedule is the causal record, under one marker
-        assert {"send", "recv"} <= {n.kind for n in tr.causal_nodes}
+        assert {"send", "recv"} <= {n.kind for n in causal_nodes(tr)}
         assert [e.name for e in tr.events].count("vm.run") == 1
         assert reg.total("repro.vm.words_sent") == rep.remap.words_moved
 

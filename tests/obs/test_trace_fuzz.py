@@ -1,7 +1,9 @@
 """Corrupting a real trace never gets past the reader as a Python error.
 
 A ``repro step 4 --nproc 4`` trace is truncated at a random byte, loses a
-random line, or has a random value replaced by one of the wrong type.
+random line, has a random value replaced by one of the wrong type, or has
+one of its causal columns cut short or one entry replaced (by a wrong
+type, a negative number or one past any rank or message).
 ``read_jsonl`` must then either succeed or raise :class:`SchemaError` —
 never ``KeyError`` / ``TypeError`` / ``IndexError`` — and the CLI
 commands that load traces must turn every such failure into one
@@ -21,6 +23,8 @@ from hypothesis import strategies as st
 
 from repro.__main__ import main
 from repro.obs import SchemaError, read_jsonl
+
+from tests.fixtures import causal_nodes
 
 _WRONG = st.sampled_from([None, True, "x", -1, 1.5, [], {}, [None], {"a": 1}])
 
@@ -62,6 +66,23 @@ def _retype_value(data: bytes, draw) -> bytes:
     return b"".join(lines)
 
 
+def _corrupt_column(data: bytes, draw) -> bytes:
+    lines = data.splitlines(keepends=True)
+    causal = [i for i, line in enumerate(lines)
+              if json.loads(line)["type"] in ("nodes", "msgs")]
+    i = draw(st.sampled_from(causal))
+    rec = json.loads(lines[i])
+    col = draw(st.sampled_from(sorted(k for k, v in rec.items()
+                                      if isinstance(v, list) and v)))
+    j = draw(st.integers(0, len(rec[col]) - 1))
+    if draw(st.booleans()):
+        del rec[col][j]
+    else:
+        rec[col][j] = draw(_WRONG | st.sampled_from([-2, 10**6]))
+    lines[i] = json.dumps(rec).encode() + b"\n"
+    return b"".join(lines)
+
+
 def _cli(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -69,7 +90,8 @@ def _cli(argv) -> tuple[int, str, str]:
     return status, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("corrupt", [_truncate, _delete_line, _retype_value])
+@pytest.mark.parametrize("corrupt", [_truncate, _delete_line, _retype_value,
+                                     _corrupt_column])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_corrupt_trace_reads_or_raises_schema_error(
@@ -94,7 +116,7 @@ def test_corrupt_trace_reads_or_raises_schema_error(
 def test_pristine_trace_reads_and_runs_index_refuses_a_corrupt_one(tmp_path):
     path = tmp_path / "ok.jsonl"
     path.write_bytes(_trace())
-    assert read_jsonl(path).causal_nodes
+    assert causal_nodes(read_jsonl(path))
     assert _cli(["critical-path", str(path)])[0] == 0
     path.write_bytes(_trace()[:-40])
     status, out, err = _cli(["runs", "--dir", str(tmp_path), "index", str(path)])

@@ -72,22 +72,23 @@ def _two_rank_streams(stagger=0.0):
 
 def test_merge_streams_builds_an_aligned_causal_run():
     merged = merge_streams(_two_rank_streams())
+    nodes, msgs = merged.record.objects()
     assert merged.makespan == pytest.approx(0.005)
     assert merged.rank_makespan == pytest.approx(0.005)
     assert merged.start_spread == 0.0
     assert merged.epoch == pytest.approx(100.0)
-    [msg] = merged.msgs
+    [msg] = msgs
     assert (msg.src, msg.dst, msg.tag, msg.nwords) == (0, 1, 5, 64)
     assert msg.recv_node is not None
     # every DAG edge must go low id -> high id (consumer invariant)
     assert msg.send_node < msg.recv_node
     by_rank = {}
-    for node in merged.nodes:
+    for node in nodes:
         if node.rank in by_rank:
             assert by_rank[node.rank] < node.id
         by_rank[node.rank] = node.id
     # nodes still tile each rank's interval on the merged timeline
-    recv = next(n for n in merged.nodes if n.kind == "recv")
+    recv = next(n for n in nodes if n.kind == "recv")
     assert recv.wait == pytest.approx(0.002)
     assert recv.t_start == pytest.approx(0.001)
 
@@ -96,7 +97,7 @@ def test_merge_streams_clamps_bogus_waits():
     streams = _two_rank_streams()
     streams[1]["waits"] = [1e9] * len(streams[1]["waits"])
     merged = merge_streams(streams)
-    for node in merged.nodes:
+    for node in merged.record.objects()[0]:
         assert 0.0 <= node.wait <= (node.t_end - node.t_start) + 1e-12
 
 
@@ -113,19 +114,19 @@ def test_merge_streams_aligns_spills():
 def _recorded_tracer():
     tracer = Tracer()
     with tracer.phase("exchange", kind="compute"):
-        nodes, msgs = record_measured_run(
+        record = record_measured_run(
             tracer, _two_rank_streams(stagger=0.0005),
             nranks=2, backend="multiprocessing",
             waited=[0.0, 0.002], msgs_sent=[1, 0], msgs_recv=[0, 1],
             words_sent=[64, 0], words_recv=[0, 64],
         )
-    return tracer, nodes, msgs
+    return tracer, record
 
 
 def test_record_measured_run_writes_the_trace():
-    tracer, nodes, msgs = _recorded_tracer()
-    assert tracer.causal_nodes == nodes
-    assert tracer.causal_msgs == msgs
+    tracer, record = _recorded_tracer()
+    assert tracer.causal_records == [record]
+    assert record.run == 0 and record.t_setup is None  # measured: stored
     [run] = runs_from_tracer(tracer, clock="wall")
     assert run.clock == "wall"
     assert run.phase == "exchange"
@@ -148,7 +149,7 @@ def test_record_measured_run_writes_the_trace():
 
 
 def test_format_clock_skew_renders_one_row_per_run():
-    tracer, _, _ = _recorded_tracer()
+    tracer, _ = _recorded_tracer()
     text = format_clock_skew(tracer)
     assert "wall clock per measured run" in text
     assert "exchange" in text

@@ -27,7 +27,7 @@ from repro.obs.causal import critical_path, runs_from_tracer, verify_makespans
 from repro.parallel import create_communicator
 from repro.parallel.runtime import RecvOp, SendOp, WorkOp
 
-from tests.fixtures import msgs_of, nodes_of
+from tests.fixtures import causal_nodes, msgs_of, nodes_of
 
 
 def _ring(comm, rounds, nwords=64, payload=None):
@@ -79,7 +79,7 @@ def test_mp_run_produces_a_measured_causal_run(mp_trace):
 def test_mp_trace_round_trips_through_jsonl(mp_trace):
     tracer, _, path = mp_trace
     head = json.loads(open(path).readline())
-    assert head["schema"] == "repro.obs/v8"
+    assert head["schema"] == "repro.obs/v9"
     summary = validate_jsonl(path)
     assert "clocks" not in summary  # one clock: no alignment records
     back = read_jsonl(path)
@@ -89,7 +89,7 @@ def test_mp_trace_round_trips_through_jsonl(mp_trace):
     assert run.makespan == orig.makespan
     assert run.rank_makespan == orig.rank_makespan
     assert run.skew == orig.skew
-    assert back.causal_nodes == tracer.causal_nodes
+    assert causal_nodes(back) == causal_nodes(tracer)
 
 
 def test_mp_trace_renders_wall_critical_path(mp_trace):
@@ -227,7 +227,7 @@ def test_recorder_overhead_is_modest():
     assert t_before <= base
     assert base + makespan <= t_after
     for r in range(3):
-        mine = [n for n in tracer.causal_nodes if n.rank == r]
+        mine = [n for n in causal_nodes(tracer) if n.rank == r]
         covered = sum(n.t_end - n.t_start for n in mine)
         assert covered == pytest.approx(result.clocks[r], abs=1e-9)
 

@@ -197,13 +197,8 @@ def _op_scripts(draw):
     return p, plan
 
 
-@given(_op_scripts())
-@settings(max_examples=40, deadline=None)
-def test_columnar_record_matches_object_record(script):
-    """Hypothesis parity: the lazily materialized columnar record must be
-    node-for-node, msg-for-msg, event-for-event equal to the reference
-    scheduler's eagerly built object record."""
-    p, plan = script
+def script_program(plan):
+    """The rank program an :func:`_op_scripts` plan describes."""
 
     def prog(comm):
         me = comm.rank
@@ -227,7 +222,18 @@ def test_columnar_record_matches_object_record(script):
         yield from comm.barrier()
         return expect
 
-    res_fast, res_ref = _run_both(prog, p, machine=WORK_SECONDS)
+    return prog
+
+
+@given(_op_scripts())
+@settings(max_examples=40, deadline=None)
+def test_columnar_record_matches_object_record(script):
+    """Hypothesis parity: the columnar record, derived, must be
+    node-for-node, msg-for-msg, event-for-event equal to the reference
+    scheduler's eagerly built object record."""
+    p, plan = script
+    res_fast, res_ref = _run_both(script_program(plan), p,
+                                  machine=WORK_SECONDS)
     _assert_identical(res_fast, res_ref)
     assert sum(res_fast.returns) == sum(n for _o, _d, n in plan)
 
@@ -255,7 +261,7 @@ def _stuck_scripts(draw):
 
 def _deadlocked(vm, prog, monkeypatch):
     """Run ``prog`` to its DeadlockError; returns the error and the
-    ``(nodes, msgs)`` record the scheduler handed to the deadlock
+    ``(nodes, msgs)`` lists the scheduler handed to the deadlock
     report."""
     seen = []
     report = VirtualMachine._raise_deadlock

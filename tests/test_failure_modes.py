@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.adapt import AdaptiveMesh, propagate_markings
-from repro.core import CostModel, LoadBalancedAdaptiveSolver, similarity_matrix
+from repro.core import LoadBalancedAdaptiveSolver, similarity_matrix
 from repro.mesh import TetMesh, box_mesh
 from repro.parallel import DeadlockError, MachineModel, VirtualMachine
 from repro.solver import EulerSolver, conservative
@@ -71,10 +71,6 @@ class TestLoadBalancerGuards:
     def test_framework_rejects_empty_processor_request(self):
         with pytest.raises(ValueError):
             LoadBalancedAdaptiveSolver(box_mesh(1, 1, 1), nproc=-1)
-
-    def test_cost_model_rejects_nonsense_metric(self):
-        with pytest.raises(ValueError):
-            CostModel(metric="")
 
 
 class TestVirtualMachineFailures:
