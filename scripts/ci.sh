@@ -72,6 +72,54 @@ timeout 120 env PYTHONPATH=src python examples/rotor_acoustics.py 4 \
 grep -q "final solver imbalance" "$tmp/rotor.txt"
 echo "rotor-acoustics smoke: OK"
 
+# refinement scale check: subdivision derives a refined mesh's edges from
+# its parent's, and tier-1 holds that to the rebuild only on meshes of up
+# to ~10^5 tets.  This runs benchmarks/e2e's rotor_multistep chain
+# (resolution 12, seed 0) to its first subdivision past 300 000 tets and
+# holds every array tests/adapt/test_refine_digest.py pins to what a
+# TetMesh.from_elems rebuild of the same elements gives (the mesh) and to
+# the reference subdivision, which sorts every child edge (provenance).
+timeout 600 env PYTHONPATH=src python - <<'EOF'
+import numpy as np
+
+from repro.adapt import subdivide
+from repro.core import CostModel, LoadBalancedAdaptiveSolver
+from repro.dist.refine_exec import canonical_signature
+from repro.mesh import TetMesh, rotor_domain_mesh
+from repro.parallel import SP2_1997
+from repro.solver import EulerSolver, rotor_acoustics_field, speed_indicator
+from tests.adapt.test_refine_digest import MESH_ARRAYS, PROVENANCE
+from tests.kernels.oracles import reference_kernels
+
+mesh, blade = rotor_domain_mesh(resolution=12, grading=2.0)
+solver = LoadBalancedAdaptiveSolver(
+    mesh, nproc=16,
+    solution=rotor_acoustics_field(mesh.coords, blade, tip_mach=0.9),
+    machine=SP2_1997, cost_model=CostModel(machine=SP2_1997, n_adapt=50),
+    imbalance_threshold=1.05, seed=0)
+adaptive = solver.adaptive
+while adaptive.mesh.ne < 300_000:
+    flow = EulerSolver(adaptive.mesh, adaptive.solution)
+    flow.run(5, cfl=0.4)
+    adaptive.solution = flow.q
+    solver.adapt_step(edge_error=speed_indicator(adaptive.mesh, flow.q),
+                      refine_frac=0.08)
+step = adaptive.steps[-1]
+got = step.result
+rebuilt = TetMesh.from_elems(got.mesh.coords, got.mesh.elems)
+for name in MESH_ARRAYS:
+    assert np.array_equal(getattr(got.mesh, name), getattr(rebuilt, name)), name
+assert np.array_equal(canonical_signature(got.mesh),
+                      canonical_signature(rebuilt))
+with reference_kernels():
+    ref = subdivide(step.mesh_before, step.marking,
+                    solution=step.solution_before)
+for name in PROVENANCE:
+    assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+print(f"refined {step.mesh_before.ne} -> {got.mesh.ne} tets")
+EOF
+echo "refinement scale check: OK"
+
 # example smokes: every example the caller guards
 # (test_every_exported_name_has_a_product_caller,
 # test_every_option_has_a_product_caller) count as a product caller must

@@ -35,6 +35,7 @@ from repro.mesh.topology import (
     OPPOSITE_EDGE,
 )
 from repro.parallel.ledger import CostLedger
+from repro.unique import unique_inverse
 
 from .marking import MarkingResult
 from .patterns import NUM_CHILDREN, UPGRADE
@@ -126,6 +127,42 @@ _OCTA_TABLES = {
     for d, cyc in _DIAG_CYCLE.items()
 }
 
+#: Local edge id of each corner pair ``(p, q)``, ``p < q``.
+_EDGE_OF = {(p, q): e for e, (p, q) in enumerate(LOCAL_EDGES.tolist())}
+
+
+def _edge_sources(table: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(table, pieces, inner, cols)``: where each child edge comes from.
+
+    ``pieces`` rows ``(e, w, c, o)`` are a piece of parent local edge
+    ``e``: the whole edge (``w`` = 0) or its half at corner ``c`` whose
+    other end is corner ``o`` (``w`` = 1).  ``inner`` rows are pairs of
+    10-wide row entries joined by an edge the parent lacks: in a face, or
+    the octahedron's diagonal.  ``cols`` is each child edge's column,
+    ``(nchild, 6)``, in ``pieces`` then ``inner``.
+    """
+    srcs = []
+    for p, q in np.sort(table[:, LOCAL_EDGES], axis=2).reshape(-1, 2).tolist():
+        if q < 4:
+            srcs.append((_EDGE_OF[p, q], 0, 0, 0))
+        elif p in LOCAL_EDGES[q - 4]:
+            srcs.append((q - 4, 1, p, int(LOCAL_EDGES[q - 4].sum()) - p))
+        else:
+            srcs.append((p, q))
+    pieces = sorted({x for x in srcs if len(x) == 4})
+    inner = sorted({x for x in srcs if len(x) == 2})
+    col = {x: i for i, x in enumerate(pieces + inner)}
+    return (table, np.array(pieces).reshape(-1, 4),
+            np.array(inner, dtype=np.int64).reshape(-1, 2),
+            np.array([col[x] for x in srcs]).reshape(-1, 6))
+
+
+#: The refined cases: 1:2 and 1:4 by pattern, then 1:8 (its corners, then
+#: its octahedron) by diagonal.
+_CASES = [(p, _edge_sources(t)) for p, t in _CHILD_TABLES]
+_CASES8 = [_edge_sources(np.vstack([_CORNER_TABLE, t]))
+           for t in _OCTA_TABLES.values()]
+
 #: Child faces of a face, indexing [A, B, C, mAB, mAC, mBC], by which of
 #: its edges AB, AC, BC (bits 1, 2, 4) are bisected: valid patterns bisect
 #: 0, 1 or 3 edges of a face.
@@ -209,53 +246,21 @@ def subdivide(
     )
     new_coords = np.vstack([mesh.coords, mid_coords])
 
-    # per-element vertex ids and midpoint ids
-    ev = mesh.elems  # (ne, 4)
-    em = midpoint_of[mesh.elem2edge]  # (ne, 6), -1 where edge unbisected
     # the patterns the bisected edges spell, bit i from local edge i, packed
-    # straight to one byte per element (no second (ne, 6) temporary)
-    spelled = np.packbits(em >= 0, axis=1, bitorder="little")[:, 0]
+    # straight to one byte per element
+    spelled = np.packbits(edge_marked[mesh.elem2edge], axis=1,
+                          bitorder="little")[:, 0]
     if not np.array_equal(spelled, patterns):
         raise ValueError("edge_marked disagrees with patterns")
 
-    new_elems, parent = _assemble_children(ev, em, patterns, new_coords)
-    # group children contiguously by parent element (stable order within)
-    order = np.argsort(parent, kind="stable")
-    new_elems = new_elems[order]
-    parent = parent[order]
-    child_count = np.bincount(parent, minlength=mesh.ne)
-    assert np.array_equal(child_count, NUM_CHILDREN[patterns]), "child count"
-
-    # right-handed children, the parent's boundary split: no full rebuild
+    new_elems, edges, edge_children, edge_survivor = _assemble_children(
+        mesh, midpoint_of, patterns, new_coords)
+    child_count = NUM_CHILDREN[patterns]
+    parent = np.repeat(np.arange(mesh.ne), child_count)
+    # right-handed children, the parent's edges and boundary split: no sort
     new_mesh = TetMesh.from_elems(new_coords, new_elems, orient=False,
-                                  bnd_faces=_split_boundary(mesh, midpoint_of))
-
-    # --- edge provenance ------------------------------------------------------
-    nv_new = new_mesh.nv
-    new_keys = new_mesh.edges[:, 0] * nv_new + new_mesh.edges[:, 1]
-
-    def lookup(pairs: np.ndarray) -> np.ndarray:
-        lo = pairs.min(axis=1).astype(np.int64)
-        hi = pairs.max(axis=1).astype(np.int64)
-        keys = lo * nv_new + hi
-        pos = np.searchsorted(new_keys, keys)
-        ok = (pos < new_keys.shape[0]) & (new_keys[np.minimum(pos, len(new_keys) - 1)] == keys)
-        out = np.where(ok, pos, -1)
-        return out
-
-    edge_children = np.full((mesh.nedges, 2), -1, dtype=np.int64)
-    if marked_ids.size:
-        a = mesh.edges[marked_ids, 0]
-        b = mesh.edges[marked_ids, 1]
-        m = midpoint_of[marked_ids]
-        edge_children[marked_ids, 0] = lookup(np.column_stack([a, m]))
-        edge_children[marked_ids, 1] = lookup(np.column_stack([m, b]))
-        assert np.all(edge_children[marked_ids] >= 0), "half-edges must exist"
-    surv_ids = np.flatnonzero(~edge_marked)
-    edge_survivor = np.full(mesh.nedges, -1, dtype=np.int64)
-    if surv_ids.size:
-        edge_survivor[surv_ids] = lookup(mesh.edges[surv_ids])
-        assert np.all(edge_survivor[surv_ids] >= 0), "unbisected edges survive"
+                                  bnd_faces=_split_boundary(mesh, midpoint_of),
+                                  edges=edges)
 
     # --- solution interpolation -------------------------------------------------
     new_solution = None
@@ -317,50 +322,87 @@ def _shortest_diagonals(
     return np.argmin(dlen, axis=1)
 
 
+#: Parents per block of a case's assembly, which bounds its temporaries.
+_BLOCK = 1 << 13
+
+
 def _assemble_children(
-    ev: np.ndarray,
-    em: np.ndarray,
+    mesh: TetMesh,
+    midpoint_of: np.ndarray,
     patterns: np.ndarray,
     new_coords: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Build (child quadruples, parent ids) via the precomputed index tables.
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """The children, parent-major, and their edge table from the parent's.
 
-    ``vm`` concatenates parent corners and edge midpoints into one 10-wide
-    row per element, so every pattern group becomes a single gather
-    ``vm[idx][:, table]``; transposing to (child, element, 4) before the
-    reshape gives the child-major order of concatenating one column stack
-    per child (the oracle in ``tests/kernels/oracles.py``).
+    Returns ``(elems, (edges, elem2edge), edge_children, edge_survivor)``,
+    what ``build_edges`` and a search of its table would give (DESIGN.md
+    §9).  Each case's parents gather their 10-wide rows ``[corners,
+    midpoints]``; a table gather gives their children, written at each
+    parent's first child row.  A child edge is coded through its parent:
+    ``3·e`` for the parent's edge ``e`` whole, ``3·e + 1`` / ``+ 2`` for
+    its half at the lower / higher end, or ``3·ne_old`` plus its slot among
+    the new keys — the halves, then each case's inner edges, once per
+    parent that has them.  One sort of the new keys finds their distinct
+    edges, a merge with the unbisected edges (already sorted) numbers the
+    table, and the codes become ids in place.
     """
-    vm = np.concatenate([ev, em], axis=1)  # (ne, 10)
-    # seed with empties so meshes with no elements still assemble
-    chunks: list[np.ndarray] = [np.empty((0, 4), dtype=np.int64)]
-    parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-
-    keep = patterns == 0
-    if keep.any():
-        chunks.append(ev[keep])
-        parents.append(np.flatnonzero(keep))
-
-    for pattern, table in _CHILD_TABLES:  # 6× 1:2 then 4× 1:4
-        idx = np.flatnonzero(patterns == pattern)
-        if not idx.size:
-            continue
-        kids = vm[idx][:, table]  # (nidx, nchild, 4)
-        chunks.append(kids.transpose(1, 0, 2).reshape(-1, 4))
-        parents.append(np.tile(idx, table.shape[0]))
-
+    nv, n_old = new_coords.shape[0], mesh.nedges
+    count = NUM_CHILDREN[patterns]
+    first = np.cumsum(count) - count  # each parent's first child row
+    elems = np.empty((int(count.sum()), 4), dtype=np.int64)
+    code = np.empty((elems.shape[0], 6), dtype=np.int64)
+    keep = np.flatnonzero(patterns == 0)  # one child: the parent, edges whole
+    elems[first[keep]] = mesh.elems[keep]
+    code[first[keep]] = 3 * mesh.elem2edge[keep]
+    del count, keep
+    marked = np.flatnonzero(midpoint_of >= 0)
+    keys = [(mesh.edges[marked].T * nv + midpoint_of[marked]).ravel()]
+    nkeys = keys[0].size
     idx8 = np.flatnonzero(patterns == 0b111111)
-    if idx8.size:
-        vm8 = vm[idx8]
-        chunks.append(vm8[:, _CORNER_TABLE].transpose(1, 0, 2).reshape(-1, 4))
-        parents.append(np.tile(idx8, 4))
-        diag = _shortest_diagonals(em[idx8], new_coords)
-        for d in range(3):
-            seld = diag == d
-            if not seld.any():
-                continue
-            kids = vm8[seld][:, _OCTA_TABLES[d]]
-            chunks.append(kids.transpose(1, 0, 2).reshape(-1, 4))
-            parents.append(np.tile(idx8[seld], 4))
-
-    return np.concatenate(chunks), np.concatenate(parents)
+    diag = _shortest_diagonals(midpoint_of[mesh.elem2edge[idx8]], new_coords)
+    cases = [(np.flatnonzero(patterns == p), case) for p, case in _CASES]
+    cases += [(idx8[diag == d], case) for d, case in enumerate(_CASES8)]
+    for parents, (table, pieces, inner, cols) in cases:
+        e, w, c, o = pieces.T
+        for lo in range(0, parents.size, _BLOCK):  # bounded temporaries
+            idx = parents[lo: lo + _BLOCK]
+            e2e = mesh.elem2edge[idx]
+            v = np.concatenate([mesh.elems[idx], midpoint_of[e2e]], axis=1)
+            rows = first[idx, None] + np.arange(table.shape[0])
+            elems[rows] = v[:, table]
+            vi, vj = v[:, inner[:, 0]], v[:, inner[:, 1]]
+            k = np.minimum(vi, vj)
+            k *= nv
+            k += np.maximum(vi, vj, out=vi)
+            keys.append(k.ravel())
+            slots = np.arange(nkeys, nkeys + k.size).reshape(k.shape)
+            nkeys += k.size
+            code[rows] = np.concatenate(
+                [3 * e2e[:, e] + w + (v[:, c] > v[:, o]), slots + 3 * n_old],
+                axis=1)[:, cols]
+    del first
+    new, inv = unique_inverse(np.concatenate(keys))
+    del keys
+    kept = np.flatnonzero(midpoint_of < 0)
+    old = mesh.edges[kept]
+    # two sorted runs: the stable sort (a timsort) only merges them
+    order = np.argsort(np.concatenate([old[:, 0] * nv + old[:, 1], new]),
+                       kind="stable")
+    at = np.empty_like(order)  # each run entry's place in the merged table
+    at[order] = np.arange(order.size)
+    del order
+    edges = np.empty((at.size, 2), dtype=np.int64)
+    edges[at[: kept.size]] = old
+    del old
+    edges[at[kept.size:], 0], edges[at[kept.size:], 1] = np.divmod(new, nv)
+    del new
+    ids = np.full(3 * n_old + nkeys, -1, dtype=np.int64)
+    ids[3 * kept] = at[: kept.size]
+    np.take(at[kept.size:], inv, out=ids[3 * n_old:], mode="clip")  # unbuffered
+    del at, inv
+    ids[3 * marked + 1] = ids[3 * n_old:][: marked.size]
+    ids[3 * marked + 2] = ids[3 * n_old + marked.size:][: marked.size]
+    for lo in range(0, code.shape[0], _BLOCK):  # codes to ids, in place
+        code[lo: lo + _BLOCK] = ids[code[lo: lo + _BLOCK]]
+    per_edge = ids[: 3 * n_old].reshape(-1, 3)
+    return elems, (edges, code), per_edge[:, 1:].copy(), per_edge[:, 0].copy()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mesh.tetmesh import TetMesh
+from repro.unique import sorted_unique
 
 from .localmesh import LocalMesh
 
@@ -55,8 +56,8 @@ def decompose(mesh: TetMesh, part: np.ndarray, nproc: int) -> list[LocalMesh]:
     for r in range(nproc):
         els = np.flatnonzero(part == r)
         elem_ids.append(els)
-        vert_ids.append(np.unique(mesh.elems[els]))
-        edge_ids.append(np.unique(mesh.elem2edge[els]))
+        vert_ids.append(sorted_unique(mesh.elems[els]))
+        edge_ids.append(sorted_unique(mesh.elem2edge[els]))
 
     v_ptr, v_ranks, v_counts = rank_incidence(vert_ids, mesh.nv)
     e_ptr, e_ranks, e_counts = rank_incidence(edge_ids, mesh.nedges)

@@ -5,9 +5,10 @@ adaptor, the solver and the load balancer read: the global edge list, the
 element→edge incidence (six edges per tetrahedron), the boundary faces and
 the interior-face element pairs (the dual graph's edges).  Paper §3's
 edge→element lists are not built: the vectorised adaptor works from the
-element→edge map alone.  The faces are sorted only for a mesh built from
-scratch, or when a refined mesh's ``dual_pairs`` is read: subdivision
-derives a refined mesh's boundary from its parent's (DESIGN.md §9).
+element→edge map alone.  Both sorts run only for a mesh built from
+scratch (the faces also when a refined mesh's ``dual_pairs`` is read):
+subdivision derives a refined mesh's edges and boundary from its
+parent's (DESIGN.md §9).
 
 Edges and faces are identified by packing their sorted vertex ids into one
 ``int64`` key.  The keys are formed in place from column gathers of the
@@ -21,6 +22,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from repro.unique import unique_inverse
 
 from .topology import LOCAL_EDGES, LOCAL_FACES
 
@@ -46,10 +49,9 @@ def build_edges(elems: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray]:
     Edges are returned as an ``(nedge, 2)`` array with the lower vertex id
     first, sorted lexicographically, so edge ids are a deterministic
     function of the element list.  One argsort of the ``6·ne`` packed keys
-    yields both outputs: the sorted distinct keys are the edges, and the
-    running count of distinct keys, scattered back through the sort
-    permutation, is the element→edge map (equal keys receive equal ids, so
-    the sort need not be stable).
+    yields both outputs: the sorted distinct keys are the edges, and each
+    key's index among them is the element→edge map.  ``subdivide`` derives
+    a refined mesh's edges from its parent's instead (DESIGN.md §9).
 
     Raises
     ------
@@ -65,18 +67,7 @@ def build_edges(elems: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray]:
     keys *= nv
     keys += np.maximum(a, b, out=a)
     del a, b
-    keys = keys.ravel()
-    order = np.argsort(keys)
-    skeys = keys[order]
-    first = np.empty(skeys.shape[0], dtype=bool)  # first of its run of equals
-    first[:1] = True
-    np.not_equal(skeys[1:], skeys[:-1], out=first[1:])
-    uniq = skeys[first]
-    del skeys
-    edge_id = np.cumsum(first, out=keys)  # reuses the key buffer
-    edge_id -= 1
-    elem2edge = np.empty(ne * 6, dtype=np.int64)
-    elem2edge[order] = edge_id
+    uniq, elem2edge = unique_inverse(keys.ravel())
     edges = np.empty((uniq.shape[0], 2), dtype=np.int64)
     np.floor_divide(uniq, nv, out=edges[:, 0])
     np.remainder(uniq, nv, out=edges[:, 1])

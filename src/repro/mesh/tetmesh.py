@@ -52,14 +52,16 @@ class TetMesh:
     def from_elems(
         cls, coords: np.ndarray, elems: np.ndarray, orient: bool = True,
         bnd_faces: np.ndarray | None = None,
+        edges: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> "TetMesh":
         """Build the connectivity from vertices and an element list.
 
         The only constructor: validates shapes and index range, makes every
         element right-handed (``orient``), then derives the edge list, the
         element→edge map and, by one face sort, the boundary faces and the
-        dual-graph pairs.  ``subdivide`` passes the boundary it split from
-        the parent's, and the face sort waits for a read of ``dual_pairs``.
+        dual-graph pairs.  ``subdivide`` passes the ``(edges, elem2edge)``
+        and the boundary it derived from the parent's, so neither the edge
+        sort nor (until ``dual_pairs`` is read) the face sort runs.
         """
         coords = np.ascontiguousarray(coords, dtype=np.float64)
         elems = np.ascontiguousarray(elems, dtype=np.int64)
@@ -72,7 +74,7 @@ class TetMesh:
             raise ValueError("element vertex index out of range")
         if orient:
             elems = fix_orientation(coords, elems)
-        edges, elem2edge = build_edges(elems, nv)
+        edges, elem2edge = build_edges(elems, nv) if edges is None else edges
         mesh = cls(coords, elems, edges, elem2edge, bnd_faces)
         if bnd_faces is None:
             mesh.dual_pairs  # the face sort sets bnd_faces as well

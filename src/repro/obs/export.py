@@ -136,10 +136,17 @@ MARKER_ATTRS = {
                          "comm": "nums"},
 }
 
+#: Attrs only a measured run's ``vm.run`` carries, which its makespan
+#: check and clock table read: checked wherever they are present.
+MEASURED_ATTRS = {"clock": "str", "rank_makespan": "unum", "skew": "unum"}
+
 
 def _event_rule(rec, seen):
     attrs = rec["attrs"]
-    for key, code in MARKER_ATTRS.get(rec["name"], {}).items():
+    checks = list(MARKER_ATTRS.get(rec["name"], {}).items())
+    if rec["name"] == "vm.run":
+        checks += [(k, c) for k, c in MEASURED_ATTRS.items() if k in attrs]
+    for key, code in checks:
         err = _type_error(f"{rec['name']} event attrs.{key}",
                           attrs.get(key), code)
         if err:

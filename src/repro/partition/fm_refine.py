@@ -21,6 +21,8 @@ import heapq
 
 import numpy as np
 
+from repro.unique import sorted_unique
+
 from .graph import Graph
 
 __all__ = ["fm_bisection_refine", "kway_fm_refine", "kway_greedy_refine"]
@@ -110,7 +112,7 @@ def fm_bisection_refine(
             eidx = np.repeat(starts - offsets, counts) + np.arange(
                 int(counts.sum())
             )
-            aff = np.unique(np.concatenate([moved, graph.adj[eidx]]))
+            aff = sorted_unique(np.concatenate([moved, graph.adj[eidx]]))
             gain_np[aff] = _gains_subset(graph, side_np, aff)
         gain = gain_np.tolist()
         locked = bytearray(n)
@@ -241,7 +243,7 @@ def kway_greedy_refine(
     for _ in range(max_passes):
         moved = 0
         part_arr = np.asarray(part_l, dtype=np.int64)
-        boundary = np.unique(src[part_arr[src] != part_arr[adj_np]])
+        boundary = sorted_unique(src[part_arr[src] != part_arr[adj_np]])
         if balance_only:
             # only an overweight part gives anything up, and no part
             # becomes overweight on the way: the rest need no visit

@@ -132,7 +132,7 @@ class EulerSolver:
         self._lo = self._ends[: self.mesh.nedges]
         self._hi = self._ends[self.mesh.nedges :]
         self._boundary = np.zeros(self.mesh.nv, dtype=bool)
-        self._boundary[np.unique(self.mesh.bnd_faces)] = True
+        self._boundary[self.mesh.bnd_faces] = True
 
     def residual(self) -> np.ndarray:
         """Net flux into each control volume (interior scheme) at the

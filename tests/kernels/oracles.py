@@ -20,7 +20,10 @@ lives here, unchanged, as the oracle it must match bit for bit:
 * :func:`gains_bisection_reference`, :func:`gains_subset_reference`,
   :func:`csr_ptr_reference` — ``np.add.at`` where the product counts
   with ``np.bincount``;
-* :func:`assemble_children_reference` — one column stack per child;
+* :func:`assemble_children_reference` — one column stack per child,
+  grouped by parent by a stable sort, and ``build_edges`` with a search of
+  its table where the product derives the children's edges from the
+  parent's;
 * :func:`charge_shared_exchange_reference` — the per-edge loop over SPL
   rank pairs;
 * :func:`scatter_add_rows_reference`,
@@ -61,7 +64,9 @@ from typing import Any, Iterator, NamedTuple
 import numpy as np
 
 from repro.adapt.refine import _DIAG_CYCLE, _shortest_diagonals
+from repro.mesh.build import build_edges
 from repro.mesh.geometry import fix_orientation
+from repro.mesh.tetmesh import TetMesh
 from repro.mesh.topology import (
     FACE_EDGE_MASKS,
     FACE_EDGES,
@@ -717,14 +722,19 @@ def subgraph_reference(graph: Graph, vertices: np.ndarray) -> Graph:
 
 
 def assemble_children_reference(
-    ev: np.ndarray,
-    em: np.ndarray,
+    mesh: TetMesh,
+    midpoint_of: np.ndarray,
     patterns: np.ndarray,
     new_coords: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+):
     """Reference assembly: per-pattern column stacks (one array op per child),
-    then the orientation pass ``TetMesh.from_elems`` made on every refined
-    mesh before the child tables came out right-handed."""
+    the orientation pass ``TetMesh.from_elems`` made on every refined mesh
+    before the child tables came out right-handed, a stable sort grouping
+    the children by parent, then the rebuild the product derives instead:
+    ``build_edges`` over every child, and each parent edge's pieces looked
+    up in its table."""
+    ev = mesh.elems
+    em = midpoint_of[mesh.elem2edge]
     chunks: list[np.ndarray] = [np.empty((0, 4), dtype=np.int64)]
     parents: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
 
@@ -804,7 +814,27 @@ def assemble_children_reference(
             chunks.append(np.concatenate(oct_kids))
             parents.append(np.tile(idxd, 4))
 
-    return fix_orientation(new_coords, np.concatenate(chunks)), np.concatenate(parents)
+    order = np.argsort(np.concatenate(parents), kind="stable")
+    elems = fix_orientation(new_coords, np.concatenate(chunks))[order]
+    nv = new_coords.shape[0]
+    edges, elem2edge = build_edges(elems, nv)
+    table = edges[:, 0] * nv + edges[:, 1]
+
+    def lookup(a, b):
+        keys = np.minimum(a, b) * nv + np.maximum(a, b)
+        pos = np.searchsorted(table, keys)
+        assert np.array_equal(table[pos], keys), "every piece is an edge"
+        return pos
+
+    marked = np.flatnonzero(midpoint_of >= 0)
+    kept = np.flatnonzero(midpoint_of < 0)
+    a, b, m = mesh.edges[marked, 0], mesh.edges[marked, 1], midpoint_of[marked]
+    edge_children = np.full((mesh.nedges, 2), -1, dtype=np.int64)
+    edge_children[marked, 0] = lookup(a, m)
+    edge_children[marked, 1] = lookup(m, b)
+    edge_survivor = np.full(mesh.nedges, -1, dtype=np.int64)
+    edge_survivor[kept] = lookup(mesh.edges[kept, 0], mesh.edges[kept, 1])
+    return elems, (edges, elem2edge), edge_children, edge_survivor
 
 
 def charge_shared_exchange_reference(

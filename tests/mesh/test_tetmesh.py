@@ -184,3 +184,44 @@ def test_subdivide_peak_memory_per_element():
             tracemalloc.stop()
     assert result.mesh.ne == 124469
     assert (peak - before) / result.mesh.ne <= SUBDIVIDE_PEAK_BYTES_PER_ELEM
+
+
+#: ``subdivide``'s transient bytes per child tet — its ``tracemalloc`` peak
+#: less what it retains (the refined mesh, provenance and solution) — on
+#: the resolution-6 rotor's third adapt cycle (53 231 → 126 420 tets):
+#: 29.4 B measured with the child edges derived from the parent's, 124.3 B
+#: while ``build_edges`` sorted every child edge; bound at 40.
+SUBDIVIDE_TRANSIENT_BYTES_PER_CHILD = 40
+
+
+def test_subdivide_transient_memory_per_child():
+    """The temporaries of one mid-size rotor subdivision, as a count: it
+    fails if the sort of all ``6·ne`` child edge keys comes back."""
+    import gc
+    import tracemalloc
+
+    from repro.adapt import AdaptiveMesh, subdivide
+    from repro.solver import rotor_acoustics_field, speed_indicator
+
+    mesh, blade = rotor_domain_mesh(resolution=6, grading=2.0)
+    adaptive = AdaptiveMesh(mesh, rotor_acoustics_field(mesh.coords, blade))
+    for cycle in range(4):
+        error = speed_indicator(adaptive.mesh, adaptive.solution)
+        marking = adaptive.mark(edge_error=error, refine_frac=0.1)
+        if cycle < 3:
+            adaptive.refine(marking)
+    gc.collect()
+    already_tracing = tracemalloc.is_tracing()
+    if not already_tracing:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = subdivide(adaptive.mesh, marking, solution=adaptive.solution)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not already_tracing:
+            tracemalloc.stop()
+    assert (adaptive.mesh.ne, result.mesh.ne) == (53231, 126420)
+    assert held > before  # what it retains stays out of the bound
+    assert (peak - held) / result.mesh.ne <= SUBDIVIDE_TRANSIENT_BYTES_PER_CHILD

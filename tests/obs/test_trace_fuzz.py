@@ -113,6 +113,34 @@ def test_corrupt_trace_reads_or_raises_schema_error(
         assert err.count("\n") <= 2  # one line per trace argument
 
 
+#: A measured run's trace (``step 4 --nproc 3 --backend shm``): its
+#: ``vm.run`` markers carry the attrs only a measured run has.
+MEASURED = Path(__file__).parent / "data" / "step4_shm.jsonl"
+
+
+@pytest.mark.parametrize("key", ["skew", "rank_makespan", "clock"])
+@pytest.mark.parametrize("value", [None, True, "x", -1, 1.5, [], {"a": 1}])
+def test_measured_run_attrs_are_type_checked(tmp_path, key, value):
+    """A wrong ``skew`` / ``rank_makespan`` / ``clock`` on a measured
+    ``vm.run`` is a :class:`SchemaError` naming its line, not a Python
+    error later in the makespan check or the clock table."""
+    lines = MEASURED.read_bytes().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines)
+             if b'"clock": "wall"' in line and b'"vm.run"' in line)
+    rec = json.loads(lines[i])
+    if type(value) is type(rec["attrs"][key]) and value != -1:
+        return  # the right type: nothing to refuse
+    rec["attrs"][key] = value
+    lines[i] = json.dumps(rec).encode() + b"\n"
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(SchemaError, match=rf"^line {i + 1}: .*attrs\.{key}"):
+        read_jsonl(path)
+    status, out, err = _cli(["report", str(path)])
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: {path}: line {i + 1}: ")
+
+
 def test_pristine_trace_reads_and_runs_index_refuses_a_corrupt_one(tmp_path):
     path = tmp_path / "ok.jsonl"
     path.write_bytes(_trace())
