@@ -503,10 +503,10 @@ def _cmd_critical_path(args) -> int:
                   "enabled", file=sys.stderr)
         else:
             wall = None  # auto: nothing measured to show
-    if virtual is not None and not virtual.runs and not virtual.supersteps:
+    if virtual is not None and not virtual.runs:
         if args.clock == "virtual" or wall is None:
             print(f"note: {args.trace} carries no causal records "
-                  "(no traced VM run or ledger superstep)",
+                  "(no traced VM run)",
                   file=sys.stderr)
         else:
             virtual = None  # auto: measured-only trace
@@ -540,7 +540,7 @@ def _cmd_diff(args) -> int:
     what = ("measured (wall-clock) runs" if clock == "wall"
             else "causal records")
     for label, analysis in ((label_a, analysis_a), (label_b, analysis_b)):
-        if not analysis.runs and not analysis.supersteps:
+        if not analysis.runs:
             print(f"note: {label} carries no {what}; its side of the "
                   "comparison is empty and only the other trace's "
                   "composition is shown", file=sys.stderr)

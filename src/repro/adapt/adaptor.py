@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mesh.tetmesh import TetMesh
-from repro.parallel.ledger import CostLedger
 
 from .coarsen import CoarsenReport, peel_last_level
 from .marking import MarkingResult, propagate_markings, target_by_fraction
@@ -67,8 +66,6 @@ class AdaptiveMesh:
         edge_error: np.ndarray | None = None,
         refine_frac: float | None = None,
         edge_mask: np.ndarray | None = None,
-        part: np.ndarray | None = None,
-        ledger: CostLedger | None = None,
     ) -> MarkingResult:
         """Target edges and propagate patterns to a valid fixpoint.
 
@@ -82,20 +79,13 @@ class AdaptiveMesh:
                     "provide edge_mask, or edge_error with refine_frac"
                 )
             edge_mask = target_by_fraction(edge_error, refine_frac)
-        return propagate_markings(self.mesh, edge_mask, part=part, ledger=ledger)
+        return propagate_markings(self.mesh, edge_mask)
 
     # --- subdivision ---------------------------------------------------------
 
-    def refine(
-        self,
-        marking: MarkingResult,
-        part: np.ndarray | None = None,
-        ledger: CostLedger | None = None,
-    ) -> RefineResult:
+    def refine(self, marking: MarkingResult) -> RefineResult:
         """Subdivide the current mesh according to ``marking``."""
-        result = subdivide(
-            self.mesh, marking, solution=self.solution, part=part, ledger=ledger
-        )
+        result = subdivide(self.mesh, marking, solution=self.solution)
         self.steps.append(
             _Step(self.mesh, self.solution, marking, result)
         )

@@ -34,7 +34,6 @@ from repro.mesh.topology import (
     LOCAL_FACES,
     OPPOSITE_EDGE,
 )
-from repro.parallel.ledger import CostLedger
 from repro.unique import unique_inverse
 
 from .marking import MarkingResult
@@ -215,15 +214,9 @@ def subdivide(
     mesh: TetMesh,
     marking: MarkingResult,
     solution: np.ndarray | None = None,
-    part: np.ndarray | None = None,
-    ledger: CostLedger | None = None,
 ) -> RefineResult:
     """Subdivide every element according to its (valid) pattern.
 
-    When ``part``/``ledger`` are given, each rank is charged work
-    proportional to the number of children its elements create — this is
-    how the load-(im)balance of the subdivision phase enters the timing
-    model (remapping *before* subdivision balances exactly this phase).
     ``ValueError`` when the patterns are not valid or ``edge_marked`` is
     not the edge mask they were computed from.
     """
@@ -274,13 +267,6 @@ def subdivide(
             solution[mesh.edges[marked_ids, 0]] + solution[mesh.edges[marked_ids, 1]]
         )
         new_solution = np.concatenate([solution, mid_sol])
-
-    # --- parallel timing: subdivision work ∝ children created ------------------
-    if part is not None and ledger is not None:
-        work = np.bincount(part, weights=child_count.astype(np.float64),
-                           minlength=ledger.nranks)
-        ledger.add_work_all(SUBDIV_WORK_PER_CHILD * work)
-        ledger.barrier()
 
     return RefineResult(
         mesh=new_mesh,

@@ -20,7 +20,7 @@ from .reassign import (
     optimal_mwbg,
 )
 from .remap import RemapExecution, build_move_matrix, execute_remap
-from .similarity import charge_gather_scatter, similarity_matrix
+from .similarity import similarity_matrix
 
 __all__ = [
     "CostModel",
@@ -31,7 +31,6 @@ __all__ = [
     "RemapStats",
     "StepReport",
     "build_move_matrix",
-    "charge_gather_scatter",
     "combined_reassign",
     "execute_remap",
     "heuristic_mwbg",

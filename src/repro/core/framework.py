@@ -24,7 +24,6 @@ from repro.adapt.stats import marking_stats
 from repro.mesh.tetmesh import TetMesh
 from repro.obs import Span, Tracer, current_tracer, use_tracer
 from repro.parallel.backends import backend_factory
-from repro.parallel.ledger import CostLedger
 from repro.parallel.machine import MachineModel, SP2_1997
 from repro.partition import quality as pq
 from repro.partition.multilevel import multilevel_kway
@@ -35,6 +34,7 @@ from .cost import CostModel, Decision
 from .dualgraph import DualGraph
 from .evaluate import load_imbalance, needs_repartition
 from .metrics import RemapStats, remap_stats
+from .phases import price_gather_scatter, price_marking, price_subdivision
 from .reassign import (
     heuristic_mwbg,
     optimal_bmcm,
@@ -42,7 +42,7 @@ from .reassign import (
     reassignment_time,
 )
 from .remap import RemapExecution, execute_remap
-from .similarity import charge_gather_scatter, similarity_matrix
+from .similarity import similarity_matrix
 
 __all__ = ["LoadBalancedAdaptiveSolver", "StepReport"]
 
@@ -250,17 +250,16 @@ class LoadBalancedAdaptiveSolver:
             cycle=cycle,
         ):
             with tracer.phase("marking") as sp:
-                ledger = CostLedger(self.nproc, self.machine, tracer=tracer)
-                owner = self.elem_owner()
                 marking = self.adaptive.mark(
                     edge_error=edge_error,
                     refine_frac=refine_frac,
                     edge_mask=edge_mask,
-                    part=owner,
-                    ledger=ledger,
                 )
-                ledger.close()
-                tracer.advance(ledger.elapsed)
+                report.marking_time = price_marking(
+                    self.adaptive.mesh, self.elem_owner(), marking,
+                    self.nproc, self.machine,
+                ).makespan
+                tracer.advance(report.marking_time)
                 edges_marked = int(np.count_nonzero(marking.edge_marked))
                 sp.attrs.update(
                     edges_marked=edges_marked, iterations=marking.iterations
@@ -283,7 +282,6 @@ class LoadBalancedAdaptiveSolver:
                 norm = float(np.sqrt(np.mean(err * err))) if err.size else 0.0
                 tracer.metric("repro.solver.indicator_norm", norm)
             report.marking = marking
-            report.marking_time = ledger.elapsed
 
             wcomp_pred, _wremap_pred = self.adaptive.predicted_weights(marking)
             report.imbalance_before = load_imbalance(
@@ -319,15 +317,14 @@ class LoadBalancedAdaptiveSolver:
         self, report: StepReport, marking: MarkingResult, tracer: Tracer
     ) -> None:
         with tracer.phase("subdivision") as sp:
-            ledger = CostLedger(self.nproc, self.machine, tracer=tracer)
-            result = self.adaptive.refine(
-                marking, part=self.elem_owner(), ledger=ledger
-            )
-            ledger.close()
-            tracer.advance(ledger.elapsed)
+            owner = self.elem_owner()
+            result = self.adaptive.refine(marking)
+            report.subdivision_time = price_subdivision(
+                owner, result.child_count, self.nproc, self.machine
+            ).makespan
+            tracer.advance(report.subdivision_time)
             sp.attrs["growth_factor"] = result.growth_factor
             tracer.metric("repro.adapt.elements_after", self.adaptive.mesh.ne)
-        report.subdivision_time = ledger.elapsed
         report.growth_factor = result.growth_factor
         report.mesh_sizes = self.adaptive.mesh.sizes()
 
@@ -381,10 +378,9 @@ class LoadBalancedAdaptiveSolver:
                 # the P×F-integer rows, solves, and scatters the mapping back
                 # ("a minuscule amount of time" — modelled, so the claim is
                 # checkable)
-                gs_ledger = CostLedger(self.nproc, self.machine, tracer=tracer)
-                charge_gather_scatter(gs_ledger, npart)
-                gs_ledger.close()
-                report.gather_scatter_time = gs_ledger.elapsed
+                report.gather_scatter_time = price_gather_scatter(
+                    self.nproc, npart, self.machine
+                ).makespan
                 tracer.advance(report.gather_scatter_time)
                 sp.attrs["entries"] = int(np.count_nonzero(S))
 

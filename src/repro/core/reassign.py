@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.parallel.machine import MachineModel, SP2_1997
 from repro.partition.assignment import bipartite_matching, max_weight_assignment
+from repro.unique import sorted_unique
 
 __all__ = [
     "optimal_mwbg",
@@ -142,7 +143,7 @@ def optimal_bmcm(S: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -> np.nda
     row = S.sum(axis=1, keepdims=True)
     col = S.sum(axis=0, keepdims=True)
     cost = np.maximum(alpha * (row - S), beta * (col - S))
-    levels = np.unique(cost)
+    levels = sorted_unique(cost)  # the costs are finite floats
     lo, hi = 0, levels.shape[0] - 1
     # a perfect matching always exists at the max threshold (complete graph)
     while lo < hi:

@@ -5,17 +5,15 @@ in *new* partition ``j`` that currently reside on processor ``i``.  In the
 paper each processor computes its own row from its subdomain; a host
 gathers the rows (P×F integers each — "a minuscule amount of time"),
 solves the reassignment, and scatters the answer.  We build the matrix with
-one vectorized histogram and optionally model the gather/solve/scatter cost
-on the virtual machine.
+one vectorized histogram; :func:`repro.core.phases.price_gather_scatter`
+prices the gather and scatter on the virtual machine.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel.ledger import CostLedger
-
-__all__ = ["similarity_matrix", "charge_gather_scatter"]
+__all__ = ["similarity_matrix"]
 
 
 def similarity_matrix(
@@ -51,13 +49,3 @@ def similarity_matrix(
     np.add.at(S, (old_part, new_part), wremap)
     return S
 
-
-def charge_gather_scatter(ledger: CostLedger, npart: int) -> None:
-    """Model the host gather of one row per processor and the scatter of
-    the partition-to-processor mapping (paper: P×F integers per row)."""
-    p = ledger.nranks
-    for r in range(1, p):
-        ledger.add_message(r, 0, npart)  # row of S to the host
-    for r in range(1, p):
-        ledger.add_message(0, r, npart)  # mapping back
-    ledger.barrier()

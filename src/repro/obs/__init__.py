@@ -3,7 +3,6 @@
 Every phase of the solve → adapt → balance cycle is double-clocked:
 
 * **virtual seconds** — the modelled machine time accumulated by the
-  :class:`~repro.parallel.ledger.CostLedger`/
   :class:`~repro.parallel.runtime.VirtualMachine` under the active
   :class:`~repro.parallel.machine.MachineModel`; this is the clock every
   paper figure is plotted in, and
@@ -11,11 +10,11 @@ Every phase of the solve → adapt → balance cycle is double-clocked:
   reproduction itself costs to run.
 
 A :class:`Tracer` records nestable :class:`Span` phases carrying both
-clocks, :class:`PointEvent` markers (``vm.run``, ``ledger.superstep``,
-``transport.spill``), and a labelled :class:`MetricsRegistry` of
-time-series samples keyed by ``(name, labels, cycle, rank)`` — the one
-place every quantity is stored.  Traced virtual-machine runs additionally
-record their happens-before DAG (:mod:`repro.obs.causal`) as the rows
+clocks, :class:`PointEvent` markers (``vm.run``, ``transport.spill``),
+and a labelled :class:`MetricsRegistry` of time-series samples keyed by
+``(name, labels, cycle, rank)`` — the one place every quantity is
+stored.  Traced virtual-machine runs additionally record their
+happens-before DAG (:mod:`repro.obs.causal`) as the rows
 of one :class:`~repro.obs.causal.CausalRecord` per run; each operation's
 :class:`~repro.obs.causal.CausalNode` and each message's
 :class:`~repro.obs.causal.CausalMsg` are derived from it, and
@@ -49,9 +48,9 @@ distributed phase, the experiment drivers) has one way to receive a
 tracer: it reads the ambient one, :func:`current_tracer`, which a caller
 installs with one ``with use_tracer(tracer):`` block.  Only the machines
 take a tracer as an argument, from their one launcher
-(``repro.dist._launch.launch``) or the framework: the
-:class:`~repro.parallel.runtime.VirtualMachine`, the communicator
-backends and the :class:`~repro.parallel.ledger.CostLedger`.
+(``repro.dist._launch.launch``): the
+:class:`~repro.parallel.runtime.VirtualMachine` and the communicator
+backends.
 """
 
 from .causal import (

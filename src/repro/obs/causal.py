@@ -30,8 +30,7 @@ run's makespan.  The sink always has slack exactly ``0.0``.
 
 :func:`analyze` lifts all of this to a whole exported trace: every
 ``vm.run`` becomes a critical path placed at its absolute virtual time,
-every ``ledger.superstep`` event contributes its bottleneck rank's
-work/comm split, and the remaining virtual time is cut at span ends,
+and the remaining virtual time is cut at span ends,
 each piece going to the deepest span covering it — yielding a (phase,
 rank, kind) breakdown of the makespan, per-cycle straggler rankings,
 and the input to ``repro critical-path`` / ``repro diff``.
@@ -285,20 +284,6 @@ class Segment:
 
 
 @dataclass
-class Superstep:
-    """One bulk-synchronous superstep recorded by a :class:`CostLedger`."""
-
-    phase: str
-    cycle: int | None
-    t0: float
-    t1: float
-    work: list[float]  #: per-rank charged work seconds
-    comm: list[float]  #: per-rank charged communication seconds
-    sync: float  #: dissemination-barrier seconds
-    bottleneck: int  #: rank with the largest work+comm
-
-
-@dataclass
 class TraceAnalysis:
     """Whole-trace causal attribution produced by :func:`analyze`."""
 
@@ -306,7 +291,6 @@ class TraceAnalysis:
     runs: list[CausalRun]
     paths: dict[int, CriticalPath]  #: run id -> its critical path
     stats: dict[int, list[RankStats]]  #: run id -> per-rank stats
-    supersteps: list[Superstep]
     segments: list[Segment]  #: covers [0, makespan] in time order
     by_phase_kind: dict[tuple[str, str], float]
     stragglers: dict[int | None, list[tuple[int, float]]] = field(
@@ -540,38 +524,6 @@ def format_chain(chain: list[CausalNode],
 # --- whole-trace attribution -------------------------------------------------
 
 
-def _span_name(tracer, span_index: int | None) -> str | None:
-    if span_index is not None and 0 <= span_index < len(tracer.spans):
-        return tracer.spans[span_index].name
-    return None
-
-
-def _supersteps_from_tracer(tracer) -> list[Superstep]:
-    steps = []
-    for ev in tracer.events:
-        if ev.name != "ledger.superstep":
-            continue
-        t0 = ev.v_time + ev.attrs["start"]
-        work = list(ev.attrs["work"])
-        comm = list(ev.attrs["comm"])
-        busy = [w + c for w, c in zip(work, comm)]
-        steps.append(
-            Superstep(
-                phase=_span_name(tracer, ev.span) or "(untracked)",
-                cycle=ev.attrs.get("cycle"),
-                t0=t0,
-                t1=t0 + ev.attrs["duration"],
-                work=work,
-                comm=comm,
-                sync=ev.attrs.get("sync", 0.0),
-                bottleneck=max(range(len(busy)), key=lambda r: busy[r])
-                if busy else 0,
-            )
-        )
-    steps.sort(key=lambda s: s.t0)
-    return steps
-
-
 def _span_cover(tracer, clock: str, epoch: float):
     """``(bounds, names)``: the sorted distinct ends of the closed spans on
     ``clock`` (wall intervals re-zeroed on ``epoch``) and, for each
@@ -621,8 +573,7 @@ def analyze(tracer, clock: str = "virtual") -> TraceAnalysis:
     """Attribute a whole trace's time to (phase, rank, kind).
 
     On the default virtual clock, VM runs contribute their critical-path
-    steps (exact); ledger supersteps contribute their bottleneck rank's
-    work/comm split; any virtual time not covered by either is framework
+    steps (exact); any virtual time not covered by them is framework
     time, cut at every span end and each piece attributed to the deepest
     span covering it.  The segment list
     covers ``[0, makespan]`` in time order with no overlaps.
@@ -630,15 +581,13 @@ def analyze(tracer, clock: str = "virtual") -> TraceAnalysis:
     With ``clock="wall"`` the same attribution runs over the *measured*
     runs recorded by the real-core backends: run bases and span
     intervals are host wall seconds re-zeroed on the trace's earliest
-    measured timestamp, and ledger supersteps (virtual-only records) are
-    excluded.  The virtual analysis of a trace is byte-identical whether
-    or not measured runs are present.
+    measured timestamp.  The virtual analysis of a trace is byte-identical
+    whether or not measured runs are present.
     """
     wall = clock == "wall"
     runs = runs_from_tracer(tracer, clock=clock)
     paths = {r.id: critical_path(r) for r in runs}
     stats = {r.id: rank_stats(r, paths[r.id]) for r in runs}
-    supersteps = [] if wall else _supersteps_from_tracer(tracer)
 
     epoch = 0.0
     if wall:
@@ -660,14 +609,6 @@ def analyze(tracer, clock: str = "virtual") -> TraceAnalysis:
                 Segment(phase, s.node.rank, s.kind,
                         base + s.node.t_start, base + s.node.t_end),
             )
-    for ss in supersteps:
-        b = ss.bottleneck
-        split = ss.t0 + (ss.work[b] if ss.work else 0.0)
-        split = min(split, ss.t1)
-        if split > ss.t0:
-            covered.append(Segment(ss.phase, b, "work", ss.t0, split))
-        if ss.t1 > split:
-            covered.append(Segment(ss.phase, b, "comm", split, ss.t1))
 
     if wall:
         span_end = max(
@@ -709,12 +650,6 @@ def analyze(tracer, clock: str = "virtual") -> TraceAnalysis:
         for st in stats[run.id]:
             if st.on_path > 0.0:
                 per[st.rank] = per.get(st.rank, 0.0) + st.on_path
-    for ss in supersteps:
-        per = stragglers.setdefault(ss.cycle, {})
-        b = ss.bottleneck
-        busy = (ss.work[b] if ss.work else 0.0) + (ss.comm[b] if ss.comm else 0.0)
-        if busy > 0.0:
-            per[b] = per.get(b, 0.0) + busy
     ranked = {
         cyc: sorted(per.items(), key=lambda kv: (-kv[1], kv[0]))
         for cyc, per in stragglers.items()
@@ -725,7 +660,6 @@ def analyze(tracer, clock: str = "virtual") -> TraceAnalysis:
         runs=runs,
         paths=paths,
         stats=stats,
-        supersteps=supersteps,
         segments=segments,
         by_phase_kind=by_phase_kind,
         stragglers=ranked,
@@ -803,8 +737,7 @@ def format_critical_path(analysis: TraceAnalysis, top: int = 10) -> str:
     unit = "wall" if analysis.clock == "wall" else "virtual"
     lines = [
         f"makespan: {_fmt_s(analysis.makespan)} {unit} seconds "
-        f"({len(analysis.runs)} vm runs, "
-        f"{len(analysis.supersteps)} ledger supersteps)",
+        f"({len(analysis.runs)} vm runs)",
     ]
     kinds = analysis.by_kind()
     if kinds:

@@ -132,8 +132,6 @@ def _span_rule(rec, seen):
 MARKER_ATTRS = {
     "vm.run": {"run": "uint", "nranks": "uint", "base": "num",
                "makespan": "num"},
-    "ledger.superstep": {"start": "num", "duration": "num", "work": "nums",
-                         "comm": "nums"},
 }
 
 #: Attrs only a measured run's ``vm.run`` carries, which its makespan

@@ -125,28 +125,23 @@ class MetricsRegistry:
         self,
         name: str,
         values,
-        kind: str = "counter",
         cycle: int | None = None,
         v_time: float = 0.0,
-        skip_zero: bool = False,
     ) -> None:
-        """Bulk-record one unlabelled sample per rank (rank = list index).
+        """Bulk-record one unlabelled counter sample per rank (rank = list
+        index).
 
         Equivalent to calling :meth:`record` once per rank with
-        ``labels=None``, but the kind/labelset checks run once for
-        the whole batch instead of once per rank, and the per-rank
-        :class:`MetricSample` objects are built lazily: the batch is
-        queued here in O(1) extra work and materialized on the first
-        query (``samples``, ``series``, ``per_rank``, ...), so an emitting
+        ``kind="counter"`` and ``labels=None``, but the kind/labelset
+        checks run once for the whole batch instead of once per rank, and
+        the per-rank :class:`MetricSample` objects are built lazily: the
+        batch is queued here in O(1) extra work and materialized on the
+        first query (``samples``, ``series``, ``per_rank``, ...), so an emitting
         hot path — the VM scheduler records seven series per run at 16k+
-        ranks — never pays for samples nobody reads.  With ``skip_zero``,
-        ranks whose value is falsy are not sampled (matching call sites
-        that only emit non-zero observations).
+        ranks — never pays for samples nobody reads.
         """
-        self._bind(name, kind, frozenset())
-        self._pending.append(
-            (name, kind, tuple(values), cycle, v_time, skip_zero)
-        )
+        self._bind(name, "counter", frozenset())
+        self._pending.append((name, tuple(values), cycle, v_time))
 
     def _flush_pending(self) -> None:
         """Materialize queued :meth:`record_per_rank` batches, in call order."""
@@ -155,31 +150,21 @@ class MetricsRegistry:
         get = samples.get
         new = MetricSample.__new__
         setdict = object.__setattr__
-        for name, kind, values, cycle, v_time, skip_zero in pending:
+        for name, values, cycle, v_time in pending:
             for rank, value in enumerate(values):
-                if skip_zero and not value:
-                    continue
                 key = (name, (), cycle, rank)
                 prev = get(key)
-                if kind == "histogram":
-                    vals = list(prev.value) if prev is not None else []
-                    vals.extend(
-                        value if isinstance(value, (list, tuple)) else [value]
-                    )
-                    stored: float | list = vals
-                elif kind == "counter":
-                    stored = float(value) + (
-                        float(prev.value) if prev is not None else 0.0
-                    )
-                else:  # gauge: last write wins
-                    stored = float(value)
+                stored = float(value) + (
+                    float(prev.value) if prev is not None else 0.0
+                )
                 # construct the frozen sample by writing its __dict__
                 # wholesale: the generated frozen __init__ pays
                 # object.__setattr__ per field, ~3x slower, and this loop
                 # runs once per rank at 16k+ ranks per emitted series
                 s = new(MetricSample)
                 setdict(s, "__dict__", {
-                    "name": name, "kind": kind, "value": stored, "labels": (),
+                    "name": name, "kind": "counter", "value": stored,
+                    "labels": (),
                     "cycle": cycle, "rank": rank, "v_time": v_time,
                 })
                 samples[key] = s

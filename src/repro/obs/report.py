@@ -87,12 +87,6 @@ _VM_COLS = (
     ("busy s", "repro.vm.busy_seconds"),
     ("idle s", "repro.vm.idle_seconds"),
 )
-_LEDGER_COLS = (
-    ("msgs sent", "repro.ledger.messages_sent"),
-    ("msgs recv", "repro.ledger.messages_recv"),
-    ("words sent", "repro.ledger.words_sent"),
-    ("words recv", "repro.ledger.words_recv"),
-)
 #: Measured (clock="wall") mirrors of the VM series, from real backends.
 _VM_WALL_COLS = (
     ("msgs sent", "repro.vm.messages_sent"),
@@ -193,7 +187,7 @@ def _causal_analysis(tracer: Tracer):
     from .causal import analyze
 
     analysis = analyze(tracer)
-    if not analysis.runs and not analysis.supersteps:
+    if not analysis.runs:
         return None
     return analysis
 
@@ -305,7 +299,6 @@ def _sections(tracer: Tracer, top: int) -> list[tuple[str, list[tuple]]]:
 
     for label, cols, labels in (
             ("virtual machine, summed over cycles", _VM_COLS, {}),
-            ("cost ledger, summed over cycles", _LEDGER_COLS, {}),
             ("measured, wall clock", _VM_WALL_COLS, {"clock": "wall"})):
         out.append((f"Per-rank traffic ({label})",
                     _rank_blocks(tracer, cols, labels, "words sent")))

@@ -262,7 +262,7 @@ def summarize_trace(tracer) -> tuple[dict, list[str]]:
         metrics[f"phase.{name}.virtual_seconds"] = v
 
     analysis = analyze(tracer)
-    if analysis.runs or analysis.supersteps:
+    if analysis.runs:
         metrics["makespan"] = analysis.makespan
     wall = analyze(tracer, clock="wall")
     if wall.runs:

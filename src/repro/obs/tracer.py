@@ -61,7 +61,7 @@ class Span:
 @dataclass(frozen=True)
 class PointEvent:
     """An instantaneous marker on the virtual timeline (a ``vm.run``, a
-    ``ledger.superstep``, a ``transport.spill``, a decision being taken)."""
+    ``transport.spill``, a decision being taken)."""
 
     name: str
     v_time: float
@@ -191,19 +191,15 @@ class Tracer:
         self,
         name: str,
         values,
-        kind: str = "counter",
-        skip_zero: bool = False,
     ) -> None:
-        """Record one unlabelled sample per rank (rank = list index) in a
-        single registry call — the bulk form of :meth:`metric` the VM and
-        cost ledger use for their per-rank traffic series."""
+        """Record one unlabelled counter sample per rank (rank = list
+        index) in a single registry call — the bulk form of :meth:`metric`
+        the VM uses for its per-rank traffic series."""
         self.metrics.record_per_rank(
             name,
             values,
-            kind=kind,
             cycle=self.cycle,
             v_time=self._vclock,
-            skip_zero=skip_zero,
         )
 
 

@@ -9,12 +9,9 @@ deterministic stand-in used throughout the reproduction:
 * :class:`~repro.parallel.runtime.VirtualMachine` — event-driven scheduler
   for SPMD generator rank programs, written against the
   :class:`~repro.parallel.simcomm.Comm` API (``compute``, ``send``,
-  ``recv``, ``barrier``, ``allreduce``) every backend runs;
-* :class:`~repro.parallel.ledger.CostLedger` — bulk-synchronous cost
-  accounting for NumPy-vectorized partition-wise phases.
+  ``recv``, ``barrier``, ``allreduce``) every backend runs.
 """
 
-from .ledger import CostLedger
 from .machine import IDEAL, SP2_1997, MachineModel, word_count
 from .runtime import (
     ANY,
@@ -33,7 +30,6 @@ from .backends import (
 __all__ = [
     "ANY",
     "Comm",
-    "CostLedger",
     "DeadlockError",
     "IDEAL",
     "MachineModel",

@@ -56,12 +56,6 @@ class MachineModel:
     alpha: float = 1.0
     beta: float = 1.0
 
-    def msg_time(self, nwords: int) -> float:
-        """Time to transfer a single message of ``nwords`` 8-byte words."""
-        if nwords < 0:
-            raise ValueError(f"negative message size: {nwords}")
-        return self.t_setup + self.t_word * nwords
-
     def work_time(self, units: float) -> float:
         """Time to execute ``units`` of local computation."""
         if units < 0:

@@ -211,8 +211,7 @@ class VirtualMachine:
     additionally recorded as labelled
     metrics: ``repro.vm.messages_sent`` / ``messages_recv`` count
     payload-bearing messages only (zero-word synchronisation messages go
-    to ``repro.vm.sync_messages`` so word and message totals stay
-    comparable with the cost ledger), ``repro.vm.words_sent`` /
+    to ``repro.vm.sync_messages``), ``repro.vm.words_sent`` /
     ``words_recv`` count 8-byte words, and ``repro.vm.busy_seconds`` /
     ``idle_seconds`` split each rank's share of the makespan into working
     and blocked-waiting virtual time.

@@ -9,9 +9,14 @@ from repro.adapt import (
     propagate_markings,
     target_by_fraction,
 )
-from repro.adapt.marking import shared_edge_mask
+from repro.core.phases import (
+    _edge_rank_incidence,
+    _edge_rank_pairs,
+    price_marking,
+)
+from repro.dist import decompose, parallel_mark
 from repro.mesh import box_mesh
-from repro.parallel import CostLedger, MachineModel
+from repro.parallel import MachineModel
 
 from tests.fixtures import single_tet, two_tets
 
@@ -96,15 +101,15 @@ def test_full_marking_gives_1to8_everywhere():
 
 
 def test_shared_edge_mask():
+    """The marking exchange's SPL pairs run over exactly the shared edges:
+    both directions of each edge of the shared face (1,2,3)."""
     m = two_tets()
-    part = np.array([0, 1])
-    shared = shared_edge_mask(m, part)
-    # exactly the 3 edges of the shared face (1,2,3)
-    assert shared.sum() == 3
-    sv = m.edges[shared]
-    assert set(map(tuple, sv.tolist())) == {(1, 2), (1, 3), (2, 3)}
+    src, dst, edge = _edge_rank_pairs(_edge_rank_incidence(m.elem2edge, np.array([0, 1])))
+    assert sorted(zip(src.tolist(), dst.tolist())) == [(0, 1)] * 3 + [(1, 0)] * 3
+    assert set(map(tuple, m.edges[edge].tolist())) == {(1, 2), (1, 3), (2, 3)}
     # single partition: nothing shared
-    assert shared_edge_mask(m, np.zeros(2, dtype=np.int64)).sum() == 0
+    pairs = _edge_rank_pairs(_edge_rank_incidence(m.elem2edge, np.zeros(2, np.int64)))
+    assert all(a.size == 0 for a in pairs)
 
 
 def test_parallel_marking_matches_serial_and_charges_time():
@@ -113,12 +118,13 @@ def test_parallel_marking_matches_serial_and_charges_time():
     mask = rng.random(m.nedges) < 0.15
     serial = propagate_markings(m, mask)
     part = np.arange(m.ne) % 4
-    ledger = CostLedger(4, MachineModel(t_setup=1e-5, t_word=1e-6, t_work=1e-6))
-    par = propagate_markings(m, mask, part=part, ledger=ledger)
+    par = parallel_mark(m, decompose(m, part, 4), mask)
     assert np.array_equal(par.edge_marked, serial.edge_marked)
-    assert np.array_equal(par.patterns, serial.patterns)
-    assert ledger.elapsed > 0
-    assert ledger.total_messages > 0  # shared edges were exchanged
+    assert par.iterations == serial.iterations
+    run = price_marking(m, part, serial, 4,
+                        MachineModel(t_setup=1e-5, t_word=1e-6, t_work=1e-6))
+    assert run.makespan > 0
+    assert run.total_words > 0  # shared edges were exchanged
 
 
 def test_mask_shape_check():

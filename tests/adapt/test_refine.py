@@ -149,12 +149,14 @@ def test_invalid_patterns_rejected():
 
 def test_subdivision_work_charged_per_rank():
     from repro.adapt.refine import SUBDIV_WORK_PER_CHILD
-    from repro.parallel import CostLedger, MachineModel
+    from repro.core.phases import price_subdivision
+    from repro.parallel import MachineModel
 
     m = two_tets()
     marking = propagate_markings(m, np.ones(m.nedges, dtype=bool))
-    ledger = CostLedger(2, MachineModel(t_setup=0, t_word=0, t_work=1.0))
-    subdivide(m, marking, part=np.array([0, 1]), ledger=ledger)
+    result = subdivide(m, marking)
+    run = price_subdivision(np.array([0, 1]), result.child_count, 2,
+                            MachineModel(t_setup=0, t_word=0, t_work=1.0))
     # both ranks create 8 children, each priced at the per-child work rate
     expect = 8.0 * SUBDIV_WORK_PER_CHILD
-    assert ledger.clocks.tolist() == [expect, expect]
+    assert run.clocks == [expect, expect]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import remap_stats, similarity_matrix
-from repro.parallel import CostLedger, MachineModel
+from repro.parallel import MachineModel
 
 
 def test_similarity_basic():
@@ -74,10 +74,16 @@ def test_remap_stats_rejects_uneven_assignment():
 
 
 def test_charge_gather_scatter():
-    from repro.core import charge_gather_scatter
+    """The §4.3 gather/scatter program: 3 rows in, 3 mappings out, each
+    ``npart`` words; rank 0 receives and sends one message at a time."""
+    from repro.core.phases import price_gather_scatter
 
-    led = CostLedger(4, MachineModel(t_setup=1.0, t_word=0.0, t_work=0.0))
-    charge_gather_scatter(led, npart=4)
-    # 3 rows in + 3 mappings out, plus barrier rounds
-    assert led.total_messages == 6
-    assert led.elapsed > 0
+    run = price_gather_scatter(4, 4, MachineModel(t_setup=1.0, t_word=0.0,
+                                                  t_work=0.0))
+    assert run.total_messages == 6
+    assert run.total_words == 6 * 4
+    assert run.msgs_sent_per_rank == [3, 1, 1, 1]
+    assert run.msgs_recv_per_rank == [3, 1, 1, 1]
+    # the host's three receives and three sends take one startup each; the
+    # last mapping arrives as the host's last send completes
+    assert run.makespan == 6.0

@@ -1,20 +1,24 @@
-"""Extension — cross-validation of the two virtual-timing paths.
+"""Extension — cross-validation of the two ways the adaption phases run.
 
-The framework times the marking/subdivision phases with the BSP cost
-ledger (vectorized accounting), while ``repro.dist`` executes the same
-phases as event-driven SPMD rank programs on the virtual machine.  Both
-must tell the same story: same machine model, same work, so the measured
-times should agree in trend and stay within a small factor of each other
-(the VM resolves message timing exactly; the ledger batches per
-superstep).
+The cycle prices marking and subdivision with rank programs derived from
+the global mesh (:mod:`repro.core.phases`: a round's work and SPL
+exchange from the round each edge was first marked in, the children per
+rank), while ``repro.dist`` executes the same phases on distributed local
+meshes, doing the real upgrade sweeps and subdivisions inside the rank
+programs.  Both run on the one virtual machine, so they must tell the
+same story: same machine model, same work, times that agree in trend and
+stay within a small factor of each other (``repro.dist`` pads every SPL
+message to at least one word and ends each subdivision with a barrier
+and a face-classification exchange).
 """
 
 import numpy as np
 
 from repro.adapt.marking import propagate_markings
+from repro.core.phases import price_marking, price_subdivision
 from repro.dist import decompose, parallel_mark
 from repro.dist.refine_exec import parallel_refine
-from repro.parallel import CostLedger, SP2_1997
+from repro.parallel import SP2_1997
 from repro.partition import Graph, multilevel_kway
 
 
@@ -30,23 +34,23 @@ def _setup(case, nproc):
 def test_marking_times_agree(case):
     mesh, part, locals_, marks = _setup(case, 8)
 
-    ledger = CostLedger(8, SP2_1997)
-    serial = propagate_markings(mesh, marks, part=part, ledger=ledger)
-    t_ledger = ledger.elapsed
+    serial = propagate_markings(mesh, marks)
+    t_cycle = price_marking(mesh, part, serial, 8, SP2_1997).makespan
 
-    vm_result = parallel_mark(mesh, locals_, marks)
-    t_vm = vm_result.time_seconds
+    dist_result = parallel_mark(mesh, locals_, marks)
+    t_dist = dist_result.time_seconds
 
-    print(f"\n  marking: ledger {t_ledger * 1e3:.2f} ms, "
-          f"VM {t_vm * 1e3:.2f} ms (ratio {t_vm / t_ledger:.2f})")
-    assert np.array_equal(vm_result.edge_marked, serial.edge_marked)
+    print(f"\n  marking: cycle {t_cycle * 1e3:.2f} ms, "
+          f"dist {t_dist * 1e3:.2f} ms (ratio {t_dist / t_cycle:.2f})")
+    assert np.array_equal(dist_result.edge_marked, serial.edge_marked)
+    assert dist_result.iterations == serial.iterations
     # the two paths agree within an order of magnitude
-    assert 0.1 < t_vm / t_ledger < 10.0
+    assert 0.1 < t_dist / t_cycle < 10.0
 
 
 def test_both_paths_show_subdivision_imbalance(case):
     """The skewed-vs-balanced subdivision-time gap must appear in both
-    timing paths, with a comparable magnitude ratio."""
+    paths, with a comparable magnitude ratio."""
     mesh = case.mesh
     marking = propagate_markings(mesh, case.marking_mask("Real_1"))
     cent = mesh.coords[mesh.elems].mean(axis=1)
@@ -61,29 +65,28 @@ def test_both_paths_show_subdivision_imbalance(case):
     part_skew = np.clip((d * 4 / d.max()).astype(np.int64), 0, 3)
 
     ratios = {}
-    # ledger path
+    # the cycle's program
+    child_count = subdivide(mesh, marking).child_count
     t = {}
     for label, part in (("balanced", part_bal), ("skewed", part_skew)):
-        ledger = CostLedger(4, SP2_1997)
-        subdivide(mesh, marking, part=part, ledger=ledger)
-        t[label] = ledger.elapsed
-    ratios["ledger"] = t["skewed"] / t["balanced"]
-    # VM path
+        t[label] = price_subdivision(part, child_count, 4, SP2_1997).makespan
+    ratios["cycle"] = t["skewed"] / t["balanced"]
+    # the distributed subdivision
     t = {}
     for label, part in (("balanced", part_bal), ("skewed", part_skew)):
         locals_ = decompose(mesh, part, 4)
         t[label] = parallel_refine(mesh, locals_, marking).time_seconds
-    ratios["vm"] = t["skewed"] / t["balanced"]
+    ratios["dist"] = t["skewed"] / t["balanced"]
 
     print(f"\n  skew/balance subdivision-time ratio: "
-          f"ledger {ratios['ledger']:.2f}, VM {ratios['vm']:.2f}")
+          f"cycle {ratios['cycle']:.2f}, dist {ratios['dist']:.2f}")
     # the skewed mapping concentrates children on few ranks -> slower
-    # under BOTH timing paths; sanity-check the skew premise first
+    # on BOTH paths; sanity-check the skew premise first
     from repro.adapt.patterns import NUM_CHILDREN
 
     w = NUM_CHILDREN[marking.patterns].astype(np.float64)
     assert load_imbalance(w, part_skew, 4) > load_imbalance(w, part_bal, 4)
-    assert ratios["ledger"] > 1.1
-    assert ratios["vm"] > 1.1
+    assert ratios["cycle"] > 1.1
+    assert ratios["dist"] > 1.1
     # and the two paths agree on the size of the effect within 3x
-    assert 1 / 3 < ratios["vm"] / ratios["ledger"] < 3.0
+    assert 1 / 3 < ratios["dist"] / ratios["cycle"] < 3.0

@@ -4,7 +4,8 @@ Every figure of the paper's §5 is a view of one sweep — a single
 adapt/balance cycle per (strategy, remap order, P) — so pinning each
 cell of that sweep pins Figs. 4, 5, 6 and 8 at once; Table 1's grid
 sizes, Table 2's movement columns and the two virtual clocks of the
-VM-vs-ledger cross-check complete the set.  All values are virtual
+marking cross-check (the cycle's phase program against ``repro.dist``'s)
+complete the set.  All values are virtual
 seconds, counts or ratios of counts: deterministic, compared with plain
 ``==``.  Resolution 6 is the one the shape claims in this directory hold
 at (``conftest.py``).  The cycles run with no ambient tracer, so each
@@ -25,11 +26,12 @@ over ``GOLDEN`` below, and says so in its CHANGES.md entry.
 from functools import lru_cache
 
 from repro.adapt.marking import propagate_markings
+from repro.core.phases import price_marking
 from repro.dist import decompose, parallel_mark
 from repro.experiments import CASE_NAMES, SWEEP_PROCS, case_for, run_step
 from repro.experiments.table1 import grid_sizes
 from repro.experiments.table2 import mapper_comparison
-from repro.parallel import SP2_1997, CostLedger
+from repro.parallel import SP2_1997
 from repro.partition import Graph, multilevel_kway
 
 RESOLUTION = 6
@@ -45,13 +47,14 @@ FIELDS = {
     ),
     "table1": ("vertices", "elements", "edges", "bdy_faces"),
     "table2": ("total_elems", "max_sent_recv"),
-    # Real_2 marking priced by the cost ledger and by the rank programs
-    "vm_vs_ledger": ("ledger_seconds", "vm_seconds"),
+    # Real_2 marking priced by the cycle's program and run by repro.dist
+    "mark_cycle_vs_dist": ("cycle_seconds", "dist_seconds"),
 }
 
 #: ("sweep", strategy, remap order, P) | ("table1", row) |
-#: ("table2", P, method) | ("vm_vs_ledger", P) -> that section's FIELDS
+#: ("table2", P, method) | ("mark_cycle_vs_dist", P) -> that section's FIELDS
 GOLDEN = {
+    ('mark_cycle_vs_dist', 8): (0.0014009999999999997, 0.0037282500000000002),
     ('sweep', 'Real_1', 'after', 1): (
         0.0029869999999999996, 0.0, 0.0,
         0.0, 0.0, 0.12858,
@@ -59,39 +62,39 @@ GOLDEN = {
         False, 0, 0,
     ),
     ('sweep', 'Real_1', 'after', 2): (
-        0.0019369999999999997, 0.05808000000000001, 0.00015049999999999786,
-        7.169925001437871e-06, 0.0, 0.06692,
-        0.12709466992500143, 1.0401306579561362, 1.0401306579561362,
+        0.00233875, 0.05808000000000001, 0.00010099999999998999,
+        7.169925001437871e-06, 0.0, 0.06687,
+        0.12739691992500143, 1.0401306579561362, 1.0401306579561362,
         False, 0, 0,
     ),
     ('sweep', 'Real_1', 'after', 4): (
-        0.0017547500000000005, 0.05784, 0.0004030000000000006,
-        3.200000000000425e-05, 0.004232, 0.04321,
-        0.10747175, 1.3411105926271583, 1.0331311245916939,
+        0.00265775, 0.05784, 0.0003039999999999987,
+        3.200000000000425e-05, 0.004232, 0.043109999999999996,
+        0.10817575, 1.3411105926271583, 1.0331311245916939,
         True, 384, 9216,
     ),
     ('sweep', 'Real_1', 'after', 8): (
-        0.0015995, 0.08452000000000001, 0.0008640000000000037,
-        8.93994054600028e-05, 0.0035519999999999996, 0.02298,
-        0.11360489940546002, 1.4204386374241718, 1.0489967335510966,
+        0.0027557499999999987, 0.08452000000000001, 0.0007159999999999944,
+        8.93994054600028e-05, 0.0035519999999999996, 0.02283,
+        0.11446314940546, 1.4204386374241718, 1.0489967335510966,
         True, 436, 10464,
     ),
     ('sweep', 'Real_1', 'after', 16): (
-        0.0019115000000000004, 0.15046, 0.0017600000000000116,
-        0.0004485913552569887, 0.0043380000000000085, 0.016849999999999997,
-        0.175768091355257, 2.0718618758749416, 1.0489967335510966,
+        0.0035694999999999993, 0.15046, 0.0015640000000000098,
+        0.0004485913552569887, 0.0043380000000000085, 0.016649999999999998,
+        0.17703009135525702, 2.0718618758749416, 1.0489967335510966,
         True, 1179, 28296,
     ),
     ('sweep', 'Real_1', 'after', 32): (
-        0.0023645000000000003, 0.28763, 0.00359799999999999,
-        0.001171537189335825, 0.0038679999999999826, 0.01285,
-        0.3114820371893358, 3.135790947270182, 1.0452636490900606,
+        0.0045742499999999985, 0.28763, 0.00335599999999997,
+        0.001171537189335825, 0.0038679999999999826, 0.0126,
+        0.3131997871893358, 3.135790947270182, 1.0452636490900606,
         True, 1766, 42384,
     ),
     ('sweep', 'Real_1', 'after', 64): (
-        0.00268975, 0.563615, 0.007608000000000059,
-        0.002727613849443422, 0.0032799999999999496, 0.00825,
-        0.5881703638494434, 3.957069528698087, 1.0452636490900606,
+        0.005301249999999998, 0.563615, 0.007323999999999997,
+        0.002727613849443422, 0.0032799999999999496, 0.007950000000000002,
+        0.5901978638494434, 3.957069528698087, 1.0452636490900606,
         True, 2386, 57264,
     ),
     ('sweep', 'Real_1', 'before', 1): (
@@ -101,39 +104,39 @@ GOLDEN = {
         False, 0, 0,
     ),
     ('sweep', 'Real_1', 'before', 2): (
-        0.0019369999999999997, 0.05808, 0.00015049999999999786,
-        7.16992500144481e-06, 0.0, 0.06691999999999998,
-        0.12709466992500143, 1.0401306579561362, 1.0401306579561362,
+        0.00233875, 0.05808, 0.00010099999999999693,
+        7.16992500144481e-06, 0.0, 0.06686999999999999,
+        0.12739691992500143, 1.0401306579561362, 1.0401306579561362,
         False, 0, 0,
     ),
     ('sweep', 'Real_1', 'before', 4): (
-        0.0017547500000000005, 0.05784, 0.0004030000000000006,
-        3.199999999999731e-05, 0.0015039999999999984, 0.033310000000000006,
-        0.09484375000000002, 1.3411105926271583, 1.0331311245916939,
+        0.00265775, 0.05784, 0.0003039999999999987,
+        3.199999999999731e-05, 0.0015039999999999984, 0.03320999999999999,
+        0.09554775000000001, 1.3411105926271583, 1.0331311245916939,
         True, 112, 2688,
     ),
     ('sweep', 'Real_1', 'before', 8): (
-        0.0015995, 0.08452000000000001, 0.0008640000000000037,
-        8.93994054600028e-05, 0.0015280000000000016, 0.017009999999999997,
-        0.10561089940546002, 1.4204386374241718, 1.0489967335510966,
+        0.0027557499999999987, 0.08452000000000001, 0.0007159999999999944,
+        8.93994054600028e-05, 0.0015280000000000016, 0.01686,
+        0.10646914940546001, 1.4204386374241718, 1.0489967335510966,
         True, 202, 4848,
     ),
     ('sweep', 'Real_1', 'before', 16): (
-        0.0019115000000000004, 0.15046, 0.0017600000000000116,
-        0.0004485913552569887, 0.0019939999999999958, 0.008629999999999999,
-        0.16520409135525702, 2.0718618758749416, 1.0489967335510966,
+        0.0035694999999999993, 0.15046, 0.0015640000000000098,
+        0.0004485913552569887, 0.0019939999999999958, 0.008429999999999993,
+        0.166466091355257, 2.0718618758749416, 1.0489967335510966,
         True, 577, 13848,
     ),
     ('sweep', 'Real_1', 'before', 32): (
-        0.0023645000000000003, 0.28763, 0.00359799999999999,
-        0.001171537189335825, 0.0016999999999999793, 0.0044500000000000095,
-        0.3009140371893358, 3.135790947270182, 1.0452636490900606,
+        0.0045742499999999985, 0.28763, 0.00335599999999997,
+        0.001171537189335825, 0.0016999999999999793, 0.0041999999999999815,
+        0.30263178718933575, 3.135790947270182, 1.0452636490900606,
         True, 860, 20640,
     ),
     ('sweep', 'Real_1', 'before', 64): (
-        0.00268975, 0.563615, 0.007608000000000059,
-        0.002727613849443422, 0.0016340000000000243, 0.0023999999999999577,
-        0.5806743638494435, 3.957069528698087, 1.0452636490900606,
+        0.005301249999999998, 0.563615, 0.007323999999999997,
+        0.002727613849443422, 0.0016340000000000243, 0.0020999999999999908,
+        0.5827018638494434, 3.957069528698087, 1.0452636490900606,
         True, 1152, 27648,
     ),
     ('sweep', 'Real_2', 'after', 1): (
@@ -143,39 +146,39 @@ GOLDEN = {
         False, 0, 0,
     ),
     ('sweep', 'Real_2', 'after', 2): (
-        0.0015249999999999997, 0.05807999999999999, 0.00015049999999999786,
-        7.169925001437871e-06, 0.0, 0.1478,
-        0.20756266992500141, 1.0191412312467667, 1.0191412312467667,
+        0.0016759999999999995, 0.05807999999999999, 0.00010099999999998999,
+        7.169925001437871e-06, 0.0, 0.14775,
+        0.20761416992500142, 1.0191412312467667, 1.0191412312467667,
         False, 0, 0,
     ),
     ('sweep', 'Real_2', 'after', 4): (
-        0.0010642499999999999, 0.05784, 0.0004029999999999867,
-        3.200000000000425e-05, 0.0068999999999999895, 0.08938,
-        0.15561925, 1.2316606311433005, 1.0421107087428867,
+        0.0014159999999999995, 0.05784, 0.0003039999999999987,
+        3.200000000000425e-05, 0.0068999999999999895, 0.08928,
+        0.155772, 1.2316606311433005, 1.0421107087428867,
         True, 623, 14952,
     ),
     ('sweep', 'Real_2', 'after', 8): (
-        0.00087225, 0.08452, 0.0008640000000000037,
-        8.299999999999974e-05, 0.005418000000000006, 0.046889999999999994,
-        0.13864725, 1.2896016554578376, 1.0470770822555613,
+        0.0014009999999999997, 0.08452000000000001, 0.0007159999999999944,
+        8.299999999999974e-05, 0.005418000000000006, 0.04674,
+        0.138878, 1.2896016554578376, 1.0470770822555613,
         True, 650, 15600,
     ),
     ('sweep', 'Real_2', 'after', 16): (
-        0.00094575, 0.15046, 0.0017600000000000116,
-        0.0004485913552569887, 0.005636000000000002, 0.030049999999999997,
-        0.189300341355257, 1.6471805483704087, 1.0412829798241077,
+        0.0016994999999999992, 0.15045999999999998, 0.0015640000000000098,
+        0.0004485913552569887, 0.005636000000000002, 0.029849999999999995,
+        0.189658091355257, 1.6471805483704087, 1.0412829798241077,
         True, 2756, 66144,
     ),
     ('sweep', 'Real_2', 'after', 32): (
-        0.0010565000000000001, 0.28763, 0.00359799999999999,
-        0.001190701729822552, 0.005193999999999976, 0.019089999999999996,
-        0.3177592017298225, 2.079255043973099, 1.0495602690118986,
+        0.002013499999999999, 0.28763000000000005, 0.00335599999999997,
+        0.001190701729822552, 0.005193999999999976, 0.01884,
+        0.3182242017298225, 2.079255043973099, 1.0495602690118986,
         True, 3757, 90168,
     ),
     ('sweep', 'Real_2', 'after', 64): (
-        0.0012057500000000002, 0.563615, 0.007608000000000059,
-        0.0027595039970370605, 0.0037399999999999656, 0.010379999999999999,
-        0.589308253997037, 2.2249353336782205, 1.0462493533367823,
+        0.0023629999999999988, 0.563615, 0.007323999999999997,
+        0.0027595039970370605, 0.0037399999999999656, 0.010079999999999999,
+        0.589881503997037, 2.2249353336782205, 1.0462493533367823,
         True, 4799, 115176,
     ),
     ('sweep', 'Real_2', 'before', 1): (
@@ -185,39 +188,39 @@ GOLDEN = {
         False, 0, 0,
     ),
     ('sweep', 'Real_2', 'before', 2): (
-        0.0015249999999999997, 0.05808, 0.00015049999999999786,
-        7.16992500144481e-06, 0.0, 0.1478,
-        0.20756266992500141, 1.0191412312467667, 1.0191412312467667,
+        0.0016759999999999995, 0.05808, 0.00010099999999999693,
+        7.16992500144481e-06, 0.0, 0.14775,
+        0.20761416992500142, 1.0191412312467667, 1.0191412312467667,
         False, 0, 0,
     ),
     ('sweep', 'Real_2', 'before', 4): (
-        0.0010642499999999999, 0.05784, 0.0004030000000000006,
-        3.199999999999731e-05, 0.001447999999999998, 0.07564,
-        0.13642725, 1.2316606311433005, 1.0421107087428867,
+        0.0014159999999999995, 0.05784, 0.0003039999999999987,
+        3.199999999999731e-05, 0.001447999999999998, 0.07553999999999998,
+        0.13658, 1.2316606311433005, 1.0421107087428867,
         True, 105, 2520,
     ),
     ('sweep', 'Real_2', 'before', 8): (
-        0.00087225, 0.08452000000000001, 0.0008640000000000037,
-        8.299999999999974e-05, 0.0013200000000000017, 0.038099999999999995,
-        0.12575925, 1.2896016554578376, 1.0470770822555613,
+        0.0014009999999999997, 0.08452000000000001, 0.0007159999999999944,
+        8.299999999999974e-05, 0.0013200000000000017, 0.037949999999999984,
+        0.12599, 1.2896016554578376, 1.0470770822555613,
         True, 168, 4032,
     ),
     ('sweep', 'Real_2', 'before', 16): (
-        0.00094575, 0.15046, 0.0017600000000000116,
-        0.0004485913552569887, 0.0016720000000000068, 0.019070000000000004,
-        0.17435634135525702, 1.6471805483704087, 1.0412829798241077,
+        0.0016994999999999992, 0.15046, 0.0015640000000000098,
+        0.0004485913552569887, 0.0016720000000000068, 0.018869999999999998,
+        0.174714091355257, 1.6471805483704087, 1.0412829798241077,
         True, 566, 13584,
     ),
     ('sweep', 'Real_2', 'before', 32): (
-        0.0010565000000000001, 0.28763, 0.00359799999999999,
-        0.001190701729822552, 0.0016100000000000003, 0.009759999999999991,
-        0.30484520172982255, 2.079255043973099, 1.0495602690118986,
+        0.002013499999999999, 0.28763, 0.00335599999999997,
+        0.001190701729822552, 0.0016100000000000003, 0.009510000000000018,
+        0.30531020172982254, 2.079255043973099, 1.0495602690118986,
         True, 708, 16992,
     ),
     ('sweep', 'Real_2', 'before', 64): (
-        0.0012057500000000002, 0.563615, 0.007608000000000059,
-        0.0027595039970370605, 0.0015500000000000513, 0.0050400000000000444,
-        0.5817782539970372, 2.2249353336782205, 1.0462493533367823,
+        0.0023629999999999988, 0.563615, 0.007323999999999997,
+        0.0027595039970370605, 0.0015500000000000513, 0.0047399999999999665,
+        0.5823515039970371, 2.2249353336782205, 1.0462493533367823,
         True, 1059, 25416,
     ),
     ('sweep', 'Real_3', 'after', 1): (
@@ -227,39 +230,39 @@ GOLDEN = {
         False, 0, 0,
     ),
     ('sweep', 'Real_3', 'after', 2): (
-        0.001473, 0.05807999999999999, 0.00015049999999999786,
-        7.169925001437871e-06, 0.0, 0.22219999999999998,
-        0.2819106699250014, 1.0118884941240776, 1.0118884941240776,
+        0.0015739999999999999, 0.05808000000000002, 0.00010100000000001774,
+        7.169925001437871e-06, 0.0, 0.22215,
+        0.28191216992500145, 1.0118884941240776, 1.0118884941240776,
         False, 0, 0,
     ),
     ('sweep', 'Real_3', 'after', 4): (
-        0.00096825, 0.05784, 0.0004029999999999867,
-        3.200000000000425e-05, 0.005459999999999993, 0.12766,
-        0.19236324999999999, 1.16206613828915, 1.0461874829188302,
+        0.0012197499999999997, 0.05784, 0.0003039999999999987,
+        3.200000000000425e-05, 0.005459999999999993, 0.12756,
+        0.19241575, 1.16206613828915, 1.0461874829188302,
         True, 485, 11640,
     ),
     ('sweep', 'Real_3', 'after', 8): (
-        0.0007144999999999999, 0.08452000000000001, 0.0008640000000000037,
-        7.049561398675408e-05, 0.007517999999999997, 0.07424999999999998,
-        0.16793699561398676, 1.3500956545504237, 1.0489204700737906,
+        0.0010672499999999994, 0.08452, 0.0007159999999999944,
+        7.049561398675408e-05, 0.007517999999999997, 0.0741,
+        0.16799174561398675, 1.3500956545504237, 1.0489204700737906,
         True, 1202, 28848,
     ),
     ('sweep', 'Real_3', 'after', 16): (
-        0.0006464999999999999, 0.15045999999999998, 0.0017600000000000116,
-        0.0004151932968629868, 0.007291999999999993, 0.039259999999999996,
-        0.19983369329686299, 1.4233397103033616, 1.0494670675047828,
+        0.0010997499999999996, 0.15046, 0.0015640000000000098,
+        0.0004151932968629868, 0.007291999999999993, 0.03906,
+        0.199890943296863, 1.4233397103033616, 1.0494670675047828,
         True, 3129, 75096,
     ),
     ('sweep', 'Real_3', 'after', 32): (
-        0.0006915000000000001, 0.28763, 0.00359799999999999,
-        0.0012484369410283858, 0.005508000000000013, 0.020649999999999998,
-        0.3193259369410284, 1.4867450122984422, 1.0494670675047828,
+        0.0012947499999999995, 0.28763, 0.00335599999999997,
+        0.0012484369410283858, 0.005508000000000013, 0.020399999999999998,
+        0.31943718694102835, 1.4867450122984422, 1.0494670675047828,
         True, 4837, 116088,
     ),
     ('sweep', 'Real_3', 'after', 64): (
-        0.00075975, 0.563615, 0.007608000000000059,
-        0.002537229942330188, 0.00378999999999996, 0.010379999999999999,
-        0.5886899799423302, 1.4692538945066957, 1.0494670675047828,
+        0.0014642499999999992, 0.563615, 0.007323999999999997,
+        0.002537229942330188, 0.00378999999999996, 0.010079999999999999,
+        0.5888104799423302, 1.4692538945066957, 1.0494670675047828,
         True, 6015, 144360,
     ),
     ('sweep', 'Real_3', 'before', 1): (
@@ -269,39 +272,39 @@ GOLDEN = {
         False, 0, 0,
     ),
     ('sweep', 'Real_3', 'before', 2): (
-        0.001473, 0.05808, 0.00015049999999999786,
-        7.16992500144481e-06, 0.0, 0.22219999999999995,
-        0.2819106699250014, 1.0118884941240776, 1.0118884941240776,
+        0.0015739999999999999, 0.05808, 0.00010099999999999693,
+        7.16992500144481e-06, 0.0, 0.22215000000000001,
+        0.28191216992500145, 1.0118884941240776, 1.0118884941240776,
         False, 0, 0,
     ),
     ('sweep', 'Real_3', 'before', 4): (
-        0.00096825, 0.05784, 0.0004030000000000006,
-        3.199999999999731e-05, 0.0009160000000000001, 0.11493999999999999,
-        0.17509924999999998, 1.16206613828915, 1.0461874829188302,
+        0.0012197499999999997, 0.05784, 0.0003039999999999987,
+        3.199999999999731e-05, 0.0009160000000000001, 0.11484,
+        0.17515175000000002, 1.16206613828915, 1.0461874829188302,
         True, 61, 1464,
     ),
     ('sweep', 'Real_3', 'before', 8): (
-        0.0007144999999999999, 0.08452000000000001, 0.0008640000000000037,
-        7.049561398675408e-05, 0.0013880000000000003, 0.057719999999999994,
-        0.14527699561398677, 1.3500956545504237, 1.0489204700737906,
+        0.0010672499999999994, 0.08452000000000001, 0.0007159999999999944,
+        7.049561398675408e-05, 0.0013880000000000003, 0.057569999999999996,
+        0.14533174561398676, 1.3500956545504237, 1.0489204700737906,
         True, 170, 4080,
     ),
     ('sweep', 'Real_3', 'before', 16): (
-        0.0006464999999999999, 0.15046, 0.0017600000000000116,
-        0.0004151932968629868, 0.0014240000000000086, 0.028999999999999998,
-        0.183705693296863, 1.4233397103033616, 1.0494670675047828,
+        0.0010997499999999996, 0.15046, 0.0015640000000000098,
+        0.0004151932968629868, 0.0014240000000000086, 0.028799999999999992,
+        0.18376294329686302, 1.4233397103033616, 1.0494670675047828,
         True, 433, 10392,
     ),
     ('sweep', 'Real_3', 'before', 32): (
-        0.0006915000000000001, 0.28763, 0.00359799999999999,
-        0.0012484369410283858, 0.0015140000000000153, 0.014649999999999996,
-        0.3093319369410284, 1.4867450122984422, 1.0494670675047828,
+        0.0012947499999999995, 0.28763, 0.00335599999999997,
+        0.0012484369410283858, 0.0015140000000000153, 0.014400000000000024,
+        0.30944318694102835, 1.4867450122984422, 1.0494670675047828,
         True, 689, 16536,
     ),
     ('sweep', 'Real_3', 'before', 64): (
-        0.00075975, 0.563615, 0.007608000000000059,
-        0.002537229942330188, 0.0017660000000000453, 0.007499999999999951,
-        0.5837859799423303, 1.4692538945066957, 1.0494670675047828,
+        0.0014642499999999992, 0.563615, 0.007323999999999997,
+        0.002537229942330188, 0.0017660000000000453, 0.007199999999999984,
+        0.5839064799423302, 1.4692538945066957, 1.0494670675047828,
         True, 958, 22992,
     ),
     ('table1', 'Initial'): (637, 2592, 3588, 720),
@@ -326,7 +329,6 @@ GOLDEN = {
     ('table2', 64, 'HeuMWBG'): (1059, 62),
     ('table2', 64, 'OptBMCM'): (1055, 62),
     ('table2', 64, 'OptMWBG'): (1053, 62),
-    ('vm_vs_ledger', 8): (0.00087225, 0.0037282500000000002),
 }
 
 
@@ -345,14 +347,14 @@ def _sweep_row(name, mode, p):
     )
 
 
-def _vm_vs_ledger_row(case, nproc):
+def _mark_cycle_vs_dist_row(case, nproc):
     mesh = case.mesh
     part = multilevel_kway(Graph.from_pairs(mesh.dual_pairs, mesh.ne), nproc, seed=0)
     marks = case.marking_mask("Real_2")
-    ledger = CostLedger(nproc, SP2_1997)
-    propagate_markings(mesh, marks, part=part, ledger=ledger)
-    vm = parallel_mark(mesh, decompose(mesh, part, nproc), marks)
-    return ledger.elapsed, vm.time_seconds
+    cycle = price_marking(mesh, part, propagate_markings(mesh, marks), nproc,
+                          SP2_1997)
+    dist = parallel_mark(mesh, decompose(mesh, part, nproc), marks)
+    return cycle.makespan, dist.time_seconds
 
 
 @lru_cache(maxsize=None)
@@ -370,7 +372,7 @@ def _computed():
         rows["table1", row] = tuple(sizes[f] for f in FIELDS["table1"])
     for r in mapper_comparison(case):
         rows["table2", r.nproc, r.method] = (r.total_elems, r.max_sent_recv)
-    rows["vm_vs_ledger", 8] = _vm_vs_ledger_row(case, 8)
+    rows["mark_cycle_vs_dist", 8] = _mark_cycle_vs_dist_row(case, 8)
     return rows
 
 

@@ -4,7 +4,8 @@ The smallest tetrahedral meshes, the structural invariant checks of a
 global and a rank-local mesh, an element-quality measure, the analytic
 flow fields the solver, adaptor and framework tests start from, the causal
 record of one traced ``RunResult`` or tracer (and the stride-6 arrays the
-halo digests are pinned on), the partition store's statistics, and
+halo digests are pinned on, and a phase's payload traffic), the partition
+store's statistics, and
 weighted graphs from edge lists and their CSR rows.
 """
 
@@ -19,7 +20,7 @@ from repro.mesh.build import build_faces
 from repro.mesh.geometry import tet_volumes
 from repro.mesh.tetmesh import TetMesh
 from repro.mesh.topology import LOCAL_EDGES
-from repro.obs.causal import CausalRun
+from repro.obs.causal import CausalRun, runs_from_tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.partition import multilevel
 from repro.partition.graph import Graph
@@ -162,6 +163,18 @@ def causal_nodes(tracer) -> list:
 def causal_msgs(tracer) -> list:
     """Every causal message a tracer holds, run after run."""
     return [m for rec in tracer.causal_records for m in rec.objects()[1]]
+
+
+#: Tags at or above this value belong to the communicator's collectives.
+COLLECTIVE_TAGS = 1 << 20
+
+
+def payload(tracer, phase: str) -> tuple[int, int]:
+    """``(messages, words)`` a tracer's VM runs under ``phase`` sent on the
+    programs' own tags: data, not the collectives' synchronisation."""
+    msgs = [m for run in runs_from_tracer(tracer) if run.phase == phase
+            for m in run.msgs if m.tag < COLLECTIVE_TAGS]
+    return len(msgs), sum(m.nwords for m in msgs)
 
 
 def stride6(record) -> tuple[np.ndarray, np.ndarray]:

@@ -24,8 +24,11 @@ lives here, unchanged, as the oracle it must match bit for bit:
   grouped by parent by a stable sort, and ``build_edges`` with a search of
   its table where the product derives the children's edges from the
   parent's;
-* :func:`charge_shared_exchange_reference` — the per-edge loop over SPL
-  rank pairs;
+* :func:`marking_schedule_reference` — the marking loop re-run with its
+  per-round charging in line (a touch mask and a per-edge loop over SPL
+  rank pairs each round, :func:`charge_shared_exchange_reference`),
+  recorded into a stub, where the product derives every round from the
+  round each edge was first marked in;
 * :func:`scatter_add_rows_reference`,
   :func:`scatter_add_components_reference` — ``np.add.at`` on zeros.
 
@@ -75,7 +78,6 @@ from repro.mesh.topology import (
     OPPOSITE_EDGE,
 )
 from repro.obs.causal import CausalMsg, CausalNode, CausalRecord
-from repro.parallel.ledger import CostLedger
 from repro.parallel.runtime import ANY, RecvOp, RunResult, SendOp, WorkOp
 from repro.partition import multilevel_kway
 from repro.partition.graph import Graph
@@ -222,7 +224,9 @@ def run_reference(self, gens: list) -> RunResult:
             if not 0 <= op.dest < self.nranks:
                 raise ValueError(f"rank {r}: send to invalid rank {op.dest}")
             t0 = st.clock
-            st.clock += self.machine.msg_time(op.nwords)
+            if op.nwords < 0:
+                raise ValueError(f"negative message size: {op.nwords}")
+            st.clock += self.machine.t_setup + self.machine.t_word * op.nwords
             st.words_sent += op.nwords
             st.msgs_sent += 1
             if op.nwords > 0:
@@ -718,7 +722,7 @@ def subgraph_reference(graph: Graph, vertices: np.ndarray) -> Graph:
     )
 
 
-# --- adapt/refine.py, adapt/marking.py ----------------------------------------
+# --- adapt/refine.py ---------------------------------------------------------
 
 
 def assemble_children_reference(
@@ -837,12 +841,35 @@ def assemble_children_reference(
     return elems, (edges, elem2edge), edge_children, edge_survivor
 
 
+# --- core/phases.py: the marking schedule -------------------------------------
+
+
+class _ScheduleStub:
+    """What the marking loop charged, round by round, in the calls it
+    made: ``add_work_all`` opens a round, ``add_exchange`` adds to its
+    volume matrix, ``barrier`` closes it."""
+
+    def __init__(self, nranks: int):
+        self.nranks = nranks
+        self.work: list[np.ndarray] = []
+        self.volume: list[np.ndarray] = []
+
+    def add_work_all(self, units) -> None:
+        self.work.append(np.asarray(units, dtype=np.int64))
+        self.volume.append(np.zeros((self.nranks, self.nranks), np.int64))
+
+    def add_exchange(self, volume: np.ndarray) -> None:
+        self.volume[-1] += volume
+
+    def barrier(self) -> None:
+        pass
+
+
 def charge_shared_exchange_reference(
-    ledger: CostLedger, edge_ranks, newly: np.ndarray, pairs=None
+    ledger: _ScheduleStub, edge_ranks, newly: np.ndarray
 ):
     """Charge one message per (owner, neighbour) partition pair carrying the
-    newly-marked shared edges between them (1 word per edge id); the
-    product's precomputed ``pairs`` table is not read."""
+    newly-marked shared edges between them (1 word per edge id)."""
     e_ids, r_ids = edge_ranks
     sel = newly[e_ids]
     if not sel.any():
@@ -862,6 +889,65 @@ def charge_shared_exchange_reference(
                 if i != j:
                     volume[i, j] += 1
     ledger.add_exchange(volume)
+
+
+def marking_schedule_reference(mesh: TetMesh, owner, marking, nproc: int):
+    """The marking loop with its per-round charging in line: it re-runs
+    the propagation from the initial targets, charging every rank the
+    elements it examines (round 1 its own, later rounds those adjacent to
+    an edge marked in the round before) and the newly marked shared edges
+    it exchanges, into a :class:`_ScheduleStub`; the result is
+    ``marking_schedule``'s ``(work, msgs)``."""
+    from repro.adapt.marking import element_patterns
+    from repro.adapt.patterns import UPGRADE, pattern_bits
+
+    part = np.asarray(owner, dtype=np.int64)
+    ledger = _ScheduleStub(nproc)
+    edge_marked = marking.edge_round == 0
+    # shared: edges incident to elements of more than one partition
+    inc_rank = part[np.repeat(np.arange(mesh.ne), 6)]
+    eids = mesh.elem2edge.ravel()
+    lo = np.full(mesh.nedges, np.iinfo(np.int64).max, dtype=np.int64)
+    hi = np.full(mesh.nedges, -1, dtype=np.int64)
+    np.minimum.at(lo, eids, inc_rank)
+    np.maximum.at(hi, eids, inc_rank)
+    shared = (hi >= 0) & (lo != hi)
+    # each edge's ranks, in edge-then-rank order
+    order = np.lexsort((inc_rank, eids))
+    e_sorted, r_sorted = eids[order], inc_rank[order]
+    keep = np.ones(e_sorted.shape[0], dtype=bool)
+    keep[1:] = (e_sorted[1:] != e_sorted[:-1]) | (r_sorted[1:] != r_sorted[:-1])
+    edge_ranks = (e_sorted[keep], r_sorted[keep])
+
+    patterns = element_patterns(mesh, edge_marked)
+    iterations = 0
+    touched_per_rank = np.bincount(part, minlength=nproc)
+    while True:
+        iterations += 1
+        bits = pattern_bits(UPGRADE[patterns])
+        new_marked = edge_marked.copy()
+        new_marked[mesh.elem2edge[bits]] = True
+        ledger.add_work_all(touched_per_rank)
+        newly = new_marked & ~edge_marked & shared
+        charge_shared_exchange_reference(ledger, edge_ranks, newly)
+        ledger.barrier()
+        newly_any = new_marked & ~edge_marked
+        touch = newly_any[mesh.elem2edge].any(axis=1)
+        touched_per_rank = np.bincount(part[touch], minlength=nproc)
+        if np.array_equal(new_marked, edge_marked) and np.array_equal(
+            UPGRADE[patterns], patterns
+        ):
+            break
+        edge_marked = new_marked
+        patterns = element_patterns(mesh, edge_marked)
+    assert np.array_equal(edge_marked, marking.edge_marked)
+    assert iterations == marking.iterations
+
+    msgs = [(k, i, j, int(vol[i, j]))
+            for k, vol in enumerate(ledger.volume)
+            for i in range(nproc) for j in range(nproc) if vol[i, j] > 0]
+    return (np.array(ledger.work, dtype=np.int64).reshape(iterations, nproc),
+            np.array(msgs, dtype=np.int64).reshape(len(msgs), 4))
 
 
 # --- solver/scatter.py ----------------------------------------------------------
@@ -1007,7 +1093,7 @@ SUBSTITUTIONS = tuple(
         ("repro.partition.contract:contract", contract_reference),
         ("repro.partition.multilevel:_subgraph", subgraph_reference),
         ("repro.adapt.refine:_assemble_children", assemble_children_reference),
-        ("repro.adapt.marking:_charge_shared_exchange", charge_shared_exchange_reference),
+        ("repro.core.phases:marking_schedule", marking_schedule_reference),
         ("repro.solver.scatter:scatter_add_rows", scatter_add_rows_reference),
         (
             "repro.solver.scatter:scatter_add_components",

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.adapt import AdaptiveMesh
-from repro.adapt.marking import _edge_rank_incidence
+from repro.core.phases import _edge_rank_incidence
 from repro.mesh import TetMesh, box_mesh, rotor_domain_mesh
 from repro.mesh.build import build_edges, build_faces
 from repro.mesh.geometry import tet_volumes
@@ -151,7 +151,7 @@ def test_tet_volumes_matches_np_cross(mesh):
 @pytest.mark.parametrize("nranks", [1, 2, 7, 16])
 def test_edge_rank_incidence_matches_lexsort(mesh, nranks):
     part = np.random.default_rng(nranks).integers(0, nranks, size=mesh.ne)
-    edge_ids, rank_ids = _edge_rank_incidence(mesh, part)
+    edge_ids, rank_ids = _edge_rank_incidence(mesh.elem2edge, part)
     ref_edge_ids, ref_rank_ids = oracle_edge_rank_incidence(mesh, part)
     assert np.array_equal(edge_ids, ref_edge_ids)
     assert np.array_equal(rank_ids, ref_rank_ids)

@@ -24,8 +24,8 @@ from repro.adapt.marking import propagate_markings, target_by_fraction
 from repro.adapt.refine import subdivide
 from repro.core.dualgraph import DualGraph
 from repro.mesh.generate import box_mesh
+from repro.core.phases import price_marking
 from repro.parallel import VirtualMachine
-from repro.parallel.ledger import CostLedger
 from repro.parallel.machine import MachineModel
 from repro.partition import multilevel_kway
 from repro.solver.euler import dual_volumes, edge_normals
@@ -111,12 +111,13 @@ def _drive_subdivide():
     subdivide(mesh, propagate_markings(mesh, target_by_fraction(err, 0.3)))
 
 
-def _drive_marking_exchange():
+def _drive_marking_schedule():
     mesh = box_mesh(2, 2, 2)
     rng = np.random.default_rng(0)
     marked = target_by_fraction(rng.uniform(size=mesh.nedges), 0.3)
     part = rng.integers(0, 3, size=mesh.ne)
-    propagate_markings(mesh, marked, part=part, ledger=CostLedger(3, MachineModel()))
+    price_marking(mesh, part, propagate_markings(mesh, marked), 3,
+                  MachineModel())
 
 
 def _drive_solver():
@@ -136,7 +137,7 @@ DRIVERS = {
     "repro.partition.contract:contract": _drive_partitioner,
     "repro.partition.multilevel:_subgraph": _drive_partitioner,
     "repro.adapt.refine:_assemble_children": _drive_subdivide,
-    "repro.adapt.marking:_charge_shared_exchange": _drive_marking_exchange,
+    "repro.core.phases:marking_schedule": _drive_marking_schedule,
     "repro.solver.scatter:scatter_add_rows": _drive_solver,
     "repro.solver.scatter:scatter_add_components": _drive_normals,
 }
@@ -631,13 +632,12 @@ def test_every_option_has_a_product_caller():
 
 
 #: Where a public callable may take a tracer: the obs package, and the
-#: machines (the virtual machine, the backends, the cost ledger) that the
-#: one launcher or the framework hands it to.
+#: machines (the virtual machine, the backends) that the one launcher
+#: hands it to.
 TRACER_TAKERS = (
     SRC / "repro" / "obs",
     SRC / "repro" / "parallel" / "runtime.py",
     SRC / "repro" / "parallel" / "backends",
-    SRC / "repro" / "parallel" / "ledger.py",
 )
 
 

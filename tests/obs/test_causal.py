@@ -16,7 +16,6 @@ from repro.obs import (
 from repro.obs import causal
 from repro.obs.causal import chain_of, format_chain, node_slack
 from repro.parallel import SP2_1997, VirtualMachine
-from repro.parallel.ledger import CostLedger
 
 from tests.fixtures import run_from_result
 
@@ -117,8 +116,17 @@ def test_chain_respects_limit(monkeypatch):
     assert len(chain_of(run.nodes, run.msgs, start)) == 2
 
 
+def uneven_exchange(comm):
+    # rank 0 works three times as long, then sends rank 1 one message
+    yield from comm.compute(30.0 if comm.rank == 0 else 10.0)
+    if comm.rank == 0:
+        yield from comm.send(None, dest=1, tag=1, nwords=20)
+    else:
+        _ = yield from comm.recv(source=0, tag=1)
+
+
 def _traced_cycle() -> Tracer:
-    """A tracer with one VM run under a span plus one ledger superstep."""
+    """A tracer with two VM runs, each under its own phase span."""
     tracer = Tracer()
     tracer.cycle = 0
     with tracer.phase("remap") as sp:
@@ -126,22 +134,18 @@ def _traced_cycle() -> Tracer:
         tracer.advance(res.makespan)
         sp.attrs["n"] = 1
     with tracer.phase("marking"):
-        ledger = CostLedger(2, SP2_1997, tracer=tracer)
-        ledger.add_work_all([30.0, 10.0])
-        ledger.add_message(0, 1, 20)
-        ledger.barrier()
-        ledger.close()
-        tracer.advance(ledger.elapsed)
+        res = VirtualMachine(2, SP2_1997, tracer=tracer).run(uneven_exchange)
+        tracer.advance(res.makespan)
     return tracer
 
 
 def test_runs_from_tracer_sets_base_and_phase():
     tracer = _traced_cycle()
     runs = runs_from_tracer(tracer)
-    assert len(runs) == 1
-    assert runs[0].phase == "remap"
+    assert [run.phase for run in runs] == ["remap", "marking"]
     assert runs[0].base == 0.0
-    assert runs[0].cycle == 0
+    assert runs[1].base == runs[0].makespan
+    assert [run.cycle for run in runs] == [0, 0]
 
 
 def test_analyze_segments_cover_the_trace():
@@ -162,7 +166,7 @@ def test_analyze_segments_cover_the_trace():
 
 @pytest.mark.parametrize("clock", ["virtual", "wall"])
 def test_framework_time_goes_to_each_span_it_falls_in(clock):
-    # no VM run and no superstep: the whole makespan is one gap, which
+    # no VM run: the whole makespan is one gap, which
     # must be split at the sibling boundary, not charged to one span
     ticks = iter([0.0, 2.0, 2.0, 5.0])
     tracer = Tracer(wall_clock=lambda: next(ticks))
@@ -191,7 +195,7 @@ def test_analyze_ranks_stragglers():
 
 
 def test_verify_makespans_passes_and_counts():
-    assert verify_makespans(_traced_cycle()) == 1
+    assert verify_makespans(_traced_cycle()) == 2
 
 
 def test_verify_makespans_detects_corruption():
@@ -212,16 +216,16 @@ def test_diff_of_identical_traces_is_zero():
 def test_diff_attributes_the_delta_to_the_changed_phase():
     a = analyze(_traced_cycle())
     tracer_b = _traced_cycle()
-    ledger_time = next(
+    marking_time = next(
         s for s in tracer_b.spans if s.name == "marking"
     ).v_duration
     b = analyze(tracer_b)
     # fake a slower marking phase in b by scaling its attribution
-    b.by_phase_kind[("marking", "work")] += ledger_time
+    b.by_phase_kind[("marking", "work")] += marking_time
     d = diff(a, b)
     top_phase, top_kind, _, _, top_delta = d.rows[0]
     assert (top_phase, top_kind) == ("marking", "work")
-    assert top_delta == pytest.approx(ledger_time)
+    assert top_delta == pytest.approx(marking_time)
 
 
 def test_format_critical_path_mentions_everything():

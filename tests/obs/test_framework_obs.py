@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core import CostModel, LoadBalancedAdaptiveSolver
 from repro.core.reassign import reassignment_time
 from repro.mesh import box_mesh, edge_midpoints
-from repro.obs import Tracer, phase_virtual_times, use_tracer
+from repro.obs import Tracer, phase_virtual_times, runs_from_tracer, use_tracer
 from repro.parallel import MachineModel
 
 from tests.fixtures import causal_nodes, metric_value
@@ -86,10 +86,14 @@ def test_explicit_tracer_receives_step_spans_and_counters():
         assert reg.total("repro.remap.elements_moved") == \
             rep.remap.elements_moved
         assert reg.total("repro.remap.words_moved") == rep.remap.words_moved
-        # the remap's VM schedule is the causal record, under one marker
+        # each phase's VM schedule is the causal record, under one marker
+        # per run: marking, gather/scatter, remap and subdivision
         assert {"send", "recv"} <= {n.kind for n in causal_nodes(tr)}
-        assert [e.name for e in tr.events].count("vm.run") == 1
-        assert reg.total("repro.vm.words_sent") == rep.remap.words_moved
+        assert [e.name for e in tr.events].count("vm.run") == 4
+        runs = runs_from_tracer(tr)
+        assert [r.phase for r in runs] == [
+            "marking", "gather_scatter", "remap", "subdivision"]
+        assert sum(m.nwords for m in runs[2].msgs) == rep.remap.words_moved
 
 
 def test_ambient_tracer_used_when_none_passed():

@@ -17,7 +17,7 @@ from repro.obs import (
     use_tracer,
 )
 from repro.obs.report import _fmt
-from repro.parallel import CostLedger, MachineModel
+from repro.parallel import MachineModel
 from repro.partition import quality as pq
 
 from tests.fixtures import metric_value
@@ -63,8 +63,6 @@ def test_partition_quality_metrics_match_direct_computation(traced_step):
     marking = twin.adaptive.mark(
         edge_error=corner_error(twin.adaptive.mesh),
         refine_frac=REFINE_FRAC,
-        part=twin.elem_owner(),
-        ledger=CostLedger(NPROC, CHEAP),
     )
     wcomp_pred, _ = twin.adaptive.predicted_weights(marking)
     graph = twin.dual.graph.with_vwgt(np.asarray(wcomp_pred, dtype=np.int64))
@@ -114,8 +112,7 @@ def test_ascii_report_renders_the_recorded_values(traced_step):
     for heading in ("Balance quality per cycle",
                     "Reassignment cost (TotalV / MaxV / MaxSR)",
                     "Remap traffic per cycle", "Cycle anatomy",
-                    "Per-rank traffic (virtual machine, summed over cycles)",
-                    "Per-rank traffic (cost ledger, summed over cycles)"):
+                    "Per-rank traffic (virtual machine, summed over cycles)"):
         assert heading in text
     # the single cycle appears as a table row
     assert re.search(r"^\s*0\b", text, re.MULTILINE)

@@ -10,7 +10,9 @@ report <trace>`` stdout recorded for it (run from the repository root):
   ranks the step does not remap, so nothing runs on the backend);
 - ``two_cycles.jsonl``: two ``LoadBalancedAdaptiveSolver.adapt_step``
   cycles on ``box_mesh(2, 2, 2)`` over two ranks, written by
-  ``export_jsonl`` — the cycle-over-cycle charts.
+  ``export_jsonl`` — the cycle-over-cycle charts.  Machine and cost
+  model are ``test_report.py``'s ``CHEAP``; each cycle passes
+  ``edge_error=test_report.corner_error(mesh)`` and ``refine_frac=0.15``.
 
 A change meant to alter the ASCII view rewrites the ``.txt`` files with
 
@@ -39,7 +41,6 @@ ASCII_TITLES = (
     "Imbalance factor by cycle",
     "TotalV by cycle",
     "Per-rank traffic (virtual machine, summed over cycles)",
-    "Per-rank traffic (cost ledger, summed over cycles)",
     "Per-rank traffic (measured, wall clock)",
     "Transport counters (shm)",
     "Resource usage (per process)",

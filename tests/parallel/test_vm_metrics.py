@@ -1,11 +1,12 @@
-"""Per-rank traffic metrics: VM vs cost ledger agreement, idle identity."""
+"""Per-rank traffic metrics: the remap against its move matrix and the
+cost ledger's exchange rule, idle identity."""
 
 import numpy as np
 import pytest
 
 from repro.core.remap import build_move_matrix, execute_remap
 from repro.obs import Tracer, use_tracer
-from repro.parallel import CostLedger, MachineModel, VirtualMachine
+from repro.parallel import MachineModel, VirtualMachine
 
 CHEAP = MachineModel(t_setup=1e-5, t_word=1e-7, t_work=1e-6)
 
@@ -24,40 +25,48 @@ def traced_remap():
     return execu, tracer.metrics
 
 
+def ledger_exchange_traffic(volume):
+    """The cost ledger's exchange charge, as an oracle: ``volume[i, j]``
+    words move from rank ``i`` to rank ``j``, each nonzero off-diagonal
+    entry is one message, and both its sender and receiver are charged."""
+    off = np.array(volume, dtype=np.int64)
+    np.fill_diagonal(off, 0)
+    return {
+        "repro.vm.words_sent": off.sum(axis=1),
+        "repro.vm.words_recv": off.sum(axis=0),
+        "repro.vm.messages_sent": (off > 0).sum(axis=1),
+        "repro.vm.messages_recv": (off > 0).sum(axis=0),
+    }
+
+
 def test_vm_traffic_agrees_with_cost_ledger_on_remap():
-    """The same move matrix, charged through the VM migration program and
-    through CostLedger.add_exchange, must report identical per-rank data
-    traffic — the dashboard's two traffic tables may not disagree."""
+    """The remap charged through the VM migration program reports the
+    per-rank data traffic the cost ledger's exchange rule charges for the
+    same word volumes — built here straight from the ownership arrays,
+    self-moves included, so the VM must drop them as the ledger did."""
     execu, vm = traced_remap()
-    move = build_move_matrix(OLD, NEW, WREMAP, NPROC)
+    volume = np.zeros((NPROC, NPROC), dtype=np.int64)
+    np.add.at(volume, (OLD, NEW), WREMAP * STORAGE)
+    assert np.trace(volume) > 0  # the data do keep some elements in place
 
-    ledger_tracer = Tracer()
-    ledger = CostLedger(NPROC, CHEAP, tracer=ledger_tracer)
-    ledger.add_exchange(move * STORAGE)
-    led = ledger_tracer.metrics
-
-    pairs = [
-        ("repro.vm.words_sent", "repro.ledger.words_sent"),
-        ("repro.vm.words_recv", "repro.ledger.words_recv"),
-        ("repro.vm.messages_sent", "repro.ledger.messages_sent"),
-        ("repro.vm.messages_recv", "repro.ledger.messages_recv"),
-    ]
-    for vm_name, led_name in pairs:
-        vm_per_rank = vm.per_rank(vm_name)
-        led_per_rank = led.per_rank(led_name)
+    led = ledger_exchange_traffic(volume)
+    for name, per_rank in led.items():
+        got = vm.per_rank(name)
         for r in range(NPROC):
-            # the ledger skips all-zero ranks; the VM records every rank
-            assert vm_per_rank[r] == led_per_rank.get(r, 0.0), (vm_name, r)
+            assert got[r] == float(per_rank[r]), (name, r)
 
-    # and both agree with the execution record and the ledger totals
+    # and both agree with the execution record
     assert vm.total("repro.vm.words_sent") == execu.words_moved
     assert vm.total("repro.vm.messages_sent") == execu.messages
-    assert ledger.total_words == execu.words_moved
-    assert ledger.total_messages == execu.messages
+    assert int(led["repro.vm.words_sent"].sum()) == execu.words_moved
+    assert int(led["repro.vm.messages_sent"].sum()) == execu.messages
 
 
 def test_remap_metrics_match_move_matrix_per_rank():
-    _, vm = traced_remap()
+    """The migration program's per-rank data traffic is the move matrix's:
+    one message per non-empty set, ``STORAGE`` words per element, on every
+    rank (zero included), and its totals are the execution record's."""
+    execu, vm = traced_remap()
     move = build_move_matrix(OLD, NEW, WREMAP, NPROC)
     assert vm.per_rank("repro.vm.words_sent") == {
         r: float(move[r].sum() * STORAGE) for r in range(NPROC)
@@ -68,6 +77,11 @@ def test_remap_metrics_match_move_matrix_per_rank():
     assert vm.per_rank("repro.vm.messages_sent") == {
         r: float((move[r] > 0).sum()) for r in range(NPROC)
     }
+    assert vm.per_rank("repro.vm.messages_recv") == {
+        r: float((move[:, r] > 0).sum()) for r in range(NPROC)
+    }
+    assert vm.total("repro.vm.words_sent") == execu.words_moved
+    assert vm.total("repro.vm.messages_sent") == execu.messages
 
 
 def lopsided(comm):

@@ -104,8 +104,12 @@ class TestVirtualMachineFailures:
 
     def test_machine_model_validation(self):
         m = MachineModel()
-        with pytest.raises(ValueError):
-            m.msg_time(-1)
+
+        def negative_send(comm):
+            yield from comm.send(None, dest=1 - comm.rank, nwords=-1)
+
+        with pytest.raises(ValueError, match="negative message size"):
+            VirtualMachine(2, m).run(negative_send)
         with pytest.raises(ValueError):
             m.work_time(-5)
 
