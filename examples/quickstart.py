@@ -69,7 +69,7 @@ def main() -> None:
         print(f"  moved {report.remap.elements_moved} elements in "
               f"{report.remap.messages} messages "
               f"({report.remap_time * 1e3:.2f} ms on the virtual SP2)")
-    phases = report.phase_times()  # per-phase anatomy from tracer spans
+    phases = report.phase_times()  # per-phase anatomy from the report fields
     print("  phase times (virtual seconds): "
           + ", ".join(f"{k} {v:.4f}" for k, v in phases.items()))
 

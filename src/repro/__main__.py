@@ -9,7 +9,7 @@ report [RESOLUTION | TRACE.jsonl]
     exported JSONL (``--format ascii|html|both``, ``--out PATH``).
 step [RESOLUTION]
     Run one load-balanced adapt/balance cycle on the rotor case and print
-    its phase anatomy from tracer spans (``--nproc`` selects P,
+    its phase anatomy in virtual seconds (``--nproc`` selects P,
     ``--reassigner`` the processor-reassignment algorithm, ``--backend``
     the communicator backend executing the remap's rank programs).
 runs {list | show ID | compare A B | index TRACE}

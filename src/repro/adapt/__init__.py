@@ -16,12 +16,7 @@ from .marking import (
 )
 from .patterns import (
     NUM_CHILDREN,
-    PAT_1TO2,
-    PAT_1TO4,
-    PAT_1TO8,
-    PAT_NONE,
     UPGRADE,
-    classify,
     is_valid,
     pattern_bits,
 )
@@ -34,14 +29,9 @@ __all__ = [
     "CoarsenReport",
     "MarkingResult",
     "NUM_CHILDREN",
-    "PAT_1TO2",
-    "PAT_1TO4",
-    "PAT_1TO8",
-    "PAT_NONE",
     "RefineResult",
     "RefinementForest",
     "UPGRADE",
-    "classify",
     "element_patterns",
     "is_valid",
     "mark_sphere",

@@ -26,28 +26,17 @@ import numpy as np
 from repro.mesh.topology import FACE_EDGE_MASKS
 
 __all__ = [
-    "PAT_NONE",
-    "PAT_1TO2",
-    "PAT_1TO4",
-    "PAT_1TO8",
     "UPGRADE",
     "NUM_CHILDREN",
-    "classify",
     "pattern_bits",
     "is_valid",
 ]
 
-PAT_NONE = 0
-PAT_1TO2 = 1
-PAT_1TO4 = 2
-PAT_1TO8 = 3
-
 _FULL = 0b111111
 
 
-def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _build_tables() -> tuple[np.ndarray, np.ndarray]:
     upgrade = np.zeros(64, dtype=np.int64)
-    kind = np.zeros(64, dtype=np.int64)
     nchildren = np.zeros(64, dtype=np.int64)
     face_masks = [int(m) for m in FACE_EDGE_MASKS]
     for p in range(64):
@@ -62,21 +51,20 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         upgrade[p] = up
         pop_up = bin(up).count("1")
         if up == 0:
-            kind[p], nchildren[p] = PAT_NONE, 1
+            nchildren[p] = 1
         elif pop_up == 1:
-            kind[p], nchildren[p] = PAT_1TO2, 2
+            nchildren[p] = 2
         elif up in face_masks:
-            kind[p], nchildren[p] = PAT_1TO4, 4
+            nchildren[p] = 4
         else:
             assert up == _FULL
-            kind[p], nchildren[p] = PAT_1TO8, 8
-    return upgrade, kind, nchildren
+            nchildren[p] = 8
+    return upgrade, nchildren
 
 
-#: pattern -> smallest valid superset pattern; pattern -> subdivision kind
-#: of its upgrade; pattern -> number of children its upgrade produces (1, 2,
-#: 4, or 8).
-UPGRADE, PATTERN_KIND, NUM_CHILDREN = _build_tables()
+#: pattern -> smallest valid superset pattern; pattern -> number of children
+#: its upgrade produces (1, 2, 4, or 8: unchanged, 1:2, 1:4 or 1:8).
+UPGRADE, NUM_CHILDREN = _build_tables()
 
 
 def pattern_bits(patterns: np.ndarray) -> np.ndarray:
@@ -89,9 +77,4 @@ def is_valid(patterns: np.ndarray) -> np.ndarray:
     """True where a pattern is one of the three allowed types (or empty)."""
     patterns = np.asarray(patterns, dtype=np.int64)
     return UPGRADE[patterns] == patterns
-
-
-def classify(patterns: np.ndarray) -> np.ndarray:
-    """Subdivision kind (PAT_*) each pattern upgrades to."""
-    return PATTERN_KIND[np.asarray(patterns, dtype=np.int64)]
 

@@ -20,9 +20,8 @@ import numpy as np
 
 from repro.adapt.adaptor import AdaptiveMesh
 from repro.adapt.marking import MarkingResult
-from repro.adapt.stats import marking_stats
 from repro.mesh.tetmesh import TetMesh
-from repro.obs import Span, Tracer, current_tracer, use_tracer
+from repro.obs import Tracer, current_tracer, maybe_phase
 from repro.parallel.backends import backend_factory
 from repro.parallel.machine import MachineModel, SP2_1997
 from repro.partition import quality as pq
@@ -68,10 +67,9 @@ class StepReport:
     :class:`~repro.parallel.machine.MachineModel` — the clock all of the
     paper's figures are plotted in.  Host wall-clock measurements carry an
     explicit ``wall`` in their name (:attr:`reassign_wall_seconds`) and
-    are never mixed into :attr:`total_time`.  The phase breakdown is also
-    recorded as tracer spans in :attr:`spans` (see :mod:`repro.obs`);
-    their virtual durations are the authoritative per-phase anatomy and
-    sum to :attr:`total_time`.
+    are never mixed into :attr:`total_time`.  These fields are the one
+    record of the step's phase seconds: :meth:`phase_times` returns them,
+    and an ambient tracer's phase spans advance its clock by them.
     """
 
     marking_time: float = 0.0
@@ -91,7 +89,6 @@ class StepReport:
     marking: MarkingResult | None = None
     growth_factor: float = 1.0
     mesh_sizes: dict = field(default_factory=dict)
-    spans: list[Span] = field(default_factory=list)  #: this step's span tree
 
     @property
     def adaption_time(self) -> float:
@@ -111,13 +108,15 @@ class StepReport:
         )
 
     def phase_times(self) -> dict[str, float]:
-        """Virtual seconds per leaf phase, summed from the recorded spans."""
-        from repro.obs import phase_virtual_times
-
-        keep = ("marking", "repartition", "gather_scatter", "reassign",
-                "remap", "subdivision")
-        all_phases = phase_virtual_times(self.spans)
-        return {k: all_phases.get(k, 0.0) for k in keep}
+        """Virtual seconds per leaf phase, keyed by the phase's span name."""
+        return {
+            "marking": self.marking_time,
+            "repartition": self.partition_time,
+            "gather_scatter": self.gather_scatter_time,
+            "reassign": self.reassign_time,
+            "remap": self.remap_time,
+            "subdivision": self.subdivision_time,
+        }
 
 
 class LoadBalancedAdaptiveSolver:
@@ -148,9 +147,9 @@ class LoadBalancedAdaptiveSolver:
         is the measured wall makespan of the actual migration program.
 
     Each :meth:`adapt_step` records its phase spans, point events and
-    counters into the ambient tracer (:func:`repro.obs.use_tracer`), or,
-    when none is installed, into a private step tracer it installs for the
-    step; either way the step's spans are on ``StepReport.spans``.
+    metrics into the ambient tracer (:func:`repro.obs.use_tracer`); with
+    none installed it records nothing, and its phase seconds are on the
+    returned :class:`StepReport` either way.
     """
 
     def __init__(
@@ -230,26 +229,24 @@ class LoadBalancedAdaptiveSolver:
     ) -> StepReport:
         """One pass of the Fig.-1 cycle (marking, balancing, subdivision).
 
-        The step is recorded as a span tree rooted at ``"adapt_step"``
-        (returned on ``StepReport.spans``): ``marking`` and
-        ``subdivision`` spans for the adaptor, and a ``balance`` span with
-        ``evaluate`` / ``repartition`` / ``gather_scatter`` / ``reassign``
-        / ``decide`` / ``remap`` children for the load balancer.
+        Under an ambient tracer the step is recorded as a span tree rooted
+        at ``"adapt_step"``: ``marking`` and ``subdivision`` spans for the
+        adaptor, and a ``balance`` span with ``evaluate`` /
+        ``repartition`` / ``gather_scatter`` / ``reassign`` / ``decide`` /
+        ``remap`` children for the load balancer.
         """
         report = StepReport()
-        # with no ambient tracer the step installs a private one, so the
-        # layers below record into it and ``report.spans`` is filled
-        tracer = current_tracer() or Tracer()
-        first_span = len(tracer.spans)
-        cycle = tracer.begin_cycle()
-        with use_tracer(tracer), tracer.phase(
+        tracer = current_tracer()
+        cycle = tracer.begin_cycle() if tracer is not None else None
+        with maybe_phase(
+            tracer,
             "adapt_step",
             nproc=self.nproc,
             remap_when=self.remap_when,
             reassigner=self.reassigner,
             cycle=cycle,
         ):
-            with tracer.phase("marking") as sp:
+            with maybe_phase(tracer, "marking") as sp:
                 marking = self.adaptive.mark(
                     edge_error=edge_error,
                     refine_frac=refine_frac,
@@ -259,28 +256,13 @@ class LoadBalancedAdaptiveSolver:
                     self.adaptive.mesh, self.elem_owner(), marking,
                     self.nproc, self.machine,
                 ).makespan
-                tracer.advance(report.marking_time)
-                edges_marked = int(np.count_nonzero(marking.edge_marked))
-                sp.attrs.update(
-                    edges_marked=edges_marked, iterations=marking.iterations
-                )
-                ms = marking_stats(marking, seed_mask=edge_mask)
-                for sub, nelem in (
-                    ("unchanged", ms.n_unchanged),
-                    ("1to2", ms.n_1to2),
-                    ("1to4", ms.n_1to4),
-                    ("1to8", ms.n_1to8),
-                ):
-                    tracer.metric("repro.adapt.elements", nelem, subdivision=sub)
-                tracer.metric("repro.adapt.marked_edges", edges_marked)
-                tracer.metric(
-                    "repro.adapt.propagation_iters", marking.iterations
-                )
-                tracer.metric("repro.adapt.elements_before", ms.n_elements)
-            if edge_error is not None:
-                err = np.asarray(edge_error, dtype=np.float64)
-                norm = float(np.sqrt(np.mean(err * err))) if err.size else 0.0
-                tracer.metric("repro.solver.indicator_norm", norm)
+                if tracer is not None:
+                    tracer.advance(report.marking_time)
+                    edges_marked = int(np.count_nonzero(marking.edge_marked))
+                    sp.attrs.update(
+                        edges_marked=edges_marked, iterations=marking.iterations
+                    )
+                    tracer.metric("repro.adapt.marked_edges", edges_marked)
             report.marking = marking
 
             wcomp_pred, _wremap_pred = self.adaptive.predicted_weights(marking)
@@ -296,56 +278,55 @@ class LoadBalancedAdaptiveSolver:
                 self._balance(report, self.adaptive.wcomp(), tracer)
 
             report.imbalance_after = self.solver_imbalance()
-        report.spans = tracer.spans[first_span:]
-        for phase, secs in report.phase_times().items():
-            tracer.metric("repro.cycle.phase_seconds", secs, phase=phase)
-        tracer.metric("repro.cycle.total_seconds", report.total_time)
-        tracer.metric("repro.cycle.growth_factor", report.growth_factor)
-        tracer.metric(
-            "repro.cycle.imbalance", report.imbalance_before, when="before"
-        )
-        tracer.metric(
-            "repro.cycle.imbalance", report.imbalance_after, when="after"
-        )
-        tracer.metric("repro.cycle.accepted", float(report.accepted))
-        tracer.metric("repro.cycle.nproc", self.nproc)
+        if tracer is not None:
+            for phase, secs in report.phase_times().items():
+                tracer.metric("repro.cycle.phase_seconds", secs, phase=phase)
+            tracer.metric("repro.cycle.total_seconds", report.total_time)
+            tracer.metric(
+                "repro.cycle.imbalance", report.imbalance_before, when="before"
+            )
+            tracer.metric(
+                "repro.cycle.imbalance", report.imbalance_after, when="after"
+            )
+            tracer.metric("repro.cycle.accepted", float(report.accepted))
         return report
 
     # --- internals -----------------------------------------------------------
 
     def _subdivide(
-        self, report: StepReport, marking: MarkingResult, tracer: Tracer
+        self, report: StepReport, marking: MarkingResult, tracer: Tracer | None
     ) -> None:
-        with tracer.phase("subdivision") as sp:
+        with maybe_phase(tracer, "subdivision") as sp:
             owner = self.elem_owner()
             result = self.adaptive.refine(marking)
             report.subdivision_time = price_subdivision(
                 owner, result.child_count, self.nproc, self.machine
             ).makespan
-            tracer.advance(report.subdivision_time)
-            sp.attrs["growth_factor"] = result.growth_factor
-            tracer.metric("repro.adapt.elements_after", self.adaptive.mesh.ne)
+            if tracer is not None:
+                tracer.advance(report.subdivision_time)
+                sp.attrs["growth_factor"] = result.growth_factor
         report.growth_factor = result.growth_factor
         report.mesh_sizes = self.adaptive.mesh.sizes()
 
     def _balance(
-        self, report: StepReport, wcomp: np.ndarray, tracer: Tracer
+        self, report: StepReport, wcomp: np.ndarray, tracer: Tracer | None
     ) -> None:
         """Evaluate → repartition → reassign → decide → remap."""
         if self.nproc == 1:
             return
-        with tracer.phase("balance"):
-            with tracer.phase("evaluate") as sp:
+        with maybe_phase(tracer, "balance"):
+            with maybe_phase(tracer, "evaluate") as sp:
                 triggered = needs_repartition(
                     wcomp, self.part, self.nproc, self.imbalance_threshold
                 )
-                sp.attrs["triggered"] = triggered
+                if tracer is not None:
+                    sp.attrs["triggered"] = triggered
             if not triggered:
                 return
             report.repartition_triggered = True
             npart = self.F * self.nproc
 
-            with tracer.phase("repartition") as sp:
+            with maybe_phase(tracer, "repartition", npart=npart, n=self.dual.n):
                 graph = self.dual.graph.with_vwgt(
                     np.asarray(wcomp, dtype=np.int64)
                 )
@@ -354,26 +335,17 @@ class LoadBalancedAdaptiveSolver:
                 report.partition_time = partition_time(
                     self.dual.n, self.nproc, self.machine
                 )
-                tracer.advance(report.partition_time)
-                sp.attrs.update(npart=npart, n=self.dual.n)
-            tracer.metric(
-                "repro.partition.imbalance",
-                pq.imbalance(graph, self.part, self.nproc),
-                when="before",
-            )
-            tracer.metric(
-                "repro.partition.edgecut",
-                float(pq.edgecut(graph, self.part)),
-                when="before",
-            )
+                if tracer is not None:
+                    tracer.advance(report.partition_time)
 
             # data physically moved: the *current* (pre- or post-subdivision)
             # refinement trees, depending on remap_when
             wremap_now = self.adaptive.wremap()
-            with tracer.phase("gather_scatter") as sp:
+            with maybe_phase(tracer, "gather_scatter") as sp:
                 S = similarity_matrix(
                     self.part, new_part, wremap_now, self.nproc, npart
                 )
+                entries = int(np.count_nonzero(S))
                 # §4.3: each processor computes its own row; a host gathers
                 # the P×F-integer rows, solves, and scatters the mapping back
                 # ("a minuscule amount of time" — modelled, so the claim is
@@ -381,86 +353,49 @@ class LoadBalancedAdaptiveSolver:
                 report.gather_scatter_time = price_gather_scatter(
                     self.nproc, npart, self.machine
                 ).makespan
-                tracer.advance(report.gather_scatter_time)
-                sp.attrs["entries"] = int(np.count_nonzero(S))
+                if tracer is not None:
+                    tracer.advance(report.gather_scatter_time)
+                    sp.attrs["entries"] = entries
 
-            with tracer.phase("reassign") as sp:
+            with maybe_phase(tracer, "reassign") as sp:
                 # the modelled §4.4 cost: O(E log E) sort of the nonzero
                 # similarity entries at the host, then the linear assignment
                 # pass — kept in the same virtual clock as every other phase
                 report.reassign_time = reassignment_time(
-                    int(np.count_nonzero(S)), npart, self.machine
+                    entries, npart, self.machine
                 )
                 t0 = time.perf_counter()
                 proc_of_part = _REASSIGNERS[self.reassigner](
                     S, self.F, self.machine.alpha, self.machine.beta
                 )
                 report.reassign_wall_seconds = time.perf_counter() - t0
-                tracer.advance(report.reassign_time)
-                sp.attrs["wall_seconds"] = report.reassign_wall_seconds
+                if tracer is not None:
+                    tracer.advance(report.reassign_time)
+                    sp.attrs["wall_seconds"] = report.reassign_wall_seconds
 
             new_proc = proc_of_part[new_part]
             stats = remap_stats(
                 S, proc_of_part, self.machine.alpha, self.machine.beta
             )
             report.stats = stats
-            total_mass = float(S.sum())
-            tracer.metric("repro.partition.diag_mass", float(stats.objective))
-            tracer.metric(
-                "repro.partition.diag_fraction",
-                float(stats.objective) / total_mass if total_mass else 1.0,
-            )
-            # paper Table 1 quantities for both reassignment methods, so
-            # every run report can compare greedy against optimal MWBG
-            # (re-solving the assignment here costs wall time only — the
-            # modelled reassign_time above is unchanged)
-            mappings = {
-                "greedy": proc_of_part
-                if self.reassigner == "heuristic_mwbg"
-                else heuristic_mwbg(S, F=self.F),
-                "mwbg": proc_of_part
-                if self.reassigner == "optimal_mwbg"
-                else optimal_mwbg(S, F=self.F),
-            }
-            for method, mapping in mappings.items():
-                mstats = remap_stats(
-                    S, mapping, self.machine.alpha, self.machine.beta
-                )
-                tracer.metric(
-                    "repro.reassign.total_v", mstats.c_total, method=method
-                )
-                tracer.metric(
-                    "repro.reassign.max_v", mstats.c_max, method=method
-                )
-                tracer.metric(
-                    "repro.reassign.max_sr",
-                    max(mstats.max_sent, mstats.max_received),
-                    method=method,
-                )
-            with tracer.phase("decide") as sp:
+            with maybe_phase(tracer, "decide") as sp:
                 decision = self.cost_model.decide(
                     wcomp, self.part, new_proc, self.nproc, stats
                 )
-                sp.attrs.update(
-                    gain=decision.gain, cost=decision.cost,
-                    accept=decision.accept,
-                )
+                if tracer is not None:
+                    sp.attrs.update(
+                        gain=decision.gain, cost=decision.cost,
+                        accept=decision.accept,
+                    )
             report.decision = decision
-            chosen = new_proc if decision.accept else self.part
-            tracer.metric(
-                "repro.partition.imbalance",
-                pq.imbalance(graph, chosen, self.nproc),
-                when="after",
-            )
-            tracer.metric(
-                "repro.partition.edgecut",
-                float(pq.edgecut(graph, chosen)),
-                when="after",
-            )
+            if tracer is not None:
+                chosen = new_proc if decision.accept else self.part
+                self._record_balance(tracer, graph, S, proc_of_part, stats,
+                                     chosen)
             if not decision.accept:
                 return  # the new partitioning is discarded (Fig. 1)
 
-            with tracer.phase("remap") as sp:
+            with maybe_phase(tracer, "remap") as sp:
                 execu = execute_remap(
                     self.part,
                     new_proc,
@@ -470,23 +405,64 @@ class LoadBalancedAdaptiveSolver:
                     machine=self.machine,
                     backend=self.backend,
                 )
-                tracer.advance(execu.time_seconds)
-                sp.attrs.update(
-                    elements_moved=execu.elements_moved,
-                    messages=execu.messages,
-                    words_moved=execu.words_moved,
-                )
-            tracer.metric(
-                "repro.remap.elements_moved", execu.elements_moved,
-                kind="counter",
-            )
-            tracer.metric(
-                "repro.remap.words_moved", execu.words_moved, kind="counter"
-            )
-            tracer.metric(
-                "repro.remap.messages", execu.messages, kind="counter"
-            )
+                if tracer is not None:
+                    tracer.advance(execu.time_seconds)
+                    sp.attrs.update(
+                        elements_moved=execu.elements_moved,
+                        messages=execu.messages,
+                        words_moved=execu.words_moved,
+                    )
+                    tracer.metric(
+                        "repro.remap.elements_moved", execu.elements_moved,
+                        kind="counter",
+                    )
+                    tracer.metric(
+                        "repro.remap.words_moved", execu.words_moved,
+                        kind="counter",
+                    )
+                    tracer.metric(
+                        "repro.remap.messages", execu.messages, kind="counter"
+                    )
             report.remap = execu
             report.remap_time = execu.time_seconds
             report.accepted = True
             self.part = new_proc
+
+    def _record_balance(
+        self, tracer: Tracer, graph, S: np.ndarray, proc_of_part: np.ndarray,
+        stats: RemapStats, chosen: np.ndarray,
+    ) -> None:
+        """Partition quality before and after the decision, and paper
+        Table 1's quantities for both reassignment methods, so every run
+        report can compare greedy against optimal MWBG (the re-solve costs
+        host wall time only; the modelled ``reassign_time`` is unchanged)."""
+        for when, part in (("before", self.part), ("after", chosen)):
+            tracer.metric(
+                "repro.partition.imbalance",
+                pq.imbalance(graph, part, self.nproc), when=when,
+            )
+            tracer.metric(
+                "repro.partition.edgecut", float(pq.edgecut(graph, part)),
+                when=when,
+            )
+        total_mass = float(S.sum())
+        tracer.metric(
+            "repro.partition.diag_fraction",
+            float(stats.objective) / total_mass if total_mass else 1.0,
+        )
+        for method, reassigner, solve in (
+            ("greedy", "heuristic_mwbg", heuristic_mwbg),
+            ("mwbg", "optimal_mwbg", optimal_mwbg),
+        ):
+            mapping = (proc_of_part if self.reassigner == reassigner
+                       else solve(S, F=self.F))
+            mstats = remap_stats(
+                S, mapping, self.machine.alpha, self.machine.beta
+            )
+            tracer.metric("repro.reassign.total_v", mstats.c_total,
+                          method=method)
+            tracer.metric("repro.reassign.max_v", mstats.c_max, method=method)
+            tracer.metric(
+                "repro.reassign.max_sr",
+                max(mstats.max_sent, mstats.max_received), method=method,
+            )

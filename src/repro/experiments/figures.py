@@ -51,10 +51,9 @@ def fig6_anatomy(resolution: int = 8) -> dict[str, dict[str, dict[int, float]]]:
     per strategy and P (remap-before mode, TotalV metric, heuristic MWBG —
     as in the paper).
 
-    The anatomy is read from each step's tracer spans
-    (``StepReport.phase_times()``), not from hand-maintained report
-    fields: adaption = marking + subdivision spans, reassignment = the
-    §4.3 gather/scatter plus the §4.4 reassign span.
+    The anatomy is each step's ``StepReport.phase_times()``: adaption =
+    marking + subdivision, reassignment = the §4.3 gather/scatter plus
+    the §4.4 reassign phase.
     """
     out: dict[str, dict[str, dict[int, float]]] = {}
     for name in CASE_NAMES:

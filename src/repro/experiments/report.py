@@ -113,7 +113,7 @@ def run_all(resolution: int = 8) -> str:
             out.append(f"  {name:7s} {mode:6s}: {format_series(series, '8.4f')}")
     out.append("")
 
-    out.append("--- Fig 6: anatomy (virtual seconds, from tracer spans) ---")
+    out.append("--- Fig 6: anatomy (virtual seconds per phase) ---")
     for name, phases in fig6_anatomy(resolution).items():
         for phase, series in phases.items():
             out.append(f"  {name:7s} {phase:12s}: {format_series(series, '8.4f')}")

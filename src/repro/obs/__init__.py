@@ -77,7 +77,6 @@ from .tracer import (
     Tracer,
     current_tracer,
     maybe_phase,
-    phase_virtual_times,
     use_tracer,
 )
 from .export import (
@@ -124,7 +123,6 @@ __all__ = [
     "format_diff",
     "index_trace",
     "maybe_phase",
-    "phase_virtual_times",
     "rank_stats",
     "read_jsonl",
     "read_resources",

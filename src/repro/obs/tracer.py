@@ -6,7 +6,9 @@ snapshots both clocks; instrumented code charges modelled seconds with
 :meth:`Tracer.advance`, which moves the virtual clock forward inside the
 innermost open span; closing the span snapshots both clocks again.  Span
 nesting is strict (LIFO), so the span tree mirrors the call tree and a
-parent's virtual duration is always at least the sum of its children's.
+parent's virtual duration is at least the sum of its children's, up to
+rounding: a duration is a difference of two cursor readings, so its last
+bits depend on how far the cursor had run.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "Tracer",
     "current_tracer",
     "maybe_phase",
-    "phase_virtual_times",
     "use_tracer",
 ]
 
@@ -201,14 +202,6 @@ class Tracer:
             cycle=self.cycle,
             v_time=self._vclock,
         )
-
-
-def phase_virtual_times(spans) -> dict[str, float]:
-    """Sum virtual durations by span name over an iterable of spans."""
-    out: dict[str, float] = {}
-    for s in spans:
-        out[s.name] = out.get(s.name, 0.0) + s.v_duration
-    return out
 
 
 # --- ambient tracer ---------------------------------------------------------

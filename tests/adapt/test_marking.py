@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.adapt import (
+    NUM_CHILDREN,
     element_patterns,
     is_valid,
     propagate_markings,
@@ -98,6 +99,19 @@ def test_full_marking_gives_1to8_everywhere():
     m = box_mesh(2, 2, 2)
     res = propagate_markings(m, np.ones(m.nedges, dtype=bool))
     assert np.all(res.patterns == 0b111111)
+
+
+def test_mixed_marking_has_anisotropic_types():
+    """Random partial markings must exercise the anisotropic 1:2/1:4 types
+    (the 3D_TAG feature the paper highlights)."""
+    m = box_mesh(3, 3, 3)
+    rng = np.random.default_rng(0)
+    mask = rng.random(m.nedges) < 0.1
+    res = propagate_markings(m, mask)
+    children = NUM_CHILDREN[res.patterns]
+    assert (children == 2).any()
+    assert (children == 4).any()
+    assert res.edge_marked[mask].all()  # propagation only adds edges
 
 
 def test_shared_edge_mask():

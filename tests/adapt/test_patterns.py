@@ -6,12 +6,7 @@ import pytest
 
 from repro.adapt import (
     NUM_CHILDREN,
-    PAT_1TO2,
-    PAT_1TO4,
-    PAT_1TO8,
-    PAT_NONE,
     UPGRADE,
-    classify,
     is_valid,
     pattern_bits,
 )
@@ -61,17 +56,16 @@ def test_upgraded_faces_never_have_two_marked_edges():
 
 
 def test_classification_and_child_counts():
-    assert classify(np.array([0]))[0] == PAT_NONE
-    assert classify(np.array([1 << 3]))[0] == PAT_1TO2
-    assert classify(np.array([int(FACE_EDGE_MASKS[2])]))[0] == PAT_1TO4
-    assert classify(np.array([63]))[0] == PAT_1TO8
-    # invalid patterns classify as their upgrade
-    assert classify(np.array([0b000011]))[0] == PAT_1TO4  # edges 01,02 -> face
-    assert classify(np.array([0b100001]))[0] == PAT_1TO8  # opposite edges
+    # the child count names the subdivision type: 1 unchanged, 2 for 1:2,
+    # 4 for 1:4, 8 for 1:8
     assert NUM_CHILDREN[0] == 1
-    assert NUM_CHILDREN[1 << 4] == 2
+    assert NUM_CHILDREN[1 << 3] == NUM_CHILDREN[1 << 4] == 2
+    assert NUM_CHILDREN[int(FACE_EDGE_MASKS[2])] == 4
     assert NUM_CHILDREN[int(FACE_EDGE_MASKS[0])] == 4
     assert NUM_CHILDREN[63] == 8
+    # invalid patterns count the children of their upgrade
+    assert NUM_CHILDREN[0b000011] == 4  # edges 01,02 -> face
+    assert NUM_CHILDREN[0b100001] == 8  # opposite edges
 
 
 def test_two_edges_lie_in_at_most_one_face():

@@ -1,13 +1,18 @@
 """Subdivision correctness: child counts, volume conservation, conformity,
-provenance, and solution interpolation."""
+provenance, solution interpolation, and element quality."""
 
 import numpy as np
 import pytest
 
-from repro.adapt import NUM_CHILDREN, propagate_markings, subdivide
+from repro.adapt import (
+    NUM_CHILDREN,
+    AdaptiveMesh,
+    propagate_markings,
+    subdivide,
+)
 from repro.mesh import box_mesh, tet_volumes
 
-from tests.fixtures import check_mesh, single_tet, two_tets
+from tests.fixtures import aspect_ratios, check_mesh, single_tet, two_tets
 
 
 def refine_mask(mesh, mask):
@@ -160,3 +165,23 @@ def test_subdivision_work_charged_per_rank():
     # both ranks create 8 children, each priced at the per-child work rate
     expect = 8.0 * SUBDIV_WORK_PER_CHILD
     assert run.clocks == [expect, expect]
+
+
+def test_predicted_children_match_children_made():
+    m = box_mesh(2, 2, 2)
+    rng = np.random.default_rng(4)
+    marking = propagate_markings(m, rng.random(m.nedges) < 0.2)
+    res = subdivide(m, marking)
+    assert NUM_CHILDREN[marking.patterns].sum() == res.mesh.ne
+
+
+def test_quality_change_reports_finite():
+    m = box_mesh(2, 2, 2)
+    am = AdaptiveMesh(m)
+    rng = np.random.default_rng(1)
+    am.refine(am.mark(edge_mask=rng.random(m.nedges) < 0.3))
+    before = aspect_ratios(m.coords, m.elems)
+    after = aspect_ratios(am.mesh.coords, am.mesh.elems)
+    assert np.all(np.isfinite(after))
+    # bisection can degrade quality, but not unboundedly at one level
+    assert after.max() < 20 * before.max()

@@ -1,8 +1,8 @@
 """Figure 6 — anatomy of execution time: adaption vs partitioning vs
 reassignment vs remapping across processor counts for the three
-strategies.  The anatomy is rendered from tracer spans
-(:mod:`repro.obs`), not from ad-hoc report fields, so the same numbers
-appear in exported JSONL/Chrome traces.
+strategies.  The anatomy is each step's ``StepReport.phase_times()``, and
+a traced step's spans (:mod:`repro.obs`) advance the clock by the same
+seconds, so the numbers in exported JSONL/Chrome traces agree with it.
 
 Paper claims the test asserts:
 * repartitioning time depends essentially on the initial problem size —
@@ -40,17 +40,22 @@ def test_fig6_series(resolution, case):
         a = phases["adaption"]
         assert a[2] > a[8] > a[64]
 
-    # the anatomy comes from tracer spans: the per-phase series must sum
-    # to the step's total virtual time (no phase silently dropped, and no
-    # wall-clock contamination)
+    # the per-phase series must sum to the step's total virtual time (no
+    # phase silently dropped, and no wall-clock contamination), and the
+    # same step run under a tracer spans that total
     from repro.experiments.sweep import run_step
+    from repro.obs import Tracer, use_tracer
 
     for name in ("Real_1", "Real_2", "Real_3"):
         for p in (2, 8, 64):
             rep = run_step(resolution, name, "before", p)
-            span_sum = sum(ph[p] for ph in data[name].values())
-            assert abs(span_sum - rep.total_time) < 1e-9, (name, p)
-            root = rep.spans[0]
+            phase_sum = sum(ph[p] for ph in data[name].values())
+            assert abs(phase_sum - rep.total_time) < 1e-9, (name, p)
+            tr = Tracer()
+            with use_tracer(tr):
+                traced = run_step.__wrapped__(resolution, name, "before", p)
+            assert traced.phase_times() == rep.phase_times(), (name, p)
+            root = tr.spans[0]
             assert root.name == "adapt_step"
             assert abs(root.v_duration - rep.total_time) < 1e-9, (name, p)
 

@@ -8,10 +8,7 @@ marking cross-check (the cycle's phase program against ``repro.dist``'s)
 complete the set.  All values are virtual
 seconds, counts or ratios of counts: deterministic, compared with plain
 ``==``.  Resolution 6 is the one the shape claims in this directory hold
-at (``conftest.py``).  The cycles run with no ambient tracer, so each
-records its spans on a private clock starting at zero; under a shared
-tracer the same durations are differences of larger numbers and their
-last bits differ.
+at (``conftest.py``).
 
 A change that is supposed to leave the modelled results alone — a faster
 kernel, a refactor — must leave this file alone; a change that is
@@ -62,38 +59,38 @@ GOLDEN = {
         False, 0, 0,
     ),
     ('sweep', 'Real_1', 'after', 2): (
-        0.00233875, 0.05808000000000001, 0.00010099999999998999,
-        7.169925001437871e-06, 0.0, 0.06687,
+        0.00233875, 0.05808, 0.000101,
+        7.169925001442311e-06, 0.0, 0.06687,
         0.12739691992500143, 1.0401306579561362, 1.0401306579561362,
         False, 0, 0,
     ),
     ('sweep', 'Real_1', 'after', 4): (
-        0.00265775, 0.05784, 0.0003039999999999987,
-        3.200000000000425e-05, 0.004232, 0.043109999999999996,
+        0.00265775, 0.05784, 0.000304,
+        3.2e-05, 0.004231999999999998, 0.043109999999999996,
         0.10817575, 1.3411105926271583, 1.0331311245916939,
         True, 384, 9216,
     ),
     ('sweep', 'Real_1', 'after', 8): (
-        0.0027557499999999987, 0.08452000000000001, 0.0007159999999999944,
-        8.93994054600028e-05, 0.0035519999999999996, 0.02283,
+        0.0027557499999999987, 0.08452000000000001, 0.000716,
+        8.939940546000542e-05, 0.0035520000000000005, 0.02283,
         0.11446314940546, 1.4204386374241718, 1.0489967335510966,
         True, 436, 10464,
     ),
     ('sweep', 'Real_1', 'after', 16): (
-        0.0035694999999999993, 0.15046, 0.0015640000000000098,
-        0.0004485913552569887, 0.0043380000000000085, 0.016649999999999998,
+        0.0035694999999999993, 0.15046, 0.0015640000000000003,
+        0.00044859135525699486, 0.004337999999999998, 0.016649999999999998,
         0.17703009135525702, 2.0718618758749416, 1.0489967335510966,
         True, 1179, 28296,
     ),
     ('sweep', 'Real_1', 'after', 32): (
-        0.0045742499999999985, 0.28763, 0.00335599999999997,
-        0.001171537189335825, 0.0038679999999999826, 0.0126,
+        0.0045742499999999985, 0.28763, 0.003355999999999996,
+        0.001171537189335831, 0.0038680000000000003, 0.0126,
         0.3131997871893358, 3.135790947270182, 1.0452636490900606,
         True, 1766, 42384,
     ),
     ('sweep', 'Real_1', 'after', 64): (
-        0.005301249999999998, 0.563615, 0.007323999999999997,
-        0.002727613849443422, 0.0032799999999999496, 0.007950000000000002,
+        0.005301249999999998, 0.563615, 0.007324000000000007,
+        0.002727613849443402, 0.0032800000000000017, 0.00795,
         0.5901978638494434, 3.957069528698087, 1.0452636490900606,
         True, 2386, 57264,
     ),
@@ -104,38 +101,38 @@ GOLDEN = {
         False, 0, 0,
     ),
     ('sweep', 'Real_1', 'before', 2): (
-        0.00233875, 0.05808, 0.00010099999999999693,
-        7.16992500144481e-06, 0.0, 0.06686999999999999,
+        0.00233875, 0.05808, 0.000101,
+        7.169925001442311e-06, 0.0, 0.06687,
         0.12739691992500143, 1.0401306579561362, 1.0401306579561362,
         False, 0, 0,
     ),
     ('sweep', 'Real_1', 'before', 4): (
-        0.00265775, 0.05784, 0.0003039999999999987,
-        3.199999999999731e-05, 0.0015039999999999984, 0.03320999999999999,
+        0.00265775, 0.05784, 0.000304,
+        3.2e-05, 0.0015039999999999997, 0.033209999999999996,
         0.09554775000000001, 1.3411105926271583, 1.0331311245916939,
         True, 112, 2688,
     ),
     ('sweep', 'Real_1', 'before', 8): (
-        0.0027557499999999987, 0.08452000000000001, 0.0007159999999999944,
-        8.93994054600028e-05, 0.0015280000000000016, 0.01686,
+        0.0027557499999999987, 0.08452000000000001, 0.000716,
+        8.939940546000542e-05, 0.0015279999999999994, 0.01686,
         0.10646914940546001, 1.4204386374241718, 1.0489967335510966,
         True, 202, 4848,
     ),
     ('sweep', 'Real_1', 'before', 16): (
-        0.0035694999999999993, 0.15046, 0.0015640000000000098,
-        0.0004485913552569887, 0.0019939999999999958, 0.008429999999999993,
+        0.0035694999999999993, 0.15046, 0.0015640000000000003,
+        0.00044859135525699486, 0.0019939999999999992, 0.00843,
         0.166466091355257, 2.0718618758749416, 1.0489967335510966,
         True, 577, 13848,
     ),
     ('sweep', 'Real_1', 'before', 32): (
-        0.0045742499999999985, 0.28763, 0.00335599999999997,
-        0.001171537189335825, 0.0016999999999999793, 0.0041999999999999815,
+        0.0045742499999999985, 0.28763, 0.003355999999999996,
+        0.001171537189335831, 0.0016999999999999993, 0.0042,
         0.30263178718933575, 3.135790947270182, 1.0452636490900606,
         True, 860, 20640,
     ),
     ('sweep', 'Real_1', 'before', 64): (
-        0.005301249999999998, 0.563615, 0.007323999999999997,
-        0.002727613849443422, 0.0016340000000000243, 0.0020999999999999908,
+        0.005301249999999998, 0.563615, 0.007324000000000007,
+        0.002727613849443402, 0.0016339999999999992, 0.0021,
         0.5827018638494434, 3.957069528698087, 1.0452636490900606,
         True, 1152, 27648,
     ),
@@ -146,38 +143,38 @@ GOLDEN = {
         False, 0, 0,
     ),
     ('sweep', 'Real_2', 'after', 2): (
-        0.0016759999999999995, 0.05807999999999999, 0.00010099999999998999,
-        7.169925001437871e-06, 0.0, 0.14775,
+        0.0016759999999999995, 0.05808, 0.000101,
+        7.169925001442311e-06, 0.0, 0.14775,
         0.20761416992500142, 1.0191412312467667, 1.0191412312467667,
         False, 0, 0,
     ),
     ('sweep', 'Real_2', 'after', 4): (
-        0.0014159999999999995, 0.05784, 0.0003039999999999987,
-        3.200000000000425e-05, 0.0068999999999999895, 0.08928,
+        0.0014159999999999995, 0.05784, 0.000304,
+        3.2e-05, 0.006899999999999998, 0.08928,
         0.155772, 1.2316606311433005, 1.0421107087428867,
         True, 623, 14952,
     ),
     ('sweep', 'Real_2', 'after', 8): (
-        0.0014009999999999997, 0.08452000000000001, 0.0007159999999999944,
-        8.299999999999974e-05, 0.005418000000000006, 0.04674,
+        0.0014009999999999997, 0.08452000000000001, 0.000716,
+        8.3e-05, 0.0054179999999999975, 0.04674,
         0.138878, 1.2896016554578376, 1.0470770822555613,
         True, 650, 15600,
     ),
     ('sweep', 'Real_2', 'after', 16): (
-        0.0016994999999999992, 0.15045999999999998, 0.0015640000000000098,
-        0.0004485913552569887, 0.005636000000000002, 0.029849999999999995,
+        0.0016994999999999992, 0.15046, 0.0015640000000000003,
+        0.00044859135525699486, 0.005635999999999999, 0.029849999999999998,
         0.189658091355257, 1.6471805483704087, 1.0412829798241077,
         True, 2756, 66144,
     ),
     ('sweep', 'Real_2', 'after', 32): (
-        0.002013499999999999, 0.28763000000000005, 0.00335599999999997,
-        0.001190701729822552, 0.005193999999999976, 0.01884,
+        0.002013499999999999, 0.28763, 0.003355999999999996,
+        0.0011907017298225311, 0.005193999999999996, 0.01884,
         0.3182242017298225, 2.079255043973099, 1.0495602690118986,
         True, 3757, 90168,
     ),
     ('sweep', 'Real_2', 'after', 64): (
-        0.0023629999999999988, 0.563615, 0.007323999999999997,
-        0.0027595039970370605, 0.0037399999999999656, 0.010079999999999999,
+        0.0023629999999999988, 0.563615, 0.007324000000000007,
+        0.0027595039970370544, 0.0037400000000000016, 0.010079999999999999,
         0.589881503997037, 2.2249353336782205, 1.0462493533367823,
         True, 4799, 115176,
     ),
@@ -188,38 +185,38 @@ GOLDEN = {
         False, 0, 0,
     ),
     ('sweep', 'Real_2', 'before', 2): (
-        0.0016759999999999995, 0.05808, 0.00010099999999999693,
-        7.16992500144481e-06, 0.0, 0.14775,
+        0.0016759999999999995, 0.05808, 0.000101,
+        7.169925001442311e-06, 0.0, 0.14775,
         0.20761416992500142, 1.0191412312467667, 1.0191412312467667,
         False, 0, 0,
     ),
     ('sweep', 'Real_2', 'before', 4): (
-        0.0014159999999999995, 0.05784, 0.0003039999999999987,
-        3.199999999999731e-05, 0.001447999999999998, 0.07553999999999998,
+        0.0014159999999999995, 0.05784, 0.000304,
+        3.2e-05, 0.0014479999999999996, 0.07554,
         0.13658, 1.2316606311433005, 1.0421107087428867,
         True, 105, 2520,
     ),
     ('sweep', 'Real_2', 'before', 8): (
-        0.0014009999999999997, 0.08452000000000001, 0.0007159999999999944,
-        8.299999999999974e-05, 0.0013200000000000017, 0.037949999999999984,
+        0.0014009999999999997, 0.08452000000000001, 0.000716,
+        8.3e-05, 0.0013199999999999996, 0.03795,
         0.12599, 1.2896016554578376, 1.0470770822555613,
         True, 168, 4032,
     ),
     ('sweep', 'Real_2', 'before', 16): (
-        0.0016994999999999992, 0.15046, 0.0015640000000000098,
-        0.0004485913552569887, 0.0016720000000000068, 0.018869999999999998,
+        0.0016994999999999992, 0.15046, 0.0015640000000000003,
+        0.00044859135525699486, 0.0016719999999999994, 0.018869999999999998,
         0.174714091355257, 1.6471805483704087, 1.0412829798241077,
         True, 566, 13584,
     ),
     ('sweep', 'Real_2', 'before', 32): (
-        0.002013499999999999, 0.28763, 0.00335599999999997,
-        0.001190701729822552, 0.0016100000000000003, 0.009510000000000018,
+        0.002013499999999999, 0.28763, 0.003355999999999996,
+        0.0011907017298225311, 0.0016099999999999992, 0.00951,
         0.30531020172982254, 2.079255043973099, 1.0495602690118986,
         True, 708, 16992,
     ),
     ('sweep', 'Real_2', 'before', 64): (
-        0.0023629999999999988, 0.563615, 0.007323999999999997,
-        0.0027595039970370605, 0.0015500000000000513, 0.0047399999999999665,
+        0.0023629999999999988, 0.563615, 0.007324000000000007,
+        0.0027595039970370544, 0.0015499999999999993, 0.004739999999999999,
         0.5823515039970371, 2.2249353336782205, 1.0462493533367823,
         True, 1059, 25416,
     ),
@@ -230,38 +227,38 @@ GOLDEN = {
         False, 0, 0,
     ),
     ('sweep', 'Real_3', 'after', 2): (
-        0.0015739999999999999, 0.05808000000000002, 0.00010100000000001774,
-        7.169925001437871e-06, 0.0, 0.22215,
+        0.0015739999999999999, 0.05808, 0.000101,
+        7.169925001442311e-06, 0.0, 0.22215,
         0.28191216992500145, 1.0118884941240776, 1.0118884941240776,
         False, 0, 0,
     ),
     ('sweep', 'Real_3', 'after', 4): (
-        0.0012197499999999997, 0.05784, 0.0003039999999999987,
-        3.200000000000425e-05, 0.005459999999999993, 0.12756,
+        0.0012197499999999997, 0.05784, 0.000304,
+        3.2e-05, 0.005459999999999998, 0.12756,
         0.19241575, 1.16206613828915, 1.0461874829188302,
         True, 485, 11640,
     ),
     ('sweep', 'Real_3', 'after', 8): (
-        0.0010672499999999994, 0.08452, 0.0007159999999999944,
-        7.049561398675408e-05, 0.007517999999999997, 0.0741,
+        0.0010672499999999994, 0.08452000000000001, 0.000716,
+        7.049561398674885e-05, 0.007517999999999999, 0.0741,
         0.16799174561398675, 1.3500956545504237, 1.0489204700737906,
         True, 1202, 28848,
     ),
     ('sweep', 'Real_3', 'after', 16): (
-        0.0010997499999999996, 0.15046, 0.0015640000000000098,
-        0.0004151932968629868, 0.007291999999999993, 0.03906,
+        0.0010997499999999996, 0.15046, 0.0015640000000000003,
+        0.0004151932968629868, 0.007291999999999996, 0.03906,
         0.199890943296863, 1.4233397103033616, 1.0494670675047828,
         True, 3129, 75096,
     ),
     ('sweep', 'Real_3', 'after', 32): (
-        0.0012947499999999995, 0.28763, 0.00335599999999997,
-        0.0012484369410283858, 0.005508000000000013, 0.020399999999999998,
+        0.0012947499999999995, 0.28763, 0.003355999999999996,
+        0.0012484369410283999, 0.005507999999999996, 0.020399999999999998,
         0.31943718694102835, 1.4867450122984422, 1.0494670675047828,
         True, 4837, 116088,
     ),
     ('sweep', 'Real_3', 'after', 64): (
-        0.0014642499999999992, 0.563615, 0.007323999999999997,
-        0.002537229942330188, 0.00378999999999996, 0.010079999999999999,
+        0.0014642499999999992, 0.563615, 0.007324000000000007,
+        0.0025372299423301998, 0.0037900000000000013, 0.010079999999999999,
         0.5888104799423302, 1.4692538945066957, 1.0494670675047828,
         True, 6015, 144360,
     ),
@@ -272,38 +269,38 @@ GOLDEN = {
         False, 0, 0,
     ),
     ('sweep', 'Real_3', 'before', 2): (
-        0.0015739999999999999, 0.05808, 0.00010099999999999693,
-        7.16992500144481e-06, 0.0, 0.22215000000000001,
+        0.0015739999999999999, 0.05808, 0.000101,
+        7.169925001442311e-06, 0.0, 0.22215,
         0.28191216992500145, 1.0118884941240776, 1.0118884941240776,
         False, 0, 0,
     ),
     ('sweep', 'Real_3', 'before', 4): (
-        0.0012197499999999997, 0.05784, 0.0003039999999999987,
-        3.199999999999731e-05, 0.0009160000000000001, 0.11484,
+        0.0012197499999999997, 0.05784, 0.000304,
+        3.2e-05, 0.000916, 0.11484,
         0.17515175000000002, 1.16206613828915, 1.0461874829188302,
         True, 61, 1464,
     ),
     ('sweep', 'Real_3', 'before', 8): (
-        0.0010672499999999994, 0.08452000000000001, 0.0007159999999999944,
-        7.049561398675408e-05, 0.0013880000000000003, 0.057569999999999996,
+        0.0010672499999999994, 0.08452000000000001, 0.000716,
+        7.049561398674885e-05, 0.0013879999999999995, 0.057569999999999996,
         0.14533174561398676, 1.3500956545504237, 1.0489204700737906,
         True, 170, 4080,
     ),
     ('sweep', 'Real_3', 'before', 16): (
-        0.0010997499999999996, 0.15046, 0.0015640000000000098,
-        0.0004151932968629868, 0.0014240000000000086, 0.028799999999999992,
+        0.0010997499999999996, 0.15046, 0.0015640000000000003,
+        0.0004151932968629868, 0.0014239999999999995, 0.0288,
         0.18376294329686302, 1.4233397103033616, 1.0494670675047828,
         True, 433, 10392,
     ),
     ('sweep', 'Real_3', 'before', 32): (
-        0.0012947499999999995, 0.28763, 0.00335599999999997,
-        0.0012484369410283858, 0.0015140000000000153, 0.014400000000000024,
+        0.0012947499999999995, 0.28763, 0.003355999999999996,
+        0.0012484369410283999, 0.0015139999999999993, 0.0144,
         0.30944318694102835, 1.4867450122984422, 1.0494670675047828,
         True, 689, 16536,
     ),
     ('sweep', 'Real_3', 'before', 64): (
-        0.0014642499999999992, 0.563615, 0.007323999999999997,
-        0.002537229942330188, 0.0017660000000000453, 0.007199999999999984,
+        0.0014642499999999992, 0.563615, 0.007324000000000007,
+        0.0025372299423301998, 0.0017659999999999993, 0.0072,
         0.5839064799423302, 1.4692538945066957, 1.0494670675047828,
         True, 958, 22992,
     ),

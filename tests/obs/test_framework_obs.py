@@ -1,5 +1,7 @@
 """Framework integration: span anatomy, unit-mixing regressions, metrics."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core import CostModel, LoadBalancedAdaptiveSolver
 from repro.core.reassign import reassignment_time
 from repro.mesh import box_mesh, edge_midpoints
-from repro.obs import Tracer, phase_virtual_times, runs_from_tracer, use_tracer
+from repro.obs import Tracer, current_tracer, runs_from_tracer, use_tracer
 from repro.parallel import MachineModel
 
 from tests.fixtures import causal_nodes, metric_value
@@ -38,33 +40,47 @@ def run_one(nproc=4, refine_frac=0.15, **kw):
                            refine_frac=refine_frac)
 
 
+def run_traced(nproc=4, refine_frac=0.15, **kw):
+    """:func:`run_one` under a fresh ambient tracer; returns the tracer."""
+    tr = Tracer()
+    with use_tracer(tr):
+        _, rep = run_one(nproc, refine_frac, **kw)
+    return tr, rep
+
+
 # --- span anatomy ------------------------------------------------------------
 
 
 def test_step_records_span_tree():
-    _, rep = run_one()
+    tr, rep = run_traced()
     assert rep.accepted
-    root = rep.spans[0]
+    root = tr.spans[0]
     assert root.name == "adapt_step" and root.parent is None
-    names = {s.name for s in rep.spans}
+    names = {s.name for s in tr.spans}
     assert {"marking", "balance", "evaluate", "repartition", "gather_scatter",
             "reassign", "decide", "remap", "subdivision"} <= names
     # balance children hang off the balance span
-    balance = next(s for s in rep.spans if s.name == "balance")
-    remap = next(s for s in rep.spans if s.name == "remap")
+    balance = next(s for s in tr.spans if s.name == "balance")
+    remap = next(s for s in tr.spans if s.name == "remap")
     assert remap.parent == balance.index
     assert balance.depth == remap.depth - 1
 
 
 def test_phase_times_match_report_fields():
-    _, rep = run_one()
+    tr, rep = run_traced()
     phases = rep.phase_times()
-    assert phases["marking"] == pytest.approx(rep.marking_time)
-    assert phases["subdivision"] == pytest.approx(rep.subdivision_time)
-    assert phases["repartition"] == pytest.approx(rep.partition_time)
-    assert phases["gather_scatter"] == pytest.approx(rep.gather_scatter_time)
-    assert phases["reassign"] == pytest.approx(rep.reassign_time)
-    assert phases["remap"] == pytest.approx(rep.remap_time)
+    assert phases == {
+        "marking": rep.marking_time,
+        "repartition": rep.partition_time,
+        "gather_scatter": rep.gather_scatter_time,
+        "reassign": rep.reassign_time,
+        "remap": rep.remap_time,
+        "subdivision": rep.subdivision_time,
+    }
+    # each leaf span advanced the clock by its phase's seconds
+    for sp in tr.spans:
+        if sp.name in phases:
+            assert sp.v_duration == pytest.approx(phases[sp.name])
 
 
 def test_explicit_tracer_receives_step_spans_and_counters():
@@ -73,7 +89,7 @@ def test_explicit_tracer_receives_step_spans_and_counters():
     with use_tracer(tr):
         rep = s.adapt_step(edge_error=corner_error(s.adaptive.mesh),
                            refine_frac=0.15)
-    assert rep.spans and rep.spans[0] in tr.spans
+    assert tr.spans[0].name == "adapt_step"
     reg = tr.metrics
     assert metric_value(reg, "repro.adapt.marked_edges", cycle=0) > 0
     # repartitioning was triggered: its quality was sampled before/after
@@ -96,11 +112,51 @@ def test_explicit_tracer_receives_step_spans_and_counters():
         assert sum(m.nwords for m in runs[2].msgs) == rep.remap.words_moved
 
 
-def test_ambient_tracer_used_when_none_passed():
+def test_phase_times_do_not_depend_on_the_tracers_clock():
+    """A step's phase seconds are one number whether or not a tracer
+    records the step, and whatever its virtual clock already reads."""
+    _, untraced = run_one()
     tr = Tracer()
+    tr.advance(123.456)
     with use_tracer(tr):
-        _, rep = run_one()
-    assert rep.spans[0] in tr.spans
+        _, traced = run_one()
+    assert traced.accepted
+    assert traced.phase_times() == untraced.phase_times()
+
+
+def test_untraced_step_does_no_trace_work(monkeypatch):
+    """With no ambient tracer, no rank program of the step runs traced and
+    the Table 1 re-solve of the other reassigner is skipped."""
+    import repro.core.framework as framework
+
+    seen = []
+    for name in ("repro.core.phases", "repro.dist.migrate"):
+        module = importlib.import_module(name)
+        def spy(*args, _launch=module.launch, **kw):
+            seen.append(current_tracer())
+            return _launch(*args, **kw)
+
+        monkeypatch.setattr(module, "launch", spy)
+    solves = []
+
+    def optimal_mwbg(*args, _solve=framework.optimal_mwbg, **kw):
+        solves.append(args)
+        return _solve(*args, **kw)
+
+    monkeypatch.setattr(framework, "optimal_mwbg", optimal_mwbg)
+    assert current_tracer() is None
+    _, rep = run_one(reassigner="heuristic_mwbg")
+    assert rep.accepted
+    assert len(seen) == 4  # marking, gather/scatter, remap, subdivision
+    assert seen == [None] * 4
+    assert solves == []
+
+
+def test_ambient_tracer_used_when_none_passed():
+    tr, rep = run_traced()
+    (root,) = (sp for sp in tr.spans if sp.parent is None)
+    assert root.name == "adapt_step" and root.attrs["cycle"] == 0
+    assert root.v_duration == pytest.approx(rep.total_time)
 
 
 def test_consecutive_steps_share_one_virtual_timeline():
@@ -121,13 +177,13 @@ def test_consecutive_steps_share_one_virtual_timeline():
 def test_reassign_time_is_modelled_not_wall_clock():
     """Two identical runs must report bit-identical reassignment time —
     impossible if the field still held host ``perf_counter`` deltas."""
-    _, rep_a = run_one(seed=0)
+    tr, rep_a = run_traced(seed=0)
     _, rep_b = run_one(seed=0)
     assert rep_a.repartition_triggered
     assert rep_a.reassign_time == rep_b.reassign_time
     assert rep_a.total_time == rep_b.total_time
     # and the value is exactly what the §4.4 model prices
-    gs = next(s for s in rep_a.spans if s.name == "gather_scatter")
+    gs = next(s for s in tr.spans if s.name == "gather_scatter")
     expected = reassignment_time(gs.attrs["entries"], 4, CHEAP_MACHINE)
     assert rep_a.reassign_time == pytest.approx(expected)
 
@@ -161,7 +217,7 @@ def test_skipped_balance_reports_zero_balance_phases():
     assert rep.total_time == pytest.approx(rep.adaption_time)
 
 
-# --- property: spans are the authoritative anatomy ---------------------------
+# --- property: the spans advance the clock by the report's phase seconds ------
 
 
 @given(
@@ -174,20 +230,18 @@ def test_skipped_balance_reports_zero_balance_phases():
 def test_leaf_span_durations_sum_to_total_time(
     nproc, refine_frac, remap_when, seed
 ):
-    s = make_solver(nproc, remap_when=remap_when, seed=seed)
-    rep = s.adapt_step(edge_error=corner_error(s.adaptive.mesh),
-                       refine_frac=refine_frac)
-    phases = phase_virtual_times(rep.spans)
-    leaf_sum = sum(phases.get(name, 0.0) for name in LEAF_PHASES)
+    tr, rep = run_traced(nproc, refine_frac, remap_when=remap_when,
+                         seed=seed)
+    leaf_sum = sum(sp.v_duration for sp in tr.spans if sp.name in LEAF_PHASES)
     assert leaf_sum == pytest.approx(rep.total_time, rel=1e-12, abs=1e-15)
-    root = rep.spans[0]
+    root = tr.spans[0]
     assert root.v_duration == pytest.approx(rep.total_time, rel=1e-12,
                                             abs=1e-15)
     # wall clocks are plausible too: no span runs backwards, and the root
     # covers the sum of its direct children
-    for sp in rep.spans:
+    for sp in tr.spans:
         assert sp.wall_end >= sp.wall_start
     child_wall = sum(
-        sp.wall_duration for sp in rep.spans if sp.parent == root.index
+        sp.wall_duration for sp in tr.spans if sp.parent == root.index
     )
     assert child_wall <= root.wall_duration + 1e-9

@@ -6,7 +6,6 @@ from repro.obs import (
     Tracer,
     current_tracer,
     maybe_phase,
-    phase_virtual_times,
     use_tracer,
 )
 
@@ -99,17 +98,6 @@ def test_event_with_explicit_time():
     tr = make_tracer()
     ev = tr.event("later", v_time=9.0)
     assert ev.v_time == 9.0 and ev.span is None
-
-
-def test_phase_virtual_times_sums_by_name():
-    tr = make_tracer()
-    for seconds in (1.0, 2.0):
-        with tr.phase("work"):
-            tr.advance(seconds)
-    with tr.phase("idle"):
-        pass
-    sums = phase_virtual_times(tr.spans)
-    assert sums == {"work": pytest.approx(3.0), "idle": 0.0}
 
 
 def test_ambient_tracer_install_and_reset():

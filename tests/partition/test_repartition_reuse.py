@@ -152,10 +152,10 @@ def test_a_reused_repartition_records_no_stage_spans():
     # Both remap orders repartition the same predicted weights from the same
     # initial partition, so the second solver's call is served from the store
     case = case_for(6)
-    tracer = Tracer()
-    reports = []
-    with use_tracer(tracer):
-        for mode in ("before", "after"):
+    tracers, reports = [], []
+    for mode in ("before", "after"):
+        tracers.append(Tracer())
+        with use_tracer(tracers[-1]):
             reports.append(LoadBalancedAdaptiveSolver(
                 case.mesh, 32, machine=SP2_1997,
                 cost_model=CostModel(machine=SP2_1997),
@@ -163,10 +163,10 @@ def test_a_reused_repartition_records_no_stage_spans():
             ).adapt_step(edge_mask=case.marking_mask("Real_2")))
     stages = ("repartition.coarsen", "repartition.rebalance",
               "repartition.uncoarsen")
-    computed, reused = ([s.name for s in r.spans] for r in reports)
+    computed, reused = ([s.name for s in t.spans] for t in tracers)
     assert all(computed.count(name) == 1 for name in stages)
     assert not set(stages) & set(reused)
-    (rebalance,) = (s for s in reports[0].spans
+    (rebalance,) = (s for s in tracers[0].spans
                     if s.name == "repartition.rebalance")
     assert 0 <= rebalance.attrs["diffusion_rounds"] <= DIFFUSION_ROUNDS
     assert computed.count("repartition") == reused.count("repartition") == 1
