@@ -262,7 +262,6 @@ class LoadBalancedAdaptiveSolver:
                     sp.attrs.update(
                         edges_marked=edges_marked, iterations=marking.iterations
                     )
-                    tracer.metric("repro.adapt.marked_edges", edges_marked)
             report.marking = marking
 
             wcomp_pred, _wremap_pred = self.adaptive.predicted_weights(marking)

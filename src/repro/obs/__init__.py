@@ -12,14 +12,13 @@ Every phase of the solve → adapt → balance cycle is double-clocked:
 A :class:`Tracer` records nestable :class:`Span` phases carrying both
 clocks, :class:`PointEvent` markers (``vm.run``, ``transport.spill``),
 and a labelled :class:`MetricsRegistry` of time-series samples keyed by
-``(name, labels, cycle, rank)`` — the one place every quantity is
-stored.  Traced virtual-machine runs additionally record their
-happens-before DAG (:mod:`repro.obs.causal`) as the rows
+``(name, labels, cycle, rank)``.  Traced virtual-machine runs also
+record their happens-before DAG (:mod:`repro.obs.causal`) as the rows
 of one :class:`~repro.obs.causal.CausalRecord` per run; each operation's
 :class:`~repro.obs.causal.CausalNode` and each message's
 :class:`~repro.obs.causal.CausalMsg` are derived from it, and
-:func:`analyze` reconstructs the virtual-time critical path, per-rank slack, and
-straggler rankings (``repro critical-path`` / ``repro diff``).
+:func:`analyze` reconstructs the virtual-time critical path, per-rank slack
+and traffic, and straggler rankings (``repro critical-path`` / ``repro diff``).
 Measured backends (``multiprocessing``/``shm``) record the
 same DAG in *wall* seconds: a per-rank :class:`WallRecorder` logs every
 send/recv/work segment on ``perf_counter`` — one clock, since the ranks

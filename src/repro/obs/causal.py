@@ -257,7 +257,9 @@ class CriticalPath:
 
 @dataclass(frozen=True)
 class RankStats:
-    """Per-rank decomposition of one run plus its critical-path footprint."""
+    """Per-rank decomposition of one run, its critical-path footprint and
+    its traffic — the one per-rank record of a run's sends, receives and
+    waits."""
 
     rank: int
     work: float  #: charged work seconds
@@ -266,6 +268,16 @@ class RankStats:
     tail: float  #: makespan minus the rank's final clock (trailing idle)
     on_path: float  #: seconds this rank contributes to the critical path
     slack: float  #: min node slack — how much it can slow without cost
+    #: the rank's interval less its waits: on a virtual run, whose nodes
+    #: start at 0.0, its final clock less its waits, bit for bit
+    busy: float
+    idle: float  #: makespan minus busy
+    msgs_sent: int  #: messages sent, zero-word ones included
+    msgs_recv: int  #: messages received, zero-word ones included
+    sync_sent: int  #: zero-word (synchronisation) messages sent
+    sync_recv: int  #: zero-word messages received
+    words_sent: int
+    words_recv: int
 
 
 @dataclass(frozen=True)
@@ -432,8 +444,10 @@ def node_slack(run: CausalRun) -> dict[int, float]:
 
 def rank_stats(run: CausalRun,
                path: CriticalPath | None = None) -> list[RankStats]:
-    """Per-rank work/comm/idle/slack decomposition of one run.
+    """Per-rank work/comm/idle/slack decomposition and traffic of one run.
 
+    Messages and words come from the run's messages (a receive counts
+    once its message was consumed); busy and idle from its nodes.
     Nodes on the critical path have zero slack *by definition*; they are
     pinned to exactly ``0.0`` here because the backward DP in
     :func:`node_slack` re-derives their latest-finish times through a
@@ -444,34 +458,44 @@ def rank_stats(run: CausalRun,
     for s in path.steps:
         slack[s.node.id] = 0.0
     makespan = run.makespan
-    work = [0.0] * run.nranks
-    comm = [0.0] * run.nranks
-    wait = [0.0] * run.nranks
-    clock = [0.0] * run.nranks
-    min_slack = [makespan] * run.nranks
-    on_path = [0.0] * run.nranks
+    p = run.nranks
+    work, comm, wait, clock, on_path = ([0.0] * p for _ in range(5))
+    start: list[float | None] = [None] * p
+    min_slack = [makespan] * p
     for n in run.nodes:
         if KIND_OF[n.kind] == "work":
             work[n.rank] += n.local
         else:
             comm[n.rank] += n.local
         wait[n.rank] += n.wait
+        if start[n.rank] is None:
+            start[n.rank] = n.t_start
         clock[n.rank] = max(clock[n.rank], n.t_end)
         min_slack[n.rank] = min(min_slack[n.rank], slack[n.id])
     for s in path.steps:
         on_path[s.node.rank] += s.seconds
-    return [
-        RankStats(
-            rank=r,
-            work=work[r],
-            comm=comm[r],
-            wait=wait[r],
-            tail=makespan - clock[r],
-            on_path=on_path[r],
-            slack=min_slack[r],
-        )
-        for r in range(run.nranks)
-    ]
+    sent, recv, sync_sent, sync_recv, words_sent, words_recv = (
+        [0] * p for _ in range(6))
+    for m in run.msgs:
+        sent[m.src] += 1
+        sync_sent[m.src] += not m.nwords
+        words_sent[m.src] += m.nwords
+        if m.recv_node is not None:
+            recv[m.dst] += 1
+            sync_recv[m.dst] += not m.nwords
+            words_recv[m.dst] += m.nwords
+    out = []
+    for r in range(p):
+        busy = (clock[r] - (start[r] or 0.0)) - wait[r]
+        out.append(RankStats(
+            rank=r, work=work[r], comm=comm[r], wait=wait[r],
+            tail=makespan - clock[r], on_path=on_path[r],
+            slack=min_slack[r], busy=busy, idle=makespan - busy,
+            msgs_sent=sent[r], msgs_recv=recv[r], sync_sent=sync_sent[r],
+            sync_recv=sync_recv[r], words_sent=words_sent[r],
+            words_recv=words_recv[r],
+        ))
+    return out
 
 
 #: Nodes a causal chain holds at most.

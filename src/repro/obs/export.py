@@ -38,6 +38,7 @@ second process (pid 1), re-zeroed on the earliest measured run base.
 from __future__ import annotations
 
 import json
+import warnings
 from typing import Callable, NamedTuple
 
 from .causal import (MSG_COLUMNS, NODE_COLUMNS, RECV, SEND, WORK,
@@ -427,7 +428,11 @@ def read_jsonl(path) -> Tracer:
     """Reconstruct a tracer from a JSONL file, validating as it decodes
     (one pass; raises :class:`SchemaError` like :func:`validate_jsonl`)."""
     tracer = Tracer()
-    _walk(path, tracer)
+    # label keysets are the writer's to warn about: an older v9 trace
+    # mixes ``clock``-labelled and unlabelled samples under one name
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _walk(path, tracer)
     # the counters resume after what the file holds
     tracer._next_cycle = max(tracer.metrics.cycles(), default=-1) + 1
     tracer._next_run = max((r.run for r in tracer.causal_records),

@@ -8,9 +8,10 @@ rank) — and carry the virtual timestamp at which they were recorded.
 Naming convention
 -----------------
 ``repro.<subsystem>.<quantity>`` — e.g. ``repro.partition.imbalance``,
-``repro.reassign.total_v``, ``repro.vm.words_sent``.  Qualifiers that are
-*dimensions* of the same quantity go into labels (``method="greedy"``,
-``when="before"``, ``phase="remap"``), never into the name.
+``repro.reassign.total_v``, ``repro.remap.words_moved``.  Qualifiers
+that are *dimensions* of the same quantity go into labels
+(``method="greedy"``, ``when="before"``, ``phase="remap"``), never into
+the name.
 
 Kinds
 -----
@@ -32,14 +33,6 @@ __all__ = ["KINDS", "MetricSample", "MetricsRegistry"]
 
 #: Valid metric kinds, in the order they serialise.
 KINDS = ("counter", "gauge", "histogram")
-
-#: Label keys excluded from the per-name keyset-alignment check: the same
-#: quantity may legitimately exist both as a modelled series (no ``clock``
-#: label) and as a measured one (``clock="wall"``), e.g. ``repro.vm.*``
-#: from the virtual machine and from a real-core backend's recorder.
-#: Queries must still pin the label (``labels={}`` vs
-#: ``labels={"clock": "wall"}``) to keep the two series apart.
-RESERVED_LABEL_KEYS = frozenset({"clock"})
 
 
 @dataclass(frozen=True)
@@ -79,12 +72,8 @@ class MetricsRegistry:
         self._kind: dict[str, str] = {}
         self._labelsets: dict[str, frozenset] = {}
         self._warned: set[str] = set()
-        #: bulk per-rank batches accepted but not yet turned into samples
-        self._pending: list[tuple] = []
 
     def __len__(self) -> int:
-        if self._pending:
-            self._flush_pending()
         return len(self._samples)
 
     # --- recording ---------------------------------------------------------
@@ -100,8 +89,6 @@ class MetricsRegistry:
         v_time: float = 0.0,
     ) -> MetricSample:
         """Record one sample; returns the (possibly merged) stored sample."""
-        if self._pending:
-            self._flush_pending()
         frozen = _freeze_labels(labels)
         self._bind(name, kind, frozenset(k for k, _v in frozen))
         key = (name, frozen, cycle, rank)
@@ -121,54 +108,6 @@ class MetricsRegistry:
         self._samples[key] = sample
         return sample
 
-    def record_per_rank(
-        self,
-        name: str,
-        values,
-        cycle: int | None = None,
-        v_time: float = 0.0,
-    ) -> None:
-        """Bulk-record one unlabelled counter sample per rank (rank = list
-        index).
-
-        Equivalent to calling :meth:`record` once per rank with
-        ``kind="counter"`` and ``labels=None``, but the kind/labelset
-        checks run once for the whole batch instead of once per rank, and
-        the per-rank :class:`MetricSample` objects are built lazily: the
-        batch is queued here in O(1) extra work and materialized on the
-        first query (``samples``, ``series``, ``per_rank``, ...), so an emitting
-        hot path — the VM scheduler records seven series per run at 16k+
-        ranks — never pays for samples nobody reads.
-        """
-        self._bind(name, "counter", frozenset())
-        self._pending.append((name, tuple(values), cycle, v_time))
-
-    def _flush_pending(self) -> None:
-        """Materialize queued :meth:`record_per_rank` batches, in call order."""
-        pending, self._pending = self._pending, []
-        samples = self._samples
-        get = samples.get
-        new = MetricSample.__new__
-        setdict = object.__setattr__
-        for name, values, cycle, v_time in pending:
-            for rank, value in enumerate(values):
-                key = (name, (), cycle, rank)
-                prev = get(key)
-                stored = float(value) + (
-                    float(prev.value) if prev is not None else 0.0
-                )
-                # construct the frozen sample by writing its __dict__
-                # wholesale: the generated frozen __init__ pays
-                # object.__setattr__ per field, ~3x slower, and this loop
-                # runs once per rank at 16k+ ranks per emitted series
-                s = new(MetricSample)
-                setdict(s, "__dict__", {
-                    "name": name, "kind": "counter", "value": stored,
-                    "labels": (),
-                    "cycle": cycle, "rank": rank, "v_time": v_time,
-                })
-                samples[key] = s
-
     def _bind(self, name: str, kind: str, keyset: frozenset) -> None:
         """Hold ``name`` to one kind (raises) and one label keyset (warns
         once per name)."""
@@ -179,7 +118,6 @@ class MetricsRegistry:
             raise ValueError(
                 f"metric {name!r} is a {bound}, cannot record it as a {kind}"
             )
-        keyset = keyset - RESERVED_LABEL_KEYS
         seen = self._labelsets.setdefault(name, keyset)
         if seen != keyset and name not in self._warned:
             self._warned.add(name)
@@ -194,15 +132,11 @@ class MetricsRegistry:
 
     def samples(self) -> list[MetricSample]:
         """All stored samples, in first-recorded order."""
-        if self._pending:
-            self._flush_pending()
         return list(self._samples.values())
 
     def _match(self, name: str, labels: dict | None, ranked: bool):
         """Samples of ``name`` (with exactly ``labels``, unless None), over
         every cycle; all ranks if ``ranked``, else only rank-less ones."""
-        if self._pending:
-            self._flush_pending()
         frozen = _freeze_labels(labels) if labels is not None else None
         for s in self._samples.values():
             if s.name != name:
@@ -266,8 +200,6 @@ class MetricsRegistry:
 
     def cycles(self) -> list[int]:
         """Sorted distinct cycle ids seen across all samples."""
-        if self._pending:
-            self._flush_pending()
         return sorted({
             s.cycle for s in self._samples.values() if s.cycle is not None
         })

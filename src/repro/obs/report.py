@@ -2,7 +2,9 @@
 
 A trace produced by ``repro step --trace-out`` (or any instrumented run)
 carries the full labelled metric registry — per-cycle partition quality,
-reassignment cost, remap traffic, and per-rank virtual-machine traffic.
+reassignment cost, remap traffic — and the causal record of every VM
+run, which the per-rank traffic tables and the critical path are read
+from.
 :func:`_sections` decides once which sections the report has, with their
 titles, columns and formatted rows; :func:`render_ascii` and
 :func:`render_html` are two writers over that one list.  The ASCII
@@ -78,25 +80,6 @@ def _cycle_rows(tracer: Tracer) -> list[dict]:
     return rows
 
 
-_VM_COLS = (
-    ("msgs sent", "repro.vm.messages_sent"),
-    ("msgs recv", "repro.vm.messages_recv"),
-    ("sync msgs", "repro.vm.sync_messages"),
-    ("words sent", "repro.vm.words_sent"),
-    ("words recv", "repro.vm.words_recv"),
-    ("busy s", "repro.vm.busy_seconds"),
-    ("idle s", "repro.vm.idle_seconds"),
-)
-#: Measured (clock="wall") mirrors of the VM series, from real backends.
-_VM_WALL_COLS = (
-    ("msgs sent", "repro.vm.messages_sent"),
-    ("msgs recv", "repro.vm.messages_recv"),
-    ("words sent", "repro.vm.words_sent"),
-    ("words recv", "repro.vm.words_recv"),
-    ("busy s", "repro.vm.busy_seconds"),
-    ("idle s", "repro.vm.idle_seconds"),
-    ("wait s", "repro.vm.wait_seconds"),
-)
 _TRANSPORT_COLS = (
     ("0-copy bytes", "repro.transport.bytes_zero_copy"),
     ("pickled bytes", "repro.transport.bytes_pickled"),
@@ -107,23 +90,16 @@ _TRANSPORT_COLS = (
 )
 
 
-def _rank_blocks(tracer: Tracer, cols, labels: dict, bar_col: str,
+def _rank_blocks(per: dict[str, dict[int, float]], bar_col: str,
                  totals: bool = False) -> list[tuple]:
-    """Per-rank table (summed over cycles) for a metric family, after
-    bars of its ``bar_col`` column; ``[]`` when no rank has a sample.
-
-    ``labels`` pins the label set exactly (``{}`` = unlabelled samples
-    only) — necessary for the ``repro.vm.*`` family, which exists both
-    modelled (no labels) and measured (``clock="wall"``).  ``totals``
-    appends a column-sum row.
-    """
-    reg = tracer.metrics
-    per = {label: reg.per_rank(name, labels=labels) for label, name in cols}
+    """Per-rank table of ``per`` (``{column: {rank: value}}``), after
+    bars of its ``bar_col`` column; ``[]`` when no rank has a value.
+    ``totals`` appends a column-sum row."""
     ranks = sorted({r for d in per.values() for r in d})
     if not ranks:
         return []
-    headers = ["rank"] + [label for label, _ in cols]
-    rows = [[r] + [per[label].get(r) for label, _ in cols] for r in ranks]
+    headers = ["rank", *per]
+    rows = [[r] + [d.get(r) for d in per.values()] for r in ranks]
     cells = [[_fmt(c) for c in row] for row in rows]
     if totals:
         cells.append(["total"] + [
@@ -131,6 +107,36 @@ def _rank_blocks(tracer: Tracer, cols, labels: dict, bar_col: str,
             for i in range(1, len(headers))
         ])
     return [("bars", bar_col, per[bar_col]), ("table", headers, cells)]
+
+
+def _rank_sums(analysis, row) -> dict[str, dict[int, float]]:
+    """``{column: {rank: sum over the analysis's runs}}`` of ``row(st)``,
+    a ``{column: value}`` dict of one run's
+    :class:`~repro.obs.causal.RankStats`."""
+    per: dict[str, dict[int, float]] = {}
+    for stats in analysis.stats.values():
+        for st in stats:
+            for label, v in row(st).items():
+                d = per.setdefault(label, {})
+                d[st.rank] = d.get(st.rank, 0) + v
+    return per
+
+
+def _traffic_row(st) -> dict:
+    """A rank's columns in the virtual traffic table, read from its causal
+    record: zero-word (sync) messages counted apart."""
+    return {"msgs sent": st.msgs_sent - st.sync_sent,
+            "msgs recv": st.msgs_recv - st.sync_recv,
+            "sync msgs": st.sync_sent, "words sent": st.words_sent,
+            "words recv": st.words_recv, "busy s": st.busy, "idle s": st.idle}
+
+
+def _wall_traffic_row(st) -> dict:
+    """A rank's columns in the measured traffic table: every message
+    counted, and the waits."""
+    return {"msgs sent": st.msgs_sent, "msgs recv": st.msgs_recv,
+            "words sent": st.words_sent, "words recv": st.words_recv,
+            "busy s": st.busy, "idle s": st.idle, "wait s": st.wait}
 
 
 def _transport_backends(tracer: Tracer) -> list[str]:
@@ -181,37 +187,15 @@ def _measured_runs(tracer: Tracer) -> int:
                if e.name == "vm.run" and e.attrs.get("clock") == "wall")
 
 
-def _causal_analysis(tracer: Tracer):
-    """The trace's :class:`~repro.obs.causal.TraceAnalysis`, or ``None``
-    when the trace carries no causal record."""
-    from .causal import analyze
-
-    analysis = analyze(tracer)
-    if not analysis.runs:
-        return None
-    return analysis
-
-
-def _wall_analysis(tracer: Tracer):
-    """The measured (``clock="wall"``) analysis, or ``None`` when the
-    trace carries no measured runs (virtual-only traces)."""
-    if not _measured_runs(tracer):
+def _analysis(tracer: Tracer, clock: str):
+    """The trace's :class:`~repro.obs.causal.TraceAnalysis` on ``clock``,
+    or ``None`` when the trace carries no run on it."""
+    if clock == "wall" and not _measured_runs(tracer):
         return None
     from .causal import analyze
 
-    analysis = analyze(tracer, clock="wall")
+    analysis = analyze(tracer, clock=clock)
     return analysis if analysis.runs else None
-
-
-def _rank_path_stats(analysis) -> tuple[dict[int, float], dict[int, float]]:
-    """Per-rank (on-path seconds, summed slack) across all VM runs."""
-    on_path: dict[int, float] = {}
-    slack: dict[int, float] = {}
-    for stats in analysis.stats.values():
-        for st in stats:
-            on_path[st.rank] = on_path.get(st.rank, 0.0) + st.on_path
-            slack[st.rank] = slack.get(st.rank, 0.0) + st.slack
-    return on_path, slack
 
 
 def _summary(tracer: Tracer) -> list[tuple[str, str]]:
@@ -297,29 +281,32 @@ def _sections(tracer: Tracer, top: int) -> list[tuple[str, list[tuple]]]:
             series = {k: s for k, s in series.items() if s}
             out.append((title, [("chart", series)] if series else []))
 
-    for label, cols, labels in (
-            ("virtual machine, summed over cycles", _VM_COLS, {}),
-            ("measured, wall clock", _VM_WALL_COLS, {"clock": "wall"})):
-        out.append((f"Per-rank traffic ({label})",
-                    _rank_blocks(tracer, cols, labels, "words sent")))
+    analysis = _analysis(tracer, "virtual")
+    wall = _analysis(tracer, "wall")
+    for label, path, row in (
+            ("virtual machine, summed over cycles", analysis, _traffic_row),
+            ("measured, wall clock", wall, _wall_traffic_row)):
+        out.append((f"Per-rank traffic ({label})", [] if path is None else
+                    _rank_blocks(_rank_sums(path, row), "words sent")))
     for backend in _transport_backends(tracer):
         labels = {"backend": backend} if backend else {}
+        per = {label: tracer.metrics.per_rank(name, labels=labels)
+               for label, name in _TRANSPORT_COLS}
         out.append((f"Transport counters ({backend or 'backend'})",
-                    _rank_blocks(tracer, _TRANSPORT_COLS, labels,
-                                 "0-copy bytes", totals=True)))
+                    _rank_blocks(per, "0-copy bytes", totals=True)))
     out.append(("Resource usage (per process)", _resource_blocks(tracer)))
     out.append(("Per-rank timeline (virtual clock)", [("timeline", tracer)]))
 
     from .causal import format_critical_path
 
-    analysis = _causal_analysis(tracer)
-    wall = _wall_analysis(tracer)
     for title, path, label in (
             ("Critical path (from the causal record)", analysis, "modelled"),
             ("Measured critical path (wall clock)", wall, "measured")):
         if path is None:
             continue
-        on_path, slack = _rank_path_stats(path)
+        sums = _rank_sums(path, lambda st: {"on": st.on_path,
+                                            "slack": st.slack})
+        on_path, slack = sums["on"], sums["slack"]
         out.append((title, [
             ("lane", path, label),
             ("text", format_critical_path(path, top=top)),

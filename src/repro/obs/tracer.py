@@ -188,21 +188,6 @@ class Tracer:
             v_time=self._vclock,
         )
 
-    def metric_per_rank(
-        self,
-        name: str,
-        values,
-    ) -> None:
-        """Record one unlabelled counter sample per rank (rank = list
-        index) in a single registry call — the bulk form of :meth:`metric`
-        the VM uses for its per-rank traffic series."""
-        self.metrics.record_per_rank(
-            name,
-            values,
-            cycle=self.cycle,
-            v_time=self._vclock,
-        )
-
 
 # --- ambient tracer ---------------------------------------------------------
 

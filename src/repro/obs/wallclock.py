@@ -246,8 +246,7 @@ def merge_streams(streams: dict[int, dict]) -> MergedRun:
     )
 
 
-def record_measured_run(tracer, streams, *, nranks, backend, waited,
-                        msgs_sent, msgs_recv, words_sent, words_recv):
+def record_measured_run(tracer, streams, *, nranks, backend):
     """Merge per-rank streams and write the measured run into ``tracer``.
 
     The shared tail of every measured backend: :func:`merge_streams`,
@@ -255,8 +254,7 @@ def record_measured_run(tracer, streams, *, nranks, backend, waited,
     ``vm.run`` marker with ``clock="wall"`` (its ``skew`` attribute
     bounds how far the merged makespan may lie from the longest rank
     interval: the recorder start spread, plus a nanosecond for
-    rounding), emit ``transport.spill`` events, and mirror the VM's
-    per-rank traffic series with a ``clock="wall"`` label.  Returns the
+    rounding) and emit ``transport.spill`` events.  Returns the
     merged record — the tracer's — so the backend's ``RunResult`` can
     carry it too.
     """
@@ -283,28 +281,6 @@ def record_measured_run(tracer, streams, *, nranks, backend, waited,
             "transport.spill", rank=r,
             run=run_id, msg=mid, t=t, clock="wall",
         )
-    # Mirror the VM's per-rank traffic series in measured form; the
-    # clock="wall" label keeps them apart from the modelled samples.
-    rank_busy = [0.0] * nranks
-    nd = rec.columns()[0]
-    for r, t_start, t_end, wait in zip(nd["rank"], nd["t_start"],
-                                       nd["t_end"], nd["wait"]):
-        rank_busy[r] += t_end - t_start - wait
-    per_rank_series = (
-        ("repro.vm.messages_sent", msgs_sent),
-        ("repro.vm.messages_recv", msgs_recv),
-        ("repro.vm.words_sent", words_sent),
-        ("repro.vm.words_recv", words_recv),
-        ("repro.vm.busy_seconds", rank_busy),
-        ("repro.vm.idle_seconds",
-         [merged.makespan - b for b in rank_busy]),
-        ("repro.vm.wait_seconds", waited),
-    )
-    for name, values in per_rank_series:
-        for r in range(nranks):
-            tracer.metric(
-                name, values[r], kind="counter", rank=r, clock="wall",
-            )
     return rec
 
 

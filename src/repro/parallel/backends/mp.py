@@ -17,7 +17,7 @@ and the driver rejects negative work and word counts as the VM does.
 only a payload codec (:meth:`MultiprocessingBackend._make_transport`).
 Op dispatch, mailbox matching, the rearming receive timeout that stands
 in for deadlock detection (real transports cannot scan a global wait
-graph), wait accounting, recorder notes, the per-rank stats and their
+graph), recorder notes, the per-rank stats and their
 assembly into a :class:`~repro.parallel.runtime.RunResult`
 (:func:`_assemble`) exist once, in this module.
 
@@ -29,8 +29,9 @@ is the OS's, so arrival interleaving across sources is nondeterministic;
 programs whose results depend only on mailbox matching (all of this
 library's) return the payloads ``virtual`` returns, which the
 conformance suite pins.  Clocks in the result are measured host wall
-seconds per rank, with ``waited`` (blocked on an empty inbox) kept apart
-so busy/idle splits stay meaningful.
+seconds per rank; a traced run's recorder times each receive's blocked
+wait apart, so the busy/idle split read from its record stays
+meaningful.
 
 A run reports through its tracer and nothing else.  With one attached,
 each rank keeps a columnar :class:`~repro.obs.wallclock.WallRecorder` of
@@ -204,13 +205,6 @@ def _assemble(backend, tracer, results, wall, transport) -> RunResult:
     nranks = len(results)
     stats = [s for _retval, s in results]
     clocks = [s["wall"] for s in stats]
-    waited = [s["waited"] for s in stats]
-    words_s = [s["words_sent"] for s in stats]
-    msgs_s = [s["msgs_sent"] for s in stats]
-    words_r = [s["words_recv"] for s in stats]
-    msgs_r = [s["msgs_recv"] for s in stats]
-    makespan = max(clocks)
-    busy = [c - w for c, w in zip(clocks, waited)]
     transport_totals = None
     if transport is not None:
         transport_totals = {}
@@ -224,10 +218,6 @@ def _assemble(backend, tracer, results, wall, transport) -> RunResult:
         from ...obs.wallclock import record_measured_run
 
         for r in range(nranks):
-            tracer.metric(
-                "repro.backend.rank_wall_seconds", clocks[r],
-                kind="counter", rank=r, backend=backend,
-            )
             record_resources(tracer, stats[r]["res"], r, backend)
         for key, total in (transport_totals or {}).items():
             tracer.metric(f"repro.transport.{key}", total,
@@ -240,20 +230,12 @@ def _assemble(backend, tracer, results, wall, transport) -> RunResult:
         record = record_measured_run(
             tracer, {r: s["rec"] for r, s in enumerate(stats)},
             nranks=nranks, backend=backend,
-            waited=waited, msgs_sent=msgs_s, msgs_recv=msgs_r,
-            words_sent=words_s, words_recv=words_r,
         )
     return RunResult(
         returns=[retval for retval, _stats in results],
         clocks=clocks,
-        total_messages=sum(msgs_s),
-        total_words=sum(words_s),
-        words_sent_per_rank=words_s,
-        words_recv_per_rank=words_r,
-        msgs_sent_per_rank=msgs_s,
-        msgs_recv_per_rank=msgs_r,
-        busy_per_rank=busy,
-        idle_per_rank=[makespan - b for b in busy],
+        total_messages=sum(s["msgs_sent"] for s in stats),
+        total_words=sum(s["words_sent"] for s in stats),
         wall_seconds=wall,
         backend=backend,
         transport=transport_totals,
@@ -302,8 +284,7 @@ def _drive(rank, size, machine, program, args, kwargs, inboxes, timeout,
     # the virtual machine's mailbox layout, in arrival order; the first
     # slot holds the message id (the VM keeps its send sequence there)
     mailbox: list[tuple] = []
-    waited = 0.0
-    words_sent = msgs_sent = words_recv = msgs_recv = 0
+    words_sent = msgs_sent = 0
     if transport is not None:
         # map shared pages into this rank before the clock starts
         transport.warmup()
@@ -378,10 +359,7 @@ def _drive(rank, size, machine, program, args, kwargs, inboxes, timeout,
                 give_up = w1 + timeout  # progress: rearm
                 deliver(item)
                 msg = _take(mailbox, op.source, op.tag)
-            waited += this_wait
-            mid, _arrival, payload, nwords, src, tag = msg
-            words_recv += nwords
-            msgs_recv += 1
+            mid, _arrival, payload, _nwords, src, tag = msg
             if transport is not None:
                 payload = transport.decode(payload)
             value = (payload, src, tag)
@@ -397,11 +375,8 @@ def _drive(rank, size, machine, program, args, kwargs, inboxes, timeout,
     t_end = clock()
     stats = {
         "wall": t_end - t0,
-        "waited": waited,
         "words_sent": words_sent,
         "msgs_sent": msgs_sent,
-        "words_recv": words_recv,
-        "msgs_recv": msgs_recv,
     }
     if transport is not None:
         stats["transport"] = dict(transport.counters)

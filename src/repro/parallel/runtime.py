@@ -33,8 +33,6 @@ import heapq
 from collections import Counter
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.obs.causal import RECV, SEND, WORK, CausalRecord
 
 from .machine import MachineModel, SP2_1997
@@ -147,37 +145,23 @@ class RunResult:
     """Outcome of a :meth:`VirtualMachine.run` call.
 
     A traced run also keeps its happens-before ``record``
-    (:class:`~repro.obs.causal.CausalRecord`), the one its tracer holds.
+    (:class:`~repro.obs.causal.CausalRecord`), the one its tracer holds:
+    the run's one per-rank record of sends, receives and waits
+    (:func:`~repro.obs.causal.rank_stats` reads it).
     """
 
     __slots__ = (
         "returns", "clocks", "total_messages", "total_words",
-        "words_sent_per_rank", "words_recv_per_rank", "msgs_sent_per_rank",
-        "msgs_recv_per_rank", "busy_per_rank", "idle_per_rank",
         "wall_seconds", "backend", "transport", "_record",
     )
 
     def __init__(self, returns, clocks, total_messages, total_words,
-                 words_sent_per_rank, words_recv_per_rank=None,
-                 msgs_sent_per_rank=None, msgs_recv_per_rank=None,
-                 busy_per_rank=None, idle_per_rank=None, wall_seconds=None,
-                 backend="virtual", record=None, transport=None):
+                 wall_seconds=None, backend="virtual", record=None,
+                 transport=None):
         self.returns = returns
         self.clocks = clocks
         self.total_messages = total_messages
         self.total_words = total_words
-        self.words_sent_per_rank = words_sent_per_rank
-        self.words_recv_per_rank = (
-            [] if words_recv_per_rank is None else words_recv_per_rank
-        )
-        self.msgs_sent_per_rank = (
-            [] if msgs_sent_per_rank is None else msgs_sent_per_rank
-        )
-        self.msgs_recv_per_rank = (
-            [] if msgs_recv_per_rank is None else msgs_recv_per_rank
-        )
-        self.busy_per_rank = [] if busy_per_rank is None else busy_per_rank
-        self.idle_per_rank = [] if idle_per_rank is None else idle_per_rank
         #: Host wall-clock seconds the run took end to end (set by the
         #: communicator backends; None when the run was driven directly).
         self.wall_seconds = wall_seconds
@@ -207,14 +191,10 @@ class VirtualMachine:
     communication schedules).  With ``tracer`` set to a
     :class:`repro.obs.Tracer`, the same record is appended to the tracer
     under a fresh run id, after a ``vm.run`` marker event carrying the
-    run's ``base`` offset into the trace timeline.  Per-rank traffic is
-    additionally recorded as labelled
-    metrics: ``repro.vm.messages_sent`` / ``messages_recv`` count
-    payload-bearing messages only (zero-word synchronisation messages go
-    to ``repro.vm.sync_messages``), ``repro.vm.words_sent`` /
-    ``words_recv`` count 8-byte words, and ``repro.vm.busy_seconds`` /
-    ``idle_seconds`` split each rank's share of the makespan into working
-    and blocked-waiting virtual time.
+    run's ``base`` offset into the trace timeline.  That record is the
+    run's only per-rank account of its traffic and waits
+    (:func:`~repro.obs.causal.rank_stats`); the scheduler itself counts
+    just the run's total messages and words.
     """
 
     def __init__(self, nranks: int, machine: MachineModel = SP2_1997,
@@ -267,9 +247,9 @@ class VirtualMachine:
           consumed — so :class:`~repro.obs.causal.CausalRecord` derives
           the eager record's ``t_start``, ``wait``, message ids and
           send / recv nodes;
-        * traced and untraced runs count words, messages and waits by
-          the same inline ``+=``, each rank's waits added in node order
-          as the oracle adds them.
+        * traced and untraced runs count the run's total words and
+          messages by the same inline ``+=``; per-rank traffic and waits
+          are the record's to derive.
         """
         machine = self.machine
         nranks = self.nranks
@@ -284,13 +264,7 @@ class VirtualMachine:
             msi_ext = rec.msg_rows.extend
 
         clocks = [0.0] * nranks
-        waited = [0.0] * nranks
-        words_sent = [0] * nranks
-        msgs_sent = [0] * nranks
-        words_recv = [0] * nranks
-        msgs_recv = [0] * nranks
-        data_sent = [0] * nranks
-        data_recv = [0] * nranks
+        total_words = 0
         retvals: list[Any] = [None] * nranks
         done = [False] * nranks
         blocked: list[RecvOp | None] = [None] * nranks
@@ -355,10 +329,7 @@ class VirtualMachine:
                             raise ValueError(f"negative message size: {nwords}")
                         c = c + (t_setup + t_word * nwords)
                         seq += 1
-                        words_sent[r] += nwords
-                        msgs_sent[r] += 1
-                        if nwords > 0:
-                            data_sent[r] += 1
+                        total_words += nwords
                         tag = op.tag
                         if rec is not None:
                             nd_ext((SEND, r, -1, c))
@@ -379,17 +350,9 @@ class VirtualMachine:
                             # hottest locals into cell variables.
                             blocked[dest] = None
                             cd = clocks[dest] + t_setup
-                            dwait = c - cd
-                            if dwait > 0.0:
+                            if c > cd:
                                 cd = c
-                            else:
-                                dwait = 0.0
                             clocks[dest] = cd
-                            waited[dest] += dwait
-                            words_recv[dest] += nwords
-                            msgs_recv[dest] += 1
-                            if nwords > 0:
-                                data_recv[dest] += 1
                             if rec is not None:
                                 nd_ext((RECV, dest, seq, cd))
                             send_values[dest] = (op.payload, r, tag)
@@ -422,18 +385,10 @@ class VirtualMachine:
                             clocks[r] = c
                             break  # not filed: woken by a matching send
                         del box[i]
-                        mseq, arr, payload, nw, src, rtag = m
+                        mseq, arr, payload, _nw, src, rtag = m
                         c = c + t_setup
-                        wait = arr - c
-                        if wait > 0.0:
+                        if arr > c:
                             c = arr
-                        else:
-                            wait = 0.0
-                        waited[r] += wait
-                        words_recv[r] += nw
-                        msgs_recv[r] += 1
-                        if nw > 0:
-                            data_recv[r] += 1
                         if rec is not None:
                             nd_ext((RECV, r, mseq, c))
                         sv = (payload, src, rtag)
@@ -490,11 +445,7 @@ class VirtualMachine:
             )
 
         makespan = max(clocks)
-        busy_a = np.asarray(clocks) - np.asarray(waited)
-        busy = busy_a.tolist()
-        idle = (makespan - busy_a).tolist()
-        total_messages = sum(msgs_sent)
-        total_words = sum(words_sent)
+        total_messages = seq
 
         tracer = self.tracer
         if rec is not None:
@@ -508,27 +459,12 @@ class VirtualMachine:
                 msgs=total_messages,
             )
             tracer.causal_records.append(rec)
-            mpr = tracer.metric_per_rank
-            mpr("repro.vm.messages_sent", data_sent)
-            mpr("repro.vm.messages_recv", data_recv)
-            mpr("repro.vm.sync_messages",
-                [m - d for m, d in zip(msgs_sent, data_sent)])
-            mpr("repro.vm.words_sent", words_sent)
-            mpr("repro.vm.words_recv", words_recv)
-            mpr("repro.vm.busy_seconds", busy)
-            mpr("repro.vm.idle_seconds", idle)
 
         return RunResult(
             returns=retvals,
             clocks=clocks,
             total_messages=total_messages,
             total_words=total_words,
-            words_sent_per_rank=words_sent,
-            words_recv_per_rank=words_recv,
-            msgs_sent_per_rank=msgs_sent,
-            msgs_recv_per_rank=msgs_recv,
-            busy_per_rank=busy,
-            idle_per_rank=idle,
             record=rec,
         )
 

@@ -77,13 +77,17 @@ def test_charge_gather_scatter():
     """The §4.3 gather/scatter program: 3 rows in, 3 mappings out, each
     ``npart`` words; rank 0 receives and sends one message at a time."""
     from repro.core.phases import price_gather_scatter
+    from repro.obs import Tracer, analyze, use_tracer
 
-    run = price_gather_scatter(4, 4, MachineModel(t_setup=1.0, t_word=0.0,
-                                                  t_work=0.0))
+    tracer = Tracer()
+    with use_tracer(tracer):
+        run = price_gather_scatter(4, 4, MachineModel(t_setup=1.0, t_word=0.0,
+                                                      t_work=0.0))
     assert run.total_messages == 6
     assert run.total_words == 6 * 4
-    assert run.msgs_sent_per_rank == [3, 1, 1, 1]
-    assert run.msgs_recv_per_rank == [3, 1, 1, 1]
+    [stats] = analyze(tracer).stats.values()
+    assert [st.msgs_sent for st in stats] == [3, 1, 1, 1]
+    assert [st.msgs_recv for st in stats] == [3, 1, 1, 1]
     # the host's three receives and three sends take one startup each; the
     # last mapping arrives as the host's last send completes
     assert run.makespan == 6.0

@@ -27,7 +27,7 @@ from repro.experiments.weak_scaling import (
 )
 from repro.obs import Tracer, use_tracer, verify_makespans
 from tests.fixtures import causal_nodes, msgs_of, nodes_of, stride6
-from tests.kernels.oracles import reference_kernels
+from tests.kernels.oracles import assert_derived_traffic, reference_kernels
 
 
 def test_fig6_style_cycle_at_4096():
@@ -50,8 +50,7 @@ def test_small_scale_parity_is_bitwise():
     assert res_fast.makespan == res_ref.makespan
     assert res_fast.total_messages == res_ref.total_messages
     assert res_fast.total_words == res_ref.total_words
-    assert res_fast.busy_per_rank == res_ref.busy_per_rank
-    assert res_fast.idle_per_rank == res_ref.idle_per_rank
+    assert_derived_traffic(res_fast, res_ref)
     assert nodes_of(res_fast) == nodes_of(res_ref)
     assert msgs_of(res_fast) == msgs_of(res_ref)
 

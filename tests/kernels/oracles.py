@@ -4,9 +4,11 @@ Each hot kernel in ``src/`` has one implementation.  The form it replaced
 lives here, unchanged, as the oracle it must match bit for bit:
 
 * :func:`run_reference` — the one-op-per-heap-pop VM scheduler with its
-  :class:`_ListMailbox` and eager ``CausalNode`` / ``CausalMsg`` record
+  :class:`_ListMailbox`, eager ``CausalNode`` / ``CausalMsg`` record
   (:class:`_EagerRecord`, whose object lists the product's derivation
-  must reproduce);
+  must reproduce) and inline per-rank traffic and wait counters
+  (:class:`ReferenceResult`, which ``rank_stats`` must reproduce from
+  the product's record);
 * :func:`fm_bisection_refine_reference`,
   :func:`kway_greedy_refine_reference`,
   :func:`heavy_edge_matching_reference`,
@@ -77,14 +79,14 @@ from repro.mesh.topology import (
     LOCAL_FACES,
     OPPOSITE_EDGE,
 )
-from repro.obs.causal import CausalMsg, CausalNode, CausalRecord
+from repro.obs.causal import CausalMsg, CausalNode, CausalRecord, rank_stats
 from repro.parallel.runtime import ANY, RecvOp, RunResult, SendOp, WorkOp
 from repro.partition import multilevel_kway
 from repro.partition.graph import Graph
 from repro.partition.quality import edgecut
 from repro.solver.state import GAMMA
 
-from tests.fixtures import row
+from tests.fixtures import row, run_from_result
 
 # --- parallel/runtime.py: scheduler and mailbox ------------------------------
 
@@ -184,6 +186,34 @@ class _EagerRecord(CausalRecord):
         return self.eager
 
 
+class ReferenceResult(RunResult):
+    """The oracle scheduler's :class:`RunResult`, which also keeps its
+    per-rank state (:class:`_Rank`): the counters it adds inline as it
+    runs, which the product derives from the causal record instead."""
+
+    __slots__ = ("ranks",)
+
+    def __init__(self, *args, ranks: list, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ranks = ranks
+
+
+def assert_derived_traffic(res: RunResult, ref: ReferenceResult) -> None:
+    """The per-rank traffic and waits of the traced run ``res``, derived
+    from its causal record (``rank_stats``), equal the counters the
+    oracle scheduler added inline as it ran ``ref``, bit for bit."""
+    stats = rank_stats(run_from_result(res))
+    assert len(stats) == len(ref.ranks)
+    for st, s in zip(stats, ref.ranks):
+        assert (st.msgs_sent, st.msgs_recv, st.words_sent, st.words_recv) \
+            == (s.msgs_sent, s.msgs_recv, s.words_sent, s.words_recv)
+        assert st.msgs_sent - st.sync_sent == s.data_msgs_sent
+        assert st.msgs_recv - st.sync_recv == s.data_msgs_recv
+        assert st.wait == s.waited
+        assert st.busy == s.clock - s.waited
+        assert st.idle == ref.makespan - (s.clock - s.waited)
+
+
 def run_reference(self, gens: list) -> RunResult:
     """One-op-per-heap-pop scheduler with eager object records; bound in
     place of ``VirtualMachine._run_fast``, so ``self`` is the machine."""
@@ -259,8 +289,6 @@ def run_reference(self, gens: list) -> RunResult:
         self._raise_deadlock(stuck, nodes, msgs_rec)
 
     makespan = max((s.clock for s in ranks), default=0.0)
-    busy = [s.clock - s.waited for s in ranks]
-    idle = [makespan - b for b in busy]
 
     record = None
     if nodes is not None:
@@ -280,35 +308,14 @@ def run_reference(self, gens: list) -> RunResult:
             makespan=makespan, nranks=self.nranks,
             cycle=self.tracer.cycle, nodes=len(nodes), msgs=len(msgs_rec),
         )
-        for s in ranks:
-            m = self.tracer.metric
-            m("repro.vm.messages_sent", s.data_msgs_sent,
-              kind="counter", rank=s.rank)
-            m("repro.vm.messages_recv", s.data_msgs_recv,
-              kind="counter", rank=s.rank)
-            m("repro.vm.sync_messages", s.msgs_sent - s.data_msgs_sent,
-              kind="counter", rank=s.rank)
-            m("repro.vm.words_sent", s.words_sent,
-              kind="counter", rank=s.rank)
-            m("repro.vm.words_recv", s.words_recv,
-              kind="counter", rank=s.rank)
-            m("repro.vm.busy_seconds", busy[s.rank],
-              kind="counter", rank=s.rank)
-            m("repro.vm.idle_seconds", idle[s.rank],
-              kind="counter", rank=s.rank)
 
-    return RunResult(
+    return ReferenceResult(
         returns=[s.retval for s in ranks],
         clocks=[s.clock for s in ranks],
         total_messages=sum(s.msgs_sent for s in ranks),
         total_words=sum(s.words_sent for s in ranks),
-        words_sent_per_rank=[s.words_sent for s in ranks],
-        words_recv_per_rank=[s.words_recv for s in ranks],
-        msgs_sent_per_rank=[s.msgs_sent for s in ranks],
-        msgs_recv_per_rank=[s.msgs_recv for s in ranks],
-        busy_per_rank=busy,
-        idle_per_rank=idle,
         record=record,
+        ranks=ranks,
     )
 
 

@@ -7,7 +7,7 @@ from repro.parallel.runtime import RecvOp
 
 from tests.fixtures import msgs_of, nodes_of
 
-from .oracles import reference_kernels
+from .oracles import assert_derived_traffic, reference_kernels
 
 
 def _mixed_traffic(comm):
@@ -60,6 +60,6 @@ def test_vm_schedule_bit_identical():
         assert opt.clocks == ref.clocks
         assert opt.total_messages == ref.total_messages
         assert opt.total_words == ref.total_words
-        assert opt.words_sent_per_rank == ref.words_sent_per_rank
         assert nodes_of(opt) == nodes_of(ref)
+        assert_derived_traffic(opt, ref)
         assert msgs_of(opt) == msgs_of(ref)

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.obs import (
     export_chrome_trace,
     export_jsonl,
     read_jsonl,
+    render_ascii,
     validate_jsonl,
 )
 from repro.obs.causal import KIND_CODES, verify_makespans
@@ -52,8 +54,8 @@ def metric_tracer() -> Tracer:
     tr.begin_cycle()
     tr.metric("repro.partition.imbalance", 1.12, when="before")
     tr.metric("repro.partition.imbalance", 1.03, when="after")
-    tr.metric("repro.vm.words_sent", 128, kind="counter", rank=0)
-    tr.metric("repro.vm.words_sent", 64, kind="counter", rank=1)
+    tr.metric("repro.transport.spills", 128, kind="counter", rank=0)
+    tr.metric("repro.transport.spills", 64, kind="counter", rank=1)
     tr.metric("repro.solver.residual_norm", 0.5, kind="histogram")
     tr.metric("repro.solver.residual_norm", 0.25, kind="histogram")
     return tr
@@ -196,7 +198,8 @@ def test_metric_roundtrip(tmp_path):
     back = read_jsonl(path)
     assert back.metrics.samples() == tr.metrics.samples()
     # counters keep their per-rank keys, histograms their full value lists
-    assert back.metrics.per_rank("repro.vm.words_sent") == {0: 128.0, 1: 64.0}
+    assert back.metrics.per_rank("repro.transport.spills") == {
+        0: 128.0, 1: 64.0}
     assert metric_value(back.metrics, "repro.solver.residual_norm",
                         cycle=0) == [0.5, 0.25]
     # the cycle counter resumes after the last recorded cycle
@@ -291,6 +294,42 @@ def test_trace_stores_few_bytes_per_causal_node(tmp_path):
             nnodes += rec["attrs"]["nodes"]
     assert nnodes > 100
     assert causal_bytes / nnodes <= 40
+
+
+def test_step_trace_records_per_rank_traffic_once(tmp_path):
+    """A traced ``repro step 8 --nproc 64`` keeps its per-rank traffic in
+    the causal record alone: no ``repro.vm.*`` metric, no
+    ``repro.adapt.marked_edges`` beside the marking span's attribute,
+    and the report's traffic table is still there, read off the record."""
+    path = tmp_path / "step8.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["step", "8", "--nproc", "64", "--no-history",
+                     "--trace-out", str(path)]) == 0
+    back = read_jsonl(path)
+    names = {s.name for s in back.metrics.samples()}
+    assert "repro.cycle.total_seconds" in names
+    assert [n for n in names if n.startswith("repro.vm.")] == []
+    assert "repro.adapt.marked_edges" not in names
+    assert "Per-rank traffic (virtual machine, summed over cycles)" \
+        in render_ascii(back)
+
+
+def test_older_traces_per_rank_series_read_as_plain_metrics(tmp_path):
+    """A v9 trace written while the VM still recorded ``repro.vm.*``
+    series, measured copies under a ``clock`` label, reads back without
+    a label-keyset warning, every sample as it was written."""
+    tr = Tracer()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        tr.metric("repro.vm.words_sent", 64, kind="counter", rank=0)
+        tr.metric("repro.vm.words_sent", 32, kind="counter", rank=0,
+                  clock="wall")
+    path = tmp_path / "old.jsonl"
+    export_jsonl(tr, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_jsonl(path)
+    assert back.metrics.samples() == tr.metrics.samples()
 
 
 def test_open_spans_are_skipped(tmp_path):
@@ -618,5 +657,5 @@ def test_chrome_trace_structure(tmp_path):
     assert {"framework", "rank 0"} <= names
     # one "C" row per counter metric, carrying its whole-run total
     assert [(c["name"], c["args"]["value"]) for c in counters] == [
-        ("repro.vm.words_sent", 192.0),
+        ("repro.transport.spills", 192.0),
     ]

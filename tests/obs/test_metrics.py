@@ -12,9 +12,9 @@ from tests.fixtures import metric_value
 
 def test_counter_accumulates_under_same_key():
     reg = MetricsRegistry()
-    reg.record("repro.vm.words_sent", 10, kind="counter", rank=0)
-    reg.record("repro.vm.words_sent", 5, kind="counter", rank=0)
-    assert metric_value(reg, "repro.vm.words_sent", rank=0) == 15.0
+    reg.record("repro.transport.spills", 10, kind="counter", rank=0)
+    reg.record("repro.transport.spills", 5, kind="counter", rank=0)
+    assert metric_value(reg, "repro.transport.spills", rank=0) == 15.0
 
 
 def test_gauge_last_write_wins():

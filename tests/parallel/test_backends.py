@@ -9,6 +9,7 @@ from repro.core.remap import build_move_matrix, execute_remap
 from repro.dist import decompose, migrate
 from repro.dist.migrate import exchange_elements
 from repro.mesh import box_mesh
+from repro.obs import Tracer, analyze
 from repro.parallel import (
     ANY,
     IDEAL,
@@ -127,6 +128,25 @@ class TestMalformedPrograms:
             self._backend(backend).run(program)
 
 
+@pytest.mark.parametrize("backend", ["multiprocessing", "shm"])
+def test_derived_rank_traffic_matches_virtual(backend):
+    """A measured run's per-rank messages and words, read from its causal
+    record, are the virtual run's for the same program."""
+
+    def traffic(name, clock):
+        tracer = Tracer()
+        create_communicator(name, 4, machine=IDEAL, timeout=60.0,
+                            tracer=tracer).run(
+            _ring_program, per_rank([10 * r for r in range(4)]))
+        [stats] = analyze(tracer, clock=clock).stats.values()
+        return [(st.msgs_sent, st.msgs_recv, st.sync_sent, st.sync_recv,
+                 st.words_sent, st.words_recv) for st in stats]
+
+    virtual = traffic("virtual", "virtual")
+    assert sum(row[0] for row in virtual) > 0
+    assert traffic(backend, "wall") == virtual
+
+
 class TestMultiprocessingBackend:
     def test_ring_parity_with_virtual(self):
         p = 4
@@ -140,7 +160,7 @@ class TestMultiprocessingBackend:
         assert mres.returns == vres.returns
         # same program, same yields -> identical message accounting
         assert mres.total_messages == vres.total_messages
-        assert mres.msgs_sent_per_rank == vres.msgs_sent_per_rank
+        assert mres.total_words == vres.total_words
         assert mres.backend == "multiprocessing"
         assert mres.wall_seconds is not None and mres.wall_seconds > 0.0
         assert len(mres.clocks) == p
@@ -225,7 +245,7 @@ class TestRecordBackendRun:
     def _result(**kw):
         return RunResult(
             returns=[None], clocks=kw.pop("clocks"), total_messages=0,
-            total_words=0, words_sent_per_rank=[0], **kw,
+            total_words=0, **kw,
         )
 
     def test_none_tracer_is_a_no_op(self):

@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 from repro.parallel import ANY, SP2_1997, VirtualMachine
 from repro.parallel.runtime import _take
 from tests.fixtures import msgs_of, nodes_of
-from tests.kernels.oracles import _ListMailbox, _Message, reference_kernels
+from tests.kernels.oracles import (
+    _ListMailbox,
+    _Message,
+    assert_derived_traffic,
+    reference_kernels,
+)
 
 
 # --- data-structure parity ---------------------------------------------------
@@ -126,8 +131,7 @@ def _assert_results_identical(a, b):
     assert a.makespan == b.makespan
     assert a.total_messages == b.total_messages
     assert a.total_words == b.total_words
-    assert a.busy_per_rank == b.busy_per_rank
-    assert a.idle_per_rank == b.idle_per_rank
+    assert_derived_traffic(a, b)  # busy, idle and waits, read off the record
     assert nodes_of(a) == nodes_of(b)  # identical causal record, node for node
     assert msgs_of(a) == msgs_of(b)
 

@@ -103,22 +103,21 @@ def test_mp_trace_renders_wall_critical_path(mp_trace):
 
 
 def test_mp_wall_metrics_are_labelled(mp_trace):
+    """The measured run's per-rank traffic is read from its record: two
+    64-word messages out and in per rank, busy and idle tiling the
+    makespan; the registry holds no per-rank traffic series."""
     tracer, result, _ = mp_trace
-    reg = tracer.metrics
-    wall = {"clock": "wall"}
-    assert reg.per_rank("repro.vm.messages_sent", labels=wall) == {
-        r: float(v) for r, v in enumerate(result.msgs_sent_per_rank)
-    }
-    assert reg.per_rank("repro.vm.words_recv", labels=wall) == {
-        r: float(v) for r, v in enumerate(result.words_recv_per_rank)
-    }
-    busy = reg.per_rank("repro.vm.busy_seconds", labels=wall)
-    idle = reg.per_rank("repro.vm.idle_seconds", labels=wall)
-    [run] = runs_from_tracer(tracer, clock="wall")
-    for r in range(3):
-        assert busy[r] + idle[r] == pytest.approx(run.makespan)
-    # unlabelled (virtual) series stay empty: no cross-contamination
-    assert reg.per_rank("repro.vm.messages_sent", labels={}) == {}
+    wall = analyze(tracer, clock="wall")
+    [run] = wall.runs
+    [stats] = wall.stats.values()
+    assert [(st.msgs_sent, st.msgs_recv, st.words_sent, st.words_recv)
+            for st in stats] == [(2, 2, 128, 128)] * 3
+    assert sum(st.msgs_sent for st in stats) == result.total_messages
+    for st in stats:
+        assert st.busy + st.idle == pytest.approx(run.makespan)
+        assert 0.0 <= st.wait <= st.busy + st.wait
+    assert not any(s.name.startswith("repro.vm.")
+                   for s in tracer.metrics.samples())
 
 
 def test_diff_degrades_when_one_side_is_virtual_only(mp_trace):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.parallel import ANY, SP2_1997, DeadlockError, VirtualMachine
 from repro.parallel.runtime import per_rank
 from tests.fixtures import msgs_of, nodes_of
-from tests.kernels.oracles import reference_kernels
+from tests.kernels.oracles import assert_derived_traffic, reference_kernels
 
 #: SP2 message costs; one work unit is one second.
 WORK_SECONDS = replace(SP2_1997, t_work=1.0)
@@ -41,14 +41,9 @@ def _assert_identical(a, b):
     assert a.makespan == b.makespan
     assert a.total_messages == b.total_messages
     assert a.total_words == b.total_words
-    assert a.words_sent_per_rank == b.words_sent_per_rank
-    assert a.words_recv_per_rank == b.words_recv_per_rank
-    assert a.msgs_sent_per_rank == b.msgs_sent_per_rank
-    assert a.msgs_recv_per_rank == b.msgs_recv_per_rank
-    assert a.busy_per_rank == b.busy_per_rank
-    assert a.idle_per_rank == b.idle_per_rank
     assert nodes_of(a) == nodes_of(b)
     assert msgs_of(a) == msgs_of(b)
+    assert_derived_traffic(a, b)
 
 
 def test_single_rank_machine():
@@ -236,6 +231,17 @@ def test_columnar_record_matches_object_record(script):
                                   machine=WORK_SECONDS)
     _assert_identical(res_fast, res_ref)
     assert sum(res_fast.returns) == sum(n for _o, _d, n in plan)
+
+
+@given(_op_scripts())
+@settings(max_examples=40, deadline=None)
+def test_derived_rank_traffic_equals_oracle_counters(script):
+    """Hypothesis parity on SP2 costs, where receives wait: the per-rank
+    messages, words, waits, busy and idle read from a traced run's
+    record are the oracle scheduler's own per-rank counters."""
+    p, plan = script
+    res_fast, res_ref = _run_both(script_program(plan), p)
+    assert_derived_traffic(res_fast, res_ref)
 
 
 @st.composite

@@ -1,11 +1,11 @@
-"""Per-rank traffic metrics: the remap against its move matrix and the
-cost ledger's exchange rule, idle identity."""
+"""Per-rank traffic, read from the causal record: the remap against its
+move matrix and the cost ledger's exchange rule, idle identity."""
 
 import numpy as np
 import pytest
 
 from repro.core.remap import build_move_matrix, execute_remap
-from repro.obs import Tracer, use_tracer
+from repro.obs import Tracer, analyze, use_tracer
 from repro.parallel import MachineModel, VirtualMachine
 
 CHEAP = MachineModel(t_setup=1e-5, t_word=1e-7, t_work=1e-6)
@@ -17,12 +17,28 @@ NEW = np.array([0, 1, 2, 3, 1, 2, 1, 2, 3, 0])
 WREMAP = np.array([1, 2, 3, 1, 4, 2, 1, 5, 2, 3])
 
 
+def data_traffic(stats):
+    """``{quantity: per-rank array}`` of one run's payload-bearing traffic
+    (zero-word messages left out), from its ``RankStats``."""
+    return {
+        "words_sent": np.array([st.words_sent for st in stats]),
+        "words_recv": np.array([st.words_recv for st in stats]),
+        "messages_sent": np.array([st.msgs_sent - st.sync_sent
+                                   for st in stats]),
+        "messages_recv": np.array([st.msgs_recv - st.sync_recv
+                                   for st in stats]),
+    }
+
+
 def traced_remap():
     tracer = Tracer()
     with use_tracer(tracer):
         execu = execute_remap(OLD, NEW, WREMAP, NPROC, storage_words=STORAGE,
                               machine=CHEAP)
-    return execu, tracer.metrics
+    [stats] = analyze(tracer).stats.values()
+    assert not any(s.name.startswith("repro.vm.")
+                   for s in tracer.metrics.samples())
+    return execu, data_traffic(stats)
 
 
 def ledger_exchange_traffic(volume):
@@ -32,15 +48,15 @@ def ledger_exchange_traffic(volume):
     off = np.array(volume, dtype=np.int64)
     np.fill_diagonal(off, 0)
     return {
-        "repro.vm.words_sent": off.sum(axis=1),
-        "repro.vm.words_recv": off.sum(axis=0),
-        "repro.vm.messages_sent": (off > 0).sum(axis=1),
-        "repro.vm.messages_recv": (off > 0).sum(axis=0),
+        "words_sent": off.sum(axis=1),
+        "words_recv": off.sum(axis=0),
+        "messages_sent": (off > 0).sum(axis=1),
+        "messages_recv": (off > 0).sum(axis=0),
     }
 
 
 def test_vm_traffic_agrees_with_cost_ledger_on_remap():
-    """The remap charged through the VM migration program reports the
+    """The remap charged through the VM migration program carries the
     per-rank data traffic the cost ledger's exchange rule charges for the
     same word volumes — built here straight from the ownership arrays,
     self-moves included, so the VM must drop them as the ledger did."""
@@ -51,15 +67,13 @@ def test_vm_traffic_agrees_with_cost_ledger_on_remap():
 
     led = ledger_exchange_traffic(volume)
     for name, per_rank in led.items():
-        got = vm.per_rank(name)
-        for r in range(NPROC):
-            assert got[r] == float(per_rank[r]), (name, r)
+        assert vm[name].tolist() == per_rank.tolist(), name
 
     # and both agree with the execution record
-    assert vm.total("repro.vm.words_sent") == execu.words_moved
-    assert vm.total("repro.vm.messages_sent") == execu.messages
-    assert int(led["repro.vm.words_sent"].sum()) == execu.words_moved
-    assert int(led["repro.vm.messages_sent"].sum()) == execu.messages
+    assert vm["words_sent"].sum() == execu.words_moved
+    assert vm["messages_sent"].sum() == execu.messages
+    assert int(led["words_sent"].sum()) == execu.words_moved
+    assert int(led["messages_sent"].sum()) == execu.messages
 
 
 def test_remap_metrics_match_move_matrix_per_rank():
@@ -68,20 +82,12 @@ def test_remap_metrics_match_move_matrix_per_rank():
     rank (zero included), and its totals are the execution record's."""
     execu, vm = traced_remap()
     move = build_move_matrix(OLD, NEW, WREMAP, NPROC)
-    assert vm.per_rank("repro.vm.words_sent") == {
-        r: float(move[r].sum() * STORAGE) for r in range(NPROC)
-    }
-    assert vm.per_rank("repro.vm.words_recv") == {
-        r: float(move[:, r].sum() * STORAGE) for r in range(NPROC)
-    }
-    assert vm.per_rank("repro.vm.messages_sent") == {
-        r: float((move[r] > 0).sum()) for r in range(NPROC)
-    }
-    assert vm.per_rank("repro.vm.messages_recv") == {
-        r: float((move[:, r] > 0).sum()) for r in range(NPROC)
-    }
-    assert vm.total("repro.vm.words_sent") == execu.words_moved
-    assert vm.total("repro.vm.messages_sent") == execu.messages
+    assert vm["words_sent"].tolist() == (move.sum(axis=1) * STORAGE).tolist()
+    assert vm["words_recv"].tolist() == (move.sum(axis=0) * STORAGE).tolist()
+    assert vm["messages_sent"].tolist() == (move > 0).sum(axis=1).tolist()
+    assert vm["messages_recv"].tolist() == (move > 0).sum(axis=0).tolist()
+    assert vm["words_sent"].sum() == execu.words_moved
+    assert vm["messages_sent"].sum() == execu.messages
 
 
 def lopsided(comm):
@@ -99,37 +105,30 @@ def lopsided(comm):
 def run_lopsided():
     tracer = Tracer()
     res = VirtualMachine(NPROC, CHEAP, tracer=tracer).run(lopsided)
-    return res, tracer.metrics
+    [stats] = analyze(tracer).stats.values()
+    return res, stats
 
 
 def test_idle_is_makespan_minus_busy_per_rank():
-    res, reg = run_lopsided()
-    busy = reg.per_rank("repro.vm.busy_seconds")
-    idle = reg.per_rank("repro.vm.idle_seconds")
-    assert set(busy) == set(idle) == set(range(NPROC))
-    for r in range(NPROC):
-        assert busy[r] == res.busy_per_rank[r]
-        assert idle[r] == res.idle_per_rank[r]
-        assert idle[r] == res.makespan - busy[r]  # the identity, exactly
-        assert idle[r] >= 0.0
+    res, stats = run_lopsided()
+    assert [st.rank for st in stats] == list(range(NPROC))
+    for r, st in enumerate(stats):
+        assert st.busy == res.clocks[r] - st.wait
+        assert st.idle == res.makespan - st.busy  # the identity, exactly
+        assert st.idle >= 0.0
     # the blocked ranks must actually have waited on rank 0's compute
-    assert min(idle[r] for r in range(1, NPROC)) > 0.0
-    assert idle[0] == pytest.approx(0.0)
+    assert min(st.idle for st in stats[1:]) > 0.0
+    assert stats[0].idle == pytest.approx(0.0)
 
 
 def test_data_plus_sync_messages_equal_vm_message_totals():
-    res, reg = run_lopsided()
-    data_sent = reg.per_rank("repro.vm.messages_sent")
-    sync = reg.per_rank("repro.vm.sync_messages")
-    for r in range(NPROC):
-        assert data_sent[r] + sync[r] == res.msgs_sent_per_rank[r]
-    # barrier traffic is zero-word, so it must all land in sync_messages
-    assert reg.total("repro.vm.sync_messages") > 0
-    assert reg.total("repro.vm.words_sent") == res.total_words
+    res, stats = run_lopsided()
+    assert sum(st.msgs_sent for st in stats) == res.total_messages
+    # barrier traffic is zero-word, so it must all count as sync
+    assert sum(st.sync_sent for st in stats) > 0
+    assert sum(st.words_sent for st in stats) == res.total_words
     # every sent message was delivered: sent and received totals conserve
-    assert reg.total("repro.vm.messages_recv") == reg.total(
-        "repro.vm.messages_sent"
-    )
-    assert reg.total("repro.vm.words_recv") == reg.total(
-        "repro.vm.words_sent"
-    )
+    assert sum(st.msgs_recv - st.sync_recv for st in stats) == sum(
+        st.msgs_sent - st.sync_sent for st in stats)
+    assert sum(st.words_recv for st in stats) == sum(
+        st.words_sent for st in stats)
