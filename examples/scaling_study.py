@@ -25,6 +25,7 @@ from repro.experiments.sweep import SWEEP_PROCS
 from repro.obs import (
     Tracer,
     analyze,
+    build_report,
     export_jsonl,
     format_critical_path,
     read_jsonl,
@@ -64,7 +65,8 @@ def main(resolution: int = 8, strategy: str = "Real_1") -> None:
     n = export_jsonl(tracer, trace_path)
     title = f"scaling study: {strategy} at resolution {resolution}"
     with open(html_path, "w") as fh:
-        fh.write(render_html(tracer, title=title, source=trace_path))
+        fh.write(render_html(build_report(tracer), title=title,
+                             source=trace_path))
     print(f"\nwrote {n} trace records to {trace_path}")
     print(f"wrote run report to {html_path} "
           f"(or render later: python -m repro report {trace_path})")

@@ -79,6 +79,10 @@ echo "rotor-acoustics smoke: OK"
 # holds every array tests/adapt/test_refine_digest.py pins to what a
 # TetMesh.from_elems rebuild of the same elements gives (the mesh) and to
 # the reference subdivision, which sorts every child edge (provenance).
+# On the last mesh the chain solves (~1.9e5 tets), the blocked solver's
+# normals and five-step state must equal the AoS solver's
+# (tests/kernels/test_solver_equiv.py), which tier-1 runs only on meshes
+# of resolution 4 or below.
 timeout 600 env PYTHONPATH=src python - <<'EOF'
 import numpy as np
 
@@ -90,6 +94,7 @@ from repro.parallel import SP2_1997
 from repro.solver import EulerSolver, rotor_acoustics_field, speed_indicator
 from tests.adapt.test_refine_digest import MESH_ARRAYS, PROVENANCE
 from tests.kernels.oracles import reference_kernels
+from tests.kernels.test_solver_equiv import AosSolver
 
 mesh, blade = rotor_domain_mesh(resolution=12, grading=2.0)
 solver = LoadBalancedAdaptiveSolver(
@@ -99,7 +104,8 @@ solver = LoadBalancedAdaptiveSolver(
     imbalance_threshold=1.05, seed=0)
 adaptive = solver.adaptive
 while adaptive.mesh.ne < 300_000:
-    flow = EulerSolver(adaptive.mesh, adaptive.solution)
+    q_in = adaptive.solution
+    flow = EulerSolver(adaptive.mesh, q_in)
     flow.run(5, cfl=0.4)
     adaptive.solution = flow.q
     solver.adapt_step(edge_error=speed_indicator(adaptive.mesh, flow.q),
@@ -117,6 +123,11 @@ with reference_kernels():
 for name in PROVENANCE:
     assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 print(f"refined {step.mesh_before.ne} -> {got.mesh.ne} tets")
+aos = AosSolver(flow.mesh, q_in)
+assert np.array_equal(flow.normals, aos.normals)
+aos.run(5, cfl=0.4)
+assert np.array_equal(flow.q, aos.q)
+print(f"solved {flow.mesh.ne} tets: normals and q equal the AoS solver's")
 EOF
 echo "refinement scale check: OK"
 

@@ -348,7 +348,7 @@ def _cmd_report(args) -> int:
 def _cmd_trace_report(args) -> int:
     import os
 
-    from repro.obs import render_ascii, render_html
+    from repro.obs import build_report, render_ascii, render_html
 
     path = args.target
     tracer = _read_trace(path)
@@ -359,11 +359,12 @@ def _cmd_trace_report(args) -> int:
         out = args.out or os.path.splitext(path)[0] + ".html"
         if not _writable(out):
             return 2
+    report = build_report(tracer, top=args.top)
     if args.fmt in ("ascii", "both"):
-        print(render_ascii(tracer, source=path, top=args.top), end="")
+        print(render_ascii(report, source=path), end="")
     if out is not None:
         with open(out, "w") as fh:
-            fh.write(render_html(tracer, source=path, top=args.top))
+            fh.write(render_html(report, source=path))
         print(f"wrote HTML report to {out}")
     return 0
 

@@ -86,7 +86,7 @@ from .export import (
     read_jsonl,
     validate_jsonl,
 )
-from .report import render_ascii, render_html
+from .report import build_report, render_ascii, render_html
 from .resource import read_resources, record_resources
 from .runs import (
     RunRecord,
@@ -113,6 +113,7 @@ __all__ = [
     "Tracer",
     "WallRecorder",
     "analyze",
+    "build_report",
     "critical_path",
     "current_tracer",
     "diff",

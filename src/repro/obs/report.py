@@ -5,14 +5,15 @@ carries the full labelled metric registry — per-cycle partition quality,
 reassignment cost, remap traffic — and the causal record of every VM
 run, which the per-rank traffic tables and the critical path are read
 from.
-:func:`_sections` decides once which sections the report has, with their
-titles, columns and formatted rows; :func:`render_ascii` and
-:func:`render_html` are two writers over that one list.  The ASCII
+:func:`build_report` decides once which sections the report has, with
+their titles, columns and formatted rows — running the trace's causal
+analysis once; :func:`render_ascii` and :func:`render_html` are two
+writers over that one :class:`Report`.  The ASCII
 writer draws the tables, the cycle-over-cycle charts
 (:func:`repro.obs.ascii_plot.ascii_chart`) and the critical-path text;
 the HTML writer draws the same sections into a single self-contained
 file, adding stat tiles, SVG line charts, per-rank bars, a critical-path
-lane per clock and a per-rank timeline.  Both read only the tracer —
+lane per clock and a per-rank timeline.  Both read only the trace —
 ``repro report <trace.jsonl>`` needs no access to the original mesh.
 """
 
@@ -20,11 +21,12 @@ from __future__ import annotations
 
 import html as _html
 import math
+from typing import NamedTuple
 
 from .ascii_plot import ascii_chart
 from .tracer import Tracer
 
-__all__ = ["render_ascii", "render_html"]
+__all__ = ["build_report", "render_ascii", "render_html"]
 
 
 # --- the report model --------------------------------------------------------
@@ -330,6 +332,18 @@ def _sections(tracer: Tracer, top: int) -> list[tuple[str, list[tuple]]]:
     return out
 
 
+class Report(NamedTuple):
+    """A trace's report, built once for any number of writers."""
+
+    summary: list[tuple[str, str]]  #: :func:`_summary`'s headline pairs
+    sections: list[tuple[str, list[tuple]]]  #: :func:`_sections`' list
+
+
+def build_report(tracer: Tracer, top: int = 10) -> Report:
+    """The report of ``tracer``, with ``top`` rows in its ranked lists."""
+    return Report(_summary(tracer), _sections(tracer, top))
+
+
 # --- ASCII writer ------------------------------------------------------------
 
 
@@ -353,14 +367,14 @@ _ASCII = {
 }
 
 
-def render_ascii(tracer: Tracer, source: str = "", top: int = 10) -> str:
-    """Render the trace as an ASCII dashboard (tables + charts)."""
+def render_ascii(report: Report, source: str = "") -> str:
+    """Render the report as an ASCII dashboard (tables + charts)."""
     head = "repro run report"
     if source:
         head += f" — {source}"
     parts = [head, "=" * len(head),
-             "   ".join(f"{k}: {v}" for k, v in _summary(tracer))]
-    for title, blocks in _sections(tracer, top):
+             "   ".join(f"{k}: {v}" for k, v in report.summary)]
+    for title, blocks in report.sections:
         drawn = [_ASCII[kind](*args) for kind, *args in blocks
                  if kind in _ASCII]
         if drawn:
@@ -686,16 +700,16 @@ _HTML = {
 }
 
 
-def render_html(tracer: Tracer, title: str = "repro run report",
-                source: str = "", top: int = 10) -> str:
-    """Render the trace as a single self-contained HTML report."""
+def render_html(report: Report, title: str = "repro run report",
+                source: str = "") -> str:
+    """Render the report as a single self-contained HTML page."""
     tiles = "".join(
         f'<div class="tile"><div class="v">{_html.escape(v)}</div>'
         f'<div class="k">{_html.escape(k)}</div></div>'
-        for k, v in _summary(tracer)
+        for k, v in report.summary
     )
     sections = [f'<section><div class="tiles">{tiles}</div></section>']
-    for heading, blocks in _sections(tracer, top):
+    for heading, blocks in report.sections:
         body = "".join(_HTML[kind](*args) for kind, *args in blocks)
         if body:
             sections.append(f"<section><h2>{_html.escape(heading)}</h2>"

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mesh.tetmesh import TetMesh
-from repro.mesh.topology import EVEN_CORNERS, LOCAL_EDGES
+from repro.mesh.topology import EVEN_CORNERS
 from repro.obs import current_tracer
 
 from .fluxes import _rusanov
@@ -45,11 +45,20 @@ __all__ = ["EulerSolver"]
 CFL = 0.5
 
 
+#: Elements, or edges, per block of the solver's kernels: the bound on
+#: their temporaries.  A block's rows land in the same columns of the
+#: same weights row the whole-mesh expression built, so the block size
+#: moves no bit (DESIGN.md §9).
+_BLOCK = 1 << 13
+
+
 def dual_volumes(mesh: TetMesh) -> np.ndarray:
     """Median-dual control volume per vertex: ¼ of each incident tet."""
-    vols = mesh.volumes()
     # corner-major order: every element's corner 0, then corner 1, 2, 3
-    return scatter_add_rows(mesh.elems.T.ravel(), np.tile(vols / 4.0, 4), mesh.nv)
+    quarter = np.empty((4, mesh.ne))
+    np.divide(mesh.volumes(), 4.0, out=quarter[0])
+    quarter[1:] = quarter[0]
+    return scatter_add_rows(mesh.elems.T.ravel(), quarter.ravel(), mesh.nv)
 
 
 #: ``np.cross``'s term order per component ``c``: ``u[i]·w[j] − u[j]·w[i]``.
@@ -72,22 +81,37 @@ def edge_normals(mesh: TetMesh) -> np.ndarray:
 
     Every sum and product runs per coordinate row in the order numpy's
     ``mean`` and ``cross`` took on ``(ne, 4, 3)`` corners (DESIGN.md §9).
+    The contributions are computed :data:`_BLOCK` elements at a time into
+    their columns of one local-edge-major ``(3, 6·ne)`` array, which one
+    bincount per row sums in that order.
     """
     ne = mesh.ne
-    # p[c, j] is coordinate c of every element's corner j: (3, 4, ne)
-    p = np.ascontiguousarray(mesh.coords.T).take(mesh.elems.T, axis=1)
-    cell = (((p[:, 0] + p[:, 1]) + p[:, 2]) + p[:, 3]) / 4.0  # centroid, (3, ne)
+    pt = np.ascontiguousarray(mesh.coords.T)  # (3, nv), contiguous rows
+    lower = np.ascontiguousarray(mesh.edges[:, 0])
     # local-edge-major order: every element's local edge 0, then 1, ..., 5
-    eids = mesh.elem2edge.T.ravel()
-    # global edges store the lower vertex first; flip the contribution
-    # where local a is the edge's higher global vertex
-    sign = np.where(
-        mesh.edges[:, 0].take(eids) != mesh.elems.T[LOCAL_EDGES[:, 0]].ravel(),
-        -1.0,
-        1.0,
-    )
     n = np.empty((3, 6 * ne))
+    by_local_edge = n.reshape(3, 6, ne)
+    for lo in range(0, ne, _BLOCK):
+        hi = min(lo + _BLOCK, ne)
+        _block_normals(pt, lower, mesh.elems[lo:hi], mesh.elem2edge[lo:hi],
+                       by_local_edge[:, :, lo:hi])
+    del pt, lower
+    return scatter_add_components(mesh.elem2edge.T.ravel(), n, mesh.nedges).T
+
+
+def _block_normals(
+    pt: np.ndarray, lower: np.ndarray, elems: np.ndarray,
+    elem2edge: np.ndarray, out: np.ndarray,
+) -> None:
+    """:func:`edge_normals`' contributions of one block of elements into
+    ``out`` ``(3, 6, block)``: coordinate, local edge, element."""
+    # p[c, j] is coordinate c of the block's corner j: (3, 4, block)
+    p = pt.take(elems.T, axis=1)
+    cell = (((p[:, 0] + p[:, 1]) + p[:, 2]) + p[:, 3]) / 4.0  # centroid
     for le, (a, b, k, l) in enumerate(EVEN_CORNERS):
+        # global edges store the lower vertex first; flip the contribution
+        # where local a is the edge's higher global vertex
+        sign = np.where(lower.take(elem2edge[:, le]) != elems[:, a], -1.0, 1.0)
         xab = p[:, a] + p[:, b]
         mid = 0.5 * xab
         u = (xab + p[:, k]) / 3.0  # centroid of face (a, b, k)
@@ -96,15 +120,12 @@ def edge_normals(mesh: TetMesh) -> np.ndarray:
         xab /= 3.0  # centroid of face (a, b, l)
         xab -= mid
         w = np.subtract(cell, mid, out=mid)
-        cols = slice(le * ne, (le + 1) * ne)
         # 0.5·(u × w) + 0.5·(w × xab), term for term as np.cross
         for c, (i, j) in enumerate(_CROSS_TERMS):
-            row = n[c, cols]
+            row = out[c, le]
             np.multiply(0.5, u[i] * w[j] - u[j] * w[i], out=row)
             row += 0.5 * (w[i] * xab[j] - w[j] * xab[i])
-            row *= sign[cols]
-    del p, cell, sign, xab, mid, u, w
-    return scatter_add_components(eids, n, mesh.nedges).T
+            row *= sign
 
 
 @dataclass
@@ -148,15 +169,27 @@ class EulerSolver:
         as ``(5, nv)``; ``gas`` is ``gas_state(qt)`` if already known."""
         if gas is None:
             gas = gas_state(qt)
-        qL, qR = qt.take(self._lo, axis=1), qt.take(self._hi, axis=1)
-        gL, gR = gas.take(self._lo), gas.take(self._hi)
-        f = _rusanov(qL, qR, gL, gR, self._nt, self._area)
-        del qL, qR, gL, gR  # 24 edge-sized rows, not needed by the scatter
-        # x - f == x + (-f) bitwise, so one endpoint-major pass is exactly
-        # "subtract f at every lower endpoint, then add it at every upper"
-        return scatter_add_components(
-            self._ends, np.concatenate([-f, f], axis=1), qt.shape[1]
-        )
+        nv, nedges = qt.shape[1], self._lo.size
+        # the edge states (24 edge-sized rows) exist one block at a time
+        f = np.empty((5, nedges))
+        for lo in range(0, nedges, _BLOCK):
+            ends = slice(lo, lo + _BLOCK)
+            left, right = self._lo[ends], self._hi[ends]
+            f[:, ends] = _rusanov(
+                qt.take(left, axis=1), qt.take(right, axis=1),
+                gas.take(left), gas.take(right), self._nt[:, ends],
+                self._area[ends],
+            )
+        # x - f == x + (-f) bitwise, so one endpoint-major pass per
+        # component is exactly "subtract f at every lower endpoint, then
+        # add it at every upper"; one component's weights exist at a time
+        res = np.empty((5, nv))
+        weights = np.empty((2, nedges))
+        for row, fc in zip(res, f):
+            np.negative(fc, out=weights[0])
+            weights[1] = fc
+            row[:] = scatter_add_rows(self._ends, weights.ravel(), nv)
+        return res
 
     def stable_dt(self) -> float:
         """CFL time step at :data:`CFL` from dual volumes, interface areas,
@@ -169,9 +202,13 @@ class EulerSolver:
 
     def _stable_dt(self, gas: GasState, cfl: float) -> float:
         """:meth:`stable_dt` from the already evaluated ``gas_state(self.q.T)``."""
-        flow = np.maximum(gas.lam[self._lo], gas.lam[self._hi])
-        flow *= self._area
-        speed_sum = scatter_add_rows(self._ends, np.tile(flow, 2), self.mesh.nv)
+        # the scatter's weights: each edge's flow at its lower endpoint,
+        # then again at its upper one
+        flow = np.empty((2, self._lo.size))
+        np.maximum(gas.lam.take(self._lo), gas.lam.take(self._hi), out=flow[0])
+        flow[0] *= self._area
+        flow[1] = flow[0]
+        speed_sum = scatter_add_rows(self._ends, flow.ravel(), self.mesh.nv)
         with np.errstate(divide="ignore"):
             dt = self.vol / np.maximum(speed_sum, 1e-300)
         return cfl * float(dt.min())

@@ -19,6 +19,7 @@ from repro.obs import (
     Tracer,
     export_chrome_trace,
     export_jsonl,
+    build_report,
     read_jsonl,
     render_ascii,
     validate_jsonl,
@@ -311,7 +312,7 @@ def test_step_trace_records_per_rank_traffic_once(tmp_path):
     assert [n for n in names if n.startswith("repro.vm.")] == []
     assert "repro.adapt.marked_edges" not in names
     assert "Per-rank traffic (virtual machine, summed over cycles)" \
-        in render_ascii(back)
+        in render_ascii(build_report(back))
 
 
 def test_older_traces_per_rank_series_read_as_plain_metrics(tmp_path):

@@ -10,6 +10,7 @@ from repro.core import CostModel, LoadBalancedAdaptiveSolver
 from repro.mesh import box_mesh, edge_midpoints
 from repro.obs import (
     Tracer,
+    build_report,
     export_jsonl,
     read_jsonl,
     render_ascii,
@@ -108,7 +109,7 @@ def test_remap_and_reassign_metrics_match_execution(traced_step):
 
 def test_ascii_report_renders_the_recorded_values(traced_step):
     _, report, tracer = traced_step
-    text = render_ascii(tracer, source="test")
+    text = render_ascii(build_report(tracer), source="test")
     for heading in ("Balance quality per cycle",
                     "Reassignment cost (TotalV / MaxV / MaxSR)",
                     "Remap traffic per cycle", "Cycle anatomy",
@@ -128,7 +129,7 @@ def test_ascii_report_renders_the_recorded_values(traced_step):
 
 def test_html_report_is_self_contained_and_complete(traced_step):
     _, report, tracer = traced_step
-    html = render_html(tracer, title="test report", source="test")
+    html = render_html(build_report(tracer), title="test report", source="test")
     assert html.startswith("<!DOCTYPE html>") and html.rstrip().endswith(
         "</html>"
     )
@@ -158,10 +159,11 @@ def test_non_finite_metrics_render_by_name_in_both_writers(tmp_path):
     export_jsonl(tracer, path)
     tracer = read_jsonl(path)
 
-    text = render_ascii(tracer)
+    report = build_report(tracer)
+    text = render_ascii(report)
     assert re.search(r"^\s*0\s+nan\s+inf\s", text, re.MULTILINE)
     assert "Imbalance factor by cycle" in text and "cycle = 1 2" in text
-    page = render_html(tracer)
+    page = render_html(report)
     assert "<td>0</td><td>nan</td><td>inf</td>" in page
     charts = re.findall(r"<svg.*?</svg>", page)
     assert charts and not any("nan" in c or "inf" in c for c in charts)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import read_jsonl, render_ascii, render_html
+from repro.obs import build_report, read_jsonl, render_ascii, render_html
 
 DATA = Path(__file__).parent / "data"
 FIXTURES = ("step4", "step4_shm", "two_cycles")
@@ -72,14 +72,15 @@ def trace(request):
 def test_ascii_is_byte_identical_to_the_recorded_report(trace):
     name, tracer = trace
     golden = (DATA / f"{name}.txt").read_bytes()
-    assert render_ascii(tracer, source=source(name)).encode() == golden
+    assert render_ascii(build_report(tracer), source=source(name)).encode() == golden
 
 
 def test_html_shows_the_ascii_sections_in_order(trace):
     name, tracer = trace
-    text = render_ascii(tracer, source=source(name))
+    report = build_report(tracer)
+    text = render_ascii(report, source=source(name))
     headings = [html.unescape(h) for h in re.findall(
-        r"<h2>(.*?)</h2>", render_html(tracer, source=source(name)))]
+        r"<h2>(.*?)</h2>", render_html(report, source=source(name)))]
     assert GRAPHICS_ONLY in headings
     assert [h for h in headings if h != GRAPHICS_ONLY] == ascii_titles(text)
 
@@ -91,9 +92,34 @@ def test_every_ascii_section_is_in_a_golden_file():
         assert any(s.startswith(title) for s in seen), title
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "html", "both"])
+def test_a_report_runs_the_causal_analysis_once_per_clock(
+        fmt, monkeypatch, tmp_path, capsys):
+    """``report --format both`` builds one report for its two writers, so
+    the trace is analysed once per clock, as for either format alone."""
+    from repro.__main__ import main
+    from repro.obs import causal
+
+    clocks = []
+    analyze = causal.analyze
+
+    def counted(*args, **kwargs):
+        clocks.append(kwargs["clock"])
+        return analyze(*args, **kwargs)
+
+    monkeypatch.setattr(causal, "analyze", counted)
+    trace = str(DATA / "step4_shm.jsonl")
+    assert main(["report", trace, "--format", fmt,
+                 "--out", str(tmp_path / "r.html")]) == 0
+    assert clocks == ["virtual", "wall"]
+    out = capsys.readouterr().out
+    assert ("repro run report" in out) == (fmt != "html")
+    assert (tmp_path / "r.html").exists() == (fmt != "ascii")
+
+
 if __name__ == "__main__":
     for name in FIXTURES:
-        text = render_ascii(read_jsonl(DATA / f"{name}.jsonl"),
+        text = render_ascii(build_report(read_jsonl(DATA / f"{name}.jsonl")),
                             source=source(name))
         (DATA / f"{name}.txt").write_bytes(text.encode())
         print(f"wrote {DATA / name}.txt")

@@ -79,3 +79,57 @@ def test_state_shape_validation():
     m = box_mesh(1, 1, 1)
     with pytest.raises(ValueError, match="state"):
         EulerSolver(m, np.zeros((3, 5)))
+
+
+#: Transient bytes of the solver's kernels — ``tracemalloc`` peak above the
+#: base — on the resolution-6 rotor's third refinement (53 231 tets,
+#: 62 978 edges).  ``edge_normals`` per element: 480.1 B while it gathered
+#: all (3, 4, ne) corners and every local edge's temporaries at once,
+#: 229.9 B computing :data:`euler._BLOCK` elements at a time.  One ``step``
+#: per edge: 317.2 B with whole-mesh edge states and a (5, 2·nedges)
+#: scatter row, 92.8 B with edge blocks and one component's row at a time.
+#: On the 188 199-tet mesh the rotor_multistep chain solves last, the same
+#: readings are 480 → 230 B/element and 317 → 77 B/edge.
+NORMALS_PEAK_BYTES_PER_ELEM = 270
+STEP_PEAK_BYTES_PER_EDGE = 110
+
+
+def _traced_peak(fn) -> int:
+    """``fn()``'s ``tracemalloc`` peak above the memory traced before it."""
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    already_tracing = tracemalloc.is_tracing()
+    if not already_tracing:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not already_tracing:
+            tracemalloc.stop()
+    return peak - before
+
+
+def test_solver_transient_memory_is_bounded_per_element_and_edge():
+    """The temporaries of the normals and of one step, as counts: it fails
+    if a whole-mesh corner gather, whole-mesh edge states or the
+    (5, 2·nedges) scatter row comes back."""
+    from repro.adapt import AdaptiveMesh
+    from repro.solver import speed_indicator
+
+    mesh, blade = rotor_domain_mesh(resolution=6, grading=2.0)
+    adaptive = AdaptiveMesh(mesh, rotor_acoustics_field(mesh.coords, blade))
+    for _ in range(3):
+        error = speed_indicator(adaptive.mesh, adaptive.solution)
+        adaptive.refine(adaptive.mark(edge_error=error, refine_frac=0.1))
+    mesh = adaptive.mesh
+    assert (mesh.ne, mesh.nedges) == (53231, 62978)
+    normals = _traced_peak(lambda: edge_normals(mesh))
+    assert normals / mesh.ne <= NORMALS_PEAK_BYTES_PER_ELEM
+    flow = EulerSolver(mesh, adaptive.solution)
+    step = _traced_peak(flow.step)
+    assert step / mesh.nedges <= STEP_PEAK_BYTES_PER_EDGE
