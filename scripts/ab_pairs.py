@@ -33,6 +33,12 @@ row to ``BENCH_history.jsonl`` (commit, side, workload, seed, then the
 end-to-end medians or — rows with ``"trace": 1`` — the per-layer values),
 the repo's append-only record of measured performance across PRs.
 
+``--control`` compares ``--parent`` with itself: both directories are
+``git archive`` of it, under the same two names, so the control runs
+exactly the orchestration of the claim it guards; its rows carry
+``"control": true``.  A metric that moves between two copies of the
+same commit is the spread a claim must beat.
+
 ``--smoke`` runs the benchmark at its tiny sizes and records nothing: it
 only checks that this script still works (``scripts/ci.sh``).
 
@@ -63,9 +69,9 @@ def git(*args: str) -> str:
     ).stdout.strip()
 
 
-def checkout(commit: str) -> Path:
+def checkout(commit: str, side: str = "parent") -> Path:
     """The committed files of ``commit`` in a directory of their own."""
-    dest = BUILD / "parent"
+    dest = BUILD / side
     shutil.rmtree(dest, ignore_errors=True)
     dest.mkdir(parents=True)
     archive = subprocess.run(
@@ -177,6 +183,8 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", default="0", metavar="S[,S...]")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--control", action="store_true",
+                        help="both sides are --parent: a parent-vs-parent control")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny sizes, nothing recorded: tests this script")
     opts = parser.parse_args()
@@ -194,10 +202,14 @@ def main() -> int:
         parent_commit = git("rev-parse", "--short", f"{opts.parent}^{{commit}}")
     except subprocess.CalledProcessError:
         parser.error(f"--parent {opts.parent!r} does not name a commit")
-    head = git("rev-parse", "--short", "HEAD")
-    dirty = "+dirty" if git("status", "--porcelain") else ""
+    if opts.control:
+        change = (checkout(parent_commit, "change"), parent_commit)
+    else:
+        dirty = "+dirty" if git("status", "--porcelain") else ""
+        change = (snapshot(), git("rev-parse", "--short", "HEAD") + dirty)
     sides = {"parent": (checkout(parent_commit), parent_commit),
-             "change": (snapshot(), head + dirty)}
+             "change": change}
+    flag = {"control": True} if opts.control else {}
     ok = True
     try:
         for seed in seeds:
@@ -213,7 +225,8 @@ def main() -> int:
                     print(f"seed {seed} pair {pair + 1}/{opts.pairs} {side:<6} "
                           f"{commit}: wall_s {row['wall_s']:.3f}"
                           f"{'' if row['correct'] else '  INCORRECT'}", flush=True)
-                    record(opts.smoke, commit, side, opts.workload, seed, row)
+                    record(opts.smoke, commit, side, opts.workload, seed, row,
+                           **flag)
             summarize(spec["end_to_end"], seed, rows["parent"], rows["change"])
         layers = {}
         for side, (tree, commit) in sides.items():
@@ -222,7 +235,7 @@ def main() -> int:
                 trace=1))
             ok &= layers[side]["correct"]
             record(opts.smoke, commit, side, opts.workload, seeds[0],
-                   layers[side], trace=1)
+                   layers[side], trace=1, **flag)
         layer_table(spec["per_layer"], seeds[0], layers["parent"], layers["change"])
     finally:
         shutil.rmtree(BUILD, ignore_errors=True)

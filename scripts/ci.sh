@@ -30,6 +30,8 @@ cd "$(dirname "$0")/.."
 python -m pytest -x -q
 python -m pytest benchmarks/e2e -q
 python scripts/ab_pairs.py --parent HEAD --workload paper_sweep --pairs 1 --smoke
+python scripts/ab_pairs.py --parent HEAD --workload paper_sweep --pairs 1 --smoke \
+    --control
 python scripts/smoke_trace.py
 
 tmp="$(mktemp -d)"
@@ -78,7 +80,12 @@ echo "rotor-acoustics smoke: OK"
 # (resolution 12, seed 0) to its first subdivision past 300 000 tets and
 # holds every array tests/adapt/test_refine_digest.py pins to what a
 # TetMesh.from_elems rebuild of the same elements gives (the mesh) and to
-# the reference subdivision, which sorts every child edge (provenance).
+# the reference subdivision, which sorts every child edge (provenance,
+# derived by tests/fixtures.py::refine_provenance from the mesh the step
+# started from, which the loop keeps itself).  Then the whole newest
+# level is coarsened: the adaptor keeps no mesh of a level, so this
+# replays the subdivisions beneath it, and the result must equal the
+# kept mesh and the forest weights before the step.
 # On the last mesh the chain solves (~1.9e5 tets), the blocked solver's
 # normals and five-step state must equal the AoS solver's
 # (tests/kernels/test_solver_equiv.py), which tier-1 runs only on meshes
@@ -93,6 +100,7 @@ from repro.mesh import TetMesh, rotor_domain_mesh
 from repro.parallel import SP2_1997
 from repro.solver import EulerSolver, rotor_acoustics_field, speed_indicator
 from tests.adapt.test_refine_digest import MESH_ARRAYS, PROVENANCE
+from tests.fixtures import refine_provenance
 from tests.kernels.oracles import reference_kernels
 from tests.kernels.test_solver_equiv import AosSolver
 
@@ -108,26 +116,38 @@ while adaptive.mesh.ne < 300_000:
     flow = EulerSolver(adaptive.mesh, q_in)
     flow.run(5, cfl=0.4)
     adaptive.solution = flow.q
+    before = adaptive.mesh
+    weights = adaptive.wcomp(), adaptive.wremap()
     solver.adapt_step(edge_error=speed_indicator(adaptive.mesh, flow.q),
                       refine_frac=0.08)
-step = adaptive.steps[-1]
-got = step.result
-rebuilt = TetMesh.from_elems(got.mesh.coords, got.mesh.elems)
+got, marking = adaptive.mesh, adaptive.steps[-1].marking
+rebuilt = TetMesh.from_elems(got.coords, got.elems)
 for name in MESH_ARRAYS:
-    assert np.array_equal(getattr(got.mesh, name), getattr(rebuilt, name)), name
-assert np.array_equal(canonical_signature(got.mesh),
-                      canonical_signature(rebuilt))
+    assert np.array_equal(getattr(got, name), getattr(rebuilt, name)), name
+assert np.array_equal(canonical_signature(got), canonical_signature(rebuilt))
 with reference_kernels():
-    ref = subdivide(step.mesh_before, step.marking,
-                    solution=step.solution_before)
+    ref = subdivide(before, marking, solution=flow.q)
+assert np.array_equal(adaptive.solution, ref.solution)
+prov, ref_prov = (refine_provenance(before, marking, m) for m in (got, ref.mesh))
 for name in PROVENANCE:
-    assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-print(f"refined {step.mesh_before.ne} -> {got.mesh.ne} tets")
+    assert np.array_equal(getattr(prov, name), getattr(ref_prov, name)), name
+print(f"refined {before.ne} -> {got.ne} tets")
 aos = AosSolver(flow.mesh, q_in)
 assert np.array_equal(flow.normals, aos.normals)
 aos.run(5, cfl=0.4)
 assert np.array_equal(flow.q, aos.q)
 print(f"solved {flow.mesh.ne} tets: normals and q equal the AoS solver's")
+# coarsening the whole newest level replays every level beneath it from
+# the initial mesh and must give back the mesh and weights before it
+del aos, ref, prov, ref_prov, rebuilt, flow
+levels = len(adaptive.steps)
+assert adaptive.coarsen(np.ones(got.nedges, dtype=bool)).changed
+for name in MESH_ARRAYS:
+    assert np.array_equal(getattr(adaptive.mesh, name), getattr(before, name)), name
+assert np.array_equal(adaptive.wcomp(), weights[0])
+assert np.array_equal(adaptive.wremap(), weights[1])
+print(f"coarsened {got.ne} -> {adaptive.mesh.ne} tets, "
+      f"{levels - 1} levels replayed")
 EOF
 echo "refinement scale check: OK"
 

@@ -2,8 +2,9 @@
 
 :class:`AdaptiveMesh` owns the current computational mesh, the per-initial-
 element refinement forest, the optional vertex solution, and the step
-history needed by the reverse-order coarsening rule.  The load-balancing
-framework (paper Fig. 1) interposes between :meth:`mark` and :meth:`refine`:
+history the reverse-order coarsening rule needs: each level's marking and
+the solution it refined.  The load-balancing framework (paper Fig. 1)
+interposes between :meth:`mark` and :meth:`refine`:
 after marking, the predicted dual-graph weights are known, so the mesh can
 be repartitioned and remapped *before* it grows.
 """
@@ -26,14 +27,18 @@ __all__ = ["AdaptiveMesh"]
 
 @dataclass
 class _Step:
-    mesh_before: TetMesh
-    solution_before: np.ndarray | None
     marking: MarkingResult
-    result: RefineResult
+    solution_before: np.ndarray | None
 
 
 class AdaptiveMesh:
-    """An adaptively refined tetrahedral mesh with full provenance.
+    """An adaptively refined tetrahedral mesh and its refinement history.
+
+    ``steps`` holds one entry per refinement level: the marking fixpoint
+    the level subdivided by and the solution it refined.  A level's
+    meshes are not kept: ``subdivide`` is deterministic, so
+    :meth:`coarsen` rebuilds the mesh beneath the newest level by
+    replaying the kept markings from ``initial_mesh``.
 
     Parameters
     ----------
@@ -86,10 +91,8 @@ class AdaptiveMesh:
     def refine(self, marking: MarkingResult) -> RefineResult:
         """Subdivide the current mesh according to ``marking``."""
         result = subdivide(self.mesh, marking, solution=self.solution)
-        self.steps.append(
-            _Step(self.mesh, self.solution, marking, result)
-        )
-        self.forest.record_refinement(result.parent, result.child_count)
+        self.steps.append(_Step(marking, self.solution))
+        self.forest.record_refinement(result.child_count)
         self.mesh = result.mesh
         self.solution = result.solution
         return result
@@ -111,10 +114,13 @@ class AdaptiveMesh:
                 elements_removed=0,
             )
         last = self.steps[-1]
+        mesh_before = self.initial_mesh  # replayed: subdivide is deterministic
+        for step in self.steps[:-1]:
+            mesh_before = subdivide(mesh_before, step.marking).mesh
         report = peel_last_level(
-            last.mesh_before,
+            mesh_before,
             last.marking,
-            last.result,
+            self.mesh,
             coarsen_mask,
             solution_before=last.solution_before,
         )
@@ -122,20 +128,15 @@ class AdaptiveMesh:
             assert report.new_marking is not None and report.new_result is not None
             self.forest.pop_level()
             if report.new_marking.edge_marked.any():
-                self.steps[-1] = _Step(
-                    last.mesh_before, last.solution_before,
-                    report.new_marking, report.new_result,
-                )
-                self.forest.record_refinement(
-                    report.new_result.parent, report.new_result.child_count
-                )
+                self.steps[-1] = _Step(report.new_marking, last.solution_before)
+                self.forest.record_refinement(report.new_result.child_count)
                 self.mesh = report.new_result.mesh
                 self.solution = report.new_result.solution
             else:
                 # the whole level was undone: drop it from the history so a
                 # later coarsen can reach the level beneath (reverse order)
                 self.steps.pop()
-                self.mesh = last.mesh_before
+                self.mesh = mesh_before
                 self.solution = last.solution_before
         return report
 

@@ -53,7 +53,7 @@ class CoarsenReport:
 def peel_last_level(
     mesh_before,
     last_marking: MarkingResult,
-    last_result: RefineResult,
+    cur_mesh,
     coarsen_mask: np.ndarray,
     solution_before: np.ndarray | None = None,
 ) -> CoarsenReport:
@@ -63,13 +63,18 @@ def peel_last_level(
     ----------
     mesh_before:
         The mesh *before* the last refinement step.
-    last_marking / last_result:
-        The marking fixpoint and subdivision result of that step.
+    last_marking:
+        The marking fixpoint that step subdivided ``mesh_before`` by.
+    cur_mesh:
+        The mesh that step made (``subdivide(mesh_before, last_marking)``).
     coarsen_mask:
         Boolean mask over the *current* (refined) mesh's edges targeting
         edges for removal.
+
+    The halves of a bisected edge ``(a, b)`` are ``(a, m)`` and ``(b, m)``
+    (midpoints are numbered after the old vertices, in edge order): one
+    search of ``cur_mesh``'s sorted edge keys finds them.
     """
-    cur_mesh = last_result.mesh
     coarsen_mask = np.asarray(coarsen_mask, dtype=bool)
     if coarsen_mask.shape != (cur_mesh.nedges,):
         raise ValueError(
@@ -78,7 +83,11 @@ def peel_last_level(
         )
 
     bisected = np.flatnonzero(last_marking.edge_marked)
-    halves = last_result.edge_children[bisected]  # (nb, 2) current-mesh edge ids
+    nv = cur_mesh.nv
+    mid = mesh_before.nv + np.arange(bisected.size)
+    keys = cur_mesh.edges[:, 0] * nv + cur_mesh.edges[:, 1]
+    # (nb, 2) current-mesh edge ids of the halves (a, m) and (b, m)
+    halves = np.searchsorted(keys, mesh_before.edges[bisected] * nv + mid[:, None])
     # sibling rule: undo only if both half-edges are targeted
     undo = coarsen_mask[halves[:, 0]] & coarsen_mask[halves[:, 1]]
     n_candidates = int(undo.sum())

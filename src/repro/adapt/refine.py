@@ -15,9 +15,12 @@ independently:
 
 Subdivision is vectorized by grouping elements over the 14 concrete cases
 (6 edges × 1:2, 4 faces × 1:4, 3 diagonals × 1:8, plus unrefined).  The
-result records full provenance — parent element, midpoint vertex per
-bisected edge, child edges of each bisected edge — which the refinement
-forest and the coarsening procedure consume.
+result keeps the refined mesh, each element's child count (all the
+refinement forest reads) and the carried solution.  Children are numbered
+parent-major and midpoints in bisected-edge order, so a reader that needs
+more provenance derives it from the marking and the two meshes: the
+coarsening procedure finds the half-edges of each bisected edge by
+searching the refined mesh's sorted edge keys.
 """
 
 from __future__ import annotations
@@ -172,36 +175,24 @@ _FACE_SPLITS = {0: [[0, 1, 2]], 1: [[0, 3, 2], [3, 1, 2]],
 
 @dataclass(frozen=True)
 class RefineResult:
-    """Provenance of one subdivision step.
+    """What one subdivision step leaves behind.
 
     Attributes
     ----------
     mesh:
         The refined mesh (fresh connectivity; vertex ids 0..nv_old-1 are the
-        old vertices, the rest are edge midpoints).
-    parent:
-        ``(ne_new,)`` old element id of each new element.
+        old vertices, the rest are the midpoints of the bisected old edges
+        in edge order).  Its elements are parent-major: old element ``i``'s
+        children are the ``child_count[i]`` rows after those of ``i - 1``.
     child_count:
         ``(ne_old,)`` number of children per old element (1 = unrefined).
-    midpoint_of:
-        ``(nedges_old,)`` new vertex id of each bisected old edge, -1 else.
-    edge_children:
-        ``(nedges_old, 2)`` ids *in the new mesh* of the two half-edges of
-        each bisected old edge ((a, m) then (m, b)), -1 rows otherwise.
-    edge_survivor:
-        ``(nedges_old,)`` id in the new mesh of each unbisected old edge,
-        -1 for bisected ones.
     solution:
         Vertex solution carried to the new mesh (midpoints linearly
         interpolated), or None if no solution was supplied.
     """
 
     mesh: TetMesh
-    parent: np.ndarray
     child_count: np.ndarray
-    midpoint_of: np.ndarray
-    edge_children: np.ndarray
-    edge_survivor: np.ndarray
     solution: np.ndarray | None
 
     @property
@@ -246,10 +237,8 @@ def subdivide(
     if not np.array_equal(spelled, patterns):
         raise ValueError("edge_marked disagrees with patterns")
 
-    new_elems, edges, edge_children, edge_survivor = _assemble_children(
-        mesh, midpoint_of, patterns, new_coords)
+    new_elems, edges = _assemble_children(mesh, midpoint_of, patterns, new_coords)
     child_count = NUM_CHILDREN[patterns]
-    parent = np.repeat(np.arange(mesh.ne), child_count)
     # right-handed children, the parent's edges and boundary split: no sort
     new_mesh = TetMesh.from_elems(new_coords, new_elems, orient=False,
                                   bnd_faces=_split_boundary(mesh, midpoint_of),
@@ -268,15 +257,8 @@ def subdivide(
         )
         new_solution = np.concatenate([solution, mid_sol])
 
-    return RefineResult(
-        mesh=new_mesh,
-        parent=parent,
-        child_count=child_count,
-        midpoint_of=midpoint_of,
-        edge_children=edge_children,
-        edge_survivor=edge_survivor,
-        solution=new_solution,
-    )
+    return RefineResult(mesh=new_mesh, child_count=child_count,
+                        solution=new_solution)
 
 
 def _split_boundary(mesh: TetMesh, midpoint_of: np.ndarray) -> np.ndarray:
@@ -309,7 +291,7 @@ def _shortest_diagonals(
 
 
 #: Parents per block of a case's assembly, which bounds its temporaries.
-_BLOCK = 1 << 13
+_BLOCK = 1 << 12
 
 
 def _assemble_children(
@@ -317,13 +299,12 @@ def _assemble_children(
     midpoint_of: np.ndarray,
     patterns: np.ndarray,
     new_coords: np.ndarray,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The children, parent-major, and their edge table from the parent's.
 
-    Returns ``(elems, (edges, elem2edge), edge_children, edge_survivor)``,
-    what ``build_edges`` and a search of its table would give (DESIGN.md
-    §9).  Each case's parents gather their 10-wide rows ``[corners,
-    midpoints]``; a table gather gives their children, written at each
+    Returns ``(elems, (edges, elem2edge))``, what ``build_edges`` would
+    give (DESIGN.md §9).  Each case's parents gather their 10-wide rows
+    ``[corners, midpoints]``; a table gather gives their children, written at each
     parent's first child row.  A child edge is coded through its parent:
     ``3·e`` for the parent's edge ``e`` whole, ``3·e + 1`` / ``+ 2`` for
     its half at the lower / higher end, or ``3·ne_old`` plus its slot among
@@ -380,15 +361,18 @@ def _assemble_children(
     edges = np.empty((at.size, 2), dtype=np.int64)
     edges[at[: kept.size]] = old
     del old
-    edges[at[kept.size:], 0], edges[at[kept.size:], 1] = np.divmod(new, nv)
+    edges[at[kept.size:], 0] = new // nv
+    edges[at[kept.size:], 1] = np.remainder(new, nv, out=new)
     del new
-    ids = np.full(3 * n_old + nkeys, -1, dtype=np.int64)
+    np.take(at[kept.size:], inv, out=inv, mode="clip")  # slots to ids, in place
+    ids = np.full(3 * n_old, -1, dtype=np.int64)
     ids[3 * kept] = at[: kept.size]
-    np.take(at[kept.size:], inv, out=ids[3 * n_old:], mode="clip")  # unbuffered
-    del at, inv
-    ids[3 * marked + 1] = ids[3 * n_old:][: marked.size]
-    ids[3 * marked + 2] = ids[3 * n_old + marked.size:][: marked.size]
+    del at
+    ids[3 * marked + 1] = inv[: marked.size]
+    ids[3 * marked + 2] = inv[marked.size: 2 * marked.size]
     for lo in range(0, code.shape[0], _BLOCK):  # codes to ids, in place
-        code[lo: lo + _BLOCK] = ids[code[lo: lo + _BLOCK]]
-    per_edge = ids[: 3 * n_old].reshape(-1, 3)
-    return elems, (edges, code), per_edge[:, 1:].copy(), per_edge[:, 0].copy()
+        block = code[lo: lo + _BLOCK]
+        fresh = block >= 3 * n_old
+        block[~fresh] = ids[block[~fresh]]
+        block[fresh] = inv[block[fresh] - 3 * n_old]
+    return elems, (edges, code)

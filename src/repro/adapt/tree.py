@@ -24,7 +24,6 @@ __all__ = ["RefinementForest"]
 
 @dataclass
 class _Level:
-    parent: np.ndarray  # (ne_new,) previous-mesh element id per new element
     child_count: np.ndarray  # (ne_prev,)
     root_before: np.ndarray  # (ne_prev,) root-of-element before this level
 
@@ -46,9 +45,9 @@ class RefinementForest:
 
     # --- updates ---------------------------------------------------------------
 
-    def record_refinement(self, parent: np.ndarray, child_count: np.ndarray) -> None:
-        """Append one refinement level (from a ``RefineResult``)."""
-        parent = np.asarray(parent, dtype=np.int64)
+    def record_refinement(self, child_count: np.ndarray) -> None:
+        """Append one refinement level (a ``RefineResult``'s
+        ``child_count``: children are numbered parent-major)."""
         child_count = np.asarray(child_count, dtype=np.int64)
         if child_count.shape != self.root_of_elem.shape:
             raise ValueError(
@@ -56,13 +55,12 @@ class RefinementForest:
                 f"{self.root_of_elem.shape}"
             )
         self.levels.append(
-            _Level(parent=parent, child_count=child_count,
-                   root_before=self.root_of_elem)
+            _Level(child_count=child_count, root_before=self.root_of_elem)
         )
         dl, dn = self._deltas(self.root_of_elem, child_count)
         self.n_leaves += dl
         self.n_nodes += dn
-        self.root_of_elem = self.root_of_elem[parent]
+        self.root_of_elem = np.repeat(self.root_of_elem, child_count)
 
     def pop_level(self) -> None:
         """Undo the most recent refinement level's bookkeeping."""

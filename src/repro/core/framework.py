@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.adapt.adaptor import AdaptiveMesh
 from repro.adapt.marking import MarkingResult
+from repro.adapt.patterns import NUM_CHILDREN
 from repro.mesh.tetmesh import TetMesh
 from repro.obs import Tracer, current_tracer, maybe_phase
 from repro.parallel.backends import backend_factory
@@ -296,11 +297,12 @@ class LoadBalancedAdaptiveSolver:
         self, report: StepReport, marking: MarkingResult, tracer: Tracer | None
     ) -> None:
         with maybe_phase(tracer, "subdivision") as sp:
-            owner = self.elem_owner()
-            result = self.adaptive.refine(marking)
+            # priced from the marking: the owner map is gone before the mesh grows
             report.subdivision_time = price_subdivision(
-                owner, result.child_count, self.nproc, self.machine
+                self.elem_owner(), NUM_CHILDREN[marking.patterns],
+                self.nproc, self.machine,
             ).makespan
+            result = self.adaptive.refine(marking)
             if tracer is not None:
                 tracer.advance(report.subdivision_time)
                 sp.attrs["growth_factor"] = result.growth_factor

@@ -12,7 +12,13 @@ from repro.adapt import (
 )
 from repro.mesh import box_mesh, tet_volumes
 
-from tests.fixtures import aspect_ratios, check_mesh, single_tet, two_tets
+from tests.fixtures import (
+    aspect_ratios,
+    check_mesh,
+    refine_provenance,
+    single_tet,
+    two_tets,
+)
 
 
 def refine_mask(mesh, mask):
@@ -32,7 +38,7 @@ def test_1to2_single_tet():
     assert res.mesh.ne == 2
     assert res.mesh.nv == 5
     assert res.child_count.tolist() == [2]
-    assert res.parent.tolist() == [0, 0]
+    assert refine_provenance(m, marking, res.mesh).parent.tolist() == [0, 0]
     assert res.growth_factor == 2.0
     check_mesh(res.mesh)
     assert res.mesh.volumes().sum() == pytest.approx(m.volumes().sum())
@@ -102,27 +108,36 @@ def test_conformity_no_hanging_nodes():
 
 
 def test_children_grouped_by_parent():
+    """Children are numbered parent-major: each lies inside the parent
+    its place in the element table names."""
     m = two_tets()
-    res, _ = refine_mask(m, np.ones(m.nedges, dtype=bool))
-    assert np.all(np.diff(res.parent) >= 0)
+    res, marking = refine_mask(m, np.ones(m.nedges, dtype=bool))
+    parent = refine_provenance(m, marking, res.mesh).parent
+    assert np.all(np.diff(parent) >= 0)
+    centroids = res.mesh.coords[res.mesh.elems].mean(axis=1)
+    corners = m.coords[m.elems[parent]]
+    bary = np.linalg.solve((corners[:, 1:] - corners[:, :1]).transpose(0, 2, 1),
+                           (centroids - corners[:, 0])[..., None])[..., 0]
+    assert np.all(bary > 0) and np.all(bary.sum(axis=1) < 1)
 
 
 def test_edge_provenance():
     m = single_tet()
     res, marking = refine_mask(m, mask_for_edges(m, [0]))
     new = res.mesh
+    prov = refine_provenance(m, marking, new)
     # bisected edge 0 = (0,1), midpoint vertex 4
-    assert res.midpoint_of[0] == 4
-    c0, c1 = res.edge_children[0]
+    assert prov.midpoint_of[0] == 4
+    c0, c1 = prov.edge_children[0]
     assert sorted(new.edges[c0].tolist()) == [0, 4]
     assert sorted(new.edges[c1].tolist()) == [1, 4]
     # unbisected edges survive with matching vertex pairs
     for e in range(1, 6):
-        s = res.edge_survivor[e]
+        s = prov.edge_survivor[e]
         assert s >= 0
         assert np.array_equal(new.edges[s], m.edges[e])
-    assert res.edge_survivor[0] == -1
-    assert np.all(res.edge_children[1:] == -1)
+    assert prov.edge_survivor[0] == -1
+    assert np.all(prov.edge_children[1:] == -1)
 
 
 def test_solution_interpolation():

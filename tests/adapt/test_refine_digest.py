@@ -4,9 +4,10 @@ The rotor case at resolution 4 goes through three adapt cycles (mark the
 top 10 % of edges by the speed indicator, then subdivide).  Each cycle
 gets one 16-hex ``blake2b`` digest of the refined ``TetMesh``'s arrays
 (``coords``, ``elems``, ``edges``, ``elem2edge``, ``bnd_faces`` and
-``dual_pairs``), the ``RefineResult``'s provenance (``parent``,
-``child_count``, ``midpoint_of``, ``edge_children``, ``edge_survivor``)
-and its ``canonical_signature``.  A second digest per cycle covers the
+``dual_pairs``), the subdivision's provenance (``parent``,
+``child_count``, ``midpoint_of``, ``edge_children``, ``edge_survivor``,
+derived by ``tests.fixtures.refine_provenance`` from the mesh before,
+the marking and the refined mesh) and its ``canonical_signature``.  A second digest per cycle covers the
 local meshes ``parallel_refine`` makes of the same marking at P = 4 on a
 slab partition, whose boundaries include the cut faces.  A failure names
 the cycle that moved.
@@ -26,6 +27,8 @@ from repro.dist import decompose
 from repro.dist.refine_exec import canonical_signature, parallel_refine
 from repro.mesh import rotor_domain_mesh
 from repro.solver import rotor_acoustics_field, speed_indicator
+
+from tests.fixtures import refine_provenance
 
 RESOLUTION = 4
 CYCLES = 3
@@ -84,8 +87,9 @@ def _computed():
         par = parallel_refine(cur, decompose(cur, _slabs(cur, NPROC), NPROC),
                               marking)
         res = adaptive.refine(marking)
+        prov = refine_provenance(cur, marking, res.mesh)
         digests["global", cycle] = _digest(
-            _mesh_arrays(res.mesh) + [getattr(res, name) for name in PROVENANCE]
+            _mesh_arrays(res.mesh) + [getattr(prov, name) for name in PROVENANCE]
         )
         digests["local", cycle] = _digest(
             [a for m in par.local_meshes for a in _mesh_arrays(m)]

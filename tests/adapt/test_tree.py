@@ -82,4 +82,4 @@ def test_pop_level_restores_weights():
 def test_record_shape_check():
     f = RefinementForest(3)
     with pytest.raises(ValueError):
-        f.record_refinement(np.array([0, 1]), np.array([1, 1, 1, 1]))
+        f.record_refinement(np.array([1, 1, 1, 1]))

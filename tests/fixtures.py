@@ -1,7 +1,8 @@
 """Building blocks the tests share and no product code uses.
 
 The smallest tetrahedral meshes, the structural invariant checks of a
-global and a rank-local mesh, an element-quality measure, the analytic
+global and a rank-local mesh, a subdivision's provenance, an
+element-quality measure, the analytic
 flow fields the solver, adaptor and framework tests start from, the causal
 record of one traced ``RunResult`` or tracer (and the stride-6 arrays the
 halo digests are pinned on, and a phase's payload traffic), the partition
@@ -15,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.adapt.patterns import NUM_CHILDREN
 from repro.dist.localmesh import LocalMesh
 from repro.mesh.build import build_faces
 from repro.mesh.geometry import tet_volumes
@@ -95,6 +97,50 @@ def check_local_mesh(local: LocalMesh, global_mesh: TetMesh) -> None:
         assert local.rank not in spl
         assert np.all(np.diff(spl) > 0)
         assert bool(local.vert_shared[v]) == (spl.size > 0)
+
+
+class Provenance(NamedTuple):
+    """Where each piece of a refined mesh came from, per
+    :func:`refine_provenance`."""
+
+    parent: np.ndarray  #: (ne_new,) old element id of each new element
+    child_count: np.ndarray  #: (ne_old,) children per old element
+    midpoint_of: np.ndarray  #: (nedges_old,) midpoint vertex id, -1 if whole
+    #: (nedges_old, 2) new ids of the halves (a, m) then (m, b), -1 rows if whole
+    edge_children: np.ndarray
+    edge_survivor: np.ndarray  #: (nedges_old,) new id of a whole edge, -1 else
+
+
+def refine_provenance(mesh_before: TetMesh, marking, refined: TetMesh) -> Provenance:
+    """Derive the provenance of ``refined = subdivide(mesh_before,
+    marking).mesh`` from the three: children are numbered parent-major,
+    midpoints after the old vertices in bisected-edge order, and every
+    half or surviving edge is found in ``refined``'s sorted edge table."""
+    child_count = NUM_CHILDREN[np.asarray(marking.patterns, dtype=np.int64)]
+    assert child_count.sum() == refined.ne
+    parent = np.repeat(np.arange(mesh_before.ne), child_count)
+    marked = np.flatnonzero(marking.edge_marked)
+    kept = np.flatnonzero(~np.asarray(marking.edge_marked, dtype=bool))
+    midpoint_of = np.full(mesh_before.nedges, -1, dtype=np.int64)
+    midpoint_of[marked] = mesh_before.nv + np.arange(marked.size)
+    nv = refined.nv
+    table = refined.edges[:, 0] * nv + refined.edges[:, 1]
+
+    def lookup(a, b):
+        keys = np.minimum(a, b) * nv + np.maximum(a, b)
+        pos = np.searchsorted(table, keys)
+        assert np.array_equal(table[np.minimum(pos, table.size - 1)], keys), \
+            "every half and survivor is an edge of the refined mesh"
+        return pos
+
+    (a, b), m = mesh_before.edges[marked].T, midpoint_of[marked]
+    edge_children = np.full((mesh_before.nedges, 2), -1, dtype=np.int64)
+    edge_children[marked, 0] = lookup(a, m)
+    edge_children[marked, 1] = lookup(m, b)
+    edge_survivor = np.full(mesh_before.nedges, -1, dtype=np.int64)
+    edge_survivor[kept] = lookup(*mesh_before.edges[kept].T)
+    return Provenance(parent, child_count, midpoint_of, edge_children,
+                      edge_survivor)
 
 
 def aspect_ratios(coords: np.ndarray, elems: np.ndarray) -> np.ndarray:

@@ -23,9 +23,8 @@ lives here, unchanged, as the oracle it must match bit for bit:
   :func:`csr_ptr_reference` — ``np.add.at`` where the product counts
   with ``np.bincount``;
 * :func:`assemble_children_reference` — one column stack per child,
-  grouped by parent by a stable sort, and ``build_edges`` with a search of
-  its table where the product derives the children's edges from the
-  parent's;
+  grouped by parent by a stable sort, and ``build_edges`` where the
+  product derives the children's edges from the parent's;
 * :func:`marking_schedule_reference` — the marking loop re-run with its
   per-round charging in line (a touch mask and a per-edge loop over SPL
   rank pairs each round, :func:`charge_shared_exchange_reference`),
@@ -742,8 +741,7 @@ def assemble_children_reference(
     the orientation pass ``TetMesh.from_elems`` made on every refined mesh
     before the child tables came out right-handed, a stable sort grouping
     the children by parent, then the rebuild the product derives instead:
-    ``build_edges`` over every child, and each parent edge's pieces looked
-    up in its table."""
+    ``build_edges`` over every child."""
     ev = mesh.elems
     em = midpoint_of[mesh.elem2edge]
     chunks: list[np.ndarray] = [np.empty((0, 4), dtype=np.int64)]
@@ -827,25 +825,7 @@ def assemble_children_reference(
 
     order = np.argsort(np.concatenate(parents), kind="stable")
     elems = fix_orientation(new_coords, np.concatenate(chunks))[order]
-    nv = new_coords.shape[0]
-    edges, elem2edge = build_edges(elems, nv)
-    table = edges[:, 0] * nv + edges[:, 1]
-
-    def lookup(a, b):
-        keys = np.minimum(a, b) * nv + np.maximum(a, b)
-        pos = np.searchsorted(table, keys)
-        assert np.array_equal(table[pos], keys), "every piece is an edge"
-        return pos
-
-    marked = np.flatnonzero(midpoint_of >= 0)
-    kept = np.flatnonzero(midpoint_of < 0)
-    a, b, m = mesh.edges[marked, 0], mesh.edges[marked, 1], midpoint_of[marked]
-    edge_children = np.full((mesh.nedges, 2), -1, dtype=np.int64)
-    edge_children[marked, 0] = lookup(a, m)
-    edge_children[marked, 1] = lookup(m, b)
-    edge_survivor = np.full(mesh.nedges, -1, dtype=np.int64)
-    edge_survivor[kept] = lookup(mesh.edges[kept, 0], mesh.edges[kept, 1])
-    return elems, (edges, elem2edge), edge_children, edge_survivor
+    return elems, build_edges(elems, new_coords.shape[0])
 
 
 # --- core/phases.py: the marking schedule -------------------------------------

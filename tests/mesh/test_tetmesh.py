@@ -187,10 +187,12 @@ def test_subdivide_peak_memory_per_element():
 
 
 #: ``subdivide``'s transient bytes per child tet — its ``tracemalloc`` peak
-#: less what it retains (the refined mesh, provenance and solution) — on
-#: the resolution-6 rotor's third adapt cycle (53 231 → 126 420 tets):
-#: 29.4 B measured with the child edges derived from the parent's, 124.3 B
-#: while ``build_edges`` sorted every child edge; bound at 40.
+#: less what it retains (the refined mesh and solution) — on the
+#: resolution-6 rotor's third adapt cycle (53 231 → 126 420 tets): 124.3 B
+#: while ``build_edges`` sorted every child edge, 29.4 B with the child
+#: edges derived from the parent's and the provenance retained, 38.9 B
+#: since the provenance left (the peak itself fell 166.9 → 152.4 B per
+#: child, what it retains 137.5 → 113.5 B); bound at 40.
 SUBDIVIDE_TRANSIENT_BYTES_PER_CHILD = 40
 
 
