@@ -11,7 +11,7 @@ be repartitioned and remapped *before* it grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,11 +31,21 @@ class _Step:
     solution_before: np.ndarray | None
 
 
+def _kept(marking: MarkingResult) -> MarkingResult:
+    """What a level keeps of its marking: the ``edge_marked`` and
+    ``patterns`` coarsening reads, the patterns as ``uint8`` (a pattern is
+    six bits), and no ``edge_round``, which only the marking phase's
+    pricing reads.  The caller's object keeps every field."""
+    return replace(marking, patterns=marking.patterns.astype(np.uint8),
+                   edge_round=None)
+
+
 class AdaptiveMesh:
     """An adaptively refined tetrahedral mesh and its refinement history.
 
     ``steps`` holds one entry per refinement level: the marking fixpoint
-    the level subdivided by and the solution it refined.  A level's
+    the level subdivided by (its edge mask and ``uint8`` patterns) and
+    the solution it refined.  A level's
     meshes are not kept: ``subdivide`` is deterministic, so
     :meth:`coarsen` rebuilds the mesh beneath the newest level by
     replaying the kept markings from ``initial_mesh``.
@@ -91,7 +101,7 @@ class AdaptiveMesh:
     def refine(self, marking: MarkingResult) -> RefineResult:
         """Subdivide the current mesh according to ``marking``."""
         result = subdivide(self.mesh, marking, solution=self.solution)
-        self.steps.append(_Step(marking, self.solution))
+        self.steps.append(_Step(_kept(marking), self.solution))
         self.forest.record_refinement(result.child_count)
         self.mesh = result.mesh
         self.solution = result.solution
@@ -128,7 +138,8 @@ class AdaptiveMesh:
             assert report.new_marking is not None and report.new_result is not None
             self.forest.pop_level()
             if report.new_marking.edge_marked.any():
-                self.steps[-1] = _Step(report.new_marking, last.solution_before)
+                self.steps[-1] = _Step(_kept(report.new_marking),
+                                       last.solution_before)
                 self.forest.record_refinement(report.new_result.child_count)
                 self.mesh = report.new_result.mesh
                 self.solution = report.new_result.solution

@@ -66,9 +66,12 @@ class StepReport:
 
     Every ``*_time`` field is **modelled virtual seconds** on the active
     :class:`~repro.parallel.machine.MachineModel` — the clock all of the
-    paper's figures are plotted in.  Host wall-clock measurements carry an
-    explicit ``wall`` in their name (:attr:`reassign_wall_seconds`) and
-    are never mixed into :attr:`total_time`.  These fields are the one
+    paper's figures are plotted in — except :attr:`remap_time` on a real
+    backend (``"multiprocessing"``, ``"shm"``), where it is the measured
+    wall makespan of the remap's rank programs.  Host wall-clock
+    measurements of the balancer itself carry an explicit ``wall`` in
+    their name (:attr:`reassign_wall_seconds`) and are never mixed into
+    :attr:`total_time`.  These fields are the one
     record of the step's phase seconds: :meth:`phase_times` returns them,
     and an ambient tracer's phase spans advance its clock by them.
     """
@@ -87,7 +90,7 @@ class StepReport:
     decision: Decision | None = None
     stats: RemapStats | None = None
     remap: RemapExecution | None = None
-    marking: MarkingResult | None = None
+    marking: MarkingResult | None = None  #: as the adaptor keeps it: no edge_round
     growth_factor: float = 1.0
     mesh_sizes: dict = field(default_factory=dict)
 
@@ -98,8 +101,11 @@ class StepReport:
 
     @property
     def total_time(self) -> float:
-        """Virtual seconds of the whole step: adaption + every load-balancer
-        phase (partitioning, §4.3 gather/scatter, reassignment, remapping)."""
+        """Seconds of the whole step: adaption + every load-balancer phase
+        (partitioning, §4.3 gather/scatter, reassignment, remapping).  All
+        virtual on the ``"virtual"`` backend; on a real backend the sum
+        adds the measured wall remap to the other phases' virtual
+        seconds."""
         return (
             self.adaption_time
             + self.partition_time
@@ -263,7 +269,6 @@ class LoadBalancedAdaptiveSolver:
                     sp.attrs.update(
                         edges_marked=edges_marked, iterations=marking.iterations
                     )
-            report.marking = marking
 
             wcomp_pred, _wremap_pred = self.adaptive.predicted_weights(marking)
             report.imbalance_before = load_imbalance(
@@ -306,6 +311,9 @@ class LoadBalancedAdaptiveSolver:
             if tracer is not None:
                 tracer.advance(report.subdivision_time)
                 sp.attrs["growth_factor"] = result.growth_factor
+        # the level's own slim copy, so the step's full marking (its
+        # edge_round, its int64 patterns) dies with the step
+        report.marking = self.adaptive.steps[-1].marking
         report.growth_factor = result.growth_factor
         report.mesh_sizes = self.adaptive.mesh.sizes()
 

@@ -13,8 +13,8 @@ A :class:`Tracer` records nestable :class:`Span` phases carrying both
 clocks, :class:`PointEvent` markers (``vm.run``, ``transport.spill``),
 and a labelled :class:`MetricsRegistry` of time-series samples keyed by
 ``(name, labels, cycle, rank)``.  Traced virtual-machine runs also
-record their happens-before DAG (:mod:`repro.obs.causal`) as the rows
-of one :class:`~repro.obs.causal.CausalRecord` per run; each operation's
+record their happens-before DAG (:mod:`repro.obs.causal`) as the
+columns of one :class:`~repro.obs.causal.CausalRecord` per run; each operation's
 :class:`~repro.obs.causal.CausalNode` and each message's
 :class:`~repro.obs.causal.CausalMsg` are derived from it, and
 :func:`analyze` reconstructs the virtual-time critical path, per-rank slack

@@ -1,8 +1,8 @@
 """Happens-before analysis of virtual-machine runs: critical paths, slack.
 
 The :class:`~repro.parallel.runtime.VirtualMachine` records every operation
-a rank executes, and every message, as the flat rows of a
-:class:`CausalRecord` — what it cannot derive — and
+a rank executes, and every message, in a :class:`CausalRecord` —
+what it cannot derive — and
 :meth:`CausalRecord.objects` derives a :class:`CausalNode` per operation
 — a half-open interval ``[t_start, t_end)`` of that rank's virtual clock
 — and a :class:`CausalMsg` per message, linking its send node to the
@@ -38,6 +38,7 @@ and the input to ``repro critical-path`` / ``repro diff``.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
@@ -59,17 +60,17 @@ __all__ = [
     "format_critical_path",
     "format_diff",
     "rank_stats",
-    "rows_of",
     "runs_from_tracer",
     "verify_makespans",
 ]
 
-#: Node kind per stored ``kind`` code (1 is unused): the codes the VM's
-#: op classes carry, so the scheduler stores them as they are.
+#: Node kind per ``kind`` code of the trace file (1 is unused): the codes
+#: the VM's op classes carry.  A record stores no kind: it derives the
+#: code from the sign of the node's ``msg`` slot.
 KIND_CODES = ("work", None, "send", "recv")
 WORK, SEND, RECV = 0, 2, 3
 
-#: A run's stored slots, in row and file order.  ``t_start`` and ``wait``
+#: A run's columns, in file order.  ``t_start`` and ``wait``
 #: (per node) and ``id`` (per message) are stored by a measured run only;
 #: a virtual run derives them.
 NODE_COLUMNS = ("kind", "rank", "msg", "t_end", "t_start", "wait")
@@ -119,16 +120,18 @@ class CausalMsg:
 class CausalRecord:
     """One run's happens-before record: the slots nothing derives.
 
-    ``rows`` holds one flat row per operation, in id order, as the
-    scheduler appends it: the ``kind`` code (:data:`KIND_CODES`), the
-    ``rank``, ``msg`` and ``t_end``.  Messages are numbered 0, 1, ... in
-    the order of their send nodes; ``msg`` is that number + 1 on a recv
-    (the send sequence the VM already holds, so it stores no new int)
-    and -1 on every other node.  ``msg_rows`` holds one row per message,
-    in that order: ``dst``, ``tag``, ``nwords``.  One ``list.extend`` per
-    row keeps the scheduler's recording as cheap, and its lists as few,
-    as they can be; the trace file stores the same slots as columns
-    (:meth:`columns`).
+    ``rows`` holds one flat ``rank, msg`` pair per operation, in id order,
+    as the scheduler appends it, and ``t_end`` the operation's end time,
+    unboxed in an ``array('d')``.  Messages are numbered 0, 1, ... in the
+    order of their send nodes; ``msg`` is that number + 1 on a recv (the
+    send sequence the VM already holds, so it stores no new int), 0 on a
+    send and -1 on work, so its sign is the node's kind
+    (:data:`KIND_CODES`).  ``msg_rows`` holds one row per message, in
+    that order: ``dst``, ``tag``, ``nwords``.  One ``list.extend`` and
+    one ``array.append`` per node keep the scheduler's recording as
+    cheap, and its containers as few, as they can be; the trace file
+    stores the same slots as columns (:meth:`columns`), ``kind`` among
+    them.
 
     A virtual run (``t_setup`` set) derives everything else, exactly as
     its scheduler computed it: a node starts where its rank's previous
@@ -137,80 +140,101 @@ class CausalRecord:
     scheduler's own float expression, which is +0.0 on a recv that did
     not wait; a message's id is its number.  A measured run
     (``t_setup`` None) also stores, per node, the ``t_start`` and
-    ``wait`` its clocks read and, per message, the ``id`` its rank gave
-    it.  :meth:`objects` is the one derivation, for a run recorded in
-    this process and for one read from a trace file alike.
+    ``wait`` its clocks read (two more ``array('d')`` columns) and, per
+    message, the ``id`` its rank gave it.  :meth:`objects` is the one
+    derivation, for a run recorded in this process and for one read
+    from a trace file alike.
     """
 
-    __slots__ = ("run", "t_setup", "rows", "msg_rows")
+    __slots__ = ("run", "t_setup", "rows", "t_end", "t_start", "wait",
+                 "msg_rows")
 
-    def __init__(self, t_setup: float | None, run: int = -1,
-                 rows: list | None = None, msg_rows: list | None = None):
+    def __init__(self, t_setup: float | None, run: int = -1):
         self.t_setup = t_setup
         self.run = run  #: assigned when the run ends
-        self.rows = [] if rows is None else rows
-        self.msg_rows = [] if msg_rows is None else msg_rows
+        self.rows: list[int] = []
+        self.t_end = array("d")
+        measured = t_setup is None
+        self.t_start = array("d") if measured else None
+        self.wait = array("d") if measured else None
+        self.msg_rows: list[int] = []
 
     @property
     def nnodes(self) -> int:
-        return len(self.rows) // (4 if self.t_setup is not None else 6)
+        return len(self.t_end)
 
     def columns(self) -> tuple[dict, dict]:
         """``(nodes, msgs)``: one list per column of :data:`NODE_COLUMNS`
-        and :data:`MSG_COLUMNS`, None where a virtual run derives it."""
-        n, m = (4, 3) if self.t_setup is not None else (6, 4)
-        return ({c: self.rows[i::n] if i < n else None
-                 for i, c in enumerate(NODE_COLUMNS)},
+        and :data:`MSG_COLUMNS`, None where a virtual run derives it.
+        ``kind`` is derived from the sign of the stored ``msg``, and the
+        ``msg`` column is -1 on every node but a recv."""
+        msg = self.rows[1::2]
+        m = 3 if self.t_setup is not None else 4
+        nodes = ([RECV if k > 0 else SEND if k == 0 else WORK for k in msg],
+                 self.rows[0::2], [k if k > 0 else -1 for k in msg],
+                 self.t_end.tolist(),
+                 None if m == 3 else self.t_start.tolist(),
+                 None if m == 3 else self.wait.tolist())
+        return (dict(zip(NODE_COLUMNS, nodes)),
                 {c: self.msg_rows[i::m] if i < m else None
                  for i, c in enumerate(MSG_COLUMNS)})
+
+    def load_columns(self, nodes: dict | None = None,
+                     msgs: dict | None = None) -> None:
+        """Store a ``nodes`` and/or ``msgs`` record's columns, as read
+        back from a trace file (:meth:`columns` inverted)."""
+        if nodes is not None:
+            self.rows = list(chain.from_iterable(zip(
+                nodes["rank"], [0 if k == SEND else m
+                                for k, m in zip(nodes["kind"], nodes["msg"])])))
+            self.t_end = array("d", nodes["t_end"])
+            if self.t_setup is None:
+                self.t_start = array("d", nodes["t_start"])
+                self.wait = array("d", nodes["wait"])
+        if msgs is not None:
+            self.msg_rows = list(chain.from_iterable(zip(
+                *(msgs[c] for c in MSG_COLUMNS if msgs[c] is not None))))
 
     def objects(self) -> tuple[list[CausalNode], list[CausalMsg]]:
         """The run's :class:`CausalNode` and :class:`CausalMsg` lists, in
         id order."""
         run = self.run
-        nd, ms = self.columns()
-        kind, rank, msg, t_end = nd["kind"], nd["rank"], nd["msg"], nd["t_end"]
+        rank, msg, t_end = self.rows[0::2], self.rows[1::2], self.t_end
         t_setup = self.t_setup
+        m = 3 if t_setup is not None else 4
+        rows = self.msg_rows
         if t_setup is None:
-            t_start, wait, ids = nd["t_start"], nd["wait"], ms["id"]
+            t_start, wait, ids = self.t_start, self.wait, rows[3::4]
         else:
-            t_start, wait, ids = [], [], range(len(ms["dst"]))
+            t_start, wait, ids = [], [], range(len(rows) // 3)
             last: dict[int, float] = {}
-            for k, r, e in zip(kind, rank, t_end):
+            for r, k, e in zip(rank, msg, t_end):
                 s = last.get(r, 0.0)
                 last[r] = e
                 t_start.append(s)
-                wait.append(e - (s + t_setup) if k == RECV else 0.0)
+                wait.append(e - (s + t_setup) if k > 0 else 0.0)
         sends: list[int] = []
         recv_node: list[int | None] = [None] * len(ids)
         nodes = []
-        for i, (k, r, m, s, e, w) in enumerate(
-                zip(kind, rank, msg, t_start, t_end, wait)):
-            if k == SEND:
-                m = ids[len(sends)]
+        for i, (r, k, s, e, w) in enumerate(
+                zip(rank, msg, t_start, t_end, wait)):
+            if k > 0:
+                recv_node[k - 1] = i
+                nodes.append(CausalNode(run, i, r, "recv", s, e, w, ids[k - 1]))
+            elif k == 0:
+                nodes.append(CausalNode(run, i, r, "send", s, e, w,
+                                        ids[len(sends)]))
                 sends.append(i)
-            elif m > 0:
-                recv_node[m - 1] = i
-                m = ids[m - 1]
             else:
-                m = None
-            nodes.append(CausalNode(run, i, r, KIND_CODES[k], s, e, w, m))
+                nodes.append(CausalNode(run, i, r, "work", s, e, w))
         msgs = [
             CausalMsg(run, ids[j], rank[sn], d, tg, nw, sn, recv_node[j])
             for j, (sn, d, tg, nw) in enumerate(
-                zip(sends, ms["dst"], ms["tag"], ms["nwords"]))
+                zip(sends, rows[0::m], rows[1::m], rows[2::m]))
         ]
         if t_setup is None:  # a measured run's ids are its ranks' own
             msgs.sort(key=lambda m: m.id)
         return nodes, msgs
-
-
-def rows_of(columns: dict, names: tuple) -> list:
-    """The flat rows a :class:`CausalRecord` keeps, from the ``names``
-    columns of ``columns`` that are not None (:meth:`CausalRecord.columns`
-    inverted)."""
-    return list(chain.from_iterable(
-        zip(*(columns[c] for c in names if columns[c] is not None))))
 
 
 @dataclass

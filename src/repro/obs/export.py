@@ -41,8 +41,7 @@ import json
 import warnings
 from typing import Callable, NamedTuple
 
-from .causal import (MSG_COLUMNS, NODE_COLUMNS, RECV, SEND, WORK,
-                     CausalRecord, rows_of)
+from .causal import RECV, SEND, WORK, CausalRecord
 from .metrics import KINDS
 from .tracer import PointEvent, Span, Tracer
 
@@ -269,9 +268,15 @@ def _metric_rows(tracer, keys):
             for s in tracer.metrics.samples()]
 
 
+def _load_nodes(tracer, rec):
+    record = CausalRecord(rec["t_setup"], rec["run"])
+    record.load_columns(nodes=rec)
+    tracer.causal_records.append(record)
+
+
 def _load_msgs(tracer, rec):
     [record] = [r for r in tracer.causal_records if r.run == rec["run"]]
-    record.msg_rows = rows_of(rec, MSG_COLUMNS)
+    record.load_columns(msgs=rec)
 
 
 #: THE trace format: record type -> (fields, where the Tracer keeps it and
@@ -298,9 +303,7 @@ RECORDS: dict[str, _Record] = {
         lambda tracer, keys: [
             {"run": r.run, "t_setup": r.t_setup, **r.columns()[0]}
             for r in tracer.causal_records],
-        lambda tracer, rec: tracer.causal_records.append(CausalRecord(
-            rec["t_setup"], rec["run"], rows_of(rec, NODE_COLUMNS))),
-        _nodes_rule),
+        _load_nodes, _nodes_rule),
     "msgs": _Record(
         {"run": "uint", "dst": "ints", "tag": "ints", "nwords": "ints",
          "id": "ints?"},

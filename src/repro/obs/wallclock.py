@@ -210,8 +210,10 @@ def merge_streams(streams: dict[int, dict]) -> MergedRun:
     sent = {mid: (dest, tag, nwords)
             for r in ranks for mid, dest, tag, nwords in streams[r]["sends"]}
     number: dict[int, int] = {}
-    rows: list = []
-    msg_rows: list = []
+    rec = CausalRecord(None)
+    rows_ext, msg_ext = rec.rows.extend, rec.msg_rows.extend
+    end_app, start_app, wait_app = (
+        rec.t_end.append, rec.t_start.append, rec.wait.append)
     makespan = 0.0
     for r, i in order:
         cols = streams[r]
@@ -222,10 +224,12 @@ def merge_streams(streams: dict[int, dict]) -> MergedRun:
             t_end = t_start
         if code == SEND:
             number[mid] = len(number)
-            msg_rows.extend((*sent[mid], mid))
-        wait = min(max(cols["waits"][i], 0.0), t_end - t_start)
-        rows.extend((code, r, number[mid] + 1 if code == RECV else -1,
-                     t_end, t_start, wait))
+            msg_ext((*sent[mid], mid))
+        rows_ext((r, number[mid] + 1 if code == RECV
+                  else 0 if code == SEND else -1))
+        end_app(t_end)
+        start_app(t_start)
+        wait_app(min(max(cols["waits"][i], 0.0), t_end - t_start))
         if t_end > makespan:
             makespan = t_end
     rank_makespan = max((streams[r]["ends"][-1] - streams[r]["t0"]
@@ -237,7 +241,7 @@ def merge_streams(streams: dict[int, dict]) -> MergedRun:
         for (t, mid) in streams[r]["spills"]
     )
     return MergedRun(
-        record=CausalRecord(None, rows=rows, msg_rows=msg_rows),
+        record=rec,
         makespan=makespan,
         rank_makespan=rank_makespan,
         start_spread=start_spread,

@@ -17,9 +17,9 @@ The scheduler (DESIGN.md §13) dispatches on each op class's ``_code``,
 files the ready ranks in a calendar — the distinct ready clocks, each
 with the ids of the ranks due at it — runs a rank for as long as it
 stays the calendar's minimum, and appends the happens-before record as
-flat rows of what it cannot derive
-(:class:`~repro.obs.causal.CausalRecord`), the slots the trace file
-stores as columns.  A rank's mailbox
+what it cannot derive (:class:`~repro.obs.causal.CausalRecord`): a flat
+``rank, msg`` pair and an unboxed ``t_end`` per node, a ``dst, tag,
+nwords`` row per message, the slots the trace file stores as columns.  A rank's mailbox
 is a send-ordered list whose first match is the oldest (:func:`_take`).
 The one-op-per-pop ``(clock, rank)`` tuple-heap scheduler it replaced,
 with its minimum-``seq`` scanning mailbox and eager object record, is the
@@ -76,11 +76,12 @@ class DeadlockError(RuntimeError):
 # compares them — so losing generated __eq__/__hash__ costs nothing.
 #
 # Each class carries its dispatch key as ``_code``, which doubles as the
-# kind code the causal record stores (``repro.obs.causal.KIND_CODES``): in
-# the hot loop a class attribute load beats a dict probe, and subclasses
-# inherit it.  The codes are work 0, send 2, recv 3 (1 is unused): the
-# recorded node columns, the trace file, and the digests pinned on them
-# carry those numbers.
+# kind code the trace file's ``kind`` column holds
+# (``repro.obs.causal.KIND_CODES``): in the hot loop a class attribute
+# load beats a dict probe, and subclasses inherit it.  The codes are work
+# 0, send 2, recv 3 (1 is unused): the trace file and the digests pinned
+# on the derived columns carry those numbers.  The causal record itself
+# stores no code; the sign of a node's ``msg`` slot spells it.
 
 
 class SendOp:
@@ -243,8 +244,8 @@ class VirtualMachine:
         * all clock arithmetic is the same float expressions, in the
           same order, as the oracle scheduler;
         * node id == append order, msg id == ``seq - 1`` == the send's
-          rank among the send rows, and a recv row keeps the ``seq`` it
-          consumed — so :class:`~repro.obs.causal.CausalRecord` derives
+          rank among the send nodes (``msg`` 0), and a recv node keeps
+          the ``seq`` it consumed as its ``msg`` — so :class:`~repro.obs.causal.CausalRecord` derives
           the eager record's ``t_start``, ``wait``, message ids and
           send / recv nodes;
         * traced and untraced runs count the run's total words and
@@ -261,6 +262,7 @@ class VirtualMachine:
                if (self.trace or self.tracer is not None) else None)
         if rec is not None:
             nd_ext = rec.rows.extend
+            t_app = rec.t_end.append
             msi_ext = rec.msg_rows.extend
 
         clocks = [0.0] * nranks
@@ -282,7 +284,7 @@ class VirtualMachine:
         seq = 0
 
         # Cyclic GC off for the duration of the loop: the scheduler's own
-        # allocations are acyclic (row lists, tuples), but at 10k+
+        # allocations are acyclic (record lists, tuples), but at 10k+
         # ranks the rank generators and mailboxes make every full
         # collection an O(heap) scan, and the growing
         # record retriggers them throughout the run.  Restored on every
@@ -332,7 +334,8 @@ class VirtualMachine:
                         total_words += nwords
                         tag = op.tag
                         if rec is not None:
-                            nd_ext((SEND, r, -1, c))
+                            nd_ext((r, 0))
+                            t_app(c)
                             msi_ext((dest, tag, nwords))
                         clocks[r] = c
                         bop = blocked[dest]
@@ -354,7 +357,8 @@ class VirtualMachine:
                                 cd = c
                             clocks[dest] = cd
                             if rec is not None:
-                                nd_ext((RECV, dest, seq, cd))
+                                nd_ext((dest, seq))
+                                t_app(cd)
                             send_values[dest] = (op.payload, r, tag)
                             due = buckets.get(cd)
                             if due is None:
@@ -390,7 +394,8 @@ class VirtualMachine:
                         if arr > c:
                             c = arr
                         if rec is not None:
-                            nd_ext((RECV, r, mseq, c))
+                            nd_ext((r, mseq))
+                            t_app(c)
                         sv = (payload, src, rtag)
                     else:  # WORK
                         units = op.units
@@ -398,7 +403,8 @@ class VirtualMachine:
                             raise ValueError(f"negative work: {units}")
                         c = c + t_work * units
                         if rec is not None:
-                            nd_ext((WORK, r, -1, c))
+                            nd_ext((r, -1))
+                            t_app(c)
                     # run-to-min batching: keep running this rank while
                     # ``(c, r)`` is still the minimum of the ready order
                     # (ties go to the lowest rank id, exactly as the

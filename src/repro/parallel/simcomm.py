@@ -38,6 +38,8 @@ _TAG_REDUCE = _TAG_BASE + 5
 class Comm:
     """Communicator bound to one rank of a backend run."""
 
+    __slots__ = ("rank", "size", "machine")
+
     def __init__(self, rank: int, size: int, machine: MachineModel):
         self.rank = rank
         self.size = size

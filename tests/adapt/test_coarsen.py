@@ -124,8 +124,11 @@ def test_refinement_history_memory_per_element():
     mesh or its subdivision provenance again.
 
     Resolution-6 rotor, uniform random edge error, ``refine_frac=0.1``
-    three times (2 592 → 215 605 tets): 18.6 B per element, where keeping
-    every level's ``mesh_before`` and full ``RefineResult`` read 67.7 B.
+    three times (2 592 → 215 605 tets): 15.3 B per element with each
+    level's marking kept as its edge mask and ``uint8`` patterns (18.6 B
+    while it kept the caller's marking, ``edge_round`` and int64 patterns
+    included), where keeping every level's ``mesh_before`` and full
+    ``RefineResult`` read 67.7 B.
     Measured by ``tracemalloc`` as the memory that deleting the
     ``AdaptiveMesh`` frees while its current mesh and solution stay
     referenced; the initial mesh predates the trace.

@@ -88,10 +88,13 @@ def test_halo_cycle_4096_record_is_pinned():
 def test_halo_cycle_record_keeps_what_it_cannot_derive():
     """Bytes the causal record retains per recorded node, at 1 024 ranks.
 
-    The record stores four slots per node and three per message and
-    derives the rest on read: 86.5 B per node measured, against 164.6 B
-    for the six-slot rows it replaced.  The bound is 1.25x the former,
-    so a derivable column that comes back as a stored one fails here.
+    The record stores a ``rank, msg`` pair and an unboxed float64
+    ``t_end`` per node and three slots per message, and derives the rest
+    on read: 57.5 B per node measured, against 86.5 B for the four-slot
+    rows with a stored ``kind`` and a boxed ``t_end`` it replaced (and
+    164.6 B for the six-slot rows before those).  The bound is 1.25x the
+    former, so a derivable column that comes back as a stored one, or a
+    clock stored boxed again, fails here.
     """
     halo_cycle(64)  # imports and first-call allocations stay outside
     gc.collect()
@@ -104,7 +107,7 @@ def test_halo_cycle_record_keeps_what_it_cannot_derive():
     finally:
         tracemalloc.stop()
     assert record.nnodes == 39_156
-    assert held / record.nnodes < 1.25 * 86.5
+    assert held / record.nnodes < 1.25 * 57.5
 
 
 def test_causal_record_passes_makespan_identity():

@@ -228,9 +228,11 @@ def stride6(record) -> tuple[np.ndarray, np.ndarray]:
     digests are pinned on: float64 ``kind, rank, msg, t_start, t_end,
     wait`` per node (``msg`` -1 where none) and int64 ``src, dst, tag,
     nwords, send_node, recv_node`` per message (``recv_node`` -1 when
-    unconsumed), derived with numpy from the stored rows."""
-    a = np.array(record.rows, dtype=np.float64).reshape(-1, 4)
-    kind, rank, seq, t_end = a.T
+    unconsumed), derived with numpy from the record's columns."""
+    nd, ms = record.columns()
+    a = np.array([nd["kind"], nd["rank"], nd["msg"]], dtype=np.float64).T
+    kind, rank, seq = a.T
+    t_end = np.array(nd["t_end"], dtype=np.float64)
     recv = seq > 0
     msg = np.where(recv, seq - 1.0, -1.0)
     send = kind == 2
@@ -248,7 +250,8 @@ def stride6(record) -> tuple[np.ndarray, np.ndarray]:
     ints = a[:, :3].astype(np.int64)  # kind, rank, msg
     sends = np.flatnonzero(ints[:, 0] == 2)
     recvs = np.flatnonzero(ints[:, 2] > 0)
-    m = np.array(record.msg_rows, dtype=np.int64).reshape(-1, 3)
+    m = np.array([ms["dst"], ms["tag"], ms["nwords"]],
+                 dtype=np.int64).reshape(3, -1).T
     recv_node = np.full(len(m), -1, dtype=np.int64)
     recv_node[ints[recvs, 2] - 1] = recvs
     msgs = np.column_stack((ints[sends, 1], m, sends, recv_node)).ravel()

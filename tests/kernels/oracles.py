@@ -173,12 +173,12 @@ class _EagerRecord(CausalRecord):
     __slots__ = ("eager",)
 
     def __init__(self, t_setup: float, run: int, nodes: list, msgs: list):
-        code = {"work": 0, "send": 2, "recv": 3}
-        super().__init__(t_setup, run, [
-            v for n in nodes for v in (
-                code[n.kind], n.rank,
-                n.msg + 1 if n.kind == "recv" else -1, n.t_end)
-        ], [v for m in msgs for v in (m.dst, m.tag, m.nwords)])
+        super().__init__(t_setup, run)
+        self.rows = [v for n in nodes for v in (
+            n.rank, n.msg + 1 if n.kind == "recv"
+            else 0 if n.kind == "send" else -1)]
+        self.t_end.extend(n.t_end for n in nodes)
+        self.msg_rows = [v for m in msgs for v in (m.dst, m.tag, m.nwords)]
         self.eager = (nodes, msgs)
 
     def objects(self) -> tuple[list, list]:

@@ -226,7 +226,7 @@ def test_causal_roundtrip(tmp_path):
     assert causal_msgs(back) == causal_msgs(tr)
     # the file holds the columns the scheduler stored, nothing derived
     [(rec, rec_back)] = zip(tr.causal_records, back.causal_records)
-    assert (rec_back.rows, rec_back.msg_rows) == (rec.rows, rec.msg_rows)
+    assert rec_back.columns() == rec.columns()
     # the run counter resumes after the last recorded run
     assert back.next_causal_run() == tr._next_run
 
@@ -570,7 +570,7 @@ def test_run_records_must_follow_their_marker_and_pair_up(tmp_path):
 def test_export_refuses_a_record_it_could_not_read_back(tmp_path):
     tr = causal_tracer()
     [record] = tr.causal_records
-    record.rows[1] = 5  # node 0's rank: not one of the run's two
+    record.rows[0] = 5  # node 0's rank: not one of the run's two
     path = tmp_path / "never.jsonl"
     with pytest.raises(SchemaError, match="nodes rank 5"):
         export_jsonl(tr, path)

@@ -19,10 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.causal import CausalRecord
 from repro.parallel import ANY, SP2_1997, DeadlockError, VirtualMachine
 from repro.parallel.runtime import per_rank
 from tests.fixtures import msgs_of, nodes_of
-from tests.kernels.oracles import assert_derived_traffic, reference_kernels
+from tests.kernels.oracles import (_EagerRecord, assert_derived_traffic,
+                                   reference_kernels)
 
 #: SP2 message costs; one work unit is one second.
 WORK_SECONDS = replace(SP2_1997, t_work=1.0)
@@ -324,3 +326,39 @@ def test_record_cut_short_by_deadlock_matches_object_record(script):
     assert err_f.chains == err_r.chains
     assert err_f.blocked == err_r.blocked
     assert str(err_f) == str(err_r)
+
+
+@given(_op_scripts(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_stored_columns_equal_the_oracle_record(script, stuck):
+    """The columns the product's record stores — a ``rank, msg`` pair per
+    node, whose ``msg`` sign spells the kind, the unboxed ``t_end`` and
+    ``dst, tag, nwords`` per message — equal those of the oracle's
+    :class:`_EagerRecord`, built from its eager objects, on whole runs
+    and on runs a deadlock cuts short (rank 0 then waits on a tag nobody
+    sends)."""
+    p, plan = script
+    prog = script_program(plan)
+    if not stuck:
+        fast, ref = _run_both(prog, p, machine=WORK_SECONDS)
+        assert fast._record.columns() == ref._record.columns()
+        return
+
+    def stuck_prog(comm):
+        yield from prog(comm)
+        if comm.rank == 0:
+            _ = yield from comm.recv(source=ANY, tag=99)
+
+    held = []
+    objects = CausalRecord.objects
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CausalRecord, "objects",
+                   lambda rec: held.append(rec) or objects(rec))
+        _deadlocked(VirtualMachine(p, WORK_SECONDS, trace=True),
+                    stuck_prog, mp)
+    with pytest.MonkeyPatch.context() as mp, reference_kernels():
+        _err, nodes, msgs = _deadlocked(
+            VirtualMachine(p, WORK_SECONDS, trace=True), stuck_prog, mp)
+    [record] = held
+    assert record.columns() == _EagerRecord(
+        WORK_SECONDS.t_setup, -1, nodes, msgs).columns()
